@@ -78,7 +78,7 @@ func benchMessage() *msg.Message {
 }
 
 // BenchmarkNetwSend is one lossless frame: Send, transit, DeliverFrame.
-// Steady state must be allocation-free (pooled delivery records, flat
+// Steady state must be allocation-free (by-value pending heap, flat
 // counters, cached WireSize).
 func BenchmarkNetwSend(b *testing.B) {
 	e := sim.NewEngine(1)

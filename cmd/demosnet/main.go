@@ -129,7 +129,7 @@ func main() {
 		if sampler != nil {
 			samples = sampler.Samples()
 		}
-		tl := obs.BuildTimeline(c.Tracer().Records(), c.Ledger(), samples)
+		tl := obs.BuildTimeline(c.TraceRecords(), c.Ledger(), samples)
 		f, err := os.Create(*traceOut)
 		fail(err)
 		fail(tl.WriteJSON(f))

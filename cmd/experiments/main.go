@@ -681,6 +681,16 @@ func traceCluster() *demosmp.Cluster {
 	return cluster(demosmp.Options{Machines: 3, TraceCap: 4096})
 }
 
+// printTrace prints the cluster's trace records of one category, in the
+// canonical (time, machine, emission) order.
+func printTrace(c *demosmp.Cluster, cat trace.Category) {
+	for _, r := range c.TraceRecords() {
+		if r.Cat == cat {
+			fmt.Println(r.String())
+		}
+	}
+}
+
 func f31() {
 	c := traceCluster()
 	pid, _ := c.SpawnProgram(1, demosmp.CPUBound(1<<20))
@@ -688,9 +698,7 @@ func f31() {
 	die(c.Migrate(pid, 2))
 	c.Run()
 	fmt.Println("```")
-	for _, r := range c.Tracer().Filter(trace.CatMigrate) {
-		fmt.Println(r.String())
-	}
+	printTrace(c, trace.CatMigrate)
 	fmt.Println("```")
 }
 
@@ -703,9 +711,7 @@ func f41() {
 	c.Kernel(3).GiveMessageTo(addr.At(server, 1), addr.At(sink, 3), []byte("x"))
 	c.Run()
 	fmt.Println("```")
-	for _, r := range c.Tracer().Filter(trace.CatForward) {
-		fmt.Println(r.String())
-	}
+	printTrace(c, trace.CatForward)
 	fmt.Println("```")
 }
 
@@ -720,8 +726,6 @@ func f51() {
 	die(c.Migrate(server, 2))
 	c.Run()
 	fmt.Println("```")
-	for _, r := range c.Tracer().Filter(trace.CatLinkUpdate) {
-		fmt.Println(r.String())
-	}
+	printTrace(c, trace.CatLinkUpdate)
 	fmt.Println("```")
 }

@@ -51,7 +51,7 @@ func obsExport(snapPath, tracePath string) {
 		fmt.Printf("wrote metrics snapshot to %s\n", snapPath)
 	}
 	if tracePath != "" {
-		tl := obs.BuildTimeline(c.Tracer().Records(), c.Ledger(), sampler.Samples())
+		tl := obs.BuildTimeline(c.TraceRecords(), c.Ledger(), sampler.Samples())
 		f, err := os.Create(tracePath)
 		die(err)
 		die(tl.WriteJSON(f))

@@ -7,7 +7,8 @@
 // The headline number is the 64-machine 4-shard-vs-1-shard speedup. It is
 // only meaningful on a host with enough cores to actually run the shard
 // goroutines concurrently, so the recorded run carries num_cpu and the
-// regression gate enforces the >= 3x floor only when runtime.NumCPU() >= 4.
+// gate's verdict: the >= 3x floor binds only when runtime.NumCPU() >= 4,
+// and below that the artifact says SKIPPED rather than nothing.
 package main
 
 import (
@@ -43,6 +44,24 @@ type scaleRun struct {
 	// by the same workload on 1 shard (the acceptance floor is 3x on a
 	// >= 4-core host).
 	Speedup4Shard64M float64 `json:"speedup_4shard_vs_1shard_64m"`
+	// SpeedupGate is the >= 3x floor's verdict on that ratio, or
+	// "SKIPPED num_cpu=<n>" on a host too small to judge it — so an
+	// artifact never reads as a pass the gate did not give. Every run
+	// recorded since the field exists carries it.
+	SpeedupGate string `json:"speedup_gate,omitempty"`
+}
+
+// speedupGate judges a 4-shard-vs-1-shard ratio measured on this host
+// against the 3x floor, which only binds with at least 4 cores.
+func speedupGate(ratio float64) (verdict string, ok bool) {
+	switch n := runtime.NumCPU(); {
+	case n < 4:
+		return fmt.Sprintf("SKIPPED num_cpu=%d", n), true
+	case ratio < 3.0:
+		return fmt.Sprintf("FAIL %.2fx < 3x num_cpu=%d", ratio, n), false
+	default:
+		return fmt.Sprintf("PASS %.2fx >= 3x num_cpu=%d", ratio, n), true
+	}
 }
 
 // scalePerMachine is the open-loop job count per machine, sized so every
@@ -144,6 +163,7 @@ func measureScale() scaleRun {
 	if base64 > 0 {
 		r.Speedup4Shard64M = par64 / base64
 	}
+	r.SpeedupGate, _ = speedupGate(r.Speedup4Shard64M)
 	return r
 }
 
@@ -155,7 +175,7 @@ func printScale(r scaleRun) {
 		fmt.Printf("| %d | %d | %d | %.1f | %.0f |\n",
 			p.Machines, p.Shards, p.EventsFired, p.WallMs, p.EventsPerSec)
 	}
-	fmt.Printf("\n64-machine speedup, 4 shards vs 1: %.2fx\n", r.Speedup4Shard64M)
+	fmt.Printf("\n64-machine speedup, 4 shards vs 1: %.2fx (>= 3x gate: %s)\n", r.Speedup4Shard64M, r.SpeedupGate)
 }
 
 // scaleJSON measures the scale grid and writes the run (standalone JSON,
@@ -172,24 +192,17 @@ func scaleJSON(path string) {
 
 // checkScaleSpeedup is the -check-regression extension: on a host with at
 // least 4 cores, the 64-machine workload on 4 parallel shards must sustain
-// at least 3x the events/sec of the same workload on 1 shard. Returns the
+// at least 3x the events/sec of the same workload on 1 shard; on a smaller
+// host the ratio is still measured and printed, marked SKIPPED. Returns the
 // number of failed gates (0 or 1).
 func checkScaleSpeedup() int {
-	if n := runtime.NumCPU(); n < 4 {
-		fmt.Printf("%-34s %29s\n", "sharded speedup (64m, 4 shards)",
-			fmt.Sprintf("skipped: %d CPU(s) < 4", n))
-		return 0
-	}
 	base := bestScalePoint(64, 1, 3)
 	par := bestScalePoint(64, 4, 3)
-	speedup := par.EventsPerSec / base.EventsPerSec
-	mark := ""
-	bad := 0
-	if speedup < 3.0 {
-		bad = 1
-		mark = "  <-- parallel shards below the 3x floor"
+	verdict, ok := speedupGate(par.EventsPerSec / base.EventsPerSec)
+	fmt.Printf("%-34s %9.0f -> %9.0f ev/s (%s)\n",
+		"sharded speedup (64m, 4 shards)", base.EventsPerSec, par.EventsPerSec, verdict)
+	if !ok {
+		return 1
 	}
-	fmt.Printf("%-34s %9.0f -> %9.0f ev/s (%.2fx, want >= 3x)%s\n",
-		"sharded speedup (64m, 4 shards)", base.EventsPerSec, par.EventsPerSec, speedup, mark)
-	return bad
+	return 0
 }

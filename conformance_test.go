@@ -78,16 +78,15 @@ func TestPaperSection6Conformance(t *testing.T) {
 	// "Each message that goes through a forwarding address generates two
 	// additional messages": a direct send is one network frame; a stale
 	// send is that frame plus the forwarded resend plus the link update.
-	net := c.Network()
-	before := net.Stats().Frames
+	before := c.NetStats().Frames
 	c.Kernel(3).GiveMessageTo(addr.At(server, 2), addr.At(sink, 3), []byte("fresh"))
 	c.Run()
-	direct := net.Stats().Frames - before
+	direct := c.NetStats().Frames - before
 
-	before = net.Stats().Frames
+	before = c.NetStats().Frames
 	c.Kernel(3).GiveMessageTo(addr.At(server, 1), addr.At(sink, 3), []byte("stale"))
 	c.Run()
-	stale := net.Stats().Frames - before
+	stale := c.NetStats().Frames - before
 
 	if stale-direct != 2 {
 		t.Errorf("extra messages per forward = %d (direct=%d stale=%d), want 2 (paper §6)",
@@ -109,8 +108,8 @@ func TestPaperSection6Conformance(t *testing.T) {
 	if v := snap.Value("kernel.m1.forwarded"); v != 1 {
 		t.Errorf("registry forwarded = %d, want 1", v)
 	}
-	if v := snap.Value("netw.frames"); v != net.Stats().Frames {
-		t.Errorf("registry frames = %d, netw says %d", v, net.Stats().Frames)
+	if v := snap.Value("netw.frames"); v != c.NetStats().Frames {
+		t.Errorf("registry frames = %d, netw says %d", v, c.NetStats().Frames)
 	}
 
 	t.Logf("§6 measured vs paper: transfers=%d/3 admin=%d/9 payload=[%d,%d]B/[6,12]B extra-per-forward=%d/2",

@@ -1,11 +1,20 @@
-// Golden-trace determinism test: the exact (time, seq) firing order of the
-// event engine is part of this repo's contract — the protocol tests assert
-// exact message counts, and EXPERIMENTS.md claims bit-identical reruns. The
-// golden file under testdata/ was captured on the original container/heap
-// engine; any engine rewrite must reproduce it byte for byte.
+// Golden-trace determinism test: the exact firing order of the event
+// engines is part of this repo's contract — the protocol tests assert exact
+// message counts, and EXPERIMENTS.md claims bit-identical reruns. Any engine,
+// network or kernel rewrite must reproduce the golden file under testdata/
+// byte for byte.
 //
-// Regenerate (only when the *workload* changes, never to paper over an
-// ordering change): go test -run TestGoldenTrace -update-golden
+// The file was regenerated once, in PR 13, when canonical delivery on a
+// sim.Group became the only runtime (it had been captured on the original
+// container/heap engine and pinned the since-deleted inline delivery path).
+// On this scenario the two runtimes fired the same 245 events in the same
+// order; what moved is the delivery event's name (netw:deliver became
+// netw:pump) and the clock rule: RunFor now leaves the clock at its target,
+// so the two Migrate calls land at t=5000 and t=11000 instead of at the
+// last event before them. DESIGN.md §11 has the itemised comparison.
+//
+// Regenerate only when the *workload* changes, never to paper over an
+// ordering change: go test -run TestGoldenTrace -update-golden
 package demosmp_test
 
 import (
@@ -65,7 +74,7 @@ func goldenTrace(t *testing.T) []string {
 }
 
 // TestGoldenTrace asserts the exact event firing sequence (names and
-// timestamps) against the trace captured before the event-engine rewrite.
+// timestamps) against the committed trace.
 func TestGoldenTrace(t *testing.T) {
 	got := goldenTrace(t)
 	if *updateGolden {

@@ -2,10 +2,33 @@
 // cluster. An Injector drives the failure modes the paper's protocol must
 // survive — processor crashes at every migration kill-point (§3.1),
 // network partitions, loss bursts, duplicate and delayed frames — from its
-// own seeded PRNG, so the same seed replays the exact same fault schedule
-// regardless of how much randomness the simulation itself consumes. The
-// companion invariant checker (invariants.go) audits the cluster after
-// quiescence.
+// own seeded PRNGs, so the same seed replays the exact same fault schedule
+// regardless of how much randomness the simulation itself consumes, on any
+// shard count, sequential or ShardParallel. The companion invariant checker
+// (invariants.go) audits the cluster after quiescence.
+//
+// Every fault's state lives on the shard that enforces it:
+//
+//   - Lockstep pulse replicas. Each pulse family gets one PRNG stream per
+//     shard, all seeded identically (cfg.Seed + a family offset), and each
+//     shard arms its own replica chain via AfterWeakFault on its own
+//     engine. Every replica draws the same victims at the same sim times;
+//     a shard applies only the slice of the fault it enforces. Fault-class
+//     events sort before gate pumps and normal events at equal timestamps,
+//     so "fault state armed at t applies to every send and arrival at t"
+//     holds for every shard count.
+//   - Per-shard partition mirrors. Every replica maintains its shard's
+//     view of which pairs are open, so already-open guards evaluate
+//     identically everywhere; the netw-level Partition/Heal is applied
+//     only by the shards owning an endpoint of the pair.
+//   - Machine-anchored kill rotation. Kill-point rotation state is per
+//     machine (cursor seeded (m-1) % |kill points|, a fair share of
+//     MaxKills as budget), so the decision at a hook firing touches only
+//     the machine's own shard. KillEvery is per-machine spacing.
+//   - Per-shard fault logs, merged by (time, machine) into one canonical
+//     trace. Each entry is attributed to exactly one machine and written
+//     by exactly one shard, so the merged order is total and identical
+//     across shard counts — the matrix tests pin this byte for byte.
 package chaos
 
 import (
@@ -22,11 +45,13 @@ import (
 // Config shapes a fault schedule. The zero value injects nothing; every
 // pulse family is enabled by setting its Every interval.
 type Config struct {
-	// Seed drives the injector's private PRNG.
+	// Seed drives the injector's private PRNG streams (one per pulse
+	// family).
 	Seed int64
 
-	// MaxKills bounds processor crashes fired at migration kill-points.
-	// The injector rotates through all eight kill-points in order, so a
+	// MaxKills bounds processor crashes fired at migration kill-points,
+	// shared out evenly over the machines. Each machine rotates through
+	// all eight kill-points in order (starting at a different one), so a
 	// long enough run crashes a kernel at every stage of the protocol.
 	MaxKills int
 	// RestartAfter is how long a killed kernel stays down before the
@@ -37,10 +62,11 @@ type Config struct {
 	// machine's processes beyond recovery (the paper's §1 point: stable
 	// storage is what makes crash "migration" possible at all).
 	KillAfter sim.Time
-	// KillEvery is the minimum spacing between kills. Without it,
-	// back-to-back migrations let the rotation crash every machine
-	// within a few events of each other, and the whole cluster spends
-	// the run dead instead of recovering.
+	// KillEvery is the minimum spacing between kills of one machine (a
+	// cluster-wide spacing would need cross-shard clock reads). Without
+	// it, back-to-back migrations let the rotation crash a machine again
+	// the moment it restarts, and it spends the run dead instead of
+	// recovering.
 	KillEvery sim.Time
 
 	// PartitionEvery opens a pairwise partition roughly that often;
@@ -75,39 +101,57 @@ type Config struct {
 	CheckpointFilter func(kernel.ProcInfo) bool
 }
 
-// Injector schedules faults against one cluster. All scheduling happens on
-// the cluster's engine, so fault timing is part of the deterministic event
-// order; the injector's own PRNG only picks victims and intervals.
-type Injector struct {
-	c   *core.Cluster
-	eng *sim.Engine
-	rng *rand.Rand
-	cfg Config
+// Per-family PRNG seed offsets: each family's replicas share one stream
+// shape across all shards of all shard counts.
+const (
+	seedPartition = 1 + iota
+	seedBurst
+	seedDup
+	seedDelay
+	seedCheckpoint
+)
 
-	stopped    bool
-	kills      int
-	lastKill   sim.Time
-	target     int // rotation cursor into kernel.KillPoints()
-	misses     int // hook fires since the last kill that missed the target
-	killCounts map[kernel.KillPoint]int
-	parts      map[[2]int]bool // partitions we opened and have not healed
-	log        []string
-
-	// sh is non-nil when the cluster runs sharded: the injector then uses
-	// the shard-local fault plane (sharded.go) — lockstep per-shard pulse
-	// replicas, per-machine kill rotation, per-shard merged logs — instead
-	// of the classic single-engine schedule above.
-	sh *shardedInjector
+// killState is one machine's private kill rotation.
+type killState struct {
+	cursor   int // index into kernel.KillPoints(), starts at (m-1) % len
+	misses   int
+	kills    int
+	budget   int // this machine's share of cfg.MaxKills
+	lastKill sim.Time
 }
 
-// missLimit is how many non-matching kill-point firings the injector
-// tolerates before advancing the rotation cursor. It rescues a run whose
+// chaosEntry is one fault-log line before merging: time, the machine the
+// fault is attributed to, and the rendered text.
+type chaosEntry struct {
+	t sim.Time
+	m int
+	s string
+}
+
+// Injector schedules faults against one cluster. All scheduling happens on
+// the cluster's engines, so fault timing is part of the deterministic event
+// order; the injector's own PRNGs only pick victims and intervals.
+type Injector struct {
+	c   *core.Cluster
+	cfg Config
+
+	stopped bool
+	open    []map[[2]int]bool          // per-shard partition mirrors (lockstep)
+	kill    []killState                // per machine, indexed by machine id
+	kills   []int                      // crashes fired, per shard
+	counts  []map[kernel.KillPoint]int // kill-point tallies, per shard
+	logs    [][]chaosEntry             // fault log, per shard
+}
+
+// missLimit is how many non-matching kill-point firings a machine's
+// rotation tolerates before advancing its cursor. It rescues a run whose
 // workload can no longer reach the targeted stage (e.g. migrations dried
 // up) without costing coverage in a healthy run.
 const missLimit = 256
 
-// New installs fault hooks on every kernel and arms the configured pulse
-// families. Pulses are weak events: they never keep the engine alive, so a
+// New installs fault hooks on every kernel, shares the kill budget out over
+// the machines, and arms every shard's replica of the configured pulse
+// families. Pulses are weak events: they never keep the engines alive, so a
 // driver can simply Run() to quiescence. Heals ride along as weak events
 // too (Stop sweeps up any partition left behind); restarts are strong, so
 // a killed kernel always comes back.
@@ -127,179 +171,150 @@ func New(c *core.Cluster, cfg Config) *Injector {
 	if cfg.DelayExtra <= 0 {
 		cfg.DelayExtra = 2_500
 	}
+	shards := c.Shards()
 	inj := &Injector{
-		c:          c,
-		eng:        c.Engine(),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		cfg:        cfg,
-		killCounts: make(map[kernel.KillPoint]int),
-		parts:      make(map[[2]int]bool),
+		c:      c,
+		cfg:    cfg,
+		open:   make([]map[[2]int]bool, shards),
+		kill:   make([]killState, c.Machines()+1),
+		kills:  make([]int, shards),
+		counts: make([]map[kernel.KillPoint]int, shards),
+		logs:   make([][]chaosEntry, shards),
 	}
+	kps := len(kernel.KillPoints())
+	per, rem := cfg.MaxKills/c.Machines(), cfg.MaxKills%c.Machines()
 	for m := 1; m <= c.Machines(); m++ {
 		m := m
+		ks := &inj.kill[m]
+		ks.cursor = (m - 1) % kps
+		ks.budget = per
+		if m <= rem {
+			ks.budget++
+		}
 		c.Kernel(m).SetFaultHook(func(kp kernel.KillPoint, pid addr.ProcessID) {
 			inj.maybeKill(m, kp, pid)
 		})
 	}
-	if c.Shards() >= 1 {
-		// Sharded runtime: shard-local fault plane (sharded.go). Runs under
-		// ShardParallel and is shard-count-invariant; its schedule differs
-		// from the classic single-engine one below.
-		inj.initSharded()
-		return inj
+	for s := 0; s < shards; s++ {
+		inj.open[s] = make(map[[2]int]bool)
+		inj.counts[s] = make(map[kernel.KillPoint]int)
+		inj.arm(s, seedPartition, cfg.PartitionEvery, "chaos:partition", inj.partitionPulse)
+		inj.arm(s, seedBurst, cfg.BurstEvery, "chaos:burst", inj.burstPulse)
+		if c.NetLossy() {
+			inj.arm(s, seedDup, cfg.DupEvery, "chaos:dup", inj.dupPulse)
+		}
+		inj.arm(s, seedDelay, cfg.DelayEvery, "chaos:delay", inj.delayPulse)
+		inj.arm(s, seedCheckpoint, cfg.CheckpointEvery, "chaos:checkpoint", inj.checkpointPulse)
 	}
-	inj.arm(cfg.PartitionEvery, "chaos:partition", inj.partitionPulse)
-	inj.arm(cfg.BurstEvery, "chaos:burst", inj.burstPulse)
-	if c.NetLossy() {
-		inj.arm(cfg.DupEvery, "chaos:dup", inj.dupPulse)
-	}
-	inj.arm(cfg.DelayEvery, "chaos:delay", inj.delayPulse)
-	inj.arm(cfg.CheckpointEvery, "chaos:checkpoint", inj.checkpointPulse)
 	return inj
+}
+
+// arm starts shard s's replica of one pulse family on a fresh stream seeded
+// cfg.Seed + family: every shard draws the identical sequence.
+func (inj *Injector) arm(s int, family int64, every sim.Time, name string, fn func(s int, rng *rand.Rand)) {
+	inj.rearm(s, rand.New(rand.NewSource(inj.cfg.Seed+family)), every, name, fn)
+}
+
+// rearm schedules shard s's next replica firing of one pulse family, as a
+// weak fault-class event on s's own engine; each pulse re-arms itself.
+// Intervals jitter in [every/2, every*3/2) off the family's per-shard
+// stream, so replicas fire in lockstep.
+func (inj *Injector) rearm(s int, rng *rand.Rand, every sim.Time, name string, fn func(s int, rng *rand.Rand)) {
+	if every <= 0 {
+		return
+	}
+	d := every/2 + sim.Time(rng.Int63n(int64(every)))
+	inj.c.EngineOfShard(s).AfterWeakFault(d, name, func() {
+		if inj.stopped {
+			return
+		}
+		fn(s, rng)
+		inj.rearm(s, rng, every, name, fn)
+	})
 }
 
 // Stop freezes the schedule: no further kills or pulses, and every
 // partition the injector opened is healed. Restarts already scheduled for
 // killed kernels still fire, so a subsequent Run() reaches a fully-up
-// cluster.
+// cluster. Call it between runs: every shard's partition mirror is
+// identical at a barrier, and the cluster-level Heal fan-out is safe
+// outside a round.
 func (inj *Injector) Stop() {
-	if inj.sh != nil {
-		inj.stopSharded()
-		return
-	}
 	inj.stopped = true
-	keys := make([][2]int, 0, len(inj.parts))
-	for k := range inj.parts {
+	keys := make([][2]int, 0, len(inj.open[0]))
+	for k := range inj.open[0] {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		return keys[i][0] < keys[j][0] || (keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1])
 	})
-	for _, k := range keys {
-		delete(inj.parts, k)
-		inj.c.Heal(addr.MachineID(k[0]), addr.MachineID(k[1]))
-		inj.tracef("heal %d-%d (stop)", k[0], k[1])
+	for _, key := range keys {
+		for s := range inj.open {
+			delete(inj.open[s], key)
+		}
+		a, b := key[0], key[1]
+		inj.c.Heal(addr.MachineID(a), addr.MachineID(b))
+		inj.logf(inj.c.ShardOf(a), inj.c.EngineOf(a).Now(), a, "heal %d-%d (stop)", a, b)
 	}
 }
 
 // Kills reports how many processor crashes fired.
 func (inj *Injector) Kills() int {
-	if inj.sh != nil {
-		total := 0
-		for _, n := range inj.sh.kills {
-			total += n
-		}
-		return total
+	total := 0
+	for _, n := range inj.kills {
+		total += n
 	}
-	return inj.kills
+	return total
 }
 
 // KillCounts reports crashes per kill-point.
 func (inj *Injector) KillCounts() map[kernel.KillPoint]int {
-	if inj.sh != nil {
-		out := make(map[kernel.KillPoint]int)
-		for _, counts := range inj.sh.counts {
-			for k, v := range counts {
-				out[k] += v
-			}
+	out := make(map[kernel.KillPoint]int)
+	for _, counts := range inj.counts {
+		for k, v := range counts {
+			out[k] += v
 		}
-		return out
-	}
-	out := make(map[kernel.KillPoint]int, len(inj.killCounts))
-	for k, v := range inj.killCounts {
-		out[k] = v
 	}
 	return out
 }
 
 // Trace returns the injector's fault log — a deterministic artifact two
-// same-seed runs must reproduce byte for byte (and, when sharded, byte for
-// byte across shard counts).
+// same-seed runs must reproduce byte for byte, across shard counts too. It
+// merges the per-shard logs into the canonical order (time, machine): each
+// (t, m) pair is written by exactly one shard, and same-key entries keep
+// their shard's emission order, so the merge is total.
 func (inj *Injector) Trace() []string {
-	if inj.sh != nil {
-		return inj.traceSharded()
+	var all []chaosEntry
+	for _, l := range inj.logs {
+		all = append(all, l...)
 	}
-	return append([]string(nil), inj.log...)
-}
-
-func (inj *Injector) tracef(format string, args ...any) {
-	inj.log = append(inj.log, fmt.Sprintf("t=%d %s", inj.eng.Now(), fmt.Sprintf(format, args...)))
-}
-
-// maybeKill is the fault hook: it fires inside a kernel's migration
-// handler at a named kill-point and decides whether that kernel dies right
-// there. The decision is a pure function of the rotation state — no PRNG —
-// so kill placement depends only on simulation order.
-func (inj *Injector) maybeKill(m int, kp kernel.KillPoint, pid addr.ProcessID) {
-	if inj.sh != nil {
-		// Sharded: per-machine rotation state, touched only on m's own
-		// shard (sharded.go).
-		inj.maybeKillSharded(m, kp, pid)
-		return
-	}
-	eng := inj.c.EngineOf(m)
-	if inj.stopped || inj.kills >= inj.cfg.MaxKills || eng.Now() < inj.cfg.KillAfter {
-		return
-	}
-	if inj.kills > 0 && eng.Now() < inj.lastKill+inj.cfg.KillEvery {
-		return
-	}
-	k := inj.c.Kernel(m)
-	if k.Crashed() {
-		return
-	}
-	kps := kernel.KillPoints()
-	if kp != kps[inj.target%len(kps)] {
-		if inj.misses++; inj.misses > missLimit {
-			inj.misses = 0
-			inj.target++
+	sort.SliceStable(all, func(i, j int) bool {
+		if all[i].t != all[j].t {
+			return all[i].t < all[j].t
 		}
-		return
-	}
-	inj.kills++
-	inj.target++
-	inj.misses = 0
-	inj.lastKill = eng.Now()
-	inj.killCounts[kp]++
-	inj.tracef("kill m=%d kp=%s pid=%v", m, kp, pid)
-	k.Crash()
-	eng.After(inj.cfg.RestartAfter, "chaos:restart", func() {
-		if !k.Crashed() {
-			return
-		}
-		if err := k.Restart(); err == nil {
-			inj.tracef("restart m=%d", m)
-		}
+		return all[i].m < all[j].m
 	})
-}
-
-// arm schedules the first firing of a pulse family; each pulse re-arms
-// itself. Intervals jitter in [every/2, every*3/2) off the injector's PRNG.
-func (inj *Injector) arm(every sim.Time, name string, fn func()) {
-	if every <= 0 {
-		return
+	out := make([]string, len(all))
+	for i, e := range all {
+		out[i] = fmt.Sprintf("t=%d %s", e.t, e.s)
 	}
-	d := every/2 + sim.Time(inj.rng.Int63n(int64(every)))
-	inj.eng.AfterWeak(d, name, func() {
-		if inj.stopped {
-			return
-		}
-		fn()
-		inj.arm(every, name, fn)
-	})
+	return out
 }
 
-// pick returns a random machine pair (a != b unless only one machine
-// exists). Both draws always happen so the PRNG stream stays aligned.
-func (inj *Injector) pick() (int, int) {
-	n := inj.c.Machines()
-	a := 1 + inj.rng.Intn(n)
-	b := 1 + inj.rng.Intn(n)
-	return a, b
+// logf appends one attributed entry to shard s's fault log. Only shard s's
+// goroutine writes logs[s], so parallel rounds never race here.
+func (inj *Injector) logf(s int, t sim.Time, m int, format string, args ...any) {
+	inj.logs[s] = append(inj.logs[s], chaosEntry{t: t, m: m, s: fmt.Sprintf(format, args...)})
 }
 
-func (inj *Injector) partitionPulse() {
-	a, b := inj.pick()
+// pickPair draws a machine pair from a replica stream. Both draws always
+// happen so every shard's stream stays aligned.
+func pickPair(rng *rand.Rand, n int) (int, int) {
+	return 1 + rng.Intn(n), 1 + rng.Intn(n)
+}
+
+func (inj *Injector) partitionPulse(s int, rng *rand.Rand) {
+	a, b := pickPair(rng, inj.c.Machines())
 	if a == b {
 		return
 	}
@@ -307,55 +322,84 @@ func (inj *Injector) partitionPulse() {
 		a, b = b, a
 	}
 	key := [2]int{a, b}
-	if inj.parts[key] {
+	if inj.open[s][key] {
 		return
 	}
-	inj.parts[key] = true
-	inj.c.Partition(addr.MachineID(a), addr.MachineID(b))
-	inj.tracef("partition %d-%d", a, b)
-	// Weak: a heal must never be the only thing keeping the engine
-	// alive. Stop() sweeps up anything left unhealed.
-	inj.eng.AfterWeak(inj.cfg.PartitionFor, "chaos:heal", func() {
-		if !inj.parts[key] {
-			return
+	inj.open[s][key] = true
+	// Sends a->b are checked on a's shard and acks on b's: only those
+	// shards hold netw-level partition state for the pair.
+	owns := inj.c.ShardOf(a) == s || inj.c.ShardOf(b) == s
+	if owns {
+		inj.c.NetworkOfShard(s).Partition(addr.MachineID(a), addr.MachineID(b))
+	}
+	eng := inj.c.EngineOfShard(s)
+	if inj.c.ShardOf(a) == s {
+		inj.logf(s, eng.Now(), a, "partition %d-%d", a, b)
+	}
+	eng.AfterWeakFault(inj.cfg.PartitionFor, "chaos:heal", func() {
+		if !inj.open[s][key] {
+			return // already healed (by Stop's sweep)
 		}
-		delete(inj.parts, key)
-		inj.c.Heal(addr.MachineID(a), addr.MachineID(b))
-		inj.tracef("heal %d-%d", a, b)
+		delete(inj.open[s], key)
+		if owns {
+			inj.c.NetworkOfShard(s).Heal(addr.MachineID(a), addr.MachineID(b))
+		}
+		if inj.c.ShardOf(a) == s {
+			inj.logf(s, eng.Now(), a, "heal %d-%d", a, b)
+		}
 	})
 }
 
-func (inj *Injector) burstPulse() {
-	until := inj.eng.Now() + inj.cfg.BurstFor
-	inj.c.LossBurst(inj.cfg.BurstRate, until)
-	inj.tracef("burst rate=%.2f until=%d", inj.cfg.BurstRate, until)
+func (inj *Injector) burstPulse(s int, rng *rand.Rand) {
+	// Every shard originates sends and receives acks, so every replica
+	// applies the burst locally; replicas fire at identical times, so the
+	// `until` horizons agree. Attributed to machine 0 (cluster-wide).
+	eng := inj.c.EngineOfShard(s)
+	until := eng.Now() + inj.cfg.BurstFor
+	inj.c.NetworkOfShard(s).LossBurst(inj.cfg.BurstRate, until)
+	if s == 0 {
+		inj.logf(0, eng.Now(), 0, "burst rate=%.2f until=%d", inj.cfg.BurstRate, until)
+	}
 }
 
-func (inj *Injector) dupPulse() {
-	a, b := inj.pick()
+func (inj *Injector) dupPulse(s int, rng *rand.Rand) {
+	a, b := pickPair(rng, inj.c.Machines())
 	if a == b {
 		return
 	}
-	inj.c.DuplicateNext(addr.MachineID(a), addr.MachineID(b), 1)
-	inj.tracef("dup-next %d->%d", a, b)
+	// One-shot injections live on the sending machine's shard only.
+	if inj.c.ShardOf(a) != s {
+		return
+	}
+	inj.c.NetworkOfShard(s).DuplicateNext(addr.MachineID(a), addr.MachineID(b), 1)
+	inj.logf(s, inj.c.EngineOfShard(s).Now(), a, "dup-next %d->%d", a, b)
 }
 
-func (inj *Injector) delayPulse() {
-	a, b := inj.pick()
+func (inj *Injector) delayPulse(s int, rng *rand.Rand) {
+	a, b := pickPair(rng, inj.c.Machines())
 	if a == b {
 		return
 	}
-	inj.c.DelayNext(addr.MachineID(a), addr.MachineID(b), inj.cfg.DelayExtra)
-	inj.tracef("delay-next %d->%d +%d", a, b, inj.cfg.DelayExtra)
+	if inj.c.ShardOf(a) != s {
+		return
+	}
+	inj.c.NetworkOfShard(s).DelayNext(addr.MachineID(a), addr.MachineID(b), inj.cfg.DelayExtra)
+	inj.logf(s, inj.c.EngineOfShard(s).Now(), a, "delay-next %d->%d +%d", a, b, inj.cfg.DelayExtra)
 }
 
-func (inj *Injector) checkpointPulse() {
-	saved := 0
+func (inj *Injector) checkpointPulse(s int, rng *rand.Rand) {
+	// Each shard checkpoints the machines it hosts. Logged per machine so
+	// the merged trace is shard-count-invariant.
+	eng := inj.c.EngineOfShard(s)
 	for m := 1; m <= inj.c.Machines(); m++ {
+		if inj.c.ShardOf(m) != s {
+			continue
+		}
 		k := inj.c.Kernel(m)
 		if k.Crashed() {
 			continue
 		}
+		saved := 0
 		for _, info := range k.Processes() {
 			if info.State == kernel.StateForwarder || info.QueueLen != 0 {
 				continue
@@ -367,8 +411,54 @@ func (inj *Injector) checkpointPulse() {
 				saved++
 			}
 		}
+		if saved > 0 {
+			inj.logf(s, eng.Now(), m, "checkpoint m=%d saved=%d", m, saved)
+		}
 	}
-	if saved > 0 {
-		inj.tracef("checkpoint saved=%d", saved)
+}
+
+// maybeKill is the fault hook: it fires inside a kernel's migration
+// handler at a named kill-point and decides whether that kernel dies right
+// there. The decision is a pure function of the rotation state — no PRNG —
+// so kill placement depends only on simulation order, and it reads and
+// writes only machine m's rotation state, m's kernel, and m's shard's log —
+// all owned by the shard the hook fired on.
+func (inj *Injector) maybeKill(m int, kp kernel.KillPoint, pid addr.ProcessID) {
+	ks := &inj.kill[m]
+	eng := inj.c.EngineOf(m)
+	if inj.stopped || ks.kills >= ks.budget || eng.Now() < inj.cfg.KillAfter {
+		return
 	}
+	if ks.kills > 0 && eng.Now() < ks.lastKill+inj.cfg.KillEvery {
+		return
+	}
+	k := inj.c.Kernel(m)
+	if k.Crashed() {
+		return
+	}
+	kps := kernel.KillPoints()
+	if kp != kps[ks.cursor%len(kps)] {
+		if ks.misses++; ks.misses > missLimit {
+			ks.misses = 0
+			ks.cursor++
+		}
+		return
+	}
+	ks.kills++
+	ks.cursor++
+	ks.misses = 0
+	ks.lastKill = eng.Now()
+	s := inj.c.ShardOf(m)
+	inj.kills[s]++
+	inj.counts[s][kp]++
+	inj.logf(s, eng.Now(), m, "kill m=%d kp=%s pid=%v", m, kp, pid)
+	k.Crash()
+	eng.After(inj.cfg.RestartAfter, "chaos:restart", func() {
+		if !k.Crashed() {
+			return
+		}
+		if err := k.Restart(); err == nil {
+			inj.logf(s, eng.Now(), m, "restart m=%d", m)
+		}
+	})
 }

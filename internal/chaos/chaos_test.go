@@ -25,7 +25,7 @@ type soakParams struct {
 	maxKills   int
 	chaosOn    bool
 	lossy      bool
-	shards     int  // 0 = classic single-engine runtime
+	shards     int  // 0 = default options (one shard)
 	parallel   bool // run shard rounds on parallel goroutines
 	// migrateSpan confines the migrating fleet (spawn sites, migration
 	// destinations, and so the probe fan-out) to machines 1..span; zero
@@ -34,8 +34,11 @@ type soakParams struct {
 	migrateSpan int
 }
 
+// fullParams budgets 20 kills over 4 machines: five each, so machine 4's
+// rotation — which starts at kill-point 3 — reaches the eighth (dst-cleanup)
+// and every point fires on default options.
 func fullParams() soakParams {
-	return soakParams{machines: 4, migrations: 400, sends: 300, maxKills: 16, chaosOn: true, lossy: true}
+	return soakParams{machines: 4, migrations: 400, sends: 300, maxKills: 20, chaosOn: true, lossy: true}
 }
 
 func shortParams() soakParams {
@@ -429,11 +432,12 @@ func assertShardInvariant(t *testing.T, label string, base, got soakResult) {
 }
 
 // TestChaosSoakSharded is the shard-count invariance matrix: the same seed
-// run at 1, 2, and 4 shards, sequentially and in parallel, lossless and
-// lossy, must produce the identical chaos outcome — same merged injector
-// trace, same delivery ledger, same net stats, same kill schedule, same
-// normalized obs snapshot. The 1-shard arm also audits invariants and
-// delivery, so every compared arm inherits a clean bill.
+// run on default options (Shards unset) and at 1, 2, and 4 shards,
+// sequentially and in parallel, lossless and lossy, must produce the
+// identical chaos outcome — same merged injector trace, same delivery
+// ledger, same net stats, same kill schedule, same normalized obs snapshot.
+// The 1-shard arm also audits invariants and delivery, so every compared
+// arm inherits a clean bill.
 func TestChaosSoakSharded(t *testing.T) {
 	for _, lossy := range []bool{false, true} {
 		name := "lossless"
@@ -462,6 +466,18 @@ func TestChaosSoakSharded(t *testing.T) {
 			}
 			if lossy && base.netStats.Dropped == 0 {
 				t.Fatal("lossy arm dropped nothing — ARQ never exercised")
+			}
+			// Default options are the one-shard runtime under another name:
+			// identical down to the event count, the clock, the pool gauges
+			// and the timeline.
+			def := p
+			def.shards = 0
+			got := runSoak(t, 4242, def)
+			assertShardInvariant(t, name+"/default-options", base, got)
+			if got.fired != base.fired || got.now != base.now ||
+				!bytes.Equal(got.obsText, base.obsText) || !bytes.Equal(got.timeline, base.timeline) {
+				t.Errorf("%s/default-options: not bit-identical to Shards: 1 (fired %d/%d, now %d/%d)",
+					name, got.fired, base.fired, got.now, base.now)
 			}
 			for _, shards := range []int{2, 4} {
 				for _, par := range []bool{false, true} {

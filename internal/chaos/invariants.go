@@ -180,12 +180,10 @@ func CheckDelivery(c *core.Cluster, seen map[uint32]uint32, sent uint32) []strin
 		}
 	}
 
-	// NetStats sums counters across shard networks on a sharded cluster
-	// (identical to Network().Stats() on the single-engine runtime).
-	// OrphanDropped joins the budget: a cross-shard frame is a heap clone
-	// with no pool owner, so when it dies against a down machine there is
-	// no Undeliverable completion to the sender — the drop is accounted
-	// here instead.
+	// NetStats sums counters across the shard networks. OrphanDropped
+	// joins the budget: a lossless frame that dies against a down machine
+	// gets no Undeliverable completion back to its sender — the drop is
+	// accounted here instead.
 	ns := c.NetStats()
 	budget := ns.Dead + ns.SendFromDown + ns.PartitionDropped + ns.BurstDropped + ns.OrphanDropped
 	var revived uint64

@@ -61,7 +61,7 @@ func TestStatsSingleSource(t *testing.T) {
 		acksSent += ks.AcksSent
 		acksRecv += ks.AcksReceived
 	}
-	ns := c.Network().Stats()
+	ns := c.NetStats()
 	if dataSent == 0 {
 		t.Fatal("soak moved no data packets; the audit is vacuous")
 	}

@@ -45,7 +45,10 @@ type Options struct {
 	Kernel kernel.Config
 	// TraceCap bounds the trace ring (0 = default).
 	TraceCap int
-	// TraceSink, when set, streams trace records as they happen.
+	// TraceSink, when set, receives every trace record as one text line.
+	// Lines are written in batches — at round barriers and before
+	// Run/RunFor return — each batch merged in (time, machine, per-machine
+	// emission) order; the bytes are the same for every shard count.
 	TraceSink io.Writer
 
 	// Switchboard boots the name server on machine 1.
@@ -71,36 +74,42 @@ type Options struct {
 	// Programs names programs spawnable via shell/PM.
 	Programs map[string]ProgramFactory
 
-	// Shards, when >= 1, partitions machines round-robin across that many
-	// shard-local engines synchronized by conservative lookahead (see
-	// DESIGN.md §11). Zero keeps the classic single shared engine (the
-	// golden-trace configuration). Sharded clusters compose with a lossy
-	// network (LossRate > 0 arms the machine-anchored canonical ARQ) and
-	// produce bit-identical traces for any shard count; they use the
-	// canonical delivery order, which differs from the classic engine's,
-	// so compare sharded runs with sharded runs.
+	// Shards partitions machines round-robin across that many shard-local
+	// engines synchronized by conservative lookahead (see DESIGN.md §11);
+	// 0 means 1, and a count above Machines is clamped to it. There is one
+	// runtime: every cluster delivers frames in the canonical order and
+	// steps its engines through a sim.Group, so same-seed runs produce
+	// bit-identical traces, counters and snapshots for any shard count,
+	// lossless or lossy (LossRate > 0 arms the machine-anchored ARQ).
 	Shards int
 	// ShardParallel runs each shard's engine on its own goroutine inside a
 	// round — a wall-clock choice only; results are identical, including
-	// under chaos injection (the sharded injector keeps every fault's
-	// state on the shard that enforces it; see internal/chaos).
+	// under chaos injection (the injector keeps every fault's state on the
+	// shard that enforces it; see internal/chaos).
 	ShardParallel bool
 }
 
 // Cluster is a running DEMOS/MP system.
 type Cluster struct {
 	opts Options
-	eng  *sim.Engine
-	net  *netw.Network
-	tr   *trace.Tracer
 	reg  *proc.Registry
 	ks   map[addr.MachineID]*kernel.Kernel
 
-	// Observability plane: always built (registration is cold; the hot
-	// paths pay only nil-checked histogram updates), so every composed
-	// cluster can export a snapshot, a §6 ledger, and a timeline.
-	obsReg *obs.Registry
-	obsLed *obs.Ledger
+	// The runtime (shard.go): one engine, network, tracer and obs plane per
+	// shard, stepped together by group. Registration is cold and the hot
+	// paths pay only nil-checked histogram updates, so every cluster can
+	// export a snapshot, a §6 ledger, and a timeline.
+	look    sim.Time // conservative lookahead window W (min pair latency)
+	now     sim.Time // cluster clock (set by Run/RunFor)
+	shardOf []int    // machine id -> shard index
+	engines []*sim.Engine
+	nets    []*netw.Network
+	trs     []*trace.Tracer
+	regs    []*obs.Registry
+	leds    []*obs.Ledger
+	inboxes []shardInbox
+	group   *sim.Group
+	sinkBuf [][]trace.Record // per shard: records awaiting the next TraceSink flush
 
 	// System process identities (zero if not booted).
 	SwitchboardPID addr.ProcessID
@@ -113,10 +122,6 @@ type Cluster struct {
 	ShellPID       addr.ProcessID
 
 	pm *procmgr.Manager
-
-	// sh is non-nil for a sharded cluster (Options.Shards >= 1); the
-	// single-engine fields above then alias shard 0 (see shard.go).
-	sh *shardRuntime
 }
 
 // New builds and boots a cluster.
@@ -135,54 +140,13 @@ func New(opts Options) (*Cluster, error) {
 		ks:   map[addr.MachineID]*kernel.Kernel{},
 	}
 	c.reg = buildRegistry(opts)
-	if opts.Shards >= 1 {
-		if err := c.buildSharded(); err != nil {
-			return nil, err
-		}
-	} else if err := c.buildSingle(); err != nil {
+	if err := c.build(); err != nil {
 		return nil, err
 	}
 	if err := c.boot(); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// buildSingle constructs the classic single-engine runtime (the
-// golden-trace configuration).
-func (c *Cluster) buildSingle() error {
-	opts := c.opts
-	c.eng = sim.NewEngine(opts.Seed)
-	c.net = netw.New(c.eng, opts.Net)
-	c.tr = trace.New(c.eng.Now, opts.TraceCap)
-	if opts.TraceSink != nil {
-		c.tr.SetSink(opts.TraceSink)
-	}
-
-	kcfg := opts.Kernel
-	kcfg.Tracer = c.tr
-	kcfg.Registry = c.reg
-	kcfg.LoadReportEvery = opts.LoadReportEvery
-	if opts.Programs != nil {
-		kcfg.Programs = func(name string, args []string) (kernel.SpawnSpec, error) {
-			f, ok := opts.Programs[name]
-			if !ok {
-				return kernel.SpawnSpec{}, fmt.Errorf("core: unknown program %q", name)
-			}
-			return f(args)
-		}
-	}
-	for m := 1; m <= opts.Machines; m++ {
-		kcfg.Machines = append([]addr.MachineID(nil), machineList(opts.Machines)...)
-		c.ks[addr.MachineID(m)] = kernel.New(addr.MachineID(m), c.eng, c.net, kcfg)
-	}
-	c.obsReg = obs.NewRegistry()
-	c.obsLed = obs.NewLedger()
-	for m := 1; m <= opts.Machines; m++ {
-		c.ks[addr.MachineID(m)].SetObs(c.obsReg, c.obsLed)
-	}
-	c.net.RegisterObs(c.obsReg)
-	return nil
 }
 
 func machineList(n int) []addr.MachineID {
@@ -237,10 +201,7 @@ func (c *Cluster) boot() error {
 		// from the registry owning the PM's machine so merged snapshots
 		// carry them exactly once.
 		pm := c.pm
-		reg := c.obsReg
-		if c.sh != nil {
-			reg = c.sh.regs[shardOfMachine(c.opts.PMMachine, c.sh.n)]
-		}
+		reg := c.regs[c.shardOf[c.opts.PMMachine]]
 		reg.Sample("policy.migrations_ordered", func() uint64 { return pm.MigrationsOrdered })
 		reg.Sample("policy.decisions", func() uint64 { return pm.PolicyDecisions })
 		reg.Sample("policy.sweeps", func() uint64 { return pm.PolicySweeps })
@@ -353,64 +314,27 @@ func (c *Cluster) kernels() []*kernel.Kernel {
 
 // --- accessors ---------------------------------------------------------------
 
-// Engine returns the discrete-event engine. For a sharded cluster this is
-// shard 0, the control shard — cluster-level drivers (chaos pulses) live
-// there; per-machine events must go through EngineOf.
-func (c *Cluster) Engine() *sim.Engine { return c.eng }
-
-// Tracer returns the cluster tracer. Sharded clusters have one tracer per
-// shard; use TraceRecords for the merged canonical view.
-func (c *Cluster) Tracer() *trace.Tracer {
-	if c.sh != nil {
-		panic("core: sharded cluster has per-shard tracers; use TraceRecords()")
-	}
-	return c.tr
-}
-
-// Network returns the network substrate. Sharded clusters have one network
-// per shard; use NetStats() for merged counters and the Cluster-level
-// Partition/Heal/LossBurst/DuplicateNext/DelayNext for fault injection.
-func (c *Cluster) Network() *netw.Network {
-	if c.sh != nil {
-		panic("core: sharded cluster has per-shard networks; use NetStats() and the Cluster fault-injection methods")
-	}
-	return c.net
-}
-
-// Obs returns the cluster's metrics registry. It is always non-nil:
-// every kernel's stats and the network's wire counters are registered at
-// build time, so Obs().Snapshot(c.Now()) is a complete cluster view.
-// Sharded clusters have one registry per shard; use ObsSnapshot for the
-// merged view.
-func (c *Cluster) Obs() *obs.Registry {
-	if c.sh != nil {
-		panic("core: sharded cluster has per-shard registries; use ObsSnapshot()")
-	}
-	return c.obsReg
-}
+// Engine returns shard 0's engine, the control shard: cluster-level
+// drivers (samplers, OnFire observers) attach there. Per-machine events
+// must go through EngineOf so they land on the machine's own shard.
+func (c *Cluster) Engine() *sim.Engine { return c.engines[0] }
 
 // Ledger returns the cluster's migration cost ledger (§6): one record per
 // completed outbound migration, including post-completion forwarding and
-// link-update attribution. For a sharded cluster this is a merged view
-// over the per-shard ledgers (records stay live by pointer).
-func (c *Cluster) Ledger() *obs.Ledger {
-	if c.sh != nil {
-		return obs.MergeLedgers(c.sh.leds...)
-	}
-	return c.obsLed
-}
+// link-update attribution — a merged view over the per-shard ledgers
+// (records stay live by pointer).
+func (c *Cluster) Ledger() *obs.Ledger { return obs.MergeLedgers(c.leds...) }
 
-// ObsSnapshot is a registry snapshot stamped with the current simulated
-// time — merged across shards (name-sorted, values summed) when sharded.
+// ObsSnapshot is the metrics registry stamped with the current simulated
+// time, merged across shards (name-sorted, values summed). Every kernel's
+// stats and the network's wire counters are registered at build time, so it
+// is a complete cluster view.
 func (c *Cluster) ObsSnapshot() obs.Snapshot {
-	if c.sh != nil {
-		snaps := make([]obs.Snapshot, 0, len(c.sh.regs))
-		for _, r := range c.sh.regs {
-			snaps = append(snaps, r.Snapshot(c.Now()))
-		}
-		return obs.MergeSnapshots(uint64(c.Now()), snaps...)
+	snaps := make([]obs.Snapshot, 0, len(c.regs))
+	for _, r := range c.regs {
+		snaps = append(snaps, r.Snapshot(c.now))
 	}
-	return c.obsReg.Snapshot(c.eng.Now())
+	return obs.MergeSnapshots(uint64(c.now), snaps...)
 }
 
 // Kernel returns machine m's kernel.
@@ -423,34 +347,33 @@ func (c *Cluster) Machines() int { return len(c.ks) }
 // only safe between Run calls.
 func (c *Cluster) PM() *procmgr.Manager { return c.pm }
 
-// Run drives the simulation until no strong events remain (across every
-// shard, when sharded).
+// Run drives the simulation until no strong events remain on any shard.
+// Afterwards Now() — and every engine's clock — is the timestamp of the
+// last event fired, for every shard count. Quiescence is judged at round
+// barriers, so weak events (periodic housekeeping) up to W-1 µs past the
+// last strong event fire too.
 func (c *Cluster) Run() {
-	if c.sh != nil {
-		c.sh.now = c.sh.group.RunUntilIdle()
-		return
-	}
-	c.eng.Run()
+	c.now = c.group.RunUntilIdle()
 }
 
-// RunFor advances the simulation by d microseconds.
+// RunFor advances the simulation by d microseconds: it fires every event
+// up to Now()+d and leaves Now() — and every engine's clock — at exactly
+// that target, whether or not work remains beyond it.
 func (c *Cluster) RunFor(d sim.Time) {
-	if c.sh != nil {
-		target := c.sh.now + d
-		c.sh.group.RunUntil(target)
-		c.sh.now = target
+	c.now += d
+	if len(c.engines) == 1 {
+		// Rounds never reorder one engine's events, so the result is the
+		// same without them; the benchmark's pingpong workload runs here.
+		c.barrier()
+		c.engines[0].RunUntil(c.now)
+		c.barrier()
 		return
 	}
-	c.eng.RunFor(d)
+	c.group.RunUntil(c.now)
 }
 
-// Now returns the simulated time (the global round clock when sharded).
-func (c *Cluster) Now() sim.Time {
-	if c.sh != nil {
-		return c.sh.now
-	}
-	return c.eng.Now()
-}
+// Now returns the simulated time the cluster has been run to.
+func (c *Cluster) Now() sim.Time { return c.now }
 
 // --- process operations --------------------------------------------------------
 

@@ -1,9 +1,9 @@
 // Open-loop workload driver: one self-rescheduling arrival event per
 // machine, scheduled on that machine's own engine (EngineOf), so the
-// streaming generator works identically on the single-engine and sharded
-// runtimes. Nothing is materialized up front — each machine holds one
-// arrival cursor and the next arrival event; a million-process run costs
-// one pending event per machine at any instant.
+// streaming generator works identically for every shard count. Nothing is
+// materialized up front — each machine holds one arrival cursor and the
+// next arrival event; a million-process run costs one pending event per
+// machine at any instant.
 package core
 
 import (

@@ -1,7 +1,8 @@
-// Sharded cluster runtime: machines partitioned across shard-local engines
+// The cluster runtime: machines partitioned across shard-local engines
 // synchronized by conservative lookahead (sim.Group), with cross-shard
-// frames crossing through locked per-shard mailboxes. See DESIGN.md §11 for
-// the shard model, the lookahead rule, and the determinism argument.
+// frames crossing through locked per-shard mailboxes. A default cluster is
+// the one-shard case of the same thing. See DESIGN.md §11 for the shard
+// model, the lookahead rule, and the determinism argument.
 //
 // Division of labor: internal/sim owns the round/barrier machinery,
 // internal/netw owns canonical frame ordering (the pending heap + gate
@@ -33,69 +34,53 @@ type shardInbox struct {
 	q  []netw.RemoteFrame
 }
 
-// shardRuntime is the per-shard state behind a Cluster with Shards >= 1.
-type shardRuntime struct {
-	n       int      // shard count
-	look    sim.Time // conservative lookahead window W (min pair latency)
-	now     sim.Time // global cluster clock (advanced by Run/RunFor)
-	shardOf []int    // machine id -> shard index
-
-	engines []*sim.Engine
-	nets    []*netw.Network
-	trs     []*trace.Tracer
-	regs    []*obs.Registry
-	leds    []*obs.Ledger
-	inboxes []shardInbox
-
-	group *sim.Group
-}
-
-// shardOfMachine returns machine m's shard under round-robin assignment.
-func shardOfMachine(m, shards int) int { return (m - 1) % shards }
-
-// buildSharded constructs the engines, networks, kernels, and observability
-// plane for a sharded cluster. The caller (New) runs boot() afterwards.
-func (c *Cluster) buildSharded() error {
+// build constructs the engines, networks, kernels, and observability plane.
+// The caller (New) runs boot() afterwards.
+func (c *Cluster) build() error {
 	o := &c.opts
-	if o.TraceSink != nil {
-		return fmt.Errorf("core: TraceSink is unsupported with Shards (stream order is undefined across shards, even with the lossy machine-anchored ARQ); read TraceRecords() after the run instead")
-	}
 	shards := o.Shards
+	if shards < 1 {
+		shards = 1
+	}
 	if shards > o.Machines {
 		shards = o.Machines
 	}
-	look := o.Net.MinLatency(o.Machines)
+	c.look = o.Net.MinLatency(o.Machines)
 	if o.Net.LossRate > 0 {
 		// The machine-anchored ARQ's acks cross shards at the flat ack
 		// latency, so the conservative window must not outrun them.
-		if ack := o.Net.AckLatency(); ack < look {
-			look = ack
+		if ack := o.Net.AckLatency(); ack < c.look {
+			c.look = ack
 		}
 	}
-	if look < 1 {
-		return fmt.Errorf("core: sharded lookahead window is %d; every PairLatency must be >= 1µs", look)
+	if c.look < 1 {
+		return fmt.Errorf("core: lookahead window is %d; every PairLatency must be >= 1µs", c.look)
 	}
 
-	sh := &shardRuntime{n: shards, look: look}
-	sh.shardOf = make([]int, o.Machines+1)
+	c.shardOf = make([]int, o.Machines+1)
 	for m := 1; m <= o.Machines; m++ {
-		sh.shardOf[m] = shardOfMachine(m, shards)
+		c.shardOf[m] = (m - 1) % shards
 	}
-	sh.inboxes = make([]shardInbox, shards)
-	for s := 0; s < shards; s++ {
-		eng := sim.NewEngine(o.Seed)
-		sh.engines = append(sh.engines, eng)
-		sh.nets = append(sh.nets, netw.New(eng, o.Net))
-		sh.trs = append(sh.trs, trace.New(eng.Now, o.TraceCap))
-		sh.regs = append(sh.regs, obs.NewRegistry())
-		sh.leds = append(sh.leds, obs.NewLedger())
-	}
-	c.sh = sh
+	c.inboxes = make([]shardInbox, shards)
+	c.sinkBuf = make([][]trace.Record, shards)
 	for s := 0; s < shards; s++ {
 		s := s
-		sh.nets[s].SetCanonical(o.Machines, o.Seed,
-			func(m addr.MachineID) bool { return sh.shardOf[m] == s },
-			c.shipRemote)
+		eng := sim.NewEngine(o.Seed)
+		nw := netw.New(eng, o.Net)
+		if shards > 1 {
+			nw.SetCanonical(o.Machines, o.Seed,
+				func(m addr.MachineID) bool { return c.shardOf[m] == s },
+				c.shipRemote)
+		}
+		tr := trace.New(eng.Now, o.TraceCap)
+		if o.TraceSink != nil {
+			tr.SetSink(func(r trace.Record) { c.sinkBuf[s] = append(c.sinkBuf[s], r) })
+		}
+		c.engines = append(c.engines, eng)
+		c.nets = append(c.nets, nw)
+		c.trs = append(c.trs, tr)
+		c.regs = append(c.regs, obs.NewRegistry())
+		c.leds = append(c.leds, obs.NewLedger())
 	}
 
 	kcfg := o.Kernel
@@ -111,28 +96,22 @@ func (c *Cluster) buildSharded() error {
 		}
 	}
 	for m := 1; m <= o.Machines; m++ {
-		s := sh.shardOf[m]
-		kcfg.Tracer = sh.trs[s]
+		s := c.shardOf[m]
+		kcfg.Tracer = c.trs[s]
 		kcfg.Machines = append([]addr.MachineID(nil), machineList(o.Machines)...)
-		k := kernel.New(addr.MachineID(m), sh.engines[s], sh.nets[s], kcfg)
-		k.SetObs(sh.regs[s], sh.leds[s])
+		k := kernel.New(addr.MachineID(m), c.engines[s], c.nets[s], kcfg)
+		k.SetObs(c.regs[s], c.leds[s])
 		c.ks[addr.MachineID(m)] = k
 	}
 	for s := 0; s < shards; s++ {
-		sh.nets[s].RegisterObs(sh.regs[s])
+		c.nets[s].RegisterObs(c.regs[s])
 	}
-	sh.group = &sim.Group{
-		Engines:   sh.engines,
-		Lookahead: look,
-		Drain:     c.drainShard,
+	c.group = &sim.Group{
+		Engines:   c.engines,
+		Lookahead: c.look,
+		Barrier:   c.barrier,
 		Parallel:  o.ShardParallel,
 	}
-
-	// Legacy aliases point at shard 0 (the control shard): Engine() keeps
-	// working for drivers that schedule cluster-level events, and boot()'s
-	// machine-1 helpers resolve through c.ks as before.
-	c.eng, c.net, c.tr = sh.engines[0], sh.nets[0], sh.trs[0]
-	c.obsReg, c.obsLed = sh.regs[0], sh.leds[0]
 	return nil
 }
 
@@ -143,83 +122,68 @@ func (c *Cluster) buildSharded() error {
 //
 //demos:owner clone — the mailbox holds only heap clones: netw's canonical path retires a pooled original to its owner before shipping (copy-on-retain), so no pooled envelope ever crosses a shard boundary.
 func (c *Cluster) shipRemote(f netw.RemoteFrame) {
-	ib := &c.sh.inboxes[c.sh.shardOf[f.To]]
+	ib := &c.inboxes[c.shardOf[f.To]]
 	ib.mu.Lock()
 	ib.q = append(ib.q, f)
 	ib.mu.Unlock()
 }
 
-// drainShard moves shard s's mailbox into its network's canonical pending
-// heap. Runs only at round barriers, from the coordinating goroutine.
-func (c *Cluster) drainShard(s int) {
-	ib := &c.sh.inboxes[s]
-	ib.mu.Lock()
-	q := ib.q
-	ib.q = nil
-	ib.mu.Unlock()
-	nw := c.sh.nets[s]
-	for _, f := range q {
-		nw.EnqueueRemote(f)
+// barrier runs between rounds, on the coordinating goroutine: it moves
+// every shard's mailbox into its network's canonical pending heap, then
+// writes the trace records the shards emitted since the last barrier to
+// TraceSink, merged in (time, machine, emission) order. A round's records
+// are all later than the previous round's, so the stream is in that order
+// end to end, whatever the shard count.
+func (c *Cluster) barrier() {
+	for s := range c.inboxes {
+		ib := &c.inboxes[s]
+		ib.mu.Lock()
+		q := ib.q
+		ib.q = nil
+		ib.mu.Unlock()
+		for _, f := range q {
+			c.nets[s].EnqueueRemote(f)
+		}
+	}
+	if c.opts.TraceSink == nil {
+		return
+	}
+	var recs []trace.Record
+	for s, buf := range c.sinkBuf {
+		recs = append(recs, buf...)
+		c.sinkBuf[s] = buf[:0]
+	}
+	sortTraceStable(recs)
+	for _, r := range recs {
+		fmt.Fprintln(c.opts.TraceSink, r)
 	}
 }
 
-// EngineOf returns the engine driving machine m — the shared engine in the
-// single-engine runtime, machine m's shard engine when sharded. Drivers
-// scheduling per-machine events (workload arrival pumps, scripted
-// migrations) must use this so the event lands on the machine's own shard.
-func (c *Cluster) EngineOf(m int) *sim.Engine {
-	if c.sh != nil {
-		return c.sh.engines[c.sh.shardOf[m]]
-	}
-	return c.eng
-}
+// EngineOf returns the engine driving machine m. Drivers scheduling
+// per-machine events (workload arrival pumps, scripted migrations) must use
+// this so the event lands on the machine's own shard.
+func (c *Cluster) EngineOf(m int) *sim.Engine { return c.engines[c.shardOf[m]] }
 
-// Shards returns the shard count (1+ when sharded, 0 for the classic
-// single-engine runtime).
-func (c *Cluster) Shards() int {
-	if c.sh != nil {
-		return c.sh.n
-	}
-	return 0
-}
+// Shards returns the resolved shard count (>= 1).
+func (c *Cluster) Shards() int { return len(c.engines) }
 
-// ShardOf returns the shard index hosting machine m (0 for the classic
-// runtime — everything lives on the one engine).
-func (c *Cluster) ShardOf(m int) int {
-	if c.sh != nil {
-		return c.sh.shardOf[m]
-	}
-	return 0
-}
+// ShardOf returns the shard index hosting machine m.
+func (c *Cluster) ShardOf(m int) int { return c.shardOf[m] }
 
-// EngineOfShard returns shard s's engine (the shared engine in the classic
-// runtime). The sharded chaos injector arms its per-shard pulse replicas on
-// these.
-func (c *Cluster) EngineOfShard(s int) *sim.Engine {
-	if c.sh != nil {
-		return c.sh.engines[s]
-	}
-	return c.eng
-}
+// EngineOfShard returns shard s's engine. The chaos injector arms its
+// per-shard pulse replicas on these.
+func (c *Cluster) EngineOfShard(s int) *sim.Engine { return c.engines[s] }
 
-// NetworkOfShard returns shard s's network (the shared network in the
-// classic runtime). Shard-local fault application only — cluster-wide
-// fault fan-out should use Partition/Heal/LossBurst etc. on the Cluster.
-func (c *Cluster) NetworkOfShard(s int) *netw.Network {
-	if c.sh != nil {
-		return c.sh.nets[s]
-	}
-	return c.net
-}
+// NetworkOfShard returns shard s's network. Shard-local fault application
+// only — cluster-wide fault fan-out should use Partition/Heal/LossBurst
+// etc. on the Cluster.
+func (c *Cluster) NetworkOfShard(s int) *netw.Network { return c.nets[s] }
 
 // InflightARQ sums the un-acked ARQ flights across every shard's network.
 // Zero at quiescence — the chaos invariant audit asserts it.
 func (c *Cluster) InflightARQ() int {
-	if c.sh == nil {
-		return c.net.InflightARQ()
-	}
 	total := 0
-	for _, nw := range c.sh.nets {
+	for _, nw := range c.nets {
 		total += nw.InflightARQ()
 	}
 	return total
@@ -228,55 +192,35 @@ func (c *Cluster) InflightARQ() int {
 // PendingFrames sums the canonical pending-heap entries across every
 // shard's network. Zero at quiescence.
 func (c *Cluster) PendingFrames() int {
-	if c.sh == nil {
-		return c.net.PendingFrames()
-	}
 	total := 0
-	for _, nw := range c.sh.nets {
+	for _, nw := range c.nets {
 		total += nw.PendingFrames()
 	}
 	return total
 }
 
-// Lookahead returns the conservative lookahead window W in microseconds
-// (0 for the single-engine runtime).
-func (c *Cluster) Lookahead() sim.Time {
-	if c.sh != nil {
-		return c.sh.look
-	}
-	return 0
-}
+// Lookahead returns the conservative lookahead window W in microseconds.
+func (c *Cluster) Lookahead() sim.Time { return c.look }
 
 // Rounds returns the number of completed synchronization rounds.
-func (c *Cluster) Rounds() uint64 {
-	if c.sh != nil {
-		return c.sh.group.Rounds
-	}
-	return 0
-}
+func (c *Cluster) Rounds() uint64 { return c.group.Rounds }
 
 // TotalFired sums events executed across all engines.
 func (c *Cluster) TotalFired() uint64 {
-	if c.sh == nil {
-		return c.eng.Fired()
-	}
 	var n uint64
-	for _, e := range c.sh.engines {
+	for _, e := range c.engines {
 		n += e.Fired()
 	}
 	return n
 }
 
-// NetStats returns the cluster-wide network counters: the single network's
-// snapshot, or the sum over every shard's network. Per-machine rows sum
-// too — a shard accounts FramesIn for remote machines it sends to, so only
-// the cluster-wide total is meaningful.
+// NetStats returns the cluster-wide network counters: the sum over every
+// shard's network. Per-machine rows sum too — a shard accounts FramesIn for
+// remote machines it sends to, so only the cluster-wide total is
+// meaningful.
 func (c *Cluster) NetStats() netw.Stats {
-	if c.sh == nil {
-		return c.net.Stats()
-	}
-	out := c.sh.nets[0].Stats()
-	for _, nw := range c.sh.nets[1:] {
+	out := c.nets[0].Stats()
+	for _, nw := range c.nets[1:] {
 		s := nw.Stats()
 		out.Frames += s.Frames
 		out.Bytes += s.Bytes
@@ -315,13 +259,8 @@ func (c *Cluster) NetStats() netw.Stats {
 // sort of the concatenation by (T, Machine) yields the same sequence for
 // every shard count — this is what the shard-invariance tests pin.
 func (c *Cluster) TraceRecords() []trace.Record {
-	if c.sh == nil {
-		out := append([]trace.Record(nil), c.tr.Records()...)
-		sortTraceStable(out)
-		return out
-	}
 	var out []trace.Record
-	for _, tr := range c.sh.trs {
+	for _, tr := range c.trs {
 		out = append(out, tr.Records()...)
 	}
 	sortTraceStable(out)
@@ -342,20 +281,16 @@ func sortTraceStable(recs []trace.Record) {
 // netsFor returns the distinct shard networks that enforce a fault on the
 // pair (a, b): sends a->b are checked on a's shard, b->a on b's.
 func (c *Cluster) netsFor(a, b addr.MachineID) []*netw.Network {
-	sa, sb := c.sh.shardOf[a], c.sh.shardOf[b]
+	sa, sb := c.shardOf[a], c.shardOf[b]
 	if sa == sb {
-		return []*netw.Network{c.sh.nets[sa]}
+		return []*netw.Network{c.nets[sa]}
 	}
-	return []*netw.Network{c.sh.nets[sa], c.sh.nets[sb]}
+	return []*netw.Network{c.nets[sa], c.nets[sb]}
 }
 
 // Partition severs the pair (a, b) in both directions, on every shard that
 // originates traffic for it.
 func (c *Cluster) Partition(a, b addr.MachineID) {
-	if c.sh == nil {
-		c.net.Partition(a, b)
-		return
-	}
 	for _, nw := range c.netsFor(a, b) {
 		nw.Partition(a, b)
 	}
@@ -363,10 +298,6 @@ func (c *Cluster) Partition(a, b addr.MachineID) {
 
 // Heal reconnects a pair severed by Partition.
 func (c *Cluster) Heal(a, b addr.MachineID) {
-	if c.sh == nil {
-		c.net.Heal(a, b)
-		return
-	}
 	for _, nw := range c.netsFor(a, b) {
 		nw.Heal(a, b)
 	}
@@ -374,20 +305,13 @@ func (c *Cluster) Heal(a, b addr.MachineID) {
 
 // Partitioned reports whether the pair is currently severed.
 func (c *Cluster) Partitioned(a, b addr.MachineID) bool {
-	if c.sh == nil {
-		return c.net.Partitioned(a, b)
-	}
-	return c.sh.nets[c.sh.shardOf[a]].Partitioned(a, b)
+	return c.nets[c.shardOf[a]].Partitioned(a, b)
 }
 
 // LossBurst raises the loss probability on every shard until the given sim
 // time (sends originate on all shards).
 func (c *Cluster) LossBurst(rate float64, until sim.Time) {
-	if c.sh == nil {
-		c.net.LossBurst(rate, until)
-		return
-	}
-	for _, nw := range c.sh.nets {
+	for _, nw := range c.nets {
 		nw.LossBurst(rate, until)
 	}
 }
@@ -395,22 +319,14 @@ func (c *Cluster) LossBurst(rate float64, until sim.Time) {
 // DuplicateNext injects duplicates for the next count frames from->to; the
 // injection lives on the sending machine's shard.
 func (c *Cluster) DuplicateNext(from, to addr.MachineID, count int) {
-	if c.sh == nil {
-		c.net.DuplicateNext(from, to, count)
-		return
-	}
-	c.sh.nets[c.sh.shardOf[from]].DuplicateNext(from, to, count)
+	c.nets[c.shardOf[from]].DuplicateNext(from, to, count)
 }
 
 // DelayNext adds extra transit to the next frame from->to (sender's shard).
 func (c *Cluster) DelayNext(from, to addr.MachineID, extra sim.Time) {
-	if c.sh == nil {
-		c.net.DelayNext(from, to, extra)
-		return
-	}
-	c.sh.nets[c.sh.shardOf[from]].DelayNext(from, to, extra)
+	c.nets[c.shardOf[from]].DelayNext(from, to, extra)
 }
 
-// NetLossy reports whether the network config arms the ARQ — the classic
-// shared-engine ARQ, or the machine-anchored canonical ARQ when sharded.
+// NetLossy reports whether the network config arms the machine-anchored
+// ARQ.
 func (c *Cluster) NetLossy() bool { return c.opts.Net.LossRate > 0 }

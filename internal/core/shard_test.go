@@ -21,10 +21,6 @@ type shardSink struct{ n int }
 
 func (s *shardSink) DeliverFrame(m *msg.Message) { s.n++ }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
 // TestShardHotPathZeroAlloc locks in the canonical delivery path's
 // zero-allocation invariant: a lossless send to a shard-local machine
 // (canonSend -> pendPush -> gate pump -> pendPop -> deliver) touches no
@@ -64,12 +60,12 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardOptionValidation pins the sharded runtime's option surface: a
-// lossy (ARQ) network is ACCEPTED — the machine-anchored canonical ARQ
-// (netw/arq.go) made the old LossRate rejection obsolete — while a
-// streaming trace sink is still refused, with an error that points at the
-// lossy-sharded support and the TraceRecords() alternative.
-func TestShardOptionValidation(t *testing.T) {
+// TestShardLossyAccepted pins that a lossy (ARQ) network composes with
+// shards: the machine-anchored ARQ (netw/arq.go) made the old LossRate
+// rejection obsolete. (The other old rejection, TraceSink, is now pinned
+// the other way round: TestShardCountInvariance compares the sink's bytes
+// across shard counts.)
+func TestShardLossyAccepted(t *testing.T) {
 	c, err := core.New(core.Options{Machines: 4, Shards: 2, Net: netw.Config{LossRate: 0.1}})
 	if err != nil {
 		t.Fatalf("lossy network rejected with shards: %v", err)
@@ -77,14 +73,43 @@ func TestShardOptionValidation(t *testing.T) {
 	if !c.NetLossy() {
 		t.Fatal("NetLossy() = false on a lossy sharded cluster")
 	}
-	_, err = core.New(core.Options{Machines: 4, Shards: 2, TraceSink: discard{}})
-	if err == nil {
-		t.Fatal("trace sink accepted with shards")
-	}
-	for _, want := range []string{"TraceRecords()", "machine-anchored ARQ"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("TraceSink rejection %q does not mention %q", err, want)
+}
+
+// TestClockRule pins the one clock rule for every shard count: RunFor
+// leaves Now() and every engine's clock at exactly the target, work pending
+// or not, and Run leaves them all at the last event fired.
+func TestClockRule(t *testing.T) {
+	var ends []sim.Time
+	for _, shards := range []int{0, 1, 2} {
+		c, err := core.New(core.Options{Machines: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := c.Spawn(2, kernel.SpawnSpec{Program: workload.CPUBound(5000)}); err != nil {
+			t.Fatal(err)
+		}
+		c.RunFor(3000)
+		c.RunFor(500)
+		for m := 1; m <= 2; m++ {
+			if c.Now() != 3500 || c.EngineOf(m).Now() != 3500 {
+				t.Fatalf("Shards %d: after RunFor(3000)+RunFor(500) Now()=%d, machine %d's engine reads %d; want 3500",
+					shards, c.Now(), m, c.EngineOf(m).Now())
+			}
+		}
+		if c.EngineOf(2).Pending() == 0 {
+			t.Fatal("nothing pending at the RunFor target; the work-remains half is untested")
+		}
+		c.Run()
+		for m := 1; m <= 2; m++ {
+			if c.EngineOf(m).Now() != c.Now() {
+				t.Fatalf("Shards %d: after Run() machine %d's engine reads %d, Now() is %d",
+					shards, m, c.EngineOf(m).Now(), c.Now())
+			}
+		}
+		ends = append(ends, c.Now())
+	}
+	if ends[0] != ends[1] || ends[1] != ends[2] || ends[0] <= 3500 {
+		t.Fatalf("clock after Run() depends on the shard count: %v", ends)
 	}
 }
 
@@ -92,18 +117,28 @@ func TestShardOptionValidation(t *testing.T) {
 // of these differ between shard counts, determinism is broken.
 type shardRun struct {
 	trace   string
+	sink    string // everything Options.TraceSink received
 	stats   netw.Stats
 	metrics string
 	exits   string
 	spawned uint64
+	now     sim.Time // the clock after Run(): the last event fired
+}
+
+// same reports whether two runs agree on every compared artifact.
+func (a shardRun) same(b shardRun) bool {
+	return a.trace == b.trace && a.sink == b.sink && reflect.DeepEqual(a.stats, b.stats) &&
+		a.metrics == b.metrics && a.exits == b.exits && a.spawned == b.spawned && a.now == b.now
 }
 
 // runShardWorkload drives one fixed mixed workload — cross-machine chatter,
 // a request/reply conversation, a streaming open-loop job mix, and a
-// scripted mid-stream migration — on a cluster with the given shard count.
+// scripted mid-stream migration — on a cluster with the given shard count
+// (0: the option left at its default), streaming its trace to a sink.
 func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRun {
 	t.Helper()
-	opts := core.Options{Machines: 6, Seed: 9, Shards: shards, Switchboard: true}
+	var sink strings.Builder
+	opts := core.Options{Machines: 6, Seed: 9, Shards: shards, Switchboard: true, TraceSink: &sink}
 	if mut != nil {
 		mut(&opts)
 	}
@@ -172,6 +207,8 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 	}
 	return shardRun{
 		trace:   fmt.Sprint(c.TraceRecords()),
+		sink:    sink.String(),
+		now:     c.Now(),
 		stats:   c.NetStats(),
 		metrics: strings.Join(rows, "\n"),
 		exits:   fmt.Sprint(exits),
@@ -180,8 +217,9 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 }
 
 // TestShardCountInvariance is the tentpole determinism pin: the same seed
-// and workload must produce bit-identical traces, network counters, merged
-// observability snapshots, and process outcomes for 1, 2, and 4 shards —
+// and workload must produce bit-identical traces, streamed trace-sink
+// bytes, network counters, merged observability snapshots, process outcomes
+// and final clock for default options (Shards unset), 1, 2, and 4 shards —
 // and again with parallel round execution.
 func TestShardCountInvariance(t *testing.T) {
 	base := runShardWorkload(t, 1, nil)
@@ -191,11 +229,18 @@ func TestShardCountInvariance(t *testing.T) {
 	if base.stats.Frames == 0 {
 		t.Fatal("workload generated no network traffic; the invariance check is vacuous")
 	}
-	for _, shards := range []int{2, 4} {
+	if strings.Count(base.sink, "\n") < 100 {
+		t.Fatalf("trace sink saw %d lines; the sink comparison is vacuous", strings.Count(base.sink, "\n"))
+	}
+	for _, shards := range []int{0, 2, 4} {
 		got := runShardWorkload(t, shards, nil)
 		if got.trace != base.trace {
 			t.Errorf("%d shards: trace diverged from 1 shard (lens %d vs %d)",
 				shards, len(got.trace), len(base.trace))
+		}
+		if got.sink != base.sink {
+			t.Errorf("%d shards: trace sink bytes diverged from 1 shard (lens %d vs %d)",
+				shards, len(got.sink), len(base.sink))
 		}
 		if !reflect.DeepEqual(got.stats, base.stats) {
 			t.Errorf("%d shards: net stats diverged:\n%+v\nvs\n%+v", shards, got.stats, base.stats)
@@ -209,10 +254,15 @@ func TestShardCountInvariance(t *testing.T) {
 		if got.spawned != base.spawned {
 			t.Errorf("%d shards: open-loop spawned %d vs %d", shards, got.spawned, base.spawned)
 		}
+		if got.now != base.now {
+			t.Errorf("%d shards: clock after Run() is %d, 1 shard says %d", shards, got.now, base.now)
+		}
 	}
-	par := runShardWorkload(t, 4, func(o *core.Options) { o.ShardParallel = true })
-	if par.trace != base.trace || !reflect.DeepEqual(par.stats, base.stats) || par.metrics != base.metrics {
-		t.Error("parallel rounds diverged from sequential execution")
+	for _, shards := range []int{2, 4} {
+		par := runShardWorkload(t, shards, func(o *core.Options) { o.ShardParallel = true })
+		if !par.same(base) {
+			t.Errorf("%d shards: parallel rounds diverged from sequential execution", shards)
+		}
 	}
 }
 
@@ -235,11 +285,11 @@ func TestShardLossyInvariance(t *testing.T) {
 	if base.stats.Retransmits == 0 {
 		t.Fatal("lossy run retransmitted nothing; the ARQ invariance check is vacuous")
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{0, 2, 4} {
 		got := runShardWorkload(t, shards, mut)
-		if got.trace != base.trace {
-			t.Errorf("%d shards: lossy trace diverged from 1 shard (lens %d vs %d)",
-				shards, len(got.trace), len(base.trace))
+		if got.trace != base.trace || got.sink != base.sink {
+			t.Errorf("%d shards: lossy trace diverged from 1 shard (lens %d vs %d, sink %d vs %d)",
+				shards, len(got.trace), len(base.trace), len(got.sink), len(base.sink))
 		}
 		if !reflect.DeepEqual(got.stats, base.stats) {
 			t.Errorf("%d shards: lossy net stats diverged:\n%+v\nvs\n%+v", shards, got.stats, base.stats)
@@ -255,7 +305,7 @@ func TestShardLossyInvariance(t *testing.T) {
 		mut(o)
 		o.ShardParallel = true
 	})
-	if par.trace != base.trace || !reflect.DeepEqual(par.stats, base.stats) || par.metrics != base.metrics {
+	if !par.same(base) {
 		t.Error("lossy parallel rounds diverged from sequential execution")
 	}
 }

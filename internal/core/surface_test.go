@@ -24,7 +24,7 @@ func TestClusterSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Machines() != 2 || c.Engine() == nil || c.Tracer() == nil || c.Network() == nil {
+	if c.Machines() != 2 || c.Engine() == nil || c.Shards() != 1 {
 		t.Fatal("accessors")
 	}
 	pid, err := c.SpawnVM(2, `

@@ -315,7 +315,7 @@ type Kernel struct {
 	// through ReleaseFrame), so pooling no longer depends on the loss mode.
 	pool *msg.Pool
 	// pendingFree recycles deferred-delivery records (local latency hops
-	// and paced data packets), mirroring netw's pooled delivery records.
+	// and paced data packets).
 	pendingFree *pending
 
 	cpuFreeAt   sim.Time
@@ -844,10 +844,10 @@ func (k *Kernel) newControl(op msg.Op, to addr.ProcessAddr) *msg.Message {
 	return m
 }
 
-// pending is a pooled deferred-submission record: the same release-before-
-// run free-list idiom as netw's delivery records, used for the local
-// delivery latency hop and for paced data packets. fn is bound once so
-// scheduling one allocates nothing in steady state.
+// pending is a pooled deferred-submission record, released to its free
+// list before it runs, used for the local delivery latency hop and for
+// paced data packets. fn is bound once so scheduling one allocates nothing
+// in steady state.
 type pending struct {
 	k        *Kernel
 	m        *msg.Message

@@ -139,8 +139,8 @@ func DemosAnalyzers() []Analyzer {
 			// Every fault kind the chaos injector drives must be exercised
 			// from a sharded test: the shard-local fault plane composes
 			// per-kind (partition mirrors, burst horizons, dup/delay
-			// one-shots, kill rotations, checkpoint pulses), so classic
-			// single-engine coverage alone can rot the sharded paths.
+			// one-shots, kill rotations, checkpoint pulses), so one-shard
+			// coverage alone can rot the cross-shard paths.
 			// TestChaosKindInventory pins this table.
 			ChaosKinds: map[string][]string{
 				"partition":  {"PartitionEvery", "Partition"},

@@ -28,8 +28,8 @@ type KillCover struct {
 	// identifier names that mark it as exercised (any one counts). Every
 	// kind must be referenced from at least one SHARDED test file — a test
 	// file that also references one of ShardMarkers — so the fault plane's
-	// sharded composition cannot silently lose coverage while the classic
-	// single-engine tests keep it green.
+	// sharded composition cannot silently lose coverage while the
+	// one-shard tests keep it green.
 	ChaosKinds map[string][]string
 	// ShardMarkers are the identifiers whose presence makes a test file
 	// sharded (e.g. Shards, ShardParallel).

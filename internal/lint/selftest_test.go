@@ -49,9 +49,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Engine.heapPush", "Engine.heapPop", "Engine.Step",
 		},
 		"demosmp/internal/netw": {
-			"Network.Send", "Network.getDelivery", "delivery.run",
-			"Network.account", "Network.deliver",
-			// Canonical (sharded) delivery path.
+			"Network.Send", "Network.account", "Network.deliver",
 			"Network.canonSend", "Network.pump",
 			"Network.pendPush", "Network.pendPop",
 		},

@@ -1,12 +1,11 @@
-// Machine-anchored ARQ for canonical (sharded) delivery mode.
+// Machine-anchored ARQ: acknowledge/retransmit over canonical delivery.
 //
-// The classic ARQ (transmit, netw.go) schedules per-frame deliver/ack/retry
-// closures on one shared engine and draws losses from that engine's RNG.
-// Neither survives sharding: a delivery closure would have to fire on a
-// peer shard's engine mid-round, and RNG draw order depends on how machines
-// are partitioned across shards. This file re-anchors every piece of ARQ
-// state to the sending machine's shard so that `LossRate > 0` composes
-// with `Shards >= 1` and `ShardParallel`:
+// Per-frame deliver/ack/retry closures on one shared engine, with losses
+// drawn from that engine's RNG, cannot survive sharding: a delivery closure
+// would have to fire on a peer shard's engine mid-round, and RNG draw order
+// depends on how machines are partitioned across shards. Every piece of ARQ
+// state is therefore anchored to the sending machine, so `LossRate > 0`
+// behaves the same on one engine, on N shards, and under `ShardParallel`:
 //
 //   - Retransmission timers are normal events on the sender's OWN engine;
 //     the in-flight table (inflight, keyed by shard-invariant frame id
@@ -25,7 +24,7 @@
 //     shard-count-consistent because crash/restart are normal events and
 //     the pump is a gate event, which sorts first at equal timestamps.
 //   - Partitions and loss bursts are consulted on the sending shard at
-//     transmit time and on the receiving shard at ack time; the sharded
+//     transmit time and on the receiving shard at ack time; the
 //     chaos injector (internal/chaos) applies both to every shard at
 //     identical sim times via fault-class events, which sort before gates.
 //
@@ -86,10 +85,11 @@ func (n *Network) lossRate() float64 {
 }
 
 // canonSendARQ submits one frame to the machine-anchored retransmission
-// machinery (the canonical-mode analogue of sendARQ). A pooled envelope is
-// never retained: the master is a heap clone and the original retires to
-// its owner. An injected duplicate reuses the frame id, exercising receiver
-// dedup rather than user-visible duplication.
+// machinery. A pooled envelope is never retained: the master is a heap clone
+// and the original retires to its owner (copy-on-retain), so the pooled fast
+// path and the lossy network are not mutually exclusive. An injected
+// duplicate reuses the frame id, exercising receiver dedup rather than
+// user-visible duplication.
 //
 //demos:owner inflight — the flight owns the master until the ack lands or deadFrame takes it; every enqueued wire copy is a clone owned by a pending heap.
 func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time, dup bool) {
@@ -98,8 +98,9 @@ func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int
 		n.retire(from, m)
 		m = c
 	}
-	n.sendSeq[from]++
-	seq := n.sendSeq[from]
+	fm := n.mach(from)
+	fm.seq++
+	seq := fm.seq
 	fl := &arqFlight{
 		from: from, to: to, m: m, size: size,
 		seq: seq, id: uint64(from)<<48 | seq,
@@ -121,13 +122,13 @@ func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int
 // a clone for canonical delivery if it survives, and arm the retransmission
 // check on the sender's own engine. The receiver's down state is NOT
 // consulted here — it lives on the receiver's shard and is checked at
-// arrival (arqLand); a frame to a crashed machine burns retries exactly
-// like the classic ARQ.
+// arrival (arqLand); a frame to a crashed machine burns retries until it
+// restarts or they run out.
 func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 	if fl.attempt > 0 {
 		n.stats.retransmits++
 	}
-	lost := arqDraw(n.arqSeed, fl.id, fl.attempt, saltFrame) < n.lossRate() ||
+	lost := arqDraw(n.seed, fl.id, fl.attempt, saltFrame) < n.lossRate() ||
 		n.partitioned(fl.from, fl.to)
 	if lost {
 		n.stats.dropped++
@@ -161,12 +162,12 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 //
 //demos:owner inflight — the pending heap (this shard's or, via ship, the destination shard's) owns the entry's clone until arqLand consumes it.
 func (n *Network) arqEnqueue(ent pendEnt) {
-	if n.canonLocal(ent.to) {
+	if n.isLocal(ent.to) {
 		n.pendPush(ent)
 		n.eng.AtGate(ent.at, "netw:pump", n.pumpFn)
 		return
 	}
-	n.canonShip(RemoteFrame{
+	n.ship(RemoteFrame{
 		From: ent.from, To: ent.to, At: ent.at, Seq: ent.seq,
 		Class: ent.class, Attempt: ent.attempt, ID: ent.id, M: ent.m,
 	})
@@ -184,15 +185,15 @@ func (n *Network) arqLand(ent pendEnt) {
 			delete(n.inflight, ent.id)
 		}
 	case classDup:
-		// Classic parity (sendARQ's dup closure): an injected duplicate
-		// arriving at a down or partitioned receiver vanishes silently —
-		// it was surplus wire noise, not an accountable frame.
-		if n.down[ent.to] || n.partitioned(ent.from, ent.to) {
+		// An injected duplicate arriving at a down or partitioned receiver
+		// vanishes silently — it was surplus wire noise, not an
+		// accountable frame.
+		if n.ms[ent.to].down || n.partitioned(ent.from, ent.to) {
 			return
 		}
 		n.arrive(ent.from, ent.to, ent.m, ent.id)
 	default: // classData
-		if n.down[ent.to] {
+		if n.ms[ent.to].down {
 			// Recoverable: no dedup record, no ack — the sender's timer
 			// retries and a post-restart attempt can still deliver.
 			n.stats.dropped++
@@ -200,9 +201,9 @@ func (n *Network) arqLand(ent pendEnt) {
 		}
 		n.arrive(ent.from, ent.to, ent.m, ent.id)
 		// The ack for this attempt flows back through the same canonical
-		// machinery (nil payload, zero cost — matching the classic ARQ's
-		// accounting, which never counts ack bytes).
-		lostAck := arqDraw(n.arqSeed, ent.id, ent.attempt, saltAck) < n.lossRate() ||
+		// machinery (nil payload, zero cost: ack bytes are negligible and
+		// not part of the paper's accounting).
+		lostAck := arqDraw(n.seed, ent.id, ent.attempt, saltAck) < n.lossRate() ||
 			n.partitioned(ent.from, ent.to)
 		if !lostAck {
 			n.arqEnqueue(pendEnt{

@@ -1,16 +1,15 @@
-// Canonical (sharded) delivery mode.
+// Canonical delivery: the network's one delivery path.
 //
-// When a cluster is split across shard-local engines, frames can no longer
-// be scheduled as plain per-frame delivery events: two frames converging on
-// one machine from different shards must land in the SAME relative order
-// regardless of how machines are partitioned, or same-seed runs stop being
-// bit-identical across shard counts. Canonical mode therefore routes every
-// cross-machine frame — intra-shard and cross-shard alike — through a
-// per-shard pending min-heap keyed
+// Frames are not scheduled as per-frame delivery events: two frames
+// converging on one machine must land in the SAME relative order however
+// the cluster's machines are partitioned across shard-local engines, or
+// same-seed runs stop being bit-identical across shard counts. Every
+// cross-machine frame — on one engine, intra-shard and cross-shard alike —
+// therefore goes through a per-engine pending min-heap keyed
 //
 //	(deliverTime, toMachine, fromMachine, perSenderSeq)
 //
-// and fires deliveries from a gate event ("netw:pump") that sorts before
+// and is delivered from a gate event ("netw:pump") that sorts before
 // all normal events at its timestamp. The per-sender sequence is a dense
 // counter per sending machine, so it is itself shard-invariant (machine m's
 // k-th frame is its k-th frame under any sharding), which makes the heap
@@ -76,7 +75,7 @@ type pendEnt struct {
 // then sender, then the sender's frame sequence, then ARQ class and attempt
 // (distinct retransmissions of one frame share (to, from, seq)). Every
 // component is shard-invariant, so so is the order.
-func pendLess(a, b pendEnt) bool {
+func pendLess(a, b *pendEnt) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -95,48 +94,41 @@ func pendLess(a, b pendEnt) bool {
 	return a.attempt < b.attempt
 }
 
-// SetCanonical switches the network into canonical delivery mode for a
-// cluster of `machines` total machines. local reports whether a machine id
-// is attached to this shard; ship hands a frame bound for another shard to
-// the cluster's mailbox plane together with its precomputed arrival time
-// and per-sender sequence. Must be called before any Send. With
-// LossRate > 0 the machine-anchored ARQ (arq.go) is armed: seed keys its
-// hash-based loss draws and must be identical on every shard of one run,
-// so a frame's fate is a pure function of its identity, not of shard count.
+// SetCanonical tells the network it is one shard of a cluster of `machines`
+// total machines: local reports whether a machine id is attached to this
+// shard, and ship hands a frame bound for another shard to the cluster's
+// mailbox plane together with its precomputed arrival time and per-sender
+// sequence. Must be called before any Send. seed keys the hash-based loss
+// draws and must be identical on every shard of one run, so a frame's fate
+// is a pure function of its identity, not of shard count.
 func (n *Network) SetCanonical(machines int, seed int64, local func(addr.MachineID) bool, ship func(RemoteFrame)) {
-	n.canon = true
-	n.canonTotal = addr.MachineID(machines)
-	n.canonLocal = local
-	n.canonShip = ship
-	n.sendSeq = make([]uint64, machines+1)
-	n.pumpFn = n.pump
-	// The hash-draw seed is armed in lossless mode too: burst drops on the
-	// canonical path draw by frame identity (see sendFaulty), so they stay
-	// shard-count invariant.
-	n.arqSeed = uint64(seed)
-	if n.cfg.LossRate > 0 {
-		n.arqOn = true
-		n.inflight = make(map[uint64]*arqFlight)
-	}
-	// Pre-size the dense per-machine counters to the whole cluster: this
-	// shard accounts FramesIn for remote receivers it sends to, and the
-	// obs registry registers one sampler row per machine on every shard so
-	// merged snapshots sum to the cluster totals.
-	n.stats.machine(addr.MachineID(machines))
+	n.total = addr.MachineID(machines)
+	n.seed = uint64(seed)
+	n.local, n.ship = local, ship
+	// Size the dense per-machine tables to the whole cluster: this shard
+	// sequences and accounts frames for remote receivers it sends to, and
+	// the obs registry registers one sampler row per machine on every shard
+	// so merged snapshots sum to the cluster totals.
+	n.mach(n.total)
+	n.stats.machine(n.total)
 }
+
+// isLocal reports whether machine m's frames are delivered by this engine.
+func (n *Network) isLocal(m addr.MachineID) bool { return n.local == nil || n.local(m) }
 
 // canonSend routes one lossless frame canonically. The arrival time is
 // computed on the sending shard (now + transit), so a shipped frame carries
 // its exact delivery timestamp with it.
 //
-//demos:hotpath — the sharded lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guard: TestShardHotPathZeroAlloc in internal/core/shard_test.go.
+//demos:hotpath — the lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 //demos:owner inflight — the pending heap owns the frame until pump hands it to deliver; a frame shipped cross-shard is a heap clone (the pooled original is retired to its owner first).
 func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time) {
 	at := n.eng.Now() + n.transit(from, to, size) + extra
-	n.sendSeq[from]++
-	seq := n.sendSeq[from]
+	fm := n.mach(from)
+	fm.seq++
+	seq := fm.seq
 	m.Hops++
-	if n.canonLocal(to) {
+	if n.isLocal(to) {
 		n.pendPush(pendEnt{at: at, to: to, from: from, seq: seq, m: m})
 		n.eng.AtGate(at, "netw:pump", n.pumpFn)
 		return
@@ -146,7 +138,7 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 		n.retire(from, m)
 		m = c
 	}
-	n.canonShip(RemoteFrame{From: from, To: to, At: at, Seq: seq, M: m})
+	n.ship(RemoteFrame{From: from, To: to, At: at, Seq: seq, M: m})
 }
 
 // EnqueueRemote lands a frame shipped from another shard: the cluster's
@@ -164,33 +156,36 @@ func (n *Network) EnqueueRemote(f RemoteFrame) {
 
 // pump fires every pending delivery due at or before the current time. It
 // runs as a gate event, so all frames arriving "at t" are delivered before
-// any normal event at t — the same order a single shared engine produces.
-// In ARQ mode entries carry a class and land through arqLand (arq.go); the
-// lossless path pays one boolean test for that and stays allocation-free.
+// any normal event at t, in the heap's canonical order. In ARQ mode entries
+// carry a class and land through arqLand (arq.go); the lossless path pays
+// one boolean test for that and stays allocation-free.
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestShardHotPathZeroAlloc in internal/core/shard_test.go.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pump() {
 	now := n.eng.Now()
 	for len(n.pend) > 0 && n.pend[0].at <= now {
-		ent := n.pendPop()
 		if n.arqOn {
+			ent := n.pend[0]
+			n.pendPop()
 			n.arqLand(ent)
 			continue
 		}
-		n.deliver(ent.to, ent.m)
+		to, m := n.pend[0].to, n.pend[0].m
+		n.pendPop()
+		n.deliver(to, m)
 	}
 }
 
 // pendPush inserts into the canonical binary min-heap.
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestShardHotPathZeroAlloc in internal/core/shard_test.go.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pendPush(ent pendEnt) {
 	n.pend = append(n.pend, ent)
 	h := n.pend
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 1
-		if pendLess(h[p], ent) {
+		if pendLess(&h[p], &ent) {
 			break
 		}
 		h[i] = h[p]
@@ -199,12 +194,11 @@ func (n *Network) pendPush(ent pendEnt) {
 	h[i] = ent
 }
 
-// pendPop removes and returns the minimum entry.
+// pendPop removes the minimum entry (the caller has read it off pend[0]).
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestShardHotPathZeroAlloc in internal/core/shard_test.go.
-func (n *Network) pendPop() pendEnt {
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
+func (n *Network) pendPop() {
 	h := n.pend
-	root := h[0]
 	last := len(h) - 1
 	ent := h[last]
 	h[last] = pendEnt{} // drop the frame pointer for GC
@@ -216,10 +210,10 @@ func (n *Network) pendPop() pendEnt {
 		if c >= last {
 			break
 		}
-		if c+1 < last && pendLess(h[c+1], h[c]) {
+		if c+1 < last && pendLess(&h[c+1], &h[c]) {
 			c++
 		}
-		if pendLess(ent, h[c]) {
+		if pendLess(&ent, &h[c]) {
 			break
 		}
 		h[i] = h[c]
@@ -228,12 +222,11 @@ func (n *Network) pendPop() pendEnt {
 	if last > 0 {
 		h[i] = ent
 	}
-	return root
 }
 
 // MinLatency returns the smallest one-way propagation latency between any
 // ordered pair of the given machines under cfg (per-byte cost excluded).
-// This is the conservative-lookahead window W for a sharded cluster.
+// This is the cluster's conservative-lookahead window W.
 func (cfg Config) MinLatency(machines int) sim.Time {
 	cfg.fillDefaults()
 	if cfg.PairLatency == nil {
@@ -260,7 +253,7 @@ func (cfg Config) MinLatency(machines int) sim.Time {
 
 // AckLatency returns the one-way transit time of a network-level ARQ ack:
 // acks travel at the flat per-frame latency with no per-byte cost (they
-// carry no payload; see arq.go). A lossy sharded cluster clamps its
+// carry no payload; see arq.go). A lossy cluster clamps its
 // conservative lookahead window to min(MinLatency, AckLatency), because
 // acks are cross-shard frames too.
 func (cfg Config) AckLatency() sim.Time {

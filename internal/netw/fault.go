@@ -74,11 +74,19 @@ func (n *Network) runSink() {
 	n.sinkQ = n.sinkQ[:0]
 }
 
+// owner returns the FrameOwner attached here as machine m, if any.
+func (n *Network) owner(m addr.MachineID) FrameOwner {
+	if int(m) < len(n.ms) {
+		return n.ms[m].owner
+	}
+	return nil
+}
+
 // retire returns a pooled original the ARQ replaced with a heap clone.
 //
 //demos:owner sink — the sink queue holds the retired envelope only until drainSinks hands it to its FrameOwner in the same event cascade.
 func (n *Network) retire(from addr.MachineID, m *msg.Message) {
-	if o := n.owners[from]; o != nil {
+	if o := n.owner(from); o != nil {
 		n.queueSink(sinkItem{owner: o, m: m})
 	}
 }
@@ -93,14 +101,14 @@ func (n *Network) deadFrame(from, to addr.MachineID, m *msg.Message) {
 		n.queueSink(sinkItem{m: m, to: to, dead: true})
 		return
 	}
-	if o := n.owners[from]; o != nil {
+	if o := n.owner(from); o != nil {
 		n.queueSink(sinkItem{owner: o, m: m, to: to, dead: true})
 		return
 	}
-	// No reachable owner: in sharded mode the sending machine lives on
-	// another shard and its frame crossed as a heap clone, so there is no
-	// envelope to return — but the loss still must not be silent. The
-	// cluster-wide delivery audit folds this counter into its loss budget.
+	// No reachable owner: the sending machine lives on another shard and
+	// its frame crossed as a heap clone, so there is no envelope to return
+	// — but the loss still must not be silent. The cluster-wide delivery
+	// audit folds this counter into its loss budget.
 	n.stats.orphanDropped++
 }
 
@@ -111,32 +119,20 @@ func (n *Network) dropFromDown(from, to addr.MachineID, m *msg.Message) {
 	n.deadFrame(from, to, m)
 }
 
-// dropToDown accounts a frame arriving at a down machine. In lossless mode
-// that loss is final, so the frame is sunk; in ARQ mode the retransmit/dead
-// path owns the accounting (sinking here too would double-count a frame
-// that a later retry delivers after restart).
-//
-// In canonical lossless mode the loss is an orphan drop regardless of shard
-// topology: a cross-shard frame is an ownerless clone, so echoing an
-// Undeliverable completion back to a SAME-shard sender would make the
-// sender's observable behavior depend on which shard the dead receiver
-// landed on — breaking shard-count invariance. The master envelope is
-// retired as a completed send instead (exactly what the ship path does when
-// the frame crosses shards), and the loss joins the delivery audit's budget
-// through OrphanDropped.
+// dropToDown accounts a lossless frame arriving at a down machine. The loss
+// is final and is an orphan drop: the frame is counted, a pooled envelope is
+// retired to its owner as a completed send, and the sender hears nothing.
+// Echoing an Undeliverable completion back would reach only a sender on the
+// receiver's own shard (a cross-shard frame is an ownerless clone), making
+// the sender's behaviour depend on the sharding; the kernels' own timeouts
+// carry liveness instead. (With an ARQ, arqLand checks the receiver first
+// and the retransmit/dead path owns the accounting.)
 func (n *Network) dropToDown(to addr.MachineID, m *msg.Message) {
 	n.stats.dropped++
-	if n.cfg.LossRate > 0 {
-		return
+	n.stats.orphanDropped++
+	if m.Pooled() {
+		n.retire(m.From.LastKnown, m)
 	}
-	if n.canon {
-		n.stats.orphanDropped++
-		if m.Pooled() {
-			n.retire(m.From.LastKnown, m)
-		}
-		return
-	}
-	n.deadFrame(m.From.LastKnown, to, m)
 }
 
 // normPair returns the order-normalized key for a bidirectional pair.
@@ -241,12 +237,8 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 		dup = true
 	}
 
-	if n.cfg.LossRate > 0 {
-		if n.canon {
-			n.canonSendARQ(from, to, m, size, extra, dup)
-		} else {
-			n.sendARQ(from, to, m, size, extra, dup)
-		}
+	if n.arqOn {
+		n.canonSendARQ(from, to, m, size, extra, dup)
 		return
 	}
 
@@ -259,76 +251,30 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 		return
 	}
 	if n.burstEnd > n.eng.Now() {
-		lost := false
-		if n.canon {
-			// Shard-count invariance: the drop must be a pure function of
-			// the frame's identity (sender, per-sender sequence), never of
-			// a per-shard engine RNG stream. A dropped frame consumes its
-			// sequence number so the next frame from this sender draws
-			// fresh (seq stays shard-invariant either way: machine m's
-			// k-th send attempt is its k-th under any sharding).
-			id := uint64(from)<<48 | (n.sendSeq[from] + 1)
-			lost = arqDraw(n.arqSeed, id, 0, saltFrame) < n.burstRate
-			if lost {
-				n.sendSeq[from]++
-			}
-		} else {
-			lost = n.eng.Rand().Float64() < n.burstRate
-		}
-		if lost {
+		// Shard-count invariance: the drop must be a pure function of the
+		// frame's identity (sender, per-sender sequence), never of a
+		// per-shard engine RNG stream. A dropped frame consumes its
+		// sequence number so the next frame from this sender draws fresh
+		// (seq stays shard-invariant either way: machine m's k-th send
+		// attempt is its k-th under any sharding).
+		fm := n.mach(from)
+		if arqDraw(n.seed, uint64(from)<<48|(fm.seq+1), 0, saltFrame) < n.burstRate {
+			fm.seq++
 			n.stats.dropped++
 			n.stats.burstDropped++
 			n.deadFrame(from, to, m)
 			return
 		}
 	}
-	if n.canon {
-		// Canonical (sharded) routing honors injections too: the clone for
-		// a duplicate is taken before canonSend may consume (ship) the
-		// original, and each copy earns its own Hops++ inside canonSend.
-		var dm *msg.Message
-		if dup {
-			dm = m.Clone()
-		}
-		n.canonSend(from, to, m, size, extra)
-		if dup {
-			n.canonSend(from, to, dm, size, extra+1)
-		}
-		return
-	}
-	m.Hops++
-	d := n.getDelivery(to, m)
-	n.eng.After(n.transit(from, to, size)+extra, "netw:deliver", d.fn)
+	// The clone for a duplicate is taken before canonSend may consume
+	// (ship) the original, and each copy earns its own Hops++ inside
+	// canonSend.
+	var dm *msg.Message
 	if dup {
-		dm := m.Clone()
-		dm.Hops = m.Hops
-		dd := n.getDelivery(to, dm)
-		n.eng.After(n.transit(from, to, size)+extra+1, "netw:dup", dd.fn)
+		dm = m.Clone()
 	}
-}
-
-// sendARQ submits one frame to the retransmission machinery. A pooled
-// envelope is never retained: the ARQ transmits a heap clone and retires
-// the original to its owner (copy-on-retain), so the pooled fast path and
-// the lossy network are no longer mutually exclusive. An injected duplicate
-// reuses the frame id, exercising receiver dedup rather than user-visible
-// duplication.
-func (n *Network) sendARQ(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time, dup bool) {
-	if m.Pooled() {
-		c := m.Clone()
-		n.retire(from, m)
-		m = c
-	}
-	id := n.nextFrameID
-	n.nextFrameID++
-	n.transmit(from, to, m, size, id, 0, extra)
+	n.canonSend(from, to, m, size, extra)
 	if dup {
-		dm := m
-		n.eng.After(n.transit(from, to, size)+extra+1, "netw:dup", func() {
-			if n.down[to] || n.partitioned(from, to) {
-				return
-			}
-			n.arrive(from, to, dm, id) //demos:owner clone — dm is the ARQ heap clone (a pooled original was retired above), safe to hold in the event queue.
-		})
+		n.canonSend(from, to, dm, size, extra+1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"demosmp/internal/addr"
 	"demosmp/internal/msg"
+	"demosmp/internal/sim"
 )
 
 func TestPartitionLosslessDropsAndHeals(t *testing.T) {
@@ -175,18 +176,45 @@ func TestSendFromDownCounted(t *testing.T) {
 	}
 }
 
+// ownerRec records the envelopes the network hands back to a machine.
+type ownerRec struct {
+	recorder
+	released, undeliverable int
+}
+
+func (o *ownerRec) ReleaseFrame(*msg.Message)                       { o.released++ }
+func (o *ownerRec) UndeliverableFrame(addr.MachineID, *msg.Message) { o.undeliverable++ }
+
+// TestSendToDownLossless pins the down-receiver rule: a lossless frame that
+// reaches a down machine is an orphan drop — counted, its pooled envelope
+// retired to the sender as a completed send, and nothing echoed back (no
+// OnDead, no UndeliverableFrame).
 func TestSendToDownLossless(t *testing.T) {
-	eng, n, _, r2 := setup(Config{Latency: 100})
+	eng := sim.NewEngine(99)
+	n := New(eng, Config{Latency: 100})
+	o1, r2 := &ownerRec{}, &recorder{eng: eng}
+	n.Attach(1, o1)
+	n.Attach(2, r2)
 	var dead int
 	n.OnDead = func(addr.MachineID, *msg.Message) { dead++ }
 	n.SetDown(2, true)
+	pool := msg.NewPool()
+	m := pool.Get()
+	m.Kind, m.From, m.To = msg.KindUser, addr.KernelAddr(1), addr.KernelAddr(2)
+	n.Send(1, 2, m)
 	n.Send(1, 2, frame(8))
 	eng.Run()
 	if len(r2.got) != 0 {
 		t.Fatal("delivered to a down machine")
 	}
-	if s := n.Stats(); s.Dropped != 1 || dead != 1 {
-		t.Fatalf("Dropped=%d dead=%d, want 1/1", s.Dropped, dead)
+	s := n.Stats()
+	if s.Dropped != 2 || s.OrphanDropped != 2 || s.Dead != 0 || dead != 0 {
+		t.Fatalf("Dropped=%d OrphanDropped=%d Dead=%d OnDead calls=%d, want 2/2/0/0",
+			s.Dropped, s.OrphanDropped, s.Dead, dead)
+	}
+	if o1.released != 1 || o1.undeliverable != 0 {
+		t.Fatalf("sender saw released=%d undeliverable=%d, want the pooled envelope retired once and no echo",
+			o1.released, o1.undeliverable)
 	}
 }
 

@@ -8,11 +8,17 @@
 // scheme with receiver-side deduplication, so the guarantee the kernels see
 // is the paper's: "any message sent will eventually be delivered".
 //
+// There is one delivery path (canon.go): every frame waits in a pending heap
+// ordered by (arrival time, receiver, sender, per-sender sequence) and is
+// handed to its receiver by a gate event at its arrival time, so delivery
+// order is a function of simulated time and frame identity alone — the same
+// on one engine as on a cluster split across several.
+//
 // The lossless send path is allocation-free in steady state: per-kind and
 // per-machine counters are fixed-size arrays and a dense slice (the map
-// form of Stats is rebuilt only in Stats() snapshots), and delivery is
-// scheduled through a pooled record whose callback closure is built once
-// and reused — see bench_hotpath_test.go for the zero-alloc guards.
+// form of Stats is rebuilt only in Stats() snapshots), the pending heap
+// holds entries by value, and the pump's callback is bound once — see
+// bench_hotpath_test.go for the zero-alloc guards.
 package netw
 
 import (
@@ -101,7 +107,7 @@ type Stats struct {
 	BurstDropped     uint64 // lossless frames lost to a loss burst
 	DupInjected      uint64 // duplicate wire copies injected
 	DelayInjected    uint64 // frames given extra transit (reordering)
-	OrphanDropped    uint64 // abandoned frames with no reachable owner (sharded: sender on another shard)
+	OrphanDropped    uint64 // lossless frames that reached a down machine, and abandoned frames whose sender lives on another shard
 
 	ByKind      map[msg.Kind]uint64
 	BytesByKind map[msg.Kind]uint64
@@ -158,10 +164,8 @@ type counters struct {
 
 // machine returns the dense slot for m, growing the slice on first sight.
 func (c *counters) machine(m addr.MachineID) *MachineStats {
-	if int(m) >= len(c.perMachine) {
-		grown := make([]MachineStats, int(m)+1)
-		copy(grown, c.perMachine)
-		c.perMachine = grown
+	if n := int(m) + 1 - len(c.perMachine); n > 0 {
+		c.perMachine = append(c.perMachine, make([]MachineStats, n)...)
 	}
 	return &c.perMachine[m]
 }
@@ -175,9 +179,9 @@ func (c *counters) snapshot() Stats {
 		SendFromDown: c.sendFromDown, PartitionDropped: c.partitionDropped,
 		BurstDropped: c.burstDropped, DupInjected: c.dupInjected,
 		DelayInjected: c.delayInjected, OrphanDropped: c.orphanDropped,
-		ByKind:        make(map[msg.Kind]uint64),
-		BytesByKind:   make(map[msg.Kind]uint64),
-		PerMachine:    make(map[addr.MachineID]MachineStats),
+		ByKind:      make(map[msg.Kind]uint64),
+		BytesByKind: make(map[msg.Kind]uint64),
+		PerMachine:  make(map[addr.MachineID]MachineStats),
 	}
 	for k, v := range c.byKind {
 		if v > 0 {
@@ -195,17 +199,6 @@ func (c *counters) snapshot() Stats {
 		}
 	}
 	return s
-}
-
-// delivery is a pooled record standing in for the two closures the lossless
-// send path used to allocate per frame: its fn is bound once when the record
-// is created and reused for every subsequent frame it carries.
-type delivery struct {
-	n    *Network
-	to   addr.MachineID
-	m    *msg.Message
-	fn   func()
-	next *delivery
 }
 
 // dedupWindow bounds the per-pair receiver dedup state. A duplicate can
@@ -273,40 +266,30 @@ func (d *dedup) size() int { return len(d.set) }
 type Network struct {
 	eng   *sim.Engine
 	cfg   Config
-	eps   map[addr.MachineID]Endpoint
-	down  map[addr.MachineID]bool
+	ms    []machine // per-machine state, indexed by uint16(MachineID)
 	stats counters
 
-	delFree *delivery // pool of reusable lossless-delivery records
+	// Delivery state (canon.go). Until SetCanonical narrows it, every
+	// attached machine is local: local and ship stay nil and total is 0.
+	total  addr.MachineID            // cluster size once SetCanonical ran: ids up to it are routable
+	local  func(addr.MachineID) bool // nil: every machine is on this engine
+	ship   func(RemoteFrame)         // hands a frame for another shard to the cluster
+	pend   []pendEnt                 // binary min-heap keyed (at, to, from, seq, class, attempt)
+	pumpFn func()                    // bound once; fires pending deliveries due now
 
-	// ARQ state, only used when LossRate > 0. delivered is sparse (first
-	// arrival creates a pair's state) and bounded (idle pairs are swept
-	// back into dedupFree), so long runs on large topologies stay
-	// O(active pairs).
-	nextFrameID uint64
-	delivered   map[pair]*dedup
-	dedupFree   *dedup // pool of evicted, reset dedup states
-	arrivals    uint64 // arrive() calls, drives the amortized sweep
-
-	// Canonical (sharded) delivery state — canon.go. When canon is set the
-	// lossless path routes every frame through the pending heap + gate
-	// pump (local targets) or the cross-shard ship hook (remote targets)
-	// instead of scheduling per-frame delivery events directly.
-	canon      bool
-	canonTotal addr.MachineID
-	canonLocal func(addr.MachineID) bool
-	canonShip  func(RemoteFrame)
-	sendSeq    []uint64  // per-sending-machine dense frame sequence
-	pend       []pendEnt // binary min-heap keyed (at, to, from, seq, class, attempt)
-	pumpFn     func()    // bound once; fires pending deliveries due now
-
-	// Machine-anchored ARQ state for canonical mode (arq.go), armed by
-	// SetCanonical when LossRate > 0. inflight is keyed by shard-invariant
-	// frame id (sender machine << 48 | per-sender seq); every flight lives
-	// on the sending machine's own shard.
-	arqOn    bool
-	arqSeed  uint64
-	inflight map[uint64]*arqFlight
+	// ARQ state (arq.go), armed when LossRate > 0. inflight is keyed by
+	// shard-invariant frame id (sender machine << 48 | per-sender seq);
+	// every flight lives on the sending machine's own shard. delivered is
+	// the receiver-side dedup state: sparse (first arrival creates a pair's
+	// state) and bounded (idle pairs are swept back into dedupFree), so long
+	// runs on large topologies stay O(active pairs). seed keys every hash
+	// draw, lossless burst drops included.
+	seed      uint64
+	arqOn     bool
+	inflight  map[uint64]*arqFlight
+	delivered map[pair]*dedup
+	dedupFree *dedup // pool of evicted, reset dedup states
+	arrivals  uint64 // arrive() calls, drives the amortized sweep
 
 	// Fault-injection state (fault.go). faulty is the single hot-path
 	// guard: it is true only while some injected condition could alter a
@@ -319,9 +302,8 @@ type Network struct {
 	dupNext   map[pair]int      // directional: duplicate the next n frames
 	delayNext map[pair]sim.Time // directional: extra transit for next frame
 
-	// Frame ownership (fault.go): per-machine sinks that receive released
-	// and undeliverable envelopes, captured at Attach time.
-	owners    map[addr.MachineID]FrameOwner
+	// Deferred handoff of released and undeliverable envelopes to their
+	// machine's FrameOwner (fault.go).
 	sinkQ     []sinkItem
 	sinkArmed bool
 	sinkFn    func()
@@ -338,21 +320,44 @@ type Network struct {
 
 type pair struct{ from, to addr.MachineID }
 
-// New creates a network driven by eng.
+// machine is the network's state for one machine id, attached here or (in a
+// sharded cluster) merely known: a dense table, so the send path does no
+// hashing.
+type machine struct {
+	ep    Endpoint   // nil: not attached to this engine
+	owner FrameOwner // ep, if it also takes back the envelopes it sent
+	down  bool       // crashed: frames to it are lost
+	seq   uint64     // dense count of frames it has sent (shard-invariant)
+}
+
+// mach returns machine m's slot, growing the table on first sight.
+func (n *Network) mach(m addr.MachineID) *machine {
+	if grow := int(m) + 1 - len(n.ms); grow > 0 {
+		n.ms = append(n.ms, make([]machine, grow)...)
+	}
+	return &n.ms[m]
+}
+
+// New creates a network driven by eng, with every machine attached to it
+// local to that engine. Hash-drawn loss decisions are keyed by the engine's
+// seed; with LossRate > 0 the ARQ (arq.go) is armed.
 func New(eng *sim.Engine, cfg Config) *Network {
 	cfg.fillDefaults()
 	n := &Network{
 		eng:       eng,
 		cfg:       cfg,
-		eps:       make(map[addr.MachineID]Endpoint),
-		down:      make(map[addr.MachineID]bool),
+		seed:      uint64(eng.Seed()),
 		delivered: make(map[pair]*dedup),
 		parts:     make(map[pair]struct{}),
 		dupNext:   make(map[pair]int),
 		delayNext: make(map[pair]sim.Time),
-		owners:    make(map[addr.MachineID]FrameOwner),
 	}
 	n.sinkFn = n.runSink
+	n.pumpFn = n.pump
+	if cfg.LossRate > 0 {
+		n.arqOn = true
+		n.inflight = make(map[uint64]*arqFlight)
+	}
 	return n
 }
 
@@ -370,22 +375,21 @@ func (n *Network) Lossy() bool { return n.cfg.LossRate > 0 }
 // that the network consumed (retired pooled originals) or abandoned
 // (partition, crash, retries exhausted).
 func (n *Network) Attach(m addr.MachineID, ep Endpoint) {
-	if _, dup := n.eps[m]; dup {
+	ms := n.mach(m)
+	if ms.ep != nil {
 		panic(fmt.Sprintf("netw: machine %v attached twice", m))
 	}
-	n.eps[m] = ep
-	if o, ok := ep.(FrameOwner); ok {
-		n.owners[m] = o
-	}
+	ms.ep = ep
+	ms.owner, _ = ep.(FrameOwner)
 	n.stats.machine(m) // pre-size the dense per-machine counters
 }
 
 // SetDown marks a machine as crashed (true) or recovered (false). Frames to
 // a down machine are lost; the ARQ keeps retrying until MaxRetries.
-func (n *Network) SetDown(m addr.MachineID, down bool) { n.down[m] = down }
+func (n *Network) SetDown(m addr.MachineID, down bool) { n.mach(m).down = down }
 
 // Down reports whether machine m is marked crashed.
-func (n *Network) Down(m addr.MachineID) bool { return n.down[m] }
+func (n *Network) Down(m addr.MachineID) bool { return int(m) < len(n.ms) && n.ms[m].down }
 
 // Stats returns a snapshot of the accumulated counters.
 func (n *Network) Stats() Stats { return n.stats.snapshot() }
@@ -417,14 +421,12 @@ func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {
 	if from == to {
 		panicLocalSend(from, to)
 	}
-	if _, ok := n.eps[to]; !ok {
-		// In canonical (sharded) mode machines on other shards have no
-		// local endpoint; any id within the cluster is routable.
-		if !n.canon || to == 0 || to > n.canonTotal {
-			panicNoEndpoint(to)
-		}
+	if to == 0 || int(to) >= len(n.ms) || (n.ms[to].ep == nil && to > n.total) {
+		// Machines on other shards have no local endpoint; any id within
+		// the cluster is routable.
+		panicNoEndpoint(to)
 	}
-	if n.down[from] {
+	if n.Down(from) {
 		n.dropFromDown(from, to, m)
 		return
 	}
@@ -434,21 +436,11 @@ func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {
 	}
 	size := m.WireSize()
 	n.account(from, to, m, size)
-	if n.cfg.LossRate <= 0 {
-		if n.canon {
-			n.canonSend(from, to, m, size, 0)
-			return
-		}
-		m.Hops++
-		d := n.getDelivery(to, m)
-		n.eng.After(n.transit(from, to, size), "netw:deliver", d.fn)
-		return
-	}
-	if n.canon {
+	if n.arqOn {
 		n.canonSendARQ(from, to, m, size, 0, false)
 		return
 	}
-	n.sendARQ(from, to, m, size, 0, false)
+	n.canonSend(from, to, m, size, 0)
 }
 
 // panicLocalSend and panicNoEndpoint keep fmt's formatting machinery (and
@@ -460,35 +452,6 @@ func panicLocalSend(from, to addr.MachineID) {
 
 func panicNoEndpoint(to addr.MachineID) {
 	panic(fmt.Sprintf("netw: no endpoint for machine %v", to))
-}
-
-// getDelivery pops a pooled delivery record (or builds one, binding its
-// callback closure exactly once) and loads it with this frame.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); the pool is what keeps TestHotPathZeroAlloc/netw-send at zero allocations.
-//demos:owner inflight — the pooled delivery record owns the frame while it rides the event queue; run() releases the record and hands the frame to DeliverFrame.
-func (n *Network) getDelivery(to addr.MachineID, m *msg.Message) *delivery {
-	d := n.delFree
-	if d == nil {
-		d = &delivery{n: n}
-		d.fn = d.run
-	} else {
-		n.delFree = d.next
-	}
-	d.to, d.m = to, m
-	return d
-}
-
-// run fires a pooled delivery: it releases the record back to the pool
-// first so a nested Send inside DeliverFrame can reuse it.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go.
-func (d *delivery) run() {
-	n, to, m := d.n, d.to, d.m
-	d.m = nil
-	d.next = n.delFree
-	n.delFree = d
-	n.deliver(to, m)
 }
 
 //demos:hotpath — flat-array counters, no map writes: checked by demoslint (hotpathalloc) and TestHotPathZeroAlloc/netw-send.
@@ -513,12 +476,13 @@ func (n *Network) account(from, to addr.MachineID, m *msg.Message, size int) {
 
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go.
 func (n *Network) deliver(to addr.MachineID, m *msg.Message) {
-	if n.down[to] {
+	t := &n.ms[to]
+	if t.down {
 		n.dropToDown(to, m)
 		return
 	}
 	n.stats.delivered++
-	n.eps[to].DeliverFrame(m)
+	t.ep.DeliverFrame(m)
 }
 
 // dedupSize reports the receiver dedup state tracked for a pair (test hook).
@@ -620,49 +584,4 @@ func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, id uint64) boo
 	seen.add(id)
 	n.deliver(to, m)
 	return true
-}
-
-// transmit is one ARQ attempt. The ack travels as a zero-cost event (the
-// real ack bytes are negligible and not part of the paper's accounting).
-// extra delays only this attempt's delivery (reorder injection); a
-// partition or an active loss burst raises the effective loss probability
-// per attempt, so retries outlasting the fault still get through.
-//
-//demos:owner inflight — transmit's deliver/retransmit events own the frame until it arrives or the ARQ gives up and routes it to deadFrame; sendARQ guarantees it is a heap clone, never a pooled envelope.
-func (n *Network) transmit(from, to addr.MachineID, m *msg.Message, size int, id uint64, attempt int, extra sim.Time) {
-	if attempt > 0 {
-		n.stats.retransmits++
-	}
-	rate := n.cfg.LossRate
-	if n.burstEnd > n.eng.Now() && n.burstRate > rate {
-		rate = n.burstRate
-	}
-	cut := n.partitioned(from, to)
-	lostFrame := n.eng.Rand().Float64() < rate || n.down[to] || cut
-	lostAck := n.eng.Rand().Float64() < rate || cut
-	acked := false
-
-	if !lostFrame {
-		m.Hops++
-		n.eng.After(n.transit(from, to, size)+extra, "netw:deliver", func() {
-			n.arrive(from, to, m, id)
-			if !lostAck {
-				n.eng.After(n.cfg.Latency, "netw:ack", func() { acked = true })
-			}
-		})
-	} else {
-		n.stats.dropped++
-	}
-
-	n.eng.After(n.cfg.RetransTimeout+extra, "netw:retrans-check", func() {
-		if acked {
-			return
-		}
-		if attempt+1 >= n.cfg.MaxRetries {
-			n.stats.dead++
-			n.deadFrame(from, to, m)
-			return
-		}
-		n.transmit(from, to, m, size, id, attempt+1, 0)
-	})
 }

@@ -24,7 +24,7 @@ package sim
 import "sync"
 
 // Group coordinates N engines under conservative lookahead. The zero value
-// is not usable; fill in every field.
+// is not usable; fill in Engines and Lookahead.
 type Group struct {
 	// Engines are the shard-local engines, indexed by shard id.
 	Engines []*Engine
@@ -33,11 +33,12 @@ type Group struct {
 	// microseconds. Must be >= 1 (validated by the cluster constructor).
 	Lookahead Time
 
-	// Drain moves frames parked in shard i's inbound mailbox into its
-	// engine (as gate events). Called for every shard at every barrier,
-	// always from the coordinating goroutine — it needs no locking against
-	// engine execution, only against cross-shard producers.
-	Drain func(shard int)
+	// Barrier, when set, runs between rounds — before the next round's
+	// horizon is computed and once more after the last round — always on
+	// the coordinating goroutine, so it needs no locking against engine
+	// execution. The cluster drains its shard mailboxes into the engines
+	// (as gate events) and flushes the merged trace stream here.
+	Barrier func()
 
 	// Parallel runs each round's engines on their own goroutines. Purely a
 	// wall-clock choice: results are identical either way.
@@ -47,13 +48,9 @@ type Group struct {
 	Rounds uint64
 }
 
-// drainAll runs the mailbox drain for every shard.
-func (g *Group) drainAll() {
-	if g.Drain == nil {
-		return
-	}
-	for i := range g.Engines {
-		g.Drain(i)
+func (g *Group) barrier() {
+	if g.Barrier != nil {
+		g.Barrier()
 	}
 }
 
@@ -82,7 +79,9 @@ func (g *Group) strongPending() bool {
 // round runs every engine up to deadline, concurrently when Parallel is
 // set. Engines share no mutable state during a round (cross-shard frames
 // go through locked mailboxes owned by the cluster), so the only
-// synchronization needed is the join.
+// synchronization needed is the join. Each engine's clock stays at its own
+// last fired event; RunUntilIdle and RunUntil set the common clock when
+// they return.
 func (g *Group) round(deadline Time) {
 	if g.Parallel && len(g.Engines) > 1 {
 		var wg sync.WaitGroup
@@ -90,49 +89,48 @@ func (g *Group) round(deadline Time) {
 			wg.Add(1)
 			go func(e *Engine) {
 				defer wg.Done()
-				e.RunUntil(deadline)
+				e.runTo(deadline)
 			}(e)
 		}
 		wg.Wait()
 	} else {
 		for _, e := range g.Engines {
-			e.RunUntil(deadline)
+			e.runTo(deadline)
 		}
 	}
 	g.Rounds++
 }
 
-// RunUntilIdle runs rounds until, after a full mailbox drain, no engine
-// holds a strong event — the multi-engine analogue of Engine.Run. It
-// returns the final global clock (the maximum engine time reached).
+// RunUntilIdle runs rounds until, after a barrier, no engine holds a strong
+// event — the multi-engine analogue of Engine.Run. It sets every engine's
+// clock to the timestamp of the last event fired anywhere in the group and
+// returns it, so the clock after a run to quiescence does not depend on how
+// the machines are split into shards.
 func (g *Group) RunUntilIdle() Time {
 	for {
-		g.drainAll()
+		g.barrier()
 		if !g.strongPending() {
 			break
 		}
-		nextT, ok := g.nextAt()
-		if !ok {
-			break
-		}
+		nextT, _ := g.nextAt()
 		g.round(nextT + g.Lookahead - 1)
 	}
-	var max Time
+	var last Time
 	for _, e := range g.Engines {
-		if e.Now() > max {
-			max = e.Now()
+		if e.now > last {
+			last = e.now
 		}
 	}
-	return max
+	g.setClocks(last)
+	return last
 }
 
 // RunUntil fires all events with timestamps <= deadline (weak ones
-// included, matching Engine.RunUntil) and then pins every engine's clock to
-// the deadline, so a subsequent RunFor on the cluster measures from a
-// common epoch.
+// included, matching Engine.RunUntil) and then sets every engine's clock to
+// the deadline.
 func (g *Group) RunUntil(deadline Time) {
 	for {
-		g.drainAll()
+		g.barrier()
 		nextT, ok := g.nextAt()
 		if !ok || nextT > deadline {
 			break
@@ -143,11 +141,15 @@ func (g *Group) RunUntil(deadline Time) {
 		}
 		g.round(end)
 	}
-	// Final pass: nothing fireable remains at <= deadline, so this only
-	// advances idle engines' clocks to the deadline (an engine with work
-	// pending beyond the deadline keeps its own now, exactly like
-	// Engine.RunUntil on a single shard).
+	g.setClocks(deadline)
+}
+
+// setClocks moves every engine's clock forward to t. Callers pass a time no
+// pending event precedes.
+func (g *Group) setClocks(t Time) {
 	for _, e := range g.Engines {
-		e.RunUntil(deadline)
+		if e.now < t {
+			e.now = t
+		}
 	}
 }

@@ -86,11 +86,13 @@ func TestGroupMatchesSingleEngine(t *testing.T) {
 		g := &Group{
 			Engines:   engines,
 			Lookahead: latency,
-			Drain: func(s int) {
-				q := boxes[s]
-				boxes[s] = nil
-				for _, f := range q {
-					deliver(f.to, f.at)
+			Barrier: func() {
+				for s := range boxes {
+					q := boxes[s]
+					boxes[s] = nil
+					for _, f := range q {
+						deliver(f.to, f.at)
+					}
 				}
 			},
 		}
@@ -108,8 +110,9 @@ func TestGroupMatchesSingleEngine(t *testing.T) {
 }
 
 // TestGroupRunUntil checks the deadline semantics: events at or before the
-// deadline fire, later ones stay pending, and idle engines' clocks advance
-// to the deadline (the common epoch RunFor depends on).
+// deadline fire, later ones stay pending, and every engine's clock — idle
+// or with work still pending — reads the deadline afterwards (the common
+// epoch RunFor depends on).
 func TestGroupRunUntil(t *testing.T) {
 	a, b := NewEngine(1), NewEngine(1)
 	fired := 0
@@ -120,12 +123,36 @@ func TestGroupRunUntil(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("fired %d events by t=50, want 1", fired)
 	}
-	if a.Now() != 50 {
-		t.Fatalf("idle engine clock %d, want pinned to 50", a.Now())
+	if a.Now() != 50 || b.Now() != 50 {
+		t.Fatalf("engine clocks %d / %d after RunUntil(50), want both 50", a.Now(), b.Now())
 	}
 	g.RunUntil(100)
 	if fired != 2 {
 		t.Fatalf("fired %d events by t=100, want 2", fired)
+	}
+}
+
+// TestGroupRunUntilIdleClock pins the clock rule for a run to quiescence:
+// RunUntilIdle returns the timestamp of the last event fired — not the last
+// round's deadline — and leaves every engine's clock there, however the
+// same events are split across engines.
+func TestGroupRunUntilIdleClock(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		engines := make([]*Engine, shards)
+		for i := range engines {
+			engines[i] = NewEngine(1)
+		}
+		engines[0].At(40, "early", func() {})
+		engines[shards-1].At(1234, "last", func() {})
+		g := &Group{Engines: engines, Lookahead: 500}
+		if end := g.RunUntilIdle(); end != 1234 {
+			t.Fatalf("%d engines: RunUntilIdle returned %d, want 1234 (the last event)", shards, end)
+		}
+		for i, e := range engines {
+			if e.Now() != 1234 {
+				t.Fatalf("%d engines: engine %d clock %d after RunUntilIdle, want 1234", shards, i, e.Now())
+			}
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package sim provides the deterministic discrete-event engine that drives
 // the simulated DEMOS/MP cluster.
 //
-// All kernels, the network, and every workload share a single Engine. Time
-// is a simulated microsecond counter; events fire in (time, sequence) order,
-// so two runs with the same seed produce byte-identical traces. This is what
-// lets the test suite assert exact protocol costs (e.g. the paper's "9
-// administrative messages" per migration).
+// The kernels, the network, and the workloads of one shard share an Engine
+// (a default cluster has one; a Group steps several together). Time is a
+// simulated microsecond counter; events fire in (time, class, sequence)
+// order, so two runs with the same seed produce byte-identical traces. This
+// is what lets the test suite assert exact protocol costs (e.g. the paper's
+// "9 administrative messages" per migration).
 //
 // The engine is allocation-free on the steady-state path: event state lives
 // in an index-stable arena whose slots are recycled through a free list, and
@@ -75,6 +76,7 @@ type Engine struct {
 	heap   []heapEnt // 4-ary min-heap ordered by (at, seq)
 	seq    uint64
 	live   int // scheduled, uncancelled events (strong + weak)
+	seed   int64
 	rng    *rand.Rand
 	fired  uint64
 	halted bool
@@ -95,8 +97,13 @@ type Engine struct {
 
 // NewEngine returns an engine at time zero with a PRNG seeded by seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
+
+// Seed returns the seed the engine was built with. Layers that must decide
+// things as a pure function of (seed, identity) rather than of PRNG draw
+// order — the network's hash-drawn frame loss — key their hashes with it.
+func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -364,10 +371,9 @@ func (e *Engine) Run() uint64 {
 	return e.fired - start
 }
 
-// RunUntil fires events with timestamps <= deadline. The clock is left at
-// min(deadline, time of last event) — it does not jump past pending events.
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	start := e.fired
+// runTo fires events with timestamps <= deadline and leaves the clock at the
+// last one fired.
+func (e *Engine) runTo(deadline Time) {
 	e.halted = false
 	for !e.halted {
 		at, runnable := e.NextAt()
@@ -376,7 +382,16 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 		}
 		e.Step()
 	}
-	if e.now < deadline && len(e.heap) == 0 {
+}
+
+// RunUntil fires events with timestamps <= deadline and then sets the clock
+// to the deadline (every pending event is later than it), so whatever the
+// caller does next happens at the time it asked to reach. A Halt leaves the
+// clock at the event that called it.
+func (e *Engine) RunUntil(deadline Time) uint64 {
+	start := e.fired
+	e.runTo(deadline)
+	if !e.halted && e.now < deadline {
 		e.now = deadline
 	}
 	return e.fired - start

@@ -88,8 +88,8 @@ func TestRunUntil(t *testing.T) {
 	if n != 2 || len(got) != 2 {
 		t.Fatalf("RunUntil(25) fired %d events (%v), want 2", n, got)
 	}
-	if e.Now() != 20 {
-		t.Fatalf("clock = %v after RunUntil, want 20 (last event)", e.Now())
+	if e.Now() != 25 {
+		t.Fatalf("clock = %v after RunUntil, want 25 (the deadline)", e.Now())
 	}
 	e.Run()
 	if len(got) != 4 {

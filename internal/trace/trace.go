@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"demosmp/internal/addr"
@@ -48,7 +47,7 @@ type Tracer struct {
 	recs    []Record
 	max     int
 	dropped uint64
-	sink    io.Writer
+	sink    func(Record)
 	clock   func() sim.Time
 }
 
@@ -60,10 +59,11 @@ func New(clock func() sim.Time, max int) *Tracer {
 	return &Tracer{max: max, clock: clock}
 }
 
-// SetSink also streams every record to w as it is emitted.
-func (t *Tracer) SetSink(w io.Writer) {
+// SetSink also hands every record to fn as it is emitted (the ring may
+// drop old records; the sink sees them all).
+func (t *Tracer) SetSink(fn func(Record)) {
 	if t != nil {
-		t.sink = w
+		t.sink = fn
 	}
 }
 
@@ -81,7 +81,7 @@ func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
 	}
 	t.recs = append(t.recs, r)
 	if t.sink != nil {
-		fmt.Fprintln(t.sink, r.String())
+		t.sink(r)
 	}
 }
 

@@ -73,12 +73,12 @@ func TestRingBound(t *testing.T) {
 
 func TestSink(t *testing.T) {
 	var now sim.Time
-	var sb strings.Builder
+	var got []Record
 	tr := New(clockAt(&now), 0)
-	tr.SetSink(&sb)
+	tr.SetSink(func(r Record) { got = append(got, r) })
 	tr.Emit(3, CatConsole, "print", "hello")
-	if !strings.Contains(sb.String(), "hello") || !strings.Contains(sb.String(), "m3") {
-		t.Fatalf("sink output: %q", sb.String())
+	if len(got) != 1 || got[0].Machine != 3 || got[0].Detail != "hello" {
+		t.Fatalf("sink saw %+v", got)
 	}
 }
 

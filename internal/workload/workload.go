@@ -368,15 +368,20 @@ func (c *Chatter) Kind() string { return ChatterKind }
 
 // Step implements proc.Body.
 func (c *Chatter) Step(ctx proc.Context, budget int) (int, proc.Status) {
-	if c.Sent == 0 && c.N > 0 {
-		ctx.SetTimer(1, 1)
-	}
+	// The step that finds nothing to receive and has sent nothing is the
+	// spawn step: it arms the first tick. (Arming on Sent == 0 alone would
+	// arm again in the step that receives that tick, and run two timer
+	// chains at once.)
+	kick := c.Sent == 0 && c.N > 0
 	for {
-		d, ok := ctx.Recv()
+		_, ok := ctx.Recv()
 		if !ok {
+			if kick {
+				ctx.SetTimer(1, 1)
+			}
 			return 0, proc.Status{State: proc.Blocked}
 		}
-		_ = d
+		kick = false
 		if c.Sent >= c.N {
 			return 0, proc.Status{State: proc.Exited, ExitCode: int32(c.Sent)}
 		}

@@ -86,6 +86,12 @@ func TestChatterToSink(t *testing.T) {
 	if len(sink.Got) != 5 || sink.Got[0] != "chat-0" {
 		t.Fatalf("sink got %v", sink.Got)
 	}
+	// One timer chain: no tick outlives the chatter.
+	for m, k := range ks {
+		if dl := k.Stats().DeadLetters; dl != 0 {
+			t.Fatalf("machine %d has %d dead letters; a Chatter tick outlived its process", m, dl)
+		}
+	}
 }
 
 func TestLinkHolderPoke(t *testing.T) {

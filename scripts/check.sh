@@ -18,21 +18,17 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7)"
+echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
 
-echo "== sharded runtime: chaos matrix + seed reproducibility + §6 conformance + shard-count invariance"
-go test -short -count=1 -run 'TestChaosSoakSharded|TestChaosShardedSameSeedReproduces' ./internal/chaos/
-go test -count=1 -run 'TestShardSection6Conformance|TestShardCountInvariance|TestShardHotPathZeroAlloc' ./internal/core/
-
-echo "== parallel chaos under sharding: lossy 4-shard soak under -race (fixed seeds: 4242 / 20260808)"
-go test -race -short -count=1 -run 'TestChaosShardedSameSeedReproduces|TestShardChaosScale1000' ./internal/chaos/
-go test -race -short -count=1 -run 'TestShardFaultInjection|TestShardLossyInvariance' ./internal/core/
+echo "== benchmark module: vet + self-test against the surface it compiles against"
+(cd bench/_src && go vet ./... && go test ./...)
 
 echo "== hot-path allocation guards + benchmarks (1 iteration smoke)"
 go test -run TestHotPathZeroAlloc \
   -bench 'EngineSchedule|EngineDispatchDepth64|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
+go test -count=1 -run TestShardHotPathZeroAlloc ./internal/core/
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts

@@ -31,7 +31,7 @@ func runPolicyShardWorkload(t *testing.T, shards int, parallel bool) (trace stri
 		Seed: 5, MeanGap: 300, PerMachine: 25,
 		ShortService: 400, LongService: 8000, LongFraction: 0.3,
 		HotEvery: 4, HotFactor: 4, // machines 4 and 8 run hot
-		Spin:     true,
+		Spin: true,
 	})
 	c.RunFor(sim.Time(2_000_000))
 	pm := c.PM()

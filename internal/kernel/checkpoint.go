@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"demosmp/internal/addr"
-	"demosmp/internal/memory"
-	"demosmp/internal/proc"
 	"demosmp/internal/trace"
 )
 
@@ -15,8 +13,9 @@ import (
 // it may be possible to 'migrate' a process from a processor that has
 // crashed to a working one." A checkpoint is exactly the three migration
 // payloads — resident record, swappable state, program image — with a
-// small header, so Revive on another kernel is migration steps 3-5 and 8
-// replayed from bytes instead of from data-move streams.
+// small header: Checkpoint is freeze (migrate.go) plus that header, and
+// Revive on another kernel is migration steps 3-5 and 8 replayed through
+// thaw from bytes instead of from data-move streams.
 
 const checkpointMagic = 0x444D5043 // "DMPC"
 
@@ -32,31 +31,25 @@ func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
 	case StateForwarder, StateIncoming, StateInMigration, StateDead:
 		return nil, fmt.Errorf("kernel %v: %v is %v; not checkpointable", k.machine, pid, p.state)
 	}
-	resident := k.encodeResident(p)
-	ctl, err := p.body.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("kernel: snapshot of %v: %w", pid, err)
+	var f frozen
+	if err := freeze(&f, p); err != nil {
+		return nil, fmt.Errorf("kernel: checkpoint of %v: %w", pid, err)
 	}
-	swappable := encodeSwappable(p.links, ctl)
-	var program []byte
-	if p.image != nil {
-		if program, err = p.image.Bytes(); err != nil {
-			return nil, err
-		}
-	}
+	swappable := f.swappableLen()
 
-	b := binary.LittleEndian.AppendUint32(nil, checkpointMagic)
+	b := make([]byte, 0, 4+addr.PIDWireSize+1+3*4+len(f.resident)+swappable+len(f.program))
+	b = binary.LittleEndian.AppendUint32(b, checkpointMagic)
 	b = addr.EncodePID(b, pid)
 	b = append(b, byte(p.state)) // the state to revive into
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(resident)))
-	b = append(b, resident...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(swappable)))
-	b = append(b, swappable...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(program)))
-	b = append(b, program...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.resident)))
+	b = append(b, f.resident...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(swappable))
+	b = append(append(append(b, f.swapHdr[:]...), f.table...), f.ctl...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.program)))
+	b = append(b, f.program...)
 	k.trace(trace.CatMigrate, "checkpoint",
 		fmt.Sprintf("%v: %dB (resident %d, swappable %d, program %d)",
-			pid, len(b), len(resident), len(swappable), len(program)))
+			pid, len(b), len(f.resident), swappable, len(f.program)))
 	return b, nil
 }
 
@@ -110,49 +103,13 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 		k.stats.ForwarderBytes -= ForwarderWireSize
 		k.delProc(pid)
 	}
-	res, err := decodeResident(resident)
-	if err != nil {
+	if len(program) > 0 && k.cfg.MemCapacity > 0 && k.memUsed+len(program) > k.cfg.MemCapacity {
+		return addr.NilPID, fmt.Errorf("kernel %v: out of memory for revival", k.machine)
+	}
+	p := k.getProcRec()
+	p.id = pid
+	if err := k.thaw(p, resident, swappable, program); err != nil {
 		return addr.NilPID, err
-	}
-	table, ctl, err := decodeSwappable(swappable)
-	if err != nil {
-		return addr.NilPID, err
-	}
-	kind := k.internKind(res.kind)
-	body, err := k.cfg.Registry.New(kind)
-	if err != nil {
-		return addr.NilPID, err
-	}
-	if err := body.Restore(ctl); err != nil {
-		return addr.NilPID, err
-	}
-	var img *memory.Image
-	if len(program) > 0 {
-		if k.cfg.MemCapacity > 0 && k.memUsed+len(program) > k.cfg.MemCapacity {
-			return addr.NilPID, fmt.Errorf("kernel %v: out of memory for revival", k.machine)
-		}
-		img = memory.NewImage(len(program), k.swap)
-		if err := img.WriteAt(program, 0); err != nil {
-			return addr.NilPID, err
-		}
-		if mh, ok := body.(proc.MemoryHolder); ok {
-			mh.SetImage(img)
-		}
-		k.memUsed += img.Size()
-	}
-	p := &Process{
-		id:         pid,
-		body:       body,
-		kind:       kind,
-		links:      table,
-		image:      img,
-		privileged: res.privileged,
-		cpuUsed:    res.cpuUsed,
-		msgsIn:     res.msgsIn,
-		msgsOut:    res.msgsOut,
-		createdAt:  k.eng.Now(),
-		commTo:     make(map[addr.MachineID]uint64),
-		commDelta:  make(map[addr.MachineID]uint64),
 	}
 	k.addProc(p)
 	k.stats.Revived++

@@ -86,8 +86,6 @@ func (k *Kernel) kernelControl(m *msg.Message) {
 		k.handleLocateReply(m)
 	case msg.OpEagerUpdate:
 		k.applyEagerUpdate(m)
-	case msg.OpLinkUpdateBatch:
-		k.handleLinkUpdateBatch(m)
 	case msg.OpSearchQuery:
 		k.handleSearchQuery(m)
 

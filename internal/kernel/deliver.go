@@ -199,35 +199,6 @@ func (k *Kernel) applyLinkUpdate(m *msg.Message) {
 	}
 }
 
-// handleLinkUpdateBatch applies a coalesced step-6 batch: the migrating
-// kernel saw these senders' messages on the frozen queue and repairs all
-// their link tables on this machine with one envelope (see
-// sendCoalescedUpdates). Senders no longer here are skipped — if they still
-// hold stale links wherever they went, the lazy §5 path repairs them on
-// their next send.
-func (k *Kernel) handleLinkUpdateBatch(m *msg.Message) {
-	u, err := msg.DecodeLinkUpdateBatch(m.Body)
-	if err != nil {
-		k.trace(trace.CatLinkUpdate, "linkupdate-batch-bad", err.Error())
-		return
-	}
-	k.stats.LinkUpdateBatchesApplied++
-	fixed := 0
-	for _, sender := range u.Senders {
-		p := k.lookup(sender)
-		if p == nil || p.links == nil {
-			continue
-		}
-		fixed += p.links.UpdateAddr(u.Migrated, u.Machine)
-	}
-	k.stats.LinksFixed += uint64(fixed)
-	if k.traceOn {
-		k.trace(trace.CatLinkUpdate, "linkupdate-batch-applied",
-			fmt.Sprintf("%d links across %d senders now point at %v on %v",
-				fixed, len(u.Senders), u.Migrated, u.Machine))
-	}
-}
-
 // applyEagerUpdate handles the broadcast-update ablation: every kernel
 // rewrites every local link table at migration time.
 func (k *Kernel) applyEagerUpdate(m *msg.Message) {

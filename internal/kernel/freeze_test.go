@@ -1,0 +1,172 @@
+package kernel
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"testing"
+
+	"demosmp/internal/addr"
+	"demosmp/internal/link"
+	"demosmp/internal/msg"
+	"demosmp/internal/workload"
+)
+
+// These tests pin the one codec (freeze/thaw in migrate.go). They are
+// in-package because the serialized form of a process is deliberately not
+// part of the public API: the outside world sees it only as move-data
+// streams and checkpoint bytes.
+
+// regions is an owned copy of a frozen process, with the swappable region
+// concatenated the way it crosses the wire and sits in a checkpoint.
+type regions struct{ resident, swappable, program []byte }
+
+func freezeCopy(t *testing.T, p *Process) regions {
+	t.Helper()
+	var f frozen
+	if err := freeze(&f, p); err != nil {
+		t.Fatal(err)
+	}
+	swappable := append(append(append([]byte(nil), f.swapHdr[:]...), f.table...), f.ctl...)
+	return regions{bytes.Clone(f.resident), swappable, bytes.Clone(f.program)}
+}
+
+func (r regions) diff(t *testing.T, what string, o regions) {
+	t.Helper()
+	if !bytes.Equal(r.resident, o.resident) {
+		t.Errorf("%s: resident records differ:\n %x\n %x", what, r.resident, o.resident)
+	}
+	if !bytes.Equal(r.swappable, o.swappable) {
+		t.Errorf("%s: swappable regions differ (%d vs %d bytes)", what, len(r.swappable), len(o.swappable))
+	}
+	if !bytes.Equal(r.program, o.program) {
+		t.Errorf("%s: program images differ (%d vs %d bytes)", what, len(r.program), len(o.program))
+	}
+}
+
+// TestFreezeThawRoundTrip is the codec's property: thawing a frozen process
+// into an empty record on another kernel, at a later time, and freezing it
+// again yields the same three regions byte for byte — §3.1 step 1's "No
+// change is made to the recorded state of the process".
+func TestFreezeThawRoundTrip(t *testing.T) {
+	peer := link.Link{Addr: addr.At(addr.ProcessID{Creator: 2, Local: 9}, 2)}
+	cases := []struct {
+		name  string
+		state ProcState // state the process must be frozen in (0: any)
+		spawn func(k *Kernel) addr.ProcessID
+	}{
+		{"vm", 0, func(k *Kernel) addr.ProcessID {
+			pid, err := k.Spawn(SpawnSpec{Program: workload.CPUBound(100000), Links: []link.Link{peer}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pid
+		}},
+		{"native-with-image", StateWaiting, func(k *Kernel) addr.ProcessID {
+			pid, err := k.Spawn(SpawnSpec{Body: &poolDrainBody{}, ImageSize: 3000,
+				Links: []link.Link{peer, peer}, Privileged: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				k.GiveMessage(pid, peer.Addr, []byte("state"))
+			}
+			return pid
+		}},
+		{"suspended", StateSuspended, func(k *Kernel) addr.ProcessID {
+			pid, err := k.Spawn(SpawnSpec{Program: workload.CPUBound(100000)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.GiveControl(pid, msg.OpSuspend, nil)
+			return pid
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ks := poolTestCluster(t, 2)
+			e.RunFor(700) // so the record's creation time is not zero
+			pid := tc.spawn(ks[0])
+			e.RunFor(5000)
+			p := ks[0].lookup(pid)
+			if p == nil {
+				t.Fatal("process gone before the freeze")
+			}
+			if tc.state != 0 && p.state != tc.state {
+				t.Fatalf("state %v, want %v", p.state, tc.state)
+			}
+			want := freezeCopy(t, p)
+
+			e.RunFor(900) // thaw later than the freeze, as a migration does
+			q := ks[1].getProcRec()
+			q.id = pid
+			if err := ks[1].thaw(q, want.resident, want.swappable, want.program); err != nil {
+				t.Fatal(err)
+			}
+			want.diff(t, "freeze(thaw(freeze(p)))", freezeCopy(t, q))
+		})
+	}
+}
+
+// TestCheckpointIsMigrationPayload pins §1's "a checkpoint is a migration
+// payload": the three sections of a checkpoint are the regions a migration
+// of the same process at the same instant streams, and reviving the one and
+// migrating the other produce the same process.
+func TestCheckpointIsMigrationPayload(t *testing.T) {
+	e, ks := poolTestCluster(t, 3)
+	peer := link.Link{Addr: addr.At(addr.ProcessID{Creator: 3, Local: 4}, 3)}
+	pid, err := ks[0].Spawn(SpawnSpec{Body: &poolDrainBody{}, ImageSize: 2000, Links: []link.Link{peer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		ks[0].GiveMessage(pid, peer.Addr, []byte("state"))
+	}
+	e.Run() // the process is now waiting: nothing changes it until it moves
+
+	streamed := freezeCopy(t, ks[0].lookup(pid))
+	ckpt, err := ks[0].Checkpoint(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ckpt[4+addr.PIDWireSize+1:]
+	section := func() []byte {
+		n := binary.LittleEndian.Uint32(b)
+		sec := b[4 : 4+n]
+		b = b[4+n:]
+		return sec
+	}
+	stored := regions{section(), section(), section()}
+	if len(b) != 0 {
+		t.Fatalf("%d trailing checkpoint bytes", len(b))
+	}
+	streamed.diff(t, "checkpoint sections vs migration regions", stored)
+
+	ks[0].RequestMigrationOf(addr.At(pid, 1), 2)
+	e.Run()
+	if _, err := ks[2].Revive(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	migrated, ok1 := ks[1].Process(pid)
+	revived, ok2 := ks[2].Process(pid)
+	if !ok1 || !ok2 || migrated != revived {
+		t.Fatalf("migrated copy %+v (%v), revived copy %+v (%v)", migrated, ok1, revived, ok2)
+	}
+	var links [2][]link.Link
+	for i, k := range ks[1:] {
+		k.VisitLinks(pid, func(id link.ID, l link.Link) { links[i] = append(links[i], l) })
+	}
+	if len(links[0]) != 1 || !reflect.DeepEqual(links[0], links[1]) {
+		t.Errorf("link tables differ: migrated %v, revived %v", links[0], links[1])
+	}
+	var snaps [2][]byte
+	for i, k := range ks[1:] {
+		body, _ := k.BodyOf(pid)
+		if snaps[i], err = body.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Errorf("body snapshots differ: migrated %x, revived %x", snaps[0], snaps[1])
+	}
+}

@@ -127,15 +127,6 @@ type Config struct {
 	// timer re-arms on every protocol step, so it only fires when the
 	// peer has actually gone silent (e.g. crashed mid-transfer).
 	MigrateTimeout sim.Time
-	// CoalesceLinkUpdates batches the §5 link updates the source owes the
-	// senders of a migrated process's held queue: instead of each sender
-	// learning the new location lazily (one LinkUpdate per forwarded
-	// message, +2 frames per stale send meanwhile), step 6 groups the held
-	// senders by machine and sends one OpLinkUpdateBatch envelope per
-	// machine. Off by default — the §6 conformance pins and the golden
-	// trace fix the per-message protocol — so batching is opt-in for
-	// loaded clusters (see the migration-under-load test and bench).
-	CoalesceLinkUpdates bool
 	// CheckpointOnArrival writes a migrated process to the destination's
 	// stable storage as soon as step 8 restarts it, so stable storage
 	// follows the process (§1) and a crash of the new host remains
@@ -159,8 +150,8 @@ type Config struct {
 	OnReport func(MigrationReport)
 	// Tracer receives structured events (may be nil).
 	Tracer *trace.Tracer
-	// Machines lists all machines in the cluster (for EagerUpdate
-	// broadcast).
+	// Machines lists all machines in the cluster (for the EagerUpdate
+	// broadcast and the §4 search).
 	Machines []addr.MachineID
 }
 
@@ -310,13 +301,13 @@ type Kernel struct {
 	local []*Process
 
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
-	// Safe on a lossy network too: the ARQ copies on retain (netw/fault.go
+	// Safe on a lossy network too: the ARQ copies on retain (netw/arq.go
 	// clones a pooled envelope for retransmission and retires the original
-	// through ReleaseFrame), so pooling no longer depends on the loss mode.
+	// through ReleaseFrame), so pooling does not depend on the loss mode.
 	pool *msg.Pool
 	// pendingFree recycles deferred-delivery records (local latency hops
 	// and paced data packets).
-	pendingFree *pending
+	pendingFree freelist[pending]
 
 	cpuFreeAt   sim.Time
 	sliceQueued bool
@@ -345,16 +336,16 @@ type Kernel struct {
 	// so a warm kernel migrates without growing the heap. Records wiped
 	// wholesale by Restart (k.out/k.in reassignment) are simply orphaned
 	// to the GC; the free lists only ever hold released records.
-	omFree     *outMigration
-	imFree     *inMigration
-	streamFree *inStream
-	procFree   []*Process
+	omFree     freelist[outMigration]
+	imFree     freelist[inMigration]
+	streamFree freelist[inStream]
+	procFree   freelist[Process]
 	// tableFree recycles link.Table backing between departures and
-	// arrivals: putProcRec donates a released record's table here and
-	// decodeSwappableInto rebuilds an arriving process's table into one.
+	// arrivals: putProcRec donates a released record's table here (at most
+	// 8 are kept) and thaw rebuilds an arriving process's table into one.
 	// Kept off the pooled Process records so forwarders and ProcInfo never
 	// see a stale table.
-	tableFree []*link.Table
+	tableFree freelist[link.Table]
 	// kinds interns body-kind strings decoded from resident records, so a
 	// process bouncing between machines does not re-allocate its kind
 	// string on every arrival.
@@ -807,25 +798,35 @@ func (k *Kernel) lookup(pid addr.ProcessID) *Process {
 	return k.procs[pid]
 }
 
-// getMsg acquires a message envelope for the send path: pooled in steady
-// state, heap-constructed when pooling is off (lossy network).
+// getMsg acquires a pooled message envelope for the send path.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (k *Kernel) getMsg() *msg.Message {
-	if k.pool != nil {
-		return k.pool.Get()
-	}
-	return &msg.Message{}
-}
+func (k *Kernel) getMsg() *msg.Message { return k.pool.Get() }
 
 // putMsg releases an envelope after its final consumption. Heap messages
-// (drivers, tests, cold paths, lossy mode) pass through as no-ops.
+// (drivers, tests, cold paths) pass through the pool as no-ops.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 //demos:releases m — demoslint's ownership rule treats a putMsg call like Pool.Put: the argument is dead on every path after it.
-func (k *Kernel) putMsg(m *msg.Message) {
-	if k.pool != nil {
-		k.pool.Put(m)
+func (k *Kernel) putMsg(m *msg.Message) { k.pool.Put(m) }
+
+// putBounced releases an envelope that may carry a bounced original
+// (OpNotDeliverable's Orig) — both die together on every drop path.
+//
+//demos:releases m — the argument (and the Orig it owns) is dead on every path after it.
+func (k *Kernel) putBounced(m *msg.Message) {
+	if m.Orig != nil {
+		k.putMsg(m.Orig)
+	}
+	k.putMsg(m)
+}
+
+// releaseImage gives back the real memory and swap space of p's image when
+// the process leaves this kernel (exit, migration, discard).
+func (k *Kernel) releaseImage(p *Process) {
+	if p.image != nil {
+		k.memUsed -= p.image.Size()
+		p.image.Discard()
 	}
 }
 
@@ -853,19 +854,15 @@ type pending struct {
 	m        *msg.Message
 	resubmit bool // re-route (paced packet) instead of delivering locally
 	fn       func()
-	next     *pending
 }
 
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 //demos:owner pending — the pooled pending record owns its envelope for exactly one scheduled hop; run() hands it back to route, which releases or re-queues it.
 func (k *Kernel) getPending(m *msg.Message, resubmit bool) *pending {
-	d := k.pendingFree
+	d := k.pendingFree.get()
 	if d == nil {
 		d = &pending{k: k}
 		d.fn = d.run
-	} else {
-		k.pendingFree = d.next
-		d.next = nil
 	}
 	d.m = m
 	d.resubmit = resubmit
@@ -877,8 +874,7 @@ func (d *pending) run() {
 	k, m, res := d.k, d.m, d.resubmit
 	// Release before running so nested schedules can reuse the record.
 	d.m = nil
-	d.next = k.pendingFree
-	k.pendingFree = d
+	k.pendingFree.put(d)
 	if k.crashed {
 		// The kernel crashed while this local hop was in flight: the
 		// message dies with the machine, but not silently.
@@ -899,27 +895,21 @@ func (k *Kernel) trace(cat trace.Category, event, detail string) {
 // getProcRec acquires a Process record for the migration path: recycled
 // when available (retaining the queue ring and accounting maps of a process
 // that previously migrated away), fresh otherwise. The record's links are
-// nil; incoming migrations restore a table via decodeSwappableInto and
-// forwarders never hold one.
+// nil; thaw restores a table and forwarders never hold one.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) getProcRec() *Process {
-	if n := len(k.procFree); n > 0 {
-		p := k.procFree[n-1]
-		k.procFree[n-1] = nil
-		k.procFree = k.procFree[:n-1]
-		if p.commTo == nil {
-			p.commTo = make(map[addr.MachineID]uint64)
-		}
-		if p.commDelta == nil {
-			p.commDelta = make(map[addr.MachineID]uint64)
-		}
-		return p
+	p := k.procFree.get()
+	if p == nil {
+		p = &Process{}
 	}
-	return &Process{
-		commTo:    make(map[addr.MachineID]uint64),
-		commDelta: make(map[addr.MachineID]uint64),
+	if p.commTo == nil {
+		p.commTo = make(map[addr.MachineID]uint64)
 	}
+	if p.commDelta == nil {
+		p.commDelta = make(map[addr.MachineID]uint64)
+	}
+	return p
 }
 
 // putProcRec releases a Process record whose identity has left this kernel
@@ -933,8 +923,8 @@ func (k *Kernel) putProcRec(p *Process) {
 	if p.queue.Len() != 0 {
 		return // defensive: never recycle a record with live messages
 	}
-	if p.links != nil && len(k.tableFree) < 8 {
-		k.tableFree = append(k.tableFree, p.links)
+	if p.links != nil && len(k.tableFree.free) < 8 {
+		k.tableFree.put(p.links)
 	}
 	q := p.queue
 	commTo, commDelta := p.commTo, p.commDelta
@@ -945,7 +935,7 @@ func (k *Kernel) putProcRec(p *Process) {
 		clear(commDelta)
 	}
 	*p = Process{queue: q, commTo: commTo, commDelta: commDelta}
-	k.procFree = append(k.procFree, p)
+	k.procFree.put(p)
 }
 
 // internKind canonicalizes a body-kind decoded from a resident record. The

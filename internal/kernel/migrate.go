@@ -35,7 +35,8 @@ import (
 // Fast-path notes (DESIGN.md §7 "migration fast path"): the protocol above
 // is pinned by the conformance tests, but its bookkeeping is not. Both
 // migration halves are pooled records with once-bound watchdog closures;
-// the frozen regions are gather-encoded into scratch buffers that survive
+// the process crosses as one frozen value (freeze/thaw at the end of this
+// file, shared with Checkpoint/Revive) whose scratch buffers survive
 // recycling; region pulls reassemble into pre-warmed buffers sized from the
 // MigrateAsk announcement; and trace formatting is hoisted behind k.traceOn
 // so a tracerless kernel never touches fmt.
@@ -51,19 +52,7 @@ type outMigration struct {
 	watchdog  sim.Event
 	wdFn      func() // bound once at construction; identity-checked on fire
 
-	// Frozen region payloads (step 1). resident and table are gather-
-	// encoded into scratch that survives recycling; ctl and program are
-	// produced by the body/image and owned until release. swapHdr is the
-	// 4-byte length prefix of the swappable region, kept separate so
-	// handleMoveDataReq can stream the region as a three-vector gather
-	// without re-concatenating table and control state.
-	resident []byte
-	swapHdr  [4]byte
-	table    []byte
-	ctl      []byte
-	program  []byte
-
-	next *outMigration // free list
+	frozen // the three region payloads, frozen at step 1
 }
 
 // inMigration is the destination half. Also pooled (k.imFree); the region
@@ -87,8 +76,6 @@ type inMigration struct {
 	// message 7 has been sent: from here on this copy is the process,
 	// and a silent source must not make the watchdog discard it.
 	established bool
-
-	next *inMigration // free list
 }
 
 // ensure pre-sizes one region buffer (the "pre-warmed destination slot"):
@@ -106,14 +93,11 @@ func (im *inMigration) ensure(r msg.Region, n int) {
 const migrateEnvelopeReserve = 4
 
 func (k *Kernel) getOutMigration() *outMigration {
-	om := k.omFree
+	om := k.omFree.get()
 	if om == nil {
 		om = &outMigration{}
 		om.wdFn = func() { k.outWatchdogFired(om) }
-		return om
 	}
-	k.omFree = om.next
-	om.next = nil
 	return om
 }
 
@@ -124,22 +108,16 @@ func (k *Kernel) getOutMigration() *outMigration {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putOutMigration(om *outMigration) {
-	resident, table := om.resident[:0], om.table[:0]
-	wd := om.wdFn
-	*om = outMigration{resident: resident, table: table, wdFn: wd}
-	om.next = k.omFree
-	k.omFree = om
+	*om = outMigration{wdFn: om.wdFn, frozen: frozen{resident: om.resident[:0], table: om.table[:0]}}
+	k.omFree.put(om)
 }
 
 func (k *Kernel) getInMigration() *inMigration {
-	im := k.imFree
+	im := k.imFree.get()
 	if im == nil {
 		im = &inMigration{}
 		im.wdFn = func() { k.inWatchdogFired(im) }
-		return im
 	}
-	k.imFree = im.next
-	im.next = nil
 	return im
 }
 
@@ -152,10 +130,8 @@ func (k *Kernel) putInMigration(im *inMigration) {
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
 	}
-	wd := im.wdFn
-	*im = inMigration{bufs: bufs, wdFn: wd}
-	im.next = k.imFree
-	k.imFree = im
+	*im = inMigration{bufs: bufs, wdFn: im.wdFn}
+	k.imFree.put(im)
 }
 
 // armOutWatchdog (re)starts the source-side progress timer. If the
@@ -191,7 +167,7 @@ func (k *Kernel) outWatchdogFired(om *outMigration) {
 	abort := k.newControl(msg.OpMigrateAbort, addr.KernelAddr(om.dest))
 	abort.Body = msg.PIDMachine{PID: om.p.id, Machine: k.machine}.AppendTo(abort.Body[:0])
 	k.sendAdmin(abort, nil)
-	k.abortOutMigration(om, fmt.Errorf("no progress from %v in %v", om.dest, k.cfg.MigrateTimeout))
+	k.abortOutMigration(om, "migrate-aborted", fmt.Errorf("no progress from %v in %v", om.dest, k.cfg.MigrateTimeout))
 }
 
 // inWatchdogFired is the destination-side timeout.
@@ -231,7 +207,7 @@ func (k *Kernel) handleMigrateAbort(m *msg.Message) {
 		return
 	}
 	if om, ok := k.out[pm.PID]; ok {
-		k.abortOutMigration(om, fmt.Errorf("aborted by %v", pm.Machine))
+		k.abortOutMigration(om, "migrate-aborted", fmt.Errorf("aborted by %v", pm.Machine))
 		return
 	}
 	if im, ok := k.in[pm.PID]; ok {
@@ -258,10 +234,7 @@ func (k *Kernel) yieldTimeoutCommit(p *Process, src addr.MachineID) {
 			fmt.Sprintf("%v yields to restored copy on %v", p.id, src))
 	}
 	k.removeFromRunq(p)
-	if p.image != nil {
-		k.memUsed -= p.image.Size()
-		p.image.Discard()
-	}
+	k.releaseImage(p)
 	for p.queue.Len() > 0 {
 		k.stats.DeadLetters++
 		k.putMsg(p.queue.pop())
@@ -345,25 +318,13 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 		k.traceStep1(p)
 	}
 
-	// Freeze the three payloads at this instant, gather-encoding the
-	// resident record and link table into the record's scratch buffers.
-	om.resident = appendResident(om.resident[:0], p)
-	ctl, err := p.body.Snapshot()
-	if err != nil {
-		k.abortOutMigration(om, fmt.Errorf("snapshot: %w", err))
+	// Freeze the three payloads at this instant, into the record's
+	// scratch buffers.
+	if err := freeze(&om.frozen, p); err != nil {
+		k.abortOutMigration(om, "migrate-aborted", err)
 		return
 	}
-	om.ctl = ctl
-	om.table = p.links.AppendSnapshot(om.table[:0])
-	binary.LittleEndian.PutUint32(om.swapHdr[:], uint32(len(om.table)))
-	if p.image != nil {
-		om.program, err = p.image.Bytes()
-		if err != nil {
-			k.abortOutMigration(om, fmt.Errorf("program image: %w", err))
-			return
-		}
-	}
-	swappable := len(om.swapHdr) + len(om.table) + len(om.ctl)
+	swappable := om.swappableLen()
 	om.rep.ResidentBytes = len(om.resident)
 	om.rep.SwappableBytes = swappable
 	om.rep.ProgramBytes = len(om.program)
@@ -403,9 +364,12 @@ func (k *Kernel) traceStep2(om *outMigration, swappable int) {
 			om.p.id, om.dest, len(om.program), len(om.resident), swappable))
 }
 
-func (k *Kernel) abortOutMigration(om *outMigration, cause error) {
+// abortOutMigration ends the source half without moving the process —
+// aborted on a fault path, or refused by the destination — restores the
+// frozen process and reports failure to the requester.
+func (k *Kernel) abortOutMigration(om *outMigration, event string, cause error) {
 	if k.traceOn {
-		k.trace(trace.CatMigrate, "migrate-aborted", fmt.Sprintf("%v: %v", om.p.id, cause))
+		k.trace(trace.CatMigrate, event, fmt.Sprintf("%v: %v", om.p.id, cause))
 	}
 	k.eng.Cancel(om.watchdog)
 	delete(k.out, om.p.id)
@@ -457,16 +421,8 @@ func (k *Kernel) handleMigrateRefuse(m *msg.Message) {
 		return
 	}
 	om.rep.noteAdmin(len(m.Body))
-	k.eng.Cancel(om.watchdog)
-	if k.traceOn {
-		k.trace(trace.CatMigrate, "refused",
-			fmt.Sprintf("%v refused by %v (§3.2: the process cannot be migrated)", pm.PID, pm.Machine))
-	}
-	delete(k.out, pm.PID)
-	k.stats.MigrationsFailed++
-	k.restoreFrozen(om.p)
-	k.sendDone(om.requester, msg.MigrateDone{PID: pm.PID, Machine: k.machine, OK: false}, &om.rep)
-	k.putOutMigration(om)
+	k.abortOutMigration(om, "refused",
+		fmt.Errorf("by %v (§3.2: the process cannot be migrated)", pm.Machine))
 }
 
 // handleMoveDataReq serves steps 4-5 from the source: stream the requested
@@ -550,9 +506,6 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 	// (the record becomes a forwarder below), but the bound keeps the
 	// pattern uniform with restoreFrozen.
 	forwarded := p.queue.Len()
-	if k.cfg.CoalesceLinkUpdates && k.cfg.Mode == ModeForward && forwarded > 0 {
-		k.sendCoalescedUpdates(p, om.dest, forwarded)
-	}
 	for n := forwarded; n > 0; n-- {
 		qm := p.queue.pop()
 		qm.To.LastKnown = om.dest
@@ -569,10 +522,7 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 	// and tables is reclaimed. A forwarding address is left." The dead
 	// record is recycled immediately — in forwarding mode it is reborn as
 	// the forwarding address, so installing one allocates nothing.
-	if p.image != nil {
-		k.memUsed -= p.image.Size()
-		p.image.Discard()
-	}
+	k.releaseImage(p)
 	pid := p.id
 	backPtr := p.cameFrom
 	k.delProc(pid)
@@ -629,69 +579,6 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 	}
 	delete(k.out, pid)
 	k.putOutMigration(om)
-}
-
-// sendCoalescedUpdates walks the held queue of a process about to be
-// forwarded (step 6) and repairs every stale sender proactively: one
-// OpLinkUpdateBatch admin envelope per sender machine, instead of each
-// sender paying +2 frames per stale send and one LinkUpdate each on the
-// lazy path. Cold and flag-gated (Config.CoalesceLinkUpdates): the §6
-// conformance pins fix the default protocol's message counts.
-func (k *Kernel) sendCoalescedUpdates(p *Process, dest addr.MachineID, n int) {
-	type bucket struct {
-		mach    addr.MachineID
-		senders []addr.ProcessID
-	}
-	var buckets []bucket
-	for i := 0; i < n; i++ {
-		qm := p.queue.at(i)
-		if !k.shouldSendLinkUpdate(qm) {
-			continue
-		}
-		mach := qm.From.LastKnown
-		if mach == addr.NoMachine {
-			continue
-		}
-		var b *bucket
-		for j := range buckets {
-			if buckets[j].mach == mach {
-				b = &buckets[j]
-				break
-			}
-		}
-		if b == nil {
-			buckets = append(buckets, bucket{mach: mach})
-			b = &buckets[len(buckets)-1]
-		}
-		dup := false
-		for _, s := range b.senders {
-			if s == qm.From.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			b.senders = append(b.senders, qm.From.ID)
-		}
-	}
-	for _, b := range buckets {
-		for off := 0; off < len(b.senders); off += msg.MaxBatchSenders {
-			hi := off + msg.MaxBatchSenders
-			if hi > len(b.senders) {
-				hi = len(b.senders)
-			}
-			u := msg.LinkUpdateBatch{Migrated: p.id, Machine: dest, Senders: b.senders[off:hi]}
-			bm := k.newControl(msg.OpLinkUpdateBatch, addr.KernelAddr(b.mach))
-			bm.Body = u.AppendTo(bm.Body[:0])
-			k.stats.LinkUpdateBatchesSent++
-			k.stats.LinkUpdatesBatched += uint64(hi - off)
-			if k.traceOn {
-				k.trace(trace.CatLinkUpdate, "linkupdate-batch",
-					fmt.Sprintf("to m%d: %v now on %v (%d senders)", uint16(b.mach), p.id, dest, hi-off))
-			}
-			k.route(bm)
-		}
-	}
 }
 
 func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
@@ -755,7 +642,6 @@ func (k *Kernel) handleMigrateAsk(m *msg.Message) {
 	p.id = ask.PID
 	p.state = StateIncoming
 	p.cameFrom = src
-	p.createdAt = k.eng.Now()
 	k.addProc(p)
 	im := k.getInMigration()
 	im.pid, im.src, im.ask, im.p = ask.PID, src, ask, p
@@ -842,52 +728,15 @@ func (k *Kernel) regionArrived(im *inMigration, region msg.Region, data []byte) 
 	}
 }
 
-// assembleProcess decodes the three regions into a runnable process and
+// assembleProcess thaws the three regions into a runnable process and
 // sends OpMigrateEstablished (end of step 5, message 7).
 func (k *Kernel) assembleProcess(im *inMigration) {
-	p := im.p
-	res, err := decodeResident(im.bufs[msg.RegionResident])
-	if err != nil {
-		k.failIncoming(im, fmt.Errorf("resident state: %w", err))
-		return
-	}
-	ctl, err := k.decodeSwappableInto(p, im.bufs[msg.RegionSwappable])
-	if err != nil {
-		k.failIncoming(im, fmt.Errorf("swappable state: %w", err))
-		return
-	}
-	kind := k.internKind(res.kind)
-	body, err := k.cfg.Registry.New(kind)
+	err := k.thaw(im.p, im.bufs[msg.RegionResident], im.bufs[msg.RegionSwappable], im.bufs[msg.RegionProgram])
 	if err != nil {
 		k.failIncoming(im, err)
 		return
 	}
-	if err := body.Restore(ctl); err != nil {
-		k.failIncoming(im, fmt.Errorf("restoring %s body: %w", kind, err))
-		return
-	}
-	program := im.bufs[msg.RegionProgram]
-	var img *memory.Image
-	if len(program) > 0 {
-		img = memory.NewImage(len(program), k.swap)
-		if err := img.WriteAt(program, 0); err != nil {
-			k.failIncoming(im, err)
-			return
-		}
-		if mh, ok := body.(proc.MemoryHolder); ok {
-			mh.SetImage(img)
-		}
-		k.memUsed += img.Size()
-		k.relieveMemory()
-	}
-	p.body = body
-	p.kind = kind
-	p.image = img
-	p.privileged = res.privileged
-	p.prevState = res.prevState
-	p.cpuUsed = res.cpuUsed
-	p.msgsIn = res.msgsIn
-	p.msgsOut = res.msgsOut
+	k.relieveMemory()
 	k.stats.MigrationsIn++
 	im.established = true
 	k.sendPIDMachine(addr.KernelAddr(im.src), msg.OpMigrateEstablished,
@@ -912,10 +761,7 @@ func (k *Kernel) failIncoming(im *inMigration, cause error) {
 	}
 	p := im.p
 	if p != nil {
-		if p.image != nil {
-			k.memUsed -= p.image.Size()
-			p.image.Discard()
-		}
+		k.releaseImage(p)
 		for p.queue.Len() > 0 {
 			k.putMsg(p.queue.pop())
 		}
@@ -1008,24 +854,86 @@ func (k *Kernel) traceStep8(p *Process, forwarded int, viaTimeout bool) {
 		fmt.Sprintf("%v restarted as %v (%s)", p.id, p.state, note))
 }
 
-// --- resident / swappable encodings ----------------------------------------
+// --- the one codec: freeze / thaw -------------------------------------------
 
-// residentState is the kernel process record moved as the non-swappable
-// state (§6: "The non-swappable state uses about 250 bytes"). kind aliases
-// the decoded buffer; assembleProcess interns it before retaining.
-type residentState struct {
-	kind       []byte
-	prevState  ProcState
-	privileged bool
-	imageSize  int
-	cpuUsed    sim.Time
-	msgsIn     uint64
-	msgsOut    uint64
+// frozen is a process's one serialized form: the three §3.1 regions that a
+// migration streams and a checkpoint stores. resident and table are gather-
+// encoded into scratch that survives recycling of the record embedding it;
+// ctl and program are produced by the body/image and owned until release.
+// swapHdr is the 4-byte length prefix of the swappable region
+// (swapHdr‖table‖ctl), kept separate so handleMoveDataReq can stream the
+// region as a three-vector gather without re-concatenating table and
+// control state.
+type frozen struct {
+	resident []byte
+	swapHdr  [4]byte
+	table    []byte
+	ctl      []byte
+	program  []byte
 }
 
-// appendResident gather-encodes the resident record into b — the
-// reusable-buffer form the migration fast path freezes into pooled
-// scratch.
+func (f *frozen) swappableLen() int { return len(f.swapHdr) + len(f.table) + len(f.ctl) }
+
+// freeze serializes p into f at this instant. It is the only encoder of a
+// process: migration step 1 and Checkpoint both call it, so a checkpoint is
+// the migration payload by construction (§1).
+func freeze(f *frozen, p *Process) error {
+	f.resident = appendResident(f.resident[:0], p)
+	ctl, err := p.body.Snapshot()
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	f.ctl = ctl
+	f.table = p.links.AppendSnapshot(f.table[:0])
+	binary.LittleEndian.PutUint32(f.swapHdr[:], uint32(len(f.table)))
+	f.program = nil
+	if p.image != nil {
+		if f.program, err = p.image.Bytes(); err != nil {
+			return fmt.Errorf("program image: %w", err)
+		}
+	}
+	return nil
+}
+
+// thaw is freeze's inverse and the only decoder: it rebuilds a process from
+// its three regions inside the record p (end of migration step 5, and
+// Revive). The image, if any, is charged to memUsed. On error p may be
+// partly filled; callers discard it.
+func (k *Kernel) thaw(p *Process, resident, swappable, program []byte) error {
+	kind, err := decodeResident(p, resident)
+	if err != nil {
+		return fmt.Errorf("resident state: %w", err)
+	}
+	ctl, err := k.decodeSwappableInto(p, swappable)
+	if err != nil {
+		return fmt.Errorf("swappable state: %w", err)
+	}
+	p.kind = k.internKind(kind)
+	body, err := k.cfg.Registry.New(p.kind)
+	if err != nil {
+		return err
+	}
+	if err := body.Restore(ctl); err != nil {
+		return fmt.Errorf("restoring %s body: %w", p.kind, err)
+	}
+	p.body = body
+	if len(program) > 0 {
+		img := memory.NewImage(len(program), k.swap)
+		if err := img.WriteAt(program, 0); err != nil {
+			return err
+		}
+		if mh, ok := body.(proc.MemoryHolder); ok {
+			mh.SetImage(img)
+		}
+		p.image = img
+		k.memUsed += img.Size()
+	}
+	return nil
+}
+
+// appendResident gather-encodes the kernel process record moved as the
+// non-swappable state (§6: "The non-swappable state uses about 250 bytes")
+// into b.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func appendResident(b []byte, p *Process) []byte {
@@ -1050,66 +958,38 @@ func appendResident(b []byte, p *Process) []byte {
 	return b
 }
 
-// encodeResident is the allocating form (checkpointing).
-func (k *Kernel) encodeResident(p *Process) []byte {
-	return appendResident(make([]byte, 0, 64+len(p.kind)), p)
-}
-
-func decodeResident(b []byte) (residentState, error) {
-	var r residentState
+// decodeResident restores the resident record into p — every field
+// appendResident wrote except the image size, which the program region
+// carries itself (§3.1 step 1: "No change is made to the recorded state of
+// the process"). The returned kind aliases b; thaw interns it before
+// retaining. Messages held on an incoming record count toward the high-water
+// mark, hence the max.
+func decodeResident(p *Process, b []byte) (kind []byte, err error) {
 	if len(b) < 1 {
-		return r, fmt.Errorf("empty resident record")
+		return nil, fmt.Errorf("empty resident record")
 	}
 	n := int(b[0])
 	b = b[1:]
 	if len(b) < n+2+4+8+8+8+8+4 {
-		return r, fmt.Errorf("short resident record")
+		return nil, fmt.Errorf("short resident record")
 	}
-	r.kind = b[:n]
-	b = b[n:]
-	r.prevState = ProcState(b[0])
-	r.privileged = b[1] != 0
-	r.imageSize = int(binary.LittleEndian.Uint32(b[2:]))
-	r.cpuUsed = sim.Time(binary.LittleEndian.Uint64(b[6:]))
-	r.msgsIn = binary.LittleEndian.Uint64(b[14:])
-	r.msgsOut = binary.LittleEndian.Uint64(b[22:])
-	return r, nil
+	kind, b = b[:n], b[n:]
+	p.prevState = ProcState(b[0])
+	p.privileged = b[1] != 0
+	p.cpuUsed = sim.Time(binary.LittleEndian.Uint64(b[6:]))
+	p.msgsIn = binary.LittleEndian.Uint64(b[14:])
+	p.msgsOut = binary.LittleEndian.Uint64(b[22:])
+	p.createdAt = sim.Time(binary.LittleEndian.Uint64(b[30:]))
+	if hw := int(binary.LittleEndian.Uint32(b[38:])); hw > p.queueHighWater {
+		p.queueHighWater = hw
+	}
+	return kind, nil
 }
 
-// encodeSwappable packs the link table and the body control state —
-// the swappable state whose size "depend[s] on the size of the link table".
-// The migration path streams the same bytes as a three-vector gather
-// instead (see handleMoveDataReq); this allocating form serves
-// checkpointing.
-func encodeSwappable(t *link.Table, ctl []byte) []byte {
-	ts := t.Snapshot()
-	b := make([]byte, 0, 4+len(ts)+len(ctl))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
-	b = append(b, ts...)
-	b = append(b, ctl...)
-	return b
-}
-
-func decodeSwappable(b []byte) (*link.Table, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("short swappable state")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < n {
-		return nil, nil, fmt.Errorf("truncated link table")
-	}
-	t, err := link.RestoreTable(b[:n])
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, b[n:], nil
-}
-
-// decodeSwappableInto is the pooled form: the link table is rebuilt in
-// place into p's existing table (or one from the kernel's table free list)
-// so an arriving process reuses the slot backing a departed one left
-// behind.
+// decodeSwappableInto rebuilds the link table in place into p's existing
+// table (or one from the kernel's table free list), so an arriving process
+// reuses the slot backing a departed one left behind, and returns the body
+// control state that follows it.
 func (k *Kernel) decodeSwappableInto(p *Process, b []byte) ([]byte, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("short swappable state")
@@ -1121,11 +1001,7 @@ func (k *Kernel) decodeSwappableInto(p *Process, b []byte) ([]byte, error) {
 	}
 	t := p.links
 	if t == nil {
-		if nf := len(k.tableFree); nf > 0 {
-			t = k.tableFree[nf-1]
-			k.tableFree[nf-1] = nil
-			k.tableFree = k.tableFree[:nf-1]
-		} else {
+		if t = k.tableFree.get(); t == nil {
 			t = &link.Table{}
 		}
 	}

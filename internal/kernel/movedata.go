@@ -47,8 +47,6 @@ type inStream struct {
 	// Data-area reads (cold): completion callbacks.
 	complete func(data []byte)
 	fail     func()
-
-	next *inStream // free list
 }
 
 // moveOp tracks an outbound data-area write awaiting acknowledgement of
@@ -72,13 +70,10 @@ type moveOp struct {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) getInStream() *inStream {
-	st := k.streamFree
-	if st == nil {
-		return &inStream{total: -1}
+	if st := k.streamFree.get(); st != nil {
+		return st
 	}
-	k.streamFree = st.next
-	st.next = nil
-	return st
+	return &inStream{total: -1}
 }
 
 // putInStream releases a stream record. The reassembly buffer is NOT kept
@@ -88,8 +83,8 @@ func (k *Kernel) getInStream() *inStream {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putInStream(st *inStream) {
-	*st = inStream{total: -1, next: k.streamFree}
-	k.streamFree = st
+	*st = inStream{total: -1}
+	k.streamFree.put(st)
 }
 
 func (k *Kernel) registerInStream(xfer uint16, complete func([]byte)) *inStream {

@@ -121,21 +121,10 @@ func (k *Kernel) SaveCheckpoint(pid addr.ProcessID) error {
 	return nil
 }
 
-// StableCheckpoint returns the stored checkpoint bytes for pid (for
-// cross-machine revival by a recovery driver).
-func (k *Kernel) StableCheckpoint(pid addr.ProcessID) ([]byte, bool) {
-	b, ok := k.stable[pid]
-	return b, ok
-}
-
 // StableCheckpoints lists the pids with a checkpoint in stable storage, in
 // deterministic order.
 func (k *Kernel) StableCheckpoints() []addr.ProcessID {
-	return sortedPIDKeys(len(k.stable), func(f func(addr.ProcessID)) {
-		for pid := range k.stable {
-			f(pid)
-		}
-	})
+	return sortedPIDs(k.stable)
 }
 
 // --- crash / restart --------------------------------------------------------
@@ -178,11 +167,7 @@ func (k *Kernel) Restart() error {
 			k.stats.CrashLostProcs++
 		}
 	}
-	for _, pid := range sortedPIDKeys(len(k.pendingLocate), func(f func(addr.ProcessID)) {
-		for pid := range k.pendingLocate {
-			f(pid)
-		}
-	}) {
+	for _, pid := range sortedPIDs(k.pendingLocate) {
 		for _, m := range k.pendingLocate[pid] {
 			k.noteCrashWiped(m)
 		}
@@ -230,20 +215,14 @@ func (k *Kernel) Restart() error {
 // cluster-wide envelope conservation exact).
 func (k *Kernel) noteCrashWiped(m *msg.Message) {
 	k.stats.CrashWipedMsgs++
-	if m.Orig != nil {
-		k.putMsg(m.Orig)
-	}
-	k.putMsg(m)
+	k.putBounced(m)
 }
 
 // dropCrashed accounts a message that reached this kernel while it was
 // down (stale local-delivery events, frames racing the crash instant).
 func (k *Kernel) dropCrashed(m *msg.Message) {
 	k.stats.DroppedWhileCrashed++
-	if m.Orig != nil {
-		k.putMsg(m.Orig)
-	}
-	k.putMsg(m)
+	k.putBounced(m)
 }
 
 // Restarts reports how many times this kernel recovered from a crash.
@@ -256,11 +235,7 @@ func (k *Kernel) PendingMigrations() int { return len(k.out) + len(k.in) }
 // LostPIDs lists processes wiped by a crash and never revived, in
 // deterministic order.
 func (k *Kernel) LostPIDs() []addr.ProcessID {
-	return sortedPIDKeys(len(k.lostPIDs), func(f func(addr.ProcessID)) {
-		for pid := range k.lostPIDs {
-			f(pid)
-		}
-	})
+	return sortedPIDs(k.lostPIDs)
 }
 
 // PoolStats reports this kernel's envelope-pool ledger: envelopes the pool
@@ -311,10 +286,7 @@ func (k *Kernel) UndeliverableFrame(to addr.MachineID, m *msg.Message) {
 		k.trace(trace.CatDeliver, "undeliverable",
 			fmt.Sprintf("%v for %v: m%d unreachable", m.Kind, m.To.ID, uint16(to)))
 	}
-	if m.Orig != nil {
-		k.putMsg(m.Orig)
-	}
-	k.putMsg(m)
+	k.putBounced(m)
 }
 
 // --- the §4 search escape hatch ---------------------------------------------
@@ -399,10 +371,7 @@ func (k *Kernel) armSearchTimeout(pid addr.ProcessID) {
 				fmt.Sprintf("%v: %d held messages dead-lettered", pid, len(held)))
 		}
 		for _, hm := range held {
-			if hm.Orig != nil {
-				k.putMsg(hm.Orig)
-			}
-			k.putMsg(hm)
+			k.putBounced(hm)
 		}
 	})
 }
@@ -437,11 +406,13 @@ func (k *Kernel) handleSearchQuery(m *msg.Message) {
 	k.route(r)
 }
 
-// sortedPIDKeys collects pids from a map-iterating visitor and sorts them —
-// the deterministic-order helper shared by the fault-plane accessors.
-func sortedPIDKeys(n int, visit func(func(addr.ProcessID))) []addr.ProcessID {
-	out := make([]addr.ProcessID, 0, n)
-	visit(func(pid addr.ProcessID) { out = append(out, pid) })
+// sortedPIDs returns a pid-keyed map's keys in pid order — the
+// deterministic-order helper shared by the fault-plane accessors.
+func sortedPIDs[V any](m map[addr.ProcessID]V) []addr.ProcessID {
+	out := make([]addr.ProcessID, 0, len(m))
+	for pid := range m {
+		out = append(out, pid)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Creator != b.Creator {

@@ -124,10 +124,7 @@ func (k *Kernel) runSlice() {
 func (k *Kernel) terminate(p *Process, code int32, err error) {
 	p.state = StateDead
 	k.removeFromRunq(p)
-	if p.image != nil {
-		k.memUsed -= p.image.Size()
-		p.image.Discard()
-	}
+	k.releaseImage(p)
 	for p.queue.Len() > 0 {
 		k.putMsg(p.queue.pop())
 	}

@@ -55,11 +55,7 @@ type Stats struct {
 	LinkUpdatesSent    uint64 // special update messages emitted while forwarding
 	LinkUpdatesApplied uint64 // update messages processed for a local sender
 	LinksFixed         uint64 // individual link-table entries rewritten
-	// Coalesced step-6 batches (Config.CoalesceLinkUpdates).
-	LinkUpdateBatchesSent    uint64 // OpLinkUpdateBatch envelopes emitted, one per stale sender machine
-	LinkUpdatesBatched       uint64 // stale senders covered by those batches
-	LinkUpdateBatchesApplied uint64 // batch envelopes processed at a sender machine
-	EagerUpdatesSent         uint64 // ablation broadcasts
+	EagerUpdatesSent   uint64 // ablation broadcasts
 
 	// Migration (§3, §6).
 	MigrationsOut     uint64 // completed as source

@@ -39,7 +39,7 @@ func BenchmarkTableSnapshot(b *testing.B) {
 			t := buildTable(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = t.Snapshot()
+				_ = t.AppendSnapshot(nil)
 			}
 		})
 	}
@@ -47,10 +47,10 @@ func BenchmarkTableSnapshot(b *testing.B) {
 
 func BenchmarkSnapshotRestore(b *testing.B) {
 	t := buildTable(64)
-	snap := t.Snapshot()
+	snap := t.AppendSnapshot(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RestoreTable(snap); err != nil {
+		if err := RestoreTableInto(&Table{}, snap); err != nil {
 			b.Fatal(err)
 		}
 	}

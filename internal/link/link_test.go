@@ -168,9 +168,9 @@ func TestSnapshotRestore(t *testing.T) {
 	tb.Remove(ids[2])
 	tb.Remove(ids[7])
 
-	snap := tb.Snapshot()
-	rt, err := RestoreTable(snap)
-	if err != nil {
+	snap := tb.AppendSnapshot(nil)
+	rt := &Table{}
+	if err := RestoreTableInto(rt, snap); err != nil {
 		t.Fatal(err)
 	}
 	if rt.Len() != tb.Len() || rt.Cap() != tb.Cap() {
@@ -197,13 +197,13 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := RestoreTable([]byte{1, 2}); err == nil {
+	if err := RestoreTableInto(&Table{}, []byte{1, 2}); err == nil {
 		t.Fatal("restored short snapshot")
 	}
 	tb := NewTable(4)
 	tb.Insert(Link{Addr: mkAddr(1, 1, 1)})
-	snap := tb.Snapshot()
-	if _, err := RestoreTable(snap[:len(snap)-3]); err == nil {
+	snap := tb.AppendSnapshot(nil)
+	if err := RestoreTableInto(&Table{}, snap[:len(snap)-3]); err == nil {
 		t.Fatal("restored truncated snapshot")
 	}
 }

@@ -139,16 +139,10 @@ func (t *Table) StaleTo(pid addr.ProcessID, machine addr.MachineID) int {
 	return n
 }
 
-// Snapshot encodes the table for migration: it is the dominant part of the
-// process's swappable state. Layout: cap(2) nextSlot(2) count(2) then
-// count × (id(2) + link wire form).
-func (t *Table) Snapshot() []byte {
-	return t.AppendSnapshot(make([]byte, 0, 6+t.count*(2+WireSize)))
-}
-
-// AppendSnapshot appends the Snapshot wire form to b — the reusable-buffer
-// gather encoder the migration fast path uses to freeze the swappable state
-// directly into a pooled scratch buffer without an intermediate copy.
+// AppendSnapshot appends the table's wire form to b: the dominant part of
+// the process's swappable state, frozen directly into a reusable scratch
+// buffer without an intermediate copy. Layout: cap(2) nextSlot(2) count(2)
+// then count × (id(2) + link wire form).
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (t *Table) AppendSnapshot(b []byte) []byte {
@@ -165,20 +159,10 @@ func (t *Table) AppendSnapshot(b []byte) []byte {
 	return b
 }
 
-// RestoreTable decodes a Snapshot into a fresh table. Link IDs are
+// RestoreTableInto decodes an AppendSnapshot encoding into t (a zero Table
+// is fine), reusing t's slot and free-list backing arrays when they are
+// large enough. Any previous contents of t are discarded; link IDs are
 // preserved, so process-held IDs remain valid after migration.
-func RestoreTable(b []byte) (*Table, error) {
-	t := &Table{}
-	if err := RestoreTableInto(t, b); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// RestoreTableInto decodes a Snapshot into t, reusing t's slot and
-// free-list backing arrays when they are large enough. Any previous
-// contents of t are discarded. The migration fast path uses it to rebuild
-// an arriving process's table inside a pooled record without allocating.
 func RestoreTableInto(t *Table, b []byte) error {
 	if len(b) < 6 {
 		return fmt.Errorf("link: short table snapshot")

@@ -59,7 +59,6 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"MoveDataReq.AppendTo", "MigrateCleanup.AppendTo", "MigrateDone.AppendTo",
 			"LinkUpdate.AppendTo", "CreateProcess.AppendTo", "CreateDone.AppendTo",
 			"MoveRead.AppendTo", "XferStatus.AppendTo", "LoadReport.AppendTo",
-			"LinkUpdateBatch.AppendTo",
 			"Pool.Get", "Pool.Put",
 		},
 		"demosmp/internal/link": {
@@ -87,8 +86,8 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.handleMoveDataReq", "Kernel.pullRegion",
 			"Kernel.regionArrived", "Kernel.commitIncoming",
 			"appendResident",
-			// Ring buffer.
-			"ring.push", "ring.pop",
+			// Ring buffer and the one free list.
+			"ring.push", "ring.pop", "freelist.get", "freelist.put",
 			// §6 per-migration accounting inside sendAdmin.
 			"MigrationReport.noteAdmin",
 		},

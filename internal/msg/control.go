@@ -277,65 +277,6 @@ func DecodeLinkUpdate(b []byte) (LinkUpdate, error) {
 	return u, nil
 }
 
-// LinkUpdateBatch is the coalesced form of LinkUpdate: after step 6
-// forwards a migrated process's held queue, the source kernel knows every
-// sender whose links went stale, grouped by machine — so it can repair all
-// of them with one admin envelope per machine instead of one LinkUpdate
-// per sender. Not part of the §6 administrative-message accounting (the
-// batching is an opt-in optimization; see kernel.Config.CoalesceLinkUpdates).
-type LinkUpdateBatch struct {
-	Migrated addr.ProcessID   // the process that moved
-	Machine  addr.MachineID   // its new location
-	Senders  []addr.ProcessID // processes on the target machine with stale links
-}
-
-// MaxBatchSenders bounds the sender list of one LinkUpdateBatch (the wire
-// count is one byte); larger fan-outs are chunked by the sender.
-const MaxBatchSenders = 255
-
-// AppendTo appends the wire form to b (reusable-buffer encode).
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/admin-encode and TestControlRoundTripAll.
-func (u LinkUpdateBatch) AppendTo(b []byte) []byte {
-	b = putPID(b, u.Migrated)
-	b = binary.LittleEndian.AppendUint16(b, uint16(u.Machine))
-	n := len(u.Senders)
-	if n > MaxBatchSenders {
-		n = MaxBatchSenders
-	}
-	b = append(b, byte(n))
-	for _, s := range u.Senders[:n] {
-		b = putPID(b, s)
-	}
-	return b
-}
-
-func (u LinkUpdateBatch) Encode() []byte {
-	return u.AppendTo(make([]byte, 0, 7+4*len(u.Senders)))
-}
-
-func DecodeLinkUpdateBatch(b []byte) (LinkUpdateBatch, error) {
-	var u LinkUpdateBatch
-	pid, rest, err := getPID(b)
-	if err != nil || len(rest) < 3 {
-		return u, fmt.Errorf("msg: bad LinkUpdateBatch")
-	}
-	u.Migrated = pid
-	u.Machine = addr.MachineID(binary.LittleEndian.Uint16(rest))
-	n := int(rest[2])
-	rest = rest[3:]
-	u.Senders = make([]addr.ProcessID, 0, n)
-	for i := 0; i < n; i++ {
-		var s addr.ProcessID
-		s, rest, err = getPID(rest)
-		if err != nil {
-			return u, fmt.Errorf("msg: truncated LinkUpdateBatch")
-		}
-		u.Senders = append(u.Senders, s)
-	}
-	return u, nil
-}
-
 // CreateProcess asks a kernel to instantiate a registered program
 // (sent by the process manager; not part of the migration accounting).
 type CreateProcess struct {

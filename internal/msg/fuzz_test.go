@@ -53,7 +53,6 @@ func FuzzControlDecoders(f *testing.F) {
 	f.Add(MigrateCleanup{PID: addr.ProcessID{Creator: 1, Local: 2}, Forwarded: 4}.Encode())
 	f.Add(MigrateDone{PID: addr.ProcessID{Creator: 1, Local: 2}, Machine: 3, OK: true}.Encode())
 	f.Add(LinkUpdate{Sender: addr.ProcessID{Creator: 1, Local: 2}, Migrated: addr.ProcessID{Creator: 3, Local: 4}, Machine: 5}.Encode())
-	f.Add(LinkUpdateBatch{Migrated: addr.ProcessID{Creator: 3, Local: 4}, Machine: 5, Senders: []addr.ProcessID{{Creator: 1, Local: 2}, {Creator: 2, Local: 9}}}.Encode())
 	f.Add(MoveRead{PID: addr.ProcessID{Creator: 1, Local: 2}, AreaOff: 4096, Off: 128, Len: 256, Xfer: 7}.Encode())
 	f.Add(XferStatus{Xfer: 9, OK: true}.Encode())
 	f.Add(LoadReport{Machine: 2, Procs: []ProcLoad{{PID: addr.ProcessID{Creator: 1, Local: 1}, MemKB: 32}}}.Encode())
@@ -67,7 +66,6 @@ func FuzzControlDecoders(f *testing.F) {
 		DecodeMigrateCleanup(b)
 		DecodeMigrateDone(b)
 		DecodeLinkUpdate(b)
-		DecodeLinkUpdateBatch(b)
 		DecodeMoveRead(b)
 		DecodeXferStatus(b)
 		DecodeCreateProcess(b)
@@ -103,8 +101,6 @@ func TestControlRoundTripAll(t *testing.T) {
 			func(b []byte) (any, error) { return DecodeMigrateDone(b) }},
 		{"LinkUpdate", LinkUpdate{Sender: pid, Migrated: pid2, Machine: 8},
 			func(b []byte) (any, error) { return DecodeLinkUpdate(b) }},
-		{"LinkUpdateBatch", LinkUpdateBatch{Migrated: pid2, Machine: 8, Senders: []addr.ProcessID{pid, {Creator: 2, Local: 9}}},
-			func(b []byte) (any, error) { return DecodeLinkUpdateBatch(b) }},
 		{"MoveRead", MoveRead{PID: pid, AreaOff: 4096, Off: 64, Len: 512, Xfer: 3},
 			func(b []byte) (any, error) { return DecodeMoveRead(b) }},
 		{"XferStatus", XferStatus{Xfer: 12, OK: false},

@@ -94,13 +94,12 @@ const (
 	OpTimer // kernel -> process: a SetTimer deadline fired
 
 	// Forwarding machinery.
-	OpDeathNotice     // process died: reclaim forwarders backwards along the migration path (§4)
-	OpNotDeliverable  // return-to-sender baseline (§4 alternative)
-	OpLocate          // kernel -> process manager: where is pid? (baseline)
-	OpLocateReply     // process manager -> kernel: pid's current machine (baseline)
-	OpEagerUpdate     // broadcast link update at migration time (ablation)
-	OpSearchQuery     // restarted kernel's search for a pid whose forwarder it lost (§4 escape hatch)
-	OpLinkUpdateBatch // coalesced §5 updates: one envelope per sender machine after a migration
+	OpDeathNotice    // process died: reclaim forwarders backwards along the migration path (§4)
+	OpNotDeliverable // return-to-sender baseline (§4 alternative)
+	OpLocate         // kernel -> process manager: where is pid? (baseline)
+	OpLocateReply    // process manager -> kernel: pid's current machine (baseline)
+	OpEagerUpdate    // broadcast link update at migration time (ablation)
+	OpSearchQuery    // restarted kernel's search for a pid whose forwarder it lost (§4 escape hatch)
 )
 
 var opNames = map[Op]string{
@@ -116,8 +115,7 @@ var opNames = map[Op]string{
 	OpTimer: "timer", OpDeathNotice: "death-notice",
 	OpNotDeliverable: "not-deliverable", OpLocate: "locate",
 	OpLocateReply: "locate-reply", OpEagerUpdate: "eager-update",
-	OpSearchQuery:     "search-query",
-	OpLinkUpdateBatch: "link-update-batch",
+	OpSearchQuery: "search-query",
 }
 
 func (o Op) String() string {

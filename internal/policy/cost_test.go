@@ -17,7 +17,7 @@ func TestCostModelDefaultsAndPayback(t *testing.T) {
 	if !c.Worthwhile(price) {
 		t.Fatal("gain == price per period must be worthwhile")
 	}
-	if c.Worthwhile(price/(c.PaybackPeriods+1)) {
+	if c.Worthwhile(price / (c.PaybackPeriods + 1)) {
 		t.Fatal("gain below the horizon share must not be worthwhile")
 	}
 }

@@ -145,9 +145,6 @@ func (a *Arrivals) Next() (at, service sim.Time, ok bool) {
 	return a.at, service, true
 }
 
-// Emitted reports how many jobs the stream has produced so far.
-func (a *Arrivals) Emitted() int { return a.emitted }
-
 // JobKind is the registry name of Job.
 const JobKind = "wl-job"
 

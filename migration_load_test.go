@@ -3,9 +3,9 @@
 // test: messages held on the frozen queue and messages absorbed by the
 // forwarding address each arrive exactly once, in spite of the move; and
 // the §6 ledger attributes the residual forwarding traffic to the
-// migration that caused it. The kernels run with CoalesceLinkUpdates on,
-// so the step-6 batch path (one OpLinkUpdateBatch per sender machine) is
-// exercised end to end against real sender link tables.
+// migration that caused it. The kernels run the default protocol, so the
+// senders' links are repaired the way §5 describes: lazily, one update per
+// message the forwarding address absorbs, after which sends go direct.
 package demosmp_test
 
 import (
@@ -22,7 +22,9 @@ import (
 )
 
 // seqSenderBody sends total sequence-numbered messages over link 1, one
-// per scheduling slice: payload = sender id byte + uint32 sequence.
+// per scheduling slice: payload = sender id byte + uint32 sequence. Once
+// done it blocks, discarding whatever wakes it; raising total and sending
+// it any message makes it send again.
 type seqSenderBody struct {
 	id    byte
 	total int
@@ -32,7 +34,11 @@ type seqSenderBody struct {
 func (s *seqSenderBody) Kind() string { return "seq-sender" }
 func (s *seqSenderBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	if s.sent >= s.total {
-		return 0, proc.Status{State: proc.Blocked}
+		for {
+			if _, ok := ctx.Recv(); !ok {
+				return 0, proc.Status{State: proc.Blocked}
+			}
+		}
 	}
 	var b [5]byte
 	b[0] = s.id
@@ -113,10 +119,7 @@ func TestMigrationUnderLoadExactlyOnce(t *testing.T) {
 	oreg, oled := obs.NewRegistry(), obs.NewLedger()
 	ks := make([]*kernel.Kernel, 3)
 	for i := range ks {
-		ks[i] = kernel.New(addr.MachineID(i+1), e, nw, kernel.Config{
-			Registry:            reg,
-			CoalesceLinkUpdates: true,
-		})
+		ks[i] = kernel.New(addr.MachineID(i+1), e, nw, kernel.Config{Registry: reg})
 		ks[i].SetObs(oreg, oled)
 	}
 
@@ -125,12 +128,15 @@ func TestMigrationUnderLoadExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	senders := make([]*seqSenderBody, 2)
+	spids := make([]addr.ProcessID, 2)
 	for i, m := range []int{1, 2} { // senders on m2 and m3
 		sender := &seqSenderBody{id: byte(i + 1), total: perSender}
 		spid, err := ks[m].Spawn(kernel.SpawnSpec{Body: sender})
 		if err != nil {
 			t.Fatal(err)
 		}
+		senders[i], spids[i] = sender, spid
 		if _, err := ks[m].MintLinkTo(link.Link{Addr: addr.At(sinkPID, 1)}, spid); err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +153,7 @@ func TestMigrationUnderLoadExactlyOnce(t *testing.T) {
 	for e.Step() {
 	}
 
-	// A third sender that never appeared on the frozen queue was not
-	// covered by the coalesced batch: its sends still carry the stale
+	// A third sender starts only after the move: its sends carry the stale
 	// address and must be absorbed by the forwarding address, exactly
 	// once, with the lazy §5 machinery attributing them to the migration.
 	staleFrom := addr.At(addr.ProcessID{Creator: 3, Local: 77}, 3)
@@ -161,20 +166,56 @@ func TestMigrationUnderLoadExactlyOnce(t *testing.T) {
 	for e.Step() {
 	}
 
+	// The real senders finished inside the freeze window, so every one of
+	// their messages was held and forwarded at step 6 and their links are
+	// still stale. One more send each goes through the forwarding address,
+	// and the §5 update it triggers is applied and fixes the sender's link.
+	sendOneMore := func() {
+		for i, m := range []int{1, 2} {
+			senders[i].total++
+			if err := ks[m].GiveMessage(spids[i], addr.ProcessAddr{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for e.Step() {
+		}
+	}
+	before := ks[0].Stats()
+	sendOneMore()
+	after := ks[0].Stats()
+	if d := after.Forwarded - before.Forwarded; d != 2 {
+		t.Errorf("stale real senders cost %d forwards, want 1 each", d)
+	}
+	if d := after.LinkUpdatesSent - before.LinkUpdatesSent; d != 2 {
+		t.Errorf("forwarding address sent %d link updates, want 1 per stale real sender", d)
+	}
+	for _, k := range ks[1:] {
+		if st := k.Stats(); st.LinkUpdatesApplied != 1 || st.LinksFixed != 1 {
+			t.Errorf("m%d applied %d link updates fixing %d links, want 1 and 1",
+				k.Machine(), st.LinkUpdatesApplied, st.LinksFixed)
+		}
+	}
+	// Converged: a further send from each real sender goes direct.
+	sendOneMore()
+	if d := ks[0].Stats().Forwarded - after.Forwarded; d != 0 {
+		t.Errorf("after the link update, real senders still cost %d forwards", d)
+	}
+
 	// The sink must have arrived on m2 with every message exactly once.
 	bod, ok := ks[1].BodyOf(sinkPID)
 	if !ok {
 		t.Fatal("sink did not arrive on m2")
 	}
 	moved := bod.(*seqSinkBody)
-	if moved.got != 3*perSender {
-		t.Fatalf("sink received %d messages, want %d", moved.got, 3*perSender)
+	sent := []int{perSender + 2, perSender + 2, perSender}
+	if want := sent[0] + sent[1] + sent[2]; moved.got != want {
+		t.Fatalf("sink received %d messages, want %d", moved.got, want)
 	}
-	for sender := byte(1); sender <= 3; sender++ {
-		for seq := 0; seq < perSender; seq++ {
-			key := uint64(sender)<<32 | uint64(seq)
-			if n := moved.seen[key]; n != 1 {
-				t.Errorf("sender %d seq %d delivered %d times, want exactly once", sender, seq, n)
+	for i, n := range sent {
+		for seq := 0; seq < n; seq++ {
+			key := uint64(i+1)<<32 | uint64(seq)
+			if c := moved.seen[key]; c != 1 {
+				t.Errorf("sender %d seq %d delivered %d times, want exactly once", i+1, seq, c)
 			}
 		}
 	}
@@ -209,33 +250,13 @@ func TestMigrationUnderLoadExactlyOnce(t *testing.T) {
 	if rec.MoveDataTransfers != 3 {
 		t.Errorf("MoveDataTransfers = %d, want 3 (§6)", rec.MoveDataTransfers)
 	}
-
-	// Coalesced link updates: step 6 saw held messages from senders on two
-	// machines, so the source must have emitted batches, and the sender
-	// kernels must have applied them against real link tables.
-	if src.LinkUpdateBatchesSent == 0 || src.LinkUpdatesBatched == 0 {
-		t.Errorf("no coalesced batches sent (sent=%d covered=%d)",
-			src.LinkUpdateBatchesSent, src.LinkUpdatesBatched)
-	}
-	applied, fixed := uint64(0), uint64(0)
-	for _, k := range ks[1:] {
-		st := k.Stats()
-		applied += st.LinkUpdateBatchesApplied
-		fixed += st.LinksFixed
-	}
-	if applied == 0 {
-		t.Error("no kernel applied a coalesced batch")
-	}
-	if fixed == 0 {
-		t.Error("coalesced batches fixed no links")
-	}
 }
 
 // BenchmarkKernelMigrationUnderLoad is one full migration with concurrent
 // traffic: before each migration, two stale senders fire a burst at the
-// process's old address, so every op pays for held-queue forwarding, the
-// forwarding address, and the coalesced link-update fan-out on top of the
-// 8-step protocol.
+// process's old address, so every op pays for held-queue forwarding and
+// the forwarding address with its lazy link updates on top of the 8-step
+// protocol.
 func BenchmarkKernelMigrationUnderLoad(b *testing.B) {
 	const burst = 8 // messages per sender per op
 
@@ -249,8 +270,7 @@ func BenchmarkKernelMigrationUnderLoad(b *testing.B) {
 	done := 0
 	mk := func(m addr.MachineID) *kernel.Kernel {
 		return kernel.New(m, e, nw, kernel.Config{
-			Registry:            reg,
-			CoalesceLinkUpdates: true,
+			Registry: reg,
 			OnReport: func(r kernel.MigrationReport) {
 				if r.OK {
 					done++

@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
-# Contributor gate: vet, lint, build, race-test, and the hot-path
+# Contributor gate: gofmt, vet, lint, build, race-test, and the hot-path
 # allocation guards. Run from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt -l (any listed file fails; bench/_src included)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "$unformatted"
+  exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...

@@ -19,6 +19,8 @@ import (
 	"demosmp/internal/obs"
 	"demosmp/internal/proc"
 	"demosmp/internal/sim"
+	"demosmp/internal/trace"
+	"demosmp/internal/workload"
 )
 
 // BenchmarkEngineSchedule is the tightest event-engine cycle: schedule one
@@ -261,43 +263,24 @@ func BenchmarkKernelPingPong(b *testing.B) {
 // native process, alternating between two machines. One op = the whole
 // protocol: 9 admin messages plus the state transfer.
 func BenchmarkKernelMigration(b *testing.B) {
-	e := sim.NewEngine(1)
-	nw := netw.New(e, netw.Config{})
 	reg := proc.NewRegistry()
 	reg.Register("bench-sink", func() proc.Body { return &benchSinkBody{} })
-	done := 0
-	mk := func(m addr.MachineID) *kernel.Kernel {
-		return kernel.New(m, e, nw, kernel.Config{
-			Registry: reg,
-			OnReport: func(r kernel.MigrationReport) {
-				if r.OK {
-					done++
-				}
-			},
-		})
-	}
-	ks := []*kernel.Kernel{mk(1), mk(2)}
-	pid, err := ks[0].Spawn(kernel.SpawnSpec{Body: &benchSinkBody{}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cur := 0
-	migrate := func() {
-		dst := 1 - cur
-		ks[cur].RequestMigrationOf(addr.At(pid, ks[cur].Machine()), ks[dst].Machine())
-		target := done + 1
-		for done < target {
-			if !e.Step() {
-				b.Fatal("engine idle mid-migration")
-			}
-		}
-		// The source reports done at step 7; drain the cleanup/restart
-		// tail so the process is runnable before the next request.
-		for e.Step() {
-		}
-		cur = dst
-	}
+	migrate := migrationBouncer(b, reg, &benchSinkBody{}, false)
 	migrate() // warm both kernels' pools and streams
+	migrate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		migrate()
+	}
+}
+
+// BenchmarkKernelMigrationStatefulTraced is the same migration as a
+// core.New cluster runs it: a gob-backed workload.Counter body, the tracer
+// and the obs plane attached.
+func BenchmarkKernelMigrationStatefulTraced(b *testing.B) {
+	migrate := migrationBouncer(b, workload.Registry(), &workload.Counter{Seen: 12345}, true)
+	migrate()
 	migrate()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -345,56 +328,95 @@ func BenchmarkKernelForwardedSend(b *testing.B) {
 	}
 }
 
-// TestMigrationSteadyStateAllocs is the dynamic guard behind the
-// //demos:hotpath annotations on the migration fast path (pooled
-// out/inMigration records, gather encoders, pooled streams, recycled
-// Process records). A process bouncing between two warm kernels reaches a
-// steady state where one full 8-step migration performs exactly one heap
-// allocation: the arriving body instance from Registry.New, which is
-// inherent to re-instantiating the process. Everything else — envelopes,
-// region buffers, link table, watchdogs, records — recycles.
-func TestMigrationSteadyStateAllocs(t *testing.T) {
+// migrationBouncer builds two kernels and one process of the given body that
+// every call of the returned func migrates, whole 8-step protocol and
+// cleanup tail, to the other kernel. traced wires the kernels the way
+// core.build does — one shared tracer at the default capacity and the obs
+// plane; otherwise they are bare.
+func migrationBouncer(tb testing.TB, reg *proc.Registry, body proc.Body, traced bool) (migrate func()) {
 	e := sim.NewEngine(1)
 	nw := netw.New(e, netw.Config{})
-	reg := proc.NewRegistry()
-	reg.Register("bench-sink", func() proc.Body { return &benchSinkBody{} })
 	done := 0
-	mk := func(m addr.MachineID) *kernel.Kernel {
-		return kernel.New(m, e, nw, kernel.Config{
-			Registry: reg,
-			OnReport: func(r kernel.MigrationReport) {
-				if r.OK {
-					done++
-				}
-			},
-		})
+	cfg := kernel.Config{
+		Registry: reg,
+		OnReport: func(r kernel.MigrationReport) {
+			if r.OK {
+				done++
+			}
+		},
 	}
-	ks := []*kernel.Kernel{mk(1), mk(2)}
-	pid, err := ks[0].Spawn(kernel.SpawnSpec{Body: &benchSinkBody{}})
+	if traced {
+		cfg.Tracer = trace.New(e.Now, 0)
+	}
+	ks := []*kernel.Kernel{kernel.New(1, e, nw, cfg), kernel.New(2, e, nw, cfg)}
+	if traced {
+		oreg, oled := obs.NewRegistry(), obs.NewLedger()
+		for _, k := range ks {
+			k.SetObs(oreg, oled)
+		}
+		nw.RegisterObs(oreg)
+	}
+	pid, err := ks[0].Spawn(kernel.SpawnSpec{Body: body})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cur := 0
-	migrate := func() {
+	return func() {
 		dst := 1 - cur
 		ks[cur].RequestMigrationOf(addr.At(pid, ks[cur].Machine()), ks[dst].Machine())
 		target := done + 1
 		for done < target {
 			if !e.Step() {
-				t.Fatal("engine idle mid-migration")
+				tb.Fatal("engine idle mid-migration")
 			}
 		}
+		// The source reports done at step 7; drain the cleanup/restart
+		// tail so the process is runnable before the next request.
 		for e.Step() {
 		}
 		cur = dst
 	}
-	// Warm both directions: each kernel needs its own pools, free lists,
-	// and region buffers populated.
-	for i := 0; i < 4; i++ {
-		migrate()
-	}
-	if n := testing.AllocsPerRun(50, migrate); n > 1 {
-		t.Fatalf("steady-state migration allocates %.1f/op, want <= 1 (the Registry.New body)", n)
+}
+
+// TestMigrationSteadyStateAllocs is the dynamic guard behind the
+// //demos:hotpath annotations on the migration fast path (pooled
+// out/inMigration records, gather encoders, pooled streams, recycled
+// Process records, deferred trace records, the long-lived body codec). A
+// process bouncing between two warm kernels reaches a steady state where one
+// full 8-step migration performs exactly one heap allocation: the arriving
+// body instance from Registry.New, which is inherent to re-instantiating the
+// process. Everything else — envelopes, region buffers, link table,
+// watchdogs, records — recycles. Wired as core.build wires a cluster (tracer
+// and obs plane attached) and carrying a gob-backed workload.Counter, the
+// same migration adds the obs plane's ledger record, the snapshot's bytes
+// and gob's message buffer on decode (4 in all); a gob.Encoder, a
+// gob.Decoder and a fmt.Sprintf per trace record made that 218.
+func TestMigrationSteadyStateAllocs(t *testing.T) {
+	bare := proc.NewRegistry()
+	bare.Register("bench-sink", func() proc.Body { return &benchSinkBody{} })
+	for _, arm := range []struct {
+		name   string
+		reg    *proc.Registry
+		body   proc.Body
+		traced bool
+		max    float64
+	}{
+		{"stateless body, bare kernels", bare, &benchSinkBody{}, false, 1},
+		{"Counter body, tracer and obs attached", workload.Registry(), &workload.Counter{Seen: 12345}, true, 8},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			migrate := migrationBouncer(t, arm.reg, arm.body, arm.traced)
+			// Warm both directions: each kernel needs its own pools, free
+			// lists, and region buffers populated.
+			for i := 0; i < 4; i++ {
+				migrate()
+			}
+			if n := testing.AllocsPerRun(50, migrate); n > arm.max {
+				t.Fatalf("steady-state migration allocates %.1f/op, want <= %v", n, arm.max)
+			} else {
+				t.Logf("%.1f allocs/op", n)
+			}
+		})
 	}
 }
 
@@ -468,6 +490,32 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			runRounds(t, e, a, a.rounds+1)
 		}); n != 0 {
 			t.Fatalf("kernel local round trip allocates %.1f/op, want 0", n)
+		}
+	})
+	t.Run("trace emit (deferred)", func(t *testing.T) {
+		// A record of a hot site: static format, scalar arguments, one
+		// string that already exists. Rendering waits for a reader, so with
+		// the ring full (it grows lazily up to its capacity) an emit
+		// touches no allocator, sink attached or not.
+		e := sim.NewEngine(1)
+		tr := trace.New(e.Now, 256)
+		sunk := 0
+		tr.SetSink(func(trace.Record) { sunk++ })
+		pid, kind := addr.ProcessID{Creator: 2, Local: 9}, "wl-counter"
+		emit := func() {
+			tr.Emitf(2, trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)",
+				trace.PID(pid), trace.Machine(3), trace.Int(4096), trace.Int(250), trace.Int(600))
+			tr.Emitf(2, trace.CatProc, "spawn", "%v kind=%s image=%dB links=%d",
+				trace.PID(pid), trace.Str(kind), trace.Int(4096), trace.Int(2))
+		}
+		for i := 0; i < 256; i++ {
+			emit()
+		}
+		if n := testing.AllocsPerRun(200, emit); n != 0 {
+			t.Fatalf("deferred trace emit allocates %.1f/op, want 0", n)
+		}
+		if want := "p2.9 -> m3 (program=4096B resident=250B swappable=600B)"; tr.Records()[0].Detail() != want {
+			t.Fatalf("deferred record renders %q, want %q", tr.Records()[0].Detail(), want)
 		}
 	})
 	t.Run("admin-encode", func(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"demosmp/internal/netw"
 	"demosmp/internal/obs"
 	"demosmp/internal/sim"
+	"demosmp/internal/trace"
 	"demosmp/internal/workload"
 )
 
@@ -63,6 +64,10 @@ type benchSample struct {
 	KernelLocalRTAllocsOp    float64 `json:"kernel_local_rt_allocs_op,omitempty"`
 	KernelMigrationAllocsOp  float64 `json:"kernel_migration_allocs_op"`
 	KernelPingPongMsgsPerSec float64 `json:"kernel_pingpong_msgs_per_sec,omitempty"`
+	// The same migration as a core.New cluster runs it: a gob-backed
+	// workload.Counter body, tracer and obs plane attached.
+	KernelMigrationStatefulTracedNsOp     float64 `json:"kernel_migration_stateful_traced_ns_op,omitempty"`
+	KernelMigrationStatefulTracedAllocsOp float64 `json:"kernel_migration_stateful_traced_allocs_op,omitempty"`
 	// Policy tier: one op is a full 256-machine collector round plus the
 	// composite policy decide (see policybench.go).
 	PolicySweepNsOp       float64 `json:"policy_sweep_ns_op,omitempty"`
@@ -259,6 +264,56 @@ func expRunRounds(e *sim.Engine, a *workload.Echo, target int) {
 	}
 }
 
+// expBouncer spawns spec on the first of two warm kernels and returns a
+// func that migrates it back and forth n times, each a whole 8-step
+// protocol plus its cleanup tail. traced attaches one tracer (default
+// capacity) and the obs plane, as core.New does; otherwise the kernels are
+// bare.
+func expBouncer(spec kernel.SpawnSpec, traced bool) func(n int) {
+	e := sim.NewEngine(1)
+	nw := netw.New(e, netw.Config{})
+	done := 0
+	cfg := kernel.Config{
+		Registry: workload.Registry(),
+		OnReport: func(r kernel.MigrationReport) {
+			if r.OK {
+				done++
+			}
+		},
+	}
+	if traced {
+		cfg.Tracer = trace.New(e.Now, 0)
+	}
+	ks := []*kernel.Kernel{kernel.New(1, e, nw, cfg), kernel.New(2, e, nw, cfg)}
+	if traced {
+		oreg, oled := obs.NewRegistry(), obs.NewLedger()
+		for _, k := range ks {
+			k.SetObs(oreg, oled)
+		}
+		nw.RegisterObs(oreg)
+	}
+	pid, err := ks[0].Spawn(spec)
+	die(err)
+	cur := 0
+	bounce := func(n int) {
+		for i := 0; i < n; i++ {
+			dst := 1 - cur
+			ks[cur].RequestMigrationOf(addr.At(pid, ks[cur].Machine()), ks[dst].Machine())
+			target := done + 1
+			for done < target {
+				if !e.Step() {
+					die(fmt.Errorf("bench: engine idle mid-migration"))
+				}
+			}
+			for e.Step() { // drain the cleanup/restart tail
+			}
+			cur = dst
+		}
+	}
+	bounce(2) // warm both kernels
+	return bounce
+}
+
 func measureKernel(s *benchSample) {
 	// Same-machine round trip: send→deliver→receive→reply between two
 	// native processes, plus its allocation rate (0 once pools are warm).
@@ -287,54 +342,22 @@ func measureKernel(s *benchSample) {
 	// Full 8-step migration of a blocked process, bounced between two
 	// machines: 9 admin messages plus the state transfer per op.
 	{
-		e := sim.NewEngine(1)
-		nw := netw.New(e, netw.Config{})
-		reg := workload.Registry()
-		done := 0
-		mk := func(m addr.MachineID) *kernel.Kernel {
-			return kernel.New(m, e, nw, kernel.Config{
-				Registry: reg,
-				OnReport: func(r kernel.MigrationReport) {
-					if r.OK {
-						done++
-					}
-				},
-			})
-		}
-		ks := []*kernel.Kernel{mk(1), mk(2)}
-		pid, err := ks[0].Spawn(kernel.SpawnSpec{Body: &workload.Null{}})
-		die(err)
-		cur := 0
-		migrate := func() {
-			dst := 1 - cur
-			ks[cur].RequestMigrationOf(addr.At(pid, ks[cur].Machine()), ks[dst].Machine())
-			target := done + 1
-			for done < target {
-				if !e.Step() {
-					die(fmt.Errorf("bench: engine idle mid-migration"))
-				}
-			}
-			for e.Step() { // drain the cleanup/restart tail
-			}
-			cur = dst
-		}
-		migrate() // warm both kernels
-		migrate()
-		s.KernelMigrationNsOp = timeIt(3, 5_000, func(n int) {
-			for i := 0; i < n; i++ {
-				migrate()
-			}
-		})
+		migrate := expBouncer(kernel.SpawnSpec{Body: &workload.Null{}}, false)
+		s.KernelMigrationNsOp = timeIt(3, 5_000, migrate)
 		// Steady-state allocation rate of one full migration. Null's body is
 		// a zero-size struct, so even the arriving side's Registry.New does
 		// not reach the allocator: with the pools warm this measures 0, and
 		// checkRegression gates it absolutely. Stateful bodies add exactly
 		// their own body allocation (see TestMigrationSteadyStateAllocs).
-		s.KernelMigrationAllocsOp = allocsPerOp(scaleIters(10_000), func(n int) {
-			for i := 0; i < n; i++ {
-				migrate()
-			}
-		})
+		s.KernelMigrationAllocsOp = allocsPerOp(scaleIters(10_000), migrate)
+	}
+	// The same, wired as core.New wires a cluster and carrying state: the
+	// body instance plus what the long-lived gob codec allocates per
+	// Snapshot/Restore; the trace records cost nothing until read.
+	{
+		migrate := expBouncer(kernel.SpawnSpec{Body: &workload.Counter{Seen: 12345}}, true)
+		s.KernelMigrationStatefulTracedNsOp = timeIt(3, 5_000, migrate)
+		s.KernelMigrationStatefulTracedAllocsOp = allocsPerOp(scaleIters(10_000), migrate)
 	}
 	// Forwarded send: every message addressed to a stale machine, taking
 	// the §4 forwarding hop m1 → m2 (forwarder) → m3.
@@ -432,6 +455,7 @@ func benchJSON(path string) {
 	row("kernel local round trip", seedBaseline.KernelLocalRTNsOp, run.KernelLocalRTNsOp)
 	row("kernel cross-machine ping-pong", seedBaseline.KernelPingPongNsOp, run.KernelPingPongNsOp)
 	row("kernel full migration (8 steps)", seedBaseline.KernelMigrationNsOp, run.KernelMigrationNsOp)
+	fmt.Printf("| kernel migration, stateful+traced | — | %.1f ns/op | |\n", run.KernelMigrationStatefulTracedNsOp)
 	row("kernel forwarded send (§4 hop)", seedBaseline.KernelForwardNsOp, run.KernelForwardNsOp)
 	fmt.Printf("| policy sweep+decide (256 mach) | — | %.0f ns/op | |\n", run.PolicySweepNsOp)
 	fmt.Printf("| policy decisions/sec | — | %.0fk | |\n", run.PolicyDecisionsPerSec/1e3)
@@ -445,6 +469,7 @@ func benchJSON(path string) {
 	fmt.Printf("| kernel round-trip allocs/op | %.0f | %.0f | |\n",
 		seedBaseline.KernelLocalRTAllocsOp, run.KernelLocalRTAllocsOp)
 	fmt.Printf("| kernel migration allocs/op | | %.1f | |\n", run.KernelMigrationAllocsOp)
+	fmt.Printf("| kernel migration allocs/op, stateful+traced | | %.1f | |\n", run.KernelMigrationStatefulTracedAllocsOp)
 	printScale(sc)
 	printChaos(ch)
 }
@@ -466,6 +491,7 @@ func trackedRows(s *benchSample) []struct {
 		{"kernel local round trip", s.KernelLocalRTNsOp},
 		{"kernel cross-machine ping-pong", s.KernelPingPongNsOp},
 		{"kernel full migration (8 steps)", s.KernelMigrationNsOp},
+		{"kernel migration, stateful+traced", s.KernelMigrationStatefulTracedNsOp},
 		{"kernel forwarded send (§4 hop)", s.KernelForwardNsOp},
 		{"policy sweep+decide (256 mach)", s.PolicySweepNsOp},
 	}
@@ -559,6 +585,21 @@ func checkRegression(path string) {
 			mark = "  <-- migration path gained allocations"
 		}
 		fmt.Printf("%-34s %24.2f allocs/op (want 0)%s\n", "kernel full migration", migAllocs, mark)
+	}
+	// The same gate for the migration a core.New cluster actually runs
+	// (Counter body, tracer and obs attached), absolute like the others:
+	// the arriving body plus the long-lived gob codec's own allocations,
+	// the bound TestMigrationSteadyStateAllocs holds. Per-call gob and
+	// eager trace formatting made this 218.
+	{
+		allocs := min2(cur.KernelMigrationStatefulTracedAllocsOp,
+			min2(second.KernelMigrationStatefulTracedAllocsOp, third.KernelMigrationStatefulTracedAllocsOp))
+		mark := ""
+		if allocs > 8 {
+			bad++
+			mark = "  <-- stateful, traced migration gained allocations"
+		}
+		fmt.Printf("%-34s %24.2f allocs/op (want <= 8)%s\n", "kernel migration, stateful+traced", allocs, mark)
 	}
 	// Sharded-runtime throughput gate: parallel shards must actually buy
 	// wall-clock speedup on a multi-core host (absolute floor, like the

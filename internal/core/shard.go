@@ -95,10 +95,12 @@ func (c *Cluster) build() error {
 			return f(args)
 		}
 	}
+	// Every kernel only ranges over the machine list (eager-update and
+	// search broadcasts), so all of them share one.
+	kcfg.Machines = machineList(o.Machines)
 	for m := 1; m <= o.Machines; m++ {
 		s := c.shardOf[m]
 		kcfg.Tracer = c.trs[s]
-		kcfg.Machines = append([]addr.MachineID(nil), machineList(o.Machines)...)
 		k := kernel.New(addr.MachineID(m), c.engines[s], c.nets[s], kcfg)
 		k.SetObs(c.regs[s], c.leds[s])
 		c.ks[addr.MachineID(m)] = k

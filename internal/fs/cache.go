@@ -1,9 +1,7 @@
 package fs
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 
 	"demosmp/internal/link"
 	"demosmp/internal/proc"
@@ -184,15 +182,11 @@ func (c *Cache) touch(bid uint32) {
 }
 
 // Snapshot implements proc.Body.
-func (c *Cache) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(c)
-	return buf.Bytes(), err
-}
+func (c *Cache) Snapshot() ([]byte, error) { return cacheState.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Cache) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(c)
-}
+func (c *Cache) Restore(data []byte) error { return cacheState.Restore(c, data) }
+
+var cacheState proc.GobState[Cache]
 
 var _ proc.Body = (*Cache)(nil)

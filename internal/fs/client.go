@@ -1,8 +1,6 @@
 package fs
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"demosmp/internal/link"
@@ -196,15 +194,11 @@ func (c *Client) exit(ctx proc.Context) proc.Status {
 }
 
 // Snapshot implements proc.Body.
-func (c *Client) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(c)
-	return buf.Bytes(), err
-}
+func (c *Client) Snapshot() ([]byte, error) { return clientState.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Client) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(c)
-}
+func (c *Client) Restore(data []byte) error { return clientState.Restore(c, data) }
+
+var clientState proc.GobState[Client]
 
 var _ proc.Body = (*Client)(nil)

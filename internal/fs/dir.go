@@ -1,8 +1,6 @@
 package fs
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 	"strings"
 
@@ -134,15 +132,11 @@ func (s *Dir) allocReply(ctx proc.Context, d proc.Delivery) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Dir) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
-}
+func (s *Dir) Snapshot() ([]byte, error) { return dirState.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Dir) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
-}
+func (s *Dir) Restore(data []byte) error { return dirState.Restore(s, data) }
+
+var dirState proc.GobState[Dir]
 
 var _ proc.Body = (*Dir)(nil)

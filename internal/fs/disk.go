@@ -1,9 +1,7 @@
 package fs
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 
 	"demosmp/internal/link"
 	"demosmp/internal/msg"
@@ -137,15 +135,11 @@ func (d *Disk) finishOp(ctx proc.Context) {
 }
 
 // Snapshot implements proc.Body.
-func (d *Disk) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(d)
-	return buf.Bytes(), err
-}
+func (d *Disk) Snapshot() ([]byte, error) { return diskState.Snapshot(d) }
 
 // Restore implements proc.Body.
-func (d *Disk) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(d)
-}
+func (d *Disk) Restore(data []byte) error { return diskState.Restore(d, data) }
+
+var diskState proc.GobState[Disk]
 
 var _ proc.Body = (*Disk)(nil)

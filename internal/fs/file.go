@@ -1,9 +1,7 @@
 package fs
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 
 	"demosmp/internal/link"
 	"demosmp/internal/msg"
@@ -378,15 +376,11 @@ func min32(a, b uint32) uint32 {
 }
 
 // Snapshot implements proc.Body.
-func (f *FileServer) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(f)
-	return buf.Bytes(), err
-}
+func (f *FileServer) Snapshot() ([]byte, error) { return fileServerState.Snapshot(f) }
 
 // Restore implements proc.Body.
-func (f *FileServer) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(f)
-}
+func (f *FileServer) Restore(data []byte) error { return fileServerState.Restore(f, data) }
+
+var fileServerState proc.GobState[FileServer]
 
 var _ proc.Body = (*FileServer)(nil)

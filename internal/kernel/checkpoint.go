@@ -113,8 +113,8 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	}
 	k.addProc(p)
 	k.stats.Revived++
-	k.trace(trace.CatMigrate, "revive", fmt.Sprintf("%v as %v from %dB checkpoint",
-		pid, state, len(checkpoint)))
+	k.tracef(trace.CatMigrate, "revive", "%v as %v from %dB checkpoint",
+		trace.PID(pid), trace.Str(state.String()), trace.Int(len(checkpoint)))
 	switch state {
 	case StateWaiting:
 		p.state = StateWaiting

@@ -108,7 +108,7 @@ func (k *Kernel) handleSuspend(m *msg.Message) {
 		p.prevState = StateWaiting
 		p.state = StateSuspended
 	}
-	k.trace(trace.CatProc, "suspend", p.id.String())
+	k.tracef(trace.CatProc, "suspend", "%v", trace.PID(p.id))
 }
 
 func (k *Kernel) handleResume(m *msg.Message) {
@@ -121,7 +121,7 @@ func (k *Kernel) handleResume(m *msg.Message) {
 	} else {
 		k.enqueueRun(p)
 	}
-	k.trace(trace.CatProc, "resume", p.id.String())
+	k.tracef(trace.CatProc, "resume", "%v", trace.PID(p.id))
 }
 
 func (k *Kernel) handleCreateProcess(m *msg.Message) {

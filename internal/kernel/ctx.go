@@ -277,9 +277,7 @@ func (c *procCtx) Print(b []byte) {
 	}
 	line := string(b)
 	c.k.console[c.p.id] = append(c.k.console[c.p.id], line)
-	if c.k.traceOn {
-		c.k.trace(trace.CatConsole, "print", fmt.Sprintf("%v: %s", c.p.id, strings.TrimRight(line, "\n")))
-	}
+	c.k.tracef(trace.CatConsole, "print", "%v: %s", trace.PID(c.p.id), trace.Str(strings.TrimRight(line, "\n")))
 }
 
 func (c *procCtx) Logf(format string, args ...any) {

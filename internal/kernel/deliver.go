@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"demosmp/internal/addr"
 	"demosmp/internal/msg"
 	"demosmp/internal/trace"
@@ -116,9 +114,8 @@ func (k *Kernel) forward(f *Process, m *msg.Message) {
 	m.To.LastKnown = f.fwdTo
 	m.Forwards++
 	k.stats.Forwarded++
-	if k.traceOn {
-		k.traceForward(m, f.fwdTo)
-	}
+	k.tracef(trace.CatForward, "forward", "%v for %v -> %v (hop %d)",
+		trace.Str(m.Kind.String()), trace.PID(m.To.ID), trace.Machine(f.fwdTo), trace.Int(int(m.Forwards)))
 	if f.obsRec != nil {
 		k.ledgerForward(f, m)
 	}
@@ -126,13 +123,6 @@ func (k *Kernel) forward(f *Process, m *msg.Message) {
 	if k.shouldSendLinkUpdate(m) {
 		k.sendLinkUpdate(m.From, m.To.ID, f.fwdTo)
 	}
-}
-
-// traceForward is the cold formatting half of forward, hoisted out of the
-// hot path so the fmt work only happens when a tracer is attached.
-func (k *Kernel) traceForward(m *msg.Message, to addr.MachineID) {
-	k.trace(trace.CatForward, "forward",
-		fmt.Sprintf("%v for %v -> %v (hop %d)", m.Kind, m.To.ID, to, m.Forwards))
 }
 
 // shouldSendLinkUpdate filters which forwards generate the §5 update
@@ -166,15 +156,9 @@ func (k *Kernel) sendLinkUpdate(sender addr.ProcessAddr, migrated addr.ProcessID
 	m.DTK = true
 	m.Body = u.AppendTo(m.Body[:0])
 	k.stats.LinkUpdatesSent++
-	if k.traceOn {
-		k.traceLinkUpdateSent(sender.ID, migrated, newMachine)
-	}
+	k.tracef(trace.CatLinkUpdate, "linkupdate-sent", "to kernel of %v: %v is now on %v",
+		trace.PID(sender.ID), trace.PID(migrated), trace.Machine(newMachine))
 	k.route(m)
-}
-
-func (k *Kernel) traceLinkUpdateSent(sender, migrated addr.ProcessID, newMachine addr.MachineID) {
-	k.trace(trace.CatLinkUpdate, "linkupdate-sent",
-		fmt.Sprintf("to kernel of %v: %v is now on %v", sender, migrated, newMachine))
 }
 
 // applyLinkUpdate rewrites the sender's link table (§5): "All links in the
@@ -193,9 +177,9 @@ func (k *Kernel) applyLinkUpdate(m *msg.Message) {
 	}
 	n := p.links.UpdateAddr(u.Migrated, u.Machine)
 	k.stats.LinksFixed += uint64(n)
-	if n > 0 && k.traceOn {
-		k.trace(trace.CatLinkUpdate, "linkupdate-applied",
-			fmt.Sprintf("%d links of %v now point at %v on %v", n, u.Sender, u.Migrated, u.Machine))
+	if n > 0 {
+		k.tracef(trace.CatLinkUpdate, "linkupdate-applied", "%d links of %v now point at %v on %v",
+			trace.Int(n), trace.PID(u.Sender), trace.PID(u.Migrated), trace.Machine(u.Machine))
 	}
 }
 
@@ -213,8 +197,8 @@ func (k *Kernel) applyEagerUpdate(m *msg.Message) {
 		}
 	}
 	k.stats.LinksFixed += uint64(fixed)
-	k.trace(trace.CatLinkUpdate, "eager-applied",
-		fmt.Sprintf("%d links now point at %v on %v", fixed, u.PID, u.Machine))
+	k.tracef(trace.CatLinkUpdate, "eager-applied", "%d links now point at %v on %v",
+		trace.Int(fixed), trace.PID(u.PID), trace.Machine(u.Machine))
 }
 
 // unknownProcess handles a message whose target does not exist here:
@@ -229,9 +213,7 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 		return // rerouted or held by the post-crash search (restart.go)
 	}
 	k.stats.DeadLetters++
-	if k.traceOn {
-		k.trace(trace.CatDeliver, "dead-letter", fmt.Sprintf("%v for %v", m.Kind, m.To.ID))
-	}
+	k.tracef(trace.CatDeliver, "dead-letter", "%v for %v", trace.Str(m.Kind.String()), trace.PID(m.To.ID))
 	k.putMsg(m)
 }
 
@@ -240,10 +222,8 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 // location of the process, perhaps by notifying the process manager."
 func (k *Kernel) bounce(m *msg.Message) {
 	k.stats.Bounced++
-	if k.traceOn {
-		k.trace(trace.CatForward, "bounce", fmt.Sprintf("%v for %v returned to m%d",
-			m.Kind, m.To.ID, uint16(m.From.LastKnown)))
-	}
+	k.tracef(trace.CatForward, "bounce", "%v for %v returned to %v",
+		trace.Str(m.Kind.String()), trace.PID(m.To.ID), trace.Machine(m.From.LastKnown))
 	nd := k.getMsg()
 	nd.Kind = msg.KindControl
 	nd.Op = msg.OpNotDeliverable
@@ -346,7 +326,7 @@ func (k *Kernel) handleDeathNotice(m *msg.Message) {
 	k.delProc(pm.PID)
 	k.stats.ForwardersReclaimed++
 	k.stats.ForwarderBytes -= ForwarderWireSize
-	k.trace(trace.CatForward, "forwarder-reclaimed", pm.PID.String())
+	k.tracef(trace.CatForward, "forwarder-reclaimed", "%v", trace.PID(pm.PID))
 	if p.cameFrom != addr.NoMachine {
 		k.sendDeathNoticeTo(pm.PID, p.cameFrom)
 	}

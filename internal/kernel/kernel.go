@@ -151,7 +151,8 @@ type Config struct {
 	// Tracer receives structured events (may be nil).
 	Tracer *trace.Tracer
 	// Machines lists all machines in the cluster (for the EagerUpdate
-	// broadcast and the §4 search).
+	// broadcast and the §4 search). The kernel only reads it, so one
+	// slice may be shared by every kernel of a cluster.
 	Machines []addr.MachineID
 }
 
@@ -318,7 +319,6 @@ type Kernel struct {
 	runSliceFn func()
 	sliceCtx   procCtx
 	ctxI       proc.Context
-	traceOn    bool
 
 	memUsed int
 	swap    *memory.Store
@@ -413,7 +413,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 	k.runSliceFn = k.runSlice
 	k.sliceCtx.k = k
 	k.ctxI = &k.sliceCtx
-	k.traceOn = cfg.Tracer != nil
 	net.Attach(m, k)
 	if cfg.LoadReportEvery > 0 {
 		k.scheduleLoadReport()
@@ -522,7 +521,8 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	k.addProc(p)
 	k.stats.Spawned++
 	k.relieveMemory()
-	k.trace(trace.CatProc, "spawn", fmt.Sprintf("%v kind=%s image=%dB links=%d", pid, p.kind, imgSize, p.links.Len()))
+	k.tracef(trace.CatProc, "spawn", "%v kind=%s image=%dB links=%d",
+		trace.PID(pid), trace.Str(p.kind), trace.Int(imgSize), trace.Int(p.links.Len()))
 	k.enqueueRun(p)
 	return pid, nil
 }
@@ -641,8 +641,8 @@ func (k *Kernel) relieveMemory() {
 		freed -= p.image.ResidentPages()
 		resident -= freed * memory.PageSize
 		if freed > 0 {
-			k.trace(trace.CatProc, "swapped-out",
-				fmt.Sprintf("%v: %d pages under memory pressure", p.id, freed))
+			k.tracef(trace.CatProc, "swapped-out", "%v: %d pages under memory pressure",
+				trace.PID(p.id), trace.Int(freed))
 		}
 	}
 }
@@ -888,8 +888,19 @@ func (d *pending) run() {
 	}
 }
 
+// trace records an event whose detail is already text: the cold sites that
+// carry an error.
 func (k *Kernel) trace(cat trace.Category, event, detail string) {
 	k.cfg.Tracer.Emit(k.machine, cat, event, detail)
+}
+
+// tracef records an event whose detail is rendered from format and args
+// only if the record is read (trace.Tracer.Emitf): free of allocation with
+// a tracer attached, a nil check without one.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+func (k *Kernel) tracef(cat trace.Category, event, format string, args ...trace.Arg) {
+	k.cfg.Tracer.Emitf(k.machine, cat, event, format, args...)
 }
 
 // getProcRec acquires a Process record for the migration path: recycled

@@ -38,8 +38,8 @@ import (
 // the process crosses as one frozen value (freeze/thaw at the end of this
 // file, shared with Checkpoint/Revive) whose scratch buffers survive
 // recycling; region pulls reassemble into pre-warmed buffers sized from the
-// MigrateAsk announcement; and trace formatting is hoisted behind k.traceOn
-// so a tracerless kernel never touches fmt.
+// MigrateAsk announcement; and trace records carry a static format and scalar
+// arguments (k.tracef), so no step touches fmt until its record is read.
 
 // outMigration is the source half of one in-flight migration. Records are
 // pooled (k.omFree): the scratch buffers and the watchdog closure survive
@@ -187,9 +187,7 @@ func (k *Kernel) inWatchdogFired(im *inMigration) {
 		// established), and a source that instead aborted and
 		// restored its copy sends OpMigrateAbort, which a
 		// timeout-committed copy yields to.
-		if k.traceOn {
-			k.trace(trace.CatMigrate, "timeout-commit", im.pid.String())
-		}
+		k.tracef(trace.CatMigrate, "timeout-commit", "%v", trace.PID(im.pid))
 		k.commitIncoming(im, 0, true)
 		return
 	}
@@ -229,10 +227,8 @@ func (k *Kernel) handleMigrateAbort(m *msg.Message) {
 // dead letters; the local stable checkpoint is invalidated so a later
 // restart cannot resurrect the yielded copy.
 func (k *Kernel) yieldTimeoutCommit(p *Process, src addr.MachineID) {
-	if k.traceOn {
-		k.trace(trace.CatMigrate, "timeout-commit-yield",
-			fmt.Sprintf("%v yields to restored copy on %v", p.id, src))
-	}
+	k.tracef(trace.CatMigrate, "timeout-commit-yield", "%v yields to restored copy on %v",
+		trace.PID(p.id), trace.Machine(src))
 	k.removeFromRunq(p)
 	k.releaseImage(p)
 	for p.queue.Len() > 0 {
@@ -314,9 +310,8 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 	p.prevState = p.state
 	p.state = StateInMigration
 	k.removeFromRunq(p)
-	if k.traceOn {
-		k.traceStep1(p)
-	}
+	k.tracef(trace.CatMigrate, "step1-remove-from-execution", "%v was %v",
+		trace.PID(p.id), trace.Str(p.prevState.String()))
 
 	// Freeze the three payloads at this instant, into the record's
 	// scratch buffers.
@@ -341,9 +336,8 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 		Resident:  msg.ToUnits(len(om.resident)),
 		Swappable: msg.ToUnits(swappable),
 	}
-	if k.traceOn {
-		k.traceStep2(om, swappable)
-	}
+	k.tracef(trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)",
+		trace.PID(p.id), trace.Machine(om.dest), trace.Int(len(om.program)), trace.Int(len(om.resident)), trace.Int(swappable))
 	am := k.newControl(msg.OpMigrateAsk, addr.KernelAddr(req.Dest))
 	am.Body = ask.AppendTo(am.Body[:0])
 	k.sendAdmin(am, &om.rep)
@@ -353,24 +347,11 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 	k.armOutWatchdog(om)
 }
 
-func (k *Kernel) traceStep1(p *Process) {
-	k.trace(trace.CatMigrate, "step1-remove-from-execution",
-		fmt.Sprintf("%v was %v", p.id, p.prevState))
-}
-
-func (k *Kernel) traceStep2(om *outMigration, swappable int) {
-	k.trace(trace.CatMigrate, "step2-ask-destination",
-		fmt.Sprintf("%v -> %v (program=%dB resident=%dB swappable=%dB)",
-			om.p.id, om.dest, len(om.program), len(om.resident), swappable))
-}
-
 // abortOutMigration ends the source half without moving the process —
 // aborted on a fault path, or refused by the destination — restores the
 // frozen process and reports failure to the requester.
 func (k *Kernel) abortOutMigration(om *outMigration, event string, cause error) {
-	if k.traceOn {
-		k.trace(trace.CatMigrate, event, fmt.Sprintf("%v: %v", om.p.id, cause))
-	}
+	k.trace(trace.CatMigrate, event, fmt.Sprintf("%v: %v", om.p.id, cause))
 	k.eng.Cancel(om.watchdog)
 	delete(k.out, om.p.id)
 	k.stats.MigrationsFailed++
@@ -405,9 +386,7 @@ func (k *Kernel) handleMigrateAccept(m *msg.Message) {
 	if om, ok := k.out[pm.PID]; ok {
 		om.rep.noteAdmin(len(m.Body))
 		k.armOutWatchdog(om)
-		if k.traceOn {
-			k.trace(trace.CatMigrate, "accepted", fmt.Sprintf("%v by %v", pm.PID, pm.Machine))
-		}
+		k.tracef(trace.CatMigrate, "accepted", "%v by %v", trace.PID(pm.PID), trace.Machine(pm.Machine))
 	}
 }
 
@@ -461,14 +440,8 @@ func (k *Kernel) handleMoveDataReq(m *msg.Message) {
 	}
 	packets := k.streamGather(addr.KernelAddr(m.From.LastKnown), false, req.Xfer, 0, vecs[:nv])
 	om.rep.DataPackets += packets
-	if k.traceOn {
-		k.traceStreamRegion(req, total, packets, m.From.LastKnown)
-	}
-}
-
-func (k *Kernel) traceStreamRegion(req msg.MoveDataReq, total, packets int, to addr.MachineID) {
-	k.trace(trace.CatData, "stream-region",
-		fmt.Sprintf("%v %v: %dB in %d packets -> %v", req.PID, req.Region, total, packets, to))
+	k.tracef(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v",
+		trace.PID(req.PID), trace.Str(req.Region.String()), trace.Int(total), trace.Int(packets), trace.Machine(m.From.LastKnown))
 }
 
 // handleMigrateEstablished is steps 6-7 on the source, plus the final
@@ -512,10 +485,8 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 		k.stats.ForwardedPending++
 		k.route(qm)
 	}
-	if k.traceOn {
-		k.trace(trace.CatMigrate, "step6-forward-pending",
-			fmt.Sprintf("%v: %d queued messages to %v", p.id, forwarded, om.dest))
-	}
+	k.tracef(trace.CatMigrate, "step6-forward-pending", "%v: %d queued messages to %v",
+		trace.PID(p.id), trace.Int(forwarded), trace.Machine(om.dest))
 	om.rep.PendingForwarded = forwarded
 
 	// Step 7: "all state for the process is removed and space for memory
@@ -538,10 +509,8 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 		k.stats.ForwardersInstalled++
 		k.stats.ForwarderBytes += ForwarderWireSize
 	}
-	if k.traceOn {
-		k.trace(trace.CatMigrate, "step7-cleanup-forwarding-address",
-			fmt.Sprintf("%v: forwarder -> %v (%d bytes)", pid, om.dest, ForwarderWireSize))
-	}
+	k.tracef(trace.CatMigrate, "step7-cleanup-forwarding-address", "%v: forwarder -> %v (%d bytes)",
+		trace.PID(pid), trace.Machine(om.dest), trace.Int(ForwarderWireSize))
 
 	if k.cfg.EagerUpdate {
 		k.broadcastEagerUpdate(pid, om.dest)
@@ -654,10 +623,8 @@ func (k *Kernel) handleMigrateAsk(m *msg.Message) {
 	im.ensure(msg.RegionProgram, programBytes)
 	k.pool.Reserve(migrateEnvelopeReserve)
 	k.in[ask.PID] = im
-	if k.traceOn {
-		k.trace(trace.CatMigrate, "step3-allocate-state",
-			fmt.Sprintf("%v from %v (reserving %dB)", ask.PID, src, programBytes))
-	}
+	k.tracef(trace.CatMigrate, "step3-allocate-state", "%v from %v (reserving %dB)",
+		trace.PID(ask.PID), trace.Machine(src), trace.Int(programBytes))
 	if k.killpoint(KPDestAllocated, ask.PID) {
 		return
 	}
@@ -682,20 +649,14 @@ func (k *Kernel) pullRegion(im *inMigration) {
 	st.buf = im.bufs[region][:0]
 	k.xfersIn[xfer] = st
 	im.xfer, im.streaming = xfer, true
-	if k.traceOn {
-		k.tracePullRegion(im.pid, region)
-	}
-	rm := k.newControl(msg.OpMoveDataReq, addr.KernelAddr(im.src))
-	rm.Body = msg.MoveDataReq{PID: im.pid, Region: region, Xfer: xfer}.AppendTo(rm.Body[:0])
-	k.sendAdmin(rm, nil)
-}
-
-func (k *Kernel) tracePullRegion(pid addr.ProcessID, region msg.Region) {
 	step := "step4-transfer-state"
 	if region == msg.RegionProgram {
 		step = "step5-transfer-program"
 	}
-	k.trace(trace.CatMigrate, step, fmt.Sprintf("%v pull %v", pid, region))
+	k.tracef(trace.CatMigrate, step, "%v pull %v", trace.PID(im.pid), trace.Str(region.String()))
+	rm := k.newControl(msg.OpMoveDataReq, addr.KernelAddr(im.src))
+	rm.Body = msg.MoveDataReq{PID: im.pid, Region: region, Xfer: xfer}.AppendTo(rm.Body[:0])
+	k.sendAdmin(rm, nil)
 }
 
 // regionArrived stores a reassembled region and advances the pull state
@@ -745,9 +706,7 @@ func (k *Kernel) assembleProcess(im *inMigration) {
 }
 
 func (k *Kernel) failIncoming(im *inMigration, cause error) {
-	if k.traceOn {
-		k.trace(trace.CatMigrate, "incoming-failed", fmt.Sprintf("%v: %v", im.pid, cause))
-	}
+	k.trace(trace.CatMigrate, "incoming-failed", fmt.Sprintf("%v: %v", im.pid, cause))
 	k.eng.Cancel(im.watchdog)
 	if im.streaming {
 		// Unregister the in-flight pull so late packets go stray instead
@@ -836,22 +795,17 @@ func (k *Kernel) commitIncoming(im *inMigration, forwarded int, viaTimeout bool)
 	default:
 		k.enqueueRun(p)
 	}
-	if k.traceOn {
-		k.traceStep8(p, forwarded, viaTimeout)
+	if viaTimeout {
+		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (committed on watchdog timeout)",
+			trace.PID(p.id), trace.Str(p.state.String()))
+	} else {
+		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)",
+			trace.PID(p.id), trace.Str(p.state.String()), trace.Int(forwarded))
 	}
 	if k.cfg.CheckpointOnArrival {
 		_ = k.SaveCheckpoint(p.id)
 	}
 	k.putInMigration(im)
-}
-
-func (k *Kernel) traceStep8(p *Process, forwarded int, viaTimeout bool) {
-	note := fmt.Sprintf("%d pending had been forwarded", forwarded)
-	if viaTimeout {
-		note = "committed on watchdog timeout"
-	}
-	k.trace(trace.CatMigrate, "step8-restart",
-		fmt.Sprintf("%v restarted as %v (%s)", p.id, p.state, note))
 }
 
 // --- the one codec: freeze / thaw -------------------------------------------

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"demosmp/internal/addr"
 	"demosmp/internal/msg"
 	"demosmp/internal/sim"
@@ -190,9 +188,7 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 	}
 	st, ok := k.xfersIn[m.Xfer]
 	if !ok {
-		if k.traceOn {
-			k.traceStrayPacket(m)
-		}
+		k.tracef(trace.CatData, "stray-packet", "xfer=%d seq=%d", trace.Int(int(m.Xfer)), trace.Int(int(m.Seq)))
 		return
 	}
 	n := len(m.Body)
@@ -230,10 +226,6 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 		k.putInStream(st)
 		cb(data)
 	}
-}
-
-func (k *Kernel) traceStrayPacket(m *msg.Message) {
-	k.trace(trace.CatData, "stray-packet", fmt.Sprintf("xfer=%d seq=%d", m.Xfer, m.Seq))
 }
 
 // applyWritePacket applies a data-area write statelessly to the target

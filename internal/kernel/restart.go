@@ -188,8 +188,7 @@ func (k *Kernel) Restart() error {
 	k.restarts++
 	k.stats.Restarts++
 	k.net.SetDown(k.machine, false)
-	k.trace(trace.CatProc, "restart",
-		fmt.Sprintf("m%d back up (restart %d)", uint16(k.machine), k.restarts))
+	k.tracef(trace.CatProc, "restart", "%v back up (restart %d)", trace.Machine(k.machine), trace.Int(int(k.restarts)))
 
 	// Revive checkpointed processes in deterministic order. A revived pid
 	// is no longer lost.
@@ -282,10 +281,8 @@ func (k *Kernel) ReleaseFrame(m *msg.Message) { k.putMsg(m) }
 // to a machine that had no such process").
 func (k *Kernel) UndeliverableFrame(to addr.MachineID, m *msg.Message) {
 	k.stats.Undeliverable++
-	if k.traceOn {
-		k.trace(trace.CatDeliver, "undeliverable",
-			fmt.Sprintf("%v for %v: m%d unreachable", m.Kind, m.To.ID, uint16(to)))
-	}
+	k.tracef(trace.CatDeliver, "undeliverable", "%v for %v: %v unreachable",
+		trace.Str(m.Kind.String()), trace.PID(m.To.ID), trace.Machine(to))
 	k.putBounced(m)
 }
 
@@ -316,10 +313,8 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 		m.Searched = true
 		m.To.LastKnown = pid.Creator
 		k.stats.SearchForwards++
-		if k.traceOn {
-			k.trace(trace.CatForward, "search-reroute",
-				fmt.Sprintf("%v for %v -> creator m%d", m.Kind, pid, uint16(pid.Creator)))
-		}
+		k.tracef(trace.CatForward, "search-reroute", "%v for %v -> creator %v",
+			trace.Str(m.Kind.String()), trace.PID(pid), trace.Machine(pid.Creator))
 		k.route(m)
 		return true
 	}
@@ -337,9 +332,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 		return true // search already outstanding
 	}
 	k.stats.SearchesSent++
-	if k.traceOn {
-		k.trace(trace.CatForward, "search-broadcast", pid.String())
-	}
+	k.tracef(trace.CatForward, "search-broadcast", "%v", trace.PID(pid))
 	for _, mach := range k.cfg.Machines {
 		if mach == k.machine {
 			continue
@@ -366,10 +359,8 @@ func (k *Kernel) armSearchTimeout(pid addr.ProcessID) {
 		}
 		delete(k.pendingLocate, pid)
 		k.stats.DeadLetters += uint64(len(held))
-		if k.traceOn {
-			k.trace(trace.CatForward, "search-timeout",
-				fmt.Sprintf("%v: %d held messages dead-lettered", pid, len(held)))
-		}
+		k.tracef(trace.CatForward, "search-timeout", "%v: %d held messages dead-lettered",
+			trace.PID(pid), trace.Int(len(held)))
 		for _, hm := range held {
 			k.putBounced(hm)
 		}
@@ -397,10 +388,8 @@ func (k *Kernel) handleSearchQuery(m *msg.Message) {
 	} else {
 		return
 	}
-	if k.traceOn {
-		k.trace(trace.CatForward, "search-reply",
-			fmt.Sprintf("%v is at m%d (asked by m%d)", pm.PID, uint16(at), uint16(pm.Machine)))
-	}
+	k.tracef(trace.CatForward, "search-reply", "%v is at %v (asked by %v)",
+		trace.PID(pm.PID), trace.Machine(at), trace.Machine(pm.Machine))
 	r := k.newControl(msg.OpLocateReply, addr.KernelAddr(pm.Machine))
 	r.Body = msg.PIDMachine{PID: pm.PID, Machine: at}.AppendTo(r.Body[:0])
 	k.route(r)

@@ -136,7 +136,7 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 		k.trace(trace.CatProc, "crash", fmt.Sprintf("%v: %v", p.id, err))
 	} else {
 		k.stats.Exited++
-		k.trace(trace.CatProc, "exit", fmt.Sprintf("%v code=%d", p.id, code))
+		k.tracef(trace.CatProc, "exit", "%v code=%d", trace.PID(p.id), trace.Int(int(code)))
 	}
 	if k.cfg.ReclaimForwarders && p.cameFrom != addr.NoMachine {
 		k.sendDeathNoticeTo(p.id, p.cameFrom)

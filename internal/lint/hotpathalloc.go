@@ -13,7 +13,8 @@ import (
 //
 //   - any call into package fmt (interface boxing + formatting state),
 //   - a func literal that captures enclosing variables (closure allocation),
-//   - passing a concrete value where an interface is expected (boxing),
+//   - passing a concrete value where an interface is expected (boxing;
+//     pointer-shaped values excepted — they are the interface's data word),
 //   - an append that visibly allocates in the AST: growing a freshly made
 //     nil/empty slice, or assigning the result to a different slice than it
 //     extends. Self-extension (x = append(x, ...), return append(b, ...))
@@ -150,16 +151,21 @@ func isInterface(t types.Type) bool {
 }
 
 // isConcrete reports whether the expression has a non-interface, non-nil
-// type (i.e. using it as an interface requires boxing).
+// type that using it as an interface boxes. A pointer-shaped value (pointer,
+// map, chan, func, unsafe.Pointer) is itself the interface's data word and
+// allocates nothing.
 func isConcrete(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil || tv.IsNil() {
 		return false
 	}
-	if b, ok := tv.Type.(*types.Basic); ok && b.Kind() == types.UntypedNil {
+	switch u := tv.Type.Underlying().(type) {
+	case *types.Interface, *types.Pointer, *types.Map, *types.Chan, *types.Signature:
 		return false
+	case *types.Basic:
+		return u.Kind() != types.UntypedNil && u.Kind() != types.UnsafePointer
 	}
-	return !isInterface(tv.Type)
+	return true
 }
 
 // freshSlice reports an append base that is visibly brand new in the AST:

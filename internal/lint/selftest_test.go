@@ -64,6 +64,14 @@ func TestHotpathAnnotationSet(t *testing.T) {
 		"demosmp/internal/link": {
 			"Table.AppendSnapshot",
 		},
+		// Deferred trace records and the long-lived body codec: what a
+		// traced, stateful migration runs besides the protocol.
+		"demosmp/internal/trace": {
+			"Tracer.Emitf",
+		},
+		"demosmp/internal/proc": {
+			"GobState.Snapshot", "GobState.Restore",
+		},
 		"demosmp/internal/kernel": {
 			// Delivery fast path.
 			"Kernel.route", "Kernel.deliverLocal", "Kernel.enqueue",
@@ -86,6 +94,8 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.handleMoveDataReq", "Kernel.pullRegion",
 			"Kernel.regionArrived", "Kernel.commitIncoming",
 			"appendResident",
+			// Deferred trace emit.
+			"Kernel.tracef",
 			// Ring buffer and the one free list.
 			"ring.push", "ring.pop", "freelist.get", "freelist.put",
 			// §6 per-migration accounting inside sendAdmin.

@@ -72,3 +72,11 @@ func UnannotatedTwin(n int) string {
 func SuppressedFmt(n int) string {
 	return fmt.Sprintf("%x", n) //demos:nolint:hotpathalloc fixture demonstrates a justified suppression
 }
+
+//demos:hotpath fixture: pointer-shaped values become interfaces without boxing
+func OKPointerShaped(p *int, m map[int]int, fn func()) any {
+	take(p)
+	take(m)
+	take(fn)
+	return any(p)
+}

@@ -7,9 +7,7 @@
 package memsched
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -125,15 +123,11 @@ func (s *Scheduler) statText() string {
 }
 
 // Snapshot implements proc.Body.
-func (s *Scheduler) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
-}
+func (s *Scheduler) Snapshot() ([]byte, error) { return schedulerState.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Scheduler) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
-}
+func (s *Scheduler) Restore(data []byte) error { return schedulerState.Restore(s, data) }
+
+var schedulerState proc.GobState[Scheduler]
 
 var _ proc.Body = (*Scheduler)(nil)

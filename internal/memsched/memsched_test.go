@@ -102,3 +102,14 @@ func TestIgnoresGarbage(t *testing.T) {
 		t.Fatal("garbage produced sends")
 	}
 }
+
+// TestGobCodec holds the scheduler's Snapshot/Restore to fresh gob's bytes,
+// values and errors (proctest.CheckGobCodec).
+func TestGobCodec(t *testing.T) {
+	proctest.CheckGobCodec(t, func() proc.Body { return &memsched.Scheduler{} },
+		&memsched.Scheduler{},
+		memsched.New(),
+		&memsched.Scheduler{UsedKB: map[addr.MachineID]uint32{65535: 1<<32 - 1}, Queries: 1<<64 - 1},
+		&memsched.Scheduler{UsedKB: map[addr.MachineID]uint32{1: 100, 2: 0, 3: 7}, Queries: 4},
+	)
+}

@@ -155,10 +155,13 @@ func TestLedgerPointerAttribution(t *testing.T) {
 func TestTimelineExport(t *testing.T) {
 	l := NewLedger()
 	l.Add(MigrationRecord{PID: addr.ProcessID{Creator: 1, Local: 2}, From: 1, To: 3, Start: 100, End: 400, AdminMsgs: 9})
-	recs := []trace.Record{
-		{T: 50, Machine: 1, Cat: trace.CatMigrate, Event: "step1-remove-from-execution", Detail: "pid"},
-		{T: 60, Machine: 2, Cat: trace.CatForward, Event: "forwarded"},
-	}
+	var now sim.Time
+	tr := trace.New(func() sim.Time { return now }, 0)
+	now = 50
+	tr.Emit(1, trace.CatMigrate, "step1-remove-from-execution", "pid")
+	now = 60
+	tr.Emit(2, trace.CatForward, "forwarded", "")
+	recs := tr.Records()
 	samples := []CounterSample{{At: 1000, Pending: 3, Fired: 10}, {At: 2000, Pending: 1, Fired: 25}}
 
 	build := func() []byte {

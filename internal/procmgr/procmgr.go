@@ -7,8 +7,6 @@
 package procmgr
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -563,15 +561,11 @@ func (m *Manager) statText() string {
 
 // Snapshot implements proc.Body. The policy is reattached after restore by
 // whoever boots the PM (policies hold only heuristic state).
-func (m *Manager) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(m)
-	return buf.Bytes(), err
-}
+func (m *Manager) Snapshot() ([]byte, error) { return managerState.Snapshot(m) }
 
 // Restore implements proc.Body.
-func (m *Manager) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(m)
-}
+func (m *Manager) Restore(data []byte) error { return managerState.Restore(m, data) }
+
+var managerState proc.GobState[Manager]
 
 var _ proc.Body = (*Manager)(nil)

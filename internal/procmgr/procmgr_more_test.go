@@ -160,3 +160,31 @@ func lastOpBody(t *testing.T, ctx *proctest.Ctx, op msg.Op) []byte {
 	t.Fatalf("no send with op %v", op)
 	return nil
 }
+
+// TestGobCodec holds the process manager's Snapshot/Restore to fresh gob's
+// bytes, values and errors (proctest.CheckGobCodec). Its policy is an
+// interface, but unexported: gob never sees it, so proc.GobState's
+// no-interface-fields condition holds.
+func TestGobCodec(t *testing.T) {
+	p3 := addr.ProcessID{Creator: 1, Local: 3}
+	proctest.CheckGobCodec(t, func() proc.Body { return &procmgr.Manager{} },
+		&procmgr.Manager{},
+		procmgr.New(nil),
+		&procmgr.Manager{
+			Locations:         map[addr.ProcessID]addr.MachineID{p3: 2},
+			Loads:             map[addr.MachineID]msg.LoadReport{2: {Machine: 2, Ready: 1, ProcCount: 4, MemUsedKB: 1 << 31, CPUPercent: 100, Procs: []msg.ProcLoad{{PID: p3, CPUMicros: 9, MemKB: 64, MsgsOut: 3, TopPeer: 1, TopPeerMsgs: 2}, {}}}},
+			MemSchedLink:      5,
+			Inflight:          map[addr.ProcessID]link.ID{p3: 7},
+			SpawnReply:        map[uint16]link.ID{65535: 8},
+			PendingPlace:      []procmgr.PendingSpawn{{Tag: 1, Name: "cpu", Args: []string{"-n", ""}}, {}},
+			Evicting:          map[addr.ProcessID][]addr.MachineID{p3: {4, 5}},
+			Machines:          []addr.MachineID{1, 2, 3},
+			MigrationsOrdered: 1 << 63, PolicyDecisions: 2, PolicySweeps: 3, CollectMaxAge: 1 << 40,
+			DecisionTrace: []string{"100 threshold p1.3 m1->m2 load", ""},
+		},
+		&procmgr.Manager{
+			Locations: map[addr.ProcessID]addr.MachineID{p3: 2, {Creator: 2, Local: 1}: 2, {Creator: 9, Local: 9}: 1},
+			Loads:     map[addr.MachineID]msg.LoadReport{1: {Machine: 1}, 2: {Machine: 2, Ready: 3}},
+		},
+	)
+}

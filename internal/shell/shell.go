@@ -9,8 +9,6 @@
 package shell
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strconv"
 	"strings"
@@ -204,15 +202,11 @@ func parsePID(s string) (addr.ProcessID, error) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Shell) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
-}
+func (s *Shell) Snapshot() ([]byte, error) { return shellState.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Shell) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
-}
+func (s *Shell) Restore(data []byte) error { return shellState.Restore(s, data) }
+
+var shellState proc.GobState[Shell]
 
 var _ proc.Body = (*Shell)(nil)

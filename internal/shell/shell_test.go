@@ -132,3 +132,13 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatalf("history: %v", s2.History)
 	}
 }
+
+// TestGobCodec holds the shell's Snapshot/Restore to fresh gob's bytes,
+// values and errors (proctest.CheckGobCodec).
+func TestGobCodec(t *testing.T) {
+	proctest.CheckGobCodec(t, func() proc.Body { return &shell.Shell{} },
+		&shell.Shell{},
+		shell.New(),
+		&shell.Shell{SwbLink: 1, PMLink: 2, NextTag: 65535, Out: 9, History: []string{"ps", "", "migrate p1.3 m2"}},
+	)
+}

@@ -11,8 +11,6 @@
 package switchboard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -133,13 +131,9 @@ func (s *Server) list(ctx proc.Context, d proc.Delivery) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Server) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
-}
+func (s *Server) Snapshot() ([]byte, error) { return serverState.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Server) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
-}
+func (s *Server) Restore(data []byte) error { return serverState.Restore(s, data) }
+
+var serverState proc.GobState[Server]

@@ -134,3 +134,14 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal("kind")
 	}
 }
+
+// TestGobCodec holds the switchboard's Snapshot/Restore to fresh gob's
+// bytes, values and errors (proctest.CheckGobCodec).
+func TestGobCodec(t *testing.T) {
+	proctest.CheckGobCodec(t, func() proc.Body { return &switchboard.Server{} },
+		&switchboard.Server{},
+		switchboard.New(),
+		&switchboard.Server{Names: map[string]link.ID{"": 65535}},
+		&switchboard.Server{Names: map[string]link.ID{"fs": 3, "pm": 4, "a longer service name": 5}},
+	)
+}

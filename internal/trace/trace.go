@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"demosmp/internal/addr"
@@ -15,43 +16,129 @@ import (
 )
 
 // Category groups related events.
-type Category string
+type Category uint8
 
 const (
-	CatMigrate    Category = "migrate"
-	CatForward    Category = "forward"
-	CatLinkUpdate Category = "linkupdate"
-	CatDeliver    Category = "deliver"
-	CatProc       Category = "proc"
-	CatData       Category = "data"
-	CatConsole    Category = "console"
-	CatPolicy     Category = "policy"
+	CatAll Category = iota // the zero value: no category; Events(CatAll) matches every record
+	CatMigrate
+	CatForward
+	CatLinkUpdate
+	CatDeliver
+	CatProc
+	CatData
+	CatConsole
+	CatPolicy
 )
 
-// Record is one traced event.
+var catNames = [...]string{
+	CatAll: "", CatMigrate: "migrate", CatForward: "forward", CatLinkUpdate: "linkupdate",
+	CatDeliver: "deliver", CatProc: "proc", CatData: "data", CatConsole: "console", CatPolicy: "policy",
+}
+
+func (c Category) String() string {
+	if int(c) < len(catNames) {
+		return catNames[c]
+	}
+	return "cat(" + strconv.Itoa(int(c)) + ")"
+}
+
+// Record is one traced event. Its detail text is rendered when something
+// reads it (Detail, String), not when it is emitted: a deferred record
+// carries a static format and a few scalar arguments instead.
 type Record struct {
 	T       sim.Time
 	Machine addr.MachineID
+	kinds   uint16 // argKind of argument i in bits 3i..3i+2; argNone ends the list
 	Cat     Category
-	Event   string // stable, test-friendly identifier, e.g. "step1-remove-from-execution"
-	Detail  string
+	words   [argWords]uint32 // the scalar arguments in order: an Int takes two words, a PID or Machine one
+	Event   string           // stable, test-friendly identifier, e.g. "step1-remove-from-execution"
+
+	text string // the detail itself, or (with arguments) the format that renders it
+	str  string // the one Str argument, if any
+}
+
+// A deferred record carries at most maxArgs arguments (their 3-bit kinds
+// fill Record.kinds) whose scalars fit argWords words: sized by the widest
+// emit site, the kernel's step2 record (a PID, a Machine and three Ints).
+const (
+	maxArgs  = 5
+	argWords = 8
+)
+
+type argKind uint8
+
+const (
+	argNone argKind = iota
+	argInt
+	argPID
+	argMachine
+	argStr
+)
+
+// Arg is one argument of a deferred detail format, built by PID, Machine,
+// Int or Str. It renders exactly as the value it was built from renders
+// under fmt.
+type Arg struct {
+	kind argKind
+	n    int64
+	s    string
+}
+
+// PID defers an addr.ProcessID.
+func PID(p addr.ProcessID) Arg { return Arg{kind: argPID, n: int64(p.Creator)<<16 | int64(p.Local)} }
+
+// Machine defers an addr.MachineID.
+func Machine(m addr.MachineID) Arg { return Arg{kind: argMachine, n: int64(m)} }
+
+// Int defers an int.
+func Int(n int) Arg { return Arg{kind: argInt, n: int64(n)} }
+
+// Str defers a string that already exists (a body kind, the constant name
+// of a state, region or message kind). A record holds at most one.
+func Str(s string) Arg { return Arg{kind: argStr, s: s} }
+
+// Detail renders the record's detail text.
+func (r Record) Detail() string {
+	if r.kinds == 0 {
+		return r.text
+	}
+	var args [maxArgs]any
+	n, w := 0, 0
+	for kinds := r.kinds; kinds != 0; kinds >>= 3 {
+		switch argKind(kinds & 7) {
+		case argPID:
+			args[n] = addr.ProcessID{Creator: addr.MachineID(r.words[w] >> 16), Local: addr.LocalUID(r.words[w])}
+			w++
+		case argMachine:
+			args[n] = addr.MachineID(r.words[w])
+			w++
+		case argInt:
+			args[n] = int(int64(uint64(r.words[w]) | uint64(r.words[w+1])<<32))
+			w += 2
+		case argStr:
+			args[n] = r.str
+		}
+		n++
+	}
+	return fmt.Sprintf(r.text, args[:n]...)
 }
 
 func (r Record) String() string {
-	return fmt.Sprintf("%-12v %-4v %-10s %-32s %s", r.T, r.Machine, r.Cat, r.Event, r.Detail)
+	return fmt.Sprintf("%-12v %-4v %-10s %-32s %s", r.T, r.Machine, r.Cat, r.Event, r.Detail())
 }
 
-// Tracer collects Records in a bounded ring. The zero value is a disabled
-// tracer that drops everything, so hot paths can call Emit unconditionally.
+// Tracer collects Records in a bounded ring. A nil Tracer is disabled and
+// drops everything, so hot paths can emit unconditionally.
 type Tracer struct {
-	recs    []Record
-	max     int
-	dropped uint64
-	sink    func(Record)
-	clock   func() sim.Time
+	recs  []Record // grows by append up to max, then overwritten in place
+	head  int      // index of the oldest record once len(recs) == max
+	max   int
+	sink  func(Record)
+	clock func() sim.Time
 }
 
-// New returns an enabled tracer keeping at most max records (0 = 64k).
+// New returns an enabled tracer keeping at most max records (0 = 64k). The
+// ring is grown as records arrive, never preallocated.
 func New(clock func() sim.Time, max int) *Tracer {
 	if max <= 0 {
 		max = 65536
@@ -67,65 +154,115 @@ func (t *Tracer) SetSink(fn func(Record)) {
 	}
 }
 
-// Emit records an event. Safe on a nil Tracer.
+// Emit records an event whose detail text already exists or cannot be
+// deferred as scalars (an error's text): the entry point for cold sites.
+// Safe on a nil Tracer.
 func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
 	if t == nil || t.clock == nil {
 		return
 	}
-	r := Record{T: t.clock(), Machine: m, Cat: cat, Event: event, Detail: detail}
-	if len(t.recs) >= t.max {
-		// Drop the oldest half to amortize.
-		copy(t.recs, t.recs[len(t.recs)/2:])
-		t.recs = t.recs[:len(t.recs)-len(t.recs)/2]
-		t.dropped++
-	}
-	t.recs = append(t.recs, r)
+	r := t.slot()
+	*r = Record{T: t.clock(), Machine: m, Cat: cat, Event: event, text: detail}
 	if t.sink != nil {
-		t.sink(r)
+		t.sink(*r)
 	}
 }
 
-// Emitf is Emit with a formatted detail string.
-func (t *Tracer) Emitf(m addr.MachineID, cat Category, event, format string, args ...any) {
-	if t == nil {
+// Emitf records an event whose detail is format applied to args, rendered
+// only when the record is read. format must be static and take the args in
+// order under fmt's rules. The args must fit a record: at most five, at most
+// one of them a Str, and no more than eight argument words, of which an Int
+// takes two and a PID or Machine one. Safe on a nil Tracer; allocates nothing.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestHotPathZeroAlloc ("trace emit (deferred)") and TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+func (t *Tracer) Emitf(m addr.MachineID, cat Category, event, format string, args ...Arg) {
+	if t == nil || t.clock == nil {
 		return
 	}
-	t.Emit(m, cat, event, fmt.Sprintf(format, args...))
+	if len(args) > maxArgs {
+		panic("trace: Emitf takes at most five arguments")
+	}
+	r := t.slot()
+	*r = Record{T: t.clock(), Machine: m, Cat: cat, Event: event, text: format}
+	w, strs := 0, 0
+	for i, a := range args {
+		r.kinds |= uint16(a.kind) << (3 * i)
+		switch a.kind {
+		case argStr:
+			r.str = a.s
+			strs++
+		case argInt:
+			if w+2 <= argWords {
+				r.words[w], r.words[w+1] = uint32(a.n), uint32(a.n>>32)
+			}
+			w += 2
+		default:
+			if w < argWords {
+				r.words[w] = uint32(a.n)
+			}
+			w++
+		}
+	}
+	if strs > 1 || w > argWords {
+		panic("trace: Emitf arguments do not fit a record (one Str, eight words)")
+	}
+	if t.sink != nil {
+		t.sink(*r)
+	}
+}
+
+// slot returns the ring slot the next record goes into: a new one until the
+// ring is full, then the oldest.
+func (t *Tracer) slot() *Record {
+	if len(t.recs) < t.max {
+		t.recs = append(t.recs, Record{})
+		return &t.recs[len(t.recs)-1]
+	}
+	r := &t.recs[t.head]
+	if t.head++; t.head == t.max {
+		t.head = 0
+	}
+	return r
+}
+
+// parts returns the retained records as two runs, older then newer. Safe
+// on a nil Tracer.
+func (t *Tracer) parts() [2][]Record {
+	if t == nil {
+		return [2][]Record{}
+	}
+	return [2][]Record{t.recs[t.head:], t.recs[:t.head]}
 }
 
 // Records returns a copy of the retained records in emission order.
 func (t *Tracer) Records() []Record {
-	if t == nil {
-		return nil
-	}
-	return append([]Record(nil), t.recs...)
+	p := t.parts()
+	return append(append([]Record(nil), p[0]...), p[1]...)
 }
 
 // Filter returns the retained records in cat, in order.
 func (t *Tracer) Filter(cat Category) []Record {
 	var out []Record
-	if t == nil {
-		return out
-	}
-	for _, r := range t.recs {
-		if r.Cat == cat {
-			out = append(out, r)
+	for _, part := range t.parts() {
+		for i := range part {
+			if part[i].Cat == cat {
+				out = append(out, part[i])
+			}
 		}
 	}
 	return out
 }
 
 // Events returns just the event names of records matching cat (all
-// categories if cat is empty), preserving order. Handy for asserting
+// categories if cat is CatAll), preserving order. Handy for asserting
 // protocol step sequences.
 func (t *Tracer) Events(cat Category) []string {
 	var out []string
-	if t == nil {
-		return out
-	}
-	for _, r := range t.recs {
-		if cat == "" || r.Cat == cat {
-			out = append(out, r.Event)
+	for _, part := range t.parts() {
+		for i := range part {
+			if cat == CatAll || part[i].Cat == cat {
+				out = append(out, part[i].Event)
+			}
 		}
 	}
 	return out
@@ -133,10 +270,10 @@ func (t *Tracer) Events(cat Category) []string {
 
 // Find returns the first record with the given event name.
 func (t *Tracer) Find(event string) (Record, bool) {
-	if t != nil {
-		for _, r := range t.recs {
-			if r.Event == event {
-				return r, true
+	for _, part := range t.parts() {
+		for i := range part {
+			if part[i].Event == event {
+				return part[i], true
 			}
 		}
 	}
@@ -146,9 +283,9 @@ func (t *Tracer) Find(event string) (Record, bool) {
 // Count returns how many retained records have the given event name.
 func (t *Tracer) Count(event string) int {
 	n := 0
-	if t != nil {
-		for _, r := range t.recs {
-			if r.Event == event {
+	for _, part := range t.parts() {
+		for i := range part {
+			if part[i].Event == event {
 				n++
 			}
 		}
@@ -158,13 +295,12 @@ func (t *Tracer) Count(event string) int {
 
 // String renders all retained records, one per line.
 func (t *Tracer) String() string {
-	if t == nil {
-		return ""
-	}
 	var b strings.Builder
-	for _, r := range t.recs {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
+	for _, part := range t.parts() {
+		for i := range part {
+			b.WriteString(part[i].String())
+			b.WriteByte('\n')
+		}
 	}
 	return b.String()
 }

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"demosmp/internal/addr"
 	"demosmp/internal/sim"
 )
 
@@ -15,7 +18,7 @@ func TestEmitAndQuery(t *testing.T) {
 	tr.Emit(1, CatMigrate, "step1", "detail-a")
 	now = 50
 	tr.Emit(2, CatForward, "fwd", "detail-b")
-	tr.Emitf(1, CatMigrate, "step2", "n=%d", 7)
+	tr.Emitf(1, CatMigrate, "step2", "n=%d", Int(7))
 
 	if got := len(tr.Records()); got != 3 {
 		t.Fatalf("records = %d", got)
@@ -23,7 +26,7 @@ func TestEmitAndQuery(t *testing.T) {
 	if evs := tr.Events(CatMigrate); len(evs) != 2 || evs[0] != "step1" || evs[1] != "step2" {
 		t.Fatalf("migrate events: %v", evs)
 	}
-	if evs := tr.Events(""); len(evs) != 3 {
+	if evs := tr.Events(CatAll); len(evs) != 3 {
 		t.Fatalf("all events: %v", evs)
 	}
 	r, ok := tr.Find("fwd")
@@ -36,7 +39,7 @@ func TestEmitAndQuery(t *testing.T) {
 	if n := tr.Count("step1"); n != 1 {
 		t.Fatalf("Count = %d", n)
 	}
-	if fr := tr.Filter(CatForward); len(fr) != 1 || fr[0].Detail != "detail-b" {
+	if fr := tr.Filter(CatForward); len(fr) != 1 || fr[0].Detail() != "detail-b" {
 		t.Fatalf("Filter: %v", fr)
 	}
 }
@@ -44,8 +47,8 @@ func TestEmitAndQuery(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(1, CatProc, "x", "y") // must not panic
-	tr.Emitf(1, CatProc, "x", "%d", 1)
-	if tr.Records() != nil || tr.Events("") != nil {
+	tr.Emitf(1, CatProc, "x", "%d", Int(1))
+	if tr.Records() != nil || tr.Events(CatAll) != nil {
 		t.Fatal("nil tracer returned records")
 	}
 	if tr.String() != "" {
@@ -56,29 +59,65 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 }
 
+// TestRingBound pins the ring: it keeps exactly the newest max records, in
+// emission order, across several wrap-arounds, and every query walks them
+// oldest first.
 func TestRingBound(t *testing.T) {
 	var now sim.Time
 	tr := New(clockAt(&now), 10)
-	for i := 0; i < 100; i++ {
-		tr.Emit(1, CatProc, "e", "")
+	for i := 0; i < 37; i++ {
+		now = sim.Time(i)
+		tr.Emitf(1, CatProc, "e", "n=%d", Int(i))
+		recs := tr.Records()
+		want := min(i+1, 10)
+		if len(recs) != want {
+			t.Fatalf("after %d emits: %d records retained, want %d", i+1, len(recs), want)
+		}
+		for j, r := range recs {
+			if wantT := sim.Time(i + 1 - want + j); r.T != wantT {
+				t.Fatalf("after %d emits: record %d has T=%d, want %d", i+1, j, r.T, wantT)
+			}
+		}
 	}
-	if got := len(tr.Records()); got > 10 {
-		t.Fatalf("ring grew to %d", got)
+	if n := tr.Count("e"); n != 10 {
+		t.Fatalf("Count = %d, want 10", n)
 	}
-	// Newest records survive.
-	if n := tr.Count("e"); n == 0 {
-		t.Fatal("everything dropped")
+	if r, ok := tr.Find("e"); !ok || r.Detail() != "n=27" {
+		t.Fatalf("Find returned %v, want the oldest retained record (n=27)", r)
+	}
+	if lines := strings.Split(strings.TrimSpace(tr.String()), "\n"); len(lines) != 10 ||
+		!strings.HasSuffix(lines[0], "n=27") || !strings.HasSuffix(lines[9], "n=36") {
+		t.Fatalf("String out of order:\n%s", tr)
 	}
 }
 
+// TestSink: the sink receives every record as it is emitted — eager and
+// deferred alike, rendering the same text the ring's copy renders — and
+// keeps receiving after the ring has started dropping.
 func TestSink(t *testing.T) {
 	var now sim.Time
 	var got []Record
-	tr := New(clockAt(&now), 0)
+	tr := New(clockAt(&now), 2)
 	tr.SetSink(func(r Record) { got = append(got, r) })
 	tr.Emit(3, CatConsole, "print", "hello")
-	if len(got) != 1 || got[0].Machine != 3 || got[0].Detail != "hello" {
+	if len(got) != 1 || got[0].Machine != 3 || got[0].Detail() != "hello" {
 		t.Fatalf("sink saw %+v", got)
+	}
+	now = 7
+	pid := addr.ProcessID{Creator: 2, Local: 9}
+	tr.Emitf(4, CatMigrate, "accepted", "%v by %v after %d tries", PID(pid), Machine(5), Int(-2))
+	if len(got) != 2 || got[1].T != 7 || got[1].Machine != 4 || got[1].Cat != CatMigrate || got[1].Event != "accepted" {
+		t.Fatalf("sink saw %+v", got)
+	}
+	if d, want := got[1].Detail(), fmt.Sprintf("%v by %v after %d tries", pid, addr.MachineID(5), -2); d != want {
+		t.Fatalf("sink rendered the deferred record as %q, want %q", d, want)
+	}
+	if ring := tr.Records(); got[1].String() != ring[1].String() {
+		t.Fatalf("sink's copy renders %q, the ring's %q", got[1], ring[1])
+	}
+	tr.Emit(3, CatConsole, "print", "again")
+	if len(got) != 3 || len(tr.Records()) != 2 {
+		t.Fatalf("sink saw %d records, ring holds %d; want 3 and 2", len(got), len(tr.Records()))
 	}
 }
 
@@ -89,5 +128,94 @@ func TestStringRendering(t *testing.T) {
 	s := tr.String()
 	if !strings.Contains(s, "1.500000s") || !strings.Contains(s, "step1") {
 		t.Fatalf("render: %q", s)
+	}
+	// The whole line, for an eager and a deferred record: time, machine,
+	// category, event and detail in fixed-width columns.
+	tr.Emitf(2, CatForward, "forward", "%v -> %v", PID(addr.ProcessID{Creator: 1, Local: 1}), Machine(3))
+	want := fmt.Sprintf("%-12v %-4v %-10s %-32s %s\n%-12v %-4v %-10s %-32s %s\n",
+		now, addr.MachineID(1), "migrate", "step1", "p1.1",
+		now, addr.MachineID(2), "forward", "forward", "p1.1 -> m3")
+	if s := tr.String(); s != want {
+		t.Fatalf("render:\n%q\nwant\n%q", s, want)
+	}
+}
+
+// TestRingGrowsLazily: trace.New allocates no ring; a tracer that never
+// fills up never holds more than it was given.
+func TestRingGrowsLazily(t *testing.T) {
+	var now sim.Time
+	tr := New(clockAt(&now), 0)
+	if cap(tr.recs) != 0 {
+		t.Fatalf("New preallocated %d records", cap(tr.recs))
+	}
+	for i := 0; i < 100; i++ {
+		tr.Emit(1, CatProc, "e", "")
+	}
+	if cap(tr.recs) > 256 {
+		t.Fatalf("100 records grew the ring to %d", cap(tr.recs))
+	}
+}
+
+// TestDeferredDetail: a deferred record renders exactly what fmt renders
+// from the values its arguments were built from, and an eager detail is
+// never treated as a format.
+func TestDeferredDetail(t *testing.T) {
+	var now sim.Time
+	tr := New(clockAt(&now), 0)
+	pid := addr.ProcessID{Creator: 65535, Local: 65535}
+	tr.Emitf(2, CatData, "e", "%v %v: %dB in %d packets -> %v",
+		PID(pid), Str("swappable"), Int(-3), Int(1<<40), Machine(65535))
+	tr.Emit(2, CatConsole, "print", "100%d done %v")
+	tr.Emitf(2, CatProc, "k", "%v", PID(addr.KernelPID(7)))
+	recs := tr.Records()
+	if got, want := recs[0].Detail(), fmt.Sprintf("%v %v: %dB in %d packets -> %v",
+		pid, "swappable", -3, 1<<40, addr.MachineID(65535)); got != want {
+		t.Fatalf("deferred detail %q, want %q", got, want)
+	}
+	if got := recs[1].Detail(); got != "100%d done %v" {
+		t.Fatalf("eager detail was reformatted: %q", got)
+	}
+	if got := recs[2].Detail(); got != "kernel(m7)" {
+		t.Fatalf("kernel pid rendered %q", got)
+	}
+}
+
+// TestRecordSize pins the ring's per-record footprint: 64k of these is the
+// tracer's whole heap cost, and a record that grows must say why. (The eager
+// record this replaced was 64 bytes plus a detail string of about 48.)
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got > 96 {
+		t.Fatalf("Record is %d bytes, budget 96", got)
+	}
+}
+
+// TestEmitfArgumentLimits: the widest shapes that fit a record render, and
+// one more argument, string or word panics instead of being dropped.
+func TestEmitfArgumentLimits(t *testing.T) {
+	var now sim.Time
+	tr := New(clockAt(&now), 0)
+	big, small := Int(-1<<62), Int(1<<62)
+	tr.Emitf(1, CatProc, "ints", "%d %d %d %d", big, small, big, small)
+	tr.Emitf(1, CatProc, "mixed", "%v %v %d %d %d", PID(addr.ProcessID{Creator: 9, Local: 8}), Machine(7), big, small, Int(0))
+	recs := tr.Records()
+	if got, want := recs[0].Detail(), fmt.Sprintf("%d %d %d %d", -1<<62, 1<<62, -1<<62, 1<<62); got != want {
+		t.Fatalf("four ints rendered %q, want %q", got, want)
+	}
+	if got, want := recs[1].Detail(), fmt.Sprintf("p9.8 m7 %d %d 0", -1<<62, 1<<62); got != want {
+		t.Fatalf("pid, machine and three ints rendered %q, want %q", got, want)
+	}
+	for name, args := range map[string][]Arg{
+		"six arguments": {Machine(1), Machine(2), Machine(3), Machine(4), Machine(5), Machine(6)},
+		"two strings":   {Str("a"), Str("b")},
+		"nine words":    {PID(addr.ProcessID{}), big, big, big, big},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Emitf accepted %s", name)
+				}
+			}()
+			tr.Emitf(1, CatProc, "e", "", args...)
+		}()
 	}
 }

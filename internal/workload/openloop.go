@@ -8,8 +8,6 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 
 	"demosmp/internal/proc"
@@ -182,16 +180,12 @@ func (j *Job) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (j *Job) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(j)
-	return buf.Bytes(), err
-}
+func (j *Job) Snapshot() ([]byte, error) { return jobState.Snapshot(j) }
 
 // Restore implements proc.Body.
-func (j *Job) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(j)
-}
+func (j *Job) Restore(data []byte) error { return jobState.Restore(j, data) }
+
+var jobState proc.GobState[Job]
 
 // SpinnerKind is the registry name of Spinner.
 const SpinnerKind = "wl-spinner"
@@ -235,13 +229,9 @@ func (s *Spinner) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Spinner) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
-}
+func (s *Spinner) Snapshot() ([]byte, error) { return spinnerState.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Spinner) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
-}
+func (s *Spinner) Restore(data []byte) error { return spinnerState.Restore(s, data) }
+
+var spinnerState proc.GobState[Spinner]

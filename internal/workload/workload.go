@@ -6,8 +6,6 @@
 package workload
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"demosmp/internal/dvm"
@@ -340,16 +338,12 @@ func (s *Sink) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Sink) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
-}
+func (s *Sink) Snapshot() ([]byte, error) { return sinkState.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Sink) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
-}
+func (s *Sink) Restore(data []byte) error { return sinkState.Restore(s, data) }
+
+var sinkState proc.GobState[Sink]
 
 // ChatterKind is the registry name of Chatter.
 const ChatterKind = "wl-chatter"
@@ -399,16 +393,12 @@ func (c *Chatter) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (c *Chatter) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(c)
-	return buf.Bytes(), err
-}
+func (c *Chatter) Snapshot() ([]byte, error) { return chatterState.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Chatter) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(c)
-}
+func (c *Chatter) Restore(data []byte) error { return chatterState.Restore(c, data) }
+
+var chatterState proc.GobState[Chatter]
 
 // StageKind is the registry name of Stage.
 const StageKind = "wl-stage"
@@ -442,16 +432,12 @@ func (s *Stage) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Stage) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(s)
-	return buf.Bytes(), err
-}
+func (s *Stage) Snapshot() ([]byte, error) { return stageState.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Stage) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(s)
-}
+func (s *Stage) Restore(data []byte) error { return stageState.Restore(s, data) }
+
+var stageState proc.GobState[Stage]
 
 // LinkHolderKind is the registry name of LinkHolder.
 const LinkHolderKind = "wl-holder"
@@ -486,16 +472,12 @@ func (h *LinkHolder) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (h *LinkHolder) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(h)
-	return buf.Bytes(), err
-}
+func (h *LinkHolder) Snapshot() ([]byte, error) { return linkHolderState.Snapshot(h) }
 
 // Restore implements proc.Body.
-func (h *LinkHolder) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(h)
-}
+func (h *LinkHolder) Restore(data []byte) error { return linkHolderState.Restore(h, data) }
+
+var linkHolderState proc.GobState[LinkHolder]
 
 // EchoKind is the registry name of Echo.
 const EchoKind = "wl-echo"
@@ -525,16 +507,12 @@ func (e *Echo) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (e *Echo) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(e)
-	return buf.Bytes(), err
-}
+func (e *Echo) Snapshot() ([]byte, error) { return echoState.Snapshot(e) }
 
 // Restore implements proc.Body.
-func (e *Echo) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(e)
-}
+func (e *Echo) Restore(data []byte) error { return echoState.Restore(e, data) }
+
+var echoState proc.GobState[Echo]
 
 // CounterKind is the registry name of Counter.
 const CounterKind = "wl-counter"
@@ -559,16 +537,12 @@ func (c *Counter) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (c *Counter) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(c)
-	return buf.Bytes(), err
-}
+func (c *Counter) Snapshot() ([]byte, error) { return counterState.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Counter) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(c)
-}
+func (c *Counter) Restore(data []byte) error { return counterState.Restore(c, data) }
+
+var counterState proc.GobState[Counter]
 
 // NullKind is the registry name of Null.
 const NullKind = "wl-null"
@@ -633,16 +607,12 @@ func (r *Recorder) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (r *Recorder) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(r)
-	return buf.Bytes(), err
-}
+func (r *Recorder) Snapshot() ([]byte, error) { return recorderState.Snapshot(r) }
 
 // Restore implements proc.Body.
-func (r *Recorder) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(r)
-}
+func (r *Recorder) Restore(data []byte) error { return recorderState.Restore(r, data) }
+
+var recorderState proc.GobState[Recorder]
 
 // Registry returns a process registry with every workload body kind
 // registered (plus the VM kind that proc.NewRegistry pre-registers), so

@@ -4,8 +4,11 @@
 // metrics), these measure real ns/op and — via TestHotPathZeroAlloc —
 // lock in the zero-allocation invariants of the steady-state path.
 //
-// Run: go test -bench 'EngineSchedule|EngineDispatch|NetwSend|MsgEncode|MsgDecode|TimeString' -benchmem
-// The same numbers feed BENCH_hotpath.json via: go run ./cmd/experiments -bench-json BENCH_hotpath.json
+// Run: go test -run '^$' -bench 'Engine|NetwSend|Msg|TimeString|Kernel' -benchmem .
+// This file is the only owner of these ns/op numbers besides the per-layer
+// rows of bench/ (bash bench/run.sh --workload <w> --trace 1), which is
+// where recorded before/after comparisons come from; nothing appends them
+// to BENCH_hotpath.json any more (DESIGN.md §7, "Deletion record").
 package demosmp_test
 
 import (
@@ -37,7 +40,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // BenchmarkEngineDispatchDepth64 keeps 64 events pending, the typical
 // working depth of a busy multi-machine cluster, so the 4-ary heap actually
-// sifts. This is the event-dispatch number tracked in BENCH_hotpath.json.
+// sifts: the event-dispatch number (bench row sim.schedule_fire_ns.d64).
 func BenchmarkEngineDispatchDepth64(b *testing.B) {
 	e := sim.NewEngine(1)
 	fn := func() {}
@@ -248,8 +251,7 @@ func BenchmarkKernelLocalRoundTrip(b *testing.B) {
 }
 
 // BenchmarkKernelPingPong is the cross-machine round trip: two kernels,
-// two frames per op through the network substrate. msgs/sec in
-// BENCH_hotpath.json is derived from this (2 messages per op).
+// two frames per op through the network substrate (2 messages per op).
 func BenchmarkKernelPingPong(b *testing.B) {
 	e, ks := benchCluster(2)
 	a, _ := benchEchoPair(b, ks, 0, 1)

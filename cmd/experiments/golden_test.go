@@ -1,0 +1,82 @@
+//go:build !race
+
+// The golden of the default output is ~10 s of simulation; under the race
+// detector it costs ten times that and checks nothing more (the race job
+// covers the same code paths through the package tests).
+
+package main
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/default_output.txt")
+
+// captureStdout returns what fn prints to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestDefaultOutputGolden pins what `go run ./cmd/experiments` prints — the
+// E-tables and figure traces EXPERIMENTS.md quotes — section by section.
+// The simulation is deterministic, so any difference is a behaviour change:
+// regenerate deliberately with
+//
+//	go test ./cmd/experiments -run TestDefaultOutputGolden -update
+func TestDefaultOutputGolden(t *testing.T) {
+	path := filepath.Join("testdata", "default_output.txt")
+	if *update {
+		out := captureStdout(t, func() {
+			for _, e := range allExperiments {
+				e.run()
+			}
+		})
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	// Every section starts "\n## <id> — <title>".
+	const sep = "\n## "
+	golden := map[string]string{}
+	for _, part := range strings.Split(string(data), sep)[1:] {
+		id, _, _ := strings.Cut(part, " ")
+		golden[id] = sep + part
+	}
+	if len(golden) != len(allExperiments) {
+		t.Errorf("golden has %d sections, the table %d experiments", len(golden), len(allExperiments))
+	}
+	for _, e := range allExperiments {
+		t.Run(e.id, func(t *testing.T) {
+			if e.id == "E14" && testing.Short() {
+				t.Skip("E14 is two thirds of the whole run")
+			}
+			if got := captureStdout(t, e.run); got != golden[e.id] {
+				t.Errorf("output differs from %s (rewrite with -update if intended)\n--- got ---\n%s\n--- want ---\n%s",
+					path, got, golden[e.id])
+			}
+		})
+	}
+}

@@ -6,9 +6,14 @@
 //
 //	experiments            # run everything
 //	experiments -run E1,E4 # run selected experiments
+//	experiments -check-regression
+//	                       # judge the scale, chaos and policy tiers
+//	                       # against their absolute floors instead
 //	experiments -bench-json BENCH_hotpath.json
-//	                       # append hot-path benchmark numbers to the
-//	                       # regression trajectory file instead
+//	                       # append the same tiers to the trajectory file
+//
+// Per-operation ns/op and allocs/op are not measured here: see the
+// Benchmark* functions in the repository root and bench/.
 package main
 
 import (
@@ -18,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"demosmp"
 	"demosmp/internal/addr"
@@ -31,19 +37,14 @@ import (
 
 var (
 	runFlag             = flag.String("run", "", "comma-separated experiment ids (default: all)")
-	benchJSONFlag       = flag.String("bench-json", "", "measure the simulator hot paths and append to this JSON trajectory file, then exit")
-	checkRegressionFlag = flag.Bool("check-regression", false, "re-measure the hot paths and exit nonzero if any tracked ns/op regressed >20% vs the last run recorded in -bench-json (default BENCH_hotpath.json)")
+	benchJSONFlag       = flag.String("bench-json", "", "measure the scale (64/256/1000 machines x 1/2/4 shards), chaos and policy tiers once and append one entry per tier to this JSON file (created if absent), then exit")
+	checkRegressionFlag = flag.Bool("check-regression", false, "measure the tiers once (only the 64-machine scale row unless -bench-json is given) and exit 1 if one is below its absolute floor: 4-shard speedup >= 3x (SKIPPED below 4 cores), lossy/lossless chaos events/sec >= 0.25x, policy decisions/sec >= 5000; reads no file")
 	obsJSONFlag         = flag.String("obs-json", "", "run the obs export scenario and write the metrics registry snapshot (JSON) to this path, then exit")
 	traceOutFlag        = flag.String("trace-out", "", "with the obs export scenario, also write a Chrome trace_event timeline JSON to this path")
-	benchShortFlag      = flag.Bool("bench-short", false, "scale the hot-path measurement iteration counts down ~10x (for CI smoke runs; noisier, so pair with -check-regression's min-of-three)")
-	scaleJSONFlag       = flag.String("scale-json", "", "measure sharded-runtime events/sec (64/256/1000 machines x 1/2/4 shards) and write the run as standalone JSON to this path, then exit")
+	benchShortFlag      = flag.Bool("bench-short", false, "divide the scale and chaos tiers' job counts by 5 (for CI smoke runs)")
 	tournamentJSONFlag  = flag.String("tournament-json", "", "run the policy tournament (seeded A/B hypotheses on the sharded runtime) and write the findings artifact to this path, then exit")
 	tournamentShortFlag = flag.Bool("tournament-short", false, "shrink the tournament to CI smoke scale (32 machines, 2 seeds)")
 )
-
-// benchShort is read by scaleIters in bench.go; set from -bench-short after
-// flag.Parse so the measurement helpers don't each consult the flag pointer.
-var benchShort bool
 
 type experiment struct {
 	id    string
@@ -53,21 +54,26 @@ type experiment struct {
 
 func main() {
 	flag.Parse()
-	benchShort = *benchShortFlag
-	if *checkRegressionFlag {
-		path := *benchJSONFlag
-		if path == "" {
-			path = "BENCH_hotpath.json"
+	if *checkRegressionFlag || *benchJSONFlag != "" {
+		rows := scaleGrid[:1] // the gate needs only the 64-machine row
+		if *benchJSONFlag != "" {
+			rows = scaleGrid
 		}
-		checkRegression(path)
-		return
-	}
-	if *benchJSONFlag != "" {
-		benchJSON(*benchJSONFlag)
-		return
-	}
-	if *scaleJSONFlag != "" {
-		scaleJSON(*scaleJSONFlag)
+		t := measureTiers(rows)
+		if *benchJSONFlag != "" {
+			die(appendTiers(*benchJSONFlag, t, time.Now().UTC().Format(time.RFC3339)))
+			fmt.Printf("scale, chaos and policy tiers appended to %s\n", *benchJSONFlag)
+			printScale(t.Scale)
+			printChaos(t.Chaos)
+			printPolicy(t.Policy)
+			fmt.Println()
+		}
+		if *checkRegressionFlag {
+			if failed := judge(os.Stdout, t.floors()); failed > 0 {
+				fmt.Printf("\n%d floor(s) failed\n", failed)
+				os.Exit(1)
+			}
+		}
 		return
 	}
 	if *tournamentJSONFlag != "" || *tournamentShortFlag {
@@ -78,40 +84,72 @@ func main() {
 		obsExport(*obsJSONFlag, *traceOutFlag)
 		return
 	}
-	exps := []experiment{
-		{"E1", "State transfer cost vs process size (§6)", e1},
-		{"E2", "Administrative cost: 9 messages of 6-12 bytes (§6)", e2},
-		{"E3", "Forwarded message overhead: 2 extra messages (§6)", e3},
-		{"E4", "Link update convergence: 1-2 messages (§5, §6)", e4},
-		{"E5", "Forwarding addresses: 8 bytes, chains (§4)", e5},
-		{"E6", "Migrating the file server under client I/O (§2.3)", e6},
-		{"E7", "Forwarding vs return-to-sender (§4)", e7},
-		{"E8", "Load balancing via migration (§1)", e8},
-		{"E9", "User vs server process migration (§2.4, §5)", e9},
-		{"E10", "Draining a dying processor (§1)", e10},
-		{"E11", "Ablation: lazy vs eager link update", e11},
-		{"E12", "Interdomain migration: refusal and looking elsewhere (§3.2)", e12},
-		{"E13", "Fault recovery from stable storage: checkpoint/revive (§1)", e13},
-		{"E14", "Migration cost vs communication efficiency (§6)", e14},
-		{"E15", "Communication affinity: co-locating a pipeline (§1)", e15},
-		{"E16", "Migration frequency vs slowdown (§6)", e16},
-		{"F31", "Figure 3-1: the eight migration steps", f31},
-		{"F41", "Figure 4-1: message through a forwarding address", f41},
-		{"F51", "Figure 5-1: link update after a forward", f51},
-	}
-	want := map[string]bool{}
-	if *runFlag != "" {
-		for _, id := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	exps, err := selectExperiments(*runFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
 	for _, e := range exps {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
-		fmt.Printf("\n## %s — %s\n\n", e.id, e.title)
-		e.fn()
+		e.run()
 	}
+}
+
+func (e experiment) run() {
+	fmt.Printf("\n## %s — %s\n\n", e.id, e.title)
+	e.fn()
+}
+
+var allExperiments = []experiment{
+	{"E1", "State transfer cost vs process size (§6)", e1},
+	{"E2", "Administrative cost: 9 messages of 6-12 bytes (§6)", e2},
+	{"E3", "Forwarded message overhead: 2 extra messages (§6)", e3},
+	{"E4", "Link update convergence: 1-2 messages (§5, §6)", e4},
+	{"E5", "Forwarding addresses: 8 bytes, chains (§4)", e5},
+	{"E6", "Migrating the file server under client I/O (§2.3)", e6},
+	{"E7", "Forwarding vs return-to-sender (§4)", e7},
+	{"E8", "Load balancing via migration (§1)", e8},
+	{"E9", "User vs server process migration (§2.4, §5)", e9},
+	{"E10", "Draining a dying processor (§1)", e10},
+	{"E11", "Ablation: lazy vs eager link update", e11},
+	{"E12", "Interdomain migration: refusal and looking elsewhere (§3.2)", e12},
+	{"E13", "Fault recovery from stable storage: checkpoint/revive (§1)", e13},
+	{"E14", "Migration cost vs communication efficiency (§6)", e14},
+	{"E15", "Communication affinity: co-locating a pipeline (§1)", e15},
+	{"E16", "Migration frequency vs slowdown (§6)", e16},
+	{"F31", "Figure 3-1: the eight migration steps", f31},
+	{"F41", "Figure 4-1: message through a forwarding address", f41},
+	{"F51", "Figure 5-1: link update after a forward", f51},
+}
+
+// selectExperiments returns the experiments named by the comma-separated
+// ids in run, in table order (all of them for ""). An id that names no
+// experiment is an error, not an empty run.
+func selectExperiments(run string) ([]experiment, error) {
+	if run == "" {
+		return allExperiments, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(run, ",") {
+		want[strings.TrimSpace(id)] = true
+	}
+	var exps []experiment
+	var valid []string
+	for _, e := range allExperiments {
+		valid = append(valid, e.id)
+		if want[e.id] {
+			exps = append(exps, e)
+			delete(want, e.id)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("-run: unknown experiment id %q (valid: %s)", unknown, strings.Join(valid, ","))
+	}
+	return exps, nil
 }
 
 func die(err error) {

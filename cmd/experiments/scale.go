@@ -1,20 +1,18 @@
 // Scale tier: events/sec of the sharded runtime under the streaming
 // open-loop workload, at 64/256/1000 machines on 1/2/4 parallel shards.
-// Unlike the ns/op hot-path tier, these are whole-cluster throughput
-// numbers: the same deterministic simulation (same seed, bit-identical
-// trace regardless of shard count) measured wall-clock.
+// These are whole-cluster throughput numbers: the same deterministic
+// simulation (same seed, bit-identical trace regardless of shard count)
+// measured wall-clock.
 //
 // The headline number is the 64-machine 4-shard-vs-1-shard speedup. It is
 // only meaningful on a host with enough cores to actually run the shard
 // goroutines concurrently, so the recorded run carries num_cpu and the
-// gate's verdict: the >= 3x floor binds only when runtime.NumCPU() >= 4,
-// and below that the artifact says SKIPPED rather than nothing.
+// gate's verdict: the >= 3x floor binds only with at least 4 cores, and
+// below that the artifact says SKIPPED rather than nothing.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -44,24 +42,21 @@ type scaleRun struct {
 	// by the same workload on 1 shard (the acceptance floor is 3x on a
 	// >= 4-core host).
 	Speedup4Shard64M float64 `json:"speedup_4shard_vs_1shard_64m"`
-	// SpeedupGate is the >= 3x floor's verdict on that ratio, or
-	// "SKIPPED num_cpu=<n>" on a host too small to judge it — so an
+	// SpeedupGate is the >= 3x floor's verdict on that ratio: PASS, FAIL,
+	// or "SKIPPED num_cpu=<n> ..." on a host too small to judge it — so an
 	// artifact never reads as a pass the gate did not give. Every run
 	// recorded since the field exists carries it.
 	SpeedupGate string `json:"speedup_gate,omitempty"`
 }
 
-// speedupGate judges a 4-shard-vs-1-shard ratio measured on this host
-// against the 3x floor, which only binds with at least 4 cores.
-func speedupGate(ratio float64) (verdict string, ok bool) {
-	switch n := runtime.NumCPU(); {
-	case n < 4:
-		return fmt.Sprintf("SKIPPED num_cpu=%d", n), true
-	case ratio < 3.0:
-		return fmt.Sprintf("FAIL %.2fx < 3x num_cpu=%d", ratio, n), false
-	default:
-		return fmt.Sprintf("PASS %.2fx >= 3x num_cpu=%d", ratio, n), true
+// speedupGate is the floor on a 4-shard-vs-1-shard ratio measured on a host
+// with numCPU cores: 3x, binding only with at least 4 cores.
+func speedupGate(ratio float64, numCPU int) floorRow {
+	r := floorRow{name: "sharded speedup (64m, 4 shards vs 1)", measured: ratio, floor: 3, unit: "%.2fx"}
+	if numCPU < 4 {
+		r.skip = fmt.Sprintf("num_cpu=%d", numCPU)
 	}
+	return r
 }
 
 // scalePerMachine is the open-loop job count per machine, sized so every
@@ -75,7 +70,7 @@ func scalePerMachine(machines int) int {
 	if machines >= 1000 {
 		per = 100
 	}
-	if benchShort {
+	if *benchShortFlag {
 		per /= 5
 	}
 	return per
@@ -120,8 +115,8 @@ func runScalePoint(machines, shards int) scalePoint {
 	}
 }
 
-// bestScalePoint is the throughput analogue of timeIt's min-of-N: wall
-// clock has a hard floor and noise is one-sided, so keep the fastest run.
+// bestScalePoint keeps the fastest of reps runs: wall clock has a hard
+// floor and noise is one-sided.
 func bestScalePoint(machines, shards, reps int) scalePoint {
 	best := runScalePoint(machines, shards)
 	for r := 1; r < reps; r++ {
@@ -132,30 +127,27 @@ func bestScalePoint(machines, shards, reps int) scalePoint {
 	return best
 }
 
-// measureScale runs the full grid. The gated 64-machine pair gets an extra
-// rep; the 1000-machine rows run once — at 100k processes each, the run is
-// long enough to be its own noise floor.
-func measureScale() scaleRun {
-	r := scaleRun{NumCPU: runtime.NumCPU(), Short: benchShort}
-	reps := func(machines int) int {
-		switch {
-		case machines == 64:
-			return 3
-		case machines >= 1000:
-			return 1
-		default:
-			return 2
-		}
-	}
+// scaleRow is one machine count of the grid and how many runs the fastest
+// is kept of.
+type scaleRow struct{ machines, reps int }
+
+// scaleGrid is the recorded grid. The gated 64-machine row, first, gets an
+// extra rep; the 1000-machine rows run once — at 100k processes each, the
+// run is long enough to be its own noise floor.
+var scaleGrid = []scaleRow{{64, 3}, {256, 2}, {1000, 1}}
+
+// measureScale runs the given rows of scaleGrid on 1/2/4 shards.
+func measureScale(rows []scaleRow) scaleRun {
+	r := scaleRun{NumCPU: runtime.NumCPU(), Short: *benchShortFlag}
 	var base64, par64 float64
-	for _, machines := range []int{64, 256, 1000} {
+	for _, row := range rows {
 		for _, shards := range []int{1, 2, 4} {
-			p := bestScalePoint(machines, shards, reps(machines))
+			p := bestScalePoint(row.machines, shards, row.reps)
 			r.Points = append(r.Points, p)
-			if machines == 64 && shards == 1 {
+			if row.machines == 64 && shards == 1 {
 				base64 = p.EventsPerSec
 			}
-			if machines == 64 && shards == 4 {
+			if row.machines == 64 && shards == 4 {
 				par64 = p.EventsPerSec
 			}
 		}
@@ -163,7 +155,7 @@ func measureScale() scaleRun {
 	if base64 > 0 {
 		r.Speedup4Shard64M = par64 / base64
 	}
-	r.SpeedupGate, _ = speedupGate(r.Speedup4Shard64M)
+	r.SpeedupGate, _ = speedupGate(r.Speedup4Shard64M, r.NumCPU).verdict()
 	return r
 }
 
@@ -175,34 +167,5 @@ func printScale(r scaleRun) {
 		fmt.Printf("| %d | %d | %d | %.1f | %.0f |\n",
 			p.Machines, p.Shards, p.EventsFired, p.WallMs, p.EventsPerSec)
 	}
-	fmt.Printf("\n64-machine speedup, 4 shards vs 1: %.2fx (>= 3x gate: %s)\n", r.Speedup4Shard64M, r.SpeedupGate)
-}
-
-// scaleJSON measures the scale grid and writes the run (standalone JSON,
-// not the trajectory file) to path — the CI artifact.
-func scaleJSON(path string) {
-	r := measureScale()
-	r.Timestamp = time.Now().UTC().Format(time.RFC3339)
-	out, err := json.MarshalIndent(&r, "", "  ")
-	die(err)
-	die(os.WriteFile(path, append(out, '\n'), 0o644))
-	printScale(r)
-	fmt.Printf("\nscale run written to %s\n", path)
-}
-
-// checkScaleSpeedup is the -check-regression extension: on a host with at
-// least 4 cores, the 64-machine workload on 4 parallel shards must sustain
-// at least 3x the events/sec of the same workload on 1 shard; on a smaller
-// host the ratio is still measured and printed, marked SKIPPED. Returns the
-// number of failed gates (0 or 1).
-func checkScaleSpeedup() int {
-	base := bestScalePoint(64, 1, 3)
-	par := bestScalePoint(64, 4, 3)
-	verdict, ok := speedupGate(par.EventsPerSec / base.EventsPerSec)
-	fmt.Printf("%-34s %9.0f -> %9.0f ev/s (%s)\n",
-		"sharded speedup (64m, 4 shards)", base.EventsPerSec, par.EventsPerSec, verdict)
-	if !ok {
-		return 1
-	}
-	return 0
+	fmt.Printf("\n64-machine speedup, 4 shards vs 1: %s\n", r.SpeedupGate)
 }

@@ -54,14 +54,6 @@ func (c *Cluster) StartOpenLoop(cfg workload.OpenLoop) *OpenLoopDriver {
 func (c *Cluster) armArrivals(m int, st *workload.Arrivals, d *OpenLoopDriver, spin bool) {
 	eng := c.EngineOf(m)
 	k := c.Kernel(m)
-	// In Spin mode the service demand (µs) converts to an instruction
-	// budget at the kernel's modeled instruction cost, so a spinner
-	// occupies the CPU for the same simulated time the timer job would
-	// have slept.
-	instr := c.opts.Kernel.InstrCostNanos
-	if instr == 0 {
-		instr = 2000
-	}
 	var arm func()
 	arm = func() {
 		at, svc, ok := st.Next()
@@ -70,8 +62,12 @@ func (c *Cluster) armArrivals(m int, st *workload.Arrivals, d *OpenLoopDriver, s
 		}
 		eng.At(at, "wl:arrival", func() {
 			var body proc.Body
+			// In Spin mode the service demand (µs) converts to an instruction
+			// budget at the kernel's modeled instruction cost, so a spinner
+			// occupies the CPU for the same simulated time the timer job would
+			// have slept.
 			if spin {
-				work := int(uint64(svc) * 1000 / uint64(instr))
+				work := int(uint64(svc) * 1000 / kernel.InstrCostNanos)
 				if work < 1 {
 					work = 1
 				}

@@ -117,7 +117,6 @@ func Run(spec RunSpec) (Metrics, error) {
 	// log is rebuilt in deterministic machine order afterwards.
 	jobs := make([][]jobRec, spec.Machines+1)
 	spec.Workload.Spin = true
-	instr := uint64(2000) // kernel default InstrCostNanos
 	for m := 1; m <= spec.Machines; m++ {
 		m := m
 		st := workload.NewArrivals(spec.Workload, m)
@@ -130,7 +129,7 @@ func Run(spec RunSpec) (Metrics, error) {
 				return
 			}
 			eng.At(at, "exp:arrival", func() {
-				work := int(uint64(svc) * 1000 / instr)
+				work := int(uint64(svc) * 1000 / kernel.InstrCostNanos)
 				if work < 1 {
 					work = 1
 				}

@@ -27,7 +27,7 @@ func (k *Kernel) route(m *msg.Message) {
 		m.SentAt = k.eng.Now()
 	}
 	if m.To.LastKnown == k.machine {
-		k.eng.After(k.cfg.LocalLatency, "kernel:local-deliver", k.getPending(m, false).fn)
+		k.eng.After(LocalLatency, "kernel:local-deliver", k.getPending(m, false).fn)
 		return
 	}
 	k.net.Send(k.machine, m.To.LastKnown, m)

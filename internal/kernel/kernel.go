@@ -83,28 +83,32 @@ const (
 	ModeReturnToSender
 )
 
+// The timing model and the swap bound. No caller, test or benchmark ever
+// set these, so they are constants, not Config fields.
+const (
+	// InstrCostNanos is the cost of one VM instruction (Z8000-class: 2µs).
+	InstrCostNanos = 2000
+	// NativeStepCost charges a native (server) body per Step call.
+	NativeStepCost sim.Time = 100
+	// NativeMsgCost charges a native body per message received.
+	NativeMsgCost sim.Time = 50
+	// CtxSwitch is the cost between slices.
+	CtxSwitch sim.Time = 50
+	// LocalLatency is same-machine message delivery time.
+	LocalLatency sim.Time = 30
+	// SwapCapacity bounds the swap store (0 = unlimited).
+	SwapCapacity = 0
+)
+
 // Config parameterizes one kernel. The zero value is filled with defaults.
 type Config struct {
 	// Quantum is the instruction budget per VM scheduling slice.
 	Quantum int
-	// InstrCostNanos is the cost of one VM instruction (Z8000-class
-	// default: 2µs).
-	InstrCostNanos uint32
-	// NativeStepCost charges a native (server) body per Step call.
-	NativeStepCost sim.Time
-	// NativeMsgCost charges a native body per message received.
-	NativeMsgCost sim.Time
-	// CtxSwitch is the cost between slices.
-	CtxSwitch sim.Time
-	// LocalLatency is same-machine message delivery time.
-	LocalLatency sim.Time
 	// DataPacket is the move-data packet payload size (§6: the facility
 	// "minimize[s] network overhead by sending larger packets").
 	DataPacket int
 	// MemCapacity bounds real memory for process images (0 = unlimited).
 	MemCapacity int
-	// SwapCapacity bounds the swap store (0 = unlimited).
-	SwapCapacity int
 	// SwapSoftLimit, when set, is the resident-byte threshold above
 	// which the kernel swaps out pages of waiting/suspended processes —
 	// the load-limiting behavior the paper assumes of contemporary
@@ -159,21 +163,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Quantum <= 0 {
 		c.Quantum = 500
-	}
-	if c.InstrCostNanos == 0 {
-		c.InstrCostNanos = 2000
-	}
-	if c.NativeStepCost == 0 {
-		c.NativeStepCost = 100
-	}
-	if c.NativeMsgCost == 0 {
-		c.NativeMsgCost = 50
-	}
-	if c.CtxSwitch == 0 {
-		c.CtxSwitch = 50
-	}
-	if c.LocalLatency == 0 {
-		c.LocalLatency = 30
 	}
 	if c.DataPacket <= 0 {
 		c.DataPacket = 512
@@ -396,7 +385,7 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 		cfg:           cfg,
 		procs:         make(map[addr.ProcessID]*Process),
 		nextUID:       1,
-		swap:          memory.NewStore(cfg.SwapCapacity),
+		swap:          memory.NewStore(SwapCapacity),
 		out:           make(map[addr.ProcessID]*outMigration),
 		in:            make(map[addr.ProcessID]*inMigration),
 		xfersIn:       make(map[uint16]*inStream),

@@ -73,11 +73,11 @@ func (k *Kernel) runSlice() {
 	ctx.recvd = ctx.recvd[:0]
 	ctx.p = nil
 
-	busy := sim.Time(uint64(cost) * uint64(k.cfg.InstrCostNanos) / 1000)
+	busy := sim.Time(uint64(cost) * InstrCostNanos / 1000)
 	if cost == 0 {
-		busy = k.cfg.NativeStepCost
+		busy = NativeStepCost
 	}
-	busy += sim.Time(ctx.msgsHandled) * k.cfg.NativeMsgCost
+	busy += sim.Time(ctx.msgsHandled) * NativeMsgCost
 	if busy == 0 {
 		busy = 1
 	}
@@ -85,7 +85,7 @@ func (k *Kernel) runSlice() {
 	if k.cpuFreeAt < now {
 		k.cpuFreeAt = now
 	}
-	k.cpuFreeAt += busy + k.cfg.CtxSwitch
+	k.cpuFreeAt += busy + CtxSwitch
 	p.cpuUsed += busy
 	p.cpuDelta += busy
 	k.stats.CPUBusy += busy

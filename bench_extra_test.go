@@ -95,7 +95,7 @@ func BenchmarkMigrationLossy(b *testing.B) {
 		if !ok || m != 2 || e.Code != demosmp.CPUBoundResult(200000) {
 			b.Fatal("lossy migration corrupted the process")
 		}
-		lat += float64(reps[0].Latency())
+		lat += float64(reps[0].FreezeMicros())
 		retrans += float64(c.Stats().Net.Retransmits)
 	}
 	b.ReportMetric(lat/float64(b.N), "simus/op")

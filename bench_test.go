@@ -58,7 +58,7 @@ func BenchmarkMigration(b *testing.B) {
 					b.Fatalf("migration failed: %+v", reps)
 				}
 				r := reps[0]
-				lat += float64(r.Latency())
+				lat += float64(r.FreezeMicros())
 				prog += float64(r.ProgramBytes)
 				res += float64(r.ResidentBytes)
 				swap += float64(r.SwappableBytes)

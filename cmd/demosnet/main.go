@@ -114,7 +114,7 @@ func main() {
 		s.Net.Frames, s.Net.Bytes)
 	for _, r := range c.Reports() {
 		fmt.Printf("  migration %v m%d->m%d: %d B state in %d packets, %d admin msgs, latency %v\n",
-			r.PID, uint16(r.From), uint16(r.To), r.StateBytes(), r.DataPackets, r.AdminMsgs, r.Latency())
+			r.PID, uint16(r.From), uint16(r.To), r.BytesMoved(), r.DataPackets, r.AdminMsgs, r.FreezeMicros())
 	}
 
 	if *obsJSON != "" {

@@ -186,7 +186,7 @@ func e1() {
 		r := reps[0]
 		fmt.Printf("| %d KiB | %d B | %d B | %d B | %d | %v |\n",
 			size>>10, r.ProgramBytes, r.ResidentBytes, r.SwappableBytes,
-			r.DataPackets, r.Latency())
+			r.DataPackets, r.FreezeMicros())
 	}
 	fmt.Println("\nPaper: three data moves — program, ~250 B resident, ~600 B swappable;")
 	fmt.Println("\"For non-trivial processes, the size of the program and data overshadow")
@@ -215,7 +215,7 @@ func e2() {
 		for op, n := range ks.AdminSent {
 			d := n - before.PerKernel[m].AdminSent[op]
 			if d > 0 {
-				rows = append(rows, row{op.String(), d})
+				rows = append(rows, row{msg.Op(op).String(), d})
 				total += d
 			}
 		}
@@ -608,7 +608,7 @@ func e14() {
 			if len(reps) != 1 || !reps[0].OK {
 				die(fmt.Errorf("E14 migration failed"))
 			}
-			fmt.Printf("| %s | %d B | %v | %d |\n", n.name, pkt, reps[0].Latency(), reps[0].AdminMsgs)
+			fmt.Printf("| %s | %d B | %v | %d |\n", n.name, pkt, reps[0].FreezeMicros(), reps[0].AdminMsgs)
 		}
 	}
 	fmt.Println("\nLarger packets amortize per-message overhead (the design rationale for")

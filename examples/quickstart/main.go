@@ -58,6 +58,6 @@ func main() {
 		fmt.Printf("  resident state:    %6d bytes\n", r.ResidentBytes)
 		fmt.Printf("  swappable state:   %6d bytes\n", r.SwappableBytes)
 		fmt.Printf("  admin messages:    %6d (paper: 9)\n", r.AdminMsgs)
-		fmt.Printf("  latency:           %v\n", r.Latency())
+		fmt.Printf("  latency:           %v\n", r.FreezeMicros())
 	}
 }

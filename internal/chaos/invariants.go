@@ -213,54 +213,34 @@ func sortPIDs(pids []addr.ProcessID) {
 }
 
 // CheckRegistry cross-checks an obs snapshot against direct struct reads:
-// because the registry samples every value from its single owner, any
-// disagreement means a metric was wired to the wrong source (or a second
-// live copy of a counter crept back in). It also re-derives the envelope
-// conservation law purely from registry values — the soak's post-run
-// snapshot must balance exactly like the PoolStats audit in
-// CheckInvariants.
+// every metric the registry derives from kernel.Stats and netw.Stats is
+// re-derived here from a fresh copy of the live struct (obs.StructMetrics,
+// the registry's own derivation) and compared, so a registry wired to the
+// wrong struct — a stale copy included — disagrees on whatever moved since.
+// The computed values (admin_total, the pool gauges) are checked against
+// their accessors, and the envelope conservation law is re-derived purely
+// from registry values — the soak's post-run snapshot must balance exactly
+// like the PoolStats audit in CheckInvariants.
 func CheckRegistry(c *core.Cluster, s obs.Snapshot) []string {
 	var bad []string
+	check := func(name, owner string, want uint64) {
+		if got := s.Value(name); got != want {
+			bad = append(bad, fmt.Sprintf("registry %s = %d, %s says %d", name, got, owner, want))
+		}
+	}
 	var regNews, regFree, regHeld uint64
 	for m := 1; m <= c.Machines(); m++ {
 		k := c.Kernel(m)
 		ks := k.Stats()
 		p := fmt.Sprintf("kernel.m%d.", m)
-		checks := []struct {
-			name string
-			want uint64
-		}{
-			{"msgs_routed", ks.MsgsRouted},
-			{"dead_letters", ks.DeadLetters},
-			{"forwarded", ks.Forwarded},
-			{"link_updates_sent", ks.LinkUpdatesSent},
-			{"migrations_out", ks.MigrationsOut},
-			{"migrations_in", ks.MigrationsIn},
-			{"admin_bytes", ks.AdminBytes},
-			{"admin_total", ks.AdminTotal()},
-			{"data_packets_sent", ks.DataPacketsSent},
-			{"acks_sent", ks.AcksSent},
-			{"locate_dropped", ks.LocateDropped},
-			{"console_dropped", ks.ConsoleDropped},
-			{"restarts", ks.Restarts},
-			{"crash_wiped_msgs", ks.CrashWipedMsgs},
+		for _, want := range obs.StructMetrics(p, &ks) {
+			check(want.Name, "struct", want.Value)
 		}
-		for _, ch := range checks {
-			if got := s.Value(p + ch.name); got != ch.want {
-				bad = append(bad, fmt.Sprintf("registry %s%s = %d, struct says %d",
-					p, ch.name, got, ch.want))
-			}
-		}
+		check(p+"admin_total", "struct", ks.AdminTotal())
 		news, free, held := k.PoolStats()
-		for _, ch := range []struct {
-			name string
-			want int
-		}{{"pool_news", news}, {"pool_free", free}, {"pool_held", held}} {
-			if v := s.Value(p + ch.name); v != uint64(ch.want) {
-				bad = append(bad, fmt.Sprintf("registry %s%s = %d, PoolStats says %d",
-					p, ch.name, v, ch.want))
-			}
-		}
+		check(p+"pool_news", "PoolStats", uint64(news))
+		check(p+"pool_free", "PoolStats", uint64(free))
+		check(p+"pool_held", "PoolStats", uint64(held))
 		regNews += s.Value(p + "pool_news")
 		regFree += s.Value(p + "pool_free")
 		regHeld += s.Value(p + "pool_held")
@@ -272,21 +252,8 @@ func CheckRegistry(c *core.Cluster, s obs.Snapshot) []string {
 	}
 
 	ns := c.NetStats()
-	netChecks := []struct {
-		name string
-		want uint64
-	}{
-		{"netw.frames", ns.Frames},
-		{"netw.delivered", ns.Delivered},
-		{"netw.dropped", ns.Dropped},
-		{"netw.retransmits", ns.Retransmits},
-		{"netw.dead", ns.Dead},
-		{"netw.send_from_down", ns.SendFromDown},
-	}
-	for _, ch := range netChecks {
-		if got := s.Value(ch.name); got != ch.want {
-			bad = append(bad, fmt.Sprintf("registry %s = %d, netw says %d", ch.name, got, ch.want))
-		}
+	for _, want := range obs.StructMetrics("netw.", &ns) {
+		check(want.Name, "netw", want.Value)
 	}
 	return bad
 }

@@ -7,10 +7,15 @@ package chaos_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"demosmp/internal/chaos"
+	"demosmp/internal/core"
 	"demosmp/internal/kernel"
 	"demosmp/internal/msg"
+	"demosmp/internal/obs"
+	"demosmp/internal/workload"
 )
 
 // TestObsExportDeterministic runs the full fault schedule twice with one
@@ -88,5 +93,58 @@ func TestStatsSingleSource(t *testing.T) {
 				m, ks.ForwarderBytes, ks.ForwardersInstalled, ks.ForwardersReclaimed,
 				kernel.ForwarderWireSize)
 		}
+	}
+}
+
+// TestCheckRegistryCatchesStaleCopy wires a registry to a *copy* of machine
+// 1's Stats — a second live location for the counters, which is what
+// CheckRegistry exists to catch. The copy is right when taken; after one
+// more migration every field that moved disagrees with the live struct, and
+// CheckRegistry must say so (and must stay silent about the real registry).
+func TestCheckRegistryCatchesStaleCopy(t *testing.T) {
+	c, err := core.New(core.Options{Machines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, err := c.Spawn(1, kernel.SpawnSpec{Body: &workload.Sink{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	stale := c.Kernel(1).Stats()
+	reg := obs.NewRegistry()
+	reg.SampleStruct("kernel.m1.", &stale)
+
+	if err := c.Migrate(pid, 2); err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	good := c.ObsSnapshot()
+	if bad := chaos.CheckRegistry(c, good); len(bad) != 0 {
+		t.Fatalf("the cluster's own registry fails the audit: %v", bad)
+	}
+
+	// The doctored snapshot is the real one with machine 1's derived rows
+	// read from the stale copy instead.
+	doctored := obs.Snapshot{AtMicros: good.AtMicros, Metrics: append([]obs.Metric(nil), good.Metrics...)}
+	staleSnap := reg.Snapshot(c.Now())
+	for i, m := range doctored.Metrics {
+		if sm, ok := staleSnap.Get(m.Name); ok {
+			doctored.Metrics[i] = sm
+		}
+	}
+	bad := chaos.CheckRegistry(c, doctored)
+	if len(bad) == 0 {
+		t.Fatal("a registry reading a stale copy of kernel.Stats passed the audit")
+	}
+	var sawMigration bool
+	for _, v := range bad {
+		if !strings.Contains(v, "kernel.m1.") {
+			t.Errorf("violation outside the doctored rows: %s", v)
+		}
+		sawMigration = sawMigration || strings.Contains(v, "kernel.m1.migrations_out = 0, struct says 1")
+	}
+	if !sawMigration {
+		t.Errorf("migrations_out not among the reported rows: %v", bad)
 	}
 }

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -222,21 +223,15 @@ func (c *Cluster) TotalFired() uint64 {
 // meaningful.
 func (c *Cluster) NetStats() netw.Stats {
 	out := c.nets[0].Stats()
+	sum := reflect.ValueOf(&out).Elem()
 	for _, nw := range c.nets[1:] {
 		s := nw.Stats()
-		out.Frames += s.Frames
-		out.Bytes += s.Bytes
-		out.Delivered += s.Delivered
-		out.Dropped += s.Dropped
-		out.Retransmits += s.Retransmits
-		out.Duplicates += s.Duplicates
-		out.Dead += s.Dead
-		out.SendFromDown += s.SendFromDown
-		out.PartitionDropped += s.PartitionDropped
-		out.BurstDropped += s.BurstDropped
-		out.DupInjected += s.DupInjected
-		out.DelayInjected += s.DelayInjected
-		out.OrphanDropped += s.OrphanDropped
+		// Every scalar counter, whatever netw.Stats declares.
+		for i, sv := 0, reflect.ValueOf(s); i < sum.NumField(); i++ {
+			if f := sum.Field(i); f.CanUint() {
+				f.SetUint(f.Uint() + sv.Field(i).Uint())
+			}
+		}
 		for k, v := range s.ByKind {
 			out.ByKind[k] += v
 		}

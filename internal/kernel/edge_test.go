@@ -189,13 +189,16 @@ func TestUserMessageToKernelIsDeadLetter(t *testing.T) {
 // TestLinkTableCapEnforced: spawning with more initial links than the table
 // allows fails cleanly.
 func TestLinkTableCapEnforced(t *testing.T) {
-	c := newTC(t, 1, func(cfg *kernel.Config) { cfg.LinkTableCap = 2 })
+	c := newTC(t, 1, nil)
 	target := addr.At(addr.ProcessID{Creator: 1, Local: 99}, 1)
-	_, err := c.k(1).Spawn(kernel.SpawnSpec{
-		Body:  &blackholeBody{},
-		Links: []link.Link{{Addr: target}, {Addr: target}, {Addr: target}},
-	})
-	if err == nil {
+	links := make([]link.Link, link.DefaultCap+1)
+	for i := range links {
+		links[i] = link.Link{Addr: target}
+	}
+	if _, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &blackholeBody{}, Links: links[:link.DefaultCap]}); err != nil {
+		t.Fatalf("spawn at the link table cap refused: %v", err)
+	}
+	if _, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &blackholeBody{}, Links: links}); err == nil {
 		t.Fatal("spawn over link table cap accepted")
 	}
 }

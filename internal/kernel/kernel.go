@@ -83,9 +83,12 @@ const (
 	ModeReturnToSender
 )
 
-// The timing model and the swap bound. No caller, test or benchmark ever
-// set these, so they are constants, not Config fields.
+// The timing model, the scheduling quantum and the swap bound. No caller,
+// test or benchmark ever set these, so they are constants, not Config
+// fields. (The link-table bound is link.DefaultCap for the same reason.)
 const (
+	// Quantum is the instruction budget per VM scheduling slice.
+	Quantum = 500
 	// InstrCostNanos is the cost of one VM instruction (Z8000-class: 2µs).
 	InstrCostNanos = 2000
 	// NativeStepCost charges a native (server) body per Step call.
@@ -102,8 +105,6 @@ const (
 
 // Config parameterizes one kernel. The zero value is filled with defaults.
 type Config struct {
-	// Quantum is the instruction budget per VM scheduling slice.
-	Quantum int
 	// DataPacket is the move-data packet payload size (§6: the facility
 	// "minimize[s] network overhead by sending larger packets").
 	DataPacket int
@@ -115,8 +116,6 @@ type Config struct {
 	// systems (§3.1: "This function is often available in systems with
 	// load-limiting schedulers").
 	SwapSoftLimit int
-	// LinkTableCap bounds each process's link table.
-	LinkTableCap int
 	// Mode selects forwarding vs the return-to-sender baseline.
 	Mode ForwardMode
 	// EagerUpdate broadcasts the new location to every kernel at
@@ -161,14 +160,8 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Quantum <= 0 {
-		c.Quantum = 500
-	}
 	if c.DataPacket <= 0 {
 		c.DataPacket = 512
-	}
-	if c.LinkTableCap <= 0 {
-		c.LinkTableCap = link.DefaultCap
 	}
 	if c.MigrateTimeout == 0 {
 		c.MigrateTimeout = 30_000_000 // 30 simulated seconds
@@ -396,7 +389,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 		stable:        make(map[addr.ProcessID][]byte),
 		lostPIDs:      make(map[addr.ProcessID]bool),
 		kinds:         make(map[string]string),
-		stats:         newStats(),
 	}
 	k.pool = msg.NewPool()
 	k.runSliceFn = k.runSlice
@@ -418,8 +410,8 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 // Config returns the active configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 
-// Stats returns a snapshot of this kernel's counters.
-func (k *Kernel) Stats() Stats { return k.stats.Clone() }
+// Stats returns a copy of this kernel's counters.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // Reports returns the migration reports this kernel produced as a source.
 func (k *Kernel) Reports() []MigrationReport {
@@ -491,7 +483,7 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 		state:      StateReady,
 		body:       body,
 		kind:       body.Kind(),
-		links:      link.NewTable(k.cfg.LinkTableCap),
+		links:      link.NewTable(link.DefaultCap),
 		image:      img,
 		privileged: spec.Privileged,
 		createdAt:  k.eng.Now(),

@@ -435,7 +435,7 @@ func TestMigrationReportBytes(t *testing.T) {
 	if r.DataPackets <= 0 {
 		t.Fatal("no data packets recorded")
 	}
-	if r.Latency() <= 0 {
+	if r.FreezeMicros() <= 0 {
 		t.Fatal("zero migration latency")
 	}
 }

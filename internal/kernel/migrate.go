@@ -251,7 +251,7 @@ func (k *Kernel) sendAdmin(m *msg.Message, rep *MigrationReport) {
 	k.stats.AdminSent[m.Op]++
 	k.stats.AdminBytes += uint64(len(m.Body))
 	if rep != nil {
-		rep.noteAdmin(len(m.Body))
+		rep.NoteAdmin(len(m.Body))
 	}
 	k.route(m)
 }
@@ -301,7 +301,7 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 		PID: p.id, From: k.machine, To: req.Dest, Start: k.eng.Now(),
 	}
 	// Count the request we just received.
-	om.rep.noteAdmin(len(m.Body))
+	om.rep.NoteAdmin(len(m.Body))
 
 	// Step 1: "The process is marked as 'in migration'. If it had been
 	// ready, it is removed from the run queue. No change is made to the
@@ -384,7 +384,7 @@ func (k *Kernel) handleMigrateAccept(m *msg.Message) {
 		return
 	}
 	if om, ok := k.out[pm.PID]; ok {
-		om.rep.noteAdmin(len(m.Body))
+		om.rep.NoteAdmin(len(m.Body))
 		k.armOutWatchdog(om)
 		k.tracef(trace.CatMigrate, "accepted", "%v by %v", trace.PID(pm.PID), trace.Machine(pm.Machine))
 	}
@@ -399,7 +399,7 @@ func (k *Kernel) handleMigrateRefuse(m *msg.Message) {
 	if !ok {
 		return
 	}
-	om.rep.noteAdmin(len(m.Body))
+	om.rep.NoteAdmin(len(m.Body))
 	k.abortOutMigration(om, "refused",
 		fmt.Errorf("by %v (§3.2: the process cannot be migrated)", pm.Machine))
 }
@@ -420,7 +420,7 @@ func (k *Kernel) handleMoveDataReq(m *msg.Message) {
 	if !ok {
 		return
 	}
-	om.rep.noteAdmin(len(m.Body))
+	om.rep.NoteAdmin(len(m.Body))
 	om.rep.MoveDataTransfers++
 	k.armOutWatchdog(om)
 	var vecs [3][]byte
@@ -461,7 +461,7 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 		return
 	}
 	k.eng.Cancel(om.watchdog)
-	om.rep.noteAdmin(len(m.Body))
+	om.rep.NoteAdmin(len(m.Body))
 	p := om.p
 	// The destination's copy is now the process: any checkpoint of the
 	// source copy is stale, and reviving it after a crash here would
@@ -538,7 +538,7 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 		// The ledger keeps the record by pointer; the forwarder holds it
 		// too, so §4/§5 residual traffic keeps accruing to this migration
 		// after completion (see Kernel.ledgerForward).
-		rec := k.led.Add(ledgerRecord(om.rep))
+		rec := k.led.Add(om.rep)
 		if fwd != nil {
 			fwd.obsRec = rec
 		}

@@ -15,22 +15,29 @@ import (
 	"demosmp/internal/obs"
 )
 
-// adminOps is the fixed registration order for per-op admin counters: the
-// nine administrative messages of §3.1 plus the abort used on fault paths.
-// A fixed slice (not a map range) keeps registration, and therefore
-// snapshot content, deterministic.
-var adminOps = []msg.Op{
-	msg.OpMigrateRequest, msg.OpMigrateAsk, msg.OpMigrateAccept,
-	msg.OpMigrateRefuse, msg.OpMoveDataReq, msg.OpMigrateEstablished,
-	msg.OpMigrateCleanup, msg.OpMigrateDone, msg.OpMigrateAbort,
-}
+// adminNames are the element names of every kernel's Stats.AdminSent
+// registration, indexed by op: the administrative messages of §3.1 (refusal
+// included) plus the abort used on fault paths get an admin_sent.<op> row,
+// every other op none.
+var adminNames = func() []string {
+	names := make([]string, msg.OpCount)
+	for _, op := range []msg.Op{
+		msg.OpMigrateRequest, msg.OpMigrateAsk, msg.OpMigrateAccept,
+		msg.OpMigrateRefuse, msg.OpMoveDataReq, msg.OpMigrateEstablished,
+		msg.OpMigrateCleanup, msg.OpMigrateDone, msg.OpMigrateAbort,
+	} {
+		names[op] = op.String()
+	}
+	return names
+}()
 
 // SetObs attaches the observability plane to this kernel: every Stats
-// counter becomes a sampler in reg under "kernel.m<id>." (the Stats struct
-// stays the single owner; the registry reads it live at snapshot time), a
-// registry-owned delivery-latency histogram starts observing enqueue, and
-// led (if non-nil) receives one MigrationRecord per completed outbound
-// migration with post-completion forward/link-update attribution.
+// counter becomes a metric in reg under "kernel.m<id>." (the Stats struct
+// stays the single owner and its fields the single declaration; the registry
+// reads them live at snapshot time), a registry-owned delivery-latency
+// histogram starts observing enqueue, and led (if non-nil) receives one
+// MigrationRecord per completed outbound migration with post-completion
+// forward/link-update attribution.
 //
 // Either argument may be nil to attach only half the plane. Call at most
 // once per registry: metric names are unique per machine.
@@ -40,75 +47,16 @@ func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
 		return
 	}
 	p := "kernel.m" + strconv.Itoa(int(k.machine)) + "."
-	s := &k.stats
+	reg.SampleStruct(p, &k.stats)
+	reg.SampleArray(p+"admin_sent.", &k.stats.AdminSent, adminNames)
 
-	// Lifecycle and scheduling.
-	reg.Sample(p+"spawned", func() uint64 { return s.Spawned })
-	reg.Sample(p+"exited", func() uint64 { return s.Exited })
-	reg.Sample(p+"crashes", func() uint64 { return s.Crashes })
-	reg.Sample(p+"kills", func() uint64 { return s.Kills })
-	reg.Sample(p+"slices", func() uint64 { return s.Slices })
-	reg.Sample(p+"ctx_switches", func() uint64 { return s.CtxSwitches })
-	reg.Sample(p+"cpu_busy_us", func() uint64 { return uint64(s.CPUBusy) })
+	// Computed, not stored: the sum over AdminSent.
+	reg.Sample(p+"admin_total", k.stats.AdminTotal)
 
-	// Messaging.
-	reg.Sample(p+"msgs_routed", func() uint64 { return s.MsgsRouted })
-	reg.Sample(p+"msgs_enqueued", func() uint64 { return s.MsgsEnqueued })
-	reg.Sample(p+"msgs_held", func() uint64 { return s.MsgsHeld })
-	reg.Sample(p+"dead_letters", func() uint64 { return s.DeadLetters })
-
-	// Forwarding (§4).
-	reg.Sample(p+"forwarded", func() uint64 { return s.Forwarded })
-	reg.Sample(p+"forwarded_pending", func() uint64 { return s.ForwardedPending })
-	reg.Sample(p+"forwarders_installed", func() uint64 { return s.ForwardersInstalled })
-	reg.Sample(p+"forwarders_reclaimed", func() uint64 { return s.ForwardersReclaimed })
-	reg.SampleGauge(p+"forwarder_bytes", func() uint64 { return s.ForwarderBytes })
-
-	// Link updating (§5).
-	reg.Sample(p+"link_updates_sent", func() uint64 { return s.LinkUpdatesSent })
-	reg.Sample(p+"link_updates_applied", func() uint64 { return s.LinkUpdatesApplied })
-	reg.Sample(p+"links_fixed", func() uint64 { return s.LinksFixed })
-	reg.Sample(p+"eager_updates_sent", func() uint64 { return s.EagerUpdatesSent })
-
-	// Migration (§3, §6).
-	reg.Sample(p+"migrations_out", func() uint64 { return s.MigrationsOut })
-	reg.Sample(p+"migrations_in", func() uint64 { return s.MigrationsIn })
-	reg.Sample(p+"migrations_refused", func() uint64 { return s.MigrationsRefused })
-	reg.Sample(p+"migrations_failed", func() uint64 { return s.MigrationsFailed })
-	reg.Sample(p+"revived", func() uint64 { return s.Revived })
-	reg.Sample(p+"admin_bytes", func() uint64 { return s.AdminBytes })
-	reg.Sample(p+"admin_total", func() uint64 { return s.AdminTotal() })
-	for _, op := range adminOps {
-		op := op
-		reg.Sample(p+"admin_sent."+op.String(), func() uint64 { return s.AdminSent[op] })
-	}
-
-	// Move-data streams (protocol-level; netw owns the wire-level kinds).
-	reg.Sample(p+"data_packets_sent", func() uint64 { return s.DataPacketsSent })
-	reg.Sample(p+"data_bytes_sent", func() uint64 { return s.DataBytesSent })
-	reg.Sample(p+"acks_sent", func() uint64 { return s.AcksSent })
-	reg.Sample(p+"acks_received", func() uint64 { return s.AcksReceived })
-
-	// Return-to-sender baseline and bounded buffers: the PR-3 drop
-	// counters surface here so capped-buffer overflow is never silent.
-	reg.Sample(p+"bounced", func() uint64 { return s.Bounced })
-	reg.Sample(p+"locate_requests", func() uint64 { return s.LocateRequests })
-	reg.Sample(p+"resubmitted", func() uint64 { return s.Resubmitted })
-	reg.Sample(p+"locate_dropped", func() uint64 { return s.LocateDropped })
-	reg.Sample(p+"console_dropped", func() uint64 { return s.ConsoleDropped })
-
-	// Fault plane.
-	reg.Sample(p+"restarts", func() uint64 { return s.Restarts })
-	reg.Sample(p+"crash_wiped_msgs", func() uint64 { return s.CrashWipedMsgs })
-	reg.Sample(p+"crash_lost_procs", func() uint64 { return s.CrashLostProcs })
-	reg.Sample(p+"checkpoints_saved", func() uint64 { return s.CheckpointsSaved })
-	reg.Sample(p+"undeliverable", func() uint64 { return s.Undeliverable })
-	reg.Sample(p+"dropped_while_crashed", func() uint64 { return s.DroppedWhileCrashed })
-	reg.Sample(p+"search_forwards", func() uint64 { return s.SearchForwards })
-	reg.Sample(p+"searches_sent", func() uint64 { return s.SearchesSent })
-
-	// Envelope pool levels: the registry view of the conservation law
-	// (news == free + held) the chaos invariant checker audits.
+	// Computed, not stored: envelope pool levels through PoolStats (held
+	// walks the process queues; free is a list length). The registry view
+	// of the conservation law (news == free + held) the chaos invariant
+	// checker audits.
 	reg.SampleGauge(p+"pool_news", func() uint64 { n, _, _ := k.PoolStats(); return uint64(n) })
 	reg.SampleGauge(p+"pool_free", func() uint64 { _, f, _ := k.PoolStats(); return uint64(f) })
 	reg.SampleGauge(p+"pool_held", func() uint64 { _, _, h := k.PoolStats(); return uint64(h) })
@@ -116,27 +64,6 @@ func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
 	// The one registry-owned kernel metric: user-message delivery latency
 	// (SentAt stamp to queue insertion) in simulated µs.
 	k.hLat = reg.Histogram(p + "deliver_latency_us")
-}
-
-// ledgerRecord converts a completed source-side MigrationReport into the
-// ledger's record form. The residual-dependency fields start at zero and
-// grow through the pointer the forwarder keeps.
-func ledgerRecord(rep MigrationReport) obs.MigrationRecord {
-	return obs.MigrationRecord{
-		PID: rep.PID, From: rep.From, To: rep.To,
-		Start: rep.Start, End: rep.End,
-		MoveDataTransfers: rep.MoveDataTransfers,
-		ProgramBytes:      rep.ProgramBytes,
-		ResidentBytes:     rep.ResidentBytes,
-		SwappableBytes:    rep.SwappableBytes,
-		DataPackets:       rep.DataPackets,
-		AdminMsgs:         rep.AdminMsgs,
-		AdminBytes:        rep.AdminBytes,
-		AdminMinBytes:     rep.AdminMinBytes,
-		AdminMaxBytes:     rep.AdminMaxBytes,
-		PendingForwarded:  rep.PendingForwarded,
-		OK:                rep.OK,
-	}
 }
 
 // ledgerForward is the cold attribution half of forward: it charges a §4

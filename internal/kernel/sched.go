@@ -65,7 +65,7 @@ func (k *Kernel) runSlice() {
 	ctx := &k.sliceCtx
 	ctx.p = p
 	ctx.msgsHandled = 0
-	cost, st := p.body.Step(k.ctxI, k.cfg.Quantum)
+	cost, st := p.body.Step(k.ctxI, Quantum)
 	for i, rm := range ctx.recvd {
 		k.putMsg(rm)
 		ctx.recvd[i] = nil

@@ -1,31 +1,21 @@
 package kernel
 
 import (
-	"demosmp/internal/addr"
 	"demosmp/internal/msg"
+	"demosmp/internal/obs"
 	"demosmp/internal/sim"
 )
 
 // Stats aggregates one kernel's activity. The experiment harness diffs
-// snapshots around a scenario to produce the paper's cost rows.
+// copies taken around a scenario to produce the paper's cost rows.
 //
-// Ownership rule (shared with the obs registry): this struct is the single
-// source for *protocol-level* counts — what the kernel decided to do:
-// messages routed/enqueued, admin messages and their payload bytes, data
-// packets and acks initiated, forwards, link updates. The netw flat arrays
-// are the single source for *wire-level* counts — what actually crossed the
-// network: frames and wire bytes (header + payload) by kind, drops,
-// retransmits. The registry samples each number from exactly one of the two
-// owners and never mirrors a value into a second live location;
-// chaos.CheckRegistry and the single-source soak test enforce that the
-// layers reconcile (e.g. Σ DataPacketsSent == data frames on a lossless
-// run) without either side keeping a duplicate.
-//
-// The companion discipline — single-releaser ownership of the pooled
-// *message envelopes* these counters describe — no longer lives in prose:
-// demoslint's ownership rule (DESIGN.md §8.1) machine-checks
-// use-after-Put, double-Put, and unblessed retention on every build, with
-// the reviewed retainers declared in-source via //demos:owner.
+// A field here is the counter's only declaration: SetObs adopts the struct
+// with obs.SampleStruct, so every unsigned-integer field is the metric
+// kernel.m<id>.<snake_case field> (tags override, see internal/obs/derive.go)
+// and chaos.CheckRegistry audits all of them. This struct owns
+// *protocol-level* counts — what the kernel decided to do; netw.Stats owns
+// *wire-level* counts — what crossed the network. No number lives in both;
+// TestStatsSingleSource checks that the two layers reconcile.
 type Stats struct {
 	// Process lifecycle.
 	Spawned uint64
@@ -36,7 +26,7 @@ type Stats struct {
 	// Scheduling.
 	Slices      uint64
 	CtxSwitches uint64
-	CPUBusy     sim.Time
+	CPUBusy     sim.Time `obs:"cpu_busy_us"`
 
 	// Messaging.
 	MsgsRouted   uint64 // messages submitted to routing on this kernel
@@ -49,7 +39,7 @@ type Stats struct {
 	ForwardedPending    uint64 // step-6 queue forwards
 	ForwardersInstalled uint64
 	ForwardersReclaimed uint64 // via death-notice GC
-	ForwarderBytes      uint64 // live forwarding-address storage on this kernel
+	ForwarderBytes      uint64 `obs:",gauge"` // live forwarding-address storage on this kernel
 
 	// Link updating (§5).
 	LinkUpdatesSent    uint64 // special update messages emitted while forwarding
@@ -62,9 +52,9 @@ type Stats struct {
 	MigrationsIn      uint64 // completed as destination
 	MigrationsRefused uint64
 	MigrationsFailed  uint64
-	Revived           uint64            // processes restored from checkpoints (§1 fault recovery)
-	AdminSent         map[msg.Op]uint64 // administrative messages sent, by op
-	AdminBytes        uint64            // payload bytes of administrative messages sent
+	Revived           uint64              // processes restored from checkpoints (§1 fault recovery)
+	AdminSent         [msg.OpCount]uint64 // administrative messages sent, by op
+	AdminBytes        uint64              // payload bytes of administrative messages sent
 
 	// Move-data streams.
 	DataPacketsSent uint64
@@ -95,20 +85,6 @@ type Stats struct {
 	SearchesSent        uint64 // search broadcasts for home-born pids
 }
 
-func newStats() Stats {
-	return Stats{AdminSent: make(map[msg.Op]uint64)}
-}
-
-// Clone returns a deep copy.
-func (s *Stats) Clone() Stats {
-	c := *s
-	c.AdminSent = make(map[msg.Op]uint64, len(s.AdminSent))
-	for k, v := range s.AdminSent {
-		c.AdminSent[k] = v
-	}
-	return c
-}
-
 // AdminTotal sums administrative messages sent across all ops.
 func (s *Stats) AdminTotal() uint64 {
 	var n uint64
@@ -119,58 +95,6 @@ func (s *Stats) AdminTotal() uint64 {
 }
 
 // MigrationReport is the per-migration cost breakdown assembled by the
-// source kernel — the raw material for every row of §6.
-type MigrationReport struct {
-	PID  addr.ProcessID
-	From addr.MachineID
-	To   addr.MachineID
-
-	Start sim.Time // step 1: removed from execution
-	End   sim.Time // step 7 complete: source sent cleanup + done
-
-	// State transfer cost (§6): the three data moves.
-	MoveDataTransfers int // distinct move-data streams served (paper: 3)
-	ProgramBytes      int
-	ResidentBytes     int
-	SwappableBytes    int
-	DataPackets       int
-
-	// Administrative cost (§6): control messages seen at the source
-	// (sent or received), their payload bytes, and the smallest/largest
-	// single payload (paper: "nine messages ... of 6–12 bytes each").
-	AdminMsgs     int
-	AdminBytes    int
-	AdminMinBytes int
-	AdminMaxBytes int
-
-	// Messages that were waiting in the queue and were forwarded in
-	// step 6.
-	PendingForwarded int
-
-	OK bool
-}
-
-// noteAdmin accounts one administrative message (sent or received) against
-// the report: count, payload bytes, and the min/max single-payload range.
-// It is the only mutator of these fields, so every §6 admin site stays
-// consistent.
-//
-//demos:hotpath — called from sendAdmin: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/admin-encode in bench_hotpath_test.go.
-func (r *MigrationReport) noteAdmin(payloadLen int) {
-	r.AdminMsgs++
-	r.AdminBytes += payloadLen
-	if r.AdminMinBytes == 0 || payloadLen < r.AdminMinBytes {
-		r.AdminMinBytes = payloadLen
-	}
-	if payloadLen > r.AdminMaxBytes {
-		r.AdminMaxBytes = payloadLen
-	}
-}
-
-// StateBytes returns the total bytes of the three data moves.
-func (r MigrationReport) StateBytes() int {
-	return r.ProgramBytes + r.ResidentBytes + r.SwappableBytes
-}
-
-// Latency returns the migration's duration as seen by the source kernel.
-func (r MigrationReport) Latency() sim.Time { return r.End - r.Start }
+// source kernel — the raw material for every row of §6. It is the ledger's
+// record type: what OnReport receives is what Ledger.Add stores.
+type MigrationReport = obs.MigrationRecord

@@ -98,13 +98,12 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.tracef",
 			// Ring buffer and the one free list.
 			"ring.push", "ring.pop", "freelist.get", "freelist.put",
-			// §6 per-migration accounting inside sendAdmin.
-			"MigrationReport.noteAdmin",
 		},
-		// Observability plane: the registry slots the instrumented hot
-		// paths write through.
+		// Observability plane: the registry slot the instrumented hot
+		// paths write through, and the §6 per-migration accounting
+		// sendAdmin calls on the one record type.
 		"demosmp/internal/obs": {
-			"Counter.Inc", "Counter.Add", "Histogram.Observe",
+			"Histogram.Observe", "MigrationRecord.NoteAdmin",
 		},
 	}
 	got := HotpathFuncs(loadSelf(t))

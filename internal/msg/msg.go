@@ -100,6 +100,10 @@ const (
 	OpLocateReply    // process manager -> kernel: pid's current machine (baseline)
 	OpEagerUpdate    // broadcast link update at migration time (ablation)
 	OpSearchQuery    // restarted kernel's search for a pid whose forwarder it lost (§4 escape hatch)
+
+	// OpCount is one past the highest defined Op; flat per-op counter
+	// arrays (kernel.Stats.AdminSent) are sized by it.
+	OpCount
 )
 
 var opNames = map[Op]string{

@@ -126,12 +126,12 @@ func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int
 // restarts or they run out.
 func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 	if fl.attempt > 0 {
-		n.stats.retransmits++
+		n.stats.Retransmits++
 	}
 	lost := arqDraw(n.seed, fl.id, fl.attempt, saltFrame) < n.lossRate() ||
 		n.partitioned(fl.from, fl.to)
 	if lost {
-		n.stats.dropped++
+		n.stats.Dropped++
 	} else {
 		fl.m.Hops++
 		n.arqEnqueue(pendEnt{
@@ -147,7 +147,7 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 			return
 		}
 		if int(fl.attempt)+1 >= n.cfg.MaxRetries {
-			n.stats.dead++
+			n.stats.Dead++
 			delete(n.inflight, fl.id)
 			n.deadFrame(fl.from, fl.to, fl.m)
 			return
@@ -196,7 +196,7 @@ func (n *Network) arqLand(ent pendEnt) {
 		if n.ms[ent.to].down {
 			// Recoverable: no dedup record, no ack — the sender's timer
 			// retries and a post-restart attempt can still deliver.
-			n.stats.dropped++
+			n.stats.Dropped++
 			return
 		}
 		n.arrive(ent.from, ent.to, ent.m, ent.id)

@@ -109,13 +109,13 @@ func (n *Network) deadFrame(from, to addr.MachineID, m *msg.Message) {
 	// its frame crossed as a heap clone, so there is no envelope to return
 	// — but the loss still must not be silent. The cluster-wide delivery
 	// audit folds this counter into its loss budget.
-	n.stats.orphanDropped++
+	n.stats.OrphanDropped++
 }
 
 // dropFromDown accounts a send attempted by a crashed machine (satellite
 // fix: this used to vanish without a counter).
 func (n *Network) dropFromDown(from, to addr.MachineID, m *msg.Message) {
-	n.stats.sendFromDown++
+	n.stats.SendFromDown++
 	n.deadFrame(from, to, m)
 }
 
@@ -128,8 +128,8 @@ func (n *Network) dropFromDown(from, to addr.MachineID, m *msg.Message) {
 // carry liveness instead. (With an ARQ, arqLand checks the receiver first
 // and the retransmit/dead path owns the accounting.)
 func (n *Network) dropToDown(to addr.MachineID, m *msg.Message) {
-	n.stats.dropped++
-	n.stats.orphanDropped++
+	n.stats.Dropped++
+	n.stats.OrphanDropped++
 	if m.Pooled() {
 		n.retire(m.From.LastKnown, m)
 	}
@@ -223,7 +223,7 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 	var extra sim.Time
 	if d, ok := n.delayNext[key]; ok {
 		delete(n.delayNext, key)
-		n.stats.delayInjected++
+		n.stats.DelayInjected++
 		extra = d
 	}
 	dup := false
@@ -233,7 +233,7 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 		} else {
 			n.dupNext[key] = c - 1
 		}
-		n.stats.dupInjected++
+		n.stats.DupInjected++
 		dup = true
 	}
 
@@ -245,8 +245,8 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 	// Lossless mode: no retransmission exists, so a severed or lost frame
 	// is gone for good — count it and sink the envelope.
 	if n.partitioned(from, to) {
-		n.stats.dropped++
-		n.stats.partitionDropped++
+		n.stats.Dropped++
+		n.stats.PartitionDropped++
 		n.deadFrame(from, to, m)
 		return
 	}
@@ -260,8 +260,8 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 		fm := n.mach(from)
 		if arqDraw(n.seed, uint64(from)<<48|(fm.seq+1), 0, saltFrame) < n.burstRate {
 			fm.seq++
-			n.stats.dropped++
-			n.stats.burstDropped++
+			n.stats.Dropped++
+			n.stats.BurstDropped++
 			n.deadFrame(from, to, m)
 			return
 		}

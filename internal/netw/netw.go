@@ -88,8 +88,11 @@ type Endpoint interface {
 
 // Stats aggregates network activity. Per-kind counters let the experiments
 // separate administrative traffic from data streams and link updates.
-// A Stats value is a point-in-time snapshot built by Network.Stats(); the
-// live counters behind it are flat arrays, not these maps.
+// The scalar fields are each counter's only declaration: the live counters
+// embed this struct and increment it in place, and RegisterObs adopts it with
+// obs.SampleStruct, so a field added here is the metric netw.<snake_case
+// field> with no other edit. The maps are filled only in the point-in-time
+// copy Network.Stats() returns; live, they are nil and flat arrays stand in.
 type Stats struct {
 	Frames      uint64
 	Bytes       uint64
@@ -120,69 +123,34 @@ type MachineStats struct {
 	BytesOut, BytesIn   uint64
 }
 
-// Clone returns a deep copy of the stats (for before/after comparisons).
-func (s *Stats) Clone() Stats {
-	c := *s
-	c.ByKind = make(map[msg.Kind]uint64, len(s.ByKind))
-	for k, v := range s.ByKind {
-		c.ByKind[k] = v
-	}
-	c.BytesByKind = make(map[msg.Kind]uint64, len(s.BytesByKind))
-	for k, v := range s.BytesByKind {
-		c.BytesByKind[k] = v
-	}
-	c.PerMachine = make(map[addr.MachineID]MachineStats, len(s.PerMachine))
-	for k, v := range s.PerMachine {
-		c.PerMachine[k] = v
-	}
-	return c
-}
-
-// counters is the live, allocation-free form of Stats: per-kind tallies in
-// fixed arrays indexed by msg.Kind, per-machine tallies in a dense slice
-// indexed by machine id.
+// counters is the live, allocation-free form of Stats: the scalars in place
+// (maps nil), per-kind tallies in fixed arrays indexed by msg.Kind,
+// per-machine tallies in a dense slice indexed by machine id.
 type counters struct {
-	frames      uint64
-	bytes       uint64
-	delivered   uint64
-	dropped     uint64
-	retransmits uint64
-	duplicates  uint64
-	dead        uint64
-
-	sendFromDown     uint64
-	partitionDropped uint64
-	burstDropped     uint64
-	dupInjected      uint64
-	delayInjected    uint64
-	orphanDropped    uint64
-
+	Stats
 	byKind      [msg.KindCount]uint64
 	bytesByKind [msg.KindCount]uint64
 	perMachine  []MachineStats // indexed by uint16(MachineID)
+	sampled     bool           // the obs registry holds pointers into perMachine
 }
 
 // machine returns the dense slot for m, growing the slice on first sight.
 func (c *counters) machine(m addr.MachineID) *MachineStats {
 	if n := int(m) + 1 - len(c.perMachine); n > 0 {
+		if c.sampled {
+			panic("netw: per-machine counters grew after RegisterObs; the registered rows would go stale")
+		}
 		c.perMachine = append(c.perMachine, make([]MachineStats, n)...)
 	}
 	return &c.perMachine[m]
 }
 
-// snapshot rebuilds the public map-based Stats view.
+// snapshot copies the scalars and rebuilds the public maps.
 func (c *counters) snapshot() Stats {
-	s := Stats{
-		Frames: c.frames, Bytes: c.bytes, Delivered: c.delivered,
-		Dropped: c.dropped, Retransmits: c.retransmits,
-		Duplicates: c.duplicates, Dead: c.dead,
-		SendFromDown: c.sendFromDown, PartitionDropped: c.partitionDropped,
-		BurstDropped: c.burstDropped, DupInjected: c.dupInjected,
-		DelayInjected: c.delayInjected, OrphanDropped: c.orphanDropped,
-		ByKind:      make(map[msg.Kind]uint64),
-		BytesByKind: make(map[msg.Kind]uint64),
-		PerMachine:  make(map[addr.MachineID]MachineStats),
-	}
+	s := c.Stats
+	s.ByKind = make(map[msg.Kind]uint64)
+	s.BytesByKind = make(map[msg.Kind]uint64)
+	s.PerMachine = make(map[addr.MachineID]MachineStats)
 	for k, v := range c.byKind {
 		if v > 0 {
 			s.ByKind[msg.Kind(k)] = v
@@ -457,8 +425,8 @@ func panicNoEndpoint(to addr.MachineID) {
 //demos:hotpath — flat-array counters, no map writes: checked by demoslint (hotpathalloc) and TestHotPathZeroAlloc/netw-send.
 func (n *Network) account(from, to addr.MachineID, m *msg.Message, size int) {
 	c := &n.stats
-	c.frames++
-	c.bytes += uint64(size)
+	c.Frames++
+	c.Bytes += uint64(size)
 	if k := int(m.Kind); k < msg.KindCount {
 		c.byKind[k]++
 		c.bytesByKind[k] += uint64(size)
@@ -481,7 +449,7 @@ func (n *Network) deliver(to addr.MachineID, m *msg.Message) {
 		n.dropToDown(to, m)
 		return
 	}
-	n.stats.delivered++
+	n.stats.Delivered++
 	t.ep.DeliverFrame(m)
 }
 
@@ -578,7 +546,7 @@ func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, id uint64) boo
 	}
 	seen.last = n.eng.Now()
 	if seen.seen(id) {
-		n.stats.duplicates++
+		n.stats.Duplicates++
 		return false
 	}
 	seen.add(id)

@@ -9,13 +9,14 @@ import (
 	"demosmp/internal/sim"
 )
 
-// MigrationRecord is the ledger's per-migration cost breakdown, one row of
-// the paper's §6 measurements. The source kernel fills the transfer and
-// administrative fields when the migration completes (step 7); the
-// residual-dependency fields (forwards absorbed, link updates, convergence)
-// keep growing afterwards as stale senders hit the forwarding address, so
-// the ledger stores records by pointer and the forwarder keeps that pointer
-// for post-completion attribution.
+// MigrationRecord is the per-migration cost breakdown, one row of the
+// paper's §6 measurements, and the one type for it: the source kernel fills
+// the transfer and administrative fields as the protocol runs, reports the
+// record (kernel.MigrationReport is this type) and hands it to the ledger at
+// step 7. The residual-dependency fields (forwards absorbed, link updates,
+// convergence) keep growing afterwards as stale senders hit the forwarding
+// address, so the ledger stores records by pointer and the forwarder keeps
+// that pointer for post-completion attribution.
 type MigrationRecord struct {
 	PID  addr.ProcessID `json:"pid"`
 	From addr.MachineID `json:"from"`
@@ -46,6 +47,23 @@ type MigrationRecord struct {
 	ConvergenceForwards uint64 `json:"convergence_forwards"` // worst stale-sends by one sender (paper: 1–2)
 
 	OK bool `json:"ok"`
+}
+
+// NoteAdmin accounts one administrative message (sent or received) against
+// the record: count, payload bytes, and the min/max single-payload range.
+// It is the only mutator of these fields, so every §6 admin site stays
+// consistent.
+//
+//demos:hotpath — called from kernel sendAdmin: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/admin-encode in bench_hotpath_test.go.
+func (r *MigrationRecord) NoteAdmin(payloadLen int) {
+	r.AdminMsgs++
+	r.AdminBytes += payloadLen
+	if r.AdminMinBytes == 0 || payloadLen < r.AdminMinBytes {
+		r.AdminMinBytes = payloadLen
+	}
+	if payloadLen > r.AdminMaxBytes {
+		r.AdminMaxBytes = payloadLen
+	}
 }
 
 // FreezeMicros is the freeze time — how long the process was removed from

@@ -12,14 +12,14 @@ import (
 
 func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("z.counter")
+	var owned struct{ Counter uint64 }
+	r.SampleStruct("z.", &owned)
 	h := r.Histogram("a.hist")
 	var src uint64 = 41
 	r.Sample("m.sampled", func() uint64 { return src })
 	r.SampleGauge("g.level", func() uint64 { return 7 })
 
-	c.Inc()
-	c.Add(2)
+	owned.Counter += 3
 	h.Observe(0)
 	h.Observe(5)
 	h.Observe(5)
@@ -71,14 +71,14 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("dup")
-	r.Counter("dup")
+	r.Histogram("dup")
+	r.Sample("dup", func() uint64 { return 0 })
 }
 
 func TestSnapshotWriteDeterministic(t *testing.T) {
 	build := func() Snapshot {
 		r := NewRegistry()
-		r.Counter("b").Add(5)
+		r.SampleGauge("b", func() uint64 { return 5 })
 		r.Histogram("a").Observe(100)
 		r.Sample("c", func() uint64 { return 9 })
 		return r.Snapshot(77)

@@ -4,16 +4,18 @@
 //
 // Design rules, in priority order:
 //
-//  1. Zero allocations on the hot path. Counters and histogram buckets are
-//     plain uint64 slots updated by pointer; no maps, no locks, no
+//  1. Zero allocations on the hot path. Counters are plain uint64 struct
+//     fields and histogram buckets a fixed array; no maps, no locks, no
 //     interfaces anywhere a per-message code path can reach. Everything
 //     else — registration, snapshotting, export — is cold and may allocate
 //     freely.
-//  2. Exactly one source per value. Existing kernel/netw stats structs stay
-//     the owners of their counters; the registry adopts them through
-//     sampler closures read only at snapshot time, so a number can never
-//     drift between "the struct" and "the registry". Only genuinely new
-//     metrics (latency/size histograms) live in registry-owned slots.
+//  2. Exactly one declaration per value. A counter is a field of its
+//     owner's stats struct and nothing else: SampleStruct adopts the struct
+//     by pointer and derives metric names from field names (derive.go),
+//     reading the fields only at snapshot time, so a number can never drift
+//     between "the struct" and "the registry". Closures are for values that
+//     are computed, not stored; only genuinely new metrics (latency/size
+//     histograms) live in registry-owned slots.
 //  3. Deterministic output. Snapshots are sorted by metric name and
 //     rendered through explicit structs — no map iteration feeds an
 //     exporter (demoslint maporder), so two same-seed runs emit
@@ -30,26 +32,6 @@ import (
 
 	"demosmp/internal/sim"
 )
-
-// Counter is a registry-owned monotonic uint64 slot. Use it only for new
-// metrics with no existing owner; adopting an existing stats field goes
-// through Registry.Sample instead (rule 2 above).
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-//
-//demos:hotpath — a single uint64 increment: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip with obs attached.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc with obs attached.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count (cold; snapshots use it).
-func (c *Counter) Value() uint64 { return c.v }
 
 // HistBuckets is the number of power-of-two histogram buckets: bucket 0
 // counts observations of exactly 0, bucket i (1..64) counts observations
@@ -79,21 +61,20 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the sum of all observed values (cold).
 func (h *Histogram) Sum() uint64 { return h.sum }
 
-// metric is one registered slot: exactly one of ctr, hist, fn is set.
+// metric is one registered slot: exactly one of hist, fn is set.
 type metric struct {
-	name  string
-	kind  string // "counter", "gauge", "histogram"
-	ctr   *Counter
-	hist  *Histogram
-	fn    func() uint64
-	gauge bool // sampler semantics: gauge (level) vs counter (monotonic)
+	name string
+	kind string // "counter", "gauge", "histogram"
+	hist *Histogram
+	fn   func() uint64
 }
 
 // Registry holds the cluster's metric slots and samplers. It is built once
 // at boot; registration is not safe concurrently with snapshots, which is
 // fine in a single-threaded discrete-event simulator.
 type Registry struct {
-	metrics []metric
+	metrics []metric  // registry-owned slots and closures, one per metric
+	sampled []sampled // adopted structs and arrays, one per registration
 	names   map[string]struct{}
 }
 
@@ -102,19 +83,19 @@ func NewRegistry() *Registry {
 	return &Registry{names: make(map[string]struct{})}
 }
 
-func (r *Registry) register(m metric) {
-	if _, dup := r.names[m.name]; dup {
-		panic("obs: duplicate metric name " + m.name)
+// claim reserves a registration's name — a metric name, or the prefix of an
+// adopted struct or array — and panics if it is taken. Derived names exist
+// only in Snapshot, which is where one that collides is caught.
+func (r *Registry) claim(name string) {
+	if _, dup := r.names[name]; dup {
+		panic("obs: duplicate metric name " + name)
 	}
-	r.names[m.name] = struct{}{}
-	r.metrics = append(r.metrics, m)
+	r.names[name] = struct{}{}
 }
 
-// Counter registers and returns a registry-owned counter slot.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.register(metric{name: name, kind: "counter", ctr: c})
-	return c
+func (r *Registry) register(m metric) {
+	r.claim(m.name)
+	r.metrics = append(r.metrics, m)
 }
 
 // Histogram registers and returns a registry-owned power-of-two histogram.
@@ -124,18 +105,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Sample registers a counter whose value is read from fn at snapshot time.
-// This is how the registry adopts counters that already have an owner
-// (kernel.Stats fields, netw flat arrays): the owner keeps the only live
-// copy and the registry reads it cold, so the two can never disagree.
+// Sample registers a counter whose value is computed by fn at snapshot time
+// (a sum over other counters, a level read through an accessor). A value
+// that is stored in a struct field is adopted with SampleStruct instead.
 func (r *Registry) Sample(name string, fn func() uint64) {
 	r.register(metric{name: name, kind: "counter", fn: fn})
 }
 
 // SampleGauge is Sample with gauge semantics: the value is a level (pool
-// occupancy, live forwarder bytes), not a monotonic count.
+// occupancy), not a monotonic count.
 func (r *Registry) SampleGauge(name string, fn func() uint64) {
-	r.register(metric{name: name, kind: "gauge", fn: fn, gauge: true})
+	r.register(metric{name: name, kind: "gauge", fn: fn})
 }
 
 // Bucket is one histogram bucket in a snapshot: N observations with
@@ -162,16 +142,18 @@ type Snapshot struct {
 	Metrics  []Metric `json:"metrics"`
 }
 
-// Snapshot reads every slot and sampler (cold) and returns a name-sorted
-// snapshot stamped with the given simulated time.
+// Snapshot reads every slot, sampler and adopted struct (cold) and returns a
+// name-sorted snapshot stamped with the given simulated time. It panics if a
+// derived name collides with another metric.
 func (r *Registry) Snapshot(at sim.Time) Snapshot {
-	s := Snapshot{AtMicros: uint64(at), Metrics: make([]Metric, 0, len(r.metrics))}
+	n := len(r.metrics)
+	for i := range r.sampled {
+		n += len(r.sampled[i].fields) + len(r.sampled[i].names)
+	}
+	s := Snapshot{AtMicros: uint64(at), Metrics: make([]Metric, 0, n)}
 	for _, m := range r.metrics {
 		out := Metric{Name: m.name, Kind: m.kind}
-		switch {
-		case m.ctr != nil:
-			out.Value = m.ctr.v
-		case m.hist != nil:
+		if m.hist != nil {
 			out.Count = m.hist.count
 			out.Sum = m.hist.sum
 			out.Value = m.hist.count
@@ -185,12 +167,20 @@ func (r *Registry) Snapshot(at sim.Time) Snapshot {
 				}
 				out.Buckets = append(out.Buckets, Bucket{Le: le, N: n})
 			}
-		default:
+		} else {
 			out.Value = m.fn()
 		}
 		s.Metrics = append(s.Metrics, out)
 	}
+	for i := range r.sampled {
+		s.Metrics = r.sampled[i].appendTo(s.Metrics)
+	}
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
+	for i := 1; i < len(s.Metrics); i++ {
+		if s.Metrics[i].Name == s.Metrics[i-1].Name {
+			panic("obs: duplicate metric name " + s.Metrics[i].Name)
+		}
+	}
 	return s
 }
 

@@ -36,17 +36,14 @@ type floorRow struct {
 	measured float64
 	floor    float64
 	unit     string // printf format of a value with its unit, e.g. "%.2fx"
-	skip     string // non-empty: why the floor does not bind on this host
 }
 
-// verdict judges one row. A skipped row never fails; a measurement that is
-// not a positive finite number always does — NaN and +Inf compare false
-// against any floor, which is how a dead baseline arm used to read as PASS.
+// verdict judges one row. A measurement that is not a positive finite
+// number always fails — NaN and +Inf compare false against any floor, which
+// is how a dead baseline arm used to read as PASS.
 func (r floorRow) verdict() (line string, ok bool) {
 	got, want := fmt.Sprintf(r.unit, r.measured), fmt.Sprintf(r.unit, r.floor)
 	switch {
-	case r.skip != "":
-		return fmt.Sprintf("SKIPPED %s (measured %s, floor %s)", r.skip, got, want), true
 	case math.IsNaN(r.measured) || math.IsInf(r.measured, 0) || r.measured <= 0:
 		return fmt.Sprintf("FAIL %s is not a positive finite measurement", got), false
 	case r.measured < r.floor:
@@ -70,7 +67,7 @@ func judge(w io.Writer, rows []floorRow) (failed int) {
 
 func (t tiers) floors() []floorRow {
 	return []floorRow{
-		speedupGate(t.Scale.Speedup4Shard64M, t.Scale.NumCPU),
+		speedupGate(t.Scale.GateSpeedup, t.Scale.NumCPU),
 		// The machine-anchored ARQ may cost at most 4x events/sec against
 		// the lossless arm of the same sharded chaos soak: past that, a
 		// lossy 1000-machine soak stops being runnable in CI.

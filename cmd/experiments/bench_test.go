@@ -25,8 +25,6 @@ func TestVerdict(t *testing.T) {
 		{"-Inf", floorRow{measured: math.Inf(-1), floor: 3, unit: "%.2fx"}, false, "FAIL -Infx is not a positive finite measurement"},
 		{"zero", floorRow{measured: 0, floor: 3, unit: "%.2fx"}, false, "FAIL 0.00x is not a positive finite measurement"},
 		{"negative", floorRow{measured: -1, floor: 3, unit: "%.2fx"}, false, "FAIL -1.00x is not a positive finite measurement"},
-		{"skipped below floor", floorRow{measured: 1.1, floor: 3, unit: "%.2fx", skip: "num_cpu=2"}, true, "SKIPPED num_cpu=2 (measured 1.10x, floor 3.00x)"},
-		{"skipped non-finite", floorRow{measured: math.NaN(), floor: 3, unit: "%.2fx", skip: "num_cpu=1"}, true, "SKIPPED num_cpu=1 (measured NaNx, floor 3.00x)"},
 	} {
 		line, ok := tc.row.verdict()
 		if ok != tc.ok || line != tc.want {
@@ -35,21 +33,31 @@ func TestVerdict(t *testing.T) {
 	}
 }
 
+// TestSpeedupGate pins the floor per core count: 3x for 4 shards from 4
+// cores up, "not slower than one shard" for 2 shards below — a verdict on
+// every host.
 func TestSpeedupGate(t *testing.T) {
 	for _, tc := range []struct {
 		ratio  float64
 		numCPU int
 		ok     bool
+		name   string
 		prefix string
 	}{
-		{3.0, 4, true, "PASS 3.00x"},
-		{2.99, 8, false, "FAIL 2.99x < 3.00x"},
-		{0.5, 3, true, "SKIPPED num_cpu=3"},
-		{math.Inf(1), 8, false, "FAIL +Infx"},
+		{3.0, 4, true, "4 shards vs 1", "PASS 3.00x"},
+		{2.99, 8, false, "4 shards vs 1", "FAIL 2.99x < 3.00x"},
+		{math.Inf(1), 8, false, "4 shards vs 1", "FAIL +Infx"},
+		{notSlowerFloor, 3, true, "2 shards vs 1", "PASS 0.70x >= 0.70x"},
+		{1.4, 2, true, "2 shards vs 1", "PASS 1.40x >= 0.70x"},
+		{0.69, 2, false, "2 shards vs 1", "FAIL 0.69x < 0.70x"},
+		{0.5, 1, false, "2 shards vs 1", "FAIL 0.50x < 0.70x"},
+		{math.NaN(), 2, false, "2 shards vs 1", "FAIL NaNx"},
 	} {
-		line, ok := speedupGate(tc.ratio, tc.numCPU).verdict()
-		if ok != tc.ok || !strings.HasPrefix(line, tc.prefix) {
-			t.Errorf("speedupGate(%v, %d) = %q, %v; want %q..., %v", tc.ratio, tc.numCPU, line, ok, tc.prefix, tc.ok)
+		row := speedupGate(tc.ratio, tc.numCPU)
+		line, ok := row.verdict()
+		if ok != tc.ok || !strings.HasPrefix(line, tc.prefix) || !strings.Contains(row.name, tc.name) {
+			t.Errorf("speedupGate(%v, %d) = %q: %q, %v; want %q: %q..., %v",
+				tc.ratio, tc.numCPU, row.name, line, ok, tc.name, tc.prefix, tc.ok)
 		}
 	}
 }
@@ -58,8 +66,7 @@ func TestJudgeCountsFailedRows(t *testing.T) {
 	rows := []floorRow{
 		{name: "a", measured: 1, floor: 1, unit: "%.0f"},
 		{name: "b", measured: 0.5, floor: 1, unit: "%.1f"},
-		{name: "c", measured: 0.5, floor: 1, unit: "%.1f", skip: "why"},
-		{name: "d", measured: math.NaN(), floor: 1, unit: "%.1f"},
+		{name: "c", measured: math.NaN(), floor: 1, unit: "%.1f"},
 	}
 	var out strings.Builder
 	if failed := judge(&out, rows); failed != 2 {
@@ -69,7 +76,7 @@ func TestJudgeCountsFailedRows(t *testing.T) {
 	if len(lines) != len(rows) {
 		t.Fatalf("judge printed %d lines for %d rows:\n%s", len(lines), len(rows), out.String())
 	}
-	for i, want := range []string{"PASS 1 >= 1", "FAIL 0.5 < 1.0", "SKIPPED why", "FAIL NaN"} {
+	for i, want := range []string{"PASS 1 >= 1", "FAIL 0.5 < 1.0", "FAIL NaN"} {
 		if !strings.HasPrefix(lines[i], rows[i].name+" ") || !strings.Contains(lines[i], want) {
 			t.Errorf("line %d = %q, want row %q with %q", i, lines[i], rows[i].name, want)
 		}
@@ -82,7 +89,7 @@ func TestJudgeCountsFailedRows(t *testing.T) {
 // TestFloorsWiring pins which measurement each floor reads, and the floors.
 func TestFloorsWiring(t *testing.T) {
 	pass := tiers{
-		Scale:  scaleRun{NumCPU: 8, Speedup4Shard64M: 3},
+		Scale:  scaleRun{NumCPU: 8, GateSpeedup: 3},
 		Chaos:  chaosRun{OverheadRatio: 0.25},
 		Policy: policyRun{DecisionsPerSec: 5000},
 	}
@@ -90,22 +97,28 @@ func TestFloorsWiring(t *testing.T) {
 		t.Errorf("every tier exactly at its floor: %d failed", failed)
 	}
 	fail := tiers{
-		Scale:  scaleRun{NumCPU: 8, Speedup4Shard64M: 2.9},
+		Scale:  scaleRun{NumCPU: 8, GateSpeedup: 2.9},
 		Chaos:  chaosRun{OverheadRatio: 0.24},
 		Policy: policyRun{DecisionsPerSec: 4999},
 	}
 	if failed := judge(&strings.Builder{}, fail.floors()); failed != 3 {
 		t.Errorf("every tier just below its floor: %d failed, want 3", failed)
 	}
+	// The same 2.9x clears the floor a 2-core host is held to; a slowdown
+	// does not.
 	fail.Scale.NumCPU = 2
 	if failed := judge(&strings.Builder{}, fail.floors()); failed != 2 {
-		t.Errorf("2-core host: %d failed, want 2 (speedup skipped)", failed)
+		t.Errorf("2-core host at 2.9x: %d failed, want 2", failed)
+	}
+	fail.Scale.GateSpeedup = 0.6
+	if failed := judge(&strings.Builder{}, fail.floors()); failed != 3 {
+		t.Errorf("2-core host at 0.6x: %d failed, want 3", failed)
 	}
 }
 
 var stubTiers = tiers{
 	Scale: scaleRun{
-		NumCPU: 8, Short: true, Speedup4Shard64M: 3.5, SpeedupGate: "PASS 3.50x >= 3.00x",
+		NumCPU: 8, Short: true, GateSpeedup: 3.5, SpeedupGate: "PASS 3.50x >= 3.00x",
 		Points: []scalePoint{{Machines: 64, Shards: 1, EventsFired: 10, WallMs: 1, EventsPerSec: 10000}},
 	},
 	Chaos: chaosRun{

@@ -4,11 +4,12 @@
 // simulation (same seed, bit-identical trace regardless of shard count)
 // measured wall-clock.
 //
-// The headline number is the 64-machine 4-shard-vs-1-shard speedup. It is
-// only meaningful on a host with enough cores to actually run the shard
-// goroutines concurrently, so the recorded run carries num_cpu and the
-// gate's verdict: the >= 3x floor binds only with at least 4 cores, and
-// below that the artifact says SKIPPED rather than nothing.
+// The headline number is the 64-machine speedup of parallel shards over one
+// shard. What it can be depends on the cores the shard goroutines have, so
+// the recorded run carries num_cpu and the gate judges the floor that the
+// host can meet: >= 3x for 4 shards with at least 4 cores, and below that
+// "not slower than one shard" for 2 shards — a verdict on every host, never
+// a skip.
 package main
 
 import (
@@ -38,23 +39,46 @@ type scaleRun struct {
 	NumCPU int          `json:"num_cpu"`
 	Short  bool         `json:"short,omitempty"`
 	Points []scalePoint `json:"points"`
-	// Speedup4Shard64M = events/sec at 64 machines with 4 shards divided
-	// by the same workload on 1 shard (the acceptance floor is 3x on a
-	// >= 4-core host).
-	Speedup4Shard64M float64 `json:"speedup_4shard_vs_1shard_64m"`
-	// SpeedupGate is the >= 3x floor's verdict on that ratio: PASS, FAIL,
-	// or "SKIPPED num_cpu=<n> ..." on a host too small to judge it — so an
-	// artifact never reads as a pass the gate did not give. Every run
-	// recorded since the field exists carries it.
+	// GateSpeedup = events/sec at 64 machines on gateShards(NumCPU) shards
+	// divided by the same workload on 1 shard: the ratio the floor judges.
+	GateSpeedup float64 `json:"gate_speedup_vs_1shard_64m"`
+	// SpeedupGate is the floor's verdict on GateSpeedup, PASS or FAIL with
+	// both numbers. (Runs recorded before PR 18 carry the 4-shard ratio as
+	// speedup_4shard_vs_1shard_64m and read "SKIPPED num_cpu=<n>" below 4
+	// cores.)
 	SpeedupGate string `json:"speedup_gate,omitempty"`
 }
 
-// speedupGate is the floor on a 4-shard-vs-1-shard ratio measured on a host
-// with numCPU cores: 3x, binding only with at least 4 cores.
+// gateShards is the shard count the speedup floor judges on a host with
+// numCPU cores: 4 where four shards can run at once, 2 otherwise.
+func gateShards(numCPU int) int {
+	if numCPU >= 4 {
+		return 4
+	}
+	return 2
+}
+
+// notSlowerFloor is the floor below 4 cores: two parallel shards must not
+// be slower than one, which the adaptive rounds of sim.Group promise on any
+// host. How far below 1.0 it sits is the scatter of the row, set from
+// alternated readings of this gate on this code and on its parent
+// (EXPERIMENTS.md, "A floor that fires at the core count present"): on the
+// 2-core recording host both read 1.07-1.11 in the median, and both dip to
+// 0.71-0.81 in one run of twenty or so, when something else has the host.
+// What the floor catches is a runtime that loses to itself the way
+// pingpong-par did before PR 18, at 0.6x.
+const notSlowerFloor = 0.7
+
+// speedupGate is the floor on the 64-machine events/sec of
+// gateShards(numCPU) parallel shards over one shard: 3x with at least 4
+// cores, notSlowerFloor below.
 func speedupGate(ratio float64, numCPU int) floorRow {
-	r := floorRow{name: "sharded speedup (64m, 4 shards vs 1)", measured: ratio, floor: 3, unit: "%.2fx"}
+	r := floorRow{
+		name:     fmt.Sprintf("sharded speedup (64m, %d shards vs 1)", gateShards(numCPU)),
+		measured: ratio, floor: 3, unit: "%.2fx",
+	}
 	if numCPU < 4 {
-		r.skip = fmt.Sprintf("num_cpu=%d", numCPU)
+		r.floor = notSlowerFloor
 	}
 	return r
 }
@@ -139,7 +163,7 @@ var scaleGrid = []scaleRow{{64, 3}, {256, 2}, {1000, 1}}
 // measureScale runs the given rows of scaleGrid on 1/2/4 shards.
 func measureScale(rows []scaleRow) scaleRun {
 	r := scaleRun{NumCPU: runtime.NumCPU(), Short: *benchShortFlag}
-	var base64, par64 float64
+	var base64, gate64 float64
 	for _, row := range rows {
 		for _, shards := range []int{1, 2, 4} {
 			p := bestScalePoint(row.machines, shards, row.reps)
@@ -147,15 +171,15 @@ func measureScale(rows []scaleRow) scaleRun {
 			if row.machines == 64 && shards == 1 {
 				base64 = p.EventsPerSec
 			}
-			if row.machines == 64 && shards == 4 {
-				par64 = p.EventsPerSec
+			if row.machines == 64 && shards == gateShards(r.NumCPU) {
+				gate64 = p.EventsPerSec
 			}
 		}
 	}
 	if base64 > 0 {
-		r.Speedup4Shard64M = par64 / base64
+		r.GateSpeedup = gate64 / base64
 	}
-	r.SpeedupGate, _ = speedupGate(r.Speedup4Shard64M, r.NumCPU).verdict()
+	r.SpeedupGate, _ = speedupGate(r.GateSpeedup, r.NumCPU).verdict()
 	return r
 }
 
@@ -167,5 +191,5 @@ func printScale(r scaleRun) {
 		fmt.Printf("| %d | %d | %d | %.1f | %.0f |\n",
 			p.Machines, p.Shards, p.EventsFired, p.WallMs, p.EventsPerSec)
 	}
-	fmt.Printf("\n64-machine speedup, 4 shards vs 1: %s\n", r.SpeedupGate)
+	fmt.Printf("\n64-machine speedup, %d shards vs 1: %s\n", gateShards(r.NumCPU), r.SpeedupGate)
 }

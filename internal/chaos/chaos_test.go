@@ -11,9 +11,11 @@ import (
 	"demosmp/internal/chaos"
 	"demosmp/internal/core"
 	"demosmp/internal/kernel"
+	"demosmp/internal/link"
 	"demosmp/internal/netw"
 	"demosmp/internal/obs"
 	"demosmp/internal/sim"
+	"demosmp/internal/simtest"
 	"demosmp/internal/workload"
 )
 
@@ -26,12 +28,19 @@ type soakParams struct {
 	chaosOn    bool
 	lossy      bool
 	shards     int  // 0 = default options (one shard)
-	parallel   bool // run shard rounds on parallel goroutines
+	parallel   bool // ShardParallel: dense rounds run on goroutines
 	// migrateSpan confines the migrating fleet (spawn sites, migration
 	// destinations, and so the probe fan-out) to machines 1..span; zero
 	// means the whole cluster. Large-cluster soaks use a small span so a
 	// migration driver probe is O(span), not O(machines).
 	migrateSpan int
+	// ringFan, when set, adds background load once the kills have begun:
+	// each of a machine's next ringFan neighbours (cyclically) sends a Sink
+	// on it ringMsgs messages. A machine's simulated CPU handles about five
+	// messages a millisecond, so it takes a couple of dozen busy machines
+	// to make rounds dense enough for ShardParallel to run them on
+	// goroutines.
+	ringFan, ringMsgs int
 }
 
 // fullParams budgets 20 kills over 4 machines: five each, so machine 4's
@@ -44,6 +53,10 @@ func fullParams() soakParams {
 func shortParams() soakParams {
 	return soakParams{machines: 3, migrations: 40, sends: 80, maxKills: 8, chaosOn: true, lossy: true}
 }
+
+// ringAt is when the background ring starts: just after the injector's
+// KillAfter, so the dense rounds and the kill-point crashes overlap.
+const ringAt = 85_000
 
 // soakResult is everything a determinism comparison needs.
 type soakResult struct {
@@ -61,6 +74,7 @@ type soakResult struct {
 	netFrames   uint64
 	netStats    netw.Stats
 	crashedLeft int
+	parRounds   uint64 // rounds that ran on goroutines; not compared
 
 	// Post-run obs exports, byte-for-byte comparable across same-seed
 	// runs: the text metrics snapshot and the Chrome timeline JSON.
@@ -90,6 +104,7 @@ type soakResult struct {
 // hosting the live copy (if any) requests the move on its own kernel.
 func runSoak(t *testing.T, seed int64, p soakParams) soakResult {
 	t.Helper()
+	simtest.TwoProcs(t)
 	ncfg := netw.Config{}
 	if p.lossy {
 		ncfg = netw.Config{LossRate: 0.04, RetransTimeout: 3000, MaxRetries: 200}
@@ -170,6 +185,27 @@ func runSoak(t *testing.T, seed int64, p soakParams) soakResult {
 		}
 	}
 
+	if p.ringFan > 0 {
+		for m := 1; m <= p.machines; m++ {
+			sink, err := c.Spawn(m, kernel.SpawnSpec{Body: &workload.Sink{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= p.ringFan; k++ {
+				from := (m-1+k)%p.machines + 1
+				to := link.Link{Addr: addr.At(sink, addr.MachineID(m))}
+				c.EngineOf(from).At(ringAt, "drive:ring", func() {
+					if k := c.Kernel(from); !k.Crashed() {
+						k.Spawn(kernel.SpawnSpec{
+							Body:  &workload.Chatter{N: p.ringMsgs, Interval: 100},
+							Links: []link.Link{to},
+						})
+					}
+				})
+			}
+		}
+	}
+
 	var inj *chaos.Injector
 	if p.chaosOn {
 		inj = chaos.New(c, chaos.Config{
@@ -206,10 +242,11 @@ func runSoak(t *testing.T, seed int64, p soakParams) soakResult {
 	c.Run()
 
 	res := soakResult{
-		fired:   c.TotalFired(),
-		now:     c.Now(),
-		seen:    map[uint32]uint32{},
-		cluster: c,
+		parRounds: c.ParallelRounds(),
+		fired:     c.TotalFired(),
+		now:       c.Now(),
+		seen:      map[uint32]uint32{},
+		cluster:   c,
 	}
 	if inj != nil {
 		res.trace = inj.Trace()
@@ -393,12 +430,45 @@ func TestNoFaultStrict(t *testing.T) {
 // shardedParams is the base sharded soak configuration: lossy (the
 // machine-anchored ARQ composes with sharding), the full
 // crash/partition/burst/dup/delay schedule intact, 2 shards, sequential
-// rounds by default.
+// rounds by default. Every machine belongs to the migrating fleet, so every
+// pair the injector partitions, duplicates or delays carries migration
+// traffic. Four machines cannot make a round dense enough to run on
+// goroutines (see ringFan): ShardParallel runs this one inline.
 func shardedParams() soakParams {
 	p := shortParams()
 	p.shards = 2
 	p.machines = 4
 	return p
+}
+
+// denseParams is shardedParams with goroutine rounds: 24 machines, the
+// migrating fleet and its two kills a machine still on machines 1..4, and
+// an all-to-all ring that keeps every machine busy for some 140 ms from the
+// first kill on, so a ShardParallel arm runs those 270-odd rounds on
+// goroutines while kills, bursts and pair faults fire, and every pair the
+// injector draws carries ring traffic.
+func denseParams() soakParams {
+	p := shardedParams()
+	p.machines = 24
+	p.migrateSpan = 4
+	p.maxKills = 2 * p.machines
+	p.ringFan, p.ringMsgs = p.machines-1, 25
+	return p
+}
+
+// pairFaults counts, by kind, the injector's pair-targeted pulses in a
+// trace whose two machines are both among 1..span.
+func pairFaults(trace []string, span int) map[string]int {
+	n := map[string]int{}
+	for _, line := range trace {
+		for kind, sep := range map[string]string{"partition": "-", "dup-next": "->", "delay-next": "->"} {
+			var t, a, b int
+			if c, _ := fmt.Sscanf(line, "t=%d "+kind+" %d"+sep+"%d", &t, &a, &b); c == 3 && a <= span && b <= span {
+				n[kind]++
+			}
+		}
+	}
+	return n
 }
 
 // assertShardInvariant compares every shard-count-invariant artifact of two
@@ -437,95 +507,117 @@ func assertShardInvariant(t *testing.T, label string, base, got soakResult) {
 // identical chaos outcome — same merged injector trace, same delivery
 // ledger, same net stats, same kill schedule, same normalized obs snapshot.
 // The 1-shard arm also audits invariants and delivery, so every compared
-// arm inherits a clean bill.
+// arm inherits a clean bill. The matrix runs twice: on the four-machine
+// fleet, where every pair fault lands on migration traffic, and on the
+// dense cluster, where the parallel arms run their rounds on goroutines.
 func TestChaosSoakSharded(t *testing.T) {
-	for _, lossy := range []bool{false, true} {
-		name := "lossless"
-		if lossy {
-			name = "lossy"
-		}
-		t.Run(name, func(t *testing.T) {
-			p := shardedParams()
-			p.lossy = lossy
-			p.shards = 1
-			base := runSoak(t, 4242, p)
-			for _, v := range base.violations {
-				t.Errorf("invariant violated: %s", v)
+	for _, arm := range []struct {
+		prefix string
+		p      soakParams
+	}{{"", shardedParams()}, {"dense/", denseParams()}} {
+		for _, lossy := range []bool{false, true} {
+			name := arm.prefix + "lossless"
+			if lossy {
+				name = arm.prefix + "lossy"
 			}
-			for _, v := range base.delivery {
-				t.Errorf("delivery audit: %s", v)
-			}
-			if base.crashedLeft != 0 {
-				t.Errorf("%d machines still crashed at quiescence", base.crashedLeft)
-			}
-			if base.kills == 0 {
-				t.Fatalf("injector never fired a kill (migrations=%d)", base.migrations)
-			}
-			if base.restarts == 0 {
-				t.Fatal("no kernel ever restarted")
-			}
-			if lossy && base.netStats.Dropped == 0 {
-				t.Fatal("lossy arm dropped nothing — ARQ never exercised")
-			}
-			// Default options are the one-shard runtime under another name:
-			// identical down to the event count, the clock, the pool gauges
-			// and the timeline.
-			def := p
-			def.shards = 0
-			got := runSoak(t, 4242, def)
-			assertShardInvariant(t, name+"/default-options", base, got)
-			if got.fired != base.fired || got.now != base.now ||
-				!bytes.Equal(got.obsText, base.obsText) || !bytes.Equal(got.timeline, base.timeline) {
-				t.Errorf("%s/default-options: not bit-identical to Shards: 1 (fired %d/%d, now %d/%d)",
-					name, got.fired, base.fired, got.now, base.now)
-			}
-			for _, shards := range []int{2, 4} {
-				for _, par := range []bool{false, true} {
-					q := p
-					q.shards = shards
-					q.parallel = par
-					label := fmt.Sprintf("%s/shards=%d/parallel=%v", name, shards, par)
-					got := runSoak(t, 4242, q)
-					for _, v := range got.violations {
-						t.Errorf("%s: invariant violated: %s", label, v)
-					}
-					assertShardInvariant(t, label, base, got)
+			t.Run(name, func(t *testing.T) {
+				p := arm.p
+				p.lossy = lossy
+				p.shards = 1
+				base := runSoak(t, 4242, p)
+				for _, v := range base.violations {
+					t.Errorf("invariant violated: %s", v)
 				}
-			}
-			t.Logf("%s base: t=%d migrations=%d kills=%d restarts=%d frames=%d dropped=%d retrans=%d",
-				name, base.now, base.migrations, base.kills, base.restarts,
-				base.netStats.Frames, base.netStats.Dropped, base.netStats.Retransmits)
-		})
+				for _, v := range base.delivery {
+					t.Errorf("delivery audit: %s", v)
+				}
+				if base.crashedLeft != 0 {
+					t.Errorf("%d machines still crashed at quiescence", base.crashedLeft)
+				}
+				if base.kills == 0 {
+					t.Fatalf("injector never fired a kill (migrations=%d)", base.migrations)
+				}
+				if base.restarts == 0 {
+					t.Fatal("no kernel ever restarted")
+				}
+				if lossy && base.netStats.Dropped == 0 {
+					t.Fatal("lossy arm dropped nothing — ARQ never exercised")
+				}
+				// Every machine pair carries traffic (migrations on the
+				// fleet, the ring on the dense cluster), so each of these
+				// pulses faulted live frames. Duplicates are an ARQ fault.
+				n := pairFaults(base.trace, p.machines)
+				if n["partition"] == 0 || n["delay-next"] == 0 || lossy && n["dup-next"] == 0 {
+					t.Fatalf("pair faults in the trace: %v; want every kind", n)
+				}
+				// Default options are the one-shard runtime under another name:
+				// identical down to the event count, the clock, the pool gauges
+				// and the timeline.
+				def := p
+				def.shards = 0
+				got := runSoak(t, 4242, def)
+				assertShardInvariant(t, name+"/default-options", base, got)
+				if got.fired != base.fired || got.now != base.now ||
+					!bytes.Equal(got.obsText, base.obsText) || !bytes.Equal(got.timeline, base.timeline) {
+					t.Errorf("%s/default-options: not bit-identical to Shards: 1 (fired %d/%d, now %d/%d)",
+						name, got.fired, base.fired, got.now, base.now)
+				}
+				for _, shards := range []int{2, 4} {
+					for _, par := range []bool{false, true} {
+						q := p
+						q.shards = shards
+						q.parallel = par
+						label := fmt.Sprintf("%s/shards=%d/parallel=%v", name, shards, par)
+						got := runSoak(t, 4242, q)
+						for _, v := range got.violations {
+							t.Errorf("%s: invariant violated: %s", label, v)
+						}
+						assertShardInvariant(t, label, base, got)
+						if want := par && p.ringFan > 0; want != (got.parRounds > 0) {
+							t.Errorf("%s: %d rounds ran on goroutines", label, got.parRounds)
+						}
+					}
+				}
+				t.Logf("%s base: t=%d migrations=%d kills=%d restarts=%d frames=%d dropped=%d retrans=%d",
+					name, base.now, base.migrations, base.kills, base.restarts,
+					base.netStats.Frames, base.netStats.Dropped, base.netStats.Retransmits)
+			})
+		}
 	}
 }
 
 // TestChaosShardedSameSeedReproduces pins bit-level determinism of the
-// hardest configuration — lossy, 4 shards, parallel rounds: the same seed
-// must reproduce the run exactly, down to the full obs snapshot (pool
-// gauges included), the timeline JSON, the event count, and the clock.
+// hardest configuration — lossy, 4 shards, parallel rounds, on the fleet
+// and on the dense cluster: the same seed must reproduce the run exactly,
+// down to the full obs snapshot (pool gauges included), the timeline JSON,
+// the event count, and the clock.
 func TestChaosShardedSameSeedReproduces(t *testing.T) {
-	p := shardedParams()
-	p.shards = 4
-	p.parallel = true
-	a := runSoak(t, 99, p)
-	b := runSoak(t, 99, p)
-	if a.fired != b.fired || a.now != b.now {
-		t.Fatalf("engines diverged: fired %d/%d, now %d/%d", a.fired, b.fired, a.now, b.now)
-	}
-	if !reflect.DeepEqual(a.trace, b.trace) {
-		t.Fatalf("injector trace diverged:\nA: %v\nB: %v", a.trace, b.trace)
-	}
-	if !reflect.DeepEqual(a.seen, b.seen) || a.recLost != b.recLost {
-		t.Fatal("delivery ledger diverged")
-	}
-	if !reflect.DeepEqual(a.netStats, b.netStats) {
-		t.Fatalf("net stats diverged:\nA: %+v\nB: %+v", a.netStats, b.netStats)
-	}
-	if !bytes.Equal(a.obsText, b.obsText) {
-		t.Fatal("obs text export diverged between same-seed sharded runs")
-	}
-	if !bytes.Equal(a.timeline, b.timeline) {
-		t.Fatal("timeline export diverged between same-seed sharded runs")
+	for _, p := range []soakParams{shardedParams(), denseParams()} {
+		p.shards = 4
+		p.parallel = true
+		a := runSoak(t, 99, p)
+		b := runSoak(t, 99, p)
+		if p.ringFan > 0 && a.parRounds == 0 {
+			t.Fatal("no round ran on goroutines; the hardest configuration was not exercised")
+		}
+		if a.fired != b.fired || a.now != b.now {
+			t.Fatalf("engines diverged: fired %d/%d, now %d/%d", a.fired, b.fired, a.now, b.now)
+		}
+		if !reflect.DeepEqual(a.trace, b.trace) {
+			t.Fatalf("injector trace diverged:\nA: %v\nB: %v", a.trace, b.trace)
+		}
+		if !reflect.DeepEqual(a.seen, b.seen) || a.recLost != b.recLost {
+			t.Fatal("delivery ledger diverged")
+		}
+		if !reflect.DeepEqual(a.netStats, b.netStats) {
+			t.Fatalf("net stats diverged:\nA: %+v\nB: %+v", a.netStats, b.netStats)
+		}
+		if !bytes.Equal(a.obsText, b.obsText) {
+			t.Fatal("obs text export diverged between same-seed sharded runs")
+		}
+		if !bytes.Equal(a.timeline, b.timeline) {
+			t.Fatal("timeline export diverged between same-seed sharded runs")
+		}
 	}
 }
 
@@ -549,12 +641,17 @@ func TestShardChaosScale1000(t *testing.T) {
 		// the injector budgets one kill per fleet machine and the per-machine
 		// kill-point cursors (m-1)%8 cover all 8 points.
 		migrateSpan: 16,
+		ringFan:     3,
+		ringMsgs:    4,
 	}
 	if testing.Short() {
 		p.migrations = 100
 		p.sends = 100
 	}
 	res := runSoak(t, 20260808, p)
+	if res.parRounds == 0 {
+		t.Error("no round ran on goroutines; the soak did not exercise parallel shards")
+	}
 	for _, v := range res.violations {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -586,7 +683,7 @@ func TestShardChaosScale1000(t *testing.T) {
 		other := runSoak(t, 20260808, q)
 		assertShardInvariant(t, "scale/shards=2", res, other)
 	}
-	t.Logf("scale soak: t=%d fired=%d migrations=%d kills=%d restarts=%d frames=%d dropped=%d retrans=%d",
-		res.now, res.fired, res.migrations, res.kills, res.restarts,
+	t.Logf("scale soak: t=%d fired=%d (%d rounds on goroutines) migrations=%d kills=%d restarts=%d frames=%d dropped=%d retrans=%d",
+		res.now, res.fired, res.parRounds, res.migrations, res.kills, res.restarts,
 		res.netStats.Frames, res.netStats.Dropped, res.netStats.Retransmits)
 }

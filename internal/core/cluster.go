@@ -82,10 +82,12 @@ type Options struct {
 	// bit-identical traces, counters and snapshots for any shard count,
 	// lossless or lossy (LossRate > 0 arms the machine-anchored ARQ).
 	Shards int
-	// ShardParallel runs each shard's engine on its own goroutine inside a
-	// round — a wall-clock choice only; results are identical, including
-	// under chaos injection (the injector keeps every fault's state on the
-	// shard that enforces it; see internal/chaos).
+	// ShardParallel allows each shard's engine to run on its own goroutine
+	// inside a round; the runtime does so for rounds dense enough to repay
+	// the join and runs sparse ones inline (sim.Group) — a wall-clock choice
+	// only; results are identical, including under chaos injection (the
+	// injector keeps every fault's state on the shard that enforces it; see
+	// internal/chaos).
 	ShardParallel bool
 }
 
@@ -107,9 +109,12 @@ type Cluster struct {
 	trs     []*trace.Tracer
 	regs    []*obs.Registry
 	leds    []*obs.Ledger
-	inboxes []shardInbox
 	group   *sim.Group
 	sinkBuf [][]trace.Record // per shard: records awaiting the next TraceSink flush
+	// outboxes[from][to] holds the frames shard from has shipped to shard
+	// to since the last barrier: written only by shard from inside a
+	// round, drained only by barrier between rounds (shard.go).
+	outboxes [][][]netw.RemoteFrame
 
 	// System process identities (zero if not booted).
 	SwitchboardPID addr.ProcessID

@@ -1,12 +1,12 @@
 // The cluster runtime: machines partitioned across shard-local engines
 // synchronized by conservative lookahead (sim.Group), with cross-shard
-// frames crossing through locked per-shard mailboxes. A default cluster is
-// the one-shard case of the same thing. See DESIGN.md §11 for the shard
-// model, the lookahead rule, and the determinism argument.
+// frames crossing through sender-owned outboxes. A default cluster is the
+// one-shard case of the same thing. See DESIGN.md §11 for the shard model,
+// the lookahead rule, and the determinism argument.
 //
 // Division of labor: internal/sim owns the round/barrier machinery,
 // internal/netw owns canonical frame ordering (the pending heap + gate
-// pump), and this file owns cluster assembly — shard assignment, mailbox
+// pump), and this file owns cluster assembly — shard assignment, outbox
 // transport, merged observability views, and fan-out of fault injection to
 // the shards that enforce each fault.
 package core
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 
 	"demosmp/internal/addr"
 	"demosmp/internal/kernel"
@@ -24,16 +23,6 @@ import (
 	"demosmp/internal/sim"
 	"demosmp/internal/trace"
 )
-
-// shardInbox is the locked mailbox for one receiving shard. It parks
-// netw.RemoteFrame values between rounds; the receiving shard's canonical
-// pending heap re-orders mailbox contents by (at, to, from, seq), so the
-// push order below — even from parallel shard goroutines — cannot influence
-// simulation order.
-type shardInbox struct {
-	mu sync.Mutex
-	q  []netw.RemoteFrame
-}
 
 // build constructs the engines, networks, kernels, and observability plane.
 // The caller (New) runs boot() afterwards.
@@ -62,16 +51,17 @@ func (c *Cluster) build() error {
 	for m := 1; m <= o.Machines; m++ {
 		c.shardOf[m] = (m - 1) % shards
 	}
-	c.inboxes = make([]shardInbox, shards)
+	c.outboxes = make([][][]netw.RemoteFrame, shards)
 	c.sinkBuf = make([][]trace.Record, shards)
 	for s := 0; s < shards; s++ {
 		s := s
 		eng := sim.NewEngine(o.Seed)
 		nw := netw.New(eng, o.Net)
 		if shards > 1 {
+			c.outboxes[s] = make([][]netw.RemoteFrame, shards)
 			nw.SetCanonical(o.Machines, o.Seed,
 				func(m addr.MachineID) bool { return c.shardOf[m] == s },
-				c.shipRemote)
+				c.shipFrom(s))
 		}
 		tr := trace.New(eng.Now, o.TraceCap)
 		if o.TraceSink != nil {
@@ -118,34 +108,39 @@ func (c *Cluster) build() error {
 	return nil
 }
 
-// shipRemote is every shard's cross-shard send hook: it parks the frame in
-// the receiving shard's mailbox. Called from inside a shard's round, so it
-// must touch nothing but the mailbox (and may race with other shards in
-// parallel mode — hence the lock).
+// shipFrom returns shard s's cross-shard send hook: it parks the frame in
+// s's outbox for the receiving shard. The hook captures s, so the row it
+// writes is its caller's by construction, whatever the frame says (an ARQ
+// ack is shipped by the data frame's receiver's shard, from that shard's
+// pump). Inside a round only shard s's network runs the hook, and between
+// rounds only barrier touches the outboxes; the round's join (or its
+// running inline) orders the two, so no lock is needed.
 //
-//demos:owner clone — the mailbox holds only heap clones: netw's canonical path retires a pooled original to its owner before shipping (copy-on-retain), so no pooled envelope ever crosses a shard boundary.
-func (c *Cluster) shipRemote(f netw.RemoteFrame) {
-	ib := &c.inboxes[c.shardOf[f.To]]
-	ib.mu.Lock()
-	ib.q = append(ib.q, f)
-	ib.mu.Unlock()
+//demos:owner clone — the outbox holds only heap clones: netw's canonical path retires a pooled original to its owner before shipping (copy-on-retain), so no pooled envelope ever crosses a shard boundary.
+func (c *Cluster) shipFrom(s int) func(netw.RemoteFrame) {
+	out := c.outboxes[s]
+	return func(f netw.RemoteFrame) {
+		to := c.shardOf[f.To]
+		out[to] = append(out[to], f)
+	}
 }
 
 // barrier runs between rounds, on the coordinating goroutine: it moves
-// every shard's mailbox into its network's canonical pending heap, then
-// writes the trace records the shards emitted since the last barrier to
-// TraceSink, merged in (time, machine, emission) order. A round's records
-// are all later than the previous round's, so the stream is in that order
-// end to end, whatever the shard count.
+// every outbox into the receiving shard's canonical pending heap (whose
+// order does not depend on the order of insertion) and empties it in place,
+// so a warm outbox never allocates; then it writes the trace records the
+// shards emitted since the last barrier to TraceSink, merged in (time,
+// machine, emission) order. A round's records are all later than the
+// previous round's, so the stream is in that order end to end, whatever the
+// shard count.
 func (c *Cluster) barrier() {
-	for s := range c.inboxes {
-		ib := &c.inboxes[s]
-		ib.mu.Lock()
-		q := ib.q
-		ib.q = nil
-		ib.mu.Unlock()
-		for _, f := range q {
-			c.nets[s].EnqueueRemote(f)
+	for _, out := range c.outboxes {
+		for to, q := range out {
+			for _, f := range q {
+				c.nets[to].EnqueueRemote(f)
+			}
+			clear(q) // the pending heap owns the messages now
+			out[to] = q[:0]
 		}
 	}
 	if c.opts.TraceSink == nil {
@@ -207,6 +202,10 @@ func (c *Cluster) Lookahead() sim.Time { return c.look }
 
 // Rounds returns the number of completed synchronization rounds.
 func (c *Cluster) Rounds() uint64 { return c.group.Rounds }
+
+// ParallelRounds returns how many of those rounds ran on goroutines: zero
+// without ShardParallel, and the dense ones with it.
+func (c *Cluster) ParallelRounds() uint64 { return c.group.ParallelRounds }
 
 // TotalFired sums events executed across all engines.
 func (c *Cluster) TotalFired() uint64 {

@@ -14,6 +14,7 @@ import (
 	"demosmp/internal/netw"
 	"demosmp/internal/obs"
 	"demosmp/internal/sim"
+	"demosmp/internal/simtest"
 	"demosmp/internal/workload"
 )
 
@@ -57,6 +58,110 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 	}
 	if sink.n <= before {
 		t.Fatal("frames were not delivered during the measurement")
+	}
+}
+
+// TestShardOutboxZeroAlloc extends the pin across a shard boundary, through
+// the cluster's own transport: an Echo pair on two shards sends every frame
+// through the ship hook, the sender's outbox, the barrier's drain,
+// EnqueueRemote and the receiving shard's pump. Once the outboxes and heaps
+// are warm the transport allocates nothing; what is left is msg.Clone's
+// copy-on-retain of the pooled envelope at the boundary — one Message and
+// one Body per frame.
+func TestShardOutboxZeroAlloc(t *testing.T) {
+	c, err := core.New(core.Options{Machines: 2, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := &workload.Echo{}, &workload.Echo{}
+	apid, err := c.Spawn(1, kernel.SpawnSpec{Body: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bpid, err := c.Spawn(2, kernel.SpawnSpec{Body: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Kernel(1).MintLinkTo(link.Link{Addr: addr.At(bpid, 2)}, apid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Kernel(2).MintLinkTo(link.Link{Addr: addr.At(apid, 1)}, bpid); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kernel(1).GiveMessage(apid, addr.At(bpid, 2), make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(100_000) // warm the outboxes, pending heaps, arenas and pools
+
+	// One run is exactly perRun frames: an Echo sends one for every message
+	// it receives, and no lookahead window is long enough to hold two.
+	const perRun = 64
+	const cloneAllocs = 2 // msg.Clone: the Message and its Body
+	frames := func() int { return a.Rounds + b.Rounds }
+	target := frames()
+	run := func() {
+		for target += perRun; frames() < target; {
+			c.RunFor(c.Lookahead())
+		}
+	}
+	if n := testing.AllocsPerRun(20, run); n != cloneAllocs*perRun {
+		t.Fatalf("%.0f allocations for %d cross-shard frames, want %d per frame", n, perRun, cloneAllocs)
+	}
+	if got := frames(); got != target {
+		t.Fatalf("%d frames crossed the boundary, want %d", got, target)
+	}
+}
+
+// TestShardOutboxParallel is the race pin of the lock-free transport: three
+// shards, a ring in which every shard ships to both others, rounds dense
+// enough to run on goroutines — once lossless, and once lossy, where every
+// data frame is answered by an ack shipped from inside the receiving
+// shard's pump, so each outbox row carries both kinds. Every message must
+// arrive exactly once and the counters must equal the inline run's;
+// scripts/check.sh runs this under -race -count=10.
+func TestShardOutboxParallel(t *testing.T) {
+	simtest.TwoProcs(t)
+	const machines, fan, n = 36, 4, 20
+	for _, tc := range []struct {
+		name string
+		net  netw.Config
+	}{
+		{"lossless", netw.Config{}},
+		{"lossy", netw.Config{LossRate: 0.05, RetransTimeout: 3000, MaxRetries: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(parallel bool) (netw.Stats, uint64) {
+				c, err := core.New(core.Options{Machines: machines, Seed: 3, Shards: 3,
+					ShardParallel: parallel, Net: tc.net})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sinks := spawnRing(t, c, machines, fan, n, 100)
+				c.Run()
+				for m, sink := range sinks {
+					if got := len(sink.Got); got != fan*n {
+						t.Fatalf("parallel=%v: machine %d's sink received %d messages, want exactly %d",
+							parallel, m+1, got, fan*n)
+					}
+				}
+				if c.InflightARQ() != 0 || c.PendingFrames() != 0 {
+					t.Fatalf("parallel=%v: quiescent cluster still holds frames: inflight=%d pending=%d",
+						parallel, c.InflightARQ(), c.PendingFrames())
+				}
+				return c.NetStats(), c.ParallelRounds()
+			}
+			seq, inline := run(false)
+			par, onGoroutines := run(true)
+			if inline != 0 || onGoroutines == 0 {
+				t.Fatalf("rounds on goroutines: %d without ShardParallel, %d with; want 0 and some", inline, onGoroutines)
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("network counters differ between inline and goroutine rounds:\n%+v\nvs\n%+v", seq, par)
+			}
+			if tc.net.LossRate > 0 && par.Retransmits == 0 {
+				t.Error("lossy run retransmitted nothing; the ack path is untested")
+			}
+		})
 	}
 }
 
@@ -123,6 +228,10 @@ type shardRun struct {
 	exits   string
 	spawned uint64
 	now     sim.Time // the clock after Run(): the last event fired
+
+	// parRounds is how many rounds ran on goroutines. It is not part of
+	// the comparison: the parallel arms check that it is not zero.
+	parRounds uint64
 }
 
 // same reports whether two runs agree on every compared artifact.
@@ -131,14 +240,44 @@ func (a shardRun) same(b shardRun) bool {
 		a.metrics == b.metrics && a.exits == b.exits && a.spawned == b.spawned && a.now == b.now
 }
 
+// spawnRing puts a Sink on every machine and has each machine's next fan
+// neighbours (cyclically) send it n messages, interval µs apart. Under
+// round-robin placement a neighbour at a distance that is not a multiple of
+// the shard count sits on another shard, so most frames cross a boundary,
+// and with a few dozen machines the rounds are dense enough to run on
+// goroutines under ShardParallel.
+func spawnRing(t *testing.T, c *core.Cluster, machines, fan, n int, interval uint32) []*workload.Sink {
+	t.Helper()
+	sinks := make([]*workload.Sink, 0, machines)
+	for m := 1; m <= machines; m++ {
+		sink := &workload.Sink{}
+		pid, err := c.Spawn(m, kernel.SpawnSpec{Body: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks = append(sinks, sink)
+		for k := 1; k <= fan; k++ {
+			if _, err := c.Spawn((m-1+k)%machines+1, kernel.SpawnSpec{
+				Body:  &workload.Chatter{N: n, Interval: interval},
+				Links: []link.Link{{Addr: addr.At(pid, addr.MachineID(m))}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return sinks
+}
+
 // runShardWorkload drives one fixed mixed workload — cross-machine chatter,
-// a request/reply conversation, a streaming open-loop job mix, and a
-// scripted mid-stream migration — on a cluster with the given shard count
-// (0: the option left at its default), streaming its trace to a sink.
+// a request/reply conversation, a streaming open-loop job mix, a scripted
+// mid-stream migration, and a ring of chatter over all 48 machines that
+// makes the rounds dense — on a cluster with the given shard count (0: the
+// option left at its default), streaming its trace to a sink.
 func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRun {
 	t.Helper()
+	simtest.TwoProcs(t)
 	var sink strings.Builder
-	opts := core.Options{Machines: 6, Seed: 9, Shards: shards, Switchboard: true, TraceSink: &sink}
+	opts := core.Options{Machines: 48, Seed: 9, Shards: shards, Switchboard: true, TraceSink: &sink}
 	if mut != nil {
 		mut(&opts)
 	}
@@ -167,6 +306,7 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 	d := c.StartOpenLoop(workload.OpenLoop{
 		Seed: 5, MeanGap: 900, PerMachine: 12, LongFraction: 0.25,
 	})
+	spawnRing(t, c, opts.Machines, 3, 20, 100)
 	// Scripted migration mid-chatter: scheduled on machine 1's own engine,
 	// so the trigger is machine-anchored and lands identically under every
 	// sharding. The move crosses shards for every shards > 1.
@@ -213,6 +353,8 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 		metrics: strings.Join(rows, "\n"),
 		exits:   fmt.Sprint(exits),
 		spawned: d.Spawned(),
+
+		parRounds: c.ParallelRounds(),
 	}
 }
 
@@ -263,6 +405,9 @@ func TestShardCountInvariance(t *testing.T) {
 		if !par.same(base) {
 			t.Errorf("%d shards: parallel rounds diverged from sequential execution", shards)
 		}
+		if par.parRounds == 0 {
+			t.Errorf("%d shards: no round ran on goroutines; the parallel arm compared inline with inline", shards)
+		}
 	}
 }
 
@@ -307,6 +452,9 @@ func TestShardLossyInvariance(t *testing.T) {
 	})
 	if !par.same(base) {
 		t.Error("lossy parallel rounds diverged from sequential execution")
+	}
+	if par.parRounds == 0 {
+		t.Error("no lossy round ran on goroutines; the parallel arm compared inline with inline")
 	}
 }
 

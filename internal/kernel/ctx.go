@@ -77,8 +77,9 @@ func (c *procCtx) send(on link.ID, kind msg.Kind, op msg.Op, body []byte, carry 
 	}
 	c.p.msgsOut++
 	c.p.msgsDelta++
-	c.p.commTo[l.Addr.LastKnown]++
-	c.p.commDelta[l.Addr.LastKnown]++
+	if k.cfg.LoadReportEvery > 0 { // only load reports read the peer counts
+		c.p.commDelta[l.Addr.LastKnown]++
+	}
 	k.route(m)
 	return nil
 }

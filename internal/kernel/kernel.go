@@ -204,7 +204,6 @@ type Process struct {
 	cpuUsed        sim.Time
 	msgsIn         uint64
 	msgsOut        uint64
-	commTo         map[addr.MachineID]uint64
 	queueHighWater int
 
 	// Deltas since the last load report.
@@ -487,7 +486,6 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 		image:      img,
 		privileged: spec.Privileged,
 		createdAt:  k.eng.Now(),
-		commTo:     make(map[addr.MachineID]uint64),
 		commDelta:  make(map[addr.MachineID]uint64),
 	}
 	for _, l := range spec.Links {
@@ -895,9 +893,6 @@ func (k *Kernel) getProcRec() *Process {
 	if p == nil {
 		p = &Process{}
 	}
-	if p.commTo == nil {
-		p.commTo = make(map[addr.MachineID]uint64)
-	}
 	if p.commDelta == nil {
 		p.commDelta = make(map[addr.MachineID]uint64)
 	}
@@ -919,14 +914,9 @@ func (k *Kernel) putProcRec(p *Process) {
 		k.tableFree.put(p.links)
 	}
 	q := p.queue
-	commTo, commDelta := p.commTo, p.commDelta
-	if commTo != nil {
-		clear(commTo)
-	}
-	if commDelta != nil {
-		clear(commDelta)
-	}
-	*p = Process{queue: q, commTo: commTo, commDelta: commDelta}
+	commDelta := p.commDelta
+	clear(commDelta)
+	*p = Process{queue: q, commDelta: commDelta}
 	k.procFree.put(p)
 }
 

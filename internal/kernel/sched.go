@@ -196,7 +196,7 @@ func (k *Kernel) sendLoadReport() {
 		rep.Procs = append(rep.Procs, pl)
 		p.cpuDelta = 0
 		p.msgsDelta = 0
-		p.commDelta = make(map[addr.MachineID]uint64)
+		clear(p.commDelta)
 	}
 	k.lastReportAt = now
 	k.lastReportBusy = k.stats.CPUBusy

@@ -18,8 +18,8 @@ const ModulePath = "demosmp"
 //     delivery internals — processes and services see messages, not frames;
 //   - internal/core is the only composition root that wires every
 //     subsystem together; the public demosmp package re-exports through it;
-//   - proctest is test scaffolding: no non-test file outside this table's
-//     explicit entries may depend on it.
+//   - proctest and simtest are test scaffolding: no non-test file outside
+//     this table's explicit entries may depend on them.
 var demosLayers = map[string][]string{
 	// vocabulary layer
 	"demosmp/internal/addr":   {},
@@ -43,6 +43,7 @@ var demosLayers = map[string][]string{
 		"demosmp/internal/memory", "demosmp/internal/msg", "demosmp/internal/sim"},
 	"demosmp/internal/proctest": {"demosmp/internal/addr", "demosmp/internal/link", "demosmp/internal/memory",
 		"demosmp/internal/msg", "demosmp/internal/proc", "demosmp/internal/sim"},
+	"demosmp/internal/simtest": {},
 	// policy reads the §6 ledger's record type to calibrate its cost
 	// model; obs is vocabulary-tier, so the edge stays downward.
 	"demosmp/internal/policy": {"demosmp/internal/addr", "demosmp/internal/msg", "demosmp/internal/obs",

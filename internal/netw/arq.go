@@ -158,7 +158,7 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 }
 
 // arqEnqueue routes one ARQ heap entry: into this shard's pending heap when
-// the destination is local, across the cluster's mailbox plane otherwise.
+// the destination is local, across the cluster's outbox plane otherwise.
 //
 //demos:owner inflight — the pending heap (this shard's or, via ship, the destination shard's) owns the entry's clone until arqLand consumes it.
 func (n *Network) arqEnqueue(ent pendEnt) {

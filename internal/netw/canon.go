@@ -16,10 +16,9 @@
 // key — and hence delivery order at equal timestamps — canonical.
 //
 // Cross-shard frames are shipped through a cluster-provided hook into the
-// receiving shard's mailbox and re-enter this same heap at the round
-// barrier; heap order is insertion-order-independent, so mailbox arrival
-// order (even from parallel shard goroutines) cannot perturb simulation
-// order. A pooled envelope never crosses a shard boundary: the ship path
+// sending shard's outbox and enter the receiving shard's heap at the round
+// barrier; heap order is insertion-order-independent, so the order the
+// barrier drains the outboxes in cannot perturb simulation order. A pooled envelope never crosses a shard boundary: the ship path
 // transmits a heap clone and retires the original to its owner, exactly
 // like the ARQ's copy-on-retain rule.
 package netw
@@ -42,10 +41,10 @@ const (
 )
 
 // RemoteFrame is one cross-shard frame in flight between a sending shard
-// and the receiving shard's mailbox. At and Seq are computed on the sending
-// shard; the receiving shard's pending heap re-orders mailbox contents by
-// (At, To, From, Seq, Class, Attempt), so mailbox push order — even from
-// parallel shard goroutines — cannot influence simulation order. The
+// and the receiving shard's pending heap. At and Seq are computed on the
+// sending shard; the receiving shard's pending heap orders what the barrier
+// hands it by (At, To, From, Seq, Class, Attempt), so the order it was
+// shipped or drained in cannot influence simulation order. The
 // cluster layer treats the frame as opaque cargo: it never inspects M.
 // Class, Attempt, and ID are ARQ routing state (zero for lossless frames):
 // acks carry a nil M.
@@ -97,7 +96,7 @@ func pendLess(a, b *pendEnt) bool {
 // SetCanonical tells the network it is one shard of a cluster of `machines`
 // total machines: local reports whether a machine id is attached to this
 // shard, and ship hands a frame bound for another shard to the cluster's
-// mailbox plane together with its precomputed arrival time and per-sender
+// outbox plane together with its precomputed arrival time and per-sender
 // sequence. Must be called before any Send. seed keys the hash-based loss
 // draws and must be identical on every shard of one run, so a frame's fate
 // is a pure function of its identity, not of shard count.
@@ -142,7 +141,7 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 }
 
 // EnqueueRemote lands a frame shipped from another shard: the cluster's
-// mailbox drain calls this at a round barrier, strictly before the frame's
+// outbox drain calls this at a round barrier, strictly before the frame's
 // arrival time (guaranteed by the conservative lookahead window).
 //
 //demos:owner inflight — the pending heap owns the shipped clone until pump delivers it.

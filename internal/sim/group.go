@@ -11,17 +11,41 @@
 //	deadline = nextT + W - 1
 //
 // without ever needing input from another shard inside the round. Frames
-// that cross shards during the round land in per-shard mailboxes; the
-// barrier between rounds drains them into the receiving shard's pending
-// heap (as gate events strictly beyond the old deadline) before the next
-// round's horizon is computed. Same seed + same workload therefore yields
-// bit-identical per-machine event orders for ANY shard count, including the
-// parallel execution mode: engines never share state inside a round, and
-// mailbox contents are re-ordered canonically by the receiver's pending
-// heap, so goroutine interleaving cannot leak into simulation order.
+// that cross shards during the round land in outboxes owned by the sending
+// shard; the barrier between rounds drains them into the receiving shard's
+// pending heap (as gate events strictly beyond the old deadline) before the
+// next round's horizon is computed. Same seed + same workload therefore
+// yields bit-identical per-machine event orders for ANY shard count,
+// whether a round runs inline or on goroutines: engines never share state
+// inside a round, and outbox contents are re-ordered canonically by the
+// receiver's pending heap, so goroutine interleaving cannot leak into
+// simulation order.
 package sim
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
+
+// parallelMinEvents is the density below which a round runs inline even
+// when Parallel is set: the events the previous round fired, summed over
+// the engines. BenchmarkGroupRound on the 2-core recording host (table in
+// EXPERIMENTS.md, "Parallel runtime") puts the cost of starting and joining
+// the goroutines at 1-2 µs a round and the cost of getting the second
+// core's thread to run well above it: goroutine rounds lose at every
+// density up to about 100 µs of work a round. With the ~1 µs events of the
+// workloads that ask for parallel shards (open-loop scale, chaos and
+// tournament tiers: spawn, exit, migration) they break even at best at 64
+// events over the group and win 1.1-1.3x at 128, so the constant sits
+// there, just past the break-even: the scale tier's 64-machine row, whose
+// rounds fire 436 events on average, keeps 700 of its 735 rounds on
+// goroutines and its parent's events/sec (at 256 only 497 did, and it read
+// 3-7 % lower). With ~100 ns events (a ping-pong's kernel slice) the
+// break-even is nearer 1000 on four engines and was not reached on two:
+// such a workload, if dense enough to cross the constant, loses up to 1.5x
+// on this host class. None in the repository is (pingpong-par fires 25
+// events a round).
+const parallelMinEvents = 128
 
 // Group coordinates N engines under conservative lookahead. The zero value
 // is not usable; fill in Engines and Lookahead.
@@ -36,16 +60,21 @@ type Group struct {
 	// Barrier, when set, runs between rounds — before the next round's
 	// horizon is computed and once more after the last round — always on
 	// the coordinating goroutine, so it needs no locking against engine
-	// execution. The cluster drains its shard mailboxes into the engines
+	// execution. The cluster drains its shard outboxes into the engines
 	// (as gate events) and flushes the merged trace stream here.
 	Barrier func()
 
-	// Parallel runs each round's engines on their own goroutines. Purely a
-	// wall-clock choice: results are identical either way.
+	// Parallel allows a round's engines to run on their own goroutines; the
+	// group does so only for rounds dense enough to repay the join (see
+	// round). Purely a wall-clock choice: results are identical either way.
 	Parallel bool
 
-	// Rounds counts completed synchronization rounds (observability).
-	Rounds uint64
+	// Rounds counts completed synchronization rounds, ParallelRounds those
+	// of them that ran on goroutines (observability).
+	Rounds         uint64
+	ParallelRounds uint64
+
+	prevFired uint64 // events the previous round fired, over all engines
 }
 
 func (g *Group) barrier() {
@@ -76,29 +105,52 @@ func (g *Group) strongPending() bool {
 	return false
 }
 
-// round runs every engine up to deadline, concurrently when Parallel is
-// set. Engines share no mutable state during a round (cross-shard frames
-// go through locked mailboxes owned by the cluster), so the only
+// fired sums the events every engine has executed so far.
+func (g *Group) fired() uint64 {
+	var n uint64
+	for _, e := range g.Engines {
+		n += e.fired
+	}
+	return n
+}
+
+// round runs every engine up to deadline: on goroutines when Parallel is
+// set, the previous round fired at least parallelMinEvents events (the next
+// round of a simulation is about as dense as the last) and the host can run
+// two goroutines at once; inline on the caller otherwise. The event count
+// is deterministic, so the choice is too, up to GOMAXPROCS — and it cannot
+// show in the results.
+func (g *Group) round(deadline Time) {
+	before := g.fired()
+	g.run(deadline, g.Parallel && len(g.Engines) > 1 &&
+		g.prevFired >= parallelMinEvents && runtime.GOMAXPROCS(0) >= 2)
+	g.prevFired = g.fired() - before
+	g.Rounds++
+}
+
+// run is one round's execution, on one goroutine per engine or inline.
+// Engines share no mutable state during a round (a cross-shard frame goes
+// into an outbox only its sending shard writes), so the only
 // synchronization needed is the join. Each engine's clock stays at its own
 // last fired event; RunUntilIdle and RunUntil set the common clock when
 // they return.
-func (g *Group) round(deadline Time) {
-	if g.Parallel && len(g.Engines) > 1 {
-		var wg sync.WaitGroup
-		for _, e := range g.Engines {
-			wg.Add(1)
-			go func(e *Engine) {
-				defer wg.Done()
-				e.runTo(deadline)
-			}(e)
-		}
-		wg.Wait()
-	} else {
+func (g *Group) run(deadline Time, goroutines bool) {
+	if !goroutines {
 		for _, e := range g.Engines {
 			e.runTo(deadline)
 		}
+		return
 	}
-	g.Rounds++
+	var wg sync.WaitGroup
+	for _, e := range g.Engines {
+		wg.Add(1)
+		go func(e *Engine) {
+			defer wg.Done()
+			e.runTo(deadline)
+		}(e)
+	}
+	wg.Wait()
+	g.ParallelRounds++
 }
 
 // RunUntilIdle runs rounds until, after a barrier, no engine holds a strong

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+
+	"demosmp/internal/simtest"
 )
 
 // TestGateOrdering pins the gate contract: at an equal timestamp, gate
@@ -156,33 +159,126 @@ func TestGroupRunUntilIdleClock(t *testing.T) {
 	}
 }
 
-// TestGroupParallelIdentical runs a fan-out/fan-in workload sequentially
-// and in parallel mode and requires identical logs per engine — goroutine
-// scheduling must not leak into simulation order.
-func TestGroupParallelIdentical(t *testing.T) {
-	run := func(parallel bool) string {
-		const shards = 4
-		engines := make([]*Engine, shards)
-		logs := make([][]Time, shards)
-		for i := range engines {
-			engines[i] = NewEngine(11)
-			i := i
-			var tick func(at Time)
-			tick = func(at Time) {
-				engines[i].At(at, "tick", func() {
-					logs[i] = append(logs[i], at)
-					if at < 200 {
-						tick(at + Time(3+i))
-					}
-				})
-			}
-			tick(Time(1 + i))
+// tickRun drives four engines under a lookahead of 4 until span: one sparse
+// ticker per engine throughout (about one event per engine per round) and,
+// inside every burst window, 128 more per engine (several hundred events per
+// round over the group, past parallelMinEvents). It returns every engine's
+// firing log and, per round, whether the round ran on goroutines.
+func tickRun(parallel bool, span Time, bursts ...[2]Time) (log string, onGoroutines []bool) {
+	const shards = 4
+	engines := make([]*Engine, shards)
+	logs := make([][]Time, shards)
+	for i := range engines {
+		engines[i] = NewEngine(11)
+		i := i
+		var tick func(id, at, end Time)
+		tick = func(id, at, end Time) {
+			engines[i].At(at, "tick", func() {
+				logs[i] = append(logs[i], at*1000+id)
+				if next := at + Time(3+i); next < end {
+					tick(id, next, end)
+				}
+			})
 		}
-		g := &Group{Engines: engines, Lookahead: 2, Parallel: parallel}
-		g.RunUntilIdle()
-		return fmt.Sprint(logs)
+		tick(0, Time(1+i), span)
+		for _, b := range bursts {
+			for id := Time(1); id <= 128; id++ {
+				tick(id, b[0]+id%3, b[1])
+			}
+		}
 	}
-	if seq, par := run(false), run(true); seq != par {
-		t.Fatalf("parallel rounds diverged:\nseq: %s\npar: %s", seq, par)
+	g := &Group{Engines: engines, Lookahead: 4, Parallel: parallel}
+	var seen uint64
+	g.Barrier = func() {
+		if g.Rounds > 0 {
+			onGoroutines = append(onGoroutines, g.ParallelRounds > seen)
+			seen = g.ParallelRounds
+		}
+	}
+	g.RunUntilIdle()
+	if len(onGoroutines) != int(g.Rounds) {
+		panic("tickRun: a round went unobserved")
+	}
+	return fmt.Sprint(logs), onGoroutines
+}
+
+// count returns how many rounds ran on goroutines.
+func count(onGoroutines []bool) (n int) {
+	for _, par := range onGoroutines {
+		if par {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGroupParallelIdentical runs dense rounds sequentially and with
+// Parallel set, and requires identical logs per engine — goroutine
+// scheduling must not leak into simulation order — and that the dense
+// rounds did run on goroutines, so the comparison is not inline against
+// inline.
+func TestGroupParallelIdentical(t *testing.T) {
+	simtest.TwoProcs(t)
+	seq, inline := tickRun(false, 200, [2]Time{1, 200})
+	par, rounds := tickRun(true, 200, [2]Time{1, 200})
+	if seq != par {
+		t.Fatalf("parallel rounds diverged:\nseq: %.200s\npar: %.200s", seq, par)
+	}
+	if n := count(inline); n != 0 {
+		t.Fatalf("Parallel unset: %d rounds ran on goroutines", n)
+	}
+	if n := count(rounds); n < len(rounds)/2 {
+		t.Fatalf("only %d of %d dense rounds ran on goroutines", n, len(rounds))
+	}
+}
+
+// TestGroupSparseRoundsInline is the mirror case: rounds of a handful of
+// events run inline even with Parallel set, with the same logs.
+func TestGroupSparseRoundsInline(t *testing.T) {
+	simtest.TwoProcs(t)
+	seq, _ := tickRun(false, 200)
+	par, rounds := tickRun(true, 200)
+	if seq != par {
+		t.Fatalf("Parallel changed a sparse run:\nseq: %.200s\npar: %.200s", seq, par)
+	}
+	if n := count(rounds); n != 0 || len(rounds) < 20 {
+		t.Fatalf("%d of %d sparse rounds ran on goroutines, want none of at least 20", n, len(rounds))
+	}
+}
+
+// TestGroupModeFlip runs dense, then sparse, then dense rounds inside one
+// RunUntilIdle: the group must move to goroutines, back inline and to
+// goroutines again, and the logs must equal a run with Parallel unset.
+func TestGroupModeFlip(t *testing.T) {
+	simtest.TwoProcs(t)
+	bursts := [][2]Time{{1, 100}, {400, 500}}
+	seq, _ := tickRun(false, 600, bursts...)
+	par, rounds := tickRun(true, 600, bursts...)
+	if seq != par {
+		t.Fatalf("mode flips changed the run:\nseq: %.200s\npar: %.200s", seq, par)
+	}
+	var flips int
+	for i := 1; i < len(rounds); i++ {
+		if rounds[i] != rounds[i-1] {
+			flips++
+		}
+	}
+	// inline (first round) -> goroutines -> inline -> goroutines -> inline
+	if flips != 4 {
+		t.Fatalf("mode changed %d times over %d rounds (%d on goroutines), want 4", flips, len(rounds), count(rounds))
+	}
+}
+
+// TestGroupOneProcInline pins the second half of the rule: with one P there
+// is nothing to run a second goroutine on, so even dense rounds run inline.
+func TestGroupOneProcInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq, _ := tickRun(false, 200, [2]Time{1, 200})
+	par, rounds := tickRun(true, 200, [2]Time{1, 200})
+	if seq != par {
+		t.Fatal("Parallel changed the run under GOMAXPROCS(1)")
+	}
+	if n := count(rounds); n != 0 {
+		t.Fatalf("GOMAXPROCS(1): %d rounds ran on goroutines", n)
 	}
 }

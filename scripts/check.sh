@@ -25,6 +25,9 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
+go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
+
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
 
@@ -35,7 +38,7 @@ echo "== hot-path allocation guards + benchmarks (1 iteration smoke)"
 go test -run TestHotPathZeroAlloc \
   -bench 'EngineSchedule|EngineDispatchDepth64|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
-go test -count=1 -run TestShardHotPathZeroAlloc ./internal/core/
+go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc' ./internal/core/
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts

@@ -14,8 +14,9 @@ import (
 // crashed to a working one." A checkpoint is exactly the three migration
 // payloads — resident record, swappable state, program image — with a
 // small header: Checkpoint is freeze (migrate.go) plus that header, and
-// Revive on another kernel is migration steps 3-5 and 8 replayed through
-// thaw from bytes instead of from data-move streams.
+// Revive on another kernel is migration steps 3-5 and 8 replayed from bytes
+// instead of from data-move streams, through the helpers those steps use
+// (displaceForwarder, thaw, restartAs).
 
 const checkpointMagic = 0x444D5043 // "DMPC"
 
@@ -44,7 +45,7 @@ func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.resident)))
 	b = append(b, f.resident...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(swappable))
-	b = append(append(append(b, f.swapHdr[:]...), f.table...), f.ctl...)
+	b = append(append(b, f.swap...), f.ctl...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.program)))
 	b = append(b, f.program...)
 	k.trace(trace.CatMigrate, "checkpoint",
@@ -96,12 +97,8 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 		return addr.NilPID, err
 	}
 
-	if old, dup := k.procs[pid]; dup {
-		if old.state != StateForwarder {
-			return addr.NilPID, fmt.Errorf("kernel %v: %v already exists here", k.machine, pid)
-		}
-		k.stats.ForwarderBytes -= ForwarderWireSize
-		k.delProc(pid)
+	if old, dup := k.procs[pid]; dup && old.state != StateForwarder {
+		return addr.NilPID, fmt.Errorf("kernel %v: %v already exists here", k.machine, pid)
 	}
 	if len(program) > 0 && k.cfg.MemCapacity > 0 && k.memUsed+len(program) > k.cfg.MemCapacity {
 		return addr.NilPID, fmt.Errorf("kernel %v: out of memory for revival", k.machine)
@@ -111,17 +108,13 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	if err := k.thaw(p, resident, swappable, program); err != nil {
 		return addr.NilPID, err
 	}
+	if fwd := k.displaceForwarder(pid); fwd != nil {
+		k.putProcRec(fwd)
+	}
 	k.addProc(p)
 	k.stats.Revived++
 	k.tracef(trace.CatMigrate, "revive", "%v as %v from %dB checkpoint",
 		trace.PID(pid), trace.Str(state.String()), trace.Int(len(checkpoint)))
-	switch state {
-	case StateWaiting:
-		p.state = StateWaiting
-	case StateSuspended:
-		p.state = StateSuspended
-	default:
-		k.enqueueRun(p)
-	}
+	k.restartAs(p, state)
 	return pid, nil
 }

@@ -31,31 +31,12 @@ func (k *Kernel) kernelMsg(m *msg.Message) {
 }
 
 func (k *Kernel) kernelControl(m *msg.Message) {
+	// --- migration protocol (§3.1): the table in migrate.go ---
+	if row := protocolRow(m.Op); row != nil {
+		k.migrationMsg(row, m)
+		return
+	}
 	switch m.Op {
-	// --- migration protocol (§3.1) ---
-	case msg.OpMigrateRequest:
-		k.handleMigrateRequest(m)
-	case msg.OpMigrateAsk:
-		k.handleMigrateAsk(m)
-	case msg.OpMigrateAccept:
-		k.handleMigrateAccept(m)
-	case msg.OpMigrateRefuse:
-		k.handleMigrateRefuse(m)
-	case msg.OpMoveDataReq:
-		k.handleMoveDataReq(m)
-	case msg.OpMigrateEstablished:
-		k.handleMigrateEstablished(m)
-	case msg.OpMigrateCleanup:
-		k.handleMigrateCleanup(m)
-	case msg.OpMigrateAbort:
-		k.handleMigrateAbort(m)
-	case msg.OpMigrateDone:
-		// A self-initiated migration's completion report (requester was
-		// this kernel rather than a process manager).
-		if d, err := msg.DecodeMigrateDone(m.Body); err == nil {
-			k.doneMigs = append(k.doneMigs, d)
-		}
-
 	// --- process control (§2.2: control follows the process) ---
 	case msg.OpSuspend:
 		k.handleSuspend(m)

@@ -27,7 +27,7 @@ func freezeCopy(t *testing.T, p *Process) regions {
 	if err := freeze(&f, p); err != nil {
 		t.Fatal(err)
 	}
-	swappable := append(append(append([]byte(nil), f.swapHdr[:]...), f.table...), f.ctl...)
+	swappable := append(bytes.Clone(f.swap), f.ctl...)
 	return regions{bytes.Clone(f.resident), swappable, bytes.Clone(f.program)}
 }
 

@@ -1,0 +1,117 @@
+package kernel_test
+
+import (
+	"testing"
+
+	"demosmp/internal/addr"
+	"demosmp/internal/kernel"
+	"demosmp/internal/msg"
+)
+
+// FuzzKernelAdmin injects an arbitrary migration-protocol message into a
+// live kernel in the middle of a real migration. Three kernels, one
+// stateful process on m1, a migration to m2 requested by m3 and driven
+// `point` engine events forward; then (op, body, from) is delivered to
+// kernel `target` — through DeliverFrame, so through the one dispatcher —
+// once or twice, and the cluster runs to quiescence.
+//
+// Whatever the message was: no panic, no migration record left pending, no
+// envelope leaked or released twice. And unless it was a forgery about the
+// migrating pid itself (see forged below), exactly one live copy of the
+// process exists and every forwarding address leads to it.
+func FuzzKernelAdmin(f *testing.F) {
+	pid := addr.ProcessID{Creator: 1, Local: 1} // the first process m1 spawns
+	foreign := addr.ProcessID{Creator: 3, Local: 77}
+	// Who legitimately sends each message to whom, in this scenario.
+	route := map[msg.Op][2]uint8{ // op -> {target, from}
+		msg.OpMigrateRequest: {1, 3}, msg.OpMigrateAsk: {2, 1},
+		msg.OpMigrateAccept: {1, 2}, msg.OpMigrateRefuse: {1, 2}, msg.OpMoveDataReq: {1, 2},
+		msg.OpMigrateEstablished: {1, 2}, msg.OpMigrateCleanup: {2, 1},
+		msg.OpMigrateDone: {3, 1}, msg.OpMigrateAbort: {2, 1},
+	}
+	// Seed corpus: the nine legal messages, each truncated by one byte, each
+	// naming a foreign pid, each replayed twice — before the migration, at
+	// three points inside it, and after it.
+	for op, body := range legalBodies(pid) {
+		to, from := route[op][0]-1, route[op][1]-1
+		code := uint8(op - msg.OpMigrateRequest)
+		for _, point := range []uint16{0, 10, 25, 40, 400} {
+			f.Add(point, to, code, from, body, false)
+			f.Add(point, to, code, from, body[:len(body)-1], false)
+			f.Add(point, to, code, from, legalBodies(foreign)[op], false)
+			f.Add(point, to, code, from, body, true)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, point uint16, target, code, from uint8, body []byte, twice bool) {
+		c := newTC(t, 3, nil)
+		got, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+		if err != nil || got != pid {
+			t.Fatalf("spawned %v, %v", got, err)
+		}
+		c.runFor(2_000)
+		c.migrate(3, pid, 1, 2)
+		for i := 0; i < int(point%512) && c.eng.Step(); i++ {
+		}
+		op := msg.OpMigrateRequest + msg.Op(code%9)
+		to, fr := int(target%3)+1, int(from%3)+1
+		c.inject(to, fr, op, body)
+		if twice {
+			c.inject(to, fr, op, body)
+		}
+		c.run()
+
+		news, free, held := 0, 0, 0
+		for m := 1; m <= 3; m++ {
+			if n := c.k(m).PendingMigrations(); n != 0 {
+				t.Errorf("m%d: %d migration records pending at quiescence", m, n)
+			}
+			n, fr, h := c.k(m).PoolStats()
+			news, free, held = news+n, free+fr, held+h
+		}
+		if news != free+held {
+			t.Errorf("envelope pool: %d constructed, %d free + %d held", news, free, held)
+		}
+		if forged(pid, body) {
+			return
+		}
+		home := 0
+		for m := 1; m <= 3; m++ {
+			if info, ok := c.k(m).Process(pid); ok && info.State != kernel.StateForwarder {
+				if home != 0 {
+					t.Errorf("live copies on m%d and m%d", home, m)
+				}
+				home = m
+			}
+		}
+		if home == 0 {
+			t.Fatal("no live copy of the process anywhere")
+		}
+		for m := 1; m <= 3; m++ {
+			at := m
+			for hops := 0; at != home; hops++ {
+				info, ok := c.k(at).Process(pid)
+				if !ok {
+					break // no address here: nothing to converge
+				}
+				if hops == 3 {
+					t.Fatalf("forwarding chain from m%d does not reach m%d", m, home)
+				}
+				at = int(info.FwdTo)
+			}
+		}
+	})
+}
+
+// forged reports whether an injected body names the migrating pid. Such a
+// message claims to come from a party to the migration, and the protocol —
+// no sequence numbers, no authentication — believes it: a forged Abort
+// discards a half whose peer then commits, a forged Ask builds a second
+// copy. What a kernel does then is still checked for panics, stranded
+// records and leaked envelopes, but not for exactly-one (DESIGN.md §9
+// "Honest gaps"; the schedule explorer's (step, op) legality filter is where
+// that is to be closed).
+func forged(pid addr.ProcessID, body []byte) bool {
+	got, _, err := addr.DecodePID(body)
+	return err == nil && got == pid
+}

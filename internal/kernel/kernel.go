@@ -126,9 +126,10 @@ type Config struct {
 	// along the path of migration".
 	ReclaimForwarders bool
 	// MigrateTimeout bounds how long either kernel waits for migration
-	// progress before aborting and restoring/discarding state. The
-	// timer re-arms on every protocol step, so it only fires when the
-	// peer has actually gone silent (e.g. crashed mid-transfer).
+	// progress before aborting and restoring/discarding state. Every
+	// protocol message and every data packet of a region moves the
+	// deadline, so it only passes when the peer has actually gone silent
+	// (e.g. crashed mid-transfer).
 	MigrateTimeout sim.Time
 	// CheckpointOnArrival writes a migrated process to the destination's
 	// stable storage as soon as step 8 restarts it, so stable storage
@@ -304,21 +305,19 @@ type Kernel struct {
 	memUsed int
 	swap    *memory.Store
 
-	out      map[addr.ProcessID]*outMigration
-	in       map[addr.ProcessID]*inMigration
+	migs     map[addr.ProcessID]*migration // in-flight migration halves, either role (migrate.go)
 	nextXfer uint16
 	xfersIn  map[uint16]*inStream // inbound streams, keyed by locally-allocated xfer id
 	moveOps  map[uint16]*moveOp   // outbound move-data writes awaiting completion
 
 	// Migration fast-path free lists (see DESIGN.md §7): steady-state
-	// migrations recycle their bookkeeping records — the out/in migration
-	// halves (with their region scratch buffers and once-bound watchdog
-	// closures), stream reassembly records, and whole Process records —
-	// so a warm kernel migrates without growing the heap. Records wiped
-	// wholesale by Restart (k.out/k.in reassignment) are simply orphaned
-	// to the GC; the free lists only ever hold released records.
-	omFree     freelist[outMigration]
-	imFree     freelist[inMigration]
+	// migrations recycle their bookkeeping records — the migration halves
+	// (with their region buffers and once-bound watchdog closures), stream
+	// reassembly records, and whole Process records — so a warm kernel
+	// migrates without growing the heap. Records wiped wholesale by
+	// Restart (k.migs reassignment) are simply orphaned to the GC; the
+	// free lists only ever hold released records.
+	migFree    freelist[migration]
 	streamFree freelist[inStream]
 	procFree   freelist[Process]
 	// tableFree recycles link.Table backing between departures and
@@ -378,8 +377,7 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 		procs:         make(map[addr.ProcessID]*Process),
 		nextUID:       1,
 		swap:          memory.NewStore(SwapCapacity),
-		out:           make(map[addr.ProcessID]*outMigration),
-		in:            make(map[addr.ProcessID]*inMigration),
+		migs:          make(map[addr.ProcessID]*migration),
 		xfersIn:       make(map[uint16]*inStream),
 		moveOps:       make(map[uint16]*moveOp),
 		pendingLocate: make(map[addr.ProcessID][]*msg.Message),

@@ -13,78 +13,77 @@ import (
 	"demosmp/internal/trace"
 )
 
-// This file implements §3.1's eight steps. The source kernel handles steps
-// 1-2 and 6-7; the destination kernel controls steps 3-5 and 8 ("The next
-// part of the migration, up to the forwarding of messages, will be
-// controlled by the destination processor kernel").
+// This file implements §3.1's eight steps as one record type (migration),
+// one table (protocol) and one dispatcher (migrationMsg). The source kernel
+// runs steps 1-2 and 6-7; the destination kernel controls steps 3-5 and 8
+// ("The next part of the migration, up to the forwarding of messages, will
+// be controlled by the destination processor kernel"). The nine
+// administrative messages — who sends each, its payload, which half receives
+// it and what a kernel holding no such half does — are the rows of protocol;
+// docs/PROTOCOLS.md "Kernel control plane" prints that table and
+// TestProtocolTableDoc keeps the two identical.
 //
-// Administrative messages (all KindControl, payloads 6-12 bytes):
-//
-//	1. process manager -> src : OpMigrateRequest   (DELIVERTOKERNEL)
-//	2. src -> dst             : OpMigrateAsk       (sizes)
-//	3. dst -> src             : OpMigrateAccept / OpMigrateRefuse
-//	4. dst -> src             : OpMoveDataReq(resident)
-//	5. dst -> src             : OpMoveDataReq(swappable)
-//	6. dst -> src             : OpMoveDataReq(program)
-//	7. dst -> src             : OpMigrateEstablished
-//	8. src -> dst             : OpMigrateCleanup
-//	9. src -> process manager : OpMigrateDone
-//
-// — nine messages, matching the paper's administrative cost.
-//
-// Fast-path notes (DESIGN.md §7 "migration fast path"): the protocol above
-// is pinned by the conformance tests, but its bookkeeping is not. Both
-// migration halves are pooled records with once-bound watchdog closures;
-// the process crosses as one frozen value (freeze/thaw at the end of this
-// file, shared with Checkpoint/Revive) whose scratch buffers survive
-// recycling; region pulls reassemble into pre-warmed buffers sized from the
-// MigrateAsk announcement; and trace records carry a static format and scalar
-// arguments (k.tracef), so no step touches fmt until its record is read.
+// Fast-path notes (DESIGN.md §7 "migration fast path"): the protocol is
+// pinned by the conformance tests, but its bookkeeping is not. A migration
+// half is a pooled record whose watchdog closure is bound once and whose
+// event is armed once; the process crosses as one frozen value (freeze/thaw
+// at the end of this file, shared with Checkpoint/Revive) whose region
+// buffers survive recycling and serve either half; region pulls reassemble
+// into those buffers, pre-sized from the MigrateAsk announcement; and trace
+// records carry a static format and scalar arguments (k.tracef), so no step
+// touches fmt until its record is read.
 
-// outMigration is the source half of one in-flight migration. Records are
-// pooled (k.omFree): the scratch buffers and the watchdog closure survive
-// recycling, so a warm kernel freezes a process without allocating.
-type outMigration struct {
-	p         *Process
-	dest      addr.MachineID
+// migRole is the half of a migration a record stands for and, in the
+// protocol table, the half an op is addressed to.
+type migRole uint8
+
+const (
+	roleSource migRole = 1 << iota // steps 1-2 and 6-7
+	roleDest                       // steps 3-5 and 8
+	roleEither = roleSource | roleDest
+)
+
+// migStep is how far the destination half has got: the msg.Region it is
+// pulling (steps 4-5), then stepEstablished. (The source half is driven by
+// the destination's messages and keeps no step of its own.)
+type migStep uint8
+
+// stepEstablished: the process is fully assembled and message 7 has been
+// sent. From here on this copy is the process, and a silent source must not
+// make the watchdog discard it.
+const stepEstablished = migStep(msg.RegionProgram) + 1
+
+// migration is one half of one in-flight migration. Records are pooled
+// (k.migFree) and serve either role: the region buffers and the watchdog
+// closure survive recycling, so a warm kernel freezes a process, or
+// reassembles one, without allocating, and a process bouncing between two
+// machines reaches a steady state where its transfers touch no allocator.
+type migration struct {
+	role migRole
+	step migStep // destination half only
+	pid  addr.ProcessID
+	peer addr.MachineID // the other kernel
+	p    *Process       // the frozen process (source) or the incoming record (destination)
+
+	// Source half: who asked, and the §6 cost report being assembled.
 	requester addr.ProcessAddr
 	rep       MigrationReport
-	watchdog  sim.Event
-	wdFn      func() // bound once at construction; identity-checked on fire
 
-	frozen // the three region payloads, frozen at step 1
-}
-
-// inMigration is the destination half. Also pooled (k.imFree); the region
-// reassembly buffers are indexed by msg.Region and keep their backing
-// across migrations, so a process bouncing between two machines reaches a
-// steady state where its transfers touch no allocator.
-type inMigration struct {
-	pid      addr.ProcessID
-	src      addr.MachineID
-	ask      msg.MigrateAsk
-	p        *Process
-	stage    msg.Region
-	bufs     [4][]byte // region reassembly buffers, indexed by msg.Region
-	watchdog sim.Event
-	wdFn     func()
-	// xfer/streaming track the one in-flight region pull so failIncoming
-	// can release the stream record it registered in k.xfersIn.
+	// Destination half. xfer is the region pull in flight (failIncoming
+	// releases its stream record). displaced is this pid's own forwarding
+	// address, set aside at step 3 when the process migrates back to a
+	// machine it once left: step 8 recycles it, a failure puts it back.
 	xfer      uint16
-	streaming bool
-	// established is set once the process is fully assembled and
-	// message 7 has been sent: from here on this copy is the process,
-	// and a silent source must not make the watchdog discard it.
-	established bool
-}
+	displaced *Process
 
-// ensure pre-sizes one region buffer (the "pre-warmed destination slot"):
-// the MigrateAsk sizes are rounded up to msg.SizeUnit, so a buffer with
-// this capacity never grows during the transfer.
-func (im *inMigration) ensure(r msg.Region, n int) {
-	if cap(im.bufs[r]) < n {
-		im.bufs[r] = make([]byte, 0, n)
-	}
+	// The one watchdog, armed once per half: it fires at the deadline it was
+	// armed for and re-arms itself for the remainder if progress has moved
+	// the deadline meanwhile — so progress is a store, not a Cancel+After.
+	deadline sim.Time
+	watchdog sim.Event
+	wdFn     func() // bound once at construction; identity-checked on fire
+
+	frozen // the three regions: frozen at step 1, or reassembled in steps 4-5
 }
 
 // migrateEnvelopeReserve is how many envelopes the destination pool is
@@ -92,153 +91,175 @@ func (im *inMigration) ensure(r msg.Region, n int) {
 // replies and acks of one transfer to find warm envelopes.
 const migrateEnvelopeReserve = 4
 
-func (k *Kernel) getOutMigration() *outMigration {
-	om := k.omFree.get()
-	if om == nil {
-		om = &outMigration{}
-		om.wdFn = func() { k.outWatchdogFired(om) }
+// openMigration starts a half: a record from the pool, registered under the
+// pid. The watchdog is armed later (armWatchdog), once the half has sent
+// its first message.
+func (k *Kernel) openMigration(role migRole, p *Process, peer addr.MachineID) *migration {
+	mg := k.migFree.get()
+	if mg == nil {
+		mg = &migration{}
+		mg.wdFn = func() { k.watchdogFired(mg) }
 	}
-	return om
+	mg.role, mg.pid, mg.peer, mg.p = role, p.id, peer, p
+	k.migs[p.id] = mg
+	return mg
 }
 
-// putOutMigration releases a source-side record. Callers must have
-// canceled the watchdog and removed the record from k.out; records
-// orphaned by a crash (Restart reassigns k.out wholesale) are simply
-// dropped to the GC and never reach the free list.
+// endMigration is the one way a half ends — committed, refused, aborted or
+// failed: the watchdog is canceled, the pid is free for the next migration,
+// and the record goes back to the pool with its region buffers' backing and
+// its watchdog closure. The caller reads what it still needs from mg first:
+// the next migration may take this very record. Records orphaned by a crash
+// never get here (Restart cancels their watchdogs and reassigns k.migs
+// wholesale) and are dropped to the GC.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) putOutMigration(om *outMigration) {
-	*om = outMigration{wdFn: om.wdFn, frozen: frozen{resident: om.resident[:0], table: om.table[:0]}}
-	k.omFree.put(om)
+func (k *Kernel) endMigration(mg *migration) {
+	k.eng.Cancel(mg.watchdog)
+	delete(k.migs, mg.pid)
+	*mg = migration{wdFn: mg.wdFn, frozen: frozen{
+		resident: mg.resident[:0], swap: mg.swap[:0], program: mg.program[:0]}}
+	k.migFree.put(mg)
 }
 
-func (k *Kernel) getInMigration() *inMigration {
-	im := k.imFree.get()
-	if im == nil {
-		im = &inMigration{}
-		im.wdFn = func() { k.inWatchdogFired(im) }
-	}
-	return im
+// armWatchdog starts the half's progress timer. If the peer goes silent —
+// crashed mid-transfer, network partition — the source gives up, discards
+// the destination's half-built state and restores the frozen process as if
+// the migration had been refused; the destination discards the incoming
+// state and tells the source to restore the process.
+func (k *Kernel) armWatchdog(mg *migration) {
+	k.progress(mg)
+	mg.watchdog = k.eng.At(mg.deadline, "kernel:migrate-watchdog", mg.wdFn)
 }
 
-// putInMigration releases a destination-side record (same contract as
-// putOutMigration: watchdog canceled, k.in entry gone).
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) putInMigration(im *inMigration) {
-	bufs := im.bufs
-	for i := range bufs {
-		bufs[i] = bufs[i][:0]
-	}
-	*im = inMigration{bufs: bufs, wdFn: im.wdFn}
-	k.imFree.put(im)
+// progress moves the half's deadline: MigrateTimeout from now. The armed
+// event is left where it is; watchdogFired chases the deadline.
+func (k *Kernel) progress(mg *migration) {
+	mg.deadline = k.eng.Now() + k.cfg.MigrateTimeout
 }
 
-// armOutWatchdog (re)starts the source-side progress timer. If the
-// destination goes silent — crashed mid-transfer, network partition — the
-// source gives up, discards the destination's half-built state, and
-// restores the frozen process as if the migration had been refused.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) armOutWatchdog(om *outMigration) {
-	k.eng.Cancel(om.watchdog)
-	om.watchdog = k.eng.After(k.cfg.MigrateTimeout, "kernel:migrate-watchdog", om.wdFn)
-}
-
-// armInWatchdog (re)starts the destination-side progress timer: if the
-// source stops streaming (or never sends cleanup), discard the incoming
-// state and tell the source to restore the process.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) armInWatchdog(im *inMigration) {
-	k.eng.Cancel(im.watchdog)
-	im.watchdog = k.eng.After(k.cfg.MigrateTimeout, "kernel:migrate-watchdog", im.wdFn)
-}
-
-// outWatchdogFired is the source-side timeout. The pointer-identity check
-// against k.out makes a stale fire on a recycled record a no-op.
-func (k *Kernel) outWatchdogFired(om *outMigration) {
-	if k.crashed {
+// watchdogFired is the timeout of either half. The pointer-identity check
+// against k.migs makes a stale fire on a recycled record a no-op.
+func (k *Kernel) watchdogFired(mg *migration) {
+	if k.crashed || k.migs[mg.pid] != mg {
 		return // Restart discards the migration wholesale
 	}
-	if om.p == nil || k.out[om.p.id] != om {
+	if k.eng.Now() < mg.deadline {
+		mg.watchdog = k.eng.At(mg.deadline, "kernel:migrate-watchdog", mg.wdFn)
 		return
 	}
-	abort := k.newControl(msg.OpMigrateAbort, addr.KernelAddr(om.dest))
-	abort.Body = msg.PIDMachine{PID: om.p.id, Machine: k.machine}.AppendTo(abort.Body[:0])
-	k.sendAdmin(abort, nil)
-	k.abortOutMigration(om, "migrate-aborted", fmt.Errorf("no progress from %v in %v", om.dest, k.cfg.MigrateTimeout))
-}
-
-// inWatchdogFired is the destination-side timeout.
-func (k *Kernel) inWatchdogFired(im *inMigration) {
-	if k.crashed {
-		return // Restart discards the migration wholesale
-	}
-	if k.in[im.pid] != im {
-		return
-	}
-	if im.established {
-		// Step 5 completed: this copy IS the process, and the
-		// source has gone silent — crashed before step 7, or its
-		// cleanup is stuck in retransmission. Committing cannot
-		// fork: a crashed source wiped its copy (and invalidated
-		// its stale checkpoint when it learned we were
-		// established), and a source that instead aborted and
+	if mg.step == stepEstablished {
+		// Step 5 completed: this copy IS the process, and the source has
+		// gone silent — crashed before step 7, or its cleanup is stuck in
+		// retransmission. Committing cannot fork: a crashed source wiped
+		// its copy (and invalidated its stale checkpoint when it learned
+		// we were established), and a source that instead aborted and
 		// restored its copy sends OpMigrateAbort, which a
 		// timeout-committed copy yields to.
-		k.tracef(trace.CatMigrate, "timeout-commit", "%v", trace.PID(im.pid))
-		k.commitIncoming(im, 0, true)
+		k.tracef(trace.CatMigrate, "timeout-commit", "%v", trace.PID(mg.pid))
+		k.commitIncoming(mg, 0, true)
 		return
 	}
-	abort := k.newControl(msg.OpMigrateAbort, addr.KernelAddr(im.src))
-	abort.Body = msg.PIDMachine{PID: im.pid, Machine: k.machine}.AppendTo(abort.Body[:0])
-	k.sendAdmin(abort, nil)
-	k.failIncoming(im, fmt.Errorf("no progress from %v in %v", im.src, k.cfg.MigrateTimeout))
+	k.sendPIDMachine(addr.KernelAddr(mg.peer), msg.OpMigrateAbort, mg.pid)
+	k.failMigration(mg, fmt.Errorf("no progress from %v in %v", mg.peer, k.cfg.MigrateTimeout))
 }
 
-// handleMigrateAbort discards whichever half of an in-flight migration
-// this kernel holds.
-func (k *Kernel) handleMigrateAbort(m *msg.Message) {
-	pm, err := msg.DecodePIDMachine(m.Body)
-	if err != nil {
-		return
-	}
-	if om, ok := k.out[pm.PID]; ok {
-		k.abortOutMigration(om, "migrate-aborted", fmt.Errorf("aborted by %v", pm.Machine))
-		return
-	}
-	if im, ok := k.in[pm.PID]; ok {
-		k.failIncoming(im, fmt.Errorf("aborted by %v", pm.Machine))
-		return
-	}
-	// An abort reaching a copy committed on watchdog timeout means the
-	// source restored its own copy before learning we were established:
-	// exactly-one requires the younger copy to yield. Duplicate or stale
-	// aborts find no process, or a cleanly-committed one (timeoutCommit
-	// false), and fall through as no-ops.
-	if p := k.lookup(pm.PID); p != nil && p.timeoutCommit && p.state != StateForwarder {
-		k.yieldTimeoutCommit(p, pm.Machine)
+// failMigration discards whichever half mg is.
+func (k *Kernel) failMigration(mg *migration, cause error) {
+	if mg.role == roleSource {
+		k.abortSource(mg, "migrate-aborted", cause)
+	} else {
+		k.failIncoming(mg, cause)
 	}
 }
 
-// yieldTimeoutCommit discards a timeout-committed copy in favour of the
-// source's restored one. Queued messages die here and are accounted as
-// dead letters; the local stable checkpoint is invalidated so a later
-// restart cannot resurrect the yielded copy.
-func (k *Kernel) yieldTimeoutCommit(p *Process, src addr.MachineID) {
-	k.tracef(trace.CatMigrate, "timeout-commit-yield", "%v yields to restored copy on %v",
-		trace.PID(p.id), trace.Machine(src))
-	k.removeFromRunq(p)
-	k.releaseImage(p)
-	for p.queue.Len() > 0 {
-		k.stats.DeadLetters++
-		k.putMsg(p.queue.pop())
+// --- the protocol table and its dispatcher ----------------------------------
+
+// protoRow is one row of the protocol table. num, dir, steps and orphanDoc
+// are its words in docs/PROTOCOLS.md; migrationMsg reads the rest.
+type protoRow struct {
+	op    msg.Op
+	num   string  // which of §6's nine administrative messages
+	dir   string  // sender → receiver
+	bytes int     // payload size; a shorter body is dropped
+	role  migRole // the half it is addressed to; 0: none (the op opens a half, or goes to the requester)
+	// step runs on the addressed record (nil when role is 0), passing kills in order.
+	step  func(k *Kernel, mg *migration, m *msg.Message)
+	steps string
+	kills []KillPoint
+	// orphan runs instead when this kernel holds no such half for the pid; nil ignores the message.
+	orphan    func(k *Kernel, pid addr.ProcessID, m *msg.Message)
+	orphanDoc string
+}
+
+// protocol is §3.1 as data: one row per migration op, indexed by
+// op-OpMigrateRequest. It is the one list of migration ops — kernelControl
+// routes exactly these to migrationMsg — and is filled in init because the
+// step functions reach kernelControl again (step 8 hands held
+// DELIVERTOKERNEL messages to the kernel), which a package-level
+// initializer may not.
+var protocol [msg.OpMigrateAbort - msg.OpMigrateRequest + 1]protoRow
+
+func init() {
+	protocol = [...]protoRow{
+		{op: msg.OpMigrateRequest, num: "1", dir: "process manager → source", bytes: 6,
+			step: (*Kernel).stepRequest, steps: "1–2, opens the source half", kills: []KillPoint{KPSourceFrozen, KPSourceAsked}},
+		{op: msg.OpMigrateAsk, num: "2", dir: "source → destination", bytes: 10,
+			step: (*Kernel).stepAsk, steps: "3, opens the destination half", kills: []KillPoint{KPDestAllocated}},
+		{op: msg.OpMigrateAccept, num: "3", dir: "destination → source", bytes: 6, role: roleSource,
+			step: (*Kernel).stepAccept, steps: "—"},
+		{op: msg.OpMigrateRefuse, num: "3", dir: "destination → source", bytes: 6, role: roleSource,
+			step: (*Kernel).stepRefuse, steps: "§3.2"},
+		{op: msg.OpMoveDataReq, num: "4–6", dir: "destination → source", bytes: 7, role: roleSource,
+			step: (*Kernel).stepMoveData, steps: "4–5"},
+		{op: msg.OpMigrateEstablished, num: "7", dir: "destination → source", bytes: 6, role: roleSource,
+			step: (*Kernel).stepEstablished, steps: "6–7", kills: []KillPoint{KPSourceEstablished, KPSourceCommitted},
+			orphan: (*Kernel).abortPeer, orphanDoc: "reply `migrate-abort`"},
+		{op: msg.OpMigrateCleanup, num: "8", dir: "source → destination", bytes: 6, role: roleDest,
+			step: (*Kernel).stepCleanup, steps: "8", kills: []KillPoint{KPDestCleanup},
+			orphan: (*Kernel).disarmTimeoutCommit, orphanDoc: "clear `timeoutCommit`"},
+		{op: msg.OpMigrateDone, num: "9", dir: "source → requester", bytes: 7,
+			step: (*Kernel).stepDone, steps: "—"},
+		{op: msg.OpMigrateAbort, num: "—", dir: "either → the other", bytes: 6, role: roleEither,
+			step: (*Kernel).stepAbort, steps: "—",
+			orphan: (*Kernel).yieldTimeoutCommit, orphanDoc: "a timeout-committed copy yields"},
 	}
-	delete(k.stable, p.id)
-	k.delProc(p.id)
-	k.stats.MigrationsFailed++
-	k.putProcRec(p)
+}
+
+// protocolRow returns op's row of the table, nil if op is no migration op.
+func protocolRow(op msg.Op) *protoRow {
+	if op < msg.OpMigrateRequest || op > msg.OpMigrateAbort {
+		return nil
+	}
+	return &protocol[op-msg.OpMigrateRequest]
+}
+
+// migrationMsg is the one dispatcher of the migration protocol. Every body
+// starts with the pid; it finds that pid's record, checks it is the half the
+// op is addressed to (else the row's orphan rule), bills the message to the
+// source half's report (the received side of §6's count; sendAdmin bills the
+// sent side), stamps progress, and runs the row's step.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
+	if len(m.Body) < row.bytes {
+		return // so no step's decoder can fail
+	}
+	var mg *migration
+	if row.role != 0 {
+		pid, _, _ := addr.DecodePID(m.Body)
+		if mg = k.migs[pid]; mg == nil || mg.role&row.role == 0 {
+			if row.orphan != nil {
+				row.orphan(k, pid, m)
+			}
+			return
+		}
+		if mg.role == roleSource {
+			mg.rep.NoteAdmin(len(m.Body))
+		}
+		k.progress(mg)
+	}
+	row.step(k, mg, m)
 }
 
 // sendAdmin accounts for one administrative message — globally and (if rep
@@ -264,44 +285,77 @@ func (k *Kernel) sendDone(to addr.ProcessAddr, d msg.MigrateDone, rep *Migration
 	k.sendAdmin(m, rep)
 }
 
-// sendPIDMachine emits one of the {PID, machine} administrative messages
-// (accept, refuse, established, abort).
-func (k *Kernel) sendPIDMachine(to addr.ProcessAddr, op msg.Op, pm msg.PIDMachine, rep *MigrationReport) {
+// sendPIDMachine emits one of the {PID, this machine} administrative
+// messages (accept, refuse, established, abort).
+func (k *Kernel) sendPIDMachine(to addr.ProcessAddr, op msg.Op, pid addr.ProcessID) {
 	m := k.newControl(op, to)
-	m.Body = pm.AppendTo(m.Body[:0])
-	k.sendAdmin(m, rep)
+	m.Body = msg.PIDMachine{PID: pid, Machine: k.machine}.AppendTo(m.Body[:0])
+	k.sendAdmin(m, nil)
+}
+
+// stepDone records a self-initiated migration's completion report (the
+// requester was this kernel rather than a process manager).
+func (k *Kernel) stepDone(_ *migration, m *msg.Message) {
+	d, _ := msg.DecodeMigrateDone(m.Body)
+	k.doneMigs = append(k.doneMigs, d)
+}
+
+// stepAbort discards whichever half of the migration this kernel holds.
+func (k *Kernel) stepAbort(mg *migration, m *msg.Message) {
+	pm, _ := msg.DecodePIDMachine(m.Body)
+	k.failMigration(mg, fmt.Errorf("aborted by %v", pm.Machine))
+}
+
+// yieldTimeoutCommit is the abort's orphan rule. An abort reaching a copy
+// committed on watchdog timeout means the source restored its own copy
+// before learning we were established: exactly-one requires the younger
+// copy to yield. Duplicate or stale aborts find no process, or a
+// cleanly-committed one (timeoutCommit false), and fall through as no-ops.
+// Queued messages die with the yielded copy and are accounted as dead
+// letters; the local stable checkpoint is invalidated so a later restart
+// cannot resurrect it.
+func (k *Kernel) yieldTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
+	p := k.lookup(pid)
+	if p == nil || !p.timeoutCommit || p.state == StateForwarder {
+		return
+	}
+	pm, _ := msg.DecodePIDMachine(m.Body)
+	k.tracef(trace.CatMigrate, "timeout-commit-yield", "%v yields to restored copy on %v",
+		trace.PID(p.id), trace.Machine(pm.Machine))
+	k.removeFromRunq(p)
+	k.releaseImage(p)
+	for p.queue.Len() > 0 {
+		k.stats.DeadLetters++
+		k.putMsg(p.queue.pop())
+	}
+	delete(k.stable, p.id)
+	k.delProc(p.id)
+	k.stats.MigrationsFailed++
+	k.putProcRec(p)
 }
 
 // --- source side -----------------------------------------------------------
 
-// handleMigrateRequest is step 1: remove the process from execution.
-func (k *Kernel) handleMigrateRequest(m *msg.Message) {
-	req, err := msg.DecodeMigrateRequest(m.Body)
-	if err != nil {
-		return
-	}
+// stepRequest is steps 1-2: remove the process from execution and ask the
+// destination.
+func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
+	req, _ := msg.DecodeMigrateRequest(m.Body)
 	p := k.lookup(req.PID)
-	if p == nil || p.state == StateForwarder || p.state == StateIncoming {
-		k.sendDone(m.From, msg.MigrateDone{PID: req.PID, Machine: k.machine, OK: false}, nil)
-		return
-	}
-	if req.Dest == k.machine {
-		// Trivial migration: already here.
-		k.sendDone(m.From, msg.MigrateDone{PID: req.PID, Machine: k.machine, OK: true}, nil)
-		return
-	}
-	if _, busy := k.out[req.PID]; busy || p.state == StateInMigration {
-		k.sendDone(m.From, msg.MigrateDone{PID: req.PID, Machine: k.machine, OK: false}, nil)
+	here := p != nil && p.state != StateForwarder && p.state != StateIncoming && k.net.Routable(req.Dest)
+	trivial := here && req.Dest == k.machine // already where it is asked to go
+	if !here || trivial || p.state == StateInMigration {
+		k.sendDone(m.From, msg.MigrateDone{PID: req.PID, Machine: k.machine, OK: trivial}, nil)
 		return
 	}
 
-	om := k.getOutMigration()
-	om.p, om.dest, om.requester = p, req.Dest, m.From
-	om.rep = MigrationReport{
+	mg := k.openMigration(roleSource, p, req.Dest)
+	mg.requester = m.From
+	mg.rep = MigrationReport{
 		PID: p.id, From: k.machine, To: req.Dest, Start: k.eng.Now(),
 	}
-	// Count the request we just received.
-	om.rep.NoteAdmin(len(m.Body))
+	// Count the request we just received: it opened the record, so the
+	// dispatcher had none to bill.
+	mg.rep.NoteAdmin(len(m.Body))
 
 	// Step 1: "The process is marked as 'in migration'. If it had been
 	// ready, it is removed from the run queue. No change is made to the
@@ -314,16 +368,15 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 		trace.PID(p.id), trace.Str(p.prevState.String()))
 
 	// Freeze the three payloads at this instant, into the record's
-	// scratch buffers.
-	if err := freeze(&om.frozen, p); err != nil {
-		k.abortOutMigration(om, "migrate-aborted", err)
+	// region buffers.
+	if err := freeze(&mg.frozen, p); err != nil {
+		k.abortSource(mg, "migrate-aborted", err)
 		return
 	}
-	swappable := om.swappableLen()
-	om.rep.ResidentBytes = len(om.resident)
-	om.rep.SwappableBytes = swappable
-	om.rep.ProgramBytes = len(om.program)
-	k.out[p.id] = om
+	swappable := mg.swappableLen()
+	mg.rep.ResidentBytes = len(mg.resident)
+	mg.rep.SwappableBytes = swappable
+	mg.rep.ProgramBytes = len(mg.program)
 	if k.killpoint(KPSourceFrozen, p.id) {
 		return
 	}
@@ -332,38 +385,35 @@ func (k *Kernel) handleMigrateRequest(m *msg.Message) {
 	// processor, asking it to migrate the process to its machine."
 	ask := msg.MigrateAsk{
 		PID:       p.id,
-		Program:   msg.ToUnits(len(om.program)),
-		Resident:  msg.ToUnits(len(om.resident)),
+		Program:   msg.ToUnits(len(mg.program)),
+		Resident:  msg.ToUnits(len(mg.resident)),
 		Swappable: msg.ToUnits(swappable),
 	}
 	k.tracef(trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)",
-		trace.PID(p.id), trace.Machine(om.dest), trace.Int(len(om.program)), trace.Int(len(om.resident)), trace.Int(swappable))
+		trace.PID(p.id), trace.Machine(mg.peer), trace.Int(len(mg.program)), trace.Int(len(mg.resident)), trace.Int(swappable))
 	am := k.newControl(msg.OpMigrateAsk, addr.KernelAddr(req.Dest))
 	am.Body = ask.AppendTo(am.Body[:0])
-	k.sendAdmin(am, &om.rep)
+	k.sendAdmin(am, &mg.rep)
 	if k.killpoint(KPSourceAsked, p.id) {
 		return
 	}
-	k.armOutWatchdog(om)
+	k.armWatchdog(mg)
 }
 
-// abortOutMigration ends the source half without moving the process —
-// aborted on a fault path, or refused by the destination — restores the
-// frozen process and reports failure to the requester.
-func (k *Kernel) abortOutMigration(om *outMigration, event string, cause error) {
-	k.trace(trace.CatMigrate, event, fmt.Sprintf("%v: %v", om.p.id, cause))
-	k.eng.Cancel(om.watchdog)
-	delete(k.out, om.p.id)
+// abortSource ends the source half without moving the process — aborted on
+// a fault path, or refused by the destination — restores the frozen process
+// and reports failure to the requester.
+func (k *Kernel) abortSource(mg *migration, event string, cause error) {
+	k.trace(trace.CatMigrate, event, fmt.Sprintf("%v: %v", mg.pid, cause))
+	p, requester := mg.p, mg.requester
+	k.endMigration(mg) // first: a request held on the queue may migrate p again right now
 	k.stats.MigrationsFailed++
-	k.restoreFrozen(om.p)
-	k.sendDone(om.requester, msg.MigrateDone{PID: om.p.id, Machine: k.machine, OK: false}, &om.rep)
-	k.putOutMigration(om)
+	k.restoreFrozen(p)
+	k.sendDone(requester, msg.MigrateDone{PID: p.id, Machine: k.machine, OK: false}, nil)
 }
 
 // restoreFrozen puts a process back the way step 1 found it and redelivers
-// anything that was held on its queue meanwhile. The drain is bounded by
-// the queue length at entry: redelivery lands re-held messages at the tail,
-// and those must not be processed again in this pass.
+// anything that was held on its queue meanwhile.
 func (k *Kernel) restoreFrozen(p *Process) {
 	switch p.prevState {
 	case StateReady:
@@ -371,103 +421,67 @@ func (k *Kernel) restoreFrozen(p *Process) {
 	default:
 		p.state = p.prevState
 	}
+	k.redeliver(p)
+}
+
+// redeliver hands the messages held on p's queue back to the normal
+// delivery path. The drain is bounded by the queue length at entry:
+// redelivery to a restored process lands at the tail of this same queue,
+// and those messages must not be processed again in this pass.
+func (k *Kernel) redeliver(p *Process) {
 	for n := p.queue.Len(); n > 0; n-- {
 		k.deliverLocal(p.queue.pop())
 	}
 }
 
-// handleMigrateAccept is informational on the source: the destination now
-// drives steps 4-5 by pulling the three regions.
-func (k *Kernel) handleMigrateAccept(m *msg.Message) {
-	pm, err := msg.DecodePIDMachine(m.Body)
-	if err != nil {
-		return
-	}
-	if om, ok := k.out[pm.PID]; ok {
-		om.rep.NoteAdmin(len(m.Body))
-		k.armOutWatchdog(om)
-		k.tracef(trace.CatMigrate, "accepted", "%v by %v", trace.PID(pm.PID), trace.Machine(pm.Machine))
-	}
+// stepAccept is informational on the source: the destination now drives
+// steps 4-5 by pulling the three regions.
+func (k *Kernel) stepAccept(mg *migration, _ *msg.Message) {
+	k.tracef(trace.CatMigrate, "accepted", "%v by %v", trace.PID(mg.pid), trace.Machine(mg.peer))
 }
 
-func (k *Kernel) handleMigrateRefuse(m *msg.Message) {
-	pm, err := msg.DecodePIDMachine(m.Body)
-	if err != nil {
-		return
-	}
-	om, ok := k.out[pm.PID]
-	if !ok {
-		return
-	}
-	om.rep.NoteAdmin(len(m.Body))
-	k.abortOutMigration(om, "refused",
-		fmt.Errorf("by %v (§3.2: the process cannot be migrated)", pm.Machine))
+func (k *Kernel) stepRefuse(mg *migration, _ *msg.Message) {
+	k.abortSource(mg, "refused", fmt.Errorf("by %v (§3.2: the process cannot be migrated)", mg.peer))
 }
 
-// handleMoveDataReq serves steps 4-5 from the source: stream the requested
+// stepMoveData serves steps 4-5 from the source: stream the requested
 // region to the destination kernel. The swappable region goes out as a
-// three-vector gather (length prefix, link table, body control state) —
-// byte-identical on the wire to the old concatenating encoder, but without
-// ever building the concatenation.
+// two-vector gather (length-prefixed link table, body control state) —
+// byte-identical on the wire to a concatenating encoder, but without ever
+// building the concatenation.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) handleMoveDataReq(m *msg.Message) {
-	req, err := msg.DecodeMoveDataReq(m.Body)
-	if err != nil {
-		return
-	}
-	om, ok := k.out[req.PID]
-	if !ok {
-		return
-	}
-	om.rep.NoteAdmin(len(m.Body))
-	om.rep.MoveDataTransfers++
-	k.armOutWatchdog(om)
-	var vecs [3][]byte
-	nv := 1
+func (k *Kernel) stepMoveData(mg *migration, m *msg.Message) {
+	req, _ := msg.DecodeMoveDataReq(m.Body)
+	mg.rep.MoveDataTransfers++
+	var vecs [2][]byte
 	switch req.Region {
 	case msg.RegionResident:
-		vecs[0] = om.resident
+		vecs[0] = mg.resident
 	case msg.RegionSwappable:
-		vecs[0], vecs[1], vecs[2] = om.swapHdr[:], om.table, om.ctl
-		nv = 3
+		vecs[0], vecs[1] = mg.swap, mg.ctl
 	case msg.RegionProgram:
-		vecs[0] = om.program
+		vecs[0] = mg.program
 	}
-	total := 0
-	for _, v := range vecs[:nv] {
-		total += len(v)
-	}
-	packets := k.streamGather(addr.KernelAddr(m.From.LastKnown), false, req.Xfer, 0, vecs[:nv])
-	om.rep.DataPackets += packets
+	total := len(vecs[0]) + len(vecs[1])
+	packets, span := k.streamGather(addr.KernelAddr(m.From.LastKnown), false, req.Xfer, 0, vecs[:])
+	mg.rep.DataPackets += packets
+	// The destination says nothing more until the paced stream has left:
+	// that much silence is progress, not a fault.
+	mg.deadline += span
 	k.tracef(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v",
 		trace.PID(req.PID), trace.Str(req.Region.String()), trace.Int(total), trace.Int(packets), trace.Machine(m.From.LastKnown))
 }
 
-// handleMigrateEstablished is steps 6-7 on the source, plus the final
-// report to the requester.
-func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
-	pm, err := msg.DecodePIDMachine(m.Body)
-	if err != nil {
-		return
-	}
-	om, ok := k.out[pm.PID]
-	if !ok {
-		// The migration was aborted here (watchdog) but the
-		// destination finished anyway: make it discard its copy so
-		// the process cannot run in two places.
-		k.sendPIDMachine(m.From, msg.OpMigrateAbort,
-			msg.PIDMachine{PID: pm.PID, Machine: k.machine}, nil)
-		return
-	}
-	k.eng.Cancel(om.watchdog)
-	om.rep.NoteAdmin(len(m.Body))
-	p := om.p
+// stepEstablished is steps 6-7 on the source, plus the final report to the
+// requester.
+func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
+	p, pid := mg.p, mg.pid
 	// The destination's copy is now the process: any checkpoint of the
 	// source copy is stale, and reviving it after a crash here would
 	// fork the process.
-	delete(k.stable, p.id)
-	if k.killpoint(KPSourceEstablished, p.id) {
+	delete(k.stable, pid)
+	if k.killpoint(KPSourceEstablished, pid) {
 		return
 	}
 
@@ -477,24 +491,23 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 	// kernel changes the location part of the process address." The drain
 	// is bounded by the length at entry; rerouting cannot re-hold here
 	// (the record becomes a forwarder below), but the bound keeps the
-	// pattern uniform with restoreFrozen.
+	// pattern uniform with redeliver.
 	forwarded := p.queue.Len()
 	for n := forwarded; n > 0; n-- {
 		qm := p.queue.pop()
-		qm.To.LastKnown = om.dest
+		qm.To.LastKnown = mg.peer
 		k.stats.ForwardedPending++
 		k.route(qm)
 	}
 	k.tracef(trace.CatMigrate, "step6-forward-pending", "%v: %d queued messages to %v",
-		trace.PID(p.id), trace.Int(forwarded), trace.Machine(om.dest))
-	om.rep.PendingForwarded = forwarded
+		trace.PID(pid), trace.Int(forwarded), trace.Machine(mg.peer))
+	mg.rep.PendingForwarded = forwarded
 
 	// Step 7: "all state for the process is removed and space for memory
 	// and tables is reclaimed. A forwarding address is left." The dead
 	// record is recycled immediately — in forwarding mode it is reborn as
 	// the forwarding address, so installing one allocates nothing.
 	k.releaseImage(p)
-	pid := p.id
 	backPtr := p.cameFrom
 	k.delProc(pid)
 	k.putProcRec(p)
@@ -503,51 +516,54 @@ func (k *Kernel) handleMigrateEstablished(m *msg.Message) {
 		fwd = k.getProcRec()
 		fwd.id = pid
 		fwd.state = StateForwarder
-		fwd.fwdTo = om.dest
+		fwd.fwdTo = mg.peer
 		fwd.cameFrom = backPtr
 		k.addProc(fwd)
 		k.stats.ForwardersInstalled++
 		k.stats.ForwarderBytes += ForwarderWireSize
 	}
 	k.tracef(trace.CatMigrate, "step7-cleanup-forwarding-address", "%v: forwarder -> %v (%d bytes)",
-		trace.PID(pid), trace.Machine(om.dest), trace.Int(ForwarderWireSize))
+		trace.PID(pid), trace.Machine(mg.peer), trace.Int(ForwarderWireSize))
 
 	if k.cfg.EagerUpdate {
-		k.broadcastEagerUpdate(pid, om.dest)
+		k.broadcastEagerUpdate(pid, mg.peer)
 	}
-	// The process now lives at the destination: a checkpoint taken here is
-	// stale, and reviving it after a crash would fork the process.
-	delete(k.stable, pid)
 	if k.killpoint(KPSourceCommitted, pid) {
 		return
 	}
 
 	// Step 8 trigger: tell the destination it may restart the process.
-	cm := k.newControl(msg.OpMigrateCleanup, addr.KernelAddr(om.dest))
+	cm := k.newControl(msg.OpMigrateCleanup, addr.KernelAddr(mg.peer))
 	cm.Body = msg.MigrateCleanup{PID: pid, Forwarded: uint16(forwarded)}.AppendTo(cm.Body[:0])
-	k.sendAdmin(cm, &om.rep)
+	k.sendAdmin(cm, &mg.rep)
 
 	// Message 9: report success to the requester (process manager).
-	k.sendDone(om.requester, msg.MigrateDone{PID: pid, Machine: om.dest, OK: true}, &om.rep)
+	k.sendDone(mg.requester, msg.MigrateDone{PID: pid, Machine: mg.peer, OK: true}, &mg.rep)
 
-	om.rep.End = k.eng.Now()
-	om.rep.OK = true
+	mg.rep.End = k.eng.Now()
+	mg.rep.OK = true
 	k.stats.MigrationsOut++
-	k.reports = append(k.reports, om.rep)
+	k.reports = append(k.reports, mg.rep)
 	if k.led != nil {
 		// The ledger keeps the record by pointer; the forwarder holds it
 		// too, so §4/§5 residual traffic keeps accruing to this migration
 		// after completion (see Kernel.ledgerForward).
-		rec := k.led.Add(om.rep)
+		rec := k.led.Add(mg.rep)
 		if fwd != nil {
 			fwd.obsRec = rec
 		}
 	}
 	if k.cfg.OnReport != nil {
-		k.cfg.OnReport(om.rep)
+		k.cfg.OnReport(mg.rep)
 	}
-	delete(k.out, pid)
-	k.putOutMigration(om)
+	k.endMigration(mg)
+}
+
+// abortPeer is a late Established's orphan rule: the migration was aborted
+// here (watchdog) but the destination finished anyway. Make it discard its
+// copy so the process cannot run in two places.
+func (k *Kernel) abortPeer(pid addr.ProcessID, m *msg.Message) {
+	k.sendPIDMachine(m.From, msg.OpMigrateAbort, pid)
 }
 
 func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
@@ -567,23 +583,18 @@ func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
 
 // --- destination side -------------------------------------------------------
 
-// handleMigrateAsk is step 3: allocate an empty process state with the same
-// process identifier and reserve resources — or refuse (§3.2).
-func (k *Kernel) handleMigrateAsk(m *msg.Message) {
-	ask, err := msg.DecodeMigrateAsk(m.Body)
-	if err != nil {
-		return
-	}
+// stepAsk is step 3: allocate an empty process state with the same process
+// identifier and reserve resources — or refuse (§3.2).
+func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
+	ask, _ := msg.DecodeMigrateAsk(m.Body)
 	src := m.From.LastKnown
 	programBytes := int(ask.Program) * msg.SizeUnit
 	memFree := -1
 	if k.cfg.MemCapacity > 0 {
 		memFree = k.cfg.MemCapacity - k.memUsed
 	}
-	accept := true
-	if existing, dup := k.procs[ask.PID]; dup && existing.state != StateForwarder {
-		accept = false // identity collision: refuse
-	}
+	old := k.procs[ask.PID]
+	accept := old == nil || old.state == StateForwarder // else identity collision: refuse
 	if accept && k.cfg.Accept != nil {
 		accept = k.cfg.Accept(ask, memFree)
 	} else if accept && memFree >= 0 && programBytes > memFree {
@@ -591,8 +602,7 @@ func (k *Kernel) handleMigrateAsk(m *msg.Message) {
 	}
 	if !accept {
 		k.stats.MigrationsRefused++
-		k.sendPIDMachine(addr.KernelAddr(src), msg.OpMigrateRefuse,
-			msg.PIDMachine{PID: ask.PID, Machine: k.machine}, nil)
+		k.sendPIDMachine(addr.KernelAddr(src), msg.OpMigrateRefuse, ask.PID)
 		return
 	}
 
@@ -600,173 +610,171 @@ func (k *Kernel) handleMigrateAsk(m *msg.Message) {
 	// the newly allocated process state has the same process identifier
 	// as the migrating process. Resources such as virtual memory swap
 	// space are reserved at this time."
-	if old, dup := k.procs[ask.PID]; dup && old.state == StateForwarder {
-		// The process is migrating back to a machine holding its own
-		// forwarding address; the real process supersedes it.
-		k.stats.ForwarderBytes -= ForwarderWireSize
-		k.delProc(ask.PID)
-		k.putProcRec(old)
-	}
+	displaced := k.displaceForwarder(ask.PID)
 	p := k.getProcRec()
 	p.id = ask.PID
 	p.state = StateIncoming
 	p.cameFrom = src
 	k.addProc(p)
-	im := k.getInMigration()
-	im.pid, im.src, im.ask, im.p = ask.PID, src, ask, p
-	im.stage = msg.RegionResident
+	mg := k.openMigration(roleDest, p, src)
+	mg.step, mg.displaced = migStep(msg.RegionResident), displaced
 	// Pre-warmed destination slots: size the region reassembly buffers
 	// from the announced (unit-rounded) sizes and top up the envelope
 	// pool now, so steps 4-8 do no growth or map work.
-	im.ensure(msg.RegionResident, int(ask.Resident)*msg.SizeUnit)
-	im.ensure(msg.RegionSwappable, int(ask.Swappable)*msg.SizeUnit)
-	im.ensure(msg.RegionProgram, programBytes)
+	reserve(&mg.resident, int(ask.Resident)*msg.SizeUnit)
+	reserve(&mg.swap, int(ask.Swappable)*msg.SizeUnit)
+	reserve(&mg.program, programBytes)
 	k.pool.Reserve(migrateEnvelopeReserve)
-	k.in[ask.PID] = im
 	k.tracef(trace.CatMigrate, "step3-allocate-state", "%v from %v (reserving %dB)",
 		trace.PID(ask.PID), trace.Machine(src), trace.Int(programBytes))
 	if k.killpoint(KPDestAllocated, ask.PID) {
 		return
 	}
-	k.sendPIDMachine(addr.KernelAddr(src), msg.OpMigrateAccept,
-		msg.PIDMachine{PID: ask.PID, Machine: k.machine}, nil)
-	k.armInWatchdog(im)
-	k.pullRegion(im)
+	k.sendPIDMachine(addr.KernelAddr(src), msg.OpMigrateAccept, ask.PID)
+	k.armWatchdog(mg)
+	k.pullRegion(mg, mg.resident)
 }
 
-// pullRegion requests the next region (steps 4 and 5: "Using the move data
-// facility, the destination kernel copies..."). The stream record carries
-// the migration pointer directly, so region completion dispatches without
-// a per-pull closure.
+// displaceForwarder takes pid's own forwarding address, if this kernel
+// holds one, out of the process table — the process is arriving back on a
+// machine it once left, and the real process supersedes the address. The
+// caller owns the returned record (nil if there was none): a migration
+// keeps it until step 8 in case the arrival fails, Revive recycles it.
+func (k *Kernel) displaceForwarder(pid addr.ProcessID) *Process {
+	old := k.procs[pid]
+	if old == nil || old.state != StateForwarder {
+		return nil
+	}
+	k.stats.ForwarderBytes -= ForwarderWireSize
+	k.delProc(pid)
+	return old
+}
+
+// pullRegion requests the region mg.step names, to be reassembled into
+// buf's backing (steps 4 and 5: "Using the move data facility, the
+// destination kernel copies..."). The stream record carries the migration
+// pointer directly, so region completion dispatches without a per-pull
+// closure.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) pullRegion(im *inMigration) {
-	xfer := k.newXferID()
-	region := im.stage
+func (k *Kernel) pullRegion(mg *migration, buf []byte) {
+	region := msg.Region(mg.step)
 	st := k.getInStream()
-	st.im = im
-	st.region = region
-	st.buf = im.bufs[region][:0]
-	k.xfersIn[xfer] = st
-	im.xfer, im.streaming = xfer, true
+	st.mg = mg
+	st.buf = buf[:0]
+	mg.xfer = k.newXferID()
+	k.xfersIn[mg.xfer] = st
 	step := "step4-transfer-state"
 	if region == msg.RegionProgram {
 		step = "step5-transfer-program"
 	}
-	k.tracef(trace.CatMigrate, step, "%v pull %v", trace.PID(im.pid), trace.Str(region.String()))
-	rm := k.newControl(msg.OpMoveDataReq, addr.KernelAddr(im.src))
-	rm.Body = msg.MoveDataReq{PID: im.pid, Region: region, Xfer: xfer}.AppendTo(rm.Body[:0])
+	k.tracef(trace.CatMigrate, step, "%v pull %v", trace.PID(mg.pid), trace.Str(region.String()))
+	rm := k.newControl(msg.OpMoveDataReq, addr.KernelAddr(mg.peer))
+	rm.Body = msg.MoveDataReq{PID: mg.pid, Region: region, Xfer: mg.xfer}.AppendTo(rm.Body[:0])
 	k.sendAdmin(rm, nil)
 }
 
-// regionArrived stores a reassembled region and advances the pull state
-// machine. The pointer-identity check makes late completions of an aborted
-// (and possibly recycled) migration no-ops.
+// regionArrived stores the reassembled region mg.step was pulling and
+// advances the pull state machine (handleDataPacket stamped progress as
+// each packet arrived). mg is live: a half that ends mid-pull unregisters
+// its stream (failIncoming), so no stream completes into a dead record.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) regionArrived(im *inMigration, region msg.Region, data []byte) {
-	if k.in[im.pid] != im {
-		return // aborted while the stream was in flight
-	}
-	im.streaming = false // the stream record was released by its completer
-	k.armInWatchdog(im)
-	im.bufs[region] = data
-	switch region {
+func (k *Kernel) regionArrived(mg *migration, data []byte) {
+	switch msg.Region(mg.step) {
 	case msg.RegionResident:
-		im.stage = msg.RegionSwappable
-		k.pullRegion(im)
+		mg.resident = data
+		mg.step = migStep(msg.RegionSwappable)
+		k.pullRegion(mg, mg.swap)
 	case msg.RegionSwappable:
-		if k.killpoint(KPDestMidTransfer, im.pid) {
+		mg.swap = data
+		if k.killpoint(KPDestMidTransfer, mg.pid) {
 			return
 		}
-		im.stage = msg.RegionProgram
-		k.pullRegion(im)
+		mg.step = migStep(msg.RegionProgram)
+		k.pullRegion(mg, mg.program)
 	case msg.RegionProgram:
-		if k.killpoint(KPDestTransferred, im.pid) {
+		mg.program = data
+		if k.killpoint(KPDestTransferred, mg.pid) {
 			return
 		}
-		k.assembleProcess(im)
+		k.assembleProcess(mg)
 	}
 }
 
 // assembleProcess thaws the three regions into a runnable process and
-// sends OpMigrateEstablished (end of step 5, message 7).
-func (k *Kernel) assembleProcess(im *inMigration) {
-	err := k.thaw(im.p, im.bufs[msg.RegionResident], im.bufs[msg.RegionSwappable], im.bufs[msg.RegionProgram])
-	if err != nil {
-		k.failIncoming(im, err)
+// sends OpMigrateEstablished (end of step 5, message 7). The cleanup
+// message must still arrive: the watchdog stays armed.
+func (k *Kernel) assembleProcess(mg *migration) {
+	if err := k.thaw(mg.p, mg.resident, mg.swap, mg.program); err != nil {
+		k.failIncoming(mg, err)
 		return
 	}
 	k.relieveMemory()
 	k.stats.MigrationsIn++
-	im.established = true
-	k.sendPIDMachine(addr.KernelAddr(im.src), msg.OpMigrateEstablished,
-		msg.PIDMachine{PID: im.pid, Machine: k.machine}, nil)
-	k.armInWatchdog(im) // the cleanup message must still arrive
+	mg.step = stepEstablished
+	k.sendPIDMachine(addr.KernelAddr(mg.peer), msg.OpMigrateEstablished, mg.pid)
 }
 
-func (k *Kernel) failIncoming(im *inMigration, cause error) {
-	k.trace(trace.CatMigrate, "incoming-failed", fmt.Sprintf("%v: %v", im.pid, cause))
-	k.eng.Cancel(im.watchdog)
-	if im.streaming {
-		// Unregister the in-flight pull so late packets go stray instead
-		// of completing into a recycled record.
-		if st, ok := k.xfersIn[im.xfer]; ok && st.im == im {
-			delete(k.xfersIn, im.xfer)
-			st.buf = nil
-			k.putInStream(st)
-		}
-		im.streaming = false
+// failIncoming ends the destination half without the process: the
+// half-built state is discarded and the kernel is put back the way step 3
+// found it — a displaced forwarding address is reinstated exactly as it
+// was, and the messages held on the incoming record go back through normal
+// delivery, which forwards them through that address or, with none to
+// reinstate, dead-letters them with a count.
+func (k *Kernel) failIncoming(mg *migration, cause error) {
+	k.trace(trace.CatMigrate, "incoming-failed", fmt.Sprintf("%v: %v", mg.pid, cause))
+	// Unregister the in-flight pull, if any, so late packets go stray
+	// instead of completing into a recycled record.
+	if st, ok := k.xfersIn[mg.xfer]; ok && st.mg == mg {
+		delete(k.xfersIn, mg.xfer)
+		k.putInStream(st)
 	}
-	p := im.p
-	if p != nil {
-		k.releaseImage(p)
-		for p.queue.Len() > 0 {
-			k.putMsg(p.queue.pop())
-		}
+	p := mg.p
+	k.releaseImage(p)
+	k.delProc(mg.pid)
+	if fwd := mg.displaced; fwd != nil {
+		k.addProc(fwd)
+		k.stats.ForwarderBytes += ForwarderWireSize
 	}
-	delete(k.in, im.pid)
-	k.delProc(im.pid)
+	k.endMigration(mg)
 	k.stats.MigrationsFailed++
-	if p != nil {
-		k.putProcRec(p)
-	}
-	k.putInMigration(im)
+	k.redeliver(p)
+	k.putProcRec(p)
 }
 
-// handleMigrateCleanup is step 8: "The process is restarted in whatever
-// state it was in before being migrated."
-func (k *Kernel) handleMigrateCleanup(m *msg.Message) {
-	c, err := msg.DecodeMigrateCleanup(m.Body)
-	if err != nil {
+// stepCleanup is step 8: "The process is restarted in whatever state it was
+// in before being migrated."
+func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
+	if mg.step != stepEstablished {
+		return // nothing assembled to restart: no source sends this before message 7
+	}
+	c, _ := msg.DecodeMigrateCleanup(m.Body)
+	if k.killpoint(KPDestCleanup, mg.pid) {
 		return
 	}
-	im, ok := k.in[c.PID]
-	if !ok {
-		// Already committed on watchdog timeout: this late cleanup
-		// confirms the source made itself a forwarder, so no abort is
-		// coming and the conflict flag can clear.
-		if p := k.lookup(c.PID); p != nil && p.timeoutCommit {
-			p.timeoutCommit = false
-		}
-		return
+	k.commitIncoming(mg, int(c.Forwarded), false)
+}
+
+// disarmTimeoutCommit is a late Cleanup's orphan rule: the copy was already
+// committed on watchdog timeout, and the cleanup confirms the source made
+// itself a forwarder, so no abort is coming and the conflict flag can clear.
+func (k *Kernel) disarmTimeoutCommit(pid addr.ProcessID, _ *msg.Message) {
+	if p := k.lookup(pid); p != nil && p.timeoutCommit {
+		p.timeoutCommit = false
 	}
-	if k.killpoint(KPDestCleanup, c.PID) {
-		return
-	}
-	k.eng.Cancel(im.watchdog)
-	k.commitIncoming(im, int(c.Forwarded), false)
 }
 
 // commitIncoming finishes step 8 for an assembled process: drain the
 // messages queued while incoming, restore the pre-migration state, and (if
 // configured) follow the process with a stable-storage checkpoint. The
-// migration record is released back to the pool at the end.
+// migration record and the forwarding address it set aside go back to their
+// pools.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) commitIncoming(im *inMigration, forwarded int, viaTimeout bool) {
-	delete(k.in, im.pid)
-	p := im.p
+func (k *Kernel) commitIncoming(mg *migration, forwarded int, viaTimeout bool) {
+	p, displaced := mg.p, mg.displaced
+	k.endMigration(mg)
 	p.timeoutCommit = viaTimeout
 
 	// Messages queued here while incoming: DELIVERTOKERNEL ones go to
@@ -783,7 +791,27 @@ func (k *Kernel) commitIncoming(im *inMigration, forwarded int, viaTimeout bool)
 		}
 	}
 
-	switch p.prevState {
+	k.restartAs(p, p.prevState)
+	if viaTimeout {
+		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (committed on watchdog timeout)",
+			trace.PID(p.id), trace.Str(p.state.String()))
+	} else {
+		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)",
+			trace.PID(p.id), trace.Str(p.state.String()), trace.Int(forwarded))
+	}
+	if k.cfg.CheckpointOnArrival {
+		_ = k.SaveCheckpoint(p.id)
+	}
+	if displaced != nil {
+		k.putProcRec(displaced)
+	}
+}
+
+// restartAs puts an arrived process — migrated in, or revived from a
+// checkpoint — into the state it was recorded in. A waiting process with
+// messages already queued is runnable.
+func (k *Kernel) restartAs(p *Process, state ProcState) {
+	switch state {
 	case StateWaiting:
 		if p.queue.Len() > 0 {
 			k.enqueueRun(p)
@@ -795,38 +823,36 @@ func (k *Kernel) commitIncoming(im *inMigration, forwarded int, viaTimeout bool)
 	default:
 		k.enqueueRun(p)
 	}
-	if viaTimeout {
-		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (committed on watchdog timeout)",
-			trace.PID(p.id), trace.Str(p.state.String()))
-	} else {
-		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)",
-			trace.PID(p.id), trace.Str(p.state.String()), trace.Int(forwarded))
-	}
-	if k.cfg.CheckpointOnArrival {
-		_ = k.SaveCheckpoint(p.id)
-	}
-	k.putInMigration(im)
 }
 
 // --- the one codec: freeze / thaw -------------------------------------------
 
 // frozen is a process's one serialized form: the three §3.1 regions that a
-// migration streams and a checkpoint stores. resident and table are gather-
-// encoded into scratch that survives recycling of the record embedding it;
-// ctl and program are produced by the body/image and owned until release.
-// swapHdr is the 4-byte length prefix of the swappable region
-// (swapHdr‖table‖ctl), kept separate so handleMoveDataReq can stream the
-// region as a three-vector gather without re-concatenating table and
-// control state.
+// migration streams and a checkpoint stores. The source half encodes into
+// these buffers and the destination half reassembles into them; resident,
+// swap and program keep their backing when the record embedding them is
+// recycled. On the source, swap holds the swappable region up to the body
+// control state — the link table behind its 4-byte length — and ctl, which
+// the body's Snapshot produced and owns, follows it on the wire, so
+// stepMoveData streams the region as a gather without concatenating the
+// two. On the destination, swap holds the whole region.
 type frozen struct {
 	resident []byte
-	swapHdr  [4]byte
-	table    []byte
+	swap     []byte
 	ctl      []byte
 	program  []byte
 }
 
-func (f *frozen) swappableLen() int { return len(f.swapHdr) + len(f.table) + len(f.ctl) }
+func (f *frozen) swappableLen() int { return len(f.swap) + len(f.ctl) }
+
+// reserve pre-sizes one region buffer (the "pre-warmed destination slot"):
+// the MigrateAsk sizes are rounded up to msg.SizeUnit, so a buffer with
+// this capacity never grows during the transfer.
+func reserve(b *[]byte, n int) {
+	if cap(*b) < n {
+		*b = make([]byte, 0, n)
+	}
+}
 
 // freeze serializes p into f at this instant. It is the only encoder of a
 // process: migration step 1 and Checkpoint both call it, so a checkpoint is
@@ -838,9 +864,9 @@ func freeze(f *frozen, p *Process) error {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	f.ctl = ctl
-	f.table = p.links.AppendSnapshot(f.table[:0])
-	binary.LittleEndian.PutUint32(f.swapHdr[:], uint32(len(f.table)))
-	f.program = nil
+	f.swap = p.links.AppendSnapshot(append(f.swap[:0], 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(f.swap, uint32(len(f.swap)-4))
+	f.program = f.program[:0]
 	if p.image != nil {
 		if f.program, err = p.image.Bytes(); err != nil {
 			return fmt.Errorf("program image: %w", err)

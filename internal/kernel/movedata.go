@@ -30,17 +30,17 @@ import (
 
 // inStream reassembles an inbound byte stream. Records are pooled
 // (k.streamFree). A stream serves one of two masters: migration region
-// pulls set im/region and dispatch straight into the migration state
-// machine on completion; data-area reads set the complete/fail closures.
+// pulls set mg and dispatch straight into the migration state machine on
+// completion; data-area reads set the complete/fail closures.
 type inStream struct {
 	buf   []byte
 	bytes int
 	total int // -1 until the Last packet arrives
 
-	// Migration region pulls (hot): reassemble into im.bufs[region] and
-	// dispatch to regionArrived without a per-pull closure.
-	im     *inMigration
-	region msg.Region
+	// Migration region pulls (hot): reassemble into the record's buffer for
+	// the region mg.step names and dispatch to regionArrived without a
+	// per-pull closure.
+	mg *migration
 
 	// Data-area reads (cold): completion callbacks.
 	complete func(data []byte)
@@ -75,8 +75,9 @@ func (k *Kernel) getInStream() *inStream {
 }
 
 // putInStream releases a stream record. The reassembly buffer is NOT kept
-// on the record: migration streams assemble directly into im.bufs (which
-// own the backing), and read streams may have handed their buffer to a
+// on the record: migration streams assemble directly into the migration
+// record's region buffers (which own the backing), and read streams may
+// have handed their buffer to a
 // completion callback. Callers must have removed the record from k.xfersIn.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
@@ -93,28 +94,30 @@ func (k *Kernel) registerInStream(xfer uint16, complete func([]byte)) *inStream 
 }
 
 // streamOut sends data to another machine's kernel as a paced packet
-// stream, returning the packet count. Used for data-area reads; migration
-// region pulls go through streamGather directly.
-func (k *Kernel) streamOut(to addr.MachineID, xfer uint16, data []byte) int {
+// stream. Used for data-area reads; migration region pulls go through
+// streamGather directly.
+func (k *Kernel) streamOut(to addr.MachineID, xfer uint16, data []byte) {
 	vecs := [1][]byte{data}
-	return k.streamGather(addr.KernelAddr(to), false, xfer, 0, vecs[:])
+	k.streamGather(addr.KernelAddr(to), false, xfer, 0, vecs[:])
 }
 
 // streamWrite sends data addressed to a process's kernel (DELIVERTOKERNEL)
 // with absolute image offsets, for data-area writes.
 func (k *Kernel) streamWrite(owner addr.ProcessAddr, xfer uint16, imageOff uint32, data []byte) int {
 	vecs := [1][]byte{data}
-	return k.streamGather(owner, true, xfer, imageOff, vecs[:])
+	n, _ := k.streamGather(owner, true, xfer, imageOff, vecs[:])
+	return n
 }
 
 // streamGather is the vectored packetizer: it streams the concatenation of
 // vecs without ever materializing it, filling each pooled envelope's body
 // directly from as many vectors as one packet spans. Wire output — packet
 // sizes, Seq offsets, pacing, Last marker — is byte-identical to streaming
-// the equivalent single buffer.
+// the equivalent single buffer. It returns the packet count and how long
+// from now the last packet leaves.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) streamGather(to addr.ProcessAddr, dtk bool, xfer uint16, baseOff uint32, vecs [][]byte) int {
+func (k *Kernel) streamGather(to addr.ProcessAddr, dtk bool, xfer uint16, baseOff uint32, vecs [][]byte) (int, sim.Time) {
 	pkt := k.cfg.DataPacket
 	total := 0
 	for _, v := range vecs {
@@ -165,10 +168,12 @@ func (k *Kernel) streamGather(to addr.ProcessAddr, dtk bool, xfer uint16, baseOf
 		k.stats.DataBytesSent += uint64(len(b))
 		k.eng.After(gap*sim.Time(i), "kernel:data-packet", k.getPending(m, true).fn)
 	}
-	return n
+	return n, gap * sim.Time(n-1)
 }
 
-// handleDataPacket processes an arriving KindData frame.
+// handleDataPacket processes an arriving KindData frame. A packet of a
+// migration region is progress of that migration: a region that takes
+// longer than MigrateTimeout to stream must not time out on a healthy link.
 //
 // Zero-copy region handoff: when a whole stream fits in one pooled packet
 // (Seq 0, Last, nothing assembled yet), the stream adopts the envelope's
@@ -190,6 +195,9 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 	if !ok {
 		k.tracef(trace.CatData, "stray-packet", "xfer=%d seq=%d", trace.Int(int(m.Xfer)), trace.Int(int(m.Seq)))
 		return
+	}
+	if st.mg != nil {
+		k.progress(st.mg)
 	}
 	n := len(m.Body)
 	end := int(m.Seq) + n
@@ -214,11 +222,10 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 	if st.total >= 0 && st.bytes >= st.total {
 		delete(k.xfersIn, m.Xfer)
 		data := st.buf[:st.total]
-		if im := st.im; im != nil {
-			region := st.region
-			st.buf = nil // ownership moves to im.bufs[region]
+		if mg := st.mg; mg != nil {
+			st.buf = nil // ownership moves to the record's region buffer
 			k.putInStream(st)
-			k.regionArrived(im, region, data)
+			k.regionArrived(mg, data)
 			return
 		}
 		cb := st.complete

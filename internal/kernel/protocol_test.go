@@ -1,0 +1,300 @@
+package kernel_test
+
+// The protocol table (migrate.go) is the one list of migration ops. These
+// tests pin its shape, check it against what a migration actually sends,
+// drive every row's orphan rule, and keep docs/PROTOCOLS.md quoting it.
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"demosmp/internal/addr"
+	"demosmp/internal/kernel"
+	"demosmp/internal/msg"
+)
+
+var updateProtocolDoc = flag.Bool("update-protocol-doc", false,
+	"rewrite the protocol table block of docs/PROTOCOLS.md")
+
+// legalBodies builds one well-formed payload per migration op, naming pid.
+func legalBodies(pid addr.ProcessID) map[msg.Op][]byte {
+	pm := msg.PIDMachine{PID: pid, Machine: 2}.Encode()
+	return map[msg.Op][]byte{
+		msg.OpMigrateRequest:     msg.MigrateRequest{PID: pid, Dest: 2}.Encode(),
+		msg.OpMigrateAsk:         msg.MigrateAsk{PID: pid, Program: 1, Resident: 1, Swappable: 1}.Encode(),
+		msg.OpMigrateAccept:      pm,
+		msg.OpMigrateRefuse:      pm,
+		msg.OpMoveDataReq:        msg.MoveDataReq{PID: pid, Region: msg.RegionResident, Xfer: 1}.Encode(),
+		msg.OpMigrateEstablished: pm,
+		msg.OpMigrateCleanup:     msg.MigrateCleanup{PID: pid}.Encode(),
+		msg.OpMigrateDone:        msg.MigrateDone{PID: pid, Machine: 2, OK: true}.Encode(),
+		msg.OpMigrateAbort:       pm,
+	}
+}
+
+// inject delivers a control message to kernel `to` as a frame from kernel
+// `from` — the path every administrative message takes into the dispatcher.
+func (c *tc) inject(to, from int, op msg.Op, body []byte) {
+	c.k(to).DeliverFrame(&msg.Message{Kind: msg.KindControl, Op: op, Body: body,
+		From: addr.KernelAddr(addr.MachineID(from)), To: addr.KernelAddr(addr.MachineID(to))})
+}
+
+func TestProtocolTable(t *testing.T) {
+	rows := kernel.ProtocolTable()
+
+	// One row per op from OpMigrateRequest through OpMigrateAbort, in op
+	// order, and no other op reaches the dispatcher.
+	if want := int(msg.OpMigrateAbort-msg.OpMigrateRequest) + 1; len(rows) != want {
+		t.Fatalf("table has %d rows, want %d", len(rows), want)
+	}
+	inTable := map[msg.Op]bool{}
+	for i, r := range rows {
+		if want := msg.OpMigrateRequest + msg.Op(i); r.Op != want {
+			t.Errorf("row %d is %v, want %v", i, r.Op, want)
+		}
+		inTable[r.Op] = true
+	}
+	for op := 0; op < 256; op++ {
+		if got := kernel.IsMigrationOp(msg.Op(op)); got != inTable[msg.Op(op)] {
+			t.Errorf("%v: dispatched as a migration op = %v, in the table = %v", msg.Op(op), got, inTable[msg.Op(op)])
+		}
+	}
+
+	// The payload column is the encoders' size, inside the paper's 6-12 B.
+	for op, body := range legalBodies(addr.ProcessID{Creator: 1, Local: 1}) {
+		r := rows[op-msg.OpMigrateRequest]
+		if r.Bytes != len(body) || r.Bytes < 6 || r.Bytes > 12 {
+			t.Errorf("%v: table says %d B, the encoder writes %d B (paper: 6-12)", op, r.Bytes, len(body))
+		}
+	}
+
+	// Every kill-point sits on exactly one row, or on the data path between
+	// rows (the two the destination passes as region streams complete).
+	seen := map[kernel.KillPoint]int{kernel.KPDestMidTransfer: 1, kernel.KPDestTransferred: 1}
+	for _, r := range rows {
+		for _, kp := range r.Kills {
+			seen[kp]++
+		}
+	}
+	for _, kp := range kernel.KillPoints() {
+		if seen[kp] != 1 {
+			t.Errorf("kill-point %v is on %d rows, want 1", kp, seen[kp])
+		}
+	}
+
+	// After a migration and a forwarded message — the §6 conformance run —
+	// the administrative messages sent are the table's, nine of them.
+	c := newTC(t, 3, nil)
+	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.runFor(2_000)
+	c.migrate(3, pid, 1, 2)
+	c.run()
+	c.k(3).GiveMessageTo(addr.At(pid, 1), addr.KernelAddr(3), []byte("hit"))
+	c.run()
+	var total uint64
+	for m := 1; m <= 3; m++ {
+		for op, n := range c.k(m).Stats().AdminSent {
+			if n != 0 && !inTable[msg.Op(op)] {
+				t.Errorf("m%d sent %d administrative %v messages: not a table op", m, n, msg.Op(op))
+			}
+			total += n
+		}
+	}
+	if total != 9 {
+		t.Errorf("%d administrative messages, want 9", total)
+	}
+	if rep := c.k(1).Reports(); len(rep) != 1 || rep[0].AdminMsgs != 9 {
+		t.Errorf("source report: %+v, want one migration billing 9 messages", rep)
+	}
+
+	// Orphan rules. m3 holds no half of any migration, and pid is nowhere
+	// near it: of the ops addressed to a half, a late Established draws an
+	// abort and everything else is ignored. (The other two rules need a
+	// timeout-committed copy: TestLateCleanupDisarmsTimeoutCommit and
+	// TestAbortAfterTimeoutCommitYields set one up; stale aborts finding a
+	// clean copy are TestDuplicateAndStaleAbortsAreNoOps.)
+	hasRule := map[msg.Op]bool{msg.OpMigrateEstablished: true, msg.OpMigrateCleanup: true, msg.OpMigrateAbort: true}
+	for _, r := range rows {
+		if r.Role == "—" {
+			continue
+		}
+		if (r.Orphan != "ignored") != hasRule[r.Op] {
+			t.Errorf("%v: orphan column %q, want a rule = %v", r.Op, r.Orphan, hasRule[r.Op])
+		}
+		before := c.k(3).Stats()
+		c.inject(3, 2, r.Op, legalBodies(pid)[r.Op])
+		c.run()
+		after := c.k(3).Stats()
+		var wantAborts uint64
+		if r.Op == msg.OpMigrateEstablished {
+			wantAborts = 1
+		}
+		if after.AdminSent[msg.OpMigrateAbort]-before.AdminSent[msg.OpMigrateAbort] != wantAborts ||
+			after.AdminTotal()-before.AdminTotal() != wantAborts ||
+			after.MigrationsFailed != before.MigrationsFailed || c.k(3).PendingMigrations() != 0 {
+			t.Errorf("%v at a kernel with no such half: sent %d messages (%d aborts), want %d; failed %d, pending %d",
+				r.Op, after.AdminTotal()-before.AdminTotal(),
+				after.AdminSent[msg.OpMigrateAbort]-before.AdminSent[msg.OpMigrateAbort], wantAborts,
+				after.MigrationsFailed-before.MigrationsFailed, c.k(3).PendingMigrations())
+		}
+	}
+	// The abort the late Established drew reached m2's cleanly-committed
+	// copy and was a no-op there.
+	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateForwarder {
+		t.Error("the orphan rule's abort destroyed a cleanly migrated copy")
+	}
+}
+
+// renderProtocolTable prints the table the way docs/PROTOCOLS.md quotes it.
+func renderProtocolTable() string {
+	var b strings.Builder
+	b.WriteString("| № | op | direction | payload | receiving half | no such half here | §3.1 step | kill-points |\n")
+	b.WriteString("|---|----|-----------|---------|----------------|-------------------|-----------|-------------|\n")
+	for _, r := range kernel.ProtocolTable() {
+		kills := "—"
+		if len(r.Kills) > 0 {
+			var names []string
+			for _, kp := range r.Kills {
+				names = append(names, "`"+kp.String()+"`")
+			}
+			kills = strings.Join(names, ", ")
+		}
+		fmt.Fprintf(&b, "| %s | `%v` | %s | %d B | %s | %s | %s | %s |\n",
+			r.Num, r.Op, r.Dir, r.Bytes, r.Role, r.Orphan, r.Steps, kills)
+	}
+	return b.String()
+}
+
+// TestProtocolTableDoc: the table in docs/PROTOCOLS.md is the Go table,
+// rendered. Rewrite the block after changing a row with
+//
+//	go test ./internal/kernel -run TestProtocolTableDoc -update-protocol-doc
+func TestProtocolTableDoc(t *testing.T) {
+	const path = "../../docs/PROTOCOLS.md"
+	const begin, end = "<!-- protocol-table:begin -->\n", "<!-- protocol-table:end -->"
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(doc, []byte(begin))
+	j := bytes.Index(doc, []byte(end))
+	if i < 0 || j < i {
+		t.Fatalf("%s has no %q ... %q block", path, strings.TrimSpace(begin), end)
+	}
+	i += len(begin)
+	want := renderProtocolTable()
+	if *updateProtocolDoc {
+		out := append(append(append([]byte(nil), doc[:i]...), want...), doc[j:]...)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got := string(doc[i:j]); got != want {
+		t.Errorf("%s drifted from the protocol table (rewrite with -update-protocol-doc)\n--- doc ---\n%s--- table ---\n%s",
+			path, got, want)
+	}
+}
+
+// TestAbortedMigrateBackKeepsForwarder: a process migrates back to a
+// machine that holds its own forwarding address, and that migration aborts
+// after step 3 displaced the address. The address must be back exactly as
+// it was, and the messages the incoming record held must be forwarded
+// through it — not dropped with the record.
+func TestAbortedMigrateBackKeepsForwarder(t *testing.T) {
+	c := newTCNet(t, 3, arqCfg(), // frames to a severed peer wait for the heal
+		func(cfg *kernel.Config) { cfg.MigrateTimeout = 200_000 })
+	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}, ImageSize: 48 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.runFor(2_000)
+	c.migrate(3, pid, 1, 2)
+	c.run()
+	fwdBytes := c.k(1).Stats().ForwarderBytes
+	if info, ok := c.k(1).Process(pid); !ok || info.State != kernel.StateForwarder || info.FwdTo != 2 {
+		t.Fatalf("after m1->m2, m1 holds %+v, want a forwarder to m2", info)
+	}
+
+	// Back to m1; the pair is severed while the program region streams.
+	c.migrate(3, pid, 2, 1)
+	c.runFor(20_000)
+	if info, ok := c.k(1).Process(pid); !ok || info.State != kernel.StateIncoming {
+		t.Fatalf("20 ms into m2->m1, m1 holds %+v, want the incoming record", info)
+	}
+	c.net.Partition(1, 2)
+	// A stale send reaches m1 during the window and is held on the
+	// incoming record.
+	c.k(3).GiveMessageTo(addr.At(pid, 1), addr.KernelAddr(3), []byte("hit"))
+	c.runFor(400_000) // both watchdogs fire
+	c.net.Heal(1, 2)
+	c.run()
+
+	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateForwarder {
+		t.Fatal("the process was not restored on m2")
+	}
+	info, ok := c.k(1).Process(pid)
+	if !ok || info.State != kernel.StateForwarder || info.FwdTo != 2 {
+		t.Fatalf("after the aborted migrate-back, m1 holds %+v (present=%v), want its forwarder to m2 back", info, ok)
+	}
+	if got := c.k(1).Stats().ForwarderBytes; got != fwdBytes {
+		t.Errorf("m1 ForwarderBytes = %d, want %d as before the attempt", got, fwdBytes)
+	}
+	if c.k(1).PendingMigrations()+c.k(2).PendingMigrations() != 0 {
+		t.Error("a migration half is still pending")
+	}
+
+	// A second stale send, after the heal, takes the reinstated address.
+	c.k(3).GiveMessageTo(addr.At(pid, 1), addr.KernelAddr(3), []byte("hit"))
+	c.run()
+	b, _ := c.k(2).BodyOf(pid)
+	if got := b.(*counterBody).Count; got != 2 {
+		s := c.k(1).Stats()
+		t.Fatalf("server on m2 counted %d of 2 stale sends (m1: held %d, forwarded %d, dead letters %d)",
+			got, s.MsgsHeld, s.Forwarded, s.DeadLetters)
+	}
+	if s := c.k(1).Stats(); s.DeadLetters != 0 {
+		t.Errorf("m1 dead-lettered %d messages", s.DeadLetters)
+	}
+}
+
+// TestLongRegionOutlastsMigrateTimeout: a region that takes longer than
+// MigrateTimeout to stream is not a silent peer. Data packets move the
+// destination's deadline and the source allows for the stream it paced out,
+// so a 256 KiB image migrates over a healthy link with a 200 ms timeout.
+func TestLongRegionOutlastsMigrateTimeout(t *testing.T) {
+	c := newTC(t, 3, func(cfg *kernel.Config) { cfg.MigrateTimeout = 200_000 })
+	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}, ImageSize: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.runFor(2_000)
+	c.migrate(3, pid, 1, 2)
+	c.run()
+	if took := c.eng.Now(); took < 2*200_000 {
+		t.Fatalf("the migration ended after %v: the image does not outlast the timeout, the test proves nothing", took)
+	}
+	for m := 1; m <= 2; m++ {
+		if s := c.k(m).Stats(); s.MigrationsFailed != 0 {
+			t.Errorf("m%d: %d failed migrations on a healthy link", m, s.MigrationsFailed)
+		}
+	}
+	if done := c.k(3).DoneMigrations(); len(done) != 1 || !done[0].OK {
+		t.Fatalf("requester saw %+v, want one OK completion", done)
+	}
+	if err := c.k(2).GiveMessage(pid, addr.KernelAddr(3), []byte("hit")); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.k(2).GiveMessage(pid, addr.KernelAddr(3), []byte("die"))
+	c.run()
+	if e, m := c.exitOf(pid); m != 2 || e.Code != 1 {
+		t.Fatalf("exited on m%d with %d, want m2 with 1", m, e.Code)
+	}
+}

@@ -143,13 +143,10 @@ func (k *Kernel) Restart() error {
 
 	// Abandon in-flight migrations. Watchdogs are canceled (their closures
 	// also carry a crashed-guard, for events already past Cancel's reach).
-	for _, om := range k.out {
-		k.eng.Cancel(om.watchdog)
+	for _, mg := range k.migs {
+		k.eng.Cancel(mg.watchdog)
 	}
-	for _, im := range k.in {
-		k.eng.Cancel(im.watchdog)
-	}
-	k.stats.MigrationsFailed += uint64(len(k.out) + len(k.in))
+	k.stats.MigrationsFailed += uint64(len(k.migs))
 
 	// Wipe volatile process state, accounting for every destroyed message
 	// and process so the cluster ledger still balances.
@@ -176,8 +173,7 @@ func (k *Kernel) Restart() error {
 	k.procs = make(map[addr.ProcessID]*Process)
 	k.local = nil
 	k.runq = ring[*Process]{}
-	k.out = make(map[addr.ProcessID]*outMigration)
-	k.in = make(map[addr.ProcessID]*inMigration)
+	k.migs = make(map[addr.ProcessID]*migration)
 	k.xfersIn = make(map[uint16]*inStream)
 	k.moveOps = make(map[uint16]*moveOp)
 	k.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
@@ -229,7 +225,7 @@ func (k *Kernel) Restarts() uint64 { return k.restarts }
 
 // PendingMigrations reports in-flight migrations (both directions) — zero
 // at quiescence on a live kernel, or the migration is stuck.
-func (k *Kernel) PendingMigrations() int { return len(k.out) + len(k.in) }
+func (k *Kernel) PendingMigrations() int { return len(k.migs) }
 
 // LostPIDs lists processes wiped by a crash and never revived, in
 // deterministic order.

@@ -89,9 +89,8 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.streamGather", "Kernel.getInStream", "Kernel.putInStream",
 			// Migration fast path (record pools + gather encoders).
 			"Kernel.getProcRec", "Kernel.putProcRec", "Kernel.internKind",
-			"Kernel.putOutMigration", "Kernel.putInMigration",
-			"Kernel.armOutWatchdog", "Kernel.armInWatchdog",
-			"Kernel.handleMoveDataReq", "Kernel.pullRegion",
+			"Kernel.migrationMsg", "Kernel.endMigration",
+			"Kernel.stepMoveData", "Kernel.pullRegion",
 			"Kernel.regionArrived", "Kernel.commitIncoming",
 			"appendResident",
 			// Deferred trace emit.

@@ -129,17 +129,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// AdminOp reports whether o is one of the migration protocol's
-// administrative messages counted in §6.
-func (o Op) AdminOp() bool {
-	switch o {
-	case OpMigrateRequest, OpMigrateAsk, OpMigrateAccept, OpMigrateRefuse,
-		OpMoveDataReq, OpMigrateEstablished, OpMigrateCleanup, OpMigrateDone:
-		return true
-	}
-	return false
-}
-
 // HeaderWireSize is the encoded size of the fixed message header:
 // kind(1) op(1) flags(1) from(6) to(6) nlinks(1) bodylen(2).
 const HeaderWireSize = 1 + 1 + 1 + 2*addr.AddrWireSize + 1 + 2

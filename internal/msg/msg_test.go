@@ -120,21 +120,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestAdminOpClassification(t *testing.T) {
-	admin := []Op{OpMigrateRequest, OpMigrateAsk, OpMigrateAccept, OpMigrateRefuse,
-		OpMoveDataReq, OpMigrateEstablished, OpMigrateCleanup, OpMigrateDone}
-	for _, o := range admin {
-		if !o.AdminOp() {
-			t.Errorf("%v should be admin", o)
-		}
-	}
-	for _, o := range []Op{OpNone, OpSuspend, OpMoveRead, OpDeathNotice, OpNotDeliverable} {
-		if o.AdminOp() {
-			t.Errorf("%v should not be admin", o)
-		}
-	}
-}
-
 // The paper: administrative messages are "in the 6-12 byte range".
 func TestAdminPayloadSizes(t *testing.T) {
 	payloads := map[string][]byte{

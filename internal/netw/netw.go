@@ -378,6 +378,14 @@ func (n *Network) transit(from, to addr.MachineID, size int) sim.Time {
 	return lat + sim.Time(uint64(size)*uint64(n.cfg.PerByteNanos)/1000)
 }
 
+// Routable reports whether to names a machine frames can be sent to.
+// Machines on other shards have no local endpoint; any id within the
+// cluster is routable. Senders that take a machine id off the wire check
+// it here: Send treats an unroutable id as a programming error.
+func (n *Network) Routable(to addr.MachineID) bool {
+	return to != 0 && int(to) < len(n.ms) && (n.ms[to].ep != nil || to <= n.total)
+}
+
 // Send transmits m from machine 'from' to machine 'to'. Delivery is
 // asynchronous; with a configured loss rate the frame is retransmitted
 // until acknowledged. Sending from a down machine drops the frame into the
@@ -389,9 +397,7 @@ func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {
 	if from == to {
 		panicLocalSend(from, to)
 	}
-	if to == 0 || int(to) >= len(n.ms) || (n.ms[to].ep == nil && to > n.total) {
-		// Machines on other shards have no local endpoint; any id within
-		// the cluster is routable.
+	if !n.Routable(to) {
 		panicNoEndpoint(to)
 	}
 	if n.Down(from) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Contributor gate: gofmt, vet, lint, build, race-test, and the hot-path
-# allocation guards. Run from anywhere; exits non-zero on the first failure.
+# Contributor gate: gofmt, vet, lint, build, race-test, fuzz smoke, and the
+# hot-path allocation guards. Run from anywhere; exits non-zero on the first
+# failure.
 #
 #   ./scripts/check.sh
 set -euo pipefail
@@ -30,6 +31,9 @@ go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
 
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
+
+echo "== fuzz smoke: arbitrary migration-protocol messages into live kernels mid-migration (10 s)"
+go test -run='^$' -fuzz=FuzzKernelAdmin -fuzztime=10s ./internal/kernel/
 
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)

@@ -422,6 +422,100 @@ func TestMigrationSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// benchTickerBody is the shape of the benchmark's timer-driven senders
+// (bench/_src ticker): every timer delivery sends one sequence-stamped
+// 8-byte message on link 1 and re-arms.
+type benchTickerBody struct {
+	armed bool
+	sent  int
+	buf   [8]byte
+}
+
+func (b *benchTickerBody) Kind() string { return "bench-ticker" }
+func (b *benchTickerBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	if !b.armed {
+		b.armed = true
+		ctx.SetTimer(10, 1)
+	}
+	for {
+		d, ok := ctx.Recv()
+		if !ok {
+			return 0, proc.Status{State: proc.Blocked}
+		}
+		if d.Op == msg.OpTimer {
+			b.buf[0] = byte(b.sent)
+			if err := ctx.Send(1, b.buf[:]); err != nil {
+				return 0, proc.Status{State: proc.Crashed, Err: err}
+			}
+			b.sent++
+			ctx.SetTimer(10, 1)
+		}
+	}
+}
+func (b *benchTickerBody) Snapshot() ([]byte, error) { return nil, nil }
+func (b *benchTickerBody) Restore([]byte) error      { return nil }
+
+// TestSpawnExitSteadyStateAllocs is the dynamic guard behind the
+// //demos:hotpath annotations on the life of a short process: Spawn draws
+// the Process record and the link table from the free lists terminate
+// returned them to, the pid goes into (and out of) the dense local table and
+// the dense exit table, SetTimer rides a pooled pending record and its
+// envelope is drawn from the pool when it fires. On a warm bare kernel a
+// spawn-to-exit cycle of the open-loop job — the caller's body reused, so
+// the kernel's share is all there is — and one tick of a timer-driven sender
+// allocate nothing. (The per-call timer body, closure and heap envelope and
+// the per-spawn record, table, slot backing, map and hash-map inserts made
+// that 8 and 3; 9 with the job the benchmark row allocates per spawn.)
+func TestSpawnExitSteadyStateAllocs(t *testing.T) {
+	t.Run("spawn-timer-exit", func(t *testing.T) {
+		e := sim.NewEngine(1)
+		k := kernel.New(1, e, netw.New(e, netw.Config{}), kernel.Config{})
+		job := &workload.Job{}
+		cycle := func() {
+			*job = workload.Job{Service: 1}
+			if _, err := k.Spawn(kernel.SpawnSpec{Body: job}); err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+		}
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Fatalf("spawn -> timer -> exit allocates %.1f/op in the kernel, want 0", n)
+		}
+		if st := k.Stats(); st.Exited != st.Spawned {
+			t.Fatalf("spawned %d, exited %d", st.Spawned, st.Exited)
+		}
+	})
+	t.Run("ticker", func(t *testing.T) {
+		e := sim.NewEngine(1)
+		k := kernel.New(1, e, netw.New(e, netw.Config{}), kernel.Config{})
+		sink := &benchSinkBody{}
+		spid, err := k.Spawn(kernel.SpawnSpec{Body: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tick := &benchTickerBody{}
+		if _, err := k.Spawn(kernel.SpawnSpec{Body: tick, Links: []link.Link{{Addr: addr.At(spid, 1)}}}); err != nil {
+			t.Fatal(err)
+		}
+		oneTick := func() {
+			for target := sink.got + 1; sink.got < target; {
+				if !e.Step() {
+					t.Fatal("engine idle before the tick was delivered")
+				}
+			}
+		}
+		for i := 0; i < 64; i++ {
+			oneTick()
+		}
+		if n := testing.AllocsPerRun(200, oneTick); n != 0 {
+			t.Fatalf("SetTimer-driven send allocates %.1f/tick, want 0", n)
+		}
+	})
+}
+
 // TestHotPathZeroAlloc locks in the zero-allocation invariants. It uses
 // testing.AllocsPerRun after a warm-up pass, so arena/heap/pool growth is
 // excluded and only the steady state is measured.

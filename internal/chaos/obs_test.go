@@ -15,6 +15,7 @@ import (
 	"demosmp/internal/kernel"
 	"demosmp/internal/msg"
 	"demosmp/internal/obs"
+	"demosmp/internal/sim"
 	"demosmp/internal/workload"
 )
 
@@ -146,5 +147,53 @@ func TestCheckRegistryCatchesStaleCopy(t *testing.T) {
 	}
 	if !sawMigration {
 		t.Errorf("migrations_out not among the reported rows: %v", bad)
+	}
+}
+
+// TestPoolLedgerWithTimersAcrossCrashRestart: a process timer waits inside
+// an engine event for simulated milliseconds, not the 30 µs of a local hop,
+// and the kernel's pending record for it holds no envelope until it fires.
+// So the envelope ledger (ΣNews == ΣFree + ΣHeld, invariant 4) and its
+// registry view balance at every instant of a timer's wait — the job and
+// the ticker-shaped senders are the only traffic — and across the two ways
+// a crash can meet one: the timer fires while the machine is down (dropped,
+// counted), or after Restart wiped its process (dead letter).
+func TestPoolLedgerWithTimersAcrossCrashRestart(t *testing.T) {
+	c, err := core.New(core.Options{Machines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := func(when string) {
+		t.Helper()
+		for _, v := range append(chaos.CheckInvariants(c), chaos.CheckRegistry(c, c.ObsSnapshot())...) {
+			t.Errorf("%s: %s", when, v)
+		}
+	}
+	for m := 1; m <= 2; m++ {
+		for _, service := range []sim.Time{2_000, 9_000} {
+			if _, err := c.Spawn(m, kernel.SpawnSpec{Body: &workload.Job{Service: service}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.RunFor(1_000)
+	audit("four timers outstanding")
+
+	c.Kernel(1).Crash()
+	c.RunFor(2_000) // m1's first timer fires into the crashed kernel; m2's first job exits
+	audit("m1 down, one timer dropped")
+	if got := c.Kernel(1).Stats().DroppedWhileCrashed; got != 1 {
+		t.Fatalf("DroppedWhileCrashed = %d, want the one timer", got)
+	}
+	if err := c.Kernel(1).Restart(); err != nil {
+		t.Fatal(err)
+	}
+	audit("m1 restarted with a timer still outstanding")
+
+	c.Run() // m1's second timer finds its process wiped; m2's second job exits
+	audit("quiescent")
+	s1, s2 := c.Kernel(1).Stats(), c.Kernel(2).Stats()
+	if s1.DeadLetters != 1 || s1.Exited != 0 || s2.Exited != 2 {
+		t.Fatalf("m1 dead letters %d exited %d, m2 exited %d; want 1, 0, 2", s1.DeadLetters, s1.Exited, s2.Exited)
 	}
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"demosmp/internal/kernel"
 	"demosmp/internal/proc"
+	"demosmp/internal/sim"
 	"demosmp/internal/workload"
 )
 
@@ -50,38 +51,42 @@ func (c *Cluster) StartOpenLoop(cfg workload.OpenLoop) *OpenLoopDriver {
 
 // armArrivals schedules machine m's next arrival; the event spawns the job
 // and re-arms for the following one (streaming: one pending event per
-// machine, never the whole arrival sequence).
+// machine, never the whole arrival sequence). arm and fire are bound once
+// per machine and pass the service demand through svc, so an arrival
+// allocates nothing but its job.
 func (c *Cluster) armArrivals(m int, st *workload.Arrivals, d *OpenLoopDriver, spin bool) {
 	eng := c.EngineOf(m)
 	k := c.Kernel(m)
-	var arm func()
-	arm = func() {
-		at, svc, ok := st.Next()
-		if !ok {
-			return
+	var svc sim.Time
+	var fire func()
+	arm := func() {
+		var ok bool
+		var at sim.Time
+		if at, svc, ok = st.Next(); ok {
+			eng.At(at, "wl:arrival", fire)
 		}
-		eng.At(at, "wl:arrival", func() {
-			var body proc.Body
-			// In Spin mode the service demand (µs) converts to an instruction
-			// budget at the kernel's modeled instruction cost, so a spinner
-			// occupies the CPU for the same simulated time the timer job would
-			// have slept.
-			if spin {
-				work := int(uint64(svc) * 1000 / kernel.InstrCostNanos)
-				if work < 1 {
-					work = 1
-				}
-				body = &workload.Spinner{Work: work}
-			} else {
-				body = &workload.Job{Service: svc}
+	}
+	fire = func() {
+		var body proc.Body
+		// In Spin mode the service demand (µs) converts to an instruction
+		// budget at the kernel's modeled instruction cost, so a spinner
+		// occupies the CPU for the same simulated time the timer job would
+		// have slept.
+		if spin {
+			work := int(uint64(svc) * 1000 / kernel.InstrCostNanos)
+			if work < 1 {
+				work = 1
 			}
-			if _, err := k.Spawn(kernel.SpawnSpec{Body: body}); err != nil {
-				d.failed[m]++
-			} else {
-				d.spawned[m]++
-			}
-			arm()
-		})
+			body = &workload.Spinner{Work: work}
+		} else {
+			body = &workload.Job{Service: svc}
+		}
+		if _, err := k.Spawn(kernel.SpawnSpec{Body: body}); err != nil {
+			d.failed[m]++
+		} else {
+			d.spawned[m]++
+		}
+		arm()
 	}
 	arm()
 }

@@ -24,8 +24,8 @@ const checkpointMagic = 0x444D5043 // "DMPC"
 // process keeps running; the copy reflects its state at this instant
 // (between scheduling slices, which is the only observable granularity).
 func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
-	p, ok := k.procs[pid]
-	if !ok {
+	p := k.lookup(pid)
+	if p == nil {
 		return nil, fmt.Errorf("kernel %v: no process %v", k.machine, pid)
 	}
 	switch p.state {
@@ -97,7 +97,7 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 		return addr.NilPID, err
 	}
 
-	if old, dup := k.procs[pid]; dup && old.state != StateForwarder {
+	if old := k.lookup(pid); old != nil && old.state != StateForwarder {
 		return addr.NilPID, fmt.Errorf("kernel %v: %v already exists here", k.machine, pid)
 	}
 	if len(program) > 0 && k.cfg.MemCapacity > 0 && k.memUsed+len(program) > k.cfg.MemCapacity {

@@ -253,20 +253,16 @@ func (c *procCtx) ImageWrite(off int, b []byte) error {
 	return c.p.image.WriteAt(b, off)
 }
 
-// SetTimer delivers an OpTimer message to this process after d. The timer
-// is a normal routed message, so it follows the process through a
-// migration.
+// SetTimer delivers an OpTimer message to this process after d. The wait
+// rides a pooled pending record (no envelope, no closure, no body bytes per
+// call); when it fires the timer is a normal routed message, so it follows
+// the process through a migration.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (c *procCtx) SetTimer(d sim.Time, tag uint16) {
-	k := c.k
-	to := addr.At(c.p.id, k.machine)
-	body := binary.LittleEndian.AppendUint16(nil, tag)
-	k.eng.After(d, "kernel:timer", func() {
-		k.route(&msg.Message{
-			Kind: msg.KindControl, Op: msg.OpTimer,
-			From: addr.KernelAddr(k.machine), To: to,
-			Body: body,
-		})
-	})
+	t := c.k.getPending(nil, true)
+	t.timerPID, t.timerTag = c.p.id, tag
+	c.k.eng.After(d, "kernel:timer", t.fn)
 }
 
 func (c *procCtx) Print(b []byte) {

@@ -11,6 +11,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"demosmp/internal/addr"
@@ -173,22 +174,25 @@ func (c *Config) fillDefaults() {
 }
 
 // Process is the kernel's process record. The exported view is ProcInfo.
+// Field order is by use, not by topic. With tens of thousands of short
+// processes alive the first touch of a record is a cache miss per line, so
+// what a scheduling slice and a delivery touch fills the first and the last
+// 64 bytes and what only creation, exit and migration touch sits between;
+// and the last 64 bytes hold no pointer, so the collector's scan of a record
+// stops before them.
 type Process struct {
 	id         addr.ProcessID
 	state      ProcState
 	prevState  ProcState // state to restore after migration/suspension
-	body       proc.Body
-	kind       string
-	links      *link.Table
-	queue      ring[*msg.Message]
-	image      *memory.Image
 	privileged bool
-	cameFrom   addr.MachineID // previous host, for death-notice GC
-	// timeoutCommit marks a copy the destination committed on watchdog
-	// timeout (cleanup never arrived). If the source turns out to have
-	// restored its own copy, its abort message yields this one; the
-	// flag clears when a late cleanup confirms the source committed.
-	timeoutCommit bool
+	onRunq     bool // p is in k.runq, so leaving it out of turn needs no scan to find out
+	body       proc.Body
+	queue      ring[*msg.Message]
+
+	links     *link.Table
+	image     *memory.Image
+	kind      string
+	commDelta map[addr.MachineID]uint64 // per-peer sends since the last load report
 
 	// Forwarder fields (state == StateForwarder). obsRec, when the obs
 	// ledger is attached, is the migration this forwarder resulted from:
@@ -196,21 +200,24 @@ type Process struct {
 	// even though the migration itself completed long ago. fwdSenders
 	// tracks per-sender stale-send runs for the §6 convergence length; it
 	// lives on the cold attribution path only (see Kernel.ledgerForward).
-	fwdTo      addr.MachineID
 	obsRec     *obs.MigrationRecord
 	fwdSenders map[addr.ProcessID]uint64
+	fwdTo      addr.MachineID
+	cameFrom   addr.MachineID // previous host, for death-notice GC
+	// timeoutCommit marks a copy the destination committed on watchdog
+	// timeout (cleanup never arrived). If the source turns out to have
+	// restored its own copy, its abort message yields this one; the
+	// flag clears when a late cleanup confirms the source committed.
+	timeoutCommit bool
 
-	// Accounting.
+	// Accounting, and the deltas since the last load report.
 	createdAt      sim.Time
 	cpuUsed        sim.Time
+	cpuDelta       sim.Time
 	msgsIn         uint64
 	msgsOut        uint64
+	msgsDelta      uint64
 	queueHighWater int
-
-	// Deltas since the last load report.
-	cpuDelta  sim.Time
-	msgsDelta uint64
-	commDelta map[addr.MachineID]uint64
 }
 
 // ForwarderWireSize is the storage a forwarding address needs:
@@ -249,6 +256,16 @@ type ExitInfo struct {
 	At   sim.Time
 }
 
+// exitRec is one slot of the dense exit table: an ExitInfo packed into 32
+// bytes with a flag, because the zero ExitInfo is a valid exit (time 0,
+// code 0) and the zero slot must mean "none recorded".
+type exitRec struct {
+	err  error
+	at   sim.Time
+	code int32
+	ok   bool
+}
+
 // SpawnSpec describes a process to create.
 type SpawnSpec struct {
 	// Program, if set, creates a VM process (Body must be nil).
@@ -273,15 +290,17 @@ type Kernel struct {
 	net     *netw.Network
 	cfg     Config
 
-	procs   map[addr.ProcessID]*Process
-	nextUID addr.LocalUID
-	runq    ring[*Process]
-
-	// local is a dense fast path in front of procs for pids this machine
-	// created: local UIDs are small and kernel-allocated, so the common
-	// delivery lookup is one bounds check instead of a map probe. procs
-	// stays authoritative; local is a cache maintained by addProc/delProc.
-	local []*Process
+	// The process table, split by where the pid was created. local holds
+	// the pids this machine created and localExits their exit records, both
+	// indexed by local UID: a spawn, a delivery lookup and an exit cost a
+	// bounds check each and touch no hash map. procs and exits hold only
+	// foreign pids (migrated in, revived). eachProc walks both halves.
+	local      []*Process
+	localExits []exitRec
+	procs      map[addr.ProcessID]*Process
+	exits      map[addr.ProcessID]ExitInfo
+	nextUID    addr.LocalUID
+	runq       ring[*Process]
 
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
 	// Safe on a lossy network too: the ARQ copies on retain (netw/arq.go
@@ -310,19 +329,21 @@ type Kernel struct {
 	xfersIn  map[uint16]*inStream // inbound streams, keyed by locally-allocated xfer id
 	moveOps  map[uint16]*moveOp   // outbound move-data writes awaiting completion
 
-	// Migration fast-path free lists (see DESIGN.md §7): steady-state
-	// migrations recycle their bookkeeping records — the migration halves
-	// (with their region buffers and once-bound watchdog closures), stream
-	// reassembly records, and whole Process records — so a warm kernel
-	// migrates without growing the heap. Records wiped wholesale by
-	// Restart (k.migs reassignment) are simply orphaned to the GC; the
-	// free lists only ever hold released records.
+	// Record free lists (see DESIGN.md §7): steady-state migrations recycle
+	// their bookkeeping records — the migration halves (with their region
+	// buffers and once-bound watchdog closures), stream reassembly records,
+	// and whole Process records — and Spawn/terminate use the same procFree
+	// and tableFree, so a warm kernel migrates, spawns and retires processes
+	// without growing the heap. Records wiped wholesale by Restart (k.migs
+	// reassignment) are simply orphaned to the GC; the free lists only ever
+	// hold released records.
 	migFree    freelist[migration]
 	streamFree freelist[inStream]
 	procFree   freelist[Process]
-	// tableFree recycles link.Table backing between departures and
-	// arrivals: putProcRec donates a released record's table here (at most
-	// 8 are kept) and thaw rebuilds an arriving process's table into one.
+	// tableFree recycles link.Table backing between departures (or exits)
+	// and arrivals (or spawns): putProcRec donates a released record's
+	// table here (at most 8 are kept), thaw rebuilds an arriving process's
+	// table into one and Spawn resets one.
 	// Kept off the pooled Process records so forwarders and ProcInfo never
 	// see a stale table.
 	tableFree freelist[link.Table]
@@ -333,7 +354,6 @@ type Kernel struct {
 
 	pendingLocate map[addr.ProcessID][]*msg.Message
 	console       map[addr.ProcessID][]string
-	exits         map[addr.ProcessID]ExitInfo
 	doneMigs      []msg.MigrateDone // MigrateDone replies addressed to this kernel
 
 	lastReportBusy sim.Time
@@ -473,21 +493,26 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 			k.machine, k.memUsed, imgSize, k.cfg.MemCapacity)
 	}
 
-	pid := addr.ProcessID{Creator: k.machine, Local: k.nextUID}
-	k.nextUID++
-	p := &Process{
-		id:         pid,
-		state:      StateReady,
-		body:       body,
-		kind:       body.Kind(),
-		links:      link.NewTable(link.DefaultCap),
-		image:      img,
-		privileged: spec.Privileged,
-		createdAt:  k.eng.Now(),
-		commDelta:  make(map[addr.MachineID]uint64),
+	uid, ok := k.allocUID()
+	if !ok {
+		return addr.NilPID, fmt.Errorf("kernel %v: all %d local process ids are live", k.machine, maxLocalUID)
 	}
+	pid := addr.ProcessID{Creator: k.machine, Local: uid}
+	p := k.getProcRec()
+	p.id = pid
+	p.state = StateReady
+	p.body = body
+	p.kind = body.Kind()
+	if p.links = k.tableFree.get(); p.links == nil {
+		p.links = &link.Table{}
+	}
+	p.links.Reset(link.DefaultCap)
+	p.image = img
+	p.privileged = spec.Privileged
+	p.createdAt = k.eng.Now()
 	for _, l := range spec.Links {
 		if _, err := p.links.Insert(l); err != nil {
+			k.putProcRec(p)
 			return addr.NilPID, fmt.Errorf("kernel: installing initial link: %w", err)
 		}
 	}
@@ -527,8 +552,9 @@ func (k *Kernel) Process(pid addr.ProcessID) (ProcInfo, bool) {
 // Processes lists local process snapshots (including forwarders) in
 // deterministic pid order.
 func (k *Kernel) Processes() []ProcInfo {
-	out := make([]ProcInfo, 0, len(k.procs))
-	for _, p := range k.sortedProcs() {
+	procs := k.sortedProcs()
+	out := make([]ProcInfo, 0, len(procs))
+	for _, p := range procs {
 		info, _ := k.Process(p.id)
 		out = append(out, info)
 	}
@@ -567,8 +593,30 @@ func (k *Kernel) Console(pid addr.ProcessID) []string {
 
 // Exit returns how a process ended on this machine, if it did.
 func (k *Kernel) Exit(pid addr.ProcessID) (ExitInfo, bool) {
+	if pid.Creator == k.machine {
+		if i := int(pid.Local); i < len(k.localExits) && k.localExits[i].ok {
+			r := &k.localExits[i]
+			return ExitInfo{Code: r.code, Err: r.err, At: r.at}, true
+		}
+		return ExitInfo{}, false
+	}
 	e, ok := k.exits[pid]
 	return e, ok
+}
+
+// noteExit records how pid ended here: in the dense table beside local for
+// a pid this machine created, in the map otherwise.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
+func (k *Kernel) noteExit(pid addr.ProcessID, info ExitInfo) {
+	if pid.Creator != k.machine {
+		k.exits[pid] = info
+		return
+	}
+	for int(pid.Local) >= len(k.localExits) {
+		k.localExits = append(k.localExits, exitRec{})
+	}
+	k.localExits[pid.Local] = exitRec{err: info.Err, at: info.At, code: info.Code, ok: true}
 }
 
 // MintLinkTo fabricates a link to a process address — the trusted-system
@@ -585,11 +633,11 @@ func (k *Kernel) MintLinkTo(l link.Link, owner addr.ProcessID) (link.ID, error) 
 // pages of local process images.
 func (k *Kernel) ResidentBytes() int {
 	total := 0
-	for _, p := range k.procs {
+	k.eachProc(func(p *Process) {
 		if p.image != nil {
 			total += p.image.ResidentPages() * memory.PageSize
 		}
-	}
+	})
 	return total
 }
 
@@ -739,24 +787,68 @@ const (
 	ConsoleLineCap = 256
 )
 
-// addProc installs a process record in the table (and the dense local-UID
-// cache when this machine created the pid).
-func (k *Kernel) addProc(p *Process) {
-	k.procs[p.id] = p
-	if p.id.Creator == k.machine {
-		uid := int(p.id.Local)
-		for uid >= len(k.local) {
-			k.local = append(k.local, nil)
+// maxLocalUID is the number of processes of one creator that can be alive
+// at once: every LocalUID but 0, which names the kernel.
+const maxLocalUID = 1<<16 - 1
+
+// allocUID issues the next local UID that is neither 0 (the kernel's own
+// address) nor still in the table — a live process, or the forwarding
+// address of one that left. The counter wraps, so a UID long dead is issued
+// again (its new holder starts with no exit on record); ok is false only
+// when all 65 535 are taken.
+func (k *Kernel) allocUID() (uid addr.LocalUID, ok bool) {
+	uid = k.nextUID
+	for n := 0; uid == 0 || (int(uid) < len(k.local) && k.local[uid] != nil); n++ {
+		if n == maxLocalUID {
+			return 0, false
 		}
-		k.local[uid] = p
+		uid++
+	}
+	k.nextUID = uid + 1
+	if int(uid) < len(k.localExits) {
+		k.localExits[uid] = exitRec{}
+	}
+	return uid, true
+}
+
+// addProc installs a process record in the table: the dense slice when this
+// machine created the pid, the map otherwise.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
+func (k *Kernel) addProc(p *Process) {
+	if p.id.Creator != k.machine {
+		k.procs[p.id] = p
+		return
+	}
+	uid := int(p.id.Local)
+	for uid >= len(k.local) {
+		k.local = append(k.local, nil)
+	}
+	k.local[uid] = p
+}
+
+// delProc removes a process record from the table.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
+func (k *Kernel) delProc(pid addr.ProcessID) {
+	if pid.Creator != k.machine {
+		delete(k.procs, pid)
+	} else if int(pid.Local) < len(k.local) {
+		k.local[pid.Local] = nil
 	}
 }
 
-// delProc removes a process record from the table and the dense cache.
-func (k *Kernel) delProc(pid addr.ProcessID) {
-	delete(k.procs, pid)
-	if pid.Creator == k.machine && int(pid.Local) < len(k.local) {
-		k.local[pid.Local] = nil
+// eachProc calls fn for every process record this kernel holds, forwarding
+// addresses included, in no particular order (sortedProcs is the
+// deterministic view).
+func (k *Kernel) eachProc(fn func(*Process)) {
+	for _, p := range k.local {
+		if p != nil {
+			fn(p)
+		}
+	}
+	for _, p := range k.procs {
+		fn(p)
 	}
 }
 
@@ -823,13 +915,18 @@ func (k *Kernel) newControl(op msg.Op, to addr.ProcessAddr) *msg.Message {
 }
 
 // pending is a pooled deferred-submission record, released to its free
-// list before it runs, used for the local delivery latency hop and for
-// paced data packets. fn is bound once so scheduling one allocates nothing
-// in steady state.
+// list before it runs, used for the local delivery latency hop, for paced
+// data packets and for process timers. fn is bound once so scheduling one
+// allocates nothing in steady state. A timer holds no envelope while it
+// waits (m is nil): run draws one when it fires, so a long timer pins this
+// record rather than a message and the pool ledger (PoolStats) never has
+// to look inside the engine's event queue.
 type pending struct {
 	k        *Kernel
 	m        *msg.Message
-	resubmit bool // re-route (paced packet) instead of delivering locally
+	resubmit bool           // re-route (paced packet, timer) instead of delivering locally
+	timerPID addr.ProcessID // timer (m == nil): the process that set it
+	timerTag uint16
 	fn       func()
 }
 
@@ -849,9 +946,16 @@ func (k *Kernel) getPending(m *msg.Message, resubmit bool) *pending {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (d *pending) run() {
 	k, m, res := d.k, d.m, d.resubmit
+	pid, tag := d.timerPID, d.timerTag
 	// Release before running so nested schedules can reuse the record.
 	d.m = nil
 	k.pendingFree.put(d)
+	if m == nil {
+		// The timer is a normal routed message from here on, so it follows
+		// the process through a migration.
+		m = k.newControl(msg.OpTimer, addr.At(pid, k.machine))
+		m.Body = binary.LittleEndian.AppendUint16(m.Body[:0], tag)
+	}
 	if k.crashed {
 		// The kernel crashed while this local hop was in flight: the
 		// message dies with the machine, but not silently.
@@ -880,10 +984,11 @@ func (k *Kernel) tracef(cat trace.Category, event, format string, args ...trace.
 	k.cfg.Tracer.Emitf(k.machine, cat, event, format, args...)
 }
 
-// getProcRec acquires a Process record for the migration path: recycled
-// when available (retaining the queue ring and accounting maps of a process
-// that previously migrated away), fresh otherwise. The record's links are
-// nil; thaw restores a table and forwarders never hold one.
+// getProcRec acquires a Process record for Spawn and for the migration
+// path: recycled when available (retaining the queue ring and accounting
+// maps of a process that exited or migrated away), fresh otherwise. The
+// record's links are nil; Spawn and thaw install a table and forwarders
+// never hold one. commDelta exists only where load reports read it.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) getProcRec() *Process {
@@ -891,15 +996,16 @@ func (k *Kernel) getProcRec() *Process {
 	if p == nil {
 		p = &Process{}
 	}
-	if p.commDelta == nil {
+	if p.commDelta == nil && k.cfg.LoadReportEvery > 0 {
 		p.commDelta = make(map[addr.MachineID]uint64)
 	}
 	return p
 }
 
 // putProcRec releases a Process record whose identity has left this kernel
-// (migrated away, failed incoming, superseded forwarder). The caller must
-// have drained the queue and removed the record from the tables; the ring
+// (exited, migrated away, failed incoming, superseded forwarder). The caller
+// must have drained the queue and removed the record from the tables and
+// the run queue; the ring
 // and maps survive for the next arrival, and the link table (if any) is
 // donated to tableFree for the next incoming restore.
 //
@@ -914,7 +1020,8 @@ func (k *Kernel) putProcRec(p *Process) {
 	q := p.queue
 	commDelta := p.commDelta
 	clear(commDelta)
-	*p = Process{queue: q, commDelta: commDelta}
+	*p = Process{}
+	p.queue, p.commDelta = q, commDelta
 	k.procFree.put(p)
 }
 

@@ -593,7 +593,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	if k.cfg.MemCapacity > 0 {
 		memFree = k.cfg.MemCapacity - k.memUsed
 	}
-	old := k.procs[ask.PID]
+	old := k.lookup(ask.PID)
 	accept := old == nil || old.state == StateForwarder // else identity collision: refuse
 	if accept && k.cfg.Accept != nil {
 		accept = k.cfg.Accept(ask, memFree)
@@ -641,7 +641,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 // caller owns the returned record (nil if there was none): a migration
 // keeps it until step 8 in case the arrival fails, Revive recycles it.
 func (k *Kernel) displaceForwarder(pid addr.ProcessID) *Process {
-	old := k.procs[pid]
+	old := k.lookup(pid)
 	if old == nil || old.state != StateForwarder {
 		return nil
 	}
@@ -775,17 +775,26 @@ func (k *Kernel) disarmTimeoutCommit(pid addr.ProcessID, _ *msg.Message) {
 func (k *Kernel) commitIncoming(mg *migration, forwarded int, viaTimeout bool) {
 	p, displaced := mg.p, mg.displaced
 	k.endMigration(mg)
+	if displaced != nil {
+		k.putProcRec(displaced) // the arrival is final: the address it superseded is not coming back
+	}
 	p.timeoutCommit = viaTimeout
 
 	// Messages queued here while incoming: DELIVERTOKERNEL ones go to
 	// the kernel now; the rest rotate back to the tail for the process.
 	// The drain is bounded by the length at entry so rotated (and newly
 	// arriving) messages are not re-examined.
+	pid := p.id
 	for n := p.queue.Len(); n > 0; n-- {
 		hm := p.queue.pop()
 		if hm.DTK {
 			k.kernelMsg(hm)
 			k.putMsg(hm)
+			if k.lookup(pid) != p {
+				// A kill held since before the move just ended the process
+				// and recycled p: there is nothing left to restart.
+				return
+			}
 		} else {
 			p.queue.push(hm)
 		}
@@ -801,9 +810,6 @@ func (k *Kernel) commitIncoming(mg *migration, forwarded int, viaTimeout bool) {
 	}
 	if k.cfg.CheckpointOnArrival {
 		_ = k.SaveCheckpoint(p.id)
-	}
-	if displaced != nil {
-		k.putProcRec(displaced)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestPoolRefGoesStaleAfterLocalRecycle(t *testing.T) {
 	sendB.L = lid
 
 	// Step until the sent envelope is parked on the receiver's queue.
-	rp := k.procs[rpid]
+	rp := k.lookup(rpid)
 	for rp.queue.Len() == 0 {
 		if !e.Step() {
 			t.Fatal("engine went idle before the message reached the receiver's queue")
@@ -184,7 +184,7 @@ func TestPoolRefAcrossMigrationForwarding(t *testing.T) {
 	e.Run() // let it block in receive
 
 	k1.RequestMigrationOf(addr.At(pid, 1), 2)
-	for k1.procs[pid] == nil || k1.procs[pid].state != StateInMigration {
+	for k1.lookup(pid) == nil || k1.lookup(pid).state != StateInMigration {
 		if !e.Step() {
 			t.Fatal("engine went idle before the migration froze the process")
 		}

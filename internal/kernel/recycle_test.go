@@ -1,0 +1,364 @@
+package kernel
+
+// The spawn path recycles: Spawn draws its Process record and link table
+// from the free lists terminate returns them to, locally created pids live
+// in a dense table (and their exit records in another), and the local UID
+// counter wraps. These tests pin what must survive all that: a recycled
+// record carries nothing of the dead process, the split tables answer the
+// way the single map did, and no pid is issued twice among the living.
+// In-package because the interesting facts — which record a spawn got,
+// what sits on the run queue — are not part of the public API.
+
+import (
+	"errors"
+	"testing"
+
+	"demosmp/internal/addr"
+	"demosmp/internal/link"
+	"demosmp/internal/msg"
+	"demosmp/internal/proc"
+	"demosmp/internal/workload"
+)
+
+// scriptBody runs a fixed number of slices and then ends the way it is told
+// to; until then it is always runnable, so it sits on the run queue between
+// its slices.
+type scriptBody struct {
+	slices int   // slices to run before ending; < 0 spins forever
+	crash  error // end by crashing with this error instead of exiting
+	seen   int   // messages received
+	ran    int
+}
+
+func (b *scriptBody) Kind() string { return "script" }
+
+func (b *scriptBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	for {
+		if _, ok := ctx.Recv(); !ok {
+			break
+		}
+		b.seen++
+	}
+	b.ran++
+	switch {
+	case b.slices < 0 || b.ran < b.slices:
+		return 0, proc.Status{State: proc.Runnable}
+	case b.crash != nil:
+		return 0, proc.Status{State: proc.Crashed, Err: b.crash}
+	default:
+		return 0, proc.Status{State: proc.Exited, ExitCode: 7}
+	}
+}
+
+func (b *scriptBody) Snapshot() ([]byte, error) { return nil, nil }
+func (b *scriptBody) Restore([]byte) error      { return nil }
+
+func onRunq(k *Kernel, p *Process) bool {
+	for i := 0; i < k.runq.Len(); i++ {
+		if k.runq.at(i) == p {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRecycledProcessRecordIsClean ends a process three ways — exit, body
+// crash, kill while Ready on the run queue — each time after it held a
+// link, received messages and used CPU, and checks that the next Spawn gets
+// that very record with nothing of the dead process on it and runs exactly
+// its own slices.
+func TestRecycledProcessRecordIsClean(t *testing.T) {
+	for _, end := range []string{"exit", "crash", "kill-on-runq"} {
+		t.Run(end, func(t *testing.T) {
+			e, ks := poolTestCluster(t, 1)
+			k := ks[0]
+			peer, err := k.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := &scriptBody{slices: 3}
+			switch end {
+			case "crash":
+				old.crash = errors.New("boom")
+			case "kill-on-runq":
+				old.slices = -1
+			}
+			oldPID, err := k.Spawn(SpawnSpec{Body: old, Links: []link.Link{{Addr: addr.At(peer, 1)}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := k.lookup(oldPID)
+			// Dress the record in everything a migrated-in process carries.
+			rec.cameFrom, rec.timeoutCommit = 9, true
+			for i := 0; i < 3; i++ {
+				if err := k.GiveMessage(oldPID, addr.At(peer, 1), []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if end == "kill-on-runq" {
+				e.RunFor(500)
+				if !rec.onRunq || !onRunq(k, rec) || rec.state != StateReady {
+					t.Fatalf("victim not Ready on the run queue before the kill (onRunq=%v state=%v)", rec.onRunq, rec.state)
+				}
+				k.GiveControl(oldPID, msg.OpKill, nil)
+			}
+			e.Run()
+			if _, ok := k.Exit(oldPID); !ok {
+				t.Fatalf("%v did not end", oldPID)
+			}
+			if old.seen != 3 || rec.state != 0 {
+				t.Fatalf("old process saw %d messages, record state %v; want 3 and a zeroed record", old.seen, rec.state)
+			}
+			if onRunq(k, rec) {
+				t.Fatal("dead process's record is still on the run queue")
+			}
+
+			slices := k.Stats().Slices
+			next := &scriptBody{slices: 2}
+			pid, err := k.Spawn(SpawnSpec{Body: next})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := k.lookup(pid)
+			if p != rec {
+				t.Fatalf("spawn did not reuse the released record (%p, want %p)", p, rec)
+			}
+			if p.links == nil || p.links.Len() != 0 {
+				t.Fatalf("recycled record's link table is not empty: %v", p.links)
+			}
+			if _, ok := p.links.Get(1); ok {
+				t.Fatal("the dead process's link 1 resolves in the new process")
+			}
+			info, _ := k.Process(pid)
+			if info.CPUUsed != 0 || info.MsgsIn != 0 || info.MsgsOut != 0 || info.QueueLen != 0 || info.Links != 0 {
+				t.Fatalf("recycled record carries accounting: %+v", info)
+			}
+			if p.cameFrom != 0 || p.timeoutCommit || p.fwdTo != 0 || p.obsRec != nil || p.fwdSenders != nil ||
+				p.queueHighWater != 0 || p.cpuDelta != 0 || p.msgsDelta != 0 || p.image != nil || p.prevState != 0 {
+				t.Fatalf("recycled record inherited state: %+v", p)
+			}
+			e.Run()
+			if next.ran != 2 || k.Stats().Slices != slices+2 {
+				t.Fatalf("new process ran %d slices (kernel counted %d), want exactly 2",
+					next.ran, k.Stats().Slices-slices)
+			}
+			if ex, ok := k.Exit(pid); !ok || ex.Code != 7 || ex.Err != nil {
+				t.Fatalf("new process exit = %+v, %v", ex, ok)
+			}
+			// The dead process's exit record is its own, not the newcomer's.
+			ex, _ := k.Exit(oldPID)
+			if (end == "exit") != (ex.Err == nil) {
+				t.Fatalf("old exit record = %+v after the record was reused", ex)
+			}
+		})
+	}
+}
+
+// TestExitRecordsLocalForeignAndAcrossRestart: Exit answers for a pid this
+// machine created (dense table) and for one that migrated in and died here
+// (map), an unknown pid of either kind has none, and both records survive
+// Crash + Restart as the single map did.
+func TestExitRecordsLocalForeignAndAcrossRestart(t *testing.T) {
+	e, ks := poolTestCluster(t, 2)
+	k1, k2 := ks[0], ks[1]
+	local, err := k2.Spawn(SpawnSpec{Body: &scriptBody{slices: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mover, err := k1.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	k1.RequestMigrationOf(addr.At(mover, 1), 2)
+	e.Run()
+	if p := k2.lookup(mover); p == nil || p.state == StateForwarder || k2.procs[mover] != p {
+		t.Fatalf("mover is not a foreign record in m2's map: %v", p)
+	}
+	k2.GiveControl(mover, msg.OpKill, nil)
+	e.Run()
+
+	check := func(when string) {
+		t.Helper()
+		if ex, ok := k2.Exit(local); !ok || ex.Code != 7 {
+			t.Fatalf("%s: local exit = %+v, %v", when, ex, ok)
+		}
+		if ex, ok := k2.Exit(mover); !ok || ex.Err == nil {
+			t.Fatalf("%s: foreign exit = %+v, %v", when, ex, ok)
+		}
+		for _, pid := range []addr.ProcessID{{Creator: 2, Local: 9}, {Creator: 2, Local: 60000}, {Creator: 1, Local: 9}} {
+			if _, ok := k2.Exit(pid); ok {
+				t.Fatalf("%s: exit record for %v, which never ran here", when, pid)
+			}
+		}
+	}
+	check("before crash")
+	k2.Crash()
+	if err := k2.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	check("after restart")
+	// The UID counter survives too: a restart must not re-issue a dead pid.
+	again, err := k2.Spawn(SpawnSpec{Body: &scriptBody{slices: 1}})
+	if err != nil || again == local {
+		t.Fatalf("spawn after restart = %v, %v; %v is taken", again, err, local)
+	}
+}
+
+// TestKillHeldAcrossMigrationEndsTheProcess: a kill that reaches a frozen
+// process is held, forwarded in step 6 and held again on the incoming
+// record, so it is step 8's drain that executes it — on a record terminate
+// recycles under the drain's feet. The process must end there and then.
+// (Before records were recycled the drain went on to "restart" the dead
+// record, a zombie outside the process table; restarting a zeroed record
+// would put a process with no body on the run queue.)
+func TestKillHeldAcrossMigrationEndsTheProcess(t *testing.T) {
+	e, ks := poolTestCluster(t, 2)
+	k1, k2 := ks[0], ks[1]
+	pid, err := k1.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	k1.RequestMigrationOf(addr.At(pid, 1), 2)
+	for k1.lookup(pid).state != StateInMigration {
+		if !e.Step() {
+			t.Fatal("engine idle before the freeze")
+		}
+	}
+	k1.GiveControl(pid, msg.OpKill, nil)
+	for k1.lookup(pid).queue.Len() == 0 {
+		if !e.Step() {
+			t.Fatal("engine idle before the kill was held")
+		}
+	}
+	if err := k1.GiveMessage(pid, addr.KernelAddr(1), []byte("behind the kill")); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+
+	if ex, ok := k2.Exit(pid); !ok || ex.Err == nil {
+		t.Fatalf("exit on m2 = %+v, %v; want killed there", ex, ok)
+	}
+	if p := k2.lookup(pid); p != nil {
+		t.Fatalf("m2 still holds %v in state %v", pid, p.state)
+	}
+	if k2.runq.Len() != 0 || k2.Stats().Kills != 1 || k2.PendingMigrations() != 0 {
+		t.Fatalf("m2 after the kill: runq %d, kills %d, pending migrations %d",
+			k2.runq.Len(), k2.Stats().Kills, k2.PendingMigrations())
+	}
+	n1, f1, h1 := k1.PoolStats()
+	n2, f2, h2 := k2.PoolStats()
+	if n1+n2 != f1+f2+h1+h2 {
+		t.Fatalf("envelope pool: %d constructed, %d free + %d held", n1+n2, f1+f2, h1+h2)
+	}
+}
+
+// TestProcessesOrderAcrossSplitTables: Processes lists in (creator, local)
+// order whether a record lives in the dense local table or the foreign map,
+// forwarding addresses included.
+func TestProcessesOrderAcrossSplitTables(t *testing.T) {
+	e, ks := poolTestCluster(t, 3)
+	spawn := func(k *Kernel) addr.ProcessID {
+		t.Helper()
+		pid, err := k.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pid
+	}
+	k2 := ks[1]
+	a, leaver, b := spawn(k2), spawn(k2), spawn(k2)
+	from1a, from1b, from3 := spawn(ks[0]), spawn(ks[0]), spawn(ks[2])
+	e.Run()
+	k2.RequestMigrationOf(addr.At(leaver, 2), 3)
+	ks[2].RequestMigrationOf(addr.At(from3, 3), 2)
+	ks[0].RequestMigrationOf(addr.At(from1b, 1), 2) // arrive out of pid order
+	e.Run()
+	ks[0].RequestMigrationOf(addr.At(from1a, 1), 2)
+	e.Run()
+
+	want := []addr.ProcessID{from1a, from1b, a, leaver, b, from3}
+	got := k2.Processes()
+	if len(got) != len(want) {
+		t.Fatalf("Processes() = %v, want pids %v", got, want)
+	}
+	for i, info := range got {
+		if info.PID != want[i] {
+			t.Fatalf("Processes()[%d] = %v, want %v (all: %v)", i, info.PID, want[i], got)
+		}
+		if (info.State == StateForwarder) != (info.PID == leaver) {
+			t.Fatalf("%v state %v", info.PID, info.State)
+		}
+	}
+}
+
+// TestSpawnUIDWrap drives one kernel through more spawn-to-exit cycles than
+// there are local UIDs. UID 0 is the kernel's own address and must never be
+// issued (the process would never see its timer: kernelMsg consumes it), a
+// process still alive keeps its UID to itself, and every job exits.
+func TestSpawnUIDWrap(t *testing.T) {
+	e, ks := poolTestCluster(t, 1)
+	k := ks[0]
+	k.cfg.Tracer = nil
+	elder, err := k.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 65_540
+	job := &workload.Job{}
+	for i := 0; i < cycles; i++ {
+		*job = workload.Job{Service: 1}
+		pid, err := k.Spawn(SpawnSpec{Body: job})
+		if err != nil {
+			t.Fatalf("spawn %d: %v", i, err)
+		}
+		if pid.IsKernel() || pid.Local == 0 || pid == elder {
+			t.Fatalf("spawn %d was issued %v (kernel address, or the live %v)", i, pid, elder)
+		}
+		e.Run()
+		if _, ok := k.Exit(pid); !ok {
+			t.Fatalf("spawn %d: %v never exited", i, pid)
+		}
+	}
+	if st := k.Stats(); st.Spawned != cycles+1 || st.Exited != cycles {
+		t.Fatalf("spawned %d, exited %d; want %d and %d", st.Spawned, st.Exited, cycles+1, cycles)
+	}
+	if info, ok := k.Process(elder); !ok || info.State != StateWaiting {
+		t.Fatalf("long-lived %v = %+v, %v", elder, info, ok)
+	}
+	if len(k.local) > 1<<16 {
+		t.Fatalf("local table grew to %d slots", len(k.local))
+	}
+}
+
+// TestSpawnFailsOnlyWhenEveryUIDIsLive fills all 65 535 local UIDs with live
+// processes: the next Spawn is refused with an error, and succeeds — with
+// exactly the freed UID, and no exit record inherited — once one dies.
+func TestSpawnFailsOnlyWhenEveryUIDIsLive(t *testing.T) {
+	e, ks := poolTestCluster(t, 1)
+	k := ks[0]
+	k.cfg.Tracer = nil
+	idle := &poolDrainBody{} // stateless while nothing is sent to it: one body serves all
+	for i := 0; i < maxLocalUID; i++ {
+		if _, err := k.Spawn(SpawnSpec{Body: idle}); err != nil {
+			t.Fatalf("spawn %d: %v", i, err)
+		}
+	}
+	if pid, err := k.Spawn(SpawnSpec{Body: idle}); err == nil {
+		t.Fatalf("spawn with every UID live was issued %v", pid)
+	}
+	victim := addr.ProcessID{Creator: 1, Local: 40_000}
+	k.GiveControl(victim, msg.OpKill, nil)
+	e.Run()
+	if _, ok := k.Exit(victim); !ok {
+		t.Fatal("victim not killed")
+	}
+	pid, err := k.Spawn(SpawnSpec{Body: idle})
+	if err != nil || pid != victim {
+		t.Fatalf("spawn after a death = %v, %v; want the freed %v", pid, err, victim)
+	}
+	if _, ok := k.Exit(pid); ok {
+		t.Fatal("the re-issued pid was born with its predecessor's exit record")
+	}
+}

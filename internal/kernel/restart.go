@@ -240,11 +240,11 @@ func (k *Kernel) LostPIDs() []addr.ProcessID {
 // envelope (chaos.CheckInvariants asserts this).
 func (k *Kernel) PoolStats() (news, free, held int) {
 	news, free = k.pool.News(), k.pool.Free()
-	for _, p := range k.procs {
+	k.eachProc(func(p *Process) {
 		for i := 0; i < p.queue.Len(); i++ {
 			held += countPooled(p.queue.at(i))
 		}
-	}
+	})
 	for _, msgs := range k.pendingLocate {
 		for _, m := range msgs {
 			held += countPooled(m)
@@ -302,7 +302,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 	if m.Searched {
 		return false // one search per message: no reroute loops
 	}
-	if _, exited := k.exits[pid]; exited {
+	if _, exited := k.Exit(pid); exited {
 		return false // authoritatively dead here
 	}
 	if pid.Creator != k.machine {
@@ -379,7 +379,7 @@ func (k *Kernel) handleSearchQuery(m *msg.Message) {
 		} else {
 			at = k.machine
 		}
-	} else if _, exited := k.exits[pm.PID]; exited {
+	} else if _, exited := k.Exit(pm.PID); exited {
 		at = addr.NoMachine // authoritatively dead
 	} else {
 		return

@@ -16,13 +16,26 @@ import (
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) enqueueRun(p *Process) {
 	p.state = StateReady
-	k.runq.push(p)
+	k.pushRun(p)
 	k.maybeSchedule()
 }
 
-// removeFromRunq drops p from the run queue (suspension, migration).
+// pushRun appends p to the run queue.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
+func (k *Kernel) pushRun(p *Process) {
+	p.onRunq = true
+	k.runq.push(p)
+}
+
+// removeFromRunq drops p from the run queue (suspension, migration, kill).
+// A process that is not queued — runSlice popped it, or it was waiting —
+// costs no scan.
 func (k *Kernel) removeFromRunq(p *Process) {
-	k.runq.remove(p)
+	if p.onRunq {
+		p.onRunq = false
+		k.runq.remove(p)
+	}
 }
 
 // maybeSchedule arms the next scheduling slice if work is pending. The CPU
@@ -57,6 +70,7 @@ func (k *Kernel) runSlice() {
 		return
 	}
 	p := k.runq.pop()
+	p.onRunq = false
 	if p.state != StateReady {
 		// Suspended or migrated while queued.
 		k.maybeSchedule()
@@ -100,10 +114,10 @@ func (k *Kernel) runSlice() {
 	}
 	switch st.State {
 	case proc.Runnable:
-		k.runq.push(p)
+		k.pushRun(p)
 	case proc.Blocked:
 		if p.queue.Len() > 0 {
-			k.runq.push(p) // spurious block; messages waiting
+			k.pushRun(p) // spurious block; messages waiting
 		} else {
 			p.state = StateWaiting
 			// A newly idle process is a swap candidate if memory is
@@ -120,7 +134,10 @@ func (k *Kernel) runSlice() {
 
 // terminate removes a process and, when the paper's forwarding-address
 // garbage collection is enabled, sends a death notice backwards along the
-// migration path (§4).
+// migration path (§4). The record goes back to procFree: p is dead to the
+// caller when terminate returns.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) terminate(p *Process, code int32, err error) {
 	p.state = StateDead
 	k.removeFromRunq(p)
@@ -130,10 +147,10 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 	}
 	k.delProc(p.id)
 	delete(k.stable, p.id) // a dead process must not be revivable
-	k.exits[p.id] = ExitInfo{Code: code, Err: err, At: k.eng.Now()}
+	k.noteExit(p.id, ExitInfo{Code: code, Err: err, At: k.eng.Now()})
 	if err != nil {
 		k.stats.Crashes++
-		k.trace(trace.CatProc, "crash", fmt.Sprintf("%v: %v", p.id, err))
+		k.traceCrash(p.id, err)
 	} else {
 		k.stats.Exited++
 		k.tracef(trace.CatProc, "exit", "%v code=%d", trace.PID(p.id), trace.Int(int(code)))
@@ -141,6 +158,12 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 	if k.cfg.ReclaimForwarders && p.cameFrom != addr.NoMachine {
 		k.sendDeathNoticeTo(p.id, p.cameFrom)
 	}
+	k.putProcRec(p)
+}
+
+// traceCrash holds terminate's fmt work off the hot path.
+func (k *Kernel) traceCrash(pid addr.ProcessID, err error) {
+	k.trace(trace.CatProc, "crash", fmt.Sprintf("%v: %v", pid, err))
 }
 
 // scheduleLoadReport arms the periodic load report to the process manager.
@@ -169,14 +192,15 @@ func (k *Kernel) sendLoadReport() {
 	if pct > 100 {
 		pct = 100
 	}
+	procs := k.sortedProcs()
 	rep := msg.LoadReport{
 		Machine:    k.machine,
 		Ready:      uint16(k.runq.Len()),
-		ProcCount:  uint16(len(k.procs)),
+		ProcCount:  uint16(len(procs)),
 		MemUsedKB:  uint32(k.memUsed / 1024),
 		CPUPercent: uint8(pct),
 	}
-	for _, p := range k.sortedProcs() {
+	for _, p := range procs {
 		if p.state == StateForwarder || p.state == StateIncoming || p.privileged {
 			continue
 		}
@@ -209,10 +233,8 @@ func (k *Kernel) sendLoadReport() {
 // required because map iteration order would otherwise leak
 // nondeterminism into the simulation.
 func (k *Kernel) sortedProcs() []*Process {
-	out := make([]*Process, 0, len(k.procs))
-	for _, p := range k.procs {
-		out = append(out, p)
-	}
+	var out []*Process
+	k.eachProc(func(p *Process) { out = append(out, p) })
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].id, out[j].id
 		if a.Creator != b.Creator {

@@ -196,6 +196,51 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestEmptyTableHasNoBackingAndResetRecycles: a table with no links owns
+// no slot array, yet snapshots exactly as one that does (next slot 1, so
+// checkpoint bytes do not depend on when the backing was made); the first
+// link still gets id 1; and Reset hands the next owner an empty table that
+// reuses the backing and resolves none of the previous owner's ids.
+func TestEmptyTableHasNoBackingAndResetRecycles(t *testing.T) {
+	tb := NewTable(0)
+	if tb.slots != nil || tb.Cap() != DefaultCap {
+		t.Fatalf("empty table: slots %v cap %d", tb.slots, tb.Cap())
+	}
+	want := []byte{DefaultCap & 0xff, DefaultCap >> 8, 1, 0, 0, 0} // cap, next slot 1, count 0
+	if got := tb.AppendSnapshot(nil); string(got) != string(want) {
+		t.Fatalf("empty snapshot = %v, want %v", got, want)
+	}
+	if _, ok := tb.Get(1); ok {
+		t.Fatal("empty table resolves id 1")
+	}
+	l := Link{Addr: mkAddr(2, 2, 2)}
+	if id, err := tb.Insert(l); err != nil || id != 1 {
+		t.Fatalf("first insert = %v, %v; want id 1", id, err)
+	}
+	tb.Insert(Link{Addr: mkAddr(3, 3, 3)})
+	tb.Remove(1)
+	backing := &tb.slots[0]
+
+	tb.Reset(16)
+	if tb.Len() != 0 || tb.Cap() != 16 || len(tb.free) != 0 {
+		t.Fatalf("after Reset: len %d cap %d free %v", tb.Len(), tb.Cap(), tb.free)
+	}
+	for id := ID(0); id < 4; id++ {
+		if _, ok := tb.Get(id); ok {
+			t.Fatalf("id %v of the previous owner resolves after Reset", id)
+		}
+	}
+	if got := tb.AppendSnapshot(nil); got[2] != 1 || got[4] != 0 {
+		t.Fatalf("snapshot after Reset = %v", got)
+	}
+	if id, err := tb.Insert(l); err != nil || id != 1 || &tb.slots[0] != backing {
+		t.Fatalf("insert after Reset = %v, %v (backing reused: %v)", id, err, &tb.slots[0] == backing)
+	}
+	if got, ok := tb.Get(2); ok {
+		t.Fatalf("stale slot 2 visible after Reset: %v", got)
+	}
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	if err := RestoreTableInto(&Table{}, []byte{1, 2}); err == nil {
 		t.Fatal("restored short snapshot")

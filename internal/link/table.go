@@ -34,10 +34,21 @@ type Table struct {
 
 // NewTable returns an empty table bounded at capacity (DefaultCap if <= 0).
 func NewTable(capacity int) *Table {
+	t := &Table{}
+	t.Reset(capacity)
+	return t
+}
+
+// Reset empties t and bounds it at capacity (DefaultCap if <= 0), keeping
+// the slot and free-list backing for the next owner. An empty table has no
+// slot backing at all until its first Insert: most short-lived processes
+// never hold a link.
+func (t *Table) Reset(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Table{slots: make([]Link, 1, 8), cap: capacity}
+	clear(t.slots)
+	t.slots, t.free, t.count, t.cap = t.slots[:0], t.free[:0], 0, capacity
 }
 
 // Len returns the number of live links.
@@ -63,6 +74,12 @@ func (t *Table) Insert(l Link) (ID, error) {
 		t.free = t.free[:n-1]
 		t.slots[id] = l
 	} else {
+		if len(t.slots) == 0 { // first link: index 0 is never used
+			if cap(t.slots) == 0 {
+				t.slots = make([]Link, 0, 8)
+			}
+			t.slots = append(t.slots, Link{})
+		}
 		id = ID(len(t.slots))
 		t.slots = append(t.slots, l)
 	}
@@ -147,7 +164,7 @@ func (t *Table) StaleTo(pid addr.ProcessID, machine addr.MachineID) int {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (t *Table) AppendSnapshot(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(t.cap))
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(t.slots)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(max(len(t.slots), 1))) // next slot: 1 with no backing yet
 	b = binary.LittleEndian.AppendUint16(b, uint16(t.count))
 	for i := 1; i < len(t.slots); i++ {
 		if t.slots[i].IsNil() {

@@ -82,8 +82,12 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.getPending", "pending.run",
 			// Scheduler.
 			"Kernel.maybeSchedule", "Kernel.runSlice", "Kernel.enqueueRun",
+			"Kernel.pushRun",
 			// Syscall layer.
-			"procCtx.send", "procCtx.Recv",
+			"procCtx.send", "procCtx.Recv", "procCtx.SetTimer",
+			// Spawn -> timer -> exit: the dense tables and the recycle site.
+			"Kernel.addProc", "Kernel.delProc", "Kernel.noteExit",
+			"Kernel.terminate",
 			// Move-data facility.
 			"Kernel.ack", "Kernel.handleAck", "Kernel.handleDataPacket",
 			"Kernel.streamGather", "Kernel.getInStream", "Kernel.putInStream",

@@ -29,6 +29,9 @@ go test -race ./...
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
 go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
 
+echo "== recycled process records and split process tables under the race detector (3 runs)"
+go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestProcessesOrderAcrossSplitTables' ./internal/kernel/
+
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
 
@@ -38,8 +41,8 @@ go test -run='^$' -fuzz=FuzzKernelAdmin -fuzztime=10s ./internal/kernel/
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)
 
-echo "== hot-path allocation guards + benchmarks (1 iteration smoke)"
-go test -run TestHotPathZeroAlloc \
+echo "== hot-path allocation guards (steady state, spawn -> timer -> exit, timer-driven send) + benchmarks (1 iteration smoke)"
+go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth64|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
 go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc' ./internal/core/

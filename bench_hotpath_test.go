@@ -39,8 +39,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEngineDispatchDepth64 keeps 64 events pending, the typical
-// working depth of a busy multi-machine cluster, so the 4-ary heap actually
-// sifts: the event-dispatch number (bench row sim.schedule_fire_ns.d64).
+// working depth of a busy multi-machine cluster: the event-dispatch number
+// (bench row sim.schedule_fire_ns.d64).
 func BenchmarkEngineDispatchDepth64(b *testing.B) {
 	e := sim.NewEngine(1)
 	fn := func() {}
@@ -54,6 +54,38 @@ func BenchmarkEngineDispatchDepth64(b *testing.B) {
 		e.Step()
 	}
 }
+
+// benchEngineDispatch is one schedule + one fire with depth events pending,
+// at the distances the kernels schedule at — a same-instant hand-off, a
+// local delivery (5 µs), a frame's transit (500 µs), a retransmit check
+// (3 000 µs) — plus, with watchdogs set, a 30 s watchdog armed and cancelled
+// at once every tenth event, which stays queued as a tombstone until the
+// clock reaches it (at these depths the clock crawls, so they pile up for the
+// whole run and the arena grows with them: the B/op column). Depth 1 is a
+// ping-pong's queue, which arms no watchdog; 1 k is lossy-chatter's and 16 k
+// migrate-storm's (EXPERIMENTS.md, "PR 22"). The cost should not depend on
+// which.
+func benchEngineDispatch(b *testing.B, depth int, watchdogs bool) {
+	e := sim.NewEngine(1)
+	fn := func() {}
+	deltas := [...]sim.Time{0, 5, 500, 3000}
+	for i := 0; i < depth; i++ {
+		e.After(deltas[i%len(deltas)], "fill", fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(deltas[i%len(deltas)], "bench", fn)
+		if watchdogs && i%10 == 0 {
+			e.Cancel(e.After(30e6, "watchdog", fn))
+		}
+		e.Step()
+	}
+}
+
+func BenchmarkEngineDispatchDepth1(b *testing.B)   { benchEngineDispatch(b, 1, false) }
+func BenchmarkEngineDispatchDepth1k(b *testing.B)  { benchEngineDispatch(b, 1000, true) }
+func BenchmarkEngineDispatchDepth16k(b *testing.B) { benchEngineDispatch(b, 16000, true) }
 
 // BenchmarkEngineCancel measures schedule+cancel+drain, the watchdog
 // pattern of kernel migrations.
@@ -523,7 +555,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	t.Run("engine-schedule", func(t *testing.T) {
 		e := sim.NewEngine(1)
 		fn := func() {}
-		for i := 0; i < 256; i++ { // warm the arena and heap
+		for i := 0; i < 256; i++ { // warm the arena
 			e.At(e.Now()+1, "warm", fn)
 		}
 		for e.Step() {
@@ -533,6 +565,33 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			e.Step()
 		}); n != 0 {
 			t.Fatalf("engine schedule+step allocates %.1f/op, want 0", n)
+		}
+	})
+	t.Run("engine-wheel", func(t *testing.T) {
+		// The wheel beyond one level: the kernels' distances, a watchdog
+		// cancelled into a tombstone, a look ahead and an event scheduled
+		// behind it (the rewind), cascades to bring them all back down.
+		// Once the levels exist none of it allocates.
+		e := sim.NewEngine(1)
+		fn := func() {}
+		cycle := func() {
+			for _, d := range [...]sim.Time{0, 5, 500, 3000} {
+				e.After(d, "bench", fn)
+			}
+			e.Cancel(e.After(3000, "watchdog", fn))
+			e.Step()
+			e.NextAt()
+			e.After(0, "behind", fn)
+			for i := 0; i < 4; i++ {
+				e.Step()
+			}
+		}
+		e.After(30e6, "far", fn)
+		for i := 0; i < 256; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Fatalf("engine wheel cycle allocates %.1f/op, want 0", n)
 		}
 	})
 	t.Run("engine-cancel", func(t *testing.T) {

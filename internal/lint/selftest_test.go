@@ -46,7 +46,8 @@ func TestHotpathAnnotationSet(t *testing.T) {
 	want := map[string][]string{
 		"demosmp/internal/sim": {
 			"Time.String", "Engine.schedule", "Engine.freeSlot",
-			"Engine.heapPush", "Engine.heapPop", "Engine.Step",
+			"Engine.place", "Engine.place0", "Engine.placeUp",
+			"Engine.cascade", "Engine.peek", "Engine.take",
 		},
 		"demosmp/internal/netw": {
 			"Network.Send", "Network.account", "Network.deliver",

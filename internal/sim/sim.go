@@ -10,13 +10,14 @@
 //
 // The engine is allocation-free on the steady-state path: event state lives
 // in an index-stable arena whose slots are recycled through a free list, and
-// the priority queue is a hand-rolled 4-ary min-heap of (time, seq) keys —
-// no container/heap interface boxing, no per-schedule *Event allocation.
-// See DESIGN.md §7 ("Performance") and bench_hotpath_test.go for the
-// zero-alloc guards.
+// the priority queue is a hierarchical timing wheel threaded through the
+// arena (see wheel below) — schedule, cancel and fire are O(1) with no key
+// comparisons, whatever is pending. See DESIGN.md §7 ("Performance") and
+// bench_hotpath_test.go for the zero-alloc guards.
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"strconv"
 )
@@ -54,33 +55,61 @@ type slot struct {
 	fn   func()
 	name string
 	at   Time
-	seq  uint64
+	seq  uint64 // scheduling sequence number | class bits: the same-time order
 	gen  uint32
-	weak bool // weak events do not keep Run alive
+	next uint32 // the entry after this one in its wheel list, or on the free list (then 1 + its index, 0 at the end)
+	weak bool   // weak events do not keep Run alive
 }
 
-// heapEnt is one 4-ary heap entry. The (at, seq) key is kept inline so
-// sift operations stay in one cache line instead of chasing arena indices.
-type heapEnt struct {
-	at  Time
-	seq uint64
-	idx uint32
+// The event queue is a hierarchical timing wheel (Varghese & Lauck, SOSP
+// '87): wheelLevels levels of 64 lists, level l indexed by the l-th 6-bit
+// digit of the timestamp. An entry due at t is filed at the level of the
+// highest digit in which t differs from the reference time cur, in the list
+// of t's digit there:
+//
+//	level = (bits.Len64(t^cur) - 1) / 6    list = t >> (6*level) & 63
+//
+// Every queued entry is due at or after cur. So a level's occupied lists lie
+// above cur's own digit (cur's list at a level >= 1 is always empty), a
+// lower level holds earlier times than a higher one, and the next entry is
+// in the lowest set bit of the lowest occupied level: two TrailingZeros and
+// no comparison of keys, whatever is pending.
+//
+// Firing order is exactly (at, class, seq), by construction. Position is a
+// pure function of (at, cur), so entries due at one time always share a
+// list, and a list is fired from only when it is in firing order: a level-0
+// list, which is one timestamp kept sorted by seq, or a list of one entry.
+// Any other list is cascaded first — moved to level 0 whole if it is one
+// timestamp in seq order (not "mixed"), else filed again entry by entry
+// from its earliest live time.
+const wheelLevels = 11 // 6 bits a level: ceil(64 / 6)
+
+// wheelLevel is one level of the wheel: 64 lists, each a FIFO threaded
+// through slot.next, and what is known about them a bit a list.
+type wheelLevel struct {
+	occ   uint64     // bit j set: list j is non-empty; otherwise its head and tail mean nothing
+	mixed uint64     // bit j set: list j is not (one timestamp, in firing order)
+	lists *wheelList // allocated on first use (level 0's is Engine.lists0)
 }
+
+// wheelList is the head and tail of each of a level's lists; the tail's next
+// is never read.
+type wheelList [64]struct{ head, tail uint32 }
 
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now    Time
-	arena  []slot    // index-stable event storage
-	free   []uint32  // recycled arena slots
-	heap   []heapEnt // 4-ary min-heap ordered by (at, seq)
+	arena  []slot // index-stable event storage
 	seq    uint64
 	live   int // scheduled, uncancelled events (strong + weak)
 	seed   int64
 	rng    *rand.Rand
 	fired  uint64
+	strong int    // pending non-weak events
+	free   uint32 // 1 + the index of the first recycled slot (they chain through slot.next), 0 if none
+	levels uint16 // the wheel's occupied levels: bit l set when lv[l].occ != 0
 	halted bool
-	strong int // pending non-weak events
 
 	// OnFire, when non-nil, observes every event just before it runs.
 	// The determinism tests use it to assert exact firing order.
@@ -93,11 +122,19 @@ type Engine struct {
 	// read-only is what guarantees installing one cannot perturb the
 	// golden firing order.
 	OnAdvance func(from, to Time)
+
+	// The wheel. Cancelled entries stay in it until the clock reaches their
+	// list, so occupancy counts them too.
+	cur    Time                    // reference time: no queued entry is due before it
+	lv     [wheelLevels]wheelLevel // lv[0].lists is &lists0
+	lists0 wheelList               // level 0: the 64 timestamps of cur's block, one a list
 }
 
 // NewEngine returns an engine at time zero with a PRNG seeded by seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	e.lv[0].lists = &e.lists0
+	return e
 }
 
 // Seed returns the seed the engine was built with. Layers that must decide
@@ -126,17 +163,13 @@ func (e *Engine) Pending() int { return e.live }
 func (e *Engine) StrongPending() int { return e.strong }
 
 // NextAt reports the timestamp of the next runnable event, recycling any
-// cancelled entries it finds at the head of the queue. ok is false when no
-// events remain.
+// cancelled entries queued ahead of it. ok is false when no events remain.
 func (e *Engine) NextAt() (at Time, ok bool) {
-	for len(e.heap) > 0 {
-		if idx := e.heap[0].idx; e.arena[idx].fn == nil {
-			e.freeSlot(e.heapPop())
-			continue
-		}
-		return e.heap[0].at, true
+	idx, _, _, ok := e.peek()
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return e.arena[idx].at, true
 }
 
 // Event classes: at equal timestamps, fault events sort before gate events,
@@ -191,24 +224,34 @@ func (e *Engine) AtFault(t Time, name string, fn func()) Event {
 	return e.schedule(t, name, fn, false, classFault)
 }
 
-// After schedules fn d microseconds from now.
+// after returns the time d microseconds from now, saturating at the maximum
+// Time instead of wrapping into the past.
+func (e *Engine) after(d Time) Time {
+	if t := e.now + d; t >= e.now {
+		return t
+	}
+	return ^Time(0)
+}
+
+// After schedules fn d microseconds from now. A d that would overflow Time
+// saturates at the maximum Time: After(^Time(0)) means "never", not "now".
 func (e *Engine) After(d Time, name string, fn func()) Event {
-	return e.At(e.now+d, name, fn)
+	return e.schedule(e.after(d), name, fn, false, classNormal)
 }
 
 // AfterWeak schedules a weak event: it fires like any other while the
 // simulation is alive, but does not by itself keep Run going. Periodic
 // housekeeping (load reports) uses weak events so "run until idle" still
-// terminates.
+// terminates. d saturates as in After.
 func (e *Engine) AfterWeak(d Time, name string, fn func()) Event {
-	return e.schedule(e.now+d, name, fn, true, classNormal)
+	return e.schedule(e.after(d), name, fn, true, classNormal)
 }
 
 // AfterWeakFault schedules a weak fault-class event d microseconds from
 // now: it runs before gates and normal events at its timestamp but never
-// keeps Run alive — the shape of a chaos pulse.
+// keeps Run alive — the shape of a chaos pulse. d saturates as in After.
 func (e *Engine) AfterWeakFault(d Time, name string, fn func()) Event {
-	return e.schedule(e.now+d, name, fn, true, classFault)
+	return e.schedule(e.after(d), name, fn, true, classFault)
 }
 
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/engine-schedule in bench_hotpath_test.go.
@@ -220,9 +263,9 @@ func (e *Engine) schedule(t Time, name string, fn func(), weak bool, class int) 
 		t = e.now
 	}
 	var idx uint32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
+	if e.free != 0 {
+		idx = e.free - 1
+		e.free = e.arena[idx].next
 	} else {
 		e.arena = append(e.arena, slot{gen: 1})
 		idx = uint32(len(e.arena) - 1)
@@ -236,7 +279,23 @@ func (e *Engine) schedule(t Time, name string, fn func(), weak bool, class int) 
 	}
 	s := &e.arena[idx]
 	s.fn, s.name, s.at, s.seq, s.weak = fn, name, t, key, weak
-	e.heapPush(heapEnt{at: t, seq: key, idx: idx})
+	if e.levels == 0 {
+		// An empty wheel, as a queue one or two events deep mostly is: any
+		// reference will do, and t's own puts the entry at level 0.
+		e.cur = t
+		e.levels, e.lv[0].occ = 1, 1<<(t&63)
+		w := &e.lists0[t&63]
+		w.head, w.tail = idx, idx
+	} else {
+		if t < e.cur {
+			e.rewind(t)
+		}
+		if x := t ^ e.cur; x < 64 { // e.place, by hand: one call fewer for every event
+			e.place0(idx, uint(t)&63, key)
+		} else {
+			e.placeUp(idx, t, key, wheelLevelOf(x))
+		}
+	}
 	e.seq++
 	e.live++
 	if !weak {
@@ -255,14 +314,14 @@ func (e *Engine) Cancel(ev Event) {
 	if s.gen != ev.gen || s.fn == nil {
 		return
 	}
-	s.fn = nil // slot stays in the heap; skipped and recycled when popped
+	s.fn = nil // the entry stays queued; freed when the clock reaches its list
 	e.live--
 	if !s.weak {
 		e.strong--
 	}
 }
 
-// freeSlot recycles an arena slot popped off the heap. Bumping the
+// freeSlot recycles an arena slot taken off the wheel. Bumping the
 // generation invalidates any handles still pointing at it.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc and BenchmarkEngineDispatchDepth64.
@@ -271,94 +330,265 @@ func (e *Engine) freeSlot(idx uint32) {
 	s.fn = nil
 	s.name = ""
 	s.gen++
-	e.free = append(e.free, idx)
+	s.next = e.free
+	e.free = idx + 1
 }
 
-// heapPush inserts ent, sifting up through 4-ary parents.
+// place files arena entry idx, due at t >= e.cur with same-time order key,
+// in the list its time selects.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc and BenchmarkEngineDispatchDepth64.
-func (e *Engine) heapPush(ent heapEnt) {
-	e.heap = append(e.heap, ent)
-	h := e.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if h[p].at < ent.at || (h[p].at == ent.at && h[p].seq < ent.seq) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+func (e *Engine) place(idx uint32, t Time, key uint64) {
+	if x := t ^ e.cur; x < 64 {
+		e.place0(idx, uint(t)&63, key)
+	} else {
+		e.placeUp(idx, t, key, wheelLevelOf(x))
 	}
-	h[i] = ent
 }
 
-// heapPop removes and returns the minimum (time, seq) entry's arena index.
+// place0 inserts idx into level-0 list j where key belongs. The list is one
+// timestamp and stays sorted; keys grow with scheduling order inside a
+// class, so idx goes to the tail unless a gate or fault event arrives behind
+// a later-class one of the same instant.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc and BenchmarkEngineDispatchDepth64.
-func (e *Engine) heapPop() uint32 {
-	h := e.heap
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	e.heap = h[:n]
-	h = e.heap
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].at < h[m].at || (h[j].at == h[m].at && h[j].seq < h[m].seq) {
-				m = j
+func (e *Engine) place0(idx uint32, j uint, key uint64) {
+	w := &e.lists0[j]
+	if e.lv[0].occ&(1<<j) == 0 {
+		e.lv[0].occ |= 1 << j
+		e.levels |= 1
+		w.head, w.tail = idx, idx
+		return
+	}
+	if tail := &e.arena[w.tail]; tail.seq < key {
+		tail.next = idx
+		w.tail = idx
+		return
+	}
+	link := &w.head // before the first entry ordered after idx: the tail is one
+	for e.arena[*link].seq < key {
+		link = &e.arena[*link].next
+	}
+	e.arena[idx].next, *link = *link, idx
+}
+
+// placeUp appends idx to the list of level l >= 1 that t selects, and notes
+// when that leaves the list mixed: holding two timestamps, or out of firing
+// order.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc and BenchmarkEngineDispatchDepth64.
+func (e *Engine) placeUp(idx uint32, t Time, key uint64, l uint) {
+	lv := &e.lv[l]
+	if lv.lists == nil {
+		lv.lists = new(wheelList) // once per level per engine: ten times at most
+	}
+	j := uint(t>>(6*l)) & 63
+	w := &lv.lists[j]
+	if lv.occ&(1<<j) == 0 {
+		lv.occ |= 1 << j
+		e.levels |= 1 << l
+		w.head, w.tail = idx, idx
+		return
+	}
+	tail := &e.arena[w.tail]
+	if key < tail.seq || tail.at != t {
+		lv.mixed |= 1 << j
+	}
+	tail.next = idx
+	w.tail = idx
+}
+
+// wheelLevelOf returns the level of the highest digit set in x, the
+// difference between a time and cur: (bits.Len64(x) - 1) / 6, and 0 for 0.
+func wheelLevelOf(x Time) uint { return uint(bits.Len64(uint64(x)|1)-1) / 6 }
+
+// clear marks list j of level l empty.
+func (e *Engine) clear(l, j uint) {
+	lv := &e.lv[l]
+	lv.mixed &^= 1 << j
+	if lv.occ &^= 1 << j; lv.occ == 0 {
+		e.levels &^= 1 << l
+	}
+}
+
+// cascade empties list j of level l >= 1, the earliest occupied list of the
+// wheel, into the levels below. A list that is not mixed is the level-0 list
+// of its one timestamp already and is moved there whole, however long it is:
+// what the same-instant events of machines running in step cost. Otherwise
+// cascade frees the cancelled entries and files the live ones again from a
+// new cur: the start of the list's 64 µs for a level-1 list, whose entries
+// all belong at level 0 then, and else the list's earliest live time, which
+// puts that entry at level 0 in one step however high the list was (a list
+// of cancelled entries only leaves cur alone).
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc and BenchmarkEngineDispatchDepth64.
+func (e *Engine) cascade(l, j uint) {
+	w := e.lv[l].lists[j]
+	mixed := e.lv[l].mixed&(1<<j) != 0
+	e.clear(l, j)
+	at := e.arena[w.head].at
+	if !mixed {
+		e.cur = at
+		e.lists0[at&63] = w
+		e.lv[0].occ = 1 << (at & 63) // level 0 was empty, or the search would not have come up here
+		e.levels |= 1
+		return
+	}
+	if l == 1 {
+		e.cur = at &^ 63
+	} else {
+		min, live := ^Time(0), false
+		for i := w.head; ; i = e.arena[i].next {
+			if s := &e.arena[i]; s.fn != nil && s.at <= min {
+				min, live = s.at, true
+			}
+			if i == w.tail {
+				break
 			}
 		}
-		if last.at < h[m].at || (last.at == h[m].at && last.seq < h[m].seq) {
-			break
+		if live {
+			e.cur = min
 		}
-		h[i] = h[m]
-		i = m
 	}
-	if n > 0 {
-		h[i] = last
+	for i, last := w.head, false; !last; {
+		s := &e.arena[i]
+		next := s.next
+		last = i == w.tail
+		switch {
+		case s.fn == nil:
+			e.freeSlot(i)
+		case l == 1:
+			e.place0(i, uint(s.at)&63, s.seq)
+		default:
+			e.place(i, s.at, s.seq)
+		}
+		i = next
 	}
-	return root.idx
+}
+
+// rewind moves cur back to t < cur, for an event scheduled earlier than a
+// time NextAt already moved the reference to. With L the highest digit in
+// which t and cur differ, every entry below level L agrees with cur from
+// digit L up and so belongs, seen from t, in cur's own list at level L:
+// their lists are concatenated there. Entries at level L and above differ
+// from cur and from t in the same digit and stay where they are.
+func (e *Engine) rewind(t Time) {
+	if L := wheelLevelOf(t ^ e.cur); e.levels&(1<<L-1) != 0 {
+		up := &e.lv[L]
+		if up.lists == nil {
+			up.lists = new(wheelList)
+		}
+		d := uint(e.cur>>(6*L)) & 63
+		dst := &up.lists[d]
+		for l, first := uint(0), true; l < L; l++ {
+			lv := &e.lv[l]
+			for b := lv.occ; b != 0; b &= b - 1 {
+				src := lv.lists[bits.TrailingZeros64(b)]
+				if first {
+					dst.head, first = src.head, false
+				} else {
+					e.arena[dst.tail].next = src.head
+				}
+				dst.tail = src.tail
+			}
+			lv.occ, lv.mixed = 0, 0
+		}
+		up.occ |= 1 << d
+		up.mixed |= 1 << d
+		e.levels = e.levels&^(1<<L-1) | 1<<L
+	}
+	e.cur = t
+}
+
+// peek finds the next runnable event: it returns its arena index and the
+// list it heads, freeing the cancelled entries ahead of it. The earliest
+// occupied list holds it — looked for at level 0 first, where a busy queue's
+// next event is — and is in firing order if it is a level-0 list or holds
+// one entry; any other is cascaded first.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc and BenchmarkEngineDispatchDepth64.
+func (e *Engine) peek() (idx uint32, l, j uint, ok bool) {
+	for {
+		l = 0
+		occ, lists := e.lv[0].occ, &e.lists0
+		if occ == 0 {
+			if e.levels == 0 {
+				return 0, 0, 0, false
+			}
+			l = uint(bits.TrailingZeros16(e.levels))
+			occ, lists = e.lv[l].occ, e.lv[l].lists
+		}
+		j = uint(bits.TrailingZeros64(occ))
+		w := &lists[j&63]
+		if l > 0 && w.head != w.tail {
+			e.cascade(l, j)
+			continue
+		}
+		idx = w.head
+		if e.arena[idx].fn != nil {
+			return idx, l, j, true
+		}
+		e.pop(idx, l, j)
+		e.freeSlot(idx)
+	}
+}
+
+// pop unlinks idx, the head of list j of level l, which peek just returned.
+// When that empties the list, idx's time becomes the reference: it is the
+// earliest entry's, so no queued entry is due before it, and it keeps what
+// is scheduled next in the lowest levels. (While the list still holds
+// entries of that time, cur must stay behind them: seen from their own time
+// they would belong at level 0.)
+func (e *Engine) pop(idx uint32, l, j uint) {
+	if w := &e.lv[l].lists[j]; w.tail == idx {
+		e.clear(l, j)
+		e.cur = e.arena[idx].at
+	} else {
+		w.head = e.arena[idx].next
+	}
 }
 
 // Step fires the single next event. It reports false when the queue is empty.
+func (e *Engine) Step() bool {
+	fn := e.take(^Time(0))
+	if fn == nil {
+		return false
+	}
+	fn()
+	return true
+}
+
+// take removes the next event from the queue if it is due by deadline,
+// accounts for its firing and returns its function for the caller to run —
+// from the caller's own frame, so a callback runs no deeper in the stack
+// than the loop that drives the engine. It returns nil when nothing is due.
 //
 //demos:hotpath — the dispatch half of the engine cycle; checked by demoslint (hotpathalloc) and TestHotPathZeroAlloc in bench_hotpath_test.go.
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		idx := e.heapPop()
-		s := &e.arena[idx]
-		if s.fn == nil { // cancelled while queued
-			e.freeSlot(idx)
-			continue
-		}
-		if s.at > e.now && e.OnAdvance != nil {
-			e.OnAdvance(e.now, s.at)
-		}
-		e.now = s.at
-		fn, name, at := s.fn, s.name, s.at
-		if !s.weak {
-			e.strong--
-		}
-		e.live--
-		e.freeSlot(idx) // recycle before fn: fn may schedule into this slot
-		e.fired++
-		if e.OnFire != nil {
-			e.OnFire(name, at)
-		}
-		fn()
-		return true
+func (e *Engine) take(deadline Time) func() {
+	idx, l, j, ok := e.peek()
+	if !ok {
+		return nil
 	}
-	return false
+	s := &e.arena[idx]
+	if s.at > deadline {
+		return nil
+	}
+	e.pop(idx, l, j)
+	if s.at > e.now && e.OnAdvance != nil {
+		e.OnAdvance(e.now, s.at)
+	}
+	e.now = s.at
+	fn, name, at := s.fn, s.name, s.at
+	if !s.weak {
+		e.strong--
+	}
+	e.live--
+	e.freeSlot(idx) // recycle before fn runs: it may schedule into this slot
+	e.fired++
+	if e.OnFire != nil {
+		e.OnFire(name, at)
+	}
+	return fn
 }
 
 // Run fires events until only weak events (periodic housekeeping) remain.
@@ -376,11 +606,11 @@ func (e *Engine) Run() uint64 {
 func (e *Engine) runTo(deadline Time) {
 	e.halted = false
 	for !e.halted {
-		at, runnable := e.NextAt()
-		if !runnable || at > deadline {
+		fn := e.take(deadline)
+		if fn == nil {
 			break
 		}
-		e.Step()
+		fn()
 	}
 }
 
@@ -398,7 +628,7 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 }
 
 // RunFor advances the simulation by d microseconds of simulated time.
-func (e *Engine) RunFor(d Time) uint64 { return e.RunUntil(e.now + d) }
+func (e *Engine) RunFor(d Time) uint64 { return e.RunUntil(e.after(d)) }
 
 // Halt stops Run/RunUntil after the current event returns.
 func (e *Engine) Halt() { e.halted = true }

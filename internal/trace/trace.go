@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -130,11 +131,17 @@ func (r Record) String() string {
 // Tracer collects Records in a bounded ring. A nil Tracer is disabled and
 // drops everything, so hot paths can emit unconditionally.
 type Tracer struct {
-	recs  []Record // grows by append up to max, then overwritten in place
-	head  int      // index of the oldest record once len(recs) == max
-	max   int
-	sink  func(Record)
-	clock func() sim.Time
+	// The ring's slots 0..max-1 live in chunks that are added as records
+	// arrive and never copied: chunk k holds 2^k slots starting at slot
+	// 2^k - 1 (the last chunk is cut to max), so a tracer holding n records
+	// owns fewer than 2n slots, as a slice grown by append would, without
+	// append's reallocate-and-copy at every step.
+	chunks [][]Record
+	n      int // slots in use; once n == max the ring overwrites in place
+	head   int // the oldest record's slot once n == max
+	max    int
+	sink   func(Record)
+	clock  func() sim.Time
 }
 
 // New returns an enabled tracer keeping at most max records (0 = 64k). The
@@ -214,30 +221,56 @@ func (t *Tracer) Emitf(m addr.MachineID, cat Category, event, format string, arg
 // slot returns the ring slot the next record goes into: a new one until the
 // ring is full, then the oldest.
 func (t *Tracer) slot() *Record {
-	if len(t.recs) < t.max {
-		t.recs = append(t.recs, Record{})
-		return &t.recs[len(t.recs)-1]
+	i := t.n
+	if i < t.max {
+		t.n++
+	} else {
+		i = t.head
+		if t.head++; t.head == t.max {
+			t.head = 0
+		}
 	}
-	r := &t.recs[t.head]
-	if t.head++; t.head == t.max {
-		t.head = 0
+	k, off := chunkOf(i)
+	if k == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]Record, min(1<<k, t.max-i)))
 	}
-	return r
+	return &t.chunks[k][off]
 }
 
-// parts returns the retained records as two runs, older then newer. Safe
-// on a nil Tracer.
-func (t *Tracer) parts() [2][]Record {
+// chunkOf returns the chunk holding ring slot i and i's offset in it.
+func chunkOf(i int) (k, off int) {
+	k = bits.Len(uint(i+1)) - 1
+	return k, i + 1 - 1<<k
+}
+
+// parts returns the retained records as runs, oldest first. Safe on a nil
+// Tracer.
+func (t *Tracer) parts() [][]Record {
 	if t == nil {
-		return [2][]Record{}
+		return nil
 	}
-	return [2][]Record{t.recs[t.head:], t.recs[:t.head]}
+	var runs [][]Record
+	for _, span := range [2][2]int{{t.head, t.n}, {0, t.head}} {
+		for i := span[0]; i < span[1]; {
+			k, off := chunkOf(i)
+			run := t.chunks[k][off:min(len(t.chunks[k]), off+span[1]-i)]
+			runs = append(runs, run)
+			i += len(run)
+		}
+	}
+	return runs
 }
 
 // Records returns a copy of the retained records in emission order.
 func (t *Tracer) Records() []Record {
-	p := t.parts()
-	return append(append([]Record(nil), p[0]...), p[1]...)
+	if t == nil || t.n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, t.n)
+	for _, part := range t.parts() {
+		out = append(out, part...)
+	}
+	return out
 }
 
 // Filter returns the retained records in cat, in order.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -140,19 +142,95 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// TestRingGrowsLazily: trace.New allocates no ring; a tracer that never
-// fills up never holds more than it was given.
+// TestRingGrowsLazily: trace.New allocates no ring, and a tracer that never
+// fills up holds little more than it was given: 100 records cost at most 256
+// slots' worth of memory.
 func TestRingGrowsLazily(t *testing.T) {
 	var now sim.Time
-	tr := New(clockAt(&now), 0)
-	if cap(tr.recs) != 0 {
-		t.Fatalf("New preallocated %d records", cap(tr.recs))
+	var tr *Tracer
+	if n := testing.AllocsPerRun(10, func() { tr = New(clockAt(&now), 0) }); n > 2 { // the Tracer and the clock closure
+		t.Fatalf("New allocates %v objects: the ring must not be among them", n)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < 100; i++ {
 		tr.Emit(1, CatProc, "e", "")
 	}
-	if cap(tr.recs) > 256 {
-		t.Fatalf("100 records grew the ring to %d", cap(tr.recs))
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*unsafe.Sizeof(Record{})); got > limit {
+		t.Fatalf("100 records allocated %d bytes, want at most 256 slots' worth (%d)", got, limit)
+	}
+	if n := len(tr.Records()); n != 100 {
+		t.Fatalf("%d records retained, want 100", n)
+	}
+}
+
+// TestRingWrapAcrossChunks wraps a ring whose size is no multiple of any
+// chunk size (100 = 1+2+4+8+16+32+37) two and a half times: every query
+// still walks exactly the newest 100 records, oldest first, across both the
+// chunk seams and the ring's own, and the sink has seen them all.
+func TestRingWrapAcrossChunks(t *testing.T) {
+	const size, emits = 100, 250
+	var now sim.Time
+	tr := New(clockAt(&now), size)
+	sunk := 0
+	tr.SetSink(func(r Record) {
+		if r.T != sim.Time(sunk) {
+			t.Fatalf("sink saw T=%d as its record %d", r.T, sunk)
+		}
+		sunk++
+	})
+	cats := [...]Category{CatProc, CatForward, CatMigrate}
+	for i := 0; i < emits; i++ {
+		now = sim.Time(i)
+		tr.Emitf(1, cats[i%3], "e"+strconv.Itoa(i), "n=%d", Int(i))
+		first := max(0, i+1-size)
+		recs := tr.Records()
+		if len(recs) != i+1-first {
+			t.Fatalf("after %d emits: %d records retained, want %d", i+1, len(recs), i+1-first)
+		}
+		for j, r := range recs {
+			if r.T != sim.Time(first+j) {
+				t.Fatalf("after %d emits: record %d has T=%d, want %d", i+1, j, r.T, first+j)
+			}
+		}
+	}
+	if sunk != emits {
+		t.Fatalf("sink saw %d of %d records", sunk, emits)
+	}
+	first := emits - size
+	events := tr.Events(CatAll)
+	lines := strings.Split(strings.TrimSpace(tr.String()), "\n")
+	if len(events) != size || len(lines) != size {
+		t.Fatalf("Events returned %d names and String %d lines, want %d", len(events), len(lines), size)
+	}
+	for j := range events {
+		if want := "e" + strconv.Itoa(first+j); events[j] != want || !strings.HasSuffix(lines[j], "n="+strconv.Itoa(first+j)) {
+			t.Fatalf("position %d: event %q, line %q; want %s", j, events[j], lines[j], want)
+		}
+	}
+	for c, cat := range cats {
+		var want []string
+		for i := first; i < emits; i++ {
+			if i%3 == c {
+				want = append(want, "e"+strconv.Itoa(i))
+			}
+		}
+		filtered := tr.Filter(cat)
+		if got := tr.Events(cat); len(got) != len(want) || len(filtered) != len(want) {
+			t.Fatalf("%v: Events %d, Filter %d records, want %d", cat, len(got), len(filtered), len(want))
+		}
+		for j, r := range filtered {
+			if r.Event != want[j] || r.Cat != cat {
+				t.Fatalf("%v: Filter position %d is %v, want %s", cat, j, r, want[j])
+			}
+		}
+	}
+	if r, ok := tr.Find("e" + strconv.Itoa(first)); !ok || r.T != sim.Time(first) {
+		t.Fatalf("Find(oldest) = %v, %v", r, ok)
+	}
+	if _, ok := tr.Find("e" + strconv.Itoa(first-1)); ok {
+		t.Fatal("Find returned a record the ring dropped")
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Contributor gate: gofmt, vet, lint, build, race-test, fuzz smoke, and the
-# hot-path allocation guards. Run from anywhere; exits non-zero on the first
-# failure.
+# Contributor gate: gofmt, vet, lint, build, race-test, two fuzz smokes
+# (FuzzKernelAdmin, FuzzEngineOrder), and the hot-path allocation guards. Run
+# from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/check.sh
 set -euo pipefail
@@ -38,12 +38,15 @@ go test -short -count=1 ./internal/chaos/
 echo "== fuzz smoke: arbitrary migration-protocol messages into live kernels mid-migration (10 s)"
 go test -run='^$' -fuzz=FuzzKernelAdmin -fuzztime=10s ./internal/kernel/
 
+echo "== fuzz smoke: the engine's event queue against a sorted-slice reference, operation by operation (10 s)"
+go test -run='^$' -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
+
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)
 
 echo "== hot-path allocation guards (steady state, spawn -> timer -> exit, timer-driven send) + benchmarks (1 iteration smoke)"
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
-  -bench 'EngineSchedule|EngineDispatchDepth64|NetwSend|MsgEncode|Kernel' \
+  -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
 go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc' ./internal/core/
 

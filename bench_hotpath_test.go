@@ -136,6 +136,24 @@ func BenchmarkNetwSend(b *testing.B) {
 	}
 }
 
+// benchLossy is the lossy-chatter network: 5 % loss on frames and on acks.
+var benchLossy = netw.Config{LossRate: 0.05, RetransTimeout: 3000, MaxRetries: 200}
+
+// BenchmarkNetwSendARQ is the reliable path between two kernels: one op is a
+// cross-machine round trip, so two ARQ rounds (master copy, wire copy,
+// delivery, ack, retransmission check) plus the retransmissions and
+// suppressed duplicates 5 % loss brings. Steady state must be
+// allocation-free: copies come from the kernels' envelope pools, flights
+// from the network's record pool, dedup is a bit window.
+func BenchmarkNetwSendARQ(b *testing.B) {
+	e, _, ks := benchClusterOn(2, benchLossy)
+	a, _ := benchEchoPair(b, ks, 0, 1)
+	runRounds(b, e, a, 2048) // warm the pools through a few hundred retransmissions
+	b.ReportAllocs()
+	b.ResetTimer()
+	runRounds(b, e, a, a.rounds+b.N)
+}
+
 // BenchmarkMsgEncode appends the wire form into a reused buffer and reads
 // the (cached) wire size — the per-frame encode work of the send path.
 func BenchmarkMsgEncode(b *testing.B) {
@@ -217,8 +235,14 @@ func (s *benchSinkBody) Restore([]byte) error      { return nil }
 // benchCluster builds n kernels on one engine with benchmark body kinds
 // registered (so migrated bodies can be re-instantiated on arrival).
 func benchCluster(n int) (*sim.Engine, []*kernel.Kernel) {
+	e, _, ks := benchClusterOn(n, netw.Config{})
+	return e, ks
+}
+
+// benchClusterOn is benchCluster over a network of the given configuration.
+func benchClusterOn(n int, cfg netw.Config) (*sim.Engine, *netw.Network, []*kernel.Kernel) {
 	e := sim.NewEngine(1)
-	nw := netw.New(e, netw.Config{})
+	nw := netw.New(e, cfg)
 	reg := proc.NewRegistry()
 	reg.Register("bench-echo", func() proc.Body { return &benchEchoBody{} })
 	reg.Register("bench-sink", func() proc.Body { return &benchSinkBody{} })
@@ -233,7 +257,7 @@ func benchCluster(n int) (*sim.Engine, []*kernel.Kernel) {
 		k.SetObs(oreg, oled)
 	}
 	nw.RegisterObs(oreg)
-	return e, ks
+	return e, nw, ks
 }
 
 // benchEchoPair spawns two echo processes (on machines am and bm), wires
@@ -621,6 +645,39 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Fatalf("lossless send+deliver allocates %.1f/op, want 0", n)
+		}
+	})
+	t.Run("netw-send-arq", func(t *testing.T) {
+		// The ARQ round between two kernels under 5 % loss: master and
+		// wire copies, acks, retransmission checks, retransmissions and
+		// suppressed duplicates all run on warm pools.
+		e, nw, ks := benchClusterOn(2, benchLossy)
+		a, _ := benchEchoPair(t, ks, 0, 1)
+		runRounds(t, e, a, 2048)
+		before := nw.Stats()
+		if n := testing.AllocsPerRun(1000, func() {
+			runRounds(t, e, a, a.rounds+1)
+		}); n != 0 {
+			t.Fatalf("lossy cross-machine round trip allocates %.2f/op, want 0", n)
+		}
+		after := nw.Stats()
+		if after.Retransmits == before.Retransmits || after.Duplicates == before.Duplicates {
+			t.Fatalf("measured window saw %d retransmissions and %d suppressed duplicates, want both > 0",
+				after.Retransmits-before.Retransmits, after.Duplicates-before.Duplicates)
+		}
+		// Endpoints that lend no pool fall back to heap clones and are
+		// served all the same.
+		e = sim.NewEngine(1)
+		nw = netw.New(e, benchLossy)
+		sink := &benchSink{}
+		nw.Attach(1, &benchSink{})
+		nw.Attach(2, sink)
+		for i := 0; i < 200; i++ {
+			nw.Send(1, 2, benchMessage())
+		}
+		e.Run()
+		if sink.n != 200 || nw.InflightARQ() != 0 {
+			t.Fatalf("bare endpoints: delivered %d of 200 frames, %d flights left", sink.n, nw.InflightARQ())
 		}
 	})
 	t.Run("msg-encode", func(t *testing.T) {

@@ -27,7 +27,9 @@ import (
 //     restarted machine, recorded lost pid) within machines+2 hops;
 //  4. envelope conservation: pooled message envelopes allocated across
 //     all kernels equal those free plus those held on queues — a leak
-//     or double-release anywhere breaks the cluster-wide sum;
+//     or double-release anywhere breaks the cluster-wide sum, the lossy
+//     network's master and wire copies (drawn from the kernels' pools)
+//     included;
 //  5. no in-flight network state: the machine-anchored ARQ holds no
 //     un-acked flights and no shard's canonical pending heap holds
 //     frames — every send either delivered, died into an accounted
@@ -88,9 +90,13 @@ func CheckInvariants(c *core.Cluster) []string {
 		}
 	}
 
-	// 4. Envelope conservation. Envelopes migrate between per-kernel
-	// pools (a frame is allocated by the sender and released by the
-	// receiver), so only the cluster-wide sum is meaningful.
+	// 4. Envelope conservation. An envelope returns to the pool that
+	// constructed it, but PoolStats counts a held envelope where it is
+	// held (a frame allocated by the sender sits in the receiver's queue),
+	// so the cluster-wide sum is the law. It covers the lossy network's
+	// copies too: ARQ masters and wire copies are drawn from these pools,
+	// and with no flight and no pending frame left (item 5) every one of
+	// them must be back.
 	var news, free, held int
 	for m := 1; m <= n; m++ {
 		kn, kf, kh := c.Kernel(m).PoolStats()

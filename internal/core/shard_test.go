@@ -323,9 +323,11 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 
 	// Per-kernel envelope-pool gauges are the one legitimately
 	// shard-dependent corner of the snapshot: a cross-shard frame ships as
-	// a clone while the pooled original retires to the SENDER's pool, so
-	// which kernel's pool an envelope lands in depends on the sharding.
-	// The conservation law must still hold within every configuration.
+	// a clone while the pooled original retires at once, where a same-shard
+	// frame keeps its sender's envelope out until the receiver consumes it,
+	// so how many envelopes a pool ever had to construct depends on the
+	// sharding. The conservation law must still hold within every
+	// configuration.
 	snap := c.ObsSnapshot()
 	var news, free, held uint64
 	var rows []string
@@ -355,6 +357,62 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 		spawned: d.Spawned(),
 
 		parRounds: c.ParallelRounds(),
+	}
+}
+
+// TestOneWayTrafficKeepsPoolsBounded: 20 000 messages flow one way, m1 to
+// m2, and no envelope pool drifts. An envelope returns to the pool that
+// constructed it (msg.Pool.Put forwards home), so the sender's pool is
+// refilled by the receiver's releases instead of constructing an envelope per
+// message while the receiver's free list grows without bound; on a lossy
+// network the ARQ's master copies come from the sender's pool and its wire
+// copies from the receiver's, and both go back. Every pool balances on its
+// own, not just the cluster-wide sum.
+func TestOneWayTrafficKeepsPoolsBounded(t *testing.T) {
+	const msgs = 20_000
+	for _, arm := range []struct {
+		name   string
+		net    netw.Config
+		shards int
+	}{
+		{"lossless", netw.Config{}, 1},
+		{"lossy", netw.Config{LossRate: 0.05}, 1},
+		{"lossless-2-shards", netw.Config{}, 2},
+		{"lossy-2-shards", netw.Config{LossRate: 0.05}, 2},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			c, err := core.New(core.Options{Machines: 2, Seed: 1, Shards: arm.shards, Net: arm.net})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter := &workload.Counter{}
+			sink, err := c.Spawn(2, kernel.SpawnSpec{Body: counter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Spawn(1, kernel.SpawnSpec{
+				Body:  &workload.Chatter{N: msgs, Interval: 100},
+				Links: []link.Link{{Addr: addr.At(sink, 2)}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			c.Run()
+			if counter.Seen != msgs {
+				t.Fatalf("counter saw %d of %d messages", counter.Seen, msgs)
+			}
+			if arm.net.LossRate > 0 && c.NetStats().Retransmits == 0 {
+				t.Fatal("lossy arm saw no retransmission")
+			}
+			for m := 1; m <= 2; m++ {
+				news, free, held := c.Kernel(m).PoolStats()
+				if news > 64 {
+					t.Errorf("m%d pool constructed %d envelopes for one-way traffic, want a small constant", m, news)
+				}
+				if free+held != news {
+					t.Errorf("m%d pool: %d constructed != %d free + %d held", m, news, free, held)
+				}
+			}
+		})
 	}
 }
 

@@ -303,9 +303,13 @@ type Kernel struct {
 	runq       ring[*Process]
 
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
-	// Safe on a lossy network too: the ARQ copies on retain (netw/arq.go
-	// clones a pooled envelope for retransmission and retires the original
-	// through ReleaseFrame), so pooling does not depend on the loss mode.
+	// An envelope it constructed always comes back to it, whichever kernel
+	// of this engine releases it (msg.Pool.Put forwards home). Safe on a
+	// lossy network too: the ARQ copies on retain (netw/arq.go retires the
+	// original through ReleaseFrame), and it draws those copies from here
+	// through FramePool — the master of a frame this kernel sends, the wire
+	// copy of a frame it is about to receive — so pooling does not depend
+	// on the loss mode and PoolStats audits the ARQ's copies too.
 	pool *msg.Pool
 	// pendingFree recycles deferred-delivery records (local latency hops
 	// and paced data packets).

@@ -170,9 +170,10 @@ func TestPoolRefGoesStaleAfterLocalRecycle(t *testing.T) {
 
 // TestPoolRefAcrossMigrationForwarding holds a Ref to a message that lands
 // on a frozen in-migration queue. Step 6 forwards the envelope to the
-// destination machine, whose kernel consumes it and releases it into its
-// own free list — envelopes migrate between pools with the traffic. The
-// source-side holder's Ref must read as stale afterwards.
+// destination machine, whose kernel consumes it and releases it — and the
+// release lands it back in the free list of the pool that constructed it,
+// the source's: envelopes travel with the traffic but never change pools.
+// The source-side holder's Ref must read as stale afterwards.
 func TestPoolRefAcrossMigrationForwarding(t *testing.T) {
 	e, ks := poolTestCluster(t, 2)
 	k1, k2 := ks[0], ks[1]
@@ -212,8 +213,12 @@ func TestPoolRefAcrossMigrationForwarding(t *testing.T) {
 	if ref.Valid() {
 		t.Fatal("ref survived the forwarded envelope's release on the destination")
 	}
-	// The envelope was released by whoever consumed it: the destination.
-	frees := popAll(k2.pool)
+	// The envelope was released by whoever consumed it, the destination,
+	// and went home.
+	if k2.pool.News() != k2.pool.Free() {
+		t.Fatalf("destination pool holds %d envelopes of the %d it constructed", k2.pool.Free(), k2.pool.News())
+	}
+	frees := popAll(k1.pool)
 	landed := false
 	for _, m := range frees {
 		if m == ref.M {
@@ -221,10 +226,10 @@ func TestPoolRefAcrossMigrationForwarding(t *testing.T) {
 		}
 	}
 	if !landed {
-		t.Fatal("forwarded envelope not in the destination kernel's free list")
+		t.Fatal("forwarded envelope not back in the source kernel's free list")
 	}
 	for _, m := range frees {
-		k2.pool.Put(m)
+		k1.pool.Put(m)
 	}
 }
 

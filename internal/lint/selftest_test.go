@@ -53,6 +53,11 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Network.Send", "Network.account", "Network.deliver",
 			"Network.canonSend", "Network.pump",
 			"Network.pendPush", "Network.pendPop",
+			// The ARQ round: send, wire copy, land, ack, check.
+			"Network.canonSendARQ", "Network.arqTransmit", "Network.arqEnqueue",
+			"Network.arqLand", "Network.arrive", "arqFlight.check",
+			"Network.cloneFor", "Network.release",
+			"arqSender.put", "arqSender.take", "dedup.admit",
 		},
 		"demosmp/internal/msg": {
 			"Message.WireSize", "Message.AppendWire", "Encode",
@@ -60,7 +65,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"MoveDataReq.AppendTo", "MigrateCleanup.AppendTo", "MigrateDone.AppendTo",
 			"LinkUpdate.AppendTo", "CreateProcess.AppendTo", "CreateDone.AppendTo",
 			"MoveRead.AppendTo", "XferStatus.AppendTo", "LoadReport.AppendTo",
-			"Pool.Get", "Pool.Put",
+			"Pool.Get", "Pool.Put", "Pool.Clone",
 		},
 		"demosmp/internal/link": {
 			"Table.AppendSnapshot",

@@ -177,12 +177,13 @@ type Message struct {
 	wire int32
 
 	// Envelope pooling (see Pool). gen increments on every release back
-	// to a pool, so a Ref taken earlier can detect reuse; pooled marks
-	// envelopes owned by a pool (Put ignores heap-constructed messages);
-	// inFree guards against double release.
+	// to a pool, so a Ref taken earlier can detect reuse; home is the pool
+	// that constructed the envelope and the only free list it ever returns
+	// to (nil for heap-constructed messages, which Put ignores); inFree
+	// guards against double release.
 	gen    uint32
-	pooled bool
 	inFree bool
+	home   *Pool
 }
 
 // Gen returns the envelope's reuse generation. Pair with Ref to detect a
@@ -190,7 +191,7 @@ type Message struct {
 func (m *Message) Gen() uint32 { return m.gen }
 
 // Pooled reports whether m was acquired from a Pool (and will be recycled).
-func (m *Message) Pooled() bool { return m.pooled }
+func (m *Message) Pooled() bool { return m.home != nil }
 
 // WireSize returns the number of bytes the message occupies on the wire.
 // The result is cached: Body/Links/Kind/Orig must not change size after
@@ -219,9 +220,11 @@ func (m *Message) WireSize() int {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/msg-encode and BenchmarkMsgEncode.
 func (m *Message) AppendWire(b []byte) []byte { return Encode(b, m) }
 
-// Clone returns a deep copy of m. Forwarding resubmits the original message
-// object; Clone exists for tests and for the return-to-sender baseline,
-// which must retain the bounced message.
+// Clone returns a deep heap copy of m. Its main caller is the network: the
+// copy of a pooled envelope that crosses to another shard, and the ARQ's
+// copies where the receiving (or sending) endpoint lends no pool — wherever
+// a pool is at hand the network uses Pool.Clone instead. The
+// return-to-sender baseline and tests use it too.
 func (m *Message) Clone() *Message {
 	c := *m
 	if m.Body != nil {
@@ -231,8 +234,13 @@ func (m *Message) Clone() *Message {
 		c.Links = append([]link.Link(nil), m.Links...)
 	}
 	// The copy is an ordinary heap message regardless of the original's
-	// provenance: it must never be recycled through a pool.
-	c.gen, c.pooled, c.inFree = 0, false, false
+	// provenance: it must never be recycled through a pool. That goes for
+	// a bounced original it carries too — every copy owns its own Orig, so
+	// a pooled one never rides a clone across a shard.
+	if m.Orig != nil {
+		c.Orig = m.Orig.Clone()
+	}
+	c.gen, c.home, c.inFree = 0, nil, false
 	return &c
 }
 

@@ -12,8 +12,11 @@ package msg
 // Pools are single-threaded, matching the event engine. Put accepts any
 // message — heap-constructed envelopes (tests, drivers, cold paths) pass
 // through as no-ops — so consumption sites never need to know a message's
-// provenance. Envelopes may migrate between pools: whichever kernel
-// consumes a message releases it into its own free list.
+// provenance. An envelope always returns to the pool that constructed it:
+// whichever kernel consumes a message calls Put on its own pool, and Put
+// forwards to the envelope's home. Pooled envelopes never cross a shard, so
+// home is always a pool of the caller's own engine (same goroutine), and
+// one-way traffic leaves every pool as full as it found it.
 //
 // The single-releaser discipline is machine-checked: demoslint's
 // ownership rule (DESIGN.md §8.1) statically tracks every envelope from
@@ -41,10 +44,31 @@ func (p *Pool) Get() *Message {
 		return m
 	}
 	p.news++
-	return &Message{pooled: true}
+	return &Message{home: p}
 }
 
-// Put releases an envelope back to the free list. Heap-constructed
+// Clone returns a pooled deep copy of m: Get, then copy into the envelope's
+// retained Body and Links capacity (a bounced original m carries is cloned
+// with it — every copy owns its own Orig). The network's ARQ draws its master
+// and wire copies this way, from the pool of the machine that will release
+// them.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+func (p *Pool) Clone(m *Message) *Message {
+	c := p.Get()
+	body, links, gen := c.Body, c.Links, c.gen
+	body = append(body, m.Body...)
+	links = append(links, m.Links...)
+	*c = *m
+	c.Body, c.Links, c.gen, c.home, c.inFree = body, links, gen, p, false
+	if m.Orig != nil {
+		c.Orig = p.Clone(m.Orig)
+	}
+	return c
+}
+
+// Put releases an envelope back to the free list of the pool that
+// constructed it, whichever pool it is called on. Heap-constructed
 // messages (not born from a Pool) are ignored; releasing the same pooled
 // envelope twice panics, since the second release would corrupt whoever
 // holds it now. The Body and Links backing arrays are kept (truncated to
@@ -53,12 +77,13 @@ func (p *Pool) Get() *Message {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/admin-encode in bench_hotpath_test.go.
 //demos:owner pool — Put is where ownership ends: the free list is the one place a released envelope may live.
 func (p *Pool) Put(m *Message) {
-	if m == nil || !m.pooled {
+	if m == nil || m.home == nil {
 		return
 	}
 	if m.inFree {
 		panic("msg: double release of pooled message")
 	}
+	p = m.home
 	body := m.Body[:0]
 	links := m.Links[:0]
 	gen := m.gen + 1
@@ -66,7 +91,7 @@ func (p *Pool) Put(m *Message) {
 	m.Body = body
 	m.Links = links
 	m.gen = gen
-	m.pooled = true
+	m.home = p
 	m.inFree = true
 	p.free = append(p.free, m)
 }
@@ -78,7 +103,7 @@ func (p *Pool) Put(m *Message) {
 func (p *Pool) Reserve(n int) {
 	for len(p.free) < n {
 		p.news++
-		p.free = append(p.free, &Message{pooled: true, inFree: true})
+		p.free = append(p.free, &Message{home: p, inFree: true})
 	}
 }
 

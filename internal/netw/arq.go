@@ -28,10 +28,22 @@
 //     chaos injector (internal/chaos) applies both to every shard at
 //     identical sim times via fault-class events, which sort before gates.
 //
-// The master copy of a frame stays with its flight; every wire copy —
-// first attempt, retransmission, or injected duplicate — is a heap clone,
-// so a retransmitting sender never shares a *msg.Message with a pending
-// heap on another shard (no cross-shard aliasing under parallel rounds).
+// Copies are born in the pool that will bury them. The master copy of a
+// pooled frame is drawn from the SENDING machine's envelope pool and returns
+// to it when the ack lands (or goes once to deadFrame at MaxRetries); every
+// wire copy — first attempt, retransmission, or injected duplicate — is drawn
+// from the RECEIVING machine's pool when this engine delivers that machine,
+// so the kernel's ordinary release after Recv recycles it and per-kernel
+// pools stay balanced under one-way lossy traffic. A copy bound for another
+// shard is a heap clone, so a retransmitting sender never shares a
+// *msg.Message with a pending heap on another shard (no cross-shard aliasing
+// under parallel rounds, and a pooled envelope still never crosses a shard);
+// so is a copy for an endpoint that lends no pool (bare test endpoints).
+// Where the network consumes a wire copy itself — a duplicate suppressed in
+// arrive, a copy landing on a down or partitioned receiver — it releases it
+// explicitly. The steady-state round (send → wire copy → deliver → ack →
+// retransmission check) therefore allocates nothing and hashes nothing but
+// the receiver's pair lookup.
 package netw
 
 import (
@@ -46,17 +58,73 @@ const (
 	saltAck   = 1 // does this attempt's ack survive the way back?
 )
 
-// arqFlight is one frame in flight from a machine on this shard. It owns
-// the master message; wire copies are clones. The flight is removed from
-// the inflight table when the ack lands or retries are exhausted.
+// arqFlight is one frame in flight from a machine on this shard: a pooled
+// record with its retransmission check bound once (fn), like the kernel's
+// pending. It owns the master copy until the ack lands or retries run out,
+// and at that moment leaves the sender's in-flight table. A flight has exactly
+// one netw:retrans-check outstanding at any time — only the check itself
+// re-transmits — so the record is recycled when that check fires and finds
+// the master gone: an acked flight waits out its timer before reuse, and a
+// stale timer on a recycled record cannot exist.
 type arqFlight struct {
+	n        *Network
 	from, to addr.MachineID
-	m        *msg.Message // master heap copy (pooled originals are retired)
+	m        *msg.Message // master copy; nil once acked or abandoned
 	size     int
 	seq      uint64 // per-sender dense sequence (shard-invariant)
-	id       uint64 // sender<<48 | seq: the dedup + ack key
 	attempt  uint32
-	acked    bool
+	fn       func()     // bound once to check
+	next     *arqFlight // free-list linkage
+}
+
+// id is the shard-invariant frame identity sender<<48|seq: the hash-draw key
+// and the pending heap's id.
+func (fl *arqFlight) id() uint64 { return uint64(fl.from)<<48 | fl.seq }
+
+// arqSender is one sending machine's in-flight table, direct-mapped by its
+// dense sequence (tab[seq&mask]). It lives in an ARQ-only side table
+// (Network.flights) so the lossless path's machine record does not grow.
+type arqSender struct {
+	tab []*arqFlight // len is a power of two, or 0 before the first send
+}
+
+// flightMinTable is a sender's initial in-flight table size.
+const flightMinTable = 16
+
+// put indexes fl, doubling the table while its slot is held by an older
+// un-acked flight. Live flights have distinct sequences, so slots distinct
+// at one size stay distinct at twice it and only fl's own slot can collide.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+func (s *arqSender) put(fl *arqFlight) {
+	for len(s.tab) == 0 || s.tab[fl.seq&uint64(len(s.tab)-1)] != nil {
+		s.grow()
+	}
+	s.tab[fl.seq&uint64(len(s.tab)-1)] = fl
+}
+
+func (s *arqSender) grow() {
+	old := s.tab
+	s.tab = make([]*arqFlight, max(flightMinTable, 2*len(old)))
+	for _, fl := range old {
+		if fl != nil {
+			s.tab[fl.seq&uint64(len(s.tab)-1)] = fl
+		}
+	}
+}
+
+// take removes and returns the live flight with sequence seq, or nil if it
+// has already finished (a late or duplicate ack).
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+func (s *arqSender) take(seq uint64) *arqFlight {
+	slot := &s.tab[seq&uint64(len(s.tab)-1)]
+	fl := *slot
+	if fl == nil || fl.seq != seq {
+		return nil
+	}
+	*slot = nil
+	return fl
 }
 
 // arqDraw returns a deterministic pseudo-uniform value in [0, 1) for one
@@ -84,51 +152,85 @@ func (n *Network) lossRate() float64 {
 	return rate
 }
 
-// canonSendARQ submits one frame to the machine-anchored retransmission
-// machinery. A pooled envelope is never retained: the master is a heap clone
-// and the original retires to its owner (copy-on-retain), so the pooled fast
-// path and the lossy network are not mutually exclusive. An injected
-// duplicate reuses the frame id, exercising receiver dedup rather than
-// user-visible duplication.
+// cloneFor copies m out of the envelope pool of machine at — the machine
+// that will release the copy — or onto the heap when at is delivered by
+// another shard or its endpoint lends no pool.
 //
-//demos:owner inflight — the flight owns the master until the ack lands or deadFrame takes it; every enqueued wire copy is a clone owned by a pending heap.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+func (n *Network) cloneFor(at addr.MachineID, m *msg.Message) *msg.Message {
+	if o := n.owner(at); o != nil {
+		return o.FramePool().Clone(m)
+	}
+	return m.Clone()
+}
+
+// release recycles a copy the network consumed itself (and the bounced
+// original it may carry), through the pool of machine at (Put forwards to
+// the envelope's home; heap clones pass through).
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+//demos:releases m — the copy is dead on every path after it.
+func (n *Network) release(at addr.MachineID, m *msg.Message) {
+	if o := n.owner(at); o != nil {
+		p := o.FramePool()
+		p.Put(m.Orig)
+		p.Put(m)
+	}
+}
+
+// canonSendARQ submits one frame to the machine-anchored retransmission
+// machinery. A pooled envelope is never retained: the master is a copy drawn
+// from the sender's own pool and the original retires to its owner
+// (copy-on-retain), so the pooled fast path and the lossy network are not
+// mutually exclusive. An injected duplicate reuses the frame id, exercising
+// receiver dedup rather than user-visible duplication.
+//
+//demos:hotpath — allocation-free once the flight pool, the sender's table and the envelope pools are warm: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq and BenchmarkNetwSendARQ in bench_hotpath_test.go.
+//demos:owner inflight — the flight owns the master (a pooled copy from the sender's pool, or the caller's heap message) until the ack lands or deadFrame takes it; every enqueued wire copy is owned by a pending heap.
 func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time, dup bool) {
 	if m.Pooled() {
-		c := m.Clone()
+		c := n.cloneFor(from, m)
 		n.retire(from, m)
 		m = c
 	}
 	fm := n.mach(from)
 	fm.seq++
-	seq := fm.seq
-	fl := &arqFlight{
-		from: from, to: to, m: m, size: size,
-		seq: seq, id: uint64(from)<<48 | seq,
+	fl := n.flightFree
+	if fl != nil {
+		n.flightFree, fl.next = fl.next, nil
+	} else {
+		fl = &arqFlight{n: n}
+		fl.fn = fl.check
 	}
-	n.inflight[fl.id] = fl
+	fl.from, fl.to, fl.m, fl.size, fl.seq, fl.attempt = from, to, m, size, fm.seq, 0
+	if grow := int(from) + 1 - len(n.flights); grow > 0 {
+		n.flights = append(n.flights, make([]arqSender, grow)...)
+	}
+	n.flights[from].put(fl)
+	n.inflight++
 	n.arqTransmit(fl, extra)
 	if dup {
-		dm := m.Clone()
-		dm.Hops = m.Hops
 		n.arqEnqueue(pendEnt{
 			at: n.eng.Now() + n.transit(from, to, size) + extra + 1,
-			to: to, from: from, seq: seq,
-			class: classDup, id: fl.id, m: dm,
+			to: to, from: from, seq: fl.seq,
+			class: classDup, id: fl.id(), m: n.cloneFor(to, m),
 		})
 	}
 }
 
 // arqTransmit is one attempt: decide the frame's fate by hash draw, enqueue
-// a clone for canonical delivery if it survives, and arm the retransmission
+// a copy for canonical delivery if it survives, and arm the retransmission
 // check on the sender's own engine. The receiver's down state is NOT
 // consulted here — it lives on the receiver's shard and is checked at
 // arrival (arqLand); a frame to a crashed machine burns retries until it
 // restarts or they run out.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 	if fl.attempt > 0 {
 		n.stats.Retransmits++
 	}
-	lost := arqDraw(n.seed, fl.id, fl.attempt, saltFrame) < n.lossRate() ||
+	lost := arqDraw(n.seed, fl.id(), fl.attempt, saltFrame) < n.lossRate() ||
 		n.partitioned(fl.from, fl.to)
 	if lost {
 		n.stats.Dropped++
@@ -137,30 +239,41 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 		n.arqEnqueue(pendEnt{
 			at: n.eng.Now() + n.transit(fl.from, fl.to, fl.size) + extra,
 			to: fl.to, from: fl.from, seq: fl.seq,
-			class: classData, attempt: fl.attempt, id: fl.id,
-			m: fl.m.Clone(),
+			class: classData, attempt: fl.attempt, id: fl.id(),
+			m: n.cloneFor(fl.to, fl.m),
 		})
 	}
-	attempt := fl.attempt
-	n.eng.After(n.cfg.RetransTimeout+extra, "netw:retrans-check", func() {
-		if fl.acked || fl.attempt != attempt {
+	n.eng.After(n.cfg.RetransTimeout+extra, "netw:retrans-check", fl.fn)
+}
+
+// check is the flight's one outstanding netw:retrans-check. Master gone: the
+// ack finished the flight and the record retires here. Otherwise the attempt
+// went unacknowledged: retransmit, or after MaxRetries hand the master to
+// deadFrame, exactly once, and retire.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+func (fl *arqFlight) check() {
+	n := fl.n
+	if fl.m != nil {
+		if int(fl.attempt)+1 < n.cfg.MaxRetries {
+			fl.attempt++
+			n.arqTransmit(fl, 0)
 			return
 		}
-		if int(fl.attempt)+1 >= n.cfg.MaxRetries {
-			n.stats.Dead++
-			delete(n.inflight, fl.id)
-			n.deadFrame(fl.from, fl.to, fl.m)
-			return
-		}
-		fl.attempt++
-		n.arqTransmit(fl, 0)
-	})
+		n.stats.Dead++
+		n.flights[fl.from].take(fl.seq)
+		n.inflight--
+		n.deadFrame(fl.from, fl.to, fl.m)
+		fl.m = nil
+	}
+	fl.next, n.flightFree = n.flightFree, fl
 }
 
 // arqEnqueue routes one ARQ heap entry: into this shard's pending heap when
 // the destination is local, across the cluster's outbox plane otherwise.
 //
-//demos:owner inflight — the pending heap (this shard's or, via ship, the destination shard's) owns the entry's clone until arqLand consumes it.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+//demos:owner inflight — the pending heap (this shard's or, via ship, the destination shard's) owns the entry's wire copy — pooled from the receiver's pool when local, a heap clone when shipped — until arqLand delivers or releases it.
 func (n *Network) arqEnqueue(ent pendEnt) {
 	if n.isLocal(ent.to) {
 		n.pendPush(ent)
@@ -174,32 +287,40 @@ func (n *Network) arqEnqueue(ent pendEnt) {
 }
 
 // arqLand consumes one pending-heap entry on the destination's shard: the
-// ARQ-mode pump dispatch.
+// ARQ-mode pump dispatch. A wire copy that is not handed to the receiver is
+// released here (or in arrive).
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 func (n *Network) arqLand(ent pendEnt) {
 	switch ent.class {
 	case classAck:
-		// Back on the sender's shard. A late or duplicate ack (flight
-		// already completed) is ignored.
-		if fl := n.inflight[ent.id]; fl != nil {
-			fl.acked = true
-			delete(n.inflight, ent.id)
+		// Back on the sender's shard (ent.to is the sender). The flight
+		// leaves the table and gives up its master now; the record itself
+		// waits for its timer. A late or duplicate ack — flight finished,
+		// record possibly recycled under a newer sequence — finds nothing.
+		if fl := n.flights[ent.to].take(ent.seq); fl != nil {
+			n.inflight--
+			n.release(fl.from, fl.m)
+			fl.m = nil
 		}
 	case classDup:
 		// An injected duplicate arriving at a down or partitioned receiver
 		// vanishes silently — it was surplus wire noise, not an
 		// accountable frame.
 		if n.ms[ent.to].down || n.partitioned(ent.from, ent.to) {
+			n.release(ent.to, ent.m)
 			return
 		}
-		n.arrive(ent.from, ent.to, ent.m, ent.id)
+		n.arrive(ent.from, ent.to, ent.m, ent.seq)
 	default: // classData
 		if n.ms[ent.to].down {
 			// Recoverable: no dedup record, no ack — the sender's timer
 			// retries and a post-restart attempt can still deliver.
 			n.stats.Dropped++
+			n.release(ent.to, ent.m)
 			return
 		}
-		n.arrive(ent.from, ent.to, ent.m, ent.id)
+		n.arrive(ent.from, ent.to, ent.m, ent.seq)
 		// The ack for this attempt flows back through the same canonical
 		// machinery (nil payload, zero cost: ack bytes are negligible and
 		// not part of the paper's accounting).
@@ -218,7 +339,7 @@ func (n *Network) arqLand(ent pendEnt) {
 // InflightARQ reports how many frames this shard's machines currently have
 // in flight (un-acked, retries not exhausted). Zero at quiescence — the
 // chaos invariant audit asserts this cluster-wide.
-func (n *Network) InflightARQ() int { return len(n.inflight) }
+func (n *Network) InflightARQ() int { return n.inflight }
 
 // PendingFrames reports how many entries sit in this shard's canonical
 // pending heap. Zero at quiescence.

@@ -1,18 +1,22 @@
 package netw
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"demosmp/internal/addr"
 	"demosmp/internal/msg"
 	"demosmp/internal/sim"
 )
 
-// TestDedupStateBounded drives far more frames through a lossy pair than
-// the dedup window holds and asserts (a) reliability still holds with no
-// duplicate deliveries and (b) the receiver-side dedup state stays bounded.
-// The old implementation pruned only past 4096 entries per pair and could
-// still grow without bound under sustained loss.
+// TestDedupStateBounded drives sustained loss through a pair in both
+// directions and asserts (a) reliability still holds with no duplicate
+// deliveries and (b) the receiver-side dedup state is a fixed, small number of
+// bytes per pair: a high-water mark and a bit window, nothing that grows with
+// traffic. (The first implementation pruned only past 4096 entries per pair;
+// the second held a 1024-id ring and a map, 46.5 KB per pair.)
 func TestDedupStateBounded(t *testing.T) {
 	eng := sim.NewEngine(5)
 	n := New(eng, Config{
@@ -26,7 +30,7 @@ func TestDedupStateBounded(t *testing.T) {
 	n.Attach(1, r1)
 	n.Attach(2, r2)
 
-	const frames = 3 * dedupWindow
+	const frames = 3 * 1024
 	from := addr.At(addr.ProcessID{Creator: 1, Local: 1}, 1)
 	to := addr.At(addr.ProcessID{Creator: 2, Local: 1}, 2)
 	for i := 0; i < frames; i++ {
@@ -40,11 +44,96 @@ func TestDedupStateBounded(t *testing.T) {
 		t.Fatalf("reliability violated: delivered %d/%d and %d/%d",
 			len(r2.got), frames, len(r1.got), frames)
 	}
-	for _, p := range []struct{ f, t addr.MachineID }{{1, 2}, {2, 1}} {
-		if sz := n.dedupSize(p.f, p.t); sz == 0 || sz > dedupWindow {
-			t.Fatalf("dedup state for %v->%v is %d entries, want (0, %d]",
-				p.f, p.t, sz, dedupWindow)
+	for _, p := range []pair{{1, 2}, {2, 1}} {
+		if d := n.delivered[p]; d == nil || d.hi != frames {
+			t.Fatalf("dedup state for %v->%v is %+v, want a window with hi = %d", p.from, p.to, d, frames)
 		}
+	}
+	if n.dedupPairs() != 2 {
+		t.Fatalf("dedup state held for %d pairs, want 2", n.dedupPairs())
+	}
+	// The whole per-pair state is this one pointer-free struct.
+	if sz := unsafe.Sizeof(dedup{}); sz > dedupSpan/8+64 {
+		t.Fatalf("dedup state is %d bytes per pair, want <= %d (one bit per sequence in the window)", sz, dedupSpan/8+64)
+	}
+}
+
+// TestDedupMatchesReferenceSet feeds one pair's window and an exact reference
+// set the same seeded stream of arrivals — a sparse share of the sender's
+// sequence space, each frame arriving one to four times (first attempt,
+// retransmissions, injected duplicates), reordered by up to a few hundred
+// sequences, over more than three windows of traffic — and demands identical
+// verdicts while the lag behind the highest delivered sequence stays inside
+// the window. Then the documented aged-out rule: a copy that trails the
+// high-water mark by dedupSpan or more is delivered again, whatever the set
+// says, and leaves the window's view of in-range sequences untouched.
+func TestDedupMatchesReferenceSet(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	type arrival struct {
+		seq     uint64
+		attempt int
+		at      int
+	}
+	var stream []arrival
+	seq := uint64(0)
+	for seq < 3*dedupSpan+1000 {
+		seq += 1 + uint64(r.Intn(6)) // the sender's other receivers take the gaps
+		copies := 1
+		for copies < 4 && r.Intn(4) == 0 {
+			copies++
+		}
+		for a := 0; a < copies; a++ {
+			if a == 0 && r.Intn(20) == 0 {
+				continue // first attempt lost: a later copy is the first to arrive
+			}
+			stream = append(stream, arrival{seq, a, int(seq) + a*r.Intn(400) + r.Intn(40)})
+		}
+	}
+	sort.SliceStable(stream, func(i, j int) bool { return stream[i].at < stream[j].at })
+
+	var d dedup
+	ref := make(map[uint64]bool)
+	dups, reordered := 0, 0
+	for i, a := range stream {
+		if d.hi >= a.seq && d.hi-a.seq >= dedupSpan-63 {
+			t.Fatalf("arrival %d: seq %d lags hi %d by a window — the stream is meant to stay inside it", i, a.seq, d.hi)
+		}
+		if a.seq < d.hi && !ref[a.seq] {
+			reordered++
+		}
+		fresh := d.admit(a.seq)
+		if fresh == ref[a.seq] {
+			t.Fatalf("arrival %d (seq %d attempt %d, hi %d): window says new=%v, reference set says seen=%v",
+				i, a.seq, a.attempt, d.hi, fresh, ref[a.seq])
+		}
+		if !fresh {
+			dups++
+		}
+		ref[a.seq] = true
+	}
+	if dups < 1000 || reordered < 1000 {
+		t.Fatalf("stream exercised %d duplicates and %d late first arrivals, want >= 1000 of each", dups, reordered)
+	}
+
+	// Aged out: everything a window or more behind is unseen again.
+	for _, old := range []uint64{1, d.hi - dedupSpan, d.hi - 2*dedupSpan} {
+		for k := 0; k < 2; k++ {
+			if !d.admit(old) {
+				t.Fatalf("seq %d trails hi %d by >= dedupSpan: want it treated as unseen (delivery %d)", old, d.hi, k+1)
+			}
+		}
+	}
+	// ...and the in-range verdicts are what they were.
+	for s := d.hi - dedupSpan + 64; s <= d.hi; s++ {
+		if d.admit(s) == ref[s] {
+			t.Fatalf("after aged-out arrivals, seq %d (hi %d): window says new=%v, reference set says seen=%v", s, d.hi, !ref[s], ref[s])
+		}
+		ref[s] = true
+	}
+	// A jump of more than a window forgets everything below it.
+	hi := d.hi
+	if !d.admit(hi+2*dedupSpan) || d.admit(hi+2*dedupSpan) || !d.admit(hi) {
+		t.Fatal("a jump past the window must admit the new sequence once and age out the old high-water mark")
 	}
 }
 

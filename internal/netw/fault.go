@@ -5,9 +5,9 @@
 //
 // Accounting contract: a frame the network consumes without delivering is
 // never silently lost. It is counted (SendFromDown / PartitionDropped /
-// BurstDropped / Dead / Dropped) AND handed to a sink — OnDead if set,
-// otherwise the sending machine's FrameOwner — so cluster-wide dead-letter
-// and pooled-envelope ledgers balance after a chaos run.
+// BurstDropped / Dead / Dropped) AND handed to the sending machine's
+// FrameOwner, so cluster-wide dead-letter and pooled-envelope ledgers balance
+// after a chaos run.
 package netw
 
 import (
@@ -20,22 +20,30 @@ import (
 // implement (kernels do). The network calls it when it is done with a frame
 // the owner submitted:
 //
-//   - ReleaseFrame: the network took a private copy (the ARQ retains only
-//     heap clones) and the pooled original can be recycled.
+//   - ReleaseFrame: the network took a private copy (the ARQ's master, or
+//     the heap clone that crosses a shard) and the pooled original can be
+//     recycled, together with the bounced original it may carry — every
+//     copy carries its own.
 //   - UndeliverableFrame: the frame was abandoned — sender down, pair
 //     partitioned, burst loss in lossless mode, or retries exhausted.
 //
 // Both are invoked one engine step after the triggering Send (same sim
 // time, later event), never synchronously: senders may legally read an
 // envelope's routing fields immediately after Send returns.
+//
+// FramePool lends the machine's envelope pool to the ARQ (arq.go): masters
+// are drawn from the sender's pool, wire copies from the receiver's, and
+// what the network consumes itself goes back through it. An endpoint that
+// is not a FrameOwner gets heap clones instead.
 type FrameOwner interface {
 	ReleaseFrame(m *msg.Message)
 	UndeliverableFrame(to addr.MachineID, m *msg.Message)
+	FramePool() *msg.Pool
 }
 
 // sinkItem is one deferred envelope handoff.
 type sinkItem struct {
-	owner FrameOwner // nil: dead frame for the OnDead callback
+	owner FrameOwner
 	m     *msg.Message
 	to    addr.MachineID
 	dead  bool
@@ -60,15 +68,10 @@ func (n *Network) runSink() {
 	for i := 0; i < len(n.sinkQ); i++ {
 		it := n.sinkQ[i]
 		n.sinkQ[i] = sinkItem{}
-		switch {
-		case !it.dead:
-			if it.owner != nil {
-				it.owner.ReleaseFrame(it.m)
-			}
-		case it.owner != nil:
+		if it.dead {
 			it.owner.UndeliverableFrame(it.to, it.m)
-		case n.OnDead != nil:
-			n.OnDead(it.to, it.m)
+		} else {
+			it.owner.ReleaseFrame(it.m)
 		}
 	}
 	n.sinkQ = n.sinkQ[:0]
@@ -82,7 +85,8 @@ func (n *Network) owner(m addr.MachineID) FrameOwner {
 	return nil
 }
 
-// retire returns a pooled original the ARQ replaced with a heap clone.
+// retire returns a pooled original the network replaced with a copy of its
+// own: the ARQ's master, or the heap clone that crosses a shard.
 //
 //demos:owner sink — the sink queue holds the retired envelope only until drainSinks hands it to its FrameOwner in the same event cascade.
 func (n *Network) retire(from addr.MachineID, m *msg.Message) {
@@ -91,23 +95,18 @@ func (n *Network) retire(from addr.MachineID, m *msg.Message) {
 	}
 }
 
-// deadFrame routes an abandoned frame to its sink. OnDead, when set, takes
-// precedence (it is the pre-existing test hook); otherwise the sending
-// machine's FrameOwner gets it.
+// deadFrame routes an abandoned frame to the sending machine's FrameOwner.
 //
 //demos:owner sink — abandoned frames are held in the sink queue until drainSinks returns them to their owner for accounting + release.
 func (n *Network) deadFrame(from, to addr.MachineID, m *msg.Message) {
-	if n.OnDead != nil {
-		n.queueSink(sinkItem{m: m, to: to, dead: true})
-		return
-	}
 	if o := n.owner(from); o != nil {
 		n.queueSink(sinkItem{owner: o, m: m, to: to, dead: true})
 		return
 	}
 	// No reachable owner: the sending machine lives on another shard and
-	// its frame crossed as a heap clone, so there is no envelope to return
-	// — but the loss still must not be silent. The cluster-wide delivery
+	// its frame crossed as a heap clone (or a bare endpoint sent a heap
+	// message), so there is no envelope to return — but the loss still
+	// must not be silent. The cluster-wide delivery
 	// audit folds this counter into its loss budget.
 	n.stats.OrphanDropped++
 }

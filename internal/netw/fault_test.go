@@ -9,9 +9,7 @@ import (
 )
 
 func TestPartitionLosslessDropsAndHeals(t *testing.T) {
-	eng, n, _, r2 := setup(Config{Latency: 100})
-	var dead []*msg.Message
-	n.OnDead = func(to addr.MachineID, m *msg.Message) { dead = append(dead, m) }
+	eng, n, o1, r2 := setupOwned(Config{Latency: 100})
 
 	n.Partition(1, 2)
 	if !n.Partitioned(1, 2) || !n.Partitioned(2, 1) {
@@ -22,8 +20,8 @@ func TestPartitionLosslessDropsAndHeals(t *testing.T) {
 	if len(r2.got) != 0 {
 		t.Fatalf("delivered %d frames across a partition", len(r2.got))
 	}
-	if len(dead) != 1 {
-		t.Fatalf("dead sink got %d frames, want 1", len(dead))
+	if o1.undeliverable != 1 {
+		t.Fatalf("sender got %d undeliverable frames back, want 1", o1.undeliverable)
 	}
 	s := n.Stats()
 	if s.PartitionDropped != 1 || s.Dropped != 1 {
@@ -57,17 +55,15 @@ func TestPartitionARQRecoversAfterHeal(t *testing.T) {
 }
 
 func TestPartitionARQExhaustsRetries(t *testing.T) {
-	eng, n, _, r2 := setup(Config{LossRate: 0.0001, RetransTimeout: 500, MaxRetries: 3})
-	var dead []*msg.Message
-	n.OnDead = func(to addr.MachineID, m *msg.Message) { dead = append(dead, m) }
+	eng, n, o1, r2 := setupOwned(Config{LossRate: 0.0001, RetransTimeout: 500, MaxRetries: 3})
 	n.Partition(1, 2)
 	n.Send(1, 2, frame(8))
 	eng.Run()
 	if len(r2.got) != 0 {
 		t.Fatalf("delivered %d frames across a permanent partition", len(r2.got))
 	}
-	if len(dead) != 1 {
-		t.Fatalf("dead sink got %d frames, want 1 after retries exhausted", len(dead))
+	if o1.undeliverable != 1 {
+		t.Fatalf("sender got %d undeliverable frames back, want 1 after retries exhausted", o1.undeliverable)
 	}
 	if s := n.Stats(); s.Dead != 1 {
 		t.Fatalf("Dead=%d, want 1", s.Dead)
@@ -75,9 +71,7 @@ func TestPartitionARQExhaustsRetries(t *testing.T) {
 }
 
 func TestLossBurstLossless(t *testing.T) {
-	eng, n, _, r2 := setup(Config{Latency: 100})
-	var dead int
-	n.OnDead = func(addr.MachineID, *msg.Message) { dead++ }
+	eng, n, o1, r2 := setupOwned(Config{Latency: 100})
 
 	n.LossBurst(1.0, 10_000) // certain loss until t=10_000
 	n.Send(1, 2, frame(8))
@@ -86,8 +80,8 @@ func TestLossBurstLossless(t *testing.T) {
 		t.Fatal("frame survived a rate-1.0 burst")
 	}
 	s := n.Stats()
-	if s.BurstDropped != 1 || dead != 1 {
-		t.Fatalf("BurstDropped=%d dead=%d, want 1/1", s.BurstDropped, dead)
+	if s.BurstDropped != 1 || o1.undeliverable != 1 {
+		t.Fatalf("BurstDropped=%d undeliverable=%d, want 1/1", s.BurstDropped, o1.undeliverable)
 	}
 
 	// After the burst window the drop probability is gone.
@@ -151,9 +145,7 @@ func TestDelayNextReorders(t *testing.T) {
 }
 
 func TestSendFromDownCounted(t *testing.T) {
-	eng, n, _, r2 := setup(Config{Latency: 100})
-	var dead int
-	n.OnDead = func(addr.MachineID, *msg.Message) { dead++ }
+	eng, n, o1, r2 := setupOwned(Config{Latency: 100})
 	n.SetDown(1, true)
 	n.Send(1, 2, frame(8))
 	eng.Run()
@@ -164,8 +156,8 @@ func TestSendFromDownCounted(t *testing.T) {
 	if s.SendFromDown != 1 {
 		t.Fatalf("SendFromDown=%d, want 1", s.SendFromDown)
 	}
-	if dead != 1 {
-		t.Fatalf("dead sink got %d frames, want 1", dead)
+	if o1.undeliverable != 1 {
+		t.Fatalf("sender got %d undeliverable frames back, want 1", o1.undeliverable)
 	}
 
 	n.SetDown(1, false)
@@ -176,30 +168,61 @@ func TestSendFromDownCounted(t *testing.T) {
 	}
 }
 
-// ownerRec records the envelopes the network hands back to a machine.
+// ownerRec is a kernel-shaped endpoint: it lends the ARQ an envelope pool,
+// records what is delivered to it (as heap copies) and what the network
+// hands back, and releases every envelope it is given, as a kernel does.
 type ownerRec struct {
 	recorder
+	pool                    *msg.Pool
 	released, undeliverable int
 }
 
-func (o *ownerRec) ReleaseFrame(*msg.Message)                       { o.released++ }
-func (o *ownerRec) UndeliverableFrame(addr.MachineID, *msg.Message) { o.undeliverable++ }
+func (o *ownerRec) DeliverFrame(m *msg.Message) {
+	o.recorder.DeliverFrame(m.Clone())
+	o.pool.Put(m)
+}
+func (o *ownerRec) ReleaseFrame(m *msg.Message) { o.released++; o.pool.Put(m) }
+func (o *ownerRec) UndeliverableFrame(_ addr.MachineID, m *msg.Message) {
+	o.undeliverable++
+	o.pool.Put(m)
+}
+func (o *ownerRec) FramePool() *msg.Pool { return o.pool }
+
+func newOwnerRec(eng *sim.Engine) *ownerRec {
+	return &ownerRec{recorder: recorder{eng: eng}, pool: msg.NewPool()}
+}
+
+// balanced fails the test unless every envelope o's pool constructed is back
+// on its free list.
+func (o *ownerRec) balanced(t *testing.T, who string) {
+	t.Helper()
+	if o.pool.Free() != o.pool.News() {
+		t.Fatalf("%s: pool constructed %d envelopes, %d are free — the rest leaked", who, o.pool.News(), o.pool.Free())
+	}
+}
+
+// setupOwned is setup with kernel-shaped endpoints.
+func setupOwned(cfg Config) (*sim.Engine, *Network, *ownerRec, *ownerRec) {
+	eng := sim.NewEngine(99)
+	n := New(eng, cfg)
+	o1, o2 := newOwnerRec(eng), newOwnerRec(eng)
+	n.Attach(1, o1)
+	n.Attach(2, o2)
+	return eng, n, o1, o2
+}
 
 // TestSendToDownLossless pins the down-receiver rule: a lossless frame that
 // reaches a down machine is an orphan drop — counted, its pooled envelope
 // retired to the sender as a completed send, and nothing echoed back (no
-// OnDead, no UndeliverableFrame).
+// UndeliverableFrame).
 func TestSendToDownLossless(t *testing.T) {
 	eng := sim.NewEngine(99)
 	n := New(eng, Config{Latency: 100})
-	o1, r2 := &ownerRec{}, &recorder{eng: eng}
+	o1, r2 := newOwnerRec(eng), &recorder{eng: eng}
 	n.Attach(1, o1)
 	n.Attach(2, r2)
-	var dead int
-	n.OnDead = func(addr.MachineID, *msg.Message) { dead++ }
 	n.SetDown(2, true)
-	pool := msg.NewPool()
-	m := pool.Get()
+	m := o1.pool.Get()
 	m.Kind, m.From, m.To = msg.KindUser, addr.KernelAddr(1), addr.KernelAddr(2)
 	n.Send(1, 2, m)
 	n.Send(1, 2, frame(8))
@@ -208,14 +231,15 @@ func TestSendToDownLossless(t *testing.T) {
 		t.Fatal("delivered to a down machine")
 	}
 	s := n.Stats()
-	if s.Dropped != 2 || s.OrphanDropped != 2 || s.Dead != 0 || dead != 0 {
-		t.Fatalf("Dropped=%d OrphanDropped=%d Dead=%d OnDead calls=%d, want 2/2/0/0",
-			s.Dropped, s.OrphanDropped, s.Dead, dead)
+	if s.Dropped != 2 || s.OrphanDropped != 2 || s.Dead != 0 {
+		t.Fatalf("Dropped=%d OrphanDropped=%d Dead=%d, want 2/2/0",
+			s.Dropped, s.OrphanDropped, s.Dead)
 	}
 	if o1.released != 1 || o1.undeliverable != 0 {
 		t.Fatalf("sender saw released=%d undeliverable=%d, want the pooled envelope retired once and no echo",
 			o1.released, o1.undeliverable)
 	}
+	o1.balanced(t, "sender")
 }
 
 func TestSendToDownARQDeliversAfterRecovery(t *testing.T) {

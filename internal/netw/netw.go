@@ -14,11 +14,12 @@
 // order is a function of simulated time and frame identity alone — the same
 // on one engine as on a cluster split across several.
 //
-// The lossless send path is allocation-free in steady state: per-kind and
+// Both send paths are allocation-free in steady state: per-kind and
 // per-machine counters are fixed-size arrays and a dense slice (the map
 // form of Stats is rebuilt only in Stats() snapshots), the pending heap
-// holds entries by value, and the pump's callback is bound once — see
-// bench_hotpath_test.go for the zero-alloc guards.
+// holds entries by value, the pump's callback is bound once, and the ARQ's
+// copies and flight records are pooled (arq.go) — see bench_hotpath_test.go
+// for the zero-alloc guards.
 package netw
 
 import (
@@ -169,66 +170,72 @@ func (c *counters) snapshot() Stats {
 	return s
 }
 
-// dedupWindow bounds the per-pair receiver dedup state. A duplicate can
-// only arrive within MaxRetries*RetransTimeout of the original, so a window
-// of recent ids is enough; anything older has aged out of the ring.
-const dedupWindow = 1024
+// dedupSpan is how far below a pair's highest delivered sequence the
+// receiver still remembers what it delivered, in the SENDER's sequence space
+// (a sender's sequence is dense over all its receivers, so a pair sees a
+// sparse, increasing subset of it); the window moves a 64-sequence word at a
+// time, so it covers between dedupSpan-63 and dedupSpan sequences. A
+// duplicate trails its original by at most MaxRetries*RetransTimeout, so
+// dedup is exact while one machine sends fewer than dedupSpan-63 frames in
+// that time: 16 321 frames in the default 30 × 20 ms retry budget is
+// 27 frames/ms sustained by ONE sender, against the ~5 messages/ms its
+// simulated CPU handles. Must be a multiple of 64.
+const (
+	dedupSpan  = 16384
+	dedupWords = dedupSpan / 64
+)
 
-// dedup is a bounded ring of the most recently delivered frame ids for one
-// (from, to) pair, with a set for O(1) membership. Insertion past the
-// window evicts the oldest id, so the state can never grow beyond
-// dedupWindow entries per pair no matter how long loss is sustained.
+// dedup is the receiver's memory of one (from, to) pair: the highest
+// sequence delivered so far and a bit per sequence in the dedupSpan below it.
+// The sender's sequence is monotone, so an arrival above hi is new by
+// construction — one compare, the common case; only retransmissions,
+// reordered frames and injected duplicates at or below hi read a bit. A
+// sequence that has fallen out of the window has aged out and is treated as
+// unseen (delivered again) — the case the bound above makes unreachable. The
+// state is a fixed ~2 KB per pair however long loss is sustained.
 //
 // Pairs are sparse: state is created on a pair's first arrival, stamped on
 // every use, and evicted back to a free pool once the pair has been idle
 // longer than any duplicate could survive (sweepDedup). On a 1000-machine
 // topology the map therefore tracks O(active pairs), never O(n²) — see
-// TestDedupStateBoundedLargeTopology.
+// TestDedupMemoryBoundedOnLargeTopology.
 type dedup struct {
-	ring [dedupWindow]uint64
-	n    int // filled entries, ≤ dedupWindow
-	pos  int // next overwrite position once full
-	set  map[uint64]struct{}
-	last sim.Time // sim time of the pair's most recent arrival
-	next *dedup   // free-pool linkage while evicted
+	hi   uint64             // highest sequence delivered; 0 before the first
+	bits [dedupWords]uint64 // word w%dedupWords: sequences 64w..64w+63, for the dedupWords words up to hi's
+	last sim.Time           // sim time of the pair's most recent arrival
+	next *dedup             // free-pool linkage while evicted
 }
 
-func newDedup() *dedup {
-	return &dedup{set: make(map[uint64]struct{}, dedupWindow)}
-}
+// reset clears the window in place so the struct can be recycled for a
+// different pair.
+func (d *dedup) reset() { *d = dedup{} }
 
-// reset clears the ring and set in place (no reallocation) so the struct
-// can be recycled for a different pair. The ring's first n slots hold
-// exactly the set's members, so the set is emptied without ranging over it.
-func (d *dedup) reset() {
-	for i := 0; i < d.n; i++ {
-		delete(d.set, d.ring[i])
-	}
-	d.n, d.pos, d.last = 0, 0, 0
-}
-
-func (d *dedup) seen(id uint64) bool {
-	_, dup := d.set[id]
-	return dup
-}
-
-func (d *dedup) add(id uint64) {
-	if d.n < dedupWindow {
-		d.ring[d.n] = id
-		d.n++
-	} else {
-		delete(d.set, d.ring[d.pos])
-		d.ring[d.pos] = id
-		d.pos++
-		if d.pos == dedupWindow {
-			d.pos = 0
+// admit records sequence seq as delivered and reports whether it was new.
+// A word holds only bits of sequences delivered since the window entered it:
+// it is zeroed on entry, and nothing above hi is ever recorded.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq and TestDedupMatchesReferenceSet.
+func (d *dedup) admit(seq uint64) bool {
+	w, hw, bit := seq/64, d.hi/64, uint64(1)<<(seq%64)
+	word := &d.bits[w%dedupWords]
+	switch {
+	case seq > d.hi:
+		if w-hw >= dedupWords {
+			d.bits = [dedupWords]uint64{}
+		} else {
+			for x := hw + 1; x <= w; x++ {
+				d.bits[x%dedupWords] = 0
+			}
 		}
+		d.hi = seq
+	case hw-w >= dedupWords:
+		return true // aged out of the window: unseen, and nowhere to record it
+	case *word&bit != 0:
+		return false
 	}
-	d.set[id] = struct{}{}
+	*word |= bit
+	return true
 }
-
-// size reports the tracked-id count (tests assert boundedness).
-func (d *dedup) size() int { return len(d.set) }
 
 // Network connects the machines of a cluster.
 type Network struct {
@@ -245,19 +252,24 @@ type Network struct {
 	pend   []pendEnt                 // binary min-heap keyed (at, to, from, seq, class, attempt)
 	pumpFn func()                    // bound once; fires pending deliveries due now
 
-	// ARQ state (arq.go), armed when LossRate > 0. inflight is keyed by
-	// shard-invariant frame id (sender machine << 48 | per-sender seq);
-	// every flight lives on the sending machine's own shard. delivered is
-	// the receiver-side dedup state: sparse (first arrival creates a pair's
-	// state) and bounded (idle pairs are swept back into dedupFree), so long
-	// runs on large topologies stay O(active pairs). seed keys every hash
-	// draw, lossless burst drops included.
-	seed      uint64
-	arqOn     bool
-	inflight  map[uint64]*arqFlight
-	delivered map[pair]*dedup
-	dedupFree *dedup // pool of evicted, reset dedup states
-	arrivals  uint64 // arrive() calls, drives the amortized sweep
+	// ARQ state (arq.go), armed when LossRate > 0. flights is the
+	// per-sender in-flight table, indexed by sending machine and then
+	// direct-mapped by its dense sequence — a side table, so the lossless
+	// machine record carries none of it; every flight lives on the sending
+	// machine's own shard, inflight counts the un-acked ones and flightFree
+	// recycles the records. delivered is the receiver-side dedup state:
+	// sparse (first arrival creates a pair's state) and bounded (idle pairs
+	// are swept back into dedupFree), so long runs on large topologies stay
+	// O(active pairs). seed keys every hash draw, lossless burst drops
+	// included.
+	seed       uint64
+	arqOn      bool
+	flights    []arqSender
+	inflight   int
+	flightFree *arqFlight
+	delivered  map[pair]*dedup
+	dedupFree  *dedup // pool of evicted, reset dedup states
+	arrivals   uint64 // arrive() calls, drives the amortized sweep
 
 	// Fault-injection state (fault.go). faulty is the single hot-path
 	// guard: it is true only while some injected condition could alter a
@@ -275,11 +287,6 @@ type Network struct {
 	sinkQ     []sinkItem
 	sinkArmed bool
 	sinkFn    func()
-
-	// OnDead receives frames abandoned after MaxRetries (typically
-	// because the destination machine is down). When nil, abandoned
-	// frames go to the sending machine's FrameOwner instead (fault.go).
-	OnDead func(to addr.MachineID, m *msg.Message)
 
 	// Observability (obs.go): registry-owned frame-size histogram, nil
 	// until RegisterObs; account touches it behind one nil check.
@@ -322,10 +329,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	}
 	n.sinkFn = n.runSink
 	n.pumpFn = n.pump
-	if cfg.LossRate > 0 {
-		n.arqOn = true
-		n.inflight = make(map[uint64]*arqFlight)
-	}
+	n.arqOn = cfg.LossRate > 0
 	return n
 }
 
@@ -334,14 +338,15 @@ func (n *Network) Config() Config { return n.cfg }
 
 // Lossy reports whether frames can be dropped and retransmitted (the ARQ
 // is armed). Pooled envelopes are safe on a lossy network: the ARQ never
-// retains them — Send copies a pooled envelope to the heap for delivery
-// and retransmission and retires the original to its owner (fault.go).
+// retains the caller's — Send copies a pooled envelope (into the sender's
+// pool for retransmission, into the receiver's for delivery; arq.go) and
+// retires the original to its owner (fault.go).
 func (n *Network) Lossy() bool { return n.cfg.LossRate > 0 }
 
 // Attach registers the endpoint for machine m. An endpoint that also
 // implements FrameOwner becomes the sink for envelopes this machine sent
 // that the network consumed (retired pooled originals) or abandoned
-// (partition, crash, retries exhausted).
+// (partition, crash, retries exhausted), and lends the ARQ its pool.
 func (n *Network) Attach(m addr.MachineID, ep Endpoint) {
 	ms := n.mach(m)
 	if ms.ep != nil {
@@ -459,14 +464,6 @@ func (n *Network) deliver(to addr.MachineID, m *msg.Message) {
 	t.ep.DeliverFrame(m)
 }
 
-// dedupSize reports the receiver dedup state tracked for a pair (test hook).
-func (n *Network) dedupSize(from, to addr.MachineID) int {
-	if d := n.delivered[pair{from, to}]; d != nil {
-		return d.size()
-	}
-	return 0
-}
-
 // dedupPairs reports how many pairs currently hold dedup state (test hook
 // for the O(active pairs) bound).
 func (n *Network) dedupPairs() int { return len(n.delivered) }
@@ -533,13 +530,15 @@ func (n *Network) getDedup() *dedup {
 		d.next = nil
 		return d
 	}
-	return newDedup()
+	return new(dedup)
 }
 
-// arrive lands one ARQ frame copy at the receiver, suppressing duplicate
-// ids (retransmissions and injected duplicates alike). Returns whether the
-// frame was actually delivered.
-func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, id uint64) bool {
+// arrive lands one ARQ frame copy at the receiver, suppressing (and
+// releasing) copies of a sequence already delivered — retransmissions and
+// injected duplicates alike. Returns whether the frame was actually delivered.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
+func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, seq uint64) bool {
 	n.arrivals++
 	if n.arrivals%dedupSweepEvery == 0 {
 		n.sweepDedup()
@@ -551,11 +550,11 @@ func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, id uint64) boo
 		n.delivered[key] = seen
 	}
 	seen.last = n.eng.Now()
-	if seen.seen(id) {
+	if !seen.admit(seq) {
 		n.stats.Duplicates++
+		n.release(to, m)
 		return false
 	}
-	seen.add(id)
 	n.deliver(to, m)
 	return true
 }

@@ -127,17 +127,15 @@ func TestReliableUnderLoss(t *testing.T) {
 }
 
 func TestDownMachineDropsThenDead(t *testing.T) {
-	eng, n, _, r2 := setup(Config{LossRate: 0.0001, RetransTimeout: 1000, MaxRetries: 3})
-	var dead []*msg.Message
-	n.OnDead = func(to addr.MachineID, m *msg.Message) { dead = append(dead, m) }
+	eng, n, o1, r2 := setupOwned(Config{LossRate: 0.0001, RetransTimeout: 1000, MaxRetries: 3})
 	n.SetDown(2, true)
 	n.Send(1, 2, frame(8))
 	eng.Run()
 	if len(r2.got) != 0 {
 		t.Fatal("down machine received a frame")
 	}
-	if len(dead) != 1 {
-		t.Fatalf("dead callback got %d frames, want 1", len(dead))
+	if o1.undeliverable != 1 {
+		t.Fatalf("sender got %d undeliverable frames back, want 1", o1.undeliverable)
 	}
 	s := n.Stats()
 	if s.Dead != 1 {

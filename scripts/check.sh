@@ -44,7 +44,7 @@ go test -run='^$' -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)
 
-echo "== hot-path allocation guards (steady state, spawn -> timer -> exit, timer-driven send) + benchmarks (1 iteration smoke)"
+echo "== hot-path allocation guards (steady state incl. the lossy ARQ round, spawn -> timer -> exit, timer-driven send) + benchmarks (1 iteration smoke)"
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .

@@ -115,8 +115,8 @@ func benchMessage() *msg.Message {
 }
 
 // BenchmarkNetwSend is one lossless frame: Send, transit, DeliverFrame.
-// Steady state must be allocation-free (by-value pending heap, flat
-// counters, cached WireSize).
+// Steady state must be allocation-free (by-value calendar entries in a
+// recycled arena, flat counters, cached WireSize).
 func BenchmarkNetwSend(b *testing.B) {
 	e := sim.NewEngine(1)
 	n := netw.New(e, netw.Config{})
@@ -135,6 +135,48 @@ func BenchmarkNetwSend(b *testing.B) {
 		b.Fatalf("delivered %d of %d frames", sink.n, b.N)
 	}
 }
+
+// netwAtDepth returns a lossless two-machine network with depth frames in
+// flight from 1 to 2, due 1 µs apart (the 2 ms latency is what lets a
+// thousand be pending at once), and a cycle that sends one more and delivers
+// the oldest: the canonical send → pump pair at a constant queue depth. The
+// ping-pongs run at depth 1–2, migrate-storm and lossy-chatter at a mean of
+// 46 with peaks of 67 and 123 (EXPERIMENTS.md, "PR 24").
+func netwAtDepth(depth int) (cycle func(), sink *benchSink) {
+	e := sim.NewEngine(1)
+	n := netw.New(e, netw.Config{Latency: 2000})
+	n.Attach(1, &benchSink{})
+	sink = &benchSink{}
+	n.Attach(2, sink)
+	m := benchMessage()
+	for i := 0; i < depth; i++ {
+		n.Send(1, 2, m)
+		e.RunFor(1)
+	}
+	return func() {
+		n.Send(1, 2, m)
+		e.Step()
+	}, sink
+}
+
+// benchNetwSendDepth is one send and one delivery with depth frames pending.
+// The cost should not depend on depth: the calendar files and finds a frame
+// by its arrival time, with no comparison against the others.
+func benchNetwSendDepth(b *testing.B, depth int) {
+	cycle, sink := netwAtDepth(depth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	if sink.n != b.N {
+		b.Fatalf("delivered %d of %d frames", sink.n, b.N)
+	}
+}
+
+func BenchmarkNetwSendDepth1(b *testing.B)  { benchNetwSendDepth(b, 1) }
+func BenchmarkNetwSendDepth64(b *testing.B) { benchNetwSendDepth(b, 64) }
+func BenchmarkNetwSendDepth1k(b *testing.B) { benchNetwSendDepth(b, 1000) }
 
 // benchLossy is the lossy-chatter network: 5 % loss on frames and on acks.
 var benchLossy = netw.Config{LossRate: 0.05, RetransTimeout: 3000, MaxRetries: 200}
@@ -645,6 +687,18 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Fatalf("lossless send+deliver allocates %.1f/op, want 0", n)
+		}
+	})
+	t.Run("netw-send-depth64", func(t *testing.T) {
+		// Send → pump with 64 frames pending, past the calendar's first
+		// growth: entries come off its free list, lists are filed at and
+		// popped from without the table or the arena moving.
+		cycle, _ := netwAtDepth(64)
+		for i := 0; i < 256; i++ {
+			cycle()
+		}
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Fatalf("lossless send+deliver at depth 64 allocates %.1f/op, want 0", n)
 		}
 	})
 	t.Run("netw-send-arq", func(t *testing.T) {

@@ -43,7 +43,7 @@ type chaosRun struct {
 	Points    []chaosPoint `json:"points"`
 	// OverheadRatio = lossy events/sec divided by lossless events/sec on
 	// the same 4-shard parallel chaos soak. Both arms pay the injector and
-	// the canonical pending heaps; the ratio isolates the ARQ (clones,
+	// the canonical arrival calendars; the ratio isolates the ARQ (clones,
 	// retransmit timers, acks, dedup windows). The regression floor is
 	// 0.25 — ARQ may cost at most 4x.
 	OverheadRatio float64 `json:"overhead_ratio_lossy_vs_lossless"`

@@ -31,7 +31,7 @@ import (
 //     network's master and wire copies (drawn from the kernels' pools)
 //     included;
 //  5. no in-flight network state: the machine-anchored ARQ holds no
-//     un-acked flights and no shard's canonical pending heap holds
+//     un-acked flights and no shard's canonical arrival calendar holds
 //     frames — every send either delivered, died into an accounted
 //     sink, or was dropped with a counter.
 func CheckInvariants(c *core.Cluster) []string {
@@ -111,7 +111,7 @@ func CheckInvariants(c *core.Cluster) []string {
 		bad = append(bad, fmt.Sprintf("%d ARQ flights still un-acked at quiescence", fl))
 	}
 	if p := c.PendingFrames(); p != 0 {
-		bad = append(bad, fmt.Sprintf("%d frames still in canonical pending heaps at quiescence", p))
+		bad = append(bad, fmt.Sprintf("%d frames still in canonical arrival calendars at quiescence", p))
 	}
 
 	return bad

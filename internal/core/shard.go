@@ -5,7 +5,7 @@
 // the lookahead rule, and the determinism argument.
 //
 // Division of labor: internal/sim owns the round/barrier machinery,
-// internal/netw owns canonical frame ordering (the pending heap + gate
+// internal/netw owns canonical frame ordering (the arrival calendar + gate
 // pump), and this file owns cluster assembly — shard assignment, outbox
 // transport, merged observability views, and fan-out of fault injection to
 // the shards that enforce each fault.
@@ -126,7 +126,7 @@ func (c *Cluster) shipFrom(s int) func(netw.RemoteFrame) {
 }
 
 // barrier runs between rounds, on the coordinating goroutine: it moves
-// every outbox into the receiving shard's canonical pending heap (whose
+// every outbox into the receiving shard's canonical arrival calendar (whose
 // order does not depend on the order of insertion) and empties it in place,
 // so a warm outbox never allocates; then it writes the trace records the
 // shards emitted since the last barrier to TraceSink, merged in (time,
@@ -139,7 +139,7 @@ func (c *Cluster) barrier() {
 			for _, f := range q {
 				c.nets[to].EnqueueRemote(f)
 			}
-			clear(q) // the pending heap owns the messages now
+			clear(q) // the calendar owns the messages now
 			out[to] = q[:0]
 		}
 	}
@@ -187,8 +187,8 @@ func (c *Cluster) InflightARQ() int {
 	return total
 }
 
-// PendingFrames sums the canonical pending-heap entries across every
-// shard's network. Zero at quiescence.
+// PendingFrames sums the frames waiting in every shard's canonical arrival
+// calendar. Zero at quiescence.
 func (c *Cluster) PendingFrames() int {
 	total := 0
 	for _, nw := range c.nets {

@@ -24,8 +24,8 @@ func (s *shardSink) DeliverFrame(m *msg.Message) { s.n++ }
 
 // TestShardHotPathZeroAlloc locks in the canonical delivery path's
 // zero-allocation invariant: a lossless send to a shard-local machine
-// (canonSend -> pendPush -> gate pump -> pendPop -> deliver) touches no
-// allocator once the event arena and the pending heap are warm. This is the
+// (canonSend -> pendPush -> gate pump -> deliver) touches no allocator once
+// the event arena and the calendar's are warm. This is the
 // dynamic guard cited by the //demos:hotpath annotations in
 // internal/netw/canon.go.
 func TestShardHotPathZeroAlloc(t *testing.T) {
@@ -49,7 +49,7 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 		for e.Step() {
 		}
 	}
-	for i := 0; i < 64; i++ { // warm arena, pending heap, counters
+	for i := 0; i < 64; i++ { // warm arena, calendar, counters
 		warm()
 	}
 	before := sink.n
@@ -91,7 +91,7 @@ func TestShardOutboxZeroAlloc(t *testing.T) {
 	if err := c.Kernel(1).GiveMessage(apid, addr.At(bpid, 2), make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
-	c.RunFor(100_000) // warm the outboxes, pending heaps, arenas and pools
+	c.RunFor(100_000) // warm the outboxes, calendars, arenas and pools
 
 	// One run is exactly perRun frames: an Echo sends one for every message
 	// it receives, and no lookahead window is long enough to hold two.

@@ -52,7 +52,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 		"demosmp/internal/netw": {
 			"Network.Send", "Network.account", "Network.deliver",
 			"Network.canonSend", "Network.pump",
-			"Network.pendPush", "Network.pendPop",
+			"Network.pendPush", "Network.pendFile",
 			// The ARQ round: send, wire copy, land, ack, check.
 			"Network.canonSendARQ", "Network.arqTransmit", "Network.arqEnqueue",
 			"Network.arqLand", "Network.arrive", "arqFlight.check",

@@ -11,7 +11,7 @@
 //     the in-flight table (inflight, keyed by shard-invariant frame id
 //     sender<<48|seq) never leaves the sender's shard.
 //   - Data frames, injected wire duplicates, and network-level acks all
-//     ride the canonical pending heap / gate pump (canon.go), ordered by
+//     ride the canonical arrival calendar / gate pump (canon.go), ordered by
 //     (at, to, from, seq, class, attempt) — every component shard-invariant.
 //     Acks flow back to the sender's shard as canonical RemoteFrames with a
 //     nil payload.
@@ -36,7 +36,7 @@
 // so the kernel's ordinary release after Recv recycles it and per-kernel
 // pools stay balanced under one-way lossy traffic. A copy bound for another
 // shard is a heap clone, so a retransmitting sender never shares a
-// *msg.Message with a pending heap on another shard (no cross-shard aliasing
+// *msg.Message with the calendar of another shard (no cross-shard aliasing
 // under parallel rounds, and a pooled envelope still never crosses a shard);
 // so is a copy for an endpoint that lends no pool (bare test endpoints).
 // Where the network consumes a wire copy itself — a duplicate suppressed in
@@ -77,9 +77,12 @@ type arqFlight struct {
 	next     *arqFlight // free-list linkage
 }
 
-// id is the shard-invariant frame identity sender<<48|seq: the hash-draw key
-// and the pending heap's id.
-func (fl *arqFlight) id() uint64 { return uint64(fl.from)<<48 | fl.seq }
+// frameID is the shard-invariant identity of sender from's seq-th frame,
+// sender<<48|seq: the hash-draw key. Every calendar entry and shipped frame
+// carries both halves, so none carries the id.
+func frameID(from addr.MachineID, seq uint64) uint64 { return uint64(from)<<48 | seq }
+
+func (fl *arqFlight) id() uint64 { return frameID(fl.from, fl.seq) }
 
 // arqSender is one sending machine's in-flight table, direct-mapped by its
 // dense sequence (tab[seq&mask]). It lives in an ARQ-only side table
@@ -186,7 +189,7 @@ func (n *Network) release(at addr.MachineID, m *msg.Message) {
 // receiver dedup rather than user-visible duplication.
 //
 //demos:hotpath — allocation-free once the flight pool, the sender's table and the envelope pools are warm: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq and BenchmarkNetwSendARQ in bench_hotpath_test.go.
-//demos:owner inflight — the flight owns the master (a pooled copy from the sender's pool, or the caller's heap message) until the ack lands or deadFrame takes it; every enqueued wire copy is owned by a pending heap.
+//demos:owner inflight — the flight owns the master (a pooled copy from the sender's pool, or the caller's heap message) until the ack lands or deadFrame takes it; every enqueued wire copy is owned by a shard's calendar.
 func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time, dup bool) {
 	if m.Pooled() {
 		c := n.cloneFor(from, m)
@@ -213,7 +216,7 @@ func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int
 		n.arqEnqueue(pendEnt{
 			at: n.eng.Now() + n.transit(from, to, size) + extra + 1,
 			to: to, from: from, seq: fl.seq,
-			class: classDup, id: fl.id(), m: n.cloneFor(to, m),
+			class: classDup, m: n.cloneFor(to, m),
 		})
 	}
 }
@@ -239,7 +242,7 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 		n.arqEnqueue(pendEnt{
 			at: n.eng.Now() + n.transit(fl.from, fl.to, fl.size) + extra,
 			to: fl.to, from: fl.from, seq: fl.seq,
-			class: classData, attempt: fl.attempt, id: fl.id(),
+			class: classData, attempt: fl.attempt,
 			m: n.cloneFor(fl.to, fl.m),
 		})
 	}
@@ -269,11 +272,11 @@ func (fl *arqFlight) check() {
 	fl.next, n.flightFree = n.flightFree, fl
 }
 
-// arqEnqueue routes one ARQ heap entry: into this shard's pending heap when
-// the destination is local, across the cluster's outbox plane otherwise.
+// arqEnqueue routes one ARQ entry: into this shard's calendar when the
+// destination is local, across the cluster's outbox plane otherwise.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
-//demos:owner inflight — the pending heap (this shard's or, via ship, the destination shard's) owns the entry's wire copy — pooled from the receiver's pool when local, a heap clone when shipped — until arqLand delivers or releases it.
+//demos:owner inflight — the calendar (this shard's or, via ship, the destination shard's) owns the entry's wire copy — pooled from the receiver's pool when local, a heap clone when shipped — until arqLand delivers or releases it.
 func (n *Network) arqEnqueue(ent pendEnt) {
 	if n.isLocal(ent.to) {
 		n.pendPush(ent)
@@ -282,11 +285,11 @@ func (n *Network) arqEnqueue(ent pendEnt) {
 	}
 	n.ship(RemoteFrame{
 		From: ent.from, To: ent.to, At: ent.at, Seq: ent.seq,
-		Class: ent.class, Attempt: ent.attempt, ID: ent.id, M: ent.m,
+		Class: ent.class, Attempt: ent.attempt, M: ent.m,
 	})
 }
 
-// arqLand consumes one pending-heap entry on the destination's shard: the
+// arqLand consumes one calendar entry on the destination's shard: the
 // ARQ-mode pump dispatch. A wire copy that is not handed to the receiver is
 // released here (or in arrive).
 //
@@ -324,13 +327,13 @@ func (n *Network) arqLand(ent pendEnt) {
 		// The ack for this attempt flows back through the same canonical
 		// machinery (nil payload, zero cost: ack bytes are negligible and
 		// not part of the paper's accounting).
-		lostAck := arqDraw(n.seed, ent.id, ent.attempt, saltAck) < n.lossRate() ||
+		lostAck := arqDraw(n.seed, frameID(ent.from, ent.seq), ent.attempt, saltAck) < n.lossRate() ||
 			n.partitioned(ent.from, ent.to)
 		if !lostAck {
 			n.arqEnqueue(pendEnt{
 				at: n.eng.Now() + n.cfg.Latency,
 				to: ent.from, from: ent.to, seq: ent.seq,
-				class: classAck, attempt: ent.attempt, id: ent.id,
+				class: classAck, attempt: ent.attempt,
 			})
 		}
 	}
@@ -341,6 +344,6 @@ func (n *Network) arqLand(ent pendEnt) {
 // chaos invariant audit asserts this cluster-wide.
 func (n *Network) InflightARQ() int { return n.inflight }
 
-// PendingFrames reports how many entries sit in this shard's canonical
-// pending heap. Zero at quiescence.
-func (n *Network) PendingFrames() int { return len(n.pend) }
+// PendingFrames reports how many frames wait in this shard's canonical
+// arrival calendar. Zero at quiescence.
+func (n *Network) PendingFrames() int { return n.pendN }

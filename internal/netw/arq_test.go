@@ -90,7 +90,7 @@ func TestFlightAckThenTimer(t *testing.T) {
 func TestFlightLateAndDuplicateAcks(t *testing.T) {
 	eng, n, o1, o2 := setupOwned(arqQuiet)
 	ack := func(seq uint64) {
-		n.arqLand(pendEnt{class: classAck, to: 1, from: 2, seq: seq, id: 1<<48 | seq})
+		n.arqLand(pendEnt{class: classAck, to: 1, from: 2, seq: seq})
 	}
 	for i := 0; i < flightMinTable; i++ { // sequences 1..16, all finished
 		n.Send(1, 2, pooledFrame(o1, 2))

@@ -5,25 +5,35 @@
 // the cluster's machines are partitioned across shard-local engines, or
 // same-seed runs stop being bit-identical across shard counts. Every
 // cross-machine frame — on one engine, intra-shard and cross-shard alike —
-// therefore goes through a per-engine pending min-heap keyed
+// therefore waits in a per-engine arrival calendar ordered
 //
 //	(deliverTime, toMachine, fromMachine, perSenderSeq)
 //
 // and is delivered from a gate event ("netw:pump") that sorts before
 // all normal events at its timestamp. The per-sender sequence is a dense
 // counter per sending machine, so it is itself shard-invariant (machine m's
-// k-th frame is its k-th frame under any sharding), which makes the heap
-// key — and hence delivery order at equal timestamps — canonical.
+// k-th frame is its k-th frame under any sharding), which makes the key —
+// and hence delivery order at equal timestamps — canonical.
+//
+// The calendar is a power-of-two table of lists indexed by the arrival time's
+// low bits, each kept sorted by the full key (pendLess). The engine already
+// orders by time — every entry schedules its own gate at exactly its arrival
+// time — so nothing is compared to find what is due: when a pump runs at t,
+// everything due heads list t&mask, and entries of other times that alias
+// into it sort behind.
 //
 // Cross-shard frames are shipped through a cluster-provided hook into the
-// sending shard's outbox and enter the receiving shard's heap at the round
-// barrier; heap order is insertion-order-independent, so the order the
-// barrier drains the outboxes in cannot perturb simulation order. A pooled envelope never crosses a shard boundary: the ship path
-// transmits a heap clone and retires the original to its owner, exactly
-// like the ARQ's copy-on-retain rule.
+// sending shard's outbox and enter the receiving shard's calendar at the
+// round barrier; where an entry sits is a function of its key alone, never of
+// when it was filed, so the order the barrier drains the outboxes in cannot
+// perturb simulation order. A pooled envelope never crosses a shard
+// boundary: the ship path transmits a heap clone and retires the original to
+// its owner, exactly like the ARQ's copy-on-retain rule.
 package netw
 
 import (
+	"fmt"
+
 	"demosmp/internal/addr"
 	"demosmp/internal/msg"
 	"demosmp/internal/sim"
@@ -31,7 +41,7 @@ import (
 
 // Canonical entry classes. Lossless traffic is all classData; the
 // machine-anchored ARQ (arq.go) adds injected wire duplicates and
-// network-level acks, which ride the same pending heap so their ordering at
+// network-level acks, which ride the same calendar so their ordering at
 // equal timestamps is fixed by class rather than by per-engine scheduling
 // order.
 const (
@@ -41,34 +51,41 @@ const (
 )
 
 // RemoteFrame is one cross-shard frame in flight between a sending shard
-// and the receiving shard's pending heap. At and Seq are computed on the
-// sending shard; the receiving shard's pending heap orders what the barrier
-// hands it by (At, To, From, Seq, Class, Attempt), so the order it was
-// shipped or drained in cannot influence simulation order. The
-// cluster layer treats the frame as opaque cargo: it never inspects M.
-// Class, Attempt, and ID are ARQ routing state (zero for lossless frames):
-// acks carry a nil M.
+// and the receiving shard's calendar. At and Seq are computed on the
+// sending shard; the receiving shard files what the barrier hands it by
+// (At, To, From, Seq, Class, Attempt), so the order it was shipped or drained
+// in cannot influence simulation order. The cluster layer treats the frame as
+// opaque cargo: it never inspects M. Class and Attempt are ARQ routing state
+// (zero for lossless frames); the ARQ's frame id is frameID(From, Seq). Acks
+// carry a nil M.
 type RemoteFrame struct {
 	From, To addr.MachineID
 	At       sim.Time
 	Seq      uint64
 	Class    uint8
 	Attempt  uint32
-	ID       uint64
 	M        *msg.Message
 }
 
-// pendEnt is one frame waiting for canonical delivery on this shard.
+// pendEnt is one frame waiting for canonical delivery on this shard: an entry
+// of the calendar's arena (Network.pend), chained through next into its
+// arrival time's list while queued and into the free list afterwards.
 type pendEnt struct {
 	at      sim.Time
+	seq     uint64
+	m       *msg.Message
+	attempt uint32 // ARQ attempt number (tie-break between retransmissions)
+	next    int32  // arena index of the entry after this one, 0 at the end (entry 0 is never used)
 	to      addr.MachineID
 	from    addr.MachineID
-	seq     uint64
-	class   uint8  // classData / classDup / classAck
-	attempt uint32 // ARQ attempt number (tie-break between retransmissions)
-	id      uint64 // ARQ frame id (dedup key); 0 in lossless mode
-	m       *msg.Message
+	class   uint8 // classData / classDup / classAck
 }
+
+// pendSlot is one list of the calendar; head 0 means empty (tail is stale).
+type pendSlot struct{ head, tail int32 }
+
+// pendMinSlots is the table size of a new Network; it doubles from there.
+const pendMinSlots = 64
 
 // pendLess is the canonical delivery order at a shard: time, then receiver,
 // then sender, then the sender's frame sequence, then ARQ class and attempt
@@ -120,7 +137,7 @@ func (n *Network) isLocal(m addr.MachineID) bool { return n.local == nil || n.lo
 // its exact delivery timestamp with it.
 //
 //demos:hotpath — the lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
-//demos:owner inflight — the pending heap owns the frame until pump hands it to deliver; a frame shipped cross-shard is a heap clone (the pooled original is retired to its owner first).
+//demos:owner inflight — the calendar owns the frame until pump hands it to deliver; a frame shipped cross-shard is a heap clone (the pooled original is retired to its owner first).
 func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time) {
 	at := n.eng.Now() + n.transit(from, to, size) + extra
 	fm := n.mach(from)
@@ -142,85 +159,117 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 
 // EnqueueRemote lands a frame shipped from another shard: the cluster's
 // outbox drain calls this at a round barrier, strictly before the frame's
-// arrival time (guaranteed by the conservative lookahead window).
+// arrival time (guaranteed by the conservative lookahead window; a frame
+// handed over at or after it would be stranded, so pendPush panics).
 //
-//demos:owner inflight — the pending heap owns the shipped clone until pump delivers it.
+//demos:owner inflight — the calendar owns the shipped clone until pump delivers it.
 func (n *Network) EnqueueRemote(f RemoteFrame) {
 	n.pendPush(pendEnt{
 		at: f.At, to: f.To, from: f.From, seq: f.Seq,
-		class: f.Class, attempt: f.Attempt, id: f.ID, m: f.M,
+		class: f.Class, attempt: f.Attempt, m: f.M,
 	})
 	n.eng.AtGate(f.At, "netw:pump", n.pumpFn)
 }
 
-// pump fires every pending delivery due at or before the current time. It
-// runs as a gate event, so all frames arriving "at t" are delivered before
-// any normal event at t, in the heap's canonical order. In ARQ mode entries
-// carry a class and land through arqLand (arq.go); the lossless path pays
-// one boolean test for that and stays allocation-free.
+// pump fires every pending delivery due at the current time. It runs as a
+// gate event, so all frames arriving "at t" are delivered before any normal
+// event at t, in canonical order. The list is read again after every
+// delivery, which may send a frame due at this same instant and may grow the
+// table. In ARQ mode entries carry a class and land through arqLand
+// (arq.go); the lossless path pays one boolean test for that, reads the two
+// fields it needs off the entry in place and stays allocation-free.
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and /netw-send-depth64 in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pump() {
 	now := n.eng.Now()
-	for len(n.pend) > 0 && n.pend[0].at <= now {
+	for {
+		s := &n.pendSlots[uint64(now)&uint64(len(n.pendSlots)-1)]
+		i := s.head
+		ent := &n.pend[i]
+		if i == 0 || ent.at > now {
+			return
+		}
+		s.head = ent.next
+		n.pendN--
+		ent.next, n.pendFree = n.pendFree, i
 		if n.arqOn {
-			ent := n.pend[0]
-			n.pendPop()
-			n.arqLand(ent)
+			e := *ent
+			ent.m = nil
+			n.arqLand(e)
 			continue
 		}
-		to, m := n.pend[0].to, n.pend[0].m
-		n.pendPop()
+		to, m := ent.to, ent.m
+		ent.m = nil // drop the frame pointer for GC
 		n.deliver(to, m)
 	}
 }
 
-// pendPush inserts into the canonical binary min-heap.
+// pendPush queues one frame for canonical delivery at ent.at. The caller
+// schedules the netw:pump gate at that time.
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and /netw-send-depth64 in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pendPush(ent pendEnt) {
-	n.pend = append(n.pend, ent)
-	h := n.pend
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 1
-		if pendLess(&h[p], &ent) {
-			break
-		}
-		h[i] = h[p]
-		i = p
+	if now := n.eng.Now(); ent.at < now {
+		panicLatePend(ent.at, now)
 	}
-	h[i] = ent
+	if n.pendN == len(n.pendSlots) {
+		n.pendGrow()
+	}
+	i := n.pendFree
+	if i != 0 {
+		n.pendFree = n.pend[i].next
+	} else {
+		n.pend = append(n.pend, pendEnt{})
+		i = int32(len(n.pend) - 1)
+	}
+	n.pend[i] = ent
+	n.pendN++
+	n.pendFile(i)
 }
 
-// pendPop removes the minimum entry (the caller has read it off pend[0]).
+// pendFile links arena entry i into its arrival time's list where pendLess
+// puts it: alone or at the tail mostly, a walk of a handful otherwise.
 //
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
-func (n *Network) pendPop() {
-	h := n.pend
-	last := len(h) - 1
-	ent := h[last]
-	h[last] = pendEnt{} // drop the frame pointer for GC
-	n.pend = h[:last]
-	h = n.pend
-	i := 0
-	for {
-		c := i<<1 + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && pendLess(&h[c+1], &h[c]) {
-			c++
-		}
-		if pendLess(&ent, &h[c]) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-depth64 and BenchmarkNetwSendDepth1k in bench_hotpath_test.go; order: TestPendOrderSeeds in pend_test.go.
+func (n *Network) pendFile(i int32) {
+	ent := &n.pend[i]
+	ent.next = 0
+	s := &n.pendSlots[uint64(ent.at)&uint64(len(n.pendSlots)-1)]
+	if s.head == 0 {
+		s.head, s.tail = i, i
+		return
 	}
-	if last > 0 {
-		h[i] = ent
+	if tail := &n.pend[s.tail]; !pendLess(ent, tail) {
+		tail.next = i
+		s.tail = i
+		return
 	}
+	link := &s.head // before the first entry ordered after i: the tail is one
+	for pendLess(&n.pend[*link], ent) {
+		link = &n.pend[*link].next
+	}
+	ent.next, *link = *link, i
+}
+
+// pendGrow doubles the table and files every queued entry again, so entries
+// never outnumber lists: a list's expected length stays at or below one
+// whatever the delay horizon, and there is no size to tune.
+func (n *Network) pendGrow() {
+	old := n.pendSlots
+	n.pendSlots = make([]pendSlot, 2*len(old))
+	for _, s := range old {
+		for i := s.head; i != 0; {
+			next := n.pend[i].next
+			n.pendFile(i)
+			i = next
+		}
+	}
+}
+
+// panicLatePend keeps fmt off the annotated pendPush. A frame filed for a
+// time already past would sit in a list no pump visits: a programming error.
+func panicLatePend(at, now sim.Time) {
+	panic(fmt.Sprintf("netw: frame filed for %v at %v: its arrival time has passed", at, now))
 }
 
 // MinLatency returns the smallest one-way propagation latency between any

@@ -8,18 +8,19 @@
 // scheme with receiver-side deduplication, so the guarantee the kernels see
 // is the paper's: "any message sent will eventually be delivered".
 //
-// There is one delivery path (canon.go): every frame waits in a pending heap
-// ordered by (arrival time, receiver, sender, per-sender sequence) and is
-// handed to its receiver by a gate event at its arrival time, so delivery
-// order is a function of simulated time and frame identity alone — the same
-// on one engine as on a cluster split across several.
+// There is one delivery path (canon.go): every frame waits in an arrival
+// calendar — a table of lists indexed by arrival time, each ordered by
+// (arrival time, receiver, sender, per-sender sequence) — and is handed to
+// its receiver by a gate event at its arrival time, so delivery order is a
+// function of simulated time and frame identity alone — the same on one
+// engine as on a cluster split across several.
 //
 // Both send paths are allocation-free in steady state: per-kind and
 // per-machine counters are fixed-size arrays and a dense slice (the map
-// form of Stats is rebuilt only in Stats() snapshots), the pending heap
-// holds entries by value, the pump's callback is bound once, and the ARQ's
-// copies and flight records are pooled (arq.go) — see bench_hotpath_test.go
-// for the zero-alloc guards.
+// form of Stats is rebuilt only in Stats() snapshots), the calendar holds
+// its entries by value in a recycled arena, the pump's callback is bound
+// once, and the ARQ's copies and flight records are pooled (arq.go) — see
+// bench_hotpath_test.go for the zero-alloc guards.
 package netw
 
 import (
@@ -249,8 +250,15 @@ type Network struct {
 	total  addr.MachineID            // cluster size once SetCanonical ran: ids up to it are routable
 	local  func(addr.MachineID) bool // nil: every machine is on this engine
 	ship   func(RemoteFrame)         // hands a frame for another shard to the cluster
-	pend   []pendEnt                 // binary min-heap keyed (at, to, from, seq, class, attempt)
 	pumpFn func()                    // bound once; fires pending deliveries due now
+
+	// The arrival calendar (canon.go): pendSlots[at&mask] is the list of the
+	// frames due at at (and at any time that aliases to it), in pendLess
+	// order, threaded through the arena pend.
+	pend      []pendEnt  // index-stable entry storage; entry 0 is the nil link
+	pendSlots []pendSlot // len is a power of two
+	pendFree  int32      // first recycled entry (they chain through next), 0 if none
+	pendN     int        // queued entries: PendingFrames
 
 	// ARQ state (arq.go), armed when LossRate > 0. flights is the
 	// per-sender in-flight table, indexed by sending machine and then
@@ -326,6 +334,8 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		parts:     make(map[pair]struct{}),
 		dupNext:   make(map[pair]int),
 		delayNext: make(map[pair]sim.Time),
+		pend:      make([]pendEnt, 1), // entry 0: the nil link
+		pendSlots: make([]pendSlot, pendMinSlots),
 	}
 	n.sinkFn = n.runSink
 	n.pumpFn = n.pump

@@ -22,7 +22,7 @@ type Sample struct {
 //
 // Determinism: the collector's only input is the order load reports reach
 // the process manager, and that order is canonical under sharding (the
-// per-shard pending heaps deliver same-tick messages in (to, from, seq)
+// per-shard arrival calendars deliver same-tick messages in (to, from, seq)
 // order regardless of shard count). A round normally closes when the
 // highest-numbered machine reports — kernels on one tick report in
 // ascending machine order at the PM — and a repeat of any machine inside a

@@ -13,13 +13,13 @@
 // without ever needing input from another shard inside the round. Frames
 // that cross shards during the round land in outboxes owned by the sending
 // shard; the barrier between rounds drains them into the receiving shard's
-// pending heap (as gate events strictly beyond the old deadline) before the
+// arrival calendar (as gate events strictly beyond the old deadline) before the
 // next round's horizon is computed. Same seed + same workload therefore
 // yields bit-identical per-machine event orders for ANY shard count,
 // whether a round runs inline or on goroutines: engines never share state
-// inside a round, and outbox contents are re-ordered canonically by the
-// receiver's pending heap, so goroutine interleaving cannot leak into
-// simulation order.
+// inside a round, and where the receiver's calendar files a frame depends
+// on the frame alone, not on when it was handed over, so goroutine
+// interleaving cannot leak into simulation order.
 package sim
 
 import (

@@ -24,17 +24,22 @@ type refEvent struct {
 }
 
 // refQueue is the reference model. A cancelled event stays in queued, as it
-// stays in the engine's arena, until a look passes it: the model frees
-// exactly the tombstones ordered before the next runnable event, which is
-// the latest the engine may ("no later than its due time").
+// stays in the engine's arena, for as long as the engine may keep it: freed
+// no later than its due time, or when the arena would next grow with more
+// dead than live. So the model frees exactly the tombstones ordered before
+// the next runnable event at every look, and all of them at the schedules
+// where the harness saw the engine's arena full, at least 64 slots and more
+// than twice its live events (swept): the engine may free a tombstone sooner
+// than a look requires, so only its own arena says when that is.
 type refQueue struct {
 	now    Time
 	seq    uint64
 	fired  uint64
 	halted bool
-	all    []refEvent // by id, in scheduling order
-	queued []int      // ids scheduled and neither fired nor reclaimed
-	peak   int        // most ids queued at once: the bound on the arena
+	all    []refEvent   // by id, in scheduling order
+	queued []int        // ids scheduled and neither fired nor reclaimed
+	peak   int          // most ids queued at once: the bound on the arena
+	swept  map[int]bool // ids whose scheduling had to reclaim every tombstone in place of growing the arena
 }
 
 func (m *refQueue) less(a, b int) bool {
@@ -54,6 +59,15 @@ func (m *refQueue) schedule(t Time, class int, weak bool, act, arg byte) {
 		key = m.seq
 	}
 	m.seq++
+	if m.swept[len(m.all)] {
+		keep := m.queued[:0]
+		for _, q := range m.queued {
+			if !m.all[q].dead {
+				keep = append(keep, q)
+			}
+		}
+		m.queued = keep
+	}
 	m.all = append(m.all, refEvent{at: t, key: key, weak: weak, act: act, arg: arg})
 	m.queued = append(m.queued, len(m.all)-1)
 	if len(m.queued) > m.peak {
@@ -175,6 +189,21 @@ func (h *orderHarness) schedule(class int, viaAfter, weak bool, t, d Time, act, 
 		h.got = append(h.got, id)
 		h.act(act, arg, true)
 	}
+	// The reclaim rule, restated: a schedule that finds no free slot in an
+	// arena of 64 or more, over half of it tombstones, must not grow it.
+	e := h.e
+	slots := len(e.arena)
+	sweep := e.free == 0 && slots >= 64 && slots > 2*e.Pending()
+	defer func() {
+		if !sweep {
+			return
+		}
+		if free := h.freeSlots(); len(e.arena) != slots || slots-free != e.Pending() {
+			h.t.Fatalf("scheduling ev%d with %d slots, none free, %d live: now %d slots, %d free, %d live — the tombstones were not reclaimed",
+				id, slots, e.Pending()-1, len(e.arena), free, e.Pending())
+		}
+		h.m.swept[id] = true
+	}()
 	var ev Event
 	switch {
 	case viaAfter && weak && class == classFault:
@@ -451,12 +480,16 @@ func (h *orderHarness) freeSlots() int {
 	return n
 }
 
-func runOrderProgram(t *testing.T, program []byte) {
+func runOrderProgram(t *testing.T, program []byte) { runOrder(t, program) }
+
+func runOrder(t *testing.T, program []byte) *orderHarness {
 	if len(program) > 4096 {
 		program = program[:4096] // the reference is quadratic
 	}
 	h := &orderHarness{t: t, e: NewEngine(1)}
+	h.m.swept = map[int]bool{}
 	h.run(program)
+	return h
 }
 
 // d returns the program byte that selects delta v.
@@ -505,12 +538,14 @@ func repeat(n int, part ...byte) []byte {
 }
 
 // orderSeeds are the named cases every run checks and the fuzzer starts
-// from.
+// from. sweeps is how often the program must make the engine reclaim its
+// tombstones: the case written for that has to reach it.
 var orderSeeds = []struct {
 	name    string
+	sweeps  int
 	program []byte
 }{
-	{"digit boundaries", func() []byte {
+	{"digit boundaries", 0, func() []byte {
 		// One event on each side of every digit boundary, scheduled from far
 		// to near, fired one Step at a time with NextAt compared in between.
 		var p []byte
@@ -519,7 +554,7 @@ var orderSeeds = []struct {
 		}
 		return prog(p, repeat(16, opStep|opCheckNext))
 	}()},
-	{"digit boundaries, near to far, weak and faults", func() []byte {
+	{"digit boundaries, near to far, weak and faults", 0, func() []byte {
 		var p []byte
 		for _, v := range []Time{0, 1, 63, 64, 4095, 4096, 1 << 18, 1 << 30, 1 << 63, ^Time(0)} {
 			p = append(p, at(kindAfterWeak, v)...)
@@ -528,12 +563,12 @@ var orderSeeds = []struct {
 		}
 		return prog(p, []byte{opRun, opNextAt, opRunFor, d(1 << 30), opNextAt})
 	}()},
-	{"after saturates", prog(
+	{"after saturates", 0, prog(
 		[]byte{opRunUntil, d(500)},
 		at(kindAfter, ^Time(0)), at(kindAfterWeak, ^Time(0)-1), at(kindAfterWeakFault, 1<<63), at(kindAfter, 5),
 		[]byte{opStep | opCheckNext, opRunFor, d(^Time(0))},
 	)},
-	{"rewind after RunUntil passed every event", prog(
+	{"rewind after RunUntil passed every event", 0, prog(
 		at(kindAt, 5),
 		[]byte{opRunUntil, d(3000)}, // the clock is now beyond every event fired
 		at(kindAt, 1<<18), at(kindAt, 4096), at(kindAt, 4161),
@@ -542,40 +577,40 @@ var orderSeeds = []struct {
 		at(kindAt, 4096), // joins the entry the rewinds carried up and back down
 		repeat(3, opStep|opCheckNext), []byte{opRun},
 	)},
-	{"rewind across levels", prog(
+	{"rewind across levels", 0, prog(
 		at(kindAt, 1<<30), at(kindAt, 1<<30-1), at(kindAt, 1<<36), []byte{opNextAt},
 		at(kindAt, 1<<18), []byte{opNextAt},
 		at(kindAt, 64), []byte{opNextAt},
 		acting(0, actGateNow, 0), []byte{opRun},
 	)},
-	{"gate and fault at now from inside a normal event", prog(
+	{"gate and fault at now from inside a normal event", 0, prog(
 		acting(500, actGateNow, 0), acting(500, actFaultNow, 0), at(kindAt, 500),
 		at(kindAtGate, 500), acting(500, actGateNow, 0), at(kindAt, 500),
 		[]byte{opStep, opStep, opStep | opCheckNext, opStep, opStep, opRun},
 	)},
-	{"one timestamp from three levels", prog(
+	{"one timestamp from three levels", 0, prog(
 		// 4596 is two levels from 1, one from 4161 and none from 4591.
 		at(kindAbs, 1), at(kindAbs, 4161), at(kindAbs, 4591),
 		allClasses(kindAbs, 4596), []byte{opStep, opStep},
 		allClasses(kindAbs, 4596), []byte{opStep},
 		allClasses(kindAbs, 4596), allClasses(kindPast, 0), []byte{opStep | opCheckNext, opRun},
 	)},
-	{"a list of cancelled entries only", prog(
+	{"a list of cancelled entries only", 0, prog(
 		at(kindAt, 4096), at(kindAt, 4097), at(kindAt, 4161), at(kindAt, 1<<18),
 		[]byte{opCancel, 0, opCancel, 1, opCancel, 2, opCancel, 2, opCancel, 200},
 		[]byte{opNextAt, opStep, opStep},
 	)},
-	{"cancel from inside an event, stale and zero handles", prog(
+	{"cancel from inside an event, stale and zero handles", 0, prog(
 		acting(5, actCancel, 1), at(kindAt, 5),
 		acting(7, actCancel, 0), // handle 0 has fired by then
 		[]byte{opSched, kindAfterWeak, d(3000), actChild, d(30e6)},
 		[]byte{opRun, opCancel, 1, opCancel, 255, opRunFor, d(3000), opRunFor, d(30e6)},
 	)},
-	{"halt", prog(
+	{"halt", 0, prog(
 		at(kindAt, 1), acting(2, actHalt, 0), at(kindAt, 3),
 		[]byte{opRunUntil, d(500), opRunUntil, d(500), opRun},
 	)},
-	{"timer churn with tombstones", func() []byte {
+	{"timer churn with tombstones", 0, func() []byte {
 		// The kernels' pattern: a 30 s watchdog armed and cancelled around
 		// short timers, many times over.
 		var p []byte
@@ -585,11 +620,33 @@ var orderSeeds = []struct {
 		}
 		return prog(p, []byte{opRunFor, d(30e6), opRun})
 	}()},
+	{"tombstones reclaimed when the arena would grow", 2, func() []byte {
+		// Five live events and 140 armed-and-cancelled ones, at level 0 (the
+		// 64 µs around the first event), level 1 and far above: the arena
+		// fills to 64 twice and is swept each time, with the clock standing
+		// still and after it has moved.
+		p := prog(at(kindAt, 1), at(kindAt, 62), at(kindAt, 500), at(kindAfterWeak, 1<<18), at(kindAt, 30e6))
+		id := byte(5)
+		churn := func(n int, deltas ...Time) {
+			for i := 0; i < n; i++ {
+				p = prog(p, at(kindAfter, deltas[i%len(deltas)]), []byte{opCancel, id})
+				id++
+			}
+		}
+		churn(70, 2, 3, 5, 7, 63, 30e6, 64, 127, 4096, 1<<30)
+		p = prog(p, []byte{opStep | opCheckNext, opStep})
+		churn(70, 30e6, 1, 3000, 1<<24, 0)
+		return prog(p, []byte{opRunFor, d(3000), opRun, opRunFor, d(30e6)})
+	}()},
 }
 
 func TestEngineOrderSeeds(t *testing.T) {
 	for _, s := range orderSeeds {
-		t.Run(s.name, func(t *testing.T) { runOrderProgram(t, s.program) })
+		t.Run(s.name, func(t *testing.T) {
+			if h := runOrder(t, s.program); len(h.m.swept) < s.sweeps {
+				t.Fatalf("the engine reclaimed tombstones %d times, want at least %d", len(h.m.swept), s.sweeps)
+			}
+		})
 	}
 }
 

@@ -124,7 +124,7 @@ type Engine struct {
 	OnAdvance func(from, to Time)
 
 	// The wheel. Cancelled entries stay in it until the clock reaches their
-	// list, so occupancy counts them too.
+	// list or newSlot sweeps them out, so occupancy counts them too.
 	cur    Time                    // reference time: no queued entry is due before it
 	lv     [wheelLevels]wheelLevel // lv[0].lists is &lists0
 	lists0 wheelList               // level 0: the 64 timestamps of cur's block, one a list
@@ -267,8 +267,7 @@ func (e *Engine) schedule(t Time, name string, fn func(), weak bool, class int) 
 		idx = e.free - 1
 		e.free = e.arena[idx].next
 	} else {
-		e.arena = append(e.arena, slot{gen: 1})
-		idx = uint32(len(e.arena) - 1)
+		idx = e.newSlot()
 	}
 	key := e.seq | normalSeqBit
 	switch class {
@@ -314,10 +313,59 @@ func (e *Engine) Cancel(ev Event) {
 	if s.gen != ev.gen || s.fn == nil {
 		return
 	}
-	s.fn = nil // the entry stays queued; freed when the clock reaches its list
+	s.fn = nil // the entry stays queued; freed when the clock reaches its list, or by newSlot
 	e.live--
 	if !s.weak {
 		e.strong--
+	}
+}
+
+// newSlot returns an arena slot for schedule when the free list is empty, which
+// means every slot is queued: live, or cancelled and waiting for the clock to
+// reach its list. So len(arena) - live counts the cancelled ones, and when
+// they are most of an arena worth the walk, newSlot takes them all back instead
+// of extending it: under arm-and-cancel churn (a 30 s watchdog a migration)
+// the arena stays within twice the live count, at an amortised O(1) a cancel
+// since each sweep frees more than half of it. Out of line to keep
+// schedule's own frame and code as they were (EXPERIMENTS.md "PR 24").
+//
+//go:noinline
+func (e *Engine) newSlot() uint32 {
+	if len(e.arena) < 64 || len(e.arena) <= 2*e.live {
+		e.arena = append(e.arena, slot{gen: 1})
+		return uint32(len(e.arena) - 1)
+	}
+	for l := range e.lv {
+		lv := &e.lv[l]
+		for b := lv.occ; b != 0; b &= b - 1 {
+			e.sweep(uint(l), uint(bits.TrailingZeros64(b)))
+		}
+	}
+	idx := e.free - 1
+	e.free = e.arena[idx].next
+	return idx
+}
+
+// sweep unlinks and frees the cancelled entries of list j of level l. The
+// live ones keep their order, so a list in firing order stays in it (and a
+// mixed mark it no longer needs is conservative).
+func (e *Engine) sweep(l, j uint) {
+	w := &e.lv[l].lists[j]
+	link, tail := &w.head, w.tail // link: where the next live entry's index goes
+	for i, last := w.head, false; !last; {
+		s := &e.arena[i]
+		next := s.next
+		last = i == tail
+		if s.fn == nil {
+			e.freeSlot(i)
+		} else {
+			*link, w.tail = i, i
+			link = &s.next
+		}
+		i = next
+	}
+	if link == &w.head {
+		e.clear(l, j)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -268,6 +269,34 @@ func TestArenaSlotReuse(t *testing.T) {
 	}
 	if n := len(e.arena); n > 4 {
 		t.Fatalf("arena grew to %d slots under 1-deep churn, want ≤ 4", n)
+	}
+}
+
+// Cancelled entries must be recycled too, not only when the clock reaches
+// them: a watchdog armed and cancelled around every operation (the kernels'
+// migration pattern) cannot grow the arena beyond a small multiple of the
+// live events, and the reclaim leaves the live ones in firing order.
+func TestCancelledEntriesAreReclaimed(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	for i, d := range []Time{40e6, 5, 30e6, 500, 70, 3000, 30e6, 1 << 40} { // every wheel level the kernels reach, and one far above
+		e.After(d, "live", func() { fired = append(fired, i) })
+	}
+	for i := 0; i < 100000; i++ {
+		e.Cancel(e.After(30e6, "watchdog", func() { t.Error("a cancelled watchdog fired") }))
+		if i%1000 == 0 { // and some the sweep finds at level 0, beside live entries
+			e.Cancel(e.After(5, "soon", func() { t.Error("a cancelled timer fired") }))
+		}
+	}
+	if n := len(e.arena); n > 64 {
+		t.Fatalf("arena grew to %d slots with 8 live events under arm-and-cancel churn, want ≤ 64", n)
+	}
+	if e.Pending() != 8 {
+		t.Fatalf("Pending = %d, want 8", e.Pending())
+	}
+	e.Run()
+	if want := []int{1, 4, 3, 5, 2, 6, 0, 7}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Contributor gate: gofmt, vet, lint, build, race-test, two fuzz smokes
-# (FuzzKernelAdmin, FuzzEngineOrder), and the hot-path allocation guards. Run
+# Contributor gate: gofmt, vet, lint, build, race-test, three fuzz smokes
+# (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder), and the hot-path
+# allocation guards. Run
 # from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/check.sh
@@ -41,10 +42,13 @@ go test -run='^$' -fuzz=FuzzKernelAdmin -fuzztime=10s ./internal/kernel/
 echo "== fuzz smoke: the engine's event queue against a sorted-slice reference, operation by operation (10 s)"
 go test -run='^$' -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 
+echo "== fuzz smoke: the network's arrival calendar against a slice scanned with pendLess, delivery by delivery (10 s)"
+go test -run='^$' -fuzz=FuzzPendOrder -fuzztime=10s ./internal/netw/
+
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)
 
-echo "== hot-path allocation guards (steady state incl. the lossy ARQ round, spawn -> timer -> exit, timer-driven send) + benchmarks (1 iteration smoke)"
+echo "== hot-path allocation guards (steady state incl. send -> pump at depth 64 and the lossy ARQ round, spawn -> timer -> exit, timer-driven send) + benchmarks (1 iteration smoke; NetwSend matches the Depth1/64/1k rows)"
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .

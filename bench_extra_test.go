@@ -22,7 +22,7 @@ func BenchmarkVMExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vm := dvm.New(img, p.Entry)
+	vm := &dvm.VM{Mem: img, CPU: dvm.CPU{PC: p.Entry, SP: uint32(img.Size())}}
 	sys := nopSyscalls{}
 	b.ResetTimer()
 	executed := 0

@@ -4,8 +4,9 @@
 // DEMOS/MP layering DAG, the //demos:hotpath zero-allocation contract,
 // encoder/decoder/fuzz pairing of the wire payloads, the pooled-envelope
 // ownership discipline (use-after-Put, double-Put, unblessed retention),
-// staleness of //demos:nolint and //demos:hotpath escape hatches, and
-// test coverage of every kill-point and Config ablation flag.
+// staleness of //demos:hotpath annotations, test coverage of every
+// kill-point and Config ablation flag, and exported surface that nothing
+// outside tests uses.
 //
 // Usage:
 //
@@ -14,16 +15,12 @@
 //	go run ./cmd/demoslint -json ./...
 //
 // The package pattern is accepted for familiarity but the whole module is
-// always analyzed (the layering, wirepair, and killcover rules are
+// always analyzed (the layering, wirepair, killcover and deadcode rules are
 // module-global). Findings print as "file:line: [rule] message" — or, with
 // -json, as a JSON array of {path,line,col,rule,msg} objects for CI
-// artifacts — and the exit status is non-zero if any survive. Suppress a
-// single finding with a trailing
-//
-//	//demos:nolint:<rule> <reason>
-//
-// comment; the reason is mandatory, and the suppressaudit rule deletes
-// your suppression for you (by failing) once it stops firing. See
+// artifacts — and the exit status is non-zero if any exist. There is no
+// per-line suppression: a rule that must tolerate a site takes a reviewed
+// table in internal/lint/demos.go (Determinism.Exempt, DeadCode.Keep). See
 // DESIGN.md §8 for the rule catalogue and internal/lint for the
 // implementation (stdlib-only: go/parser + go/types, no x/tools).
 package main

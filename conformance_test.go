@@ -37,8 +37,8 @@ func TestPaperSection6Conformance(t *testing.T) {
 	c.Run()
 
 	led := c.Ledger()
-	if led.Len() != 1 {
-		t.Fatalf("ledger has %d records, want 1", led.Len())
+	if n := len(led.Records()); n != 1 {
+		t.Fatalf("ledger has %d records, want 1", n)
 	}
 	rec := led.Records()[0]
 	if !rec.OK || rec.PID != server || rec.From != 1 || rec.To != 2 {
@@ -144,8 +144,8 @@ func TestPaperSection6Convergence(t *testing.T) {
 	c.Run()
 
 	led := c.Ledger()
-	if led.Len() != 1 {
-		t.Fatalf("ledger has %d records, want 1", led.Len())
+	if n := len(led.Records()); n != 1 {
+		t.Fatalf("ledger has %d records, want 1", n)
 	}
 	rec := led.Records()[0]
 	if rec.ForwardsAbsorbed == 0 {

@@ -395,15 +395,6 @@ func (c *Cluster) Spawn(m int, spec kernel.SpawnSpec) (addr.ProcessID, error) {
 	return pid, err
 }
 
-// SpawnVM assembles and spawns a DVM program on machine m.
-func (c *Cluster) SpawnVM(m int, src string, links ...link.Link) (addr.ProcessID, error) {
-	p, err := dvm.Assemble(src)
-	if err != nil {
-		return addr.NilPID, err
-	}
-	return c.Spawn(m, kernel.SpawnSpec{Program: p, Links: links})
-}
-
 // SpawnProgram spawns a pre-assembled program on machine m.
 func (c *Cluster) SpawnProgram(m int, p *dvm.Program, links ...link.Link) (addr.ProcessID, error) {
 	return c.Spawn(m, kernel.SpawnSpec{Program: p, Links: links})
@@ -462,29 +453,6 @@ func (c *Cluster) Evict(pid addr.ProcessID) error {
 	pmm := addr.MachineID(c.opts.PMMachine)
 	c.ks[pmm].GiveMessage(c.PMPID, addr.KernelAddr(pmm), procmgr.CmdEvict(pid))
 	return nil
-}
-
-// Crash simulates machine m's processor failing: its kernel freezes and
-// the network marks it down. Frames in flight to it are handled by the
-// retry/undeliverable machinery.
-func (c *Cluster) Crash(m int) error {
-	k := c.Kernel(m)
-	if k == nil {
-		return fmt.Errorf("core: no machine %d", m)
-	}
-	k.Crash()
-	return nil
-}
-
-// Restart recovers a crashed machine: volatile kernel state is wiped (with
-// accounting), checkpointed processes revive from stable storage, and the
-// machine rejoins the network (see kernel.Restart).
-func (c *Cluster) Restart(m int) error {
-	k := c.Kernel(m)
-	if k == nil {
-		return fmt.Errorf("core: no machine %d", m)
-	}
-	return k.Restart()
 }
 
 // ExitOf scans the cluster for pid's exit record.

@@ -172,9 +172,8 @@ func (c *Cluster) ShardOf(m int) int { return c.shardOf[m] }
 // per-shard pulse replicas on these.
 func (c *Cluster) EngineOfShard(s int) *sim.Engine { return c.engines[s] }
 
-// NetworkOfShard returns shard s's network. Shard-local fault application
-// only — cluster-wide fault fan-out should use Partition/Heal/LossBurst
-// etc. on the Cluster.
+// NetworkOfShard returns shard s's network, for shard-local fault
+// application (the chaos plane's per-shard pulses).
 func (c *Cluster) NetworkOfShard(s int) *netw.Network { return c.nets[s] }
 
 // InflightARQ sums the un-acked ARQ flights across every shard's network.
@@ -196,9 +195,6 @@ func (c *Cluster) PendingFrames() int {
 	}
 	return total
 }
-
-// Lookahead returns the conservative lookahead window W in microseconds.
-func (c *Cluster) Lookahead() sim.Time { return c.look }
 
 // Rounds returns the number of completed synchronization rounds.
 func (c *Cluster) Rounds() uint64 { return c.group.Rounds }
@@ -284,43 +280,12 @@ func (c *Cluster) netsFor(a, b addr.MachineID) []*netw.Network {
 	return []*netw.Network{c.nets[sa], c.nets[sb]}
 }
 
-// Partition severs the pair (a, b) in both directions, on every shard that
-// originates traffic for it.
-func (c *Cluster) Partition(a, b addr.MachineID) {
-	for _, nw := range c.netsFor(a, b) {
-		nw.Partition(a, b)
-	}
-}
-
-// Heal reconnects a pair severed by Partition.
+// Heal reconnects a partitioned pair on every shard that originates
+// traffic for it.
 func (c *Cluster) Heal(a, b addr.MachineID) {
 	for _, nw := range c.netsFor(a, b) {
 		nw.Heal(a, b)
 	}
-}
-
-// Partitioned reports whether the pair is currently severed.
-func (c *Cluster) Partitioned(a, b addr.MachineID) bool {
-	return c.nets[c.shardOf[a]].Partitioned(a, b)
-}
-
-// LossBurst raises the loss probability on every shard until the given sim
-// time (sends originate on all shards).
-func (c *Cluster) LossBurst(rate float64, until sim.Time) {
-	for _, nw := range c.nets {
-		nw.LossBurst(rate, until)
-	}
-}
-
-// DuplicateNext injects duplicates for the next count frames from->to; the
-// injection lives on the sending machine's shard.
-func (c *Cluster) DuplicateNext(from, to addr.MachineID, count int) {
-	c.nets[c.shardOf[from]].DuplicateNext(from, to, count)
-}
-
-// DelayNext adds extra transit to the next frame from->to (sender's shard).
-func (c *Cluster) DelayNext(from, to addr.MachineID, extra sim.Time) {
-	c.nets[c.shardOf[from]].DelayNext(from, to, extra)
 }
 
 // NetLossy reports whether the network config arms the machine-anchored

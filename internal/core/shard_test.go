@@ -679,8 +679,8 @@ func TestShardSection6Conformance(t *testing.T) {
 	c.Run()
 
 	led := c.Ledger()
-	if led.Len() != 1 {
-		t.Fatalf("merged ledger has %d records, want 1", led.Len())
+	if n := len(led.Records()); n != 1 {
+		t.Fatalf("merged ledger has %d records, want 1", n)
 	}
 	rec := led.Records()[0]
 	if !rec.OK || rec.PID != server || rec.From != 1 || rec.To != 2 {

@@ -33,12 +33,6 @@ func (p *Program) ImageSize() int {
 // DataBase returns the byte address where the data segment starts.
 func (p *Program) DataBase() uint32 { return uint32(p.CodeBytes()) }
 
-// Label returns the address bound to a label, for tests and tooling.
-func (p *Program) Label(name string) (uint32, bool) {
-	a, ok := p.Labels[name]
-	return a, ok
-}
-
 // BuildImage lays the program out in a fresh memory image:
 // [code | data | ... | stack], stack at the top growing down.
 func (p *Program) BuildImage(store *memory.Store) (*memory.Image, error) {
@@ -56,23 +50,4 @@ func (p *Program) BuildImage(store *memory.Store) (*memory.Image, error) {
 		}
 	}
 	return img, nil
-}
-
-// NewVM builds the image and returns a VM ready to run the program.
-func (p *Program) NewVM(store *memory.Store) (*VM, *memory.Image, error) {
-	img, err := p.BuildImage(store)
-	if err != nil {
-		return nil, nil, err
-	}
-	return New(img, p.Entry), img, nil
-}
-
-// Disassemble renders the code segment as text, one instruction per line,
-// prefixed with byte addresses.
-func (p *Program) Disassemble() string {
-	s := ""
-	for i, in := range p.Code {
-		s += fmt.Sprintf("%6d  %s\n", i*InstrSize, in.String())
-	}
-	return s
 }

@@ -139,11 +139,6 @@ type VM struct {
 	Fault error // set when Step returns Faulted
 }
 
-// New returns a VM with PC at entry and SP at the top of the image.
-func New(mem Mem, entry uint32) *VM {
-	return &VM{Mem: mem, CPU: CPU{PC: entry, SP: uint32(mem.Size())}}
-}
-
 func (v *VM) fault(format string, args ...any) Status {
 	v.Fault = fmt.Errorf("dvm: %s (pc=%d)", fmt.Sprintf(format, args...), v.CPU.PC)
 	return Faulted

@@ -46,9 +46,8 @@ const (
 
 // Status bytes beginning every reply.
 const (
-	StOK   = 0
-	StErr  = 1
-	StBusy = 2
+	StOK  = 0
+	StErr = 1
 )
 
 // --- request builders --------------------------------------------------------
@@ -58,15 +57,6 @@ func nameReq(op byte, name string) []byte { return append([]byte{op}, name...) }
 // DCreateMsg builds a create-file request.
 func DCreateMsg(name string) []byte { return nameReq(OpDCreate, name) }
 
-// DLookupMsg builds a lookup request.
-func DLookupMsg(name string) []byte { return nameReq(OpDLookup, name) }
-
-// DRemoveMsg builds a remove request.
-func DRemoveMsg(name string) []byte { return nameReq(OpDRemove, name) }
-
-// DListMsg builds a directory listing request.
-func DListMsg() []byte { return []byte{OpDList} }
-
 // FOpenMsg builds an open request.
 func FOpenMsg(fid uint32) []byte {
 	return binary.LittleEndian.AppendUint32([]byte{OpFOpen}, fid)
@@ -75,11 +65,6 @@ func FOpenMsg(fid uint32) []byte {
 // FCloseMsg builds a close request.
 func FCloseMsg(h uint16) []byte {
 	return binary.LittleEndian.AppendUint16([]byte{OpFClose}, h)
-}
-
-// FStatMsg builds a stat request.
-func FStatMsg(h uint16) []byte {
-	return binary.LittleEndian.AppendUint16([]byte{OpFStat}, h)
 }
 
 // FAllocMsg builds an inode allocation request (directory server internal).

@@ -95,7 +95,7 @@ func TestContextSurface(t *testing.T) {
 	}
 	// Kernel accessor surface.
 	k := c.k(1)
-	if k.Machine() != 1 || k.Engine() == nil || k.Config().DataPacket == 0 || k.Crashed() {
+	if k.Machine() != 1 || k.Config().DataPacket == 0 || k.Crashed() {
 		t.Fatal("kernel accessors")
 	}
 	k.Spawn(kernel.SpawnSpec{Body: &blackholeBody{}})

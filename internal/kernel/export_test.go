@@ -1,6 +1,11 @@
 package kernel
 
-import "demosmp/internal/msg"
+import (
+	"demosmp/internal/addr"
+	"demosmp/internal/link"
+	"demosmp/internal/memory"
+	"demosmp/internal/msg"
+)
 
 // ProtocolRow is one row of the protocol table as the external tests (and,
 // through TestProtocolTableDoc, docs/PROTOCOLS.md) see it.
@@ -35,3 +40,78 @@ func ProtocolTable() []ProtocolRow {
 // IsMigrationOp reports whether kernelControl hands op to the migration
 // dispatcher.
 func IsMigrationOp(op msg.Op) bool { return protocolRow(op) != nil }
+
+// EncodeForwarder serializes a forwarding address the way ForwarderWireSize
+// counts it: pid(4) + destination machine(2) + back pointer(2). The
+// forwarding test checks the paper's 8-byte claim against it.
+func EncodeForwarder(pid addr.ProcessID, to, back addr.MachineID) []byte {
+	b := addr.EncodePID(make([]byte, 0, ForwarderWireSize), pid)
+	b = append(b, byte(to), byte(to>>8))
+	b = append(b, byte(back), byte(back>>8))
+	return b
+}
+
+// DoneMigrations returns the latest MigrateDone reply addressed to this
+// kernel (self-initiated migrations without a process manager) and how many
+// arrived.
+func (k *Kernel) DoneMigrations() (last msg.MigrateDone, n int) { return k.lastDone, k.dones }
+
+// MemUsed returns bytes of real memory in use by process images.
+func (k *Kernel) MemUsed() int { return k.memUsed }
+
+// Swap exposes the swap store.
+func (k *Kernel) Swap() *memory.Store { return k.swap }
+
+// SwappedPages reports how many of a local process's pages are in swap.
+func (k *Kernel) SwappedPages(pid addr.ProcessID) int {
+	p := k.lookup(pid)
+	if p == nil || p.image == nil {
+		return 0
+	}
+	return p.image.SwappedPages()
+}
+
+// LinksOf returns a copy of a local process's link table entries.
+func (k *Kernel) LinksOf(pid addr.ProcessID) map[link.ID]link.Link {
+	var out map[link.ID]link.Link
+	k.VisitLinks(pid, func(id link.ID, l link.Link) {
+		if out == nil {
+			out = make(map[link.ID]link.Link)
+		}
+		out[id] = l
+	})
+	return out
+}
+
+// GiveControl injects a DELIVERTOKERNEL control message addressed to a
+// process, standing in for the process manager.
+func (k *Kernel) GiveControl(pid addr.ProcessID, op msg.Op, body []byte) {
+	k.GiveControlFrom(addr.KernelAddr(k.machine), pid, op, body)
+}
+
+// GiveControlFrom is GiveControl with an explicit sender — used when a
+// process manager's identity must appear as the requester so the
+// MigrateDone reply reaches it.
+func (k *Kernel) GiveControlFrom(from addr.ProcessAddr, pid addr.ProcessID, op msg.Op, body []byte) {
+	k.route(&msg.Message{
+		Kind: msg.KindControl, Op: op,
+		From: from, To: addr.At(pid, k.machine),
+		DTK: true, Body: body, SentAt: k.eng.Now(),
+	})
+}
+
+// VisitLinks calls fn for each link of a local process in slot order.
+// Returns false if the process (or its table) does not exist here.
+func (k *Kernel) VisitLinks(pid addr.ProcessID, fn func(link.ID, link.Link)) bool {
+	p := k.lookup(pid)
+	if p == nil || p.links == nil {
+		return false
+	}
+	for id, seen := link.ID(1), 0; seen < p.links.Len(); id++ {
+		if l, ok := p.links.Get(id); ok {
+			fn(id, l)
+			seen++
+		}
+	}
+	return true
+}

@@ -126,9 +126,9 @@ func TestDestinationCrashMidMigration(t *testing.T) {
 		t.Fatal("no failed migration recorded")
 	}
 	// The driver was told the migration failed.
-	done := c.k(3).DoneMigrations()
-	if len(done) != 1 || done[0].OK {
-		t.Fatalf("driver notification: %+v", done)
+	done, n := c.k(3).DoneMigrations()
+	if n != 1 || done.OK {
+		t.Fatalf("driver notification: %d, last %+v", n, done)
 	}
 }
 

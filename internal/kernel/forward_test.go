@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -10,6 +11,7 @@ import (
 	"demosmp/internal/link"
 	"demosmp/internal/msg"
 	"demosmp/internal/proc"
+	"demosmp/internal/trace"
 )
 
 // chatterProg sends n messages on link 1, pausing for a reply after each.
@@ -84,7 +86,7 @@ func TestForwardingPath(t *testing.T) {
 	if len(got) != 2 || got[1] != "count=1@m2" {
 		t.Fatalf("reply through forwarder: %v", got)
 	}
-	if _, found := c.tr.Find("forward"); !found {
+	if !slices.Contains(c.tr.Events(trace.CatAll), "forward") {
 		t.Fatal("no forward trace event")
 	}
 }

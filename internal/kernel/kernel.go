@@ -225,15 +225,6 @@ type Process struct {
 // matching the paper's "it uses 8 bytes of storage".
 const ForwarderWireSize = 8
 
-// EncodeForwarder serializes a forwarding address (used by the E5
-// experiment to verify the 8-byte claim, and by checkpoint tooling).
-func EncodeForwarder(pid addr.ProcessID, to, back addr.MachineID) []byte {
-	b := addr.EncodePID(make([]byte, 0, ForwarderWireSize), pid)
-	b = append(b, byte(to), byte(to>>8))
-	b = append(b, byte(back), byte(back>>8))
-	return b
-}
-
 // ProcInfo is a read-only snapshot of a process for tests and tools.
 type ProcInfo struct {
 	PID        addr.ProcessID
@@ -358,7 +349,10 @@ type Kernel struct {
 
 	pendingLocate map[addr.ProcessID][]*msg.Message
 	console       map[addr.ProcessID][]string
-	doneMigs      []msg.MigrateDone // MigrateDone replies addressed to this kernel
+	// The latest MigrateDone reply addressed to this kernel and how many
+	// arrived (self-initiated migrations: RequestMigrationOf).
+	lastDone msg.MigrateDone
+	dones    int
 
 	lastReportBusy sim.Time
 	lastReportAt   sim.Time
@@ -425,9 +419,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 // Machine returns this kernel's machine id.
 func (k *Kernel) Machine() addr.MachineID { return k.machine }
 
-// Engine returns the driving event engine.
-func (k *Kernel) Engine() *sim.Engine { return k.eng }
-
 // Config returns the active configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 
@@ -438,18 +429,6 @@ func (k *Kernel) Stats() Stats { return k.stats }
 func (k *Kernel) Reports() []MigrationReport {
 	return append([]MigrationReport(nil), k.reports...)
 }
-
-// DoneMigrations returns MigrateDone notifications addressed to this kernel
-// (self-initiated migrations without a process manager).
-func (k *Kernel) DoneMigrations() []msg.MigrateDone {
-	return append([]msg.MigrateDone(nil), k.doneMigs...)
-}
-
-// MemUsed returns bytes of real memory in use by process images.
-func (k *Kernel) MemUsed() int { return k.memUsed }
-
-// Swap exposes the swap store (for the memory scheduler).
-func (k *Kernel) Swap() *memory.Store { return k.swap }
 
 // Crashed reports whether Crash was called.
 func (k *Kernel) Crashed() bool { return k.crashed }
@@ -565,31 +544,6 @@ func (k *Kernel) Processes() []ProcInfo {
 	return out
 }
 
-// VisitLinks calls fn for each link of a local process in slot order,
-// without copying the table. Returns false if the process (or its table)
-// does not exist here. This is the non-allocating form stats and trace
-// callers should use; LinksOf remains for callers that want a map.
-func (k *Kernel) VisitLinks(pid addr.ProcessID, fn func(link.ID, link.Link)) bool {
-	p := k.lookup(pid)
-	if p == nil || p.links == nil {
-		return false
-	}
-	p.links.ForEach(fn)
-	return true
-}
-
-// LinksOf returns a copy of a local process's link table entries.
-func (k *Kernel) LinksOf(pid addr.ProcessID) map[link.ID]link.Link {
-	var out map[link.ID]link.Link
-	k.VisitLinks(pid, func(id link.ID, l link.Link) {
-		if out == nil {
-			out = make(map[link.ID]link.Link)
-		}
-		out[id] = l
-	})
-	return out
-}
-
 // Console returns the lines a process printed on this machine.
 func (k *Kernel) Console(pid addr.ProcessID) []string {
 	return append([]string(nil), k.console[pid]...)
@@ -699,15 +653,6 @@ func (k *Kernel) SwapOutProcess(pid addr.ProcessID) (int, error) {
 	return moved, nil
 }
 
-// SwappedPages reports how many of a local process's pages are in swap.
-func (k *Kernel) SwappedPages(pid addr.ProcessID) int {
-	p := k.lookup(pid)
-	if p == nil || p.image == nil {
-		return 0
-	}
-	return p.image.SwappedPages()
-}
-
 // GiveMessage injects a user message into a local process's queue, as if it
 // had arrived from outside the cluster (used by drivers and tests).
 func (k *Kernel) GiveMessage(pid addr.ProcessID, from addr.ProcessAddr, body []byte, links ...link.Link) error {
@@ -735,17 +680,6 @@ func (k *Kernel) SetAccept(f func(ask msg.MigrateAsk, memFree int) bool) {
 	k.cfg.Accept = f
 }
 
-// GiveControlFrom injects a DELIVERTOKERNEL control message with an
-// explicit sender — used when a process manager's identity must appear as
-// the requester so the MigrateDone reply reaches it.
-func (k *Kernel) GiveControlFrom(from addr.ProcessAddr, pid addr.ProcessID, op msg.Op, body []byte) {
-	k.route(&msg.Message{
-		Kind: msg.KindControl, Op: op,
-		From: from, To: addr.At(pid, k.machine),
-		DTK: true, Body: body, SentAt: k.eng.Now(),
-	})
-}
-
 // BodyOf returns the live body of a local process. After a migration the
 // destination kernel holds a fresh instance restored from the snapshot —
 // callers must re-fetch from the new machine.
@@ -757,21 +691,11 @@ func (k *Kernel) BodyOf(pid addr.ProcessID) (proc.Body, bool) {
 	return p.body, true
 }
 
-// GiveControl injects a DELIVERTOKERNEL control message addressed to a
-// process (drivers and tests stand in for the process manager with it).
-func (k *Kernel) GiveControl(pid addr.ProcessID, op msg.Op, body []byte) {
-	k.route(&msg.Message{
-		Kind: msg.KindControl, Op: op,
-		From: addr.KernelAddr(k.machine), To: addr.At(pid, k.machine),
-		DTK: true, Body: body, SentAt: k.eng.Now(),
-	})
-}
-
 // RequestMigrationOf initiates a migration as if this kernel's machine ran
 // the process manager: it sends the OpMigrateRequest administrative message
 // over the normal delivery path (DELIVERTOKERNEL semantics), so the full
-// 9-message protocol is exercised. The MigrateDone reply lands in
-// DoneMigrations.
+// 9-message protocol is exercised. The kernel keeps the latest MigrateDone
+// reply and a count (stepDone).
 func (k *Kernel) RequestMigrationOf(target addr.ProcessAddr, dest addr.MachineID) {
 	req := msg.MigrateRequest{PID: target.ID, Dest: dest}
 	m := k.newControl(msg.OpMigrateRequest, target)

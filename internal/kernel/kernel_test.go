@@ -544,9 +544,9 @@ func TestMigrationToSelfIsNoop(t *testing.T) {
 	if m != 1 || e.Code != sumRef(3000) {
 		t.Fatalf("noop migration broke process: %d on m%d", e.Code, m)
 	}
-	done := c.k(2).DoneMigrations()
-	if len(done) != 1 || !done[0].OK || done[0].Machine != 1 {
-		t.Fatalf("done: %+v", done)
+	done, n := c.k(2).DoneMigrations()
+	if n != 1 || !done.OK || done.Machine != 1 {
+		t.Fatalf("done: %d, last %+v", n, done)
 	}
 }
 
@@ -564,9 +564,9 @@ func TestMigrationRefused(t *testing.T) {
 	if m != 1 || e.Code != sumRef(3000) {
 		t.Fatalf("refused migration broke process: %d on m%d", e.Code, m)
 	}
-	done := c.k(2).DoneMigrations()
-	if len(done) != 1 || done[0].OK {
-		t.Fatalf("done: %+v", done)
+	done, n := c.k(2).DoneMigrations()
+	if n != 1 || done.OK {
+		t.Fatalf("done: %d, last %+v", n, done)
 	}
 	if s := c.k(2).Stats(); s.MigrationsRefused != 1 {
 		t.Fatalf("refusals = %d", s.MigrationsRefused)

@@ -294,10 +294,12 @@ func (k *Kernel) sendPIDMachine(to addr.ProcessAddr, op msg.Op, pid addr.Process
 }
 
 // stepDone records a self-initiated migration's completion report (the
-// requester was this kernel rather than a process manager).
+// requester was this kernel rather than a process manager): the latest one
+// and a count, so a kernel that requests thousands of migrations keeps none
+// of their replies.
 func (k *Kernel) stepDone(_ *migration, m *msg.Message) {
-	d, _ := msg.DecodeMigrateDone(m.Body)
-	k.doneMigs = append(k.doneMigs, d)
+	k.lastDone, _ = msg.DecodeMigrateDone(m.Body)
+	k.dones++
 }
 
 // stepAbort discards whichever half of the migration this kernel holds.

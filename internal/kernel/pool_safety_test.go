@@ -14,12 +14,12 @@ import (
 	"demosmp/internal/trace"
 )
 
-// These tests are the safety net under the envelope pool: a holder that
-// keeps a *msg.Message past its release must be able to detect the
-// recycling through a generation-stamped Ref instead of silently reading
-// another message's fields. They are in-package because the interesting
-// moments — an envelope sitting on a process queue, the kernel's free
-// list — are deliberately not part of the public API.
+// These tests are the safety net under the envelope pool: a consumed
+// envelope must land back on the free list of the pool that constructed it
+// — after a local recycle and after a step-6 forward alike — and come out
+// clean when that free list reissues it. They are in-package because the
+// interesting moments — an envelope sitting on a process queue, the
+// kernel's free list — are deliberately not part of the public API.
 
 // poolDrainBody consumes everything; migratable.
 type poolDrainBody struct {
@@ -101,11 +101,30 @@ func popAll(p *msg.Pool) []*msg.Message {
 	return out
 }
 
-// TestPoolRefGoesStaleAfterLocalRecycle pins the core aliasing guarantee:
-// a Ref taken while a pooled envelope sits on a process queue goes stale
-// the moment the receiver consumes it and the kernel releases the envelope
-// — and stays stale when the free list reissues that envelope.
-func TestPoolRefGoesStaleAfterLocalRecycle(t *testing.T) {
+// reclaim empties a pool's free list, reports whether m was on it, checks
+// every envelope it reissues is clean, and puts them all back.
+func reclaim(t *testing.T, p *msg.Pool, m *msg.Message) bool {
+	t.Helper()
+	frees := popAll(p)
+	found := false
+	for _, f := range frees {
+		found = found || f == m
+		if f.Kind != 0 || f.Op != 0 || !f.From.IsNil() || !f.To.IsNil() ||
+			len(f.Body) != 0 || len(f.Links) != 0 || f.Orig != nil || f.SentAt != 0 {
+			t.Errorf("reissued envelope is not clean: %v", f)
+		}
+	}
+	for _, f := range frees {
+		p.Put(f)
+	}
+	return found
+}
+
+// TestPoolEnvelopeRecycledAfterLocalConsume pins the core recycling
+// guarantee: an envelope parked on a process queue comes from the kernel's
+// pool, lands back on that pool's free list the moment the receiver
+// consumes it, and comes out clean when the free list reissues it.
+func TestPoolEnvelopeRecycledAfterLocalConsume(t *testing.T) {
 	e, ks := poolTestCluster(t, 1)
 	k := ks[0]
 	recvB := &poolDrainBody{}
@@ -132,9 +151,10 @@ func TestPoolRefGoesStaleAfterLocalRecycle(t *testing.T) {
 		}
 	}
 	held := rp.queue.at(0)
-	ref := msg.MakeRef(held)
-	if !ref.Valid() {
-		t.Fatal("fresh ref over a queued envelope must be valid")
+	// If ctx.Send had quietly stopped using the pool, the envelope would be
+	// a heap message that no release ever recycles.
+	if !held.Pooled() {
+		t.Fatal("queued envelope did not come from a pool")
 	}
 
 	e.Run()
@@ -142,39 +162,20 @@ func TestPoolRefGoesStaleAfterLocalRecycle(t *testing.T) {
 		t.Fatalf("receiver got %v", recvB.Got)
 	}
 	// The receiver consumed the message; runSlice released the envelope.
-	// If ctx.Send had quietly stopped using the pool this would fail too:
-	// a heap envelope is never released, so its ref would stay valid.
-	if ref.Valid() {
-		t.Fatal("ref survived the envelope's release — generation not bumped")
-	}
-
-	// Reissue the envelope and check the stale ref does not come back to
-	// life: the generation moved on with the release.
-	frees := popAll(k.pool)
-	reissued := false
-	for _, m := range frees {
-		if m == held {
-			reissued = true
-		}
-	}
-	if !reissued {
+	if !reclaim(t, k.pool, held) {
 		t.Fatal("released envelope never reached the kernel's free list")
 	}
-	if ref.Valid() {
-		t.Fatal("stale ref became valid again after reissue")
-	}
-	for _, m := range frees {
-		k.pool.Put(m)
+	if k.pool.News() != k.pool.Free() {
+		t.Fatalf("pool holds %d envelopes of the %d it constructed", k.pool.Free(), k.pool.News())
 	}
 }
 
-// TestPoolRefAcrossMigrationForwarding holds a Ref to a message that lands
-// on a frozen in-migration queue. Step 6 forwards the envelope to the
+// TestPoolEnvelopeReturnsHomeAcrossMigrationForwarding sends a message that
+// lands on a frozen in-migration queue. Step 6 forwards the envelope to the
 // destination machine, whose kernel consumes it and releases it — and the
 // release lands it back in the free list of the pool that constructed it,
 // the source's: envelopes travel with the traffic but never change pools.
-// The source-side holder's Ref must read as stale afterwards.
-func TestPoolRefAcrossMigrationForwarding(t *testing.T) {
+func TestPoolEnvelopeReturnsHomeAcrossMigrationForwarding(t *testing.T) {
 	e, ks := poolTestCluster(t, 2)
 	k1, k2 := ks[0], ks[1]
 	body := &poolDrainBody{}
@@ -198,7 +199,6 @@ func TestPoolRefAcrossMigrationForwarding(t *testing.T) {
 	env.From = addr.At(addr.ProcessID{Creator: 1, Local: 77}, 1)
 	env.To = addr.At(pid, 1)
 	env.Body = append(env.Body[:0], "held across migration"...)
-	ref := msg.MakeRef(env)
 	k1.route(env)
 
 	e.Run()
@@ -210,26 +210,18 @@ func TestPoolRefAcrossMigrationForwarding(t *testing.T) {
 	if len(got) != 1 || got[0] != "held across migration" {
 		t.Fatalf("forwarded message lost or duplicated: %v", got)
 	}
-	if ref.Valid() {
-		t.Fatal("ref survived the forwarded envelope's release on the destination")
-	}
 	// The envelope was released by whoever consumed it, the destination,
 	// and went home.
-	if k2.pool.News() != k2.pool.Free() {
-		t.Fatalf("destination pool holds %d envelopes of the %d it constructed", k2.pool.Free(), k2.pool.News())
+	if reclaim(t, k2.pool, env) {
+		t.Fatal("forwarded envelope joined the destination's free list")
 	}
-	frees := popAll(k1.pool)
-	landed := false
-	for _, m := range frees {
-		if m == ref.M {
-			landed = true
-		}
-	}
-	if !landed {
+	if !reclaim(t, k1.pool, env) {
 		t.Fatal("forwarded envelope not back in the source kernel's free list")
 	}
-	for _, m := range frees {
-		k1.pool.Put(m)
+	for i, k := range ks {
+		if k.pool.News() != k.pool.Free() {
+			t.Fatalf("m%d pool holds %d envelopes of the %d it constructed", i+1, k.pool.Free(), k.pool.News())
+		}
 	}
 }
 

@@ -286,8 +286,8 @@ func TestLongRegionOutlastsMigrateTimeout(t *testing.T) {
 			t.Errorf("m%d: %d failed migrations on a healthy link", m, s.MigrationsFailed)
 		}
 	}
-	if done := c.k(3).DoneMigrations(); len(done) != 1 || !done[0].OK {
-		t.Fatalf("requester saw %+v, want one OK completion", done)
+	if done, n := c.k(3).DoneMigrations(); n != 1 || !done.OK {
+		t.Fatalf("requester saw %d completions, last %+v, want one OK", n, done)
 	}
 	if err := c.k(2).GiveMessage(pid, addr.KernelAddr(3), []byte("hit")); err != nil {
 		t.Fatal(err)

@@ -32,13 +32,6 @@ type Table struct {
 	cap   int
 }
 
-// NewTable returns an empty table bounded at capacity (DefaultCap if <= 0).
-func NewTable(capacity int) *Table {
-	t := &Table{}
-	t.Reset(capacity)
-	return t
-}
-
 // Reset empties t and bounds it at capacity (DefaultCap if <= 0), keeping
 // the slot and free-list backing for the next owner. An empty table has no
 // slot backing at all until its first Insert: most short-lived processes
@@ -53,9 +46,6 @@ func (t *Table) Reset(capacity int) {
 
 // Len returns the number of live links.
 func (t *Table) Len() int { return t.count }
-
-// Cap returns the table's maximum size.
-func (t *Table) Cap() int { return t.cap }
 
 // ErrTableFull is returned by Insert when the table is at capacity.
 var ErrTableFull = fmt.Errorf("link: table full")
@@ -106,15 +96,6 @@ func (t *Table) Remove(id ID) bool {
 	return true
 }
 
-// ForEach calls fn for every live link in increasing ID order.
-func (t *Table) ForEach(fn func(ID, Link)) {
-	for i := 1; i < len(t.slots); i++ {
-		if !t.slots[i].IsNil() {
-			fn(ID(i), t.slots[i])
-		}
-	}
-}
-
 // UpdateAddr rewrites the last-known machine of every link that points at
 // process pid, returning how many links were updated. This is the link
 // update of paper §5: "All links in the sending process's link table that
@@ -126,30 +107,6 @@ func (t *Table) UpdateAddr(pid addr.ProcessID, machine addr.MachineID) int {
 		l := &t.slots[i]
 		if !l.IsNil() && l.Addr.ID == pid && l.Addr.LastKnown != machine {
 			l.Addr.LastKnown = machine
-			n++
-		}
-	}
-	return n
-}
-
-// CountTo returns how many live links point at pid.
-func (t *Table) CountTo(pid addr.ProcessID) int {
-	n := 0
-	for i := 1; i < len(t.slots); i++ {
-		if !t.slots[i].IsNil() && t.slots[i].Addr.ID == pid {
-			n++
-		}
-	}
-	return n
-}
-
-// StaleTo returns how many live links point at pid with a last-known machine
-// different from machine.
-func (t *Table) StaleTo(pid addr.ProcessID, machine addr.MachineID) int {
-	n := 0
-	for i := 1; i < len(t.slots); i++ {
-		l := t.slots[i]
-		if !l.IsNil() && l.Addr.ID == pid && l.Addr.LastKnown != machine {
 			n++
 		}
 	}

@@ -44,10 +44,7 @@ var demosLayers = map[string][]string{
 	"demosmp/internal/proctest": {"demosmp/internal/addr", "demosmp/internal/link", "demosmp/internal/memory",
 		"demosmp/internal/msg", "demosmp/internal/proc", "demosmp/internal/sim"},
 	"demosmp/internal/simtest": {},
-	// policy reads the §6 ledger's record type to calibrate its cost
-	// model; obs is vocabulary-tier, so the edge stays downward.
-	"demosmp/internal/policy": {"demosmp/internal/addr", "demosmp/internal/msg", "demosmp/internal/obs",
-		"demosmp/internal/sim"},
+	"demosmp/internal/policy":  {"demosmp/internal/addr", "demosmp/internal/msg", "demosmp/internal/sim"},
 
 	// kernel layer: the only package allowed to drive netw delivery
 	"demosmp/internal/kernel": {"demosmp/internal/addr", "demosmp/internal/dvm", "demosmp/internal/link",
@@ -152,6 +149,35 @@ func DemosAnalyzers() []Analyzer {
 				"checkpoint": {"CheckpointEvery", "SaveCheckpoint"},
 			},
 			ShardMarkers: []string{"Shards", "ShardParallel"},
+		},
+		DeadCode{
+			Prefix: ModulePath + "/internal/",
+			// The frozen benchmark is its own module and compiles against
+			// this surface; the loader skips its _src directory.
+			Consumers: []string{"bench/_src"},
+			Wire:      ModulePath + "/internal/msg",
+			Scaffold: map[string]bool{
+				ModulePath + "/internal/proctest": true,
+				ModulePath + "/internal/simtest":  true,
+			},
+			// Used only by tests that an export_test.go cannot serve.
+			Keep: map[string]bool{
+				// chaos soaks assert their sharded runs used goroutines.
+				ModulePath + "/internal/core.Cluster.ParallelRounds": true,
+				// kernel swap tests: pages moved, and no swap leaked.
+				ModulePath + "/internal/memory.Image.SwappedPages": true,
+				ModulePath + "/internal/memory.Store.Used":         true,
+				// workload's gob contract test walks every registered kind.
+				ModulePath + "/internal/proc.Registry.Kinds": true,
+				// the obs golden and the chaos soaks compare snapshot text.
+				ModulePath + "/internal/obs.Snapshot.WriteText": true,
+				// chaos's oracle, which only its own soaks call: as a test
+				// file it would strand the kernel, core and obs accessors it
+				// reads, each then needing an entry here.
+				ModulePath + "/internal/chaos.CheckInvariants": true,
+				ModulePath + "/internal/chaos.CheckDelivery":   true,
+				ModulePath + "/internal/chaos.CheckRegistry":   true,
+			},
 		},
 	}
 }

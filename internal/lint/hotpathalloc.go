@@ -215,30 +215,6 @@ func capturesOuter(p *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) (string, bool) {
 	return name, name != ""
 }
 
-// HotpathFuncs returns, per package import path, the names of functions
-// annotated //demos:hotpath (methods as Type.Name). The self-test uses it
-// to assert that the statically guarded set matches the functions
-// exercised by bench_hotpath_test.go.
-func HotpathFuncs(mod *Module) map[string][]string {
-	out := make(map[string][]string)
-	for _, pkg := range mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hasDirective(fd.Doc, "hotpath") {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					name = recvTypeName(fd.Recv.List[0].Type) + "." + name
-				}
-				out[pkg.ImportPath] = append(out[pkg.ImportPath], name)
-			}
-		}
-	}
-	return out
-}
-
 func recvTypeName(e ast.Expr) string {
 	switch v := e.(type) {
 	case *ast.StarExpr:

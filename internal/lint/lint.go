@@ -3,8 +3,9 @@
 // (all randomness through sim.Engine.Rand, no ambient clocks or
 // environment), map-iteration order (nothing order-sensitive may be driven
 // by Go's randomized map ranging), the DEMOS/MP layering DAG, the
-// //demos:hotpath zero-allocation contract, and wire encoder/decoder/fuzz
-// pairing in internal/msg.
+// //demos:hotpath zero-allocation contract, wire encoder/decoder/fuzz
+// pairing in internal/msg, the pooled-envelope ownership discipline, and
+// exported surface that nothing outside tests uses.
 //
 // The suite is built entirely on go/parser, go/ast, go/types and
 // go/importer, preserving the repository's zero-external-dependency rule.
@@ -73,43 +74,11 @@ func relPath(root, filename string) string {
 	return filepath.ToSlash(filename)
 }
 
-// nolintPrefix introduces a suppression: //demos:nolint:<rule> <reason>.
-// The directive suppresses findings of <rule> on its own line and on the
-// line below it (so it works both as a trailing comment and as a
-// standalone comment above the offending statement). The reason is
-// mandatory: a suppression without one is itself a finding.
-const nolintPrefix = "//demos:nolint:"
-
-type directive struct {
-	rule   string
-	reason string
-	pos    token.Pos
-}
-
-func fileDirectives(f *ast.File) []directive {
-	var out []directive
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := c.Text
-			if !strings.HasPrefix(text, nolintPrefix) {
-				continue
-			}
-			rest := text[len(nolintPrefix):]
-			rule, reason, _ := strings.Cut(rest, " ")
-			out = append(out, directive{
-				rule:   strings.TrimSpace(rule),
-				reason: strings.TrimSpace(reason),
-				pos:    c.Pos(),
-			})
-		}
-	}
-	return out
-}
-
 // Run executes every analyzer over every package of mod and returns the
-// surviving findings sorted by position. Suppressions (//demos:nolint) are
-// applied here, and malformed suppressions are reported under the "nolint"
-// pseudo-rule.
+// findings sorted by position. There is no per-line suppression: a rule
+// that must tolerate a site takes a configuration table (see
+// Determinism.Exempt in demos.go), so every exception is reviewed where the
+// rule is configured.
 func Run(mod *Module, analyzers []Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -117,79 +86,6 @@ func Run(mod *Module, analyzers []Analyzer) []Diagnostic {
 			a.Run(&Pass{Mod: mod, Pkg: pkg, rule: a.Name(), sink: &diags})
 		}
 	}
-
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name()] = true
-	}
-
-	// suppress[path][line] = set of rules silenced at that line; valid keeps
-	// each well-formed directive once (at its own line) for the staleness
-	// audit below.
-	type validDirective struct {
-		path string
-		line int
-		rule string
-	}
-	var valid []validDirective
-	suppress := make(map[string]map[int]map[string]bool)
-	add := func(path string, line int, rule string) {
-		if suppress[path] == nil {
-			suppress[path] = make(map[int]map[string]bool)
-		}
-		if suppress[path][line] == nil {
-			suppress[path][line] = make(map[string]bool)
-		}
-		suppress[path][line][rule] = true
-	}
-	for _, pkg := range mod.Pkgs {
-		for _, f := range append(append([]*ast.File(nil), pkg.Files...), pkg.TestFiles...) {
-			for _, d := range fileDirectives(f) {
-				position := mod.Fset.Position(d.pos)
-				path := relPath(mod.Root, position.Filename)
-				switch {
-				case d.rule == "" || !known[d.rule]:
-					diags = append(diags, Diagnostic{Path: path, Line: position.Line,
-						Rule: "nolint", Msg: fmt.Sprintf("unknown rule %q in suppression", d.rule)})
-				case d.reason == "":
-					diags = append(diags, Diagnostic{Path: path, Line: position.Line,
-						Rule: "nolint", Msg: fmt.Sprintf("suppression of %q needs a reason: //demos:nolint:%s <why>", d.rule, d.rule)})
-				default:
-					add(path, position.Line, d.rule)
-					add(path, position.Line+1, d.rule)
-					valid = append(valid, validDirective{path: path, line: position.Line, rule: d.rule})
-				}
-			}
-		}
-	}
-
-	used := make(map[string]bool) // "path:line:rule" keys that silenced something
-	kept := diags[:0]
-	for _, d := range diags {
-		if d.Rule != "nolint" && suppress[d.Path][d.Line][d.Rule] {
-			used[fmt.Sprintf("%s:%d:%s", d.Path, d.Line, d.Rule)] = true
-			continue
-		}
-		kept = append(kept, d)
-	}
-	diags = kept
-
-	// suppressaudit, part 1: a well-formed suppression that silenced nothing
-	// this run is stale. This must happen post-filter — only lint.Run knows
-	// which findings each directive actually consumed — so the check lives
-	// here and reports under the suppressaudit rule when that analyzer is in
-	// the suite.
-	if known["suppressaudit"] {
-		for _, v := range valid {
-			if used[fmt.Sprintf("%s:%d:%s", v.path, v.line, v.rule)] ||
-				used[fmt.Sprintf("%s:%d:%s", v.path, v.line+1, v.rule)] {
-				continue
-			}
-			diags = append(diags, Diagnostic{Path: v.path, Line: v.line, Rule: "suppressaudit",
-				Msg: fmt.Sprintf("suppression of %q no longer fires: delete it or fix the code it excuses", v.rule)})
-		}
-	}
-
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Path != b.Path {

@@ -13,9 +13,9 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // TestFixtures runs each analyzer over its fixture module in
 // testdata/src/<name> and compares the rendered diagnostics against
-// testdata/<name>.golden. Each fixture holds positive cases, negative
-// cases, and nolint suppressions for one rule; the golden file pins the
-// exact findings (and, by omission, the silences).
+// testdata/<name>.golden. Each fixture holds positive and negative cases
+// for one rule; the golden file pins the exact findings (and, by omission,
+// the silences).
 func TestFixtures(t *testing.T) {
 	cases := []struct {
 		name      string // fixture directory and golden file stem
@@ -38,7 +38,7 @@ func TestFixtures(t *testing.T) {
 		{"hotfix", "hotfix", []Analyzer{HotPathAlloc{}}},
 		{"wirefix", "wirefix", []Analyzer{WirePair{PkgPath: "wirefix"}}},
 		{"ownfix", "ownfix", []Analyzer{Ownership{MsgPath: "ownfix/msg"}}},
-		{"supfix", "supfix", []Analyzer{Determinism{}, SuppressAudit{}}},
+		{"supfix", "supfix", []Analyzer{SuppressAudit{}}},
 		{"killfix", "killfix", []Analyzer{KillCover{
 			Pkg: "killfix", ConstType: "Point", ConfigType: "Config",
 			ChaosKinds: map[string][]string{
@@ -46,6 +46,13 @@ func TestFixtures(t *testing.T) {
 				"burst":     {"LossBurst"},
 			},
 			ShardMarkers: []string{"Shards"},
+		}}},
+		{"deadfix", "deadfix", []Analyzer{DeadCode{
+			Prefix:    "deadfix/internal/",
+			Consumers: []string{"_consumer"},
+			Wire:      "deadfix/internal/wire",
+			Scaffold:  map[string]bool{"deadfix/internal/scaffold": true},
+			Keep:      map[string]bool{"deadfix/internal/dead.Kept": true},
 		}}},
 	}
 	for _, tc := range cases {
@@ -76,35 +83,6 @@ func TestFixtures(t *testing.T) {
 				t.Errorf("diagnostics differ from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 			}
 		})
-	}
-}
-
-// TestNolintSuppresses pins the suppression contract: a trailing directive
-// with a reason silences its own line (the fixture's Suppressed function),
-// independent of the golden-file comparison.
-func TestNolintSuppresses(t *testing.T) {
-	src := filepath.Join("testdata", "src", "detfix", "internal", "clock", "clock.go")
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suppressedLine := 0
-	for i, line := range strings.Split(string(data), "\n") {
-		if strings.Contains(line, "//demos:nolint:determinism fixture") {
-			suppressedLine = i + 1
-		}
-	}
-	if suppressedLine == 0 {
-		t.Fatal("fixture lost its suppression line")
-	}
-	mod, err := LoadModule(filepath.Join("testdata", "src", "detfix"), "detfix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range Run(mod, []Analyzer{Determinism{Prefix: "detfix/internal/"}}) {
-		if d.Rule == "determinism" && d.Line == suppressedLine {
-			t.Errorf("suppression failed to silence %s:%d: %v", d.Path, d.Line, d)
-		}
 	}
 }
 

@@ -11,10 +11,9 @@ import (
 // flow-sensitive, intraprocedural dataflow pass (ownflow.go) over every
 // function of every package that can see the envelope package and reports:
 //
-//   - use-after-release: reading an envelope, its Body (directly or through
-//     a slice alias), or dereferencing a Ref whose envelope was recycled,
-//     on any path after a Put — "on some path" findings come from branch
-//     and loop joins;
+//   - use-after-release: reading an envelope or its Body (directly or
+//     through a slice alias) on any path after a Put — "on some path"
+//     findings come from branch and loop joins;
 //   - double release: a second Put reachable on any path — the runtime
 //     panic in msg.Pool.Put catches only the paths a test happens to
 //     drive, this catches them all;
@@ -35,9 +34,6 @@ import (
 //	    wraps Pool.Put), so the analysis follows release semantics through
 //	    the repo's own helpers.
 //
-// Storing a msg.Ref is never a retention finding: a Ref is the blessed,
-// generation-checked way to hold a message across a possible release.
-//
 // Known limits (documented, deliberate): the pass is intraprocedural — a
 // release through an unannotated helper or an alias copy is invisible;
 // functions containing goto are skipped; retention inside a container
@@ -45,7 +41,7 @@ import (
 // call site. DESIGN.md §8 has the full rule catalogue.
 type Ownership struct {
 	// MsgPath is the import path of the envelope package: the package
-	// defining Message, Pool (with Put), Ref, and MakeRef.
+	// defining Message and Pool (with Put).
 	MsgPath string
 }
 
@@ -58,8 +54,6 @@ func (Ownership) Doc() string {
 type ownEnv struct {
 	msgType  *types.Named // Message
 	poolType *types.Named // Pool
-	refType  *types.Named // Ref
-	makeRef  *types.Func  // MakeRef
 	// releases maps module functions annotated //demos:releases <param> to
 	// the index of the released parameter.
 	releases map[*types.Func]int
@@ -125,13 +119,11 @@ func (o Ownership) resolve(p *Pass) *ownEnv {
 	env := &ownEnv{
 		msgType:  named("Message"),
 		poolType: named("Pool"),
-		refType:  named("Ref"),
 		releases: make(map[*types.Func]int),
 	}
 	if env.msgType == nil {
 		return nil
 	}
-	env.makeRef, _ = msgPkg.Scope().Lookup("MakeRef").(*types.Func)
 
 	// //demos:releases <param> sites across the whole module. Objects are
 	// shared between packages (the loader hands dependents the same
@@ -199,9 +191,9 @@ func paramIndex(fn *types.Func, name string) int {
 
 // blessedLines collects the line-level //demos:owner directives of a
 // package: each blesses retention findings on its own line and the line
-// below (trailing comment or standalone line above, mirroring nolint). A
-// roleless directive is itself a finding — the role names the retainer in
-// the DESIGN.md §8 blessed-retention table.
+// below (trailing comment or standalone line above). A roleless directive
+// is itself a finding — the role names the retainer in the DESIGN.md §8
+// blessed-retention table.
 func blessedLines(p *Pass) map[string]map[int]bool {
 	out := make(map[string]map[int]bool)
 	for _, f := range p.Pkg.Files {
@@ -288,14 +280,6 @@ func (w *ownWalker) isMsgPtr(t types.Type) bool {
 	return ok && n.Obj() == w.env.msgType.Obj()
 }
 
-func (w *ownWalker) isRefType(t types.Type) bool {
-	if w.env.refType == nil {
-		return false
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj() == w.env.refType.Obj()
-}
-
 // msgVar returns the local variable object when e is an identifier of
 // envelope-pointer type (through parens). Fields and package-level
 // variables are not flow-trackable and return nil.
@@ -309,22 +293,6 @@ func (w *ownWalker) msgVar(e ast.Expr) types.Object {
 		return nil
 	}
 	if !w.isMsgPtr(v.Type()) {
-		return nil
-	}
-	return v
-}
-
-// refVar is msgVar for Ref-typed locals.
-func (w *ownWalker) refVar(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, ok := w.objOf(id).(*types.Var)
-	if !ok || v.IsField() || v.Parent() == nil || v.Parent() == w.p.Pkg.Types.Scope() {
-		return nil
-	}
-	if !w.isRefType(v.Type()) {
 		return nil
 	}
 	return v
@@ -393,37 +361,6 @@ func (w *ownWalker) recvIsPool(fn *types.Func) bool {
 	return ok && n.Obj() == w.env.poolType.Obj()
 }
 
-// validCallRecv returns the Ref variable when call is r.Valid() on the
-// envelope package's Ref type.
-func (w *ownWalker) validCallRecv(call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Valid" {
-		return nil
-	}
-	fn, _ := w.p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil || !w.isRefType(sig.Recv().Type()) {
-		return nil
-	}
-	return w.refVar(sel.X)
-}
-
-func (w *ownWalker) isMakeRef(call *ast.CallExpr) bool {
-	if w.env.makeRef == nil {
-		return false
-	}
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		return w.p.Pkg.Info.Uses[f.Sel] == w.env.makeRef
-	case *ast.Ident:
-		return w.p.Pkg.Info.Uses[f] == w.env.makeRef
-	}
-	return false
-}
-
 // ---- uses ----
 
 // useVar checks one identifier read against the abstract state.
@@ -458,29 +395,6 @@ func (w *ownWalker) useVar(id *ast.Ident, st *flowState) {
 	}
 }
 
-// useRefDeref checks r.M when the underlying envelope may be recycled.
-func (w *ownWalker) useRefDeref(sel *ast.SelectorExpr, st *flowState) bool {
-	if sel.Sel.Name != "M" {
-		return false
-	}
-	r := w.refVar(sel.X)
-	if r == nil {
-		return false
-	}
-	info, ok := st.vars[r]
-	if !ok || info.kind != kRef || info.owner == nil || info.validated {
-		return true
-	}
-	if oi, ok := st.vars[info.owner]; ok && oi.kind == kMsg && oi.st != osLive {
-		some := ""
-		if oi.st == osMaybe {
-			some = " on some path"
-		}
-		w.reportf(sel.Pos(), "Ref %q dereferenced after its envelope %q was released%s (Put at line %d); guard with Valid()", r.Name(), info.owner.Name(), some, oi.relLine)
-	}
-	return true
-}
-
 // ---- expressions ----
 
 func (w *ownWalker) expr(e ast.Expr, st *flowState) {
@@ -489,26 +403,18 @@ func (w *ownWalker) expr(e ast.Expr, st *flowState) {
 	case *ast.Ident:
 		w.useVar(n, st)
 	case *ast.SelectorExpr:
-		if w.useRefDeref(n, st) {
-			return
-		}
 		w.expr(n.X, st)
 	case *ast.CallExpr:
 		w.call(n, st)
 	case *ast.FuncLit:
 		w.funcLit(n, st)
 	case *ast.CompositeLit:
-		// Building a Ref literal is the blessed retention mechanism itself
-		// (MakeRef does exactly this), never a finding.
-		isRef := w.isRefType(w.p.Pkg.Info.TypeOf(n))
 		for _, elt := range n.Elts {
 			val := elt
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
 				val = kv.Value
 			}
-			if !isRef {
-				w.checkStore(val, "a composite literal", st)
-			}
+			w.checkStore(val, "a composite literal", st)
 			w.expr(val, st)
 		}
 	case *ast.ParenExpr:
@@ -538,11 +444,6 @@ func (w *ownWalker) expr(e ast.Expr, st *flowState) {
 }
 
 func (w *ownWalker) call(call *ast.CallExpr, st *flowState) {
-	// r.Valid() is the guard, never a finding — even on a stale ref.
-	if w.validCallRecv(call) != nil {
-		return
-	}
-
 	if rel := w.releaseTarget(call); rel != nil {
 		w.expr(call.Fun, st)
 		for _, a := range call.Args {
@@ -580,13 +481,6 @@ func (w *ownWalker) release(arg ast.Expr, st *flowState) {
 		}
 	}
 	st.vars[v] = ownInfo{kind: kMsg, st: osReleased, relLine: line}
-	// Outstanding Valid() guards on refs to this envelope no longer hold.
-	for k, i := range st.vars {
-		if i.kind == kRef && i.owner == v && i.validated {
-			i.validated = false
-			st.vars[k] = i
-		}
-	}
 }
 
 // funcLit flags closures that capture an envelope or body alias from the
@@ -613,7 +507,7 @@ func (w *ownWalker) funcLit(lit *ast.FuncLit, st *flowState) {
 			captured = "envelope body alias"
 		}
 		if captured != "" && !w.lineBlessed(id.Pos()) {
-			w.reportf(id.Pos(), "closure captures %s %q, retaining it past handler return; bless the site with //demos:owner <role> or hold a generation-checked Ref", captured, v.Name())
+			w.reportf(id.Pos(), "closure captures %s %q, retaining it past handler return; bless the site with //demos:owner <role>", captured, v.Name())
 		}
 		return true
 	})
@@ -639,7 +533,7 @@ func (w *ownWalker) checkStore(val ast.Expr, ctx string, st *flowState) {
 		return
 	}
 	if v := w.msgVar(val); v != nil && !w.nonPooled[v] {
-		w.reportf(val.Pos(), "pooled envelope %q stored in %s, retaining it past handler return; bless with //demos:owner <role> or hold a generation-checked Ref", v.Name(), ctx)
+		w.reportf(val.Pos(), "pooled envelope %q stored in %s, retaining it past handler return; bless with //demos:owner <role>", v.Name(), ctx)
 		return
 	}
 	if owner := w.bodyOwner(val, st); owner != nil {
@@ -740,23 +634,6 @@ func (w *ownWalker) bind(id *ast.Ident, rhs ast.Expr, st *flowState) {
 		w.rebind(obj, st)
 		return
 	}
-	// Ref binding: r := msg.MakeRef(m).
-	if w.isRefType(obj.Type()) {
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && w.isMakeRef(call) && len(call.Args) == 1 {
-			if owner := w.msgVar(call.Args[0]); owner != nil {
-				st.vars[obj] = ownInfo{kind: kRef, owner: owner}
-				return
-			}
-		}
-		if src := w.refVar(rhs); src != nil {
-			if info, ok := st.vars[src]; ok {
-				st.vars[obj] = info
-				return
-			}
-		}
-		w.rebind(obj, st)
-		return
-	}
 	// Body alias binding: b := m.Body[:0].
 	if owner := w.bodyOwner(rhs, st); owner != nil {
 		st.vars[obj] = ownInfo{kind: kBody, owner: owner}
@@ -797,7 +674,7 @@ func (w *ownWalker) locallyBuilt(rhs ast.Expr) bool {
 func (w *ownWalker) rebind(obj types.Object, st *flowState) {
 	delete(st.vars, obj)
 	for k, i := range st.vars {
-		if (i.kind == kRef || i.kind == kBody) && i.owner == obj {
+		if i.kind == kBody && i.owner == obj {
 			i.owner = nil
 			st.vars[k] = i
 		}

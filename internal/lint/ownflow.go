@@ -39,7 +39,6 @@ type ownKind uint8
 const (
 	kMsg  ownKind = iota // a pooled-envelope pointer variable
 	kBody                // a slice variable aliasing some envelope's Body
-	kRef                 // a msg.Ref variable bound by MakeRef
 )
 
 // ownInfo is the abstract state of one tracked variable.
@@ -48,13 +47,10 @@ type ownInfo struct {
 	st   ownStatus // kMsg only: release status
 	// relLine is the line of the (first) release that made st non-live.
 	relLine int
-	// owner is the envelope variable a kBody/kRef entry aliases. A nil
-	// owner means the alias was orphaned (its envelope variable was
-	// rebound) and is no longer checked.
+	// owner is the envelope variable a kBody entry aliases. A nil owner
+	// means the alias was orphaned (its envelope variable was rebound) and
+	// is no longer checked.
 	owner types.Object
-	// validated is set on a kRef entry inside the true branch of a
-	// r.Valid() guard and cleared when the owner is released.
-	validated bool
 }
 
 // flowState is the abstract machine state at one program point: the
@@ -104,9 +100,6 @@ func (s *flowState) join(o *flowState) {
 			if ov.kind == kMsg && ov.st != osLive {
 				ov.st = osMaybe
 			}
-			if ov.kind == kRef {
-				ov.validated = false
-			}
 			s.vars[k] = ov
 			continue
 		}
@@ -116,8 +109,7 @@ func (s *flowState) join(o *flowState) {
 			if sv.relLine == 0 {
 				sv.relLine = ov.relLine
 			}
-		case kRef, kBody:
-			sv.validated = sv.validated && ov.validated
+		case kBody:
 			if sv.owner != ov.owner {
 				sv.owner = nil // ambiguous binding: stop checking
 			}
@@ -263,12 +255,7 @@ func (w *ownWalker) ifStmt(n *ast.IfStmt, st *flowState) {
 		w.stmt(n.Init, st)
 	}
 	w.expr(n.Cond, st)
-	ifTrue, ifFalse := w.condRefine(n.Cond)
-
-	thenSt := st.clone()
-	validate(thenSt, ifTrue)
-	elseSt := st.clone()
-	validate(elseSt, ifFalse)
+	thenSt, elseSt := st.clone(), st.clone()
 
 	w.stmt(n.Body, thenSt)
 	if n.Else != nil {
@@ -276,50 +263,6 @@ func (w *ownWalker) ifStmt(n *ast.IfStmt, st *flowState) {
 	}
 	thenSt.join(elseSt)
 	*st = *thenSt
-}
-
-// validate marks kRef entries as guarded by a successful Valid() check.
-func validate(st *flowState, refs []types.Object) {
-	for _, r := range refs {
-		info, ok := st.vars[r]
-		if !ok {
-			info = ownInfo{kind: kRef}
-		}
-		if info.kind == kRef {
-			info.validated = true
-			st.vars[r] = info
-		}
-	}
-}
-
-// condRefine extracts Valid() guards from a branch condition: the refs
-// known validated when the condition is true, and when it is false.
-func (w *ownWalker) condRefine(e ast.Expr) (ifTrue, ifFalse []types.Object) {
-	switch n := e.(type) {
-	case *ast.ParenExpr:
-		return w.condRefine(n.X)
-	case *ast.UnaryExpr:
-		if n.Op == token.NOT {
-			f, t := w.condRefine(n.X)
-			return f, t
-		}
-	case *ast.BinaryExpr:
-		switch n.Op {
-		case token.LAND: // both held only when the whole condition is true
-			lt, _ := w.condRefine(n.X)
-			rt, _ := w.condRefine(n.Y)
-			return append(lt, rt...), nil
-		case token.LOR: // both known false only when the whole condition is false
-			_, lf := w.condRefine(n.X)
-			_, rf := w.condRefine(n.Y)
-			return nil, append(lf, rf...)
-		}
-	case *ast.CallExpr:
-		if obj := w.validCallRecv(n); obj != nil {
-			return []types.Object{obj}, nil
-		}
-	}
-	return nil, nil
 }
 
 const maxLoopPasses = 3 // lattice height 2: three passes always converge

@@ -6,23 +6,16 @@ import (
 	"strings"
 )
 
-// SuppressAudit keeps the escape hatches honest. Two checks:
-//
-//  1. Stale //demos:nolint — a well-formed suppression that silenced no
-//     diagnostic this run must be deleted (or the code it excuses fixed).
-//     That half lives in lint.Run, because only the filter stage knows
-//     which findings each directive consumed; it reports under this rule
-//     whenever SuppressAudit is in the suite.
-//  2. Stale //demos:hotpath — the directive line must name at least one
-//     dynamic guard (a TestXxx/BenchmarkXxx/FuzzXxx function) and every
-//     guard it names must still be defined in some _test.go file of the
-//     module. A hotpath annotation whose benchmark was deleted is a
-//     zero-alloc promise nobody measures.
+// SuppressAudit keeps the //demos:hotpath promises honest: the directive
+// line must name at least one dynamic guard (a TestXxx/BenchmarkXxx/FuzzXxx
+// function) and every guard it names must still be defined in some
+// _test.go file of the module. A hotpath annotation whose benchmark was
+// deleted is a zero-alloc promise nobody measures.
 type SuppressAudit struct{}
 
 func (SuppressAudit) Name() string { return "suppressaudit" }
 func (SuppressAudit) Doc() string {
-	return "//demos:nolint must still silence a real finding; //demos:hotpath must name a live Test/Benchmark/Fuzz guard"
+	return "//demos:hotpath must name a live Test/Benchmark/Fuzz guard"
 }
 
 // guardNameRE matches go-test entry points cited in annotation text. The

@@ -1,5 +1,5 @@
 // Package clock is a determinism fixture: every ambient-input primitive
-// the rule forbids, plus the allowed forms and the nolint variants.
+// the rule forbids, plus the allowed forms.
 package clock
 
 import (
@@ -26,16 +26,7 @@ func OK(now int64, rng *rand.Rand) int {
 	return rng.Intn(10)
 }
 
-// Suppressed: a justified escape hatch keeps the finding quiet.
-func Suppressed() int64 {
-	return time.Now().UnixNano() //demos:nolint:determinism fixture demonstrates a justified suppression
-}
-
-// BadSuppression: a reason-less and an unknown-rule directive are themselves
-// findings, and the reason-less one does not silence the line it covers.
-func BadSuppression() {
-	//demos:nolint:determinism
-	_ = time.Now()
-	//demos:nolint:bogus this rule does not exist
-	_ = os.Getpid()
+// Identity: the process identity is an ambient input too.
+func Identity() int {
+	return os.Getpid() // want determinism: process identity
 }

@@ -68,11 +68,6 @@ func UnannotatedTwin(n int) string {
 	return fmt.Sprint(n)
 }
 
-//demos:hotpath fixture: a justified suppression stays quiet
-func SuppressedFmt(n int) string {
-	return fmt.Sprintf("%x", n) //demos:nolint:hotpathalloc fixture demonstrates a justified suppression
-}
-
 //demos:hotpath fixture: pointer-shaped values become interfaces without boxing
 func OKPointerShaped(p *int, m map[int]int, fn func()) any {
 	take(p)

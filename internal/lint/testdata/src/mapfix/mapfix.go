@@ -72,10 +72,3 @@ func OKFold(loads map[uint16]uint64) uint64 {
 	}
 	return total
 }
-
-// Suppressed documents a deliberately unordered emit.
-func Suppressed(tr Tracer, procs map[uint32]string) {
-	for pid := range procs {
-		tr.Emit("unordered", pid) //demos:nolint:maporder fixture demonstrates a justified suppression
-	}
-}

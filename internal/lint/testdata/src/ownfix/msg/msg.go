@@ -1,13 +1,12 @@
 // Package msg is a miniature of the real envelope package: just enough
-// Pool/Message/Ref surface for the ownership analyzer to resolve its
-// vocabulary (Message, Pool.Put, Ref, MakeRef, Valid).
+// Pool/Message surface for the ownership analyzer to resolve its
+// vocabulary (Message, Pool.Put).
 package msg
 
 // Message is a pooled envelope.
 type Message struct {
 	Op   uint8
 	Body []byte
-	gen  uint32
 }
 
 // Pool recycles envelopes.
@@ -29,19 +28,6 @@ func (p *Pool) Get() *Message {
 //
 //demos:owner pool — the free list is where released envelopes live.
 func (p *Pool) Put(m *Message) {
-	m.gen++
 	m.Body = m.Body[:0]
 	p.free = append(p.free, m)
 }
-
-// Ref is a generation-stamped reference to a possibly-pooled message.
-type Ref struct {
-	M   *Message
-	gen uint32
-}
-
-// MakeRef captures m's current generation.
-func MakeRef(m *Message) Ref { return Ref{M: m, gen: m.gen} }
-
-// Valid reports whether the referenced envelope is still live.
-func (r Ref) Valid() bool { return r.M != nil && r.M.gen == r.gen }

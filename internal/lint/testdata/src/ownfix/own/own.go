@@ -1,8 +1,8 @@
 // Package own exercises every ownership finding class — use-after-Put,
 // double-Put (straight-line, branchy, via an annotated releaser), body
-// escapes, Ref discipline — plus the negative cases that must stay silent:
-// Valid()-guarded deref, blessed forwarder retention, in-place body reuse,
-// ownership transfer by call or return, and locally-built envelopes.
+// escapes — plus the negative cases that must stay silent: blessed
+// forwarder retention, in-place body reuse, ownership transfer by call or
+// return, and locally-built envelopes.
 package own
 
 import "ownfix/msg"
@@ -10,7 +10,7 @@ import "ownfix/msg"
 func sink(b []byte) {}
 
 // retained is the package-level escape target.
-var retained *msg.Message // nolint-free: only storing INTO it is checked
+var retained *msg.Message // only storing INTO it is checked
 
 // UseAfterPut reads the envelope after releasing it.
 func UseAfterPut(p *msg.Pool) {
@@ -89,24 +89,6 @@ func ClosureEscape(p *msg.Pool, later func(func())) {
 	later(func() { sink(m.Body) }) // want: closure capture
 }
 
-// RefUnguarded holds a Ref across the release and derefs it blind.
-func RefUnguarded(p *msg.Pool) {
-	m := p.Get()
-	r := msg.MakeRef(m)
-	p.Put(m)
-	sink(r.M.Body) // want: stale Ref deref without Valid()
-}
-
-// RefGuarded is the blessed pattern: deref only under Valid().
-func RefGuarded(p *msg.Pool) {
-	m := p.Get()
-	r := msg.MakeRef(m)
-	p.Put(m)
-	if r.Valid() {
-		sink(r.M.Body) // silent: generation-checked
-	}
-}
-
 // forwarder mirrors deliver.go's bounce: a reviewed retainer.
 type forwarder struct {
 	orig *msg.Message
@@ -159,16 +141,4 @@ func InPlaceReuse(p *msg.Pool) {
 func LocalBuild(r *record) {
 	m := &msg.Message{Op: 1}
 	r.m = m
-}
-
-// RefStore stores a Ref into a field: Refs are the blessed retention
-// mechanism, silent by design.
-type refHolder struct {
-	r msg.Ref
-}
-
-func RefStore(p *msg.Pool, h *refHolder) {
-	m := p.Get()
-	h.r = msg.MakeRef(m)
-	p.Put(m)
 }

@@ -1,21 +1,7 @@
-// Package supfix exercises suppressaudit: a nolint that still earns its
-// keep (silent), a nolint whose finding went away (stale, reported), and
-// //demos:hotpath annotations with a live guard (silent), a deleted guard
-// (reported), and no guard at all (reported).
+// Package supfix exercises suppressaudit: //demos:hotpath annotations
+// with a live guard (silent), a deleted guard (reported), and no guard at
+// all (reported).
 package supfix
-
-import "time"
-
-// UsedSuppression still covers a live determinism finding: silent for
-// suppressaudit, and the determinism finding itself stays silenced.
-func UsedSuppression() int64 {
-	return time.Now().Unix() //demos:nolint:determinism fixture: the violation is the point
-}
-
-// StaleSuppression excuses a line that stopped violating anything.
-func StaleSuppression() int64 {
-	return 42 //demos:nolint:determinism fixture: nothing fires here any more
-}
 
 // LiveGuard cites a benchmark that exists in supfix_test.go.
 //

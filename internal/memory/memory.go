@@ -33,10 +33,6 @@ func NewStore(capacity int) *Store {
 // Used returns the bytes currently held in swap.
 func (s *Store) Used() int { return s.used }
 
-// SwapIns and SwapOuts return the page traffic counters.
-func (s *Store) SwapIns() uint64  { return s.swapIns }
-func (s *Store) SwapOuts() uint64 { return s.swapOuts }
-
 // ErrSwapFull is returned when the store cannot hold another page.
 var ErrSwapFull = fmt.Errorf("memory: swap store full")
 

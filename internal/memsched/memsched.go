@@ -31,9 +31,6 @@ func BestFitMsg(size uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, size)
 }
 
-// StatMsg builds a status query.
-func StatMsg() []byte { return []byte{opStat} }
-
 // ParseBestFit decodes a best-fit reply.
 func ParseBestFit(body []byte) (addr.MachineID, error) {
 	if len(body) < 2 {

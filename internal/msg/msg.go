@@ -176,19 +176,13 @@ type Message struct {
 	// first WireSize call happens.
 	wire int32
 
-	// Envelope pooling (see Pool). gen increments on every release back
-	// to a pool, so a Ref taken earlier can detect reuse; home is the pool
-	// that constructed the envelope and the only free list it ever returns
-	// to (nil for heap-constructed messages, which Put ignores); inFree
-	// guards against double release.
-	gen    uint32
+	// Envelope pooling (see Pool). home is the pool that constructed the
+	// envelope and the only free list it ever returns to (nil for
+	// heap-constructed messages, which Put ignores); inFree guards against
+	// double release.
 	inFree bool
 	home   *Pool
 }
-
-// Gen returns the envelope's reuse generation. Pair with Ref to detect a
-// held pointer outliving its envelope.
-func (m *Message) Gen() uint32 { return m.gen }
 
 // Pooled reports whether m was acquired from a Pool (and will be recycled).
 func (m *Message) Pooled() bool { return m.home != nil }
@@ -240,7 +234,7 @@ func (m *Message) Clone() *Message {
 	if m.Orig != nil {
 		c.Orig = m.Orig.Clone()
 	}
-	c.gen, c.home, c.inFree = 0, nil, false
+	c.home, c.inFree = nil, false
 	return &c
 }
 

@@ -3,11 +3,7 @@ package msg
 // Pool is a free list of Message envelopes for the kernel fast path. A
 // steady-state send acquires an envelope with Get, fills it in place (the
 // Body and Links backing arrays survive recycling, so appends reuse old
-// capacity), and the final consumer returns it with Put. Like the event
-// arena in internal/sim, reuse is generation-checked: every release bumps
-// the envelope's generation, so a holder that kept a pointer across a
-// release can detect the aliasing through a Ref instead of silently reading
-// another message's fields.
+// capacity), and the final consumer returns it with Put.
 //
 // Pools are single-threaded, matching the event engine. Put accepts any
 // message — heap-constructed envelopes (tests, drivers, cold paths) pass
@@ -21,8 +17,10 @@ package msg
 // The single-releaser discipline is machine-checked: demoslint's
 // ownership rule (DESIGN.md §8.1) statically tracks every envelope from
 // Get to Put and rejects use-after-release, double release, and retention
-// outside a //demos:owner-blessed site; the generation check below stays
-// as the dynamic backstop for what an intraprocedural pass cannot see.
+// outside a //demos:owner-blessed site. What an intraprocedural pass cannot
+// see, Put backs at run time: a second release of an envelope already on
+// its free list panics (inFree), and every release lands on the home pool's
+// free list, where a test can find it.
 type Pool struct {
 	free []*Message
 	news int // envelopes constructed because the free list was empty
@@ -56,11 +54,11 @@ func (p *Pool) Get() *Message {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 func (p *Pool) Clone(m *Message) *Message {
 	c := p.Get()
-	body, links, gen := c.Body, c.Links, c.gen
+	body, links := c.Body, c.Links
 	body = append(body, m.Body...)
 	links = append(links, m.Links...)
 	*c = *m
-	c.Body, c.Links, c.gen, c.home, c.inFree = body, links, gen, p, false
+	c.Body, c.Links, c.home, c.inFree = body, links, p, false
 	if m.Orig != nil {
 		c.Orig = p.Clone(m.Orig)
 	}
@@ -72,7 +70,7 @@ func (p *Pool) Clone(m *Message) *Message {
 // messages (not born from a Pool) are ignored; releasing the same pooled
 // envelope twice panics, since the second release would corrupt whoever
 // holds it now. The Body and Links backing arrays are kept (truncated to
-// zero length) and the generation is bumped so outstanding Refs go stale.
+// zero length).
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/admin-encode in bench_hotpath_test.go.
 //demos:owner pool — Put is where ownership ends: the free list is the one place a released envelope may live.
@@ -86,11 +84,9 @@ func (p *Pool) Put(m *Message) {
 	p = m.home
 	body := m.Body[:0]
 	links := m.Links[:0]
-	gen := m.gen + 1
 	*m = Message{}
 	m.Body = body
 	m.Links = links
-	m.gen = gen
 	m.home = p
 	m.inFree = true
 	p.free = append(p.free, m)
@@ -113,18 +109,3 @@ func (p *Pool) Free() int { return len(p.free) }
 // News reports how many envelopes Get had to construct (tests: a warm
 // steady state stops growing this).
 func (p *Pool) News() int { return p.news }
-
-// Ref is a generation-stamped reference to a (possibly pooled) message.
-// Take one when holding a message across an operation that may release it;
-// Valid reports whether the envelope still carries the referenced message.
-type Ref struct {
-	M   *Message
-	gen uint32
-}
-
-// MakeRef captures m's current generation.
-func MakeRef(m *Message) Ref { return Ref{M: m, gen: m.gen} }
-
-// Valid reports whether the referenced envelope has not been released (and
-// possibly reissued) since the Ref was taken.
-func (r Ref) Valid() bool { return r.M != nil && r.M.gen == r.gen && !r.M.inFree }

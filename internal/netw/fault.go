@@ -157,12 +157,6 @@ func (n *Network) Heal(a, b addr.MachineID) {
 	n.refault()
 }
 
-// Partitioned reports whether the pair is currently severed.
-func (n *Network) Partitioned(a, b addr.MachineID) bool {
-	_, cut := n.parts[normPair(a, b)]
-	return cut
-}
-
 func (n *Network) partitioned(from, to addr.MachineID) bool {
 	if len(n.parts) == 0 {
 		return false

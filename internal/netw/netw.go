@@ -346,13 +346,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Config returns the active configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Lossy reports whether frames can be dropped and retransmitted (the ARQ
-// is armed). Pooled envelopes are safe on a lossy network: the ARQ never
-// retains the caller's — Send copies a pooled envelope (into the sender's
-// pool for retransmission, into the receiver's for delivery; arq.go) and
-// retires the original to its owner (fault.go).
-func (n *Network) Lossy() bool { return n.cfg.LossRate > 0 }
-
 // Attach registers the endpoint for machine m. An endpoint that also
 // implements FrameOwner becomes the sink for envelopes this machine sent
 // that the network consumed (retired pooled originals) or abandoned

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 
 	"demosmp/internal/addr"
@@ -93,9 +91,6 @@ func (l *Ledger) Add(rec MigrationRecord) *MigrationRecord {
 	return p
 }
 
-// Len returns the number of recorded migrations.
-func (l *Ledger) Len() int { return len(l.recs) }
-
 // Records returns copies of every record, sorted by (Start, PID) so the
 // order is deterministic regardless of which kernel finished first.
 func (l *Ledger) Records() []MigrationRecord {
@@ -113,13 +108,4 @@ func (l *Ledger) Records() []MigrationRecord {
 		return out[i].PID.Local < out[j].PID.Local
 	})
 	return out
-}
-
-// WriteJSON renders the sorted records as indented JSON.
-func (l *Ledger) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Migrations []MigrationRecord `json:"migrations"`
-	}{Migrations: l.Records()})
 }

@@ -55,12 +55,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)]++
 }
 
-// Count returns the number of observations (cold).
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observed values (cold).
-func (h *Histogram) Sum() uint64 { return h.sum }
-
 // metric is one registered slot: exactly one of hist, fn is set.
 type metric struct {
 	name string

@@ -40,9 +40,6 @@ type Timeline struct {
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline { return &Timeline{} }
 
-// Len returns the number of accumulated events.
-func (tl *Timeline) Len() int { return len(tl.evs) }
-
 // Instant adds a zero-duration event ("ph":"i") on the given machine row.
 func (tl *Timeline) Instant(name, cat string, at sim.Time, machine int, detail string) {
 	ev := TimelineEvent{Name: name, Cat: cat, Ph: "i", TS: uint64(at), PID: machine}

@@ -96,9 +96,3 @@ func (c *Collector) View(now sim.Time) []msg.LoadReport {
 	}
 	return out
 }
-
-// Sweeps returns how many rounds have closed.
-func (c *Collector) Sweeps() uint64 { return c.sweeps }
-
-// Len returns how many machines have ever reported.
-func (c *Collector) Len() int { return len(c.samples) }

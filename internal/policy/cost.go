@@ -2,17 +2,13 @@ package policy
 
 import (
 	"demosmp/internal/msg"
-	"demosmp/internal/obs"
 	"demosmp/internal/sim"
 )
 
 // CostModel prices a prospective migration so policies can weigh expected
 // gain against it — the §3.1 hysteresis requirement made quantitative. The
 // model starts from the paper's §6 measurements (three state transfers,
-// nine administrative messages of 6–12 bytes, a short forwarding tail) and
-// can be recalibrated from the obs ledger's measured records, so the price
-// tracks what migrations actually cost in this cluster rather than what
-// the paper said they cost on the Z8000s.
+// nine administrative messages of 6–12 bytes, a short forwarding tail).
 type CostModel struct {
 	// Measured (or assumed) per-migration averages.
 	FreezeMicros     sim.Time // freeze window: process off-CPU start→cleanup
@@ -27,8 +23,6 @@ type CostModel struct {
 	// PaybackPeriods is the horizon (in report periods) over which a
 	// recurring per-period gain must repay the one-time migration cost.
 	PaybackPeriods sim.Time
-
-	calibrated int // ledger records folded in
 }
 
 // DefaultCostModel returns a model seeded from the paper's §6 numbers.
@@ -62,33 +56,3 @@ func (c *CostModel) Worthwhile(gainPerPeriod sim.Time) bool {
 func (c *CostModel) AffinityGain(pl msg.ProcLoad) sim.Time {
 	return sim.Time(pl.TopPeerMsgs) * c.CrossMsgMicros
 }
-
-// Calibrate folds measured ledger records into the per-migration averages
-// (simple means; integer arithmetic for cross-platform determinism) and
-// returns how many records it used. Records from failed migrations are
-// skipped — an aborted move's freeze window says nothing about the price
-// of a successful one.
-func (c *CostModel) Calibrate(recs []obs.MigrationRecord) int {
-	var n, freeze, admin, fwd uint64
-	for i := range recs {
-		r := &recs[i]
-		if !r.OK {
-			continue
-		}
-		n++
-		freeze += uint64(r.FreezeMicros())
-		admin += uint64(r.AdminBytes)
-		fwd += r.ForwardsAbsorbed
-	}
-	if n == 0 {
-		return 0
-	}
-	c.FreezeMicros = sim.Time(freeze / n)
-	c.AdminBytes = admin / n
-	c.ForwardsAbsorbed = fwd / n
-	c.calibrated += int(n)
-	return int(n)
-}
-
-// Calibrated returns how many ledger records have been folded in.
-func (c *CostModel) Calibrated() int { return c.calibrated }

@@ -34,14 +34,6 @@ type Policy interface {
 	Decide(now sim.Time, loads []msg.LoadReport) []Decision
 }
 
-// Manual never proposes anything; migrations happen only on explicit
-// command — the paper's own deployment state ("the decision to move a
-// particular process and the choice of destination were arbitrary").
-type Manual struct{}
-
-func (Manual) Name() string                                 { return "manual" }
-func (Manual) Decide(sim.Time, []msg.LoadReport) []Decision { return nil }
-
 // Threshold moves a process from an overloaded machine to the least loaded
 // one. Hysteresis comes from three guards: the high/low water gap, a
 // per-process cooldown, and a minimum CPU share for the moved process (no

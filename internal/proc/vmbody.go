@@ -40,9 +40,6 @@ func (b *VMBody) SetImage(img *memory.Image) {
 	}
 }
 
-// CPU exposes the register state for tests and tooling.
-func (b *VMBody) CPU() *dvm.CPU { return &b.vm.CPU }
-
 // Step implements Body by running up to budget DVM instructions.
 func (b *VMBody) Step(ctx Context, budget int) (int, Status) {
 	if b.vm.Mem == nil {

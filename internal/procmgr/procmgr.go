@@ -166,7 +166,7 @@ type Manager struct {
 	// byte-for-byte across shard counts.
 	DecisionTrace []string
 
-	pol  policy.Policy     // not serialized; reattached via SetPolicy
+	pol  policy.Policy     // not serialized: a restored manager has none
 	coll *policy.Collector // rebuilt lazily (after New or Restore)
 }
 
@@ -190,12 +190,6 @@ func New(pol policy.Policy) *Manager {
 func (m *Manager) SetMachines(ms []addr.MachineID) {
 	m.Machines = append([]addr.MachineID(nil), ms...)
 }
-
-// SetPolicy attaches a policy (after construction or migration restore).
-func (m *Manager) SetPolicy(p policy.Policy) { m.pol = p }
-
-// Policy returns the attached policy.
-func (m *Manager) Policy() policy.Policy { return m.pol }
 
 // Note records a process location learned out of band (boot-time spawns).
 func (m *Manager) Note(pid addr.ProcessID, at addr.MachineID) { m.Locations[pid] = at }
@@ -559,8 +553,8 @@ func (m *Manager) statText() string {
 	return s
 }
 
-// Snapshot implements proc.Body. The policy is reattached after restore by
-// whoever boots the PM (policies hold only heuristic state).
+// Snapshot implements proc.Body. The policy is not serialized (policies
+// hold only heuristic state): a restored manager runs without one.
 func (m *Manager) Snapshot() ([]byte, error) { return managerState.Snapshot(m) }
 
 // Restore implements proc.Body.

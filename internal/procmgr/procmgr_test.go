@@ -213,8 +213,9 @@ func TestSnapshotRestoreKeepsLocations(t *testing.T) {
 		t.Fatal("locations lost")
 	}
 	// Policy reattaches after restore.
-	m2.SetPolicy(policy.Manual{})
-	if m2.Policy().Name() != "manual" {
+	pol := policy.NewThreshold(80, 20, 1000)
+	m2.SetPolicy(pol)
+	if m2.Policy() != pol {
 		t.Fatal("policy not reattached")
 	}
 }

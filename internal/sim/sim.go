@@ -178,7 +178,7 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 // stays a dense counter, and a run that schedules nothing but normal events
 // orders exactly as it did before the bits existed.
 //
-//   - fault (AtFault/AfterWeakFault): fault-plane mutations (partitions,
+//   - fault (AfterWeakFault): fault-plane mutations (partitions,
 //     loss bursts, injected duplicates/delays). Running them first gives the
 //     sharded runtime one invariant rule — "fault state armed at time t
 //     applies to every send and every arrival at time t" — that holds for
@@ -214,14 +214,6 @@ func (e *Engine) At(t Time, name string, fn func()) Event {
 // work at t runs — matching what a single shared engine would have done.
 func (e *Engine) AtGate(t Time, name string, fn func()) Event {
 	return e.schedule(t, name, fn, false, classGate)
-}
-
-// AtFault schedules fn at absolute time t, ordered before every gate and
-// every normal event sharing that timestamp. The chaos plane uses fault
-// events for its shard-replicated fault pulses, so fault-state mutations at
-// time t are visible to all of t's sends and deliveries on every shard.
-func (e *Engine) AtFault(t Time, name string, fn func()) Event {
-	return e.schedule(t, name, fn, false, classFault)
 }
 
 // after returns the time d microseconds from now, saturating at the maximum
@@ -677,6 +669,3 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 
 // RunFor advances the simulation by d microseconds of simulated time.
 func (e *Engine) RunFor(d Time) uint64 { return e.RunUntil(e.after(d)) }
-
-// Halt stops Run/RunUntil after the current event returns.
-func (e *Engine) Halt() { e.halted = true }

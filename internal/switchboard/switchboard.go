@@ -41,9 +41,6 @@ func RegisterMsg(name string) []byte { return append([]byte{opRegister}, name...
 // LookupMsg builds a Lookup request body for name.
 func LookupMsg(name string) []byte { return append([]byte{opLookup}, name...) }
 
-// ListMsg builds a List request body.
-func ListMsg() []byte { return []byte{opList} }
-
 // ParseReply splits a switchboard reply into status and payload.
 func ParseReply(body []byte) (ok bool, payload []byte, err error) {
 	if len(body) < 1 {

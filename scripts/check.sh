@@ -18,7 +18,7 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== demoslint ./... (determinism, maporder, layering, hotpathalloc, wirepair, ownership, suppressaudit, killcover)"
+echo "== demoslint ./... (rules: go run ./cmd/demoslint -rules)"
 go run ./cmd/demoslint ./...
 
 echo "== go build ./..."

@@ -13,6 +13,11 @@
 // so the two Migrate calls land at t=5000 and t=11000 instead of at the
 // last event before them. DESIGN.md §11 has the itemised comparison.
 //
+// It was regenerated a second time when frames due at one instant began to
+// share one netw:pump gate: the diff only removed lines, 55 netw:pump events
+// that had found their instant already drained (245 -> 190 events), and every
+// remaining line kept its time and its place.
+//
 // Regenerate only when the *workload* changes, never to paper over an
 // ordering change: go test -run TestGoldenTrace -update-golden
 package demosmp_test

@@ -475,7 +475,10 @@ func pairFaults(trace []string, span int) map[string]int {
 // soak runs: injector trace (merged across shards), delivery ledger, net
 // stats, kill schedule, migration/restart totals, and the pool-gauge-
 // normalized obs snapshot. TotalFired / final clock are NOT compared —
-// pulse replicas and pump gates legitimately scale with the shard count.
+// pulse replicas legitimately scale with the shard count, and so do the
+// netw:sink events that retire the pooled original of each frame crossing a
+// shard. Pump gates do not: a pump counts one event per frame it lands
+// (TestShardFiredInvariance in internal/core pins that).
 func assertShardInvariant(t *testing.T, label string, base, got soakResult) {
 	t.Helper()
 	if !reflect.DeepEqual(base.trace, got.trace) {

@@ -165,6 +165,84 @@ func TestShardOutboxParallel(t *testing.T) {
 	}
 }
 
+// TestShardFiredInvariance pins the event count across shard counts, which
+// the benchmark hashes into every fingerprint. Sixteen Chatter->Sink pairs
+// send in lockstep, so each instant's frames arrive together at sixteen
+// receivers spread over every shard: one shard lands them from one
+// netw:pump, four shards from four. A pump counts one event per frame it
+// lands, so TotalFired and the final clock must not move between 1, 2 and 4
+// shards, sequential or parallel, while the pumps actually fired do. Each
+// pair sits on one shard (16 machines apart), so no frame takes the ship
+// path, whose retired originals fire netw:sink events only a sharded run has.
+func TestShardFiredInvariance(t *testing.T) {
+	simtest.TwoProcs(t)
+	const pairs, n = 16, 60
+	type result struct {
+		fired, pumps, parRounds uint64
+		now                     sim.Time
+	}
+	run := func(shards int, parallel bool) result {
+		c, err := core.New(core.Options{Machines: 2 * pairs, Seed: 5, Shards: shards, ShardParallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pumps := make([]uint64, c.Shards()) // one counter per engine: parallel rounds fire on goroutines
+		for s := range pumps {
+			c.EngineOfShard(s).OnFire = func(name string, _ sim.Time) {
+				if name == "netw:pump" {
+					pumps[s]++
+				}
+			}
+		}
+		var sinks []*workload.Sink
+		for m := 1; m <= pairs; m++ {
+			sink := &workload.Sink{}
+			pid, err := c.Spawn(m+pairs, kernel.SpawnSpec{Body: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Spawn(m, kernel.SpawnSpec{
+				Body:  &workload.Chatter{N: n, Interval: 100},
+				Links: []link.Link{{Addr: addr.At(pid, addr.MachineID(m+pairs))}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			sinks = append(sinks, sink)
+		}
+		c.Run()
+		for i, s := range sinks {
+			if len(s.Got) != n {
+				t.Fatalf("shards=%d parallel=%v: sink %d received %d of %d", shards, parallel, i, len(s.Got), n)
+			}
+		}
+		r := result{fired: c.TotalFired(), now: c.Now(), parRounds: c.ParallelRounds()}
+		for _, p := range pumps {
+			r.pumps += p
+		}
+		return r
+	}
+	base := run(1, false)
+	if base.pumps >= pairs*n {
+		t.Fatalf("one shard fired %d pumps for %d frames: the frames never shared a gate", base.pumps, pairs*n)
+	}
+	for _, tc := range []struct {
+		shards   int
+		parallel bool
+	}{{2, false}, {4, false}, {2, true}, {4, true}} {
+		got := run(tc.shards, tc.parallel)
+		if got.fired != base.fired || got.now != base.now {
+			t.Errorf("shards=%d parallel=%v: TotalFired %d at %v, one shard fired %d at %v",
+				tc.shards, tc.parallel, got.fired, got.now, base.fired, base.now)
+		}
+		if got.pumps <= base.pumps {
+			t.Errorf("shards=%d: %d pumps fired, one shard fired %d: the receivers' instants were not split", tc.shards, got.pumps, base.pumps)
+		}
+		if tc.parallel && got.parRounds == 0 {
+			t.Errorf("shards=%d: no round ran on goroutines; the parallel arm compared inline with inline", tc.shards)
+		}
+	}
+}
+
 // TestShardLossyAccepted pins that a lossy (ARQ) network composes with
 // shards: the machine-anchored ARQ (netw/arq.go) made the old LossRate
 // rejection obsolete. (The other old rejection, TraceSink, is now pinned

@@ -266,16 +266,17 @@ func countPooled(m *msg.Message) int {
 
 // --- netw.FrameOwner --------------------------------------------------------
 
-// ReleaseFrame implements netw.FrameOwner: the network took a private copy
-// of a pooled envelope this kernel sent (the ARQ's master, or the heap clone
-// that crosses a shard) and the original can be recycled — with the bounced
-// original it may carry, since the copy took its own.
+// ReleaseFrame implements netw.FrameOwner: the network is done with a pooled
+// envelope this kernel sent and did not deliver it as is (a heap clone
+// crossed a shard, or a lossless frame reached a down machine), so it can be
+// recycled — with the bounced original it may carry, since any copy took its
+// own.
 func (k *Kernel) ReleaseFrame(m *msg.Message) { k.putBounced(m) }
 
-// FramePool implements netw.FrameOwner: the ARQ draws the master copies of
-// frames this kernel sends and the wire copies of frames it is about to
-// receive from this pool, so the ordinary putMsg after delivery recycles
-// them and PoolStats audits them.
+// FramePool implements netw.FrameOwner: the ARQ draws the wire copies of
+// frames this kernel is about to receive from this pool and releases the
+// acked masters of frames it sent through it, so the ordinary putMsg after
+// delivery recycles them and PoolStats audits them.
 func (k *Kernel) FramePool() *msg.Pool { return k.pool }
 
 // UndeliverableFrame implements netw.FrameOwner: the network abandoned a

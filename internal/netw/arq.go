@@ -28,22 +28,26 @@
 //     chaos injector (internal/chaos) applies both to every shard at
 //     identical sim times via fault-class events, which sort before gates.
 //
-// Copies are born in the pool that will bury them. The master copy of a
-// pooled frame is drawn from the SENDING machine's envelope pool and returns
-// to it when the ack lands (or goes once to deadFrame at MaxRetries); every
-// wire copy — first attempt, retransmission, or injected duplicate — is drawn
-// from the RECEIVING machine's pool when this engine delivers that machine,
-// so the kernel's ordinary release after Recv recycles it and per-kernel
-// pools stay balanced under one-way lossy traffic. A copy bound for another
-// shard is a heap clone, so a retransmitting sender never shares a
-// *msg.Message with the calendar of another shard (no cross-shard aliasing
-// under parallel rounds, and a pooled envelope still never crosses a shard);
-// so is a copy for an endpoint that lends no pool (bare test endpoints).
-// Where the network consumes a wire copy itself — a duplicate suppressed in
-// arrive, a copy landing on a down or partitioned receiver — it releases it
-// explicitly. The steady-state round (send → wire copy → deliver → ack →
-// retransmission check) therefore allocates nothing and hashes nothing but
-// the receiver's pair lookup.
+// Copies are born in the pool that will bury them. The master is the
+// envelope the sender submitted: it never leaves the sender's shard, and it
+// goes back through the SENDING machine's pool when the ack lands (or once to
+// deadFrame at MaxRetries). Every wire copy — first attempt,
+// retransmission, or injected duplicate — is drawn from the RECEIVING
+// machine's pool when this engine delivers that machine, so the kernel's
+// ordinary release after Recv recycles it and per-kernel pools stay balanced
+// under one-way lossy traffic. A copy bound for another shard is a heap
+// clone, so a retransmitting sender never shares a *msg.Message with the
+// calendar of another shard (no cross-shard aliasing under parallel rounds,
+// and a pooled envelope still never crosses a shard); so is a copy for an
+// endpoint that lends no pool (bare test endpoints). Where the network
+// consumes a wire copy itself — a duplicate suppressed in arrive, a copy
+// landing on a down or partitioned receiver — it releases it explicitly.
+//
+// Every event the ARQ schedules does work: the ack cancels its flight's
+// retransmission check and recycles the record on the spot, so a check fires
+// only for an attempt that went unacknowledged. The steady-state round (send
+// → wire copy → deliver → ack) allocates nothing and hashes nothing but the
+// receiver's pair lookup.
 package netw
 
 import (
@@ -60,19 +64,20 @@ const (
 
 // arqFlight is one frame in flight from a machine on this shard: a pooled
 // record with its retransmission check bound once (fn), like the kernel's
-// pending. It owns the master copy until the ack lands or retries run out,
-// and at that moment leaves the sender's in-flight table. A flight has exactly
-// one netw:retrans-check outstanding at any time — only the check itself
-// re-transmits — so the record is recycled when that check fires and finds
-// the master gone: an acked flight waits out its timer before reuse, and a
-// stale timer on a recycled record cannot exist.
+// pending. It owns the master — the envelope the sender submitted — until the
+// ack lands or retries run out, and at that moment leaves the sender's
+// in-flight table and returns to the free list. A flight has exactly one
+// netw:retrans-check outstanding at any time (ev) — only the check itself
+// re-transmits — and the ack cancels it, so a check never fires for a
+// finished flight and a stale check on a recycled record cannot exist.
 type arqFlight struct {
 	n        *Network
 	from, to addr.MachineID
-	m        *msg.Message // master copy; nil once acked or abandoned
+	m        *msg.Message // the master: the sender's own envelope
 	size     int
 	seq      uint64 // per-sender dense sequence (shard-invariant)
 	attempt  uint32
+	ev       sim.Event  // the outstanding check
 	fn       func()     // bound once to check
 	next     *arqFlight // free-list linkage
 }
@@ -167,9 +172,11 @@ func (n *Network) cloneFor(at addr.MachineID, m *msg.Message) *msg.Message {
 	return m.Clone()
 }
 
-// release recycles a copy the network consumed itself (and the bounced
-// original it may carry), through the pool of machine at (Put forwards to
-// the envelope's home; heap clones pass through).
+// release recycles an envelope the network is done with — a wire copy it
+// consumed itself, or an acked master — and the bounced original it may
+// carry, through the pool of machine at (Put forwards to the envelope's home;
+// heap messages pass through): the two Puts the owner's ReleaseFrame would
+// make, without the deferred handoff.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 //demos:releases m — the copy is dead on every path after it.
@@ -182,20 +189,16 @@ func (n *Network) release(at addr.MachineID, m *msg.Message) {
 }
 
 // canonSendARQ submits one frame to the machine-anchored retransmission
-// machinery. A pooled envelope is never retained: the master is a copy drawn
-// from the sender's own pool and the original retires to its owner
-// (copy-on-retain), so the pooled fast path and the lossy network are not
-// mutually exclusive. An injected duplicate reuses the frame id, exercising
-// receiver dedup rather than user-visible duplication.
+// machinery. The submitted envelope is the flight's master: it stays on the
+// sender's shard, every wire copy is cloned from it, and the ack releases it
+// through the sender's pool — what the sender's own ReleaseFrame would have
+// done — so the pooled fast path and the lossy network are not mutually
+// exclusive. An injected duplicate reuses the frame id, exercising receiver
+// dedup rather than user-visible duplication.
 //
 //demos:hotpath — allocation-free once the flight pool, the sender's table and the envelope pools are warm: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq and BenchmarkNetwSendARQ in bench_hotpath_test.go.
-//demos:owner inflight — the flight owns the master (a pooled copy from the sender's pool, or the caller's heap message) until the ack lands or deadFrame takes it; every enqueued wire copy is owned by a shard's calendar.
+//demos:owner inflight — the flight owns the master (the sender's envelope) until the ack releases it or deadFrame takes it; every enqueued wire copy is owned by a shard's calendar.
 func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time, dup bool) {
-	if m.Pooled() {
-		c := n.cloneFor(from, m)
-		n.retire(from, m)
-		m = c
-	}
 	fm := n.mach(from)
 	fm.seq++
 	fl := n.flightFree
@@ -246,29 +249,31 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 			m: n.cloneFor(fl.to, fl.m),
 		})
 	}
-	n.eng.After(n.cfg.RetransTimeout+extra, "netw:retrans-check", fl.fn)
+	fl.ev = n.eng.After(n.cfg.RetransTimeout+extra, "netw:retrans-check", fl.fn)
 }
 
-// check is the flight's one outstanding netw:retrans-check. Master gone: the
-// ack finished the flight and the record retires here. Otherwise the attempt
-// went unacknowledged: retransmit, or after MaxRetries hand the master to
-// deadFrame, exactly once, and retire.
+// check is the flight's one outstanding netw:retrans-check. It fires only
+// for an unacknowledged attempt (the ack cancels it): retransmit, or after
+// MaxRetries hand the master to deadFrame, exactly once, and retire.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 func (fl *arqFlight) check() {
 	n := fl.n
-	if fl.m != nil {
-		if int(fl.attempt)+1 < n.cfg.MaxRetries {
-			fl.attempt++
-			n.arqTransmit(fl, 0)
-			return
-		}
-		n.stats.Dead++
-		n.flights[fl.from].take(fl.seq)
-		n.inflight--
-		n.deadFrame(fl.from, fl.to, fl.m)
-		fl.m = nil
+	if int(fl.attempt)+1 < n.cfg.MaxRetries {
+		fl.attempt++
+		n.arqTransmit(fl, 0)
+		return
 	}
+	n.stats.Dead++
+	n.flights[fl.from].take(fl.seq)
+	n.deadFrame(fl.from, fl.to, fl.m)
+	n.retireFlight(fl)
+}
+
+// retireFlight returns a finished flight's record to the free list.
+func (n *Network) retireFlight(fl *arqFlight) {
+	n.inflight--
+	fl.m = nil
 	fl.next, n.flightFree = n.flightFree, fl
 }
 
@@ -279,8 +284,9 @@ func (fl *arqFlight) check() {
 //demos:owner inflight — the calendar (this shard's or, via ship, the destination shard's) owns the entry's wire copy — pooled from the receiver's pool when local, a heap clone when shipped — until arqLand delivers or releases it.
 func (n *Network) arqEnqueue(ent pendEnt) {
 	if n.isLocal(ent.to) {
-		n.pendPush(ent)
-		n.eng.AtGate(ent.at, "netw:pump", n.pumpFn)
+		if n.pendPush(ent) {
+			n.eng.AtGate(ent.at, "netw:pump", n.pumpFn)
+		}
 		return
 	}
 	n.ship(RemoteFrame{
@@ -298,13 +304,14 @@ func (n *Network) arqLand(ent pendEnt) {
 	switch ent.class {
 	case classAck:
 		// Back on the sender's shard (ent.to is the sender). The flight
-		// leaves the table and gives up its master now; the record itself
-		// waits for its timer. A late or duplicate ack — flight finished,
-		// record possibly recycled under a newer sequence — finds nothing.
+		// leaves the table, its check is cancelled, its master released and
+		// its record recycled, all now. A late or duplicate ack — flight
+		// finished, record possibly recycled under a newer sequence — finds
+		// nothing.
 		if fl := n.flights[ent.to].take(ent.seq); fl != nil {
-			n.inflight--
+			n.eng.Cancel(fl.ev)
 			n.release(fl.from, fl.m)
-			fl.m = nil
+			n.retireFlight(fl)
 		}
 	case classDup:
 		// An injected duplicate arriving at a down or partitioned receiver

@@ -41,16 +41,24 @@ func freeFlights(n *Network) int {
 	return c
 }
 
-// TestFlightAckThenTimer: the ack takes the flight out of the table and
-// releases the master at once; the record itself waits for its one
-// outstanding check and is not reused in between.
-func TestFlightAckThenTimer(t *testing.T) {
+// TestFlightAckCancelsCheck: the ack finishes the flight on the spot — out of
+// the table, master released, check cancelled, record back on the free list
+// — so the check never fires, the next send reuses the record, and a stale
+// Cancel of the old check's handle touches nothing.
+func TestFlightAckCancelsCheck(t *testing.T) {
 	eng, n, o1, o2 := setupOwned(arqQuiet)
+	checks := 0
+	eng.OnFire = func(name string, _ sim.Time) {
+		if name == "netw:retrans-check" {
+			checks++
+		}
+	}
 	n.Send(1, 2, pooledFrame(o1, 2))
 	fl1 := flightOf(n, 1, 1)
 	if fl1 == nil || n.InflightARQ() != 1 {
 		t.Fatalf("after Send: flight %v, InflightARQ %d", fl1, n.InflightARQ())
 	}
+	stale := fl1.ev
 	for n.InflightARQ() > 0 {
 		eng.Step()
 	}
@@ -60,25 +68,37 @@ func TestFlightAckThenTimer(t *testing.T) {
 	if fl1.m != nil || flightOf(n, 1, 1) != nil {
 		t.Fatal("acked flight still holds its master or its table slot")
 	}
-	o1.balanced(t, "sender after the ack") // master and retired original both back
-	if freeFlights(n) != 0 {
-		t.Fatal("flight record recycled at the ack, while its check is still scheduled")
+	if n.flightFree != fl1 || freeFlights(n) != 1 {
+		t.Fatalf("after the ack: %d free records, the acked one first: %v", freeFlights(n), n.flightFree == fl1)
+	}
+	o1.balanced(t, "sender after the ack") // the master is back
+	eng.Run()
+	if eng.Now() >= arqQuiet.RetransTimeout || eng.Pending() != 0 {
+		t.Fatalf("Run ended at %v with %d events pending: the cancelled check kept the engine alive", eng.Now(), eng.Pending())
 	}
 	n.Send(1, 2, pooledFrame(o1, 2))
-	if fl2 := flightOf(n, 1, 2); fl2 == nil || fl2 == fl1 {
-		t.Fatalf("second send reused the record of a flight whose timer is pending (%p vs %p)", fl2, fl1)
+	if fl2 := flightOf(n, 1, 2); fl2 != fl1 || freeFlights(n) != 0 {
+		t.Fatalf("second send did not reuse the acked flight's record (%p vs %p)", fl2, fl1)
+	}
+	pending := eng.Pending()
+	eng.Cancel(stale) // the first check's tombstone: still queued, already cancelled
+	if eng.Pending() != pending {
+		t.Fatal("a stale Cancel of the first check's handle cancelled a live event")
+	}
+	eng.RunFor(3 * arqQuiet.RetransTimeout) // past every tombstone: their slots are recycled
+	n.Send(1, 2, pooledFrame(o1, 2))        // schedules into those slots
+	pending = eng.Pending()
+	eng.Cancel(stale)
+	if eng.Pending() != pending {
+		t.Fatal("a stale Cancel cancelled the event now in its recycled slot")
 	}
 	eng.Run()
-	if freeFlights(n) != 2 {
-		t.Fatalf("%d flight records recycled after both checks fired, want 2", freeFlights(n))
+	if len(o2.got) != 3 || n.Stats().Retransmits != 0 || checks != 0 {
+		t.Fatalf("delivered %d frames with %d retransmissions and %d checks fired, want 3/0/0",
+			len(o2.got), n.Stats().Retransmits, checks)
 	}
-	n.Send(1, 2, pooledFrame(o1, 2))
-	if freeFlights(n) != 1 {
-		t.Fatal("third send did not draw its record from the free list")
-	}
-	eng.Run()
-	if len(o2.got) != 3 || n.Stats().Retransmits != 0 {
-		t.Fatalf("delivered %d frames with %d retransmissions, want 3/0", len(o2.got), n.Stats().Retransmits)
+	if n.InflightARQ() != 0 || freeFlights(n) != 1 {
+		t.Fatalf("InflightARQ %d with %d free records at quiescence, want 0/1", n.InflightARQ(), freeFlights(n))
 	}
 	o1.balanced(t, "sender")
 	o2.balanced(t, "receiver")
@@ -123,8 +143,9 @@ func TestFlightLateAndDuplicateAcks(t *testing.T) {
 	o2.balanced(t, "receiver")
 }
 
-// TestFlightExhaustsRetries: after MaxRetries the master reaches the sender's
-// UndeliverableFrame exactly once and the flight is gone.
+// TestFlightExhaustsRetries: after MaxRetries the master — the sender's own
+// envelope, never retired at send — reaches the sender's UndeliverableFrame
+// exactly once and the flight is gone.
 func TestFlightExhaustsRetries(t *testing.T) {
 	cfg := arqQuiet
 	cfg.MaxRetries = 4
@@ -133,8 +154,8 @@ func TestFlightExhaustsRetries(t *testing.T) {
 	n.Send(1, 2, pooledFrame(o1, 2))
 	eng.Run()
 	s := n.Stats()
-	if o1.undeliverable != 1 || o1.released != 1 || s.Dead != 1 || s.Retransmits != 3 {
-		t.Fatalf("undeliverable=%d released=%d Dead=%d Retransmits=%d, want 1/1/1/3",
+	if o1.undeliverable != 1 || o1.released != 0 || s.Dead != 1 || s.Retransmits != 3 {
+		t.Fatalf("undeliverable=%d released=%d Dead=%d Retransmits=%d, want 1/0/1/3",
 			o1.undeliverable, o1.released, s.Dead, s.Retransmits)
 	}
 	if n.InflightARQ() != 0 || flightOf(n, 1, 1) != nil || freeFlights(n) != 1 {

@@ -17,10 +17,13 @@
 //
 // The calendar is a power-of-two table of lists indexed by the arrival time's
 // low bits, each kept sorted by the full key (pendLess). The engine already
-// orders by time — every entry schedules its own gate at exactly its arrival
-// time — so nothing is compared to find what is due: when a pump runs at t,
-// everything due heads list t&mask, and entries of other times that alias
-// into it sort behind.
+// orders by time — the first entry filed for an instant schedules one gate at
+// exactly that time, and the entries that join it ride along — so nothing is
+// compared to find what is due: when a pump runs at t, everything due heads
+// list t&mask, and entries of other times that alias into it sort behind.
+// The pump tells the engine how many frames it landed (sim.Engine.CountAs),
+// so the event count is what it would be with a gate per frame: it depends on
+// the frames, not on how many gates they shared.
 //
 // Cross-shard frames are shipped through a cluster-provided hook into the
 // sending shard's outbox and enter the receiving shard's calendar at the
@@ -145,8 +148,9 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 	seq := fm.seq
 	m.Hops++
 	if n.isLocal(to) {
-		n.pendPush(pendEnt{at: at, to: to, from: from, seq: seq, m: m})
-		n.eng.AtGate(at, "netw:pump", n.pumpFn)
+		if n.pendPush(pendEnt{at: at, to: to, from: from, seq: seq, m: m}) {
+			n.eng.AtGate(at, "netw:pump", n.pumpFn)
+		}
 		return
 	}
 	if m.Pooled() {
@@ -164,34 +168,39 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 //
 //demos:owner inflight — the calendar owns the shipped clone until pump delivers it.
 func (n *Network) EnqueueRemote(f RemoteFrame) {
-	n.pendPush(pendEnt{
+	if n.pendPush(pendEnt{
 		at: f.At, to: f.To, from: f.From, seq: f.Seq,
 		class: f.Class, attempt: f.Attempt, m: f.M,
-	})
-	n.eng.AtGate(f.At, "netw:pump", n.pumpFn)
+	}) {
+		n.eng.AtGate(f.At, "netw:pump", n.pumpFn)
+	}
 }
 
 // pump fires every pending delivery due at the current time. It runs as a
 // gate event, so all frames arriving "at t" are delivered before any normal
 // event at t, in canonical order. The list is read again after every
 // delivery, which may send a frame due at this same instant and may grow the
-// table. In ARQ mode entries carry a class and land through arqLand
+// table; while it drains, pumping tells pendPush that such a frame needs no
+// gate of its own. In ARQ mode entries carry a class and land through arqLand
 // (arq.go); the lossless path pays one boolean test for that, reads the two
 // fields it needs off the entry in place and stays allocation-free.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and /netw-send-depth64 in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pump() {
 	now := n.eng.Now()
+	n.pumping = true
+	var landed uint64
 	for {
 		s := &n.pendSlots[uint64(now)&uint64(len(n.pendSlots)-1)]
 		i := s.head
 		ent := &n.pend[i]
 		if i == 0 || ent.at > now {
-			return
+			break
 		}
 		s.head = ent.next
 		n.pendN--
 		ent.next, n.pendFree = n.pendFree, i
+		landed++
 		if n.arqOn {
 			e := *ent
 			ent.m = nil
@@ -202,14 +211,19 @@ func (n *Network) pump() {
 		ent.m = nil // drop the frame pointer for GC
 		n.deliver(to, m)
 	}
+	n.pumping = false
+	n.eng.CountAs(landed)
 }
 
-// pendPush queues one frame for canonical delivery at ent.at. The caller
-// schedules the netw:pump gate at that time.
+// pendPush queues one frame for canonical delivery at ent.at and reports
+// whether the caller must schedule the netw:pump gate at that time: whether
+// the frame is the only one queued for its instant, and that instant is not
+// the one a pump is draining (which delivers it without a gate).
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and /netw-send-depth64 in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
-func (n *Network) pendPush(ent pendEnt) {
-	if now := n.eng.Now(); ent.at < now {
+func (n *Network) pendPush(ent pendEnt) (gate bool) {
+	now := n.eng.Now()
+	if ent.at < now {
 		panicLatePend(ent.at, now)
 	}
 	if n.pendN == len(n.pendSlots) {
@@ -224,31 +238,35 @@ func (n *Network) pendPush(ent pendEnt) {
 	}
 	n.pend[i] = ent
 	n.pendN++
-	n.pendFile(i)
+	return n.pendFile(i) && !(n.pumping && ent.at == now)
 }
 
 // pendFile links arena entry i into its arrival time's list where pendLess
-// puts it: alone or at the tail mostly, a walk of a handful otherwise.
+// puts it — alone or at the tail mostly, a walk of a handful otherwise — and
+// reports whether it is the only entry of its arrival time. Entries of one
+// time are neighbours in the list, so only i's two neighbours need a look.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-depth64 and BenchmarkNetwSendDepth1k in bench_hotpath_test.go; order: TestPendOrderSeeds in pend_test.go.
-func (n *Network) pendFile(i int32) {
+func (n *Network) pendFile(i int32) (alone bool) {
 	ent := &n.pend[i]
 	ent.next = 0
 	s := &n.pendSlots[uint64(ent.at)&uint64(len(n.pendSlots)-1)]
 	if s.head == 0 {
 		s.head, s.tail = i, i
-		return
+		return true
 	}
 	if tail := &n.pend[s.tail]; !pendLess(ent, tail) {
 		tail.next = i
 		s.tail = i
-		return
+		return tail.at != ent.at
 	}
-	link := &s.head // before the first entry ordered after i: the tail is one
+	link, prev := &s.head, int32(0) // before the first entry ordered after i: the tail is one
 	for pendLess(&n.pend[*link], ent) {
-		link = &n.pend[*link].next
+		prev = *link
+		link = &n.pend[prev].next
 	}
 	ent.next, *link = *link, i
+	return n.pend[ent.next].at != ent.at && (prev == 0 || n.pend[prev].at != ent.at)
 }
 
 // pendGrow doubles the table and files every queued entry again, so entries

@@ -20,10 +20,11 @@ import (
 // implement (kernels do). The network calls it when it is done with a frame
 // the owner submitted:
 //
-//   - ReleaseFrame: the network took a private copy (the ARQ's master, or
-//     the heap clone that crosses a shard) and the pooled original can be
-//     recycled, together with the bounced original it may carry — every
-//     copy carries its own.
+//   - ReleaseFrame: the network is done with a pooled original it did not
+//     hand to a receiver — it shipped a heap clone across a shard instead,
+//     or the lossless frame reached a down machine — and it can be recycled,
+//     together with the bounced original it may carry (every copy carries
+//     its own).
 //   - UndeliverableFrame: the frame was abandoned — sender down, pair
 //     partitioned, burst loss in lossless mode, or retries exhausted.
 //
@@ -31,10 +32,11 @@ import (
 // time, later event), never synchronously: senders may legally read an
 // envelope's routing fields immediately after Send returns.
 //
-// FramePool lends the machine's envelope pool to the ARQ (arq.go): masters
-// are drawn from the sender's pool, wire copies from the receiver's, and
-// what the network consumes itself goes back through it. An endpoint that
-// is not a FrameOwner gets heap clones instead.
+// FramePool lends the machine's envelope pool to the ARQ (arq.go): wire
+// copies are drawn from the receiver's pool, and what the network consumes
+// itself — a suppressed or stranded wire copy, an acked master — goes back
+// through it directly, with no ReleaseFrame. An endpoint that is not a
+// FrameOwner gets heap clones instead.
 type FrameOwner interface {
 	ReleaseFrame(m *msg.Message)
 	UndeliverableFrame(to addr.MachineID, m *msg.Message)
@@ -85,8 +87,8 @@ func (n *Network) owner(m addr.MachineID) FrameOwner {
 	return nil
 }
 
-// retire returns a pooled original the network replaced with a copy of its
-// own: the ARQ's master, or the heap clone that crosses a shard.
+// retire returns a pooled original the network will not deliver: it crossed
+// a shard as a heap clone, or a lossless frame reached a down machine.
 //
 //demos:owner sink — the sink queue holds the retired envelope only until drainSinks hands it to its FrameOwner in the same event cascade.
 func (n *Network) retire(from addr.MachineID, m *msg.Message) {

@@ -11,9 +11,10 @@
 // There is one delivery path (canon.go): every frame waits in an arrival
 // calendar — a table of lists indexed by arrival time, each ordered by
 // (arrival time, receiver, sender, per-sender sequence) — and is handed to
-// its receiver by a gate event at its arrival time, so delivery order is a
-// function of simulated time and frame identity alone — the same on one
-// engine as on a cluster split across several.
+// its receiver by the one gate event of its arrival time, which lands every
+// frame due then, so delivery order is a function of simulated time and frame
+// identity alone — the same on one engine as on a cluster split across
+// several. The engine still counts an event per frame landed.
 //
 // Both send paths are allocation-free in steady state: per-kind and
 // per-machine counters are fixed-size arrays and a dense slice (the map
@@ -247,10 +248,11 @@ type Network struct {
 
 	// Delivery state (canon.go). Until SetCanonical narrows it, every
 	// attached machine is local: local and ship stay nil and total is 0.
-	total  addr.MachineID            // cluster size once SetCanonical ran: ids up to it are routable
-	local  func(addr.MachineID) bool // nil: every machine is on this engine
-	ship   func(RemoteFrame)         // hands a frame for another shard to the cluster
-	pumpFn func()                    // bound once; fires pending deliveries due now
+	total   addr.MachineID            // cluster size once SetCanonical ran: ids up to it are routable
+	local   func(addr.MachineID) bool // nil: every machine is on this engine
+	ship    func(RemoteFrame)         // hands a frame for another shard to the cluster
+	pumpFn  func()                    // bound once; fires pending deliveries due now
+	pumping bool                      // a pump is draining the current instant: frames filed for it need no gate
 
 	// The arrival calendar (canon.go): pendSlots[at&mask] is the list of the
 	// frames due at at (and at any time that aliases to it), in pendLess

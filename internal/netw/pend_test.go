@@ -14,9 +14,13 @@ import (
 // same pushes and pumps on a Network's calendar and on a reference that
 // keeps the entries in a slice and finds what is next by scanning it with
 // pendLess. Every delivery must be the reference's minimum, at exactly its
-// arrival time, and PendingFrames must agree after every step. The golden
-// trace and the shard-invariance matrix pin the same order end to end; this
-// is the test that says which push or pump broke it.
+// arrival time, and PendingFrames must agree after every step. Gates follow
+// the production rule — one per instant: a push arms one exactly when the
+// reference holds nothing else due at its time and that time is not the one
+// being pumped — and the engine must count one event per entry, however many
+// gates the entries shared. The golden trace and the shard-invariance matrix
+// pin the same order end to end; this is the test that says which push or
+// pump broke it.
 
 // pendDeltas are the distances a program files frames at: the transit times
 // the workloads see, the neighbours and exact multiples of every table size
@@ -51,6 +55,11 @@ type pendHarness struct {
 	re  map[*msg.Message]byte // frames whose delivery files two more for this same instant
 	key map[pendEnt]bool      // keys in use (entries less m): pendLess is a total order only over distinct ones
 	dlv int                   // deliveries so far
+
+	inPump bool // a delivery is running: the pump is draining the current instant
+	gates  int  // gates armed by pushes
+	extra  int  // gates armed by pendOpPump, with or without anything due
+	fired  int  // netw:pump events the engine ran
 }
 
 func newPendHarness(t *testing.T) *pendHarness {
@@ -60,15 +69,22 @@ func newPendHarness(t *testing.T) *pendHarness {
 	for m := addr.MachineID(1); m <= pendMachines; m++ {
 		h.n.Attach(m, h)
 	}
+	h.eng.OnFire = func(name string, _ sim.Time) {
+		if name == "netw:pump" {
+			h.fired++
+		}
+	}
 	return h
 }
 
 // push files one frame due d from now on both sides, as canonSend and
-// arqEnqueue do: an entry and its own gate. The key byte picks receiver,
-// sender, a sequence out of four, class and attempt, so programs repeat
-// (to, from, seq) under different classes and attempts; a key already in use
-// moves to the next free attempt. Flag 0x80 makes the frame's delivery file
-// two more frames due at that same instant.
+// arqEnqueue do: an entry, and a gate if pendPush asks for one — which must
+// be exactly when the reference holds no other entry due at that time and a
+// pump is not draining it. The key byte picks receiver, sender, a sequence
+// out of four, class and attempt, so programs repeat (to, from, seq) under
+// different classes and attempts; a key already in use moves to the next
+// free attempt. Flag 0x80 makes the frame's delivery file two more frames due
+// at that same instant.
 func (h *pendHarness) push(d sim.Time, key, flags byte) {
 	ent := pendEnt{
 		at: h.eng.Now() + d, to: addr.MachineID(1 + key&3), from: addr.MachineID(1 + key>>2&3),
@@ -83,9 +99,21 @@ func (h *pendHarness) push(d sim.Time, key, flags byte) {
 	if flags&0x80 != 0 {
 		h.re[ent.m] = key + flags
 	}
+	want := !(h.inPump && ent.at == h.eng.Now())
+	for i := range h.ref {
+		if h.ref[i].at == ent.at {
+			want = false
+		}
+	}
 	h.ref = append(h.ref, ent)
-	h.n.pendPush(ent)
-	h.eng.AtGate(ent.at, "netw:pump", h.n.pumpFn)
+	if gate := h.n.pendPush(ent); gate != want {
+		h.t.Fatalf("push %d due %v at %v: pendPush asks for a gate: %v, the reference says %v",
+			h.ids[ent.m], ent.at, h.eng.Now(), gate, want)
+	}
+	if want {
+		h.gates++
+		h.eng.AtGate(ent.at, "netw:pump", h.n.pumpFn)
+	}
 }
 
 // DeliverFrame checks one delivery against the reference's minimum.
@@ -107,10 +135,13 @@ func (h *pendHarness) DeliverFrame(m *msg.Message) {
 	h.ref = append(h.ref[:min], h.ref[min+1:]...)
 	h.dlv++
 	if key, ok := h.re[m]; ok {
-		// Due now: this same pump must deliver them, in order — and two
-		// pushes for one pop can grow the table under the pump.
+		// Due now: this same pump must deliver them, in order, without a
+		// gate of their own — and two pushes for one pop can grow the table
+		// under the pump.
+		h.inPump = true
 		h.push(0, key, key&0x7f)
 		h.push(0, key+85, key&0x7f)
+		h.inPump = false
 	}
 }
 
@@ -165,6 +196,7 @@ func (h *pendHarness) run(program []byte) {
 				h.push(d, key+byte(i)*37, byte(i)&0x7f|nb&0x80)
 			}
 		case pendOpPump:
+			h.extra++
 			h.eng.AtGate(h.eng.Now()+pendDelta(next()), "netw:pump", h.n.pumpFn)
 		case pendOpRun:
 			h.eng.RunFor(pendDelta(next()))
@@ -178,6 +210,16 @@ func (h *pendHarness) run(program []byte) {
 	}
 	if queued, free := h.arena(); queued != 0 || free != len(h.n.pend)-1 {
 		h.t.Fatalf("after the drain: %d entries queued, %d of %d free", queued, free, len(h.n.pend)-1)
+	}
+	// Every gate ran, and the engine counted one event per entry: a gate
+	// that landed k entries counts k, a gate that found nothing (only a
+	// pendOpPump's, or the gate whose entries such a pump landed first)
+	// counts one.
+	if h.fired != h.gates+h.extra {
+		h.t.Fatalf("%d netw:pump events fired, %d gates armed by pushes and %d by pumps", h.fired, h.gates, h.extra)
+	}
+	if got, want := h.eng.Fired(), uint64(len(h.ids)+h.extra); got != want {
+		h.t.Fatalf("Fired() = %d for %d entries and %d extra pumps, want %d", got, len(h.ids), h.extra, want)
 	}
 }
 
@@ -261,6 +303,80 @@ func FuzzPendOrder(f *testing.F) {
 	}
 	f.Fuzz(runPendProgram)
 }
+
+// pumpCounter counts the netw:pump events eng runs.
+func pumpCounter(eng *sim.Engine) *int {
+	pumps := new(int)
+	eng.OnFire = func(name string, _ sim.Time) {
+		if name == "netw:pump" {
+			*pumps++
+		}
+	}
+	return pumps
+}
+
+// TestOneGateLandsAnInstant: k frames from k senders to k receivers, sent in
+// an order pendLess does not keep and all due at one instant, share one
+// netw:pump. It lands them in pendLess order (receiver first) and the engine
+// counts k events for it, as it did when every frame had a gate of its own.
+func TestOneGateLandsAnInstant(t *testing.T) {
+	const k = 8
+	eng := sim.NewEngine(1)
+	n := New(eng, Config{Latency: 100})
+	var order []addr.MachineID
+	for m := addr.MachineID(1); m <= 2*k; m++ {
+		n.Attach(m, endpointFunc(func(*msg.Message) { order = append(order, m) }))
+	}
+	pumps := pumpCounter(eng)
+	for i := k; i >= 1; i-- { // sender i to receiver 2k+1-i: receivers in ascending order
+		n.Send(addr.MachineID(i), addr.MachineID(2*k+1-i), frame(8))
+	}
+	eng.Run()
+	if *pumps != 1 || eng.Fired() != k || len(order) != k {
+		t.Fatalf("%d pumps fired, Fired() = %d, %d frames landed; want 1, %d, %d", *pumps, eng.Fired(), len(order), k, k)
+	}
+	for i, to := range order {
+		if to != addr.MachineID(k+1+i) {
+			t.Fatalf("landing order %v, want receivers %d..%d in turn", order, k+1, 2*k)
+		}
+	}
+}
+
+// TestZeroTransitArmsNoSecondGate: with a transit time of 0, a delivery can
+// send a frame due at the instant being pumped. The pump lands it on the
+// same pass, and it arms no gate of its own — one that would fire empty and
+// count an event no frame accounts for.
+func TestZeroTransitArmsNoSecondGate(t *testing.T) {
+	const frames = 7
+	eng := sim.NewEngine(1)
+	n := New(eng, Config{PairLatency: func(a, b addr.MachineID) sim.Time { return 0 }, PerByteNanos: 1})
+	sent := 0
+	relay := func(self addr.MachineID) Endpoint {
+		return endpointFunc(func(m *msg.Message) {
+			if sent < frames {
+				sent++
+				n.Send(self, 3-self, frame(8)) // 1 <-> 2, due now
+			}
+		})
+	}
+	n.Attach(1, relay(1))
+	n.Attach(2, relay(2))
+	pumps := pumpCounter(eng)
+	sent++
+	n.Send(1, 2, frame(8))
+	eng.Run()
+	if eng.Now() != 0 || sent != frames || n.Stats().Delivered != frames {
+		t.Fatalf("at %v, %d of %d frames sent and %d delivered; want all of them at 0", eng.Now(), sent, frames, n.Stats().Delivered)
+	}
+	if *pumps != 1 || eng.Fired() != frames {
+		t.Fatalf("%d pumps fired and Fired() = %d for %d frames filed; want 1 pump and one event a frame", *pumps, eng.Fired(), frames)
+	}
+}
+
+// endpointFunc adapts a function to Endpoint.
+type endpointFunc func(*msg.Message)
+
+func (f endpointFunc) DeliverFrame(m *msg.Message) { f(m) }
 
 // A frame filed after its arrival time would sit in a list no pump visits
 // and hold PendingFrames above zero for ever; it must panic instead.

@@ -111,8 +111,9 @@ type Engine struct {
 	levels uint16 // the wheel's occupied levels: bit l set when lv[l].occ != 0
 	halted bool
 
-	// OnFire, when non-nil, observes every event just before it runs.
-	// The determinism tests use it to assert exact firing order.
+	// OnFire, when non-nil, observes every event just before it runs, once
+	// per event whatever CountAs later reports for it. The determinism tests
+	// use it to assert exact firing order.
 	OnFire func(name string, at Time)
 
 	// OnAdvance, when non-nil, observes simulated time moving forward: it
@@ -149,8 +150,21 @@ func (e *Engine) Now() Time { return e.now }
 // from here to preserve determinism.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Fired returns the number of events executed so far.
+// Fired returns the number of events executed so far. An event that did the
+// work of several (see CountAs) counts as that many: a frame landed by a
+// shared gate counts as one, as if it had had its own.
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// CountAs tells the engine that the event now running did the work of k
+// events, so Fired counts it k times rather than once (k = 0 still counts it
+// once). The network's pump, which lands every frame due at its instant from
+// one gate, reports the frames it landed, so Fired does not depend on how
+// many gates the frames shared.
+func (e *Engine) CountAs(k uint64) {
+	if k > 1 {
+		e.fired += k - 1
+	}
+}
 
 // Pending returns the number of scheduled, uncancelled events. O(1): a live
 // counter maintained by schedule/Cancel/Step, not a queue scan.

@@ -66,6 +66,20 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestCountAs: an event that reports the work of k events counts k in Fired
+// and in Run's return, once in OnFire; k = 0 and k = 1 count it once.
+func TestCountAs(t *testing.T) {
+	e := NewEngine(1)
+	seen := 0
+	e.OnFire = func(string, Time) { seen++ }
+	e.At(10, "batch", func() { e.CountAs(3) })
+	e.At(20, "none", func() { e.CountAs(0) })
+	e.At(30, "one", func() { e.CountAs(1) })
+	if n := e.Run(); n != 5 || e.Fired() != 5 || seen != 3 {
+		t.Fatalf("Run() = %d, Fired() = %d, OnFire saw %d; want 5, 5, 3", n, e.Fired(), seen)
+	}
+}
+
 func TestScheduleInPastClampsToNow(t *testing.T) {
 	e := NewEngine(1)
 	var at Time = 999

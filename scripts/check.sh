@@ -30,6 +30,9 @@ go test -race ./...
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
 go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
 
+echo "== event count across shard counts under the race detector (a pump counts one event per frame it lands; 1/2/4 shards, inline and goroutine rounds, 3 runs)"
+go test -race -count=3 -run TestShardFiredInvariance ./internal/core/
+
 echo "== recycled process records and split process tables under the race detector (3 runs)"
 go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestProcessesOrderAcrossSplitTables' ./internal/kernel/
 
@@ -42,7 +45,7 @@ go test -run='^$' -fuzz=FuzzKernelAdmin -fuzztime=10s ./internal/kernel/
 echo "== fuzz smoke: the engine's event queue against a sorted-slice reference, operation by operation (10 s)"
 go test -run='^$' -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 
-echo "== fuzz smoke: the network's arrival calendar against a slice scanned with pendLess, delivery by delivery (10 s)"
+echo "== fuzz smoke: the network's arrival calendar against a slice scanned with pendLess, delivery by delivery, one gate per instant and one counted event per frame (10 s)"
 go test -run='^$' -fuzz=FuzzPendOrder -fuzztime=10s ./internal/netw/
 
 echo "== benchmark module: vet + self-test against the surface it compiles against"

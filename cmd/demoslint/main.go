@@ -3,10 +3,11 @@
 // or environment), map-iteration order on anything order-sensitive, the
 // DEMOS/MP layering DAG, the //demos:hotpath zero-allocation contract,
 // encoder/decoder/fuzz pairing of the wire payloads, the pooled-envelope
-// ownership discipline (use-after-Put, double-Put, unblessed retention),
-// staleness of //demos:hotpath annotations, test coverage of every
-// kill-point and Config ablation flag, and exported surface that nothing
-// outside tests uses.
+// ownership discipline (use-after-Put and double-Put within a statement
+// list, unblessed retention), an inventory of what the code says about its
+// tests (every //demos:hotpath guard exists; every kill-point, Config
+// ablation flag and chaos fault kind is test-referenced), and exported
+// surface that nothing outside tests uses: eight rules.
 //
 // Usage:
 //
@@ -15,7 +16,7 @@
 //	go run ./cmd/demoslint -json ./...
 //
 // The package pattern is accepted for familiarity but the whole module is
-// always analyzed (the layering, wirepair, killcover and deadcode rules are
+// always analyzed (the layering, wirepair, inventory and deadcode rules are
 // module-global). Findings print as "file:line: [rule] message" — or, with
 // -json, as a JSON array of {path,line,col,rule,msg} objects for CI
 // artifacts — and the exit status is non-zero if any exist. There is no

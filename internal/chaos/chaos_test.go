@@ -79,8 +79,9 @@ type soakResult struct {
 	// Post-run obs exports, byte-for-byte comparable across same-seed
 	// runs: the text metrics snapshot and the Chrome timeline JSON.
 	// obsNorm is obsText with the per-kernel envelope-pool gauges removed —
-	// which kernel's pool a cross-shard clone's original retires to is the
-	// one legitimately shard-dependent corner of the snapshot (the
+	// how many envelopes a pool constructs depends on which frames cross a
+	// shard as heap clones, the one legitimately shard-dependent corner of
+	// the snapshot (the
 	// conservation law itself is audited per run by CheckRegistry), so
 	// shard-count comparisons use obsNorm and same-config reruns use the
 	// full obsText.
@@ -476,9 +477,11 @@ func pairFaults(trace []string, span int) map[string]int {
 // stats, kill schedule, migration/restart totals, and the pool-gauge-
 // normalized obs snapshot. TotalFired / final clock are NOT compared —
 // pulse replicas legitimately scale with the shard count, and so do the
-// netw:sink events that retire the pooled original of each frame crossing a
-// shard. Pump gates do not: a pump counts one event per frame it lands
-// (TestShardFiredInvariance in internal/core pins that).
+// netw:sink events that hand abandoned frames back (one per engine per
+// instant that abandons any). Neither pump gates nor frames crossing a shard
+// do: a pump counts one event per frame it lands, and the ship path releases
+// its pooled original at once (TestShardFiredInvariance in internal/core pins
+// both).
 func assertShardInvariant(t *testing.T, label string, base, got soakResult) {
 	t.Helper()
 	if !reflect.DeepEqual(base.trace, got.trace) {

@@ -116,7 +116,7 @@ func (c *Cluster) build() error {
 // rounds only barrier touches the outboxes; the round's join (or its
 // running inline) orders the two, so no lock is needed.
 //
-//demos:owner clone — the outbox holds only heap clones: netw's canonical path retires a pooled original to its owner before shipping (copy-on-retain), so no pooled envelope ever crosses a shard boundary.
+//demos:owner clone — the outbox holds only heap clones: netw's canonical path releases a pooled original to its pool before shipping its clone, so no pooled envelope ever crosses a shard boundary.
 func (c *Cluster) shipFrom(s int) func(netw.RemoteFrame) {
 	out := c.outboxes[s]
 	return func(f netw.RemoteFrame) {

@@ -171,9 +171,11 @@ func TestShardOutboxParallel(t *testing.T) {
 // receivers spread over every shard: one shard lands them from one
 // netw:pump, four shards from four. A pump counts one event per frame it
 // lands, so TotalFired and the final clock must not move between 1, 2 and 4
-// shards, sequential or parallel, while the pumps actually fired do. Each
-// pair sits on one shard (16 machines apart), so no frame takes the ship
-// path, whose retired originals fire netw:sink events only a sharded run has.
+// shards, sequential or parallel, while the pumps actually fired do. In the
+// same-shard arm each pair sits on one shard (16 machines apart); in the
+// straddle arm its machines are 17 apart, so on 2 and 4 shards every frame
+// takes the ship path, which releases its pooled original at once and fires
+// no event a one-shard run lacks.
 func TestShardFiredInvariance(t *testing.T) {
 	simtest.TwoProcs(t)
 	const pairs, n = 16, 60
@@ -181,29 +183,38 @@ func TestShardFiredInvariance(t *testing.T) {
 		fired, pumps, parRounds uint64
 		now                     sim.Time
 	}
-	run := func(shards int, parallel bool) result {
-		c, err := core.New(core.Options{Machines: 2 * pairs, Seed: 5, Shards: shards, ShardParallel: parallel})
+	run := func(t *testing.T, straddle bool, shards int, parallel bool) result {
+		offset := pairs // receiver = sender + offset
+		if straddle {
+			offset++ // odd: a pair never shares a shard on 2 or 4 shards
+		}
+		c, err := core.New(core.Options{Machines: pairs + offset, Seed: 5, Shards: shards, ShardParallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pumps := make([]uint64, c.Shards()) // one counter per engine: parallel rounds fire on goroutines
+		netwSinks := make([]uint64, c.Shards())
 		for s := range pumps {
 			c.EngineOfShard(s).OnFire = func(name string, _ sim.Time) {
-				if name == "netw:pump" {
+				switch name {
+				case "netw:pump":
 					pumps[s]++
+				case "netw:sink":
+					netwSinks[s]++
 				}
 			}
 		}
 		var sinks []*workload.Sink
 		for m := 1; m <= pairs; m++ {
+			from, to := m, m+offset
 			sink := &workload.Sink{}
-			pid, err := c.Spawn(m+pairs, kernel.SpawnSpec{Body: sink})
+			pid, err := c.Spawn(to, kernel.SpawnSpec{Body: sink})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Spawn(m, kernel.SpawnSpec{
+			if _, err := c.Spawn(from, kernel.SpawnSpec{
 				Body:  &workload.Chatter{N: n, Interval: 100},
-				Links: []link.Link{{Addr: addr.At(pid, addr.MachineID(m+pairs))}},
+				Links: []link.Link{{Addr: addr.At(pid, addr.MachineID(to))}},
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -216,30 +227,40 @@ func TestShardFiredInvariance(t *testing.T) {
 			}
 		}
 		r := result{fired: c.TotalFired(), now: c.Now(), parRounds: c.ParallelRounds()}
-		for _, p := range pumps {
+		for s, p := range pumps {
 			r.pumps += p
+			if netwSinks[s] != 0 {
+				t.Errorf("shards=%d parallel=%v: shard %d fired %d netw:sink events in a fault-free run", shards, parallel, s, netwSinks[s])
+			}
 		}
 		return r
 	}
-	base := run(1, false)
-	if base.pumps >= pairs*n {
-		t.Fatalf("one shard fired %d pumps for %d frames: the frames never shared a gate", base.pumps, pairs*n)
-	}
-	for _, tc := range []struct {
-		shards   int
-		parallel bool
-	}{{2, false}, {4, false}, {2, true}, {4, true}} {
-		got := run(tc.shards, tc.parallel)
-		if got.fired != base.fired || got.now != base.now {
-			t.Errorf("shards=%d parallel=%v: TotalFired %d at %v, one shard fired %d at %v",
-				tc.shards, tc.parallel, got.fired, got.now, base.fired, base.now)
-		}
-		if got.pumps <= base.pumps {
-			t.Errorf("shards=%d: %d pumps fired, one shard fired %d: the receivers' instants were not split", tc.shards, got.pumps, base.pumps)
-		}
-		if tc.parallel && got.parRounds == 0 {
-			t.Errorf("shards=%d: no round ran on goroutines; the parallel arm compared inline with inline", tc.shards)
-		}
+	for _, arm := range []struct {
+		name     string
+		straddle bool
+	}{{"same-shard", false}, {"straddle", true}} {
+		t.Run(arm.name, func(t *testing.T) {
+			base := run(t, arm.straddle, 1, false)
+			if base.pumps >= pairs*n {
+				t.Fatalf("one shard fired %d pumps for %d frames: the frames never shared a gate", base.pumps, pairs*n)
+			}
+			for _, tc := range []struct {
+				shards   int
+				parallel bool
+			}{{2, false}, {4, false}, {2, true}, {4, true}} {
+				got := run(t, arm.straddle, tc.shards, tc.parallel)
+				if got.fired != base.fired || got.now != base.now {
+					t.Errorf("shards=%d parallel=%v: TotalFired %d at %v, one shard fired %d at %v",
+						tc.shards, tc.parallel, got.fired, got.now, base.fired, base.now)
+				}
+				if got.pumps <= base.pumps {
+					t.Errorf("shards=%d: %d pumps fired, one shard fired %d: the receivers' instants were not split", tc.shards, got.pumps, base.pumps)
+				}
+				if tc.parallel && got.parRounds == 0 {
+					t.Errorf("shards=%d: no round ran on goroutines; the parallel arm compared inline with inline", tc.shards)
+				}
+			}
+		})
 	}
 }
 
@@ -401,7 +422,7 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 
 	// Per-kernel envelope-pool gauges are the one legitimately
 	// shard-dependent corner of the snapshot: a cross-shard frame ships as
-	// a clone while the pooled original retires at once, where a same-shard
+	// a clone while the pooled original is released at once, where a same-shard
 	// frame keeps its sender's envelope out until the receiver consumes it,
 	// so how many envelopes a pool ever had to construct depends on the
 	// sharding. The conservation law must still hold within every

@@ -12,11 +12,16 @@ import (
 //
 // Envelope ownership transfers with the message: route's caller gives up
 // the envelope, and exactly one downstream consumer releases it via
-// putMsg (demoslint's ownership rule, DESIGN.md §8.1, enforces this
-// single-releaser contract; the blessed holding points — mailbox,
-// pending, bounce, locate, stream — are declared with //demos:owner).
+// putMsg. The envelope is dead to the caller once route returns: a frame
+// shipped to another shard has already gone back to its pool, zeroed. So
+// route counts as a release for demoslint's ownership rule, which reports a
+// read of the envelope after it; DESIGN.md §8.1 says which half of the
+// contract the rule checks and which the run time does. The blessed holding
+// points — mailbox, pending, bounce, locate, stream — are declared with
+// //demos:owner.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
+//demos:releases m — the envelope is dead to the caller once route returns.
 func (k *Kernel) route(m *msg.Message) {
 	if k.crashed {
 		k.dropCrashed(m)
@@ -119,9 +124,12 @@ func (k *Kernel) forward(f *Process, m *msg.Message) {
 	if f.obsRec != nil {
 		k.ledgerForward(f, m)
 	}
+	// m is dead once route returns, so read what the update needs first; it
+	// is still sent after the forward, keeping the order of sends.
+	update, sender, migrated := k.shouldSendLinkUpdate(m), m.From, m.To.ID
 	k.route(m)
-	if k.shouldSendLinkUpdate(m) {
-		k.sendLinkUpdate(m.From, m.To.ID, f.fwdTo)
+	if update {
+		k.sendLinkUpdate(sender, migrated, f.fwdTo)
 	}
 }
 

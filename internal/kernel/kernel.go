@@ -296,11 +296,10 @@ type Kernel struct {
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
 	// An envelope it constructed always comes back to it, whichever kernel
 	// of this engine releases it (msg.Pool.Put forwards home). Safe on a
-	// lossy network too: the ARQ copies on retain (netw/arq.go retires the
-	// original through ReleaseFrame), and it draws those copies from here
-	// through FramePool — the master of a frame this kernel sends, the wire
-	// copy of a frame it is about to receive — so pooling does not depend
-	// on the loss mode and PoolStats audits the ARQ's copies too.
+	// lossy network too: the ARQ keeps the sent envelope as its master and
+	// draws the wire copy of a frame this kernel is about to receive from
+	// here through FramePool, so pooling does not depend on the loss mode
+	// and PoolStats audits the ARQ's copies too.
 	pool *msg.Pool
 	// pendingFree recycles deferred-delivery records (local latency hops
 	// and paced data packets).

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -238,6 +239,28 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	p.Put(m)
+}
+
+// TestReleasedEnvelopeResubmitPanics is the run-time half of use-after-Put:
+// Put zeroes the envelope, so one routed after its release names no machine
+// (To.LastKnown is 0) and netw.Send panics rather than send a blank frame.
+// The ownership rule sees a use after Put only within one statement list; a
+// release on some path, or behind a helper without //demos:releases, lands
+// here instead.
+func TestReleasedEnvelopeResubmitPanics(t *testing.T) {
+	_, ks := poolTestCluster(t, 2)
+	k := ks[0]
+	m := k.getMsg()
+	m.Kind = msg.KindUser
+	m.To = addr.At(addr.ProcessID{Creator: 2, Local: 1}, 2)
+	k.putMsg(m)
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, "no endpoint for machine") {
+			t.Fatalf("routing a released envelope recovered %v, want netw's no-endpoint panic", r)
+		}
+	}()
+	k.route(m)
 }
 
 // TestPoolHeapMessagePassesThrough: heap-constructed messages (tests,

@@ -266,16 +266,10 @@ func countPooled(m *msg.Message) int {
 
 // --- netw.FrameOwner --------------------------------------------------------
 
-// ReleaseFrame implements netw.FrameOwner: the network is done with a pooled
-// envelope this kernel sent and did not deliver it as is (a heap clone
-// crossed a shard, or a lossless frame reached a down machine), so it can be
-// recycled — with the bounced original it may carry, since any copy took its
-// own.
-func (k *Kernel) ReleaseFrame(m *msg.Message) { k.putBounced(m) }
-
 // FramePool implements netw.FrameOwner: the ARQ draws the wire copies of
-// frames this kernel is about to receive from this pool and releases the
-// acked masters of frames it sent through it, so the ordinary putMsg after
+// frames this kernel is about to receive from this pool, and the network
+// releases through it the envelopes it consumes itself (an acked master, an
+// original shipped across a shard as a clone), so the ordinary putMsg after
 // delivery recycles them and PoolStats audits them.
 func (k *Kernel) FramePool() *msg.Pool { return k.pool }
 

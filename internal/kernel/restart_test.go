@@ -172,7 +172,7 @@ func TestSearchTimeoutDeadLetters(t *testing.T) {
 
 // TestKillPointInventory pins the kill-point surface: all eight protocol
 // stages of §3.1, in protocol order, each with a stable trace name. The
-// killcover lint rule requires every kill-point to be test-referenced;
+// inventory lint rule requires every kill-point to be test-referenced;
 // this inventory is that reference for the full set, and it fails loudly
 // if a stage is added, removed, or reordered without updating the chaos
 // drivers that cycle through KillPoints().

@@ -129,8 +129,7 @@ func DemosAnalyzers() []Analyzer {
 		HotPathAlloc{},
 		WirePair{PkgPath: ModulePath + "/internal/msg"},
 		Ownership{MsgPath: ModulePath + "/internal/msg"},
-		SuppressAudit{},
-		KillCover{
+		Inventory{
 			Pkg:        ModulePath + "/internal/kernel",
 			ConstType:  "KillPoint",
 			ConfigType: "Config",

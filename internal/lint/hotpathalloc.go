@@ -30,12 +30,8 @@ func (HotPathAlloc) Doc() string {
 }
 
 func (HotPathAlloc) Run(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasDirective(fd.Doc, "hotpath") {
-				continue
-			}
+	for _, fd := range funcDecls(p.Pkg) {
+		if hasDirective(fd.Doc, "hotpath") {
 			checkHotPath(p, fd)
 		}
 	}

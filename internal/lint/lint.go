@@ -4,8 +4,9 @@
 // environment), map-iteration order (nothing order-sensitive may be driven
 // by Go's randomized map ranging), the DEMOS/MP layering DAG, the
 // //demos:hotpath zero-allocation contract, wire encoder/decoder/fuzz
-// pairing in internal/msg, the pooled-envelope ownership discipline, and
-// exported surface that nothing outside tests uses.
+// pairing in internal/msg, the pooled-envelope ownership discipline, the
+// test references the code promises (guards, kill-points, flags, fault
+// kinds), and exported surface that nothing outside tests uses.
 //
 // The suite is built entirely on go/parser, go/ast, go/types and
 // go/importer, preserving the repository's zero-external-dependency rule.
@@ -118,4 +119,18 @@ func hasDirective(doc *ast.CommentGroup, name string) bool {
 		}
 	}
 	return false
+}
+
+// funcDecls returns the function declarations of a package's non-test
+// files that have a body.
+func funcDecls(pkg *Package) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
 }

@@ -38,8 +38,8 @@ func TestFixtures(t *testing.T) {
 		{"hotfix", "hotfix", []Analyzer{HotPathAlloc{}}},
 		{"wirefix", "wirefix", []Analyzer{WirePair{PkgPath: "wirefix"}}},
 		{"ownfix", "ownfix", []Analyzer{Ownership{MsgPath: "ownfix/msg"}}},
-		{"supfix", "supfix", []Analyzer{SuppressAudit{}}},
-		{"killfix", "killfix", []Analyzer{KillCover{
+		{"supfix", "supfix", []Analyzer{Inventory{Pkg: "supfix"}}},
+		{"killfix", "killfix", []Analyzer{Inventory{
 			Pkg: "killfix", ConstType: "Point", ConfigType: "Config",
 			ChaosKinds: map[string][]string{
 				"partition": {"Partition"},
@@ -151,19 +151,19 @@ func TestInjectedDoublePutCaught(t *testing.T) {
 }
 
 // TestChaosKindInventory pins the chaos fault-kind table wired into the
-// repository's killcover configuration: every fault family the injector
+// repository's inventory configuration: every fault family the injector
 // can drive, each with the identifiers that mark it exercised, plus the
 // shard markers. Adding a fault family to the injector means adding it
 // here AND referencing it from a sharded test in the same commit.
 func TestChaosKindInventory(t *testing.T) {
-	var kc *KillCover
+	var kc *Inventory
 	for _, a := range DemosAnalyzers() {
-		if k, ok := a.(KillCover); ok {
+		if k, ok := a.(Inventory); ok {
 			kc = &k
 		}
 	}
 	if kc == nil {
-		t.Fatal("DemosAnalyzers lost its KillCover entry")
+		t.Fatal("DemosAnalyzers lost its Inventory entry")
 	}
 	want := map[string][]string{
 		"partition":  {"PartitionEvery", "Partition"},
@@ -179,7 +179,7 @@ func TestChaosKindInventory(t *testing.T) {
 	for kind, ids := range want {
 		got, ok := kc.ChaosKinds[kind]
 		if !ok {
-			t.Errorf("fault kind %q missing from killcover config", kind)
+			t.Errorf("fault kind %q missing from inventory config", kind)
 			continue
 		}
 		if len(got) != len(ids) {

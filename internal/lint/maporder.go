@@ -41,14 +41,8 @@ var mapSinks = map[string]string{
 }
 
 func (MapOrder) Run(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkFuncMapRanges(p, fd.Body)
-		}
+	for _, fd := range funcDecls(p.Pkg) {
+		checkFuncMapRanges(p, fd.Body)
 	}
 }
 

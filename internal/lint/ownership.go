@@ -7,38 +7,26 @@ import (
 	"strings"
 )
 
-// Ownership is the borrow-checker for pooled message envelopes. It runs a
-// flow-sensitive, intraprocedural dataflow pass (ownflow.go) over every
-// function of every package that can see the envelope package and reports:
+// Ownership checks the single-releaser contract of pooled message envelopes
+// with one syntactic pass per function. It reports:
 //
-//   - use-after-release: reading an envelope or its Body (directly or
-//     through a slice alias) on any path after a Put — "on some path"
-//     findings come from branch and loop joins;
-//   - double release: a second Put reachable on any path — the runtime
-//     panic in msg.Pool.Put catches only the paths a test happens to
-//     drive, this catches them all;
-//   - retention: storing a pooled envelope (or a slice of its Body) into a
-//     struct field, map, slice, package variable, composite literal, or
-//     closure — anything that can outlive the handler — outside a blessed
-//     owner site.
+//   - use after release: inside one statement list, a read of an envelope
+//     local after Pool.Put (or a //demos:releases helper) released it, up to
+//     the first assignment to the local;
+//   - double release: a second release of that local in the same span;
+//   - retention: storing a pooled envelope, or m.Body or m.Body[i:j]
+//     (directly or through a local alias bound from either), into a field,
+//     an element, an append, a package variable, a composite literal or a
+//     closure capture outside a blessed owner site. &Message{} and
+//     new(Message) are not pooled and are exempt.
 //
-// The ownership matrix that used to live in prose is declared in the code
-// it governs:
+// A release reaches only the rest of its own statement list: not out of a
+// branch, not around a loop. The run time covers the rest (DESIGN.md §8.1).
 //
-//	//demos:owner <role> — <why>        blesses a retention site. On a
-//	    function's doc comment it blesses the whole function (the function
-//	    IS a retainer: ring push, pool free list, ARQ slot); on or above a
-//	    statement it blesses that line only.
-//	//demos:releases <param>            on a function declaration marks it
-//	    as a releaser of the named envelope parameter (e.g. Kernel.putMsg
-//	    wraps Pool.Put), so the analysis follows release semantics through
-//	    the repo's own helpers.
-//
-// Known limits (documented, deliberate): the pass is intraprocedural — a
-// release through an unannotated helper or an alias copy is invisible;
-// functions containing goto are skipped; retention inside a container
-// type parameter (ring[T]) is checked where the store happens, not at the
-// call site. DESIGN.md §8 has the full rule catalogue.
+// //demos:owner <role> — <why> blesses a retention site: on a function's doc
+// comment the whole function (a retainer), on or above a statement that
+// line. //demos:releases <param> marks a function as a releaser of that
+// parameter, as Kernel.putMsg wraps Pool.Put.
 type Ownership struct {
 	// MsgPath is the import path of the envelope package: the package
 	// defining Message and Pool (with Put).
@@ -47,155 +35,45 @@ type Ownership struct {
 
 func (Ownership) Name() string { return "ownership" }
 func (Ownership) Doc() string {
-	return "pooled-envelope borrow checker: use-after-Put, double-Put, unblessed retention (//demos:owner)"
-}
-
-// ownEnv is the per-package resolution of the envelope vocabulary.
-type ownEnv struct {
-	msgType  *types.Named // Message
-	poolType *types.Named // Pool
-	// releases maps module functions annotated //demos:releases <param> to
-	// the index of the released parameter.
-	releases map[*types.Func]int
+	return "pooled envelopes: use-after-Put and double-Put within a statement list, unblessed retention (//demos:owner)"
 }
 
 func (o Ownership) Run(p *Pass) {
-	if p.Pkg.Info == nil {
-		return
+	w := &ownWalker{
+		Ownership: o, p: p,
+		releases:  make(map[*types.Func]int),
+		blessed:   make(map[token.Position]bool),
+		aliases:   make(map[types.Object]types.Object),
+		nonPooled: make(map[types.Object]bool),
 	}
-	env := o.resolve(p)
-	if env == nil {
-		return // this package cannot name an envelope
-	}
-	blessed := blessedLines(p)
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+	// //demos:releases <param> sites across the whole module; a misnamed
+	// parameter is reported in its own package.
+	for _, pkg := range p.Mod.Pkgs {
+		for _, fd := range funcDecls(pkg) {
+			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+			if fn == nil || !hasDirective(fd.Doc, "releases") {
 				continue
 			}
-			if hasGoto(fd.Body) {
-				continue // unstructured flow: skip rather than guess
-			}
-			w := &ownWalker{
-				p:         p,
-				env:       env,
-				blessed:   blessed,
-				funcBlsd:  hasDirective(fd.Doc, "owner"),
-				reported:  make(map[string]bool),
-				nonPooled: make(map[types.Object]bool),
-			}
-			w.stmt(fd.Body, newFlowState())
-		}
-	}
-}
-
-// resolve locates the envelope package's types as seen from p, plus the
-// module-wide //demos:releases index. Returns nil when the analyzed
-// package neither is nor imports the envelope package.
-func (o Ownership) resolve(p *Pass) *ownEnv {
-	var msgPkg *types.Package
-	if p.Pkg.ImportPath == o.MsgPath {
-		msgPkg = p.Pkg.Types
-	} else {
-		for _, imp := range p.Pkg.Types.Imports() {
-			if imp.Path() == o.MsgPath {
-				msgPkg = imp
-				break
-			}
-		}
-	}
-	if msgPkg == nil {
-		return nil
-	}
-	named := func(name string) *types.Named {
-		tn, ok := msgPkg.Scope().Lookup(name).(*types.TypeName)
-		if !ok {
-			return nil
-		}
-		n, _ := tn.Type().(*types.Named)
-		return n
-	}
-	env := &ownEnv{
-		msgType:  named("Message"),
-		poolType: named("Pool"),
-		releases: make(map[*types.Func]int),
-	}
-	if env.msgType == nil {
-		return nil
-	}
-
-	// //demos:releases <param> sites across the whole module. Objects are
-	// shared between packages (the loader hands dependents the same
-	// *types.Package), so a kernel-internal helper resolves here too.
-	for _, pkg := range p.Mod.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !hasDirective(fd.Doc, "releases") {
-					continue
-				}
-				param := directiveArg(fd.Doc, "releases")
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				if idx := paramIndex(fn, param); idx >= 0 {
-					env.releases[fn] = idx
-				} else if pkg == p.Pkg {
-					// Report in the declaring package only, once.
-					p.Reportf(fd.Pos(), "//demos:releases names %q, which is not a parameter of %s", param, fd.Name.Name)
+			param, params := "", fn.Type().(*types.Signature).Params()
+			for _, c := range fd.Doc.List {
+				if f := strings.Fields(c.Text); len(f) > 1 && f[0] == "//demos:releases" {
+					param = f[1]
 				}
 			}
-		}
-	}
-	return env
-}
-
-// directiveArg returns the first word after //demos:<name> in a doc group.
-func directiveArg(doc *ast.CommentGroup, name string) string {
-	if doc == nil {
-		return ""
-	}
-	prefix := "//demos:" + name + " "
-	for _, c := range doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, prefix); ok {
-			rest = strings.TrimSpace(rest)
-			if i := strings.IndexAny(rest, " \t"); i >= 0 {
-				rest = rest[:i]
+			w.releases[fn] = -1
+			for i := range params.Len() {
+				if params.At(i).Name() == param {
+					w.releases[fn] = i
+				}
 			}
-			return rest
+			if w.releases[fn] < 0 && pkg == p.Pkg {
+				p.Reportf(fd.Pos(), "//demos:releases names %q, which is not a parameter of %s", param, fd.Name.Name)
+			}
 		}
 	}
-	return ""
-}
-
-func paramIndex(fn *types.Func, name string) int {
-	if name == "" {
-		return -1
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return -1
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i).Name() == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// blessedLines collects the line-level //demos:owner directives of a
-// package: each blesses retention findings on its own line and the line
-// below (trailing comment or standalone line above). A roleless directive
-// is itself a finding — the role names the retainer in the DESIGN.md §8
-// blessed-retention table.
-func blessedLines(p *Pass) map[string]map[int]bool {
-	out := make(map[string]map[int]bool)
+	// Line-level blessings: each covers its own line and the next (a
+	// trailing comment, or a comment line above). A blessing without a role
+	// is itself a finding: the role names the retainer in DESIGN.md §8.1.
 	for _, f := range p.Pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -203,515 +81,270 @@ func blessedLines(p *Pass) map[string]map[int]bool {
 				if !ok {
 					continue
 				}
-				role := strings.TrimSpace(rest)
-				if i := strings.IndexAny(role, " \t"); i >= 0 {
-					role = role[:i]
-				}
-				pos := p.Mod.Fset.Position(c.Pos())
-				path := relPath(p.Mod.Root, pos.Filename)
-				if role == "" || role == "—" {
+				if role := strings.Fields(rest); len(role) == 0 || role[0] == "—" {
 					p.Reportf(c.Pos(), "//demos:owner needs a role: //demos:owner <role> — <why>")
 					continue
 				}
-				if out[path] == nil {
-					out[path] = make(map[int]bool)
-				}
-				out[path][pos.Line] = true
-				out[path][pos.Line+1] = true
+				pos := p.Mod.Fset.Position(c.Pos())
+				w.blessed[token.Position{Filename: pos.Filename, Line: pos.Line}] = true
+				w.blessed[token.Position{Filename: pos.Filename, Line: pos.Line + 1}] = true
 			}
 		}
 	}
-	return out
+	for _, fd := range funcDecls(p.Pkg) {
+		w.funcBlsd = hasDirective(fd.Doc, "owner")
+		clear(w.aliases)
+		clear(w.nonPooled)
+		ast.Inspect(fd.Body, w.visit)
+	}
 }
 
-// ownWalker carries the per-function analysis context. The flow engine in
-// ownflow.go drives it; the methods below are the checks.
+// ownWalker is the pass; its per-function state is reset for each function.
 type ownWalker struct {
+	Ownership
 	p        *Pass
-	env      *ownEnv
-	blessed  map[string]map[int]bool
+	releases map[*types.Func]int     // a //demos:releases function → its released parameter, -1 if misnamed
+	blessed  map[token.Position]bool // file and line of each line-level blessing
 	funcBlsd bool
-	ctxs     []*breakCtx
-	// reported dedupes findings: loop fixpoints interpret a body up to
-	// three times and must not report the same diagnostic three times.
-	reported map[string]bool
-	// nonPooled marks locals whose envelope provenance is a local
-	// construction (&Message{...} or new(Message)) rather than a pool:
-	// retaining or capturing one is ordinary Go, not a lifetime bug. This
-	// is a walker-level, program-order approximation, deliberately not
-	// part of the branch-joined flow state.
+	// aliases maps a slice local bound from m.Body or m.Body[i:j] to m;
+	// nonPooled marks envelope locals bound from &Message{} or
+	// new(Message). Both follow program order.
+	aliases   map[types.Object]types.Object
 	nonPooled map[types.Object]bool
 }
 
-func (w *ownWalker) reportf(pos token.Pos, format string, args ...any) {
-	key := w.p.Mod.Fset.Position(pos).String() + format
-	if w.reported[key] {
+// visit gives every statement list the release check, and every binding,
+// store, literal and closure the retention check. A closure's body is not
+// walked.
+func (w *ownWalker) visit(n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.BlockStmt:
+		w.afterRelease(n.List)
+	case *ast.CaseClause:
+		w.afterRelease(n.Body)
+	case *ast.CommClause:
+		w.afterRelease(n.Body)
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			w.assign(lhs, pairOf(n.Rhs, i, len(n.Lhs)))
+		}
+	case *ast.ValueSpec:
+		for i, name := range n.Names {
+			w.assign(name, pairOf(n.Values, i, len(n.Names)))
+		}
+	case *ast.RangeStmt:
+		w.assign(n.Key, nil)
+		w.assign(n.Value, nil)
+	case *ast.CompositeLit:
+		for _, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			w.retained(elt, "a composite literal")
+		}
+	case *ast.FuncLit:
+		// A closure may run after the handler returned and the envelope was
+		// recycled: it must not capture an envelope or a body alias.
+		ast.Inspect(n.Body, func(c ast.Node) bool {
+			id, _ := c.(*ast.Ident)
+			v := w.local(id)
+			if v == nil || v.Pos() >= n.Pos() && v.Pos() <= n.End() || w.lineBlessed(id.Pos()) {
+				return true
+			}
+			const why = "retaining it past handler return; bless the site with //demos:owner <role>"
+			if w.ptrTo(v.Type(), "Message") && !w.nonPooled[v] {
+				w.p.Reportf(id.Pos(), "closure captures pooled envelope %q, "+why, v.Name())
+			} else if w.aliases[v] != nil {
+				w.p.Reportf(id.Pos(), "closure captures envelope body alias %q, "+why, v.Name())
+			}
+			return true
+		})
+		return false
+	}
+	return true
+}
+
+// pairOf returns the right-hand side paired with the i-th of n left-hand
+// sides, or nil when one multi-value expression feeds them all.
+func pairOf(rhs []ast.Expr, i, n int) ast.Expr {
+	if len(rhs) != n {
+		return nil
+	}
+	return rhs[i]
+}
+
+// afterRelease checks one statement list: after a statement that releases
+// an envelope local, a later read of it is a use after release and a later
+// release a double release, up to the first assignment to it. A double
+// release ends the span: the rest belongs to that release.
+func (w *ownWalker) afterRelease(list []ast.Stmt) {
+	for i, s := range list {
+		var v types.Object
+		if es, ok := s.(*ast.ExprStmt); ok {
+			if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok {
+				v = w.msgVar(w.releaseTarget(call))
+			}
+		}
+		line, done := w.p.Mod.Fset.Position(s.Pos()).Line, v == nil
+		for _, later := range list[i+1:] {
+			if done {
+				break
+			}
+			ast.Inspect(later, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						done = done || w.msgVar(l) == v
+					}
+				case *ast.CallExpr:
+					if a := w.releaseTarget(n); a != nil && w.msgVar(a) == v {
+						w.p.Reportf(a.Pos(), "double release of pooled envelope %q (first Put at line %d)", v.Name(), line)
+						done = true
+					}
+				case *ast.Ident:
+					if w.p.Pkg.Info.ObjectOf(n) == v {
+						w.p.Reportf(n.Pos(), "use of pooled envelope %q after release (Put at line %d)", n.Name, line)
+					}
+				}
+				return !done
+			})
+		}
+	}
+}
+
+// releaseTarget returns the argument a call releases — (*Pool).Put of the
+// envelope package, or a //demos:releases function — or nil.
+func (w *ownWalker) releaseTarget(call *ast.CallExpr) ast.Expr {
+	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	fn, _ := w.p.Pkg.Info.Uses[id].(*types.Func)
+	if fn == nil {
+		return nil
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && fn.Name() == "Put" && w.ptrTo(recv.Type(), "Pool") && len(call.Args) == 1 {
+		return call.Args[0]
+	}
+	if idx, ok := w.releases[fn]; ok && idx >= 0 && idx < len(call.Args) {
+		return call.Args[idx]
+	}
+	return nil
+}
+
+// assign records what a local now holds — an envelope is pooled unless
+// built locally, a slice may alias an envelope's body — or checks the store
+// through a field, an element, a pointee or a package variable. m.Body = b
+// where b aliases m's own body is the in-place reuse idiom, not retention.
+func (w *ownWalker) assign(lhs, rhs ast.Expr) {
+	id, isIdent := ast.Unparen(lhs).(*ast.Ident)
+	if obj := w.local(id); obj != nil {
+		delete(w.aliases, obj)
+		if w.ptrTo(obj.Type(), "Message") {
+			src := w.msgVar(rhs)
+			w.nonPooled[obj] = w.locallyBuilt(rhs) || src != nil && w.nonPooled[src]
+		} else if owner := w.bodyOwner(rhs); owner != nil {
+			w.aliases[obj] = owner
+		}
 		return
 	}
-	w.reported[key] = true
-	w.p.Reportf(pos, format, args...)
+	if rhs == nil {
+		return
+	}
+	ctx := types.ExprString(lhs)
+	if isIdent {
+		if v, ok := w.p.Pkg.Info.ObjectOf(id).(*types.Var); !ok || v.Parent() != w.p.Pkg.Types.Scope() {
+			return // the blank identifier
+		}
+		ctx = "package variable " + id.Name
+	} else if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+		if base := w.msgVar(sel.X); base != nil && w.bodyOwner(rhs) == base {
+			return
+		}
+	}
+	// x.held = append(x.held, m) retains m, the element, not the call.
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltinAppend(w.p, call) && !call.Ellipsis.IsValid() && len(call.Args) > 1 {
+		for _, a := range call.Args[1:] {
+			w.retained(a, ctx)
+		}
+		return
+	}
+	w.retained(rhs, ctx)
+}
+
+// retained reports val, stored into ctx, when it is a pooled envelope or a
+// body alias and the site is not blessed.
+func (w *ownWalker) retained(val ast.Expr, ctx string) {
+	if w.lineBlessed(val.Pos()) {
+		return
+	}
+	if v := w.msgVar(val); v != nil && !w.nonPooled[v] {
+		w.p.Reportf(val.Pos(), "pooled envelope %q stored in %s, retaining it past handler return; bless with //demos:owner <role>", v.Name(), ctx)
+	} else if owner := w.bodyOwner(val); owner != nil {
+		w.p.Reportf(val.Pos(), "body of envelope %q stored in %s; the backing array is recycled with the envelope — copy it or bless with //demos:owner <role>", owner.Name(), ctx)
+	}
+}
+
+// locallyBuilt reports whether rhs, bound to an envelope local, builds a
+// fresh envelope outside any pool: &Message{...} or new(Message).
+func (w *ownWalker) locallyBuilt(rhs ast.Expr) bool {
+	switch n := ast.Unparen(rhs).(type) {
+	case *ast.UnaryExpr:
+		_, lit := ast.Unparen(n.X).(*ast.CompositeLit)
+		return n.Op == token.AND && lit
+	case *ast.CallExpr:
+		id, _ := ast.Unparen(n.Fun).(*ast.Ident)
+		return id != nil && w.p.Pkg.Info.Uses[id] == types.Universe.Lookup("new")
+	}
+	return false
 }
 
 func (w *ownWalker) lineBlessed(pos token.Pos) bool {
-	if w.funcBlsd {
-		return true
-	}
-	position := w.p.Mod.Fset.Position(pos)
-	return w.blessed[relPath(w.p.Mod.Root, position.Filename)][position.Line]
+	at := w.p.Mod.Fset.Position(pos)
+	return w.funcBlsd || w.blessed[token.Position{Filename: at.Filename, Line: at.Line}]
 }
 
-// ---- type and expression classification ----
-
-func (w *ownWalker) objOf(id *ast.Ident) types.Object {
-	info := w.p.Pkg.Info
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
-// isMsgPtr reports whether t is *Message of the envelope package.
-func (w *ownWalker) isMsgPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	n, ok := ptr.Elem().(*types.Named)
-	return ok && n.Obj() == w.env.msgType.Obj()
-}
-
-// msgVar returns the local variable object when e is an identifier of
-// envelope-pointer type (through parens). Fields and package-level
-// variables are not flow-trackable and return nil.
-func (w *ownWalker) msgVar(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	v, ok := w.objOf(id).(*types.Var)
-	if !ok || v.IsField() || v.Parent() == nil || v.Parent() == w.p.Pkg.Types.Scope() {
-		return nil
-	}
-	if !w.isMsgPtr(v.Type()) {
+// local returns the function-local variable id names, or nil for a blank,
+// a field, a package variable or anything else.
+func (w *ownWalker) local(id *ast.Ident) *types.Var {
+	v, ok := w.p.Pkg.Info.ObjectOf(id).(*types.Var)
+	if !ok || id.Name == "_" || v.IsField() || v.Parent() == nil || v.Parent() == w.p.Pkg.Types.Scope() {
 		return nil
 	}
 	return v
 }
 
-// bodyOwner returns the envelope variable whose Body the expression
-// aliases: m.Body, m.Body[i:j], or a slice variable bound as a body alias.
-// st may be nil (pure syntactic check, aliases unavailable).
-func (w *ownWalker) bodyOwner(e ast.Expr, st *flowState) types.Object {
+// ptrTo reports whether t is a pointer to the envelope package's type name.
+func (w *ownWalker) ptrTo(t types.Type, name string) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := p.Elem().(*types.Named)
+	return ok && n.Obj().Name() == name && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == w.MsgPath
+}
+
+// msgVar returns the envelope local e names (through parens), or nil.
+func (w *ownWalker) msgVar(e ast.Expr) types.Object {
+	id, _ := ast.Unparen(e).(*ast.Ident)
+	if v := w.local(id); v != nil && w.ptrTo(v.Type(), "Message") {
+		return v
+	}
+	return nil
+}
+
+// bodyOwner returns the envelope local whose Body e aliases: m.Body,
+// m.Body[i:j], or a slice local bound from either.
+func (w *ownWalker) bodyOwner(e ast.Expr) types.Object {
 	switch n := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		if n.Sel.Name == "Body" {
 			return w.msgVar(n.X)
 		}
 	case *ast.SliceExpr:
-		return w.bodyOwner(n.X, st)
+		return w.bodyOwner(n.X)
 	case *ast.Ident:
-		if st == nil {
-			return nil
-		}
-		if v := w.objOf(n); v != nil {
-			if info, ok := st.vars[v]; ok && info.kind == kBody {
-				return info.owner
-			}
-		}
+		return w.aliases[w.p.Pkg.Info.ObjectOf(n)]
 	}
 	return nil
-}
-
-// releaseTarget reports whether call releases an envelope argument:
-// (*Pool).Put from the envelope package, or a module function annotated
-// //demos:releases. Returns the released argument expression, or nil.
-func (w *ownWalker) releaseTarget(call *ast.CallExpr) ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	var fn *types.Func
-	if ok {
-		fn, _ = w.p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	} else if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		fn, _ = w.p.Pkg.Info.Uses[id].(*types.Func)
-	}
-	if fn == nil {
-		return nil
-	}
-	if fn.Name() == "Put" && w.recvIsPool(fn) && len(call.Args) == 1 {
-		return call.Args[0]
-	}
-	if idx, ok := w.env.releases[fn]; ok && idx < len(call.Args) {
-		return call.Args[idx]
-	}
-	return nil
-}
-
-func (w *ownWalker) recvIsPool(fn *types.Func) bool {
-	if w.env.poolType == nil {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj() == w.env.poolType.Obj()
-}
-
-// ---- uses ----
-
-// useVar checks one identifier read against the abstract state.
-func (w *ownWalker) useVar(id *ast.Ident, st *flowState) {
-	obj := w.objOf(id)
-	if obj == nil {
-		return
-	}
-	info, ok := st.vars[obj]
-	if !ok {
-		return
-	}
-	switch info.kind {
-	case kMsg:
-		switch info.st {
-		case osReleased:
-			w.reportf(id.Pos(), "use of pooled envelope %q after release (Put at line %d)", id.Name, info.relLine)
-		case osMaybe:
-			w.reportf(id.Pos(), "use of pooled envelope %q that is released on some path (Put at line %d)", id.Name, info.relLine)
-		}
-	case kBody:
-		if info.owner == nil {
-			return
-		}
-		if oi, ok := st.vars[info.owner]; ok && oi.kind == kMsg && oi.st != osLive {
-			some := ""
-			if oi.st == osMaybe {
-				some = " on some path"
-			}
-			w.reportf(id.Pos(), "use of %q, which aliases the body of envelope %q released%s at line %d", id.Name, info.owner.Name(), some, oi.relLine)
-		}
-	}
-}
-
-// ---- expressions ----
-
-func (w *ownWalker) expr(e ast.Expr, st *flowState) {
-	switch n := e.(type) {
-	case nil:
-	case *ast.Ident:
-		w.useVar(n, st)
-	case *ast.SelectorExpr:
-		w.expr(n.X, st)
-	case *ast.CallExpr:
-		w.call(n, st)
-	case *ast.FuncLit:
-		w.funcLit(n, st)
-	case *ast.CompositeLit:
-		for _, elt := range n.Elts {
-			val := elt
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				val = kv.Value
-			}
-			w.checkStore(val, "a composite literal", st)
-			w.expr(val, st)
-		}
-	case *ast.ParenExpr:
-		w.expr(n.X, st)
-	case *ast.UnaryExpr:
-		w.expr(n.X, st)
-	case *ast.BinaryExpr:
-		w.expr(n.X, st)
-		w.expr(n.Y, st)
-	case *ast.StarExpr:
-		w.expr(n.X, st)
-	case *ast.IndexExpr:
-		w.expr(n.X, st)
-		w.expr(n.Index, st)
-	case *ast.IndexListExpr:
-		w.expr(n.X, st)
-	case *ast.SliceExpr:
-		w.expr(n.X, st)
-		w.expr(n.Low, st)
-		w.expr(n.High, st)
-		w.expr(n.Max, st)
-	case *ast.TypeAssertExpr:
-		w.expr(n.X, st)
-	case *ast.KeyValueExpr:
-		w.expr(n.Value, st)
-	}
-}
-
-func (w *ownWalker) call(call *ast.CallExpr, st *flowState) {
-	if rel := w.releaseTarget(call); rel != nil {
-		w.expr(call.Fun, st)
-		for _, a := range call.Args {
-			if a != rel {
-				w.expr(a, st)
-			}
-		}
-		w.release(rel, st)
-		return
-	}
-
-	w.expr(call.Fun, st)
-	for _, a := range call.Args {
-		w.expr(a, st)
-	}
-}
-
-// release applies Put semantics to the released expression.
-func (w *ownWalker) release(arg ast.Expr, st *flowState) {
-	v := w.msgVar(arg)
-	if v == nil {
-		// Releasing a non-trackable expression (q.pop(), a field):
-		// nothing to flow, but still use-check its parts.
-		w.expr(arg, st)
-		return
-	}
-	line := w.p.Mod.Fset.Position(arg.Pos()).Line
-	info, ok := st.vars[v]
-	if ok && info.kind == kMsg {
-		switch info.st {
-		case osReleased:
-			w.reportf(arg.Pos(), "double release of pooled envelope %q (first Put at line %d)", v.Name(), info.relLine)
-		case osMaybe:
-			w.reportf(arg.Pos(), "release of pooled envelope %q that is already released on some path (first Put at line %d)", v.Name(), info.relLine)
-		}
-	}
-	st.vars[v] = ownInfo{kind: kMsg, st: osReleased, relLine: line}
-}
-
-// funcLit flags closures that capture an envelope or body alias from the
-// enclosing function: the closure may run after the handler returned and
-// the envelope was recycled.
-func (w *ownWalker) funcLit(lit *ast.FuncLit, st *flowState) {
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := w.objOf(id).(*types.Var)
-		if !ok || v.IsField() || v.Parent() == nil || v.Parent() == w.p.Pkg.Types.Scope() {
-			return true
-		}
-		// Captured = declared outside the literal.
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return true
-		}
-		captured := ""
-		if w.isMsgPtr(v.Type()) && !w.nonPooled[v] {
-			captured = "pooled envelope"
-		} else if info, ok := st.vars[v]; ok && info.kind == kBody {
-			captured = "envelope body alias"
-		}
-		if captured != "" && !w.lineBlessed(id.Pos()) {
-			w.reportf(id.Pos(), "closure captures %s %q, retaining it past handler return; bless the site with //demos:owner <role>", captured, v.Name())
-		}
-		return true
-	})
-}
-
-// checkStoreRHS unwraps an append before the retention check, so
-// `x.held = append(x.held, m)` reports m (the element actually retained),
-// not the opaque call result.
-func (w *ownWalker) checkStoreRHS(rhs ast.Expr, ctx string, st *flowState) {
-	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltinAppend(w.p, call) && !call.Ellipsis.IsValid() && len(call.Args) > 1 {
-		for _, a := range call.Args[1:] {
-			w.checkStore(a, ctx, st)
-		}
-		return
-	}
-	w.checkStore(rhs, ctx, st)
-}
-
-// checkStore reports a retention finding when val is a pooled envelope or
-// body alias being stored into ctx (a field, element, or literal).
-func (w *ownWalker) checkStore(val ast.Expr, ctx string, st *flowState) {
-	if w.lineBlessed(val.Pos()) {
-		return
-	}
-	if v := w.msgVar(val); v != nil && !w.nonPooled[v] {
-		w.reportf(val.Pos(), "pooled envelope %q stored in %s, retaining it past handler return; bless with //demos:owner <role>", v.Name(), ctx)
-		return
-	}
-	if owner := w.bodyOwner(val, st); owner != nil {
-		w.reportf(val.Pos(), "body of envelope %q stored in %s; the backing array is recycled with the envelope — copy it or bless with //demos:owner <role>", owner.Name(), ctx)
-	}
-}
-
-// ---- statements with binding effects ----
-
-func (w *ownWalker) declStmt(n *ast.DeclStmt, st *flowState) {
-	gd, ok := n.Decl.(*ast.GenDecl)
-	if !ok {
-		return
-	}
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		for _, v := range vs.Values {
-			w.expr(v, st)
-		}
-		if len(vs.Values) == len(vs.Names) {
-			for i, name := range vs.Names {
-				w.bind(name, vs.Values[i], st)
-			}
-		} else {
-			for _, name := range vs.Names {
-				if obj := w.objOf(name); obj != nil {
-					w.rebind(obj, st)
-				}
-			}
-		}
-	}
-}
-
-func (w *ownWalker) assign(n *ast.AssignStmt, st *flowState) {
-	// Evaluate all RHS for uses first (Go evaluates RHS before assigning).
-	for _, r := range n.Rhs {
-		w.expr(r, st)
-	}
-	if len(n.Lhs) == len(n.Rhs) {
-		for i := range n.Lhs {
-			w.assignPair(n.Lhs[i], n.Rhs[i], st)
-		}
-		return
-	}
-	// Multi-value RHS (call, map read, type assertion): no envelope flows
-	// we can model; rebind any tracked LHS vars and use-check LHS bases.
-	for _, l := range n.Lhs {
-		w.lhsEffects(l, nil, st)
-	}
-}
-
-func (w *ownWalker) assignPair(lhs, rhs ast.Expr, st *flowState) {
-	switch l := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		w.bind(l, rhs, st)
-	default:
-		w.lhsEffects(lhs, rhs, st)
-	}
-}
-
-// bind gives an identifier LHS its new abstract value.
-func (w *ownWalker) bind(id *ast.Ident, rhs ast.Expr, st *flowState) {
-	if id.Name == "_" {
-		return
-	}
-	obj := w.objOf(id)
-	if obj == nil {
-		return
-	}
-	// Storing into a package-level variable escapes the handler.
-	if v, ok := obj.(*types.Var); ok && v.Parent() == w.p.Pkg.Types.Scope() {
-		w.checkStoreRHS(rhs, "package variable "+id.Name, st)
-		return
-	}
-	// Envelope pointer: copy the source variable's state, or fresh-live.
-	if w.isMsgPtr(obj.Type()) {
-		if w.locallyBuilt(rhs) {
-			w.nonPooled[obj] = true
-			w.rebind(obj, st)
-			return
-		}
-		if src := w.msgVar(rhs); src != nil {
-			if w.nonPooled[src] {
-				w.nonPooled[obj] = true
-			} else {
-				delete(w.nonPooled, obj)
-			}
-			if info, ok := st.vars[src]; ok {
-				st.vars[obj] = info
-				return
-			}
-		} else {
-			delete(w.nonPooled, obj)
-		}
-		w.rebind(obj, st)
-		return
-	}
-	// Body alias binding: b := m.Body[:0].
-	if owner := w.bodyOwner(rhs, st); owner != nil {
-		st.vars[obj] = ownInfo{kind: kBody, owner: owner}
-		return
-	}
-	w.rebind(obj, st)
-}
-
-// locallyBuilt reports whether rhs constructs a fresh envelope outside
-// any pool: &Message{...} or new(Message). Only Pool.Get (and annotated
-// wrappers) hand out recycled envelopes, so these never dangle.
-func (w *ownWalker) locallyBuilt(rhs ast.Expr) bool {
-	switch n := ast.Unparen(rhs).(type) {
-	case *ast.UnaryExpr:
-		if n.Op != token.AND {
-			return false
-		}
-		cl, ok := ast.Unparen(n.X).(*ast.CompositeLit)
-		if !ok {
-			return false
-		}
-		named, ok := w.p.Pkg.Info.TypeOf(cl).(*types.Named)
-		return ok && named.Obj() == w.env.msgType.Obj()
-	case *ast.CallExpr:
-		id, ok := ast.Unparen(n.Fun).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		_, isBuiltin := w.objOf(id).(*types.Builtin)
-		return isBuiltin && id.Name == "new" && w.isMsgPtr(w.p.Pkg.Info.TypeOf(n))
-	}
-	return false
-}
-
-// rebind resets a variable to untracked (implicitly live) and orphans any
-// aliases bound to its previous value, so a rebound envelope variable
-// cannot produce findings about the message it no longer names.
-func (w *ownWalker) rebind(obj types.Object, st *flowState) {
-	delete(st.vars, obj)
-	for k, i := range st.vars {
-		if i.kind == kBody && i.owner == obj {
-			i.owner = nil
-			st.vars[k] = i
-		}
-	}
-}
-
-// lhsEffects handles a non-identifier LHS: use-check the base (writing
-// m.Body after Put is a use of m) and run the retention check on the value
-// being stored. Storing an envelope's own body back into itself
-// (m.Body = b where b aliases m) is the reuse idiom, not retention.
-func (w *ownWalker) lhsEffects(lhs, rhs ast.Expr, st *flowState) {
-	switch l := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		if obj := w.objOf(l); obj != nil {
-			w.rebind(obj, st)
-		}
-		return
-	case *ast.SelectorExpr:
-		w.expr(l.X, st)
-		if rhs != nil {
-			if base := w.msgVar(l.X); base != nil {
-				if w.bodyOwner(rhs, st) == base {
-					return // m.Body = m.Body[...]: in-place reuse
-				}
-			}
-			w.checkStoreRHS(rhs, types.ExprString(lhs), st)
-		}
-	case *ast.IndexExpr:
-		w.expr(l.X, st)
-		w.expr(l.Index, st)
-		if rhs != nil {
-			w.checkStoreRHS(rhs, types.ExprString(lhs), st)
-		}
-	case *ast.StarExpr:
-		w.expr(l.X, st)
-		if rhs != nil {
-			w.checkStoreRHS(rhs, types.ExprString(lhs), st)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -33,6 +34,34 @@ func TestRepositoryLintsClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Fatalf("%d finding(s) in the repository; fix them (a rule that must tolerate a site takes a table in demos.go)", len(diags))
+	}
+}
+
+// TestRuleTableDoc keeps DESIGN.md §8's rule table in step with the suite:
+// its rows name exactly DemosAnalyzers' rules, in order. Adding, folding or
+// renaming a rule means editing the table in the same commit.
+func TestRuleTableDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n## 8. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §8")
+	}
+	sec, _, _ = strings.Cut(sec, "\n### 8.1")
+	var got, want []string
+	for _, line := range strings.Split(sec, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			got = append(got, name)
+		}
+	}
+	for _, a := range DemosAnalyzers() {
+		want = append(want, a.Name())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("DESIGN.md §8 rule table names %v, DemosAnalyzers has %v", got, want)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package killfix exercises killcover: Point constants and Config bool
+// Package killfix exercises inventory: Point constants and Config bool
 // flags partially referenced from killfix_test.go — the unreferenced ones
 // must be reported, and the non-bool / unexported fields ignored.
 package killfix
@@ -9,7 +9,7 @@ type Point uint8
 const (
 	PSourceFrozen Point = iota + 1
 	PDestArrived
-	PNeverKilled // not referenced by any test: want killcover
+	PNeverKilled // not referenced by any test: want inventory
 )
 
 // PointCount is plain int, not a Point: outside the rule.
@@ -18,7 +18,7 @@ const PointCount = int(PNeverKilled)
 // Config mimics kernel.Config.
 type Config struct {
 	FlagTested   bool
-	FlagUntested bool // not referenced by any test: want killcover
+	FlagUntested bool // not referenced by any test: want inventory
 	Budget       int  // non-bool: outside the rule
 	hidden       bool // unexported: outside the rule
 }

@@ -1,8 +1,8 @@
 // Package own exercises every ownership finding class — use-after-Put,
-// double-Put (straight-line, branchy, via an annotated releaser), body
-// escapes — plus the negative cases that must stay silent: blessed
-// forwarder retention, in-place body reuse, ownership transfer by call or
-// return, and locally-built envelopes.
+// double-Put (straight-line, via an annotated releaser), body escapes —
+// plus the negative cases that must stay silent: a release on one branch
+// only, a reassigned local, blessed forwarder retention, in-place body
+// reuse, ownership transfer by call or return, and locally-built envelopes.
 package own
 
 import "ownfix/msg"
@@ -26,16 +26,24 @@ func DoublePut(p *msg.Pool) {
 	p.Put(m) // want: double release
 }
 
-// MaybePut releases on one branch only, then again unconditionally: the
-// join makes the second Put a some-path double release, and the read
-// before it a some-path use-after-release.
+// MaybePut releases on one branch only, then again unconditionally. A
+// release reaches only the rest of its own statement list, so this is
+// silent: Pool.Put's double-release panic is the check for it.
 func MaybePut(p *msg.Pool, drop bool) {
 	m := p.Get()
 	if drop {
 		p.Put(m)
 	}
-	sink(m.Body) // want: use on some path
-	p.Put(m)     // want: release on some path
+	sink(m.Body)
+	p.Put(m)
+}
+
+// Reassigned reuses the local for a fresh envelope: silent.
+func Reassigned(p *msg.Pool) {
+	m := p.Get()
+	p.Put(m)
+	m = p.Get()
+	sink(m.Body)
 }
 
 // releaseHelper wraps Put the way Kernel.putMsg does.

@@ -1,4 +1,4 @@
-// Package supfix exercises suppressaudit: //demos:hotpath annotations
+// Package supfix exercises inventory: //demos:hotpath annotations
 // with a live guard (silent), a deleted guard (reported), and no guard at
 // all (reported).
 package supfix

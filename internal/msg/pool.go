@@ -14,13 +14,14 @@ package msg
 // home is always a pool of the caller's own engine (same goroutine), and
 // one-way traffic leaves every pool as full as it found it.
 //
-// The single-releaser discipline is machine-checked: demoslint's
-// ownership rule (DESIGN.md §8.1) statically tracks every envelope from
-// Get to Put and rejects use-after-release, double release, and retention
-// outside a //demos:owner-blessed site. What an intraprocedural pass cannot
-// see, Put backs at run time: a second release of an envelope already on
-// its free list panics (inFree), and every release lands on the home pool's
-// free list, where a test can find it.
+// The single-releaser discipline is checked twice (DESIGN.md §8.1).
+// demoslint's ownership rule rejects, within one statement list, a use or a
+// second release of an envelope after Put, and anywhere a retention outside
+// a //demos:owner-blessed site. Put backs the rest at run time: a second
+// release of an envelope already on its free list panics (inFree), Put
+// zeroes the envelope so one resubmitted after its release panics in
+// netw.Send, and every release lands on the home pool's free list, where a
+// test can find it.
 type Pool struct {
 	free []*Message
 	news int // envelopes constructed because the free list was empty

@@ -173,10 +173,10 @@ func (n *Network) cloneFor(at addr.MachineID, m *msg.Message) *msg.Message {
 }
 
 // release recycles an envelope the network is done with — a wire copy it
-// consumed itself, or an acked master — and the bounced original it may
-// carry, through the pool of machine at (Put forwards to the envelope's home;
-// heap messages pass through): the two Puts the owner's ReleaseFrame would
-// make, without the deferred handoff.
+// consumed itself, an acked master, a pooled original shipped as a clone or
+// lost at a down machine — and the bounced original it may carry, through
+// the pool of machine at (Put forwards to the envelope's home; heap messages
+// pass through).
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 //demos:releases m — the copy is dead on every path after it.
@@ -191,10 +191,9 @@ func (n *Network) release(at addr.MachineID, m *msg.Message) {
 // canonSendARQ submits one frame to the machine-anchored retransmission
 // machinery. The submitted envelope is the flight's master: it stays on the
 // sender's shard, every wire copy is cloned from it, and the ack releases it
-// through the sender's pool — what the sender's own ReleaseFrame would have
-// done — so the pooled fast path and the lossy network are not mutually
-// exclusive. An injected duplicate reuses the frame id, exercising receiver
-// dedup rather than user-visible duplication.
+// through the sender's pool, so the pooled fast path and the lossy network
+// are not mutually exclusive. An injected duplicate reuses the frame id,
+// exercising receiver dedup rather than user-visible duplication.
 //
 //demos:hotpath — allocation-free once the flight pool, the sender's table and the envelope pools are warm: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq and BenchmarkNetwSendARQ in bench_hotpath_test.go.
 //demos:owner inflight — the flight owns the master (the sender's envelope) until the ack releases it or deadFrame takes it; every enqueued wire copy is owned by a shard's calendar.

@@ -10,8 +10,8 @@ import (
 
 // Flight life-cycle pins. Every test runs between kernel-shaped endpoints
 // (ownerRec) sending pooled envelopes, and ends with each pool holding every
-// envelope it constructed: masters, wire copies and retired originals all
-// found their way home.
+// envelope it constructed: masters and wire copies all found their way
+// home.
 
 // arqQuiet arms the ARQ without ever losing a frame to the hash draw.
 var arqQuiet = Config{LossRate: 1e-12, Latency: 100, RetransTimeout: 5000, MaxRetries: 10}
@@ -144,7 +144,7 @@ func TestFlightLateAndDuplicateAcks(t *testing.T) {
 }
 
 // TestFlightExhaustsRetries: after MaxRetries the master — the sender's own
-// envelope, never retired at send — reaches the sender's UndeliverableFrame
+// envelope, never released at send — reaches the sender's UndeliverableFrame
 // exactly once and the flight is gone.
 func TestFlightExhaustsRetries(t *testing.T) {
 	cfg := arqQuiet
@@ -154,9 +154,9 @@ func TestFlightExhaustsRetries(t *testing.T) {
 	n.Send(1, 2, pooledFrame(o1, 2))
 	eng.Run()
 	s := n.Stats()
-	if o1.undeliverable != 1 || o1.released != 0 || s.Dead != 1 || s.Retransmits != 3 {
-		t.Fatalf("undeliverable=%d released=%d Dead=%d Retransmits=%d, want 1/0/1/3",
-			o1.undeliverable, o1.released, s.Dead, s.Retransmits)
+	if o1.undeliverable != 1 || s.Dead != 1 || s.Retransmits != 3 {
+		t.Fatalf("undeliverable=%d Dead=%d Retransmits=%d, want 1/1/3",
+			o1.undeliverable, s.Dead, s.Retransmits)
 	}
 	if n.InflightARQ() != 0 || flightOf(n, 1, 1) != nil || freeFlights(n) != 1 {
 		t.Fatalf("InflightARQ %d, slot %v, %d free records: the abandoned flight is not gone",

@@ -30,8 +30,8 @@
 // round barrier; where an entry sits is a function of its key alone, never of
 // when it was filed, so the order the barrier drains the outboxes in cannot
 // perturb simulation order. A pooled envelope never crosses a shard
-// boundary: the ship path transmits a heap clone and retires the original to
-// its owner, exactly like the ARQ's copy-on-retain rule.
+// boundary: the ship path transmits a heap clone and releases the original
+// through its sender's pool at once, as the ARQ releases an acked master.
 package netw
 
 import (
@@ -140,7 +140,7 @@ func (n *Network) isLocal(m addr.MachineID) bool { return n.local == nil || n.lo
 // its exact delivery timestamp with it.
 //
 //demos:hotpath — the lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
-//demos:owner inflight — the calendar owns the frame until pump hands it to deliver; a frame shipped cross-shard is a heap clone (the pooled original is retired to its owner first).
+//demos:owner inflight — the calendar owns the frame until pump hands it to deliver; a frame shipped cross-shard is a heap clone (the pooled original is released first).
 func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time) {
 	at := n.eng.Now() + n.transit(from, to, size) + extra
 	fm := n.mach(from)
@@ -155,7 +155,7 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 	}
 	if m.Pooled() {
 		c := m.Clone()
-		n.retire(from, m)
+		n.release(from, m)
 		m = c
 	}
 	n.ship(RemoteFrame{From: from, To: to, At: at, Seq: seq, M: m})

@@ -5,9 +5,9 @@
 //
 // Accounting contract: a frame the network consumes without delivering is
 // never silently lost. It is counted (SendFromDown / PartitionDropped /
-// BurstDropped / Dead / Dropped) AND handed to the sending machine's
-// FrameOwner, so cluster-wide dead-letter and pooled-envelope ledgers balance
-// after a chaos run.
+// BurstDropped / Dead / Dropped) AND either released through its pool or
+// handed to the sending machine's FrameOwner, so cluster-wide dead-letter and
+// pooled-envelope ledgers balance after a chaos run.
 package netw
 
 import (
@@ -17,43 +17,37 @@ import (
 )
 
 // FrameOwner is the envelope-return interface a machine's endpoint may
-// implement (kernels do). The network calls it when it is done with a frame
-// the owner submitted:
+// implement (kernels do). An envelope is dead to its sender once Send
+// returns: the network may already have released it.
 //
-//   - ReleaseFrame: the network is done with a pooled original it did not
-//     hand to a receiver — it shipped a heap clone across a shard instead,
-//     or the lossless frame reached a down machine — and it can be recycled,
-//     together with the bounced original it may carry (every copy carries
-//     its own).
 //   - UndeliverableFrame: the frame was abandoned — sender down, pair
-//     partitioned, burst loss in lossless mode, or retries exhausted.
+//     partitioned, burst loss in lossless mode, or retries exhausted. It is
+//     invoked one engine step after the triggering Send (same sim time, a
+//     later netw:sink event), never synchronously, so the sender's kernel
+//     hears of the loss only after the send that caused it has finished.
+//   - FramePool lends the machine's envelope pool to the network. The ARQ
+//     (arq.go) draws wire copies from the receiver's pool, and whatever the
+//     network consumes itself — a pooled original shipped across a shard as
+//     a heap clone, a lossless frame lost at a down machine, a suppressed or
+//     stranded wire copy, an acked master — goes back through it at once
+//     (Network.release).
 //
-// Both are invoked one engine step after the triggering Send (same sim
-// time, later event), never synchronously: senders may legally read an
-// envelope's routing fields immediately after Send returns.
-//
-// FramePool lends the machine's envelope pool to the ARQ (arq.go): wire
-// copies are drawn from the receiver's pool, and what the network consumes
-// itself — a suppressed or stranded wire copy, an acked master — goes back
-// through it directly, with no ReleaseFrame. An endpoint that is not a
-// FrameOwner gets heap clones instead.
+// An endpoint that is not a FrameOwner gets heap clones instead.
 type FrameOwner interface {
-	ReleaseFrame(m *msg.Message)
 	UndeliverableFrame(to addr.MachineID, m *msg.Message)
 	FramePool() *msg.Pool
 }
 
-// sinkItem is one deferred envelope handoff.
+// sinkItem is one deferred abandoned-frame handoff.
 type sinkItem struct {
 	owner FrameOwner
 	m     *msg.Message
 	to    addr.MachineID
-	dead  bool
 }
 
 // queueSink schedules a deferred handoff. All queued items run in one
 // "netw:sink" event at the current sim time, after the in-flight callback
-// (typically a Send caller) has finished with the envelope.
+// (typically a Send caller) has finished.
 func (n *Network) queueSink(it sinkItem) {
 	n.sinkQ = append(n.sinkQ, it)
 	if !n.sinkArmed {
@@ -70,11 +64,7 @@ func (n *Network) runSink() {
 	for i := 0; i < len(n.sinkQ); i++ {
 		it := n.sinkQ[i]
 		n.sinkQ[i] = sinkItem{}
-		if it.dead {
-			it.owner.UndeliverableFrame(it.to, it.m)
-		} else {
-			it.owner.ReleaseFrame(it.m)
-		}
+		it.owner.UndeliverableFrame(it.to, it.m)
 	}
 	n.sinkQ = n.sinkQ[:0]
 }
@@ -87,22 +77,12 @@ func (n *Network) owner(m addr.MachineID) FrameOwner {
 	return nil
 }
 
-// retire returns a pooled original the network will not deliver: it crossed
-// a shard as a heap clone, or a lossless frame reached a down machine.
-//
-//demos:owner sink — the sink queue holds the retired envelope only until drainSinks hands it to its FrameOwner in the same event cascade.
-func (n *Network) retire(from addr.MachineID, m *msg.Message) {
-	if o := n.owner(from); o != nil {
-		n.queueSink(sinkItem{owner: o, m: m})
-	}
-}
-
 // deadFrame routes an abandoned frame to the sending machine's FrameOwner.
 //
-//demos:owner sink — abandoned frames are held in the sink queue until drainSinks returns them to their owner for accounting + release.
+//demos:owner sink — abandoned frames are held in the sink queue until runSink returns them to their owner for accounting + release.
 func (n *Network) deadFrame(from, to addr.MachineID, m *msg.Message) {
 	if o := n.owner(from); o != nil {
-		n.queueSink(sinkItem{owner: o, m: m, to: to, dead: true})
+		n.queueSink(sinkItem{owner: o, m: m, to: to})
 		return
 	}
 	// No reachable owner: the sending machine lives on another shard and
@@ -122,7 +102,7 @@ func (n *Network) dropFromDown(from, to addr.MachineID, m *msg.Message) {
 
 // dropToDown accounts a lossless frame arriving at a down machine. The loss
 // is final and is an orphan drop: the frame is counted, a pooled envelope is
-// retired to its owner as a completed send, and the sender hears nothing.
+// released at once as a completed send, and the sender hears nothing.
 // Echoing an Undeliverable completion back would reach only a sender on the
 // receiver's own shard (a cross-shard frame is an ownerless clone), making
 // the sender's behaviour depend on the sharding; the kernels' own timeouts
@@ -132,7 +112,7 @@ func (n *Network) dropToDown(to addr.MachineID, m *msg.Message) {
 	n.stats.Dropped++
 	n.stats.OrphanDropped++
 	if m.Pooled() {
-		n.retire(m.From.LastKnown, m)
+		n.release(m.From.LastKnown, m)
 	}
 }
 

@@ -292,8 +292,8 @@ type Network struct {
 	dupNext   map[pair]int      // directional: duplicate the next n frames
 	delayNext map[pair]sim.Time // directional: extra transit for next frame
 
-	// Deferred handoff of released and undeliverable envelopes to their
-	// machine's FrameOwner (fault.go).
+	// Deferred handoff of abandoned frames to their sending machine's
+	// FrameOwner (fault.go).
 	sinkQ     []sinkItem
 	sinkArmed bool
 	sinkFn    func()
@@ -349,9 +349,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 func (n *Network) Config() Config { return n.cfg }
 
 // Attach registers the endpoint for machine m. An endpoint that also
-// implements FrameOwner becomes the sink for envelopes this machine sent
-// that the network consumed (retired pooled originals) or abandoned
-// (partition, crash, retries exhausted), and lends the ARQ its pool.
+// implements FrameOwner hears of the frames this machine sent that the
+// network abandoned (partition, crash, retries exhausted), and lends the
+// network its pool.
 func (n *Network) Attach(m addr.MachineID, ep Endpoint) {
 	ms := n.mach(m)
 	if ms.ep != nil {
@@ -400,7 +400,8 @@ func (n *Network) Routable(to addr.MachineID) bool {
 // asynchronous; with a configured loss rate the frame is retransmitted
 // until acknowledged. Sending from a down machine drops the frame into the
 // undeliverable accounting path (a crashed kernel cannot transmit, but the
-// loss must not be silent).
+// loss must not be silent). m is dead to the caller once Send returns: a
+// frame shipped to another shard has already been released.
 //
 //demos:hotpath — the lossless path must stay allocation-free: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and BenchmarkNetwSend in bench_hotpath_test.go.
 func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {

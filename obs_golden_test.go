@@ -5,9 +5,9 @@
 // counter reaches the registry must reproduce testdata/obs_snapshot_golden.txt
 // byte for byte, on one shard and on two. The two-shard comparison leaves out
 // the nine per-kernel pool_news/pool_free/pool_held rows: a cross-shard frame
-// ships as a clone while the pooled original retires to the sender's pool, so
-// which kernel's pool holds an envelope depends on the sharding (the same
-// exception TestShardCountInvariance makes).
+// ships as a clone while the pooled original goes back to its pool at once,
+// so how many envelopes each kernel's pool constructs depends on the sharding
+// (the same exception TestShardCountInvariance makes).
 //
 // Regenerate only when a metric is deliberately added, renamed or removed:
 // go test -run TestObsSnapshotGolden -update-obs-golden

@@ -67,7 +67,7 @@ func (c *Cache) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (c *Cache) get(ctx proc.Context, d proc.Delivery) {
+func (c *Cache) get(ctx proc.Context, d *proc.Delivery) {
 	if len(d.Body) < 5 || len(d.Carried) == 0 {
 		return
 	}
@@ -86,7 +86,7 @@ func (c *Cache) get(ctx proc.Context, d proc.Delivery) {
 	}
 }
 
-func (c *Cache) put(ctx proc.Context, d proc.Delivery) {
+func (c *Cache) put(ctx proc.Context, d *proc.Delivery) {
 	if len(d.Body) < 5 || len(d.Carried) == 0 {
 		return
 	}
@@ -110,7 +110,7 @@ func (c *Cache) askDisk(ctx proc.Context, body []byte) {
 }
 
 // diskReply fans a disk completion out to the waiting clients.
-func (c *Cache) diskReply(ctx proc.Context, d proc.Delivery) {
+func (c *Cache) diskReply(ctx proc.Context, d *proc.Delivery) {
 	if len(d.Body) < 5 {
 		return
 	}

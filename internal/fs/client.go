@@ -101,7 +101,7 @@ func (c *Client) fail(why string) {
 	c.Failed = append(c.Failed, fmt.Sprintf("round %d: %s", c.Round, why))
 }
 
-func (c *Client) handle(ctx proc.Context, d proc.Delivery) (proc.Status, bool) {
+func (c *Client) handle(ctx proc.Context, d *proc.Delivery) (proc.Status, bool) {
 	ok, payload, err := ParseReply(d.Body)
 	if err != nil {
 		return proc.Status{}, false

@@ -78,7 +78,7 @@ func (s *Dir) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (s *Dir) create(ctx proc.Context, name string, d proc.Delivery) {
+func (s *Dir) create(ctx proc.Context, name string, d *proc.Delivery) {
 	if len(d.Carried) < 1 || name == "" {
 		return
 	}
@@ -96,7 +96,7 @@ func (s *Dir) create(ctx proc.Context, name string, d proc.Delivery) {
 	ctx.Send(s.FileLink, FAllocMsg(), reply)
 }
 
-func (s *Dir) lookup(ctx proc.Context, name string, d proc.Delivery) {
+func (s *Dir) lookup(ctx proc.Context, name string, d *proc.Delivery) {
 	if len(d.Carried) < 1 {
 		return
 	}
@@ -110,7 +110,7 @@ func (s *Dir) lookup(ctx proc.Context, name string, d proc.Delivery) {
 }
 
 // allocReply matches a file-server allocation to the oldest pending create.
-func (s *Dir) allocReply(ctx proc.Context, d proc.Delivery) {
+func (s *Dir) allocReply(ctx proc.Context, d *proc.Delivery) {
 	if len(s.Creates) == 0 {
 		return
 	}

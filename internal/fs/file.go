@@ -95,7 +95,7 @@ func (f *FileServer) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (f *FileServer) request(ctx proc.Context, d proc.Delivery) {
+func (f *FileServer) request(ctx proc.Context, d *proc.Delivery) {
 	switch d.Body[0] {
 	case OpFAlloc:
 		if len(d.Carried) < 1 {
@@ -150,7 +150,7 @@ func (f *FileServer) inodeOf(h uint16) *Inode {
 }
 
 // startIO begins a read or write. The request carries [data area, reply].
-func (f *FileServer) startIO(ctx proc.Context, d proc.Delivery) {
+func (f *FileServer) startIO(ctx proc.Context, d *proc.Delivery) {
 	if len(d.Body) < 11 || len(d.Carried) < 2 {
 		return
 	}
@@ -198,7 +198,7 @@ func (f *FileServer) startIO(ctx proc.Context, d proc.Delivery) {
 }
 
 // moveFromDone continues a write once the client's data has arrived.
-func (f *FileServer) moveFromDone(ctx proc.Context, d proc.Delivery) {
+func (f *FileServer) moveFromDone(ctx proc.Context, d *proc.Delivery) {
 	tag := d.Xfer
 	op, ok := f.Ops[tag]
 	if !ok || op.Kind != OpFWrite {
@@ -283,7 +283,7 @@ func (f *FileServer) advanceRead(ctx proc.Context, tag uint16, op *fileOp) {
 }
 
 // cacheReply resumes the op waiting on this block id.
-func (f *FileServer) cacheReply(ctx proc.Context, d proc.Delivery) {
+func (f *FileServer) cacheReply(ctx proc.Context, d *proc.Delivery) {
 	if len(d.Body) < 5 {
 		return
 	}
@@ -332,7 +332,7 @@ func (f *FileServer) cacheReply(ctx proc.Context, d proc.Delivery) {
 }
 
 // moveToDone completes a read once the client's area has been filled.
-func (f *FileServer) moveToDone(ctx proc.Context, d proc.Delivery) {
+func (f *FileServer) moveToDone(ctx proc.Context, d *proc.Delivery) {
 	op, ok := f.Ops[d.Xfer]
 	if !ok || op.Kind != OpFRead {
 		return

@@ -276,10 +276,19 @@ type SpawnSpec struct {
 
 // Kernel is one machine's kernel.
 type Kernel struct {
-	machine addr.MachineID
-	eng     *sim.Engine
-	net     *netw.Network
-	cfg     Config
+	// The small scalars share the struct's first word (2+2+2+1+1 bytes):
+	// each in its own padded word, they would push Kernel and the Delivery
+	// slot in sliceCtx into the next allocation size class
+	// (TestKernelSizeClass).
+	machine     addr.MachineID
+	nextUID     addr.LocalUID
+	nextXfer    uint16
+	sliceQueued bool
+	crashed     bool
+
+	eng *sim.Engine
+	net *netw.Network
+	cfg Config
 
 	// The process table, split by where the pid was created. local holds
 	// the pids this machine created and localExits their exit records, both
@@ -290,7 +299,6 @@ type Kernel struct {
 	localExits []exitRec
 	procs      map[addr.ProcessID]*Process
 	exits      map[addr.ProcessID]ExitInfo
-	nextUID    addr.LocalUID
 	runq       ring[*Process]
 
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
@@ -305,23 +313,20 @@ type Kernel struct {
 	// and paced data packets).
 	pendingFree freelist[pending]
 
-	cpuFreeAt   sim.Time
-	sliceQueued bool
+	cpuFreeAt sim.Time
 
 	// runSliceFn and sliceCtx are bound once so arming a slice and running
 	// a body allocate nothing: a method value or a fresh procCtx per slice
 	// would otherwise be the scheduler's per-slice garbage.
 	runSliceFn func()
 	sliceCtx   procCtx
-	ctxI       proc.Context
 
 	memUsed int
 	swap    *memory.Store
 
-	migs     map[addr.ProcessID]*migration // in-flight migration halves, either role (migrate.go)
-	nextXfer uint16
-	xfersIn  map[uint16]*inStream // inbound streams, keyed by locally-allocated xfer id
-	moveOps  map[uint16]*moveOp   // outbound move-data writes awaiting completion
+	migs    map[addr.ProcessID]*migration // in-flight migration halves, either role (migrate.go)
+	xfersIn map[uint16]*inStream          // inbound streams, keyed by locally-allocated xfer id
+	moveOps map[uint16]*moveOp            // outbound move-data writes awaiting completion
 
 	// Record free lists (see DESIGN.md §7): steady-state migrations recycle
 	// their bookkeeping records — the migration halves (with their region
@@ -358,7 +363,6 @@ type Kernel struct {
 
 	stats   Stats
 	reports []MigrationReport
-	crashed bool
 
 	// Fault plane (restart.go). stable simulates the §1 stable storage a
 	// checkpoint survives a crash in; lostPIDs records processes a crash
@@ -407,7 +411,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 	k.pool = msg.NewPool()
 	k.runSliceFn = k.runSlice
 	k.sliceCtx.k = k
-	k.ctxI = &k.sliceCtx
 	net.Attach(m, k)
 	if cfg.LoadReportEvery > 0 {
 		k.scheduleLoadReport()

@@ -1,0 +1,112 @@
+package kernel
+
+import (
+	"testing"
+	"unsafe"
+
+	"demosmp/internal/addr"
+	"demosmp/internal/link"
+	"demosmp/internal/msg"
+	"demosmp/internal/proc"
+)
+
+// slotProbeBody records, for every Recv, the pointer it returned and a copy
+// of the delivery it pointed at when it was returned.
+type slotProbeBody struct {
+	ptrs []*proc.Delivery
+	seen []proc.Delivery
+}
+
+func (b *slotProbeBody) Kind() string { return "slot-probe" }
+
+func (b *slotProbeBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	for {
+		d, ok := ctx.Recv()
+		if !ok {
+			return 0, proc.Status{State: proc.Blocked}
+		}
+		b.ptrs = append(b.ptrs, d)
+		b.seen = append(b.seen, *d)
+	}
+}
+
+func (b *slotProbeBody) Snapshot() ([]byte, error) { return nil, nil }
+func (b *slotProbeBody) Restore([]byte) error      { return nil }
+
+// TestRecvSlotResetsBetweenDeliveries: Recv hands out one slot, reset field
+// by field. Three deliveries in one Step — a move-read completion (Data, OK,
+// Xfer set), a message carrying a link (Carried set), a plain message — must
+// come back through the same pointer, and nothing one delivery set may leak
+// into the next.
+func TestRecvSlotResetsBetweenDeliveries(t *testing.T) {
+	eng, ks := poolTestCluster(t, 1)
+	k := ks[0]
+	body := &slotProbeBody{}
+	pid, err := k.Spawn(SpawnSpec{Body: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := k.lookup(pid)
+	to := addr.At(pid, k.machine)
+
+	done := k.getMsg()
+	done.Kind, done.Op, done.To = msg.KindControl, msg.OpMoveReadDone, to
+	done.Body = append(msg.XferStatus{Xfer: 7, OK: true}.Encode(), "data"...)
+	carrier := k.getMsg()
+	carrier.To = to
+	carrier.Body = append(carrier.Body[:0], "carrier"...)
+	carrier.Links = append(carrier.Links, link.Link{Addr: to})
+	plain := k.getMsg()
+	plain.To = to
+	plain.Body = append(plain.Body[:0], "plain"...)
+	for _, m := range []*msg.Message{done, carrier, plain} {
+		k.enqueue(p, m) // queued before the first slice: one Step sees all three
+	}
+	eng.Run()
+
+	if len(body.seen) != 3 {
+		t.Fatalf("body saw %d deliveries, want 3 in one step", len(body.seen))
+	}
+	if k.stats.Slices != 1 {
+		t.Fatalf("%d slices, want the three deliveries in one Step", k.stats.Slices)
+	}
+	for i, ptr := range body.ptrs {
+		if ptr != body.ptrs[0] {
+			t.Errorf("Recv %d returned %p, want the one slot %p", i, ptr, body.ptrs[0])
+		}
+	}
+	first, second, third := body.seen[0], body.seen[1], body.seen[2]
+	if string(first.Data) != "data" || !first.OK || first.Xfer != 7 {
+		t.Fatalf("move-read completion: Data=%q OK=%v Xfer=%d", first.Data, first.OK, first.Xfer)
+	}
+	if len(second.Carried) != 1 {
+		t.Fatalf("carrier: Carried=%v, want one installed link", second.Carried)
+	}
+	if second.Data != nil || second.OK || second.Xfer != 0 {
+		t.Errorf("carrier kept the completion's fields: Data=%q OK=%v Xfer=%d", second.Data, second.OK, second.Xfer)
+	}
+	if string(third.Body) != "plain" || third.Op != msg.OpNone {
+		t.Fatalf("plain: Body=%q Op=%v", third.Body, third.Op)
+	}
+	if third.Data != nil {
+		t.Errorf("plain: Data=%q, want nil", third.Data)
+	}
+	if third.Carried != nil {
+		t.Errorf("plain: Carried=%v, want nil", third.Carried)
+	}
+	if third.Xfer != 0 {
+		t.Errorf("plain: Xfer=%d, want 0", third.Xfer)
+	}
+	if third.OK {
+		t.Error("plain: OK=true, want false")
+	}
+}
+
+// TestKernelSizeClass: a Kernel is one allocation per simulated machine, so
+// crossing the 1280-byte size class raises heap_live_bytes_per_machine by
+// 128 B on every workload. A field that pushes it over fails here first.
+func TestKernelSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Kernel{}); sz > 1280 {
+		t.Fatalf("unsafe.Sizeof(Kernel{}) = %d, want <= 1280 (the allocation size class)", sz)
+	}
+}

@@ -57,11 +57,11 @@ func (k *Kernel) maybeSchedule() {
 }
 
 // runSlice executes one scheduling quantum. The proc.Context handed to the
-// body is the kernel's single reusable sliceCtx (prebound as k.ctxI so the
-// interface conversion happens once at construction); it is valid only for
-// the duration of Step, which no body retains. Messages the body received
-// during the step are released afterwards — a Delivery's Body aliases the
-// pooled envelope and its lifetime contract is "until Step returns".
+// body is the kernel's single reusable sliceCtx (converting the pointer to
+// the interface allocates nothing); it is valid only for the duration of
+// Step, which no body retains. Messages the body received during the step
+// are released afterwards — a Delivery's Body aliases the pooled envelope
+// and its lifetime contract is "until Step returns".
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) runSlice() {
@@ -79,7 +79,7 @@ func (k *Kernel) runSlice() {
 	ctx := &k.sliceCtx
 	ctx.p = p
 	ctx.msgsHandled = 0
-	cost, st := p.body.Step(k.ctxI, Quantum)
+	cost, st := p.body.Step(ctx, Quantum)
 	for i, rm := range ctx.recvd {
 		k.putMsg(rm)
 		ctx.recvd[i] = nil

@@ -89,8 +89,12 @@ type Context interface {
 	// how the process manager drives kernels through its
 	// DELIVERTOKERNEL links. Privileged.
 	SendOp(on link.ID, op msg.Op, body []byte) error
-	// Recv pops the next queued delivery; ok=false means block.
-	Recv() (Delivery, bool)
+	// Recv pops the next queued delivery; ok=false (with a nil *Delivery)
+	// means block. The *Delivery points at one slot the context reuses: it
+	// is valid until the next Recv or until Step returns, whichever comes
+	// first. A body that needs a delivery longer copies *d (and, past
+	// Step, its Body and Data bytes, which alias the message envelope).
+	Recv() (*Delivery, bool)
 
 	// CreateLink mints a link addressing this process, optionally
 	// granting a data area in its memory image.

@@ -25,6 +25,7 @@ type fakeCtx struct {
 	nextLnk link.ID
 	img     *memory.Image
 	migrate []addr.MachineID
+	d       Delivery // the one slot Recv returns, as in the kernel
 }
 
 func newFakeCtx() *fakeCtx {
@@ -49,13 +50,13 @@ func (f *fakeCtx) SendOp(on link.ID, op msg.Op, body []byte) error {
 	return f.Send(on, body)
 }
 
-func (f *fakeCtx) Recv() (Delivery, bool) {
+func (f *fakeCtx) Recv() (*Delivery, bool) {
 	if len(f.inbox) == 0 {
-		return Delivery{}, false
+		return nil, false
 	}
-	d := f.inbox[0]
+	f.d = f.inbox[0]
 	f.inbox = f.inbox[1:]
-	return d, true
+	return &f.d, true
 }
 
 func (f *fakeCtx) CreateLink(attrs link.Attr, area link.DataArea) (link.ID, error) {

@@ -230,7 +230,7 @@ func (m *Manager) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (m *Manager) isMemSchedReply(ctx proc.Context, d proc.Delivery) bool {
+func (m *Manager) isMemSchedReply(ctx proc.Context, d *proc.Delivery) bool {
 	if m.MemSchedLink == link.NilID || len(m.PendingPlace) == 0 {
 		return false
 	}
@@ -240,7 +240,7 @@ func (m *Manager) isMemSchedReply(ctx proc.Context, d proc.Delivery) bool {
 
 // handlePlacement finishes a spawn once the memory scheduler has picked a
 // machine.
-func (m *Manager) handlePlacement(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handlePlacement(ctx proc.Context, d *proc.Delivery) {
 	ps := m.PendingPlace[0]
 	m.PendingPlace = m.PendingPlace[1:]
 	machine, err := memsched.ParseBestFit(d.Body)
@@ -250,7 +250,7 @@ func (m *Manager) handlePlacement(ctx proc.Context, d proc.Delivery) {
 	m.createAt(ctx, machine, ps.Tag, ps.Name, ps.Args)
 }
 
-func (m *Manager) handleLoadReport(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleLoadReport(ctx proc.Context, d *proc.Delivery) {
 	rep, err := msg.DecodeLoadReport(d.Body)
 	if err != nil {
 		return
@@ -313,7 +313,7 @@ func (m *Manager) order(ctx proc.Context, pid addr.ProcessID, hint, dest addr.Ma
 	}
 }
 
-func (m *Manager) handleMigrateDone(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleMigrateDone(ctx proc.Context, d *proc.Delivery) {
 	done, err := msg.DecodeMigrateDone(d.Body)
 	if err != nil {
 		return
@@ -344,7 +344,7 @@ func (m *Manager) handleMigrateDone(ctx proc.Context, d proc.Delivery) {
 	}
 }
 
-func (m *Manager) handleCreateDone(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleCreateDone(ctx proc.Context, d *proc.Delivery) {
 	done, err := msg.DecodeCreateDone(d.Body)
 	if err != nil {
 		return
@@ -364,7 +364,7 @@ func (m *Manager) handleCreateDone(ctx proc.Context, d proc.Delivery) {
 
 // handleLocate answers a kernel's where-is query (the return-to-sender
 // baseline, §4).
-func (m *Manager) handleLocate(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleLocate(ctx proc.Context, d *proc.Delivery) {
 	pid, _, err := addr.DecodePID(d.Body)
 	if err != nil {
 		return
@@ -378,7 +378,7 @@ func (m *Manager) handleLocate(ctx proc.Context, d proc.Delivery) {
 	ctx.DestroyLink(l)
 }
 
-func (m *Manager) handleCommand(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleCommand(ctx proc.Context, d *proc.Delivery) {
 	if len(d.Body) < 1 {
 		return
 	}
@@ -409,7 +409,7 @@ func (m *Manager) handleCommand(ctx proc.Context, d proc.Delivery) {
 
 // handleEvict starts a migrate-anywhere: order the first candidate, keep
 // the rest for retries on refusal.
-func (m *Manager) handleEvict(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleEvict(ctx proc.Context, d *proc.Delivery) {
 	pid, _, err := addr.DecodePID(d.Body[1:])
 	if err != nil {
 		return
@@ -435,7 +435,7 @@ func (m *Manager) handleEvict(ctx proc.Context, d proc.Delivery) {
 // handleSignal drives a process through a minted DELIVERTOKERNEL link —
 // §2.2's example: "the process manager can send a message to the process's
 // kernel asking that the process be stopped."
-func (m *Manager) handleSignal(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleSignal(ctx proc.Context, d *proc.Delivery) {
 	pid, rest, err := addr.DecodePID(d.Body[1:])
 	if err != nil || len(rest) < 1 {
 		return
@@ -469,7 +469,7 @@ func (m *Manager) handleSignal(ctx proc.Context, d proc.Delivery) {
 	}
 }
 
-func (m *Manager) handleSpawnCmd(ctx proc.Context, d proc.Delivery) {
+func (m *Manager) handleSpawnCmd(ctx proc.Context, d *proc.Delivery) {
 	b := d.Body[1:]
 	if len(b) < 5 {
 		return

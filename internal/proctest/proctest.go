@@ -22,7 +22,9 @@ type Sent struct {
 }
 
 // Ctx is a fake proc.Context. Feed deliveries through Push, step the body,
-// then inspect Sends/Prints.
+// then inspect Sends/Prints. Like the kernel's, its Recv returns a pointer
+// to one slot that every Recv overwrites, so a body that keeps a delivery
+// past the next Recv fails here as it would in a kernel.
 type Ctx struct {
 	Pid      addr.ProcessID
 	Mach     addr.MachineID
@@ -44,6 +46,7 @@ type Ctx struct {
 		Off, N uint32
 		Xfer   uint16
 	}
+	d proc.Delivery // the one slot Recv returns
 }
 
 // New returns a fake context for a process on machine 1.
@@ -87,13 +90,13 @@ func (c *Ctx) SendOp(on link.ID, op msg.Op, body []byte) error {
 	return nil
 }
 
-func (c *Ctx) Recv() (proc.Delivery, bool) {
+func (c *Ctx) Recv() (*proc.Delivery, bool) {
 	if len(c.Inbox) == 0 {
-		return proc.Delivery{}, false
+		return nil, false
 	}
-	d := c.Inbox[0]
+	c.d = c.Inbox[0]
 	c.Inbox = c.Inbox[1:]
-	return d, true
+	return &c.d, true
 }
 
 func (c *Ctx) CreateLink(attrs link.Attr, area link.DataArea) (link.ID, error) {

@@ -75,7 +75,7 @@ func (s *Shell) out(ctx proc.Context, text string) {
 	}
 }
 
-func (s *Shell) command(ctx proc.Context, d proc.Delivery) {
+func (s *Shell) command(ctx proc.Context, d *proc.Delivery) {
 	line := strings.TrimSpace(string(d.Body))
 	s.History = append(s.History, line)
 	if len(d.Carried) > 0 {
@@ -159,7 +159,7 @@ func (s *Shell) command(ctx proc.Context, d proc.Delivery) {
 
 // event relays an asynchronous reply (PM event, PM stat text, switchboard
 // reply) to the console/requester.
-func (s *Shell) event(ctx proc.Context, d proc.Delivery) {
+func (s *Shell) event(ctx proc.Context, d *proc.Delivery) {
 	if ev, err := procmgr.DecodeEvent(d.Body); err == nil && ev.What != "" && isWord(ev.What) {
 		s.out(ctx, fmt.Sprintf("%s: %v @ %v", ev.What, ev.PID, ev.Machine))
 		return

@@ -85,7 +85,7 @@ func (s *Server) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (s *Server) register(ctx proc.Context, name string, d proc.Delivery) {
+func (s *Server) register(ctx proc.Context, name string, d *proc.Delivery) {
 	if len(d.Carried) == 0 || name == "" {
 		return
 	}
@@ -100,7 +100,7 @@ func (s *Server) register(ctx proc.Context, name string, d proc.Delivery) {
 	}
 }
 
-func (s *Server) lookup(ctx proc.Context, name string, d proc.Delivery) {
+func (s *Server) lookup(ctx proc.Context, name string, d *proc.Delivery) {
 	if len(d.Carried) == 0 {
 		return // nowhere to reply
 	}
@@ -114,7 +114,7 @@ func (s *Server) lookup(ctx proc.Context, name string, d proc.Delivery) {
 	ctx.Send(reply, []byte{ReplyOK}, id)
 }
 
-func (s *Server) list(ctx proc.Context, d proc.Delivery) {
+func (s *Server) list(ctx proc.Context, d *proc.Delivery) {
 	if len(d.Carried) == 0 {
 		return
 	}

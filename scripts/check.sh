@@ -55,6 +55,8 @@ echo "== hot-path allocation guards (steady state incl. send -> pump at depth 64
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 1280-byte size class"
+go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass' ./internal/kernel/
 go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc' ./internal/core/
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"

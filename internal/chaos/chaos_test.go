@@ -79,9 +79,9 @@ type soakResult struct {
 	// Post-run obs exports, byte-for-byte comparable across same-seed
 	// runs: the text metrics snapshot and the Chrome timeline JSON.
 	// obsNorm is obsText with the per-kernel envelope-pool gauges removed —
-	// how many envelopes a pool constructs depends on which frames cross a
-	// shard as heap clones, the one legitimately shard-dependent corner of
-	// the snapshot (the
+	// how many envelopes a pool constructs depends on which envelopes cross
+	// a shard and so come home only at the next round barrier, the one
+	// legitimately shard-dependent corner of the snapshot (the
 	// conservation law itself is audited per run by CheckRegistry), so
 	// shard-count comparisons use obsNorm and same-config reruns use the
 	// full obsText.

@@ -26,10 +26,10 @@ import (
 //     live copy, an exit record, or an accounted loss (crashed or
 //     restarted machine, recorded lost pid) within machines+2 hops;
 //  4. envelope conservation: pooled message envelopes allocated across
-//     all kernels equal those free plus those held on queues — a leak
-//     or double-release anywhere breaks the cluster-wide sum, the lossy
-//     network's master and wire copies (drawn from the kernels' pools)
-//     included;
+//     all kernels equal those free plus those held on queues — a leak,
+//     a double-release or an envelope still parked in a shard's return
+//     pool anywhere breaks the cluster-wide sum, the lossy network's
+//     master and wire copies (drawn from the kernels' pools) included;
 //  5. no in-flight network state: the machine-anchored ARQ holds no
 //     un-acked flights and no shard's canonical arrival calendar holds
 //     frames — every send either delivered, died into an accounted
@@ -96,7 +96,9 @@ func CheckInvariants(c *core.Cluster) []string {
 	// so the cluster-wide sum is the law. It covers the lossy network's
 	// copies too: ARQ masters and wire copies are drawn from these pools,
 	// and with no flight and no pending frame left (item 5) every one of
-	// them must be back.
+	// them must be back. An envelope parked in a shard's return pool is
+	// neither free nor held, so one the last barrier failed to send home
+	// breaks the sum as well.
 	var news, free, held int
 	for m := 1; m <= n; m++ {
 		kn, kf, kh := c.Kernel(m).PoolStats()

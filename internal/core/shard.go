@@ -116,7 +116,7 @@ func (c *Cluster) build() error {
 // rounds only barrier touches the outboxes; the round's join (or its
 // running inline) orders the two, so no lock is needed.
 //
-//demos:owner clone — the outbox holds only heap clones: netw's canonical path releases a pooled original to its pool before shipping its clone, so no pooled envelope ever crosses a shard boundary.
+//demos:owner outbox — the outbox holds each shipped frame, pooled envelope and all, until the barrier files it in the receiving shard's calendar.
 func (c *Cluster) shipFrom(s int) func(netw.RemoteFrame) {
 	out := c.outboxes[s]
 	return func(f netw.RemoteFrame) {
@@ -125,15 +125,21 @@ func (c *Cluster) shipFrom(s int) func(netw.RemoteFrame) {
 	}
 }
 
-// barrier runs between rounds, on the coordinating goroutine: it moves
+// barrier runs between rounds, on the coordinating goroutine, the one place
+// no shard runs: it sends every envelope a shard's releases parked in its
+// return pool home to the pool of the shard that constructed it; it moves
 // every outbox into the receiving shard's canonical arrival calendar (whose
 // order does not depend on the order of insertion) and empties it in place,
 // so a warm outbox never allocates; then it writes the trace records the
 // shards emitted since the last barrier to TraceSink, merged in (time,
 // machine, emission) order. A round's records are all later than the
 // previous round's, so the stream is in that order end to end, whatever the
-// shard count.
+// shard count. Run and RunFor end on a barrier, so nothing is parked when
+// they return.
 func (c *Cluster) barrier() {
+	for _, nw := range c.nets {
+		nw.SendHome()
+	}
 	for _, out := range c.outboxes {
 		for to, q := range out {
 			for _, f := range q {

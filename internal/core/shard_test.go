@@ -64,10 +64,10 @@ func TestShardHotPathZeroAlloc(t *testing.T) {
 // TestShardOutboxZeroAlloc extends the pin across a shard boundary, through
 // the cluster's own transport: an Echo pair on two shards sends every frame
 // through the ship hook, the sender's outbox, the barrier's drain,
-// EnqueueRemote and the receiving shard's pump. Once the outboxes and heaps
-// are warm the transport allocates nothing; what is left is msg.Clone's
-// copy-on-retain of the pooled envelope at the boundary — one Message and
-// one Body per frame.
+// EnqueueRemote and the receiving shard's pump, and every envelope back
+// through the receiver's return pool and the barrier's SendHome. Once the
+// outboxes, heaps and pools are warm a cross-shard frame allocates nothing:
+// the pooled envelope itself crosses.
 func TestShardOutboxZeroAlloc(t *testing.T) {
 	c, err := core.New(core.Options{Machines: 2, Shards: 2})
 	if err != nil {
@@ -96,7 +96,6 @@ func TestShardOutboxZeroAlloc(t *testing.T) {
 	// One run is exactly perRun frames: an Echo sends one for every message
 	// it receives, and no lookahead window is long enough to hold two.
 	const perRun = 64
-	const cloneAllocs = 2 // msg.Clone: the Message and its Body
 	frames := func() int { return a.Rounds + b.Rounds }
 	target := frames()
 	run := func() {
@@ -104,8 +103,8 @@ func TestShardOutboxZeroAlloc(t *testing.T) {
 			c.RunFor(c.Lookahead())
 		}
 	}
-	if n := testing.AllocsPerRun(20, run); n != cloneAllocs*perRun {
-		t.Fatalf("%.0f allocations for %d cross-shard frames, want %d per frame", n, perRun, cloneAllocs)
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Fatalf("%.0f allocations for %d cross-shard frames, want 0", n, perRun)
 	}
 	if got := frames(); got != target {
 		t.Fatalf("%d frames crossed the boundary, want %d", got, target)
@@ -174,8 +173,8 @@ func TestShardOutboxParallel(t *testing.T) {
 // shards, sequential or parallel, while the pumps actually fired do. In the
 // same-shard arm each pair sits on one shard (16 machines apart); in the
 // straddle arm its machines are 17 apart, so on 2 and 4 shards every frame
-// takes the ship path, which releases its pooled original at once and fires
-// no event a one-shard run lacks.
+// takes the ship path, whose envelope goes home at the barrier, and fires no
+// event a one-shard run lacks.
 func TestShardFiredInvariance(t *testing.T) {
 	simtest.TwoProcs(t)
 	const pairs, n = 16, 60
@@ -421,12 +420,11 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 	}
 
 	// Per-kernel envelope-pool gauges are the one legitimately
-	// shard-dependent corner of the snapshot: a cross-shard frame ships as
-	// a clone while the pooled original is released at once, where a same-shard
-	// frame keeps its sender's envelope out until the receiver consumes it,
-	// so how many envelopes a pool ever had to construct depends on the
-	// sharding. The conservation law must still hold within every
-	// configuration.
+	// shard-dependent corner of the snapshot: a same-shard frame's envelope
+	// goes home the moment the receiver consumes it, a cross-shard frame's
+	// only at the next round barrier, so how many envelopes a pool ever had
+	// to construct depends on the sharding. The conservation law must still
+	// hold within every configuration.
 	snap := c.ObsSnapshot()
 	var news, free, held uint64
 	var rows []string
@@ -459,50 +457,77 @@ func runShardWorkload(t *testing.T, shards int, mut func(*core.Options)) shardRu
 	}
 }
 
-// TestOneWayTrafficKeepsPoolsBounded: 20 000 messages flow one way, m1 to
-// m2, and no envelope pool drifts. An envelope returns to the pool that
-// constructed it (msg.Pool.Put forwards home), so the sender's pool is
-// refilled by the receiver's releases instead of constructing an envelope per
-// message while the receiver's free list grows without bound; on a lossy
-// network the ARQ's master copies come from the sender's pool and its wire
-// copies from the receiver's, and both go back. Every pool balances on its
-// own, not just the cluster-wide sum.
+// TestOneWayTrafficKeepsPoolsBounded: messages flow one way, sender to
+// receiver, and no envelope pool drifts. An envelope returns to the pool that
+// constructed it (msg.Pool.Put forwards home, or from another shard parks it
+// in the releasing shard's return pool until the barrier sends it home), so
+// the sender's pool is refilled by the receiver's releases instead of
+// constructing an envelope per message while the receiver's free list grows
+// without bound; on a lossy network the ARQ's masters are the sender's
+// envelopes and its wire copies come from the receiver's pool, or from the
+// sender's when they cross a shard, and all go back. Every pool balances on
+// its own, not just the cluster-wide sum. The parallel arms put the pairs
+// across shards on enough machines that rounds run on goroutines, so the
+// return pools are written while other shards run (scripts/check.sh runs
+// them under -race).
 func TestOneWayTrafficKeepsPoolsBounded(t *testing.T) {
-	const msgs = 20_000
 	for _, arm := range []struct {
-		name   string
-		net    netw.Config
-		shards int
+		name     string
+		net      netw.Config
+		shards   int
+		parallel bool
 	}{
-		{"lossless", netw.Config{}, 1},
-		{"lossy", netw.Config{LossRate: 0.05}, 1},
-		{"lossless-2-shards", netw.Config{}, 2},
-		{"lossy-2-shards", netw.Config{LossRate: 0.05}, 2},
+		{"lossless", netw.Config{}, 1, false},
+		{"lossy", netw.Config{LossRate: 0.05}, 1, false},
+		{"lossless-2-shards", netw.Config{}, 2, false},
+		{"lossy-2-shards", netw.Config{LossRate: 0.05}, 2, false},
+		{"parallel/lossless-2-shards", netw.Config{}, 2, true},
+		{"parallel/lossy-2-shards", netw.Config{LossRate: 0.05}, 2, true},
+		{"parallel/lossless-4-shards", netw.Config{}, 4, true},
+		{"parallel/lossy-4-shards", netw.Config{LossRate: 0.05}, 4, true},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			c, err := core.New(core.Options{Machines: 2, Seed: 1, Shards: arm.shards, Net: arm.net})
+			// One pair, 20 000 messages; or, to make rounds dense enough for
+			// goroutines, 16 pairs of neighbours (never on one shard) with
+			// 1 000 each.
+			pairs, msgs := 1, 20_000
+			if arm.parallel {
+				simtest.TwoProcs(t)
+				pairs, msgs = 16, 1_000
+			}
+			c, err := core.New(core.Options{Machines: 2 * pairs, Seed: 1, Shards: arm.shards,
+				ShardParallel: arm.parallel, Net: arm.net})
 			if err != nil {
 				t.Fatal(err)
 			}
-			counter := &workload.Counter{}
-			sink, err := c.Spawn(2, kernel.SpawnSpec{Body: counter})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Spawn(1, kernel.SpawnSpec{
-				Body:  &workload.Chatter{N: msgs, Interval: 100},
-				Links: []link.Link{{Addr: addr.At(sink, 2)}},
-			}); err != nil {
-				t.Fatal(err)
+			counters := make([]*workload.Counter, pairs)
+			for i := range counters {
+				from, to := 2*i+1, 2*i+2
+				counters[i] = &workload.Counter{}
+				sink, err := c.Spawn(to, kernel.SpawnSpec{Body: counters[i]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Spawn(from, kernel.SpawnSpec{
+					Body:  &workload.Chatter{N: msgs, Interval: 100},
+					Links: []link.Link{{Addr: addr.At(sink, addr.MachineID(to))}},
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			c.Run()
-			if counter.Seen != msgs {
-				t.Fatalf("counter saw %d of %d messages", counter.Seen, msgs)
+			for i, counter := range counters {
+				if counter.Seen != msgs {
+					t.Fatalf("pair %d: counter saw %d of %d messages", i, counter.Seen, msgs)
+				}
 			}
 			if arm.net.LossRate > 0 && c.NetStats().Retransmits == 0 {
 				t.Fatal("lossy arm saw no retransmission")
 			}
-			for m := 1; m <= 2; m++ {
+			if arm.parallel && c.ParallelRounds() == 0 {
+				t.Fatal("no round ran on goroutines; the parallel arm ran inline")
+			}
+			for m := 1; m <= c.Machines(); m++ {
 				news, free, held := c.Kernel(m).PoolStats()
 				if news > 64 {
 					t.Errorf("m%d pool constructed %d envelopes for one-way traffic, want a small constant", m, news)

@@ -303,11 +303,11 @@ type Kernel struct {
 
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
 	// An envelope it constructed always comes back to it, whichever kernel
-	// of this engine releases it (msg.Pool.Put forwards home). Safe on a
-	// lossy network too: the ARQ keeps the sent envelope as its master and
-	// draws the wire copy of a frame this kernel is about to receive from
-	// here through FramePool, so pooling does not depend on the loss mode
-	// and PoolStats audits the ARQ's copies too.
+	// releases it (msg.Pool.Put forwards home; from another shard, at the
+	// next round barrier). Safe on a lossy network too: the ARQ keeps the
+	// sent envelope as its master and draws wire copies from here through
+	// FramePool, so pooling does not depend on the loss mode and PoolStats
+	// audits the ARQ's copies too.
 	pool *msg.Pool
 	// pendingFree recycles deferred-delivery records (local latency hops
 	// and paced data packets).
@@ -367,8 +367,10 @@ type Kernel struct {
 	// Fault plane (restart.go). stable simulates the §1 stable storage a
 	// checkpoint survives a crash in; lostPIDs records processes a crash
 	// wiped without a checkpoint (so invariant checks can tell "lost to a
-	// crash" from "should still exist"); restarts counts recoveries and
-	// gates the search fallback for orphaned forwarding addresses.
+	// crash" from "should still exist"; nil until the first such loss, so a
+	// machine that never loses a process carries no map); restarts counts
+	// recoveries and gates the search fallback for orphaned forwarding
+	// addresses.
 	stable       map[addr.ProcessID][]byte
 	lostPIDs     map[addr.ProcessID]bool
 	restarts     uint64
@@ -405,7 +407,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 		console:       make(map[addr.ProcessID][]string),
 		exits:         make(map[addr.ProcessID]ExitInfo),
 		stable:        make(map[addr.ProcessID][]byte),
-		lostPIDs:      make(map[addr.ProcessID]bool),
 		kinds:         make(map[string]string),
 	}
 	k.pool = msg.NewPool()

@@ -181,13 +181,15 @@ func (k *Kernel) streamGather(to addr.ProcessAddr, dtk bool, xfer uint16, baseOf
 // one place the "handlers must not retain Body" contract is traded for an
 // ownership swap, which the immediately-following putMsg in deliverLocal
 // makes safe (the envelope re-enters the pool with the swapped backing, so
-// pool conservation is unchanged). On a lossy network the packet is a wire
-// copy the ARQ drew from this kernel's own pool and takes the same handoff:
+// pool conservation is unchanged). A packet from another shard is a pooled
+// envelope too, and its swapped backing goes home with it at the barrier. On
+// a lossy network the packet is a wire copy the ARQ drew from this kernel's
+// own pool (across a shard, from the sender's) and takes the same handoff:
 // a copy's body is its envelope's private backing array (msg.Pool.Clone
 // copies into it, never aliases the master the flight keeps for
 // retransmission), so the stream adopts memory nobody else can reach, and a
-// retransmitted duplicate is a fresh copy that dedup suppresses. Only the
-// heap clone that crossed a shard skips the swap.
+// retransmitted duplicate is a fresh copy that dedup suppresses. Only a heap
+// message skips the swap.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) handleDataPacket(m *msg.Message) {

@@ -160,6 +160,9 @@ func (k *Kernel) Restart() error {
 		if p.state == StateForwarder {
 			k.stats.ForwarderBytes -= ForwarderWireSize
 		} else {
+			if k.lostPIDs == nil {
+				k.lostPIDs = make(map[addr.ProcessID]bool)
+			}
 			k.lostPIDs[p.id] = true
 			k.stats.CrashLostProcs++
 		}
@@ -266,11 +269,12 @@ func countPooled(m *msg.Message) int {
 
 // --- netw.FrameOwner --------------------------------------------------------
 
-// FramePool implements netw.FrameOwner: the ARQ draws the wire copies of
-// frames this kernel is about to receive from this pool, and the network
-// releases through it the envelopes it consumes itself (an acked master, an
-// original shipped across a shard as a clone), so the ordinary putMsg after
-// delivery recycles them and PoolStats audits them.
+// FramePool implements netw.FrameOwner: the network draws from this pool the
+// wire copies of frames this kernel is about to receive from its own shard
+// and of frames it sends to another, and on a sharded cluster joins it to
+// the shard's return pool, so the ordinary putMsg after delivery recycles
+// every copy — parked until the barrier if it came from another shard — and
+// PoolStats audits them.
 func (k *Kernel) FramePool() *msg.Pool { return k.pool }
 
 // UndeliverableFrame implements netw.FrameOwner: the network abandoned a

@@ -214,11 +214,9 @@ func (m *Message) WireSize() int {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/msg-encode and BenchmarkMsgEncode.
 func (m *Message) AppendWire(b []byte) []byte { return Encode(b, m) }
 
-// Clone returns a deep heap copy of m. Its main caller is the network: the
-// copy of a pooled envelope that crosses to another shard, and the ARQ's
-// copies where the receiving (or sending) endpoint lends no pool — wherever
-// a pool is at hand the network uses Pool.Clone instead. The
-// return-to-sender baseline and tests use it too.
+// Clone returns a deep heap copy of m. The network takes its wire copies
+// with Pool.Clone wherever a pool is at hand; Clone serves the endpoints
+// that lend none (bare test endpoints), and tests.
 func (m *Message) Clone() *Message {
 	c := *m
 	if m.Body != nil {
@@ -229,8 +227,7 @@ func (m *Message) Clone() *Message {
 	}
 	// The copy is an ordinary heap message regardless of the original's
 	// provenance: it must never be recycled through a pool. That goes for
-	// a bounced original it carries too — every copy owns its own Orig, so
-	// a pooled one never rides a clone across a shard.
+	// a bounced original it carries too — every copy owns its own Orig.
 	if m.Orig != nil {
 		c.Orig = m.Orig.Clone()
 	}

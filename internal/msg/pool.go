@@ -10,21 +10,25 @@ package msg
 // through as no-ops — so consumption sites never need to know a message's
 // provenance. An envelope always returns to the pool that constructed it:
 // whichever kernel consumes a message calls Put on its own pool, and Put
-// forwards to the envelope's home. Pooled envelopes never cross a shard, so
-// home is always a pool of the caller's own engine (same goroutine), and
-// one-way traffic leaves every pool as full as it found it.
+// forwards to the envelope's home, or — when the home is a pool of another
+// shard, whose goroutine may be running — parks it in this shard's return
+// pool (ReturnVia), which the cluster's round barrier, single-threaded, sends
+// home (SendHome). So Put only ever writes pools of its caller's own shard,
+// and one-way traffic leaves every pool as full as it found it at the next
+// barrier.
 //
 // The single-releaser discipline is checked twice (DESIGN.md §8.1).
 // demoslint's ownership rule rejects, within one statement list, a use or a
 // second release of an envelope after Put, and anywhere a retention outside
 // a //demos:owner-blessed site. Put backs the rest at run time: a second
-// release of an envelope already on its free list panics (inFree), Put
-// zeroes the envelope so one resubmitted after its release panics in
-// netw.Send, and every release lands on the home pool's free list, where a
-// test can find it.
+// release of an envelope already on a free list (its home's or a return
+// pool's) panics (inFree), Put zeroes the envelope so one resubmitted after
+// its release panics in netw.Send, and every release lands on its home
+// pool's free list by the next barrier, where a test can find it.
 type Pool struct {
 	free []*Message
-	news int // envelopes constructed because the free list was empty
+	back *Pool // this shard's return pool; nil off a sharded cluster, itself for a return pool
+	news int   // envelopes constructed because the free list was empty
 }
 
 // NewPool returns an empty pool.
@@ -48,9 +52,9 @@ func (p *Pool) Get() *Message {
 
 // Clone returns a pooled deep copy of m: Get, then copy into the envelope's
 // retained Body and Links capacity (a bounced original m carries is cloned
-// with it — every copy owns its own Orig). The network's ARQ draws its master
-// and wire copies this way, from the pool of the machine that will release
-// them.
+// with it — every copy owns its own Orig). The network draws its wire copies
+// this way (the ARQ's and the duplicate injector's): from the receiver's pool
+// on its own shard, from the sender's across shards.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 func (p *Pool) Clone(m *Message) *Message {
@@ -67,11 +71,12 @@ func (p *Pool) Clone(m *Message) *Message {
 }
 
 // Put releases an envelope back to the free list of the pool that
-// constructed it, whichever pool it is called on. Heap-constructed
-// messages (not born from a Pool) are ignored; releasing the same pooled
-// envelope twice panics, since the second release would corrupt whoever
-// holds it now. The Body and Links backing arrays are kept (truncated to
-// zero length).
+// constructed it, whichever pool of the caller's shard it is called on; an
+// envelope whose home is on another shard waits in this shard's return pool
+// until the barrier sends it home. Heap-constructed messages (not born from a
+// Pool) are ignored; releasing the same pooled envelope twice panics, since
+// the second release would corrupt whoever holds it now. The Body and Links
+// backing arrays are kept (truncated to zero length).
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/admin-encode in bench_hotpath_test.go.
 //demos:owner pool — Put is where ownership ends: the free list is the one place a released envelope may live.
@@ -82,15 +87,47 @@ func (p *Pool) Put(m *Message) {
 	if m.inFree {
 		panic("msg: double release of pooled message")
 	}
-	p = m.home
+	// Zero in place and store field by field: a composite literal that reads
+	// *m is built in a stack temporary and copied over it on every Put.
+	home := m.home
 	body := m.Body[:0]
 	links := m.Links[:0]
 	*m = Message{}
 	m.Body = body
 	m.Links = links
-	m.home = p
+	m.home = home
 	m.inFree = true
-	p.free = append(p.free, m)
+	if home.back != p.back {
+		home = p.back
+	}
+	home.free = append(home.free, m)
+}
+
+// NewReturnPool returns a shard's return pool: the pool Put parks envelopes
+// of other shards' pools in. Nothing Gets from it; SendHome empties it.
+func NewReturnPool() *Pool {
+	r := &Pool{}
+	r.back = r
+	return r
+}
+
+// ReturnVia joins p to the shard whose return pool is r: a Put on p of an
+// envelope from a pool not joined to r parks it in r. A pool that joined no
+// shard shares the nil return pool with every other such pool, so Put sends
+// everything straight home.
+func (p *Pool) ReturnVia(r *Pool) { p.back = r }
+
+// SendHome files every envelope parked in return pool r on its home pool's
+// free list. It writes pools of every shard, so the cluster calls it only at
+// its round barrier, where no shard runs.
+//
+//demos:owner pool — the parked envelopes move from one free list to another: ownership has already ended.
+func (r *Pool) SendHome() {
+	for _, m := range r.free {
+		m.home.free = append(m.home.free, m)
+	}
+	clear(r.free)
+	r.free = r.free[:0]
 }
 
 // Reserve tops the free list up to at least n envelopes, constructing the

@@ -28,20 +28,18 @@
 //     chaos injector (internal/chaos) applies both to every shard at
 //     identical sim times via fault-class events, which sort before gates.
 //
-// Copies are born in the pool that will bury them. The master is the
-// envelope the sender submitted: it never leaves the sender's shard, and it
-// goes back through the SENDING machine's pool when the ack lands (or once to
-// deadFrame at MaxRetries). Every wire copy — first attempt,
-// retransmission, or injected duplicate — is drawn from the RECEIVING
-// machine's pool when this engine delivers that machine, so the kernel's
-// ordinary release after Recv recycles it and per-kernel pools stay balanced
-// under one-way lossy traffic. A copy bound for another shard is a heap
-// clone, so a retransmitting sender never shares a *msg.Message with the
-// calendar of another shard (no cross-shard aliasing under parallel rounds,
-// and a pooled envelope still never crosses a shard); so is a copy for an
-// endpoint that lends no pool (bare test endpoints). Where the network
-// consumes a wire copy itself — a duplicate suppressed in arrive, a copy
-// landing on a down or partitioned receiver — it releases it explicitly.
+// The master is the envelope the sender submitted: it never leaves the
+// sender's shard, and it goes back through its pool when the ack lands (or
+// once to deadFrame at MaxRetries). Every wire copy — first attempt,
+// retransmission, or injected duplicate — is a copy of its own, so a
+// retransmitting sender never shares a *msg.Message with the calendar of
+// another shard. A copy comes out of the RECEIVING machine's pool when this
+// engine delivers that machine, and out of the SENDING machine's pool when it
+// crosses to another shard, where the receiver's release parks it until the
+// barrier sends it home (msg.Pool.ReturnVia); an endpoint that lends no pool
+// (bare test endpoints) gets a heap clone. Where the network consumes a wire
+// copy itself — a duplicate suppressed in arrive, a copy landing on a down or
+// partitioned receiver — it releases it explicitly.
 //
 // Every event the ARQ schedules does work: the ack cancels its flight's
 // retransmission check and recycles the record on the spot, so a check fires
@@ -160,12 +158,18 @@ func (n *Network) lossRate() float64 {
 	return rate
 }
 
-// cloneFor copies m out of the envelope pool of machine at — the machine
-// that will release the copy — or onto the heap when at is delivered by
-// another shard or its endpoint lends no pool.
+// cloneFor copies m for the wire from machine from to machine to: out of
+// to's envelope pool when this engine delivers to, out of from's when the
+// copy crosses to another shard (it goes home at the barrier), onto the heap
+// when that machine lends no pool. The lossless duplicate injector takes its
+// copy the same way.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
-func (n *Network) cloneFor(at addr.MachineID, m *msg.Message) *msg.Message {
+func (n *Network) cloneFor(from, to addr.MachineID, m *msg.Message) *msg.Message {
+	at := to
+	if !n.isLocal(to) {
+		at = from
+	}
 	if o := n.owner(at); o != nil {
 		return o.FramePool().Clone(m)
 	}
@@ -173,19 +177,16 @@ func (n *Network) cloneFor(at addr.MachineID, m *msg.Message) *msg.Message {
 }
 
 // release recycles an envelope the network is done with — a wire copy it
-// consumed itself, an acked master, a pooled original shipped as a clone or
-// lost at a down machine — and the bounced original it may carry, through
-// the pool of machine at (Put forwards to the envelope's home; heap messages
-// pass through).
+// consumed itself, an acked master, a frame lost at a down machine or with
+// no owner to hand it back to — and the bounced original it may carry.
+// Put sends it home, or parks it in this shard's return pool when its home is
+// on another shard; heap messages pass through.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 //demos:releases m — the copy is dead on every path after it.
-func (n *Network) release(at addr.MachineID, m *msg.Message) {
-	if o := n.owner(at); o != nil {
-		p := o.FramePool()
-		p.Put(m.Orig)
-		p.Put(m)
-	}
+func (n *Network) release(m *msg.Message) {
+	n.ret.Put(m.Orig)
+	n.ret.Put(m)
 }
 
 // canonSendARQ submits one frame to the machine-anchored retransmission
@@ -218,7 +219,7 @@ func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int
 		n.arqEnqueue(pendEnt{
 			at: n.eng.Now() + n.transit(from, to, size) + extra + 1,
 			to: to, from: from, seq: fl.seq,
-			class: classDup, m: n.cloneFor(to, m),
+			class: classDup, m: n.cloneFor(from, to, m),
 		})
 	}
 }
@@ -245,7 +246,7 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 			at: n.eng.Now() + n.transit(fl.from, fl.to, fl.size) + extra,
 			to: fl.to, from: fl.from, seq: fl.seq,
 			class: classData, attempt: fl.attempt,
-			m: n.cloneFor(fl.to, fl.m),
+			m: n.cloneFor(fl.from, fl.to, fl.m),
 		})
 	}
 	fl.ev = n.eng.After(n.cfg.RetransTimeout+extra, "netw:retrans-check", fl.fn)
@@ -280,7 +281,7 @@ func (n *Network) retireFlight(fl *arqFlight) {
 // destination is local, across the cluster's outbox plane otherwise.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
-//demos:owner inflight — the calendar (this shard's or, via ship, the destination shard's) owns the entry's wire copy — pooled from the receiver's pool when local, a heap clone when shipped — until arqLand delivers or releases it.
+//demos:owner inflight — the calendar (this shard's or, via ship, the destination shard's) owns the entry's wire copy — from the receiver's pool when local, the sender's when shipped — until arqLand delivers or releases it.
 func (n *Network) arqEnqueue(ent pendEnt) {
 	if n.isLocal(ent.to) {
 		if n.pendPush(ent) {
@@ -309,7 +310,7 @@ func (n *Network) arqLand(ent pendEnt) {
 		// nothing.
 		if fl := n.flights[ent.to].take(ent.seq); fl != nil {
 			n.eng.Cancel(fl.ev)
-			n.release(fl.from, fl.m)
+			n.release(fl.m)
 			n.retireFlight(fl)
 		}
 	case classDup:
@@ -317,7 +318,7 @@ func (n *Network) arqLand(ent pendEnt) {
 		// vanishes silently — it was surplus wire noise, not an
 		// accountable frame.
 		if n.ms[ent.to].down || n.partitioned(ent.from, ent.to) {
-			n.release(ent.to, ent.m)
+			n.release(ent.m)
 			return
 		}
 		n.arrive(ent.from, ent.to, ent.m, ent.seq)
@@ -326,7 +327,7 @@ func (n *Network) arqLand(ent pendEnt) {
 			// Recoverable: no dedup record, no ack — the sender's timer
 			// retries and a post-restart attempt can still deliver.
 			n.stats.Dropped++
-			n.release(ent.to, ent.m)
+			n.release(ent.m)
 			return
 		}
 		n.arrive(ent.from, ent.to, ent.m, ent.seq)

@@ -29,9 +29,12 @@
 // sending shard's outbox and enter the receiving shard's calendar at the
 // round barrier; where an entry sits is a function of its key alone, never of
 // when it was filed, so the order the barrier drains the outboxes in cannot
-// perturb simulation order. A pooled envelope never crosses a shard
-// boundary: the ship path transmits a heap clone and releases the original
-// through its sender's pool at once, as the ARQ releases an acked master.
+// perturb simulation order. The envelope itself crosses: the receiving
+// shard's kernel releases it through its own pool, which parks an envelope of
+// another shard's pool in the shard's return pool (msg.Pool.ReturnVia), and
+// the barrier sends every parked envelope home (SendHome) before it drains
+// the outboxes, so a pool is only ever written by its own shard's goroutine
+// inside a round.
 package netw
 
 import (
@@ -130,7 +133,18 @@ func (n *Network) SetCanonical(machines int, seed int64, local func(addr.Machine
 	// so merged snapshots sum to the cluster totals.
 	n.mach(n.total)
 	n.stats.machine(n.total)
+	n.ret = msg.NewReturnPool()
+	for _, ms := range n.ms {
+		if ms.owner != nil {
+			ms.owner.FramePool().ReturnVia(n.ret)
+		}
+	}
 }
+
+// SendHome files every envelope parked in this shard's return pool on its
+// home pool's free list. It writes pools of other shards: call it only where
+// no shard runs, at the cluster's round barrier.
+func (n *Network) SendHome() { n.ret.SendHome() }
 
 // isLocal reports whether machine m's frames are delivered by this engine.
 func (n *Network) isLocal(m addr.MachineID) bool { return n.local == nil || n.local(m) }
@@ -140,7 +154,7 @@ func (n *Network) isLocal(m addr.MachineID) bool { return n.local == nil || n.lo
 // its exact delivery timestamp with it.
 //
 //demos:hotpath — the lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
-//demos:owner inflight — the calendar owns the frame until pump hands it to deliver; a frame shipped cross-shard is a heap clone (the pooled original is released first).
+//demos:owner inflight — the calendar owns the frame until pump hands it to deliver; a frame for another shard leaves with ship, envelope and all.
 func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time) {
 	at := n.eng.Now() + n.transit(from, to, size) + extra
 	fm := n.mach(from)
@@ -153,11 +167,6 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 		}
 		return
 	}
-	if m.Pooled() {
-		c := m.Clone()
-		n.release(from, m)
-		m = c
-	}
 	n.ship(RemoteFrame{From: from, To: to, At: at, Seq: seq, M: m})
 }
 
@@ -166,7 +175,7 @@ func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, e
 // arrival time (guaranteed by the conservative lookahead window; a frame
 // handed over at or after it would be stranded, so pendPush panics).
 //
-//demos:owner inflight — the calendar owns the shipped clone until pump delivers it.
+//demos:owner inflight — the calendar owns the shipped frame until pump delivers it.
 func (n *Network) EnqueueRemote(f RemoteFrame) {
 	if n.pendPush(pendEnt{
 		at: f.At, to: f.To, from: f.From, seq: f.Seq,

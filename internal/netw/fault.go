@@ -26,11 +26,10 @@ import (
 //     later netw:sink event), never synchronously, so the sender's kernel
 //     hears of the loss only after the send that caused it has finished.
 //   - FramePool lends the machine's envelope pool to the network. The ARQ
-//     (arq.go) draws wire copies from the receiver's pool, and whatever the
-//     network consumes itself — a pooled original shipped across a shard as
-//     a heap clone, a lossless frame lost at a down machine, a suppressed or
-//     stranded wire copy, an acked master — goes back through it at once
-//     (Network.release).
+//     (arq.go) and the duplicate injector draw wire copies from it — the
+//     receiver's pool on its own shard, the sender's across shards — and on a
+//     shard it joins the shard's return pool (SetCanonical), where a release
+//     on this shard parks envelopes of other shards' pools until the barrier.
 //
 // An endpoint that is not a FrameOwner gets heap clones instead.
 type FrameOwner interface {
@@ -85,12 +84,11 @@ func (n *Network) deadFrame(from, to addr.MachineID, m *msg.Message) {
 		n.queueSink(sinkItem{owner: o, m: m, to: to})
 		return
 	}
-	// No reachable owner: the sending machine lives on another shard and
-	// its frame crossed as a heap clone (or a bare endpoint sent a heap
-	// message), so there is no envelope to return — but the loss still
-	// must not be silent. The cluster-wide delivery
-	// audit folds this counter into its loss budget.
+	// No owner to hear of it (a bare endpoint sent it): the envelope goes
+	// back to its pool here, and the loss still must not be silent. The
+	// cluster-wide delivery audit folds this counter into its loss budget.
 	n.stats.OrphanDropped++
+	n.release(m)
 }
 
 // dropFromDown accounts a send attempted by a crashed machine (satellite
@@ -104,16 +102,14 @@ func (n *Network) dropFromDown(from, to addr.MachineID, m *msg.Message) {
 // is final and is an orphan drop: the frame is counted, a pooled envelope is
 // released at once as a completed send, and the sender hears nothing.
 // Echoing an Undeliverable completion back would reach only a sender on the
-// receiver's own shard (a cross-shard frame is an ownerless clone), making
-// the sender's behaviour depend on the sharding; the kernels' own timeouts
-// carry liveness instead. (With an ARQ, arqLand checks the receiver first
-// and the retransmit/dead path owns the accounting.)
+// receiver's own shard (the sender's kernel runs on another goroutine),
+// making the sender's behaviour depend on the sharding; the kernels' own
+// timeouts carry liveness instead. (With an ARQ, arqLand checks the receiver
+// first and the retransmit/dead path owns the accounting.)
 func (n *Network) dropToDown(to addr.MachineID, m *msg.Message) {
 	n.stats.Dropped++
 	n.stats.OrphanDropped++
-	if m.Pooled() {
-		n.release(m.From.LastKnown, m)
-	}
+	n.release(m)
 }
 
 // normPair returns the order-normalized key for a bidirectional pair.
@@ -241,12 +237,12 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 			return
 		}
 	}
-	// The clone for a duplicate is taken before canonSend may consume
-	// (ship) the original, and each copy earns its own Hops++ inside
+	// The copy for a duplicate is taken before canonSend consumes (files or
+	// ships) the original, and each copy earns its own Hops++ inside
 	// canonSend.
 	var dm *msg.Message
 	if dup {
-		dm = m.Clone()
+		dm = n.cloneFor(from, to, m)
 	}
 	n.canonSend(from, to, m, size, extra)
 	if dup {

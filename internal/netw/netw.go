@@ -251,6 +251,7 @@ type Network struct {
 	total   addr.MachineID            // cluster size once SetCanonical ran: ids up to it are routable
 	local   func(addr.MachineID) bool // nil: every machine is on this engine
 	ship    func(RemoteFrame)         // hands a frame for another shard to the cluster
+	ret     *msg.Pool                 // what release puts through: a plain pool (Put sends home), this shard's return pool once SetCanonical ran
 	pumpFn  func()                    // bound once; fires pending deliveries due now
 	pumping bool                      // a pump is draining the current instant: frames filed for it need no gate
 
@@ -338,6 +339,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		delayNext: make(map[pair]sim.Time),
 		pend:      make([]pendEnt, 1), // entry 0: the nil link
 		pendSlots: make([]pendSlot, pendMinSlots),
+		ret:       msg.NewPool(),
 	}
 	n.sinkFn = n.runSink
 	n.pumpFn = n.pump
@@ -351,7 +353,8 @@ func (n *Network) Config() Config { return n.cfg }
 // Attach registers the endpoint for machine m. An endpoint that also
 // implements FrameOwner hears of the frames this machine sent that the
 // network abandoned (partition, crash, retries exhausted), and lends the
-// network its pool.
+// network its pool; on a shard (SetCanonical) that pool joins the shard's
+// return pool.
 func (n *Network) Attach(m addr.MachineID, ep Endpoint) {
 	ms := n.mach(m)
 	if ms.ep != nil {
@@ -359,6 +362,9 @@ func (n *Network) Attach(m addr.MachineID, ep Endpoint) {
 	}
 	ms.ep = ep
 	ms.owner, _ = ep.(FrameOwner)
+	if ms.owner != nil && n.local != nil {
+		ms.owner.FramePool().ReturnVia(n.ret)
+	}
 	n.stats.machine(m) // pre-size the dense per-machine counters
 }
 
@@ -558,7 +564,7 @@ func (n *Network) arrive(from, to addr.MachineID, m *msg.Message, seq uint64) bo
 	seen.last = n.eng.Now()
 	if !seen.admit(seq) {
 		n.stats.Duplicates++
-		n.release(to, m)
+		n.release(m)
 		return false
 	}
 	n.deliver(to, m)

@@ -4,10 +4,10 @@
 // bench's per-layer rows all key on metric names, so a change to how a
 // counter reaches the registry must reproduce testdata/obs_snapshot_golden.txt
 // byte for byte, on one shard and on two. The two-shard comparison leaves out
-// the nine per-kernel pool_news/pool_free/pool_held rows: a cross-shard frame
-// ships as a clone while the pooled original goes back to its pool at once,
-// so how many envelopes each kernel's pool constructs depends on the sharding
-// (the same exception TestShardCountInvariance makes).
+// the nine per-kernel pool_news/pool_free/pool_held rows: an envelope that
+// crosses a shard goes home only at the next round barrier, so how many
+// envelopes each kernel's pool constructs depends on the sharding (the same
+// exception TestShardCountInvariance makes).
 //
 // Regenerate only when a metric is deliberately added, renamed or removed:
 // go test -run TestObsSnapshotGolden -update-obs-golden

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Contributor gate: gofmt, vet, lint, build, race-test, three fuzz smokes
-# (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder), and the hot-path
-# allocation guards. Run
+# (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder), the hot-path
+# allocation guards, and the msg.Pool inlining guard. Run
 # from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/check.sh
@@ -30,6 +30,9 @@ go test -race ./...
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
 go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
 
+echo "== envelopes across shards under the race detector (return pools written inside goroutine rounds, sent home at the barrier; 2 and 4 shards, lossless + lossy, every pool balanced; 5 runs)"
+go test -race -count=5 -run 'TestOneWayTrafficKeepsPoolsBounded/parallel' ./internal/core/
+
 echo "== event count across shard counts under the race detector (a pump counts one event per frame it lands; 1/2/4 shards, inline and goroutine rounds, 3 runs)"
 go test -race -count=3 -run TestShardFiredInvariance ./internal/core/
 
@@ -57,7 +60,16 @@ go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -benchtime 1x .
 echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 1280-byte size class"
 go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass' ./internal/kernel/
+echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone)"
 go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc' ./internal/core/
+echo "== msg.Pool.Put and Get stay inlinable (a Put that stops inlining costs pingpong a few per cent)"
+inl=$(go build -gcflags=-m ./internal/msg 2>&1)
+for fn in Put Get; do
+  if ! grep -q "can inline (\*Pool).$fn\b" <<<"$inl"; then
+    echo "(*Pool).$fn no longer inlines"
+    exit 1
+  fi
+done
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts

@@ -486,11 +486,14 @@ func migrationBouncer(tb testing.TB, reg *proc.Registry, body proc.Body, traced 
 // full 8-step migration performs exactly one heap allocation: the arriving
 // body instance from Registry.New, which is inherent to re-instantiating the
 // process. Everything else — envelopes, region buffers, link table,
-// watchdogs, records — recycles. Wired as core.build wires a cluster (tracer
-// and obs plane attached) and carrying a gob-backed workload.Counter, the
-// same migration adds the obs plane's ledger record, the snapshot's bytes
-// and gob's message buffer on decode (4 in all); a gob.Encoder, a
-// gob.Decoder and a fmt.Sprintf per trace record made that 218.
+// watchdogs, records — recycles, and the ledger stores the migration's record
+// in chunks (a bare kernel keeps its own). Wired as core.build wires a
+// cluster (tracer and obs plane attached) and carrying a gob-backed
+// workload.Counter, the same migration adds only the snapshot's bytes (2 in
+// all): the flat codec decodes in place, with no gob message buffer. A
+// gob.Encoder, a gob.Decoder and a fmt.Sprintf per trace record made that
+// 218; a ledger record of its own, a copy in Kernel.reports and gob's
+// decode buffer, 4.
 func TestMigrationSteadyStateAllocs(t *testing.T) {
 	bare := proc.NewRegistry()
 	bare.Register("bench-sink", func() proc.Body { return &benchSinkBody{} })
@@ -502,7 +505,7 @@ func TestMigrationSteadyStateAllocs(t *testing.T) {
 		max    float64
 	}{
 		{"stateless body, bare kernels", bare, &benchSinkBody{}, false, 1},
-		{"Counter body, tracer and obs attached", workload.Registry(), &workload.Counter{Seen: 12345}, true, 8},
+		{"Counter body, tracer and obs attached", workload.Registry(), &workload.Counter{Seen: 12345}, true, 2},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			migrate := migrationBouncer(t, arm.reg, arm.body, arm.traced)

@@ -194,12 +194,13 @@ type Process struct {
 	kind      string
 	commDelta map[addr.MachineID]uint64 // per-peer sends since the last load report
 
-	// Forwarder fields (state == StateForwarder). obsRec, when the obs
-	// ledger is attached, is the migration this forwarder resulted from:
-	// §4 forwards and §5 link updates absorbed here accrue to that record
-	// even though the migration itself completed long ago. fwdSenders
-	// tracks per-sender stale-send runs for the §6 convergence length; it
-	// lives on the cold attribution path only (see Kernel.ledgerForward).
+	// Forwarder fields (state == StateForwarder). obsRec is the ledger
+	// record of the migration this forwarder resulted from: §4 forwards and
+	// §5 link updates absorbed here accrue to that record even though the
+	// migration itself completed long ago. fwdSenders tracks per-sender
+	// stale-send runs for the §6 convergence length; it lives on the cold
+	// attribution path only (see Kernel.ledgerForward) and, like commDelta,
+	// survives putProcRec emptied, so a recycled forwarder allocates none.
 	obsRec     *obs.MigrationRecord
 	fwdSenders map[addr.ProcessID]uint64
 	fwdTo      addr.MachineID
@@ -361,8 +362,7 @@ type Kernel struct {
 	lastReportBusy sim.Time
 	lastReportAt   sim.Time
 
-	stats   Stats
-	reports []MigrationReport
+	stats Stats
 
 	// Fault plane (restart.go). stable simulates the §1 stable storage a
 	// checkpoint survives a crash in; lostPIDs records processes a crash
@@ -377,10 +377,12 @@ type Kernel struct {
 	faultHook    func(kp KillPoint, pid addr.ProcessID)
 	loadReportEv sim.Event
 
-	// Observability plane (obs.go): the cluster-wide migration ledger and
-	// the kernel's registry-owned histograms. Both nil until SetObs; every
-	// hot-path touch is behind a nil check, so a bare kernel pays one
-	// predictable branch.
+	// Observability plane (obs.go): the migration ledger and the kernel's
+	// registry-owned histograms. led is the one store of this kernel's
+	// migration records — the cluster's, attached by SetObs, or else one of
+	// its own made at its first completed migration. hLat is nil until
+	// SetObs; every hot-path touch is behind a nil check, so a bare kernel
+	// pays one predictable branch.
 	led  *obs.Ledger
 	hLat *obs.Histogram // user-message delivery latency (route -> enqueue), µs
 }
@@ -428,9 +430,17 @@ func (k *Kernel) Config() Config { return k.cfg }
 // Stats returns a copy of this kernel's counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// Reports returns the migration reports this kernel produced as a source.
+// Reports returns the migration reports this kernel produced as a source,
+// in completion order: copies of its ledger records as they stand now. The
+// transfer, administrative and timing fields are final at completion; the
+// §4/§5 residual fields (ForwardsAbsorbed, LinkUpdatesSent,
+// ConvergenceForwards) include what the forwarding address has absorbed
+// since. (OnReport receives the record as it was at completion.)
 func (k *Kernel) Reports() []MigrationReport {
-	return append([]MigrationReport(nil), k.reports...)
+	if k.led == nil {
+		return nil
+	}
+	return k.led.From(k.machine)
 }
 
 // Crashed reports whether Crash was called.
@@ -949,10 +959,11 @@ func (k *Kernel) putProcRec(p *Process) {
 		k.tableFree.put(p.links)
 	}
 	q := p.queue
-	commDelta := p.commDelta
+	commDelta, fwdSenders := p.commDelta, p.fwdSenders
 	clear(commDelta)
+	clear(fwdSenders)
 	*p = Process{}
-	p.queue, p.commDelta = q, commDelta
+	p.queue, p.commDelta, p.fwdSenders = q, commDelta, fwdSenders
 	k.procFree.put(p)
 }
 

@@ -8,6 +8,7 @@ import (
 	"demosmp/internal/link"
 	"demosmp/internal/memory"
 	"demosmp/internal/msg"
+	"demosmp/internal/obs"
 	"demosmp/internal/proc"
 	"demosmp/internal/sim"
 	"demosmp/internal/trace"
@@ -545,15 +546,15 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	mg.rep.End = k.eng.Now()
 	mg.rep.OK = true
 	k.stats.MigrationsOut++
-	k.reports = append(k.reports, mg.rep)
-	if k.led != nil {
-		// The ledger keeps the record by pointer; the forwarder holds it
-		// too, so §4/§5 residual traffic keeps accruing to this migration
-		// after completion (see Kernel.ledgerForward).
-		rec := k.led.Add(mg.rep)
-		if fwd != nil {
-			fwd.obsRec = rec
-		}
+	// The ledger holds the one copy of the record (Reports reads it back);
+	// the forwarder keeps a pointer to it, so §4/§5 residual traffic keeps
+	// accruing to this migration after completion (see Kernel.ledgerForward).
+	if k.led == nil {
+		k.led = obs.NewLedger()
+	}
+	rec := k.led.Add(mg.rep)
+	if fwd != nil {
+		fwd.obsRec = rec
 	}
 	if k.cfg.OnReport != nil {
 		k.cfg.OnReport(mg.rep)

@@ -35,9 +35,12 @@ var adminNames = func() []string {
 // counter becomes a metric in reg under "kernel.m<id>." (the Stats struct
 // stays the single owner and its fields the single declaration; the registry
 // reads them live at snapshot time), a registry-owned delivery-latency
-// histogram starts observing enqueue, and led (if non-nil) receives one
-// MigrationRecord per completed outbound migration with post-completion
-// forward/link-update attribution.
+// histogram starts observing enqueue, and led (if non-nil) becomes the store
+// of this kernel's migration records: one MigrationRecord per completed
+// outbound migration with post-completion forward/link-update attribution,
+// which Reports reads back. Without one the kernel keeps its records in a
+// ledger of its own. Attach led before the first migration completes: a
+// record stays in the ledger it was added to.
 //
 // Either argument may be nil to attach only half the plane. Call at most
 // once per registry: metric names are unique per machine.

@@ -133,7 +133,7 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			if info.CPUUsed != 0 || info.MsgsIn != 0 || info.MsgsOut != 0 || info.QueueLen != 0 || info.Links != 0 {
 				t.Fatalf("recycled record carries accounting: %+v", info)
 			}
-			if p.cameFrom != 0 || p.timeoutCommit || p.fwdTo != 0 || p.obsRec != nil || p.fwdSenders != nil ||
+			if p.cameFrom != 0 || p.timeoutCommit || p.fwdTo != 0 || p.obsRec != nil || len(p.fwdSenders) != 0 ||
 				p.queueHighWater != 0 || p.cpuDelta != 0 || p.msgsDelta != 0 || p.image != nil || p.prevState != 0 {
 				t.Fatalf("recycled record inherited state: %+v", p)
 			}

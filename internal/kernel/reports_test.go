@@ -1,0 +1,184 @@
+package kernel
+
+// A migration's record has one store, the ledger: Reports reads it back,
+// and the forwarding address the migration left keeps charging §4 forwards
+// and §5 link updates to it. These tests pin what Reports returns once
+// stale senders reach the forwarder, and that a forwarder absorbing them
+// allocates nothing while its records are recycled.
+
+import (
+	"testing"
+
+	"demosmp/internal/addr"
+	"demosmp/internal/link"
+	"demosmp/internal/msg"
+	"demosmp/internal/netw"
+	"demosmp/internal/obs"
+	"demosmp/internal/proc"
+	"demosmp/internal/sim"
+)
+
+// tickSender sends one message on link 1 every period, timer-driven, so
+// the sends allocate nothing.
+type tickSender struct {
+	period sim.Time
+	armed  bool
+	buf    [4]byte
+}
+
+func (s *tickSender) Kind() string { return "tick-sender" }
+
+func (s *tickSender) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	if !s.armed {
+		s.armed = true
+		ctx.SetTimer(s.period, 1)
+	}
+	for {
+		d, ok := ctx.Recv()
+		if !ok {
+			return 0, proc.Status{State: proc.Blocked}
+		}
+		if d.Op == msg.OpTimer {
+			if err := ctx.Send(1, s.buf[:]); err != nil {
+				return 0, proc.Status{State: proc.Crashed, Err: err}
+			}
+			ctx.SetTimer(s.period, 1)
+		}
+	}
+}
+
+func (s *tickSender) Snapshot() ([]byte, error) { return nil, nil }
+func (s *tickSender) Restore([]byte) error      { return nil }
+
+// stillBody receives and keeps nothing.
+type stillBody struct{}
+
+func (b *stillBody) Kind() string { return "still" }
+
+func (b *stillBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	for {
+		if _, ok := ctx.Recv(); !ok {
+			return 0, proc.Status{State: proc.Blocked}
+		}
+	}
+}
+
+func (b *stillBody) Snapshot() ([]byte, error) { return nil, nil }
+func (b *stillBody) Restore([]byte) error      { return nil }
+
+// staleSendRig: a stateless target on m1 and, on m3, a sender holding a
+// link to it that sends once every period. Each step migrates the target to
+// the other of m1 and m2 and runs one period, in which the migration
+// completes and then the sender's tick, addressed where the target was,
+// passes the forwarding address the migration left and brings back the
+// link update. The target's kind always instantiates the same body, so the
+// arrival allocates no body either.
+func staleSendRig(t *testing.T, led *obs.Ledger, onReport func(MigrationReport)) (ks []*Kernel, pid addr.ProcessID, step func()) {
+	t.Helper()
+	const period = 100_000
+	eng := sim.NewEngine(5)
+	nw := netw.New(eng, netw.Config{})
+	target := &stillBody{}
+	reg := proc.NewRegistry()
+	reg.Register("still", func() proc.Body { return target })
+	cfg := Config{Registry: reg, OnReport: onReport}
+	for m := 1; m <= 3; m++ {
+		ks = append(ks, New(addr.MachineID(m), eng, nw, cfg))
+		if led != nil {
+			ks[m-1].SetObs(nil, led)
+		}
+	}
+	pid, err := ks[0].Spawn(SpawnSpec{Body: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ks[2].Spawn(SpawnSpec{Body: &tickSender{period: period}, Links: []link.Link{{Addr: addr.At(pid, 1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(period / 2) // ticks now fall half a period into every step
+	cur := 0
+	return ks, pid, func() {
+		ks[cur].RequestMigrationOf(addr.At(pid, ks[cur].machine), ks[1-cur].machine)
+		eng.RunFor(period)
+		cur = 1 - cur
+	}
+}
+
+// TestReportsIncludeResidualAttribution pins what Reports returns: the
+// ledger's record as it stands now, so the forwards and link updates the
+// forwarding address absorbed after completion are in it — where
+// OnReport's copy, taken at completion, has none — while every field fixed
+// at completion reads the same in both. With a ledger attached, Reports
+// and the ledger are one record; without one, the kernel keeps its own.
+func TestReportsIncludeResidualAttribution(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		led  *obs.Ledger
+	}{{"bare kernels", nil}, {"ledger attached", obs.NewLedger()}} {
+		t.Run(arm.name, func(t *testing.T) {
+			var reps []MigrationReport
+			ks, pid, step := staleSendRig(t, arm.led, func(r MigrationReport) { reps = append(reps, r) })
+			step() // m1 -> m2, then one stale send through m1's forwarder
+			if len(reps) != 1 {
+				t.Fatalf("OnReport saw %d migrations, want 1", len(reps))
+			}
+			done := reps[0]
+			got := ks[0].Reports()
+			if len(got) != 1 {
+				t.Fatalf("m1 Reports() = %+v, want one record", got)
+			}
+			live := got[0]
+			if done.ForwardsAbsorbed != 0 || live.ForwardsAbsorbed != 1 || live.LinkUpdatesSent != 1 || live.ConvergenceForwards != 1 {
+				t.Fatalf("residual fields: at completion %d/%d/%d, Reports %d/%d/%d; want 0/0/0 and 1/1/1",
+					done.ForwardsAbsorbed, done.LinkUpdatesSent, done.ConvergenceForwards,
+					live.ForwardsAbsorbed, live.LinkUpdatesSent, live.ConvergenceForwards)
+			}
+			final := live
+			final.ForwardsAbsorbed, final.LinkUpdatesSent, final.ConvergenceForwards = 0, 0, 0
+			if final != done || live.PID != pid || !live.OK {
+				t.Fatalf("fields fixed at completion moved:\nReports  %+v\nOnReport %+v", live, done)
+			}
+			if arm.led != nil {
+				if recs := arm.led.Records(); len(recs) != 1 || recs[0] != live {
+					t.Fatalf("ledger holds %+v, Reports %+v", recs, live)
+				}
+			}
+			if r := ks[1].Reports(); len(r) != 0 {
+				t.Fatalf("m2 produced no migration but reports %+v", r)
+			}
+		})
+	}
+}
+
+// TestForwarderRecyclingAllocs: a target bouncing between m1 and m2 leaves
+// a forwarding address behind at every move, and the address it supersedes
+// on the way back is recycled — its per-sender table with it. In steady
+// state a step (the whole migration, the stale send, the forward, the link
+// update) allocates nothing: the forwarder's sender table is reused rather
+// than made per forwarder, and the ledger stores records in chunks.
+func TestForwarderRecyclingAllocs(t *testing.T) {
+	ks, pid, step := staleSendRig(t, nil, nil)
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	forwarded := func() (n uint64) {
+		for _, k := range ks {
+			n += k.stats.Forwarded
+		}
+		return n
+	}
+	before := forwarded()
+	if a := testing.AllocsPerRun(20, step); a != 0 {
+		t.Fatalf("a step allocates %.1f times, want 0", a)
+	}
+	if n := forwarded() - before; n != 21 { // AllocsPerRun runs the step once more to warm up
+		t.Fatalf("%d forwards in 21 steps, want one each", n)
+	}
+	f := ks[0].lookup(pid)
+	if f == nil || f.state != StateForwarder {
+		f = ks[1].lookup(pid)
+	}
+	if f == nil || f.state != StateForwarder || len(f.fwdSenders) != 1 || f.obsRec == nil || f.obsRec.ConvergenceForwards != 1 {
+		t.Fatalf("current forwarder %+v", f)
+	}
+}

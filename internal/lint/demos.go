@@ -168,6 +168,9 @@ func DemosAnalyzers() []Analyzer {
 				ModulePath + "/internal/memory.Store.Used":         true,
 				// workload's gob contract test walks every registered kind.
 				ModulePath + "/internal/proc.Registry.Kinds": true,
+				// workload's flat-kind pin asks which bodies GobState's
+				// flat path takes.
+				ModulePath + "/internal/proc.GobFlat": true,
 				// the obs golden and the chaos soaks compare snapshot text.
 				ModulePath + "/internal/obs.Snapshot.WriteText": true,
 				// chaos's oracle, which only its own soaks call: as a test

@@ -100,13 +100,15 @@ func TestHotpathAnnotationSet(t *testing.T) {
 		"demosmp/internal/link": {
 			"Table.AppendSnapshot",
 		},
-		// Deferred trace records and the long-lived body codec: what a
-		// traced, stateful migration runs besides the protocol.
+		// Deferred trace records and the long-lived body codec with its
+		// flat path: what a traced, stateful migration runs besides the
+		// protocol.
 		"demosmp/internal/trace": {
 			"Tracer.Emitf",
 		},
 		"demosmp/internal/proc": {
 			"GobState.Snapshot", "GobState.Restore",
+			"GobState.snapshotFlat", "GobState.restoreFlat",
 		},
 		"demosmp/internal/kernel": {
 			// Delivery fast path.

@@ -13,8 +13,8 @@ import (
 // record (kernel.MigrationReport is this type) and hands it to the ledger at
 // step 7. The residual-dependency fields (forwards absorbed, link updates,
 // convergence) keep growing afterwards as stale senders hit the forwarding
-// address, so the ledger stores records by pointer and the forwarder keeps
-// that pointer for post-completion attribution.
+// address, so the ledger hands out a pointer to its stored record and the
+// forwarder keeps it for post-completion attribution.
 type MigrationRecord struct {
 	PID  addr.ProcessID `json:"pid"`
 	From addr.MachineID `json:"from"`
@@ -73,30 +73,55 @@ func (r *MigrationRecord) BytesMoved() int {
 	return r.ProgramBytes + r.ResidentBytes + r.SwappableBytes
 }
 
-// Ledger collects migration records for a whole cluster. Records are added
-// by source kernels at step 7 and mutated afterwards through the pointers
-// the forwarders hold; all reads are cold.
+// Ledger collects migration records for a cluster, or for one shard of it,
+// and is the one store of each record: source kernels add them at step 7,
+// mutate them afterwards through the pointers the forwarders hold, and read
+// their own back for Kernel.Reports; all reads are cold. Records sit in
+// chunks of ledgerChunk that never move, so a stored pointer stays valid and
+// a record costs no allocation of its own.
 type Ledger struct {
-	recs []*MigrationRecord
+	chunks [][]MigrationRecord // never reallocated: Add opens a new one when the last is full
 }
+
+// ledgerChunk is how many records one chunk of a Ledger holds (~8.5 KB).
+const ledgerChunk = 64
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// Add appends a record and returns the stored pointer for later
-// attribution (forward/link-update accounting on the source).
+// Add stores a record and returns the stored pointer for later attribution
+// (forward/link-update accounting on the source).
 func (l *Ledger) Add(rec MigrationRecord) *MigrationRecord {
-	p := &rec
-	l.recs = append(l.recs, p)
-	return p
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		l.chunks = append(l.chunks, make([]MigrationRecord, 0, ledgerChunk))
+		last++
+	}
+	c := append(l.chunks[last], rec)
+	l.chunks[last] = c
+	return &c[len(c)-1]
+}
+
+// From returns copies of the records machine m added as the source, in the
+// order it added them, as they stand now.
+func (l *Ledger) From(m addr.MachineID) []MigrationRecord {
+	var out []MigrationRecord
+	for _, c := range l.chunks {
+		for i := range c {
+			if c[i].From == m {
+				out = append(out, c[i])
+			}
+		}
+	}
+	return out
 }
 
 // Records returns copies of every record, sorted by (Start, PID) so the
 // order is deterministic regardless of which kernel finished first.
 func (l *Ledger) Records() []MigrationRecord {
-	out := make([]MigrationRecord, 0, len(l.recs))
-	for _, r := range l.recs {
-		out = append(out, *r)
+	out := make([]MigrationRecord, 0, ledgerChunk*len(l.chunks))
+	for _, c := range l.chunks {
+		out = append(out, c...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {

@@ -68,15 +68,19 @@ func mergeBuckets(a, b []Bucket) []Bucket {
 }
 
 // MergeLedgers returns a ledger viewing every record of the inputs. Records
-// are shared by pointer, not copied: kernels keep mutating their records
-// after completion (forward/link-update attribution), and Records() sorts
-// by (Start, PID) at read time, so the merged view stays deterministic and
-// live.
+// are shared, not copied: kernels keep mutating their records after
+// completion (forward/link-update attribution), and Records() sorts by
+// (Start, PID) at read time, so the merged view stays deterministic and
+// live. The view shares the inputs' chunks with their capacity cut, so an
+// Add to it never writes into an input.
 func MergeLedgers(ledgers ...*Ledger) *Ledger {
 	out := &Ledger{}
 	for _, l := range ledgers {
-		if l != nil {
-			out.recs = append(out.recs, l.recs...)
+		if l == nil {
+			continue
+		}
+		for _, c := range l.chunks {
+			out.chunks = append(out.chunks, c[:len(c):len(c)])
 		}
 	}
 	return out

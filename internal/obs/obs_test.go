@@ -152,6 +152,41 @@ func TestLedgerPointerAttribution(t *testing.T) {
 	}
 }
 
+// TestLedgerStoresInPlace: records added past several chunks keep the
+// pointers Add returned, From lists one machine's records in the order it
+// added them, and a merged view never writes into the ledgers it views.
+func TestLedgerStoresInPlace(t *testing.T) {
+	a, b := NewLedger(), NewLedger()
+	var ptrs []*MigrationRecord
+	for i := 0; i < 3*ledgerChunk+5; i++ {
+		from := addr.MachineID(1 + i%2)
+		ptrs = append(ptrs, a.Add(MigrationRecord{PID: addr.ProcessID{Creator: from, Local: addr.LocalUID(i)}, From: from, Start: sim.Time(1000 - i)}))
+	}
+	b.Add(MigrationRecord{From: 3, Start: 5})
+	for i, p := range ptrs {
+		p.ForwardsAbsorbed = uint64(i)
+	}
+	from2 := a.From(2)
+	if len(from2) != len(ptrs)/2 {
+		t.Fatalf("From(2) has %d records, want %d", len(from2), len(ptrs)/2)
+	}
+	for j, r := range from2 {
+		if i := 2*j + 1; r.PID.Local != addr.LocalUID(i) || r.ForwardsAbsorbed != uint64(i) {
+			t.Fatalf("From(2)[%d] = %+v, want record %d with its attribution", j, r, i)
+		}
+	}
+	merged := MergeLedgers(a, nil, b)
+	recs := merged.Records()
+	if len(recs) != len(ptrs)+1 || recs[0].Start != 5 || recs[len(recs)-1].Start != 1000 {
+		t.Fatalf("merged view: %d records, first start %d, last %d", len(recs), recs[0].Start, recs[len(recs)-1].Start)
+	}
+	merged.Add(MigrationRecord{From: 9})
+	a.Add(MigrationRecord{From: 1})
+	if len(merged.From(9)) != 1 || len(a.From(9)) != 0 {
+		t.Fatal("the merged view and a ledger it views share the slot after their last records")
+	}
+}
+
 func TestTimelineExport(t *testing.T) {
 	l := NewLedger()
 	l.Add(MigrationRecord{PID: addr.ProcessID{Creator: 1, Local: 2}, From: 1, To: 3, Start: 100, End: 400, AdminMsgs: 9})

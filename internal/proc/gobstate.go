@@ -22,6 +22,13 @@ import (
 // encoder would omit what a fresh one sends. (proctest.CheckGobCodec holds
 // every user of this type to fresh gob's bytes, values and errors.)
 //
+// A flat T (GobFlat: integer, unsigned, bool and string fields only) skips
+// gob's engines after set-up: Snapshot writes the value message itself, and
+// Restore reads one itself when it accepts the whole message — one value
+// message of T's type id, well formed, every value in range — before it
+// writes a field. Anything else goes to the decoders below, so values and
+// errors stay gob's own (gobflat.go).
+//
 // The zero value is ready to use, sets itself up on first use, and is safe
 // for concurrent use (parallel shards migrate bodies of one kind at once).
 type GobState[T any] struct {
@@ -31,6 +38,11 @@ type GobState[T any] struct {
 	prefix []byte       // T's descriptor messages, as a fresh encoder sends them
 	dec    *gob.Decoder // has consumed prefix; nil until needed or after an error
 	in     gobReader    // dec's source
+
+	// The flat path, set up with prefix: nil typeID means T is not flat.
+	flat   []flatField // T's sent fields, in wire order
+	typeID []byte      // T's type id as a value message carries it
+	msg    []byte      // Snapshot's value message, reused
 }
 
 // Snapshot encodes *v.
@@ -41,6 +53,9 @@ func (g *GobState[T]) Snapshot(v *T) ([]byte, error) {
 	defer g.mu.Unlock()
 	if err := g.setup(); err != nil {
 		return nil, err
+	}
+	if g.typeID != nil {
+		return g.snapshotFlat(v), nil
 	}
 	g.out.Reset()
 	if err := g.enc.Encode(v); err != nil {
@@ -53,15 +68,19 @@ func (g *GobState[T]) Snapshot(v *T) ([]byte, error) {
 }
 
 // Restore decodes data, as written by Snapshot or by a fresh gob.Encoder,
-// into *v. Anything the long-lived decoder cannot take — a foreign prefix, a
-// corrupt message — goes to a fresh gob.Decoder over all of data instead, so
-// the result and the error are gob's own.
+// into *v. What the flat path does not accept goes to the long-lived
+// decoder; anything that cannot take — a foreign prefix, a corrupt message —
+// goes to a fresh gob.Decoder over all of data instead, so the result and
+// the error are gob's own.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestGobStateAllocs in internal/workload and TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (g *GobState[T]) Restore(v *T, data []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.setup() == nil && bytes.HasPrefix(data, g.prefix) {
+		if g.typeID != nil && g.restoreFlat(v, data[len(g.prefix):]) {
+			return nil
+		}
 		if g.dec == nil {
 			g.startDecoder()
 		}
@@ -79,7 +98,8 @@ func (g *GobState[T]) Restore(v *T, data []byte) error {
 // setup starts the long-lived encoder and learns the descriptor prefix: a
 // new encoder's first message stream is descriptors then value, its second
 // the value alone, so encoding the zero T twice leaves the prefix as the
-// difference.
+// difference, and the second stream is the zero T's value message the flat
+// path reads T's type id from.
 func (g *GobState[T]) setup() error {
 	if g.enc != nil {
 		return nil
@@ -95,6 +115,7 @@ func (g *GobState[T]) setup() error {
 		return err
 	}
 	g.prefix = append([]byte(nil), g.out.Bytes()[:2*first-g.out.Len()]...)
+	g.setupFlat(g.out.Bytes()[first:])
 	g.enc = enc
 	return nil
 }

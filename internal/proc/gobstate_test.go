@@ -43,6 +43,34 @@ func TestGobStateLazy(t *testing.T) {
 	}
 }
 
+// TestGobStateTakesFlatPath: set-up turns the flat path on for a flat T
+// only, and a flat round trip leaves the gob decoder unstarted.
+func TestGobStateTakesFlatPath(t *testing.T) {
+	type flatState struct {
+		N int
+		S string
+	}
+	var flat GobState[flatState]
+	blob, err := flat.Snapshot(&flatState{N: -3, S: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back flatState
+	if err := flat.Restore(&back, blob); err != nil || back != (flatState{N: -3, S: "s"}) {
+		t.Fatalf("round trip: %+v, %v", back, err)
+	}
+	if flat.typeID == nil || len(flat.flat) != 2 || flat.dec != nil {
+		t.Fatalf("flat state: type id %x, %d fields, decoder started %v", flat.typeID, len(flat.flat), flat.dec != nil)
+	}
+	var plain GobState[plainState]
+	if _, err := plain.Snapshot(&plainState{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if plain.typeID != nil || plain.flat != nil {
+		t.Fatal("a state with a slice took the flat path")
+	}
+}
+
 // TestGobStateForeignBlob: bytes that do not start with T's descriptors go
 // to a fresh decoder, which applies gob's own field matching and reports
 // gob's own error, and leave the long-lived codec usable.

@@ -2,13 +2,18 @@ package workload_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
 
 	"demosmp/internal/proc"
 	"demosmp/internal/proctest"
+	"demosmp/internal/sim"
 	"demosmp/internal/workload"
 )
 
@@ -149,8 +154,10 @@ func TestGobStateConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGobStateAllocs pins what the long-lived codec buys: a Counter round
-// trip allocated 168 times with a gob.Encoder and gob.Decoder per call.
+// TestGobStateAllocs pins what the flat path buys: a Counter round trip
+// allocates the snapshot's bytes and nothing else. It allocated 168 times
+// with a gob.Encoder and gob.Decoder per call, and 4 through the long-lived
+// ones.
 func TestGobStateAllocs(t *testing.T) {
 	c := &workload.Counter{Seen: 12345}
 	var back workload.Counter
@@ -164,10 +171,157 @@ func TestGobStateAllocs(t *testing.T) {
 		}
 	}
 	roundTrip()
-	if a := testing.AllocsPerRun(200, roundTrip); a > 4 {
-		t.Fatalf("Counter Snapshot+Restore allocates %v times, want <= 4", a)
+	if a := testing.AllocsPerRun(200, roundTrip); a > 1 {
+		t.Fatalf("Counter Snapshot+Restore allocates %v times, want 1 (the snapshot)", a)
 	}
 	if back != *c {
 		t.Fatalf("round trip gave %+v", back)
 	}
+}
+
+// flatKinds are the registered kinds whose codec takes proc.GobState's flat
+// path; every other gob kind goes through gob's engines. A field that is
+// not an integer, a bool or a string — a map added to Counter, say — moves
+// a kind from one list to the other and fails here.
+var flatKinds = map[string]bool{
+	workload.CounterKind: true, workload.EchoKind: true, workload.StageKind: true,
+	workload.LinkHolderKind: true, workload.ChatterKind: true, workload.JobKind: true,
+	workload.SpinnerKind: true,
+	workload.SinkKind:    false, workload.RecorderKind: false,
+}
+
+// TestGobStateFlatKinds: the seven flat kinds take the flat path, Sink and
+// Recorder do not, and every registered gob kind is in one list.
+func TestGobStateFlatKinds(t *testing.T) {
+	reg := workload.Registry()
+	for _, kind := range reg.Kinds() {
+		if _, skip := notGob[kind]; skip {
+			continue
+		}
+		want, ok := flatKinds[kind]
+		if !ok {
+			t.Fatalf("kind %q is registered but not listed in flatKinds", kind)
+		}
+		b, err := reg.New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := proc.GobFlat(reflect.TypeOf(b).Elem()); got != want {
+			t.Errorf("kind %q: flat path %v, want %v", kind, got, want)
+		}
+	}
+}
+
+// FuzzGobStateFlat holds the flat path of three flat kinds to fresh gob on
+// arbitrary input: Restore of any bytes, and of a well-framed message
+// carrying any wire values in every field (past a field's width included),
+// leaves the same value and the same error text as a fresh gob.Decoder, and
+// Snapshot of any field values writes the bytes a fresh gob.Encoder writes.
+// The seeds are gobStates' snapshots and their field values.
+func FuzzGobStateFlat(f *testing.F) {
+	kinds := []string{workload.CounterKind, workload.ChatterKind, workload.JobKind}
+	reg := workload.Registry()
+	frames := make(map[string]func(vals ...uint64) []byte)
+	for k, kind := range kinds {
+		for _, s := range gobStates[kind] {
+			a, b, c, on := flatFuzzFields(s)
+			f.Add(uint8(k), proctest.FreshGob(f, s), a, b, c, on)
+		}
+		zero, _ := reg.New(kind)
+		frames[kind] = valueFrame(f, zero)
+	}
+	f.Fuzz(func(t *testing.T, k uint8, data []byte, a, b int64, c uint64, on bool) {
+		kind := kinds[int(k)%len(kinds)]
+		restoreLikeGob(t, reg, kind, data)
+
+		var x proc.Body
+		var wire []uint64 // one raw value per field, in field order
+		switch kind {
+		case workload.CounterKind:
+			x, wire = &workload.Counter{Seen: int(a)}, []uint64{uint64(a)}
+		case workload.ChatterKind:
+			x = &workload.Chatter{N: int(a), Interval: uint32(c), Sent: int(b)}
+			wire = []uint64{uint64(a), c, uint64(b)}
+		default:
+			x, wire = &workload.Job{Service: sim.Time(c), Armed: on}, []uint64{c, uint64(a)}
+		}
+		restoreLikeGob(t, reg, kind, frames[kind](wire...))
+
+		snap, err := x.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh := proctest.FreshGob(t, x); !bytes.Equal(snap, fresh) {
+			t.Fatalf("Snapshot of %+v:\n got %x\nwant %x", x, snap, fresh)
+		}
+	})
+}
+
+// restoreLikeGob restores data into a new body of kind and into another
+// through a fresh gob.Decoder, and fails unless both end with the same
+// value and the same error.
+func restoreLikeGob(t *testing.T, reg *proc.Registry, kind string, data []byte) {
+	t.Helper()
+	got, _ := reg.New(kind)
+	want, _ := reg.New(kind)
+	err := got.Restore(data)
+	wantErr := gob.NewDecoder(bytes.NewReader(data)).Decode(want)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Restore(%x) into a %s: %+v, %v; a fresh decoder gives %+v, %v", data, kind, got, err, want, wantErr)
+	}
+}
+
+// valueFrame returns a builder of streams in zero's type: its descriptors,
+// then one value message that sends every field in order (delta 1 each)
+// with the given wire values, whatever the field's width. The descriptors
+// and the type id are read off one encoder's two streams of the zero value
+// (descriptors then value, then the value alone: count, type id, 0).
+func valueFrame(tb testing.TB, zero proc.Body) func(vals ...uint64) []byte {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(zero); err != nil {
+		tb.Fatal(err)
+	}
+	first := buf.Len()
+	if err := enc.Encode(zero); err != nil {
+		tb.Fatal(err)
+	}
+	all := buf.Bytes()
+	second := all[first:]
+	prefix, typeID := all[:first-len(second)], second[1:len(second)-1]
+	return func(vals ...uint64) []byte {
+		body := append([]byte(nil), typeID...)
+		for _, v := range vals {
+			body = appendGobUint(append(body, 1), v)
+		}
+		body = append(body, 0)
+		out := appendGobUint(append([]byte(nil), prefix...), uint64(len(body)))
+		return append(out, body...)
+	}
+}
+
+// appendGobUint appends x in gob's unsigned form: one byte below 0x80, else
+// the negated byte count and the big-endian bytes.
+func appendGobUint(b []byte, x uint64) []byte {
+	if x < 0x80 {
+		return append(b, byte(x))
+	}
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], x)
+	n := 8 - bits.LeadingZeros64(x)/8
+	return append(append(b, byte(-n)), be[8-n:]...)
+}
+
+// flatFuzzFields spreads a flat state's fields over FuzzGobStateFlat's
+// arguments, the way the fuzz function reads them back.
+func flatFuzzFields(s proc.Body) (a, b int64, c uint64, on bool) {
+	switch s := s.(type) {
+	case *workload.Counter:
+		a = int64(s.Seen)
+	case *workload.Chatter:
+		a, b, c = int64(s.N), int64(s.Sent), uint64(s.Interval)
+	case *workload.Job:
+		c, on = uint64(s.Service), s.Armed
+	}
+	return a, b, c, on
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Contributor gate: gofmt, vet, lint, build, race-test, three fuzz smokes
-# (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder), the hot-path
-# allocation guards, and the msg.Pool inlining guard. Run
-# from anywhere; exits non-zero on the first failure.
+# Contributor gate: gofmt, vet, lint, build, race-test, four fuzz smokes
+# (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder, FuzzGobStateFlat), the
+# hot-path allocation guards, and the msg.Pool inlining guard. Run from
+# anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/check.sh
 set -euo pipefail
@@ -50,6 +50,9 @@ go test -run='^$' -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 
 echo "== fuzz smoke: the network's arrival calendar against a slice scanned with pendLess, delivery by delivery, one gate per instant and one counted event per frame (10 s)"
 go test -run='^$' -fuzz=FuzzPendOrder -fuzztime=10s ./internal/netw/
+
+echo "== fuzz smoke: proc.GobState's flat path against fresh gob, arbitrary bytes into Restore and arbitrary field values into Snapshot (Counter, Chatter, Job; 5 s)"
+go test -run='^$' -fuzz=FuzzGobStateFlat -fuzztime=5s ./internal/workload/
 
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)

@@ -472,16 +472,42 @@ func pairFaults(trace []string, span int) map[string]int {
 	return n
 }
 
+// TestCheckDeliveryCountsEachLossOnce: a lossless partition abandons exactly
+// one frame, so the loss budget is exactly one, and a ledger missing two
+// sequences is a violation. Counting the abandoned frame in netw and again
+// in the sender's kernel would budget two and hide the second gap.
+func TestCheckDeliveryCountsEachLossOnce(t *testing.T) {
+	c, err := core.New(core.Options{Machines: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := c.Spawn(2, kernel.SpawnSpec{Body: &workload.Recorder{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.NetworkOfShard(0).Partition(1, 2)
+	c.Kernel(1).GiveMessageTo(addr.At(rec, 2), addr.KernelAddr(1), []byte{0, 0, 0, 0})
+	c.Run()
+	if ns := c.NetStats(); ns.PartitionDropped != 1 || ns.Frames != 1 {
+		t.Fatalf("PartitionDropped=%d Frames=%d, want one frame sent and abandoned", ns.PartitionDropped, ns.Frames)
+	}
+	if bad := chaos.CheckDelivery(c, map[uint32]uint32{}, 1); len(bad) != 0 {
+		t.Fatalf("one sequence missing against one accounted loss: %v", bad)
+	}
+	if bad := chaos.CheckDelivery(c, map[uint32]uint32{}, 2); len(bad) != 1 {
+		t.Fatalf("two sequences missing against one accounted loss reported %v, want one violation", bad)
+	}
+}
+
 // assertShardInvariant compares every shard-count-invariant artifact of two
 // soak runs: injector trace (merged across shards), delivery ledger, net
 // stats, kill schedule, migration/restart totals, and the pool-gauge-
-// normalized obs snapshot. TotalFired / final clock are NOT compared —
-// pulse replicas legitimately scale with the shard count, and so do the
-// netw:sink events that hand abandoned frames back (one per engine per
-// instant that abandons any). Neither pump gates nor frames crossing a shard
-// do: a pump counts one event per frame it lands, and the ship path releases
-// its pooled original at once (TestShardFiredInvariance in internal/core pins
-// both).
+// normalized obs snapshot. TotalFired / final clock are NOT compared, for
+// one reason only: the injector's pulse replicas legitimately scale with the
+// shard count. Neither pump gates, frames crossing a shard, nor abandoned
+// frames do: a pump counts one event per frame it lands, the ship path
+// releases its pooled original at once, and an abandoned frame is released
+// where it dies (TestShardFiredInvariance in internal/core pins all three).
 func assertShardInvariant(t *testing.T, label string, base, got soakResult) {
 	t.Helper()
 	if !reflect.DeepEqual(base.trace, got.trace) {

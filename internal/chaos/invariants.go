@@ -188,17 +188,15 @@ func CheckDelivery(c *core.Cluster, seen map[uint32]uint32, sent uint32) []strin
 		}
 	}
 
-	// NetStats sums counters across the shard networks. OrphanDropped
-	// joins the budget: a lossless frame that dies against a down machine
-	// gets no Undeliverable completion back to its sender — the drop is
-	// accounted here instead.
+	// NetStats sums counters across the shard networks. Each frame the
+	// network abandons is in exactly one of its five loss counters, and in
+	// no kernel counter, so every loss enters the budget once.
 	ns := c.NetStats()
 	budget := ns.Dead + ns.SendFromDown + ns.PartitionDropped + ns.BurstDropped + ns.OrphanDropped
 	var revived uint64
 	for m := 1; m <= c.Machines(); m++ {
 		ks := c.Kernel(m).Stats()
-		budget += ks.DeadLetters + ks.CrashWipedMsgs + ks.DroppedWhileCrashed +
-			ks.Undeliverable + ks.LocateDropped
+		budget += ks.DeadLetters + ks.CrashWipedMsgs + ks.DroppedWhileCrashed + ks.LocateDropped
 		revived += ks.Revived
 	}
 	switch {

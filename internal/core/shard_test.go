@@ -174,15 +174,19 @@ func TestShardOutboxParallel(t *testing.T) {
 // same-shard arm each pair sits on one shard (16 machines apart); in the
 // straddle arm its machines are 17 apart, so on 2 and 4 shards every frame
 // takes the ship path, whose envelope goes home at the barrier, and fires no
-// event a one-shard run lacks.
+// event a one-shard run lacks. In the faulty arm a lossless loss burst
+// abandons every frame of the first sends, sixteen senders on every shard in
+// the same instant: the network releases each where it dies, so abandoning
+// frames fires no event either.
 func TestShardFiredInvariance(t *testing.T) {
 	simtest.TwoProcs(t)
 	const pairs, n = 16, 60
+	const burstEnd = 2_000 // a rate-1 burst until then abandons each sender's first sends
 	type result struct {
-		fired, pumps, parRounds uint64
-		now                     sim.Time
+		fired, pumps, parRounds, got, abandoned uint64
+		now                                     sim.Time
 	}
-	run := func(t *testing.T, straddle bool, shards int, parallel bool) result {
+	run := func(t *testing.T, straddle, faulty bool, shards int, parallel bool) result {
 		offset := pairs // receiver = sender + offset
 		if straddle {
 			offset++ // odd: a pair never shares a shard on 2 or 4 shards
@@ -192,16 +196,15 @@ func TestShardFiredInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		pumps := make([]uint64, c.Shards()) // one counter per engine: parallel rounds fire on goroutines
-		netwSinks := make([]uint64, c.Shards())
 		for s := range pumps {
 			c.EngineOfShard(s).OnFire = func(name string, _ sim.Time) {
-				switch name {
-				case "netw:pump":
+				if name == "netw:pump" {
 					pumps[s]++
-				case "netw:sink":
-					netwSinks[s]++
 				}
 			}
+		}
+		if faulty {
+			c.LossBurst(1, burstEnd)
 		}
 		var sinks []*workload.Sink
 		for m := 1; m <= pairs; m++ {
@@ -220,37 +223,41 @@ func TestShardFiredInvariance(t *testing.T) {
 			sinks = append(sinks, sink)
 		}
 		c.Run()
+		r := result{fired: c.TotalFired(), now: c.Now(), parRounds: c.ParallelRounds(),
+			abandoned: c.NetStats().BurstDropped}
 		for i, s := range sinks {
-			if len(s.Got) != n {
-				t.Fatalf("shards=%d parallel=%v: sink %d received %d of %d", shards, parallel, i, len(s.Got), n)
+			if len(s.Got) != len(sinks[0].Got) || !faulty && len(s.Got) != n {
+				t.Fatalf("shards=%d parallel=%v: sink %d received %d of %d (sink 0: %d)",
+					shards, parallel, i, len(s.Got), n, len(sinks[0].Got))
 			}
+			r.got += uint64(len(s.Got))
 		}
-		r := result{fired: c.TotalFired(), now: c.Now(), parRounds: c.ParallelRounds()}
-		for s, p := range pumps {
+		if r.got+r.abandoned != pairs*n || faulty != (r.abandoned > 0) {
+			t.Fatalf("shards=%d parallel=%v: %d delivered + %d abandoned of %d sent",
+				shards, parallel, r.got, r.abandoned, pairs*n)
+		}
+		for _, p := range pumps {
 			r.pumps += p
-			if netwSinks[s] != 0 {
-				t.Errorf("shards=%d parallel=%v: shard %d fired %d netw:sink events in a fault-free run", shards, parallel, s, netwSinks[s])
-			}
 		}
 		return r
 	}
 	for _, arm := range []struct {
-		name     string
-		straddle bool
-	}{{"same-shard", false}, {"straddle", true}} {
+		name             string
+		straddle, faulty bool
+	}{{"same-shard", false, false}, {"straddle", true, false}, {"faulty", false, true}} {
 		t.Run(arm.name, func(t *testing.T) {
-			base := run(t, arm.straddle, 1, false)
-			if base.pumps >= pairs*n {
-				t.Fatalf("one shard fired %d pumps for %d frames: the frames never shared a gate", base.pumps, pairs*n)
+			base := run(t, arm.straddle, arm.faulty, 1, false)
+			if base.pumps >= base.got {
+				t.Fatalf("one shard fired %d pumps for %d frames: the frames never shared a gate", base.pumps, base.got)
 			}
 			for _, tc := range []struct {
 				shards   int
 				parallel bool
 			}{{2, false}, {4, false}, {2, true}, {4, true}} {
-				got := run(t, arm.straddle, tc.shards, tc.parallel)
-				if got.fired != base.fired || got.now != base.now {
-					t.Errorf("shards=%d parallel=%v: TotalFired %d at %v, one shard fired %d at %v",
-						tc.shards, tc.parallel, got.fired, got.now, base.fired, base.now)
+				got := run(t, arm.straddle, arm.faulty, tc.shards, tc.parallel)
+				if got.fired != base.fired || got.now != base.now || got.abandoned != base.abandoned {
+					t.Errorf("shards=%d parallel=%v: TotalFired %d at %v with %d abandoned, one shard fired %d at %v with %d",
+						tc.shards, tc.parallel, got.fired, got.now, got.abandoned, base.fired, base.now, base.abandoned)
 				}
 				if got.pumps <= base.pumps {
 					t.Errorf("shards=%d: %d pumps fired, one shard fired %d: the receivers' instants were not split", tc.shards, got.pumps, base.pumps)

@@ -17,8 +17,8 @@ import (
 //
 // Whatever the message was: no panic, no migration record left pending, no
 // envelope leaked or released twice. And unless it was a forgery about the
-// migrating pid itself (see forged below), exactly one live copy of the
-// process exists and every forwarding address leads to it.
+// migrating pid by one of the two parties (see forged below), exactly one
+// live copy of the process exists and every forwarding address leads to it.
 func FuzzKernelAdmin(f *testing.F) {
 	pid := addr.ProcessID{Creator: 1, Local: 1} // the first process m1 spawns
 	foreign := addr.ProcessID{Creator: 3, Local: 77}
@@ -31,7 +31,11 @@ func FuzzKernelAdmin(f *testing.F) {
 	}
 	// Seed corpus: the nine legal messages, each truncated by one byte, each
 	// naming a foreign pid, each replayed twice — before the migration, at
-	// three points inside it, and after it.
+	// three points inside it, and after it — and each sent by the third
+	// machine, m3, at two points inside it: believed, an Established from m3
+	// at point 10 commits m1 to a destination that then times out, and an
+	// Abort from m3 at point 14 discards m2's half as m1 commits to it; both
+	// leave no live copy.
 	for op, body := range legalBodies(pid) {
 		to, from := route[op][0]-1, route[op][1]-1
 		code := uint8(op - msg.OpMigrateRequest)
@@ -40,6 +44,9 @@ func FuzzKernelAdmin(f *testing.F) {
 			f.Add(point, to, code, from, body[:len(body)-1], false)
 			f.Add(point, to, code, from, legalBodies(foreign)[op], false)
 			f.Add(point, to, code, from, body, true)
+		}
+		for _, point := range []uint16{10, 14} {
+			f.Add(point, to, code, uint8(2), body, false)
 		}
 	}
 
@@ -72,7 +79,7 @@ func FuzzKernelAdmin(f *testing.F) {
 		if news != free+held {
 			t.Errorf("envelope pool: %d constructed, %d free + %d held", news, free, held)
 		}
-		if forged(pid, body) {
+		if forged(pid, body, fr) {
 			return
 		}
 		home := 0
@@ -103,15 +110,17 @@ func FuzzKernelAdmin(f *testing.F) {
 	})
 }
 
-// forged reports whether an injected body names the migrating pid. Such a
-// message claims to come from a party to the migration, and the protocol —
-// no sequence numbers, no authentication — believes it: a forged Abort
-// discards a half whose peer then commits, a forged Ask builds a second
-// copy. What a kernel does then is still checked for panics, stranded
-// records and leaked envelopes, but not for exactly-one (DESIGN.md §9
-// "Honest gaps"; the schedule explorer's (step, op) legality filter is where
-// that is to be closed).
-func forged(pid addr.ProcessID, body []byte) bool {
+// forged reports whether an injected body names the migrating pid and comes
+// from one of the migration's two parties, m1 and m2. A half believes only
+// its peer (the dispatcher's peer rule), so a third party's message about
+// the pid must leave exactly one copy; but a real party's message at the
+// wrong step is still believed — no sequence numbers, no step check: a
+// forged Abort discards a half whose peer then commits, a premature
+// Established commits the source to a destination that then times out. What
+// a kernel does then is still checked for panics, stranded records and
+// leaked envelopes, but not for exactly-one (DESIGN.md §9 "Honest gaps"; the
+// (step, op) legality filter is where that is to be closed).
+func forged(pid addr.ProcessID, body []byte, from int) bool {
 	got, _, err := addr.DecodePID(body)
-	return err == nil && got == pid
+	return err == nil && got == pid && (from == 1 || from == 2)
 }

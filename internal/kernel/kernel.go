@@ -447,8 +447,8 @@ func (k *Kernel) Reports() []MigrationReport {
 func (k *Kernel) Crashed() bool { return k.crashed }
 
 // Crash simulates processor failure: the machine stops sending and
-// receiving, and all local state freezes. Messages in flight to it are
-// handled by the network's retry/undeliverable machinery.
+// receiving, and all local state freezes. Frames in flight to it are the
+// network's: retried under the ARQ, or counted and released.
 func (k *Kernel) Crash() {
 	k.crashed = true
 	k.net.SetDown(k.machine, true)

@@ -237,9 +237,11 @@ func protocolRow(op msg.Op) *protoRow {
 
 // migrationMsg is the one dispatcher of the migration protocol. Every body
 // starts with the pid; it finds that pid's record, checks it is the half the
-// op is addressed to (else the row's orphan rule), bills the message to the
-// source half's report (the received side of §6's count; sendAdmin bills the
-// sent side), stamps progress, and runs the row's step.
+// op is addressed to (else the row's orphan rule) and that the message comes
+// from the half's peer (else it is dropped and counted AdminRejected: the
+// rule is the same for every row), bills the message to the source half's
+// report (the received side of §6's count; sendAdmin bills the sent side),
+// stamps progress, and runs the row's step.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
@@ -253,6 +255,10 @@ func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
 			if row.orphan != nil {
 				row.orphan(k, pid, m)
 			}
+			return
+		}
+		if m.From.LastKnown != mg.peer {
+			k.stats.AdminRejected++
 			return
 		}
 		if mg.role == roleSource {
@@ -312,14 +318,16 @@ func (k *Kernel) stepAbort(mg *migration, m *msg.Message) {
 // yieldTimeoutCommit is the abort's orphan rule. An abort reaching a copy
 // committed on watchdog timeout means the source restored its own copy
 // before learning we were established: exactly-one requires the younger
-// copy to yield. Duplicate or stale aborts find no process, or a
-// cleanly-committed one (timeoutCommit false), and fall through as no-ops.
+// copy to yield. Only the machine the copy came from is believed (an abort
+// from anyone else is counted AdminRejected). Duplicate or stale aborts find
+// no process, or a cleanly-committed one (timeoutCommit false), and fall
+// through as no-ops.
 // Queued messages die with the yielded copy and are accounted as dead
 // letters; the local stable checkpoint is invalidated so a later restart
 // cannot resurrect it.
 func (k *Kernel) yieldTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
-	p := k.lookup(pid)
-	if p == nil || !p.timeoutCommit || p.state == StateForwarder {
+	p := k.timeoutCommitted(pid, m)
+	if p == nil {
 		return
 	}
 	pm, _ := msg.DecodePIDMachine(m.Body)
@@ -467,13 +475,13 @@ func (k *Kernel) stepMoveData(mg *migration, m *msg.Message) {
 		vecs[0] = mg.program
 	}
 	total := len(vecs[0]) + len(vecs[1])
-	packets, span := k.streamGather(addr.KernelAddr(m.From.LastKnown), false, req.Xfer, 0, vecs[:])
+	packets, span := k.streamGather(addr.KernelAddr(mg.peer), false, req.Xfer, 0, vecs[:])
 	mg.rep.DataPackets += packets
 	// The destination says nothing more until the paced stream has left:
 	// that much silence is progress, not a fault.
 	mg.deadline += span
 	k.tracef(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v",
-		trace.PID(req.PID), trace.Str(req.Region.String()), trace.Int(total), trace.Int(packets), trace.Machine(m.From.LastKnown))
+		trace.PID(req.PID), trace.Str(req.Region.String()), trace.Int(total), trace.Int(packets), trace.Machine(mg.peer))
 }
 
 // stepEstablished is steps 6-7 on the source, plus the final report to the
@@ -762,10 +770,26 @@ func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
 // disarmTimeoutCommit is a late Cleanup's orphan rule: the copy was already
 // committed on watchdog timeout, and the cleanup confirms the source made
 // itself a forwarder, so no abort is coming and the conflict flag can clear.
-func (k *Kernel) disarmTimeoutCommit(pid addr.ProcessID, _ *msg.Message) {
-	if p := k.lookup(pid); p != nil && p.timeoutCommit {
+// As for the abort, only the machine the copy came from is believed.
+func (k *Kernel) disarmTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
+	if p := k.timeoutCommitted(pid, m); p != nil {
 		p.timeoutCommit = false
 	}
+}
+
+// timeoutCommitted returns pid's live copy if it was committed on watchdog
+// timeout and m comes from the machine it came from; nil otherwise. A
+// message about such a copy from any other machine is counted AdminRejected.
+func (k *Kernel) timeoutCommitted(pid addr.ProcessID, m *msg.Message) *Process {
+	p := k.lookup(pid)
+	if p == nil || !p.timeoutCommit || p.state == StateForwarder {
+		return nil
+	}
+	if m.From.LastKnown != p.cameFrom {
+		k.stats.AdminRejected++
+		return nil
+	}
+	return p
 }
 
 // commitIncoming finishes step 8 for an assembled process: drain the

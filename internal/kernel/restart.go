@@ -277,17 +277,6 @@ func countPooled(m *msg.Message) int {
 // PoolStats audits them.
 func (k *Kernel) FramePool() *msg.Pool { return k.pool }
 
-// UndeliverableFrame implements netw.FrameOwner: the network abandoned a
-// frame this kernel sent — receiver down, pair partitioned, or retries
-// exhausted. Counted separately from DeadLetters (which means "delivered
-// to a machine that had no such process").
-func (k *Kernel) UndeliverableFrame(to addr.MachineID, m *msg.Message) {
-	k.stats.Undeliverable++
-	k.tracef(trace.CatDeliver, "undeliverable", "%v for %v: %v unreachable",
-		trace.Str(m.Kind.String()), trace.PID(m.To.ID), trace.Machine(to))
-	k.putBounced(m)
-}
-
 // --- the §4 search escape hatch ---------------------------------------------
 
 // searchFallback handles a message for a pid this kernel has no record of,

@@ -53,6 +53,7 @@ type Stats struct {
 	MigrationsRefused uint64
 	MigrationsFailed  uint64
 	Revived           uint64              // processes restored from checkpoints (§1 fault recovery)
+	AdminRejected     uint64              // migration messages dropped for not coming from the half's peer
 	AdminSent         [msg.OpCount]uint64 // administrative messages sent, by op
 	AdminBytes        uint64              // payload bytes of administrative messages sent
 
@@ -79,7 +80,6 @@ type Stats struct {
 	CrashWipedMsgs      uint64 // queued messages destroyed by a crash
 	CrashLostProcs      uint64 // processes wiped by a crash (before any revival)
 	CheckpointsSaved    uint64 // checkpoints written to stable storage
-	Undeliverable       uint64 // frames the network returned as undeliverable
 	DroppedWhileCrashed uint64 // messages consumed while this kernel was down
 	SearchForwards      uint64 // messages rerouted to a pid's creator machine
 	SearchesSent        uint64 // search broadcasts for home-born pids

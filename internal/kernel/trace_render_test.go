@@ -88,8 +88,6 @@ var deferredFormats = []deferredFormat{
 		"%v restarted as %v (%s)", []any{rPID, StateWaiting, 3}},
 	{"restart", "%v back up (restart %d)", "Machine Int",
 		"m%d back up (restart %d)", []any{uint16(rMach), uint64(2)}},
-	{"undeliverable", "%v for %v: %v unreachable", "Str PID Machine",
-		"%v for %v: m%d unreachable", []any{msg.KindControl, rPID, uint16(rMach)}},
 	{"search-reroute", "%v for %v -> creator %v", "Str PID Machine",
 		"%v for %v -> creator m%d", []any{msg.KindUser, rPID, uint16(rPID.Creator)}},
 	{"search-timeout", "%v: %d held messages dead-lettered", "PID Int",

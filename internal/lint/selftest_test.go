@@ -204,7 +204,7 @@ func TestRepositoryOwnershipClean(t *testing.T) {
 
 	catalogued := map[string]bool{
 		"pool": true, "mailbox": true, "pending": true, "bounce": true,
-		"locate": true, "stream": true, "sink": true, "outbox": true,
+		"locate": true, "stream": true, "outbox": true,
 		"inflight": true,
 	}
 	for _, pkg := range mod.Pkgs {

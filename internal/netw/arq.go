@@ -29,8 +29,8 @@
 //     identical sim times via fault-class events, which sort before gates.
 //
 // The master is the envelope the sender submitted: it never leaves the
-// sender's shard, and it goes back through its pool when the ack lands (or
-// once to deadFrame at MaxRetries). Every wire copy — first attempt,
+// sender's shard, and it goes back through its pool when the ack lands, or
+// once, counted Dead, when MaxRetries run out. Every wire copy — first attempt,
 // retransmission, or injected duplicate — is a copy of its own, so a
 // retransmitting sender never shares a *msg.Message with the calendar of
 // another shard. A copy comes out of the RECEIVING machine's pool when this
@@ -177,8 +177,8 @@ func (n *Network) cloneFor(from, to addr.MachineID, m *msg.Message) *msg.Message
 }
 
 // release recycles an envelope the network is done with — a wire copy it
-// consumed itself, an acked master, a frame lost at a down machine or with
-// no owner to hand it back to — and the bounced original it may carry.
+// consumed itself, an acked master, a frame it abandoned — and the bounced
+// original it may carry.
 // Put sends it home, or parks it in this shard's return pool when its home is
 // on another shard; heap messages pass through.
 //
@@ -197,7 +197,7 @@ func (n *Network) release(m *msg.Message) {
 // exercising receiver dedup rather than user-visible duplication.
 //
 //demos:hotpath — allocation-free once the flight pool, the sender's table and the envelope pools are warm: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq and BenchmarkNetwSendARQ in bench_hotpath_test.go.
-//demos:owner inflight — the flight owns the master (the sender's envelope) until the ack releases it or deadFrame takes it; every enqueued wire copy is owned by a shard's calendar.
+//demos:owner inflight — the flight owns the master (the sender's envelope) until the ack releases it or MaxRetries abandon it; every enqueued wire copy is owned by a shard's calendar.
 func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time, dup bool) {
 	fm := n.mach(from)
 	fm.seq++
@@ -254,7 +254,7 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 
 // check is the flight's one outstanding netw:retrans-check. It fires only
 // for an unacknowledged attempt (the ack cancels it): retransmit, or after
-// MaxRetries hand the master to deadFrame, exactly once, and retire.
+// MaxRetries count it Dead, release the master, exactly once, and retire.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send-arq in bench_hotpath_test.go.
 func (fl *arqFlight) check() {
@@ -266,7 +266,7 @@ func (fl *arqFlight) check() {
 	}
 	n.stats.Dead++
 	n.flights[fl.from].take(fl.seq)
-	n.deadFrame(fl.from, fl.to, fl.m)
+	n.release(fl.m)
 	n.retireFlight(fl)
 }
 

@@ -144,19 +144,17 @@ func TestFlightLateAndDuplicateAcks(t *testing.T) {
 }
 
 // TestFlightExhaustsRetries: after MaxRetries the master — the sender's own
-// envelope, never released at send — reaches the sender's UndeliverableFrame
-// exactly once and the flight is gone.
+// envelope, never released at send — is counted Dead and released exactly
+// once, at the check that abandons it, and the flight is gone.
 func TestFlightExhaustsRetries(t *testing.T) {
 	cfg := arqQuiet
 	cfg.MaxRetries = 4
 	eng, n, o1, o2 := setupOwned(cfg)
 	n.Partition(1, 2)
 	n.Send(1, 2, pooledFrame(o1, 2))
-	eng.Run()
-	s := n.Stats()
-	if o1.undeliverable != 1 || s.Dead != 1 || s.Retransmits != 3 {
-		t.Fatalf("undeliverable=%d Dead=%d Retransmits=%d, want 1/1/3",
-			o1.undeliverable, s.Dead, s.Retransmits)
+	stepUntilDead(t, eng, n)
+	if s := n.Stats(); s.Dead != 1 || s.Retransmits != 3 {
+		t.Fatalf("Dead=%d Retransmits=%d, want 1/3", s.Dead, s.Retransmits)
 	}
 	if n.InflightARQ() != 0 || flightOf(n, 1, 1) != nil || freeFlights(n) != 1 {
 		t.Fatalf("InflightARQ %d, slot %v, %d free records: the abandoned flight is not gone",

@@ -3,11 +3,12 @@
 // (n.faulty) and otherwise never enters this file, which is what keeps the
 // hotpath zero-alloc guards passing with the fault plane compiled in.
 //
-// Accounting contract: a frame the network consumes without delivering is
-// never silently lost. It is counted (SendFromDown / PartitionDropped /
-// BurstDropped / Dead / Dropped) AND either released through its pool or
-// handed to the sending machine's FrameOwner, so cluster-wide dead-letter and
-// pooled-envelope ledgers balance after a chaos run.
+// Accounting contract: a frame the network abandons is never silently lost.
+// The code that abandons it counts it once, in the one netw.Stats counter
+// that names the cause (SendFromDown, PartitionDropped, BurstDropped, Dead or
+// OrphanDropped), and releases its envelope on the spot through
+// Network.release, so cluster-wide loss budgets and pooled-envelope ledgers
+// balance after a chaos run. The sender's kernel is never told.
 package netw
 
 import (
@@ -16,56 +17,19 @@ import (
 	"demosmp/internal/sim"
 )
 
-// FrameOwner is the envelope-return interface a machine's endpoint may
-// implement (kernels do). An envelope is dead to its sender once Send
-// returns: the network may already have released it.
-//
-//   - UndeliverableFrame: the frame was abandoned — sender down, pair
-//     partitioned, burst loss in lossless mode, or retries exhausted. It is
-//     invoked one engine step after the triggering Send (same sim time, a
-//     later netw:sink event), never synchronously, so the sender's kernel
-//     hears of the loss only after the send that caused it has finished.
-//   - FramePool lends the machine's envelope pool to the network. The ARQ
-//     (arq.go) and the duplicate injector draw wire copies from it — the
-//     receiver's pool on its own shard, the sender's across shards — and on a
-//     shard it joins the shard's return pool (SetCanonical), where a release
-//     on this shard parks envelopes of other shards' pools until the barrier.
-//
+// FrameOwner is the pool-lending interface a machine's endpoint may
+// implement (kernels do). FramePool lends the machine's envelope pool to the
+// network: the ARQ (arq.go) and the duplicate injector draw wire copies from
+// it — the receiver's pool on its own shard, the sender's across shards — and
+// on a shard it joins the shard's return pool (SetCanonical), where a release
+// on this shard parks envelopes of other shards' pools until the barrier.
 // An endpoint that is not a FrameOwner gets heap clones instead.
+//
+// An envelope is dead to its sender once Send returns: the network may
+// already have released it, and the sender never hears of a frame the
+// network abandons.
 type FrameOwner interface {
-	UndeliverableFrame(to addr.MachineID, m *msg.Message)
 	FramePool() *msg.Pool
-}
-
-// sinkItem is one deferred abandoned-frame handoff.
-type sinkItem struct {
-	owner FrameOwner
-	m     *msg.Message
-	to    addr.MachineID
-}
-
-// queueSink schedules a deferred handoff. All queued items run in one
-// "netw:sink" event at the current sim time, after the in-flight callback
-// (typically a Send caller) has finished.
-func (n *Network) queueSink(it sinkItem) {
-	n.sinkQ = append(n.sinkQ, it)
-	if !n.sinkArmed {
-		n.sinkArmed = true
-		n.eng.After(0, "netw:sink", n.sinkFn)
-	}
-}
-
-// runSink drains the handoff queue. Handlers may trigger further sends
-// (and thus further queueSink calls); the index loop picks those up in the
-// same pass, and the re-armed event then finds an empty queue.
-func (n *Network) runSink() {
-	n.sinkArmed = false
-	for i := 0; i < len(n.sinkQ); i++ {
-		it := n.sinkQ[i]
-		n.sinkQ[i] = sinkItem{}
-		it.owner.UndeliverableFrame(it.to, it.m)
-	}
-	n.sinkQ = n.sinkQ[:0]
 }
 
 // owner returns the FrameOwner attached here as machine m, if any.
@@ -76,36 +40,13 @@ func (n *Network) owner(m addr.MachineID) FrameOwner {
 	return nil
 }
 
-// deadFrame routes an abandoned frame to the sending machine's FrameOwner.
-//
-//demos:owner sink — abandoned frames are held in the sink queue until runSink returns them to their owner for accounting + release.
-func (n *Network) deadFrame(from, to addr.MachineID, m *msg.Message) {
-	if o := n.owner(from); o != nil {
-		n.queueSink(sinkItem{owner: o, m: m, to: to})
-		return
-	}
-	// No owner to hear of it (a bare endpoint sent it): the envelope goes
-	// back to its pool here, and the loss still must not be silent. The
-	// cluster-wide delivery audit folds this counter into its loss budget.
-	n.stats.OrphanDropped++
-	n.release(m)
-}
-
-// dropFromDown accounts a send attempted by a crashed machine (satellite
-// fix: this used to vanish without a counter).
-func (n *Network) dropFromDown(from, to addr.MachineID, m *msg.Message) {
-	n.stats.SendFromDown++
-	n.deadFrame(from, to, m)
-}
-
 // dropToDown accounts a lossless frame arriving at a down machine. The loss
-// is final and is an orphan drop: the frame is counted, a pooled envelope is
-// released at once as a completed send, and the sender hears nothing.
-// Echoing an Undeliverable completion back would reach only a sender on the
-// receiver's own shard (the sender's kernel runs on another goroutine),
-// making the sender's behaviour depend on the sharding; the kernels' own
-// timeouts carry liveness instead. (With an ARQ, arqLand checks the receiver
-// first and the retransmit/dead path owns the accounting.)
+// is final and is an orphan drop: the frame is counted and its envelope
+// released on the spot, like every frame the network abandons. Echoing the
+// loss back would reach only a sender on the receiver's own shard, making
+// the sender's behaviour depend on the sharding; the kernels' own timeouts
+// carry liveness instead. (With an ARQ, arqLand checks the receiver first
+// and the retransmit/dead path owns the accounting.)
 func (n *Network) dropToDown(to addr.MachineID, m *msg.Message) {
 	n.stats.Dropped++
 	n.stats.OrphanDropped++
@@ -123,7 +64,7 @@ func normPair(a, b addr.MachineID) pair {
 // Partition severs the pair (a,b) in both directions. With an ARQ
 // (LossRate > 0) frames queue as retransmissions and flow again after Heal,
 // unless MaxRetries expires first; in lossless mode the loss is final and
-// fully accounted (PartitionDropped + undeliverable sink).
+// fully accounted (PartitionDropped, the envelope released at once).
 func (n *Network) Partition(a, b addr.MachineID) {
 	n.parts[normPair(a, b)] = struct{}{}
 	n.refault()
@@ -214,11 +155,11 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 	}
 
 	// Lossless mode: no retransmission exists, so a severed or lost frame
-	// is gone for good — count it and sink the envelope.
+	// is gone for good — count it and release the envelope.
 	if n.partitioned(from, to) {
 		n.stats.Dropped++
 		n.stats.PartitionDropped++
-		n.deadFrame(from, to, m)
+		n.release(m)
 		return
 	}
 	if n.burstEnd > n.eng.Now() {
@@ -233,7 +174,7 @@ func (n *Network) sendFaulty(from, to addr.MachineID, m *msg.Message) {
 			fm.seq++
 			n.stats.Dropped++
 			n.stats.BurstDropped++
-			n.deadFrame(from, to, m)
+			n.release(m)
 			return
 		}
 	}

@@ -15,13 +15,11 @@ func TestPartitionLosslessDropsAndHeals(t *testing.T) {
 	if !n.Partitioned(1, 2) || !n.Partitioned(2, 1) {
 		t.Fatal("partition is not symmetric")
 	}
-	n.Send(1, 2, frame(8))
+	n.Send(1, 2, pooledFrame(o1, 2))
+	o1.balanced(t, "sender, as Send returns")
 	eng.Run()
 	if len(r2.got) != 0 {
 		t.Fatalf("delivered %d frames across a partition", len(r2.got))
-	}
-	if o1.undeliverable != 1 {
-		t.Fatalf("sender got %d undeliverable frames back, want 1", o1.undeliverable)
 	}
 	s := n.Stats()
 	if s.PartitionDropped != 1 || s.Dropped != 1 {
@@ -57,13 +55,10 @@ func TestPartitionARQRecoversAfterHeal(t *testing.T) {
 func TestPartitionARQExhaustsRetries(t *testing.T) {
 	eng, n, o1, r2 := setupOwned(Config{LossRate: 0.0001, RetransTimeout: 500, MaxRetries: 3})
 	n.Partition(1, 2)
-	n.Send(1, 2, frame(8))
-	eng.Run()
+	n.Send(1, 2, pooledFrame(o1, 2))
+	stepUntilDead(t, eng, n)
 	if len(r2.got) != 0 {
 		t.Fatalf("delivered %d frames across a permanent partition", len(r2.got))
-	}
-	if o1.undeliverable != 1 {
-		t.Fatalf("sender got %d undeliverable frames back, want 1 after retries exhausted", o1.undeliverable)
 	}
 	if s := n.Stats(); s.Dead != 1 {
 		t.Fatalf("Dead=%d, want 1", s.Dead)
@@ -74,14 +69,14 @@ func TestLossBurstLossless(t *testing.T) {
 	eng, n, o1, r2 := setupOwned(Config{Latency: 100})
 
 	n.LossBurst(1.0, 10_000) // certain loss until t=10_000
-	n.Send(1, 2, frame(8))
+	n.Send(1, 2, pooledFrame(o1, 2))
+	o1.balanced(t, "sender, as Send returns")
 	eng.Run()
 	if len(r2.got) != 0 {
 		t.Fatal("frame survived a rate-1.0 burst")
 	}
-	s := n.Stats()
-	if s.BurstDropped != 1 || o1.undeliverable != 1 {
-		t.Fatalf("BurstDropped=%d undeliverable=%d, want 1/1", s.BurstDropped, o1.undeliverable)
+	if s := n.Stats(); s.BurstDropped != 1 || s.Dropped != 1 {
+		t.Fatalf("BurstDropped=%d Dropped=%d, want 1/1", s.BurstDropped, s.Dropped)
 	}
 
 	// After the burst window the drop probability is gone.
@@ -147,17 +142,14 @@ func TestDelayNextReorders(t *testing.T) {
 func TestSendFromDownCounted(t *testing.T) {
 	eng, n, o1, r2 := setupOwned(Config{Latency: 100})
 	n.SetDown(1, true)
-	n.Send(1, 2, frame(8))
+	n.Send(1, 2, pooledFrame(o1, 2))
+	o1.balanced(t, "sender, as Send returns")
 	eng.Run()
 	if len(r2.got) != 0 {
 		t.Fatal("a crashed machine's send was delivered")
 	}
-	s := n.Stats()
-	if s.SendFromDown != 1 {
-		t.Fatalf("SendFromDown=%d, want 1", s.SendFromDown)
-	}
-	if o1.undeliverable != 1 {
-		t.Fatalf("sender got %d undeliverable frames back, want 1", o1.undeliverable)
+	if s := n.Stats(); s.SendFromDown != 1 || s.Dropped != 0 {
+		t.Fatalf("SendFromDown=%d Dropped=%d, want 1/0: the loss is counted once", s.SendFromDown, s.Dropped)
 	}
 
 	n.SetDown(1, false)
@@ -169,20 +161,15 @@ func TestSendFromDownCounted(t *testing.T) {
 }
 
 // ownerRec is a kernel-shaped endpoint: it lends the ARQ an envelope pool,
-// records what is delivered to it (as heap copies) and what the network
-// hands back, and releases every envelope it is given, as a kernel does.
+// records what is delivered to it (as heap copies) and releases every
+// envelope it is given, as a kernel does.
 type ownerRec struct {
 	recorder
-	pool          *msg.Pool
-	undeliverable int
+	pool *msg.Pool
 }
 
 func (o *ownerRec) DeliverFrame(m *msg.Message) {
 	o.recorder.DeliverFrame(m.Clone())
-	o.pool.Put(m)
-}
-func (o *ownerRec) UndeliverableFrame(_ addr.MachineID, m *msg.Message) {
-	o.undeliverable++
 	o.pool.Put(m)
 }
 func (o *ownerRec) FramePool() *msg.Pool { return o.pool }
@@ -210,10 +197,30 @@ func setupOwned(cfg Config) (*sim.Engine, *Network, *ownerRec, *ownerRec) {
 	return eng, n, o1, o2
 }
 
+// stepUntilDead fires events until the network abandons a flight at
+// MaxRetries, and fails the test unless the master is back in its pool at
+// that very event and the engine has nothing left to fire: the loss is
+// released where it dies, with no later event to hand it anywhere.
+func stepUntilDead(t *testing.T, eng *sim.Engine, n *Network) {
+	t.Helper()
+	for n.stats.Dead == 0 && eng.Step() {
+	}
+	if n.stats.Dead != 1 {
+		t.Fatalf("Dead=%d at quiescence, want 1", n.stats.Dead)
+	}
+	for m := range n.ms {
+		if o, ok := n.ms[m].owner.(*ownerRec); ok {
+			o.balanced(t, "pool, at the abandoning check")
+		}
+	}
+	if eng.Step() {
+		t.Fatal("an event fired after the flight was abandoned")
+	}
+}
+
 // TestSendToDownLossless pins the down-receiver rule: a lossless frame that
-// reaches a down machine is an orphan drop — counted, its pooled envelope
-// back in the sender's pool as a completed send, and nothing echoed back (no
-// UndeliverableFrame).
+// reaches a down machine is an orphan drop — counted, and its pooled envelope
+// back in the sender's pool as a completed send.
 func TestSendToDownLossless(t *testing.T) {
 	eng := sim.NewEngine(99)
 	n := New(eng, Config{Latency: 100})
@@ -233,9 +240,6 @@ func TestSendToDownLossless(t *testing.T) {
 	if s.Dropped != 2 || s.OrphanDropped != 2 || s.Dead != 0 {
 		t.Fatalf("Dropped=%d OrphanDropped=%d Dead=%d, want 2/2/0",
 			s.Dropped, s.OrphanDropped, s.Dead)
-	}
-	if o1.undeliverable != 0 {
-		t.Fatalf("sender saw %d undeliverable frames, want no echo", o1.undeliverable)
 	}
 	o1.balanced(t, "sender")
 }

@@ -47,8 +47,8 @@ type Config struct {
 	// RetransTimeout is how long the sender waits for a network-level
 	// ack before retransmitting.
 	RetransTimeout sim.Time
-	// MaxRetries bounds retransmissions; afterwards the frame is handed
-	// to the undeliverable callback (e.g. the destination crashed).
+	// MaxRetries bounds retransmissions; afterwards the frame is
+	// abandoned: counted Dead and released (e.g. the destination crashed).
 	MaxRetries int
 	// PairLatency, when set, replaces the uniform Latency with a
 	// per-machine-pair propagation delay — a heterogeneous topology
@@ -105,15 +105,16 @@ type Stats struct {
 	Duplicates  uint64 // retransmissions suppressed at the receiver
 	Dead        uint64 // frames abandoned after MaxRetries
 
-	// Fault-injection accounting (see fault.go). Every dropped frame is
-	// both counted here and handed to the undeliverable sink, so dead
-	// letters balance cluster-wide.
+	// Fault-injection accounting (see fault.go). An abandoned frame is
+	// counted once, in exactly one of SendFromDown, PartitionDropped,
+	// BurstDropped, OrphanDropped or Dead, and released where it dies; no
+	// other layer counts it again.
 	SendFromDown     uint64 // sends attempted by a crashed machine
 	PartitionDropped uint64 // lossless frames severed by a partition
 	BurstDropped     uint64 // lossless frames lost to a loss burst
 	DupInjected      uint64 // duplicate wire copies injected
 	DelayInjected    uint64 // frames given extra transit (reordering)
-	OrphanDropped    uint64 // lossless frames that reached a down machine, and abandoned frames whose sender lives on another shard
+	OrphanDropped    uint64 // lossless frames that reached a down machine
 
 	ByKind      map[msg.Kind]uint64
 	BytesByKind map[msg.Kind]uint64
@@ -293,12 +294,6 @@ type Network struct {
 	dupNext   map[pair]int      // directional: duplicate the next n frames
 	delayNext map[pair]sim.Time // directional: extra transit for next frame
 
-	// Deferred handoff of abandoned frames to their sending machine's
-	// FrameOwner (fault.go).
-	sinkQ     []sinkItem
-	sinkArmed bool
-	sinkFn    func()
-
 	// Observability (obs.go): registry-owned frame-size histogram, nil
 	// until RegisterObs; account touches it behind one nil check.
 	hFrame *obs.Histogram
@@ -341,7 +336,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		pendSlots: make([]pendSlot, pendMinSlots),
 		ret:       msg.NewPool(),
 	}
-	n.sinkFn = n.runSink
 	n.pumpFn = n.pump
 	n.arqOn = cfg.LossRate > 0
 	return n
@@ -351,10 +345,8 @@ func New(eng *sim.Engine, cfg Config) *Network {
 func (n *Network) Config() Config { return n.cfg }
 
 // Attach registers the endpoint for machine m. An endpoint that also
-// implements FrameOwner hears of the frames this machine sent that the
-// network abandoned (partition, crash, retries exhausted), and lends the
-// network its pool; on a shard (SetCanonical) that pool joins the shard's
-// return pool.
+// implements FrameOwner lends the network its pool; on a shard
+// (SetCanonical) that pool joins the shard's return pool.
 func (n *Network) Attach(m addr.MachineID, ep Endpoint) {
 	ms := n.mach(m)
 	if ms.ep != nil {
@@ -404,10 +396,10 @@ func (n *Network) Routable(to addr.MachineID) bool {
 
 // Send transmits m from machine 'from' to machine 'to'. Delivery is
 // asynchronous; with a configured loss rate the frame is retransmitted
-// until acknowledged. Sending from a down machine drops the frame into the
-// undeliverable accounting path (a crashed kernel cannot transmit, but the
-// loss must not be silent). m is dead to the caller once Send returns: a
-// frame shipped to another shard has already been released.
+// until acknowledged. A send from a down machine is counted (SendFromDown)
+// and released on the spot: a crashed kernel cannot transmit, but the loss
+// must not be silent. m is dead to the caller once Send returns: the network
+// may already have released it.
 //
 //demos:hotpath — the lossless path must stay allocation-free: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and BenchmarkNetwSend in bench_hotpath_test.go.
 func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {
@@ -418,7 +410,8 @@ func (n *Network) Send(from, to addr.MachineID, m *msg.Message) {
 		panicNoEndpoint(to)
 	}
 	if n.Down(from) {
-		n.dropFromDown(from, to, m)
+		n.stats.SendFromDown++
+		n.release(m)
 		return
 	}
 	if n.faulty {

@@ -129,17 +129,13 @@ func TestReliableUnderLoss(t *testing.T) {
 func TestDownMachineDropsThenDead(t *testing.T) {
 	eng, n, o1, r2 := setupOwned(Config{LossRate: 0.0001, RetransTimeout: 1000, MaxRetries: 3})
 	n.SetDown(2, true)
-	n.Send(1, 2, frame(8))
-	eng.Run()
+	n.Send(1, 2, pooledFrame(o1, 2))
+	stepUntilDead(t, eng, n)
 	if len(r2.got) != 0 {
 		t.Fatal("down machine received a frame")
 	}
-	if o1.undeliverable != 1 {
-		t.Fatalf("sender got %d undeliverable frames back, want 1", o1.undeliverable)
-	}
-	s := n.Stats()
-	if s.Dead != 1 {
-		t.Fatalf("dead counter = %d", s.Dead)
+	if s := n.Stats(); s.OrphanDropped != 0 {
+		t.Fatalf("OrphanDropped=%d: an ARQ frame lost at a down receiver is counted Dead only", s.OrphanDropped)
 	}
 }
 

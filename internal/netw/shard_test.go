@@ -112,8 +112,8 @@ func TestCrossShardARQCopiesComeFromTheSender(t *testing.T) {
 }
 
 // TestOwnerlessDropReleases: a lossless frame abandoned by a sender that
-// lends no pool (deadFrame's no-owner branch) is counted and still goes back
-// to the pool it came from.
+// lends no pool is counted once, under its cause, and goes back to the pool
+// it came from as Send returns.
 func TestOwnerlessDropReleases(t *testing.T) {
 	eng, n, _, _ := setup(Config{Latency: 100})
 	p := msg.NewPool()
@@ -121,9 +121,12 @@ func TestOwnerlessDropReleases(t *testing.T) {
 	m.Kind, m.From, m.To = msg.KindUser, addr.KernelAddr(1), addr.KernelAddr(2)
 	n.Partition(1, 2)
 	n.Send(1, 2, m)
+	if p.Free() != 1 {
+		t.Fatalf("the abandoned envelope is not back in its pool as Send returns (%d free of %d)", p.Free(), p.News())
+	}
 	eng.Run()
-	if s := n.Stats(); s.OrphanDropped != 1 || s.PartitionDropped != 1 {
-		t.Fatalf("OrphanDropped=%d PartitionDropped=%d, want 1/1", s.OrphanDropped, s.PartitionDropped)
+	if s := n.Stats(); s.OrphanDropped != 0 || s.PartitionDropped != 1 {
+		t.Fatalf("OrphanDropped=%d PartitionDropped=%d, want 0/1", s.OrphanDropped, s.PartitionDropped)
 	}
 	if p.Free() != 1 {
 		t.Fatalf("the abandoned envelope is not back in its pool (%d free of %d)", p.Free(), p.News())

@@ -7,14 +7,16 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/default_output.txt")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // captureStdout returns what fn prints to os.Stdout.
 func captureStdout(t *testing.T, fn func()) string {
@@ -78,5 +80,47 @@ func TestDefaultOutputGolden(t *testing.T) {
 					path, got, golden[e.id])
 			}
 		})
+	}
+}
+
+// TestTournamentShortGolden pins the short tournament card's findings — every
+// arm's sweep, decision and migration counts — byte for byte, so a policy
+// change that moves one decision fails here and not only in the verdicts.
+// scripts/check.sh compares the -tournament-short artifact with the same
+// file. The card runs in a child process, as `go run` runs it: gob numbers
+// types process-wide in first-use order and a body's snapshot carries the
+// numbers, so a card run after other tests in this process pays different
+// freeze times. Regenerate deliberately with
+//
+//	go test ./cmd/experiments -run TestTournamentShortGolden -update
+func TestTournamentShortGolden(t *testing.T) {
+	const childEnv = "DEMOSMP_TOURNAMENT_SHORT_JSON"
+	if out := os.Getenv(childEnv); out != "" {
+		tournament(out, true)
+		return
+	}
+	out := filepath.Join(t.TempDir(), "findings.json")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTournamentShortGolden$")
+	cmd.Env = append(os.Environ(), childEnv+"="+out)
+	if log, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("tournament child: %v\n%s", err, log)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "tournament_short_findings.json")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("short tournament findings differ from %s (rewrite with -update if intended)\n--- got ---\n%s", path, got)
 	}
 }

@@ -126,7 +126,8 @@ var (
 	// NewThresholdPolicy balances CPU load with hysteresis.
 	NewThresholdPolicy = policy.NewThreshold
 	// NewCommAffinityPolicy moves processes toward their main
-	// communication partners.
+	// communication partners: the affinity-aware policy with migration
+	// priced at zero and no destination too busy to take a process.
 	NewCommAffinityPolicy = policy.NewCommAffinity
 	// NewDrainPolicy evacuates a dying processor.
 	NewDrainPolicy = policy.NewDrain

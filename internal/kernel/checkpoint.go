@@ -48,9 +48,8 @@ func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
 	b = append(append(b, f.swap...), f.ctl...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.program)))
 	b = append(b, f.program...)
-	k.trace(trace.CatMigrate, "checkpoint",
-		fmt.Sprintf("%v: %dB (resident %d, swappable %d, program %d)",
-			pid, len(b), len(f.resident), swappable, len(f.program)))
+	k.tracef(trace.CatMigrate, "checkpoint", "%v: %s", trace.PID(pid), trace.Str(fmt.Sprintf(
+		"%dB (resident %d, swappable %d, program %d)", len(b), len(f.resident), swappable, len(f.program))))
 	return b, nil
 }
 

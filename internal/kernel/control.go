@@ -71,7 +71,7 @@ func (k *Kernel) kernelControl(m *msg.Message) {
 		k.handleSearchQuery(m)
 
 	default:
-		k.trace(trace.CatDeliver, "unknown-control", m.Op.String())
+		k.tracef(trace.CatDeliver, "unknown-control", "%s", trace.Str(m.Op.String()))
 	}
 }
 
@@ -113,13 +113,13 @@ func (k *Kernel) handleCreateProcess(m *msg.Message) {
 	}
 	spec, err := k.cfg.Programs(req.Name, req.Args)
 	if err != nil {
-		k.trace(trace.CatProc, "create-failed", fmt.Sprintf("%s: %v", req.Name, err))
+		k.tracef(trace.CatProc, "create-failed", "%s", trace.Str(req.Name+": "+err.Error()))
 		k.replyCreateDone(m.From, addr.NilPID, req.Tag)
 		return
 	}
 	pid, err := k.Spawn(spec)
 	if err != nil {
-		k.trace(trace.CatProc, "create-failed", fmt.Sprintf("%s: %v", req.Name, err))
+		k.tracef(trace.CatProc, "create-failed", "%s", trace.Str(req.Name+": "+err.Error()))
 	}
 	k.replyCreateDone(m.From, pid, req.Tag)
 }

@@ -152,8 +152,7 @@ func (c *procCtx) insertCarried(m *msg.Message, d *proc.Delivery) {
 	for _, l := range m.Links {
 		id, err := c.p.links.Insert(l)
 		if err != nil {
-			c.k.trace(trace.CatDeliver, "carried-link-dropped",
-				fmt.Sprintf("%v: %v", c.p.id, err))
+			c.k.tracef(trace.CatDeliver, "carried-link-dropped", "%v: %s", trace.PID(c.p.id), trace.Str(err.Error()))
 			break
 		}
 		d.Carried = append(d.Carried, id)

@@ -175,7 +175,7 @@ func (k *Kernel) sendLinkUpdate(sender addr.ProcessAddr, migrated addr.ProcessID
 func (k *Kernel) applyLinkUpdate(m *msg.Message) {
 	u, err := msg.DecodeLinkUpdate(m.Body)
 	if err != nil {
-		k.trace(trace.CatLinkUpdate, "linkupdate-bad", err.Error())
+		k.tracef(trace.CatLinkUpdate, "linkupdate-bad", "%s", trace.Str(err.Error()))
 		return
 	}
 	k.stats.LinkUpdatesApplied++
@@ -338,4 +338,5 @@ func (k *Kernel) handleDeathNotice(m *msg.Message) {
 	if p.cameFrom != addr.NoMachine {
 		k.sendDeathNoticeTo(pm.PID, p.cameFrom)
 	}
+	k.putProcRec(p)
 }

@@ -910,12 +910,6 @@ func (d *pending) run() {
 	}
 }
 
-// trace records an event whose detail is already text: the cold sites that
-// carry an error.
-func (k *Kernel) trace(cat trace.Category, event, detail string) {
-	k.cfg.Tracer.Emit(k.machine, cat, event, detail)
-}
-
 // tracef records an event whose detail is rendered from format and args
 // only if the record is read (trace.Tracer.Emitf): free of allocation with
 // a tracer attached, a nil check without one.

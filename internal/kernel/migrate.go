@@ -46,7 +46,8 @@ const (
 
 // migStep is how far the destination half has got: the msg.Region it is
 // pulling (steps 4-5), then stepEstablished. (The source half is driven by
-// the destination's messages and keeps no step of its own.)
+// the destination's messages and keeps no step of its own, only the set of
+// regions it has streamed.)
 type migStep uint8
 
 // stepEstablished: the process is fully assembled and message 7 has been
@@ -66,9 +67,11 @@ type migration struct {
 	peer addr.MachineID // the other kernel
 	p    *Process       // the frozen process (source) or the incoming record (destination)
 
-	// Source half: who asked, and the §6 cost report being assembled.
+	// Source half: who asked, the §6 cost report being assembled, and the
+	// regions streamed so far (bit r for region r).
 	requester addr.ProcessAddr
 	rep       MigrationReport
+	streamed  uint8
 
 	// Destination half. xfer is the region pull in flight (failIncoming
 	// releases its stream record). displaced is this pid's own forwarding
@@ -238,10 +241,11 @@ func protocolRow(op msg.Op) *protoRow {
 // migrationMsg is the one dispatcher of the migration protocol. Every body
 // starts with the pid; it finds that pid's record, checks it is the half the
 // op is addressed to (else the row's orphan rule) and that the message comes
-// from the half's peer (else it is dropped and counted AdminRejected: the
-// rule is the same for every row), bills the message to the source half's
-// report (the received side of §6's count; sendAdmin bills the sent side),
-// stamps progress, and runs the row's step.
+// from the half's peer and is no MoveDataReq for a region already streamed
+// (else it is dropped and counted AdminRejected: the rule is the same for
+// every row, and a repeated region would bill a fourth transfer), bills the
+// message to the source half's report (the received side of §6's count;
+// sendAdmin bills the sent side), stamps progress, and runs the row's step.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
@@ -250,14 +254,15 @@ func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
 	}
 	var mg *migration
 	if row.role != 0 {
-		pid, _, _ := addr.DecodePID(m.Body)
+		pid, rest, _ := addr.DecodePID(m.Body)
 		if mg = k.migs[pid]; mg == nil || mg.role&row.role == 0 {
 			if row.orphan != nil {
 				row.orphan(k, pid, m)
 			}
 			return
 		}
-		if m.From.LastKnown != mg.peer {
+		if m.From.LastKnown != mg.peer ||
+			row.op == msg.OpMoveDataReq && mg.streamed&(1<<rest[0]) != 0 {
 			k.stats.AdminRejected++
 			return
 		}
@@ -415,7 +420,7 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 // a fault path, or refused by the destination — restores the frozen process
 // and reports failure to the requester.
 func (k *Kernel) abortSource(mg *migration, event string, cause error) {
-	k.trace(trace.CatMigrate, event, fmt.Sprintf("%v: %v", mg.pid, cause))
+	k.tracef(trace.CatMigrate, event, "%v: %s", trace.PID(mg.pid), trace.Str(cause.Error()))
 	p, requester := mg.p, mg.requester
 	k.endMigration(mg) // first: a request held on the queue may migrate p again right now
 	k.stats.MigrationsFailed++
@@ -464,6 +469,7 @@ func (k *Kernel) stepRefuse(mg *migration, _ *msg.Message) {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) stepMoveData(mg *migration, m *msg.Message) {
 	req, _ := msg.DecodeMoveDataReq(m.Body)
+	mg.streamed |= 1 << req.Region
 	mg.rep.MoveDataTransfers++
 	var vecs [2][]byte
 	switch req.Region {
@@ -595,10 +601,17 @@ func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
 // --- destination side -------------------------------------------------------
 
 // stepAsk is step 3: allocate an empty process state with the same process
-// identifier and reserve resources — or refuse (§3.2).
+// identifier and reserve resources — or refuse (§3.2). An Ask for a half
+// already open here with the same source is a duplicate: it is dropped and
+// counted AdminRejected, where refusing it as an identity collision would
+// abort a migration that is about to succeed.
 func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	ask, _ := msg.DecodeMigrateAsk(m.Body)
 	src := m.From.LastKnown
+	if mg := k.migs[ask.PID]; mg != nil && mg.role == roleDest && mg.peer == src {
+		k.stats.AdminRejected++
+		return
+	}
 	programBytes := int(ask.Program) * msg.SizeUnit
 	memFree := -1
 	if k.cfg.MemCapacity > 0 {
@@ -734,7 +747,7 @@ func (k *Kernel) assembleProcess(mg *migration) {
 // delivery, which forwards them through that address or, with none to
 // reinstate, dead-letters them with a count.
 func (k *Kernel) failIncoming(mg *migration, cause error) {
-	k.trace(trace.CatMigrate, "incoming-failed", fmt.Sprintf("%v: %v", mg.pid, cause))
+	k.tracef(trace.CatMigrate, "incoming-failed", "%v: %s", trace.PID(mg.pid), trace.Str(cause.Error()))
 	// Unregister the in-flight pull, if any, so late packets go stray
 	// instead of completing into a recycled record.
 	if st, ok := k.xfersIn[mg.xfer]; ok && st.mg == mg {

@@ -250,7 +250,7 @@ func (k *Kernel) applyWritePacket(m *msg.Message) {
 	p := k.lookup(m.To.ID)
 	if p != nil && p.image != nil {
 		if err := p.image.WriteAt(m.Body, int(m.Seq)); err != nil {
-			k.trace(trace.CatData, "write-fault", err.Error())
+			k.tracef(trace.CatData, "write-fault", "%s", trace.Str(err.Error()))
 		}
 	}
 }
@@ -325,7 +325,7 @@ func (k *Kernel) handleMoveRead(m *msg.Message) {
 	}
 	data := make([]byte, req.Len)
 	if err := p.image.ReadAt(data, int(req.AreaOff+req.Off)); err != nil {
-		k.trace(trace.CatData, "read-fault", err.Error())
+		k.tracef(trace.CatData, "read-fault", "%s", trace.Str(err.Error()))
 		k.failMoveRead(m.From, req.Xfer)
 		return
 	}

@@ -298,3 +298,53 @@ func TestLongRegionOutlastsMigrateTimeout(t *testing.T) {
 		t.Fatalf("exited on m%d with %d, want m2 with 1", m, e.Code)
 	}
 }
+
+// TestDuplicateAdminMessagesAreDropped: a lossless network that delivers an
+// administrative message twice must not change the migration. A second Ask
+// finds the destination half already open with the same source, and a
+// second MoveDataReq names a region the source has already streamed: each
+// is dropped and counted AdminRejected, and the migration completes with
+// §6's bill of 3 transfers and 9 administrative messages.
+func TestDuplicateAdminMessagesAreDropped(t *testing.T) {
+	for _, dup := range []string{"ask", "move-data-req"} {
+		t.Run(dup, func(t *testing.T) {
+			c := newTC(t, 3, nil)
+			pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.runFor(2_000)
+			if dup == "ask" {
+				c.net.DuplicateNext(1, 2, 1) // m1's next frame to m2 is the Ask
+			}
+			c.migrate(3, pid, 1, 2)
+			if dup == "move-data-req" {
+				// The Ask opens m2's half, which sends the Accept and the
+				// resident region's request in the same step. m2's next two
+				// frames to m1 go out together when the resident region
+				// lands: its packet's ack, and the swappable region's request.
+				for info, ok := c.k(2).Process(pid); !ok || info.State != kernel.StateIncoming; info, ok = c.k(2).Process(pid) {
+					if !c.eng.Step() {
+						t.Fatal("engine idle before m2 opened its half")
+					}
+				}
+				c.net.DuplicateNext(2, 1, 2)
+			}
+			c.run()
+			if done, n := c.k(3).DoneMigrations(); n != 1 || !done.OK {
+				t.Fatalf("requester saw %d completions, last %+v, want one OK", n, done)
+			}
+			rep := c.k(1).Reports()
+			if len(rep) != 1 || rep[0].MoveDataTransfers != 3 || rep[0].AdminMsgs != 9 {
+				t.Fatalf("source report %+v, want one migration with 3 transfers and 9 admin messages", rep)
+			}
+			var rejected uint64
+			for m := 1; m <= 3; m++ {
+				rejected += c.k(m).Stats().AdminRejected
+			}
+			if rejected != 1 {
+				t.Fatalf("AdminRejected = %d, want 1", rejected)
+			}
+		})
+	}
+}

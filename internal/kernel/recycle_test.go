@@ -154,6 +154,51 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 	}
 }
 
+// TestReclaimedForwarderIsRecycled: the §4 forwarder GC removes a
+// forwarding address the way every other path removes a record, back onto
+// procFree with nothing of the address left on it — not its pid, its
+// destination, its ledger row or the per-sender forward counts.
+func TestReclaimedForwarderIsRecycled(t *testing.T) {
+	e, ks := poolTestCluster(t, 2)
+	k1, k2 := ks[0], ks[1]
+	k1.cfg.ReclaimForwarders, k2.cfg.ReclaimForwarders = true, true
+	pid, err := k1.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := k1.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	k1.RequestMigrationOf(addr.At(pid, 1), 2)
+	e.Run()
+	fwd := k1.lookup(pid)
+	if fwd == nil || fwd.state != StateForwarder || fwd.obsRec == nil {
+		t.Fatalf("m1 after the migration holds %+v, want a forwarder with a ledger row", fwd)
+	}
+	// A stale send through the address leaves a per-sender count on it.
+	if err := k1.GiveMessage(pid, addr.At(sender, 1), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	if len(fwd.fwdSenders) == 0 {
+		t.Fatal("the forwarded send left no per-sender count on the forwarder")
+	}
+	k2.GiveControl(pid, msg.OpKill, nil)
+	e.Run()
+	if k1.lookup(pid) != nil || k1.Stats().ForwardersReclaimed != 1 {
+		t.Fatalf("forwarder not reclaimed (reclaimed %d)", k1.Stats().ForwardersReclaimed)
+	}
+	if n := len(k1.procFree.free); n == 0 || k1.procFree.free[n-1] != fwd {
+		t.Fatal("the reclaimed forwarder did not go back to procFree")
+	}
+	if fwd.id != (addr.ProcessID{}) || fwd.state != 0 || fwd.fwdTo != 0 || fwd.cameFrom != 0 ||
+		fwd.obsRec != nil || len(fwd.fwdSenders) != 0 {
+		t.Fatalf("recycled forwarder record is not clean: %+v", fwd)
+	}
+}
+
 // TestExitRecordsLocalForeignAndAcrossRestart: Exit answers for a pid this
 // machine created (dense table) and for one that migrated in and died here
 // (map), an unknown pid of either kind has none, and both records survive

@@ -195,7 +195,7 @@ func (k *Kernel) Restart() error {
 		if _, err := k.Revive(k.stable[pid]); err == nil {
 			delete(k.lostPIDs, pid)
 		} else {
-			k.trace(trace.CatProc, "revive-failed", fmt.Sprintf("%v: %v", pid, err))
+			k.tracef(trace.CatProc, "revive-failed", "%v: %s", trace.PID(pid), trace.Str(err.Error()))
 		}
 	}
 

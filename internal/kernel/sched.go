@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"fmt"
 	"sort"
 
 	"demosmp/internal/addr"
@@ -150,7 +149,7 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 	k.noteExit(p.id, ExitInfo{Code: code, Err: err, At: k.eng.Now()})
 	if err != nil {
 		k.stats.Crashes++
-		k.traceCrash(p.id, err)
+		k.tracef(trace.CatProc, "crash", "%v: %s", trace.PID(p.id), trace.Str(err.Error()))
 	} else {
 		k.stats.Exited++
 		k.tracef(trace.CatProc, "exit", "%v code=%d", trace.PID(p.id), trace.Int(int(code)))
@@ -159,11 +158,6 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 		k.sendDeathNoticeTo(p.id, p.cameFrom)
 	}
 	k.putProcRec(p)
-}
-
-// traceCrash holds terminate's fmt work off the hot path.
-func (k *Kernel) traceCrash(pid addr.ProcessID, err error) {
-	k.trace(trace.CatProc, "crash", fmt.Sprintf("%v: %v", pid, err))
 }
 
 // scheduleLoadReport arms the periodic load report to the process manager.

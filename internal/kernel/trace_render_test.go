@@ -51,8 +51,13 @@ var deferredFormats = []deferredFormat{
 	// These five passed pid.String() as the whole detail.
 	{"forwarder-reclaimed suspend resume timeout-commit search-broadcast", "%v", "PID",
 		"%s", []any{rPID2}},
-	{"print", "%v: %s", "PID Str",
+	// print, the sites that pass an error's text, and checkpoint (its sizes
+	// rendered).
+	{"print crash revive-failed migrate-aborted refused incoming-failed carried-link-dropped checkpoint", "%v: %s", "PID Str",
 		"%v: %s", []any{rPID, "100% done\ttab %v"}},
+	// The text whole; create-failed joins the program name and the error's.
+	{"unknown-control create-failed write-fault read-fault linkupdate-bad", "%s", "Str",
+		"%s", []any{"bad %v: 100%"}},
 	{"stray-packet", "xfer=%d seq=%d", "Int Int",
 		"xfer=%d seq=%d", []any{uint16(65535), uint32(1 << 31)}},
 	{"spawn", "%v kind=%s image=%dB links=%d", "PID Str Int Int",

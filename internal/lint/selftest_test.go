@@ -104,7 +104,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 		// flat path: what a traced, stateful migration runs besides the
 		// protocol.
 		"demosmp/internal/trace": {
-			"Tracer.Emitf",
+			"Tracer.Emitf", "Tracer.write",
 		},
 		"demosmp/internal/proc": {
 			"GobState.Snapshot", "GobState.Restore",

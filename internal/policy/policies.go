@@ -10,7 +10,7 @@ import (
 )
 
 // capMoves bounds a decision list to max orders per sweep — shared by
-// CommAffinity and Composite so one policy pass can never order an
+// AffinityAware and Composite so one policy pass can never order an
 // unbounded burst of simultaneous migrations (each order costs a freeze
 // window and admin traffic; hundreds at once would be a self-inflicted
 // outage).
@@ -38,6 +38,69 @@ func (c *cooldown) ready(pid addr.ProcessID, now sim.Time) bool {
 
 func (c *cooldown) mark(pid addr.ProcessID, now sim.Time) { c.last[pid] = now }
 
+// balance is the loop QueueDepth and MemoryPressure share. It picks the
+// machines with the most and the least of a per-machine signal, gives up
+// unless the source is at or above high and the pair at least gap apart,
+// and orders the weightiest movable process on the source to the
+// destination. move reports a process's weight, how far moving it shifts
+// the signal, and whether it may move at all. Each order shifts the
+// picture: the next pair is chosen as if the previous move had already
+// landed, spreading a burst over several destinations instead of dogpiling
+// the idlest. reason formats the source's and destination's signal.
+func balance(now sim.Time, loads []msg.LoadReport, cd *cooldown, maxMoves int, high, gap uint32, reason string,
+	signal func(*msg.LoadReport) uint32, move func(*msg.ProcLoad) (weight, shift uint32, ok bool)) []Decision {
+	if len(loads) < 2 {
+		return nil
+	}
+	sig := make([]uint32, len(loads))
+	for i := range loads {
+		sig[i] = signal(&loads[i])
+	}
+	moved := make(map[addr.ProcessID]bool)
+	var out []Decision
+	if maxMoves <= 0 {
+		maxMoves = 1
+	}
+	for len(out) < maxMoves {
+		src, dst := -1, -1
+		for i := range loads {
+			if src < 0 || sig[i] > sig[src] {
+				src = i
+			}
+			if dst < 0 || sig[i] < sig[dst] {
+				dst = i
+			}
+		}
+		if src == dst || sig[src] < high || sig[src]-sig[dst] < gap {
+			break
+		}
+		var best *msg.ProcLoad
+		var bestWeight, bestShift uint32
+		for i := range loads[src].Procs {
+			pl := &loads[src].Procs[i]
+			w, shift, ok := move(pl)
+			if !ok || moved[pl.PID] || !cd.ready(pl.PID, now) {
+				continue
+			}
+			if best == nil || w > bestWeight {
+				best, bestWeight, bestShift = pl, w, shift
+			}
+		}
+		if best == nil {
+			break
+		}
+		moved[best.PID] = true
+		cd.mark(best.PID, now)
+		out = append(out, Decision{
+			PID: best.PID, From: loads[src].Machine, Dest: loads[dst].Machine,
+			Reason: fmt.Sprintf(reason, sig[src], sig[dst]),
+		})
+		sig[src] -= bestShift
+		sig[dst] += bestShift
+	}
+	return out
+}
+
 // QueueDepth balances on ready-queue depth instead of CPU%. Under bimodal
 // service times a machine stuck behind long jobs saturates at 100% CPU just
 // like a merely busy one — the run-queue depth still tells them apart, so
@@ -61,59 +124,12 @@ func NewQueueDepth(highDepth, gap uint16, cooldownT sim.Time) *QueueDepth {
 
 func (p *QueueDepth) Name() string { return "queue-depth" }
 
+// Decide moves the hungriest process off the deepest queue; each move
+// shortens that queue by one.
 func (p *QueueDepth) Decide(now sim.Time, loads []msg.LoadReport) []Decision {
-	if len(loads) < 2 {
-		return nil
-	}
-	// Work on a depth scratch so each order shifts the picture: the next
-	// pair is chosen as if the previous move already landed, spreading a
-	// burst over several destinations instead of dogpiling the idlest.
-	depth := make([]uint16, len(loads))
-	for i := range loads {
-		depth[i] = loads[i].Ready
-	}
-	moved := make(map[addr.ProcessID]bool)
-	var out []Decision
-	max := p.MaxMoves
-	if max <= 0 {
-		max = 1
-	}
-	for len(out) < max {
-		src, dst := -1, -1
-		for i := range loads {
-			if src < 0 || depth[i] > depth[src] {
-				src = i
-			}
-			if dst < 0 || depth[i] < depth[dst] {
-				dst = i
-			}
-		}
-		if src == dst || depth[src] < p.HighDepth || depth[src]-depth[dst] < p.Gap {
-			break
-		}
-		var best *msg.ProcLoad
-		for i := range loads[src].Procs {
-			pl := &loads[src].Procs[i]
-			if pl.CPUMicros < p.MinCPU || moved[pl.PID] || !p.cd.ready(pl.PID, now) {
-				continue
-			}
-			if best == nil || pl.CPUMicros > best.CPUMicros {
-				best = pl
-			}
-		}
-		if best == nil {
-			break
-		}
-		moved[best.PID] = true
-		p.cd.mark(best.PID, now)
-		out = append(out, Decision{
-			PID: best.PID, From: loads[src].Machine, Dest: loads[dst].Machine,
-			Reason: fmt.Sprintf("queue %d -> %d", depth[src], depth[dst]),
-		})
-		depth[src]--
-		depth[dst]++
-	}
-	return out
+	return balance(now, loads, &p.cd, p.MaxMoves, uint32(p.HighDepth), uint32(p.Gap), "queue %d -> %d",
+		func(l *msg.LoadReport) uint32 { return uint32(l.Ready) },
+		func(pl *msg.ProcLoad) (uint32, uint32, bool) { return pl.CPUMicros, 1, pl.CPUMicros >= p.MinCPU })
 }
 
 // MemoryPressure relieves the machine with the most memory in use by
@@ -135,65 +151,23 @@ func NewMemoryPressure(highKB, gapKB uint32, cooldownT sim.Time) *MemoryPressure
 
 func (p *MemoryPressure) Name() string { return "memory-pressure" }
 
+// Decide moves the largest process off the fullest machine; each move
+// carries its memory with it.
 func (p *MemoryPressure) Decide(now sim.Time, loads []msg.LoadReport) []Decision {
-	if len(loads) < 2 {
-		return nil
-	}
-	used := make([]uint32, len(loads))
-	for i := range loads {
-		used[i] = loads[i].MemUsedKB
-	}
-	moved := make(map[addr.ProcessID]bool)
-	var out []Decision
-	max := p.MaxMoves
-	if max <= 0 {
-		max = 1
-	}
-	for len(out) < max {
-		src, dst := -1, -1
-		for i := range loads {
-			if src < 0 || used[i] > used[src] {
-				src = i
-			}
-			if dst < 0 || used[i] < used[dst] {
-				dst = i
-			}
-		}
-		if src == dst || used[src] < p.HighKB || used[src]-used[dst] < p.GapKB {
-			break
-		}
-		var best *msg.ProcLoad
-		for i := range loads[src].Procs {
-			pl := &loads[src].Procs[i]
-			if pl.MemKB == 0 || moved[pl.PID] || !p.cd.ready(pl.PID, now) {
-				continue
-			}
-			if best == nil || pl.MemKB > best.MemKB {
-				best = pl
-			}
-		}
-		if best == nil {
-			break
-		}
-		moved[best.PID] = true
-		p.cd.mark(best.PID, now)
-		out = append(out, Decision{
-			PID: best.PID, From: loads[src].Machine, Dest: loads[dst].Machine,
-			Reason: fmt.Sprintf("mem %dKB -> %dKB", used[src], used[dst]),
-		})
-		used[src] -= best.MemKB
-		used[dst] += best.MemKB
-	}
-	return out
+	return balance(now, loads, &p.cd, p.MaxMoves, p.HighKB, p.GapKB, "mem %dKB -> %dKB",
+		func(l *msg.LoadReport) uint32 { return l.MemUsedKB },
+		func(pl *msg.ProcLoad) (uint32, uint32, bool) { return pl.MemKB, pl.MemKB, pl.MemKB > 0 })
 }
 
-// AffinityAware is CommAffinity grown up: it moves a process toward its top
-// peer only when the cost model says the saved cross-machine traffic repays
-// the migration price within the payback horizon, and only when the
-// destination — read from the collector's view, i.e. the link topology's
-// other end — has CPU headroom to absorb the process. Candidates are
-// ranked by traffic saved so a capped sweep spends its orders on the
-// biggest wins first.
+// AffinityAware moves a process toward the machine it talks to most (§1:
+// "Moving a process closer to the resource it is using most heavily may
+// reduce system-wide communication traffic"), but only when the cost model
+// says the saved cross-machine traffic repays the migration price within
+// the payback horizon, and only when the destination — read from the
+// collector's view, i.e. the link topology's other end — has CPU headroom
+// to absorb the process. Candidates are ranked by traffic saved so a capped
+// sweep spends its orders on the biggest wins first; the capped-out ones
+// keep their cooldown clear and get another shot next sweep.
 type AffinityAware struct {
 	MinMsgs    uint32 // messages per period to even consider a move
 	MaxDestPct uint8  // skip destinations busier than this

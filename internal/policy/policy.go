@@ -39,21 +39,16 @@ type Policy interface {
 // per-process cooldown, and a minimum CPU share for the moved process (no
 // point paying migration cost for an idle process).
 type Threshold struct {
-	HighWater uint8    // source CPU% at or above this is overloaded
-	LowWater  uint8    // destination CPU% at or below this is a target
-	Cooldown  sim.Time // minimum time between moves of the same process
-	MinCPU    uint32   // minimum CPUMicros in the last report period
+	HighWater uint8  // source CPU% at or above this is overloaded
+	LowWater  uint8  // destination CPU% at or below this is a target
+	MinCPU    uint32 // minimum CPUMicros in the last report period
 
-	lastMove map[addr.ProcessID]sim.Time
+	cd cooldown // minimum time between moves of the same process
 }
 
 // NewThreshold returns a load-balancing policy with the given waters.
-func NewThreshold(high, low uint8, cooldown sim.Time) *Threshold {
-	return &Threshold{
-		HighWater: high, LowWater: low, Cooldown: cooldown,
-		MinCPU:   1000,
-		lastMove: make(map[addr.ProcessID]sim.Time),
-	}
+func NewThreshold(high, low uint8, cooldownT sim.Time) *Threshold {
+	return &Threshold{HighWater: high, LowWater: low, MinCPU: 1000, cd: newCooldown(cooldownT)}
 }
 
 func (p *Threshold) Name() string { return "threshold" }
@@ -86,10 +81,7 @@ func (p *Threshold) Decide(now sim.Time, loads []msg.LoadReport) []Decision {
 	var best *msg.ProcLoad
 	for i := range busiest.Procs {
 		pl := &busiest.Procs[i]
-		if pl.CPUMicros < p.MinCPU {
-			continue
-		}
-		if last, ok := p.lastMove[pl.PID]; ok && now-last < p.Cooldown {
+		if pl.CPUMicros < p.MinCPU || !p.cd.ready(pl.PID, now) {
 			continue
 		}
 		if best == nil || pl.CPUMicros > best.CPUMicros {
@@ -99,80 +91,21 @@ func (p *Threshold) Decide(now sim.Time, loads []msg.LoadReport) []Decision {
 	if best == nil {
 		return nil
 	}
-	p.lastMove[best.PID] = now
+	p.cd.mark(best.PID, now)
 	return []Decision{{
 		PID: best.PID, From: busiest.Machine, Dest: idlest.Machine,
 		Reason: fmt.Sprintf("cpu %d%% -> %d%%", busiest.CPUPercent, idlest.CPUPercent),
 	}}
 }
 
-// CommAffinity moves a process toward the machine it talks to most,
-// reducing inter-machine traffic (§1: "Moving a process closer to the
-// resource it is using most heavily may reduce system-wide communication
-// traffic").
-type CommAffinity struct {
-	MinMsgs  uint32 // messages per report period to justify a move
-	Cooldown sim.Time
-	MaxMoves int // orders per call; a burst of chatty processes must not
-	// turn into hundreds of simultaneous migrations
-
-	lastMove map[addr.ProcessID]sim.Time
-}
-
-// NewCommAffinity returns an affinity policy.
-func NewCommAffinity(minMsgs uint32, cooldown sim.Time) *CommAffinity {
-	return &CommAffinity{MinMsgs: minMsgs, Cooldown: cooldown, MaxMoves: 4,
-		lastMove: make(map[addr.ProcessID]sim.Time)}
-}
-
-func (p *CommAffinity) Name() string { return "comm-affinity" }
-
-func (p *CommAffinity) Decide(now sim.Time, loads []msg.LoadReport) []Decision {
-	type cand struct {
-		d    Decision
-		msgs uint32
-	}
-	var cands []cand
-	for i := range loads {
-		l := &loads[i]
-		for j := range l.Procs {
-			pl := &l.Procs[j]
-			if pl.TopPeer == addr.NoMachine || pl.TopPeer == l.Machine {
-				continue
-			}
-			if pl.TopPeerMsgs < p.MinMsgs {
-				continue
-			}
-			if last, ok := p.lastMove[pl.PID]; ok && now-last < p.Cooldown {
-				continue
-			}
-			cands = append(cands, cand{msgs: pl.TopPeerMsgs, d: Decision{
-				PID: pl.PID, From: l.Machine, Dest: pl.TopPeer,
-				Reason: fmt.Sprintf("%d msgs/period to m%d", pl.TopPeerMsgs, uint16(pl.TopPeer)),
-			}})
-		}
-	}
-	// Spend a capped budget on the chattiest processes first; the rest
-	// keep their cooldown clear and get another shot next sweep.
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.msgs != b.msgs {
-			return a.msgs > b.msgs
-		}
-		if a.d.PID.Creator != b.d.PID.Creator {
-			return a.d.PID.Creator < b.d.PID.Creator
-		}
-		return a.d.PID.Local < b.d.PID.Local
-	})
-	var out []Decision
-	for _, c := range cands {
-		out = append(out, c.d)
-	}
-	out = capMoves(out, p.MaxMoves)
-	for _, d := range out {
-		p.lastMove[d.PID] = now
-	}
-	return out
+// NewCommAffinity returns the plain affinity policy: AffinityAware with the
+// migration priced at zero, so a process with minMsgs messages per period
+// to one other machine always repays the move, and with no destination too
+// busy to take it.
+func NewCommAffinity(minMsgs uint32, cooldownT sim.Time) *AffinityAware {
+	p := NewAffinityAware(minMsgs, cooldownT, &CostModel{})
+	p.MaxDestPct = 100
+	return p
 }
 
 // Drain evacuates every process from one machine — the fault-recovery use

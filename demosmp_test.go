@@ -89,11 +89,11 @@ func TestWorkloadSurface(t *testing.T) {
 
 func TestPolicySurface(t *testing.T) {
 	c, err := demosmp.New(demosmp.Options{
-		Machines:        2,
-		Switchboard:     true,
-		PM:              true,
-		Policy:          demosmp.NewThresholdPolicy(60, 30, 100000),
-		LoadReportEvery: 50000,
+		Machines:    2,
+		Switchboard: true,
+		PM:          true,
+		Policy:      demosmp.NewThresholdPolicy(60, 30, 100000),
+		Kernel:      demosmp.KernelConfig{LoadReportEvery: 50000},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,11 +20,11 @@ import (
 func main() {
 	const iters = 500000
 	c, err := demosmp.New(demosmp.Options{
-		Machines:        3,
-		Switchboard:     true,
-		PM:              true,
-		Policy:          demosmp.NewDrainPolicy(2),
-		LoadReportEvery: 50000,
+		Machines:    3,
+		Switchboard: true,
+		PM:          true,
+		Policy:      demosmp.NewDrainPolicy(2),
+		Kernel:      demosmp.KernelConfig{LoadReportEvery: 50000},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,7 @@ func run(balanced bool) demosmp.Time {
 		// the "hysteresis mechanism to keep from incurring the cost of
 		// migration more often than justified by the gains" (§3.1).
 		opts.Policy = demosmp.NewThresholdPolicy(60, 30, 200000)
-		opts.LoadReportEvery = 100000
+		opts.Kernel.LoadReportEvery = 100000
 	}
 	c, err := demosmp.New(opts)
 	if err != nil {

@@ -69,8 +69,6 @@ type Options struct {
 	// Switchboard).
 	Shell bool
 
-	// LoadReportEvery enables periodic kernel load reports to the PM.
-	LoadReportEvery sim.Time
 	// Programs names programs spawnable via shell/PM.
 	Programs map[string]ProgramFactory
 

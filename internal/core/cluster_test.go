@@ -11,6 +11,7 @@ import (
 	"demosmp/internal/link"
 	"demosmp/internal/memsched"
 	"demosmp/internal/policy"
+	"demosmp/internal/procmgr"
 	"demosmp/internal/workload"
 )
 
@@ -56,8 +57,26 @@ func TestBootFullSystem(t *testing.T) {
 	}
 }
 
+// TestKernelLoadReportsReachPM: the load-report period is a kernel setting,
+// so a cluster configured through Options.Kernel alone has every machine
+// report to the process manager.
+func TestKernelLoadReportsReachPM(t *testing.T) {
+	c, err := core.New(core.Options{Machines: 3, PM: true, Kernel: kernel.Config{LoadReportEvery: 50000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(200000)
+	body, ok := c.Kernel(1).BodyOf(c.PMPID)
+	if !ok {
+		t.Fatal("no process manager on m1")
+	}
+	if loads := body.(*procmgr.Manager).Loads; len(loads) != 3 {
+		t.Fatalf("the process manager holds load reports from %d machines, want 3", len(loads))
+	}
+}
+
 func TestShellSession(t *testing.T) {
-	c := full(t, 3, func(o *core.Options) { o.LoadReportEvery = 50000 })
+	c := full(t, 3, func(o *core.Options) { o.Kernel.LoadReportEvery = 50000 })
 	c.Run()
 	cmds := []string{"help", "whoami", "lookup fs.dir", "lookup nosuch", "run 2 cpu", "ps", "bogus"}
 	for _, cmd := range cmds {
@@ -168,7 +187,7 @@ func TestFSClientsViaCluster(t *testing.T) {
 func TestThresholdPolicyBalancesLoad(t *testing.T) {
 	c := full(t, 3, func(o *core.Options) {
 		o.Policy = policy.NewThreshold(60, 30, 200000)
-		o.LoadReportEvery = 100000
+		o.Kernel.LoadReportEvery = 100000
 	})
 	// Pile CPU-bound work onto machine 2; machines 1 and 3 idle.
 	var pids []addr.ProcessID
@@ -201,7 +220,7 @@ func TestThresholdPolicyBalancesLoad(t *testing.T) {
 func TestCommAffinityPolicy(t *testing.T) {
 	c := full(t, 2, func(o *core.Options) {
 		o.Policy = policy.NewCommAffinity(5, 200000)
-		o.LoadReportEvery = 100000
+		o.Kernel.LoadReportEvery = 100000
 	})
 	// A sink on m2 and a chatter on m1 that talks to it constantly.
 	sink, _ := c.Spawn(2, kernel.SpawnSpec{Body: &workload.Sink{}})
@@ -225,7 +244,7 @@ func TestCommAffinityPolicy(t *testing.T) {
 func TestDrainPolicyEvacuates(t *testing.T) {
 	c := full(t, 3, func(o *core.Options) {
 		o.Policy = policy.NewDrain(2)
-		o.LoadReportEvery = 50000
+		o.Kernel.LoadReportEvery = 50000
 	})
 	var pids []addr.ProcessID
 	for i := 0; i < 3; i++ {
@@ -248,7 +267,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (uint64, uint64, string) {
 		c := full(t, 3, func(o *core.Options) {
 			o.Policy = policy.NewThreshold(60, 30, 200000)
-			o.LoadReportEvery = 100000
+			o.Kernel.LoadReportEvery = 100000
 		})
 		for i := 0; i < 4; i++ {
 			c.SpawnProgram(2, workload.CPUBound(200000))
@@ -268,7 +287,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestMemSchedSeesReports(t *testing.T) {
 	c := full(t, 2, func(o *core.Options) {
-		o.LoadReportEvery = 50000
+		o.Kernel.LoadReportEvery = 50000
 	})
 	c.SpawnProgram(1, workload.CPUBound(100000))
 	c.RunFor(400000)

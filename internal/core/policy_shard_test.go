@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"demosmp/internal/core"
+	"demosmp/internal/kernel"
 	"demosmp/internal/policy"
 	"demosmp/internal/sim"
 	"demosmp/internal/workload"
@@ -16,13 +17,13 @@ import (
 func runPolicyShardWorkload(t *testing.T, shards int, parallel bool) (trace string, sweeps, decisions uint64) {
 	t.Helper()
 	c, err := core.New(core.Options{
-		Machines:        8,
-		Seed:            1234,
-		Shards:          shards,
-		ShardParallel:   parallel,
-		PM:              true,
-		LoadReportEvery: 20000,
-		Policy:          policy.NewQueueDepth(3, 2, 50000),
+		Machines:      8,
+		Seed:          1234,
+		Shards:        shards,
+		ShardParallel: parallel,
+		PM:            true,
+		Kernel:        kernel.Config{LoadReportEvery: 20000},
+		Policy:        policy.NewQueueDepth(3, 2, 50000),
 	})
 	if err != nil {
 		t.Fatal(err)

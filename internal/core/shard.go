@@ -76,7 +76,6 @@ func (c *Cluster) build() error {
 
 	kcfg := o.Kernel
 	kcfg.Registry = c.reg
-	kcfg.LoadReportEvery = o.LoadReportEvery
 	if o.Programs != nil {
 		kcfg.Programs = func(name string, args []string) (kernel.SpawnSpec, error) {
 			f, ok := o.Programs[name]

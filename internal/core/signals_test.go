@@ -69,7 +69,7 @@ func TestShellKill(t *testing.T) {
 // TestRunAnyUsesMemSched: "run any <prog>" lets the memory scheduler place
 // the process on the least-loaded machine.
 func TestRunAnyUsesMemSched(t *testing.T) {
-	c := full(t, 3, func(o *core.Options) { o.LoadReportEvery = 50000 })
+	c := full(t, 3, func(o *core.Options) { o.Kernel.LoadReportEvery = 50000 })
 	// Load machines 1 and 2 with big images so m3 is the best fit.
 	c.Spawn(1, kernel.SpawnSpec{Body: &workload.Sink{}, ImageSize: 256 << 10})
 	c.Spawn(2, kernel.SpawnSpec{Body: &workload.Sink{}, ImageSize: 256 << 10})

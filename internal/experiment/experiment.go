@@ -99,14 +99,14 @@ func Run(spec RunSpec) (Metrics, error) {
 		pol = spec.Policy()
 	}
 	c, err := core.New(core.Options{
-		Machines:        spec.Machines,
-		Seed:            spec.Seed,
-		Shards:          spec.Shards,
-		ShardParallel:   spec.Parallel,
-		PM:              true,
-		LoadReportEvery: spec.LoadReportEvery,
-		Policy:          pol,
-		TraceCap:        spec.TraceCap,
+		Machines:      spec.Machines,
+		Seed:          spec.Seed,
+		Shards:        spec.Shards,
+		ShardParallel: spec.Parallel,
+		PM:            true,
+		Kernel:        kernel.Config{LoadReportEvery: spec.LoadReportEvery},
+		Policy:        pol,
+		TraceCap:      spec.TraceCap,
 	})
 	if err != nil {
 		return zero, err

@@ -229,7 +229,7 @@ func (c *procCtx) MoveFrom(on link.ID, off, n uint32, userXfer uint16) error {
 	k := c.k
 	pid := c.p.id
 	kx := k.newXferID()
-	st := k.registerInStream(kx, func(data []byte) {
+	k.xfersIn[kx] = &inStream{total: -1, complete: func(data []byte) {
 		body := msg.XferStatus{Xfer: userXfer, OK: true}.Encode()
 		body = append(body, data...)
 		k.route(&msg.Message{
@@ -237,14 +237,13 @@ func (c *procCtx) MoveFrom(on link.ID, off, n uint32, userXfer uint16) error {
 			From: addr.KernelAddr(k.machine), To: addr.At(pid, k.machine),
 			Body: body,
 		})
-	})
-	st.fail = func() {
+	}, fail: func() {
 		k.route(&msg.Message{
 			Kind: msg.KindControl, Op: msg.OpMoveReadDone,
 			From: addr.KernelAddr(k.machine), To: addr.At(pid, k.machine),
 			Body: msg.XferStatus{Xfer: userXfer, OK: false}.Encode(),
 		})
-	}
+	}}
 	req := msg.MoveRead{PID: l.Addr.ID, AreaOff: l.Area.Offset, Off: off, Len: n, Xfer: kx}
 	k.route(&msg.Message{
 		Kind: msg.KindControl, Op: msg.OpMoveRead,

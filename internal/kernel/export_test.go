@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"strings"
+
 	"demosmp/internal/addr"
 	"demosmp/internal/link"
 	"demosmp/internal/memory"
@@ -17,7 +19,10 @@ type ProtocolRow struct {
 	Role   string // the receiving half: "source", "destination", "either", or "—" for none
 	Orphan string // what a kernel holding no such half does; "ignored" if the row has no rule
 	Steps  string
-	Kills  []KillPoint
+	// LegalAt names the steps of the receiving half at which the row is
+	// believed: "any", a list of steps, or "—" for a row with no half.
+	LegalAt string
+	Kills   []KillPoint
 }
 
 // ProtocolTable returns the protocol table, in op order.
@@ -26,7 +31,7 @@ func ProtocolTable() []ProtocolRow {
 	out := make([]ProtocolRow, len(protocol))
 	for i, r := range protocol {
 		out[i] = ProtocolRow{Op: r.op, Num: r.num, Dir: r.dir, Bytes: r.bytes,
-			Role: roles[r.role], Orphan: r.orphanDoc, Steps: r.steps, Kills: r.kills}
+			Role: roles[r.role], Orphan: r.orphanDoc, Steps: r.steps, LegalAt: legalAtDoc(r), Kills: r.kills}
 		switch {
 		case r.role == 0:
 			out[i].Orphan = "—"
@@ -35,6 +40,41 @@ func ProtocolTable() []ProtocolRow {
 		}
 	}
 	return out
+}
+
+// legalAtDoc renders a row's legal-at column.
+func legalAtDoc(r protoRow) string {
+	switch {
+	case r.role == 0:
+		return "—"
+	case r.at == atAny:
+		return "any"
+	}
+	var steps []string
+	for s := migStep(msg.RegionResident); s <= stepEstablished; s++ {
+		if r.at&(1<<s) == 0 {
+			continue
+		}
+		name := "established"
+		if s < stepEstablished {
+			name = msg.Region(s).String()
+		}
+		steps = append(steps, "`"+name+"`")
+	}
+	out := strings.Join(steps, ", ")
+	if r.op == msg.OpMoveDataReq {
+		out += ": the one its region names"
+	}
+	return out
+}
+
+// MigrationStep reports the step of the migration half moving pid on this
+// kernel, and whether there is one.
+func (k *Kernel) MigrationStep(pid addr.ProcessID) (step int, ok bool) {
+	if p := k.lookup(pid); p != nil && p.mig != nil {
+		return int(p.mig.step), true
+	}
+	return 0, false
 }
 
 // IsMigrationOp reports whether kernelControl hands op to the migration

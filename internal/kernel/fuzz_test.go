@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"demosmp/internal/addr"
-	"demosmp/internal/kernel"
 	"demosmp/internal/msg"
 )
 
@@ -16,9 +15,9 @@ import (
 // once or twice, and the cluster runs to quiescence.
 //
 // Whatever the message was: no panic, no migration record left pending, no
-// envelope leaked or released twice. And unless it was a forgery about the
-// migrating pid by one of the two parties (see forged below), exactly one
-// live copy of the process exists and every forwarding address leads to it.
+// envelope leaked or released twice. And unless it was an Abort about the
+// migrating pid from its source (see forged below), exactly one live copy of
+// the process exists and every forwarding address leads to it.
 func FuzzKernelAdmin(f *testing.F) {
 	pid := addr.ProcessID{Creator: 1, Local: 1} // the first process m1 spawns
 	foreign := addr.ProcessID{Creator: 3, Local: 77}
@@ -51,15 +50,7 @@ func FuzzKernelAdmin(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, point uint16, target, code, from uint8, body []byte, twice bool) {
-		c := newTC(t, 3, nil)
-		got, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
-		if err != nil || got != pid {
-			t.Fatalf("spawned %v, %v", got, err)
-		}
-		c.runFor(2_000)
-		c.migrate(3, pid, 1, 2)
-		for i := 0; i < int(point%512) && c.eng.Step(); i++ {
-		}
+		c, _ := adminScene(t, int(point%512))
 		op := msg.OpMigrateRequest + msg.Op(code%9)
 		to, fr := int(target%3)+1, int(from%3)+1
 		c.inject(to, fr, op, body)
@@ -79,21 +70,14 @@ func FuzzKernelAdmin(f *testing.F) {
 		if news != free+held {
 			t.Errorf("envelope pool: %d constructed, %d free + %d held", news, free, held)
 		}
-		if forged(pid, body, fr) {
+		if forged(pid, op, body, fr) {
 			return
 		}
-		home := 0
-		for m := 1; m <= 3; m++ {
-			if info, ok := c.k(m).Process(pid); ok && info.State != kernel.StateForwarder {
-				if home != 0 {
-					t.Errorf("live copies on m%d and m%d", home, m)
-				}
-				home = m
-			}
+		live := c.liveCopies(pid)
+		if len(live) != 1 {
+			t.Fatalf("live copies on %v, want exactly one", live)
 		}
-		if home == 0 {
-			t.Fatal("no live copy of the process anywhere")
-		}
+		home := live[0]
 		for m := 1; m <= 3; m++ {
 			at := m
 			for hops := 0; at != home; hops++ {
@@ -110,17 +94,17 @@ func FuzzKernelAdmin(f *testing.F) {
 	})
 }
 
-// forged reports whether an injected body names the migrating pid and comes
-// from one of the migration's two parties, m1 and m2. A half believes only
-// its peer (the dispatcher's peer rule), so a third party's message about
-// the pid must leave exactly one copy; but a real party's message at the
-// wrong step is still believed — no sequence numbers, no step check: a
-// forged Abort discards a half whose peer then commits, a premature
-// Established commits the source to a destination that then times out. What
-// a kernel does then is still checked for panics, stranded records and
-// leaked envelopes, but not for exactly-one (DESIGN.md §9 "Honest gaps"; the
-// (step, op) legality filter is where that is to be closed).
-func forged(pid addr.ProcessID, body []byte, from int) bool {
+// forged reports whether the injected message is an Abort naming the
+// migrating pid from its source, m1. A half believes only its peer (the
+// dispatcher's peer rule), and only at a step where the row is legal (the
+// protocol table's legal-at column), so every other message must leave
+// exactly one copy. An Abort is legal at any step, and a real source sends
+// one only after restoring its own copy: a forged one at an established
+// destination discards the copy the source then commits to. What a kernel
+// does then is still checked for panics, stranded records and leaked
+// envelopes, but not for exactly-one (DESIGN.md §9 "Honest gaps"; the
+// durable handoff is where that is to be closed).
+func forged(pid addr.ProcessID, op msg.Op, body []byte, from int) bool {
 	got, _, err := addr.DecodePID(body)
-	return err == nil && got == pid && (from == 1 || from == 2)
+	return op == msg.OpMigrateAbort && err == nil && got == pid && from == 1
 }

@@ -193,6 +193,7 @@ type Process struct {
 	image     *memory.Image
 	kind      string
 	commDelta map[addr.MachineID]uint64 // per-peer sends since the last load report
+	mig       *migration                // the half moving this record (frozen source, incoming destination)
 
 	// Forwarder fields (state == StateForwarder). obsRec is the ledger
 	// record of the migration this forwarder resulted from: §4 forwards and
@@ -325,21 +326,19 @@ type Kernel struct {
 	memUsed int
 	swap    *memory.Store
 
-	migs    map[addr.ProcessID]*migration // in-flight migration halves, either role (migrate.go)
-	xfersIn map[uint16]*inStream          // inbound streams, keyed by locally-allocated xfer id
-	moveOps map[uint16]*moveOp            // outbound move-data writes awaiting completion
+	xfersIn map[uint16]*inStream // inbound streams, keyed by locally-allocated xfer id
+	moveOps map[uint16]*moveOp   // outbound move-data writes awaiting completion
 
 	// Record free lists (see DESIGN.md §7): steady-state migrations recycle
 	// their bookkeeping records — the migration halves (with their region
-	// buffers and once-bound watchdog closures), stream reassembly records,
-	// and whole Process records — and Spawn/terminate use the same procFree
-	// and tableFree, so a warm kernel migrates, spawns and retires processes
-	// without growing the heap. Records wiped wholesale by Restart (k.migs
-	// reassignment) are simply orphaned to the GC; the free lists only ever
-	// hold released records.
-	migFree    freelist[migration]
-	streamFree freelist[inStream]
-	procFree   freelist[Process]
+	// buffers, region-pull stream and once-bound watchdog closures) and
+	// whole Process records — and Spawn/terminate use the same procFree and
+	// tableFree, so a warm kernel migrates, spawns and retires processes
+	// without growing the heap. Records wiped wholesale by Restart are
+	// simply orphaned to the GC; the free lists only ever hold released
+	// records.
+	migFree  freelist[migration]
+	procFree freelist[Process]
 	// tableFree recycles link.Table backing between departures (or exits)
 	// and arrivals (or spawns): putProcRec donates a released record's
 	// table here (at most 8 are kept), thaw rebuilds an arriving process's
@@ -402,7 +401,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 		procs:         make(map[addr.ProcessID]*Process),
 		nextUID:       1,
 		swap:          memory.NewStore(SwapCapacity),
-		migs:          make(map[addr.ProcessID]*migration),
 		xfersIn:       make(map[uint16]*inStream),
 		moveOps:       make(map[uint16]*moveOp),
 		pendingLocate: make(map[addr.ProcessID][]*msg.Message),

@@ -44,40 +44,40 @@ const (
 	roleEither = roleSource | roleDest
 )
 
-// migStep is how far the destination half has got: the msg.Region it is
-// pulling (steps 4-5), then stepEstablished. (The source half is driven by
-// the destination's messages and keeps no step of its own, only the set of
-// regions it has streamed.)
+// migStep is how far either half has got through steps 4-5: the msg.Region
+// the destination is pulling or the source is to stream next, then
+// stepEstablished. The destination controls the order, so the two halves
+// count the same regions in the same order.
 type migStep uint8
 
-// stepEstablished: the process is fully assembled and message 7 has been
-// sent. From here on this copy is the process, and a silent source must not
-// make the watchdog discard it.
+// stepEstablished: every region has crossed. The destination has assembled
+// the process and sent message 7: from here on its copy is the process, and
+// a silent source must not make the watchdog discard it.
 const stepEstablished = migStep(msg.RegionProgram) + 1
 
-// migration is one half of one in-flight migration. Records are pooled
-// (k.migFree) and serve either role: the region buffers and the watchdog
-// closure survive recycling, so a warm kernel freezes a process, or
-// reassembles one, without allocating, and a process bouncing between two
-// machines reaches a steady state where its transfers touch no allocator.
+// migration is one half of one in-flight migration, hung off the process
+// record it moves (Process.mig). Records are pooled (k.migFree) and serve
+// either role: the region buffers and the watchdog closure survive
+// recycling, so a warm kernel freezes a process, or reassembles one, without
+// allocating, and a process bouncing between two machines reaches a steady
+// state where its transfers touch no allocator.
 type migration struct {
 	role migRole
-	step migStep // destination half only
+	step migStep
 	pid  addr.ProcessID
 	peer addr.MachineID // the other kernel
 	p    *Process       // the frozen process (source) or the incoming record (destination)
 
-	// Source half: who asked, the §6 cost report being assembled, and the
-	// regions streamed so far (bit r for region r).
+	// Source half: who asked, and the §6 cost report being assembled.
 	requester addr.ProcessAddr
 	rep       MigrationReport
-	streamed  uint8
 
-	// Destination half. xfer is the region pull in flight (failIncoming
-	// releases its stream record). displaced is this pid's own forwarding
-	// address, set aside at step 3 when the process migrates back to a
-	// machine it once left: step 8 recycles it, a failure puts it back.
+	// Destination half. in is the region pull, in k.xfersIn under xfer
+	// while in flight. displaced is this pid's own forwarding address, set
+	// aside at step 3 when the process migrates back to a machine it once
+	// left: step 8 recycles it, a failure puts it back.
 	xfer      uint16
+	in        inStream
 	displaced *Process
 
 	// The one watchdog, armed once per half: it fires at the deadline it was
@@ -95,32 +95,34 @@ type migration struct {
 // replies and acks of one transfer to find warm envelopes.
 const migrateEnvelopeReserve = 4
 
-// openMigration starts a half: a record from the pool, registered under the
-// pid. The watchdog is armed later (armWatchdog), once the half has sent
-// its first message.
+// openMigration starts a half: a record from the pool, hung off p at the
+// first step. The watchdog is armed later (armWatchdog), once the half has
+// sent its first message.
 func (k *Kernel) openMigration(role migRole, p *Process, peer addr.MachineID) *migration {
 	mg := k.migFree.get()
 	if mg == nil {
 		mg = &migration{}
 		mg.wdFn = func() { k.watchdogFired(mg) }
 	}
-	mg.role, mg.pid, mg.peer, mg.p = role, p.id, peer, p
-	k.migs[p.id] = mg
+	mg.role, mg.step, mg.pid, mg.peer, mg.p = role, migStep(msg.RegionResident), p.id, peer, p
+	p.mig = mg
 	return mg
 }
 
 // endMigration is the one way a half ends — committed, refused, aborted or
-// failed: the watchdog is canceled, the pid is free for the next migration,
-// and the record goes back to the pool with its region buffers' backing and
-// its watchdog closure. The caller reads what it still needs from mg first:
-// the next migration may take this very record. Records orphaned by a crash
-// never get here (Restart cancels their watchdogs and reassigns k.migs
-// wholesale) and are dropped to the GC.
+// failed: the watchdog is canceled, the process record lets go of the half
+// (unless step 7 already recycled it), and the record goes back to the pool
+// with its region buffers' backing and its watchdog closure. The caller
+// reads what it still needs from mg first: the next migration may take this
+// very record. Records orphaned by a crash never get here (Restart cancels
+// their watchdogs as it wipes the process table) and are dropped to the GC.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) endMigration(mg *migration) {
 	k.eng.Cancel(mg.watchdog)
-	delete(k.migs, mg.pid)
+	if mg.p.mig == mg {
+		mg.p.mig = nil
+	}
 	*mg = migration{wdFn: mg.wdFn, frozen: frozen{
 		resident: mg.resident[:0], swap: mg.swap[:0], program: mg.program[:0]}}
 	k.migFree.put(mg)
@@ -143,16 +145,17 @@ func (k *Kernel) progress(mg *migration) {
 }
 
 // watchdogFired is the timeout of either half. The pointer-identity check
-// against k.migs makes a stale fire on a recycled record a no-op.
+// against the pid's process record makes a stale fire on a recycled record
+// a no-op.
 func (k *Kernel) watchdogFired(mg *migration) {
-	if k.crashed || k.migs[mg.pid] != mg {
+	if p := k.lookup(mg.pid); k.crashed || p == nil || p.mig != mg {
 		return // Restart discards the migration wholesale
 	}
 	if k.eng.Now() < mg.deadline {
 		mg.watchdog = k.eng.At(mg.deadline, "kernel:migrate-watchdog", mg.wdFn)
 		return
 	}
-	if mg.step == stepEstablished {
+	if mg.role == roleDest && mg.step == stepEstablished {
 		// Step 5 completed: this copy IS the process, and the source has
 		// gone silent — crashed before step 7, or its cleanup is stuck in
 		// retransmission. Committing cannot fork: a crashed source wiped
@@ -179,6 +182,17 @@ func (k *Kernel) failMigration(mg *migration, cause error) {
 
 // --- the protocol table and its dispatcher ----------------------------------
 
+// stepSet is the protocol table's legal-at column: bit s is set when a row
+// is legal at step s of the half it is addressed to.
+type stepSet uint8
+
+const (
+	atAny         = ^stepSet(0)
+	atFirst       = stepSet(1) << msg.RegionResident // before any region has streamed
+	atPull        = atFirst | 1<<msg.RegionSwappable | 1<<msg.RegionProgram
+	atEstablished = stepSet(1) << stepEstablished
+)
+
 // protoRow is one row of the protocol table. num, dir, steps and orphanDoc
 // are its words in docs/PROTOCOLS.md; migrationMsg reads the rest.
 type protoRow struct {
@@ -187,6 +201,7 @@ type protoRow struct {
 	dir   string  // sender → receiver
 	bytes int     // payload size; a shorter body is dropped
 	role  migRole // the half it is addressed to; 0: none (the op opens a half, or goes to the requester)
+	at    stepSet // the steps of that half at which the row is legal
 	// step runs on the addressed record (nil when role is 0), passing kills in order.
 	step  func(k *Kernel, mg *migration, m *msg.Message)
 	steps string
@@ -210,21 +225,21 @@ func init() {
 			step: (*Kernel).stepRequest, steps: "1–2, opens the source half", kills: []KillPoint{KPSourceFrozen, KPSourceAsked}},
 		{op: msg.OpMigrateAsk, num: "2", dir: "source → destination", bytes: 10,
 			step: (*Kernel).stepAsk, steps: "3, opens the destination half", kills: []KillPoint{KPDestAllocated}},
-		{op: msg.OpMigrateAccept, num: "3", dir: "destination → source", bytes: 6, role: roleSource,
+		{op: msg.OpMigrateAccept, num: "3", dir: "destination → source", bytes: 6, role: roleSource, at: atAny,
 			step: (*Kernel).stepAccept, steps: "—"},
-		{op: msg.OpMigrateRefuse, num: "3", dir: "destination → source", bytes: 6, role: roleSource,
+		{op: msg.OpMigrateRefuse, num: "3", dir: "destination → source", bytes: 6, role: roleSource, at: atFirst,
 			step: (*Kernel).stepRefuse, steps: "§3.2"},
-		{op: msg.OpMoveDataReq, num: "4–6", dir: "destination → source", bytes: 7, role: roleSource,
+		{op: msg.OpMoveDataReq, num: "4–6", dir: "destination → source", bytes: 7, role: roleSource, at: atPull,
 			step: (*Kernel).stepMoveData, steps: "4–5"},
-		{op: msg.OpMigrateEstablished, num: "7", dir: "destination → source", bytes: 6, role: roleSource,
+		{op: msg.OpMigrateEstablished, num: "7", dir: "destination → source", bytes: 6, role: roleSource, at: atEstablished,
 			step: (*Kernel).stepEstablished, steps: "6–7", kills: []KillPoint{KPSourceEstablished, KPSourceCommitted},
-			orphan: (*Kernel).abortPeer, orphanDoc: "reply `migrate-abort`"},
-		{op: msg.OpMigrateCleanup, num: "8", dir: "source → destination", bytes: 6, role: roleDest,
+			orphan: (*Kernel).abortPeer, orphanDoc: "reply `migrate-abort`, unless committed to the sender"},
+		{op: msg.OpMigrateCleanup, num: "8", dir: "source → destination", bytes: 6, role: roleDest, at: atEstablished,
 			step: (*Kernel).stepCleanup, steps: "8", kills: []KillPoint{KPDestCleanup},
 			orphan: (*Kernel).disarmTimeoutCommit, orphanDoc: "clear `timeoutCommit`"},
 		{op: msg.OpMigrateDone, num: "9", dir: "source → requester", bytes: 7,
 			step: (*Kernel).stepDone, steps: "—"},
-		{op: msg.OpMigrateAbort, num: "—", dir: "either → the other", bytes: 6, role: roleEither,
+		{op: msg.OpMigrateAbort, num: "—", dir: "either → the other", bytes: 6, role: roleEither, at: atAny,
 			step: (*Kernel).stepAbort, steps: "—",
 			orphan: (*Kernel).yieldTimeoutCommit, orphanDoc: "a timeout-committed copy yields"},
 	}
@@ -239,13 +254,13 @@ func protocolRow(op msg.Op) *protoRow {
 }
 
 // migrationMsg is the one dispatcher of the migration protocol. Every body
-// starts with the pid; it finds that pid's record, checks it is the half the
-// op is addressed to (else the row's orphan rule) and that the message comes
-// from the half's peer and is no MoveDataReq for a region already streamed
-// (else it is dropped and counted AdminRejected: the rule is the same for
-// every row, and a repeated region would bill a fourth transfer), bills the
-// message to the source half's report (the received side of §6's count;
-// sendAdmin bills the sent side), stamps progress, and runs the row's step.
+// starts with the pid; it finds the half hung off that pid's record, checks
+// it is the half the op is addressed to (else the row's orphan rule) and
+// that the message comes from the half's peer and is legal at the half's
+// step (else it is dropped and counted AdminRejected: the rule is the same
+// for every row), bills the message to the source half's report (the
+// received side of §6's count; sendAdmin bills the sent side), stamps
+// progress, and runs the row's step.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
@@ -255,14 +270,20 @@ func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
 	var mg *migration
 	if row.role != 0 {
 		pid, rest, _ := addr.DecodePID(m.Body)
-		if mg = k.migs[pid]; mg == nil || mg.role&row.role == 0 {
+		if p := k.lookup(pid); p != nil {
+			mg = p.mig
+		}
+		if mg == nil || mg.role&row.role == 0 {
 			if row.orphan != nil {
 				row.orphan(k, pid, m)
 			}
 			return
 		}
-		if m.From.LastKnown != mg.peer ||
-			row.op == msg.OpMoveDataReq && mg.streamed&(1<<rest[0]) != 0 {
+		at := row.at
+		if row.op == msg.OpMoveDataReq {
+			at &= 1 << rest[0] // only at the step its region names: each region crosses once, in order
+		}
+		if m.From.LastKnown != mg.peer || at&(1<<mg.step) == 0 {
 			k.stats.AdminRejected++
 			return
 		}
@@ -469,7 +490,7 @@ func (k *Kernel) stepRefuse(mg *migration, _ *msg.Message) {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) stepMoveData(mg *migration, m *msg.Message) {
 	req, _ := msg.DecodeMoveDataReq(m.Body)
-	mg.streamed |= 1 << req.Region
+	mg.step++
 	mg.rep.MoveDataTransfers++
 	var vecs [2][]byte
 	switch req.Region {
@@ -578,9 +599,13 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 
 // abortPeer is a late Established's orphan rule: the migration was aborted
 // here (watchdog) but the destination finished anyway. Make it discard its
-// copy so the process cannot run in two places.
+// copy so the process cannot run in two places — unless this kernel is a
+// forwarding address to the sender: then it committed to that copy, which is
+// the process, and the message is a duplicate.
 func (k *Kernel) abortPeer(pid addr.ProcessID, m *msg.Message) {
-	k.sendPIDMachine(m.From, msg.OpMigrateAbort, pid)
+	if p := k.lookup(pid); p == nil || p.state != StateForwarder || p.fwdTo != m.From.LastKnown {
+		k.sendPIDMachine(m.From, msg.OpMigrateAbort, pid)
+	}
 }
 
 func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
@@ -608,7 +633,8 @@ func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
 func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	ask, _ := msg.DecodeMigrateAsk(m.Body)
 	src := m.From.LastKnown
-	if mg := k.migs[ask.PID]; mg != nil && mg.role == roleDest && mg.peer == src {
+	old := k.lookup(ask.PID)
+	if old != nil && old.mig != nil && old.mig.role == roleDest && old.mig.peer == src {
 		k.stats.AdminRejected++
 		return
 	}
@@ -617,7 +643,6 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	if k.cfg.MemCapacity > 0 {
 		memFree = k.cfg.MemCapacity - k.memUsed
 	}
-	old := k.lookup(ask.PID)
 	accept := old == nil || old.state == StateForwarder // else identity collision: refuse
 	if accept && k.cfg.Accept != nil {
 		accept = k.cfg.Accept(ask, memFree)
@@ -641,7 +666,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	p.cameFrom = src
 	k.addProc(p)
 	mg := k.openMigration(roleDest, p, src)
-	mg.step, mg.displaced = migStep(msg.RegionResident), displaced
+	mg.displaced = displaced
 	// Pre-warmed destination slots: size the region reassembly buffers
 	// from the announced (unit-rounded) sizes and top up the envelope
 	// pool now, so steps 4-8 do no growth or map work.
@@ -676,18 +701,16 @@ func (k *Kernel) displaceForwarder(pid addr.ProcessID) *Process {
 
 // pullRegion requests the region mg.step names, to be reassembled into
 // buf's backing (steps 4 and 5: "Using the move data facility, the
-// destination kernel copies..."). The stream record carries the migration
-// pointer directly, so region completion dispatches without a per-pull
-// closure.
+// destination kernel copies..."). The stream is the one the record embeds
+// and points back at the record, so region completion dispatches without a
+// per-pull closure or a stream record of its own.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) pullRegion(mg *migration, buf []byte) {
 	region := msg.Region(mg.step)
-	st := k.getInStream()
-	st.mg = mg
-	st.buf = buf[:0]
+	mg.in = inStream{buf: buf[:0], total: -1, mg: mg}
 	mg.xfer = k.newXferID()
-	k.xfersIn[mg.xfer] = st
+	k.xfersIn[mg.xfer] = &mg.in
 	step := "step4-transfer-state"
 	if region == msg.RegionProgram {
 		step = "step5-transfer-program"
@@ -708,14 +731,14 @@ func (k *Kernel) regionArrived(mg *migration, data []byte) {
 	switch msg.Region(mg.step) {
 	case msg.RegionResident:
 		mg.resident = data
-		mg.step = migStep(msg.RegionSwappable)
+		mg.step++
 		k.pullRegion(mg, mg.swap)
 	case msg.RegionSwappable:
 		mg.swap = data
 		if k.killpoint(KPDestMidTransfer, mg.pid) {
 			return
 		}
-		mg.step = migStep(msg.RegionProgram)
+		mg.step++
 		k.pullRegion(mg, mg.program)
 	case msg.RegionProgram:
 		mg.program = data
@@ -750,9 +773,8 @@ func (k *Kernel) failIncoming(mg *migration, cause error) {
 	k.tracef(trace.CatMigrate, "incoming-failed", "%v: %s", trace.PID(mg.pid), trace.Str(cause.Error()))
 	// Unregister the in-flight pull, if any, so late packets go stray
 	// instead of completing into a recycled record.
-	if st, ok := k.xfersIn[mg.xfer]; ok && st.mg == mg {
+	if k.xfersIn[mg.xfer] == &mg.in {
 		delete(k.xfersIn, mg.xfer)
-		k.putInStream(st)
 	}
 	p := mg.p
 	k.releaseImage(p)
@@ -770,9 +792,6 @@ func (k *Kernel) failIncoming(mg *migration, cause error) {
 // stepCleanup is step 8: "The process is restarted in whatever state it was
 // in before being migrated."
 func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
-	if mg.step != stepEstablished {
-		return // nothing assembled to restart: no source sends this before message 7
-	}
 	c, _ := msg.DecodeMigrateCleanup(m.Body)
 	if k.killpoint(KPDestCleanup, mg.pid) {
 		return

@@ -28,10 +28,10 @@ import (
 //     seeing the Last packet, which can overtake earlier (bigger) packets
 //     through a forwarding address.
 
-// inStream reassembles an inbound byte stream. Records are pooled
-// (k.streamFree). A stream serves one of two masters: migration region
-// pulls set mg and dispatch straight into the migration state machine on
-// completion; data-area reads set the complete/fail closures.
+// inStream reassembles an inbound byte stream. A stream serves one of two
+// masters: a migration region pull is the stream its record embeds, sets mg
+// and dispatches straight into the migration state machine on completion; a
+// data-area read allocates its stream and sets the complete/fail closures.
 type inStream struct {
 	buf   []byte
 	bytes int
@@ -62,35 +62,6 @@ type moveOp struct {
 	pkt       int      // packet stride (cfg.DataPacket at stream start)
 	acked     []uint64 // bitset, one bit per packet
 	ackCount  int
-}
-
-// getInStream acquires a stream record from the free list.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) getInStream() *inStream {
-	if st := k.streamFree.get(); st != nil {
-		return st
-	}
-	return &inStream{total: -1}
-}
-
-// putInStream releases a stream record. The reassembly buffer is NOT kept
-// on the record: migration streams assemble directly into the migration
-// record's region buffers (which own the backing), and read streams may
-// have handed their buffer to a
-// completion callback. Callers must have removed the record from k.xfersIn.
-//
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) putInStream(st *inStream) {
-	*st = inStream{total: -1}
-	k.streamFree.put(st)
-}
-
-func (k *Kernel) registerInStream(xfer uint16, complete func([]byte)) *inStream {
-	st := k.getInStream()
-	st.complete = complete
-	k.xfersIn[xfer] = st
-	return st
 }
 
 // streamOut sends data to another machine's kernel as a paced packet
@@ -228,17 +199,11 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 	}
 	if st.total >= 0 && st.bytes >= st.total {
 		delete(k.xfersIn, m.Xfer)
-		data := st.buf[:st.total]
-		if mg := st.mg; mg != nil {
-			st.buf = nil // ownership moves to the record's region buffer
-			k.putInStream(st)
-			k.regionArrived(mg, data)
-			return
+		if data := st.buf[:st.total]; st.mg != nil {
+			k.regionArrived(st.mg, data) // data becomes a region buffer; the next pull resets st
+		} else {
+			st.complete(data) // which may keep data
 		}
-		cb := st.complete
-		st.buf = nil // the callback may retain data
-		k.putInStream(st)
-		cb(data)
 	}
 }
 
@@ -345,15 +310,10 @@ func (k *Kernel) handleMoveReadFailed(m *msg.Message) {
 	if err != nil {
 		return
 	}
-	in, ok := k.xfersIn[st.Xfer]
-	if !ok {
-		return
-	}
-	delete(k.xfersIn, st.Xfer)
-	fail := in.fail
-	in.buf = nil
-	k.putInStream(in)
-	if fail != nil {
-		fail()
+	if in := k.xfersIn[st.Xfer]; in != nil {
+		delete(k.xfersIn, st.Xfer)
+		if in.fail != nil {
+			in.fail()
+		}
 	}
 }

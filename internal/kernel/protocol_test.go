@@ -155,8 +155,8 @@ func TestProtocolTable(t *testing.T) {
 // renderProtocolTable prints the table the way docs/PROTOCOLS.md quotes it.
 func renderProtocolTable() string {
 	var b strings.Builder
-	b.WriteString("| № | op | direction | payload | receiving half | no such half here | §3.1 step | kill-points |\n")
-	b.WriteString("|---|----|-----------|---------|----------------|-------------------|-----------|-------------|\n")
+	b.WriteString("| № | op | direction | payload | receiving half | legal at | no such half here | §3.1 step | kill-points |\n")
+	b.WriteString("|---|----|-----------|---------|----------------|----------|-------------------|-----------|-------------|\n")
 	for _, r := range kernel.ProtocolTable() {
 		kills := "—"
 		if len(r.Kills) > 0 {
@@ -166,8 +166,8 @@ func renderProtocolTable() string {
 			}
 			kills = strings.Join(names, ", ")
 		}
-		fmt.Fprintf(&b, "| %s | `%v` | %s | %d B | %s | %s | %s | %s |\n",
-			r.Num, r.Op, r.Dir, r.Bytes, r.Role, r.Orphan, r.Steps, kills)
+		fmt.Fprintf(&b, "| %s | `%v` | %s | %d B | %s | %s | %s | %s | %s |\n",
+			r.Num, r.Op, r.Dir, r.Bytes, r.Role, r.LegalAt, r.Orphan, r.Steps, kills)
 	}
 	return b.String()
 }
@@ -344,6 +344,113 @@ func TestDuplicateAdminMessagesAreDropped(t *testing.T) {
 			}
 			if rejected != 1 {
 				t.Fatalf("AdminRejected = %d, want 1", rejected)
+			}
+		})
+	}
+}
+
+// adminScene is FuzzKernelAdmin's scene: three lossless kernels, a stateful
+// process spawned on m1, and its migration to m2 requested by m3, driven
+// point engine events forward.
+func adminScene(t *testing.T, point int) (*tc, addr.ProcessID) {
+	c := newTC(t, 3, nil)
+	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+	if err != nil || pid != (addr.ProcessID{Creator: 1, Local: 1}) {
+		t.Fatalf("spawned %v, %v", pid, err)
+	}
+	c.runFor(2_000)
+	c.migrate(3, pid, 1, 2)
+	for i := 0; i < point && c.eng.Step(); i++ {
+	}
+	return c, pid
+}
+
+// liveCopies lists the machines holding pid as a process, not a forwarding
+// address.
+func (c *tc) liveCopies(pid addr.ProcessID) []int {
+	var at []int
+	for m := 1; m <= len(c.ks); m++ {
+		if info, ok := c.k(m).Process(pid); ok && info.State != kernel.StateForwarder {
+			at = append(at, m)
+		}
+	}
+	return at
+}
+
+// TestEarlyEstablishedLeavesOneCopy: the destination's Established reaches
+// the source a second time, early — injected from m2 at points across the
+// migration. Before the source has streamed the program region it is
+// illegal at the source's step and dropped; after, it commits the source,
+// and the real Established that follows finds a forwarding address to its
+// sender, a duplicate the orphan rule leaves unanswered rather than aborting
+// the only copy. Either way exactly one live copy remains.
+func TestEarlyEstablishedLeavesOneCopy(t *testing.T) {
+	for _, point := range []int{8, 10, 12, 14, 16} {
+		t.Run(fmt.Sprint(point), func(t *testing.T) {
+			c, pid := adminScene(t, point)
+			c.inject(1, 2, msg.OpMigrateEstablished, legalBodies(pid)[msg.OpMigrateEstablished])
+			c.run()
+			if at := c.liveCopies(pid); len(at) != 1 {
+				t.Fatalf("live copies on %v, want exactly one", at)
+			}
+			for m := 1; m <= 3; m++ {
+				if n := c.k(m).PendingMigrations(); n != 0 {
+					t.Errorf("m%d: %d migration halves pending", m, n)
+				}
+			}
+		})
+	}
+}
+
+// TestIllegalStepIsRejected: a message from the half's own peer at a step
+// where its row is not legal is dropped and counted AdminRejected, and the
+// migration completes as if it had never been sent — one live copy, on m2,
+// reported OK to the requester.
+func TestIllegalStepIsRejected(t *testing.T) {
+	const (
+		resident  = int(msg.RegionResident)
+		swappable = int(msg.RegionSwappable)
+		program   = int(msg.RegionProgram)
+	)
+	pid := addr.ProcessID{Creator: 1, Local: 1}
+	pm := legalBodies(pid)
+	for _, tt := range []struct {
+		name     string
+		to, from int
+		step     int // of the half on `to`, when the message is injected
+		op       msg.Op
+		body     []byte
+	}{
+		{"refuse after the first region", 1, 2, swappable, msg.OpMigrateRefuse, pm[msg.OpMigrateRefuse]},
+		{"move-data-req for a region streamed", 1, 2, swappable, msg.OpMoveDataReq,
+			msg.MoveDataReq{PID: pid, Region: msg.RegionResident, Xfer: 1}.Encode()},
+		{"move-data-req for a region ahead", 1, 2, swappable, msg.OpMoveDataReq,
+			msg.MoveDataReq{PID: pid, Region: msg.RegionProgram, Xfer: 1}.Encode()},
+		{"established before the program region", 1, 2, swappable, msg.OpMigrateEstablished, pm[msg.OpMigrateEstablished]},
+		{"established before any region", 1, 2, resident, msg.OpMigrateEstablished, pm[msg.OpMigrateEstablished]},
+		{"cleanup before established", 2, 1, program, msg.OpMigrateCleanup, pm[msg.OpMigrateCleanup]},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			c, _ := adminScene(t, 0)
+			for step, ok := c.k(tt.to).MigrationStep(pid); !ok || step != tt.step; step, ok = c.k(tt.to).MigrationStep(pid) {
+				if !c.eng.Step() {
+					t.Fatalf("engine idle before m%d's half reached step %d", tt.to, tt.step)
+				}
+			}
+			c.inject(tt.to, tt.from, tt.op, tt.body)
+			c.run()
+			var rejected uint64
+			for m := 1; m <= 3; m++ {
+				rejected += c.k(m).Stats().AdminRejected
+			}
+			if rejected != 1 {
+				t.Errorf("AdminRejected = %d, want 1", rejected)
+			}
+			if at := c.liveCopies(pid); len(at) != 1 || at[0] != 2 {
+				t.Errorf("live copies on %v, want one on m2", at)
+			}
+			if done, n := c.k(3).DoneMigrations(); n != 1 || !done.OK {
+				t.Errorf("requester saw %d completions, last %+v, want one OK", n, done)
 			}
 		})
 	}

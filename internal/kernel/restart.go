@@ -141,16 +141,15 @@ func (k *Kernel) Restart() error {
 		return fmt.Errorf("kernel %v: not crashed", k.machine)
 	}
 
-	// Abandon in-flight migrations. Watchdogs are canceled (their closures
-	// also carry a crashed-guard, for events already past Cancel's reach).
-	for _, mg := range k.migs {
-		k.eng.Cancel(mg.watchdog)
-	}
-	k.stats.MigrationsFailed += uint64(len(k.migs))
-
 	// Wipe volatile process state, accounting for every destroyed message
-	// and process so the cluster ledger still balances.
+	// and process so the cluster ledger still balances, and abandon
+	// in-flight migrations: their watchdogs are canceled (the closures also
+	// carry a crashed-guard, for events already past Cancel's reach).
 	for _, p := range k.sortedProcs() {
+		if p.mig != nil {
+			k.eng.Cancel(p.mig.watchdog)
+			k.stats.MigrationsFailed++
+		}
 		for p.queue.Len() > 0 {
 			k.noteCrashWiped(p.queue.pop())
 		}
@@ -176,7 +175,6 @@ func (k *Kernel) Restart() error {
 	k.procs = make(map[addr.ProcessID]*Process)
 	k.local = nil
 	k.runq = ring[*Process]{}
-	k.migs = make(map[addr.ProcessID]*migration)
 	k.xfersIn = make(map[uint16]*inStream)
 	k.moveOps = make(map[uint16]*moveOp)
 	k.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
@@ -228,7 +226,14 @@ func (k *Kernel) Restarts() uint64 { return k.restarts }
 
 // PendingMigrations reports in-flight migrations (both directions) — zero
 // at quiescence on a live kernel, or the migration is stuck.
-func (k *Kernel) PendingMigrations() int { return len(k.migs) }
+func (k *Kernel) PendingMigrations() (n int) {
+	k.eachProc(func(p *Process) {
+		if p.mig != nil {
+			n++
+		}
+	})
+	return n
+}
 
 // LostPIDs lists processes wiped by a crash and never revived, in
 // deterministic order.

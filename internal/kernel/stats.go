@@ -53,7 +53,7 @@ type Stats struct {
 	MigrationsRefused uint64
 	MigrationsFailed  uint64
 	Revived           uint64              // processes restored from checkpoints (§1 fault recovery)
-	AdminRejected     uint64              // migration messages dropped: not from the half's peer, or a duplicate Ask or MoveDataReq
+	AdminRejected     uint64              // migration messages dropped: not from the half's peer, illegal at the half's step, or a duplicate Ask
 	AdminSent         [msg.OpCount]uint64 // administrative messages sent, by op
 	AdminBytes        uint64              // payload bytes of administrative messages sent
 

@@ -128,7 +128,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.terminate",
 			// Move-data facility.
 			"Kernel.ack", "Kernel.handleAck", "Kernel.handleDataPacket",
-			"Kernel.streamGather", "Kernel.getInStream", "Kernel.putInStream",
+			"Kernel.streamGather",
 			// Migration fast path (record pools + gather encoders).
 			"Kernel.getProcRec", "Kernel.putProcRec", "Kernel.internKind",
 			"Kernel.migrationMsg", "Kernel.endMigration",

@@ -42,7 +42,7 @@ go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLoc
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
 
-echo "== fuzz smoke: arbitrary migration-protocol messages into live kernels mid-migration; exactly one copy unless one of the two parties sent it (10 s)"
+echo "== fuzz smoke: arbitrary migration-protocol messages into live kernels mid-migration; exactly one copy unless it is an Abort naming the pid from the source (10 s)"
 go test -run='^$' -fuzz=FuzzKernelAdmin -fuzztime=10s ./internal/kernel/
 
 echo "== fuzz smoke: the engine's event queue against a sorted-slice reference, operation by operation (10 s)"

@@ -223,6 +223,38 @@ func BenchmarkMsgDecode(b *testing.B) {
 	}
 }
 
+// Two of the kernel's hot sites, declared as the kernel declares them.
+var (
+	benchSiteStep2 = trace.NewSite(trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)",
+		trace.ArgPID, trace.ArgMachine, trace.ArgInt, trace.ArgInt, trace.ArgInt)
+	benchSiteSpawn = trace.NewSite(trace.CatProc, "spawn", "%v kind=%s image=%dB links=%d",
+		trace.ArgPID, trace.ArgStr, trace.ArgInt, trace.ArgInt)
+)
+
+// BenchmarkTraceSite emits a four-argument site (the kernel's spawn: a PID,
+// a string and two ints) into a full 64-record ring, whose records stay in
+// cache, and into the default 64 k ring, whose 4 MB the emits walk.
+func BenchmarkTraceSite(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		max  int
+	}{{"ring64", 64}, {"ring64k", 1 << 16}} {
+		b.Run(size.name, func(b *testing.B) {
+			var now sim.Time
+			tr := trace.New(func() sim.Time { return now }, size.max)
+			pid := addr.ProcessID{Creator: 2, Local: 9}
+			for i := 0; i < size.max; i++ {
+				tr.Log(2, benchSiteSpawn, "wl-counter", trace.PID(pid), trace.Int(4096), trace.Int(2))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Log(2, benchSiteSpawn, "wl-counter", trace.PID(pid), trace.Int(i), trace.Int(2))
+			}
+		})
+	}
+}
+
 // BenchmarkTimeString formats a representative timestamp (trace-heavy runs
 // call this per record).
 func BenchmarkTimeString(b *testing.B) {
@@ -762,7 +794,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		}
 	})
 	t.Run("trace emit (deferred)", func(t *testing.T) {
-		// A record of a hot site: static format, scalar arguments, one
+		// A record of a hot site: a static site, scalar arguments, one
 		// string that already exists. Rendering waits for a reader, so with
 		// the ring full (it grows lazily up to its capacity) an emit
 		// touches no allocator, sink attached or not.
@@ -772,10 +804,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		tr.SetSink(func(trace.Record) { sunk++ })
 		pid, kind := addr.ProcessID{Creator: 2, Local: 9}, "wl-counter"
 		emit := func() {
-			tr.Emitf(2, trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)",
-				trace.PID(pid), trace.Machine(3), trace.Int(4096), trace.Int(250), trace.Int(600))
-			tr.Emitf(2, trace.CatProc, "spawn", "%v kind=%s image=%dB links=%d",
-				trace.PID(pid), trace.Str(kind), trace.Int(4096), trace.Int(2))
+			tr.Log(2, benchSiteStep2, "", trace.PID(pid), trace.Machine(3), trace.Int(4096), trace.Int(250), trace.Int(600))
+			tr.Log(2, benchSiteSpawn, kind, trace.PID(pid), trace.Int(4096), trace.Int(2))
 		}
 		for i := 0; i < 256; i++ {
 			emit()

@@ -135,6 +135,9 @@ func main() {
 		fail(tl.WriteJSON(f))
 		fail(f.Close())
 		fmt.Printf("timeline: %s (open in chrome://tracing)\n", *traceOut)
+		if n := c.TraceOverwritten(); n > 0 {
+			fmt.Printf("timeline: the trace rings overwrote their %d oldest records; raise TraceCap to keep them\n", n)
+		}
 	}
 }
 

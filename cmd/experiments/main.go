@@ -723,7 +723,7 @@ func traceCluster() *demosmp.Cluster {
 // canonical (time, machine, emission) order.
 func printTrace(c *demosmp.Cluster, cat trace.Category) {
 	for _, r := range c.TraceRecords() {
-		if r.Cat == cat {
+		if r.Cat() == cat {
 			fmt.Println(r.String())
 		}
 	}

@@ -43,7 +43,7 @@ type Options struct {
 	// Kernel is the per-kernel configuration template (Tracer, Registry,
 	// Machines and PMLink are filled in by the cluster).
 	Kernel kernel.Config
-	// TraceCap bounds the trace ring (0 = default).
+	// TraceCap bounds each shard's trace ring (0 = default, 64 k records).
 	TraceCap int
 	// TraceSink, when set, receives every trace record as one text line.
 	// Lines are written in batches — at round barriers and before

@@ -252,9 +252,12 @@ func (c *Cluster) NetStats() netw.Stats {
 
 // TraceRecords returns the cluster's trace, merged across shards into a
 // canonical order: (time, machine, per-machine emission order). A machine's
-// records live in exactly one shard's tracer in emission order, so a stable
+// records live in exactly one shard's tracer in emission order, so while no
+// shard's ring has overwritten a record (TraceOverwritten is 0) a stable
 // sort of the concatenation by (T, Machine) yields the same sequence for
-// every shard count — this is what the shard-invariance tests pin.
+// every shard count — this is what the shard-invariance tests pin. Each
+// shard keeps its own TraceCap records, so once a ring wraps the merged
+// trace holds more records the more shards there are.
 func (c *Cluster) TraceRecords() []trace.Record {
 	var out []trace.Record
 	for _, tr := range c.trs {
@@ -262,6 +265,17 @@ func (c *Cluster) TraceRecords() []trace.Record {
 	}
 	sortTraceStable(out)
 	return out
+}
+
+// TraceOverwritten sums, over every shard's tracer, the records its ring
+// dropped to make room for newer ones: zero while TraceRecords holds the
+// whole trace.
+func (c *Cluster) TraceOverwritten() uint64 {
+	var n uint64
+	for _, tr := range c.trs {
+		n += tr.Overwritten()
+	}
+	return n
 }
 
 func sortTraceStable(recs []trace.Record) {

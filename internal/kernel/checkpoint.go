@@ -48,8 +48,8 @@ func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
 	b = append(append(b, f.swap...), f.ctl...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.program)))
 	b = append(b, f.program...)
-	k.tracef(trace.CatMigrate, "checkpoint", "%v: %s", trace.PID(pid), trace.Str(fmt.Sprintf(
-		"%dB (resident %d, swappable %d, program %d)", len(b), len(f.resident), swappable, len(f.program))))
+	k.trace(siteCheckpoint, fmt.Sprintf("%dB (resident %d, swappable %d, program %d)",
+		len(b), len(f.resident), swappable, len(f.program)), trace.PID(pid))
 	return b, nil
 }
 
@@ -112,8 +112,7 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	}
 	k.addProc(p)
 	k.stats.Revived++
-	k.tracef(trace.CatMigrate, "revive", "%v as %v from %dB checkpoint",
-		trace.PID(pid), trace.Str(state.String()), trace.Int(len(checkpoint)))
+	k.trace(siteRevive, state.String(), trace.PID(pid), trace.Int(len(checkpoint)))
 	k.restartAs(p, state)
 	return pid, nil
 }

@@ -71,7 +71,7 @@ func (k *Kernel) kernelControl(m *msg.Message) {
 		k.handleSearchQuery(m)
 
 	default:
-		k.tracef(trace.CatDeliver, "unknown-control", "%s", trace.Str(m.Op.String()))
+		k.trace(siteUnknownControl, m.Op.String())
 	}
 }
 
@@ -89,7 +89,7 @@ func (k *Kernel) handleSuspend(m *msg.Message) {
 		p.prevState = StateWaiting
 		p.state = StateSuspended
 	}
-	k.tracef(trace.CatProc, "suspend", "%v", trace.PID(p.id))
+	k.trace(siteSuspend, "", trace.PID(p.id))
 }
 
 func (k *Kernel) handleResume(m *msg.Message) {
@@ -102,7 +102,7 @@ func (k *Kernel) handleResume(m *msg.Message) {
 	} else {
 		k.enqueueRun(p)
 	}
-	k.tracef(trace.CatProc, "resume", "%v", trace.PID(p.id))
+	k.trace(siteResume, "", trace.PID(p.id))
 }
 
 func (k *Kernel) handleCreateProcess(m *msg.Message) {
@@ -113,13 +113,13 @@ func (k *Kernel) handleCreateProcess(m *msg.Message) {
 	}
 	spec, err := k.cfg.Programs(req.Name, req.Args)
 	if err != nil {
-		k.tracef(trace.CatProc, "create-failed", "%s", trace.Str(req.Name+": "+err.Error()))
+		k.trace(siteCreateFail, req.Name+": "+err.Error())
 		k.replyCreateDone(m.From, addr.NilPID, req.Tag)
 		return
 	}
 	pid, err := k.Spawn(spec)
 	if err != nil {
-		k.tracef(trace.CatProc, "create-failed", "%s", trace.Str(req.Name+": "+err.Error()))
+		k.trace(siteCreateFail, req.Name+": "+err.Error())
 	}
 	k.replyCreateDone(m.From, pid, req.Tag)
 }

@@ -152,7 +152,7 @@ func (c *procCtx) insertCarried(m *msg.Message, d *proc.Delivery) {
 	for _, l := range m.Links {
 		id, err := c.p.links.Insert(l)
 		if err != nil {
-			c.k.tracef(trace.CatDeliver, "carried-link-dropped", "%v: %s", trace.PID(c.p.id), trace.Str(err.Error()))
+			c.k.trace(siteCarriedDropped, err.Error(), trace.PID(c.p.id))
 			break
 		}
 		d.Carried = append(d.Carried, id)
@@ -288,7 +288,7 @@ func (c *procCtx) Print(b []byte) {
 	}
 	line := string(b)
 	c.k.console[c.p.id] = append(c.k.console[c.p.id], line)
-	c.k.tracef(trace.CatConsole, "print", "%v: %s", trace.PID(c.p.id), trace.Str(strings.TrimRight(line, "\n")))
+	c.k.trace(sitePrint, strings.TrimRight(line, "\n"), trace.PID(c.p.id))
 }
 
 func (c *procCtx) Logf(format string, args ...any) {

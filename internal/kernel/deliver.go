@@ -119,8 +119,7 @@ func (k *Kernel) forward(f *Process, m *msg.Message) {
 	m.To.LastKnown = f.fwdTo
 	m.Forwards++
 	k.stats.Forwarded++
-	k.tracef(trace.CatForward, "forward", "%v for %v -> %v (hop %d)",
-		trace.Str(m.Kind.String()), trace.PID(m.To.ID), trace.Machine(f.fwdTo), trace.Int(int(m.Forwards)))
+	k.trace(siteForward, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(f.fwdTo), trace.Int(int(m.Forwards)))
 	if f.obsRec != nil {
 		k.ledgerForward(f, m)
 	}
@@ -164,8 +163,7 @@ func (k *Kernel) sendLinkUpdate(sender addr.ProcessAddr, migrated addr.ProcessID
 	m.DTK = true
 	m.Body = u.AppendTo(m.Body[:0])
 	k.stats.LinkUpdatesSent++
-	k.tracef(trace.CatLinkUpdate, "linkupdate-sent", "to kernel of %v: %v is now on %v",
-		trace.PID(sender.ID), trace.PID(migrated), trace.Machine(newMachine))
+	k.trace(siteLinkUpdateSent, "", trace.PID(sender.ID), trace.PID(migrated), trace.Machine(newMachine))
 	k.route(m)
 }
 
@@ -175,7 +173,7 @@ func (k *Kernel) sendLinkUpdate(sender addr.ProcessAddr, migrated addr.ProcessID
 func (k *Kernel) applyLinkUpdate(m *msg.Message) {
 	u, err := msg.DecodeLinkUpdate(m.Body)
 	if err != nil {
-		k.tracef(trace.CatLinkUpdate, "linkupdate-bad", "%s", trace.Str(err.Error()))
+		k.trace(siteLinkUpdateBad, err.Error())
 		return
 	}
 	k.stats.LinkUpdatesApplied++
@@ -186,8 +184,8 @@ func (k *Kernel) applyLinkUpdate(m *msg.Message) {
 	n := p.links.UpdateAddr(u.Migrated, u.Machine)
 	k.stats.LinksFixed += uint64(n)
 	if n > 0 {
-		k.tracef(trace.CatLinkUpdate, "linkupdate-applied", "%d links of %v now point at %v on %v",
-			trace.Int(n), trace.PID(u.Sender), trace.PID(u.Migrated), trace.Machine(u.Machine))
+		k.trace(siteLinkUpdateApplied, "", trace.Int(n),
+			trace.PID(u.Sender), trace.PID(u.Migrated), trace.Machine(u.Machine))
 	}
 }
 
@@ -205,8 +203,7 @@ func (k *Kernel) applyEagerUpdate(m *msg.Message) {
 		}
 	}
 	k.stats.LinksFixed += uint64(fixed)
-	k.tracef(trace.CatLinkUpdate, "eager-applied", "%d links now point at %v on %v",
-		trace.Int(fixed), trace.PID(u.PID), trace.Machine(u.Machine))
+	k.trace(siteEagerApplied, "", trace.Int(fixed), trace.PID(u.PID), trace.Machine(u.Machine))
 }
 
 // unknownProcess handles a message whose target does not exist here:
@@ -221,7 +218,7 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 		return // rerouted or held by the post-crash search (restart.go)
 	}
 	k.stats.DeadLetters++
-	k.tracef(trace.CatDeliver, "dead-letter", "%v for %v", trace.Str(m.Kind.String()), trace.PID(m.To.ID))
+	k.trace(siteDeadLetter, m.Kind.String(), trace.PID(m.To.ID))
 	k.putMsg(m)
 }
 
@@ -230,8 +227,7 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 // location of the process, perhaps by notifying the process manager."
 func (k *Kernel) bounce(m *msg.Message) {
 	k.stats.Bounced++
-	k.tracef(trace.CatForward, "bounce", "%v for %v returned to %v",
-		trace.Str(m.Kind.String()), trace.PID(m.To.ID), trace.Machine(m.From.LastKnown))
+	k.trace(siteBounce, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(m.From.LastKnown))
 	nd := k.getMsg()
 	nd.Kind = msg.KindControl
 	nd.Op = msg.OpNotDeliverable
@@ -334,7 +330,7 @@ func (k *Kernel) handleDeathNotice(m *msg.Message) {
 	k.delProc(pm.PID)
 	k.stats.ForwardersReclaimed++
 	k.stats.ForwarderBytes -= ForwarderWireSize
-	k.tracef(trace.CatForward, "forwarder-reclaimed", "%v", trace.PID(pm.PID))
+	k.trace(siteFwdReclaimed, "", trace.PID(pm.PID))
 	if p.cameFrom != addr.NoMachine {
 		k.sendDeathNoticeTo(pm.PID, p.cameFrom)
 	}

@@ -517,8 +517,7 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	k.addProc(p)
 	k.stats.Spawned++
 	k.relieveMemory()
-	k.tracef(trace.CatProc, "spawn", "%v kind=%s image=%dB links=%d",
-		trace.PID(pid), trace.Str(p.kind), trace.Int(imgSize), trace.Int(p.links.Len()))
+	k.trace(siteSpawn, p.kind, trace.PID(pid), trace.Int(imgSize), trace.Int(p.links.Len()))
 	k.enqueueRun(p)
 	return pid, nil
 }
@@ -635,8 +634,7 @@ func (k *Kernel) relieveMemory() {
 		freed -= p.image.ResidentPages()
 		resident -= freed * memory.PageSize
 		if freed > 0 {
-			k.tracef(trace.CatProc, "swapped-out", "%v: %d pages under memory pressure",
-				trace.PID(p.id), trace.Int(freed))
+			k.trace(siteSwappedOut, "", trace.PID(p.id), trace.Int(freed))
 		}
 	}
 }
@@ -908,13 +906,15 @@ func (d *pending) run() {
 	}
 }
 
-// tracef records an event whose detail is rendered from format and args
-// only if the record is read (trace.Tracer.Emitf): free of allocation with
-// a tracer attached, a nil check without one.
+// trace records an event at site s, one of the package-level sites in
+// tracesites.go: str is the site's string argument ("" if it has none) and
+// args the others in order. The detail is rendered from them only if the
+// record is read (trace.Tracer.Log): free of allocation with a tracer
+// attached, a nil check without one.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) tracef(cat trace.Category, event, format string, args ...trace.Arg) {
-	k.cfg.Tracer.Emitf(k.machine, cat, event, format, args...)
+func (k *Kernel) trace(s trace.Site, str string, args ...trace.Val) {
+	k.cfg.Tracer.Log(k.machine, s, str, args...)
 }
 
 // getProcRec acquires a Process record for Spawn and for the migration

@@ -31,7 +31,7 @@ import (
 // at the end of this file, shared with Checkpoint/Revive) whose region
 // buffers survive recycling and serve either half; region pulls reassemble
 // into those buffers, pre-sized from the MigrateAsk announcement; and trace
-// records carry a static format and scalar arguments (k.tracef), so no step
+// records carry a static site and scalar arguments (k.trace), so no step
 // touches fmt until its record is read.
 
 // migRole is the half of a migration a record stands for and, in the
@@ -163,7 +163,7 @@ func (k *Kernel) watchdogFired(mg *migration) {
 		// we were established), and a source that instead aborted and
 		// restored its copy sends OpMigrateAbort, which a
 		// timeout-committed copy yields to.
-		k.tracef(trace.CatMigrate, "timeout-commit", "%v", trace.PID(mg.pid))
+		k.trace(siteTimeoutCommit, "", trace.PID(mg.pid))
 		k.commitIncoming(mg, 0, true)
 		return
 	}
@@ -174,7 +174,7 @@ func (k *Kernel) watchdogFired(mg *migration) {
 // failMigration discards whichever half mg is.
 func (k *Kernel) failMigration(mg *migration, cause error) {
 	if mg.role == roleSource {
-		k.abortSource(mg, "migrate-aborted", cause)
+		k.abortSource(mg, siteAborted, cause)
 	} else {
 		k.failIncoming(mg, cause)
 	}
@@ -357,8 +357,7 @@ func (k *Kernel) yieldTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
 		return
 	}
 	pm, _ := msg.DecodePIDMachine(m.Body)
-	k.tracef(trace.CatMigrate, "timeout-commit-yield", "%v yields to restored copy on %v",
-		trace.PID(p.id), trace.Machine(pm.Machine))
+	k.trace(siteTimeoutYield, "", trace.PID(p.id), trace.Machine(pm.Machine))
 	k.removeFromRunq(p)
 	k.releaseImage(p)
 	for p.queue.Len() > 0 {
@@ -401,13 +400,12 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 	p.prevState = p.state
 	p.state = StateInMigration
 	k.removeFromRunq(p)
-	k.tracef(trace.CatMigrate, "step1-remove-from-execution", "%v was %v",
-		trace.PID(p.id), trace.Str(p.prevState.String()))
+	k.trace(siteStep1, p.prevState.String(), trace.PID(p.id))
 
 	// Freeze the three payloads at this instant, into the record's
 	// region buffers.
 	if err := freeze(&mg.frozen, p); err != nil {
-		k.abortSource(mg, "migrate-aborted", err)
+		k.abortSource(mg, siteAborted, err)
 		return
 	}
 	swappable := mg.swappableLen()
@@ -426,8 +424,8 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 		Resident:  msg.ToUnits(len(mg.resident)),
 		Swappable: msg.ToUnits(swappable),
 	}
-	k.tracef(trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)",
-		trace.PID(p.id), trace.Machine(mg.peer), trace.Int(len(mg.program)), trace.Int(len(mg.resident)), trace.Int(swappable))
+	k.trace(siteStep2, "", trace.PID(p.id), trace.Machine(mg.peer),
+		trace.Int(len(mg.program)), trace.Int(len(mg.resident)), trace.Int(swappable))
 	am := k.newControl(msg.OpMigrateAsk, addr.KernelAddr(req.Dest))
 	am.Body = ask.AppendTo(am.Body[:0])
 	k.sendAdmin(am, &mg.rep)
@@ -440,8 +438,8 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 // abortSource ends the source half without moving the process — aborted on
 // a fault path, or refused by the destination — restores the frozen process
 // and reports failure to the requester.
-func (k *Kernel) abortSource(mg *migration, event string, cause error) {
-	k.tracef(trace.CatMigrate, event, "%v: %s", trace.PID(mg.pid), trace.Str(cause.Error()))
+func (k *Kernel) abortSource(mg *migration, site trace.Site, cause error) {
+	k.trace(site, cause.Error(), trace.PID(mg.pid))
 	p, requester := mg.p, mg.requester
 	k.endMigration(mg) // first: a request held on the queue may migrate p again right now
 	k.stats.MigrationsFailed++
@@ -474,11 +472,11 @@ func (k *Kernel) redeliver(p *Process) {
 // stepAccept is informational on the source: the destination now drives
 // steps 4-5 by pulling the three regions.
 func (k *Kernel) stepAccept(mg *migration, _ *msg.Message) {
-	k.tracef(trace.CatMigrate, "accepted", "%v by %v", trace.PID(mg.pid), trace.Machine(mg.peer))
+	k.trace(siteAccepted, "", trace.PID(mg.pid), trace.Machine(mg.peer))
 }
 
 func (k *Kernel) stepRefuse(mg *migration, _ *msg.Message) {
-	k.abortSource(mg, "refused", fmt.Errorf("by %v (§3.2: the process cannot be migrated)", mg.peer))
+	k.abortSource(mg, siteRefused, fmt.Errorf("by %v (§3.2: the process cannot be migrated)", mg.peer))
 }
 
 // stepMoveData serves steps 4-5 from the source: stream the requested
@@ -507,8 +505,8 @@ func (k *Kernel) stepMoveData(mg *migration, m *msg.Message) {
 	// The destination says nothing more until the paced stream has left:
 	// that much silence is progress, not a fault.
 	mg.deadline += span
-	k.tracef(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v",
-		trace.PID(req.PID), trace.Str(req.Region.String()), trace.Int(total), trace.Int(packets), trace.Machine(mg.peer))
+	k.trace(siteStream, req.Region.String(), trace.PID(req.PID),
+		trace.Int(total), trace.Int(packets), trace.Machine(mg.peer))
 }
 
 // stepEstablished is steps 6-7 on the source, plus the final report to the
@@ -537,8 +535,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 		k.stats.ForwardedPending++
 		k.route(qm)
 	}
-	k.tracef(trace.CatMigrate, "step6-forward-pending", "%v: %d queued messages to %v",
-		trace.PID(pid), trace.Int(forwarded), trace.Machine(mg.peer))
+	k.trace(siteStep6, "", trace.PID(pid), trace.Int(forwarded), trace.Machine(mg.peer))
 	mg.rep.PendingForwarded = forwarded
 
 	// Step 7: "all state for the process is removed and space for memory
@@ -560,8 +557,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 		k.stats.ForwardersInstalled++
 		k.stats.ForwarderBytes += ForwarderWireSize
 	}
-	k.tracef(trace.CatMigrate, "step7-cleanup-forwarding-address", "%v: forwarder -> %v (%d bytes)",
-		trace.PID(pid), trace.Machine(mg.peer), trace.Int(ForwarderWireSize))
+	k.trace(siteStep7, "", trace.PID(pid), trace.Machine(mg.peer), trace.Int(ForwarderWireSize))
 
 	if k.cfg.EagerUpdate {
 		k.broadcastEagerUpdate(pid, mg.peer)
@@ -674,8 +670,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	reserve(&mg.swap, int(ask.Swappable)*msg.SizeUnit)
 	reserve(&mg.program, programBytes)
 	k.pool.Reserve(migrateEnvelopeReserve)
-	k.tracef(trace.CatMigrate, "step3-allocate-state", "%v from %v (reserving %dB)",
-		trace.PID(ask.PID), trace.Machine(src), trace.Int(programBytes))
+	k.trace(siteStep3, "", trace.PID(ask.PID), trace.Machine(src), trace.Int(programBytes))
 	if k.killpoint(KPDestAllocated, ask.PID) {
 		return
 	}
@@ -711,11 +706,11 @@ func (k *Kernel) pullRegion(mg *migration, buf []byte) {
 	mg.in = inStream{buf: buf[:0], total: -1, mg: mg}
 	mg.xfer = k.newXferID()
 	k.xfersIn[mg.xfer] = &mg.in
-	step := "step4-transfer-state"
+	step := siteStep4
 	if region == msg.RegionProgram {
-		step = "step5-transfer-program"
+		step = siteStep5
 	}
-	k.tracef(trace.CatMigrate, step, "%v pull %v", trace.PID(mg.pid), trace.Str(region.String()))
+	k.trace(step, region.String(), trace.PID(mg.pid))
 	rm := k.newControl(msg.OpMoveDataReq, addr.KernelAddr(mg.peer))
 	rm.Body = msg.MoveDataReq{PID: mg.pid, Region: region, Xfer: mg.xfer}.AppendTo(rm.Body[:0])
 	k.sendAdmin(rm, nil)
@@ -770,7 +765,7 @@ func (k *Kernel) assembleProcess(mg *migration) {
 // delivery, which forwards them through that address or, with none to
 // reinstate, dead-letters them with a count.
 func (k *Kernel) failIncoming(mg *migration, cause error) {
-	k.tracef(trace.CatMigrate, "incoming-failed", "%v: %s", trace.PID(mg.pid), trace.Str(cause.Error()))
+	k.trace(siteIncomingFail, cause.Error(), trace.PID(mg.pid))
 	// Unregister the in-flight pull, if any, so late packets go stray
 	// instead of completing into a recycled record.
 	if k.xfersIn[mg.xfer] == &mg.in {
@@ -861,11 +856,9 @@ func (k *Kernel) commitIncoming(mg *migration, forwarded int, viaTimeout bool) {
 
 	k.restartAs(p, p.prevState)
 	if viaTimeout {
-		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (committed on watchdog timeout)",
-			trace.PID(p.id), trace.Str(p.state.String()))
+		k.trace(siteStep8Watchdog, p.state.String(), trace.PID(p.id))
 	} else {
-		k.tracef(trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)",
-			trace.PID(p.id), trace.Str(p.state.String()), trace.Int(forwarded))
+		k.trace(siteStep8, p.state.String(), trace.PID(p.id), trace.Int(forwarded))
 	}
 	if k.cfg.CheckpointOnArrival {
 		_ = k.SaveCheckpoint(p.id)

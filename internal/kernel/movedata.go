@@ -171,7 +171,7 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 	}
 	st, ok := k.xfersIn[m.Xfer]
 	if !ok {
-		k.tracef(trace.CatData, "stray-packet", "xfer=%d seq=%d", trace.Int(int(m.Xfer)), trace.Int(int(m.Seq)))
+		k.trace(siteStrayPacket, "", trace.Int(int(m.Xfer)), trace.Int(int(m.Seq)))
 		return
 	}
 	if st.mg != nil {
@@ -215,7 +215,7 @@ func (k *Kernel) applyWritePacket(m *msg.Message) {
 	p := k.lookup(m.To.ID)
 	if p != nil && p.image != nil {
 		if err := p.image.WriteAt(m.Body, int(m.Seq)); err != nil {
-			k.tracef(trace.CatData, "write-fault", "%s", trace.Str(err.Error()))
+			k.trace(siteWriteFault, err.Error())
 		}
 	}
 }
@@ -290,7 +290,7 @@ func (k *Kernel) handleMoveRead(m *msg.Message) {
 	}
 	data := make([]byte, req.Len)
 	if err := p.image.ReadAt(data, int(req.AreaOff+req.Off)); err != nil {
-		k.tracef(trace.CatData, "read-fault", "%s", trace.Str(err.Error()))
+		k.trace(siteReadFault, err.Error())
 		k.failMoveRead(m.From, req.Xfer)
 		return
 	}

@@ -185,7 +185,7 @@ func (k *Kernel) Restart() error {
 	k.restarts++
 	k.stats.Restarts++
 	k.net.SetDown(k.machine, false)
-	k.tracef(trace.CatProc, "restart", "%v back up (restart %d)", trace.Machine(k.machine), trace.Int(int(k.restarts)))
+	k.trace(siteRestart, "", trace.Machine(k.machine), trace.Int(int(k.restarts)))
 
 	// Revive checkpointed processes in deterministic order. A revived pid
 	// is no longer lost.
@@ -193,7 +193,7 @@ func (k *Kernel) Restart() error {
 		if _, err := k.Revive(k.stable[pid]); err == nil {
 			delete(k.lostPIDs, pid)
 		} else {
-			k.tracef(trace.CatProc, "revive-failed", "%v: %s", trace.PID(pid), trace.Str(err.Error()))
+			k.trace(siteReviveFail, err.Error(), trace.PID(pid))
 		}
 	}
 
@@ -309,8 +309,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 		m.Searched = true
 		m.To.LastKnown = pid.Creator
 		k.stats.SearchForwards++
-		k.tracef(trace.CatForward, "search-reroute", "%v for %v -> creator %v",
-			trace.Str(m.Kind.String()), trace.PID(pid), trace.Machine(pid.Creator))
+		k.trace(siteSearchReroute, m.Kind.String(), trace.PID(pid), trace.Machine(pid.Creator))
 		k.route(m)
 		return true
 	}
@@ -328,7 +327,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 		return true // search already outstanding
 	}
 	k.stats.SearchesSent++
-	k.tracef(trace.CatForward, "search-broadcast", "%v", trace.PID(pid))
+	k.trace(siteSearchBroadcast, "", trace.PID(pid))
 	for _, mach := range k.cfg.Machines {
 		if mach == k.machine {
 			continue
@@ -355,8 +354,7 @@ func (k *Kernel) armSearchTimeout(pid addr.ProcessID) {
 		}
 		delete(k.pendingLocate, pid)
 		k.stats.DeadLetters += uint64(len(held))
-		k.tracef(trace.CatForward, "search-timeout", "%v: %d held messages dead-lettered",
-			trace.PID(pid), trace.Int(len(held)))
+		k.trace(siteSearchTimeout, "", trace.PID(pid), trace.Int(len(held)))
 		for _, hm := range held {
 			k.putBounced(hm)
 		}
@@ -384,8 +382,7 @@ func (k *Kernel) handleSearchQuery(m *msg.Message) {
 	} else {
 		return
 	}
-	k.tracef(trace.CatForward, "search-reply", "%v is at %v (asked by %v)",
-		trace.PID(pm.PID), trace.Machine(at), trace.Machine(pm.Machine))
+	k.trace(siteSearchReply, "", trace.PID(pm.PID), trace.Machine(at), trace.Machine(pm.Machine))
 	r := k.newControl(msg.OpLocateReply, addr.KernelAddr(pm.Machine))
 	r.Body = msg.PIDMachine{PID: pm.PID, Machine: at}.AppendTo(r.Body[:0])
 	k.route(r)

@@ -149,10 +149,10 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 	k.noteExit(p.id, ExitInfo{Code: code, Err: err, At: k.eng.Now()})
 	if err != nil {
 		k.stats.Crashes++
-		k.tracef(trace.CatProc, "crash", "%v: %s", trace.PID(p.id), trace.Str(err.Error()))
+		k.trace(siteCrash, err.Error(), trace.PID(p.id))
 	} else {
 		k.stats.Exited++
-		k.tracef(trace.CatProc, "exit", "%v code=%d", trace.PID(p.id), trace.Int(int(code)))
+		k.trace(siteExit, "", trace.PID(p.id), trace.Int(int(code)))
 	}
 	if k.cfg.ReclaimForwarders && p.cameFrom != addr.NoMachine {
 		k.sendDeathNoticeTo(p.id, p.cameFrom)

@@ -168,6 +168,8 @@ func DemosAnalyzers() []Analyzer {
 				ModulePath + "/internal/memory.Store.Used":         true,
 				// workload's gob contract test walks every registered kind.
 				ModulePath + "/internal/proc.Registry.Kinds": true,
+				// kernel's site test walks every registered trace site.
+				ModulePath + "/internal/trace.Sites": true,
 				// workload's flat-kind pin asks which bodies GobState's
 				// flat path takes.
 				ModulePath + "/internal/proc.GobFlat": true,

@@ -28,7 +28,7 @@ func (MapOrder) Doc() string {
 // look-alikes; the categories mirror the messages below.
 var mapSinks = map[string]string{
 	// trace emission
-	"Emit": "emits trace records", "Emitf": "emits trace records",
+	"Emit": "emits trace records", "Log": "emits trace records", "trace": "emits trace records",
 	// event scheduling
 	"At": "schedules events", "After": "schedules events", "AfterWeak": "schedules events",
 	// message sends

@@ -104,7 +104,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 		// flat path: what a traced, stateful migration runs besides the
 		// protocol.
 		"demosmp/internal/trace": {
-			"Tracer.Emitf", "Tracer.write",
+			"Tracer.Log",
 		},
 		"demosmp/internal/proc": {
 			"GobState.Snapshot", "GobState.Restore",
@@ -136,7 +136,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.regionArrived", "Kernel.commitIncoming",
 			"appendResident",
 			// Deferred trace emit.
-			"Kernel.tracef",
+			"Kernel.trace",
 			// Ring buffer and the one free list.
 			"ring.push", "ring.pop", "freelist.get", "freelist.put",
 		},

@@ -76,7 +76,7 @@ func (tl *Timeline) Counter(name string, at sim.Time, v uint64) {
 // — the trace.Tracer is one obs sink among several, not a separate plane.
 func (tl *Timeline) AddTrace(recs []trace.Record) {
 	for _, r := range recs {
-		tl.Instant(r.Event, r.Cat.String(), r.T, int(r.Machine), r.Detail())
+		tl.Instant(r.Event(), r.Cat().String(), r.T, int(r.Machine), r.Detail())
 	}
 }
 

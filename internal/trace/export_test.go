@@ -7,7 +7,7 @@ func (t *Tracer) Filter(cat Category) []Record {
 	var out []Record
 	for _, part := range t.parts() {
 		for i := range part {
-			if part[i].Cat == cat {
+			if part[i].Cat() == cat {
 				out = append(out, part[i])
 			}
 		}
@@ -19,7 +19,7 @@ func (t *Tracer) Filter(cat Category) []Record {
 func (t *Tracer) Find(event string) (Record, bool) {
 	for _, part := range t.parts() {
 		for i := range part {
-			if part[i].Event == event {
+			if part[i].Event() == event {
 				return part[i], true
 			}
 		}
@@ -32,7 +32,7 @@ func (t *Tracer) Count(event string) int {
 	n := 0
 	for _, part := range t.parts() {
 		for i := range part {
-			if part[i].Event == event {
+			if part[i].Event() == event {
 				n++
 			}
 		}

@@ -14,13 +14,26 @@ import (
 
 func clockAt(t *sim.Time) func() sim.Time { return func() sim.Time { return *t } }
 
+// The test package's own sites, registered at init as a kernel's are.
+var (
+	siteN        = NewSite(CatMigrate, "step2", "n=%d", ArgInt)
+	siteE        = NewSite(CatProc, "e", "n=%d", ArgInt)
+	siteAccepted = NewSite(CatMigrate, "accepted", "%v by %v after %d tries", ArgPID, ArgMachine, ArgInt)
+	siteArrow    = NewSite(CatForward, "forward", "%v -> %v", ArgPID, ArgMachine)
+	siteWide     = NewSite(CatData, "e", "%v %v: %dB in %d packets -> %v", ArgPID, ArgStr, ArgInt, ArgInt, ArgMachine)
+	siteKernel   = NewSite(CatProc, "k", "%v", ArgPID)
+	siteInts     = NewSite(CatProc, "ints", "%d %d %d %d", ArgInt, ArgInt, ArgInt, ArgInt)
+	siteMixed    = NewSite(CatProc, "mixed", "%v %v %d %d %d", ArgPID, ArgMachine, ArgInt, ArgInt, ArgInt)
+	siteStrLast  = NewSite(CatProc, "full", "%v %v %d %d %d %s", ArgPID, ArgMachine, ArgInt, ArgInt, ArgInt, ArgStr)
+)
+
 func TestEmitAndQuery(t *testing.T) {
 	var now sim.Time
 	tr := New(clockAt(&now), 0)
 	tr.Emit(1, CatMigrate, "step1", "detail-a")
 	now = 50
 	tr.Emit(2, CatForward, "fwd", "detail-b")
-	tr.Emitf(1, CatMigrate, "step2", "n=%d", Int(7))
+	tr.Log(1, siteN, "", Int(7))
 
 	if got := len(tr.Records()); got != 3 {
 		t.Fatalf("records = %d", got)
@@ -44,13 +57,20 @@ func TestEmitAndQuery(t *testing.T) {
 	if fr := tr.Filter(CatForward); len(fr) != 1 || fr[0].Detail() != "detail-b" {
 		t.Fatalf("Filter: %v", fr)
 	}
+	// Emit's site is its (category, event) pair: the same event name
+	// under another category, straight after, is a record of that category.
+	tr.Emit(3, CatForward, "fwd", "c")
+	tr.Emit(3, CatProc, "fwd", "d")
+	if fwd, proc := tr.Filter(CatForward), tr.Filter(CatProc); len(fwd) != 2 || len(proc) != 1 || proc[0].Detail() != "d" {
+		t.Fatalf("Filter after one event under two categories: forward %v, proc %v", fwd, proc)
+	}
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(1, CatProc, "x", "y") // must not panic
-	tr.Emitf(1, CatProc, "x", "%d", Int(1))
-	if tr.Records() != nil || tr.Events(CatAll) != nil {
+	tr.Log(1, siteE, "", Int(1))
+	if tr.Records() != nil || tr.Overwritten() != 0 || tr.Events(CatAll) != nil {
 		t.Fatal("nil tracer returned records")
 	}
 	if tr.String() != "" {
@@ -62,18 +82,21 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 // TestRingBound pins the ring: it keeps exactly the newest max records, in
-// emission order, across several wrap-arounds, and every query walks them
-// oldest first.
+// emission order, across several wrap-arounds, every query walks them
+// oldest first, and Overwritten counts every record it dropped.
 func TestRingBound(t *testing.T) {
 	var now sim.Time
 	tr := New(clockAt(&now), 10)
 	for i := 0; i < 37; i++ {
 		now = sim.Time(i)
-		tr.Emitf(1, CatProc, "e", "n=%d", Int(i))
+		tr.Log(1, siteE, "", Int(i))
 		recs := tr.Records()
 		want := min(i+1, 10)
 		if len(recs) != want {
 			t.Fatalf("after %d emits: %d records retained, want %d", i+1, len(recs), want)
+		}
+		if got := tr.Overwritten(); got != uint64(i+1-want) {
+			t.Fatalf("after %d emits: Overwritten = %d, want %d", i+1, got, i+1-want)
 		}
 		for j, r := range recs {
 			if wantT := sim.Time(i + 1 - want + j); r.T != wantT {
@@ -107,8 +130,8 @@ func TestSink(t *testing.T) {
 	}
 	now = 7
 	pid := addr.ProcessID{Creator: 2, Local: 9}
-	tr.Emitf(4, CatMigrate, "accepted", "%v by %v after %d tries", PID(pid), Machine(5), Int(-2))
-	if len(got) != 2 || got[1].T != 7 || got[1].Machine != 4 || got[1].Cat != CatMigrate || got[1].Event != "accepted" {
+	tr.Log(4, siteAccepted, "", PID(pid), Machine(5), Int(-2))
+	if len(got) != 2 || got[1].T != 7 || got[1].Machine != 4 || got[1].Cat() != CatMigrate || got[1].Event() != "accepted" {
 		t.Fatalf("sink saw %+v", got)
 	}
 	if d, want := got[1].Detail(), fmt.Sprintf("%v by %v after %d tries", pid, addr.MachineID(5), -2); d != want {
@@ -133,7 +156,7 @@ func TestStringRendering(t *testing.T) {
 	}
 	// The whole line, for an eager and a deferred record: time, machine,
 	// category, event and detail in fixed-width columns.
-	tr.Emitf(2, CatForward, "forward", "%v -> %v", PID(addr.ProcessID{Creator: 1, Local: 1}), Machine(3))
+	tr.Log(2, siteArrow, "", PID(addr.ProcessID{Creator: 1, Local: 1}), Machine(3))
 	want := fmt.Sprintf("%-12v %-4v %-10s %-32s %s\n%-12v %-4v %-10s %-32s %s\n",
 		now, addr.MachineID(1), "migrate", "step1", "p1.1",
 		now, addr.MachineID(2), "forward", "forward", "p1.1 -> m3")
@@ -180,10 +203,14 @@ func TestRingWrapAcrossChunks(t *testing.T) {
 		}
 		sunk++
 	})
-	cats := [...]Category{CatProc, CatForward, CatMigrate}
+	cats := [...]Site{siteE, siteArrow, siteN}
 	for i := 0; i < emits; i++ {
 		now = sim.Time(i)
-		tr.Emitf(1, cats[i%3], "e"+strconv.Itoa(i), "n=%d", Int(i))
+		if s := cats[i%3]; s == siteArrow {
+			tr.Log(1, s, "", PID(addr.ProcessID{Creator: 1, Local: addr.LocalUID(i)}), Machine(2))
+		} else {
+			tr.Log(1, s, "", Int(i))
+		}
 		first := max(0, i+1-size)
 		recs := tr.Records()
 		if len(recs) != i+1-first {
@@ -195,8 +222,8 @@ func TestRingWrapAcrossChunks(t *testing.T) {
 			}
 		}
 	}
-	if sunk != emits {
-		t.Fatalf("sink saw %d of %d records", sunk, emits)
+	if sunk != emits || tr.Overwritten() != emits-size {
+		t.Fatalf("sink saw %d of %d records; Overwritten = %d, want %d", sunk, emits, tr.Overwritten(), emits-size)
 	}
 	first := emits - size
 	events := tr.Events(CatAll)
@@ -205,32 +232,33 @@ func TestRingWrapAcrossChunks(t *testing.T) {
 		t.Fatalf("Events returned %d names and String %d lines, want %d", len(events), len(lines), size)
 	}
 	for j := range events {
-		if want := "e" + strconv.Itoa(first+j); events[j] != want || !strings.HasSuffix(lines[j], "n="+strconv.Itoa(first+j)) {
+		i := first + j
+		if want := cats[i%3].Event(); events[j] != want || !strings.Contains(lines[j], want) {
 			t.Fatalf("position %d: event %q, line %q; want %s", j, events[j], lines[j], want)
 		}
+		if r := tr.Records()[j]; r.T != sim.Time(i) {
+			t.Fatalf("position %d holds T=%d, want %d", j, r.T, i)
+		}
 	}
-	for c, cat := range cats {
-		var want []string
+	for c, s := range cats {
+		var want []int
 		for i := first; i < emits; i++ {
 			if i%3 == c {
-				want = append(want, "e"+strconv.Itoa(i))
+				want = append(want, i)
 			}
 		}
-		filtered := tr.Filter(cat)
-		if got := tr.Events(cat); len(got) != len(want) || len(filtered) != len(want) {
-			t.Fatalf("%v: Events %d, Filter %d records, want %d", cat, len(got), len(filtered), len(want))
+		filtered := tr.Filter(s.Cat())
+		if got := tr.Events(s.Cat()); len(got) != len(want) || len(filtered) != len(want) {
+			t.Fatalf("%v: Events %d, Filter %d records, want %d", s.Cat(), len(got), len(filtered), len(want))
 		}
 		for j, r := range filtered {
-			if r.Event != want[j] || r.Cat != cat {
-				t.Fatalf("%v: Filter position %d is %v, want %s", cat, j, r, want[j])
+			if r.T != sim.Time(want[j]) || r.Cat() != s.Cat() || r.Event() != s.Event() {
+				t.Fatalf("%v: Filter position %d is %v, want T=%d", s.Cat(), j, r, want[j])
 			}
 		}
 	}
-	if r, ok := tr.Find("e" + strconv.Itoa(first)); !ok || r.T != sim.Time(first) {
-		t.Fatalf("Find(oldest) = %v, %v", r, ok)
-	}
-	if _, ok := tr.Find("e" + strconv.Itoa(first-1)); ok {
-		t.Fatal("Find returned a record the ring dropped")
+	if r, ok := tr.Find(siteE.Event()); !ok || r.T > sim.Time(first+2) {
+		t.Fatalf("Find(oldest e) = %v, %v", r, ok)
 	}
 }
 
@@ -241,10 +269,9 @@ func TestDeferredDetail(t *testing.T) {
 	var now sim.Time
 	tr := New(clockAt(&now), 0)
 	pid := addr.ProcessID{Creator: 65535, Local: 65535}
-	tr.Emitf(2, CatData, "e", "%v %v: %dB in %d packets -> %v",
-		PID(pid), Str("swappable"), Int(-3), Int(1<<40), Machine(65535))
+	tr.Log(2, siteWide, "swappable", PID(pid), Int(-3), Int(1<<40), Machine(65535))
 	tr.Emit(2, CatConsole, "print", "100%d done %v")
-	tr.Emitf(2, CatProc, "k", "%v", PID(addr.KernelPID(7)))
+	tr.Log(2, siteKernel, "", PID(addr.KernelPID(7)))
 	recs := tr.Records()
 	if got, want := recs[0].Detail(), fmt.Sprintf("%v %v: %dB in %d packets -> %v",
 		pid, "swappable", -3, 1<<40, addr.MachineID(65535)); got != want {
@@ -259,22 +286,26 @@ func TestDeferredDetail(t *testing.T) {
 }
 
 // TestRecordSize pins the ring's per-record footprint: 64k of these is the
-// tracer's whole heap cost, and a record that grows must say why. (The eager
-// record this replaced was 64 bytes plus a detail string of about 48.)
+// tracer's whole heap cost, and a record that grows must say why. The
+// time, machine, site id, eight argument words and the one string fill one
+// cache line; the category, event name and format live in the site.
 func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got > 96 {
-		t.Fatalf("Record is %d bytes, budget 96", got)
+	if got := unsafe.Sizeof(Record{}); got != 64 {
+		t.Fatalf("Record is %d bytes, want 64", got)
 	}
 }
 
-// TestEmitfArgumentLimits: the widest shapes that fit a record render, and
-// one more argument, string or word panics instead of being dropped.
-func TestEmitfArgumentLimits(t *testing.T) {
+// TestSiteArgumentLimits: the widest shapes that fit a record render, one
+// more string or word panics at registration instead of being dropped, and
+// Log panics when handed a different number of arguments than its site
+// takes.
+func TestSiteArgumentLimits(t *testing.T) {
 	var now sim.Time
 	tr := New(clockAt(&now), 0)
 	big, small := Int(-1<<62), Int(1<<62)
-	tr.Emitf(1, CatProc, "ints", "%d %d %d %d", big, small, big, small)
-	tr.Emitf(1, CatProc, "mixed", "%v %v %d %d %d", PID(addr.ProcessID{Creator: 9, Local: 8}), Machine(7), big, small, Int(0))
+	tr.Log(1, siteInts, "", big, small, big, small)
+	tr.Log(1, siteMixed, "", PID(addr.ProcessID{Creator: 9, Local: 8}), Machine(7), big, small, Int(0))
+	tr.Log(1, siteStrLast, "end", PID(addr.ProcessID{Creator: 9, Local: 8}), Machine(7), big, small, Int(0))
 	recs := tr.Records()
 	if got, want := recs[0].Detail(), fmt.Sprintf("%d %d %d %d", -1<<62, 1<<62, -1<<62, 1<<62); got != want {
 		t.Fatalf("four ints rendered %q, want %q", got, want)
@@ -282,18 +313,75 @@ func TestEmitfArgumentLimits(t *testing.T) {
 	if got, want := recs[1].Detail(), fmt.Sprintf("p9.8 m7 %d %d 0", -1<<62, 1<<62); got != want {
 		t.Fatalf("pid, machine and three ints rendered %q, want %q", got, want)
 	}
-	for name, args := range map[string][]Arg{
-		"six arguments": {Machine(1), Machine(2), Machine(3), Machine(4), Machine(5), Machine(6)},
-		"two strings":   {Str("a"), Str("b")},
-		"nine words":    {PID(addr.ProcessID{}), big, big, big, big},
+	if got, want := recs[2].Detail(), fmt.Sprintf("p9.8 m7 %d %d 0 end", -1<<62, 1<<62); got != want {
+		t.Fatalf("eight words and a string rendered %q, want %q", got, want)
+	}
+	for name, kinds := range map[string][]ArgKind{
+		"two strings":   {ArgStr, ArgStr},
+		"nine words":    {ArgPID, ArgInt, ArgInt, ArgInt, ArgInt},
+		"ten arguments": {ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgStr, ArgStr},
+		"unknown kind":  {ArgKind(0)},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Emitf accepted %s", name)
+					t.Errorf("NewSite accepted %s", name)
 				}
 			}()
-			tr.Emitf(1, CatProc, "e", "", args...)
+			NewSite(CatProc, "e", "", kinds...)
 		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Log accepted three arguments for a four-argument site")
+		}
+	}()
+	tr.Log(1, siteInts, "", big, small, big)
+}
+
+// TestSitesStayOffTheHeap: registering a site allocates nothing (the
+// registry is a fixed array), an identical declaration is the same site and
+// takes no slot, and Emit allocates nothing once its event has a site. The
+// sites it registers are taken out again, so the test can run any number of
+// times in one process.
+func TestSitesStayOffTheHeap(t *testing.T) {
+	n0 := nSites
+	t.Cleanup(func() {
+		siteMu.Lock()
+		defer siteMu.Unlock()
+		for s := n0; s < nSites; s++ {
+			sites[s] = siteInfo{}
+		}
+		nSites = n0
+	})
+	var names [11]string // AllocsPerRun's warm-up call, then 10
+	for i := range names {
+		names[i] = "off-heap-" + strconv.Itoa(i)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(10, func() { NewSite(CatProc, names[i], "%v %s", ArgPID, ArgStr); i++ }); n != 0 {
+		t.Fatalf("NewSite allocates %v objects", n)
+	}
+	if nSites != n0+len(names) {
+		t.Fatalf("%d calls registered %d sites", len(names), nSites-n0)
+	}
+	if s := NewSite(CatProc, names[0], "%v %s", ArgPID, ArgStr); s != Site(n0) || nSites != n0+len(names) {
+		t.Fatalf("a repeated declaration is site %d of %d, want %d of %d", s, nSites, n0, n0+len(names))
+	}
+	if s := NewSite(CatProc, names[0], "%v %v", ArgPID, ArgStr); s == Site(n0) {
+		t.Fatal("a declaration with another format is the same site")
+	}
+	var now sim.Time
+	tr := New(clockAt(&now), 4)
+	tr.Emit(1, CatProc, "dyn-a", "x")
+	tr.Emit(1, CatProc, "dyn-b", "y")
+	if n := testing.AllocsPerRun(10, func() {
+		tr.Emit(1, CatProc, "dyn-a", "x")
+		tr.Emit(1, CatProc, "dyn-b", "y")
+	}); n != 0 {
+		t.Fatalf("Emit of registered events allocates %v objects", n)
+	}
+	if evs := tr.Events(CatProc); len(evs) != 4 || evs[2] != "dyn-a" || evs[3] != "dyn-b" {
+		t.Fatalf("events %v", evs)
 	}
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Contributor gate: gofmt, vet, lint, build, race-test, four fuzz smokes
 # (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder, FuzzGobStateFlat), the
-# hot-path allocation guards, and the msg.Pool inlining guard. Run from
-# anywhere; exits non-zero on the first failure.
+# hot-path allocation guards, the msg.Pool and trace ring inlining guards,
+# and the trace-site guard. Run from anywhere; exits non-zero on the first
+# failure.
 #
 #   ./scripts/check.sh
 set -euo pipefail
@@ -73,6 +74,16 @@ for fn in Put Get; do
     exit 1
   fi
 done
+echo "== trace.Tracer.slot stays inlinable in the emit path (its chunk step is out of line), and every kernel emit goes through a package-level trace.Site"
+inl=$(go build -gcflags=-m ./internal/trace 2>&1)
+if ! grep -q "inlining call to (\*Tracer).slot\b" <<<"$inl"; then
+  echo "(*Tracer).slot no longer inlines into the emit path"
+  exit 1
+fi
+if grep -rn --include='*.go' 'Emitf(' internal/kernel; then
+  echo "internal/kernel calls Emitf: declare a trace.Site in tracesites.go and emit through k.trace"
+  exit 1
+fi
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts

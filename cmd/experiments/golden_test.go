@@ -124,3 +124,27 @@ func TestTournamentShortGolden(t *testing.T) {
 		t.Errorf("short tournament findings differ from %s (rewrite with -update if intended)\n--- got ---\n%s", path, got)
 	}
 }
+
+func TestSelectExperiments(t *testing.T) {
+	all, err := selectExperiments("")
+	if err != nil || len(all) != len(allExperiments) {
+		t.Fatalf(`selectExperiments("") = %d experiments, %v`, len(all), err)
+	}
+	got, err := selectExperiments("F31, E2,E2")
+	if err != nil || len(got) != 2 || got[0].id != "E2" || got[1].id != "F31" {
+		t.Errorf("selectExperiments(F31, E2,E2) = %v, %v; want E2 then F31", got, err)
+	}
+	for _, run := range []string{"E17", "e1", "E1,E17", "E1,"} {
+		exps, err := selectExperiments(run)
+		if err == nil || exps != nil {
+			t.Errorf("selectExperiments(%q) = %d experiments, nil error", run, len(exps))
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "E1,E2,") || !strings.Contains(msg, "F51") {
+			t.Errorf("selectExperiments(%q): error does not list the valid ids: %v", run, msg)
+		}
+	}
+	if _, err := selectExperiments("E17,e1"); !strings.Contains(err.Error(), `["E17" "e1"]`) {
+		t.Errorf("unknown ids not named: %v", err)
+	}
+}

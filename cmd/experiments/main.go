@@ -6,14 +6,14 @@
 //
 //	experiments            # run everything
 //	experiments -run E1,E4 # run selected experiments
-//	experiments -check-regression
-//	                       # judge the scale, chaos and policy tiers
-//	                       # against their absolute floors instead
-//	experiments -bench-json BENCH_hotpath.json
-//	                       # append the same tiers to the trajectory file
+//	experiments -obs-json snap.json -trace-out timeline.json
+//	                       # export the obs scenario's metrics and timeline
+//	experiments -tournament-json findings.json
+//	                       # run the policy tournament card
 //
-// Per-operation ns/op and allocs/op are not measured here: see the
-// Benchmark* functions in the repository root and bench/.
+// Every number this command prints is simulated time or a count. Host
+// wall-clock belongs to `go test -bench` (the Benchmark* functions beside
+// the code they measure) and bench/.
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"demosmp"
 	"demosmp/internal/addr"
@@ -37,11 +36,8 @@ import (
 
 var (
 	runFlag             = flag.String("run", "", "comma-separated experiment ids (default: all)")
-	benchJSONFlag       = flag.String("bench-json", "", "measure the scale (64/256/1000 machines x 1/2/4 shards), chaos and policy tiers once and append one entry per tier to this JSON file (created if absent), then exit")
-	checkRegressionFlag = flag.Bool("check-regression", false, "measure the tiers once (only the 64-machine scale row unless -bench-json is given) and exit 1 if one is below its absolute floor: sharded speedup at 64 machines (4 shards >= 3x one shard with 4+ cores; below that 2 shards >= 0.7x, i.e. not slower beyond the scatter of the row), lossy/lossless chaos events/sec >= 0.25x, policy decisions/sec >= 5000; reads no file")
 	obsJSONFlag         = flag.String("obs-json", "", "run the obs export scenario and write the metrics registry snapshot (JSON) to this path, then exit")
 	traceOutFlag        = flag.String("trace-out", "", "with the obs export scenario, also write a Chrome trace_event timeline JSON to this path")
-	benchShortFlag      = flag.Bool("bench-short", false, "divide the scale and chaos tiers' job counts by 5 (for CI smoke runs)")
 	tournamentJSONFlag  = flag.String("tournament-json", "", "run the policy tournament (seeded A/B hypotheses on the sharded runtime) and write the findings artifact to this path, then exit")
 	tournamentShortFlag = flag.Bool("tournament-short", false, "shrink the tournament to CI smoke scale (32 machines, 2 seeds)")
 )
@@ -54,28 +50,6 @@ type experiment struct {
 
 func main() {
 	flag.Parse()
-	if *checkRegressionFlag || *benchJSONFlag != "" {
-		rows := scaleGrid[:1] // the gate needs only the 64-machine row
-		if *benchJSONFlag != "" {
-			rows = scaleGrid
-		}
-		t := measureTiers(rows)
-		if *benchJSONFlag != "" {
-			die(appendTiers(*benchJSONFlag, t, time.Now().UTC().Format(time.RFC3339)))
-			fmt.Printf("scale, chaos and policy tiers appended to %s\n", *benchJSONFlag)
-			printScale(t.Scale)
-			printChaos(t.Chaos)
-			printPolicy(t.Policy)
-			fmt.Println()
-		}
-		if *checkRegressionFlag {
-			if failed := judge(os.Stdout, t.floors()); failed > 0 {
-				fmt.Printf("\n%d floor(s) failed\n", failed)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 	if *tournamentJSONFlag != "" || *tournamentShortFlag {
 		tournament(*tournamentJSONFlag, *tournamentShortFlag)
 		return

@@ -854,43 +854,53 @@ func TestShardSection6Conformance(t *testing.T) {
 	}
 }
 
+// openLoopScene builds the scene TestShardScale1000 pins and
+// BenchmarkOpenLoopScale times: the streaming open-loop workload on every
+// machine, plus one Chatter -> Sink conversation in each of pairs equal
+// blocks of machines, so frames cross shard boundaries all run long.
+func openLoopScene(tb testing.TB, o core.Options, ol workload.OpenLoop, pairs int) (*core.Cluster, *core.OpenLoopDriver) {
+	tb.Helper()
+	c, err := core.New(o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := c.StartOpenLoop(ol)
+	step := o.Machines / pairs
+	for m := step; m <= o.Machines; m += step {
+		sink, err := c.Spawn(m, kernel.SpawnSpec{Body: &workload.Sink{}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := c.Spawn(m-step+1, kernel.SpawnSpec{
+			Body:  &workload.Chatter{N: 20, Interval: 1500},
+			Links: []link.Link{{Addr: addr.At(sink, addr.MachineID(m))}},
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c, d
+}
+
+// spawnedAll fails tb unless all want open-loop arrivals spawned.
+func spawnedAll(tb testing.TB, d *core.OpenLoopDriver, want uint64) {
+	tb.Helper()
+	if got := d.Spawned(); got != want || d.Failed() != 0 {
+		tb.Fatalf("spawned %d of %d open-loop jobs (%d failed)", got, want, d.Failed())
+	}
+}
+
 // TestShardScale1000 is the capacity pin: a 1000-machine cluster under a
 // 100k-process open-loop workload, run on 4 parallel shards, completes (in
 // -short mode too) with every arrival spawned and cross-machine traffic
 // flowing.
 func TestShardScale1000(t *testing.T) {
-	c, err := core.New(core.Options{
+	// 100 jobs per machine = 100_000 processes over the run, streamed.
+	c, d := openLoopScene(t, core.Options{
 		Machines: 1000, Seed: 17, Shards: 4, ShardParallel: true,
 		TraceCap: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 jobs per machine = 100_000 processes over the run, streamed.
-	d := c.StartOpenLoop(workload.OpenLoop{
-		Seed: 3, MeanGap: 400, PerMachine: 100, LongFraction: 0.1,
-	})
-	// Sparse cross-machine conversations so frames cross shard boundaries
-	// throughout the run.
-	for m := 50; m <= 1000; m += 50 {
-		sink, err := c.Spawn(m, kernel.SpawnSpec{Body: &workload.Sink{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Spawn(m-49, kernel.SpawnSpec{
-			Body:  &workload.Chatter{N: 20, Interval: 1500},
-			Links: []link.Link{{Addr: addr.At(sink, addr.MachineID(m))}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}, workload.OpenLoop{Seed: 3, MeanGap: 400, PerMachine: 100, LongFraction: 0.1}, 20)
 	c.Run()
-	if got := d.Spawned(); got != 100_000 {
-		t.Fatalf("spawned %d open-loop jobs, want 100000", got)
-	}
-	if d.Failed() != 0 {
-		t.Fatalf("%d spawns failed", d.Failed())
-	}
+	spawnedAll(t, d, 100_000)
 	ns := c.NetStats()
 	if ns.Frames == 0 || ns.Delivered == 0 {
 		t.Fatalf("no cross-machine traffic: %+v", ns)
@@ -900,4 +910,38 @@ func TestShardScale1000(t *testing.T) {
 	}
 	t.Logf("scale: fired=%d rounds=%d frames=%d final_t=%dµs",
 		c.TotalFired(), c.Rounds(), ns.Frames, c.Now())
+}
+
+// BenchmarkOpenLoopScale is whole-cluster events/s of the parallel runtime,
+// at 64/256/1000 machines on 1/2/4 shards. Every point does comparable
+// work, 64k-100k processes: small clusters get proportionally denser
+// arrivals, which keeps each lookahead round busy enough to amortize the
+// shard barrier. One op is one run to quiescence; building the cluster is
+// not timed. Tracing stays on, as in every real configuration, into a tiny
+// ring.
+func BenchmarkOpenLoopScale(b *testing.B) {
+	for _, machines := range []int{64, 256, 1000} {
+		per := 64_000 / machines
+		if machines >= 1000 {
+			per = 100
+		}
+		for _, shards := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%dm/%dshard", machines, shards), func(b *testing.B) {
+				var fired uint64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					c, d := openLoopScene(b, core.Options{
+						Machines: machines, Seed: 17, Shards: shards, ShardParallel: true,
+						TraceCap: 64,
+					}, workload.OpenLoop{Seed: 3, MeanGap: 120, PerMachine: per, LongFraction: 0.1}, 8)
+					b.StartTimer()
+					c.Run()
+					b.StopTimer()
+					spawnedAll(b, d, uint64(machines*per))
+					fired += c.TotalFired()
+				}
+				b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
+			})
+		}
+	}
 }

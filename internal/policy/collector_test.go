@@ -6,6 +6,7 @@ import (
 
 	"demosmp/internal/addr"
 	"demosmp/internal/msg"
+	"demosmp/internal/sim"
 )
 
 func machines(n int) []addr.MachineID {
@@ -105,4 +106,64 @@ func TestCollectorDeterministicView(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("views differ:\n%+v\n%+v", a, b)
 	}
+}
+
+// roundReports is a deliberately imbalanced n-machine snapshot: queue
+// depths 0..6, CPU 30..99%, memory 1..17 MB, and chatty procs whose top
+// peers clear the §6 payback gate, so every sub-policy has real work.
+func roundReports(n int) []msg.LoadReport {
+	reports := make([]msg.LoadReport, n)
+	for i := range reports {
+		m := addr.MachineID(i + 1)
+		rep := msg.LoadReport{
+			Machine: m, Ready: uint16(i % 7), ProcCount: 8,
+			CPUPercent: uint8(30 + (i*13)%70),
+			MemUsedKB:  uint32(1024 + i*64),
+		}
+		for p := 0; p < 8; p++ {
+			rep.Procs = append(rep.Procs, msg.ProcLoad{
+				PID:         addr.ProcessID{Creator: m, Local: addr.LocalUID(p + 1)},
+				CPUMicros:   uint32(500 + (i+p)*37%9000),
+				MemKB:       uint32(64 + p*16),
+				MsgsOut:     uint32((i + p) % 40),
+				TopPeer:     addr.MachineID((i+p)%n + 1),
+				TopPeerMsgs: uint32((i * (p + 1)) % 60),
+			})
+		}
+		reports[i] = rep
+	}
+	return reports
+}
+
+// BenchmarkPolicyRound is the per-round cost procmgr pays: one op is a
+// full collector round on 256 machines (every load report observed, the
+// round-closing sweep) and a composite (queue-depth + memory-pressure +
+// affinity) decide over the merged view. At a 10 ms report cadence a
+// 1000-machine cluster has 10 ms per round; this is the 256-machine slice.
+func BenchmarkPolicyRound(b *testing.B) {
+	const n = 256
+	reports := roundReports(n)
+	coll := NewCollector(machines(n), 0)
+	pol := NewComposite(8,
+		Rule{Policy: NewQueueDepth(3, 2, 1), Weight: 3},
+		Rule{Policy: NewMemoryPressure(8192, 4096, 1), Weight: 2},
+		Rule{Policy: NewAffinityAware(10, 1, nil), Weight: 1},
+	)
+	now := sim.Time(0)
+	decisions := 0
+	round := func() {
+		now += 10_000
+		for i := range reports {
+			if coll.Observe(now, reports[i]) {
+				decisions += len(pol.Decide(now, coll.View(now)))
+			}
+		}
+	}
+	round() // warm the collector and the policies' cooldown maps
+	decisions = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(decisions)/b.Elapsed().Seconds(), "decisions/s")
 }

@@ -34,10 +34,11 @@ import (
 // the goroutines at 1-2 µs a round and the cost of getting the second
 // core's thread to run well above it: goroutine rounds lose at every
 // density up to about 100 µs of work a round. With the ~1 µs events of the
-// workloads that ask for parallel shards (open-loop scale, chaos and
-// tournament tiers: spawn, exit, migration) they break even at best at 64
+// workloads that ask for parallel shards (open-loop scale, chaos soaks and
+// the tournament: spawn, exit, migration) they break even at best at 64
 // events over the group and win 1.1-1.3x at 128, so the constant sits
-// there, just past the break-even: the scale tier's 64-machine row, whose
+// there, just past the break-even: the 64-machine open-loop scale run
+// (BenchmarkOpenLoopScale/64m in internal/core), whose
 // rounds fire 436 events on average, keeps 700 of its 735 rounds on
 // goroutines and its parent's events/sec (at 256 only 497 did, and it read
 // 3-7 % lower). With ~100 ns events (a ping-pong's kernel slice) the

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Contributor gate: gofmt, vet, lint, build, race-test, four fuzz smokes
 # (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder, FuzzGobStateFlat), the
-# hot-path allocation guards, the msg.Pool and trace ring inlining guards,
-# and the trace-site guard. Run from anywhere; exits non-zero on the first
+# hot-path allocation guards, a one-iteration smoke of the scale and policy
+# benchmarks, the msg.Pool and trace ring inlining guards, and the
+# trace-site guard. Run from anywhere; exits non-zero on the first
 # failure.
 #
 #   ./scripts/check.sh
@@ -62,6 +63,8 @@ echo "== hot-path allocation guards (steady state incl. send -> pump at depth 64
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
+echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, 256-machine policy round)"
+go test -run '^$' -bench 'OpenLoopScale/64m|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
 echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 1280-byte size class"
 go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass' ./internal/kernel/
 echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone)"

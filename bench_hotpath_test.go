@@ -408,7 +408,7 @@ func BenchmarkKernelMigration(b *testing.B) {
 }
 
 // BenchmarkKernelMigrationStatefulTraced is the same migration as a
-// core.New cluster runs it: a gob-backed workload.Counter body, the tracer
+// core.New cluster runs it: a workload.Counter body, the tracer
 // and the obs plane attached.
 func BenchmarkKernelMigrationStatefulTraced(b *testing.B) {
 	migrate := migrationBouncer(b, workload.Registry(), &workload.Counter{Seen: 12345}, true)
@@ -513,19 +513,18 @@ func migrationBouncer(tb testing.TB, reg *proc.Registry, body proc.Body, traced 
 // TestMigrationSteadyStateAllocs is the dynamic guard behind the
 // //demos:hotpath annotations on the migration fast path (pooled
 // out/inMigration records, gather encoders, pooled streams, recycled
-// Process records, deferred trace records, the long-lived body codec). A
+// Process records, deferred trace records, the body state codec). A
 // process bouncing between two warm kernels reaches a steady state where one
 // full 8-step migration performs exactly one heap allocation: the arriving
 // body instance from Registry.New, which is inherent to re-instantiating the
 // process. Everything else — envelopes, region buffers, link table,
 // watchdogs, records — recycles, and the ledger stores the migration's record
 // in chunks (a bare kernel keeps its own). Wired as core.build wires a
-// cluster (tracer and obs plane attached) and carrying a gob-backed
-// workload.Counter, the same migration adds only the snapshot's bytes (2 in
-// all): the flat codec decodes in place, with no gob message buffer. A
-// gob.Encoder, a gob.Decoder and a fmt.Sprintf per trace record made that
-// 218; a ledger record of its own, a copy in Kernel.reports and gob's
-// decode buffer, 4.
+// cluster (tracer and obs plane attached) and carrying a workload.Counter,
+// the same migration adds only the snapshot's bytes (2 in all):
+// proc.Restore decodes in place. A gob.Encoder, a gob.Decoder and a
+// fmt.Sprintf per trace record made that 218; a ledger record of its own,
+// a copy in Kernel.reports and long-lived gob's decode buffer, 4.
 func TestMigrationSteadyStateAllocs(t *testing.T) {
 	bare := proc.NewRegistry()
 	bare.Register("bench-sink", func() proc.Body { return &benchSinkBody{} })

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"flag"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -87,24 +86,12 @@ func TestDefaultOutputGolden(t *testing.T) {
 // arm's sweep, decision and migration counts — byte for byte, so a policy
 // change that moves one decision fails here and not only in the verdicts.
 // scripts/check.sh compares the -tournament-short artifact with the same
-// file. The card runs in a child process, as `go run` runs it: gob numbers
-// types process-wide in first-use order and a body's snapshot carries the
-// numbers, so a card run after other tests in this process pays different
-// freeze times. Regenerate deliberately with
+// file. Regenerate deliberately with
 //
 //	go test ./cmd/experiments -run TestTournamentShortGolden -update
 func TestTournamentShortGolden(t *testing.T) {
-	const childEnv = "DEMOSMP_TOURNAMENT_SHORT_JSON"
-	if out := os.Getenv(childEnv); out != "" {
-		tournament(out, true)
-		return
-	}
 	out := filepath.Join(t.TempDir(), "findings.json")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestTournamentShortGolden$")
-	cmd.Env = append(os.Environ(), childEnv+"="+out)
-	if log, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("tournament child: %v\n%s", err, log)
-	}
+	captureStdout(t, func() { tournament(out, true) })
 	got, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)

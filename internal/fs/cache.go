@@ -182,11 +182,9 @@ func (c *Cache) touch(bid uint32) {
 }
 
 // Snapshot implements proc.Body.
-func (c *Cache) Snapshot() ([]byte, error) { return cacheState.Snapshot(c) }
+func (c *Cache) Snapshot() ([]byte, error) { return proc.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Cache) Restore(data []byte) error { return cacheState.Restore(c, data) }
-
-var cacheState proc.GobState[Cache]
+func (c *Cache) Restore(data []byte) error { return proc.Restore(c, data) }
 
 var _ proc.Body = (*Cache)(nil)

@@ -194,11 +194,9 @@ func (c *Client) exit(ctx proc.Context) proc.Status {
 }
 
 // Snapshot implements proc.Body.
-func (c *Client) Snapshot() ([]byte, error) { return clientState.Snapshot(c) }
+func (c *Client) Snapshot() ([]byte, error) { return proc.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Client) Restore(data []byte) error { return clientState.Restore(c, data) }
-
-var clientState proc.GobState[Client]
+func (c *Client) Restore(data []byte) error { return proc.Restore(c, data) }
 
 var _ proc.Body = (*Client)(nil)

@@ -132,11 +132,9 @@ func (s *Dir) allocReply(ctx proc.Context, d *proc.Delivery) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Dir) Snapshot() ([]byte, error) { return dirState.Snapshot(s) }
+func (s *Dir) Snapshot() ([]byte, error) { return proc.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Dir) Restore(data []byte) error { return dirState.Restore(s, data) }
-
-var dirState proc.GobState[Dir]
+func (s *Dir) Restore(data []byte) error { return proc.Restore(s, data) }
 
 var _ proc.Body = (*Dir)(nil)

@@ -135,11 +135,9 @@ func (d *Disk) finishOp(ctx proc.Context) {
 }
 
 // Snapshot implements proc.Body.
-func (d *Disk) Snapshot() ([]byte, error) { return diskState.Snapshot(d) }
+func (d *Disk) Snapshot() ([]byte, error) { return proc.Snapshot(d) }
 
 // Restore implements proc.Body.
-func (d *Disk) Restore(data []byte) error { return diskState.Restore(d, data) }
-
-var diskState proc.GobState[Disk]
+func (d *Disk) Restore(data []byte) error { return proc.Restore(d, data) }
 
 var _ proc.Body = (*Disk)(nil)

@@ -376,11 +376,9 @@ func min32(a, b uint32) uint32 {
 }
 
 // Snapshot implements proc.Body.
-func (f *FileServer) Snapshot() ([]byte, error) { return fileServerState.Snapshot(f) }
+func (f *FileServer) Snapshot() ([]byte, error) { return proc.Snapshot(f) }
 
 // Restore implements proc.Body.
-func (f *FileServer) Restore(data []byte) error { return fileServerState.Restore(f, data) }
-
-var fileServerState proc.GobState[FileServer]
+func (f *FileServer) Restore(data []byte) error { return proc.Restore(f, data) }
 
 var _ proc.Body = (*FileServer)(nil)

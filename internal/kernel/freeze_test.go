@@ -170,3 +170,38 @@ func TestCheckpointIsMigrationPayload(t *testing.T) {
 		t.Errorf("body snapshots differ: migrated %x, revived %x", snaps[0], snaps[1])
 	}
 }
+
+// TestSnapshotIsAFunctionOfState: freezing one process twice, with nothing
+// run in between, gives the same four regions byte for byte, so a hash of
+// freeze's bytes is a hash of the process's state. The body is a Recorder
+// holding eight entries: a map, which a serializer that walks it in Go's
+// iteration order writes differently from one freeze to the next.
+func TestSnapshotIsAFunctionOfState(t *testing.T) {
+	e, ks := poolTestCluster(t, 1)
+	r := &workload.Recorder{Seen: map[uint32]uint32{}, Junk: 1}
+	for i := uint32(0); i < 8; i++ {
+		r.Seen[i*7919] = i + 1
+	}
+	peer := link.Link{Addr: addr.At(addr.ProcessID{Creator: 2, Local: 9}, 2)}
+	pid, err := ks[0].Spawn(SpawnSpec{Body: r, ImageSize: 1000, Links: []link.Link{peer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RunFor(1000)
+	p := ks[0].lookup(pid)
+	var a, b frozen
+	if err := freeze(&a, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := freeze(&b, p); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		x, y []byte
+	}{{"resident", a.resident, b.resident}, {"swap", a.swap, b.swap}, {"ctl", a.ctl, b.ctl}, {"program", a.program, b.program}} {
+		if !bytes.Equal(c.x, c.y) {
+			t.Errorf("%s differs between two freezes:\n %x\n %x", c.name, c.x, c.y)
+		}
+	}
+}

@@ -166,13 +166,10 @@ func DemosAnalyzers() []Analyzer {
 				// kernel swap tests: pages moved, and no swap leaked.
 				ModulePath + "/internal/memory.Image.SwappedPages": true,
 				ModulePath + "/internal/memory.Store.Used":         true,
-				// workload's gob contract test walks every registered kind.
+				// workload's state codec tests walk every registered kind.
 				ModulePath + "/internal/proc.Registry.Kinds": true,
 				// kernel's site test walks every registered trace site.
 				ModulePath + "/internal/trace.Sites": true,
-				// workload's flat-kind pin asks which bodies GobState's
-				// flat path takes.
-				ModulePath + "/internal/proc.GobFlat": true,
 				// the obs golden and the chaos soaks compare snapshot text.
 				ModulePath + "/internal/obs.Snapshot.WriteText": true,
 				// chaos's oracle, which only its own soaks call: as a test

@@ -100,15 +100,14 @@ func TestHotpathAnnotationSet(t *testing.T) {
 		"demosmp/internal/link": {
 			"Table.AppendSnapshot",
 		},
-		// Deferred trace records and the long-lived body codec with its
-		// flat path: what a traced, stateful migration runs besides the
-		// protocol.
+		// Deferred trace records and the body state codec (not its map
+		// branch, which sorts): what a traced, stateful migration runs
+		// besides the protocol.
 		"demosmp/internal/trace": {
 			"Tracer.Log",
 		},
 		"demosmp/internal/proc": {
-			"GobState.Snapshot", "GobState.Restore",
-			"GobState.snapshotFlat", "GobState.restoreFlat",
+			"Snapshot", "Restore", "codec.put", "codec.read",
 		},
 		"demosmp/internal/kernel": {
 			// Delivery fast path.

@@ -120,11 +120,9 @@ func (s *Scheduler) statText() string {
 }
 
 // Snapshot implements proc.Body.
-func (s *Scheduler) Snapshot() ([]byte, error) { return schedulerState.Snapshot(s) }
+func (s *Scheduler) Snapshot() ([]byte, error) { return proc.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Scheduler) Restore(data []byte) error { return schedulerState.Restore(s, data) }
-
-var schedulerState proc.GobState[Scheduler]
+func (s *Scheduler) Restore(data []byte) error { return proc.Restore(s, data) }
 
 var _ proc.Body = (*Scheduler)(nil)

@@ -1,6 +1,8 @@
 package memsched_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -103,13 +105,23 @@ func TestIgnoresGarbage(t *testing.T) {
 	}
 }
 
-// TestGobCodec holds the scheduler's Snapshot/Restore to fresh gob's bytes,
-// values and errors (proctest.CheckGobCodec).
+// TestGobCodec holds the scheduler's Snapshot/Restore to
+// proctest.CheckStateCodec, with gob as the reference for restored values.
 func TestGobCodec(t *testing.T) {
-	proctest.CheckGobCodec(t, func() proc.Body { return &memsched.Scheduler{} },
+	proctest.CheckStateCodec(t, func() proc.Body { return &memsched.Scheduler{} }, gobCopy,
 		&memsched.Scheduler{},
 		memsched.New(),
 		&memsched.Scheduler{UsedKB: map[addr.MachineID]uint32{65535: 1<<32 - 1}, Queries: 1<<64 - 1},
 		&memsched.Scheduler{UsedKB: map[addr.MachineID]uint32{1: 100, 2: 0, 3: 7}, Queries: 4},
 	)
+}
+
+// gobCopy copies src into dst through a fresh gob encoder and decoder: the
+// reference for what Restore leaves in a new body.
+func gobCopy(dst, src proc.Body) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
+		return err
+	}
+	return gob.NewDecoder(&buf).Decode(dst)
 }

@@ -555,11 +555,9 @@ func (m *Manager) statText() string {
 
 // Snapshot implements proc.Body. The policy is not serialized (policies
 // hold only heuristic state): a restored manager runs without one.
-func (m *Manager) Snapshot() ([]byte, error) { return managerState.Snapshot(m) }
+func (m *Manager) Snapshot() ([]byte, error) { return proc.Snapshot(m) }
 
 // Restore implements proc.Body.
-func (m *Manager) Restore(data []byte) error { return managerState.Restore(m, data) }
-
-var managerState proc.GobState[Manager]
+func (m *Manager) Restore(data []byte) error { return proc.Restore(m, data) }
 
 var _ proc.Body = (*Manager)(nil)

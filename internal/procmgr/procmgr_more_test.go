@@ -1,6 +1,8 @@
 package procmgr_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -161,13 +163,13 @@ func lastOpBody(t *testing.T, ctx *proctest.Ctx, op msg.Op) []byte {
 	return nil
 }
 
-// TestGobCodec holds the process manager's Snapshot/Restore to fresh gob's
-// bytes, values and errors (proctest.CheckGobCodec). Its policy is an
-// interface, but unexported: gob never sees it, so proc.GobState's
-// no-interface-fields condition holds.
+// TestGobCodec holds the process manager's Snapshot/Restore to
+// proctest.CheckStateCodec, with gob as the reference for restored values.
+// Its policy and collector are unexported and stay behind: a restored
+// manager has none.
 func TestGobCodec(t *testing.T) {
 	p3 := addr.ProcessID{Creator: 1, Local: 3}
-	proctest.CheckGobCodec(t, func() proc.Body { return &procmgr.Manager{} },
+	proctest.CheckStateCodec(t, func() proc.Body { return &procmgr.Manager{} }, gobCopy,
 		&procmgr.Manager{},
 		procmgr.New(nil),
 		&procmgr.Manager{
@@ -187,4 +189,14 @@ func TestGobCodec(t *testing.T) {
 			Loads:     map[addr.MachineID]msg.LoadReport{1: {Machine: 1}, 2: {Machine: 2, Ready: 3}},
 		},
 	)
+}
+
+// gobCopy copies src into dst through a fresh gob encoder and decoder: the
+// reference for what Restore leaves in a new body.
+func gobCopy(dst, src proc.Body) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
+		return err
+	}
+	return gob.NewDecoder(&buf).Decode(dst)
 }

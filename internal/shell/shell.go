@@ -202,11 +202,9 @@ func parsePID(s string) (addr.ProcessID, error) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Shell) Snapshot() ([]byte, error) { return shellState.Snapshot(s) }
+func (s *Shell) Snapshot() ([]byte, error) { return proc.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Shell) Restore(data []byte) error { return shellState.Restore(s, data) }
-
-var shellState proc.GobState[Shell]
+func (s *Shell) Restore(data []byte) error { return proc.Restore(s, data) }
 
 var _ proc.Body = (*Shell)(nil)

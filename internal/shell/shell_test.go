@@ -1,6 +1,8 @@
 package shell_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -133,12 +135,22 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestGobCodec holds the shell's Snapshot/Restore to fresh gob's bytes,
-// values and errors (proctest.CheckGobCodec).
+// TestGobCodec holds the shell's Snapshot/Restore to
+// proctest.CheckStateCodec, with gob as the reference for restored values.
 func TestGobCodec(t *testing.T) {
-	proctest.CheckGobCodec(t, func() proc.Body { return &shell.Shell{} },
+	proctest.CheckStateCodec(t, func() proc.Body { return &shell.Shell{} }, gobCopy,
 		&shell.Shell{},
 		shell.New(),
 		&shell.Shell{SwbLink: 1, PMLink: 2, NextTag: 65535, Out: 9, History: []string{"ps", "", "migrate p1.3 m2"}},
 	)
+}
+
+// gobCopy copies src into dst through a fresh gob encoder and decoder: the
+// reference for what Restore leaves in a new body.
+func gobCopy(dst, src proc.Body) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
+		return err
+	}
+	return gob.NewDecoder(&buf).Decode(dst)
 }

@@ -128,9 +128,7 @@ func (s *Server) list(ctx proc.Context, d *proc.Delivery) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Server) Snapshot() ([]byte, error) { return serverState.Snapshot(s) }
+func (s *Server) Snapshot() ([]byte, error) { return proc.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Server) Restore(data []byte) error { return serverState.Restore(s, data) }
-
-var serverState proc.GobState[Server]
+func (s *Server) Restore(data []byte) error { return proc.Restore(s, data) }

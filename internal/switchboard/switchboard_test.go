@@ -1,6 +1,8 @@
 package switchboard_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -135,13 +137,23 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestGobCodec holds the switchboard's Snapshot/Restore to fresh gob's
-// bytes, values and errors (proctest.CheckGobCodec).
+// TestGobCodec holds the switchboard's Snapshot/Restore to
+// proctest.CheckStateCodec, with gob as the reference for restored values.
 func TestGobCodec(t *testing.T) {
-	proctest.CheckGobCodec(t, func() proc.Body { return &switchboard.Server{} },
+	proctest.CheckStateCodec(t, func() proc.Body { return &switchboard.Server{} }, gobCopy,
 		&switchboard.Server{},
 		switchboard.New(),
 		&switchboard.Server{Names: map[string]link.ID{"": 65535}},
 		&switchboard.Server{Names: map[string]link.ID{"fs": 3, "pm": 4, "a longer service name": 5}},
 	)
+}
+
+// gobCopy copies src into dst through a fresh gob encoder and decoder: the
+// reference for what Restore leaves in a new body.
+func gobCopy(dst, src proc.Body) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
+		return err
+	}
+	return gob.NewDecoder(&buf).Decode(dst)
 }

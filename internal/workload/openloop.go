@@ -180,12 +180,10 @@ func (j *Job) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (j *Job) Snapshot() ([]byte, error) { return jobState.Snapshot(j) }
+func (j *Job) Snapshot() ([]byte, error) { return proc.Snapshot(j) }
 
 // Restore implements proc.Body.
-func (j *Job) Restore(data []byte) error { return jobState.Restore(j, data) }
-
-var jobState proc.GobState[Job]
+func (j *Job) Restore(data []byte) error { return proc.Restore(j, data) }
 
 // SpinnerKind is the registry name of Spinner.
 const SpinnerKind = "wl-spinner"
@@ -229,9 +227,7 @@ func (s *Spinner) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Spinner) Snapshot() ([]byte, error) { return spinnerState.Snapshot(s) }
+func (s *Spinner) Snapshot() ([]byte, error) { return proc.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Spinner) Restore(data []byte) error { return spinnerState.Restore(s, data) }
-
-var spinnerState proc.GobState[Spinner]
+func (s *Spinner) Restore(data []byte) error { return proc.Restore(s, data) }

@@ -338,12 +338,10 @@ func (s *Sink) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Sink) Snapshot() ([]byte, error) { return sinkState.Snapshot(s) }
+func (s *Sink) Snapshot() ([]byte, error) { return proc.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Sink) Restore(data []byte) error { return sinkState.Restore(s, data) }
-
-var sinkState proc.GobState[Sink]
+func (s *Sink) Restore(data []byte) error { return proc.Restore(s, data) }
 
 // ChatterKind is the registry name of Chatter.
 const ChatterKind = "wl-chatter"
@@ -393,12 +391,10 @@ func (c *Chatter) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (c *Chatter) Snapshot() ([]byte, error) { return chatterState.Snapshot(c) }
+func (c *Chatter) Snapshot() ([]byte, error) { return proc.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Chatter) Restore(data []byte) error { return chatterState.Restore(c, data) }
-
-var chatterState proc.GobState[Chatter]
+func (c *Chatter) Restore(data []byte) error { return proc.Restore(c, data) }
 
 // StageKind is the registry name of Stage.
 const StageKind = "wl-stage"
@@ -432,12 +428,10 @@ func (s *Stage) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (s *Stage) Snapshot() ([]byte, error) { return stageState.Snapshot(s) }
+func (s *Stage) Snapshot() ([]byte, error) { return proc.Snapshot(s) }
 
 // Restore implements proc.Body.
-func (s *Stage) Restore(data []byte) error { return stageState.Restore(s, data) }
-
-var stageState proc.GobState[Stage]
+func (s *Stage) Restore(data []byte) error { return proc.Restore(s, data) }
 
 // LinkHolderKind is the registry name of LinkHolder.
 const LinkHolderKind = "wl-holder"
@@ -472,12 +466,10 @@ func (h *LinkHolder) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (h *LinkHolder) Snapshot() ([]byte, error) { return linkHolderState.Snapshot(h) }
+func (h *LinkHolder) Snapshot() ([]byte, error) { return proc.Snapshot(h) }
 
 // Restore implements proc.Body.
-func (h *LinkHolder) Restore(data []byte) error { return linkHolderState.Restore(h, data) }
-
-var linkHolderState proc.GobState[LinkHolder]
+func (h *LinkHolder) Restore(data []byte) error { return proc.Restore(h, data) }
 
 // EchoKind is the registry name of Echo.
 const EchoKind = "wl-echo"
@@ -507,12 +499,10 @@ func (e *Echo) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (e *Echo) Snapshot() ([]byte, error) { return echoState.Snapshot(e) }
+func (e *Echo) Snapshot() ([]byte, error) { return proc.Snapshot(e) }
 
 // Restore implements proc.Body.
-func (e *Echo) Restore(data []byte) error { return echoState.Restore(e, data) }
-
-var echoState proc.GobState[Echo]
+func (e *Echo) Restore(data []byte) error { return proc.Restore(e, data) }
 
 // CounterKind is the registry name of Counter.
 const CounterKind = "wl-counter"
@@ -537,12 +527,10 @@ func (c *Counter) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (c *Counter) Snapshot() ([]byte, error) { return counterState.Snapshot(c) }
+func (c *Counter) Snapshot() ([]byte, error) { return proc.Snapshot(c) }
 
 // Restore implements proc.Body.
-func (c *Counter) Restore(data []byte) error { return counterState.Restore(c, data) }
-
-var counterState proc.GobState[Counter]
+func (c *Counter) Restore(data []byte) error { return proc.Restore(c, data) }
 
 // NullKind is the registry name of Null.
 const NullKind = "wl-null"
@@ -607,12 +595,10 @@ func (r *Recorder) Step(ctx proc.Context, budget int) (int, proc.Status) {
 }
 
 // Snapshot implements proc.Body.
-func (r *Recorder) Snapshot() ([]byte, error) { return recorderState.Snapshot(r) }
+func (r *Recorder) Snapshot() ([]byte, error) { return proc.Snapshot(r) }
 
 // Restore implements proc.Body.
-func (r *Recorder) Restore(data []byte) error { return recorderState.Restore(r, data) }
-
-var recorderState proc.GobState[Recorder]
+func (r *Recorder) Restore(data []byte) error { return proc.Restore(r, data) }
 
 // Registry returns a process registry with every workload body kind
 // registered (plus the VM kind that proc.NewRegistry pre-registers), so

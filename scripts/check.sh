@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Contributor gate: gofmt, vet, lint, build, race-test, four fuzz smokes
-# (FuzzKernelAdmin, FuzzEngineOrder, FuzzPendOrder, FuzzGobStateFlat), the
-# hot-path allocation guards, a one-iteration smoke of the scale and policy
-# benchmarks, the msg.Pool and trace ring inlining guards, and the
-# trace-site guard. Run from anywhere; exits non-zero on the first
+# Contributor gate: gofmt, vet, lint, build, no encoding/gob outside tests,
+# race-test, four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
+# FuzzPendOrder, FuzzStateCodec), the hot-path allocation guards, a
+# one-iteration smoke of the scale and policy benchmarks, the msg.Pool and
+# trace ring inlining guards, and the trace-site guard. Run from anywhere; exits non-zero on the first
 # failure.
 #
 #   ./scripts/check.sh
@@ -25,6 +25,12 @@ go run ./cmd/demoslint ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== no package outside tests depends on encoding/gob (body state is proc.Snapshot's format; gob is only the tests' reference)"
+if go list -deps ./... | grep -qx encoding/gob; then
+  echo "encoding/gob is a non-test dependency"
+  exit 1
+fi
 
 echo "== go test -race ./..."
 go test -race ./...
@@ -53,8 +59,8 @@ go test -run='^$' -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 echo "== fuzz smoke: the network's arrival calendar against a slice scanned with pendLess, delivery by delivery, one gate per instant and one counted event per frame (10 s)"
 go test -run='^$' -fuzz=FuzzPendOrder -fuzztime=10s ./internal/netw/
 
-echo "== fuzz smoke: proc.GobState's flat path against fresh gob, arbitrary bytes into Restore and arbitrary field values into Snapshot (Counter, Chatter, Job; 5 s)"
-go test -run='^$' -fuzz=FuzzGobStateFlat -fuzztime=5s ./internal/workload/
+echo "== fuzz smoke: the body state codec, arbitrary bytes into Restore (what it accepts snapshots back to the same bytes) and arbitrary states through Snapshot and Restore (Counter, Chatter, Job, Sink, Recorder; 5 s)"
+go test -run='^$' -fuzz=FuzzStateCodec -fuzztime=5s ./internal/workload/
 
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)

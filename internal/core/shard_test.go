@@ -919,29 +919,39 @@ func TestShardScale1000(t *testing.T) {
 // shard barrier. One op is one run to quiescence; building the cluster is
 // not timed. Tracing stays on, as in every real configuration, into a tiny
 // ring.
+//
+// Two more points, on one shard, are the controlled pair behind the falloff
+// from 64 to 1000 machines: each cluster size at the other's peak of live
+// processes (Σ Spawned − Exited − Crashes over the kernels, sampled every
+// simulated µs in an untimed run). 64m with 1000 jobs a machine peaks at
+// 48 487 live and 1000m with 100 at 74 730; 1000m with 65 peaks at 48 482
+// and 64m with 1540 at 74 692.
 func BenchmarkOpenLoopScale(b *testing.B) {
+	run := func(b *testing.B, machines, per, shards int) {
+		var fired uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c, d := openLoopScene(b, core.Options{
+				Machines: machines, Seed: 17, Shards: shards, ShardParallel: true,
+				TraceCap: 64,
+			}, workload.OpenLoop{Seed: 3, MeanGap: 120, PerMachine: per, LongFraction: 0.1}, 8)
+			b.StartTimer()
+			c.Run()
+			b.StopTimer()
+			spawnedAll(b, d, uint64(machines*per))
+			fired += c.TotalFired()
+		}
+		b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
+	}
 	for _, machines := range []int{64, 256, 1000} {
 		per := 64_000 / machines
 		if machines >= 1000 {
 			per = 100
 		}
 		for _, shards := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%dm/%dshard", machines, shards), func(b *testing.B) {
-				var fired uint64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					c, d := openLoopScene(b, core.Options{
-						Machines: machines, Seed: 17, Shards: shards, ShardParallel: true,
-						TraceCap: 64,
-					}, workload.OpenLoop{Seed: 3, MeanGap: 120, PerMachine: per, LongFraction: 0.1}, 8)
-					b.StartTimer()
-					c.Run()
-					b.StopTimer()
-					spawnedAll(b, d, uint64(machines*per))
-					fired += c.TotalFired()
-				}
-				b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
-			})
+			b.Run(fmt.Sprintf("%dm/%dshard", machines, shards), func(b *testing.B) { run(b, machines, per, shards) })
 		}
 	}
+	b.Run("1000m-live48k/1shard", func(b *testing.B) { run(b, 1000, 65, 1) })
+	b.Run("64m-live75k/1shard", func(b *testing.B) { run(b, 64, 1540, 1) })
 }

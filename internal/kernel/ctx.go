@@ -150,7 +150,7 @@ func (c *procCtx) Recv() (*proc.Delivery, bool) {
 // (cold: only messages that actually carry links get here).
 func (c *procCtx) insertCarried(m *msg.Message, d *proc.Delivery) {
 	for _, l := range m.Links {
-		id, err := c.p.links.Insert(l)
+		id, err := c.k.linksOf(c.p).Insert(l)
 		if err != nil {
 			c.k.trace(siteCarriedDropped, err.Error(), trace.PID(c.p.id))
 			break
@@ -170,7 +170,7 @@ func (c *procCtx) CreateLink(attrs link.Attr, area link.DataArea) (link.ID, erro
 		}
 	}
 	l := link.Link{Addr: addr.At(c.p.id, c.k.machine), Attrs: attrs, Area: area}
-	return c.p.links.Insert(l)
+	return c.k.linksOf(c.p).Insert(l)
 }
 
 func (c *procCtx) DestroyLink(id link.ID) error {
@@ -186,7 +186,7 @@ func (c *procCtx) MintLink(l link.Link) (link.ID, error) {
 	if !c.p.privileged {
 		return link.NilID, fmt.Errorf("kernel: %v is not privileged", c.p.id)
 	}
-	return c.p.links.Insert(l)
+	return c.k.linksOf(c.p).Insert(l)
 }
 
 // MoveTo streams data into the data area granted by a held link (§2.2).

@@ -178,7 +178,7 @@ func (k *Kernel) applyLinkUpdate(m *msg.Message) {
 	}
 	k.stats.LinkUpdatesApplied++
 	p := k.lookup(u.Sender)
-	if p == nil || p.links == nil {
+	if p == nil {
 		return // sender gone; nothing to fix
 	}
 	n := p.links.UpdateAddr(u.Migrated, u.Machine)
@@ -198,9 +198,7 @@ func (k *Kernel) applyEagerUpdate(m *msg.Message) {
 	}
 	fixed := 0
 	for _, p := range k.sortedProcs() {
-		if p.links != nil {
-			fixed += p.links.UpdateAddr(u.PID, u.Machine)
-		}
+		fixed += p.links.UpdateAddr(u.PID, u.Machine)
 	}
 	k.stats.LinksFixed += uint64(fixed)
 	k.trace(siteEagerApplied, "", trace.Int(fixed), trace.PID(u.PID), trace.Machine(u.Machine))
@@ -297,7 +295,7 @@ func (k *Kernel) handleLocateReply(m *msg.Message) {
 		// not to know the pid either (e.g. it crashed again), the message
 		// dead-letters instead of re-entering the search loop.
 		orig.Searched = true
-		if p := k.lookup(orig.From.ID); p != nil && p.links != nil {
+		if p := k.lookup(orig.From.ID); p != nil {
 			k.stats.LinksFixed += uint64(p.links.UpdateAddr(pm.PID, pm.Machine))
 		}
 		k.stats.Resubmitted++

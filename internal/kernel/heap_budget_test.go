@@ -1,0 +1,64 @@
+//go:build !race
+
+package kernel
+
+import (
+	"runtime"
+	"testing"
+
+	"demosmp/internal/netw"
+	"demosmp/internal/sim"
+	"demosmp/internal/workload"
+)
+
+// TestPerProcessHeapBudget pins what the kernel spends on a process that
+// holds nothing: 20 000 link-less open-loop jobs on a bare kernel, first
+// while every one waits on its timer, then after all have exited and their
+// records, queue rings and timer records sit on the free lists. The bodies
+// are allocated before the first reading, so only the kernel's share
+// counts: the record, its UID slot, its timer and the engine's event slot
+// while it waits. A link table per process (64 B) puts the first reading
+// over budget, an 8-slot queue ring (48 B more than 2 slots) the second.
+// (The race detector's shadow allocations inflate HeapAlloc, hence the
+// build tag.)
+func TestPerProcessHeapBudget(t *testing.T) {
+	const n, waitingBudget, endedBudget = 20_000, 360, 440
+	eng := sim.NewEngine(1)
+	k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
+	bodies := make([]workload.Job, n)
+	var ms runtime.MemStats
+	live := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	// Every job's first slice costs 150 µs of the one CPU, so all have run
+	// and armed their timers well before the first fires.
+	const service = sim.Time(10_000_000)
+	for i := range bodies {
+		bodies[i].Service = service
+		if _, err := k.Spawn(SpawnSpec{Body: &bodies[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(service)
+	if p := k.local[n].p; p == nil || p.state != StateWaiting || p.links != nil {
+		t.Fatalf("job %d is not waiting link-less on its timer: %+v", n, p)
+	}
+	waiting := (int64(live()) - int64(before)) / n
+	eng.Run()
+	if got := k.Stats().Exited; got != n {
+		t.Fatalf("%d of %d jobs exited", got, n)
+	}
+	ended := (int64(live()) - int64(before)) / n
+	t.Logf("kernel heap per process: %d B waiting, %d B after exit", waiting, ended)
+	if waiting > waitingBudget {
+		t.Errorf("a waiting link-less job costs the kernel %d B, budget %d B", waiting, waitingBudget)
+	}
+	if ended > endedBudget {
+		t.Errorf("an exited job leaves the kernel %d B, budget %d B", ended, endedBudget)
+	}
+	runtime.KeepAlive(k)
+	runtime.KeepAlive(bodies)
+}

@@ -189,6 +189,8 @@ type Process struct {
 	body       proc.Body
 	queue      ring[*msg.Message]
 
+	// links is nil until the process's first link (a nil table reads as
+	// empty); a recycled record keeps its table, emptied.
 	links     *link.Table
 	image     *memory.Image
 	kind      string
@@ -249,14 +251,16 @@ type ExitInfo struct {
 	At   sim.Time
 }
 
-// exitRec is one slot of the dense exit table: an ExitInfo packed into 32
-// bytes with a flag, because the zero ExitInfo is a valid exit (time 0,
-// code 0) and the zero slot must mean "none recorded".
-type exitRec struct {
-	err  error
-	at   sim.Time
-	code int32
-	ok   bool
+// uidSlot is one entry of the dense table of locally created pids: the
+// live record (or forwarding address) holding the UID, and how its last
+// holder ended, in 24 bytes with one pointer. exited is the flag because the
+// zero exit (time 0, code 0) is a valid one. A crash's error is the only
+// part that needs a pointer, so it lives in Kernel.localErrs instead.
+type uidSlot struct {
+	p      *Process
+	at     sim.Time
+	code   int32
+	exited bool
 }
 
 // SpawnSpec describes a process to create.
@@ -293,15 +297,16 @@ type Kernel struct {
 	cfg Config
 
 	// The process table, split by where the pid was created. local holds
-	// the pids this machine created and localExits their exit records, both
+	// the pids this machine created, record and exit record in one slot
 	// indexed by local UID: a spawn, a delivery lookup and an exit cost a
-	// bounds check each and touch no hash map. procs and exits hold only
-	// foreign pids (migrated in, revived). eachProc walks both halves.
-	local      []*Process
-	localExits []exitRec
-	procs      map[addr.ProcessID]*Process
-	exits      map[addr.ProcessID]ExitInfo
-	runq       ring[*Process]
+	// bounds check each and touch no hash map. localErrs holds the errors of
+	// local pids that crashed (nil until the first). procs and exits hold
+	// only foreign pids (migrated in, revived). eachProc walks both halves.
+	local     []uidSlot
+	localErrs map[addr.LocalUID]error
+	procs     map[addr.ProcessID]*Process
+	exits     map[addr.ProcessID]ExitInfo
+	runq      ring[*Process]
 
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
 	// An envelope it constructed always comes back to it, whichever kernel
@@ -332,20 +337,13 @@ type Kernel struct {
 	// Record free lists (see DESIGN.md §7): steady-state migrations recycle
 	// their bookkeeping records — the migration halves (with their region
 	// buffers, region-pull stream and once-bound watchdog closures) and
-	// whole Process records — and Spawn/terminate use the same procFree and
-	// tableFree, so a warm kernel migrates, spawns and retires processes
-	// without growing the heap. Records wiped wholesale by Restart are
-	// simply orphaned to the GC; the free lists only ever hold released
-	// records.
+	// whole Process records, each with its queue ring and emptied link
+	// table — and Spawn/terminate use the same procFree, so a warm kernel
+	// migrates, spawns and retires processes without growing the heap.
+	// Records wiped wholesale by Restart are simply orphaned to the GC; the
+	// free lists only ever hold released records.
 	migFree  freelist[migration]
 	procFree freelist[Process]
-	// tableFree recycles link.Table backing between departures (or exits)
-	// and arrivals (or spawns): putProcRec donates a released record's
-	// table here (at most 8 are kept), thaw rebuilds an arriving process's
-	// table into one and Spawn resets one.
-	// Kept off the pooled Process records so forwarders and ProcInfo never
-	// see a stale table.
-	tableFree freelist[link.Table]
 	// kinds interns body-kind strings decoded from resident records, so a
 	// process bouncing between machines does not re-allocate its kind
 	// string on every arrival.
@@ -497,15 +495,11 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	p.state = StateReady
 	p.body = body
 	p.kind = body.Kind()
-	if p.links = k.tableFree.get(); p.links == nil {
-		p.links = &link.Table{}
-	}
-	p.links.Reset(link.DefaultCap)
 	p.image = img
 	p.privileged = spec.Privileged
 	p.createdAt = k.eng.Now()
 	for _, l := range spec.Links {
-		if _, err := p.links.Insert(l); err != nil {
+		if _, err := k.linksOf(p).Insert(l); err != nil {
 			k.putProcRec(p)
 			return addr.NilPID, fmt.Errorf("kernel: installing initial link: %w", err)
 		}
@@ -531,10 +525,7 @@ func (k *Kernel) Process(pid addr.ProcessID) (ProcInfo, bool) {
 	info := ProcInfo{
 		PID: p.id, State: p.state, Kind: p.kind, QueueLen: p.queue.Len(),
 		CPUUsed: p.cpuUsed, MsgsIn: p.msgsIn, MsgsOut: p.msgsOut,
-		FwdTo: p.fwdTo, Privileged: p.privileged,
-	}
-	if p.links != nil {
-		info.Links = p.links.Len()
+		FwdTo: p.fwdTo, Privileged: p.privileged, Links: p.links.Len(),
 	}
 	if p.image != nil {
 		info.ImageSize = p.image.Size()
@@ -562,9 +553,9 @@ func (k *Kernel) Console(pid addr.ProcessID) []string {
 // Exit returns how a process ended on this machine, if it did.
 func (k *Kernel) Exit(pid addr.ProcessID) (ExitInfo, bool) {
 	if pid.Creator == k.machine {
-		if i := int(pid.Local); i < len(k.localExits) && k.localExits[i].ok {
-			r := &k.localExits[i]
-			return ExitInfo{Code: r.code, Err: r.err, At: r.at}, true
+		if i := int(pid.Local); i < len(k.local) && k.local[i].exited {
+			s := &k.local[i]
+			return ExitInfo{Code: s.code, Err: k.localErrs[pid.Local], At: s.at}, true
 		}
 		return ExitInfo{}, false
 	}
@@ -572,8 +563,9 @@ func (k *Kernel) Exit(pid addr.ProcessID) (ExitInfo, bool) {
 	return e, ok
 }
 
-// noteExit records how pid ended here: in the dense table beside local for
-// a pid this machine created, in the map otherwise.
+// noteExit records how pid ended here: in pid's slot of the dense table
+// (and a crash's error in localErrs) for a pid this machine created, in the
+// map otherwise.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) noteExit(pid addr.ProcessID, info ExitInfo) {
@@ -581,10 +573,14 @@ func (k *Kernel) noteExit(pid addr.ProcessID, info ExitInfo) {
 		k.exits[pid] = info
 		return
 	}
-	for int(pid.Local) >= len(k.localExits) {
-		k.localExits = append(k.localExits, exitRec{})
+	s := k.slot(pid.Local)
+	s.at, s.code, s.exited = info.At, info.Code, true
+	if info.Err != nil {
+		if k.localErrs == nil {
+			k.localErrs = make(map[addr.LocalUID]error)
+		}
+		k.localErrs[pid.Local] = info.Err
 	}
-	k.localExits[pid.Local] = exitRec{err: info.Err, at: info.At, code: info.Code, ok: true}
 }
 
 // MintLinkTo fabricates a link to a process address — the trusted-system
@@ -594,7 +590,17 @@ func (k *Kernel) MintLinkTo(l link.Link, owner addr.ProcessID) (link.ID, error) 
 	if p == nil {
 		return link.NilID, fmt.Errorf("kernel %v: no process %v", k.machine, owner)
 	}
-	return p.links.Insert(l)
+	return k.linksOf(p).Insert(l)
+}
+
+// linksOf returns p's link table, installing an empty one at p's first link:
+// every Insert goes through here, and every read takes a nil table as empty.
+func (k *Kernel) linksOf(p *Process) *link.Table {
+	if p.links == nil {
+		p.links = &link.Table{}
+		p.links.Reset(link.DefaultCap)
+	}
+	return p.links
 }
 
 // ResidentBytes returns the real memory actually occupied by resident
@@ -735,17 +741,26 @@ const maxLocalUID = 1<<16 - 1
 // when all 65 535 are taken.
 func (k *Kernel) allocUID() (uid addr.LocalUID, ok bool) {
 	uid = k.nextUID
-	for n := 0; uid == 0 || (int(uid) < len(k.local) && k.local[uid] != nil); n++ {
+	for n := 0; uid == 0 || (int(uid) < len(k.local) && k.local[uid].p != nil); n++ {
 		if n == maxLocalUID {
 			return 0, false
 		}
 		uid++
 	}
 	k.nextUID = uid + 1
-	if int(uid) < len(k.localExits) {
-		k.localExits[uid] = exitRec{}
+	if int(uid) < len(k.local) {
+		k.local[uid] = uidSlot{}
+		delete(k.localErrs, uid)
 	}
 	return uid, true
+}
+
+// slot returns uid's entry in the dense table, growing the table to hold it.
+func (k *Kernel) slot(uid addr.LocalUID) *uidSlot {
+	for int(uid) >= len(k.local) {
+		k.local = append(k.local, uidSlot{})
+	}
+	return &k.local[uid]
 }
 
 // addProc installs a process record in the table: the dense slice when this
@@ -757,11 +772,7 @@ func (k *Kernel) addProc(p *Process) {
 		k.procs[p.id] = p
 		return
 	}
-	uid := int(p.id.Local)
-	for uid >= len(k.local) {
-		k.local = append(k.local, nil)
-	}
-	k.local[uid] = p
+	k.slot(p.id.Local).p = p
 }
 
 // delProc removes a process record from the table.
@@ -771,7 +782,7 @@ func (k *Kernel) delProc(pid addr.ProcessID) {
 	if pid.Creator != k.machine {
 		delete(k.procs, pid)
 	} else if int(pid.Local) < len(k.local) {
-		k.local[pid.Local] = nil
+		k.local[pid.Local].p = nil
 	}
 }
 
@@ -779,9 +790,9 @@ func (k *Kernel) delProc(pid addr.ProcessID) {
 // addresses included, in no particular order (sortedProcs is the
 // deterministic view).
 func (k *Kernel) eachProc(fn func(*Process)) {
-	for _, p := range k.local {
-		if p != nil {
-			fn(p)
+	for _, s := range k.local {
+		if s.p != nil {
+			fn(s.p)
 		}
 	}
 	for _, p := range k.procs {
@@ -797,7 +808,7 @@ func (k *Kernel) eachProc(fn func(*Process)) {
 func (k *Kernel) lookup(pid addr.ProcessID) *Process {
 	if pid.Creator == k.machine {
 		if i := int(pid.Local); i < len(k.local) {
-			return k.local[i]
+			return k.local[i].p
 		}
 		return nil
 	}
@@ -918,10 +929,10 @@ func (k *Kernel) trace(s trace.Site, str string, args ...trace.Val) {
 }
 
 // getProcRec acquires a Process record for Spawn and for the migration
-// path: recycled when available (retaining the queue ring and accounting
-// maps of a process that exited or migrated away), fresh otherwise. The
-// record's links are nil; Spawn and thaw install a table and forwarders
-// never hold one. commDelta exists only where load reports read it.
+// path: recycled when available (retaining the queue ring, the emptied link
+// table and the accounting maps of a process that exited or migrated away),
+// fresh otherwise, with no table until its first link (linksOf). commDelta
+// exists only where load reports read it.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) getProcRec() *Process {
@@ -938,24 +949,23 @@ func (k *Kernel) getProcRec() *Process {
 // putProcRec releases a Process record whose identity has left this kernel
 // (exited, migrated away, failed incoming, superseded forwarder). The caller
 // must have drained the queue and removed the record from the tables and
-// the run queue; the ring
-// and maps survive for the next arrival, and the link table (if any) is
-// donated to tableFree for the next incoming restore.
+// the run queue; the ring, the link table (if any, emptied) and the maps
+// survive for the next holder.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putProcRec(p *Process) {
 	if p.queue.Len() != 0 {
 		return // defensive: never recycle a record with live messages
 	}
-	if p.links != nil && len(k.tableFree.free) < 8 {
-		k.tableFree.put(p.links)
+	q, links := p.queue, p.links
+	if links != nil {
+		links.Reset(link.DefaultCap)
 	}
-	q := p.queue
 	commDelta, fwdSenders := p.commDelta, p.fwdSenders
 	clear(commDelta)
 	clear(fwdSenders)
 	*p = Process{}
-	p.queue, p.commDelta, p.fwdSenders = q, commDelta, fwdSenders
+	p.queue, p.links, p.commDelta, p.fwdSenders = q, links, commDelta, fwdSenders
 	k.procFree.put(p)
 }
 

@@ -942,7 +942,7 @@ func (k *Kernel) thaw(p *Process, resident, swappable, program []byte) error {
 	if err != nil {
 		return fmt.Errorf("resident state: %w", err)
 	}
-	ctl, err := k.decodeSwappableInto(p, swappable)
+	ctl, err := decodeSwappableInto(p, swappable)
 	if err != nil {
 		return fmt.Errorf("swappable state: %w", err)
 	}
@@ -1025,10 +1025,10 @@ func decodeResident(p *Process, b []byte) (kind []byte, err error) {
 }
 
 // decodeSwappableInto rebuilds the link table in place into p's existing
-// table (or one from the kernel's table free list), so an arriving process
-// reuses the slot backing a departed one left behind, and returns the body
-// control state that follows it.
-func (k *Kernel) decodeSwappableInto(p *Process, b []byte) ([]byte, error) {
+// table (a recycled record keeps its own), so an arriving process reuses the
+// slot backing a departed one left behind, and returns the body control
+// state that follows it.
+func decodeSwappableInto(p *Process, b []byte) ([]byte, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("short swappable state")
 	}
@@ -1037,15 +1037,11 @@ func (k *Kernel) decodeSwappableInto(p *Process, b []byte) ([]byte, error) {
 	if len(b) < n {
 		return nil, fmt.Errorf("truncated link table")
 	}
-	t := p.links
-	if t == nil {
-		if t = k.tableFree.get(); t == nil {
-			t = &link.Table{}
-		}
+	if p.links == nil {
+		p.links = &link.Table{}
 	}
-	if err := link.RestoreTableInto(t, b[:n]); err != nil {
+	if err := link.RestoreTableInto(p.links, b[:n]); err != nil {
 		return nil, err
 	}
-	p.links = t
 	return b[n:], nil
 }

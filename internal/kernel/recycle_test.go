@@ -1,11 +1,13 @@
 package kernel
 
-// The spawn path recycles: Spawn draws its Process record and link table
-// from the free lists terminate returns them to, locally created pids live
-// in a dense table (and their exit records in another), and the local UID
-// counter wraps. These tests pin what must survive all that: a recycled
-// record carries nothing of the dead process, the split tables answer the
-// way the single map did, and no pid is issued twice among the living.
+// The spawn path recycles: Spawn draws its Process record (with the queue
+// ring and emptied link table it kept) from the free list terminate returns
+// it to, a process gets a link table only at its first link, locally created
+// pids live in a dense table (one slot per UID for the record and its exit),
+// and the local UID counter wraps. These tests pin what must survive all
+// that: a recycled record carries nothing of the dead process, the split
+// tables answer the way the single map did, and no pid is issued twice among
+// the living.
 // In-package because the interesting facts — which record a spawn got,
 // what sits on the run queue — are not part of the public API.
 
@@ -123,7 +125,7 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			if p != rec {
 				t.Fatalf("spawn did not reuse the released record (%p, want %p)", p, rec)
 			}
-			if p.links == nil || p.links.Len() != 0 {
+			if p.links.Len() != 0 {
 				t.Fatalf("recycled record's link table is not empty: %v", p.links)
 			}
 			if _, ok := p.links.Get(1); ok {
@@ -202,11 +204,18 @@ func TestReclaimedForwarderIsRecycled(t *testing.T) {
 // TestExitRecordsLocalForeignAndAcrossRestart: Exit answers for a pid this
 // machine created (dense table) and for one that migrated in and died here
 // (map), an unknown pid of either kind has none, and both records survive
-// Crash + Restart as the single map did.
+// Crash + Restart as the single map did. A local pid that crashed keeps its
+// error (held apart from the dense table) through the restart too, until
+// its UID is issued again.
 func TestExitRecordsLocalForeignAndAcrossRestart(t *testing.T) {
 	e, ks := poolTestCluster(t, 2)
 	k1, k2 := ks[0], ks[1]
 	local, err := k2.Spawn(SpawnSpec{Body: &scriptBody{slices: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	crashed, err := k2.Spawn(SpawnSpec{Body: &scriptBody{slices: 1, crash: boom}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +240,9 @@ func TestExitRecordsLocalForeignAndAcrossRestart(t *testing.T) {
 		if ex, ok := k2.Exit(mover); !ok || ex.Err == nil {
 			t.Fatalf("%s: foreign exit = %+v, %v", when, ex, ok)
 		}
+		if ex, ok := k2.Exit(crashed); !ok || !errors.Is(ex.Err, boom) {
+			t.Fatalf("%s: crashed local exit = %+v, %v; want its error", when, ex, ok)
+		}
 		for _, pid := range []addr.ProcessID{{Creator: 2, Local: 9}, {Creator: 2, Local: 60000}, {Creator: 1, Local: 9}} {
 			if _, ok := k2.Exit(pid); ok {
 				t.Fatalf("%s: exit record for %v, which never ran here", when, pid)
@@ -247,6 +259,89 @@ func TestExitRecordsLocalForeignAndAcrossRestart(t *testing.T) {
 	again, err := k2.Spawn(SpawnSpec{Body: &scriptBody{slices: 1}})
 	if err != nil || again == local {
 		t.Fatalf("spawn after restart = %v, %v; %v is taken", again, err, local)
+	}
+	// Once the counter wraps round to the crashed pid's UID, the new holder
+	// starts with no exit on record, and the old error goes with the old one.
+	k2.nextUID = crashed.Local
+	reissued, err := k2.Spawn(SpawnSpec{Body: &scriptBody{slices: 1}})
+	if err != nil || reissued != crashed {
+		t.Fatalf("spawn at the crashed pid's UID = %v, %v; want %v", reissued, err, crashed)
+	}
+	if ex, ok := k2.Exit(reissued); ok {
+		t.Fatalf("reissued %v already has an exit: %+v", reissued, ex)
+	}
+	e.Run()
+	if ex, ok := k2.Exit(reissued); !ok || ex.Code != 7 || ex.Err != nil || len(k2.localErrs) != 0 {
+		t.Fatalf("reissued exit = %+v, %v (crash errors held: %d); want code 7 and no error", ex, ok, len(k2.localErrs))
+	}
+}
+
+// linkerBody takes its first link in its first slice when create is set,
+// and otherwise only as a link carried on a message; got is the id it was
+// given.
+type linkerBody struct {
+	create bool
+	got    link.ID
+}
+
+func (b *linkerBody) Kind() string { return "linker" }
+
+func (b *linkerBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	if b.create && b.got == link.NilID {
+		b.got, _ = ctx.CreateLink(0, link.DataArea{})
+	}
+	for {
+		d, ok := ctx.Recv()
+		if !ok {
+			return 0, proc.Status{State: proc.Blocked}
+		}
+		if len(d.Carried) > 0 {
+			b.got = d.Carried[0]
+		}
+	}
+}
+
+func (b *linkerBody) Snapshot() ([]byte, error) { return nil, nil }
+func (b *linkerBody) Restore([]byte) error      { return nil }
+
+// TestLinkTableInstalledAtFirstLink: a process spawned without links holds
+// no link table, and keeps none while it runs and receives link-less
+// messages; its first link — created, minted for it by the kernel, or
+// carried in on a message — installs the table, and gets id 1.
+func TestLinkTableInstalledAtFirstLink(t *testing.T) {
+	for _, how := range []string{"create", "mint", "carried"} {
+		t.Run(how, func(t *testing.T) {
+			e, ks := poolTestCluster(t, 1)
+			k := ks[0]
+			b := &linkerBody{create: how == "create"}
+			pid, err := k.Spawn(SpawnSpec{Body: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.GiveMessage(pid, addr.KernelAddr(1), []byte("no links")); err != nil {
+				t.Fatal(err)
+			}
+			if how != "create" {
+				e.Run()
+				if p := k.lookup(pid); p.links != nil {
+					t.Fatalf("link-less process holds a table after running: %+v", p.links)
+				}
+			}
+			to := link.Link{Addr: addr.At(pid, 1)}
+			switch how {
+			case "mint":
+				b.got, err = k.MintLinkTo(to, pid)
+			case "carried":
+				err = k.GiveMessage(pid, addr.KernelAddr(1), []byte("one link"), to)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			if p := k.lookup(pid); p.links == nil || p.links.Len() != 1 || b.got != 1 {
+				t.Fatalf("after the first link: table %+v, id %v; want one link with id 1", p.links, b.got)
+			}
+		})
 	}
 }
 

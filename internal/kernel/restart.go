@@ -173,7 +173,9 @@ func (k *Kernel) Restart() error {
 	}
 
 	k.procs = make(map[addr.ProcessID]*Process)
-	k.local = nil
+	for i := range k.local {
+		k.local[i].p = nil // the exit records survive, as k.exits does
+	}
 	k.runq = ring[*Process]{}
 	k.xfersIn = make(map[uint16]*inStream)
 	k.moveOps = make(map[uint16]*moveOp)

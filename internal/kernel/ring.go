@@ -64,7 +64,7 @@ func (r *ring[T]) remove(v T) bool {
 func (r *ring[T]) grow() {
 	size := len(r.buf) * 2
 	if size == 0 {
-		size = 8
+		size = 2 // most queues never hold more than a timer message
 	}
 	nb := make([]T, size)
 	for i := 0; i < r.n; i++ {

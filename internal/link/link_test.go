@@ -241,6 +241,38 @@ func TestEmptyTableHasNoBackingAndResetRecycles(t *testing.T) {
 	}
 }
 
+// TestNilTableReadsAsEmpty: a process with no link yet holds a nil *Table,
+// and every read of it, Remove and the snapshot behave as the empty
+// Reset(DefaultCap) table does — the snapshot byte for byte, and without
+// allocating, since it sits on the migration freeze path.
+func TestNilTableReadsAsEmpty(t *testing.T) {
+	var tb *Table
+	if tb.Len() != 0 {
+		t.Fatalf("nil table Len = %d", tb.Len())
+	}
+	if l, ok := tb.Get(1); ok || !l.IsNil() {
+		t.Fatalf("nil table resolves id 1 to %v", l)
+	}
+	if tb.Remove(1) {
+		t.Fatal("nil table removed id 1")
+	}
+	if n := tb.UpdateAddr(addr.ProcessID{Creator: 1, Local: 1}, 2); n != 0 {
+		t.Fatalf("nil table updated %d links", n)
+	}
+	want := NewTable(0).AppendSnapshot(nil)
+	buf := make([]byte, 0, 16)
+	if got := tb.AppendSnapshot(buf); string(got) != string(want) {
+		t.Fatalf("nil table snapshot = %v, want the empty table's %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = tb.AppendSnapshot(buf[:0]) }); n != 0 {
+		t.Fatalf("nil table snapshot allocates %v times", n)
+	}
+	var back Table
+	if err := RestoreTableInto(&back, want); err != nil || back.Len() != 0 || back.Cap() != DefaultCap {
+		t.Fatalf("restore of the nil snapshot: len %d cap %d, %v", back.Len(), back.Cap(), err)
+	}
+}
+
 func TestRestoreRejectsGarbage(t *testing.T) {
 	if err := RestoreTableInto(&Table{}, []byte{1, 2}); err == nil {
 		t.Fatal("restored short snapshot")

@@ -44,8 +44,18 @@ func (t *Table) Reset(capacity int) {
 	t.slots, t.free, t.count, t.cap = t.slots[:0], t.free[:0], 0, capacity
 }
 
+// A nil *Table is the empty table of DefaultCap for every read method and
+// Remove, so a process that never holds a link carries none (its first
+// Insert needs a real one). emptyTable stands in for it and is never written.
+var emptyTable = Table{cap: DefaultCap}
+
 // Len returns the number of live links.
-func (t *Table) Len() int { return t.count }
+func (t *Table) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.count
+}
 
 // ErrTableFull is returned by Insert when the table is at capacity.
 var ErrTableFull = fmt.Errorf("link: table full")
@@ -79,7 +89,7 @@ func (t *Table) Insert(l Link) (ID, error) {
 
 // Get returns the link stored at id.
 func (t *Table) Get(id ID) (Link, bool) {
-	if int(id) <= 0 || int(id) >= len(t.slots) || t.slots[id].IsNil() {
+	if t == nil || int(id) <= 0 || int(id) >= len(t.slots) || t.slots[id].IsNil() {
 		return Link{}, false
 	}
 	return t.slots[id], true
@@ -102,6 +112,9 @@ func (t *Table) Remove(id ID) bool {
 // point to the migrated process are then updated to point to the new
 // location."
 func (t *Table) UpdateAddr(pid addr.ProcessID, machine addr.MachineID) int {
+	if t == nil {
+		return 0
+	}
 	n := 0
 	for i := 1; i < len(t.slots); i++ {
 		l := &t.slots[i]
@@ -120,6 +133,9 @@ func (t *Table) UpdateAddr(pid addr.ProcessID, machine addr.MachineID) int {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (t *Table) AppendSnapshot(b []byte) []byte {
+	if t == nil {
+		t = &emptyTable
+	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(t.cap))
 	b = binary.LittleEndian.AppendUint16(b, uint16(max(len(t.slots), 1))) // next slot: 1 with no backing yet
 	b = binary.LittleEndian.AppendUint16(b, uint16(t.count))

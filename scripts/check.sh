@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Contributor gate: gofmt, vet, lint, build, no encoding/gob outside tests,
-# race-test, four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
+# race-test, the tests built only without the race detector (heap budgets,
+# experiments goldens), four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
 # FuzzPendOrder, FuzzStateCodec), the hot-path allocation guards, a
 # one-iteration smoke of the scale and policy benchmarks, the msg.Pool and
 # trace ring inlining guards, and the trace-site guard. Run from anywhere; exits non-zero on the first
@@ -34,6 +35,10 @@ fi
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens nothing): per-machine and per-process heap budgets, experiments goldens"
+go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments' \
+  ./internal/core ./internal/kernel ./cmd/experiments
 
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
 go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
@@ -70,7 +75,7 @@ go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
 echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, 256-machine policy round)"
-go test -run '^$' -bench 'OpenLoopScale/64m|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
+go test -run '^$' -bench 'OpenLoopScale/^64m$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
 echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 1280-byte size class"
 go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass' ./internal/kernel/
 echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone)"

@@ -147,10 +147,3 @@ func fail(err error) {
 		os.Exit(1)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

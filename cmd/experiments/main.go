@@ -6,8 +6,6 @@
 //
 //	experiments            # run everything
 //	experiments -run E1,E4 # run selected experiments
-//	experiments -obs-json snap.json -trace-out timeline.json
-//	                       # export the obs scenario's metrics and timeline
 //	experiments -tournament-json findings.json
 //	                       # run the policy tournament card
 //
@@ -36,8 +34,6 @@ import (
 
 var (
 	runFlag             = flag.String("run", "", "comma-separated experiment ids (default: all)")
-	obsJSONFlag         = flag.String("obs-json", "", "run the obs export scenario and write the metrics registry snapshot (JSON) to this path, then exit")
-	traceOutFlag        = flag.String("trace-out", "", "with the obs export scenario, also write a Chrome trace_event timeline JSON to this path")
 	tournamentJSONFlag  = flag.String("tournament-json", "", "run the policy tournament (seeded A/B hypotheses on the sharded runtime) and write the findings artifact to this path, then exit")
 	tournamentShortFlag = flag.Bool("tournament-short", false, "shrink the tournament to CI smoke scale (32 machines, 2 seeds)")
 )
@@ -52,10 +48,6 @@ func main() {
 	flag.Parse()
 	if *tournamentJSONFlag != "" || *tournamentShortFlag {
 		tournament(*tournamentJSONFlag, *tournamentShortFlag)
-		return
-	}
-	if *obsJSONFlag != "" || *traceOutFlag != "" {
-		obsExport(*obsJSONFlag, *traceOutFlag)
 		return
 	}
 	exps, err := selectExperiments(*runFlag)

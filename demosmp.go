@@ -28,7 +28,6 @@ import (
 	"demosmp/internal/addr"
 	"demosmp/internal/core"
 	"demosmp/internal/dvm"
-	"demosmp/internal/fs"
 	"demosmp/internal/kernel"
 	"demosmp/internal/link"
 	"demosmp/internal/netw"
@@ -74,8 +73,6 @@ type (
 	MigrationReport = kernel.MigrationReport
 	// NetConfig tunes the network model.
 	NetConfig = netw.Config
-	// DiskGeometry models the simulated drive.
-	DiskGeometry = fs.DiskGeometry
 	// Program is an assembled DVM program.
 	Program = dvm.Program
 )

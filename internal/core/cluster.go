@@ -53,18 +53,15 @@ type Options struct {
 
 	// Switchboard boots the name server on machine 1.
 	Switchboard bool
-	// PM boots the process manager on PMMachine (default 1) running
-	// Policy (nil = manual).
-	PM        bool
-	PMMachine int
-	Policy    policy.Policy
+	// PM boots the process manager on machine 1 running Policy
+	// (nil = manual).
+	PM     bool
+	Policy policy.Policy
 	// MemSched boots the memory scheduler on machine 1.
 	MemSched bool
-	// FS boots the four file system processes on FSMachine (default 1).
-	FS          bool
-	FSMachine   int
-	Disk        fs.DiskGeometry
-	CacheBlocks int
+	// FS boots the four file system processes on machine 1, with the fs
+	// package's default disk geometry and cache size.
+	FS bool
 	// Shell boots a command interpreter on machine 1 (requires PM and
 	// Switchboard).
 	Shell bool
@@ -99,7 +96,6 @@ type Cluster struct {
 	// shard, stepped together by group. Registration is cold and the hot
 	// paths pay only nil-checked histogram updates, so every cluster can
 	// export a snapshot, a §6 ledger, and a timeline.
-	look    sim.Time // conservative lookahead window W (min pair latency)
 	now     sim.Time // cluster clock (set by Run/RunFor)
 	shardOf []int    // machine id -> shard index
 	engines []*sim.Engine
@@ -132,20 +128,12 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Machines < 1 {
 		return nil, fmt.Errorf("core: need at least one machine")
 	}
-	if opts.PMMachine == 0 {
-		opts.PMMachine = 1
-	}
-	if opts.FSMachine == 0 {
-		opts.FSMachine = 1
-	}
 	c := &Cluster{
 		opts: opts,
 		ks:   map[addr.MachineID]*kernel.Kernel{},
 	}
 	c.reg = buildRegistry(opts)
-	if err := c.build(); err != nil {
-		return nil, err
-	}
+	c.build()
 	if err := c.boot(); err != nil {
 		return nil, err
 	}
@@ -186,25 +174,24 @@ func (c *Cluster) boot() error {
 		c.SwitchboardPID = pid
 	}
 	if c.opts.PM {
-		pmm := addr.MachineID(c.opts.PMMachine)
 		c.pm = procmgr.New(c.opts.Policy)
 		c.pm.SetMachines(machineList(c.opts.Machines))
-		pid, err := c.ks[pmm].Spawn(kernel.SpawnSpec{Body: c.pm, Privileged: true,
+		pid, err := c.ks[m1].Spawn(kernel.SpawnSpec{Body: c.pm, Privileged: true,
 			Links: c.bornLinks()})
 		if err != nil {
 			return err
 		}
 		c.PMPID = pid
 		for _, k := range c.kernels() {
-			k.SetPMLink(link.Link{Addr: addr.At(pid, pmm)})
+			k.SetPMLink(link.Link{Addr: addr.At(pid, m1)})
 		}
-		c.pm.Note(pid, pmm)
-		c.register("procmgr", pid, pmm)
+		c.pm.Note(pid, m1)
+		c.register("procmgr", pid, m1)
 		// The policy plane's counters live on the PM body; sample them
 		// from the registry owning the PM's machine so merged snapshots
 		// carry them exactly once.
 		pm := c.pm
-		reg := c.regs[c.shardOf[c.opts.PMMachine]]
+		reg := c.regs[c.shardOf[m1]]
 		reg.Sample("policy.migrations_ordered", func() uint64 { return pm.MigrationsOrdered })
 		reg.Sample("policy.decisions", func() uint64 { return pm.PolicyDecisions })
 		reg.Sample("policy.sweeps", func() uint64 { return pm.PolicySweeps })
@@ -218,7 +205,7 @@ func (c *Cluster) boot() error {
 		c.notePM(pid, m1)
 		c.register("memsched", pid, m1)
 		if c.pm != nil {
-			id, err := c.ks[addr.MachineID(c.opts.PMMachine)].MintLinkTo(
+			id, err := c.ks[m1].MintLinkTo(
 				link.Link{Addr: addr.At(pid, m1)}, c.PMPID)
 			if err != nil {
 				return err
@@ -238,7 +225,7 @@ func (c *Cluster) boot() error {
 		pid, err := c.ks[m1].Spawn(kernel.SpawnSpec{Body: shell.New(), Privileged: true,
 			Links: []link.Link{
 				{Addr: addr.At(c.SwitchboardPID, m1)},
-				{Addr: addr.At(c.PMPID, addr.MachineID(c.opts.PMMachine))},
+				{Addr: addr.At(c.PMPID, m1)},
 			}})
 		if err != nil {
 			return err
@@ -250,36 +237,35 @@ func (c *Cluster) boot() error {
 }
 
 func (c *Cluster) bootFS() error {
-	fsm := addr.MachineID(c.opts.FSMachine)
-	k := c.ks[fsm]
-	geom := c.opts.Disk
+	m1 := addr.MachineID(1)
+	k := c.ks[m1]
 	var err error
-	c.DiskPID, err = k.Spawn(kernel.SpawnSpec{Body: fs.NewDisk(geom)})
+	c.DiskPID, err = k.Spawn(kernel.SpawnSpec{Body: fs.NewDisk(fs.DiskGeometry{})})
 	if err != nil {
 		return err
 	}
-	c.CachePID, err = k.Spawn(kernel.SpawnSpec{Body: fs.NewCache(c.opts.CacheBlocks),
-		Links: []link.Link{{Addr: addr.At(c.DiskPID, fsm)}}})
+	c.CachePID, err = k.Spawn(kernel.SpawnSpec{Body: fs.NewCache(0),
+		Links: []link.Link{{Addr: addr.At(c.DiskPID, m1)}}})
 	if err != nil {
 		return err
 	}
 	c.FilePID, err = k.Spawn(kernel.SpawnSpec{Body: fs.NewFileServer(0),
-		Links: []link.Link{{Addr: addr.At(c.CachePID, fsm)}}})
+		Links: []link.Link{{Addr: addr.At(c.CachePID, m1)}}})
 	if err != nil {
 		return err
 	}
 	c.DirPID, err = k.Spawn(kernel.SpawnSpec{Body: fs.NewDir(),
-		Links: []link.Link{{Addr: addr.At(c.FilePID, fsm)}}})
+		Links: []link.Link{{Addr: addr.At(c.FilePID, m1)}}})
 	if err != nil {
 		return err
 	}
 	for _, pid := range []addr.ProcessID{c.DiskPID, c.CachePID, c.FilePID, c.DirPID} {
-		c.notePM(pid, fsm)
+		c.notePM(pid, m1)
 	}
-	c.register("fs.disk", c.DiskPID, fsm)
-	c.register("fs.cache", c.CachePID, fsm)
-	c.register("fs.file", c.FilePID, fsm)
-	c.register("fs.dir", c.DirPID, fsm)
+	c.register("fs.disk", c.DiskPID, m1)
+	c.register("fs.cache", c.CachePID, m1)
+	c.register("fs.file", c.FilePID, m1)
+	c.register("fs.dir", c.DirPID, m1)
 	return nil
 }
 
@@ -403,13 +389,12 @@ func (c *Cluster) SpawnFSClient(m int, file string, rounds int, size uint32) (ad
 	if c.DirPID.IsNil() {
 		return addr.NilPID, fmt.Errorf("core: file system not booted")
 	}
-	fsm := addr.MachineID(c.opts.FSMachine)
 	return c.Spawn(m, kernel.SpawnSpec{
 		Body:      fs.NewClient(file, rounds, size),
 		ImageSize: int(size),
 		Links: []link.Link{
-			{Addr: addr.At(c.DirPID, fsm)},
-			{Addr: addr.At(c.FilePID, fsm)},
+			{Addr: addr.At(c.DirPID, 1)},
+			{Addr: addr.At(c.FilePID, 1)},
 		},
 	})
 }
@@ -433,8 +418,7 @@ func (c *Cluster) Migrate(pid addr.ProcessID, dest int) error {
 		return fmt.Errorf("core: process %v not found", pid)
 	}
 	if c.pm != nil {
-		pmm := addr.MachineID(c.opts.PMMachine)
-		c.ks[pmm].GiveMessage(c.PMPID, addr.KernelAddr(pmm),
+		c.ks[1].GiveMessage(c.PMPID, addr.KernelAddr(1),
 			procmgr.CmdMigrate(pid, addr.MachineID(dest)))
 		return nil
 	}
@@ -448,8 +432,7 @@ func (c *Cluster) Evict(pid addr.ProcessID) error {
 	if c.pm == nil {
 		return fmt.Errorf("core: eviction requires a process manager")
 	}
-	pmm := addr.MachineID(c.opts.PMMachine)
-	c.ks[pmm].GiveMessage(c.PMPID, addr.KernelAddr(pmm), procmgr.CmdEvict(pid))
+	c.ks[1].GiveMessage(c.PMPID, addr.KernelAddr(1), procmgr.CmdEvict(pid))
 	return nil
 }
 

@@ -18,7 +18,7 @@ func (c *Cluster) SpawnVM(m int, src string, links ...link.Link) (addr.ProcessID
 }
 
 // Lookahead returns the conservative lookahead window W in microseconds.
-func (c *Cluster) Lookahead() sim.Time { return c.look }
+func (c *Cluster) Lookahead() sim.Time { return c.group.Lookahead }
 
 // LossBurst raises the loss probability on every shard until the given sim
 // time (sends originate on all shards).

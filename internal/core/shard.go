@@ -26,7 +26,7 @@ import (
 
 // build constructs the engines, networks, kernels, and observability plane.
 // The caller (New) runs boot() afterwards.
-func (c *Cluster) build() error {
+func (c *Cluster) build() {
 	o := &c.opts
 	shards := o.Shards
 	if shards < 1 {
@@ -35,18 +35,6 @@ func (c *Cluster) build() error {
 	if shards > o.Machines {
 		shards = o.Machines
 	}
-	c.look = o.Net.MinLatency(o.Machines)
-	if o.Net.LossRate > 0 {
-		// The machine-anchored ARQ's acks cross shards at the flat ack
-		// latency, so the conservative window must not outrun them.
-		if ack := o.Net.AckLatency(); ack < c.look {
-			c.look = ack
-		}
-	}
-	if c.look < 1 {
-		return fmt.Errorf("core: lookahead window is %d; every PairLatency must be >= 1µs", c.look)
-	}
-
 	c.shardOf = make([]int, o.Machines+1)
 	for m := 1; m <= o.Machines; m++ {
 		c.shardOf[m] = (m - 1) % shards
@@ -98,13 +86,14 @@ func (c *Cluster) build() error {
 	for s := 0; s < shards; s++ {
 		c.nets[s].RegisterObs(c.regs[s])
 	}
+	// Every frame, ARQ acks included, takes at least the one LAN latency,
+	// so that is the conservative lookahead window W.
 	c.group = &sim.Group{
 		Engines:   c.engines,
-		Lookahead: c.look,
+		Lookahead: c.nets[0].Config().Latency,
 		Barrier:   c.barrier,
 		Parallel:  o.ShardParallel,
 	}
-	return nil
 }
 
 // shipFrom returns shard s's cross-shard send hook: it parks the frame in

@@ -217,7 +217,7 @@ func (n *Network) canonSendARQ(from, to addr.MachineID, m *msg.Message, size int
 	n.arqTransmit(fl, extra)
 	if dup {
 		n.arqEnqueue(pendEnt{
-			at: n.eng.Now() + n.transit(from, to, size) + extra + 1,
+			at: n.eng.Now() + n.TransitTime(size) + extra + 1,
 			to: to, from: from, seq: fl.seq,
 			class: classDup, m: n.cloneFor(from, to, m),
 		})
@@ -243,7 +243,7 @@ func (n *Network) arqTransmit(fl *arqFlight, extra sim.Time) {
 	} else {
 		fl.m.Hops++
 		n.arqEnqueue(pendEnt{
-			at: n.eng.Now() + n.transit(fl.from, fl.to, fl.size) + extra,
+			at: n.eng.Now() + n.TransitTime(fl.size) + extra,
 			to: fl.to, from: fl.from, seq: fl.seq,
 			class: classData, attempt: fl.attempt,
 			m: n.cloneFor(fl.from, fl.to, fl.m),

@@ -156,7 +156,7 @@ func (n *Network) isLocal(m addr.MachineID) bool { return n.local == nil || n.lo
 //demos:hotpath — the lossless path must stay allocation-free for local targets: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 //demos:owner inflight — the calendar owns the frame until pump hands it to deliver; a frame for another shard leaves with ship, envelope and all.
 func (n *Network) canonSend(from, to addr.MachineID, m *msg.Message, size int, extra sim.Time) {
-	at := n.eng.Now() + n.transit(from, to, size) + extra
+	at := n.eng.Now() + n.TransitTime(size) + extra
 	fm := n.mach(from)
 	fm.seq++
 	seq := fm.seq
@@ -297,41 +297,4 @@ func (n *Network) pendGrow() {
 // time already past would sit in a list no pump visits: a programming error.
 func panicLatePend(at, now sim.Time) {
 	panic(fmt.Sprintf("netw: frame filed for %v at %v: its arrival time has passed", at, now))
-}
-
-// MinLatency returns the smallest one-way propagation latency between any
-// ordered pair of the given machines under cfg (per-byte cost excluded).
-// This is the cluster's conservative-lookahead window W.
-func (cfg Config) MinLatency(machines int) sim.Time {
-	cfg.fillDefaults()
-	if cfg.PairLatency == nil {
-		return cfg.Latency
-	}
-	var min sim.Time
-	found := false
-	for a := 1; a <= machines; a++ {
-		for b := 1; b <= machines; b++ {
-			if a == b {
-				continue
-			}
-			l := cfg.PairLatency(addr.MachineID(a), addr.MachineID(b))
-			if !found || l < min {
-				min, found = l, true
-			}
-		}
-	}
-	if !found {
-		return cfg.Latency
-	}
-	return min
-}
-
-// AckLatency returns the one-way transit time of a network-level ARQ ack:
-// acks travel at the flat per-frame latency with no per-byte cost (they
-// carry no payload; see arq.go). A lossy cluster clamps its
-// conservative lookahead window to min(MinLatency, AckLatency), because
-// acks are cross-shard frames too.
-func (cfg Config) AckLatency() sim.Time {
-	cfg.fillDefaults()
-	return cfg.Latency
 }

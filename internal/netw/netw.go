@@ -50,11 +50,6 @@ type Config struct {
 	// MaxRetries bounds retransmissions; afterwards the frame is
 	// abandoned: counted Dead and released (e.g. the destination crashed).
 	MaxRetries int
-	// PairLatency, when set, replaces the uniform Latency with a
-	// per-machine-pair propagation delay — a heterogeneous topology
-	// (the per-byte transmission cost still applies on top). It must be
-	// symmetric if the experiment assumes it.
-	PairLatency func(a, b addr.MachineID) sim.Time
 }
 
 // DefaultConfig returns the standard parameters: 500µs latency,
@@ -370,20 +365,10 @@ func (n *Network) Down(m addr.MachineID) bool { return int(m) < len(n.ms) && n.m
 // Stats returns a snapshot of the accumulated counters.
 func (n *Network) Stats() Stats { return n.stats.snapshot() }
 
-// TransitTime returns the modeled one-way time for a frame of size bytes
-// over a default-latency hop (pair-specific latency, if configured, is
-// applied at Send time).
+// TransitTime returns the modeled one-way time for a frame of size bytes:
+// one LAN hop, the fixed latency plus the per-byte transmission cost.
 func (n *Network) TransitTime(size int) sim.Time {
 	return n.cfg.Latency + sim.Time(uint64(size)*uint64(n.cfg.PerByteNanos)/1000)
-}
-
-// transit returns the one-way time between a specific pair.
-func (n *Network) transit(from, to addr.MachineID, size int) sim.Time {
-	lat := n.cfg.Latency
-	if n.cfg.PairLatency != nil {
-		lat = n.cfg.PairLatency(from, to)
-	}
-	return lat + sim.Time(uint64(size)*uint64(n.cfg.PerByteNanos)/1000)
 }
 
 // Routable reports whether to names a machine frames can be sent to.

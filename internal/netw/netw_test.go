@@ -203,36 +203,3 @@ func TestStatsCloneIsDeep(t *testing.T) {
 		t.Fatal("Stats() shares maps with the live counters")
 	}
 }
-
-func TestPairLatencyTopology(t *testing.T) {
-	eng := sim.NewEngine(1)
-	// m1-m2 close (100µs), m1-m3 far (5000µs).
-	n := New(eng, Config{
-		PerByteNanos: 1, // negligible
-		PairLatency: func(a, b addr.MachineID) sim.Time {
-			if (a == 1 && b == 3) || (a == 3 && b == 1) {
-				return 5000
-			}
-			return 100
-		},
-	})
-	r2 := &recorder{eng: eng}
-	r3 := &recorder{eng: eng}
-	n.Attach(1, &recorder{eng: eng})
-	n.Attach(2, r2)
-	n.Attach(3, r3)
-	near := frame(0)
-	far := &msg.Message{Kind: msg.KindUser, From: addr.KernelAddr(1), To: addr.KernelAddr(3)}
-	n.Send(1, 2, near)
-	n.Send(1, 3, far)
-	eng.Run()
-	if len(r2.at) != 1 || len(r3.at) != 1 {
-		t.Fatal("frames lost")
-	}
-	if r2.at[0] >= 1000 {
-		t.Fatalf("near hop took %v", r2.at[0])
-	}
-	if r3.at[0] < 5000 {
-		t.Fatalf("far hop took only %v", r3.at[0])
-	}
-}

@@ -342,37 +342,6 @@ func TestOneGateLandsAnInstant(t *testing.T) {
 	}
 }
 
-// TestZeroTransitArmsNoSecondGate: with a transit time of 0, a delivery can
-// send a frame due at the instant being pumped. The pump lands it on the
-// same pass, and it arms no gate of its own — one that would fire empty and
-// count an event no frame accounts for.
-func TestZeroTransitArmsNoSecondGate(t *testing.T) {
-	const frames = 7
-	eng := sim.NewEngine(1)
-	n := New(eng, Config{PairLatency: func(a, b addr.MachineID) sim.Time { return 0 }, PerByteNanos: 1})
-	sent := 0
-	relay := func(self addr.MachineID) Endpoint {
-		return endpointFunc(func(m *msg.Message) {
-			if sent < frames {
-				sent++
-				n.Send(self, 3-self, frame(8)) // 1 <-> 2, due now
-			}
-		})
-	}
-	n.Attach(1, relay(1))
-	n.Attach(2, relay(2))
-	pumps := pumpCounter(eng)
-	sent++
-	n.Send(1, 2, frame(8))
-	eng.Run()
-	if eng.Now() != 0 || sent != frames || n.Stats().Delivered != frames {
-		t.Fatalf("at %v, %d of %d frames sent and %d delivered; want all of them at 0", eng.Now(), sent, frames, n.Stats().Delivered)
-	}
-	if *pumps != 1 || eng.Fired() != frames {
-		t.Fatalf("%d pumps fired and Fired() = %d for %d frames filed; want 1 pump and one event a frame", *pumps, eng.Fired(), frames)
-	}
-}
-
 // endpointFunc adapts a function to Endpoint.
 type endpointFunc func(*msg.Message)
 

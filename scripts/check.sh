@@ -101,7 +101,7 @@ fi
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts
-go run ./cmd/experiments -obs-json artifacts/obs_snapshot.json -trace-out artifacts/obs_timeline.json
+go run ./cmd/demosnet -obs-json artifacts/obs_snapshot.json -trace-out artifacts/obs_timeline.json
 
 echo "== policy tournament (short mode: 32 machines, 4 shards, seeded A/B arms), findings byte-equal to the committed golden"
 go run ./cmd/experiments -tournament-short -tournament-json artifacts/tournament_findings.json

@@ -49,46 +49,59 @@ func (c *Cluster) StartOpenLoop(cfg workload.OpenLoop) *OpenLoopDriver {
 	return d
 }
 
-// armArrivals schedules machine m's next arrival; the event spawns the job
+// arrivals is machine m's open-loop driver: the arrival cursor, the
+// service demand of the arrival armed next, and fire bound once, so an
+// arrival allocates nothing but its job.
+type arrivals struct {
+	st     *workload.Arrivals
+	eng    *sim.Engine
+	k      *kernel.Kernel
+	d      *OpenLoopDriver
+	m      int
+	spin   bool
+	svc    sim.Time
+	fireFn func()
+}
+
+// armArrivals schedules machine m's first arrival; its event spawns the job
 // and re-arms for the following one (streaming: one pending event per
-// machine, never the whole arrival sequence). arm and fire are bound once
-// per machine and pass the service demand through svc, so an arrival
-// allocates nothing but its job.
+// machine, never the whole arrival sequence).
 func (c *Cluster) armArrivals(m int, st *workload.Arrivals, d *OpenLoopDriver, spin bool) {
-	eng := c.EngineOf(m)
-	k := c.Kernel(m)
-	var svc sim.Time
-	var fire func()
-	arm := func() {
-		var ok bool
-		var at sim.Time
-		if at, svc, ok = st.Next(); ok {
-			eng.At(at, "wl:arrival", fire)
-		}
+	a := &arrivals{st: st, eng: c.EngineOf(m), k: c.Kernel(m), d: d, m: m, spin: spin}
+	a.fireFn = a.fire
+	a.arm()
+}
+
+// arm schedules the next arrival, if the stream has one.
+func (a *arrivals) arm() {
+	if at, svc, ok := a.st.Next(); ok {
+		a.svc = svc
+		a.eng.At(at, "wl:arrival", a.fireFn)
 	}
-	fire = func() {
-		var body proc.Body
-		// In Spin mode the service demand (µs) converts to an instruction
-		// budget at the kernel's modeled instruction cost, so a spinner
-		// occupies the CPU for the same simulated time the timer job would
-		// have slept.
-		if spin {
-			work := int(uint64(svc) * 1000 / kernel.InstrCostNanos)
-			if work < 1 {
-				work = 1
-			}
-			body = &workload.Spinner{Work: work}
-		} else {
-			body = &workload.Job{Service: svc}
+}
+
+// fire spawns the armed arrival's job and arms the next.
+func (a *arrivals) fire() {
+	var body proc.Body
+	// In Spin mode the service demand (µs) converts to an instruction
+	// budget at the kernel's modeled instruction cost, so a spinner
+	// occupies the CPU for the same simulated time the timer job would
+	// have slept.
+	if a.spin {
+		work := int(uint64(a.svc) * 1000 / kernel.InstrCostNanos)
+		if work < 1 {
+			work = 1
 		}
-		if _, err := k.Spawn(kernel.SpawnSpec{Body: body}); err != nil {
-			d.failed[m]++
-		} else {
-			d.spawned[m]++
-		}
-		arm()
+		body = &workload.Spinner{Work: work}
+	} else {
+		body = &workload.Job{Service: a.svc}
 	}
-	arm()
+	if _, err := a.k.Spawn(kernel.SpawnSpec{Body: body}); err != nil {
+		a.d.failed[a.m]++
+	} else {
+		a.d.spawned[a.m]++
+	}
+	a.arm()
 }
 
 // jobBody is a compile-time check that the open-loop job satisfies the

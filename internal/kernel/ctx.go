@@ -205,6 +205,9 @@ func (c *procCtx) MoveTo(on link.ID, off uint32, data []byte, userXfer uint16) e
 	kx := c.k.newXferID()
 	base := l.Area.Offset + off
 	n := c.k.streamWrite(l.Addr, kx, base, data)
+	if c.k.moveOps == nil {
+		c.k.moveOps = make(map[uint16]*moveOp)
+	}
 	c.k.moveOps[kx] = &moveOp{
 		initiator: c.p.id, userXfer: userXfer,
 		packets: n, base: base, pkt: c.k.cfg.DataPacket,
@@ -229,6 +232,9 @@ func (c *procCtx) MoveFrom(on link.ID, off, n uint32, userXfer uint16) error {
 	k := c.k
 	pid := c.p.id
 	kx := k.newXferID()
+	if k.xfersIn == nil {
+		k.xfersIn = make(map[uint16]*inStream)
+	}
 	k.xfersIn[kx] = &inStream{total: -1, complete: func(data []byte) {
 		body := msg.XferStatus{Xfer: userXfer, OK: true}.Encode()
 		body = append(body, data...)
@@ -287,6 +293,9 @@ func (c *procCtx) Print(b []byte) {
 		return
 	}
 	line := string(b)
+	if c.k.console == nil {
+		c.k.console = make(map[addr.ProcessID][]string)
+	}
 	c.k.console[c.p.id] = append(c.k.console[c.p.id], line)
 	c.k.trace(sitePrint, strings.TrimRight(line, "\n"), trace.PID(c.p.id))
 }

@@ -100,6 +100,8 @@ func (k *Kernel) enqueue(p *Process, m *msg.Message) {
 	k.stats.MsgsEnqueued++
 	if k.hLat != nil {
 		k.hLat.Observe(uint64(k.eng.Now() - m.SentAt))
+	} else if k.observed {
+		k.observeFirstLatency(uint64(k.eng.Now() - m.SentAt))
 	}
 	if p.queue.Len() > p.queueHighWater {
 		p.queueHighWater = p.queue.Len()
@@ -258,6 +260,9 @@ func (k *Kernel) handleNotDeliverable(m *msg.Message) {
 		k.stats.DeadLetters++
 		k.putMsg(orig)
 		return
+	}
+	if k.pendingLocate == nil {
+		k.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
 	}
 	k.pendingLocate[pid] = append(k.pendingLocate[pid], orig) //demos:owner locate — held (capped) until the locate reply resubmits or dead-letters it.
 	if len(k.pendingLocate[pid]) > 1 {

@@ -155,3 +155,23 @@ func (k *Kernel) VisitLinks(pid addr.ProcessID, fn func(link.ID, link.Link)) boo
 	}
 	return true
 }
+
+// LiveMaps names the kernel's maps that exist: every one is nil until its
+// first write.
+func (k *Kernel) LiveMaps() []string {
+	var out []string
+	for _, m := range []struct {
+		name string
+		live bool
+	}{
+		{"procs", k.procs != nil}, {"exits", k.exits != nil}, {"localErrs", k.localErrs != nil},
+		{"xfersIn", k.xfersIn != nil}, {"moveOps", k.moveOps != nil}, {"kinds", k.kinds != nil},
+		{"pendingLocate", k.pendingLocate != nil}, {"console", k.console != nil},
+		{"stable", k.stable != nil}, {"lostPIDs", k.lostPIDs != nil},
+	} {
+		if m.live {
+			out = append(out, m.name)
+		}
+	}
+	return out
+}

@@ -282,15 +282,17 @@ type SpawnSpec struct {
 
 // Kernel is one machine's kernel.
 type Kernel struct {
-	// The small scalars share the struct's first word (2+2+2+1+1 bytes):
-	// each in its own padded word, they would push Kernel and the Delivery
-	// slot in sliceCtx into the next allocation size class
-	// (TestKernelSizeClass).
+	// The small scalars share the struct's first words (2+2+2+1+1+1
+	// bytes): each in its own padded word, they would push Kernel and the
+	// Delivery slot in sliceCtx into the next allocation size class
+	// (TestKernelSizeClass). observed: a registry reads this kernel
+	// (SetObs), so its first enqueue allocates hLat.
 	machine     addr.MachineID
 	nextUID     addr.LocalUID
 	nextXfer    uint16
 	sliceQueued bool
 	crashed     bool
+	observed    bool
 
 	eng *sim.Engine
 	net *netw.Network
@@ -302,6 +304,9 @@ type Kernel struct {
 	// bounds check each and touch no hash map. localErrs holds the errors of
 	// local pids that crashed (nil until the first). procs and exits hold
 	// only foreign pids (migrated in, revived). eachProc walks both halves.
+	// Every map of the kernel is nil until its first write, so a machine
+	// that never sees a foreign pid, a transfer or a checkpoint carries no
+	// empty map.
 	local     []uidSlot
 	localErrs map[addr.LocalUID]error
 	procs     map[addr.ProcessID]*Process
@@ -375,11 +380,12 @@ type Kernel struct {
 	loadReportEv sim.Event
 
 	// Observability plane (obs.go): the migration ledger and the kernel's
-	// registry-owned histograms. led is the one store of this kernel's
-	// migration records — the cluster's, attached by SetObs, or else one of
-	// its own made at its first completed migration. hLat is nil until
-	// SetObs; every hot-path touch is behind a nil check, so a bare kernel
-	// pays one predictable branch.
+	// one histogram. led is the one store of this kernel's migration
+	// records — the cluster's, attached by SetObs, or else one of its own
+	// made at its first completed migration. hLat is nil until the first
+	// enqueue of an observed kernel (it renders as empty until then); the
+	// hot-path touch is behind a nil check, so a bare kernel pays one
+	// predictable branch.
 	led  *obs.Ledger
 	hLat *obs.Histogram // user-message delivery latency (route -> enqueue), µs
 }
@@ -392,20 +398,12 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 	}
 	cfg.fillDefaults()
 	k := &Kernel{
-		machine:       m,
-		eng:           eng,
-		net:           net,
-		cfg:           cfg,
-		procs:         make(map[addr.ProcessID]*Process),
-		nextUID:       1,
-		swap:          memory.NewStore(SwapCapacity),
-		xfersIn:       make(map[uint16]*inStream),
-		moveOps:       make(map[uint16]*moveOp),
-		pendingLocate: make(map[addr.ProcessID][]*msg.Message),
-		console:       make(map[addr.ProcessID][]string),
-		exits:         make(map[addr.ProcessID]ExitInfo),
-		stable:        make(map[addr.ProcessID][]byte),
-		kinds:         make(map[string]string),
+		machine: m,
+		eng:     eng,
+		net:     net,
+		cfg:     cfg,
+		nextUID: 1,
+		swap:    memory.NewStore(SwapCapacity),
 	}
 	k.pool = msg.NewPool()
 	k.runSliceFn = k.runSlice
@@ -570,6 +568,9 @@ func (k *Kernel) Exit(pid addr.ProcessID) (ExitInfo, bool) {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) noteExit(pid addr.ProcessID, info ExitInfo) {
 	if pid.Creator != k.machine {
+		if k.exits == nil {
+			k.exits = make(map[addr.ProcessID]ExitInfo)
+		}
 		k.exits[pid] = info
 		return
 	}
@@ -769,6 +770,9 @@ func (k *Kernel) slot(uid addr.LocalUID) *uidSlot {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) addProc(p *Process) {
 	if p.id.Creator != k.machine {
+		if k.procs == nil {
+			k.procs = make(map[addr.ProcessID]*Process)
+		}
 		k.procs[p.id] = p
 		return
 	}
@@ -979,6 +983,9 @@ func (k *Kernel) internKind(b []byte) string {
 		return s
 	}
 	s := string(b)
+	if k.kinds == nil {
+		k.kinds = make(map[string]string)
+	}
 	k.kinds[s] = s
 	return s
 }

@@ -705,6 +705,9 @@ func (k *Kernel) pullRegion(mg *migration, buf []byte) {
 	region := msg.Region(mg.step)
 	mg.in = inStream{buf: buf[:0], total: -1, mg: mg}
 	mg.xfer = k.newXferID()
+	if k.xfersIn == nil {
+		k.xfersIn = make(map[uint16]*inStream)
+	}
 	k.xfersIn[mg.xfer] = &mg.in
 	step := siteStep4
 	if region == msg.RegionProgram {

@@ -15,8 +15,8 @@ import (
 	"demosmp/internal/obs"
 )
 
-// adminNames are the element names of every kernel's Stats.AdminSent
-// registration, indexed by op: the administrative messages of §3.1 (refusal
+// adminNames name the admin_sent.<op> rows AppendMetrics renders from
+// Stats.AdminSent, indexed by op: the administrative messages of §3.1 (refusal
 // included) plus the abort used on fault paths get an admin_sent.<op> row,
 // every other op none.
 var adminNames = func() []string {
@@ -31,42 +31,63 @@ var adminNames = func() []string {
 	return names
 }()
 
-// SetObs attaches the observability plane to this kernel: every Stats
-// counter becomes a metric in reg under "kernel.m<id>." (the Stats struct
-// stays the single owner and its fields the single declaration; the registry
-// reads them live at snapshot time), a registry-owned delivery-latency
-// histogram starts observing enqueue, and led (if non-nil) becomes the store
-// of this kernel's migration records: one MigrationRecord per completed
-// outbound migration with post-completion forward/link-update attribution,
-// which Reports reads back. Without one the kernel keeps its records in a
-// ledger of its own. Attach led before the first migration completes: a
-// record stays in the ledger it was added to.
+// SetObs attaches the observability plane to this kernel: reg (if non-nil)
+// reads the kernel's rows at snapshot time (AppendMetrics), and led (if
+// non-nil) becomes the store of this kernel's migration records: one
+// MigrationRecord per completed outbound migration with post-completion
+// forward/link-update attribution, which Reports reads back. Without one
+// the kernel keeps its records in a ledger of its own. Attach led before
+// the first migration completes: a record stays in the ledger it was added
+// to.
 //
-// Either argument may be nil to attach only half the plane. Call at most
-// once per registry: metric names are unique per machine.
+// Registration holds no name, closure or histogram: the kernel is one
+// interface value in reg, and the delivery-latency histogram is allocated
+// at the first enqueue it observes. Call at most once per registry: metric
+// names are unique per machine.
 func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
 	k.led = led
 	if reg == nil {
 		return
 	}
+	k.observed = true
+	reg.AddRows(k)
+}
+
+// AppendMetrics renders this kernel's rows under "kernel.m<id>.": every
+// Stats counter through the registry's field-derived rule (the Stats struct
+// stays the single owner and its fields the single declaration), an
+// admin_sent.<op> row per named AdminSent element, and the computed rows —
+// admin_total (the sum over AdminSent), the envelope pool levels through
+// PoolStats (the registry view of the conservation law news == free + held
+// that the chaos invariant checker audits) and deliver_latency_us, the one
+// kernel-owned histogram: user-message delivery latency (SentAt stamp to
+// queue insertion) in simulated µs, empty until the first observation.
+func (k *Kernel) AppendMetrics(dst []obs.Metric) []obs.Metric {
 	p := "kernel.m" + strconv.Itoa(int(k.machine)) + "."
-	reg.SampleStruct(p, &k.stats)
-	reg.SampleArray(p+"admin_sent.", &k.stats.AdminSent, adminNames)
+	dst = obs.AppendStruct(dst, p, &k.stats)
+	for op, name := range adminNames {
+		if name != "" {
+			dst = append(dst, obs.Metric{Name: p + "admin_sent." + name, Kind: "counter", Value: k.stats.AdminSent[op]})
+		}
+	}
+	news, free, held := k.PoolStats()
+	return append(dst,
+		obs.Metric{Name: p + "admin_total", Kind: "counter", Value: k.stats.AdminTotal()},
+		obs.Metric{Name: p + "pool_news", Kind: "gauge", Value: uint64(news)},
+		obs.Metric{Name: p + "pool_free", Kind: "gauge", Value: uint64(free)},
+		obs.Metric{Name: p + "pool_held", Kind: "gauge", Value: uint64(held)},
+		k.hLat.Metric(p+"deliver_latency_us"))
+}
 
-	// Computed, not stored: the sum over AdminSent.
-	reg.Sample(p+"admin_total", k.stats.AdminTotal)
-
-	// Computed, not stored: envelope pool levels through PoolStats (held
-	// walks the process queues; free is a list length). The registry view
-	// of the conservation law (news == free + held) the chaos invariant
-	// checker audits.
-	reg.SampleGauge(p+"pool_news", func() uint64 { n, _, _ := k.PoolStats(); return uint64(n) })
-	reg.SampleGauge(p+"pool_free", func() uint64 { _, f, _ := k.PoolStats(); return uint64(f) })
-	reg.SampleGauge(p+"pool_held", func() uint64 { _, _, h := k.PoolStats(); return uint64(h) })
-
-	// The one registry-owned kernel metric: user-message delivery latency
-	// (SentAt stamp to queue insertion) in simulated µs.
-	k.hLat = reg.Histogram(p + "deliver_latency_us")
+// observeFirstLatency allocates the delivery-latency histogram at the first
+// enqueue of a kernel with a registry attached, so a machine that never
+// delivers a user message carries none. Out of line: enqueue's fast path
+// stays one nil check.
+//
+//go:noinline
+func (k *Kernel) observeFirstLatency(v uint64) {
+	k.hLat = new(obs.Histogram)
+	k.hLat.Observe(v)
 }
 
 // ledgerForward is the cold attribution half of forward: it charges a §4

@@ -116,6 +116,9 @@ func (k *Kernel) SaveCheckpoint(pid addr.ProcessID) error {
 	if err != nil {
 		return err
 	}
+	if k.stable == nil {
+		k.stable = make(map[addr.ProcessID][]byte)
+	}
 	k.stable[pid] = b
 	k.stats.CheckpointsSaved++
 	return nil
@@ -172,14 +175,14 @@ func (k *Kernel) Restart() error {
 		}
 	}
 
-	k.procs = make(map[addr.ProcessID]*Process)
+	k.procs = nil
 	for i := range k.local {
 		k.local[i].p = nil // the exit records survive, as k.exits does
 	}
 	k.runq = ring[*Process]{}
-	k.xfersIn = make(map[uint16]*inStream)
-	k.moveOps = make(map[uint16]*moveOp)
-	k.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
+	k.xfersIn = nil
+	k.moveOps = nil
+	k.pendingLocate = nil
 	k.memUsed = 0
 	k.cpuFreeAt = k.eng.Now()
 
@@ -323,6 +326,9 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 	}
 	if len(k.pendingLocate[pid]) >= PendingLocateCap {
 		return false // overflow: caller dead-letters
+	}
+	if k.pendingLocate == nil {
+		k.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
 	}
 	k.pendingLocate[pid] = append(k.pendingLocate[pid], m) //demos:owner locate — held (capped) until the search reply resubmits or dead-letters it.
 	if len(k.pendingLocate[pid]) > 1 {

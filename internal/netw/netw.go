@@ -130,15 +130,11 @@ type counters struct {
 	byKind      [msg.KindCount]uint64
 	bytesByKind [msg.KindCount]uint64
 	perMachine  []MachineStats // indexed by uint16(MachineID)
-	sampled     bool           // the obs registry holds pointers into perMachine
 }
 
 // machine returns the dense slot for m, growing the slice on first sight.
 func (c *counters) machine(m addr.MachineID) *MachineStats {
 	if n := int(m) + 1 - len(c.perMachine); n > 0 {
-		if c.sampled {
-			panic("netw: per-machine counters grew after RegisterObs; the registered rows would go stale")
-		}
 		c.perMachine = append(c.perMachine, make([]MachineStats, n)...)
 	}
 	return &c.perMachine[m]

@@ -25,13 +25,11 @@ var kindNames = func() []string {
 }()
 
 // RegisterObs registers the network's wire-level counters under "netw.*"
-// and attaches the frame-size histogram. Call once, after every machine
-// has been attached (and after SetCanonical, which sizes the per-machine
-// table to the whole cluster — a shard accounts FramesIn for remote
-// receivers, so every shard registers every machine's rows and merged
-// snapshots sum to cluster totals): per-machine rows are registered for the
-// machines known at call time, by pointer into a table that must not grow
-// once it has rows registered (counters.machine panics if it would).
+// and attaches the frame-size histogram. Call once. The per-machine rows
+// are one registration, rendered at snapshot time for every machine in the
+// table then (SetCanonical sizes it to the whole cluster: a shard accounts
+// FramesIn for remote receivers, so every shard renders every machine's
+// rows and merged snapshots sum to cluster totals).
 func (n *Network) RegisterObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -40,9 +38,15 @@ func (n *Network) RegisterObs(reg *obs.Registry) {
 	reg.SampleStruct("netw.", &c.Stats)
 	reg.SampleArray("netw.frames.", &c.byKind, kindNames)
 	reg.SampleArray("netw.bytes.", &c.bytesByKind, kindNames)
-	for m := 1; m < len(c.perMachine); m++ {
-		reg.SampleStruct("netw.m"+strconv.Itoa(m)+".", &c.perMachine[m])
-	}
-	c.sampled = len(c.perMachine) > 1
+	reg.AddRows(c)
 	n.hFrame = reg.Histogram("netw.frame_bytes")
+}
+
+// AppendMetrics renders the netw.m<id>. rows of every machine in the
+// per-machine table through the registry's field-derived rule.
+func (c *counters) AppendMetrics(dst []obs.Metric) []obs.Metric {
+	for m := 1; m < len(c.perMachine); m++ {
+		dst = obs.AppendStruct(dst, "netw.m"+strconv.Itoa(m)+".", &c.perMachine[m])
+	}
+	return dst
 }

@@ -77,8 +77,14 @@ func (r *Registry) SampleArray(prefix string, ptr any, names []string) {
 // snapshot taken now, in field order: audits compare a snapshot with a
 // struct field by field through it, without naming the fields.
 func StructMetrics(prefix string, ptr any) []Metric {
+	return AppendStruct(nil, prefix, ptr)
+}
+
+// AppendStruct appends StructMetrics(prefix, ptr) to dst: a Rows owner
+// renders its stats struct through it, under a prefix it builds only then.
+func AppendStruct(dst []Metric, prefix string, ptr any) []Metric {
 	e := adoptStruct(prefix, ptr)
-	return e.appendTo(nil)
+	return e.appendTo(dst)
 }
 
 func adoptStruct(prefix string, ptr any) sampled {

@@ -127,10 +127,16 @@ func sampleStructPanics(t *testing.T) {
 		r.SampleStruct("k.", &s)
 		r.Snapshot(0)
 	})
-	mustPanic(t, "derived name then closure", func() {
+	mustPanic(t, "derived name then row", func() {
 		r := NewRegistry()
 		r.SampleStruct("k.", &s)
-		r.SampleGauge("k.level", func() uint64 { return 0 })
+		r.AddRows(gaugeRow("k.level", 0))
+		r.Snapshot(0)
+	})
+	mustPanic(t, "row then row", func() {
+		r := NewRegistry()
+		r.AddRows(gaugeRow("k.m1.level", 0))
+		r.AddRows(gaugeRow("k.m1.level", 1))
 		r.Snapshot(0)
 	})
 	mustPanic(t, "struct by value", func() { NewRegistry().SampleStruct("k.", s) })

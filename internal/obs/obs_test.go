@@ -3,12 +3,25 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"demosmp/internal/addr"
 	"demosmp/internal/sim"
 	"demosmp/internal/trace"
 )
+
+// rowsFunc renders the rows a function appends.
+type rowsFunc func(dst []Metric) []Metric
+
+func (f rowsFunc) AppendMetrics(dst []Metric) []Metric { return f(dst) }
+
+// gaugeRow is a Rows owner with the one gauge name = v.
+func gaugeRow(name string, v uint64) Rows {
+	return rowsFunc(func(dst []Metric) []Metric {
+		return append(dst, Metric{Name: name, Kind: "gauge", Value: v})
+	})
+}
 
 func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	r := NewRegistry()
@@ -17,7 +30,7 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	h := r.Histogram("a.hist")
 	var src uint64 = 41
 	r.Sample("m.sampled", func() uint64 { return src })
-	r.SampleGauge("g.level", func() uint64 { return 7 })
+	r.AddRows(gaugeRow("g.level", 7))
 
 	owned.Counter += 3
 	h.Observe(0)
@@ -62,6 +75,11 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	if _, ok := s.Get("missing"); ok {
 		t.Error("Get(missing) reported present")
 	}
+	// An owner that never observed renders its nil histogram as empty.
+	var none *Histogram
+	if got, want := none.Metric("h"), new(Histogram).Metric("h"); got.Kind != "histogram" || got.Count != 0 || got.Sum != 0 || got.Buckets != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("nil histogram renders %+v, an empty one %+v", got, want)
+	}
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
@@ -78,7 +96,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestSnapshotWriteDeterministic(t *testing.T) {
 	build := func() Snapshot {
 		r := NewRegistry()
-		r.SampleGauge("b", func() uint64 { return 5 })
+		r.AddRows(gaugeRow("b", 5))
 		r.Histogram("a").Observe(100)
 		r.Sample("c", func() uint64 { return 9 })
 		return r.Snapshot(77)

@@ -9,13 +9,17 @@
 //     interfaces anywhere a per-message code path can reach. Everything
 //     else — registration, snapshotting, export — is cold and may allocate
 //     freely.
-//  2. Exactly one declaration per value. A counter is a field of its
-//     owner's stats struct and nothing else: SampleStruct adopts the struct
-//     by pointer and derives metric names from field names (derive.go),
-//     reading the fields only at snapshot time, so a number can never drift
-//     between "the struct" and "the registry". Closures are for values that
-//     are computed, not stored; only genuinely new metrics (latency/size
-//     histograms) live in registry-owned slots.
+//  2. Exactly one declaration per value, and names only in Snapshot. A
+//     counter is a field of its owner's stats struct and nothing else:
+//     SampleStruct adopts the struct by pointer and derives metric names
+//     from field names (derive.go), reading the fields only at snapshot
+//     time, so a number can never drift between "the struct" and "the
+//     registry". An owner that exists once per machine registers itself
+//     (AddRows) and renders its rows in Snapshot through the same rule: a
+//     machine costs the registry one interface value, and its metric names,
+//     like every derived name, exist only in the snapshot. Closures are for
+//     cluster-wide values that are computed, not stored; only genuinely new
+//     metrics (latency/size histograms) are not fields of a stats struct.
 //  3. Deterministic output. Snapshots are sorted by metric name and
 //     rendered through explicit structs — no map iteration feeds an
 //     exporter (demoslint maporder), so two same-seed runs emit
@@ -46,6 +50,30 @@ type Histogram struct {
 	buckets [HistBuckets]uint64
 }
 
+// Metric renders h as the histogram metric called name. A nil h renders as
+// an empty histogram (count=0 sum=0), so an owner may leave its histogram
+// unallocated until the first observation.
+func (h *Histogram) Metric(name string) Metric {
+	out := Metric{Name: name, Kind: "histogram"}
+	if h == nil {
+		return out
+	}
+	out.Count = h.count
+	out.Sum = h.sum
+	out.Value = h.count
+	for i, n := range h.buckets {
+		if n == 0 {
+			continue
+		}
+		le := uint64(0)
+		if i > 0 {
+			le = 1<<uint(i) - 1
+		}
+		out.Buckets = append(out.Buckets, Bucket{Le: le, N: n})
+	}
+	return out
+}
+
 // Observe records one value.
 //
 //demos:hotpath — fixed-array bucketing via bits.Len64, no bounds math on the heap: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip and /netw-send with obs attached.
@@ -55,12 +83,19 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)]++
 }
 
-// metric is one registered slot: exactly one of hist, fn is set.
+// metric is one registered slot: a histogram, or a counter fn computes.
 type metric struct {
 	name string
-	kind string // "counter", "gauge", "histogram"
 	hist *Histogram
 	fn   func() uint64
+}
+
+// Rows is a registration that renders its own metrics when Snapshot runs,
+// appending them to dst: a per-machine owner registers itself once with
+// AddRows, and holds no name, closure or slot in the registry until then.
+// The names it renders must be unique; Snapshot panics on a duplicate.
+type Rows interface {
+	AppendMetrics(dst []Metric) []Metric
 }
 
 // Registry holds the cluster's metric slots and samplers. It is built once
@@ -69,6 +104,7 @@ type metric struct {
 type Registry struct {
 	metrics []metric  // registry-owned slots and closures, one per metric
 	sampled []sampled // adopted structs and arrays, one per registration
+	rows    []Rows    // owners that render their own metrics
 	names   map[string]struct{}
 }
 
@@ -95,7 +131,7 @@ func (r *Registry) register(m metric) {
 // Histogram registers and returns a registry-owned power-of-two histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{}
-	r.register(metric{name: name, kind: "histogram", hist: h})
+	r.register(metric{name: name, hist: h})
 	return h
 }
 
@@ -103,13 +139,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 // (a sum over other counters, a level read through an accessor). A value
 // that is stored in a struct field is adopted with SampleStruct instead.
 func (r *Registry) Sample(name string, fn func() uint64) {
-	r.register(metric{name: name, kind: "counter", fn: fn})
+	r.register(metric{name: name, fn: fn})
 }
 
-// SampleGauge is Sample with gauge semantics: the value is a level (pool
-// occupancy), not a monotonic count.
-func (r *Registry) SampleGauge(name string, fn func() uint64) {
-	r.register(metric{name: name, kind: "gauge", fn: fn})
+// AddRows registers an owner whose metrics Snapshot renders by calling its
+// AppendMetrics. Nothing about it is claimed up front: a name it renders
+// that collides with another metric is caught in Snapshot.
+func (r *Registry) AddRows(rows Rows) {
+	r.rows = append(r.rows, rows)
 }
 
 // Bucket is one histogram bucket in a snapshot: N observations with
@@ -136,9 +173,9 @@ type Snapshot struct {
 	Metrics  []Metric `json:"metrics"`
 }
 
-// Snapshot reads every slot, sampler and adopted struct (cold) and returns a
-// name-sorted snapshot stamped with the given simulated time. It panics if a
-// derived name collides with another metric.
+// Snapshot reads every slot, sampler, adopted struct and row owner (cold)
+// and returns a name-sorted snapshot stamped with the given simulated time.
+// It panics if a derived or rendered name collides with another metric.
 func (r *Registry) Snapshot(at sim.Time) Snapshot {
 	n := len(r.metrics)
 	for i := range r.sampled {
@@ -146,28 +183,17 @@ func (r *Registry) Snapshot(at sim.Time) Snapshot {
 	}
 	s := Snapshot{AtMicros: uint64(at), Metrics: make([]Metric, 0, n)}
 	for _, m := range r.metrics {
-		out := Metric{Name: m.name, Kind: m.kind}
 		if m.hist != nil {
-			out.Count = m.hist.count
-			out.Sum = m.hist.sum
-			out.Value = m.hist.count
-			for i, n := range m.hist.buckets {
-				if n == 0 {
-					continue
-				}
-				le := uint64(0)
-				if i > 0 {
-					le = 1<<uint(i) - 1
-				}
-				out.Buckets = append(out.Buckets, Bucket{Le: le, N: n})
-			}
+			s.Metrics = append(s.Metrics, m.hist.Metric(m.name))
 		} else {
-			out.Value = m.fn()
+			s.Metrics = append(s.Metrics, Metric{Name: m.name, Kind: "counter", Value: m.fn()})
 		}
-		s.Metrics = append(s.Metrics, out)
 	}
 	for i := range r.sampled {
 		s.Metrics = r.sampled[i].appendTo(s.Metrics)
+	}
+	for _, rows := range r.rows {
+		s.Metrics = rows.AppendMetrics(s.Metrics)
 	}
 	sort.Slice(s.Metrics, func(i, j int) bool { return s.Metrics[i].Name < s.Metrics[j].Name })
 	for i := 1; i < len(s.Metrics); i++ {

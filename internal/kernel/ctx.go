@@ -77,9 +77,10 @@ func (c *procCtx) send(on link.ID, kind msg.Kind, op msg.Op, body []byte, carry 
 		c.p.links.Remove(on)
 	}
 	c.p.msgsOut++
-	c.p.msgsDelta++
-	if k.cfg.LoadReportEvery > 0 { // only load reports read the peer counts
-		c.p.commDelta[l.Addr.LastKnown]++
+	if k.cfg.LoadReportEvery > 0 { // only load reports read the deltas
+		x := c.p.ext
+		x.msgsDelta++
+		x.commDelta[l.Addr.LastKnown]++
 	}
 	k.route(m)
 	return nil

@@ -73,9 +73,7 @@ func (k *Kernel) deliverLocal(m *msg.Message) {
 		// message queue."
 		p.queue.push(m)
 		k.stats.MsgsHeld++
-		if p.queue.Len() > p.queueHighWater {
-			p.queueHighWater = p.queue.Len()
-		}
+		p.queueHighWater = max(p.queueHighWater, p.queue.n)
 	default:
 		if m.DTK {
 			// §2.2: "on arrival at the destination process's message
@@ -103,9 +101,7 @@ func (k *Kernel) enqueue(p *Process, m *msg.Message) {
 	} else if k.observed {
 		k.observeFirstLatency(uint64(k.eng.Now() - m.SentAt))
 	}
-	if p.queue.Len() > p.queueHighWater {
-		p.queueHighWater = p.queue.Len()
-	}
+	p.queueHighWater = max(p.queueHighWater, p.queue.n)
 	if p.state == StateWaiting {
 		k.enqueueRun(p)
 	}
@@ -122,7 +118,7 @@ func (k *Kernel) forward(f *Process, m *msg.Message) {
 	m.Forwards++
 	k.stats.Forwarded++
 	k.trace(siteForward, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(f.fwdTo), trace.Int(int(m.Forwards)))
-	if f.obsRec != nil {
+	if f.ext != nil && f.ext.obsRec != nil {
 		k.ledgerForward(f, m)
 	}
 	// m is dead once route returns, so read what the update needs first; it

@@ -16,13 +16,18 @@ import (
 // while every one waits on its timer, then after all have exited and their
 // records, queue rings and timer records sit on the free lists. The bodies
 // are allocated before the first reading, so only the kernel's share
-// counts: the record, its UID slot, its timer and the engine's event slot
-// while it waits. A link table per process (64 B) puts the first reading
-// over budget, an 8-slot queue ring (48 B more than 2 slots) the second.
-// (The race detector's shadow allocations inflate HeapAlloc, hence the
-// build tag.)
+// counts: the 128-byte record, its UID slot, its 2-slot queue ring, its
+// timer and the engine's event slot while it waits (282 B), and after exit
+// the same parts parked on the free lists (353 B). Each budget leaves less
+// slack than the smallest per-process allocation it is there to catch. The
+// waiting budget (300 B) fails on a link table per process (64 B) or a side
+// record per process on a kernel without load reports (48 B); the ended
+// budget (380 B) on an 8-slot queue ring (48 B more than 2 slots) or on the
+// same side record kept on the free list. A record one size class up (144 B)
+// fits both; TestProcessRecordLayout catches that. (The race detector's
+// shadow allocations inflate HeapAlloc, hence the build tag.)
 func TestPerProcessHeapBudget(t *testing.T) {
-	const n, waitingBudget, endedBudget = 20_000, 360, 440
+	const n, waitingBudget, endedBudget = 20_000, 300, 380
 	eng := sim.NewEngine(1)
 	k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
 	bodies := make([]workload.Job, n)

@@ -174,12 +174,14 @@ func (c *Config) fillDefaults() {
 }
 
 // Process is the kernel's process record. The exported view is ProcInfo.
-// Field order is by use, not by topic. With tens of thousands of short
-// processes alive the first touch of a record is a cache miss per line, so
-// what a scheduling slice and a delivery touch fills the first and the last
-// 64 bytes and what only creation, exit and migration touch sits between;
-// and the last 64 bytes hold no pointer, so the collector's scan of a record
-// stops before them.
+// Field order is by use, not by topic, and the record is exactly 128 bytes,
+// two cache lines of Go's 128-byte size class (TestProcessRecordLayout).
+// With tens of thousands of short processes alive the first touch of a
+// record is a cache miss per line, so the first 64 bytes hold all that a
+// scheduling slice reads (state, body, queue, cpuUsed) and the second what
+// delivery, sending, creation, exit and migration touch. Every pointer sits
+// before byte 96, so the collector's scan of a record stops there. What only
+// some records use lives beside it in ext.
 type Process struct {
 	id         addr.ProcessID
 	state      ProcState
@@ -188,14 +190,34 @@ type Process struct {
 	onRunq     bool // p is in k.runq, so leaving it out of turn needs no scan to find out
 	body       proc.Body
 	queue      ring[*msg.Message]
+	cpuUsed    sim.Time
 
 	// links is nil until the process's first link (a nil table reads as
 	// empty); a recycled record keeps its table, emptied.
-	links     *link.Table
-	image     *memory.Image
-	kind      string
-	commDelta map[addr.MachineID]uint64 // per-peer sends since the last load report
-	mig       *migration                // the half moving this record (frozen source, incoming destination)
+	links *link.Table
+	image *memory.Image
+	mig   *migration // the half moving this record (frozen source, incoming destination)
+	// ext is nil until the record first needs it (extOf), and on kernels
+	// with load reports every record has one from getProcRec on. A recycled
+	// record keeps it, emptied.
+	ext            *procExt
+	fwdTo          addr.MachineID
+	cameFrom       addr.MachineID // previous host, for death-notice GC
+	queueHighWater uint32
+	createdAt      sim.Time
+	msgsIn         uint64
+	msgsOut        uint64
+}
+
+// procExt is what only some process records use: the load-report deltas
+// (only kernels with LoadReportEvery > 0 count them), a forwarder's ledger
+// attribution, and the watchdog-commit flag of a migrated-in copy.
+type procExt struct {
+	// The deltas since the last load report; only sendLoadReport reads
+	// them. commDelta counts sends per peer machine.
+	cpuDelta  sim.Time
+	msgsDelta uint64
+	commDelta map[addr.MachineID]uint64
 
 	// Forwarder fields (state == StateForwarder). obsRec is the ledger
 	// record of the migration this forwarder resulted from: §4 forwards and
@@ -206,22 +228,12 @@ type Process struct {
 	// survives putProcRec emptied, so a recycled forwarder allocates none.
 	obsRec     *obs.MigrationRecord
 	fwdSenders map[addr.ProcessID]uint64
-	fwdTo      addr.MachineID
-	cameFrom   addr.MachineID // previous host, for death-notice GC
+
 	// timeoutCommit marks a copy the destination committed on watchdog
 	// timeout (cleanup never arrived). If the source turns out to have
 	// restored its own copy, its abort message yields this one; the
 	// flag clears when a late cleanup confirms the source committed.
 	timeoutCommit bool
-
-	// Accounting, and the deltas since the last load report.
-	createdAt      sim.Time
-	cpuUsed        sim.Time
-	cpuDelta       sim.Time
-	msgsIn         uint64
-	msgsOut        uint64
-	msgsDelta      uint64
-	queueHighWater int
 }
 
 // ForwarderWireSize is the storage a forwarding address needs:
@@ -492,7 +504,6 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	p.id = pid
 	p.state = StateReady
 	p.body = body
-	p.kind = body.Kind()
 	p.image = img
 	p.privileged = spec.Privileged
 	p.createdAt = k.eng.Now()
@@ -509,7 +520,7 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	k.addProc(p)
 	k.stats.Spawned++
 	k.relieveMemory()
-	k.trace(siteSpawn, p.kind, trace.PID(pid), trace.Int(imgSize), trace.Int(p.links.Len()))
+	k.trace(siteSpawn, body.Kind(), trace.PID(pid), trace.Int(imgSize), trace.Int(p.links.Len()))
 	k.enqueueRun(p)
 	return pid, nil
 }
@@ -521,9 +532,12 @@ func (k *Kernel) Process(pid addr.ProcessID) (ProcInfo, bool) {
 		return ProcInfo{}, false
 	}
 	info := ProcInfo{
-		PID: p.id, State: p.state, Kind: p.kind, QueueLen: p.queue.Len(),
+		PID: p.id, State: p.state, QueueLen: p.queue.Len(),
 		CPUUsed: p.cpuUsed, MsgsIn: p.msgsIn, MsgsOut: p.msgsOut,
 		FwdTo: p.fwdTo, Privileged: p.privileged, Links: p.links.Len(),
+	}
+	if p.body != nil {
+		info.Kind = p.body.Kind()
 	}
 	if p.image != nil {
 		info.ImageSize = p.image.Size()
@@ -934,9 +948,10 @@ func (k *Kernel) trace(s trace.Site, str string, args ...trace.Val) {
 
 // getProcRec acquires a Process record for Spawn and for the migration
 // path: recycled when available (retaining the queue ring, the emptied link
-// table and the accounting maps of a process that exited or migrated away),
-// fresh otherwise, with no table until its first link (linksOf). commDelta
-// exists only where load reports read it.
+// table and the emptied side record of a process that exited or migrated
+// away), fresh otherwise, with no table until its first link (linksOf). The
+// side record with its commDelta map exists from here on only where load
+// reports read it; elsewhere extOf makes it on first use.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) getProcRec() *Process {
@@ -944,38 +959,52 @@ func (k *Kernel) getProcRec() *Process {
 	if p == nil {
 		p = &Process{}
 	}
-	if p.commDelta == nil && k.cfg.LoadReportEvery > 0 {
-		p.commDelta = make(map[addr.MachineID]uint64)
+	if k.cfg.LoadReportEvery > 0 {
+		if x := k.extOf(p); x.commDelta == nil {
+			x.commDelta = make(map[addr.MachineID]uint64)
+		}
 	}
 	return p
+}
+
+// extOf returns p's side record, installing an empty one at first use.
+func (k *Kernel) extOf(p *Process) *procExt {
+	if p.ext == nil {
+		p.ext = &procExt{}
+	}
+	return p.ext
 }
 
 // putProcRec releases a Process record whose identity has left this kernel
 // (exited, migrated away, failed incoming, superseded forwarder). The caller
 // must have drained the queue and removed the record from the tables and
-// the run queue; the ring, the link table (if any, emptied) and the maps
-// survive for the next holder.
+// the run queue; the ring, the link table (if any, emptied) and the side
+// record (if any, emptied but keeping its maps) survive for the next holder.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putProcRec(p *Process) {
 	if p.queue.Len() != 0 {
 		return // defensive: never recycle a record with live messages
 	}
-	q, links := p.queue, p.links
+	q, links, x := p.queue, p.links, p.ext
 	if links != nil {
 		links.Reset(link.DefaultCap)
 	}
-	commDelta, fwdSenders := p.commDelta, p.fwdSenders
-	clear(commDelta)
-	clear(fwdSenders)
+	if x != nil {
+		clear(x.commDelta)
+		clear(x.fwdSenders)
+		*x = procExt{commDelta: x.commDelta, fwdSenders: x.fwdSenders}
+	}
 	*p = Process{}
-	p.queue, p.links, p.commDelta, p.fwdSenders = q, links, commDelta, fwdSenders
+	p.queue, p.links, p.ext = q, links, x
 	k.procFree.put(p)
 }
 
-// internKind canonicalizes a body-kind decoded from a resident record. The
-// map probe with a string(b) key does not allocate on hit, so a process
-// that has arrived here before costs one lookup.
+// internKind canonicalizes a body-kind decoded from a resident record for
+// Registry.New, whose argument escapes (its error names the kind), so a
+// plain string(b) would allocate on every arrival. The map probe with a
+// string(b) key does not allocate on hit, so a kind that has arrived here
+// before costs one lookup.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) internKind(b []byte) string {

@@ -597,3 +597,37 @@ func TestSuspendedProcessMigratesSuspended(t *testing.T) {
 		t.Fatalf("resumed process: %d on m%d", e.Code, m)
 	}
 }
+
+// TestProcInfoKind: ProcInfo.Kind is the body's registry kind for a native
+// spawn, a VM process and each of them migrated onto its destination, and
+// empty for the forwarding address a migration leaves behind.
+func TestProcInfoKind(t *testing.T) {
+	c := newTC(t, 2, nil)
+	native, _ := c.k(1).Spawn(kernel.SpawnSpec{Body: &blackholeBody{}})
+	vm := c.spawnProg(1, `
+		.data
+	buf:	.space 8
+		.code
+	start:	lea r1, buf
+		movi r2, 8
+		sys recv
+		sys exit
+	`)
+	c.runFor(1000) // both block in receive
+	kindOn := func(m int, pid addr.ProcessID, wantState kernel.ProcState, want string) {
+		t.Helper()
+		info, ok := c.k(m).Process(pid)
+		if !ok || info.State != wantState || info.Kind != want {
+			t.Fatalf("m%d holds %v as %+v (ok=%v), want state %v kind %q", m, pid, info, ok, wantState, want)
+		}
+	}
+	kindOn(1, native, kernel.StateWaiting, "blackhole")
+	kindOn(1, vm, kernel.StateWaiting, proc.VMKind)
+	c.migrate(1, native, 1, 2)
+	c.migrate(1, vm, 1, 2)
+	c.run()
+	kindOn(2, native, kernel.StateWaiting, "blackhole")
+	kindOn(2, vm, kernel.StateWaiting, proc.VMKind)
+	kindOn(1, native, kernel.StateForwarder, "")
+	kindOn(1, vm, kernel.StateForwarder, "")
+}

@@ -585,7 +585,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	}
 	rec := k.led.Add(mg.rep)
 	if fwd != nil {
-		fwd.obsRec = rec
+		k.extOf(fwd).obsRec = rec
 	}
 	if k.cfg.OnReport != nil {
 		k.cfg.OnReport(mg.rep)
@@ -803,7 +803,7 @@ func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
 // As for the abort, only the machine the copy came from is believed.
 func (k *Kernel) disarmTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
 	if p := k.timeoutCommitted(pid, m); p != nil {
-		p.timeoutCommit = false
+		p.ext.timeoutCommit = false
 	}
 }
 
@@ -812,7 +812,7 @@ func (k *Kernel) disarmTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
 // message about such a copy from any other machine is counted AdminRejected.
 func (k *Kernel) timeoutCommitted(pid addr.ProcessID, m *msg.Message) *Process {
 	p := k.lookup(pid)
-	if p == nil || !p.timeoutCommit || p.state == StateForwarder {
+	if p == nil || p.ext == nil || !p.ext.timeoutCommit || p.state == StateForwarder {
 		return nil
 	}
 	if m.From.LastKnown != p.cameFrom {
@@ -835,7 +835,9 @@ func (k *Kernel) commitIncoming(mg *migration, forwarded int, viaTimeout bool) {
 	if displaced != nil {
 		k.putProcRec(displaced) // the arrival is final: the address it superseded is not coming back
 	}
-	p.timeoutCommit = viaTimeout
+	if viaTimeout { // the record is fresh from getProcRec, so the flag is clear otherwise
+		k.extOf(p).timeoutCommit = true
+	}
 
 	// Messages queued here while incoming: DELIVERTOKERNEL ones go to
 	// the kernel now; the rest rotate back to the tail for the process.
@@ -949,13 +951,13 @@ func (k *Kernel) thaw(p *Process, resident, swappable, program []byte) error {
 	if err != nil {
 		return fmt.Errorf("swappable state: %w", err)
 	}
-	p.kind = k.internKind(kind)
-	body, err := k.cfg.Registry.New(p.kind)
+	name := k.internKind(kind)
+	body, err := k.cfg.Registry.New(name)
 	if err != nil {
 		return err
 	}
 	if err := body.Restore(ctl); err != nil {
-		return fmt.Errorf("restoring %s body: %w", p.kind, err)
+		return fmt.Errorf("restoring %s body: %w", name, err)
 	}
 	p.body = body
 	if len(program) > 0 {
@@ -982,8 +984,9 @@ func appendResident(b []byte, p *Process) []byte {
 	if p.image != nil {
 		imgSize = p.image.Size()
 	}
-	b = append(b, byte(len(p.kind)))
-	b = append(b, p.kind...)
+	kind := p.body.Kind()
+	b = append(b, byte(len(kind)))
+	b = append(b, kind...)
 	b = append(b, byte(p.prevState))
 	if p.privileged {
 		b = append(b, 1)
@@ -995,7 +998,7 @@ func appendResident(b []byte, p *Process) []byte {
 	b = binary.LittleEndian.AppendUint64(b, p.msgsIn)
 	b = binary.LittleEndian.AppendUint64(b, p.msgsOut)
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.createdAt))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.queueHighWater))
+	b = binary.LittleEndian.AppendUint32(b, p.queueHighWater)
 	return b
 }
 
@@ -1021,9 +1024,7 @@ func decodeResident(p *Process, b []byte) (kind []byte, err error) {
 	p.msgsIn = binary.LittleEndian.Uint64(b[14:])
 	p.msgsOut = binary.LittleEndian.Uint64(b[22:])
 	p.createdAt = sim.Time(binary.LittleEndian.Uint64(b[30:]))
-	if hw := int(binary.LittleEndian.Uint32(b[38:])); hw > p.queueHighWater {
-		p.queueHighWater = hw
-	}
+	p.queueHighWater = max(p.queueHighWater, binary.LittleEndian.Uint32(b[38:]))
 	return kind, nil
 }
 

@@ -97,17 +97,18 @@ func (k *Kernel) observeFirstLatency(v uint64) {
 // measurement. A sender's run stops growing once its link-update lands,
 // because repaired senders stop arriving here at all.
 func (k *Kernel) ledgerForward(f *Process, m *msg.Message) {
-	rec := f.obsRec
+	x := f.ext
+	rec := x.obsRec
 	rec.ForwardsAbsorbed++
 	if !k.shouldSendLinkUpdate(m) {
 		return
 	}
 	rec.LinkUpdatesSent++
-	if f.fwdSenders == nil {
-		f.fwdSenders = make(map[addr.ProcessID]uint64)
+	if x.fwdSenders == nil {
+		x.fwdSenders = make(map[addr.ProcessID]uint64)
 	}
-	f.fwdSenders[m.From.ID]++
-	if n := f.fwdSenders[m.From.ID]; n > rec.ConvergenceForwards {
+	x.fwdSenders[m.From.ID]++
+	if n := x.fwdSenders[m.From.ID]; n > rec.ConvergenceForwards {
 		rec.ConvergenceForwards = n
 	}
 }

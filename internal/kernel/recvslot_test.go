@@ -110,3 +110,28 @@ func TestKernelSizeClass(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(Kernel{}) = %d, want <= 1280 (the allocation size class)", sz)
 	}
 }
+
+// TestProcessRecordLayout: a Process is exactly 128 bytes, Go's 128-byte
+// size class, so a record is two aligned cache lines; and everything a
+// scheduling slice reads with load reports off (state, body, queue, cpuUsed)
+// ends inside the first line. A field that grows the record, or a reorder
+// that pushes a slice field into the second line, fails here.
+func TestProcessRecordLayout(t *testing.T) {
+	var p Process
+	if sz := unsafe.Sizeof(p); sz != 128 {
+		t.Fatalf("unsafe.Sizeof(Process{}) = %d, want 128 (two cache lines)", sz)
+	}
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"state", unsafe.Offsetof(p.state), unsafe.Sizeof(p.state)},
+		{"body", unsafe.Offsetof(p.body), unsafe.Sizeof(p.body)},
+		{"queue", unsafe.Offsetof(p.queue), unsafe.Sizeof(p.queue)},
+		{"cpuUsed", unsafe.Offsetof(p.cpuUsed), unsafe.Sizeof(p.cpuUsed)},
+	} {
+		if end := f.off + f.size; end > 64 {
+			t.Errorf("Process.%s ends at byte %d, want inside the first 64-byte line", f.name, end)
+		}
+	}
+}

@@ -55,6 +55,13 @@ func (b *scriptBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 func (b *scriptBody) Snapshot() ([]byte, error) { return nil, nil }
 func (b *scriptBody) Restore([]byte) error      { return nil }
 
+// extIsEmpty reports whether a record's side record (if any) holds nothing
+// of a past holder; its maps may survive, emptied.
+func extIsEmpty(x *procExt) bool {
+	return x == nil || x.cpuDelta == 0 && x.msgsDelta == 0 && len(x.commDelta) == 0 &&
+		x.obsRec == nil && len(x.fwdSenders) == 0 && !x.timeoutCommit
+}
+
 func onRunq(k *Kernel, p *Process) bool {
 	for i := 0; i < k.runq.Len(); i++ {
 		if k.runq.at(i) == p {
@@ -91,7 +98,8 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			}
 			rec := k.lookup(oldPID)
 			// Dress the record in everything a migrated-in process carries.
-			rec.cameFrom, rec.timeoutCommit = 9, true
+			rec.cameFrom = 9
+			k.extOf(rec).timeoutCommit = true
 			for i := 0; i < 3; i++ {
 				if err := k.GiveMessage(oldPID, addr.At(peer, 1), []byte("x")); err != nil {
 					t.Fatal(err)
@@ -135,9 +143,9 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			if info.CPUUsed != 0 || info.MsgsIn != 0 || info.MsgsOut != 0 || info.QueueLen != 0 || info.Links != 0 {
 				t.Fatalf("recycled record carries accounting: %+v", info)
 			}
-			if p.cameFrom != 0 || p.timeoutCommit || p.fwdTo != 0 || p.obsRec != nil || len(p.fwdSenders) != 0 ||
-				p.queueHighWater != 0 || p.cpuDelta != 0 || p.msgsDelta != 0 || p.image != nil || p.prevState != 0 {
-				t.Fatalf("recycled record inherited state: %+v", p)
+			if p.cameFrom != 0 || !extIsEmpty(p.ext) || p.fwdTo != 0 ||
+				p.queueHighWater != 0 || p.image != nil || p.prevState != 0 {
+				t.Fatalf("recycled record inherited state: %+v (ext %+v)", p, p.ext)
 			}
 			e.Run()
 			if next.ran != 2 || k.Stats().Slices != slices+2 {
@@ -176,7 +184,7 @@ func TestReclaimedForwarderIsRecycled(t *testing.T) {
 	k1.RequestMigrationOf(addr.At(pid, 1), 2)
 	e.Run()
 	fwd := k1.lookup(pid)
-	if fwd == nil || fwd.state != StateForwarder || fwd.obsRec == nil {
+	if fwd == nil || fwd.state != StateForwarder || fwd.ext == nil || fwd.ext.obsRec == nil {
 		t.Fatalf("m1 after the migration holds %+v, want a forwarder with a ledger row", fwd)
 	}
 	// A stale send through the address leaves a per-sender count on it.
@@ -184,7 +192,7 @@ func TestReclaimedForwarderIsRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	if len(fwd.fwdSenders) == 0 {
+	if len(fwd.ext.fwdSenders) == 0 {
 		t.Fatal("the forwarded send left no per-sender count on the forwarder")
 	}
 	k2.GiveControl(pid, msg.OpKill, nil)
@@ -196,7 +204,7 @@ func TestReclaimedForwarderIsRecycled(t *testing.T) {
 		t.Fatal("the reclaimed forwarder did not go back to procFree")
 	}
 	if fwd.id != (addr.ProcessID{}) || fwd.state != 0 || fwd.fwdTo != 0 || fwd.cameFrom != 0 ||
-		fwd.obsRec != nil || len(fwd.fwdSenders) != 0 {
+		!extIsEmpty(fwd.ext) {
 		t.Fatalf("recycled forwarder record is not clean: %+v", fwd)
 	}
 }

@@ -7,6 +7,7 @@ package kernel
 // allocates nothing while its records are recycled.
 
 import (
+	"math"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -178,7 +179,70 @@ func TestForwarderRecyclingAllocs(t *testing.T) {
 	if f == nil || f.state != StateForwarder {
 		f = ks[1].lookup(pid)
 	}
-	if f == nil || f.state != StateForwarder || len(f.fwdSenders) != 1 || f.obsRec == nil || f.obsRec.ConvergenceForwards != 1 {
+	if f == nil || f.state != StateForwarder || f.ext == nil || len(f.ext.fwdSenders) != 1 || f.ext.obsRec == nil || f.ext.obsRec.ConvergenceForwards != 1 {
 		t.Fatalf("current forwarder %+v", f)
 	}
+}
+
+// reportProbe keeps the last load report it receives.
+type reportProbe struct {
+	last msg.LoadReport
+	n    int
+}
+
+func (b *reportProbe) Kind() string { return "report-probe" }
+
+func (b *reportProbe) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	for {
+		d, ok := ctx.Recv()
+		if !ok {
+			return 0, proc.Status{State: proc.Blocked}
+		}
+		if rep, err := msg.DecodeLoadReport(d.Body); d.Op == msg.OpLoadReport && err == nil {
+			b.last, b.n = rep, b.n+1
+		}
+	}
+}
+
+func (b *reportProbe) Snapshot() ([]byte, error) { return nil, nil }
+func (b *reportProbe) Restore([]byte) error      { return nil }
+
+// TestLoadReportSaturates: a count past its report field's range reads as
+// the field's maximum, not wrapped to a small one, so an overloaded machine
+// cannot report itself almost idle. A process whose deltas since the last
+// report exceed 2³² reports math.MaxUint32 for its CPU, its sends and its
+// top peer's sends, and the top peer is still the one it sent most to.
+func TestLoadReportSaturates(t *testing.T) {
+	eng := sim.NewEngine(1)
+	k := New(1, eng, netw.New(eng, netw.Config{}), Config{LoadReportEvery: 1_000_000})
+	pm := &reportProbe{}
+	pmPID, err := k.Spawn(SpawnSpec{Body: pm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, err := k.Spawn(SpawnSpec{Body: &reportProbe{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.SetPMLink(link.Link{Addr: addr.At(pmPID, 1)})
+	eng.RunFor(10_000) // both block in receive, before the first periodic report
+	x := k.lookup(busy).ext
+	const past = 1<<32 + 5 // wraps to 5 in a uint32
+	x.cpuDelta, x.msgsDelta = past, past
+	x.commDelta[2], x.commDelta[3] = 7, past
+	k.sendLoadReport()
+	eng.RunFor(10_000)
+	if pm.n != 1 {
+		t.Fatalf("the process manager got %d load reports, want 1", pm.n)
+	}
+	for _, pl := range pm.last.Procs {
+		if pl.PID != busy {
+			continue
+		}
+		if pl.CPUMicros != math.MaxUint32 || pl.MsgsOut != math.MaxUint32 || pl.TopPeer != 3 || pl.TopPeerMsgs != math.MaxUint32 {
+			t.Fatalf("report for %v = %+v, want CPUMicros, MsgsOut and TopPeerMsgs %d on top peer m3", busy, pl, uint32(math.MaxUint32))
+		}
+		return
+	}
+	t.Fatalf("report %+v has no entry for %v", pm.last, busy)
 }

@@ -100,7 +100,9 @@ func (k *Kernel) runSlice() {
 	}
 	k.cpuFreeAt += busy + CtxSwitch
 	p.cpuUsed += busy
-	p.cpuDelta += busy
+	if k.cfg.LoadReportEvery > 0 { // only load reports read the deltas
+		p.ext.cpuDelta += busy
+	}
 	k.stats.CPUBusy += busy
 	k.stats.Slices++
 	k.stats.CtxSwitches++
@@ -189,38 +191,51 @@ func (k *Kernel) sendLoadReport() {
 	procs := k.sortedProcs()
 	rep := msg.LoadReport{
 		Machine:    k.machine,
-		Ready:      uint16(k.runq.Len()),
-		ProcCount:  uint16(len(procs)),
-		MemUsedKB:  uint32(k.memUsed / 1024),
+		Ready:      sat[uint16](uint64(k.runq.Len())),
+		ProcCount:  sat[uint16](uint64(len(procs))),
+		MemUsedKB:  sat[uint32](uint64(k.memUsed / 1024)),
 		CPUPercent: uint8(pct),
 	}
 	for _, p := range procs {
 		if p.state == StateForwarder || p.state == StateIncoming || p.privileged {
 			continue
 		}
+		x := p.ext
 		pl := msg.ProcLoad{
 			PID:       p.id,
-			CPUMicros: uint32(p.cpuDelta),
-			MsgsOut:   uint32(p.msgsDelta),
+			CPUMicros: sat[uint32](uint64(x.cpuDelta)),
+			MsgsOut:   sat[uint32](x.msgsDelta),
 		}
 		if p.image != nil {
-			pl.MemKB = uint32(p.image.Size() / 1024)
+			pl.MemKB = sat[uint32](uint64(p.image.Size() / 1024))
 		}
-		for _, peer := range sortedMachines(p.commDelta) {
-			if n := p.commDelta[peer]; n > uint64(pl.TopPeerMsgs) {
-				pl.TopPeer, pl.TopPeerMsgs = peer, uint32(n)
+		var top uint64
+		for _, peer := range sortedMachines(x.commDelta) {
+			if n := x.commDelta[peer]; n > top {
+				pl.TopPeer, top = peer, n
 			}
 		}
+		pl.TopPeerMsgs = sat[uint32](top)
 		rep.Procs = append(rep.Procs, pl)
-		p.cpuDelta = 0
-		p.msgsDelta = 0
-		clear(p.commDelta)
+		x.cpuDelta = 0
+		x.msgsDelta = 0
+		clear(x.commDelta)
 	}
 	k.lastReportAt = now
 	k.lastReportBusy = k.stats.CPUBusy
 	m := k.newControl(msg.OpLoadReport, k.cfg.PMLink.Addr)
 	m.Body = rep.AppendTo(m.Body[:0])
 	k.route(m)
+}
+
+// sat narrows a count to a load report field, saturating at the field's
+// maximum: an overloaded machine reports "at least this much" rather than a
+// count wrapped to almost nothing.
+func sat[T uint16 | uint32](v uint64) T {
+	if hi := uint64(^T(0)); v > hi {
+		return T(hi)
+	}
+	return T(v)
 }
 
 // sortedProcs returns local processes in deterministic (pid) order —

@@ -49,8 +49,8 @@ go test -race -count=5 -run 'TestOneWayTrafficKeepsPoolsBounded/parallel' ./inte
 echo "== event count across shard counts under the race detector (a pump counts one event per frame it lands; 1/2/4 shards, inline and goroutine rounds, 3 runs)"
 go test -race -count=3 -run TestShardFiredInvariance ./internal/core/
 
-echo "== recycled process records and split process tables under the race detector (3 runs)"
-go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestProcessesOrderAcrossSplitTables' ./internal/kernel/
+echo "== recycled process records, split process tables and ProcInfo.Kind read from the body under the race detector (3 runs)"
+go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestProcessesOrderAcrossSplitTables|TestProcInfoKind' ./internal/kernel/
 
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
@@ -76,8 +76,8 @@ go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -benchtime 1x .
 echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, 256-machine policy round)"
 go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
-echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 1280-byte size class"
-go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass' ./internal/kernel/
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 1280-byte size class; Process is 128 bytes with a slice's fields in its first cache line"
+go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestProcessRecordLayout' ./internal/kernel/
 echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone); at 5% loss, allocations level off (high-water growth, not a leak)"
 go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc|TestShardOutboxLossyAllocsLevelOff' ./internal/core/
 echo "== msg.Pool.Put and Get stay inlinable (a Put that stops inlining costs pingpong a few per cent)"

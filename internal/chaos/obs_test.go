@@ -7,12 +7,16 @@ package chaos_test
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"demosmp/internal/addr"
 	"demosmp/internal/chaos"
 	"demosmp/internal/core"
 	"demosmp/internal/kernel"
+	"demosmp/internal/link"
 	"demosmp/internal/msg"
 	"demosmp/internal/obs"
 	"demosmp/internal/sim"
@@ -195,5 +199,82 @@ func TestPoolLedgerWithTimersAcrossCrashRestart(t *testing.T) {
 	s1, s2 := c.Kernel(1).Stats(), c.Kernel(2).Stats()
 	if s1.DeadLetters != 1 || s1.Exited != 0 || s2.Exited != 2 {
 		t.Fatalf("m1 dead letters %d exited %d, m2 exited %d; want 1, 0, 2", s1.DeadLetters, s1.Exited, s2.Exited)
+	}
+}
+
+// TestStatsEqualRegistryAfterStorm: a kernel keeps its counters in a hot
+// part and a cold record (kernel/stats.go) and renders both into the
+// registry. After a migrate-storm-style scene (stateful movers hopping
+// three machines on under timer-driven senders, so migration, move-data,
+// forwarding and link updates all count) the registry passes
+// CheckRegistry, and every Stats field summed over the machines equals the
+// same row summed over the snapshot, field by field.
+func TestStatsEqualRegistryAfterStorm(t *testing.T) {
+	const machines, movers, hops = 8, 8, 3
+	c, err := core.New(core.Options{Machines: machines, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := make([]addr.ProcessID, movers)
+	at := make([]int, movers)
+	for i := range pids {
+		at[i] = i%machines + 1
+		if pids[i], err = c.Spawn(at[i], kernel.SpawnSpec{Body: &workload.Counter{}}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j <= 2; j++ {
+			sender := &workload.Chatter{N: 200, Interval: 250}
+			l := link.Link{Addr: addr.At(pids[i], addr.MachineID(at[i]))}
+			if _, err := c.Spawn((at[i]+j*2)%machines+1, kernel.SpawnSpec{Body: sender, Links: []link.Link{l}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for hop := 0; hop < hops; hop++ {
+		for i, pid := range pids {
+			c.RunFor(300)
+			at[i] = (at[i]-1+3)%machines + 1
+			if err := c.Migrate(pid, at[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.RunFor(20_000) // every mover lands before its next hop is asked
+	}
+	c.Run()
+
+	snap := c.ObsSnapshot()
+	for _, v := range chaos.CheckRegistry(c, snap) {
+		t.Errorf("registry audit: %s", v)
+	}
+	var sum kernel.Stats
+	rows := map[string]uint64{}
+	for m := 1; m <= machines; m++ {
+		st := c.Kernel(m).Stats()
+		p := fmt.Sprintf("kernel.m%d.", m)
+		for _, want := range obs.StructMetrics(p, &st) {
+			rows[strings.TrimPrefix(want.Name, p)] += snap.Value(want.Name)
+		}
+		rows["admin_total"] += snap.Value(p + "admin_total")
+		sv, tv := reflect.ValueOf(&sum).Elem(), reflect.ValueOf(st)
+		for f := 0; f < sv.NumField(); f++ {
+			if sv.Field(f).CanUint() {
+				sv.Field(f).SetUint(sv.Field(f).Uint() + tv.Field(f).Uint())
+			}
+		}
+		for op := range sum.AdminSent {
+			sum.AdminSent[op] += st.AdminSent[op]
+		}
+	}
+	for _, want := range obs.StructMetrics("", &sum) {
+		if got := rows[want.Name]; got != want.Value {
+			t.Errorf("%s: Stats sums to %d over the machines, the registry to %d", want.Name, want.Value, got)
+		}
+	}
+	if got := rows["admin_total"]; got != sum.AdminTotal() {
+		t.Errorf("admin_total: Stats sums to %d, the registry to %d", sum.AdminTotal(), got)
+	}
+	if sum.MigrationsOut != movers*hops || sum.Forwarded == 0 || sum.LinkUpdatesApplied == 0 || sum.DataPacketsSent == 0 {
+		t.Errorf("the storm did not exercise the cold counters: %d migrations (want %d), %d forwards, %d link updates applied, %d data packets",
+			sum.MigrationsOut, movers*hops, sum.Forwarded, sum.LinkUpdatesApplied, sum.DataPacketsSent)
 	}
 }

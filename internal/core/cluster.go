@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"demosmp/internal/addr"
@@ -127,6 +128,9 @@ type Cluster struct {
 func New(opts Options) (*Cluster, error) {
 	if opts.Machines < 1 {
 		return nil, fmt.Errorf("core: need at least one machine")
+	}
+	if opts.Machines > math.MaxUint16 {
+		return nil, fmt.Errorf("core: %d machines, at most %d: a machine id is 16 bits and 0 is reserved", opts.Machines, math.MaxUint16)
 	}
 	c := &Cluster{
 		opts: opts,

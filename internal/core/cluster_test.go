@@ -319,3 +319,21 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatalf("reports: %v", reps)
 	}
 }
+
+// TestNewRejectsMachineIDOverflow: a machine id is 16 bits with 0 reserved,
+// so a cluster of more than 65 535 machines is an error from New, not a
+// panic inside kernel.New at machine 65 536. The check comes before
+// anything is built: the rejected call allocates a handful of objects, not
+// 65 536 kernels.
+func TestNewRejectsMachineIDOverflow(t *testing.T) {
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		_, err = core.New(core.Options{Machines: 1 << 16})
+	})
+	if err == nil || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("core.New with 65536 machines: err = %v, want an error naming the 65535 limit", err)
+	}
+	if allocs > 10 {
+		t.Errorf("the rejected New allocated %.0f objects, want it to build nothing", allocs)
+	}
+}

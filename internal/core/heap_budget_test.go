@@ -8,15 +8,22 @@ import (
 )
 
 // TestPerMachineHeapBudget pins what one simulated machine costs in live
-// heap once a 1000-machine cluster is built: about 1.6 KB, most of it the
-// Kernel struct itself (one 1280-byte allocation). The obs plane holds the
-// machine as one interface value and renders its rows, names included, only
-// in Snapshot; its latency histogram and every kernel map wait for their
-// first write. Registering each machine's rows by name and closure, with a
-// histogram and eight empty maps at boot, cost 3.8 KB. (The race detector's
-// shadow allocations inflate HeapAlloc, hence the build tag.)
+// heap once a 1000-machine cluster is built: about 1.06 KB. Most of it is
+// the Kernel struct (one 768-byte allocation), then the swap store (96 B),
+// the network's per-machine state (56 + 40 B), the envelope pool (48 B),
+// the cluster's tables (44 B) and the one obs.Rows value per kernel
+// (16 B). The kernel's counters a job-only machine never writes sit in a
+// cold record made at the first migration, forward or restart, and the obs
+// plane renders names only in Snapshot; its latency histogram and every
+// kernel map wait for their first write too. The budget (1 200 B) fails
+// on the Kernel growing one size class (896 B) or any new per-machine
+// allocation of 144 B or more at boot. Before the counter split the
+// Kernel alone took 1 280 B (1.58 KB a machine); registering each
+// machine's rows by name and closure, with a histogram and eight empty
+// maps at boot, cost 3.8 KB. (The race detector's shadow allocations
+// inflate HeapAlloc, hence the build tag.)
 func TestPerMachineHeapBudget(t *testing.T) {
-	const machines, budget = 1000, 2000
+	const machines, budget = 1000, 1200
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

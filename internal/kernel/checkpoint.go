@@ -111,7 +111,7 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 		k.putProcRec(fwd)
 	}
 	k.addProc(p)
-	k.stats.Revived++
+	k.cold().Revived++
 	k.trace(siteRevive, state.String(), trace.PID(pid), trace.Int(len(checkpoint)))
 	k.restartAs(p, state)
 	return pid, nil

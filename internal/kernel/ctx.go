@@ -290,7 +290,7 @@ func (c *procCtx) Print(b []byte) {
 	if len(c.k.console[c.p.id]) >= ConsoleLineCap {
 		// Bounded per-PID console: a chatty process cannot grow kernel
 		// memory without limit. Drops are counted, not silent.
-		c.k.stats.ConsoleDropped++
+		c.k.cold().ConsoleDropped++
 		return
 	}
 	line := string(b)

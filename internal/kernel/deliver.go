@@ -116,7 +116,7 @@ func (k *Kernel) enqueue(p *Process, m *msg.Message) {
 func (k *Kernel) forward(f *Process, m *msg.Message) {
 	m.To.LastKnown = f.fwdTo
 	m.Forwards++
-	k.stats.Forwarded++
+	k.cold().Forwarded++
 	k.trace(siteForward, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(f.fwdTo), trace.Int(int(m.Forwards)))
 	if f.ext != nil && f.ext.obsRec != nil {
 		k.ledgerForward(f, m)
@@ -160,7 +160,7 @@ func (k *Kernel) sendLinkUpdate(sender addr.ProcessAddr, migrated addr.ProcessID
 	m.To = sender
 	m.DTK = true
 	m.Body = u.AppendTo(m.Body[:0])
-	k.stats.LinkUpdatesSent++
+	k.cold().LinkUpdatesSent++
 	k.trace(siteLinkUpdateSent, "", trace.PID(sender.ID), trace.PID(migrated), trace.Machine(newMachine))
 	k.route(m)
 }
@@ -174,13 +174,13 @@ func (k *Kernel) applyLinkUpdate(m *msg.Message) {
 		k.trace(siteLinkUpdateBad, err.Error())
 		return
 	}
-	k.stats.LinkUpdatesApplied++
+	k.cold().LinkUpdatesApplied++
 	p := k.lookup(u.Sender)
 	if p == nil {
 		return // sender gone; nothing to fix
 	}
 	n := p.links.UpdateAddr(u.Migrated, u.Machine)
-	k.stats.LinksFixed += uint64(n)
+	k.cold().LinksFixed += uint64(n)
 	if n > 0 {
 		k.trace(siteLinkUpdateApplied, "", trace.Int(n),
 			trace.PID(u.Sender), trace.PID(u.Migrated), trace.Machine(u.Machine))
@@ -198,7 +198,7 @@ func (k *Kernel) applyEagerUpdate(m *msg.Message) {
 	for _, p := range k.sortedProcs() {
 		fixed += p.links.UpdateAddr(u.PID, u.Machine)
 	}
-	k.stats.LinksFixed += uint64(fixed)
+	k.cold().LinksFixed += uint64(fixed)
 	k.trace(siteEagerApplied, "", trace.Int(fixed), trace.PID(u.PID), trace.Machine(u.Machine))
 }
 
@@ -222,7 +222,7 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 // as not deliverable... The sending kernel can attempt to find the new
 // location of the process, perhaps by notifying the process manager."
 func (k *Kernel) bounce(m *msg.Message) {
-	k.stats.Bounced++
+	k.cold().Bounced++
 	k.trace(siteBounce, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(m.From.LastKnown))
 	nd := k.getMsg()
 	nd.Kind = msg.KindControl
@@ -252,7 +252,7 @@ func (k *Kernel) handleNotDeliverable(m *msg.Message) {
 		return
 	}
 	if len(k.pendingLocate[pid]) >= PendingLocateCap {
-		k.stats.LocateDropped++
+		k.cold().LocateDropped++
 		k.stats.DeadLetters++
 		k.putMsg(orig)
 		return
@@ -264,7 +264,7 @@ func (k *Kernel) handleNotDeliverable(m *msg.Message) {
 	if len(k.pendingLocate[pid]) > 1 {
 		return // locate already outstanding
 	}
-	k.stats.LocateRequests++
+	k.cold().LocateRequests++
 	req := k.getMsg()
 	req.Kind = msg.KindControl
 	req.Op = msg.OpLocate
@@ -297,9 +297,9 @@ func (k *Kernel) handleLocateReply(m *msg.Message) {
 		// dead-letters instead of re-entering the search loop.
 		orig.Searched = true
 		if p := k.lookup(orig.From.ID); p != nil {
-			k.stats.LinksFixed += uint64(p.links.UpdateAddr(pm.PID, pm.Machine))
+			k.cold().LinksFixed += uint64(p.links.UpdateAddr(pm.PID, pm.Machine))
 		}
-		k.stats.Resubmitted++
+		k.cold().Resubmitted++
 		k.route(orig)
 	}
 }
@@ -327,8 +327,8 @@ func (k *Kernel) handleDeathNotice(m *msg.Message) {
 		return
 	}
 	k.delProc(pm.PID)
-	k.stats.ForwardersReclaimed++
-	k.stats.ForwarderBytes -= ForwarderWireSize
+	k.cold().ForwardersReclaimed++
+	k.cold().ForwarderBytes -= ForwarderWireSize
 	k.trace(siteFwdReclaimed, "", trace.PID(pm.PID))
 	if p.cameFrom != addr.NoMachine {
 		k.sendDeathNoticeTo(pm.PID, p.cameFrom)

@@ -175,3 +175,7 @@ func (k *Kernel) LiveMaps() []string {
 	}
 	return out
 }
+
+// HasColdStats reports whether the kernel has made its cold counter record
+// (stats.go): nil until the first cold write.
+func (k *Kernel) HasColdStats() bool { return k.coldRec != nil }

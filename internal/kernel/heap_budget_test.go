@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"demosmp/internal/addr"
 	"demosmp/internal/netw"
 	"demosmp/internal/sim"
 	"demosmp/internal/workload"
@@ -65,5 +66,61 @@ func TestPerProcessHeapBudget(t *testing.T) {
 		t.Errorf("an exited job leaves the kernel %d B, budget %d B", ended, endedBudget)
 	}
 	runtime.KeepAlive(k)
+	runtime.KeepAlive(bodies)
+}
+
+// TestPerForwarderHeapBudget pins what a forwarding address costs the
+// kernel that keeps it (§4; the paper's costs 8 bytes): 2 000 counters
+// spawned on machine 1 migrate to machine 2, and the live heap is read
+// with machine 1's forwarders in its table and again once they are dropped
+// from it (not recycled). The difference per forwarder is what each holds
+// and nothing else: its recycled 128-byte Process record and the 48-byte
+// procExt that carries its ledger pointer (176 B; the UID slot and the
+// ledger record stay either way, and a forwarder that never queued a
+// message has no ring). The budget (190 B) fails on any further
+// per-forwarder allocation, even a 16-byte one.
+func TestPerForwarderHeapBudget(t *testing.T) {
+	const n, budget = 2_000, 190
+	var ms runtime.MemStats
+	live := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	eng := sim.NewEngine(1)
+	net := netw.New(eng, netw.Config{})
+	cfg := Config{Registry: workload.Registry(), Machines: []addr.MachineID{1, 2}}
+	k1, k2 := New(1, eng, net, cfg), New(2, eng, net, cfg)
+	bodies := make([]workload.Counter, n)
+	pids := make([]addr.ProcessID, n)
+	for i := range bodies {
+		pid, err := k1.Spawn(SpawnSpec{Body: &bodies[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids[i] = pid
+	}
+	eng.Run()
+	for _, pid := range pids {
+		k1.RequestMigrationOf(addr.At(pid, 1), 2)
+	}
+	eng.Run()
+	if s := k1.Stats(); s.MigrationsOut != n || s.ForwardersInstalled != n {
+		t.Fatalf("%d migrations out, %d forwarders installed; want %d each", s.MigrationsOut, s.ForwardersInstalled, n)
+	}
+	withFwd := live()
+	for _, pid := range pids {
+		if f := k1.lookup(pid); f == nil || f.state != StateForwarder {
+			t.Fatalf("%v: no forwarder on m1", pid)
+		}
+		k1.delProc(pid)
+	}
+	per := (int64(withFwd) - int64(live())) / n
+	t.Logf("kernel heap per forwarding address: %d B (paper: %d B)", per, ForwarderWireSize)
+	if per > budget {
+		t.Errorf("a forwarding address costs its kernel %d B, budget %d B", per, budget)
+	}
+	runtime.KeepAlive(k1)
+	runtime.KeepAlive(k2)
 	runtime.KeepAlive(bodies)
 }

@@ -376,7 +376,10 @@ type Kernel struct {
 	lastReportBusy sim.Time
 	lastReportAt   sim.Time
 
-	stats Stats
+	// The kernel's counters (stats.go): the hot part inline, the cold part
+	// behind coldRec, nil until the first cold write (k.cold()).
+	stats   hotStats
+	coldRec *coldStats
 
 	// Fault plane (restart.go). stable simulates the §1 stable storage a
 	// checkpoint survives a crash in; lostPIDs records processes a crash
@@ -432,9 +435,6 @@ func (k *Kernel) Machine() addr.MachineID { return k.machine }
 
 // Config returns the active configuration.
 func (k *Kernel) Config() Config { return k.cfg }
-
-// Stats returns a copy of this kernel's counters.
-func (k *Kernel) Stats() Stats { return k.stats }
 
 // Reports returns the migration reports this kernel produced as a source,
 // in completion order: copies of its ledger records as they stand now. The

@@ -284,7 +284,7 @@ func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
 			at &= 1 << rest[0] // only at the step its region names: each region crosses once, in order
 		}
 		if m.From.LastKnown != mg.peer || at&(1<<mg.step) == 0 {
-			k.stats.AdminRejected++
+			k.cold().AdminRejected++
 			return
 		}
 		if mg.role == roleSource {
@@ -302,8 +302,8 @@ func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/admin-encode in bench_hotpath_test.go.
 func (k *Kernel) sendAdmin(m *msg.Message, rep *MigrationReport) {
-	k.stats.AdminSent[m.Op]++
-	k.stats.AdminBytes += uint64(len(m.Body))
+	k.cold().AdminSent[m.Op]++
+	k.cold().AdminBytes += uint64(len(m.Body))
 	if rep != nil {
 		rep.NoteAdmin(len(m.Body))
 	}
@@ -366,7 +366,7 @@ func (k *Kernel) yieldTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
 	}
 	delete(k.stable, p.id)
 	k.delProc(p.id)
-	k.stats.MigrationsFailed++
+	k.cold().MigrationsFailed++
 	k.putProcRec(p)
 }
 
@@ -442,7 +442,7 @@ func (k *Kernel) abortSource(mg *migration, site trace.Site, cause error) {
 	k.trace(site, cause.Error(), trace.PID(mg.pid))
 	p, requester := mg.p, mg.requester
 	k.endMigration(mg) // first: a request held on the queue may migrate p again right now
-	k.stats.MigrationsFailed++
+	k.cold().MigrationsFailed++
 	k.restoreFrozen(p)
 	k.sendDone(requester, msg.MigrateDone{PID: p.id, Machine: k.machine, OK: false}, nil)
 }
@@ -532,7 +532,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	for n := forwarded; n > 0; n-- {
 		qm := p.queue.pop()
 		qm.To.LastKnown = mg.peer
-		k.stats.ForwardedPending++
+		k.cold().ForwardedPending++
 		k.route(qm)
 	}
 	k.trace(siteStep6, "", trace.PID(pid), trace.Int(forwarded), trace.Machine(mg.peer))
@@ -554,8 +554,8 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 		fwd.fwdTo = mg.peer
 		fwd.cameFrom = backPtr
 		k.addProc(fwd)
-		k.stats.ForwardersInstalled++
-		k.stats.ForwarderBytes += ForwarderWireSize
+		k.cold().ForwardersInstalled++
+		k.cold().ForwarderBytes += ForwarderWireSize
 	}
 	k.trace(siteStep7, "", trace.PID(pid), trace.Machine(mg.peer), trace.Int(ForwarderWireSize))
 
@@ -576,7 +576,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 
 	mg.rep.End = k.eng.Now()
 	mg.rep.OK = true
-	k.stats.MigrationsOut++
+	k.cold().MigrationsOut++
 	// The ledger holds the one copy of the record (Reports reads it back);
 	// the forwarder keeps a pointer to it, so §4/§5 residual traffic keeps
 	// accruing to this migration after completion (see Kernel.ledgerForward).
@@ -610,7 +610,7 @@ func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
 		if mach == k.machine {
 			continue
 		}
-		k.stats.EagerUpdatesSent++
+		k.cold().EagerUpdatesSent++
 		u := k.newControl(msg.OpEagerUpdate, addr.KernelAddr(mach))
 		u.Body = pm.AppendTo(u.Body[:0])
 		k.route(u)
@@ -631,7 +631,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	src := m.From.LastKnown
 	old := k.lookup(ask.PID)
 	if old != nil && old.mig != nil && old.mig.role == roleDest && old.mig.peer == src {
-		k.stats.AdminRejected++
+		k.cold().AdminRejected++
 		return
 	}
 	programBytes := int(ask.Program) * msg.SizeUnit
@@ -646,7 +646,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 		accept = false
 	}
 	if !accept {
-		k.stats.MigrationsRefused++
+		k.cold().MigrationsRefused++
 		k.sendPIDMachine(addr.KernelAddr(src), msg.OpMigrateRefuse, ask.PID)
 		return
 	}
@@ -689,7 +689,7 @@ func (k *Kernel) displaceForwarder(pid addr.ProcessID) *Process {
 	if old == nil || old.state != StateForwarder {
 		return nil
 	}
-	k.stats.ForwarderBytes -= ForwarderWireSize
+	k.cold().ForwarderBytes -= ForwarderWireSize
 	k.delProc(pid)
 	return old
 }
@@ -756,7 +756,7 @@ func (k *Kernel) assembleProcess(mg *migration) {
 		return
 	}
 	k.relieveMemory()
-	k.stats.MigrationsIn++
+	k.cold().MigrationsIn++
 	mg.step = stepEstablished
 	k.sendPIDMachine(addr.KernelAddr(mg.peer), msg.OpMigrateEstablished, mg.pid)
 }
@@ -779,10 +779,10 @@ func (k *Kernel) failIncoming(mg *migration, cause error) {
 	k.delProc(mg.pid)
 	if fwd := mg.displaced; fwd != nil {
 		k.addProc(fwd)
-		k.stats.ForwarderBytes += ForwarderWireSize
+		k.cold().ForwarderBytes += ForwarderWireSize
 	}
 	k.endMigration(mg)
-	k.stats.MigrationsFailed++
+	k.cold().MigrationsFailed++
 	k.redeliver(p)
 	k.putProcRec(p)
 }
@@ -816,7 +816,7 @@ func (k *Kernel) timeoutCommitted(pid addr.ProcessID, m *msg.Message) *Process {
 		return nil
 	}
 	if m.From.LastKnown != p.cameFrom {
-		k.stats.AdminRejected++
+		k.cold().AdminRejected++
 		return nil
 	}
 	return p

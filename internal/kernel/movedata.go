@@ -135,8 +135,8 @@ func (k *Kernel) streamGather(to addr.ProcessAddr, dtk bool, xfer uint16, baseOf
 		}
 		m.Body = b
 		off += len(b)
-		k.stats.DataPacketsSent++
-		k.stats.DataBytesSent += uint64(len(b))
+		k.cold().DataPacketsSent++
+		k.cold().DataBytesSent += uint64(len(b))
 		k.eng.After(gap*sim.Time(i), "kernel:data-packet", k.getPending(m, true).fn)
 	}
 	return n, gap * sim.Time(n-1)
@@ -226,7 +226,7 @@ func (k *Kernel) applyWritePacket(m *msg.Message) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) ack(m *msg.Message) {
-	k.stats.AcksSent++
+	k.cold().AcksSent++
 	a := k.getMsg()
 	a.Kind = msg.KindAck
 	a.From = addr.KernelAddr(k.machine)
@@ -245,7 +245,7 @@ func (k *Kernel) ack(m *msg.Message) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) handleAck(m *msg.Message) {
-	k.stats.AcksReceived++
+	k.cold().AcksReceived++
 	if !m.DTK {
 		return
 	}

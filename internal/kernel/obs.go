@@ -54,25 +54,29 @@ func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
 }
 
 // AppendMetrics renders this kernel's rows under "kernel.m<id>.": every
-// Stats counter through the registry's field-derived rule (the Stats struct
-// stays the single owner and its fields the single declaration), an
-// admin_sent.<op> row per named AdminSent element, and the computed rows —
-// admin_total (the sum over AdminSent), the envelope pool levels through
-// PoolStats (the registry view of the conservation law news == free + held
-// that the chaos invariant checker audits) and deliver_latency_us, the one
-// kernel-owned histogram: user-message delivery latency (SentAt stamp to
-// queue insertion) in simulated µs, empty until the first observation.
+// counter of the hot and the cold part through the registry's field-derived
+// rule (their fields carry Stats' names and tags, so the rows are Stats'
+// rows; a kernel without a cold record renders the cold rows as zero, and
+// no Stats copy is made), an admin_sent.<op> row per named AdminSent
+// element, and the computed rows — admin_total (the sum over AdminSent),
+// the envelope pool levels through PoolStats (the registry view of the
+// conservation law news == free + held that the chaos invariant checker
+// audits) and deliver_latency_us, the one kernel-owned histogram:
+// user-message delivery latency (SentAt stamp to queue insertion) in
+// simulated µs, empty until the first observation.
 func (k *Kernel) AppendMetrics(dst []obs.Metric) []obs.Metric {
 	p := "kernel.m" + strconv.Itoa(int(k.machine)) + "."
+	c := k.coldView()
 	dst = obs.AppendStruct(dst, p, &k.stats)
+	dst = obs.AppendStruct(dst, p, c)
 	for op, name := range adminNames {
 		if name != "" {
-			dst = append(dst, obs.Metric{Name: p + "admin_sent." + name, Kind: "counter", Value: k.stats.AdminSent[op]})
+			dst = append(dst, obs.Metric{Name: p + "admin_sent." + name, Kind: "counter", Value: c.AdminSent[op]})
 		}
 	}
 	news, free, held := k.PoolStats()
 	return append(dst,
-		obs.Metric{Name: p + "admin_total", Kind: "counter", Value: k.stats.AdminTotal()},
+		obs.Metric{Name: p + "admin_total", Kind: "counter", Value: adminTotal(&c.AdminSent)},
 		obs.Metric{Name: p + "pool_news", Kind: "gauge", Value: uint64(news)},
 		obs.Metric{Name: p + "pool_free", Kind: "gauge", Value: uint64(free)},
 		obs.Metric{Name: p + "pool_held", Kind: "gauge", Value: uint64(held)},

@@ -164,7 +164,7 @@ func TestForwarderRecyclingAllocs(t *testing.T) {
 	}
 	forwarded := func() (n uint64) {
 		for _, k := range ks {
-			n += k.stats.Forwarded
+			n += k.Stats().Forwarded
 		}
 		return n
 	}

@@ -120,7 +120,7 @@ func (k *Kernel) SaveCheckpoint(pid addr.ProcessID) error {
 		k.stable = make(map[addr.ProcessID][]byte)
 	}
 	k.stable[pid] = b
-	k.stats.CheckpointsSaved++
+	k.cold().CheckpointsSaved++
 	return nil
 }
 
@@ -151,7 +151,7 @@ func (k *Kernel) Restart() error {
 	for _, p := range k.sortedProcs() {
 		if p.mig != nil {
 			k.eng.Cancel(p.mig.watchdog)
-			k.stats.MigrationsFailed++
+			k.cold().MigrationsFailed++
 		}
 		for p.queue.Len() > 0 {
 			k.noteCrashWiped(p.queue.pop())
@@ -160,13 +160,13 @@ func (k *Kernel) Restart() error {
 			p.image.Discard()
 		}
 		if p.state == StateForwarder {
-			k.stats.ForwarderBytes -= ForwarderWireSize
+			k.cold().ForwarderBytes -= ForwarderWireSize
 		} else {
 			if k.lostPIDs == nil {
 				k.lostPIDs = make(map[addr.ProcessID]bool)
 			}
 			k.lostPIDs[p.id] = true
-			k.stats.CrashLostProcs++
+			k.cold().CrashLostProcs++
 		}
 	}
 	for _, pid := range sortedPIDs(k.pendingLocate) {
@@ -188,7 +188,7 @@ func (k *Kernel) Restart() error {
 
 	k.crashed = false
 	k.restarts++
-	k.stats.Restarts++
+	k.cold().Restarts++
 	k.net.SetDown(k.machine, false)
 	k.trace(siteRestart, "", trace.Machine(k.machine), trace.Int(int(k.restarts)))
 
@@ -215,14 +215,14 @@ func (k *Kernel) Restart() error {
 // recycles its envelope (the pool itself survives the crash, keeping the
 // cluster-wide envelope conservation exact).
 func (k *Kernel) noteCrashWiped(m *msg.Message) {
-	k.stats.CrashWipedMsgs++
+	k.cold().CrashWipedMsgs++
 	k.putBounced(m)
 }
 
 // dropCrashed accounts a message that reached this kernel while it was
 // down (stale local-delivery events, frames racing the crash instant).
 func (k *Kernel) dropCrashed(m *msg.Message) {
-	k.stats.DroppedWhileCrashed++
+	k.cold().DroppedWhileCrashed++
 	k.putBounced(m)
 }
 
@@ -313,7 +313,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 	if pid.Creator != k.machine {
 		m.Searched = true
 		m.To.LastKnown = pid.Creator
-		k.stats.SearchForwards++
+		k.cold().SearchForwards++
 		k.trace(siteSearchReroute, m.Kind.String(), trace.PID(pid), trace.Machine(pid.Creator))
 		k.route(m)
 		return true
@@ -334,7 +334,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 	if len(k.pendingLocate[pid]) > 1 {
 		return true // search already outstanding
 	}
-	k.stats.SearchesSent++
+	k.cold().SearchesSent++
 	k.trace(siteSearchBroadcast, "", trace.PID(pid))
 	for _, mach := range k.cfg.Machines {
 		if mach == k.machine {

@@ -9,13 +9,27 @@ import (
 // Stats aggregates one kernel's activity. The experiment harness diffs
 // copies taken around a scenario to produce the paper's cost rows.
 //
-// A field here is the counter's only declaration: SetObs adopts the struct
-// with obs.SampleStruct, so every unsigned-integer field is the metric
-// kernel.m<id>.<snake_case field> (tags override, see internal/obs/derive.go)
-// and chaos.CheckRegistry audits all of them. This struct owns
-// *protocol-level* counts — what the kernel decided to do; netw.Stats owns
-// *wire-level* counts — what crossed the network. No number lives in both;
-// TestStatsSingleSource checks that the two layers reconcile.
+// Stats is the public view; the kernel keeps its counters in two parts,
+// split by who writes them, and Kernel.Stats assembles this struct from
+// both. hotStats holds what the steady job and message paths write
+// (lifecycle, scheduling, messaging) and sits inline in Kernel. coldStats
+// holds everything else — forwarding, link updates, migration, move-data,
+// return-to-sender, the bounded buffers and the fault plane — behind one
+// pointer made at the first cold write (Kernel.cold), so a machine that
+// only runs jobs and exchanges user messages carries 88 B of counters, not
+// 552. A new counter is a field here and a field of the same name, type
+// and tag in hotStats or coldStats: hotStats only if a job-only machine
+// writes it, coldStats otherwise, written through k.cold(). Stats() copies
+// it and TestStatsSplitCoversEveryField fails until it does.
+//
+// Every unsigned-integer field is the metric kernel.m<id>.<snake_case
+// field> (tags override, see internal/obs/derive.go): SetObs registers the
+// kernel as one obs.Rows value, and AppendMetrics renders both parts with
+// obs.AppendStruct at snapshot time; chaos.CheckRegistry audits every row
+// against Stats(). This struct owns *protocol-level* counts — what the
+// kernel decided to do; netw.Stats owns *wire-level* counts — what crossed
+// the network. No number lives in both; TestStatsSingleSource checks that
+// the two layers reconcile.
 type Stats struct {
 	// Process lifecycle.
 	Spawned uint64
@@ -86,12 +100,156 @@ type Stats struct {
 }
 
 // AdminTotal sums administrative messages sent across all ops.
-func (s *Stats) AdminTotal() uint64 {
+func (s *Stats) AdminTotal() uint64 { return adminTotal(&s.AdminSent) }
+
+func adminTotal(sent *[msg.OpCount]uint64) uint64 {
 	var n uint64
-	for _, v := range s.AdminSent {
+	for _, v := range sent {
 		n += v
 	}
 	return n
+}
+
+// hotStats are the counters the steady job and message paths write: Stats'
+// first eleven fields, inline in Kernel (88 B).
+type hotStats struct {
+	Spawned      uint64
+	Exited       uint64
+	Crashes      uint64
+	Kills        uint64
+	Slices       uint64
+	CtxSwitches  uint64
+	CPUBusy      sim.Time `obs:"cpu_busy_us"`
+	MsgsRouted   uint64
+	MsgsEnqueued uint64
+	MsgsHeld     uint64
+	DeadLetters  uint64
+}
+
+// coldStats are the rest of Stats, written only by migration, forwarding,
+// link updates, move-data, return-to-sender, the bounded buffers and the
+// fault plane. A kernel holds them behind Kernel.coldRec, nil until the
+// first cold write.
+type coldStats struct {
+	Forwarded           uint64
+	ForwardedPending    uint64
+	ForwardersInstalled uint64
+	ForwardersReclaimed uint64
+	ForwarderBytes      uint64 `obs:",gauge"`
+
+	LinkUpdatesSent    uint64
+	LinkUpdatesApplied uint64
+	LinksFixed         uint64
+	EagerUpdatesSent   uint64
+
+	MigrationsOut     uint64
+	MigrationsIn      uint64
+	MigrationsRefused uint64
+	MigrationsFailed  uint64
+	Revived           uint64
+	AdminRejected     uint64
+	AdminSent         [msg.OpCount]uint64
+	AdminBytes        uint64
+
+	DataPacketsSent uint64
+	DataBytesSent   uint64
+	AcksSent        uint64
+	AcksReceived    uint64
+
+	Bounced        uint64
+	LocateRequests uint64
+	Resubmitted    uint64
+
+	LocateDropped  uint64
+	ConsoleDropped uint64
+
+	Restarts            uint64
+	CrashWipedMsgs      uint64
+	CrashLostProcs      uint64
+	CheckpointsSaved    uint64
+	DroppedWhileCrashed uint64
+	SearchForwards      uint64
+	SearchesSent        uint64
+}
+
+// noCold is what a kernel without a cold record reads: every cold counter
+// zero.
+var noCold coldStats
+
+// cold returns the kernel's cold counters for writing, made at the first
+// cold write. Every cold write site goes through it.
+func (k *Kernel) cold() *coldStats {
+	if k.coldRec == nil {
+		k.coldRec = new(coldStats)
+	}
+	return k.coldRec
+}
+
+// coldView returns the cold counters for reading without making them.
+func (k *Kernel) coldView() *coldStats {
+	if k.coldRec == nil {
+		return &noCold
+	}
+	return k.coldRec
+}
+
+// Stats returns a copy of this kernel's counters, assembled from its hot
+// and cold parts.
+func (k *Kernel) Stats() Stats {
+	h, c := &k.stats, k.coldView()
+	return Stats{
+		Spawned:      h.Spawned,
+		Exited:       h.Exited,
+		Crashes:      h.Crashes,
+		Kills:        h.Kills,
+		Slices:       h.Slices,
+		CtxSwitches:  h.CtxSwitches,
+		CPUBusy:      h.CPUBusy,
+		MsgsRouted:   h.MsgsRouted,
+		MsgsEnqueued: h.MsgsEnqueued,
+		MsgsHeld:     h.MsgsHeld,
+		DeadLetters:  h.DeadLetters,
+
+		Forwarded:           c.Forwarded,
+		ForwardedPending:    c.ForwardedPending,
+		ForwardersInstalled: c.ForwardersInstalled,
+		ForwardersReclaimed: c.ForwardersReclaimed,
+		ForwarderBytes:      c.ForwarderBytes,
+
+		LinkUpdatesSent:    c.LinkUpdatesSent,
+		LinkUpdatesApplied: c.LinkUpdatesApplied,
+		LinksFixed:         c.LinksFixed,
+		EagerUpdatesSent:   c.EagerUpdatesSent,
+
+		MigrationsOut:     c.MigrationsOut,
+		MigrationsIn:      c.MigrationsIn,
+		MigrationsRefused: c.MigrationsRefused,
+		MigrationsFailed:  c.MigrationsFailed,
+		Revived:           c.Revived,
+		AdminRejected:     c.AdminRejected,
+		AdminSent:         c.AdminSent,
+		AdminBytes:        c.AdminBytes,
+
+		DataPacketsSent: c.DataPacketsSent,
+		DataBytesSent:   c.DataBytesSent,
+		AcksSent:        c.AcksSent,
+		AcksReceived:    c.AcksReceived,
+
+		Bounced:        c.Bounced,
+		LocateRequests: c.LocateRequests,
+		Resubmitted:    c.Resubmitted,
+
+		LocateDropped:  c.LocateDropped,
+		ConsoleDropped: c.ConsoleDropped,
+
+		Restarts:            c.Restarts,
+		CrashWipedMsgs:      c.CrashWipedMsgs,
+		CrashLostProcs:      c.CrashLostProcs,
+		CheckpointsSaved:    c.CheckpointsSaved,
+		DroppedWhileCrashed: c.DroppedWhileCrashed,
+		SearchForwards:      c.SearchForwards,
+		SearchesSent:        c.SearchesSent,
+	}
 }
 
 // MigrationReport is the per-migration cost breakdown assembled by the

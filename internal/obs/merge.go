@@ -14,7 +14,18 @@ import "sort"
 // histograms add Count/Sum and merge buckets by upper bound. The result is
 // name-sorted like any Registry snapshot, so WriteText/WriteJSON output is
 // deterministic regardless of shard count.
+//
+// A lone snapshot is returned as it is, stamped at: Registry.Snapshot is
+// already name-sorted with no duplicate name, and its histogram buckets are
+// fresh slices, so the result shares nothing with registry state (it shares
+// its metrics with the argument). One registry's snapshot, the cluster's on
+// a single shard, needs no map and no re-sort.
 func MergeSnapshots(at uint64, snaps ...Snapshot) Snapshot {
+	if len(snaps) == 1 {
+		s := snaps[0]
+		s.AtMicros = at
+		return s
+	}
 	byName := make(map[string]*Metric)
 	var order []string
 	for _, s := range snaps {

@@ -280,3 +280,35 @@ func TestEngineSampler(t *testing.T) {
 		t.Fatalf("last sample fired=%d", samples[4].Fired)
 	}
 }
+
+// TestMergeSingleSnapshotFastPath: MergeSnapshots of one snapshot returns it
+// stamped, without the map merge. It must equal the map path's result (the
+// same snapshot merged with an empty one) on counters, gauges and a
+// histogram, and its buckets must not alias the registry's histogram: a
+// later observation leaves an earlier merged snapshot as it was.
+func TestMergeSingleSnapshotFastPath(t *testing.T) {
+	r := NewRegistry()
+	var owned struct{ Counter, Other uint64 }
+	r.SampleStruct("z.", &owned)
+	h := r.Histogram("a.hist")
+	r.AddRows(gaugeRow("g.level", 7))
+	owned.Counter, owned.Other = 3, 9
+	for _, v := range []uint64{0, 5, 5, 1000} {
+		h.Observe(v)
+	}
+	s := r.Snapshot(10)
+	fast := MergeSnapshots(99, s)
+	slow := MergeSnapshots(99, s, Snapshot{})
+	if fast.AtMicros != 99 {
+		t.Fatalf("AtMicros = %d, want 99", fast.AtMicros)
+	}
+	if got, want := fmt.Sprintf("%+v", fast), fmt.Sprintf("%+v", slow); got != want {
+		t.Fatalf("fast path differs from the map path:\n%s\n%s", got, want)
+	}
+	before := fmt.Sprintf("%+v", fast)
+	h.Observe(5)
+	owned.Counter++
+	if after := fmt.Sprintf("%+v", fast); after != before {
+		t.Fatalf("a merged snapshot moved with the registry:\n%s\n%s", before, after)
+	}
+}

@@ -4,7 +4,17 @@ package kernel_test
 // no handshake: it can arrive after the destination's watchdog already
 // committed the copy, arrive twice, or cross the final cleanup/MigrateDone
 // pair in flight. Each race has one correct outcome — exactly one live copy
-// of the process — and these tests pin all three down.
+// of the process.
+//
+// The first race — an Abort reaching a copy the destination committed on
+// its watchdog, which must yield — is a real schedule of one migration, and
+// internal/chaos's explorer replays it ("abort after timeout-commit
+// yields"). The two races here stay as hand-forced tests because their
+// message is one no schedule of the explorer's scene sends: an Abort from
+// aborterBody, aimed at a process that is not migrating, at a cleanly
+// migrated copy, or at a copy whose source committed. A real kernel sends an
+// Abort only for the half it is discarding, so the gun is the only way to
+// get one there.
 
 import (
 	"bytes"
@@ -54,79 +64,10 @@ func (b *aborterBody) Restore(data []byte) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
 }
 
-// arqCfg is the network used by the partition races: frames queue as
+// arqCfg is the network used by the partition race: frames queue as
 // retransmissions while a pair is severed and flow again after Heal.
 func arqCfg() netw.Config {
 	return netw.Config{LossRate: 0.0001, RetransTimeout: 3000, MaxRetries: 500}
-}
-
-// TestAbortAfterTimeoutCommitYields: message 7 (established) is lost to a
-// partition, so the source's watchdog restores its copy and sends an abort
-// while the destination's watchdog — holding a fully established copy —
-// commits it on timeout. The process briefly exists twice; when the abort
-// finally arrives, the timeout-committed copy must yield.
-func TestAbortAfterTimeoutCommitYields(t *testing.T) {
-	c := newTCNet(t, 3, arqCfg(),
-		func(cfg *kernel.Config) { cfg.MigrateTimeout = 200_000 })
-	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.runFor(2_000)
-
-	// Sever 1-2 the instant the destination holds the full state, just
-	// before it reports established: message 7 and the coming aborts all
-	// land in retransmission limbo.
-	cut := false
-	c.k(2).SetFaultHook(func(kp kernel.KillPoint, _ addr.ProcessID) {
-		if kp == kernel.KPDestTransferred && !cut {
-			cut = true
-			c.net.Partition(1, 2)
-		}
-	})
-	c.migrate(3, pid, 1, 2)
-
-	// Both watchdogs fire during the partition.
-	c.runFor(450_000)
-	if !cut {
-		t.Fatal("migration never reached KPDestTransferred")
-	}
-	if _, ok := c.k(1).Process(pid); !ok {
-		t.Fatal("source did not restore its copy on watchdog abort")
-	}
-	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateForwarder {
-		t.Fatal("destination did not timeout-commit its established copy")
-	}
-
-	// Heal: the retransmitted established finds no out-migration (the
-	// source already aborted) and draws a second abort; the first abort
-	// reaches the timeout-committed copy, which yields.
-	c.net.Heal(1, 2)
-	c.run()
-	if _, ok := c.k(2).Process(pid); ok {
-		t.Fatal("timeout-committed copy survived the abort — process forked")
-	}
-	if info, ok := c.k(1).Process(pid); !ok || info.State == kernel.StateForwarder {
-		t.Fatal("no live copy on the source after the yield")
-	}
-	if s := c.k(2).Stats(); s.MigrationsFailed != 1 {
-		t.Fatalf("destination MigrationsFailed = %d, want exactly 1 (duplicate abort must be a no-op)", s.MigrationsFailed)
-	}
-	if got := c.k(1).Stats().AdminSent[msg.OpMigrateAbort]; got < 2 {
-		t.Fatalf("source sent %d aborts, want >= 2 (watchdog + established-reply)", got)
-	}
-	if u := c.k(2).MemUsed(); u != 0 {
-		t.Fatalf("yield leaked %d bytes on the destination", u)
-	}
-
-	// The survivor still works.
-	if err := c.k(1).GiveMessage(pid, addr.KernelAddr(3), []byte("die")); err != nil {
-		t.Fatal(err)
-	}
-	c.run()
-	if _, m := c.exitOf(pid); m != 1 {
-		t.Fatalf("survivor exited on m%d, want m1", m)
-	}
 }
 
 // TestDuplicateAndStaleAbortsAreNoOps: aborts aimed at a process that is
@@ -191,7 +132,9 @@ func TestDuplicateAndStaleAbortsAreNoOps(t *testing.T) {
 // installed, MigrateDone sent) but its cleanup message is trapped by a
 // partition, so the destination commits on watchdog timeout with the
 // conflict flag set. The late cleanup crossing MigrateDone must clear that
-// flag — a stale abort arriving afterwards is a no-op, not a yield.
+// flag — a stale abort arriving afterwards is a no-op, not a yield. The
+// stale abort is the gun's: a source that committed never sends one, so no
+// explored schedule reaches the flag it tests.
 func TestLateCleanupDisarmsTimeoutCommit(t *testing.T) {
 	c := newTCNet(t, 3, arqCfg(),
 		func(cfg *kernel.Config) { cfg.MigrateTimeout = 200_000 })

@@ -380,6 +380,9 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 	here := p != nil && p.state != StateForwarder && p.state != StateIncoming && k.net.Routable(req.Dest)
 	trivial := here && req.Dest == k.machine // already where it is asked to go
 	if !here || trivial || p.state == StateInMigration {
+		if p != nil && (p.state == StateInMigration || p.state == StateIncoming) {
+			k.cold().MigrationsRefused++ // one migration of a pid at a time
+		}
 		k.sendDone(m.From, msg.MigrateDone{PID: req.PID, Machine: k.machine, OK: trivial}, nil)
 		return
 	}

@@ -349,6 +349,43 @@ func TestDuplicateAdminMessagesAreDropped(t *testing.T) {
 	}
 }
 
+// TestSecondRequestIsRefused: two requests to migrate one pid, 1 µs apart.
+// The first opens the migration; the second reaches the source while the
+// pid is in migration, is held on its queue and forwarded at step 6, and so
+// reaches m2 while the pid is still incoming there. m2 answers it not-OK and
+// counts it MigrationsRefused, and the first migration completes as if the
+// second had not been asked.
+func TestSecondRequestIsRefused(t *testing.T) {
+	c := newTC(t, 3, nil)
+	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.runFor(2_000)
+	c.migrate(3, pid, 1, 2)
+	c.runFor(1)
+	c.migrate(3, pid, 1, 2)
+	c.run()
+	if rep := c.k(1).Reports(); len(rep) != 1 || !rep[0].OK {
+		t.Fatalf("source reports %+v, want one completed migration", rep)
+	}
+	if at := c.liveCopies(pid); len(at) != 1 || at[0] != 2 {
+		t.Fatalf("live copies on %v, want one on m2", at)
+	}
+	if done, n := c.k(3).DoneMigrations(); n != 2 || done.OK || done.Machine != 2 {
+		t.Fatalf("requester saw %d completions, last %+v, want the OK and then m2's refusal", n, done)
+	}
+	for m := 1; m <= 3; m++ {
+		want := uint64(0)
+		if m == 2 {
+			want = 1
+		}
+		if got := c.k(m).Stats().MigrationsRefused; got != want {
+			t.Errorf("m%d MigrationsRefused = %d, want %d", m, got, want)
+		}
+	}
+}
+
 // adminScene is FuzzKernelAdmin's scene: three lossless kernels, a stateful
 // process spawned on m1, and its migration to m2 requested by m3, driven
 // point engine events forward.
@@ -383,7 +420,10 @@ func (c *tc) liveCopies(pid addr.ProcessID) []int {
 // illegal at the source's step and dropped; after, it commits the source,
 // and the real Established that follows finds a forwarding address to its
 // sender, a duplicate the orphan rule leaves unanswered rather than aborting
-// the only copy. Either way exactly one live copy remains.
+// the only copy. Either way exactly one live copy remains. The late case is
+// also a real schedule, which internal/chaos's explorer replays ("duplicate
+// Established after commit"); the early points stay here because no
+// schedule sends an Established before the program region has landed.
 func TestEarlyEstablishedLeavesOneCopy(t *testing.T) {
 	for _, point := range []int{8, 10, 12, 14, 16} {
 		t.Run(fmt.Sprint(point), func(t *testing.T) {

@@ -64,7 +64,7 @@ type Stats struct {
 	// Migration (§3, §6).
 	MigrationsOut     uint64 // completed as source
 	MigrationsIn      uint64 // completed as destination
-	MigrationsRefused uint64
+	MigrationsRefused uint64 // asks refused as destination (§3.2), and requests for a pid already migrating here
 	MigrationsFailed  uint64
 	Revived           uint64              // processes restored from checkpoints (§1 fault recovery)
 	AdminRejected     uint64              // migration messages dropped: not from the half's peer, illegal at the half's step, or a duplicate Ask

@@ -187,17 +187,16 @@ func (n *Network) EnqueueRemote(f RemoteFrame) {
 
 // pump fires every pending delivery due at the current time. It runs as a
 // gate event, so all frames arriving "at t" are delivered before any normal
-// event at t, in canonical order. The list is read again after every
-// delivery, which may send a frame due at this same instant and may grow the
-// table; while it drains, pumping tells pendPush that such a frame needs no
-// gate of its own. In ARQ mode entries carry a class and land through arqLand
-// (arq.go); the lossless path pays one boolean test for that, reads the two
-// fields it needs off the entry in place and stays allocation-free.
+// event at t, in canonical order. A delivery may send frames — never due at
+// this instant (pendPush) — and may grow the table, so the list is read
+// again after every delivery. In ARQ mode entries carry a class and land
+// through arqLand (arq.go); the lossless path pays one boolean test for
+// that, reads the two fields it needs off the entry in place and stays
+// allocation-free.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and /netw-send-depth64 in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pump() {
 	now := n.eng.Now()
-	n.pumping = true
 	var landed uint64
 	for {
 		s := &n.pendSlots[uint64(now)&uint64(len(n.pendSlots)-1)]
@@ -220,19 +219,17 @@ func (n *Network) pump() {
 		ent.m = nil // drop the frame pointer for GC
 		n.deliver(to, m)
 	}
-	n.pumping = false
 	n.eng.CountAs(landed)
 }
 
 // pendPush queues one frame for canonical delivery at ent.at and reports
 // whether the caller must schedule the netw:pump gate at that time: whether
-// the frame is the only one queued for its instant, and that instant is not
-// the one a pump is draining (which delivers it without a gate).
+// the frame is the only one queued for its instant. Every frame is due after
+// now (Send adds Latency >= 1), so none joins an instant a pump is draining.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/netw-send and /netw-send-depth64 in bench_hotpath_test.go and TestShardHotPathZeroAlloc in internal/core/shard_test.go.
 func (n *Network) pendPush(ent pendEnt) (gate bool) {
-	now := n.eng.Now()
-	if ent.at < now {
+	if now := n.eng.Now(); ent.at <= now {
 		panicLatePend(ent.at, now)
 	}
 	if n.pendN == len(n.pendSlots) {
@@ -247,7 +244,7 @@ func (n *Network) pendPush(ent pendEnt) (gate bool) {
 	}
 	n.pend[i] = ent
 	n.pendN++
-	return n.pendFile(i) && !(n.pumping && ent.at == now)
+	return n.pendFile(i)
 }
 
 // pendFile links arena entry i into its arrival time's list where pendLess
@@ -293,8 +290,8 @@ func (n *Network) pendGrow() {
 	}
 }
 
-// panicLatePend keeps fmt off the annotated pendPush. A frame filed for a
-// time already past would sit in a list no pump visits: a programming error.
+// panicLatePend keeps fmt off the annotated pendPush. A frame filed for now or
+// earlier could sit in a list no pump visits: a programming error.
 func panicLatePend(at, now sim.Time) {
 	panic(fmt.Sprintf("netw: frame filed for %v at %v: its arrival time has passed", at, now))
 }

@@ -240,12 +240,11 @@ type Network struct {
 
 	// Delivery state (canon.go). Until SetCanonical narrows it, every
 	// attached machine is local: local and ship stay nil and total is 0.
-	total   addr.MachineID            // cluster size once SetCanonical ran: ids up to it are routable
-	local   func(addr.MachineID) bool // nil: every machine is on this engine
-	ship    func(RemoteFrame)         // hands a frame for another shard to the cluster
-	ret     *msg.Pool                 // what release puts through: a plain pool (Put sends home), this shard's return pool once SetCanonical ran
-	pumpFn  func()                    // bound once; fires pending deliveries due now
-	pumping bool                      // a pump is draining the current instant: frames filed for it need no gate
+	total  addr.MachineID            // cluster size once SetCanonical ran: ids up to it are routable
+	local  func(addr.MachineID) bool // nil: every machine is on this engine
+	ship   func(RemoteFrame)         // hands a frame for another shard to the cluster
+	ret    *msg.Pool                 // what release puts through: a plain pool (Put sends home), this shard's return pool once SetCanonical ran
+	pumpFn func()                    // bound once; fires pending deliveries due now
 
 	// The arrival calendar (canon.go): pendSlots[at&mask] is the list of the
 	// frames due at at (and at any time that aliases to it), in pendLess

@@ -16,11 +16,12 @@ import (
 // pendLess. Every delivery must be the reference's minimum, at exactly its
 // arrival time, and PendingFrames must agree after every step. Gates follow
 // the production rule — one per instant: a push arms one exactly when the
-// reference holds nothing else due at its time and that time is not the one
-// being pumped — and the engine must count one event per entry, however many
-// gates the entries shared. The golden trace and the shard-invariance matrix
-// pin the same order end to end; this is the test that says which push or
-// pump broke it.
+// reference holds nothing else due at its time — and the engine must count
+// one event per entry, however many gates the entries shared. No frame is
+// filed for the instant already reached (TestPushForNowPanics), so none
+// joins an instant a pump is draining. The golden trace and the
+// shard-invariance matrix pin the same order end to end; this is the test
+// that says which push or pump broke it.
 
 // pendDeltas are the distances a program files frames at: the transit times
 // the workloads see, the neighbours and exact multiples of every table size
@@ -56,10 +57,9 @@ type pendHarness struct {
 	key map[pendEnt]bool      // keys in use (entries less m): pendLess is a total order only over distinct ones
 	dlv int                   // deliveries so far
 
-	inPump bool // a delivery is running: the pump is draining the current instant
-	gates  int  // gates armed by pushes
-	extra  int  // gates armed by pendOpPump, with or without anything due
-	fired  int  // netw:pump events the engine ran
+	gates int // gates armed by pushes
+	extra int // gates armed by pendOpPump, with or without anything due
+	fired int // netw:pump events the engine ran
 }
 
 func newPendHarness(t *testing.T) *pendHarness {
@@ -79,15 +79,16 @@ func newPendHarness(t *testing.T) *pendHarness {
 
 // push files one frame due d from now on both sides, as canonSend and
 // arqEnqueue do: an entry, and a gate if pendPush asks for one — which must
-// be exactly when the reference holds no other entry due at that time and a
-// pump is not draining it. The key byte picks receiver, sender, a sequence
-// out of four, class and attempt, so programs repeat (to, from, seq) under
+// be exactly when the reference holds no other entry due at that time. A
+// frame is due at least 1 µs ahead, as every Send is, so a zero d files for
+// the next microsecond. The key byte picks receiver, sender, a sequence out
+// of four, class and attempt, so programs repeat (to, from, seq) under
 // different classes and attempts; a key already in use moves to the next
 // free attempt. Flag 0x80 makes the frame's delivery file two more frames due
-// at that same instant.
+// 1 µs after it.
 func (h *pendHarness) push(d sim.Time, key, flags byte) {
 	ent := pendEnt{
-		at: h.eng.Now() + d, to: addr.MachineID(1 + key&3), from: addr.MachineID(1 + key>>2&3),
+		at: h.eng.Now() + max(d, 1), to: addr.MachineID(1 + key&3), from: addr.MachineID(1 + key>>2&3),
 		seq: uint64(key >> 4 & 3), class: key >> 6 % 3, attempt: uint32(flags & 3),
 	}
 	for h.key[ent] {
@@ -99,7 +100,7 @@ func (h *pendHarness) push(d sim.Time, key, flags byte) {
 	if flags&0x80 != 0 {
 		h.re[ent.m] = key + flags
 	}
-	want := !(h.inPump && ent.at == h.eng.Now())
+	want := true
 	for i := range h.ref {
 		if h.ref[i].at == ent.at {
 			want = false
@@ -135,13 +136,10 @@ func (h *pendHarness) DeliverFrame(m *msg.Message) {
 	h.ref = append(h.ref[:min], h.ref[min+1:]...)
 	h.dlv++
 	if key, ok := h.re[m]; ok {
-		// Due now: this same pump must deliver them, in order, without a
-		// gate of their own — and two pushes for one pop can grow the table
-		// under the pump.
-		h.inPump = true
-		h.push(0, key, key&0x7f)
-		h.push(0, key+85, key&0x7f)
-		h.inPump = false
+		// Two pushes for one pop can grow the table under the pump, which
+		// must then find the rest of its instant in the new table.
+		h.push(1, key, key&0x7f)
+		h.push(1, key+85, key&0x7f)
 	}
 }
 
@@ -267,10 +265,10 @@ var pendSeeds = []struct {
 		pendOpGroup, pd(512), 63, 1, pendOpGroup, pd(257), 63, 77,
 		pendOpRun, pd(4096),
 	}},
-	{"growth under the pump: every delivery of a full table files two frames for now", 2 * pendMinSlots, []byte{
+	{"growth under the pump: every delivery of a full table files two frames for the next microsecond", 4 * pendMinSlots, []byte{
 		pendOpGroup, pd(500), 63 | 0x80, 0, pendOpPush, pd(512), 1, 0, pendOpRun, pd(512),
 	}},
-	{"pumps that find nothing, and pushes for now from a delivery", 0, []byte{
+	{"pumps that find nothing, and pushes from a delivery", 0, []byte{
 		pendOpPump, pd(0), pendOpPump, pd(3), pendOpRun, pd(5),
 		pendOpPush, pd(500), 0x0f, 0x80, pendOpPush, pd(500), 0x00, 0x81, pendOpPush, pd(500), 0xff, 0x82,
 		pendOpPump, pd(500), pendOpPump, pd(64), pendOpPump, pd(512), pendOpPump, pd(20000),
@@ -366,4 +364,44 @@ func TestLatePushPanics(t *testing.T) {
 		}
 	}()
 	n.EnqueueRemote(RemoteFrame{From: 1, To: 2, At: eng.Now() - 1, Seq: 2, M: frame(8)})
+}
+
+// TestPushForNowPanics: a frame filed for the instant already reached — by a
+// driver, or by a delivery the pump of that instant is making — panics. The
+// pump may already be past the frame's place in the list, and a gate armed
+// for it could not run before the pump that is running.
+func TestPushForNowPanics(t *testing.T) {
+	for _, tt := range []struct {
+		name     string
+		fromPump bool
+	}{{"from a driver", false}, {"from a delivery", true}} {
+		t.Run(tt.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			n := New(eng, Config{})
+			var got any
+			pushed := false
+			push := func() {
+				defer func() { got = recover() }()
+				pushed = true
+				n.pendPush(pendEnt{at: eng.Now(), to: 2, from: 1, seq: 9, m: &msg.Message{}})
+			}
+			n.Attach(1, endpointFunc(func(*msg.Message) {}))
+			n.Attach(2, endpointFunc(func(*msg.Message) {
+				if tt.fromPump && !pushed {
+					push() // once: a pump that took the frame would deliver it here again
+				}
+			}))
+			n.Send(1, 2, frame(8))
+			eng.Run()
+			if !tt.fromPump {
+				push()
+			}
+			if r, _ := got.(string); !strings.Contains(r, "arrival time has passed") {
+				t.Fatalf("pendPush for now at %v: recovered %v, want the late-frame panic", eng.Now(), got)
+			}
+			if n.PendingFrames() != 0 {
+				t.Fatalf("the refused frame is counted: %d pending", n.PendingFrames())
+			}
+		})
+	}
 }

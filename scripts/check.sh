@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Contributor gate: gofmt, vet, lint, build, no encoding/gob outside tests,
-# race-test, the tests built only without the race detector (heap budgets,
-# experiments goldens), four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
+# race-test (the schedule explorer's budget 1 included), the tests built only
+# without the race detector (heap budgets, experiments goldens, the
+# explorer's budget 2), four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
 # FuzzPendOrder, FuzzStateCodec), the hot-path allocation guards, a
 # one-iteration smoke of the scale and policy benchmarks, the msg.Pool and
 # trace ring inlining guards, and the trace-site guard. Run from anywhere; exits non-zero on the first
@@ -36,9 +37,9 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens nothing): per-machine, per-process and per-forwarder heap budgets, experiments goldens"
-go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments' \
-  ./internal/core ./internal/kernel ./cmd/experiments
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets, experiments goldens, every two-fault schedule of one migration"
+go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
+  ./internal/core ./internal/kernel ./cmd/experiments ./internal/chaos
 
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
 go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
@@ -61,7 +62,7 @@ go test -run='^$' -fuzz=FuzzKernelAdmin -fuzztime=10s ./internal/kernel/
 echo "== fuzz smoke: the engine's event queue against a sorted-slice reference, operation by operation (10 s)"
 go test -run='^$' -fuzz=FuzzEngineOrder -fuzztime=10s ./internal/sim/
 
-echo "== fuzz smoke: the network's arrival calendar against a slice scanned with pendLess, delivery by delivery, one gate per instant and one counted event per frame (10 s)"
+echo "== fuzz smoke: the network's arrival calendar against a slice scanned with pendLess, delivery by delivery, one gate per instant, one counted event per frame and no frame filed for the instant reached (10 s)"
 go test -run='^$' -fuzz=FuzzPendOrder -fuzztime=10s ./internal/netw/
 
 echo "== fuzz smoke: the body state codec, arbitrary bytes into Restore (what it accepts snapshots back to the same bytes) and arbitrary states through Snapshot and Restore (Counter, Chatter, Job, Sink, Recorder; 5 s)"

@@ -17,7 +17,7 @@ func TestExploreBudget2(t *testing.T) {
 	start := time.Now()
 	ps := pins(t)
 	firsts, _ := explore(t, nil)
-	var tried, flagged, aborted, yielded, rejected int
+	var tried, flagged, aborted, reasked, rejected int
 	var leaves []leaf
 	for _, f := range firsts {
 		if len(f.bad) != 0 {
@@ -32,13 +32,13 @@ func TestExploreBudget2(t *testing.T) {
 		if l.aborted {
 			aborted++
 		}
-		if l.yielded {
-			yielded++
+		if l.reasked {
+			reasked++
 		}
 		if l.rejected > 0 {
 			rejected++
 		}
 	}
-	t.Logf("%d schedules tried, %d leaves, %d flagged; m1 sent an Abort in %d (m2 yielded to it in %d), a duplicate was dropped in %d; %v",
-		tried, len(leaves), flagged, aborted, yielded, rejected, time.Since(start).Round(time.Millisecond))
+	t.Logf("%d schedules tried, %d leaves, %d flagged; m1 sent an Abort in %d, m2 asked again in %d, a duplicate was dropped in %d; %v",
+		tried, len(leaves), flagged, aborted, reasked, rejected, time.Since(start).Round(time.Millisecond))
 }

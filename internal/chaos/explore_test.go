@@ -276,25 +276,15 @@ func (s *scene) liveCopies() []int {
 	return at
 }
 
-// traced counts the trace records of event on machine m.
-func (s *scene) traced(m addr.MachineID, event string) int {
-	n := 0
-	for _, r := range s.c.TraceRecords() {
-		if r.Machine == m && r.Event() == event {
-			n++
-		}
-	}
-	return n
-}
-
 // leaf is one explored schedule's outcome: its leaf check, and what the
-// explorer's questions about the source's Abort and duplicate drops read.
+// explorer's questions about the source's Abort, the destination's second
+// Established and duplicate drops read.
 type leaf struct {
 	sch      schedule
 	bad      []string
 	aborted  bool   // m1 sent an Abort
 	forged   bool   // ... and still committed to m2's copy: the message FuzzKernelAdmin's forged exempts
-	yielded  bool   // m2 timeout-committed and then yielded to m1's Abort
+	reasked  bool   // m2's watchdog sent Established again, for m1 to decide
 	rejected uint64 // administrative messages dropped by the peer rule, the legal-at column or as a duplicate Ask
 }
 
@@ -303,7 +293,7 @@ func (s *scene) leaf(sch schedule) leaf {
 	l.aborted = s.c.Kernel(1).Stats().AdminSent[msg.OpMigrateAbort] > 0
 	info, ok := s.c.Kernel(1).Process(s.rec)
 	l.forged = l.aborted && ok && info.State == kernel.StateForwarder
-	l.yielded = s.traced(2, "timeout-commit-yield") > 0
+	l.reasked = s.c.Kernel(2).Stats().AdminSent[msg.OpMigrateEstablished] > 1
 	for m := 1; m <= 3; m++ {
 		l.rejected += s.c.Kernel(m).Stats().AdminRejected
 	}
@@ -430,32 +420,31 @@ func namedSchedules(t testing.TB) []namedSchedule {
 	// With Established lost, m1's watchdog fires (30.005613 s), restores
 	// its copy and sends the Abort.
 	abort := landmark(t, schedule{lost}, sent(1, msg.OpMigrateAbort, 1))
+	// m1 receives Established, commits and sends message 8 (and message 9
+	// to itself, the requester) in the same event.
+	cleanup := landmark(t, nil, sent(1, msg.OpMigrateCleanup, 1))
 	return []namedSchedule{
 		{
 			// Message 7 is lost, so the source's watchdog restores its copy
-			// and sends an Abort, while the destination — holding a fully
-			// established copy — commits it on its own watchdog. The Abort
-			// arrives after that, and the timeout-committed copy must
-			// yield. (It was TestAbortAfterTimeoutCommitYields in
-			// internal/kernel, which forced the order with a kill-point hook
-			// and a partition of the ARQ.)
-			name: "abort after timeout-commit yields",
+			// and sends an Abort, held past the destination's watchdog.
+			// That watchdog sends Established again; m1, holding the
+			// restored copy, answers with a second Abort, and m2 discards
+			// its copy. The late Abort then finds no half on m2 and is
+			// ignored.
+			name: "late Abort finds the copy discarded",
 			sch:  schedule{lost, {abort, late, 1, 2}},
 			check: func(t *testing.T, s *scene) {
 				if at := s.liveCopies(); len(at) != 1 || at[0] != 1 {
 					t.Fatalf("live copies on %v, want the restored one on m1", at)
 				}
-				if s.traced(2, "timeout-commit") != 1 || s.traced(2, "timeout-commit-yield") != 1 {
-					t.Fatal("m2 did not timeout-commit its established copy and then yield it")
-				}
 				if _, ok := s.c.Kernel(2).Process(s.rec); ok {
-					t.Fatal("timeout-committed copy survived the abort — process forked")
+					t.Fatal("m2 kept a record of the process it discarded")
 				}
 				if n := s.c.Kernel(2).Stats().MigrationsFailed; n != 1 {
-					t.Fatalf("m2 MigrationsFailed = %d, want exactly 1", n)
+					t.Fatalf("m2 MigrationsFailed = %d, want exactly 1: the late Abort is ignored", n)
 				}
-				if n := s.c.Kernel(1).Stats().AdminSent[msg.OpMigrateAbort]; n != 1 {
-					t.Fatalf("m1 sent %d aborts, want its watchdog's one", n)
+				if n := s.c.Kernel(1).Stats().AdminSent[msg.OpMigrateAbort]; n != 2 {
+					t.Fatalf("m1 sent %d aborts, want its watchdog's and its answer to the second Established", n)
 				}
 				// The survivor still works.
 				if err := s.c.Kernel(1).GiveMessage(s.rec, addr.KernelAddr(3), []byte{99, 0, 0, 0}); err != nil {
@@ -463,16 +452,17 @@ func namedSchedules(t testing.TB) []namedSchedule {
 				}
 				s.c.Run()
 				if b, _ := s.c.Kernel(1).BodyOf(s.rec); b.(*workload.Recorder).Seen[99] != 1 {
-					t.Fatal("the survivor on m1 did not take a message after the yield")
+					t.Fatal("the survivor on m1 did not take a message after the abort")
 				}
 			},
 		},
 		{
 			// The destination's Established arrives twice: the first
 			// commits the source, the second finds a forwarding address to
-			// its sender and is left unanswered rather than aborting the
-			// only copy. This is the late half of
-			// TestEarlyEstablishedLeavesOneCopy, reached by a real schedule.
+			// its sender and draws message 8 again rather than an Abort of
+			// the only copy; m2, committed by the first, ignores it. This
+			// is the late half of TestEarlyEstablishedLeavesOneCopy,
+			// reached by a real schedule.
 			name: "duplicate Established after commit",
 			sch:  schedule{{est, dup, 2, 1}},
 			check: func(t *testing.T, s *scene) {
@@ -481,6 +471,32 @@ func namedSchedules(t testing.TB) []namedSchedule {
 				}
 				if n := s.c.Kernel(1).Stats().AdminSent[msg.OpMigrateAbort]; n != 0 {
 					t.Fatalf("m1 answered the duplicate with %d aborts", n)
+				}
+				if n := s.c.Kernel(1).Stats().AdminSent[msg.OpMigrateCleanup]; n != 2 {
+					t.Fatalf("m1 sent %d cleanups, want 2", n)
+				}
+			},
+		},
+		{
+			// Message 8 is lost. m1 is already a forwarder, so m2's
+			// watchdog asks again, and the forwarder to the sender answers
+			// with message 8 again, billed to no ledger record: m2 commits
+			// and the migration's bill still reads 3 transfers and 9
+			// administrative messages.
+			name: "lost Cleanup: the forwarder repeats message 8",
+			sch:  schedule{{cleanup, drop, 1, 2}},
+			check: func(t *testing.T, s *scene) {
+				if at := s.liveCopies(); len(at) != 1 || at[0] != 2 {
+					t.Fatalf("live copies on %v, want one on m2", at)
+				}
+				st1, st2 := s.c.Kernel(1).Stats(), s.c.Kernel(2).Stats()
+				if st1.AdminSent[msg.OpMigrateCleanup] != 2 || st2.AdminSent[msg.OpMigrateEstablished] != 2 {
+					t.Fatalf("m1 sent %d cleanups and m2 %d Establisheds, want 2 and 2",
+						st1.AdminSent[msg.OpMigrateCleanup], st2.AdminSent[msg.OpMigrateEstablished])
+				}
+				recs := s.c.Ledger().Records()
+				if len(recs) != 1 || !recs[0].OK || recs[0].MoveDataTransfers != 3 || recs[0].AdminMsgs != 9 {
+					t.Fatalf("ledger %+v, want one completed migration billed 3 transfers and 9 admin messages", recs)
 				}
 			},
 		},
@@ -536,22 +552,25 @@ func namedSchedules(t testing.TB) []namedSchedule {
 			},
 		},
 		{
-			// COUNTEREXAMPLE, pinned and not fixed (DESIGN §9 "Honest
-			// gaps", ROADMAP item 2): m2's Established is lost, and so is
-			// the Abort m1's watchdog sends when it restores its copy. m2's
-			// watchdog then commits its established copy with no Abort left
-			// to make it yield: two live copies, never reconciled, on a
-			// lossless network that dropped two frames. A fix of item 2
-			// flips this verdict, on purpose.
-			name:    "counterexample: Established and the watchdog's Abort both lost fork the process",
-			sch:     schedule{lost, {abort, drop, 1, 2}},
-			counter: true,
+			// m2's Established is lost, and so is the Abort m1's watchdog
+			// sends when it restores its copy. m2 does not commit on its
+			// own watchdog: it sends Established again, m1, holding the
+			// restored copy, answers with a second Abort, and m2 discards
+			// its copy. (Until the destination asked instead of committing,
+			// this schedule forked the process: a pinned counterexample.)
+			name: "Established and Abort lost: the destination asks again",
+			sch:  schedule{lost, {abort, drop, 1, 2}},
 			check: func(t *testing.T, s *scene) {
-				if at := s.liveCopies(); len(at) != 2 || at[0] != 1 || at[1] != 2 {
-					t.Fatalf("live copies on %v, want the fork on m1 and m2", at)
+				if at := s.liveCopies(); len(at) != 1 || at[0] != 1 {
+					t.Fatalf("live copies on %v, want the restored one on m1", at)
 				}
-				if s.traced(2, "timeout-commit") != 1 || s.traced(2, "timeout-commit-yield") != 0 {
-					t.Fatal("m2 did not timeout-commit unopposed")
+				st1, st2 := s.c.Kernel(1).Stats(), s.c.Kernel(2).Stats()
+				if st2.AdminSent[msg.OpMigrateEstablished] != 2 || st1.AdminSent[msg.OpMigrateAbort] != 2 {
+					t.Fatalf("m2 sent %d Establisheds and m1 %d aborts, want 2 and 2",
+						st2.AdminSent[msg.OpMigrateEstablished], st1.AdminSent[msg.OpMigrateAbort])
+				}
+				if st2.MigrationsFailed != 1 {
+					t.Fatalf("m2 MigrationsFailed = %d, want 1", st2.MigrationsFailed)
 				}
 			},
 		},

@@ -1,20 +1,21 @@
 package kernel_test
 
 // Races around OpMigrateAbort. The abort message has no sequence number and
-// no handshake: it can arrive after the destination's watchdog already
-// committed the copy, arrive twice, or cross the final cleanup/MigrateDone
-// pair in flight. Each race has one correct outcome — exactly one live copy
-// of the process.
+// no handshake: it can arrive twice, arrive after the copy it names was
+// discarded or committed, or cross the final cleanup/MigrateDone pair in
+// flight. Each race has one correct outcome — exactly one live copy of the
+// process.
 //
-// The first race — an Abort reaching a copy the destination committed on
-// its watchdog, which must yield — is a real schedule of one migration, and
-// internal/chaos's explorer replays it ("abort after timeout-commit
-// yields"). The two races here stay as hand-forced tests because their
-// message is one no schedule of the explorer's scene sends: an Abort from
-// aborterBody, aimed at a process that is not migrating, at a cleanly
-// migrated copy, or at a copy whose source committed. A real kernel sends an
-// Abort only for the half it is discarding, so the gun is the only way to
-// get one there.
+// The races a real schedule of one migration reaches — a late Abort that
+// finds the destination's copy already discarded, a lost Abort that the
+// destination's second Established draws again — are named schedules of
+// internal/chaos's explorer. The two races here stay as hand-forced tests
+// because their message is one no schedule of the explorer's scene sends: an
+// Abort from aborterBody, aimed at a process that is not migrating, at a
+// cleanly migrated copy, or at a copy whose source committed. A real kernel
+// sends an Abort only for the half it is discarding, or in answer to an
+// Established for a copy the process went on without, so the gun is the only
+// way to get one there.
 
 import (
 	"bytes"
@@ -27,6 +28,7 @@ import (
 	"demosmp/internal/msg"
 	"demosmp/internal/netw"
 	"demosmp/internal/proc"
+	"demosmp/internal/trace"
 )
 
 // aborterBody is a privileged body that fires one OpMigrateAbort at a
@@ -128,14 +130,16 @@ func TestDuplicateAndStaleAbortsAreNoOps(t *testing.T) {
 	}
 }
 
-// TestLateCleanupDisarmsTimeoutCommit: the source commits (forwarder
+// TestPartitionedDestinationAsksUntilCleanup: the source commits (forwarder
 // installed, MigrateDone sent) but its cleanup message is trapped by a
-// partition, so the destination commits on watchdog timeout with the
-// conflict flag set. The late cleanup crossing MigrateDone must clear that
-// flag — a stale abort arriving afterwards is a no-op, not a yield. The
-// stale abort is the gun's: a source that committed never sends one, so no
-// explored schedule reaches the flag it tests.
-func TestLateCleanupDisarmsTimeoutCommit(t *testing.T) {
+// partition. Only the source decides, so while the partition holds the
+// destination keeps its copy incoming and its watchdog sends Established
+// again instead of committing. After Heal the late cleanup commits the copy
+// once; the Established re-sends reach the forwarder, which answers each with
+// message 8 again, and the committed copy ignores them. A stale abort
+// afterwards is a no-op. The stale abort is the gun's: a source that
+// committed never sends one.
+func TestPartitionedDestinationAsksUntilCleanup(t *testing.T) {
 	c := newTCNet(t, 3, arqCfg(),
 		func(cfg *kernel.Config) { cfg.MigrateTimeout = 200_000 })
 	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
@@ -161,19 +165,30 @@ func TestLateCleanupDisarmsTimeoutCommit(t *testing.T) {
 	if !cut {
 		t.Fatal("migration never reached KPSourceCommitted")
 	}
-	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateForwarder {
-		t.Fatal("destination did not timeout-commit while the cleanup was trapped")
+	if info, ok := c.k(2).Process(pid); !ok || info.State != kernel.StateIncoming {
+		t.Fatalf("m2's copy is %+v while the cleanup is trapped, want it incoming", info)
+	}
+	if n := c.k(2).Stats().AdminSent[msg.OpMigrateEstablished]; n < 2 {
+		t.Fatalf("m2 sent Established %d times while the cleanup was trapped, want it to ask again", n)
 	}
 	if s := c.k(1).Stats(); s.MigrationsOut != 1 {
 		t.Fatalf("source MigrationsOut = %d, want 1 (it committed before the partition)", s.MigrationsOut)
 	}
 
-	// Heal: the late cleanup arrives, proving the source is a forwarder
-	// and no abort is coming.
+	// Heal: the late cleanup arrives and commits the copy, once.
 	c.net.Heal(1, 2)
 	c.run()
+	restarts := 0
+	for _, ev := range c.tr.Events(trace.CatMigrate) {
+		if ev == "step8-restart" {
+			restarts++
+		}
+	}
+	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateIncoming || restarts != 1 {
+		t.Fatalf("m2's copy is %+v after %d step-8 restarts, want it committed once", info, restarts)
+	}
 
-	// A stale abort after MigrateDone must not make the copy yield.
+	// A stale abort after MigrateDone finds no half on m2: ignored.
 	_ = c.k(3).GiveMessage(gun, addr.KernelAddr(3), []byte("fire"))
 	c.run()
 	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateForwarder {

@@ -31,10 +31,11 @@ func FuzzKernelAdmin(f *testing.F) {
 	// Seed corpus: the nine legal messages, each truncated by one byte, each
 	// naming a foreign pid, each replayed twice — before the migration, at
 	// three points inside it, and after it — and each sent by the third
-	// machine, m3, at two points inside it: believed, an Established from m3
-	// at point 10 commits m1 to a destination that then times out, and an
-	// Abort from m3 at point 14 discards m2's half as m1 commits to it; both
-	// leave no live copy.
+	// machine, m3, at points 10 and 14: believed, the Abort from m3 at point
+	// 14 discards m2's half as m1 commits to it and leaves no live copy (the
+	// Established from m3 at point 10 meets the legal-at column first). Two
+	// more are the one input forged exempts: an Abort from m1 itself at
+	// points 14 and 15, which leaves no copy either.
 	for op, body := range legalBodies(pid) {
 		to, from := route[op][0]-1, route[op][1]-1
 		code := uint8(op - msg.OpMigrateRequest)
@@ -46,6 +47,11 @@ func FuzzKernelAdmin(f *testing.F) {
 		}
 		for _, point := range []uint16{10, 14} {
 			f.Add(point, to, code, uint8(2), body, false)
+		}
+		if op == msg.OpMigrateAbort {
+			for _, point := range []uint16{14, 15} {
+				f.Add(point, to, code, from, body, false)
+			}
 		}
 	}
 
@@ -100,10 +106,13 @@ func FuzzKernelAdmin(f *testing.F) {
 // protocol table's legal-at column), so every other message must leave
 // exactly one copy. An Abort is legal at any step, and a real source sends
 // one only after restoring its own copy: a forged one at an established
-// destination discards the copy the source then commits to. What a kernel
-// does then is still checked for panics, stranded records and leaked
-// envelopes, but not for exactly-one (DESIGN.md §9 "Honest gaps"; the
-// durable handoff is where that is to be closed).
+// destination discards the copy the source then commits to. The destination
+// asking the source again does not close this, since the copy is gone
+// before it would ask; an Abort carries no attempt id, and only an attempt
+// id or a durable handoff would let the destination tell it from the real
+// one. What a kernel does then is still checked for panics, stranded
+// records and leaked envelopes, but not for exactly-one (DESIGN.md §9
+// "Honest gaps").
 func forged(pid addr.ProcessID, op msg.Op, body []byte, from int) bool {
 	got, _, err := addr.DecodePID(body)
 	return op == msg.OpMigrateAbort && err == nil && got == pid && from == 1

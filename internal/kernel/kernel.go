@@ -210,8 +210,8 @@ type Process struct {
 }
 
 // procExt is what only some process records use: the load-report deltas
-// (only kernels with LoadReportEvery > 0 count them), a forwarder's ledger
-// attribution, and the watchdog-commit flag of a migrated-in copy.
+// (only kernels with LoadReportEvery > 0 count them) and a forwarder's
+// ledger attribution.
 type procExt struct {
 	// The deltas since the last load report; only sendLoadReport reads
 	// them. commDelta counts sends per peer machine.
@@ -228,12 +228,6 @@ type procExt struct {
 	// survives putProcRec emptied, so a recycled forwarder allocates none.
 	obsRec     *obs.MigrationRecord
 	fwdSenders map[addr.ProcessID]uint64
-
-	// timeoutCommit marks a copy the destination committed on watchdog
-	// timeout (cleanup never arrived). If the source turns out to have
-	// restored its own copy, its abort message yields this one; the
-	// flag clears when a late cleanup confirms the source committed.
-	timeoutCommit bool
 }
 
 // ForwarderWireSize is the storage a forwarding address needs:

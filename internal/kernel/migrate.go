@@ -51,8 +51,9 @@ const (
 type migStep uint8
 
 // stepEstablished: every region has crossed. The destination has assembled
-// the process and sent message 7: from here on its copy is the process, and
-// a silent source must not make the watchdog discard it.
+// the process and sent message 7: from here on only the source decides
+// whether this copy is the process, so a silent source makes the watchdog
+// ask again, not discard it.
 const stepEstablished = migStep(msg.RegionProgram) + 1
 
 // migration is one half of one in-flight migration, hung off the process
@@ -132,7 +133,8 @@ func (k *Kernel) endMigration(mg *migration) {
 // crashed mid-transfer, network partition — the source gives up, discards
 // the destination's half-built state and restores the frozen process as if
 // the migration had been refused; the destination discards the incoming
-// state and tells the source to restore the process.
+// state and tells the source to restore the process, unless it is
+// established, when it asks the source again.
 func (k *Kernel) armWatchdog(mg *migration) {
 	k.progress(mg)
 	mg.watchdog = k.eng.At(mg.deadline, "kernel:migrate-watchdog", mg.wdFn)
@@ -156,15 +158,11 @@ func (k *Kernel) watchdogFired(mg *migration) {
 		return
 	}
 	if mg.role == roleDest && mg.step == stepEstablished {
-		// Step 5 completed: this copy IS the process, and the source has
-		// gone silent — crashed before step 7, or its cleanup is stuck in
-		// retransmission. Committing cannot fork: a crashed source wiped
-		// its copy (and invalidated its stale checkpoint when it learned
-		// we were established), and a source that instead aborted and
-		// restored its copy sends OpMigrateAbort, which a
-		// timeout-committed copy yields to.
-		k.trace(siteTimeoutCommit, "", trace.PID(mg.pid))
-		k.commitIncoming(mg, 0, true)
+		// Step 5 completed and message 8 has not come: message 7 or 8 was
+		// lost, or the source is down or cut off. Only the source decides
+		// (decideEstablished), so ask it again and keep the copy incoming.
+		k.sendPIDMachine(addr.KernelAddr(mg.peer), msg.OpMigrateEstablished, mg.pid)
+		k.armWatchdog(mg)
 		return
 	}
 	k.sendPIDMachine(addr.KernelAddr(mg.peer), msg.OpMigrateAbort, mg.pid)
@@ -233,15 +231,13 @@ func init() {
 			step: (*Kernel).stepMoveData, steps: "4–5"},
 		{op: msg.OpMigrateEstablished, num: "7", dir: "destination → source", bytes: 6, role: roleSource, at: atEstablished,
 			step: (*Kernel).stepEstablished, steps: "6–7", kills: []KillPoint{KPSourceEstablished, KPSourceCommitted},
-			orphan: (*Kernel).abortPeer, orphanDoc: "reply `migrate-abort`, unless committed to the sender"},
+			orphan: (*Kernel).decideEstablished, orphanDoc: "a forwarder to the sender, or no record and no exit record of the pid: reply `migrate-cleanup`; else reply `migrate-abort`"},
 		{op: msg.OpMigrateCleanup, num: "8", dir: "source → destination", bytes: 6, role: roleDest, at: atEstablished,
-			step: (*Kernel).stepCleanup, steps: "8", kills: []KillPoint{KPDestCleanup},
-			orphan: (*Kernel).disarmTimeoutCommit, orphanDoc: "clear `timeoutCommit`"},
+			step: (*Kernel).stepCleanup, steps: "8", kills: []KillPoint{KPDestCleanup}},
 		{op: msg.OpMigrateDone, num: "9", dir: "source → requester", bytes: 7,
 			step: (*Kernel).stepDone, steps: "—"},
 		{op: msg.OpMigrateAbort, num: "—", dir: "either → the other", bytes: 6, role: roleEither, at: atAny,
-			step: (*Kernel).stepAbort, steps: "—",
-			orphan: (*Kernel).yieldTimeoutCommit, orphanDoc: "a timeout-committed copy yields"},
+			step: (*Kernel).stepAbort, steps: "—"},
 	}
 }
 
@@ -339,35 +335,6 @@ func (k *Kernel) stepDone(_ *migration, m *msg.Message) {
 func (k *Kernel) stepAbort(mg *migration, m *msg.Message) {
 	pm, _ := msg.DecodePIDMachine(m.Body)
 	k.failMigration(mg, fmt.Errorf("aborted by %v", pm.Machine))
-}
-
-// yieldTimeoutCommit is the abort's orphan rule. An abort reaching a copy
-// committed on watchdog timeout means the source restored its own copy
-// before learning we were established: exactly-one requires the younger
-// copy to yield. Only the machine the copy came from is believed (an abort
-// from anyone else is counted AdminRejected). Duplicate or stale aborts find
-// no process, or a cleanly-committed one (timeoutCommit false), and fall
-// through as no-ops.
-// Queued messages die with the yielded copy and are accounted as dead
-// letters; the local stable checkpoint is invalidated so a later restart
-// cannot resurrect it.
-func (k *Kernel) yieldTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
-	p := k.timeoutCommitted(pid, m)
-	if p == nil {
-		return
-	}
-	pm, _ := msg.DecodePIDMachine(m.Body)
-	k.trace(siteTimeoutYield, "", trace.PID(p.id), trace.Machine(pm.Machine))
-	k.removeFromRunq(p)
-	k.releaseImage(p)
-	for p.queue.Len() > 0 {
-		k.stats.DeadLetters++
-		k.putMsg(p.queue.pop())
-	}
-	delete(k.stable, p.id)
-	k.delProc(p.id)
-	k.cold().MigrationsFailed++
-	k.putProcRec(p)
 }
 
 // --- source side -----------------------------------------------------------
@@ -596,15 +563,24 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	k.endMigration(mg)
 }
 
-// abortPeer is a late Established's orphan rule: the migration was aborted
-// here (watchdog) but the destination finished anyway. Make it discard its
-// copy so the process cannot run in two places — unless this kernel is a
-// forwarding address to the sender: then it committed to that copy, which is
-// the process, and the message is a duplicate.
-func (k *Kernel) abortPeer(pid addr.ProcessID, m *msg.Message) {
-	if p := k.lookup(pid); p == nil || p.state != StateForwarder || p.fwdTo != m.From.LastKnown {
+// decideEstablished is the Established row's orphan rule: the source decides
+// for a destination that asks when no half is left here. A forwarding address
+// to the sender (message 8 was lost) or no record and no exit record (this
+// kernel crashed with its copy) make the sender's copy the process: send
+// message 8 again, billed to no ledger record, and drop any checkpoint a
+// failed revival left here. A live copy, an exit record or a forwarder
+// elsewhere mean the process went on without it: reply Abort.
+func (k *Kernel) decideEstablished(pid addr.ProcessID, m *msg.Message) {
+	p := k.lookup(pid)
+	_, exited := k.Exit(pid)
+	if p == nil && exited || p != nil && (p.state != StateForwarder || p.fwdTo != m.From.LastKnown) {
 		k.sendPIDMachine(m.From, msg.OpMigrateAbort, pid)
+		return
 	}
+	delete(k.stable, pid)
+	cm := k.newControl(msg.OpMigrateCleanup, m.From)
+	cm.Body = msg.MigrateCleanup{PID: pid}.AppendTo(cm.Body[:0])
+	k.sendAdmin(cm, nil)
 }
 
 func (k *Kernel) broadcastEagerUpdate(pid addr.ProcessID, dest addr.MachineID) {
@@ -797,32 +773,7 @@ func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
 	if k.killpoint(KPDestCleanup, mg.pid) {
 		return
 	}
-	k.commitIncoming(mg, int(c.Forwarded), false)
-}
-
-// disarmTimeoutCommit is a late Cleanup's orphan rule: the copy was already
-// committed on watchdog timeout, and the cleanup confirms the source made
-// itself a forwarder, so no abort is coming and the conflict flag can clear.
-// As for the abort, only the machine the copy came from is believed.
-func (k *Kernel) disarmTimeoutCommit(pid addr.ProcessID, m *msg.Message) {
-	if p := k.timeoutCommitted(pid, m); p != nil {
-		p.ext.timeoutCommit = false
-	}
-}
-
-// timeoutCommitted returns pid's live copy if it was committed on watchdog
-// timeout and m comes from the machine it came from; nil otherwise. A
-// message about such a copy from any other machine is counted AdminRejected.
-func (k *Kernel) timeoutCommitted(pid addr.ProcessID, m *msg.Message) *Process {
-	p := k.lookup(pid)
-	if p == nil || p.ext == nil || !p.ext.timeoutCommit || p.state == StateForwarder {
-		return nil
-	}
-	if m.From.LastKnown != p.cameFrom {
-		k.cold().AdminRejected++
-		return nil
-	}
-	return p
+	k.commitIncoming(mg, int(c.Forwarded))
 }
 
 // commitIncoming finishes step 8 for an assembled process: drain the
@@ -832,14 +783,11 @@ func (k *Kernel) timeoutCommitted(pid addr.ProcessID, m *msg.Message) *Process {
 // pools.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func (k *Kernel) commitIncoming(mg *migration, forwarded int, viaTimeout bool) {
+func (k *Kernel) commitIncoming(mg *migration, forwarded int) {
 	p, displaced := mg.p, mg.displaced
 	k.endMigration(mg)
 	if displaced != nil {
 		k.putProcRec(displaced) // the arrival is final: the address it superseded is not coming back
-	}
-	if viaTimeout { // the record is fresh from getProcRec, so the flag is clear otherwise
-		k.extOf(p).timeoutCommit = true
 	}
 
 	// Messages queued here while incoming: DELIVERTOKERNEL ones go to
@@ -863,11 +811,7 @@ func (k *Kernel) commitIncoming(mg *migration, forwarded int, viaTimeout bool) {
 	}
 
 	k.restartAs(p, p.prevState)
-	if viaTimeout {
-		k.trace(siteStep8Watchdog, p.state.String(), trace.PID(p.id))
-	} else {
-		k.trace(siteStep8, p.state.String(), trace.PID(p.id), trace.Int(forwarded))
-	}
+	k.trace(siteStep8, p.state.String(), trace.PID(p.id), trace.Int(forwarded))
 	if k.cfg.CheckpointOnArrival {
 		_ = k.SaveCheckpoint(p.id)
 	}

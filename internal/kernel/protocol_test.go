@@ -115,12 +115,12 @@ func TestProtocolTable(t *testing.T) {
 	}
 
 	// Orphan rules. m3 holds no half of any migration, and pid is nowhere
-	// near it: of the ops addressed to a half, a late Established draws an
-	// abort and everything else is ignored. (The other two rules need a
-	// timeout-committed copy: TestLateCleanupDisarmsTimeoutCommit and
-	// TestAbortAfterTimeoutCommitYields set one up; stale aborts finding a
-	// clean copy are TestDuplicateAndStaleAbortsAreNoOps.)
-	hasRule := map[msg.Op]bool{msg.OpMigrateEstablished: true, msg.OpMigrateCleanup: true, msg.OpMigrateAbort: true}
+	// near it: of the ops addressed to a half, only Established has a rule,
+	// and m3, holding no record of the pid, answers it with a Cleanup;
+	// everything else is ignored. (The rule's Abort answer is
+	// TestSourceCrashAfterTransferLeavesOneCopy's and the explorer's; stale
+	// aborts are TestDuplicateAndStaleAbortsAreNoOps.)
+	hasRule := map[msg.Op]bool{msg.OpMigrateEstablished: true}
 	for _, r := range rows {
 		if r.Role == "—" {
 			continue
@@ -132,24 +132,80 @@ func TestProtocolTable(t *testing.T) {
 		c.inject(3, 2, r.Op, legalBodies(pid)[r.Op])
 		c.run()
 		after := c.k(3).Stats()
-		var wantAborts uint64
+		var wantCleanups uint64
 		if r.Op == msg.OpMigrateEstablished {
-			wantAborts = 1
+			wantCleanups = 1
 		}
-		if after.AdminSent[msg.OpMigrateAbort]-before.AdminSent[msg.OpMigrateAbort] != wantAborts ||
-			after.AdminTotal()-before.AdminTotal() != wantAborts ||
+		if after.AdminSent[msg.OpMigrateCleanup]-before.AdminSent[msg.OpMigrateCleanup] != wantCleanups ||
+			after.AdminTotal()-before.AdminTotal() != wantCleanups ||
 			after.MigrationsFailed != before.MigrationsFailed || c.k(3).PendingMigrations() != 0 {
-			t.Errorf("%v at a kernel with no such half: sent %d messages (%d aborts), want %d; failed %d, pending %d",
+			t.Errorf("%v at a kernel with no such half: sent %d messages (%d cleanups), want %d; failed %d, pending %d",
 				r.Op, after.AdminTotal()-before.AdminTotal(),
-				after.AdminSent[msg.OpMigrateAbort]-before.AdminSent[msg.OpMigrateAbort], wantAborts,
+				after.AdminSent[msg.OpMigrateCleanup]-before.AdminSent[msg.OpMigrateCleanup], wantCleanups,
 				after.MigrationsFailed-before.MigrationsFailed, c.k(3).PendingMigrations())
 		}
 	}
-	// The abort the late Established drew reached m2's cleanly-committed
-	// copy and was a no-op there.
+	// The Cleanup the late Established drew reached m2's committed copy,
+	// which holds no half, and was ignored there.
 	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateForwarder {
-		t.Error("the orphan rule's abort destroyed a cleanly migrated copy")
+		t.Error("the orphan rule's cleanup destroyed a cleanly migrated copy")
 	}
+}
+
+// TestEstablishedOrphanRule: a source that holds no half answers an
+// Established from m2 from what it holds. A forwarding address to m2 or no
+// record of the pid at all: message 8 again. A live copy, an exit record or
+// a forwarding address elsewhere: an Abort. Either way exactly one message.
+func TestEstablishedOrphanRule(t *testing.T) {
+	for _, tt := range []struct {
+		name  string
+		setup func(c *tc) addr.ProcessID
+		want  msg.Op
+	}{
+		{"forwarder to the sender", func(c *tc) addr.ProcessID { return moved(c, 2) }, msg.OpMigrateCleanup},
+		{"no record", func(*tc) addr.ProcessID { return addr.ProcessID{Creator: 3, Local: 77} }, msg.OpMigrateCleanup},
+		{"live copy", func(c *tc) addr.ProcessID { return moved(c, 1) }, msg.OpMigrateAbort},
+		{"exit record", func(c *tc) addr.ProcessID {
+			pid := moved(c, 1)
+			if err := c.k(1).GiveMessage(pid, addr.KernelAddr(3), []byte("die")); err != nil {
+				t.Fatal(err)
+			}
+			c.run()
+			if _, ok := c.k(1).Exit(pid); !ok {
+				t.Fatal("the counter did not exit")
+			}
+			return pid
+		}, msg.OpMigrateAbort},
+		{"forwarder elsewhere", func(c *tc) addr.ProcessID { return moved(c, 3) }, msg.OpMigrateAbort},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			c := newTC(t, 3, nil)
+			pid := tt.setup(c)
+			before := c.k(1).Stats()
+			c.inject(1, 2, msg.OpMigrateEstablished, legalBodies(pid)[msg.OpMigrateEstablished])
+			c.run()
+			after := c.k(1).Stats()
+			if after.AdminSent[tt.want]-before.AdminSent[tt.want] != 1 || after.AdminTotal()-before.AdminTotal() != 1 {
+				t.Errorf("m1 sent %d administrative messages (%d %v), want exactly one %v",
+					after.AdminTotal()-before.AdminTotal(), after.AdminSent[tt.want]-before.AdminSent[tt.want], tt.want, tt.want)
+			}
+		})
+	}
+}
+
+// moved spawns a counter on m1 and migrates it to dest (1: it stays).
+func moved(c *tc, dest int) addr.ProcessID {
+	c.t.Helper()
+	pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.runFor(2_000)
+	if dest != 1 {
+		c.migrate(3, pid, 1, dest)
+		c.run()
+	}
+	return pid
 }
 
 // renderProtocolTable prints the table the way docs/PROTOCOLS.md quotes it.
@@ -418,8 +474,9 @@ func (c *tc) liveCopies(pid addr.ProcessID) []int {
 // the source a second time, early — injected from m2 at points across the
 // migration. Before the source has streamed the program region it is
 // illegal at the source's step and dropped; after, it commits the source,
-// and the real Established that follows finds a forwarding address to its
-// sender, a duplicate the orphan rule leaves unanswered rather than aborting
+// whose Cleanup reaches m2 before m2 is established and is dropped, and the
+// real Established that follows finds a forwarding address to its sender,
+// which the orphan rule answers with message 8 again rather than aborting
 // the only copy. Either way exactly one live copy remains. The late case is
 // also a real schedule, which internal/chaos's explorer replays ("duplicate
 // Established after commit"); the early points stay here because no

@@ -59,7 +59,7 @@ func (b *scriptBody) Restore([]byte) error      { return nil }
 // of a past holder; its maps may survive, emptied.
 func extIsEmpty(x *procExt) bool {
 	return x == nil || x.cpuDelta == 0 && x.msgsDelta == 0 && len(x.commDelta) == 0 &&
-		x.obsRec == nil && len(x.fwdSenders) == 0 && !x.timeoutCommit
+		x.obsRec == nil && len(x.fwdSenders) == 0
 }
 
 func onRunq(k *Kernel, p *Process) bool {
@@ -97,9 +97,11 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := k.lookup(oldPID)
-			// Dress the record in everything a migrated-in process carries.
+			// Dress the record in a migrated-in process's back pointer and
+			// a side record with load-report deltas.
 			rec.cameFrom = 9
-			k.extOf(rec).timeoutCommit = true
+			x := k.extOf(rec)
+			x.cpuDelta, x.msgsDelta = 1, 1
 			for i := 0; i < 3; i++ {
 				if err := k.GiveMessage(oldPID, addr.At(peer, 1), []byte("x")); err != nil {
 					t.Fatal(err)

@@ -6,10 +6,13 @@ package kernel_test
 // or die as accounted dead letters.
 
 import (
+	"fmt"
 	"testing"
 
 	"demosmp/internal/addr"
 	"demosmp/internal/kernel"
+	"demosmp/internal/msg"
+	"demosmp/internal/proc"
 )
 
 // TestRestartWipesAndRevives: a crash wipes volatile state with full
@@ -205,5 +208,103 @@ func TestKillPointInventory(t *testing.T) {
 		if kp.String() != names[i] {
 			t.Errorf("%v.String() = %q, want %q", kp, kp.String(), names[i])
 		}
+	}
+}
+
+// TestSourceCrashAfterTransferLeavesOneCopy is the fork window: the source
+// crashes the instant its destination has every region (m2's
+// dst-transferred hook), so message 7 finds it down. Only the source decides
+// whether m2's established copy is the process, so m2 keeps it incoming and
+// asks again every MigrateTimeout. A source back with a checkpoint revived
+// holds a live copy and answers Abort: the one copy is on m1. A source back
+// without one holds no record of the pid and answers Cleanup: the one copy
+// is on m2; if its checkpoint failed to revive, the Cleanup drops it too, so
+// a later restart cannot bring a second copy back. A source that never comes
+// back leaves m2 asking.
+func TestSourceCrashAfterTransferLeavesOneCopy(t *testing.T) {
+	const timeout = 500_000
+	for _, tt := range []struct {
+		name        string
+		checkpoint  bool
+		reviveFails bool // m1's registry cannot rebuild the body
+		restart     bool
+		want        []int // live copies at quiescence; nil: m1 stays down
+	}{
+		{"checkpoint revived on the source", true, false, true, []int{1}},
+		{"no checkpoint", false, false, true, []int{2}},
+		{"checkpoint that fails to revive", true, true, true, []int{2}},
+		{"source never restarts", true, false, false, nil},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			kernels := 0
+			c := newTC(t, 3, func(cfg *kernel.Config) {
+				cfg.MigrateTimeout = timeout
+				if kernels++; kernels == 1 && tt.reviveFails {
+					cfg.Registry = proc.NewRegistry()
+				}
+			})
+			pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.runFor(2_000)
+			if tt.checkpoint {
+				if err := c.k(1).SaveCheckpoint(pid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashed := false
+			c.k(2).SetFaultHook(func(kp kernel.KillPoint, _ addr.ProcessID) {
+				if kp != kernel.KPDestTransferred || crashed {
+					return
+				}
+				crashed = true
+				c.k(1).Crash()
+				if tt.restart {
+					c.eng.After(100_000, "test:restart", func() {
+						if err := c.k(1).Restart(); err != nil {
+							t.Error(err)
+						}
+					})
+				}
+			})
+			c.migrate(3, pid, 1, 2)
+
+			if !tt.restart {
+				// m2 asks forever, so the run never quiesces: step it.
+				c.runFor(timeout)
+				if !crashed {
+					t.Fatal("the migration never reached dst-transferred")
+				}
+				asked := c.k(2).Stats().AdminSent[msg.OpMigrateEstablished]
+				c.runFor(3 * timeout)
+				if n := c.k(2).Stats().AdminSent[msg.OpMigrateEstablished] - asked; n != 3 {
+					t.Errorf("m2 sent Established %d times in three MigrateTimeouts, want 3", n)
+				}
+				if info, ok := c.k(2).Process(pid); !ok || info.State != kernel.StateIncoming {
+					t.Fatalf("m2's copy is %+v, want it incoming", info)
+				}
+				if s := c.k(2).Stats(); s.MigrationsFailed != 0 || c.k(2).PendingMigrations() != 1 {
+					t.Errorf("m2 MigrationsFailed = %d, pending %d; want 0 and its one half",
+						s.MigrationsFailed, c.k(2).PendingMigrations())
+				}
+				return
+			}
+			c.run()
+			if !crashed {
+				t.Fatal("the migration never reached dst-transferred")
+			}
+			if at := c.liveCopies(pid); fmt.Sprint(at) != fmt.Sprint(tt.want) {
+				t.Fatalf("live copies on %v, want %v", at, tt.want)
+			}
+			if ck := c.k(1).StableCheckpoints(); tt.reviveFails && len(ck) != 0 {
+				t.Errorf("m1 keeps the checkpoint it failed to revive, %v, after answering Cleanup", ck)
+			}
+			for m := 1; m <= 3; m++ {
+				if n := c.k(m).PendingMigrations(); n != 0 {
+					t.Errorf("m%d: %d migration halves pending", m, n)
+				}
+			}
+		})
 	}
 }

@@ -56,12 +56,9 @@ var kernelSites = []struct {
 	{trace.CatMigrate, "step6-forward-pending", "%v: %d queued messages to %v", "ArgPID ArgInt ArgMachine"},
 	{trace.CatMigrate, "step7-cleanup-forwarding-address", "%v: forwarder -> %v (%d bytes)", "ArgPID ArgMachine ArgInt"},
 	{trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)", "ArgPID ArgStr ArgInt"},
-	{trace.CatMigrate, "step8-restart", "%v restarted as %v (committed on watchdog timeout)", "ArgPID ArgStr"},
 	{trace.CatMigrate, "migrate-aborted", "%v: %s", "ArgPID ArgStr"},
 	{trace.CatMigrate, "refused", "%v: %s", "ArgPID ArgStr"},
 	{trace.CatMigrate, "incoming-failed", "%v: %s", "ArgPID ArgStr"},
-	{trace.CatMigrate, "timeout-commit", "%v", "ArgPID"},
-	{trace.CatMigrate, "timeout-commit-yield", "%v yields to restored copy on %v", "ArgPID ArgMachine"},
 	{trace.CatMigrate, "checkpoint", "%v: %s", "ArgPID ArgStr"},
 	{trace.CatMigrate, "revive", "%v as %v from %dB checkpoint", "ArgPID ArgStr ArgInt"},
 	// Move-data facility.

@@ -22,24 +22,21 @@ var (
 	sitePrint      = trace.NewSite(trace.CatConsole, "print", "%v: %s", trace.ArgPID, trace.ArgStr)
 
 	// Migration: the eight steps of Figure 3-1 and their failures.
-	siteStep1         = trace.NewSite(trace.CatMigrate, "step1-remove-from-execution", "%v was %v", trace.ArgPID, trace.ArgStr)
-	siteStep2         = trace.NewSite(trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)", trace.ArgPID, trace.ArgMachine, trace.ArgInt, trace.ArgInt, trace.ArgInt)
-	siteAccepted      = trace.NewSite(trace.CatMigrate, "accepted", "%v by %v", trace.ArgPID, trace.ArgMachine)
-	siteStep3         = trace.NewSite(trace.CatMigrate, "step3-allocate-state", "%v from %v (reserving %dB)", trace.ArgPID, trace.ArgMachine, trace.ArgInt)
-	siteStep4         = trace.NewSite(trace.CatMigrate, "step4-transfer-state", "%v pull %v", trace.ArgPID, trace.ArgStr)
-	siteStep5         = trace.NewSite(trace.CatMigrate, "step5-transfer-program", "%v pull %v", trace.ArgPID, trace.ArgStr)
-	siteStream        = trace.NewSite(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v", trace.ArgPID, trace.ArgStr, trace.ArgInt, trace.ArgInt, trace.ArgMachine)
-	siteStep6         = trace.NewSite(trace.CatMigrate, "step6-forward-pending", "%v: %d queued messages to %v", trace.ArgPID, trace.ArgInt, trace.ArgMachine)
-	siteStep7         = trace.NewSite(trace.CatMigrate, "step7-cleanup-forwarding-address", "%v: forwarder -> %v (%d bytes)", trace.ArgPID, trace.ArgMachine, trace.ArgInt)
-	siteStep8         = trace.NewSite(trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)", trace.ArgPID, trace.ArgStr, trace.ArgInt)
-	siteStep8Watchdog = trace.NewSite(trace.CatMigrate, "step8-restart", "%v restarted as %v (committed on watchdog timeout)", trace.ArgPID, trace.ArgStr)
-	siteAborted       = trace.NewSite(trace.CatMigrate, "migrate-aborted", "%v: %s", trace.ArgPID, trace.ArgStr)
-	siteRefused       = trace.NewSite(trace.CatMigrate, "refused", "%v: %s", trace.ArgPID, trace.ArgStr)
-	siteIncomingFail  = trace.NewSite(trace.CatMigrate, "incoming-failed", "%v: %s", trace.ArgPID, trace.ArgStr)
-	siteTimeoutCommit = trace.NewSite(trace.CatMigrate, "timeout-commit", "%v", trace.ArgPID)
-	siteTimeoutYield  = trace.NewSite(trace.CatMigrate, "timeout-commit-yield", "%v yields to restored copy on %v", trace.ArgPID, trace.ArgMachine)
-	siteCheckpoint    = trace.NewSite(trace.CatMigrate, "checkpoint", "%v: %s", trace.ArgPID, trace.ArgStr)
-	siteRevive        = trace.NewSite(trace.CatMigrate, "revive", "%v as %v from %dB checkpoint", trace.ArgPID, trace.ArgStr, trace.ArgInt)
+	siteStep1        = trace.NewSite(trace.CatMigrate, "step1-remove-from-execution", "%v was %v", trace.ArgPID, trace.ArgStr)
+	siteStep2        = trace.NewSite(trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)", trace.ArgPID, trace.ArgMachine, trace.ArgInt, trace.ArgInt, trace.ArgInt)
+	siteAccepted     = trace.NewSite(trace.CatMigrate, "accepted", "%v by %v", trace.ArgPID, trace.ArgMachine)
+	siteStep3        = trace.NewSite(trace.CatMigrate, "step3-allocate-state", "%v from %v (reserving %dB)", trace.ArgPID, trace.ArgMachine, trace.ArgInt)
+	siteStep4        = trace.NewSite(trace.CatMigrate, "step4-transfer-state", "%v pull %v", trace.ArgPID, trace.ArgStr)
+	siteStep5        = trace.NewSite(trace.CatMigrate, "step5-transfer-program", "%v pull %v", trace.ArgPID, trace.ArgStr)
+	siteStream       = trace.NewSite(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v", trace.ArgPID, trace.ArgStr, trace.ArgInt, trace.ArgInt, trace.ArgMachine)
+	siteStep6        = trace.NewSite(trace.CatMigrate, "step6-forward-pending", "%v: %d queued messages to %v", trace.ArgPID, trace.ArgInt, trace.ArgMachine)
+	siteStep7        = trace.NewSite(trace.CatMigrate, "step7-cleanup-forwarding-address", "%v: forwarder -> %v (%d bytes)", trace.ArgPID, trace.ArgMachine, trace.ArgInt)
+	siteStep8        = trace.NewSite(trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)", trace.ArgPID, trace.ArgStr, trace.ArgInt)
+	siteAborted      = trace.NewSite(trace.CatMigrate, "migrate-aborted", "%v: %s", trace.ArgPID, trace.ArgStr)
+	siteRefused      = trace.NewSite(trace.CatMigrate, "refused", "%v: %s", trace.ArgPID, trace.ArgStr)
+	siteIncomingFail = trace.NewSite(trace.CatMigrate, "incoming-failed", "%v: %s", trace.ArgPID, trace.ArgStr)
+	siteCheckpoint   = trace.NewSite(trace.CatMigrate, "checkpoint", "%v: %s", trace.ArgPID, trace.ArgStr)
+	siteRevive       = trace.NewSite(trace.CatMigrate, "revive", "%v as %v from %dB checkpoint", trace.ArgPID, trace.ArgStr, trace.ArgInt)
 
 	// Move-data facility.
 	siteStrayPacket = trace.NewSite(trace.CatData, "stray-packet", "xfer=%d seq=%d", trace.ArgInt, trace.ArgInt)

@@ -37,7 +37,7 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets, experiments goldens, every two-fault schedule of one migration"
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets, experiments goldens, every two-fault schedule of one migration (only the schedules holding one of the two pinned Accept counterexamples flag)"
 go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
   ./internal/core ./internal/kernel ./cmd/experiments ./internal/chaos
 
@@ -50,8 +50,8 @@ go test -race -count=5 -run 'TestOneWayTrafficKeepsPoolsBounded/parallel' ./inte
 echo "== event count across shard counts under the race detector (a pump counts one event per frame it lands; 1/2/4 shards, inline and goroutine rounds, 3 runs)"
 go test -race -count=3 -run TestShardFiredInvariance ./internal/core/
 
-echo "== recycled process records, split process tables and ProcInfo.Kind read from the body under the race detector (3 runs)"
-go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestProcessesOrderAcrossSplitTables|TestProcInfoKind' ./internal/kernel/
+echo "== recycled process records, split process tables, ProcInfo.Kind read from the body and the fork window (a source crash after the transfer leaves one copy) under the race detector (3 runs)"
+go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestProcessesOrderAcrossSplitTables|TestProcInfoKind|TestSourceCrashAfterTransferLeavesOneCopy' ./internal/kernel/
 
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/

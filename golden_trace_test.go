@@ -18,6 +18,12 @@
 // that had found their instant already drained (245 -> 190 events), and every
 // remaining line kept its time and its place.
 //
+// It was regenerated a third time when step 8 began to restart the process
+// before serving what was held on its queue: the second Migrate, held on the
+// server's incoming record at m3, had been refused there as a request for a
+// pid still incoming, so the scene migrated once. Now it migrates twice
+// (190 -> 211 events, 3 -> 6 kernel:data-packet), which goldenTrace asserts.
+//
 // Regenerate only when the *workload* changes, never to paper over an
 // ordering change: go test -run TestGoldenTrace -update-golden
 package demosmp_test
@@ -75,6 +81,10 @@ func goldenTrace(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	c.Run()
+	rep := c.Reports()
+	if len(rep) != 2 || !rep[0].OK || !rep[1].OK || rep[0].To != 3 || rep[1].From != 3 || rep[1].To != 4 {
+		t.Fatalf("migration reports %+v, want two OK ones, m1 -> m3 -> m4", rep)
+	}
 	return lines
 }
 

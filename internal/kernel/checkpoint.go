@@ -16,7 +16,7 @@ import (
 // small header: Checkpoint is freeze (migrate.go) plus that header, and
 // Revive on another kernel is migration steps 3-5 and 8 replayed from bytes
 // instead of from data-move streams, through the helpers those steps use
-// (displaceForwarder, thaw, restartAs).
+// (displaceForwarder, thaw, restartProc).
 
 const checkpointMagic = 0x444D5043 // "DMPC"
 
@@ -113,6 +113,6 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	k.addProc(p)
 	k.cold().Revived++
 	k.trace(siteRevive, state.String(), trace.PID(pid), trace.Int(len(checkpoint)))
-	k.restartAs(p, state)
+	k.restartProc(p, state)
 	return pid, nil
 }

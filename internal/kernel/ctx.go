@@ -309,10 +309,10 @@ func (c *procCtx) Logf(format string, args ...any) {
 // manager is configured — lets the kernel act as its own manager.
 func (c *procCtx) RequestMigration(dest addr.MachineID) error {
 	req := msg.MigrateRequest{PID: c.p.id, Dest: dest}
-	if !c.k.cfg.PMLink.IsNil() {
+	if !c.k.pmLink.IsNil() {
 		c.k.route(&msg.Message{
 			Kind: msg.KindControl, Op: msg.OpMigrateRequest,
-			From: addr.At(c.p.id, c.k.machine), To: c.k.cfg.PMLink.Addr,
+			From: addr.At(c.p.id, c.k.machine), To: c.k.pmLink.Addr,
 			Body: req.Encode(),
 		})
 		return nil

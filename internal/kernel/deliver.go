@@ -244,7 +244,7 @@ func (k *Kernel) handleNotDeliverable(m *msg.Message) {
 		return
 	}
 	pid := orig.To.ID
-	if k.cfg.PMLink.IsNil() {
+	if k.pmLink.IsNil() {
 		// Nobody to ask: the message is undeliverable for good. Holding
 		// it would leak an envelope per bounce.
 		k.stats.DeadLetters++
@@ -269,7 +269,7 @@ func (k *Kernel) handleNotDeliverable(m *msg.Message) {
 	req.Kind = msg.KindControl
 	req.Op = msg.OpLocate
 	req.From = addr.KernelAddr(k.machine)
-	req.To = k.cfg.PMLink.Addr
+	req.To = k.pmLink.Addr
 	req.Body = addr.EncodePID(req.Body[:0], pid)
 	k.route(req)
 }

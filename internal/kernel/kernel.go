@@ -137,18 +137,12 @@ type Config struct {
 	// follows the process (§1) and a crash of the new host remains
 	// recoverable. Off by default.
 	CheckpointOnArrival bool
-	// Accept decides whether to accept an inbound migration (§3.2
-	// autonomy: "If the destination machine refuses, the process cannot
-	// be migrated"). nil accepts whenever memory fits.
-	Accept func(ask msg.MigrateAsk, memFree int) bool
 	// Registry re-instantiates bodies on arrival.
 	Registry *proc.Registry
 	// Programs instantiates named programs for OpCreateProcess.
 	Programs func(name string, args []string) (SpawnSpec, error)
-	// PMLink, when set, is where self-migration requests, load reports
-	// and locate queries go.
-	PMLink link.Link
-	// LoadReportEvery enables periodic load reports to PMLink.
+	// LoadReportEvery enables periodic load reports to the process
+	// manager (SetPMLink).
 	LoadReportEvery sim.Time
 	// OnReport receives a MigrationReport when this kernel completes a
 	// migration as the source.
@@ -303,6 +297,11 @@ type Kernel struct {
 	eng *sim.Engine
 	net *netw.Network
 	cfg Config
+	// pmLink, when set (SetPMLink), is where self-migration requests, load
+	// reports and locate queries go. accept (SetAccept) decides whether to
+	// accept an inbound migration; nil accepts whenever memory fits.
+	pmLink link.Link
+	accept func(ask msg.MigrateAsk, memFree int) bool
 
 	// The process table, split by where the pid was created. local holds
 	// the pids this machine created, record and exit record in one slot
@@ -695,13 +694,14 @@ func (k *Kernel) GiveMessageTo(to, from addr.ProcessAddr, body []byte, links ...
 }
 
 // SetPMLink re-points this kernel's process-manager link after boot.
-func (k *Kernel) SetPMLink(l link.Link) { k.cfg.PMLink = l }
+func (k *Kernel) SetPMLink(l link.Link) { k.pmLink = l }
 
-// SetAccept installs this kernel's migration acceptance policy (§3.2:
-// "The destination processor may simply refuse to accept any migrations
-// not fitting its criteria").
+// SetAccept installs this kernel's migration acceptance policy (§3.2
+// autonomy: "If the destination machine refuses, the process cannot be
+// migrated"; "The destination processor may simply refuse to accept any
+// migrations not fitting its criteria").
 func (k *Kernel) SetAccept(f func(ask msg.MigrateAsk, memFree int) bool) {
-	k.cfg.Accept = f
+	k.accept = f
 }
 
 // BodyOf returns the live body of a local process. After a migration the

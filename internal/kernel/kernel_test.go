@@ -551,9 +551,8 @@ func TestMigrationToSelfIsNoop(t *testing.T) {
 }
 
 func TestMigrationRefused(t *testing.T) {
-	c := newTC(t, 2, func(cfg *kernel.Config) {
-		cfg.Accept = func(a msg.MigrateAsk, free int) bool { return false }
-	})
+	c := newTC(t, 2, nil)
+	c.k(2).SetAccept(func(a msg.MigrateAsk, free int) bool { return false })
 	pid := c.spawnProg(1, sumProg(3000))
 	c.runFor(1000)
 	c.migrate(2, pid, 1, 2)

@@ -410,21 +410,26 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 // and reports failure to the requester.
 func (k *Kernel) abortSource(mg *migration, site trace.Site, cause error) {
 	k.trace(site, cause.Error(), trace.PID(mg.pid))
-	p, requester := mg.p, mg.requester
+	p, pid, requester := mg.p, mg.pid, mg.requester
 	k.endMigration(mg) // first: a request held on the queue may migrate p again right now
 	k.cold().MigrationsFailed++
-	k.restoreFrozen(p)
-	k.sendDone(requester, msg.MigrateDone{PID: p.id, Machine: k.machine, OK: false}, nil)
+	k.restartProc(p, p.prevState)
+	k.sendDone(requester, msg.MigrateDone{PID: pid, Machine: k.machine, OK: false}, nil)
 }
 
-// restoreFrozen puts a process back the way step 1 found it and redelivers
-// anything that was held on its queue meanwhile.
-func (k *Kernel) restoreFrozen(p *Process) {
-	switch p.prevState {
-	case StateReady:
-		k.enqueueRun(p)
+// restartProc is the one way a stopped process runs again — after an
+// abort, at step 8 and at revival: it is put into its recorded state ("in
+// whatever state it was in before being migrated") and then serves what was
+// held on its queue, DELIVERTOKERNEL messages included, through redeliver.
+// A waiting process needs no rule of its own: the first user message
+// redelivered wakes it. What was held may end p (a kill) or move it again
+// (a request), so the caller must not touch p afterwards.
+func (k *Kernel) restartProc(p *Process, state ProcState) {
+	switch state {
+	case StateWaiting, StateSuspended:
+		p.state = state
 	default:
-		p.state = p.prevState
+		k.enqueueRun(p)
 	}
 	k.redeliver(p)
 }
@@ -432,9 +437,12 @@ func (k *Kernel) restoreFrozen(p *Process) {
 // redeliver hands the messages held on p's queue back to the normal
 // delivery path. The drain is bounded by the queue length at entry:
 // redelivery to a restored process lands at the tail of this same queue,
-// and those messages must not be processed again in this pass.
+// and those messages must not be processed again in this pass. It stops
+// early when the queue is empty, which is what a redelivered kill leaves:
+// terminate releases the rest and recycles p. p need not be in the process
+// table (failIncoming redelivers from a record it has just removed).
 func (k *Kernel) redeliver(p *Process) {
-	for n := p.queue.Len(); n > 0; n-- {
+	for n := p.queue.Len(); n > 0 && p.queue.Len() > 0; n-- {
 		k.deliverLocal(p.queue.pop())
 	}
 }
@@ -619,8 +627,8 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 		memFree = k.cfg.MemCapacity - k.memUsed
 	}
 	accept := old == nil || old.state == StateForwarder // else identity collision: refuse
-	if accept && k.cfg.Accept != nil {
-		accept = k.cfg.Accept(ask, memFree)
+	if accept && k.accept != nil {
+		accept = k.accept(ask, memFree)
 	} else if accept && memFree >= 0 && programBytes > memFree {
 		accept = false
 	}
@@ -776,63 +784,29 @@ func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
 	k.commitIncoming(mg, int(c.Forwarded))
 }
 
-// commitIncoming finishes step 8 for an assembled process: drain the
-// messages queued while incoming, restore the pre-migration state, and (if
-// configured) follow the process with a stable-storage checkpoint. The
+// commitIncoming finishes step 8 for an assembled process: (if configured)
+// follow it with a stable-storage checkpoint, then restart it in its
+// pre-migration state, which serves the messages queued while incoming. The
 // migration record and the forwarding address it set aside go back to their
-// pools.
+// pools. Step 8 is traced before the held queue is served, since a held
+// request may start the next migration.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) commitIncoming(mg *migration, forwarded int) {
-	p, displaced := mg.p, mg.displaced
+	p, pid, displaced := mg.p, mg.pid, mg.displaced
 	k.endMigration(mg)
 	if displaced != nil {
 		k.putProcRec(displaced) // the arrival is final: the address it superseded is not coming back
 	}
-
-	// Messages queued here while incoming: DELIVERTOKERNEL ones go to
-	// the kernel now; the rest rotate back to the tail for the process.
-	// The drain is bounded by the length at entry so rotated (and newly
-	// arriving) messages are not re-examined.
-	pid := p.id
-	for n := p.queue.Len(); n > 0; n-- {
-		hm := p.queue.pop()
-		if hm.DTK {
-			k.kernelMsg(hm)
-			k.putMsg(hm)
-			if k.lookup(pid) != p {
-				// A kill held since before the move just ended the process
-				// and recycled p: there is nothing left to restart.
-				return
-			}
-		} else {
-			p.queue.push(hm)
-		}
-	}
-
-	k.restartAs(p, p.prevState)
-	k.trace(siteStep8, p.state.String(), trace.PID(p.id), trace.Int(forwarded))
+	k.trace(siteStep8, p.prevState.String(), trace.PID(pid), trace.Int(forwarded))
 	if k.cfg.CheckpointOnArrival {
-		_ = k.SaveCheckpoint(p.id)
+		// Checkpoint the state step 8 restarts into before the held queue
+		// is served: a held request may move p on at once, and stable
+		// storage must follow it here all the same.
+		p.state = p.prevState
+		_ = k.SaveCheckpoint(pid)
 	}
-}
-
-// restartAs puts an arrived process — migrated in, or revived from a
-// checkpoint — into the state it was recorded in. A waiting process with
-// messages already queued is runnable.
-func (k *Kernel) restartAs(p *Process, state ProcState) {
-	switch state {
-	case StateWaiting:
-		if p.queue.Len() > 0 {
-			k.enqueueRun(p)
-		} else {
-			p.state = StateWaiting
-		}
-	case StateSuspended:
-		p.state = StateSuspended
-	default:
-		k.enqueueRun(p)
-	}
+	k.restartProc(p, p.prevState)
 }
 
 // --- the one codec: freeze / thaw -------------------------------------------

@@ -357,11 +357,10 @@ func TestLinkTableInstalledAtFirstLink(t *testing.T) {
 
 // TestKillHeldAcrossMigrationEndsTheProcess: a kill that reaches a frozen
 // process is held, forwarded in step 6 and held again on the incoming
-// record, so it is step 8's drain that executes it — on a record terminate
-// recycles under the drain's feet. The process must end there and then.
-// (Before records were recycled the drain went on to "restart" the dead
-// record, a zombie outside the process table; restarting a zeroed record
-// would put a process with no body on the run queue.)
+// record, so it is served by step 8's restart — which terminate then
+// recycles under redeliver's feet. The process must end there and then,
+// and the message held behind the kill must be released, not delivered to
+// a zeroed record.
 func TestKillHeldAcrossMigrationEndsTheProcess(t *testing.T) {
 	e, ks := poolTestCluster(t, 2)
 	k1, k2 := ks[0], ks[1]
@@ -401,6 +400,71 @@ func TestKillHeldAcrossMigrationEndsTheProcess(t *testing.T) {
 	n2, f2, h2 := k2.PoolStats()
 	if n1+n2 != f1+f2+h1+h2 {
 		t.Fatalf("envelope pool: %d constructed, %d free + %d held", n1+n2, f1+f2, h1+h2)
+	}
+}
+
+// TestHeldKillEndsTheRestartedProcess: a kill held on a stopped process,
+// then a user message held behind it, then the restart — the source's after
+// m2 refuses, the destination's at step 8. Restarting serves the held kill,
+// which ends the process and releases the message behind it; the drain must
+// stop there rather than pop from the recycled record's empty queue.
+func TestHeldKillEndsTheRestartedProcess(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		at   int // the machine that holds the kill and restarts the process
+	}{
+		{"source, refused by m2", 1},
+		{"destination, at cleanup", 2},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			e, ks := poolTestCluster(t, 2)
+			k1, k2, k := ks[0], ks[1], ks[tt.at-1]
+			if tt.at == 1 {
+				k2.SetAccept(func(msg.MigrateAsk, int) bool { return false })
+			}
+			pid, err := k1.Spawn(SpawnSpec{Body: &poolDrainBody{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			k1.RequestMigrationOf(addr.At(pid, 1), 2)
+			for p := k.lookup(pid); p == nil || (p.state != StateInMigration && p.state != StateIncoming); p = k.lookup(pid) {
+				if !e.Step() {
+					t.Fatal("engine idle before the process stopped")
+				}
+			}
+			k.GiveControl(pid, msg.OpKill, nil)
+			e.After(100, "test:behind-the-kill", func() {
+				if err := k.GiveMessage(pid, addr.KernelAddr(1), []byte("behind the kill")); err != nil {
+					t.Error(err)
+				}
+			})
+			e.Run()
+
+			if held := k.Stats().MsgsHeld; held != 2 {
+				t.Fatalf("m%d held %d messages, want the kill and the one behind it", tt.at, held)
+			}
+			if tt.at == 1 && k2.Stats().MigrationsRefused != 1 {
+				t.Fatalf("m2 refused %d migrations, want 1", k2.Stats().MigrationsRefused)
+			}
+			for _, kk := range ks {
+				if p := kk.lookup(pid); p != nil && p.state != StateForwarder {
+					t.Fatalf("m%d still holds %v in state %v", kk.machine, pid, p.state)
+				}
+			}
+			if ex, ok := k.Exit(pid); !ok || ex.Err == nil {
+				t.Fatalf("exit on m%d = %+v, %v; want killed there", tt.at, ex, ok)
+			}
+			if k.runq.Len() != 0 || k.Stats().Kills != 1 || k.PendingMigrations() != 0 {
+				t.Fatalf("m%d after the kill: runq %d, kills %d, pending migrations %d",
+					tt.at, k.runq.Len(), k.Stats().Kills, k.PendingMigrations())
+			}
+			n1, f1, h1 := k1.PoolStats()
+			n2, f2, h2 := k2.PoolStats()
+			if n1+n2 != f1+f2+h1+h2 {
+				t.Fatalf("envelope pool: %d constructed, %d free + %d held", n1+n2, f1+f2, h1+h2)
+			}
+		})
 	}
 }
 

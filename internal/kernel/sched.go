@@ -170,7 +170,7 @@ func (k *Kernel) scheduleLoadReport() {
 		if k.crashed {
 			return
 		}
-		if !k.cfg.PMLink.IsNil() {
+		if !k.pmLink.IsNil() {
 			k.sendLoadReport()
 		}
 		k.scheduleLoadReport()
@@ -223,7 +223,7 @@ func (k *Kernel) sendLoadReport() {
 	}
 	k.lastReportAt = now
 	k.lastReportBusy = k.stats.CPUBusy
-	m := k.newControl(msg.OpLoadReport, k.cfg.PMLink.Addr)
+	m := k.newControl(msg.OpLoadReport, k.pmLink.Addr)
 	m.Body = rep.AppendTo(m.Body[:0])
 	k.route(m)
 }

@@ -67,6 +67,7 @@ type soakResult struct {
 	killCounts  map[kernel.KillPoint]int
 	migrations  uint64
 	restarts    uint64
+	lost        int // Σ LostPIDs: processes a crash wiped and no checkpoint revived
 	seen        map[uint32]uint32
 	recLost     bool
 	violations  []string
@@ -119,7 +120,7 @@ func runSoak(t *testing.T, seed int64, p soakParams) soakResult {
 		// Generous trace ring so no shard's tracer wraps: merged trace and
 		// timeline artifacts stay comparable across shard counts.
 		TraceCap: 1 << 16,
-		Kernel:   kernel.Config{MigrateTimeout: 400_000, CheckpointOnArrival: true},
+		Kernel:   kernel.Config{MigrateTimeout: 400_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +259,7 @@ func runSoak(t *testing.T, seed int64, p soakParams) soakResult {
 		ks := c.Kernel(m).Stats()
 		res.migrations += ks.MigrationsOut
 		res.restarts += ks.Restarts
+		res.lost += len(c.Kernel(m).LostPIDs())
 		if c.Kernel(m).Crashed() {
 			res.crashedLeft++
 		}
@@ -367,8 +369,8 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("soak: t=%d fired=%d migrations=%d kills=%d restarts=%d frames=%d recLost=%v",
-		res.now, res.fired, res.migrations, res.kills, res.restarts, res.netFrames, res.recLost)
+	t.Logf("soak: t=%d fired=%d migrations=%d kills=%d restarts=%d lost=%d frames=%d recLost=%v",
+		res.now, res.fired, res.migrations, res.kills, res.restarts, res.lost, res.netFrames, res.recLost)
 }
 
 // TestChaosSameSeedReproduces runs the identical fault schedule twice and

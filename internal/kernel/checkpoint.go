@@ -12,11 +12,11 @@ import (
 // information necessary to transport a process is saved in stable storage,
 // it may be possible to 'migrate' a process from a processor that has
 // crashed to a working one." A checkpoint is exactly the three migration
-// payloads — resident record, swappable state, program image — with a
-// small header: Checkpoint is freeze (migrate.go) plus that header, and
-// Revive on another kernel is migration steps 3-5 and 8 replayed from bytes
-// instead of from data-move streams, through the helpers those steps use
-// (displaceForwarder, thaw, restartProc).
+// payloads — resident record, swappable state, program image — behind a
+// small header (encodeCheckpoint), over freeze's output (Checkpoint) or the
+// regions a migration delivered (step 8's handoff). Revive on another kernel
+// is migration steps 3-5 and 8 replayed from bytes, through the helpers
+// those steps use (displaceForwarder, thaw, restartProc).
 
 const checkpointMagic = 0x444D5043 // "DMPC"
 
@@ -33,15 +33,20 @@ func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
 		return nil, fmt.Errorf("kernel %v: %v is %v; not checkpointable", k.machine, pid, p.state)
 	}
 	var f frozen
-	if err := freeze(&f, p); err != nil {
+	if err := k.freeze(&f, p); err != nil {
 		return nil, fmt.Errorf("kernel: checkpoint of %v: %w", pid, err)
 	}
-	swappable := f.swappableLen()
+	return k.encodeCheckpoint(pid, p.state, &f), nil
+}
 
+// encodeCheckpoint is the one checkpoint encoder: a header naming pid and
+// the state to revive into, then f's three regions.
+func (k *Kernel) encodeCheckpoint(pid addr.ProcessID, state ProcState, f *frozen) []byte {
+	swappable := f.swappableLen()
 	b := make([]byte, 0, 4+addr.PIDWireSize+1+3*4+len(f.resident)+swappable+len(f.program))
 	b = binary.LittleEndian.AppendUint32(b, checkpointMagic)
 	b = addr.EncodePID(b, pid)
-	b = append(b, byte(p.state)) // the state to revive into
+	b = append(b, byte(state))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.resident)))
 	b = append(b, f.resident...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(swappable))
@@ -50,7 +55,7 @@ func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
 	b = append(b, f.program...)
 	k.trace(siteCheckpoint, fmt.Sprintf("%dB (resident %d, swappable %d, program %d)",
 		len(b), len(f.resident), swappable, len(f.program)), trace.PID(pid))
-	return b, nil
+	return b
 }
 
 // Revive instantiates a checkpointed process on this kernel, preserving
@@ -70,31 +75,15 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	}
 	state := ProcState(b[0])
 	b = b[1:]
-	next := func() ([]byte, error) {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("kernel: truncated checkpoint")
+	var sec [3][]byte // resident, swappable, program: each behind its length
+	for i := range sec {
+		if len(b) < 4 || len(b)-4 < int(binary.LittleEndian.Uint32(b)) {
+			return addr.NilPID, fmt.Errorf("kernel: truncated checkpoint")
 		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < n {
-			return nil, fmt.Errorf("kernel: truncated checkpoint section")
-		}
-		sec := b[:n]
-		b = b[n:]
-		return sec, nil
+		n := 4 + int(binary.LittleEndian.Uint32(b))
+		sec[i], b = b[4:n], b[n:]
 	}
-	resident, err := next()
-	if err != nil {
-		return addr.NilPID, err
-	}
-	swappable, err := next()
-	if err != nil {
-		return addr.NilPID, err
-	}
-	program, err := next()
-	if err != nil {
-		return addr.NilPID, err
-	}
+	resident, swappable, program := sec[0], sec[1], sec[2]
 
 	if old := k.lookup(pid); old != nil && old.state != StateForwarder {
 		return addr.NilPID, fmt.Errorf("kernel %v: %v already exists here", k.machine, pid)

@@ -21,10 +21,10 @@ import (
 // concatenated the way it crosses the wire and sits in a checkpoint.
 type regions struct{ resident, swappable, program []byte }
 
-func freezeCopy(t *testing.T, p *Process) regions {
+func freezeCopy(t *testing.T, k *Kernel, p *Process) regions {
 	t.Helper()
 	var f frozen
-	if err := freeze(&f, p); err != nil {
+	if err := k.freeze(&f, p); err != nil {
 		t.Fatal(err)
 	}
 	swappable := append(bytes.Clone(f.swap), f.ctl...)
@@ -95,7 +95,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 			if tc.state != 0 && p.state != tc.state {
 				t.Fatalf("state %v, want %v", p.state, tc.state)
 			}
-			want := freezeCopy(t, p)
+			want := freezeCopy(t, ks[0], p)
 
 			e.RunFor(900) // thaw later than the freeze, as a migration does
 			q := ks[1].getProcRec()
@@ -103,7 +103,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 			if err := ks[1].thaw(q, want.resident, want.swappable, want.program); err != nil {
 				t.Fatal(err)
 			}
-			want.diff(t, "freeze(thaw(freeze(p)))", freezeCopy(t, q))
+			want.diff(t, "freeze(thaw(freeze(p)))", freezeCopy(t, ks[1], q))
 		})
 	}
 }
@@ -111,24 +111,80 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 // TestCheckpointIsMigrationPayload pins §1's "a checkpoint is a migration
 // payload": the three sections of a checkpoint are the regions a migration
 // of the same process at the same instant streams, and reviving the one and
-// migrating the other produce the same process.
+// migrating the other produce the same process. The handoff case holds the
+// process in m1's stable storage before it moves, so m2 writes its own
+// checkpoint at step 8 from the regions that arrived: those sections are
+// what m2 would stream now, and reviving them on m3 gives the same process.
 func TestCheckpointIsMigrationPayload(t *testing.T) {
-	e, ks := poolTestCluster(t, 3)
-	peer := link.Link{Addr: addr.At(addr.ProcessID{Creator: 3, Local: 4}, 3)}
-	pid, err := ks[0].Spawn(SpawnSpec{Body: &poolDrainBody{}, ImageSize: 2000, Links: []link.Link{peer}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		ks[0].GiveMessage(pid, peer.Addr, []byte("state"))
-	}
-	e.Run() // the process is now waiting: nothing changes it until it moves
+	for _, name := range []string{"checkpoint", "handoff"} {
+		handoff := name == "handoff"
+		t.Run(name, func(t *testing.T) {
+			e, ks := poolTestCluster(t, 3)
+			peer := link.Link{Addr: addr.At(addr.ProcessID{Creator: 3, Local: 4}, 3)}
+			pid, err := ks[0].Spawn(SpawnSpec{Body: &poolDrainBody{}, ImageSize: 2000, Links: []link.Link{peer}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				ks[0].GiveMessage(pid, peer.Addr, []byte("state"))
+			}
+			e.Run() // the process is now waiting: nothing changes it until it moves
 
-	streamed := freezeCopy(t, ks[0].lookup(pid))
-	ckpt, err := ks[0].Checkpoint(pid)
-	if err != nil {
-		t.Fatal(err)
+			streamed := freezeCopy(t, ks[0], ks[0].lookup(pid))
+			ckpt, err := ks[0].Checkpoint(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed.diff(t, "checkpoint sections vs migration regions", checkpointSections(t, ckpt))
+			if handoff {
+				if err := ks[0].SaveCheckpoint(pid); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			ks[0].RequestMigrationOf(addr.At(pid, 1), 2)
+			e.Run()
+			if handoff {
+				if _, ok := ks[0].stable[pid]; ok {
+					t.Error("m1 kept its checkpoint after the process left")
+				}
+				if ckpt = ks[1].stable[pid]; ckpt == nil {
+					t.Fatal("m2 wrote no checkpoint at step 8")
+				}
+				freezeCopy(t, ks[1], ks[1].lookup(pid)).diff(t, "handoff sections vs m2's regions", checkpointSections(t, ckpt))
+			}
+			if _, err := ks[2].Revive(ckpt); err != nil {
+				t.Fatal(err)
+			}
+			migrated, ok1 := ks[1].Process(pid)
+			revived, ok2 := ks[2].Process(pid)
+			if !ok1 || !ok2 || migrated != revived {
+				t.Fatalf("migrated copy %+v (%v), revived copy %+v (%v)", migrated, ok1, revived, ok2)
+			}
+			var links [2][]link.Link
+			for i, k := range ks[1:] {
+				k.VisitLinks(pid, func(id link.ID, l link.Link) { links[i] = append(links[i], l) })
+			}
+			if len(links[0]) != 1 || !reflect.DeepEqual(links[0], links[1]) {
+				t.Errorf("link tables differ: migrated %v, revived %v", links[0], links[1])
+			}
+			var snaps [2][]byte
+			for i, k := range ks[1:] {
+				body, _ := k.BodyOf(pid)
+				if snaps[i], err = body.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(snaps[0], snaps[1]) {
+				t.Errorf("body snapshots differ: migrated %x, revived %x", snaps[0], snaps[1])
+			}
+		})
 	}
+}
+
+// checkpointSections splits a checkpoint's three sections out of its header.
+func checkpointSections(t *testing.T, ckpt []byte) regions {
+	t.Helper()
 	b := ckpt[4+addr.PIDWireSize+1:]
 	section := func() []byte {
 		n := binary.LittleEndian.Uint32(b)
@@ -140,35 +196,7 @@ func TestCheckpointIsMigrationPayload(t *testing.T) {
 	if len(b) != 0 {
 		t.Fatalf("%d trailing checkpoint bytes", len(b))
 	}
-	streamed.diff(t, "checkpoint sections vs migration regions", stored)
-
-	ks[0].RequestMigrationOf(addr.At(pid, 1), 2)
-	e.Run()
-	if _, err := ks[2].Revive(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	migrated, ok1 := ks[1].Process(pid)
-	revived, ok2 := ks[2].Process(pid)
-	if !ok1 || !ok2 || migrated != revived {
-		t.Fatalf("migrated copy %+v (%v), revived copy %+v (%v)", migrated, ok1, revived, ok2)
-	}
-	var links [2][]link.Link
-	for i, k := range ks[1:] {
-		k.VisitLinks(pid, func(id link.ID, l link.Link) { links[i] = append(links[i], l) })
-	}
-	if len(links[0]) != 1 || !reflect.DeepEqual(links[0], links[1]) {
-		t.Errorf("link tables differ: migrated %v, revived %v", links[0], links[1])
-	}
-	var snaps [2][]byte
-	for i, k := range ks[1:] {
-		body, _ := k.BodyOf(pid)
-		if snaps[i], err = body.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Errorf("body snapshots differ: migrated %x, revived %x", snaps[0], snaps[1])
-	}
+	return stored
 }
 
 // TestSnapshotIsAFunctionOfState: freezing one process twice, with nothing
@@ -190,10 +218,10 @@ func TestSnapshotIsAFunctionOfState(t *testing.T) {
 	e.RunFor(1000)
 	p := ks[0].lookup(pid)
 	var a, b frozen
-	if err := freeze(&a, p); err != nil {
+	if err := ks[0].freeze(&a, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := freeze(&b, p); err != nil {
+	if err := ks[0].freeze(&b, p); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -108,11 +108,14 @@ func FuzzKernelAdmin(f *testing.F) {
 // one only after restoring its own copy: a forged one at an established
 // destination discards the copy the source then commits to. The destination
 // asking the source again does not close this, since the copy is gone
-// before it would ask; an Abort carries no attempt id, and only an attempt
-// id or a durable handoff would let the destination tell it from the real
-// one. What a kernel does then is still checked for panics, stranded
-// records and leaked envelopes, but not for exactly-one (DESIGN.md §9
-// "Honest gaps").
+// before it would ask. Nothing the destination holds could tell it from a
+// real one: the handoff to its stable storage is written at message 8, after
+// an Abort at established has struck, and an attempt id forged by a peer
+// that may send anything is believed too. So the exemption stays; whether
+// a real late Abort of an earlier attempt exists is a question for the
+// schedule explorer. What a kernel does then is still checked for panics,
+// stranded records and leaked envelopes, but not for exactly-one
+// (DESIGN.md §9 "Honest gaps").
 func forged(pid addr.ProcessID, op msg.Op, body []byte, from int) bool {
 	got, _, err := addr.DecodePID(body)
 	return op == msg.OpMigrateAbort && err == nil && got == pid && from == 1

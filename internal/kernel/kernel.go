@@ -105,6 +105,7 @@ const (
 )
 
 // Config parameterizes one kernel. The zero value is filled with defaults.
+// Stable storage takes no setting: it follows a checkpointed process (stepCleanup).
 type Config struct {
 	// DataPacket is the move-data packet payload size (§6: the facility
 	// "minimize[s] network overhead by sending larger packets").
@@ -132,11 +133,6 @@ type Config struct {
 	// deadline, so it only passes when the peer has actually gone silent
 	// (e.g. crashed mid-transfer).
 	MigrateTimeout sim.Time
-	// CheckpointOnArrival writes a migrated process to the destination's
-	// stable storage as soon as step 8 restarts it, so stable storage
-	// follows the process (§1) and a crash of the new host remains
-	// recoverable. Off by default.
-	CheckpointOnArrival bool
 	// Registry re-instantiates bodies on arrival.
 	Registry *proc.Registry
 	// Programs instantiates named programs for OpCreateProcess.

@@ -374,7 +374,7 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 
 	// Freeze the three payloads at this instant, into the record's
 	// region buffers.
-	if err := freeze(&mg.frozen, p); err != nil {
+	if err := k.freeze(&mg.frozen, p); err != nil {
 		k.abortSource(mg, siteAborted, err)
 		return
 	}
@@ -775,17 +775,21 @@ func (k *Kernel) failIncoming(mg *migration, cause error) {
 }
 
 // stepCleanup is step 8: "The process is restarted in whatever state it was
-// in before being migrated."
+// in before being migrated." A process its source held in stable storage is
+// first written to this kernel's from the regions it arrived in (the handoff):
+// message 8 comes only from a committed source, so the copy can never fork.
 func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
 	c, _ := msg.DecodeMigrateCleanup(m.Body)
+	if residentStable(mg.resident) {
+		k.keepStable(mg.pid, k.encodeCheckpoint(mg.pid, mg.p.prevState, &mg.frozen))
+	}
 	if k.killpoint(KPDestCleanup, mg.pid) {
 		return
 	}
 	k.commitIncoming(mg, int(c.Forwarded))
 }
 
-// commitIncoming finishes step 8 for an assembled process: (if configured)
-// follow it with a stable-storage checkpoint, then restart it in its
+// commitIncoming finishes step 8 for an assembled process: restart it in its
 // pre-migration state, which serves the messages queued while incoming. The
 // migration record and the forwarding address it set aside go back to their
 // pools. Step 8 is traced before the held queue is served, since a held
@@ -799,13 +803,6 @@ func (k *Kernel) commitIncoming(mg *migration, forwarded int) {
 		k.putProcRec(displaced) // the arrival is final: the address it superseded is not coming back
 	}
 	k.trace(siteStep8, p.prevState.String(), trace.PID(pid), trace.Int(forwarded))
-	if k.cfg.CheckpointOnArrival {
-		// Checkpoint the state step 8 restarts into before the held queue
-		// is served: a held request may move p on at once, and stable
-		// storage must follow it here all the same.
-		p.state = p.prevState
-		_ = k.SaveCheckpoint(pid)
-	}
 	k.restartProc(p, p.prevState)
 }
 
@@ -838,11 +835,13 @@ func reserve(b *[]byte, n int) {
 	}
 }
 
-// freeze serializes p into f at this instant. It is the only encoder of a
-// process: migration step 1 and Checkpoint both call it, so a checkpoint is
-// the migration payload by construction (§1).
-func freeze(f *frozen, p *Process) error {
-	f.resident = appendResident(f.resident[:0], p)
+// freeze serializes p into f at this instant, flagging whether this kernel's
+// stable storage holds it. It is the only encoder of a process: migration
+// step 1 and Checkpoint both call it, so a checkpoint is the migration
+// payload by construction (§1).
+func (k *Kernel) freeze(f *frozen, p *Process) error {
+	_, stable := k.stable[p.id]
+	f.resident = appendResident(f.resident[:0], p, stable)
 	ctl, err := p.body.Snapshot()
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
@@ -895,12 +894,18 @@ func (k *Kernel) thaw(p *Process, resident, swappable, program []byte) error {
 	return nil
 }
 
+// The resident record's flags byte.
+const (
+	flagPrivileged = 1 << iota
+	flagStable     // stable storage held the process when it was frozen
+)
+
 // appendResident gather-encodes the kernel process record moved as the
 // non-swappable state (§6: "The non-swappable state uses about 250 bytes")
 // into b.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
-func appendResident(b []byte, p *Process) []byte {
+func appendResident(b []byte, p *Process, stable bool) []byte {
 	imgSize := 0
 	if p.image != nil {
 		imgSize = p.image.Size()
@@ -908,12 +913,14 @@ func appendResident(b []byte, p *Process) []byte {
 	kind := p.body.Kind()
 	b = append(b, byte(len(kind)))
 	b = append(b, kind...)
-	b = append(b, byte(p.prevState))
+	var flags byte
 	if p.privileged {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		flags = flagPrivileged
 	}
+	if stable {
+		flags |= flagStable
+	}
+	b = append(b, byte(p.prevState), flags)
 	b = binary.LittleEndian.AppendUint32(b, uint32(imgSize))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.cpuUsed))
 	b = binary.LittleEndian.AppendUint64(b, p.msgsIn)
@@ -940,7 +947,7 @@ func decodeResident(p *Process, b []byte) (kind []byte, err error) {
 	}
 	kind, b = b[:n], b[n:]
 	p.prevState = ProcState(b[0])
-	p.privileged = b[1] != 0
+	p.privileged = b[1]&flagPrivileged != 0
 	p.cpuUsed = sim.Time(binary.LittleEndian.Uint64(b[6:]))
 	p.msgsIn = binary.LittleEndian.Uint64(b[14:])
 	p.msgsOut = binary.LittleEndian.Uint64(b[22:])
@@ -948,6 +955,9 @@ func decodeResident(p *Process, b []byte) (kind []byte, err error) {
 	p.queueHighWater = max(p.queueHighWater, binary.LittleEndian.Uint32(b[38:]))
 	return kind, nil
 }
+
+// residentStable reads flagStable from a resident record thaw has accepted.
+func residentStable(b []byte) bool { return b[2+int(b[0])]&flagStable != 0 }
 
 // decodeSwappableInto rebuilds the link table in place into p's existing
 // table (a recycled record keeps its own), so an arriving process reuses the

@@ -109,19 +109,24 @@ func (k *Kernel) killpoint(kp KillPoint, pid addr.ProcessID) bool {
 // simulated stable storage, where Restart finds it after a crash (§1: "If
 // the information necessary to transport a process is saved in stable
 // storage, it may be possible to 'migrate' a process from a processor that
-// has crashed to a working one."). The checkpoint is invalidated when the
-// process migrates away or dies.
+// has crashed to a working one."). It moves with the process (the source
+// drops it on message 7, the destination writes its own on message 8) and is
+// invalidated when the process dies.
 func (k *Kernel) SaveCheckpoint(pid addr.ProcessID) error {
 	b, err := k.Checkpoint(pid)
-	if err != nil {
-		return err
+	if err == nil {
+		k.keepStable(pid, b)
 	}
+	return err
+}
+
+// keepStable writes b to stable storage as pid's checkpoint.
+func (k *Kernel) keepStable(pid addr.ProcessID, b []byte) {
 	if k.stable == nil {
 		k.stable = make(map[addr.ProcessID][]byte)
 	}
 	k.stable[pid] = b
 	k.cold().CheckpointsSaved++
-	return nil
 }
 
 // StableCheckpoints lists the pids with a checkpoint in stable storage, in

@@ -7,6 +7,7 @@ package kernel_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -306,5 +307,86 @@ func TestSourceCrashAfterTransferLeavesOneCopy(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKillPointMatrix crashes the party that reaches each kill point of one
+// migration m1 → m2 (m3 requests it) and restarts it 100 ms later, once with
+// the process checkpointed on m1 first and once without. Stable storage
+// follows the process with no setting: a checkpointed process ends with
+// exactly one live copy and a checkpoint on that machine only, whichever
+// point struck. An uncheckpointed process gets no checkpoint anywhere, and
+// is lost only where its one copy sat on the crashed machine: the source's
+// before the destination could hold it (src-frozen, src-asked), and the
+// destination's at message 8 (dst-cleanup), after the source dropped its own.
+func TestKillPointMatrix(t *testing.T) {
+	lost := map[kernel.KillPoint]bool{kernel.KPSourceFrozen: true, kernel.KPSourceAsked: true, kernel.KPDestCleanup: true}
+	for _, kp := range append([]kernel.KillPoint{0}, kernel.KillPoints()...) {
+		for _, checkpointed := range []bool{true, false} {
+			row := "no-crash"
+			if kp != 0 {
+				row = kp.String()
+			}
+			t.Run(fmt.Sprintf("%s/checkpointed=%v", row, checkpointed), func(t *testing.T) {
+				c := newTC(t, 3, nil)
+				pid, err := c.k(1).Spawn(kernel.SpawnSpec{Body: &counterBody{}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.runFor(2_000)
+				if checkpointed {
+					if err := c.k(1).SaveCheckpoint(pid); err != nil {
+						t.Fatal(err)
+					}
+				}
+				crashed := false
+				for _, k := range c.ks {
+					k.SetFaultHook(func(at kernel.KillPoint, _ addr.ProcessID) {
+						if at != kp || crashed {
+							return
+						}
+						crashed = true
+						k.Crash()
+						c.eng.After(100_000, "test:restart", func() {
+							if err := k.Restart(); err != nil {
+								t.Error(err)
+							}
+						})
+					})
+				}
+				c.migrate(3, pid, 1, 2)
+				c.run()
+				if crashed != (kp != 0) {
+					t.Fatalf("crashed = %v at kill point %v", crashed, kp)
+				}
+				live := c.liveCopies(pid)
+				var stable []int
+				for m := 1; m <= 3; m++ {
+					if slices.Contains(c.k(m).StableCheckpoints(), pid) {
+						stable = append(stable, m)
+					}
+				}
+				t.Logf("live copies on %v, checkpoints on %v", live, stable)
+				switch {
+				case checkpointed:
+					if len(live) != 1 || !slices.Equal(stable, live) {
+						t.Errorf("live copies on %v, checkpoints on %v; want one live copy, checkpointed there only", live, stable)
+					}
+				case lost[kp]:
+					if len(live) != 0 || len(stable) != 0 {
+						t.Errorf("live copies on %v, checkpoints on %v; want the process lost with its machine", live, stable)
+					}
+				default:
+					if len(live) != 1 || len(stable) != 0 {
+						t.Errorf("live copies on %v, checkpoints on %v; want one live copy and no checkpoint", live, stable)
+					}
+				}
+				for m := 1; m <= 3; m++ {
+					if n := c.k(m).PendingMigrations(); n != 0 {
+						t.Errorf("m%d: %d migration halves pending", m, n)
+					}
+				}
+			})
+		}
 	}
 }

@@ -50,8 +50,8 @@ go test -race -count=5 -run 'TestOneWayTrafficKeepsPoolsBounded/parallel' ./inte
 echo "== event count across shard counts under the race detector (a pump counts one event per frame it lands; 1/2/4 shards, inline and goroutine rounds, 3 runs)"
 go test -race -count=3 -run TestShardFiredInvariance ./internal/core/
 
-echo "== recycled process records, split process tables, ProcInfo.Kind read from the body, the fork window (a source crash after the transfer leaves one copy) and the one restart path (a held kill ends the restarted process at either end; a held request is served after arrival) under the race detector (3 runs)"
-go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestHeldKillEndsTheRestartedProcess|TestHeldRequestServedAfterArrival|TestProcessesOrderAcrossSplitTables|TestProcInfoKind|TestSourceCrashAfterTransferLeavesOneCopy' ./internal/kernel/
+echo "== recycled process records, split process tables, ProcInfo.Kind read from the body, the fork window (a source crash after the transfer leaves one copy), the one restart path (a held kill ends the restarted process at either end; a held request is served after arrival) and the kill-point matrix (a crash at each kill point leaves a checkpointed process one live copy and one checkpoint, on the same machine) under the race detector (3 runs)"
+go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestHeldKillEndsTheRestartedProcess|TestHeldRequestServedAfterArrival|TestProcessesOrderAcrossSplitTables|TestProcInfoKind|TestSourceCrashAfterTransferLeavesOneCopy|TestKillPointMatrix' ./internal/kernel/
 
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/

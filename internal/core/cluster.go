@@ -91,7 +91,7 @@ type Options struct {
 type Cluster struct {
 	opts Options
 	reg  *proc.Registry
-	ks   map[addr.MachineID]*kernel.Kernel
+	ks   []*kernel.Kernel // indexed by machine id; ks[0] is nil (machine 0 is reserved)
 
 	// The runtime (shard.go): one engine, network, tracer and obs plane per
 	// shard, stepped together by group. Registration is cold and the hot
@@ -134,7 +134,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		opts: opts,
-		ks:   map[addr.MachineID]*kernel.Kernel{},
+		ks:   make([]*kernel.Kernel, opts.Machines+1),
 	}
 	c.reg = buildRegistry(opts)
 	c.build()
@@ -297,13 +297,9 @@ func (c *Cluster) notePM(pid addr.ProcessID, at addr.MachineID) {
 	}
 }
 
-func (c *Cluster) kernels() []*kernel.Kernel {
-	out := make([]*kernel.Kernel, 0, len(c.ks))
-	for _, m := range machineList(len(c.ks)) {
-		out = append(out, c.ks[m])
-	}
-	return out
-}
+// kernels returns every kernel in machine order. The slice is the
+// cluster's own table: callers only range over it.
+func (c *Cluster) kernels() []*kernel.Kernel { return c.ks[1:] }
 
 // --- accessors ---------------------------------------------------------------
 
@@ -330,11 +326,16 @@ func (c *Cluster) ObsSnapshot() obs.Snapshot {
 	return obs.MergeSnapshots(uint64(c.now), snaps...)
 }
 
-// Kernel returns machine m's kernel.
-func (c *Cluster) Kernel(m int) *kernel.Kernel { return c.ks[addr.MachineID(m)] }
+// Kernel returns machine m's kernel, or nil if there is no machine m.
+func (c *Cluster) Kernel(m int) *kernel.Kernel {
+	if m < 1 || m >= len(c.ks) {
+		return nil
+	}
+	return c.ks[m]
+}
 
 // Machines returns the machine count.
-func (c *Cluster) Machines() int { return len(c.ks) }
+func (c *Cluster) Machines() int { return len(c.ks) - 1 }
 
 // PM returns the process manager body (nil if not booted). Reading it is
 // only safe between Run calls.

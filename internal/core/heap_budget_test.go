@@ -8,22 +8,27 @@ import (
 )
 
 // TestPerMachineHeapBudget pins what one simulated machine costs in live
-// heap once a 1000-machine cluster is built: about 1.06 KB. Most of it is
-// the Kernel struct (one 768-byte allocation), then the swap store (96 B),
-// the network's per-machine state (56 + 40 B), the envelope pool (48 B),
-// the cluster's tables (44 B) and the one obs.Rows value per kernel
-// (16 B). The kernel's counters a job-only machine never writes sit in a
-// cold record made at the first migration, forward or restart, and the obs
-// plane renders names only in Snapshot; its latency histogram and every
-// kernel map wait for their first write too. The budget (1 200 B) fails
-// on the Kernel growing one size class (896 B) or any new per-machine
-// allocation of 144 B or more at boot. Before the counter split the
-// Kernel alone took 1 280 B (1.58 KB a machine); registering each
-// machine's rows by name and closure, with a histogram and eight empty
-// maps at boot, cost 3.8 KB. (The race detector's shadow allocations
-// inflate HeapAlloc, hence the build tag.)
+// heap once a 1000-machine cluster is built: about 750 B. Most of it is
+// the Kernel struct (one allocation in the 576-byte size class), then the
+// network's per-machine state (56 + 40 B), the envelope pool (48 B), the
+// kernel's bound runSlice (16 B), the cluster's two dense tables (kernel
+// and shard, 8 B each) and the one obs.Rows value per kernel (16 B).
+// Everything a machine that only runs jobs and exchanges user messages
+// never touches waits for its first use: the kernel's cold record (the
+// migration, fault-plane, load-report and console fields and the cold
+// counters) for the first migration, forward, restart, console line or
+// load report, the swap store for the first image, the latency histogram
+// and every kernel map for their first write, and the obs plane renders
+// names only in Snapshot. The budget (800 B) fails on the Kernel growing
+// one size class (640 B) or on any new per-machine allocation of 64 B or
+// more at boot. Before the cold record the Kernel took 768 B and the swap
+// store 96 B (1.06 KB a machine); before the counter split, 1 280 B for
+// the Kernel alone (1.58 KB); registering each machine's rows by name and
+// closure, with a histogram and eight empty maps at boot, cost 3.8 KB.
+// (The race detector's shadow allocations inflate HeapAlloc, hence the
+// build tag.)
 func TestPerMachineHeapBudget(t *testing.T) {
-	const machines, budget = 1000, 1200
+	const machines, budget = 1000, 800
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

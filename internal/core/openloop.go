@@ -14,67 +14,67 @@ import (
 )
 
 // OpenLoopDriver reports spawn progress for a running open-loop workload.
-// Counters are per-machine slots, each written only by its machine's shard
-// goroutine, so reads are exact between runs and race-free during them.
+// It holds the one config every machine's stream reads and each machine's
+// driver state in one slot of a dense table. A slot is written only by its
+// machine's shard goroutine, so reads are exact between runs and race-free
+// during them.
 type OpenLoopDriver struct {
-	spawned []uint64 // indexed by machine id
-	failed  []uint64
+	cfg workload.OpenLoop
+	ms  []arrivals // ms[m-1] is machine m's
 }
 
 // Spawned returns the number of jobs started so far.
-func (d *OpenLoopDriver) Spawned() uint64 { return sum(d.spawned) }
+func (d *OpenLoopDriver) Spawned() uint64 {
+	var n uint64
+	for i := range d.ms {
+		n += d.ms[i].spawned
+	}
+	return n
+}
 
 // Failed returns the number of arrivals whose spawn was rejected.
-func (d *OpenLoopDriver) Failed() uint64 { return sum(d.failed) }
-
-func sum(xs []uint64) uint64 {
-	var t uint64
-	for _, x := range xs {
-		t += x
+func (d *OpenLoopDriver) Failed() uint64 {
+	var n uint64
+	for i := range d.ms {
+		n += d.ms[i].failed
 	}
-	return t
+	return n
 }
 
 // StartOpenLoop installs the streaming open-loop workload on every machine.
 // Call after New and before Run; the arrival events are strong, so Run
 // continues until every machine's stream is exhausted and all jobs exited.
 func (c *Cluster) StartOpenLoop(cfg workload.OpenLoop) *OpenLoopDriver {
-	d := &OpenLoopDriver{
-		spawned: make([]uint64, c.Machines()+1),
-		failed:  make([]uint64, c.Machines()+1),
-	}
-	for m := 1; m <= c.Machines(); m++ {
-		c.armArrivals(m, workload.NewArrivals(cfg, m), d, cfg.Spin)
+	d := &OpenLoopDriver{cfg: cfg, ms: make([]arrivals, c.Machines())}
+	for i := range d.ms {
+		m := i + 1
+		a := &d.ms[i]
+		a.Arrivals = workload.NewArrivals(&d.cfg, m)
+		a.eng, a.k, a.spin = c.EngineOf(m), c.Kernel(m), cfg.Spin
+		a.fireFn = a.fire
+		a.arm()
 	}
 	return d
 }
 
 // arrivals is machine m's open-loop driver: the arrival cursor, the
-// service demand of the arrival armed next, and fire bound once, so an
-// arrival allocates nothing but its job.
-type arrivals struct {
-	st     *workload.Arrivals
-	eng    *sim.Engine
-	k      *kernel.Kernel
-	d      *OpenLoopDriver
-	m      int
-	spin   bool
-	svc    sim.Time
-	fireFn func()
-}
-
-// armArrivals schedules machine m's first arrival; its event spawns the job
-// and re-arms for the following one (streaming: one pending event per
+// service demand of the arrival armed next, the machine's spawn counts, and
+// fire bound once, so an arrival allocates nothing but its job. It arms
+// its next arrival as its event fires (streaming: one pending event per
 // machine, never the whole arrival sequence).
-func (c *Cluster) armArrivals(m int, st *workload.Arrivals, d *OpenLoopDriver, spin bool) {
-	a := &arrivals{st: st, eng: c.EngineOf(m), k: c.Kernel(m), d: d, m: m, spin: spin}
-	a.fireFn = a.fire
-	a.arm()
+type arrivals struct {
+	workload.Arrivals
+	eng             *sim.Engine
+	k               *kernel.Kernel
+	spin            bool
+	svc             sim.Time
+	spawned, failed uint64
+	fireFn          func()
 }
 
 // arm schedules the next arrival, if the stream has one.
 func (a *arrivals) arm() {
-	if at, svc, ok := a.st.Next(); ok {
+	if at, svc, ok := a.Next(); ok {
 		a.svc = svc
 		a.eng.At(at, "wl:arrival", a.fireFn)
 	}
@@ -97,9 +97,9 @@ func (a *arrivals) fire() {
 		body = &workload.Job{Service: a.svc}
 	}
 	if _, err := a.k.Spawn(kernel.SpawnSpec{Body: body}); err != nil {
-		a.d.failed[a.m]++
+		a.failed++
 	} else {
-		a.d.spawned[a.m]++
+		a.spawned++
 	}
 	a.arm()
 }

@@ -81,7 +81,7 @@ func (c *Cluster) build() {
 		kcfg.Tracer = c.trs[s]
 		k := kernel.New(addr.MachineID(m), c.engines[s], c.nets[s], kcfg)
 		k.SetObs(c.regs[s], c.leds[s])
-		c.ks[addr.MachineID(m)] = k
+		c.ks[m] = k
 	}
 	for s := 0; s < shards; s++ {
 		c.nets[s].RegisterObs(c.regs[s])

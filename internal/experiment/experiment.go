@@ -119,7 +119,7 @@ func Run(spec RunSpec) (Metrics, error) {
 	spec.Workload.Spin = true
 	for m := 1; m <= spec.Machines; m++ {
 		m := m
-		st := workload.NewArrivals(spec.Workload, m)
+		st := workload.NewArrivals(&spec.Workload, m)
 		eng := c.EngineOf(m)
 		k := c.Kernel(m)
 		var arm func()

@@ -206,10 +206,11 @@ func (c *procCtx) MoveTo(on link.ID, off uint32, data []byte, userXfer uint16) e
 	kx := c.k.newXferID()
 	base := l.Area.Offset + off
 	n := c.k.streamWrite(l.Addr, kx, base, data)
-	if c.k.moveOps == nil {
-		c.k.moveOps = make(map[uint16]*moveOp)
+	cold := c.k.cold()
+	if cold.moveOps == nil {
+		cold.moveOps = make(map[uint16]*moveOp)
 	}
-	c.k.moveOps[kx] = &moveOp{
+	cold.moveOps[kx] = &moveOp{
 		initiator: c.p.id, userXfer: userXfer,
 		packets: n, base: base, pkt: c.k.cfg.DataPacket,
 		acked: make([]uint64, (n+63)/64),
@@ -233,10 +234,11 @@ func (c *procCtx) MoveFrom(on link.ID, off, n uint32, userXfer uint16) error {
 	k := c.k
 	pid := c.p.id
 	kx := k.newXferID()
-	if k.xfersIn == nil {
-		k.xfersIn = make(map[uint16]*inStream)
+	cold := k.cold()
+	if cold.xfersIn == nil {
+		cold.xfersIn = make(map[uint16]*inStream)
 	}
-	k.xfersIn[kx] = &inStream{total: -1, complete: func(data []byte) {
+	cold.xfersIn[kx] = &inStream{total: -1, complete: func(data []byte) {
 		body := msg.XferStatus{Xfer: userXfer, OK: true}.Encode()
 		body = append(body, data...)
 		k.route(&msg.Message{
@@ -287,17 +289,18 @@ func (c *procCtx) SetTimer(d sim.Time, tag uint16) {
 }
 
 func (c *procCtx) Print(b []byte) {
-	if len(c.k.console[c.p.id]) >= ConsoleLineCap {
+	cold := c.k.cold()
+	if len(cold.console[c.p.id]) >= ConsoleLineCap {
 		// Bounded per-PID console: a chatty process cannot grow kernel
 		// memory without limit. Drops are counted, not silent.
-		c.k.cold().ConsoleDropped++
+		cold.ConsoleDropped++
 		return
 	}
 	line := string(b)
-	if c.k.console == nil {
-		c.k.console = make(map[addr.ProcessID][]string)
+	if cold.console == nil {
+		cold.console = make(map[addr.ProcessID][]string)
 	}
-	c.k.console[c.p.id] = append(c.k.console[c.p.id], line)
+	cold.console[c.p.id] = append(cold.console[c.p.id], line)
 	c.k.trace(sitePrint, strings.TrimRight(line, "\n"), trace.PID(c.p.id))
 }
 

@@ -210,7 +210,7 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 		k.bounce(m) // m lives on as the bounce's Orig
 		return
 	}
-	if k.restarts > 0 && k.searchFallback(m) {
+	if k.coldView().Restarts > 0 && k.searchFallback(m) {
 		return // rerouted or held by the post-crash search (restart.go)
 	}
 	k.stats.DeadLetters++
@@ -251,20 +251,21 @@ func (k *Kernel) handleNotDeliverable(m *msg.Message) {
 		k.putMsg(orig)
 		return
 	}
-	if len(k.pendingLocate[pid]) >= PendingLocateCap {
-		k.cold().LocateDropped++
+	c := k.cold()
+	if len(c.pendingLocate[pid]) >= PendingLocateCap {
+		c.LocateDropped++
 		k.stats.DeadLetters++
 		k.putMsg(orig)
 		return
 	}
-	if k.pendingLocate == nil {
-		k.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
+	if c.pendingLocate == nil {
+		c.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
 	}
-	k.pendingLocate[pid] = append(k.pendingLocate[pid], orig) //demos:owner locate — held (capped) until the locate reply resubmits or dead-letters it.
-	if len(k.pendingLocate[pid]) > 1 {
+	c.pendingLocate[pid] = append(c.pendingLocate[pid], orig) //demos:owner locate — held (capped) until the locate reply resubmits or dead-letters it.
+	if len(c.pendingLocate[pid]) > 1 {
 		return // locate already outstanding
 	}
-	k.cold().LocateRequests++
+	c.LocateRequests++
 	req := k.getMsg()
 	req.Kind = msg.KindControl
 	req.Op = msg.OpLocate
@@ -281,8 +282,9 @@ func (k *Kernel) handleLocateReply(m *msg.Message) {
 	if err != nil {
 		return
 	}
-	held := k.pendingLocate[pm.PID]
-	delete(k.pendingLocate, pm.PID)
+	pl := k.coldView().pendingLocate
+	held := pl[pm.PID]
+	delete(pl, pm.PID)
 	if pm.Machine == addr.NoMachine {
 		k.stats.DeadLetters += uint64(len(held))
 		for _, orig := range held {

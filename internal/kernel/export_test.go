@@ -94,13 +94,20 @@ func EncodeForwarder(pid addr.ProcessID, to, back addr.MachineID) []byte {
 // DoneMigrations returns the latest MigrateDone reply addressed to this
 // kernel (self-initiated migrations without a process manager) and how many
 // arrived.
-func (k *Kernel) DoneMigrations() (last msg.MigrateDone, n int) { return k.lastDone, k.dones }
+func (k *Kernel) DoneMigrations() (last msg.MigrateDone, n int) {
+	c := k.coldView()
+	return c.lastDone, c.dones
+}
 
 // MemUsed returns bytes of real memory in use by process images.
 func (k *Kernel) MemUsed() int { return k.memUsed }
 
-// Swap exposes the swap store.
+// Swap exposes the swap store (nil until the first image).
 func (k *Kernel) Swap() *memory.Store { return k.swap }
+
+// HasSwapStore reports whether the kernel has made its swap store: nil
+// until the first image (swapStore).
+func (k *Kernel) HasSwapStore() bool { return k.swap != nil }
 
 // SwappedPages reports how many of a local process's pages are in swap.
 func (k *Kernel) SwappedPages(pid addr.ProcessID) int {
@@ -160,14 +167,15 @@ func (k *Kernel) VisitLinks(pid addr.ProcessID, fn func(link.ID, link.Link)) boo
 // first write.
 func (k *Kernel) LiveMaps() []string {
 	var out []string
+	c := k.coldView()
 	for _, m := range []struct {
 		name string
 		live bool
 	}{
 		{"procs", k.procs != nil}, {"exits", k.exits != nil}, {"localErrs", k.localErrs != nil},
-		{"xfersIn", k.xfersIn != nil}, {"moveOps", k.moveOps != nil}, {"kinds", k.kinds != nil},
-		{"pendingLocate", k.pendingLocate != nil}, {"console", k.console != nil},
-		{"stable", k.stable != nil}, {"lostPIDs", k.lostPIDs != nil},
+		{"xfersIn", c.xfersIn != nil}, {"moveOps", c.moveOps != nil}, {"kinds", c.kinds != nil},
+		{"pendingLocate", c.pendingLocate != nil}, {"console", c.console != nil},
+		{"stable", c.stable != nil}, {"lostPIDs", c.lostPIDs != nil},
 	} {
 		if m.live {
 			out = append(out, m.name)
@@ -176,6 +184,6 @@ func (k *Kernel) LiveMaps() []string {
 	return out
 }
 
-// HasColdStats reports whether the kernel has made its cold counter record
-// (stats.go): nil until the first cold write.
-func (k *Kernel) HasColdStats() bool { return k.coldRec != nil }
+// HasColdRecord reports whether the kernel has made its cold record
+// (cold.go): nil until its first use.
+func (k *Kernel) HasColdRecord() bool { return k.coldRec != nil }

@@ -125,8 +125,14 @@ func TestLinkUpdateConvergence(t *testing.T) {
 	c := newTC(t, 3, nil)
 	server := c.spawnCounter(1)
 	client := c.spawnProg(3, chatterProg(10), c.linkTo(server, 1, 0))
-	// Let the conversation start, then migrate mid-stream.
-	c.runFor(20000)
+	// Let the conversation start, then migrate mid-stream: the migration
+	// is ordered as the client's first reply reaches its queue, so the
+	// other nine rounds all go out over the link naming m1.
+	for c.k(3).Stats().MsgsEnqueued == 0 {
+		if !c.eng.Step() {
+			t.Fatal("the client never got its first reply")
+		}
+	}
 	c.migrate(2, server, 1, 2)
 	c.run()
 	if e, _ := c.exitOf(client); e.Code != 10 {
@@ -134,8 +140,9 @@ func TestLinkUpdateConvergence(t *testing.T) {
 	}
 	fwd := c.k(1).Stats().Forwarded
 	if fwd == 0 {
-		t.Skip("migration completed before any stale send; rerun with different timing")
+		t.Fatal("no message was forwarded: the migration did not overlap the conversation")
 	}
+	t.Logf("forwarded %d, link updates sent %d", fwd, c.k(1).Stats().LinkUpdatesSent)
 	if fwd > 2 {
 		t.Fatalf("%d messages forwarded on one link, paper's worst case is 2", fwd)
 	}

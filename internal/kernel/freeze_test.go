@@ -145,10 +145,10 @@ func TestCheckpointIsMigrationPayload(t *testing.T) {
 			ks[0].RequestMigrationOf(addr.At(pid, 1), 2)
 			e.Run()
 			if handoff {
-				if _, ok := ks[0].stable[pid]; ok {
+				if _, ok := ks[0].coldView().stable[pid]; ok {
 					t.Error("m1 kept its checkpoint after the process left")
 				}
-				if ckpt = ks[1].stable[pid]; ckpt == nil {
+				if ckpt = ks[1].coldView().stable[pid]; ckpt == nil {
 					t.Fatal("m2 wrote no checkpoint at step 8")
 				}
 				freezeCopy(t, ks[1], ks[1].lookup(pid)).diff(t, "handoff sections vs m2's regions", checkpointSections(t, ckpt))

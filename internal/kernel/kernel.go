@@ -278,14 +278,13 @@ type SpawnSpec struct {
 
 // Kernel is one machine's kernel.
 type Kernel struct {
-	// The small scalars share the struct's first words (2+2+2+1+1+1
-	// bytes): each in its own padded word, they would push Kernel and the
-	// Delivery slot in sliceCtx into the next allocation size class
+	// The small scalars share the struct's first word (2+2+1+1+1 bytes):
+	// each in its own padded word, they would push Kernel and the Delivery
+	// slot in sliceCtx into the next allocation size class
 	// (TestKernelSizeClass). observed: a registry reads this kernel
 	// (SetObs), so its first enqueue allocates hLat.
 	machine     addr.MachineID
 	nextUID     addr.LocalUID
-	nextXfer    uint16
 	sliceQueued bool
 	crashed     bool
 	observed    bool
@@ -334,54 +333,25 @@ type Kernel struct {
 	runSliceFn func()
 	sliceCtx   procCtx
 
+	// memUsed is the real memory images hold. swap is the store their
+	// pages go out to, nil until the first image (swapStore).
 	memUsed int
 	swap    *memory.Store
 
-	xfersIn map[uint16]*inStream // inbound streams, keyed by locally-allocated xfer id
-	moveOps map[uint16]*moveOp   // outbound move-data writes awaiting completion
-
-	// Record free lists (see DESIGN.md §7): steady-state migrations recycle
-	// their bookkeeping records — the migration halves (with their region
-	// buffers, region-pull stream and once-bound watchdog closures) and
-	// whole Process records, each with its queue ring and emptied link
-	// table — and Spawn/terminate use the same procFree, so a warm kernel
-	// migrates, spawns and retires processes without growing the heap.
-	// Records wiped wholesale by Restart are simply orphaned to the GC; the
-	// free lists only ever hold released records.
-	migFree  freelist[migration]
+	// procFree recycles whole Process records, each with its queue ring
+	// and emptied link table (see DESIGN.md §7): Spawn/terminate and
+	// migrations share it, so a warm kernel spawns and retires processes
+	// without growing the heap. Records wiped wholesale by Restart are
+	// simply orphaned to the GC; the free list only ever holds released
+	// records.
 	procFree freelist[Process]
-	// kinds interns body-kind strings decoded from resident records, so a
-	// process bouncing between machines does not re-allocate its kind
-	// string on every arrival.
-	kinds map[string]string
 
-	pendingLocate map[addr.ProcessID][]*msg.Message
-	console       map[addr.ProcessID][]string
-	// The latest MigrateDone reply addressed to this kernel and how many
-	// arrived (self-initiated migrations: RequestMigrationOf).
-	lastDone msg.MigrateDone
-	dones    int
-
-	lastReportBusy sim.Time
-	lastReportAt   sim.Time
-
-	// The kernel's counters (stats.go): the hot part inline, the cold part
-	// behind coldRec, nil until the first cold write (k.cold()).
+	// The hot/cold split (cold.go): stats holds the counters a machine
+	// that only runs jobs and exchanges user messages writes; coldRec
+	// holds the rest of the counters and every field such a machine never
+	// touches, nil until the first use of any of them (k.cold()).
 	stats   hotStats
-	coldRec *coldStats
-
-	// Fault plane (restart.go). stable simulates the §1 stable storage a
-	// checkpoint survives a crash in; lostPIDs records processes a crash
-	// wiped without a checkpoint (so invariant checks can tell "lost to a
-	// crash" from "should still exist"; nil until the first such loss, so a
-	// machine that never loses a process carries no map); restarts counts
-	// recoveries and gates the search fallback for orphaned forwarding
-	// addresses.
-	stable       map[addr.ProcessID][]byte
-	lostPIDs     map[addr.ProcessID]bool
-	restarts     uint64
-	faultHook    func(kp KillPoint, pid addr.ProcessID)
-	loadReportEv sim.Event
+	coldRec *coldState
 
 	// Observability plane (obs.go): the migration ledger and the kernel's
 	// one histogram. led is the one store of this kernel's migration
@@ -407,7 +377,6 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 		net:     net,
 		cfg:     cfg,
 		nextUID: 1,
-		swap:    memory.NewStore(SwapCapacity),
 	}
 	k.pool = msg.NewPool()
 	k.runSliceFn = k.runSlice
@@ -462,7 +431,7 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 		return addr.NilPID, fmt.Errorf("kernel: SpawnSpec has both Program and Body")
 	case spec.Program != nil:
 		var err error
-		img, err = spec.Program.BuildImage(k.swap)
+		img, err = spec.Program.BuildImage(k.swapStore())
 		if err != nil {
 			return addr.NilPID, err
 		}
@@ -470,7 +439,7 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	case spec.Body != nil:
 		body = spec.Body
 		if spec.ImageSize > 0 {
-			img = memory.NewImage(spec.ImageSize, k.swap)
+			img = memory.NewImage(spec.ImageSize, k.swapStore())
 		}
 	default:
 		return addr.NilPID, fmt.Errorf("kernel: SpawnSpec has neither Program nor Body")
@@ -548,7 +517,7 @@ func (k *Kernel) Processes() []ProcInfo {
 
 // Console returns the lines a process printed on this machine.
 func (k *Kernel) Console(pid addr.ProcessID) []string {
-	return append([]string(nil), k.console[pid]...)
+	return append([]string(nil), k.coldView().console[pid]...)
 }
 
 // Exit returns how a process ended on this machine, if it did.
@@ -998,22 +967,24 @@ func (k *Kernel) putProcRec(p *Process) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) internKind(b []byte) string {
-	if s, ok := k.kinds[string(b)]; ok {
+	c := k.cold()
+	if s, ok := c.kinds[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if k.kinds == nil {
-		k.kinds = make(map[string]string)
+	if c.kinds == nil {
+		c.kinds = make(map[string]string)
 	}
-	k.kinds[s] = s
+	c.kinds[s] = s
 	return s
 }
 
 // newXferID allocates a transfer id for an inbound stream.
 func (k *Kernel) newXferID() uint16 {
-	k.nextXfer++
-	if k.nextXfer == 0 {
-		k.nextXfer = 1
+	c := k.cold()
+	c.nextXfer++
+	if c.nextXfer == 0 {
+		c.nextXfer = 1
 	}
-	return k.nextXfer
+	return c.nextXfer
 }

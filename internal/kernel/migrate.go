@@ -100,7 +100,7 @@ const migrateEnvelopeReserve = 4
 // first step. The watchdog is armed later (armWatchdog), once the half has
 // sent its first message.
 func (k *Kernel) openMigration(role migRole, p *Process, peer addr.MachineID) *migration {
-	mg := k.migFree.get()
+	mg := k.cold().migFree.get()
 	if mg == nil {
 		mg = &migration{}
 		mg.wdFn = func() { k.watchdogFired(mg) }
@@ -126,7 +126,7 @@ func (k *Kernel) endMigration(mg *migration) {
 	}
 	*mg = migration{wdFn: mg.wdFn, frozen: frozen{
 		resident: mg.resident[:0], swap: mg.swap[:0], program: mg.program[:0]}}
-	k.migFree.put(mg)
+	k.cold().migFree.put(mg)
 }
 
 // armWatchdog starts the half's progress timer. If the peer goes silent —
@@ -327,8 +327,9 @@ func (k *Kernel) sendPIDMachine(to addr.ProcessAddr, op msg.Op, pid addr.Process
 // and a count, so a kernel that requests thousands of migrations keeps none
 // of their replies.
 func (k *Kernel) stepDone(_ *migration, m *msg.Message) {
-	k.lastDone, _ = msg.DecodeMigrateDone(m.Body)
-	k.dones++
+	c := k.cold()
+	c.lastDone, _ = msg.DecodeMigrateDone(m.Body)
+	c.dones++
 }
 
 // stepAbort discards whichever half of the migration this kernel holds.
@@ -494,7 +495,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	// The destination's copy is now the process: any checkpoint of the
 	// source copy is stale, and reviving it after a crash here would
 	// fork the process.
-	delete(k.stable, pid)
+	k.dropStable(pid)
 	if k.killpoint(KPSourceEstablished, pid) {
 		return
 	}
@@ -585,7 +586,7 @@ func (k *Kernel) decideEstablished(pid addr.ProcessID, m *msg.Message) {
 		k.sendPIDMachine(m.From, msg.OpMigrateAbort, pid)
 		return
 	}
-	delete(k.stable, pid)
+	k.dropStable(pid)
 	cm := k.newControl(msg.OpMigrateCleanup, m.From)
 	cm.Body = msg.MigrateCleanup{PID: pid}.AppendTo(cm.Body[:0])
 	k.sendAdmin(cm, nil)
@@ -692,10 +693,11 @@ func (k *Kernel) pullRegion(mg *migration, buf []byte) {
 	region := msg.Region(mg.step)
 	mg.in = inStream{buf: buf[:0], total: -1, mg: mg}
 	mg.xfer = k.newXferID()
-	if k.xfersIn == nil {
-		k.xfersIn = make(map[uint16]*inStream)
+	c := k.cold()
+	if c.xfersIn == nil {
+		c.xfersIn = make(map[uint16]*inStream)
 	}
-	k.xfersIn[mg.xfer] = &mg.in
+	c.xfersIn[mg.xfer] = &mg.in
 	step := siteStep4
 	if region == msg.RegionProgram {
 		step = siteStep5
@@ -758,8 +760,8 @@ func (k *Kernel) failIncoming(mg *migration, cause error) {
 	k.trace(siteIncomingFail, cause.Error(), trace.PID(mg.pid))
 	// Unregister the in-flight pull, if any, so late packets go stray
 	// instead of completing into a recycled record.
-	if k.xfersIn[mg.xfer] == &mg.in {
-		delete(k.xfersIn, mg.xfer)
+	if xs := k.coldView().xfersIn; xs[mg.xfer] == &mg.in {
+		delete(xs, mg.xfer)
 	}
 	p := mg.p
 	k.releaseImage(p)
@@ -840,7 +842,7 @@ func reserve(b *[]byte, n int) {
 // step 1 and Checkpoint both call it, so a checkpoint is the migration
 // payload by construction (§1).
 func (k *Kernel) freeze(f *frozen, p *Process) error {
-	_, stable := k.stable[p.id]
+	_, stable := k.coldView().stable[p.id]
 	f.resident = appendResident(f.resident[:0], p, stable)
 	ctl, err := p.body.Snapshot()
 	if err != nil {
@@ -881,7 +883,7 @@ func (k *Kernel) thaw(p *Process, resident, swappable, program []byte) error {
 	}
 	p.body = body
 	if len(program) > 0 {
-		img := memory.NewImage(len(program), k.swap)
+		img := memory.NewImage(len(program), k.swapStore())
 		if err := img.WriteAt(program, 0); err != nil {
 			return err
 		}

@@ -169,7 +169,8 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 		k.applyWritePacket(m)
 		return
 	}
-	st, ok := k.xfersIn[m.Xfer]
+	xs := k.coldView().xfersIn
+	st, ok := xs[m.Xfer]
 	if !ok {
 		k.trace(siteStrayPacket, "", trace.Int(int(m.Xfer)), trace.Int(int(m.Seq)))
 		return
@@ -198,7 +199,7 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 		st.total = end
 	}
 	if st.total >= 0 && st.bytes >= st.total {
-		delete(k.xfersIn, m.Xfer)
+		delete(xs, m.Xfer)
 		if data := st.buf[:st.total]; st.mg != nil {
 			k.regionArrived(st.mg, data) // data becomes a region buffer; the next pull resets st
 		} else {
@@ -245,11 +246,12 @@ func (k *Kernel) ack(m *msg.Message) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) handleAck(m *msg.Message) {
-	k.cold().AcksReceived++
+	c := k.cold()
+	c.AcksReceived++
 	if !m.DTK {
 		return
 	}
-	op, ok := k.moveOps[m.Xfer]
+	op, ok := c.moveOps[m.Xfer]
 	if !ok || m.Seq < op.base {
 		return
 	}
@@ -270,7 +272,7 @@ func (k *Kernel) handleAck(m *msg.Message) {
 	if op.ackCount < op.packets {
 		return
 	}
-	delete(k.moveOps, m.Xfer)
+	delete(c.moveOps, m.Xfer)
 	done := k.newControl(msg.OpMoveWriteDone, addr.At(op.initiator, k.machine))
 	done.Body = msg.XferStatus{Xfer: op.userXfer, OK: true}.AppendTo(done.Body[:0])
 	k.route(done)
@@ -310,8 +312,9 @@ func (k *Kernel) handleMoveReadFailed(m *msg.Message) {
 	if err != nil {
 		return
 	}
-	if in := k.xfersIn[st.Xfer]; in != nil {
-		delete(k.xfersIn, st.Xfer)
+	xs := k.coldView().xfersIn
+	if in := xs[st.Xfer]; in != nil {
+		delete(xs, st.Xfer)
 		if in.fail != nil {
 			in.fail()
 		}

@@ -68,7 +68,7 @@ func (k *Kernel) AppendMetrics(dst []obs.Metric) []obs.Metric {
 	p := "kernel.m" + strconv.Itoa(int(k.machine)) + "."
 	c := k.coldView()
 	dst = obs.AppendStruct(dst, p, &k.stats)
-	dst = obs.AppendStruct(dst, p, c)
+	dst = obs.AppendStruct(dst, p, &c.coldStats)
 	for op, name := range adminNames {
 		if name != "" {
 			dst = append(dst, obs.Metric{Name: p + "admin_sent." + name, Kind: "counter", Value: c.AdminSent[op]})

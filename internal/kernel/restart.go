@@ -90,15 +90,15 @@ func (kp KillPoint) String() string {
 // the migrating pid. The hook may call Crash(); the interrupted handler then
 // returns immediately, freezing the machine mid-protocol.
 func (k *Kernel) SetFaultHook(fn func(kp KillPoint, pid addr.ProcessID)) {
-	k.faultHook = fn
+	k.cold().faultHook = fn
 }
 
 // killpoint fires the fault hook (if any) and reports whether the hook
 // crashed this kernel — in which case the calling handler must abandon the
 // protocol step exactly where it stands.
 func (k *Kernel) killpoint(kp KillPoint, pid addr.ProcessID) bool {
-	if k.faultHook != nil {
-		k.faultHook(kp, pid)
+	if hook := k.coldView().faultHook; hook != nil {
+		hook(kp, pid)
 	}
 	return k.crashed
 }
@@ -122,17 +122,23 @@ func (k *Kernel) SaveCheckpoint(pid addr.ProcessID) error {
 
 // keepStable writes b to stable storage as pid's checkpoint.
 func (k *Kernel) keepStable(pid addr.ProcessID, b []byte) {
-	if k.stable == nil {
-		k.stable = make(map[addr.ProcessID][]byte)
+	c := k.cold()
+	if c.stable == nil {
+		c.stable = make(map[addr.ProcessID][]byte)
 	}
-	k.stable[pid] = b
-	k.cold().CheckpointsSaved++
+	c.stable[pid] = b
+	c.CheckpointsSaved++
+}
+
+// dropStable forgets pid's checkpoint, if stable storage holds one.
+func (k *Kernel) dropStable(pid addr.ProcessID) {
+	delete(k.coldView().stable, pid)
 }
 
 // StableCheckpoints lists the pids with a checkpoint in stable storage, in
 // deterministic order.
 func (k *Kernel) StableCheckpoints() []addr.ProcessID {
-	return sortedPIDs(k.stable)
+	return sortedPIDs(k.coldView().stable)
 }
 
 // --- crash / restart --------------------------------------------------------
@@ -153,10 +159,11 @@ func (k *Kernel) Restart() error {
 	// and process so the cluster ledger still balances, and abandon
 	// in-flight migrations: their watchdogs are canceled (the closures also
 	// carry a crashed-guard, for events already past Cancel's reach).
+	c := k.cold()
 	for _, p := range k.sortedProcs() {
 		if p.mig != nil {
 			k.eng.Cancel(p.mig.watchdog)
-			k.cold().MigrationsFailed++
+			c.MigrationsFailed++
 		}
 		for p.queue.Len() > 0 {
 			k.noteCrashWiped(p.queue.pop())
@@ -165,17 +172,17 @@ func (k *Kernel) Restart() error {
 			p.image.Discard()
 		}
 		if p.state == StateForwarder {
-			k.cold().ForwarderBytes -= ForwarderWireSize
+			c.ForwarderBytes -= ForwarderWireSize
 		} else {
-			if k.lostPIDs == nil {
-				k.lostPIDs = make(map[addr.ProcessID]bool)
+			if c.lostPIDs == nil {
+				c.lostPIDs = make(map[addr.ProcessID]bool)
 			}
-			k.lostPIDs[p.id] = true
-			k.cold().CrashLostProcs++
+			c.lostPIDs[p.id] = true
+			c.CrashLostProcs++
 		}
 	}
-	for _, pid := range sortedPIDs(k.pendingLocate) {
-		for _, m := range k.pendingLocate[pid] {
+	for _, pid := range sortedPIDs(c.pendingLocate) {
+		for _, m := range c.pendingLocate[pid] {
 			k.noteCrashWiped(m)
 		}
 	}
@@ -185,23 +192,22 @@ func (k *Kernel) Restart() error {
 		k.local[i].p = nil // the exit records survive, as k.exits does
 	}
 	k.runq = ring[*Process]{}
-	k.xfersIn = nil
-	k.moveOps = nil
-	k.pendingLocate = nil
+	c.xfersIn = nil
+	c.moveOps = nil
+	c.pendingLocate = nil
 	k.memUsed = 0
 	k.cpuFreeAt = k.eng.Now()
 
 	k.crashed = false
-	k.restarts++
-	k.cold().Restarts++
+	c.Restarts++
 	k.net.SetDown(k.machine, false)
-	k.trace(siteRestart, "", trace.Machine(k.machine), trace.Int(int(k.restarts)))
+	k.trace(siteRestart, "", trace.Machine(k.machine), trace.Int(int(c.Restarts)))
 
 	// Revive checkpointed processes in deterministic order. A revived pid
 	// is no longer lost.
 	for _, pid := range k.StableCheckpoints() {
-		if _, err := k.Revive(k.stable[pid]); err == nil {
-			delete(k.lostPIDs, pid)
+		if _, err := k.Revive(c.stable[pid]); err == nil {
+			delete(c.lostPIDs, pid)
 		} else {
 			k.trace(siteReviveFail, err.Error(), trace.PID(pid))
 		}
@@ -210,7 +216,7 @@ func (k *Kernel) Restart() error {
 	// Re-arm the periodic load report (its weak event chain died with the
 	// crash-guard; Cancel tolerates an already-fired event).
 	if k.cfg.LoadReportEvery > 0 {
-		k.eng.Cancel(k.loadReportEv)
+		k.eng.Cancel(c.loadReportEv)
 		k.scheduleLoadReport()
 	}
 	return nil
@@ -232,7 +238,7 @@ func (k *Kernel) dropCrashed(m *msg.Message) {
 }
 
 // Restarts reports how many times this kernel recovered from a crash.
-func (k *Kernel) Restarts() uint64 { return k.restarts }
+func (k *Kernel) Restarts() uint64 { return k.coldView().Restarts }
 
 // PendingMigrations reports in-flight migrations (both directions) — zero
 // at quiescence on a live kernel, or the migration is stuck.
@@ -248,7 +254,7 @@ func (k *Kernel) PendingMigrations() (n int) {
 // LostPIDs lists processes wiped by a crash and never revived, in
 // deterministic order.
 func (k *Kernel) LostPIDs() []addr.ProcessID {
-	return sortedPIDs(k.lostPIDs)
+	return sortedPIDs(k.coldView().lostPIDs)
 }
 
 // PoolStats reports this kernel's envelope-pool ledger: envelopes the pool
@@ -263,7 +269,7 @@ func (k *Kernel) PoolStats() (news, free, held int) {
 			held += countPooled(p.queue.at(i))
 		}
 	})
-	for _, msgs := range k.pendingLocate {
+	for _, msgs := range k.coldView().pendingLocate {
 		for _, m := range msgs {
 			held += countPooled(m)
 		}
@@ -323,23 +329,24 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 		k.route(m)
 		return true
 	}
-	if k.lostPIDs[pid] {
+	c := k.cold()
+	if c.lostPIDs[pid] {
 		return false // wiped here with no checkpoint: it is gone for good
 	}
 	if len(k.cfg.Machines) == 0 {
 		return false // nobody to ask
 	}
-	if len(k.pendingLocate[pid]) >= PendingLocateCap {
+	if len(c.pendingLocate[pid]) >= PendingLocateCap {
 		return false // overflow: caller dead-letters
 	}
-	if k.pendingLocate == nil {
-		k.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
+	if c.pendingLocate == nil {
+		c.pendingLocate = make(map[addr.ProcessID][]*msg.Message)
 	}
-	k.pendingLocate[pid] = append(k.pendingLocate[pid], m) //demos:owner locate — held (capped) until the search reply resubmits or dead-letters it.
-	if len(k.pendingLocate[pid]) > 1 {
+	c.pendingLocate[pid] = append(c.pendingLocate[pid], m) //demos:owner locate — held (capped) until the search reply resubmits or dead-letters it.
+	if len(c.pendingLocate[pid]) > 1 {
 		return true // search already outstanding
 	}
-	k.cold().SearchesSent++
+	c.SearchesSent++
 	k.trace(siteSearchBroadcast, "", trace.PID(pid))
 	for _, mach := range k.cfg.Machines {
 		if mach == k.machine {
@@ -361,11 +368,12 @@ func (k *Kernel) armSearchTimeout(pid addr.ProcessID) {
 		if k.crashed {
 			return
 		}
-		held := k.pendingLocate[pid]
+		pl := k.coldView().pendingLocate
+		held := pl[pid]
 		if len(held) == 0 {
 			return
 		}
-		delete(k.pendingLocate, pid)
+		delete(pl, pid)
 		k.stats.DeadLetters += uint64(len(held))
 		k.trace(siteSearchTimeout, "", trace.PID(pid), trace.Int(len(held)))
 		for _, hm := range held {

@@ -147,7 +147,7 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 		k.putMsg(p.queue.pop())
 	}
 	k.delProc(p.id)
-	delete(k.stable, p.id) // a dead process must not be revivable
+	k.dropStable(p.id) // a dead process must not be revivable
 	k.noteExit(p.id, ExitInfo{Code: code, Err: err, At: k.eng.Now()})
 	if err != nil {
 		k.stats.Crashes++
@@ -166,7 +166,7 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 // Reports are weak events: they fire while the system is alive but do not
 // keep an otherwise idle simulation running.
 func (k *Kernel) scheduleLoadReport() {
-	k.loadReportEv = k.eng.AfterWeak(k.cfg.LoadReportEvery, "kernel:load-report", func() {
+	k.cold().loadReportEv = k.eng.AfterWeak(k.cfg.LoadReportEvery, "kernel:load-report", func() {
 		if k.crashed {
 			return
 		}
@@ -179,11 +179,12 @@ func (k *Kernel) scheduleLoadReport() {
 
 func (k *Kernel) sendLoadReport() {
 	now := k.eng.Now()
-	interval := now - k.lastReportAt
+	c := k.cold()
+	interval := now - c.lastReportAt
 	if interval == 0 {
 		interval = 1
 	}
-	busy := k.stats.CPUBusy - k.lastReportBusy
+	busy := k.stats.CPUBusy - c.lastReportBusy
 	pct := uint64(busy) * 100 / uint64(interval)
 	if pct > 100 {
 		pct = 100
@@ -221,8 +222,8 @@ func (k *Kernel) sendLoadReport() {
 		x.msgsDelta = 0
 		clear(x.commDelta)
 	}
-	k.lastReportAt = now
-	k.lastReportBusy = k.stats.CPUBusy
+	c.lastReportAt = now
+	c.lastReportBusy = k.stats.CPUBusy
 	m := k.newControl(msg.OpLoadReport, k.pmLink.Addr)
 	m.Body = rep.AppendTo(m.Body[:0])
 	k.route(m)

@@ -14,10 +14,10 @@ import (
 // both. hotStats holds what the steady job and message paths write
 // (lifecycle, scheduling, messaging) and sits inline in Kernel. coldStats
 // holds everything else — forwarding, link updates, migration, move-data,
-// return-to-sender, the bounded buffers and the fault plane — behind one
-// pointer made at the first cold write (Kernel.cold), so a machine that
-// only runs jobs and exchanges user messages carries 88 B of counters, not
-// 552. A new counter is a field here and a field of the same name, type
+// return-to-sender, the bounded buffers and the fault plane — in the
+// kernel's cold record (cold.go), made at its first use (Kernel.cold), so a
+// machine that only runs jobs and exchanges user messages carries 88 B of
+// counters, not 552. A new counter is a field here and a field of the same name, type
 // and tag in hotStats or coldStats: hotStats only if a job-only machine
 // writes it, coldStats otherwise, written through k.cold(). Stats() copies
 // it and TestStatsSplitCoversEveryField fails until it does.
@@ -128,8 +128,8 @@ type hotStats struct {
 
 // coldStats are the rest of Stats, written only by migration, forwarding,
 // link updates, move-data, return-to-sender, the bounded buffers and the
-// fault plane. A kernel holds them behind Kernel.coldRec, nil until the
-// first cold write.
+// fault plane. They are the counter part of the kernel's cold record
+// (coldState, cold.go), nil until its first use.
 type coldStats struct {
 	Forwarded           uint64
 	ForwardedPending    uint64
@@ -170,27 +170,6 @@ type coldStats struct {
 	DroppedWhileCrashed uint64
 	SearchForwards      uint64
 	SearchesSent        uint64
-}
-
-// noCold is what a kernel without a cold record reads: every cold counter
-// zero.
-var noCold coldStats
-
-// cold returns the kernel's cold counters for writing, made at the first
-// cold write. Every cold write site goes through it.
-func (k *Kernel) cold() *coldStats {
-	if k.coldRec == nil {
-		k.coldRec = new(coldStats)
-	}
-	return k.coldRec
-}
-
-// coldView returns the cold counters for reading without making them.
-func (k *Kernel) coldView() *coldStats {
-	if k.coldRec == nil {
-		return &noCold
-	}
-	return k.coldRec
 }
 
 // Stats returns a copy of this kernel's counters, assembled from its hot

@@ -53,7 +53,7 @@ func TestStatsSplitCoversEveryField(t *testing.T) {
 		}
 	}
 	fill(reflect.ValueOf(&k.stats).Elem())
-	fill(reflect.ValueOf(k.cold()).Elem())
+	fill(reflect.ValueOf(&k.cold().coldStats).Elem())
 	got := reflect.ValueOf(k.Stats())
 	for name, w := range want {
 		if v := got.FieldByName(name).Uint(); v != w {
@@ -79,7 +79,7 @@ func TestAppendMetricsMakesNoStatsCopy(t *testing.T) {
 		if made {
 			k.cold().Forwarded++
 		}
-		if got := k.HasColdStats(); got != made {
+		if got := k.HasColdRecord(); got != made {
 			t.Fatalf("cold record made: %v, want %v", got, made)
 		}
 		allocs := testing.AllocsPerRun(20, func() { dst = k.AppendMetrics(dst[:0]) })

@@ -78,9 +78,10 @@ func (r *rng64) float64() float64 {
 // Arrivals streams one machine's arrival sequence: absolute arrival times
 // with exponential gaps and a bimodal service draw per job. Construction is
 // O(1) and each Next is O(1) — the whole point is that nothing about the
-// run's length is materialized.
+// run's length is materialized. Every machine's stream reads one shared
+// config.
 type Arrivals struct {
-	cfg     OpenLoop
+	cfg     *OpenLoop
 	rng     rng64
 	at      sim.Time
 	emitted int
@@ -88,8 +89,11 @@ type Arrivals struct {
 	phase   float64 // this machine's diurnal phase offset, radians
 }
 
-// NewArrivals returns machine m's private arrival stream.
-func NewArrivals(cfg OpenLoop, machine int) *Arrivals {
+// NewArrivals returns machine m's private arrival stream over cfg. It fills
+// cfg's zero fields with their defaults in place (a no-op on a filled
+// config) and keeps the pointer, so the streams of every machine share one
+// config, which must not change while they are live.
+func NewArrivals(cfg *OpenLoop, machine int) Arrivals {
 	if cfg.MeanGap == 0 {
 		cfg.MeanGap = 1000
 	}
@@ -102,7 +106,7 @@ func NewArrivals(cfg OpenLoop, machine int) *Arrivals {
 	if cfg.WaveAmp > 0.9 {
 		cfg.WaveAmp = 0.9 // keep the modulated rate strictly positive
 	}
-	a := &Arrivals{cfg: cfg, boost: 1}
+	a := Arrivals{cfg: cfg, boost: 1}
 	if cfg.HotEvery > 0 && cfg.HotFactor > 0 && machine%cfg.HotEvery == 0 {
 		a.boost = cfg.HotFactor
 	}

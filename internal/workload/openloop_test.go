@@ -8,7 +8,7 @@ import (
 	"demosmp/internal/sim"
 )
 
-func drain(a *Arrivals) []sim.Time {
+func drain(a Arrivals) []sim.Time {
 	var out []sim.Time
 	for {
 		at, _, ok := a.Next()
@@ -21,8 +21,8 @@ func drain(a *Arrivals) []sim.Time {
 
 func TestArrivalsDeterministicPerMachine(t *testing.T) {
 	cfg := OpenLoop{Seed: 42, MeanGap: 500, PerMachine: 50}
-	a := drain(NewArrivals(cfg, 3))
-	b := drain(NewArrivals(cfg, 3))
+	a := drain(NewArrivals(&cfg, 3))
+	b := drain(NewArrivals(&cfg, 3))
 	if len(a) != 50 {
 		t.Fatalf("emitted %d", len(a))
 	}
@@ -32,7 +32,7 @@ func TestArrivalsDeterministicPerMachine(t *testing.T) {
 		}
 	}
 	// Different machines: different streams.
-	c := drain(NewArrivals(cfg, 4))
+	c := drain(NewArrivals(&cfg, 4))
 	same := 0
 	for i := range a {
 		if a[i] == c[i] {
@@ -46,8 +46,8 @@ func TestArrivalsDeterministicPerMachine(t *testing.T) {
 
 func TestHotMachineSkew(t *testing.T) {
 	cfg := OpenLoop{Seed: 7, MeanGap: 1000, PerMachine: 200, HotEvery: 4, HotFactor: 3}
-	hot := drain(NewArrivals(cfg, 4))  // 4 % 4 == 0: hot
-	cold := drain(NewArrivals(cfg, 5)) // nominal
+	hot := drain(NewArrivals(&cfg, 4))  // 4 % 4 == 0: hot
+	cold := drain(NewArrivals(&cfg, 5)) // nominal
 	// Same job count in ~1/3 the span: the hot stream must finish much
 	// earlier (allow slack for variance).
 	if hot[len(hot)-1]*2 >= cold[len(cold)-1] {
@@ -59,7 +59,7 @@ func TestHotMachineSkew(t *testing.T) {
 func TestDiurnalWaveModulatesRate(t *testing.T) {
 	cfg := OpenLoop{Seed: 11, MeanGap: 1000, PerMachine: 2000,
 		WaveAmp: 0.8, WavePeriod: 1_000_000}
-	a := NewArrivals(cfg, 1)
+	a := NewArrivals(&cfg, 1)
 	// Count arrivals landing in the peak half vs the trough half of each
 	// period. With +80% swing the peak half must see clearly more.
 	peak, trough := 0, 0
@@ -83,7 +83,7 @@ func TestWaveSpreadStaggersPhase(t *testing.T) {
 	cfg := OpenLoop{Seed: 11, MeanGap: 1000, PerMachine: 1000,
 		WaveAmp: 0.8, WavePeriod: 1_000_000, WaveSpread: 2}
 	count := func(machine int) (peak int) {
-		a := NewArrivals(cfg, machine)
+		a := NewArrivals(&cfg, machine)
 		for {
 			at, _, ok := a.Next()
 			if !ok {

@@ -77,8 +77,9 @@ go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -benchtime 1x .
 echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, 256-machine policy round)"
 go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
-echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 768-byte size class, its cold counters made only at the first migration, forward or restart and rendered without a Stats copy; Process is 128 bytes with a slice's fields in its first cache line; one registry's snapshot merges as itself"
-go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestColdStatsMadeAtFirstColdWrite|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class, its cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 128 bytes with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
+go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
+go test -count=1 -run 'TestKernelTableIsDense' ./internal/core/
 go test -count=1 -run 'TestMergeSingleSnapshotFastPath' ./internal/obs/
 echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone); at 5% loss, allocations level off (high-water growth, not a leak)"
 go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc|TestShardOutboxLossyAllocsLevelOff' ./internal/core/

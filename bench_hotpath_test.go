@@ -233,7 +233,7 @@ var (
 
 // BenchmarkTraceSite emits a four-argument site (the kernel's spawn: a PID,
 // a string and two ints) into a full 64-record ring, whose records stay in
-// cache, and into the default 64 k ring, whose 4 MB the emits walk.
+// cache, and into the default 64 k ring, whose 2 MB the emits walk.
 func BenchmarkTraceSite(b *testing.B) {
 	for _, size := range []struct {
 		name string

@@ -85,6 +85,54 @@ type jobRec struct {
 	at  sim.Time
 }
 
+// arrivals is one machine's job stream: the arrival cursor, the arrival
+// armed next, the machine's job log, and fire bound once, so an arrival
+// allocates only its Spinner and its log entry. It arms the next arrival
+// as its event fires, as core's open-loop driver does.
+type arrivals struct {
+	workload.Arrivals
+	eng     *sim.Engine
+	k       *kernel.Kernel
+	log     *[]jobRec
+	at, svc sim.Time
+	fireFn  func()
+}
+
+// startArrivals arms every machine's job stream over cfg, in spin mode,
+// logging each spawned job in jobs[m].
+func startArrivals(c *core.Cluster, cfg *workload.OpenLoop, jobs [][]jobRec) {
+	cfg.Spin = true
+	as := make([]arrivals, c.Machines())
+	for i := range as {
+		m := i + 1
+		a := &as[i]
+		a.Arrivals = workload.NewArrivals(cfg, m)
+		a.eng, a.k, a.log = c.EngineOf(m), c.Kernel(m), &jobs[m]
+		a.fireFn = a.fire
+		a.arm()
+	}
+}
+
+// arm schedules the next arrival, if the stream has one.
+func (a *arrivals) arm() {
+	if at, svc, ok := a.Next(); ok {
+		a.at, a.svc = at, svc
+		a.eng.At(at, "exp:arrival", a.fireFn)
+	}
+}
+
+// fire spawns the armed arrival's job, logs it and arms the next.
+func (a *arrivals) fire() {
+	work := int(uint64(a.svc) * 1000 / kernel.InstrCostNanos)
+	if work < 1 {
+		work = 1
+	}
+	if pid, err := a.k.Spawn(kernel.SpawnSpec{Body: &workload.Spinner{Work: work}}); err == nil {
+		*a.log = append(*a.log, jobRec{pid: pid, at: a.at})
+	}
+	a.arm()
+}
+
 // Run executes one arm and collects its metrics.
 func Run(spec RunSpec) (Metrics, error) {
 	var zero Metrics
@@ -116,32 +164,7 @@ func Run(spec RunSpec) (Metrics, error) {
 	// shard goroutine, so parallel rounds stay race-free and the merged
 	// log is rebuilt in deterministic machine order afterwards.
 	jobs := make([][]jobRec, spec.Machines+1)
-	spec.Workload.Spin = true
-	for m := 1; m <= spec.Machines; m++ {
-		m := m
-		st := workload.NewArrivals(&spec.Workload, m)
-		eng := c.EngineOf(m)
-		k := c.Kernel(m)
-		var arm func()
-		arm = func() {
-			at, svc, ok := st.Next()
-			if !ok {
-				return
-			}
-			eng.At(at, "exp:arrival", func() {
-				work := int(uint64(svc) * 1000 / kernel.InstrCostNanos)
-				if work < 1 {
-					work = 1
-				}
-				pid, err := k.Spawn(kernel.SpawnSpec{Body: &workload.Spinner{Work: work}})
-				if err == nil {
-					jobs[m] = append(jobs[m], jobRec{pid: pid, at: at})
-				}
-				arm()
-			})
-		}
-		arm()
-	}
+	startArrivals(c, &spec.Workload, jobs)
 
 	// Communication pipelines: chatter on src, sink halfway around.
 	for p := 0; p < spec.Pipelines; p++ {

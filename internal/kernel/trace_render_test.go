@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,11 +17,12 @@ import (
 )
 
 // Typed sample arguments for each kind: the values a site's argument
-// constructor is built from, and the values fmt.Sprintf is handed.
+// constructor is built from, and the values fmt.Sprintf is handed. The ints
+// include both ends of the int32 range an ArgInt holds.
 var (
 	samplePIDs     = []addr.ProcessID{{Creator: 3, Local: 17}, {Creator: 65535, Local: 65535}, addr.KernelPID(7)}
 	sampleMachines = []addr.MachineID{12, 1, 65535}
-	sampleInts     = []int{4096, -1 << 62, 0, 1 << 40}
+	sampleInts     = []int{4096, math.MinInt32, 0, math.MaxInt32}
 	sampleStrs     = []string{"100% done\ttab %v", "", "swappable"}
 )
 

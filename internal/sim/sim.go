@@ -104,7 +104,7 @@ type Engine struct {
 	seq    uint64
 	live   int // scheduled, uncancelled events (strong + weak)
 	seed   int64
-	rng    *rand.Rand
+	rng    *rand.Rand // made at the first Rand: a math/rand source is 5 KB, and most engines never draw
 	fired  uint64
 	strong int    // pending non-weak events
 	free   uint32 // 1 + the index of the first recycled slot (they chain through slot.next), 0 if none
@@ -133,7 +133,7 @@ type Engine struct {
 
 // NewEngine returns an engine at time zero with a PRNG seeded by seed.
 func NewEngine(seed int64) *Engine {
-	e := &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{seed: seed}
 	e.lv[0].lists = &e.lists0
 	return e
 }
@@ -146,9 +146,14 @@ func (e *Engine) Seed() int64 { return e.seed }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's seeded PRNG. All simulation randomness must come
-// from here to preserve determinism.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand returns the engine's seeded PRNG, made at the first call. All
+// simulation randomness must come from here to preserve determinism.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Fired returns the number of events executed so far. An event that did the
 // work of several (see CountAs) counts as that many: a frame landed by a

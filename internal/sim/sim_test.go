@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -348,5 +349,30 @@ func TestCancelWeakAndStrongAccounting(t *testing.T) {
 	// without firing the weak one.
 	if n := e.Run(); n != 0 {
 		t.Fatalf("Run fired %d events", n)
+	}
+}
+
+// TestRandMadeAtFirstUse: NewEngine makes no PRNG (a math/rand source is
+// over 5 KB, and only the VM's rand syscall draws), and the PRNG the first
+// Rand makes draws the stream rand.NewSource(seed) would have.
+func TestRandMadeAtFirstUse(t *testing.T) {
+	const n = 64
+	var ms0, ms1 runtime.MemStats
+	engines := make([]*Engine, n)
+	runtime.ReadMemStats(&ms0)
+	for i := range engines {
+		engines[i] = NewEngine(int64(i))
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("NewEngine allocates %d bytes, want under 1 KB", per)
+	}
+	for _, seed := range []int64{1, 2, -7} {
+		e, ref := NewEngine(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1000; i++ {
+			if got, want := e.Rand().Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d, draw %d: %d, want %d", seed, i, got, want)
+			}
+		}
 	}
 }

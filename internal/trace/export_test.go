@@ -7,8 +7,8 @@ func (t *Tracer) Filter(cat Category) []Record {
 	var out []Record
 	for _, part := range t.parts() {
 		for i := range part {
-			if part[i].Cat() == cat {
-				out = append(out, part[i])
+			if part[i].site.Cat() == cat {
+				out = append(out, t.record(&part[i]))
 			}
 		}
 	}
@@ -19,8 +19,8 @@ func (t *Tracer) Filter(cat Category) []Record {
 func (t *Tracer) Find(event string) (Record, bool) {
 	for _, part := range t.parts() {
 		for i := range part {
-			if part[i].Event() == event {
-				return part[i], true
+			if part[i].site.Event() == event {
+				return t.record(&part[i]), true
 			}
 		}
 	}
@@ -32,9 +32,20 @@ func (t *Tracer) Count(event string) int {
 	n := 0
 	for _, part := range t.parts() {
 		for i := range part {
-			if part[i].Event() == event {
+			if part[i].site.Event() == event {
 				n++
 			}
+		}
+	}
+	return n
+}
+
+// liveStrings returns how many strings the string table holds.
+func (t *Tracer) liveStrings() int {
+	n := 0
+	for _, e := range t.strs.e {
+		if e.s != "" {
+			n++
 		}
 	}
 	return n

@@ -54,17 +54,16 @@ type Site uint16
 type ArgKind uint8
 
 const (
-	ArgInt     ArgKind = iota + 1 // an int, two argument words; build with Int
+	ArgInt     ArgKind = iota + 1 // an int32-range int, one argument word; build with Int
 	ArgPID                        // an addr.ProcessID, one word; build with PID
 	ArgMachine                    // an addr.MachineID, one word; build with Machine
-	ArgStr                        // the record's one string, passed beside the words
+	ArgStr                        // the record's one string, passed beside the words; its table reference takes one word
 )
 
-// A site's arguments fit a record: at most one ArgStr and argWords words
-// (an ArgInt takes two, the others one), so at most maxArgs in all.
+// A site's arguments fit a record: at most one ArgStr and argWords words in
+// all, each argument one word, the ArgStr's table reference included.
 const (
-	argWords = 8
-	maxArgs  = argWords + 1
+	argWords = 5
 	maxSites = 512
 )
 
@@ -72,10 +71,10 @@ type siteInfo struct {
 	event, format string
 	cat           Category
 	dynamic       bool  // registered by Emit: format "%s", one ArgStr
+	str           bool  // takes an ArgStr, whose reference is word vals
 	nkinds        uint8 // the arguments, kinds[:nkinds]
 	vals          uint8 // ... of which Vals: all but the ArgStr
-	wide          uint8 // bit i: Val i is an ArgInt and takes two words
-	kinds         [maxArgs]ArgKind
+	kinds         [argWords]ArgKind
 }
 
 // The registry is a fixed array, not a heap object: the kernel's sites fill
@@ -103,29 +102,23 @@ func NewSite(cat Category, event, format string, kinds ...ArgKind) Site {
 // register returns the registered site equal to si with kinds, filling the
 // next registry slot if there is none. siteMu must be held.
 func register(si siteInfo, kinds []ArgKind) Site {
-	if len(kinds) > maxArgs {
-		panic("trace: " + si.event + ": too many arguments")
+	if len(kinds) > argWords {
+		panic("trace: " + si.event + ": arguments do not fit a record (one Str, five words)")
 	}
-	words, strs := 0, 0
 	si.nkinds = uint8(len(kinds))
 	for i, k := range kinds {
 		si.kinds[i] = k
 		switch k {
 		case ArgStr:
-			strs++
-			continue
-		case ArgInt:
-			si.wide |= 1 << si.vals
-			words++
-		case ArgPID, ArgMachine:
+			if si.str {
+				panic("trace: " + si.event + ": arguments do not fit a record (one Str, five words)")
+			}
+			si.str = true
+		case ArgInt, ArgPID, ArgMachine:
+			si.vals++
 		default:
 			panic("trace: " + si.event + ": unknown argument kind")
 		}
-		words++
-		si.vals++
-	}
-	if strs > 1 || words > argWords {
-		panic("trace: " + si.event + ": arguments do not fit a record (one Str, eight words)")
 	}
 	for s := 1; s < nSites; s++ {
 		if sites[s] == si {
@@ -177,7 +170,7 @@ func (s Site) Kinds() []ArgKind {
 
 // Val is one word-sized argument of a site, built by PID, Machine or Int;
 // the site supplies its kind.
-type Val uint64
+type Val uint32
 
 // PID passes an addr.ProcessID.
 func PID(p addr.ProcessID) Val { return Val(uint32(p.Creator)<<16 | uint32(p.Local)) }
@@ -185,19 +178,27 @@ func PID(p addr.ProcessID) Val { return Val(uint32(p.Creator)<<16 | uint32(p.Loc
 // Machine passes an addr.MachineID.
 func Machine(m addr.MachineID) Val { return Val(m) }
 
-// Int passes an int.
-func Int(n int) Val { return Val(n) }
+// Int passes an int, which must fit an int32: every int a kernel site
+// passes is a size, a count, an exit code or a sequence number. It panics
+// on one that does not fit rather than record a wrong value.
+func Int(n int) Val {
+	if n != int(int32(n)) {
+		panic("trace: Int argument outside the int32 range")
+	}
+	return Val(uint32(n))
+}
 
-// Record is one traced event: 64 bytes. Its detail text is rendered when
-// something reads it (Detail, String), not when it is emitted: the record
-// holds its site's id and the site's arguments, and the site holds the
-// category, event name and format.
+// Record is one traced event as its readers see it. Its detail text is
+// rendered when something reads it (Detail, String), not when it is
+// emitted: the record holds its site's id and the site's arguments, and the
+// site holds the category, event name and format. The ring keeps a record
+// as a slot; Records, the sink and the queries hand out Records.
 type Record struct {
 	T       sim.Time
 	Machine addr.MachineID
 	site    Site
-	words   [argWords]uint32 // the Val arguments in order: an Int takes two words, a PID or Machine one
-	str     string           // the site's one ArgStr argument, if any
+	words   [argWords]Val // the Val arguments in order, one word each
+	str     string        // the site's one ArgStr argument, if any
 }
 
 // Event returns the record's event name.
@@ -208,28 +209,123 @@ func (r Record) Cat() Category { return r.site.Cat() }
 
 // Detail renders the record's detail text.
 func (r Record) Detail() string {
-	var args [maxArgs]any
+	var args [argWords]any
 	kinds, w := r.site.Kinds(), 0
 	for n, k := range kinds {
 		switch k {
 		case ArgPID:
 			args[n] = addr.ProcessID{Creator: addr.MachineID(r.words[w] >> 16), Local: addr.LocalUID(r.words[w])}
-			w++
 		case ArgMachine:
 			args[n] = addr.MachineID(r.words[w])
-			w++
 		case ArgInt:
-			args[n] = int(int64(uint64(r.words[w]) | uint64(r.words[w+1])<<32))
-			w += 2
+			args[n] = int(int32(r.words[w]))
 		case ArgStr:
 			args[n] = r.str
+			continue
 		}
+		w++
 	}
 	return fmt.Sprintf(r.site.Format(), args[:len(kinds)]...)
 }
 
 func (r Record) String() string {
 	return fmt.Sprintf("%-12v %-4v %-10s %-32s %s", r.T, r.Machine, r.Cat(), r.Event(), r.Detail())
+}
+
+// slot is a record as the ring keeps it: 32 bytes, half a cache line, with
+// no pointer in it, so the collector never scans the ring. A site's ArgStr
+// is its word vals, a reference into the tracer's string table.
+type slot struct {
+	T       sim.Time
+	Machine addr.MachineID
+	site    Site
+	words   [argWords]Val
+}
+
+// strTable holds the strings the ring's slots name, so that the slots need
+// no pointer. Reference 0 names no string (""), and each live string has
+// one entry, found through index. An entry lives until the newest record
+// naming it is overwritten: the live entries form a list in the order of
+// their newest records, so the entry a write kills, if any, is the list's
+// first, and no write reads the slot it overwrites. The table never holds
+// more strings than the ring holds records. A run of one string (a kind
+// name on every spawn) finds it at the list's end without hashing it. The
+// table and its index are made at the first string.
+type strTable struct {
+	e     []strEntry // e[0] heads the list: next is the oldest entry, prev the newest
+	free  Val        // the first free entry, 0 if none
+	index map[string]Val
+}
+
+type strEntry struct {
+	s          string
+	seq        uint64 // the newest record naming s, as a count of records written before it
+	prev, next Val    // the list; a free entry's next is the next free entry
+}
+
+// ref returns a reference to str for record seq, the newest yet.
+func (st *strTable) ref(str string, seq uint64) Val {
+	if len(st.e) != 0 {
+		// A run of one string; also "" while no entry is live.
+		if i := st.e[0].prev; st.e[i].s == str {
+			st.e[i].seq = seq
+			return i
+		}
+	}
+	if str == "" {
+		return 0
+	}
+	if st.e == nil {
+		st.e, st.index = make([]strEntry, 1), make(map[string]Val)
+	}
+	i := st.index[str]
+	if i == 0 {
+		i = st.alloc()
+		st.e[i].s, st.index[str] = str, i
+	} else {
+		st.unlink(i)
+	}
+	e := &st.e[i]
+	e.seq, e.prev, e.next = seq, st.e[0].prev, 0
+	st.e[e.prev].next, st.e[0].prev = i, i
+	return i
+}
+
+// alloc returns a free entry, growing the table when there is none.
+func (st *strTable) alloc() Val {
+	if i := st.free; i != 0 {
+		st.free = st.e[i].next
+		return i
+	}
+	st.e = append(st.e, strEntry{})
+	return Val(len(st.e) - 1)
+}
+
+func (st *strTable) unlink(i Val) {
+	e := &st.e[i]
+	st.e[e.prev].next, st.e[e.next].prev = e.next, e.prev
+}
+
+// expire frees the oldest entry if no record from oldest on names it. A
+// write moves oldest up by one record, which is the newest of at most one
+// entry, so one check a write keeps the table to the retained records.
+func (st *strTable) expire(oldest uint64) {
+	if len(st.e) == 0 {
+		return
+	}
+	if i := st.e[0].next; i != 0 && st.e[i].seq < oldest {
+		st.unlink(i)
+		delete(st.index, st.e[i].s)
+		st.e[i], st.free = strEntry{next: st.free}, i
+	}
+}
+
+// str returns the string reference i names.
+func (st *strTable) str(i Val) string {
+	if i == 0 {
+		return ""
+	}
+	return st.e[i].s
 }
 
 // Tracer collects Records in a bounded ring. A nil Tracer is disabled and
@@ -242,12 +338,13 @@ type Tracer struct {
 	// append's reallocate-and-copy at every step. The next record goes to
 	// cur[at]; cur is the chunk starting at slot base, and once the ring
 	// has wrapped the slots after the cursor hold the oldest records.
-	chunks [][]Record
-	cur    []Record
+	chunks [][]slot
+	cur    []slot
 	at     int
 	base   int
 	passed uint64 // records written before cur: written() = passed + at
 	max    int
+	strs   strTable // the strings the retained slots name
 	sink   func(Record)
 	clock  func() sim.Time
 	// Emit's last (category, event) and its site, so a run of one event
@@ -258,7 +355,8 @@ type Tracer struct {
 }
 
 // New returns an enabled tracer keeping at most max records (0 = 64k). The
-// ring is grown as records arrive, never preallocated.
+// ring and its string table are grown as records arrive, never
+// preallocated.
 func New(clock func() sim.Time, max int) *Tracer {
 	if max <= 0 {
 		max = 65536
@@ -305,12 +403,14 @@ func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
 
 // Log records an event at site s: str is the site's ArgStr argument ("" if
 // it has none), wherever its format places it, and args are the others in
-// order, built by PID, Machine and Int to the site's kinds. It packs the
-// argument words on the stack, zero past the site's own, and writes the
-// ring slot field by field: no composite literal zeroes and copies a whole
-// record, a record never carries what the slot held before, and records of
-// one site compare equal wherever they were written. Safe on a nil Tracer;
-// allocates nothing.
+// order, built by PID, Machine and Int to the site's kinds. It writes the
+// ring slot field by field, zero past the site's own words: no composite
+// literal zeroes and copies a whole slot, a record never carries what the
+// slot held before, and records of one site compare equal wherever they
+// were written. The string goes in as a reference into the string table,
+// after the table has dropped the string only the overwritten record
+// named, if any. Safe on a nil Tracer; allocates nothing once its string
+// is in the table.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestHotPathZeroAlloc ("trace emit (deferred)") and TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (t *Tracer) Log(m addr.MachineID, s Site, str string, args ...Val) {
@@ -321,28 +421,29 @@ func (t *Tracer) Log(m addr.MachineID, s Site, str string, args ...Val) {
 	if len(args) != int(si.vals) {
 		panic("trace: Log given the wrong number of arguments for its site")
 	}
-	// NewSite saw to it that the site's words fit, so the mask only spares
-	// the bounds checks.
-	var words [argWords]uint32
-	w := 0
-	for i, a := range args {
-		words[w&(argWords-1)] = uint32(a)
-		w++
-		if si.wide>>i&1 != 0 {
-			words[w&(argWords-1)] = uint32(a >> 32)
-			w++
-		}
-	}
 	r := t.slot()
-	r.T, r.Machine, r.site, r.words, r.str = t.clock(), m, s, words, str
+	r.T = t.clock()
+	r.Machine, r.site = m, s
+	for i := range r.words {
+		var v Val
+		if i < len(args) {
+			v = args[i]
+		}
+		r.words[i] = v
+	}
+	n := t.written()
+	t.strs.expire(n - uint64(t.held()))
+	if si.str {
+		r.words[si.vals] = t.strs.ref(str, n-1)
+	}
 	if t.sink != nil {
-		t.sink(*r)
+		t.sink(t.record(r))
 	}
 }
 
 // slot returns the ring slot the next record goes into: a new one until the
 // ring is full, then the oldest. It inlines into Log.
-func (t *Tracer) slot() *Record {
+func (t *Tracer) slot() *slot {
 	if t.at < len(t.cur) {
 		t.at++
 		return &t.cur[t.at-1]
@@ -356,27 +457,36 @@ func (t *Tracer) slot() *Record {
 // chunk, so slot inlines.
 //
 //go:noinline
-func (t *Tracer) advance() *Record {
+func (t *Tracer) advance() *slot {
 	t.passed += uint64(len(t.cur))
 	if t.base += len(t.cur); t.base == t.max {
 		t.base = 0
 	}
 	k := bits.Len(uint(t.base+1)) - 1
 	if k == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]Record, min(1<<k, t.max-t.base)))
+		t.chunks = append(t.chunks, make([]slot, min(1<<k, t.max-t.base)))
 	}
 	t.cur, t.at = t.chunks[k], 1
 	return &t.cur[0]
 }
 
-// parts returns the retained records as runs, oldest first. Safe on a nil
+// record returns the Record slot r holds, its string read from the table.
+func (t *Tracer) record(r *slot) Record {
+	rec := Record{T: r.T, Machine: r.Machine, site: r.site, words: r.words}
+	if si := &sites[r.site]; si.str {
+		rec.str, rec.words[si.vals] = t.strs.str(r.words[si.vals]), 0
+	}
+	return rec
+}
+
+// parts returns the retained slots as runs, oldest first. Safe on a nil
 // Tracer.
-func (t *Tracer) parts() [][]Record {
+func (t *Tracer) parts() [][]slot {
 	if t == nil || t.cur == nil {
 		return nil
 	}
 	k := bits.Len(uint(t.base+1)) - 1
-	var runs [][]Record
+	var runs [][]slot
 	if t.written() > uint64(t.max) {
 		runs = append(runs, t.cur[t.at:])
 		runs = append(runs, t.chunks[k+1:]...)
@@ -385,14 +495,16 @@ func (t *Tracer) parts() [][]Record {
 	return append(runs, t.cur[:t.at])
 }
 
-// Records returns a copy of the retained records in emission order.
+// Records returns the retained records in emission order.
 func (t *Tracer) Records() []Record {
 	if t == nil || t.written() == 0 {
 		return nil
 	}
 	out := make([]Record, 0, t.held())
 	for _, part := range t.parts() {
-		out = append(out, part...)
+		for i := range part {
+			out = append(out, t.record(&part[i]))
+		}
 	}
 	return out
 }
@@ -404,8 +516,8 @@ func (t *Tracer) Events(cat Category) []string {
 	var out []string
 	for _, part := range t.parts() {
 		for i := range part {
-			if cat == CatAll || part[i].Cat() == cat {
-				out = append(out, part[i].Event())
+			if s := part[i].site; cat == CatAll || s.Cat() == cat {
+				out = append(out, s.Event())
 			}
 		}
 	}
@@ -417,7 +529,7 @@ func (t *Tracer) String() string {
 	var b strings.Builder
 	for _, part := range t.parts() {
 		for i := range part {
-			b.WriteString(part[i].String())
+			b.WriteString(t.record(&part[i]).String())
 			b.WriteByte('\n')
 		}
 	}

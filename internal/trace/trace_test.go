@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -24,7 +26,7 @@ var (
 	siteKernel   = NewSite(CatProc, "k", "%v", ArgPID)
 	siteInts     = NewSite(CatProc, "ints", "%d %d %d %d", ArgInt, ArgInt, ArgInt, ArgInt)
 	siteMixed    = NewSite(CatProc, "mixed", "%v %v %d %d %d", ArgPID, ArgMachine, ArgInt, ArgInt, ArgInt)
-	siteStrLast  = NewSite(CatProc, "full", "%v %v %d %d %d %s", ArgPID, ArgMachine, ArgInt, ArgInt, ArgInt, ArgStr)
+	siteStrLast  = NewSite(CatProc, "full", "%v %v %d %d %s", ArgPID, ArgMachine, ArgInt, ArgInt, ArgStr)
 )
 
 func TestEmitAndQuery(t *testing.T) {
@@ -165,9 +167,9 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// TestRingGrowsLazily: trace.New allocates no ring, and a tracer that never
-// fills up holds little more than it was given: 100 records cost at most 256
-// slots' worth of memory.
+// TestRingGrowsLazily: trace.New allocates no ring and no string table, and
+// a tracer that never fills up holds little more than it was given: 100
+// records cost at most 256 slots' worth of memory.
 func TestRingGrowsLazily(t *testing.T) {
 	var now sim.Time
 	var tr *Tracer
@@ -180,7 +182,7 @@ func TestRingGrowsLazily(t *testing.T) {
 		tr.Emit(1, CatProc, "e", "")
 	}
 	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*unsafe.Sizeof(Record{})); got > limit {
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*unsafe.Sizeof(slot{})); got > limit {
 		t.Fatalf("100 records allocated %d bytes, want at most 256 slots' worth (%d)", got, limit)
 	}
 	if n := len(tr.Records()); n != 100 {
@@ -269,12 +271,12 @@ func TestDeferredDetail(t *testing.T) {
 	var now sim.Time
 	tr := New(clockAt(&now), 0)
 	pid := addr.ProcessID{Creator: 65535, Local: 65535}
-	tr.Log(2, siteWide, "swappable", PID(pid), Int(-3), Int(1<<40), Machine(65535))
+	tr.Log(2, siteWide, "swappable", PID(pid), Int(math.MinInt32), Int(math.MaxInt32), Machine(65535))
 	tr.Emit(2, CatConsole, "print", "100%d done %v")
 	tr.Log(2, siteKernel, "", PID(addr.KernelPID(7)))
 	recs := tr.Records()
 	if got, want := recs[0].Detail(), fmt.Sprintf("%v %v: %dB in %d packets -> %v",
-		pid, "swappable", -3, 1<<40, addr.MachineID(65535)); got != want {
+		pid, "swappable", math.MinInt32, math.MaxInt32, addr.MachineID(65535)); got != want {
 		t.Fatalf("deferred detail %q, want %q", got, want)
 	}
 	if got := recs[1].Detail(); got != "100%d done %v" {
@@ -285,42 +287,71 @@ func TestDeferredDetail(t *testing.T) {
 	}
 }
 
-// TestRecordSize pins the ring's per-record footprint: 64k of these is the
-// tracer's whole heap cost, and a record that grows must say why. The
-// time, machine, site id, eight argument words and the one string fill one
-// cache line; the category, event name and format live in the site.
-func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got != 64 {
-		t.Fatalf("Record is %d bytes, want 64", got)
+// TestSlotLayout pins the ring's per-record footprint: 64k of these is the
+// tracer's whole heap cost, and a slot that grows must say why. The time,
+// machine, site id and five argument words fill half a cache line, and no
+// field is a pointer, so the collector never scans the ring: the one string
+// is a reference into the tracer's string table, and the category, event
+// name and format live in the site.
+func TestSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got > 32 {
+		t.Fatalf("slot is %d bytes, want at most 32", got)
+	}
+	var pointerful func(reflect.Type) bool
+	pointerful = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if pointerful(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return pointerful(ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		}
+		return true
+	}
+	ty := reflect.TypeOf(slot{})
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); pointerful(f.Type) {
+			t.Errorf("slot field %s (%v) holds a pointer", f.Name, f.Type)
+		}
 	}
 }
 
-// TestSiteArgumentLimits: the widest shapes that fit a record render, one
-// more string or word panics at registration instead of being dropped, and
-// Log panics when handed a different number of arguments than its site
-// takes.
+// TestSiteArgumentLimits: the widest shapes that fit a record (five words,
+// the ArgStr's reference counting as one) render, and an int at either end
+// of the int32 range renders as itself. One more string or word panics at
+// registration instead of being dropped, an Int outside the int32 range
+// panics instead of wrapping, and Log panics when handed a different number
+// of arguments than its site takes.
 func TestSiteArgumentLimits(t *testing.T) {
 	var now sim.Time
 	tr := New(clockAt(&now), 0)
-	big, small := Int(-1<<62), Int(1<<62)
+	big, small := Int(math.MaxInt32), Int(math.MinInt32)
 	tr.Log(1, siteInts, "", big, small, big, small)
 	tr.Log(1, siteMixed, "", PID(addr.ProcessID{Creator: 9, Local: 8}), Machine(7), big, small, Int(0))
-	tr.Log(1, siteStrLast, "end", PID(addr.ProcessID{Creator: 9, Local: 8}), Machine(7), big, small, Int(0))
+	tr.Log(1, siteStrLast, "end", PID(addr.ProcessID{Creator: 9, Local: 8}), Machine(7), big, small)
 	recs := tr.Records()
-	if got, want := recs[0].Detail(), fmt.Sprintf("%d %d %d %d", -1<<62, 1<<62, -1<<62, 1<<62); got != want {
+	if got, want := recs[0].Detail(), fmt.Sprintf("%d %d %d %d", math.MaxInt32, math.MinInt32, math.MaxInt32, math.MinInt32); got != want {
 		t.Fatalf("four ints rendered %q, want %q", got, want)
 	}
-	if got, want := recs[1].Detail(), fmt.Sprintf("p9.8 m7 %d %d 0", -1<<62, 1<<62); got != want {
+	if got, want := recs[1].Detail(), fmt.Sprintf("p9.8 m7 %d %d 0", math.MaxInt32, math.MinInt32); got != want {
 		t.Fatalf("pid, machine and three ints rendered %q, want %q", got, want)
 	}
-	if got, want := recs[2].Detail(), fmt.Sprintf("p9.8 m7 %d %d 0 end", -1<<62, 1<<62); got != want {
-		t.Fatalf("eight words and a string rendered %q, want %q", got, want)
+	if got, want := recs[2].Detail(), fmt.Sprintf("p9.8 m7 %d %d end", math.MaxInt32, math.MinInt32); got != want {
+		t.Fatalf("four words and a string rendered %q, want %q", got, want)
 	}
 	for name, kinds := range map[string][]ArgKind{
-		"two strings":   {ArgStr, ArgStr},
-		"nine words":    {ArgPID, ArgInt, ArgInt, ArgInt, ArgInt},
-		"ten arguments": {ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgPID, ArgStr, ArgStr},
-		"unknown kind":  {ArgKind(0)},
+		"two strings":             {ArgStr, ArgStr},
+		"six words":               {ArgPID, ArgInt, ArgInt, ArgInt, ArgInt, ArgMachine},
+		"five words and a string": {ArgPID, ArgMachine, ArgInt, ArgInt, ArgInt, ArgStr},
+		"unknown kind":            {ArgKind(0)},
 	} {
 		func() {
 			defer func() {
@@ -329,6 +360,16 @@ func TestSiteArgumentLimits(t *testing.T) {
 				}
 			}()
 			NewSite(CatProc, "e", "", kinds...)
+		}()
+	}
+	for _, n := range []int{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Int accepted %d", n)
+				}
+			}()
+			Int(n)
 		}()
 	}
 	defer func() {
@@ -383,5 +424,49 @@ func TestSitesStayOffTheHeap(t *testing.T) {
 	}
 	if evs := tr.Events(CatProc); len(evs) != 4 || evs[2] != "dyn-a" || evs[3] != "dyn-b" {
 		t.Fatalf("events %v", evs)
+	}
+}
+
+// TestStringTableKeepsOneEntryAString: strings that interleave (the states
+// and region names of a migration's records) each keep one table entry
+// however they alternate, a string the ring no longer names leaves the
+// table at the write that overwrites its last record, and every retained
+// record renders its own string.
+func TestStringTableKeepsOneEntryAString(t *testing.T) {
+	const size = 10
+	var now sim.Time
+	tr := New(clockAt(&now), size)
+	names := []string{"waiting", "program", "swappable", "resident", "user", "ready"}
+	pid := addr.ProcessID{Creator: 1, Local: 2}
+	want := make([]string, 0, 300)
+	for i := 0; i < 300; i++ {
+		s := names[i%len(names)]
+		if i >= 200 {
+			s = names[i%2] // the last hundred name only two
+		}
+		if i%7 == 0 {
+			s = "" // some records name no string
+		}
+		now = sim.Time(i)
+		tr.Log(1, siteWide, s, PID(pid), Int(i), Int(0), Machine(2))
+		want = append(want, s)
+		distinct := map[string]bool{}
+		for _, w := range want[max(0, len(want)-size):] {
+			if w != "" {
+				distinct[w] = true
+			}
+		}
+		if live := tr.liveStrings(); live != len(distinct) || len(tr.strs.index) != live {
+			t.Fatalf("after %d writes the table holds %d strings (%d indexed), the ring names %d", i+1, live, len(tr.strs.index), len(distinct))
+		}
+	}
+	if n := len(tr.strs.e); n > len(names)+2 {
+		t.Errorf("%d entries for %d strings: a string took a second entry", n, len(names))
+	}
+	for j, r := range tr.Records() {
+		i := 300 - size + j
+		if got, w := r.Detail(), fmt.Sprintf("%v %v: %dB in %d packets -> %v", pid, want[i], i, 0, addr.MachineID(2)); got != w {
+			t.Fatalf("record %d renders %q, want %q", i, got, w)
+		}
 	}
 }

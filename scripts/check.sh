@@ -37,9 +37,9 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets, experiments goldens, every two-fault schedule of one migration (only the schedules holding one of the two pinned Accept counterexamples flag)"
-go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
-  ./internal/core ./internal/kernel ./cmd/experiments ./internal/chaos
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets, the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (only the schedules holding one of the two pinned Accept counterexamples flag)"
+go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
+  ./internal/core ./internal/kernel ./internal/trace ./cmd/experiments ./internal/chaos
 
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
 go test -race -count=10 -run TestShardOutboxParallel ./internal/core/
@@ -91,12 +91,14 @@ for fn in Put Get; do
     exit 1
   fi
 done
-echo "== trace.Tracer.slot stays inlinable in the emit path (its chunk step is out of line), and every kernel emit goes through a package-level trace.Site"
+echo "== trace.Tracer.slot and the string table's expire inline into Tracer.Log (the chunk step is out of line), and every kernel emit goes through a package-level trace.Site"
 inl=$(go build -gcflags=-m ./internal/trace 2>&1)
-if ! grep -q "inlining call to (\*Tracer).slot\b" <<<"$inl"; then
-  echo "(*Tracer).slot no longer inlines into the emit path"
-  exit 1
-fi
+for fn in '(\*Tracer).slot' '(\*strTable).expire'; do
+  if ! grep -q "inlining call to $fn\b" <<<"$inl"; then
+    echo "$fn no longer inlines into Tracer.Log"
+    exit 1
+  fi
+done
 if grep -rn --include='*.go' 'Emitf(' internal/kernel; then
   echo "internal/kernel calls Emitf: declare a trace.Site in tracesites.go and emit through k.trace"
   exit 1

@@ -30,8 +30,8 @@ package chaos_test
 // and is a leaf, checked by verdict.
 //
 // Named schedules (namedSchedules) are the races the kernel's tests used to
-// force by hand, and the counterexamples the explorer found, pinned: a leaf
-// must fail its check exactly when its schedule contains a pinned one.
+// force by hand, and the counterexamples the explorer found, each now a
+// clean schedule that pins its fix: every leaf must pass its check.
 // Budget 1 is exhaustive and runs in tier 1; budget 2
 // (explore_budget2_test.go) is the pruned product of two faults.
 
@@ -317,35 +317,14 @@ func explore(t testing.TB, base schedule) (leaves []leaf, tried int) {
 	return leaves, tried
 }
 
-// pinned reports whether sch contains a pinned counterexample's faults, in
-// order: the leaf check must fail exactly for those. (A fault before a
-// counterexample's first that leaves it where it was does not make it a new
-// one.)
-func pinned(pins []schedule, sch schedule) bool {
-	for _, p := range pins {
-		i := 0
-		for _, f := range sch {
-			if i < len(p) && f == p[i] {
-				i++
-			}
-		}
-		if i == len(p) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkLeaves fails every leaf whose verdict disagrees with the pins.
-func checkLeaves(t *testing.T, pins []schedule, leaves []leaf) (flagged int) {
+// checkLeaves fails every leaf that fails its check, returning how many
+// did.
+func checkLeaves(t *testing.T, leaves []leaf) (flagged int) {
 	t.Helper()
 	for _, l := range leaves {
-		want := pinned(pins, l.sch)
-		if want {
+		if len(l.bad) > 0 {
 			flagged++
-		}
-		if want != (len(l.bad) > 0) {
-			t.Errorf("%v: leaf check %q, pinned counterexample: %v", l.sch, l.bad, want)
+			t.Errorf("%v: leaf check %q", l.sch, l.bad)
 		}
 		if l.forged {
 			t.Errorf("%v: m1 sent an Abort and committed", l.sch)
@@ -356,7 +335,7 @@ func checkLeaves(t *testing.T, pins []schedule, leaves []leaf) (flagged int) {
 
 // TestExploreBudget1: every single fault at every event of the scene that
 // sends a frame. Each one that takes effect leaves a cluster that passes
-// every leaf check, except the pinned counterexamples.
+// every leaf check.
 func TestExploreBudget1(t *testing.T) {
 	base, _ := play(t, nil)
 	if bad := base.verdict(); len(bad) != 0 {
@@ -366,7 +345,7 @@ func TestExploreBudget1(t *testing.T) {
 	if len(leaves) == 0 {
 		t.Fatal("no fault took effect")
 	}
-	flagged := checkLeaves(t, pins(t), leaves)
+	flagged := checkLeaves(t, leaves)
 	per := map[action]int{}
 	for _, l := range leaves {
 		per[l.sch[0].act]++
@@ -378,10 +357,9 @@ func TestExploreBudget1(t *testing.T) {
 
 // namedSchedule is a schedule with the outcome its leaf must show.
 type namedSchedule struct {
-	name    string
-	sch     schedule
-	counter bool // a pinned counterexample: its leaf check must fail
-	check   func(t *testing.T, s *scene)
+	name  string
+	sch   schedule
+	check func(t *testing.T, s *scene)
 }
 
 // landmark plays prefix and returns the number of the first event after
@@ -513,41 +491,45 @@ func namedSchedules(t testing.TB) []namedSchedule {
 			},
 		},
 		{
-			// COUNTEREXAMPLE, pinned and not fixed: the Accept is legal at
-			// every step of the source half, so a second copy of it is
-			// believed and billed — the completed migration's record shows
-			// 10 administrative messages. (The duplicate MoveDataReq the
-			// same fault sends is dropped, AdminRejected, and not billed.)
-			name:    "counterexample: a duplicate Accept is billed",
-			sch:     schedule{{accept, dup, 2, 1}},
-			counter: true,
+			// The Accept is legal at every step of the source half, so a
+			// second copy of it is believed, but it is billed once per
+			// attempt — when the resident region's MoveDataReq is served —
+			// so the completed migration still reads 9 administrative
+			// messages. (The duplicate MoveDataReq the same fault sends is
+			// dropped, AdminRejected, and not billed.) Billed by arrival,
+			// this read 10: a counterexample the explorer found.
+			name: "duplicate Accept is billed once",
+			sch:  schedule{{accept, dup, 2, 1}},
 			check: func(t *testing.T, s *scene) {
 				if at := s.liveCopies(); len(at) != 1 || at[0] != 2 {
 					t.Fatalf("live copies on %v, want one on m2", at)
 				}
 				recs := s.c.Ledger().Records()
-				if len(recs) != 1 || !recs[0].OK || recs[0].AdminMsgs != 10 {
-					t.Fatalf("ledger %+v, want one completed migration billed 10 admin messages", recs)
+				if len(recs) != 1 || !recs[0].OK || recs[0].AdminMsgs != 9 {
+					t.Fatalf("ledger %+v, want one completed migration billed 9 admin messages", recs)
 				}
 			},
 		},
 		{
-			// COUNTEREXAMPLE, pinned and not fixed: the source needs no
-			// Accept to serve the resident region's MoveDataReq, so an
-			// Accept held past the migration lands on a forwarding address
-			// and is billed to nothing — 8 administrative messages, the
-			// lossless form of the retransmitted Accept ROADMAP item 1
-			// slice 2 names.
-			name:    "counterexample: a late Accept is not billed",
-			sch:     schedule{{accept, late, 2, 1}},
-			counter: true,
+			// The source needs no Accept to serve the resident region's
+			// MoveDataReq, so an Accept held past the migration lands on
+			// the forwarding address and is ignored. Its 6 bytes were
+			// billed with that first pull, so the migration reads 9
+			// administrative messages. Billed by arrival, this read 8: a
+			// counterexample the explorer found, the lossless form of a
+			// retransmitted Accept.
+			name: "late Accept lands on the forwarding address",
+			sch:  schedule{{accept, late, 2, 1}},
 			check: func(t *testing.T, s *scene) {
 				if at := s.liveCopies(); len(at) != 1 || at[0] != 2 {
 					t.Fatalf("live copies on %v, want one on m2", at)
 				}
+				if info, ok := s.c.Kernel(1).Process(s.rec); !ok || info.State != kernel.StateForwarder || info.FwdTo != 2 {
+					t.Fatalf("m1 holds %+v (%v), want a forwarding address to m2", info, ok)
+				}
 				recs := s.c.Ledger().Records()
-				if len(recs) != 1 || !recs[0].OK || recs[0].AdminMsgs != 8 {
-					t.Fatalf("ledger %+v, want one completed migration billed 8 admin messages", recs)
+				if len(recs) != 1 || !recs[0].OK || recs[0].AdminMsgs != 9 {
+					t.Fatalf("ledger %+v, want one completed migration billed 9 admin messages", recs)
 				}
 			},
 		},
@@ -577,19 +559,8 @@ func namedSchedules(t testing.TB) []namedSchedule {
 	}
 }
 
-// pins are the counterexamples' schedules.
-func pins(t testing.TB) []schedule {
-	var out []schedule
-	for _, n := range namedSchedules(t) {
-		if n.counter {
-			out = append(out, n.sch)
-		}
-	}
-	return out
-}
-
 // TestNamedSchedules replays each named schedule: its leaf check passes,
-// or for a pinned counterexample fails, and its own outcome holds.
+// and its own outcome holds.
 func TestNamedSchedules(t *testing.T) {
 	for _, n := range namedSchedules(t) {
 		t.Run(n.name, func(t *testing.T) {
@@ -597,8 +568,8 @@ func TestNamedSchedules(t *testing.T) {
 			if !ok {
 				t.Fatalf("%v injected nothing", n.sch)
 			}
-			if bad := s.verdict(); n.counter != (len(bad) > 0) {
-				t.Fatalf("%v: leaf check %q, want a violation: %v", n.sch, bad, n.counter)
+			if bad := s.verdict(); len(bad) > 0 {
+				t.Fatalf("%v: leaf check %q", n.sch, bad)
 			}
 			n.check(t, s)
 		})

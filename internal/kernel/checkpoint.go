@@ -16,7 +16,7 @@ import (
 // small header (encodeCheckpoint), over freeze's output (Checkpoint) or the
 // regions a migration delivered (step 8's handoff). Revive on another kernel
 // is migration steps 3-5 and 8 replayed from bytes, through the helpers
-// those steps use (displaceForwarder, thaw, restartProc).
+// those steps use (thaw, restartProc).
 
 const checkpointMagic = 0x444D5043 // "DMPC"
 
@@ -29,7 +29,7 @@ func (k *Kernel) Checkpoint(pid addr.ProcessID) ([]byte, error) {
 		return nil, fmt.Errorf("kernel %v: no process %v", k.machine, pid)
 	}
 	switch p.state {
-	case StateForwarder, StateIncoming, StateInMigration, StateDead:
+	case StateIncoming, StateInMigration, StateDead:
 		return nil, fmt.Errorf("kernel %v: %v is %v; not checkpointable", k.machine, pid, p.state)
 	}
 	var f frozen
@@ -85,7 +85,7 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	}
 	resident, swappable, program := sec[0], sec[1], sec[2]
 
-	if old := k.lookup(pid); old != nil && old.state != StateForwarder {
+	if k.lookup(pid) != nil {
 		return addr.NilPID, fmt.Errorf("kernel %v: %v already exists here", k.machine, pid)
 	}
 	if len(program) > 0 && k.cfg.MemCapacity > 0 && k.memUsed+len(program) > k.cfg.MemCapacity {
@@ -96,8 +96,9 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	if err := k.thaw(p, resident, swappable, program); err != nil {
 		return addr.NilPID, err
 	}
-	if fwd := k.displaceForwarder(pid); fwd != nil {
-		k.putProcRec(fwd)
+	if _, ok := k.coldView().fwds[pid]; ok {
+		delete(k.cold().fwds, pid)
+		k.cold().ForwarderBytes -= ForwarderWireSize
 	}
 	k.addProc(p)
 	k.cold().Revived++

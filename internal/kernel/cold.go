@@ -11,7 +11,8 @@ import (
 // every field a machine that only spawns, runs and exits jobs and exchanges
 // user messages never reads or writes. A kernel holds it behind
 // Kernel.coldRec, nil until its first use, so such a machine carries none
-// of it (136 B of fields and 464 B of counters). The rule for a new Kernel
+// of it (152 B of fields and 464 B of counters, in the 640-byte size class
+// with Go's 8-byte header: TestColdRecordSizeClass). The rule for a new Kernel
 // field: if a jobs-and-user-messages machine touches it, it sits inline in
 // Kernel; otherwise it goes here, written through k.cold() and read through
 // k.coldView(), which makes nothing. TestColdRecordMadeAtFirstUse holds a
@@ -22,6 +23,12 @@ type coldState struct {
 	xfersIn  map[uint16]*inStream // inbound streams, keyed by locally-allocated xfer id
 	moveOps  map[uint16]*moveOp   // outbound move-data writes awaiting completion
 	nextXfer uint16               // the last xfer id allocated (newXferID)
+
+	// The forwarder table (fwd), and per pid the stale sends per sender its
+	// address absorbed (ledgerForward): emptied for the pid's next address,
+	// dropped when the pid dies here or its address is reclaimed.
+	fwds map[addr.ProcessID]fwd
+	runs map[addr.ProcessID]map[addr.ProcessID]uint64
 
 	// migFree recycles migration halves, with their region buffers,
 	// region-pull stream and once-bound watchdog closures (DESIGN.md §7),

@@ -43,7 +43,7 @@ func (k *Kernel) kernelControl(m *msg.Message) {
 	case msg.OpResume:
 		k.handleResume(m)
 	case msg.OpKill:
-		if p := k.lookup(m.To.ID); p != nil && p.state != StateForwarder {
+		if p := k.lookup(m.To.ID); p != nil {
 			k.stats.Kills++
 			k.terminate(p, -1, fmt.Errorf("killed by %v", m.From.ID))
 		}
@@ -77,7 +77,7 @@ func (k *Kernel) kernelControl(m *msg.Message) {
 
 func (k *Kernel) handleSuspend(m *msg.Message) {
 	p := k.lookup(m.To.ID)
-	if p == nil || p.state == StateForwarder {
+	if p == nil {
 		return
 	}
 	switch p.state {

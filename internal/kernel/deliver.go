@@ -61,12 +61,14 @@ func (k *Kernel) deliverLocal(m *msg.Message) {
 	}
 	p := k.lookup(m.To.ID)
 	if p == nil {
-		k.unknownProcess(m)
+		if f, ok := k.coldView().fwds[m.To.ID]; ok {
+			k.forward(f, m)
+		} else {
+			k.unknownProcess(m)
+		}
 		return
 	}
 	switch p.state {
-	case StateForwarder:
-		k.forward(p, m)
 	case StateInMigration, StateIncoming:
 		// §3.1 step 1: "Messages arriving for the migrating process,
 		// including DELIVERTOKERNEL messages, will be placed on its
@@ -113,20 +115,18 @@ func (k *Kernel) enqueue(p *Process, m *msg.Message) {
 // an attempt may be made to fix up the link of the sending process."
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (k *Kernel) forward(f *Process, m *msg.Message) {
-	m.To.LastKnown = f.fwdTo
+func (k *Kernel) forward(f fwd, m *msg.Message) {
+	m.To.LastKnown = f.to
 	m.Forwards++
 	k.cold().Forwarded++
-	k.trace(siteForward, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(f.fwdTo), trace.Int(int(m.Forwards)))
-	if f.ext != nil && f.ext.obsRec != nil {
-		k.ledgerForward(f, m)
-	}
+	k.trace(siteForward, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(f.to), trace.Int(int(m.Forwards)))
+	k.ledgerForward(f.rec, m)
 	// m is dead once route returns, so read what the update needs first; it
 	// is still sent after the forward, keeping the order of sends.
 	update, sender, migrated := k.shouldSendLinkUpdate(m), m.From, m.To.ID
 	k.route(m)
 	if update {
-		k.sendLinkUpdate(sender, migrated, f.fwdTo)
+		k.sendLinkUpdate(sender, migrated, f.to)
 	}
 }
 
@@ -321,19 +321,28 @@ func (k *Kernel) sendDeathNoticeTo(pid addr.ProcessID, to addr.MachineID) {
 
 func (k *Kernel) handleDeathNotice(m *msg.Message) {
 	pm, err := msg.DecodePIDMachine(m.Body)
-	if err != nil {
-		return
+	f, ok := k.coldView().fwds[pm.PID]
+	if err != nil || !ok || k.lookup(pm.PID) != nil {
+		return // a live record wins: the address it shadows goes at step 8
 	}
-	p := k.lookup(pm.PID)
-	if p == nil || p.state != StateForwarder {
-		return
-	}
-	k.delProc(pm.PID)
-	k.cold().ForwardersReclaimed++
-	k.cold().ForwarderBytes -= ForwarderWireSize
+	c := k.cold()
+	delete(c.fwds, pm.PID)
+	delete(c.runs, pm.PID)
+	c.ForwardersReclaimed++
+	c.ForwarderBytes -= ForwarderWireSize
 	k.trace(siteFwdReclaimed, "", trace.PID(pm.PID))
-	if p.cameFrom != addr.NoMachine {
-		k.sendDeathNoticeTo(pm.PID, p.cameFrom)
+	if f.back != addr.NoMachine {
+		k.sendDeathNoticeTo(pm.PID, f.back)
 	}
-	k.putProcRec(p)
+}
+
+// fwd is a forwarding address (§3.1 step 7): an entry of the forwarder
+// table (coldState.fwds), keyed by pid, not a process record. back is the §4
+// GC's pointer backwards; rec is its migration's index in k.led. With its key
+// it is the paper's 8 bytes, and it holds no pointer. Every reader asks
+// lookup first: a live record of the pid wins, which happens while the
+// process arrives back (steps 3-8), until step 8 deletes the address.
+type fwd struct {
+	to, back addr.MachineID
+	rec      uint32
 }

@@ -176,6 +176,7 @@ func (k *Kernel) LiveMaps() []string {
 		{"xfersIn", c.xfersIn != nil}, {"moveOps", c.moveOps != nil}, {"kinds", c.kinds != nil},
 		{"pendingLocate", c.pendingLocate != nil}, {"console", c.console != nil},
 		{"stable", c.stable != nil}, {"lostPIDs", c.lostPIDs != nil},
+		{"fwds", c.fwds != nil}, {"runs", c.runs != nil},
 	} {
 		if m.live {
 			out = append(out, m.name)
@@ -187,3 +188,9 @@ func (k *Kernel) LiveMaps() []string {
 // HasColdRecord reports whether the kernel has made its cold record
 // (cold.go): nil until its first use.
 func (k *Kernel) HasColdRecord() bool { return k.coldRec != nil }
+
+// fwdOf returns the forwarding address k holds for pid, if any.
+func (k *Kernel) fwdOf(pid addr.ProcessID) (fwd, bool) {
+	f, ok := k.coldView().fwds[pid]
+	return f, ok
+}

@@ -71,16 +71,18 @@ func TestPerProcessHeapBudget(t *testing.T) {
 
 // TestPerForwarderHeapBudget pins what a forwarding address costs the
 // kernel that keeps it (§4; the paper's costs 8 bytes): 2 000 counters
-// spawned on machine 1 migrate to machine 2, and the live heap is read
-// with machine 1's forwarders in its table and again once they are dropped
-// from it (not recycled). The difference per forwarder is what each holds
-// and nothing else: its recycled 128-byte Process record and the 48-byte
-// procExt that carries its ledger pointer (176 B; the UID slot and the
-// ledger record stay either way, and a forwarder that never queued a
-// message has no ring). The budget (190 B) fails on any further
-// per-forwarder allocation, even a 16-byte one.
+// spawned on machine 1 migrate to machine 2, and the live heap is read with
+// machine 1's forwarder table full and again once the table is dropped (not
+// reclaimed). The difference per address is its table entry and nothing
+// else: a 4-byte pid key and an 8-byte pointer-free value (fwd) in a Go
+// map's groups, ~27 B at this size (the UID slot and the ledger record stay
+// either way). The budget (40 B) fails on a process record per address
+// (128 B) or on any pointer-carrying side record. The departed record is no
+// longer the address: it waits on procFree for the next spawn or arrival,
+// so the test also logs the live heap per departed process with procFree's
+// records counted, which the table must not hide.
 func TestPerForwarderHeapBudget(t *testing.T) {
-	const n, budget = 2_000, 190
+	const n, budget = 2_000, 40
 	var ms runtime.MemStats
 	live := func() uint64 {
 		runtime.GC()
@@ -105,18 +107,25 @@ func TestPerForwarderHeapBudget(t *testing.T) {
 		k1.RequestMigrationOf(addr.At(pid, 1), 2)
 	}
 	eng.Run()
-	if s := k1.Stats(); s.MigrationsOut != n || s.ForwardersInstalled != n {
-		t.Fatalf("%d migrations out, %d forwarders installed; want %d each", s.MigrationsOut, s.ForwardersInstalled, n)
+	if s := k1.Stats(); s.MigrationsOut != n || s.ForwardersInstalled != n || s.ForwarderBytes != n*ForwarderWireSize {
+		t.Fatalf("%d migrations out, %d forwarders installed, %d B; want %d, %d and %d B",
+			s.MigrationsOut, s.ForwardersInstalled, s.ForwarderBytes, n, n, n*ForwarderWireSize)
+	}
+	for _, pid := range pids {
+		if _, ok := k1.fwdOf(pid); !ok || k1.lookup(pid) != nil {
+			t.Fatalf("%v: no forwarding address on m1, or a record beside it", pid)
+		}
 	}
 	withFwd := live()
-	for _, pid := range pids {
-		if f := k1.lookup(pid); f == nil || f.state != StateForwarder {
-			t.Fatalf("%v: no forwarder on m1", pid)
-		}
-		k1.delProc(pid)
-	}
-	per := (int64(withFwd) - int64(live())) / n
-	t.Logf("kernel heap per forwarding address: %d B (paper: %d B)", per, ForwarderWireSize)
+	k1.coldRec.fwds = nil
+	noFwd := live()
+	freed := len(k1.procFree.free)
+	k1.procFree = freelist[Process]{}
+	noFree := live()
+	per := (int64(withFwd) - int64(noFwd)) / n
+	departed := (int64(withFwd) - int64(noFree)) / n
+	t.Logf("kernel heap per forwarding address: %d B (paper: %d B); per departed process with the %d records on procFree: %d B",
+		per, ForwarderWireSize, freed, departed)
 	if per > budget {
 		t.Errorf("a forwarding address costs its kernel %d B, budget %d B", per, budget)
 	}

@@ -13,6 +13,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"demosmp/internal/addr"
 	"demosmp/internal/dvm"
@@ -42,9 +43,8 @@ const (
 	// StateIncoming: the empty process state allocated on the
 	// destination machine (§3.1 step 3), being filled by data moves.
 	StateIncoming
-	// StateForwarder: a forwarding address — "a degenerate process
-	// state, whose only contents are the (last known) machine to which
-	// the process was migrated" (§3.1 step 7).
+	// A forwarding address (§3.1 step 7, type fwd) as Process and
+	// Processes report it; no process record is ever in this state.
 	StateForwarder
 	// StateDead: terminated; the entry is removed immediately after.
 	StateDead
@@ -191,7 +191,6 @@ type Process struct {
 	// with load reports every record has one from getProcRec on. A recycled
 	// record keeps it, emptied.
 	ext            *procExt
-	fwdTo          addr.MachineID
 	cameFrom       addr.MachineID // previous host, for death-notice GC
 	queueHighWater uint32
 	createdAt      sim.Time
@@ -200,24 +199,12 @@ type Process struct {
 }
 
 // procExt is what only some process records use: the load-report deltas
-// (only kernels with LoadReportEvery > 0 count them) and a forwarder's
-// ledger attribution.
+// since the last report, which only kernels with LoadReportEvery > 0 count
+// and only sendLoadReport reads. commDelta counts sends per peer machine.
 type procExt struct {
-	// The deltas since the last load report; only sendLoadReport reads
-	// them. commDelta counts sends per peer machine.
 	cpuDelta  sim.Time
 	msgsDelta uint64
 	commDelta map[addr.MachineID]uint64
-
-	// Forwarder fields (state == StateForwarder). obsRec is the ledger
-	// record of the migration this forwarder resulted from: §4 forwards and
-	// §5 link updates absorbed here accrue to that record even though the
-	// migration itself completed long ago. fwdSenders tracks per-sender
-	// stale-send runs for the §6 convergence length; it lives on the cold
-	// attribution path only (see Kernel.ledgerForward) and, like commDelta,
-	// survives putProcRec emptied, so a recycled forwarder allocates none.
-	obsRec     *obs.MigrationRecord
-	fwdSenders map[addr.ProcessID]uint64
 }
 
 // ForwarderWireSize is the storage a forwarding address needs:
@@ -248,10 +235,10 @@ type ExitInfo struct {
 }
 
 // uidSlot is one entry of the dense table of locally created pids: the
-// live record (or forwarding address) holding the UID, and how its last
-// holder ended, in 24 bytes with one pointer. exited is the flag because the
-// zero exit (time 0, code 0) is a valid one. A crash's error is the only
-// part that needs a pointer, so it lives in Kernel.localErrs instead.
+// live record holding the UID, and how its last holder ended, in 24 bytes
+// with one pointer. exited is the flag because the zero exit (time 0, code
+// 0) is a valid one. A crash's error is the only part that needs a
+// pointer, so it lives in Kernel.localErrs instead.
 type uidSlot struct {
 	p      *Process
 	at     sim.Time
@@ -483,16 +470,21 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	return pid, nil
 }
 
-// Process returns a snapshot of a local process (or forwarder).
+// Process returns a snapshot of a local process, or of the forwarding
+// address this kernel holds for pid.
 func (k *Kernel) Process(pid addr.ProcessID) (ProcInfo, bool) {
 	p := k.lookup(pid)
 	if p == nil {
-		return ProcInfo{}, false
+		f, ok := k.coldView().fwds[pid]
+		if !ok {
+			return ProcInfo{}, false
+		}
+		return ProcInfo{PID: pid, State: StateForwarder, FwdTo: f.to}, true
 	}
 	info := ProcInfo{
 		PID: p.id, State: p.state, QueueLen: p.queue.Len(),
 		CPUUsed: p.cpuUsed, MsgsIn: p.msgsIn, MsgsOut: p.msgsOut,
-		FwdTo: p.fwdTo, Privileged: p.privileged, Links: p.links.Len(),
+		Privileged: p.privileged, Links: p.links.Len(),
 	}
 	if p.body != nil {
 		info.Kind = p.body.Kind()
@@ -503,14 +495,20 @@ func (k *Kernel) Process(pid addr.ProcessID) (ProcInfo, bool) {
 	return info, true
 }
 
-// Processes lists local process snapshots (including forwarders) in
-// deterministic pid order.
+// Processes lists local process snapshots and forwarding addresses in
+// deterministic pid order, each pid once.
 func (k *Kernel) Processes() []ProcInfo {
-	procs := k.sortedProcs()
-	out := make([]ProcInfo, 0, len(procs))
-	for _, p := range procs {
-		info, _ := k.Process(p.id)
-		out = append(out, info)
+	var pids []addr.ProcessID
+	k.eachProc(func(p *Process) { pids = append(pids, p.id) })
+	for pid := range k.coldView().fwds {
+		if k.lookup(pid) == nil {
+			pids = append(pids, pid)
+		}
+	}
+	sort.Slice(pids, func(i, j int) bool { return pidLess(pids[i], pids[j]) })
+	out := make([]ProcInfo, len(pids))
+	for i, pid := range pids {
+		out[i], _ = k.Process(pid)
 	}
 	return out
 }
@@ -709,13 +707,15 @@ const (
 const maxLocalUID = 1<<16 - 1
 
 // allocUID issues the next local UID that is neither 0 (the kernel's own
-// address) nor still in the table — a live process, or the forwarding
+// address) nor still taken — by a live process, or by the forwarding
 // address of one that left. The counter wraps, so a UID long dead is issued
 // again (its new holder starts with no exit on record); ok is false only
 // when all 65 535 are taken.
 func (k *Kernel) allocUID() (uid addr.LocalUID, ok bool) {
 	uid = k.nextUID
-	for n := 0; uid == 0 || (int(uid) < len(k.local) && k.local[uid].p != nil); n++ {
+	fwds := k.coldView().fwds // a present entry is never the zero fwd: its to is a machine
+	for n := 0; uid == 0 || (int(uid) < len(k.local) && k.local[uid].p != nil) ||
+		fwds[addr.ProcessID{Creator: k.machine, Local: uid}] != (fwd{}); n++ {
 		if n == maxLocalUID {
 			return 0, false
 		}
@@ -763,9 +763,8 @@ func (k *Kernel) delProc(pid addr.ProcessID) {
 	}
 }
 
-// eachProc calls fn for every process record this kernel holds, forwarding
-// addresses included, in no particular order (sortedProcs is the
-// deterministic view).
+// eachProc calls fn for every process record this kernel holds, in no
+// particular order (sortedProcs is the deterministic view).
 func (k *Kernel) eachProc(fn func(*Process)) {
 	for _, s := range k.local {
 		if s.p != nil {
@@ -935,10 +934,10 @@ func (k *Kernel) extOf(p *Process) *procExt {
 }
 
 // putProcRec releases a Process record whose identity has left this kernel
-// (exited, migrated away, failed incoming, superseded forwarder). The caller
-// must have drained the queue and removed the record from the tables and
-// the run queue; the ring, the link table (if any, emptied) and the side
-// record (if any, emptied but keeping its maps) survive for the next holder.
+// (exited, migrated away, failed incoming). The caller must have drained
+// the queue and removed the record from the tables and the run queue; the
+// ring, the link table (if any, emptied) and the side record (if any,
+// emptied but keeping its map) survive for the next holder.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putProcRec(p *Process) {
@@ -951,8 +950,7 @@ func (k *Kernel) putProcRec(p *Process) {
 	}
 	if x != nil {
 		clear(x.commDelta)
-		clear(x.fwdSenders)
-		*x = procExt{commDelta: x.commDelta, fwdSenders: x.fwdSenders}
+		*x = procExt{commDelta: x.commDelta}
 	}
 	*p = Process{}
 	p.queue, p.links, p.ext = q, links, x

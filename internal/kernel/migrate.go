@@ -73,13 +73,10 @@ type migration struct {
 	requester addr.ProcessAddr
 	rep       MigrationReport
 
-	// Destination half. in is the region pull, in k.xfersIn under xfer
-	// while in flight. displaced is this pid's own forwarding address, set
-	// aside at step 3 when the process migrates back to a machine it once
-	// left: step 8 recycles it, a failure puts it back.
-	xfer      uint16
-	in        inStream
-	displaced *Process
+	// Destination half: the region pull, in k.xfersIn under xfer while in
+	// flight.
+	xfer uint16
+	in   inStream
 
 	// The one watchdog, armed once per half: it fires at the deadline it was
 	// armed for and re-arms itself for the remainder if progress has moved
@@ -256,7 +253,8 @@ func protocolRow(op msg.Op) *protoRow {
 // step (else it is dropped and counted AdminRejected: the rule is the same
 // for every row), bills the message to the source half's report (the
 // received side of §6's count; sendAdmin bills the sent side), stamps
-// progress, and runs the row's step.
+// progress, and runs the row's step. The Accept is billed once per attempt,
+// by stepMoveData, so a duplicate or a late one costs §6's bill nothing.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
@@ -283,7 +281,7 @@ func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
 			k.cold().AdminRejected++
 			return
 		}
-		if mg.role == roleSource {
+		if mg.role == roleSource && row.op != msg.OpMigrateAccept {
 			mg.rep.NoteAdmin(len(m.Body))
 		}
 		k.progress(mg)
@@ -345,7 +343,7 @@ func (k *Kernel) stepAbort(mg *migration, m *msg.Message) {
 func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 	req, _ := msg.DecodeMigrateRequest(m.Body)
 	p := k.lookup(req.PID)
-	here := p != nil && p.state != StateForwarder && p.state != StateIncoming && k.net.Routable(req.Dest)
+	here := p != nil && p.state != StateIncoming && k.net.Routable(req.Dest)
 	trivial := here && req.Dest == k.machine // already where it is asked to go
 	if !here || trivial || p.state == StateInMigration {
 		if p != nil && (p.state == StateInMigration || p.state == StateIncoming) {
@@ -469,6 +467,9 @@ func (k *Kernel) stepMoveData(mg *migration, m *msg.Message) {
 	req, _ := msg.DecodeMoveDataReq(m.Body)
 	mg.step++
 	mg.rep.MoveDataTransfers++
+	if req.Region == msg.RegionResident { // a destination that pulls has accepted: bill its Accept
+		mg.rep.NoteAdmin(protocolRow(msg.OpMigrateAccept).bytes)
+	}
 	var vecs [2][]byte
 	switch req.Region {
 	case msg.RegionResident:
@@ -505,8 +506,8 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	// Before giving them back to the communication system, the source
 	// kernel changes the location part of the process address." The drain
 	// is bounded by the length at entry; rerouting cannot re-hold here
-	// (the record becomes a forwarder below), but the bound keeps the
-	// pattern uniform with redeliver.
+	// (the location is another machine), but the bound keeps the pattern
+	// uniform with redeliver.
 	forwarded := p.queue.Len()
 	for n := forwarded; n > 0; n-- {
 		qm := p.queue.pop()
@@ -518,21 +519,14 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	mg.rep.PendingForwarded = forwarded
 
 	// Step 7: "all state for the process is removed and space for memory
-	// and tables is reclaimed. A forwarding address is left." The dead
-	// record is recycled immediately — in forwarding mode it is reborn as
-	// the forwarding address, so installing one allocates nothing.
+	// and tables is reclaimed. A forwarding address is left." The record
+	// goes back to procFree; in forwarding mode the address is a table
+	// entry, written below with its ledger index.
 	k.releaseImage(p)
-	backPtr := p.cameFrom
+	back := p.cameFrom
 	k.delProc(pid)
 	k.putProcRec(p)
-	var fwd *Process
 	if k.cfg.Mode == ModeForward {
-		fwd = k.getProcRec()
-		fwd.id = pid
-		fwd.state = StateForwarder
-		fwd.fwdTo = mg.peer
-		fwd.cameFrom = backPtr
-		k.addProc(fwd)
 		k.cold().ForwardersInstalled++
 		k.cold().ForwarderBytes += ForwarderWireSize
 	}
@@ -557,14 +551,19 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	mg.rep.OK = true
 	k.cold().MigrationsOut++
 	// The ledger holds the one copy of the record (Reports reads it back);
-	// the forwarder keeps a pointer to it, so §4/§5 residual traffic keeps
-	// accruing to this migration after completion (see Kernel.ledgerForward).
+	// the forwarding address keeps its index, so §4/§5 residual traffic
+	// keeps accruing to it after completion (ledgerForward).
 	if k.led == nil {
 		k.led = obs.NewLedger()
 	}
 	rec := k.led.Add(mg.rep)
-	if fwd != nil {
-		k.extOf(fwd).obsRec = rec
+	if k.cfg.Mode == ModeForward {
+		c := k.cold()
+		if c.fwds == nil {
+			c.fwds = make(map[addr.ProcessID]fwd)
+		}
+		c.fwds[pid] = fwd{to: mg.peer, back: back, rec: rec}
+		clear(c.runs[pid]) // counts a past address of pid left here, map kept for reuse
 	}
 	if k.cfg.OnReport != nil {
 		k.cfg.OnReport(mg.rep)
@@ -580,9 +579,9 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 // failed revival left here. A live copy, an exit record or a forwarder
 // elsewhere mean the process went on without it: reply Abort.
 func (k *Kernel) decideEstablished(pid addr.ProcessID, m *msg.Message) {
-	p := k.lookup(pid)
+	f, fwded := k.coldView().fwds[pid]
 	_, exited := k.Exit(pid)
-	if p == nil && exited || p != nil && (p.state != StateForwarder || p.fwdTo != m.From.LastKnown) {
+	if k.lookup(pid) != nil || fwded && f.to != m.From.LastKnown || !fwded && exited {
 		k.sendPIDMachine(m.From, msg.OpMigrateAbort, pid)
 		return
 	}
@@ -627,7 +626,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	if k.cfg.MemCapacity > 0 {
 		memFree = k.cfg.MemCapacity - k.memUsed
 	}
-	accept := old == nil || old.state == StateForwarder // else identity collision: refuse
+	accept := old == nil // else identity collision: refuse
 	if accept && k.accept != nil {
 		accept = k.accept(ask, memFree)
 	} else if accept && memFree >= 0 && programBytes > memFree {
@@ -642,15 +641,17 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	// "An empty process state is created on the destination processor...
 	// the newly allocated process state has the same process identifier
 	// as the migrating process. Resources such as virtual memory swap
-	// space are reserved at this time."
-	displaced := k.displaceForwarder(ask.PID)
+	// space are reserved at this time." A process arriving back shadows its
+	// forwarding address until step 8 drops it: ForwarderBytes counts it out.
+	if _, ok := k.coldView().fwds[ask.PID]; ok {
+		k.cold().ForwarderBytes -= ForwarderWireSize
+	}
 	p := k.getProcRec()
 	p.id = ask.PID
 	p.state = StateIncoming
 	p.cameFrom = src
 	k.addProc(p)
 	mg := k.openMigration(roleDest, p, src)
-	mg.displaced = displaced
 	// Pre-warmed destination slots: size the region reassembly buffers
 	// from the announced (unit-rounded) sizes and top up the envelope
 	// pool now, so steps 4-8 do no growth or map work.
@@ -665,21 +666,6 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	k.sendPIDMachine(addr.KernelAddr(src), msg.OpMigrateAccept, ask.PID)
 	k.armWatchdog(mg)
 	k.pullRegion(mg, mg.resident)
-}
-
-// displaceForwarder takes pid's own forwarding address, if this kernel
-// holds one, out of the process table — the process is arriving back on a
-// machine it once left, and the real process supersedes the address. The
-// caller owns the returned record (nil if there was none): a migration
-// keeps it until step 8 in case the arrival fails, Revive recycles it.
-func (k *Kernel) displaceForwarder(pid addr.ProcessID) *Process {
-	old := k.lookup(pid)
-	if old == nil || old.state != StateForwarder {
-		return nil
-	}
-	k.cold().ForwarderBytes -= ForwarderWireSize
-	k.delProc(pid)
-	return old
 }
 
 // pullRegion requests the region mg.step names, to be reassembled into
@@ -751,11 +737,10 @@ func (k *Kernel) assembleProcess(mg *migration) {
 }
 
 // failIncoming ends the destination half without the process: the
-// half-built state is discarded and the kernel is put back the way step 3
-// found it — a displaced forwarding address is reinstated exactly as it
-// was, and the messages held on the incoming record go back through normal
-// delivery, which forwards them through that address or, with none to
-// reinstate, dead-letters them with a count.
+// half-built state is discarded, and the messages held on the incoming
+// record go back through normal delivery, which forwards them through the
+// forwarding address the record shadowed or, with none, dead-letters them
+// with a count.
 func (k *Kernel) failIncoming(mg *migration, cause error) {
 	k.trace(siteIncomingFail, cause.Error(), trace.PID(mg.pid))
 	// Unregister the in-flight pull, if any, so late packets go stray
@@ -766,9 +751,8 @@ func (k *Kernel) failIncoming(mg *migration, cause error) {
 	p := mg.p
 	k.releaseImage(p)
 	k.delProc(mg.pid)
-	if fwd := mg.displaced; fwd != nil {
-		k.addProc(fwd)
-		k.cold().ForwarderBytes += ForwarderWireSize
+	if _, ok := k.coldView().fwds[mg.pid]; ok {
+		k.cold().ForwarderBytes += ForwarderWireSize // it answers again
 	}
 	k.endMigration(mg)
 	k.cold().MigrationsFailed++
@@ -793,17 +777,15 @@ func (k *Kernel) stepCleanup(mg *migration, m *msg.Message) {
 
 // commitIncoming finishes step 8 for an assembled process: restart it in its
 // pre-migration state, which serves the messages queued while incoming. The
-// migration record and the forwarding address it set aside go back to their
-// pools. Step 8 is traced before the held queue is served, since a held
-// request may start the next migration.
+// migration record goes back to its pool, and the forwarding address the
+// arrival shadowed, if any, goes. Step 8 is traced before the held queue is
+// served, since a held request may start the next migration.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) commitIncoming(mg *migration, forwarded int) {
-	p, pid, displaced := mg.p, mg.pid, mg.displaced
+	p, pid := mg.p, mg.pid
 	k.endMigration(mg)
-	if displaced != nil {
-		k.putProcRec(displaced) // the arrival is final: the address it superseded is not coming back
-	}
+	delete(k.coldView().fwds, pid) // the address the arrival shadowed, if any
 	k.trace(siteStep8, p.prevState.String(), trace.PID(pid), trace.Int(forwarded))
 	k.restartProc(p, p.prevState)
 }

@@ -3,9 +3,8 @@ package kernel
 // Observability wiring: how one kernel reports into the cluster's obs
 // plane. Registration is cold and happens once at boot (core.New) or in a
 // test harness; the only hot-path additions anywhere in the kernel are the
-// nil-checked Histogram.Observe in enqueue and the nil-checked
-// ledgerForward dispatch in forward — both guarded by TestHotPathZeroAlloc
-// running with obs attached.
+// nil-checked Histogram.Observe in enqueue and ledgerForward in forward —
+// both guarded by TestHotPathZeroAlloc running with obs attached.
 
 import (
 	"strconv"
@@ -38,14 +37,16 @@ var adminNames = func() []string {
 // forward/link-update attribution, which Reports reads back. Without one
 // the kernel keeps its records in a ledger of its own. Attach led before
 // the first migration completes: a record stays in the ledger it was added
-// to.
+// to, and a forwarding address names it by its index there.
 //
 // Registration holds no name, closure or histogram: the kernel is one
 // interface value in reg, and the delivery-latency histogram is allocated
 // at the first enqueue it observes. Call at most once per registry: metric
 // names are unique per machine.
 func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
-	k.led = led
+	if led != nil {
+		k.led = led
+	}
 	if reg == nil {
 		return
 	}
@@ -94,25 +95,30 @@ func (k *Kernel) observeFirstLatency(v uint64) {
 	k.hLat.Observe(v)
 }
 
-// ledgerForward is the cold attribution half of forward: it charges a §4
-// forward (and the §5 link update it will trigger) to the migration that
-// left this forwarding address behind, and tracks the per-sender stale-send
-// run length whose maximum is the §6 "convergence after 1–2 forwards"
-// measurement. A sender's run stops growing once its link-update lands,
-// because repaired senders stop arriving here at all.
-func (k *Kernel) ledgerForward(f *Process, m *msg.Message) {
-	x := f.ext
-	rec := x.obsRec
-	rec.ForwardsAbsorbed++
+// ledgerForward is the attribution half of forward: it charges a §4
+// forward of m (and the §5 link update it will trigger) to the migration
+// that left the forwarding address behind (rec, its fwd.rec), and tracks the
+// per-sender stale-send run length whose maximum is the §6 "convergence
+// after 1–2 forwards" measurement. A sender's run stops growing once its
+// link-update lands, because repaired senders stop arriving here at all.
+func (k *Kernel) ledgerForward(rec uint32, m *msg.Message) {
+	r := k.led.At(rec)
+	r.ForwardsAbsorbed++
 	if !k.shouldSendLinkUpdate(m) {
 		return
 	}
-	rec.LinkUpdatesSent++
-	if x.fwdSenders == nil {
-		x.fwdSenders = make(map[addr.ProcessID]uint64)
+	r.LinkUpdatesSent++
+	c := k.cold()
+	runs := c.runs[m.To.ID]
+	if runs == nil {
+		runs = make(map[addr.ProcessID]uint64)
+		if c.runs == nil {
+			c.runs = make(map[addr.ProcessID]map[addr.ProcessID]uint64)
+		}
+		c.runs[m.To.ID] = runs
 	}
-	x.fwdSenders[m.From.ID]++
-	if n := x.fwdSenders[m.From.ID]; n > rec.ConvergenceForwards {
-		rec.ConvergenceForwards = n
+	runs[m.From.ID]++
+	if n := runs[m.From.ID]; n > r.ConvergenceForwards {
+		r.ConvergenceForwards = n
 	}
 }

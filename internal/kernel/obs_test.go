@@ -102,7 +102,8 @@ func TestUnobservedLatencyRendersEmpty(t *testing.T) {
 
 // TestNilMapsSurviveCrashSearchRevive walks a kernel whose maps are all
 // still nil through a crash and restart, a migration away as the source, a
-// second restart that loses the forwarding address and the broadcast search
+// second restart that loses the forwarding address (and the forwarder
+// table made for it) and the broadcast search
 // that finds the process anyway, and the revival of another machine's
 // checkpoint: every map is made at its first write, and Restart leaves the
 // volatile ones nil again.
@@ -132,7 +133,9 @@ func TestNilMapsSurviveCrashSearchRevive(t *testing.T) {
 	if info, ok := c.k(2).Process(pid); !ok || info.State == kernel.StateForwarder {
 		t.Fatal("migration 3->2 did not complete")
 	}
-	nilMaps("after migrating away")
+	if live := k.LiveMaps(); !reflect.DeepEqual(live, []string{"fwds"}) {
+		t.Fatalf("after migrating away m3 has made %v, want [fwds], its forwarder table", live)
+	}
 	k.Crash() // the forwarding address for pid dies with m3
 	if err := k.Restart(); err != nil {
 		t.Fatal(err)

@@ -117,6 +117,17 @@ func TestKernelSizeClass(t *testing.T) {
 	}
 }
 
+// TestColdRecordSizeClass: the cold record is one allocation per machine
+// that migrates, forwards or faults, and with the same 8-byte header a
+// coldState of at most 632 B takes the 640-byte size class. The forwarder
+// table lives there, so one field more costs each such machine 64 B.
+func TestColdRecordSizeClass(t *testing.T) {
+	const class, header = 640, 8
+	if sz := unsafe.Sizeof(coldState{}); sz+header > class {
+		t.Fatalf("unsafe.Sizeof(coldState{}) = %d, want <= %d (the %d-byte size class less the allocation header)", sz, class-header, class)
+	}
+}
+
 // TestProcessRecordLayout: a Process is exactly 128 bytes, Go's 128-byte
 // size class, so a record is two aligned cache lines; and everything a
 // scheduling slice reads with load reports off (state, body, queue, cpuUsed)

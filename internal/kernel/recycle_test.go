@@ -58,8 +58,7 @@ func (b *scriptBody) Restore([]byte) error      { return nil }
 // extIsEmpty reports whether a record's side record (if any) holds nothing
 // of a past holder; its maps may survive, emptied.
 func extIsEmpty(x *procExt) bool {
-	return x == nil || x.cpuDelta == 0 && x.msgsDelta == 0 && len(x.commDelta) == 0 &&
-		x.obsRec == nil && len(x.fwdSenders) == 0
+	return x == nil || x.cpuDelta == 0 && x.msgsDelta == 0 && len(x.commDelta) == 0
 }
 
 func onRunq(k *Kernel, p *Process) bool {
@@ -145,7 +144,7 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			if info.CPUUsed != 0 || info.MsgsIn != 0 || info.MsgsOut != 0 || info.QueueLen != 0 || info.Links != 0 {
 				t.Fatalf("recycled record carries accounting: %+v", info)
 			}
-			if p.cameFrom != 0 || !extIsEmpty(p.ext) || p.fwdTo != 0 ||
+			if p.cameFrom != 0 || !extIsEmpty(p.ext) ||
 				p.queueHighWater != 0 || p.image != nil || p.prevState != 0 {
 				t.Fatalf("recycled record inherited state: %+v (ext %+v)", p, p.ext)
 			}
@@ -167,9 +166,8 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 }
 
 // TestReclaimedForwarderIsRecycled: the §4 forwarder GC removes a
-// forwarding address the way every other path removes a record, back onto
-// procFree with nothing of the address left on it — not its pid, its
-// destination, its ledger row or the per-sender forward counts.
+// forwarding address from the forwarder table together with the per-sender
+// forward counts it gathered, so nothing of the address is left.
 func TestReclaimedForwarderIsRecycled(t *testing.T) {
 	e, ks := poolTestCluster(t, 2)
 	k1, k2 := ks[0], ks[1]
@@ -185,29 +183,25 @@ func TestReclaimedForwarderIsRecycled(t *testing.T) {
 	e.Run()
 	k1.RequestMigrationOf(addr.At(pid, 1), 2)
 	e.Run()
-	fwd := k1.lookup(pid)
-	if fwd == nil || fwd.state != StateForwarder || fwd.ext == nil || fwd.ext.obsRec == nil {
-		t.Fatalf("m1 after the migration holds %+v, want a forwarder with a ledger row", fwd)
+	f, ok := k1.fwdOf(pid)
+	if !ok || k1.lookup(pid) != nil || f.to != 2 || k1.led.At(f.rec).PID != pid {
+		t.Fatalf("m1 after the migration holds %+v (%v), want a forwarding address to m2 with a ledger row", f, ok)
 	}
 	// A stale send through the address leaves a per-sender count on it.
 	if err := k1.GiveMessage(pid, addr.At(sender, 1), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
-	if len(fwd.ext.fwdSenders) == 0 {
-		t.Fatal("the forwarded send left no per-sender count on the forwarder")
+	if len(k1.coldRec.runs[pid]) == 0 {
+		t.Fatal("the forwarded send left no per-sender count for the address")
 	}
 	k2.GiveControl(pid, msg.OpKill, nil)
 	e.Run()
-	if k1.lookup(pid) != nil || k1.Stats().ForwardersReclaimed != 1 {
-		t.Fatalf("forwarder not reclaimed (reclaimed %d)", k1.Stats().ForwardersReclaimed)
+	if _, ok := k1.fwdOf(pid); ok || k1.Stats().ForwardersReclaimed != 1 || k1.Stats().ForwarderBytes != 0 {
+		t.Fatalf("forwarder not reclaimed (reclaimed %d, %d B left)", k1.Stats().ForwardersReclaimed, k1.Stats().ForwarderBytes)
 	}
-	if n := len(k1.procFree.free); n == 0 || k1.procFree.free[n-1] != fwd {
-		t.Fatal("the reclaimed forwarder did not go back to procFree")
-	}
-	if fwd.id != (addr.ProcessID{}) || fwd.state != 0 || fwd.fwdTo != 0 || fwd.cameFrom != 0 ||
-		!extIsEmpty(fwd.ext) {
-		t.Fatalf("recycled forwarder record is not clean: %+v", fwd)
+	if len(k1.coldRec.fwds) != 0 || len(k1.coldRec.runs) != 0 {
+		t.Fatalf("the reclaimed address left %v in the table and sender counts %v", k1.coldRec.fwds, k1.coldRec.runs)
 	}
 }
 
@@ -236,7 +230,7 @@ func TestExitRecordsLocalForeignAndAcrossRestart(t *testing.T) {
 	e.Run()
 	k1.RequestMigrationOf(addr.At(mover, 1), 2)
 	e.Run()
-	if p := k2.lookup(mover); p == nil || p.state == StateForwarder || k2.procs[mover] != p {
+	if p := k2.lookup(mover); p == nil || k2.procs[mover] != p {
 		t.Fatalf("mover is not a foreign record in m2's map: %v", p)
 	}
 	k2.GiveControl(mover, msg.OpKill, nil)
@@ -448,7 +442,7 @@ func TestHeldKillEndsTheRestartedProcess(t *testing.T) {
 				t.Fatalf("m2 refused %d migrations, want 1", k2.Stats().MigrationsRefused)
 			}
 			for _, kk := range ks {
-				if p := kk.lookup(pid); p != nil && p.state != StateForwarder {
+				if p := kk.lookup(pid); p != nil {
 					t.Fatalf("m%d still holds %v in state %v", kk.machine, pid, p.state)
 				}
 			}

@@ -152,11 +152,12 @@ func TestReportsIncludeResidualAttribution(t *testing.T) {
 }
 
 // TestForwarderRecyclingAllocs: a target bouncing between m1 and m2 leaves
-// a forwarding address behind at every move, and the address it supersedes
-// on the way back is recycled — its per-sender table with it. In steady
-// state a step (the whole migration, the stale send, the forward, the link
-// update) allocates nothing: the forwarder's sender table is reused rather
-// than made per forwarder, and the ledger stores records in chunks.
+// a forwarding address behind at every move, and the address it shadows on
+// the way back leaves the table at step 8. In steady state a step (the whole
+// migration, the stale send, the forward, the link update) allocates
+// nothing: the table's entry is rewritten in place, the pid's sender table
+// is emptied and reused rather than made per address, and the ledger stores
+// records in chunks.
 func TestForwarderRecyclingAllocs(t *testing.T) {
 	ks, pid, step := staleSendRig(t, nil, nil)
 	for i := 0; i < 8; i++ {
@@ -175,12 +176,13 @@ func TestForwarderRecyclingAllocs(t *testing.T) {
 	if n := forwarded() - before; n != 21 { // AllocsPerRun runs the step once more to warm up
 		t.Fatalf("%d forwards in 21 steps, want one each", n)
 	}
-	f := ks[0].lookup(pid)
-	if f == nil || f.state != StateForwarder {
-		f = ks[1].lookup(pid)
+	k := ks[0]
+	if k.lookup(pid) != nil {
+		k = ks[1]
 	}
-	if f == nil || f.state != StateForwarder || f.ext == nil || len(f.ext.fwdSenders) != 1 || f.ext.obsRec == nil || f.ext.obsRec.ConvergenceForwards != 1 {
-		t.Fatalf("current forwarder %+v", f)
+	f, ok := k.fwdOf(pid)
+	if !ok || len(k.coldRec.runs) != 1 || len(k.coldRec.runs[pid]) != 1 || k.led.At(f.rec).ConvergenceForwards != 1 {
+		t.Fatalf("current forwarding address %+v (%v), runs %v", f, ok, k.coldRec.runs)
 	}
 }
 

@@ -42,8 +42,9 @@ const (
 	// KPSourceEstablished: source, start of step 6 — established received,
 	// pending queue not yet forwarded, process state intact.
 	KPSourceEstablished
-	// KPSourceCommitted: source, end of step 7 — forwarding address
-	// installed and process state reclaimed, cleanup not yet sent.
+	// KPSourceCommitted: source, end of step 7 — process state reclaimed,
+	// cleanup not yet sent (the forwarding address enters the table with
+	// its ledger record, after message 9).
 	KPSourceCommitted
 	// KPDestCleanup: destination, step 8 — cleanup received, the process
 	// not yet restarted.
@@ -171,15 +172,11 @@ func (k *Kernel) Restart() error {
 		if p.image != nil {
 			p.image.Discard()
 		}
-		if p.state == StateForwarder {
-			c.ForwarderBytes -= ForwarderWireSize
-		} else {
-			if c.lostPIDs == nil {
-				c.lostPIDs = make(map[addr.ProcessID]bool)
-			}
-			c.lostPIDs[p.id] = true
-			c.CrashLostProcs++
+		if c.lostPIDs == nil {
+			c.lostPIDs = make(map[addr.ProcessID]bool)
 		}
+		c.lostPIDs[p.id] = true
+		c.CrashLostProcs++
 	}
 	for _, pid := range sortedPIDs(c.pendingLocate) {
 		for _, m := range c.pendingLocate[pid] {
@@ -192,6 +189,7 @@ func (k *Kernel) Restart() error {
 		k.local[i].p = nil // the exit records survive, as k.exits does
 	}
 	k.runq = ring[*Process]{}
+	c.fwds, c.runs, c.ForwarderBytes = nil, nil, 0
 	c.xfersIn = nil
 	c.moveOps = nil
 	c.pendingLocate = nil
@@ -392,12 +390,10 @@ func (k *Kernel) handleSearchQuery(m *msg.Message) {
 		return
 	}
 	var at addr.MachineID
-	if p := k.lookup(pm.PID); p != nil {
-		if p.state == StateForwarder {
-			at = p.fwdTo
-		} else {
-			at = k.machine
-		}
+	if k.lookup(pm.PID) != nil {
+		at = k.machine
+	} else if f, ok := k.coldView().fwds[pm.PID]; ok {
+		at = f.to
 	} else if _, exited := k.Exit(pm.PID); exited {
 		at = addr.NoMachine // authoritatively dead
 	} else {
@@ -416,12 +412,14 @@ func sortedPIDs[V any](m map[addr.ProcessID]V) []addr.ProcessID {
 	for pid := range m {
 		out = append(out, pid)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Creator != b.Creator {
-			return a.Creator < b.Creator
-		}
-		return a.Local < b.Local
-	})
+	sort.Slice(out, func(i, j int) bool { return pidLess(out[i], out[j]) })
 	return out
+}
+
+// pidLess orders pids by (creator, local UID), the kernel's one pid order.
+func pidLess(a, b addr.ProcessID) bool {
+	if a.Creator != b.Creator {
+		return a.Creator < b.Creator
+	}
+	return a.Local < b.Local
 }

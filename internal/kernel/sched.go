@@ -147,7 +147,8 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 		k.putMsg(p.queue.pop())
 	}
 	k.delProc(p.id)
-	k.dropStable(p.id) // a dead process must not be revivable
+	k.dropStable(p.id)              // a dead process must not be revivable
+	delete(k.coldView().runs, p.id) // forward counts kept while it lived here
 	k.noteExit(p.id, ExitInfo{Code: code, Err: err, At: k.eng.Now()})
 	if err != nil {
 		k.stats.Crashes++
@@ -189,7 +190,7 @@ func (k *Kernel) sendLoadReport() {
 	if pct > 100 {
 		pct = 100
 	}
-	procs := k.sortedProcs()
+	procs := k.sortedProcs() // processes only: forwarding addresses are no records
 	rep := msg.LoadReport{
 		Machine:    k.machine,
 		Ready:      sat[uint16](uint64(k.runq.Len())),
@@ -198,7 +199,7 @@ func (k *Kernel) sendLoadReport() {
 		CPUPercent: uint8(pct),
 	}
 	for _, p := range procs {
-		if p.state == StateForwarder || p.state == StateIncoming || p.privileged {
+		if p.state == StateIncoming || p.privileged {
 			continue
 		}
 		x := p.ext
@@ -245,13 +246,7 @@ func sat[T uint16 | uint32](v uint64) T {
 func (k *Kernel) sortedProcs() []*Process {
 	var out []*Process
 	k.eachProc(func(p *Process) { out = append(out, p) })
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].id, out[j].id
-		if a.Creator != b.Creator {
-			return a.Creator < b.Creator
-		}
-		return a.Local < b.Local
-	})
+	sort.Slice(out, func(i, j int) bool { return pidLess(out[i].id, out[j].id) })
 	return out
 }
 

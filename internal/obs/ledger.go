@@ -13,8 +13,8 @@ import (
 // record (kernel.MigrationReport is this type) and hands it to the ledger at
 // step 7. The residual-dependency fields (forwards absorbed, link updates,
 // convergence) keep growing afterwards as stale senders hit the forwarding
-// address, so the ledger hands out a pointer to its stored record and the
-// forwarder keeps it for post-completion attribution.
+// address, so the ledger hands out its stored record's index and the
+// forwarding address keeps it for post-completion attribution (At).
 type MigrationRecord struct {
 	PID  addr.ProcessID `json:"pid"`
 	From addr.MachineID `json:"from"`
@@ -75,10 +75,10 @@ func (r *MigrationRecord) BytesMoved() int {
 
 // Ledger collects migration records for a cluster, or for one shard of it,
 // and is the one store of each record: source kernels add them at step 7,
-// mutate them afterwards through the pointers the forwarders hold, and read
-// their own back for Kernel.Reports; all reads are cold. Records sit in
-// chunks of ledgerChunk that never move, so a stored pointer stays valid and
-// a record costs no allocation of its own.
+// mutate them afterwards through the indices the forwarding addresses hold,
+// and read their own back for Kernel.Reports; all reads are cold. Records
+// sit in chunks of ledgerChunk that never move, so a record costs no
+// allocation of its own.
 type Ledger struct {
 	chunks [][]MigrationRecord // never reallocated: Add opens a new one when the last is full
 }
@@ -89,9 +89,10 @@ const ledgerChunk = 64
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-// Add stores a record and returns the stored pointer for later attribution
-// (forward/link-update accounting on the source).
-func (l *Ledger) Add(rec MigrationRecord) *MigrationRecord {
+// Add stores a record and returns its index for later attribution
+// (forward/link-update accounting on the source, through At). The index
+// holds no pointer, so a table of them costs the collector no scan.
+func (l *Ledger) Add(rec MigrationRecord) uint32 {
 	last := len(l.chunks) - 1
 	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
 		l.chunks = append(l.chunks, make([]MigrationRecord, 0, ledgerChunk))
@@ -99,7 +100,13 @@ func (l *Ledger) Add(rec MigrationRecord) *MigrationRecord {
 	}
 	c := append(l.chunks[last], rec)
 	l.chunks[last] = c
-	return &c[len(c)-1]
+	return uint32(last*ledgerChunk + len(c) - 1)
+}
+
+// At returns the stored record Add returned index i for. A chunk holds at
+// most ledgerChunk records, so i names its chunk and its place in it.
+func (l *Ledger) At(i uint32) *MigrationRecord {
+	return &l.chunks[i/ledgerChunk][i%ledgerChunk]
 }
 
 // From returns copies of the records machine m added as the source, in the

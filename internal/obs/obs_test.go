@@ -132,14 +132,14 @@ func TestSnapshotWriteDeterministic(t *testing.T) {
 
 func TestLedgerPointerAttribution(t *testing.T) {
 	l := NewLedger()
-	rec := l.Add(MigrationRecord{
+	rec := l.At(l.Add(MigrationRecord{
 		PID:  addr.ProcessID{Creator: 1, Local: 5},
 		From: 1, To: 2,
 		Start: 1000, End: 3500,
 		MoveDataTransfers: 3, AdminMsgs: 9, OK: true,
 		ProgramBytes: 256, ResidentBytes: 128, SwappableBytes: 64,
-	})
-	// Post-completion residual traffic mutates through the pointer.
+	}))
+	// Post-completion residual traffic mutates through the index.
 	rec.ForwardsAbsorbed = 4
 	rec.ConvergenceForwards = 2
 
@@ -170,15 +170,15 @@ func TestLedgerPointerAttribution(t *testing.T) {
 	}
 }
 
-// TestLedgerStoresInPlace: records added past several chunks keep the
-// pointers Add returned, From lists one machine's records in the order it
+// TestLedgerStoresInPlace: records added past several chunks stay where the
+// indices Add returned name them, From lists one machine's records in the order it
 // added them, and a merged view never writes into the ledgers it views.
 func TestLedgerStoresInPlace(t *testing.T) {
 	a, b := NewLedger(), NewLedger()
 	var ptrs []*MigrationRecord
 	for i := 0; i < 3*ledgerChunk+5; i++ {
 		from := addr.MachineID(1 + i%2)
-		ptrs = append(ptrs, a.Add(MigrationRecord{PID: addr.ProcessID{Creator: from, Local: addr.LocalUID(i)}, From: from, Start: sim.Time(1000 - i)}))
+		ptrs = append(ptrs, a.At(a.Add(MigrationRecord{PID: addr.ProcessID{Creator: from, Local: addr.LocalUID(i)}, From: from, Start: sim.Time(1000 - i)})))
 	}
 	b.Add(MigrationRecord{From: 3, Start: 5})
 	for i, p := range ptrs {

@@ -37,7 +37,7 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets, the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (only the schedules holding one of the two pinned Accept counterexamples flag)"
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
 go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
   ./internal/core ./internal/kernel ./internal/trace ./cmd/experiments ./internal/chaos
 
@@ -50,8 +50,8 @@ go test -race -count=5 -run 'TestOneWayTrafficKeepsPoolsBounded/parallel' ./inte
 echo "== event count across shard counts under the race detector (a pump counts one event per frame it lands; 1/2/4 shards, inline and goroutine rounds, 3 runs)"
 go test -race -count=3 -run TestShardFiredInvariance ./internal/core/
 
-echo "== recycled process records, split process tables, ProcInfo.Kind read from the body, the fork window (a source crash after the transfer leaves one copy), the one restart path (a held kill ends the restarted process at either end; a held request is served after arrival) and the kill-point matrix (a crash at each kill point leaves a checkpointed process one live copy and one checkpoint, on the same machine) under the race detector (3 runs)"
-go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestHeldKillEndsTheRestartedProcess|TestHeldRequestServedAfterArrival|TestProcessesOrderAcrossSplitTables|TestProcInfoKind|TestSourceCrashAfterTransferLeavesOneCopy|TestKillPointMatrix' ./internal/kernel/
+echo "== recycled process records, split process tables, ProcInfo.Kind read from the body, the forwarder table (the §4 GC, an 8-byte chain, an aborted return that leaves the address in place, and a returning process whose live record wins over its shadowed address), the fork window (a source crash after the transfer leaves one copy), the one restart path (a held kill ends the restarted process at either end; a held request is served after arrival) and the kill-point matrix (a crash at each kill point leaves a checkpointed process one live copy and one checkpoint, on the same machine) under the race detector (3 runs)"
+go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestHeldKillEndsTheRestartedProcess|TestHeldRequestServedAfterArrival|TestProcessesOrderAcrossSplitTables|TestProcInfoKind|TestSourceCrashAfterTransferLeavesOneCopy|TestKillPointMatrix|TestForwarderGC|TestForwardChain|TestAbortedMigrateBackKeepsForwarder|TestReturnMigrationShadowsForwarder' ./internal/kernel/
 
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
@@ -77,8 +77,8 @@ go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -benchtime 1x .
 echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, 256-machine policy round)"
 go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
-echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class, its cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 128 bytes with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
-go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, the cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 128 bytes with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
+go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestColdRecordSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
 go test -count=1 -run 'TestKernelTableIsDense' ./internal/core/
 go test -count=1 -run 'TestMergeSingleSnapshotFastPath' ./internal/obs/
 echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone); at 5% loss, allocations level off (high-water growth, not a leak)"

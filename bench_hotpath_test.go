@@ -587,6 +587,38 @@ func (b *benchTickerBody) Step(ctx proc.Context, budget int) (int, proc.Status) 
 func (b *benchTickerBody) Snapshot() ([]byte, error) { return nil, nil }
 func (b *benchTickerBody) Restore([]byte) error      { return nil }
 
+// benchAltTimerBody re-arms its timer each time it fires, with tags 1 and 2
+// in turn, so every other fired timer misses the kernel's one timer mark
+// (msg.Pool.TimerMark), and checks each tag it receives.
+type benchAltTimerBody struct {
+	armed bool
+	fired int
+	bad   int
+}
+
+func (b *benchAltTimerBody) Kind() string { return "bench-alt-timer" }
+func (b *benchAltTimerBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
+	if !b.armed {
+		b.armed = true
+		ctx.SetTimer(10, 1)
+	}
+	for {
+		d, ok := ctx.Recv()
+		if !ok {
+			return 0, proc.Status{State: proc.Blocked}
+		}
+		if d.Op == msg.OpTimer {
+			if d.Xfer != uint16(1+b.fired%2) {
+				b.bad++
+			}
+			b.fired++
+			ctx.SetTimer(10, uint16(1+b.fired%2))
+		}
+	}
+}
+func (b *benchAltTimerBody) Snapshot() ([]byte, error) { return nil, nil }
+func (b *benchAltTimerBody) Restore([]byte) error      { return nil }
+
 // TestSpawnExitSteadyStateAllocs is the dynamic guard behind the
 // //demos:hotpath annotations on the life of a short process: Spawn draws
 // the Process record and the link table from the free lists terminate
@@ -595,9 +627,11 @@ func (b *benchTickerBody) Restore([]byte) error      { return nil }
 // envelope is drawn from the pool when it fires. On a warm bare kernel a
 // spawn-to-exit cycle of the open-loop job — the caller's body reused, so
 // the kernel's share is all there is — and one tick of a timer-driven sender
-// allocate nothing. (The per-call timer body, closure and heap envelope and
-// the per-spawn record, table, slot backing, map and hash-map inserts made
-// that 8 and 3; 9 with the job the benchmark row allocates per spawn.)
+// allocate nothing, and so does a timer whose tag alternates, so that half
+// its fires miss the kernel's one timer mark. (The per-call timer body,
+// closure and heap envelope and the per-spawn record, table, slot backing,
+// map and hash-map inserts made that 8 and 3; 9 with the job the benchmark
+// row allocates per spawn.)
 func TestSpawnExitSteadyStateAllocs(t *testing.T) {
 	t.Run("spawn-timer-exit", func(t *testing.T) {
 		e := sim.NewEngine(1)
@@ -644,6 +678,32 @@ func TestSpawnExitSteadyStateAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, oneTick); n != 0 {
 			t.Fatalf("SetTimer-driven send allocates %.1f/tick, want 0", n)
+		}
+	})
+	t.Run("alternating-tags", func(t *testing.T) {
+		// A timer that misses the kernel's one mark waits as its own
+		// envelope: no tag makes a new mark.
+		e := sim.NewEngine(1)
+		k := kernel.New(1, e, netw.New(e, netw.Config{}), kernel.Config{})
+		body := &benchAltTimerBody{}
+		if _, err := k.Spawn(kernel.SpawnSpec{Body: body}); err != nil {
+			t.Fatal(err)
+		}
+		oneFire := func() {
+			for target := body.fired + 1; body.fired < target; {
+				if !e.Step() {
+					t.Fatal("engine idle before the timer was delivered")
+				}
+			}
+		}
+		for i := 0; i < 64; i++ {
+			oneFire()
+		}
+		if n := testing.AllocsPerRun(200, oneFire); n != 0 {
+			t.Fatalf("a fired timer with tags 1 and 2 in turn allocates %.1f/fire, want 0", n)
+		}
+		if body.bad != 0 {
+			t.Fatalf("%d of %d timers delivered with the wrong tag", body.bad, body.fired)
 		}
 	})
 }

@@ -139,9 +139,12 @@ func (c *procCtx) Recv() (*proc.Delivery, bool) {
 				d.Data = m.Body[3:]
 			}
 		case msg.OpTimer:
+			// The tag is all a timer carries; its bytes may be the
+			// kernel's shared mark, so the body never sees them.
 			if len(m.Body) >= 2 {
 				d.Xfer = binary.LittleEndian.Uint16(m.Body)
 			}
+			d.Body = nil
 		}
 	}
 	return d, true
@@ -279,7 +282,10 @@ func (c *procCtx) ImageWrite(off int, b []byte) error {
 // SetTimer delivers an OpTimer message to this process after d. The wait
 // rides a pooled pending record (no envelope, no closure, no body bytes per
 // call); when it fires the timer is a normal routed message, so it follows
-// the process through a migration.
+// the process through a migration. On the process's queue it waits as the
+// kernel's shared, read-only mark (enqueue), so a job queued behind a busy
+// CPU holds no envelope; step 6 and redeliver turn the mark back into an
+// envelope (unmark) before they send it on.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (c *procCtx) SetTimer(d sim.Time, tag uint16) {

@@ -92,21 +92,60 @@ func (k *Kernel) deliverLocal(m *msg.Message) {
 // enqueue places a message on a process's queue and wakes it if waiting.
 // The message is released after the receiving body's next Step returns
 // (see runSlice), since the Delivery handed out by Recv aliases its Body.
+// A fired timer that matches the kernel's shared mark (msg.Pool.TimerMark),
+// which holds all Recv reads of it, is released here instead and waits as
+// the mark: a job queued behind a busy CPU keeps no envelope. A mark is only
+// ever read where it is consumed; the two paths that move a queued message
+// on call unmark.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) enqueue(p *Process, m *msg.Message) {
-	p.queue.push(m)
-	p.msgsIn++
-	k.stats.MsgsEnqueued++
 	if k.hLat != nil {
 		k.hLat.Observe(uint64(k.eng.Now() - m.SentAt))
 	} else if k.observed {
 		k.observeFirstLatency(uint64(k.eng.Now() - m.SentAt))
 	}
+	if m.Op == msg.OpTimer && m.Kind == msg.KindControl && len(m.Body) == 2 {
+		m = k.markTimer(m)
+	}
+	p.queue.push(m)
+	p.msgsIn++
+	k.stats.MsgsEnqueued++
 	p.queueHighWater = max(p.queueHighWater, p.queue.n)
 	if p.state == StateWaiting {
 		k.enqueueRun(p)
 	}
+}
+
+// markTimer returns what the fired timer m waits as on its queue: the
+// kernel's mark (msg.Pool.TimerMark) when it stands for m, in which case
+// m's envelope goes back to the pool, and m itself when it does not. Out of
+// line, like observeFirstLatency: enqueue's path for every other message
+// stays one compare.
+//
+//go:noinline
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
+//demos:releases m — the envelope goes back to the pool when the mark replaces it.
+func (k *Kernel) markTimer(m *msg.Message) *msg.Message {
+	mark := k.pool.TimerMark(m)
+	if mark != m {
+		k.putMsg(m)
+	}
+	return mark
+}
+
+// unmark returns m, taken off p's queue to be sent on, as an envelope: a
+// timer mark becomes a new one addressed to p (the mark names no
+// destination, and it is shared, so it is never written or sent), anything
+// else is m itself. The new envelope's SentAt is now: the mark keeps none.
+func (k *Kernel) unmark(p *Process, m *msg.Message) *msg.Message {
+	if !m.IsMark() {
+		return m
+	}
+	e := k.newControl(msg.OpTimer, addr.At(p.id, k.machine))
+	e.From = m.From
+	e.Body = append(e.Body[:0], m.Body...)
+	return e
 }
 
 // forward re-routes a message through a forwarding address (§4, Figure

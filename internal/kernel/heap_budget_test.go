@@ -13,60 +13,123 @@ import (
 )
 
 // TestPerProcessHeapBudget pins what the kernel spends on a process that
-// holds nothing: 20 000 link-less open-loop jobs on a bare kernel, first
-// while every one waits on its timer, then after all have exited and their
-// records, queue rings and timer records sit on the free lists. The bodies
-// are allocated before the first reading, so only the kernel's share
-// counts: the 128-byte record, its UID slot, its 2-slot queue ring, its
-// timer and the engine's event slot while it waits (282 B), and after exit
-// the same parts parked on the free lists (353 B). Each budget leaves less
-// slack than the smallest per-process allocation it is there to catch. The
-// waiting budget (300 B) fails on a link table per process (64 B) or a side
-// record per process on a kernel without load reports (48 B); the ended
-// budget (380 B) on an 8-slot queue ring (48 B more than 2 slots) or on the
-// same side record kept on the free list. A record one size class up (144 B)
-// fits both; TestProcessRecordLayout catches that. (The race detector's
-// shadow allocations inflate HeapAlloc, hence the build tag.)
+// holds nothing, in three readings of 20 000 link-less open-loop jobs on a
+// bare kernel. The bodies are allocated before the first reading of each
+// scene, so only the kernel's share counts. (The race detector's shadow
+// allocations inflate HeapAlloc, hence the build tag.)
+//
+// idle: first while every job waits on its timer, then after all have
+// exited and their records, queue rings and timer records sit on the free
+// lists. Waiting costs the 128-byte record, its UID slot, its 2-slot queue
+// ring, its timer and the engine's event slot (282 B); after exit the same
+// parts are parked on the free lists (317 B; 353 B when a fired timer held
+// its envelope until its job ran, which grew the pool behind the busy CPU
+// by ~5 000 envelopes). Each budget leaves less slack than the smallest
+// per-process allocation it is there to catch. The waiting budget (300 B)
+// fails on a link table per process (64 B) or a side record per process on
+// a kernel without load reports (48 B); the ended budget (350 B) on an
+// 8-slot queue ring (48 B more than 2 slots) or on the same side record
+// kept on the free list. A record one size class up (144 B) fits both;
+// TestProcessRecordLayout catches that.
+//
+// fired-queued: the jobs' timers fire 10 µs apart, far faster than the one
+// CPU serves them, and the reading is taken when the last has fired, with
+// ~19 000 jobs waiting fired on their queues. A fired timer waits as the
+// kernel's shared mark, not as an envelope (~308 B a job, against 437 B
+// with a 128-byte envelope and its body per queued job); the budget (340 B)
+// fails on an envelope per queued job. The pool must balance with nothing
+// held: every envelope the fires drew went back at enqueue.
 func TestPerProcessHeapBudget(t *testing.T) {
-	const n, waitingBudget, endedBudget = 20_000, 300, 380
-	eng := sim.NewEngine(1)
-	k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
-	bodies := make([]workload.Job, n)
+	const n = 20_000
 	var ms runtime.MemStats
 	live := func() uint64 {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	before := live()
-	// Every job's first slice costs 150 µs of the one CPU, so all have run
-	// and armed their timers well before the first fires.
+	// Every job's first slice costs 150 µs of the one CPU (job i's runs at
+	// 150·i µs), so all have run and armed their timers well before the
+	// first fires at 10 s.
 	const service = sim.Time(10_000_000)
-	for i := range bodies {
-		bodies[i].Service = service
-		if _, err := k.Spawn(SpawnSpec{Body: &bodies[i]}); err != nil {
-			t.Fatal(err)
+	spawn := func(t *testing.T, k *Kernel, bodies []workload.Job) {
+		for i := range bodies {
+			if _, err := k.Spawn(SpawnSpec{Body: &bodies[i]}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	eng.RunUntil(service)
-	if p := k.local[n].p; p == nil || p.state != StateWaiting || p.links != nil {
-		t.Fatalf("job %d is not waiting link-less on its timer: %+v", n, p)
-	}
-	waiting := (int64(live()) - int64(before)) / n
-	eng.Run()
-	if got := k.Stats().Exited; got != n {
-		t.Fatalf("%d of %d jobs exited", got, n)
-	}
-	ended := (int64(live()) - int64(before)) / n
-	t.Logf("kernel heap per process: %d B waiting, %d B after exit", waiting, ended)
-	if waiting > waitingBudget {
-		t.Errorf("a waiting link-less job costs the kernel %d B, budget %d B", waiting, waitingBudget)
-	}
-	if ended > endedBudget {
-		t.Errorf("an exited job leaves the kernel %d B, budget %d B", ended, endedBudget)
-	}
-	runtime.KeepAlive(k)
-	runtime.KeepAlive(bodies)
+
+	t.Run("idle", func(t *testing.T) {
+		const waitingBudget, endedBudget = 300, 350
+		eng := sim.NewEngine(1)
+		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
+		bodies := make([]workload.Job, n)
+		for i := range bodies {
+			bodies[i].Service = service
+		}
+		before := live()
+		spawn(t, k, bodies)
+		eng.RunUntil(service)
+		if p := k.local[n].p; p == nil || p.state != StateWaiting || p.links != nil {
+			t.Fatalf("job %d is not waiting link-less on its timer: %+v", n, p)
+		}
+		waiting := (int64(live()) - int64(before)) / n
+		eng.Run()
+		if got := k.Stats().Exited; got != n {
+			t.Fatalf("%d of %d jobs exited", got, n)
+		}
+		ended := (int64(live()) - int64(before)) / n
+		t.Logf("kernel heap per process: %d B waiting, %d B after exit", waiting, ended)
+		if waiting > waitingBudget {
+			t.Errorf("a waiting link-less job costs the kernel %d B, budget %d B", waiting, waitingBudget)
+		}
+		if ended > endedBudget {
+			t.Errorf("an exited job leaves the kernel %d B, budget %d B", ended, endedBudget)
+		}
+		runtime.KeepAlive(k)
+		runtime.KeepAlive(bodies)
+	})
+
+	t.Run("fired-queued", func(t *testing.T) {
+		const budget = 340
+		eng := sim.NewEngine(1)
+		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
+		bodies := make([]workload.Job, n)
+		for i := range bodies {
+			// Job i arms at 150·i µs and fires at 10 s + 10·i µs.
+			bodies[i].Service = service - sim.Time(140*i)
+		}
+		before := live()
+		spawn(t, k, bodies)
+		// The last fires at 10 s + 199 990 µs and reaches its queue one
+		// local hop later.
+		eng.RunUntil(service + 10*n + LocalLatency)
+		queued := 0
+		k.eachProc(func(p *Process) {
+			if p.queue.Len() > 0 {
+				queued++
+			}
+		})
+		if queued < n*9/10 {
+			t.Fatalf("%d of %d jobs wait fired on their queues, want at least %d", queued, n, n*9/10)
+		}
+		per := (int64(live()) - int64(before)) / n
+		news, free, held := k.PoolStats()
+		t.Logf("kernel heap per job with %d of %d fired and queued: %d B; pool: %d made, %d free, %d held",
+			queued, n, per, news, free, held)
+		if per > budget {
+			t.Errorf("a job waiting fired behind a busy CPU costs the kernel %d B, budget %d B", per, budget)
+		}
+		if news != free+held || held != 0 {
+			t.Errorf("pool: %d made, %d free, %d held; want made == free and none held in queues", news, free, held)
+		}
+		eng.Run()
+		if got := k.Stats().Exited; got != n {
+			t.Fatalf("%d of %d jobs exited", got, n)
+		}
+		runtime.KeepAlive(k)
+		runtime.KeepAlive(bodies)
+	})
 }
 
 // TestPerForwarderHeapBudget pins what a forwarding address costs the

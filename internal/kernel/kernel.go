@@ -348,7 +348,7 @@ type Kernel struct {
 	// hot-path touch is behind a nil check, so a bare kernel pays one
 	// predictable branch.
 	led  *obs.Ledger
-	hLat *obs.Histogram // user-message delivery latency (route -> enqueue), µs
+	hLat *obs.Histogram // delivery latency of every queued message, timers included (route -> enqueue), µs
 }
 
 // New creates a kernel for machine m, attaches it to the network, and

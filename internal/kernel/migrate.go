@@ -442,7 +442,7 @@ func (k *Kernel) restartProc(p *Process, state ProcState) {
 // table (failIncoming redelivers from a record it has just removed).
 func (k *Kernel) redeliver(p *Process) {
 	for n := p.queue.Len(); n > 0 && p.queue.Len() > 0; n-- {
-		k.deliverLocal(p.queue.pop())
+		k.deliverLocal(k.unmark(p, p.queue.pop()))
 	}
 }
 
@@ -510,7 +510,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	// uniform with redeliver.
 	forwarded := p.queue.Len()
 	for n := forwarded; n > 0; n-- {
-		qm := p.queue.pop()
+		qm := k.unmark(p, p.queue.pop())
 		qm.To.LastKnown = mg.peer
 		k.cold().ForwardedPending++
 		k.route(qm)

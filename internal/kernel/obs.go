@@ -62,9 +62,13 @@ func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
 // element, and the computed rows — admin_total (the sum over AdminSent),
 // the envelope pool levels through PoolStats (the registry view of the
 // conservation law news == free + held that the chaos invariant checker
-// audits) and deliver_latency_us, the one kernel-owned histogram:
-// user-message delivery latency (SentAt stamp to queue insertion) in
-// simulated µs, empty until the first observation.
+// audits) and deliver_latency_us, the one kernel-owned histogram: the
+// delivery latency of every message put on a process queue, user messages,
+// kernel completions and fired timers alike (SentAt stamp to queue
+// insertion), in simulated µs, empty until the first observation. A timer
+// waits on its queue as a mark that keeps no SentAt (enqueue), so one
+// resent by step 6 or redelivered after an aborted migration counts from
+// the resend, not from its first firing.
 func (k *Kernel) AppendMetrics(dst []obs.Metric) []obs.Metric {
 	p := "kernel.m" + strconv.Itoa(int(k.machine)) + "."
 	c := k.coldView()
@@ -86,7 +90,7 @@ func (k *Kernel) AppendMetrics(dst []obs.Metric) []obs.Metric {
 
 // observeFirstLatency allocates the delivery-latency histogram at the first
 // enqueue of a kernel with a registry attached, so a machine that never
-// delivers a user message carries none. Out of line: enqueue's fast path
+// queues a message carries none. Out of line: enqueue's fast path
 // stays one nil check.
 //
 //go:noinline

@@ -117,6 +117,22 @@ func TestKernelSizeClass(t *testing.T) {
 	}
 }
 
+// TestPoolAndEnvelopeSizeClass: a kernel's msg.Pool is one allocation per
+// machine (free list, return pool, counter and the cached timer mark: 48 B)
+// and must stay in the 48-byte size class; one class up (64 B) costs
+// every machine 16 B, about 1.5 % of openloop-1000's
+// heap_live_bytes_per_machine. A msg.Message (an envelope, or a fired
+// timer's mark) must stay in the 128-byte class: one class up costs every
+// pooled envelope 16 B.
+func TestPoolAndEnvelopeSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(msg.Pool{}); sz > 48 {
+		t.Errorf("unsafe.Sizeof(msg.Pool{}) = %d, want <= 48 (the 48-byte size class)", sz)
+	}
+	if sz := unsafe.Sizeof(msg.Message{}); sz > 128 {
+		t.Errorf("unsafe.Sizeof(msg.Message{}) = %d, want <= 128 (the 128-byte size class)", sz)
+	}
+}
+
 // TestColdRecordSizeClass: the cold record is one allocation per machine
 // that migrates, forwards or faults, and with the same 8-byte header a
 // coldState of at most 632 B takes the 640-byte size class. The forwarder

@@ -257,7 +257,8 @@ func (k *Kernel) LostPIDs() []addr.ProcessID {
 
 // PoolStats reports this kernel's envelope-pool ledger: envelopes the pool
 // constructed, envelopes on the free list, and pooled envelopes currently
-// held in process queues and locate buffers. At quiescence, cluster-wide,
+// held in process queues and locate buffers (a queued timer's mark is not
+// an envelope and counts in none of them). At quiescence, cluster-wide,
 // ΣNews == ΣFree + ΣHeld — anything else is a leaked or double-released
 // envelope (chaos.CheckInvariants asserts this).
 func (k *Kernel) PoolStats() (news, free, held int) {

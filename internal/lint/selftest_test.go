@@ -122,9 +122,10 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.pushRun",
 			// Syscall layer.
 			"procCtx.send", "procCtx.Recv", "procCtx.SetTimer",
-			// Spawn -> timer -> exit: the dense tables and the recycle site.
+			// Spawn -> timer -> exit: the dense tables, the fired timer's
+			// mark and the recycle site.
 			"Kernel.addProc", "Kernel.delProc", "Kernel.noteExit",
-			"Kernel.terminate",
+			"Kernel.markTimer", "Kernel.terminate",
 			// Move-data facility.
 			"Kernel.ack", "Kernel.handleAck", "Kernel.handleDataPacket",
 			"Kernel.streamGather",

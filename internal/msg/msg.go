@@ -178,14 +178,19 @@ type Message struct {
 
 	// Envelope pooling (see Pool). home is the pool that constructed the
 	// envelope and the only free list it ever returns to (nil for
-	// heap-constructed messages, which Put ignores); inFree guards against
-	// double release.
+	// heap-constructed messages and timer marks, which Put ignores); inFree
+	// guards against double release; mark is set only on a Pool.TimerMark.
 	inFree bool
+	mark   bool
 	home   *Pool
 }
 
 // Pooled reports whether m was acquired from a Pool (and will be recycled).
 func (m *Message) Pooled() bool { return m.home != nil }
+
+// IsMark reports whether m is a timer mark (Pool.TimerMark): read-only,
+// shared, and never sent as it is.
+func (m *Message) IsMark() bool { return m.mark }
 
 // WireSize returns the number of bytes the message occupies on the wire.
 // The result is cached: Body/Links/Kind/Orig must not change size after

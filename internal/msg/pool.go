@@ -27,8 +27,9 @@ package msg
 // pool's free list by the next barrier, where a test can find it.
 type Pool struct {
 	free []*Message
-	back *Pool // this shard's return pool; nil off a sharded cluster, itself for a return pool
-	news int   // envelopes constructed because the free list was empty
+	back *Pool    // this shard's return pool; nil off a sharded cluster, itself for a return pool
+	news int      // envelopes constructed because the free list was empty
+	mark *Message // the one timer mark (TimerMark), made at the first fired timer
 }
 
 // NewPool returns an empty pool.
@@ -101,6 +102,25 @@ func (p *Pool) Put(m *Message) {
 		home = p.back
 	}
 	home.free = append(home.free, m)
+}
+
+// TimerMark returns what a fired timer m waits as on a process queue: the
+// pool's mark when it holds m's Kind, Op, From and Body, made from m if the
+// pool has none yet, and m itself otherwise. A mark is shared by every
+// queue that holds it and never written after it is made; it is not
+// pooled, so Put ignores it, and the kernel turns it back into an envelope
+// before it sends it on (Message.IsMark). A pool makes at most one mark, so
+// a timer that does not match it costs nothing more than its envelope.
+func (p *Pool) TimerMark(m *Message) *Message {
+	mk := p.mark
+	if mk == nil {
+		mk = &Message{Kind: m.Kind, Op: m.Op, From: m.From, Body: append([]byte(nil), m.Body...), mark: true}
+		p.mark = mk
+	}
+	if mk.Kind == m.Kind && mk.Op == m.Op && mk.From == m.From && string(mk.Body) == string(m.Body) {
+		return mk
+	}
+	return m
 }
 
 // NewReturnPool returns a shard's return pool: the pool Put parks envelopes

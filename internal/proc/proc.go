@@ -63,7 +63,7 @@ type Delivery struct {
 	Body    []byte
 	Carried []link.ID // links that arrived in the message, already installed
 	Op      msg.Op    // OpNone for user messages; kernel completions/timers otherwise
-	Xfer    uint16    // correlation id for move-data completions
+	Xfer    uint16    // correlation id for move-data completions; a timer's tag
 	OK      bool      // completion success
 	Data    []byte    // assembled data for move-read completions
 }
@@ -121,7 +121,8 @@ type Context interface {
 	ImageRead(off int, b []byte) error
 	ImageWrite(off int, b []byte) error
 
-	// SetTimer delivers a Delivery with Op=OpTimer and the tag after d.
+	// SetTimer delivers a Delivery with Op=OpTimer and the tag in Xfer
+	// (and a nil Body) after d.
 	SetTimer(d sim.Time, tag uint16)
 
 	// Print writes to the trace console.

@@ -37,7 +37,7 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process (idle jobs, and ~19 000 fired timers queued behind a busy CPU as marks, with no envelope each and none held by the pool) and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
 go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
   ./internal/core ./internal/kernel ./internal/trace ./cmd/experiments ./internal/chaos
 
@@ -71,14 +71,14 @@ go test -run='^$' -fuzz=FuzzStateCodec -fuzztime=5s ./internal/workload/
 echo "== benchmark module: vet + self-test against the surface it compiles against"
 (cd bench/_src && go vet ./... && go test ./...)
 
-echo "== hot-path allocation guards (steady state incl. send -> pump at depth 64 and the lossy ARQ round, spawn -> timer -> exit, timer-driven send) + benchmarks (1 iteration smoke; NetwSend matches the Depth1/64/1k rows)"
+echo "== hot-path allocation guards (steady state incl. send -> pump at depth 64 and the lossy ARQ round, spawn -> timer -> exit, timer-driven send, timers whose tags alternate so half miss the kernel's one timer mark) + benchmarks (1 iteration smoke; NetwSend matches the Depth1/64/1k rows)"
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
 echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, 256-machine policy round)"
 go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
-echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, the cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 128 bytes with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
-go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestColdRecordSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, msg.Pool in the 48-byte class and msg.Message in the 128-byte one, the cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 128 bytes with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
+go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestPoolAndEnvelopeSizeClass|TestColdRecordSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
 go test -count=1 -run 'TestKernelTableIsDense' ./internal/core/
 go test -count=1 -run 'TestMergeSingleSnapshotFastPath' ./internal/obs/
 echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone); at 5% loss, allocations level off (high-water growth, not a leak)"

@@ -110,10 +110,10 @@ func (c *procCtx) errUnknownCarry(cid link.ID) error {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 //demos:owner mailbox — Recv IS the blessed aliasing boundary: recvd holds popped envelopes until the slice drain in runSlice; the returned *Delivery is valid until the next Recv or the end of Step, and its Body/Data alias the envelope for exactly one step (ownership rule in the doc above; checked by demoslint ownership elsewhere).
 func (c *procCtx) Recv() (*proc.Delivery, bool) {
-	if c.p.queue.Len() == 0 {
+	m := c.p.queue.pop()
+	if m == nil {
 		return nil, false
 	}
-	m := c.p.queue.pop()
 	c.recvd = append(c.recvd, m)
 	c.msgsHandled++
 	d := &c.d
@@ -165,12 +165,13 @@ func (c *procCtx) insertCarried(m *msg.Message, d *proc.Delivery) {
 
 func (c *procCtx) CreateLink(attrs link.Attr, area link.DataArea) (link.ID, error) {
 	if !area.IsZero() {
-		if c.p.image == nil {
+		img := c.p.image()
+		if img == nil {
 			return link.NilID, fmt.Errorf("kernel: %v has no memory image for a data area", c.p.id)
 		}
-		if int(area.Offset)+int(area.Length) > c.p.image.Size() {
+		if int(area.Offset)+int(area.Length) > img.Size() {
 			return link.NilID, fmt.Errorf("kernel: data area [%d+%d) outside image of %d bytes",
-				area.Offset, area.Length, c.p.image.Size())
+				area.Offset, area.Length, img.Size())
 		}
 	}
 	l := link.Link{Addr: addr.At(c.p.id, c.k.machine), Attrs: attrs, Area: area}
@@ -266,17 +267,19 @@ func (c *procCtx) MoveFrom(on link.ID, off, n uint32, userXfer uint16) error {
 }
 
 func (c *procCtx) ImageRead(off int, b []byte) error {
-	if c.p.image == nil {
+	img := c.p.image()
+	if img == nil {
 		return fmt.Errorf("kernel: %v has no memory image", c.p.id)
 	}
-	return c.p.image.ReadAt(b, off)
+	return img.ReadAt(b, off)
 }
 
 func (c *procCtx) ImageWrite(off int, b []byte) error {
-	if c.p.image == nil {
+	img := c.p.image()
+	if img == nil {
 		return fmt.Errorf("kernel: %v has no memory image", c.p.id)
 	}
-	return c.p.image.WriteAt(b, off)
+	return img.WriteAt(b, off)
 }
 
 // SetTimer delivers an OpTimer message to this process after d. The wait

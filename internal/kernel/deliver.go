@@ -73,9 +73,8 @@ func (k *Kernel) deliverLocal(m *msg.Message) {
 		// §3.1 step 1: "Messages arriving for the migrating process,
 		// including DELIVERTOKERNEL messages, will be placed on its
 		// message queue."
-		p.queue.push(m)
+		p.queueHighWater = max(p.queueHighWater, p.queue.push(m))
 		k.stats.MsgsHeld++
-		p.queueHighWater = max(p.queueHighWater, p.queue.n)
 	default:
 		if m.DTK {
 			// §2.2: "on arrival at the destination process's message
@@ -108,10 +107,9 @@ func (k *Kernel) enqueue(p *Process, m *msg.Message) {
 	if m.Op == msg.OpTimer && m.Kind == msg.KindControl && len(m.Body) == 2 {
 		m = k.markTimer(m)
 	}
-	p.queue.push(m)
+	p.queueHighWater = max(p.queueHighWater, p.queue.push(m))
 	p.msgsIn++
 	k.stats.MsgsEnqueued++
-	p.queueHighWater = max(p.queueHighWater, p.queue.n)
 	if p.state == StateWaiting {
 		k.enqueueRun(p)
 	}

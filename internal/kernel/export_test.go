@@ -71,8 +71,8 @@ func legalAtDoc(r protoRow) string {
 // MigrationStep reports the step of the migration half moving pid on this
 // kernel, and whether there is one.
 func (k *Kernel) MigrationStep(pid addr.ProcessID) (step int, ok bool) {
-	if p := k.lookup(pid); p != nil && p.mig != nil {
-		return int(p.mig.step), true
+	if mg := k.lookup(pid).mig(); mg != nil {
+		return int(mg.step), true
 	}
 	return 0, false
 }
@@ -111,11 +111,10 @@ func (k *Kernel) HasSwapStore() bool { return k.swap != nil }
 
 // SwappedPages reports how many of a local process's pages are in swap.
 func (k *Kernel) SwappedPages(pid addr.ProcessID) int {
-	p := k.lookup(pid)
-	if p == nil || p.image == nil {
-		return 0
+	if img := k.lookup(pid).image(); img != nil {
+		return img.SwappedPages()
 	}
-	return p.image.SwappedPages()
+	return 0
 }
 
 // LinksOf returns a copy of a local process's link table entries.

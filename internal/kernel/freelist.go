@@ -2,8 +2,8 @@ package kernel
 
 // freelist is the kernel's one free list: a LIFO of released records of one
 // type. What survives recycling (scratch buffers, once-bound closures, a
-// queue ring) is decided where the record is put; get returns nil when the
-// list is empty, so the get site constructs a fresh record and binds
+// mailbox's ring) is decided where the record is put; get returns nil when
+// the list is empty, so the get site constructs a fresh record and binds
 // whatever must be bound exactly once.
 type freelist[T any] struct{ free []*T }
 

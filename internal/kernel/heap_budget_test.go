@@ -19,26 +19,26 @@ import (
 // allocations inflate HeapAlloc, hence the build tag.)
 //
 // idle: first while every job waits on its timer, then after all have
-// exited and their records, queue rings and timer records sit on the free
-// lists. Waiting costs the 128-byte record, its UID slot, its 2-slot queue
-// ring, its timer and the engine's event slot (282 B); after exit the same
-// parts are parked on the free lists (317 B; 353 B when a fired timer held
-// its envelope until its job ran, which grew the pool behind the busy CPU
-// by ~5 000 envelopes). Each budget leaves less slack than the smallest
-// per-process allocation it is there to catch. The waiting budget (300 B)
-// fails on a link table per process (64 B) or a side record per process on
-// a kernel without load reports (48 B); the ended budget (350 B) on an
-// 8-slot queue ring (48 B more than 2 slots) or on the same side record
-// kept on the free list. A record one size class up (144 B) fits both;
-// TestProcessRecordLayout catches that.
+// exited and their records and timer records sit on the free lists. Waiting
+// costs the 96-byte record, its UID slot, its timer and the engine's event
+// slot (250 B; 282 B with a 128-byte record); after exit the same parts are
+// parked on the free lists (269 B; 317 B with a 128-byte record whose queue
+// kept a 2-slot ring backing). Each budget leaves less slack than the
+// smallest per-process allocation it is there to catch. The waiting budget
+// (270 B) fails on a link table per process (64 B) or a side record per
+// process on a kernel without load reports (48 B); the ended budget (290 B)
+// on a queue ring per record (a 32-byte ring and its 16-byte backing, 48 B)
+// or on the same side record kept on the free list. A record one size class
+// up (112 B) fits both; TestProcessRecordLayout catches that.
 //
 // fired-queued: the jobs' timers fire 10 µs apart, far faster than the one
 // CPU serves them, and the reading is taken when the last has fired, with
 // ~19 000 jobs waiting fired on their queues. A fired timer waits as the
-// kernel's shared mark, not as an envelope (~308 B a job, against 437 B
-// with a 128-byte envelope and its body per queued job); the budget (340 B)
-// fails on an envelope per queued job. The pool must balance with nothing
-// held: every envelope the fires drew went back at enqueue.
+// kernel's shared mark in the queue's inline head, not as an envelope
+// (~260 B a job, against 437 B with a 128-byte envelope and its body per
+// queued job and 308 B with a ring per queued job); the budget (290 B)
+// fails on an envelope or a ring per queued job. The pool must balance with
+// nothing held: every envelope the fires drew went back at enqueue.
 func TestPerProcessHeapBudget(t *testing.T) {
 	const n = 20_000
 	var ms runtime.MemStats
@@ -60,7 +60,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 	}
 
 	t.Run("idle", func(t *testing.T) {
-		const waitingBudget, endedBudget = 300, 350
+		const waitingBudget, endedBudget = 270, 290
 		eng := sim.NewEngine(1)
 		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
 		bodies := make([]workload.Job, n)
@@ -91,7 +91,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 	})
 
 	t.Run("fired-queued", func(t *testing.T) {
-		const budget = 340
+		const budget = 290
 		eng := sim.NewEngine(1)
 		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
 		bodies := make([]workload.Job, n)
@@ -140,7 +140,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 // else: a 4-byte pid key and an 8-byte pointer-free value (fwd) in a Go
 // map's groups, ~27 B at this size (the UID slot and the ledger record stay
 // either way). The budget (40 B) fails on a process record per address
-// (128 B) or on any pointer-carrying side record. The departed record is no
+// (96 B) or on any pointer-carrying side record. The departed record is no
 // longer the address: it waits on procFree for the next spawn or arrival,
 // so the test also logs the live heap per departed process with procFree's
 // records counted, which the table must not hide.

@@ -164,14 +164,15 @@ func (c *Config) fillDefaults() {
 }
 
 // Process is the kernel's process record. The exported view is ProcInfo.
-// Field order is by use, not by topic, and the record is exactly 128 bytes,
-// two cache lines of Go's 128-byte size class (TestProcessRecordLayout).
-// With tens of thousands of short processes alive the first touch of a
-// record is a cache miss per line, so the first 64 bytes hold all that a
-// scheduling slice reads (state, body, queue, cpuUsed) and the second what
-// delivery, sending, creation, exit and migration touch. Every pointer sits
-// before byte 96, so the collector's scan of a record stops there. What only
-// some records use lives beside it in ext.
+// Field order is by use, not by topic, and the record is exactly 96 bytes,
+// Go's 96-byte size class (TestProcessRecordLayout). With tens of
+// thousands of short processes alive the first touch of a record is a
+// cache miss per line, so the first 64 bytes hold all that a scheduling
+// slice reads (state, body, queue, cpuUsed) and every pointer, so the
+// collector's scan of a record stops there; the rest is what creation,
+// delivery and sending write. What only some records use (an image, a
+// migration, the previous host, load-report deltas) lives beside it in
+// ext.
 type Process struct {
 	id         addr.ProcessID
 	state      ProcState
@@ -179,32 +180,59 @@ type Process struct {
 	privileged bool
 	onRunq     bool // p is in k.runq, so leaving it out of turn needs no scan to find out
 	body       proc.Body
-	queue      ring[*msg.Message]
+	queue      mailbox
 	cpuUsed    sim.Time
 
 	// links is nil until the process's first link (a nil table reads as
 	// empty); a recycled record keeps its table, emptied.
 	links *link.Table
-	image *memory.Image
-	mig   *migration // the half moving this record (frozen source, incoming destination)
 	// ext is nil until the record first needs it (extOf), and on kernels
 	// with load reports every record has one from getProcRec on. A recycled
 	// record keeps it, emptied.
 	ext            *procExt
-	cameFrom       addr.MachineID // previous host, for death-notice GC
-	queueHighWater uint32
 	createdAt      sim.Time
 	msgsIn         uint64
 	msgsOut        uint64
+	queueHighWater uint32
 }
 
-// procExt is what only some process records use: the load-report deltas
-// since the last report, which only kernels with LoadReportEvery > 0 count
-// and only sendLoadReport reads. commDelta counts sends per peer machine.
+// procExt is what only some process records use: the memory image of a VM
+// or an image-backed native body; the migration half moving the record
+// (frozen source, incoming destination); the previous host, for
+// death-notice GC; and the load-report deltas since the last report, which
+// only kernels with LoadReportEvery > 0 count and only sendLoadReport
+// reads. commDelta counts sends per peer machine.
 type procExt struct {
+	image     *memory.Image
+	mig       *migration
+	commDelta map[addr.MachineID]uint64
 	cpuDelta  sim.Time
 	msgsDelta uint64
-	commDelta map[addr.MachineID]uint64
+	cameFrom  addr.MachineID
+}
+
+// image returns p's memory image, nil when it has none or p is nil.
+func (p *Process) image() *memory.Image {
+	if p == nil || p.ext == nil {
+		return nil
+	}
+	return p.ext.image
+}
+
+// mig returns the migration half moving p, nil when none is or p is nil.
+func (p *Process) mig() *migration {
+	if p == nil || p.ext == nil {
+		return nil
+	}
+	return p.ext.mig
+}
+
+// cameFrom returns p's previous host, NoMachine when it was created here.
+func (p *Process) cameFrom() addr.MachineID {
+	if p.ext == nil {
+		return addr.NoMachine
+	}
+	return p.ext.cameFrom
 }
 
 // ForwarderWireSize is the storage a forwarding address needs:
@@ -325,12 +353,12 @@ type Kernel struct {
 	memUsed int
 	swap    *memory.Store
 
-	// procFree recycles whole Process records, each with its queue ring
-	// and emptied link table (see DESIGN.md §7): Spawn/terminate and
-	// migrations share it, so a warm kernel spawns and retires processes
-	// without growing the heap. Records wiped wholesale by Restart are
-	// simply orphaned to the GC; the free list only ever holds released
-	// records.
+	// procFree recycles whole Process records, each with its queue's ring
+	// (if it grew one), emptied link table and emptied side record (see
+	// DESIGN.md §7): Spawn/terminate and migrations share it, so a warm
+	// kernel spawns and retires processes without growing the heap.
+	// Records wiped wholesale by Restart are simply orphaned to the GC; the
+	// free list only ever holds released records.
 	procFree freelist[Process]
 
 	// The hot/cold split (cold.go): stats holds the counters a machine
@@ -449,7 +477,9 @@ func (k *Kernel) Spawn(spec SpawnSpec) (addr.ProcessID, error) {
 	p.id = pid
 	p.state = StateReady
 	p.body = body
-	p.image = img
+	if img != nil {
+		k.extOf(p).image = img
+	}
 	p.privileged = spec.Privileged
 	p.createdAt = k.eng.Now()
 	for _, l := range spec.Links {
@@ -489,8 +519,8 @@ func (k *Kernel) Process(pid addr.ProcessID) (ProcInfo, bool) {
 	if p.body != nil {
 		info.Kind = p.body.Kind()
 	}
-	if p.image != nil {
-		info.ImageSize = p.image.Size()
+	if img := p.image(); img != nil {
+		info.ImageSize = img.Size()
 	}
 	return info, true
 }
@@ -579,8 +609,8 @@ func (k *Kernel) linksOf(p *Process) *link.Table {
 func (k *Kernel) ResidentBytes() int {
 	total := 0
 	k.eachProc(func(p *Process) {
-		if p.image != nil {
-			total += p.image.ResidentPages() * memory.PageSize
+		if img := p.image(); img != nil {
+			total += img.ResidentPages() * memory.PageSize
 		}
 	})
 	return total
@@ -601,14 +631,15 @@ func (k *Kernel) relieveMemory() {
 		if resident <= k.cfg.SwapSoftLimit {
 			return
 		}
-		if p.image == nil || (p.state != StateWaiting && p.state != StateSuspended) {
+		img := p.image()
+		if img == nil || (p.state != StateWaiting && p.state != StateSuspended) {
 			continue
 		}
-		freed := p.image.ResidentPages()
+		freed := img.ResidentPages()
 		if _, err := k.SwapOutProcess(p.id); err != nil {
 			continue // swap store full; stop trying this process
 		}
-		freed -= p.image.ResidentPages()
+		freed -= img.ResidentPages()
 		resident -= freed * memory.PageSize
 		if freed > 0 {
 			k.trace(siteSwappedOut, "", trace.PID(p.id), trace.Int(freed))
@@ -622,17 +653,17 @@ func (k *Kernel) relieveMemory() {
 // "the kernel move data operation handles reading or writing of swapped out
 // memory". Returns the number of pages moved to swap.
 func (k *Kernel) SwapOutProcess(pid addr.ProcessID) (int, error) {
-	p := k.lookup(pid)
-	if p == nil || p.image == nil {
+	img := k.lookup(pid).image()
+	if img == nil {
 		return 0, fmt.Errorf("kernel %v: no swappable image for %v", k.machine, pid)
 	}
 	moved := 0
-	for i := 0; i < p.image.Pages(); i++ {
-		before := p.image.ResidentPages()
-		if err := p.image.SwapOut(i); err != nil {
+	for i := 0; i < img.Pages(); i++ {
+		before := img.ResidentPages()
+		if err := img.SwapOut(i); err != nil {
 			return moved, err
 		}
-		if p.image.ResidentPages() < before {
+		if img.ResidentPages() < before {
 			moved++
 		}
 	}
@@ -817,9 +848,9 @@ func (k *Kernel) putBounced(m *msg.Message) {
 // releaseImage gives back the real memory and swap space of p's image when
 // the process leaves this kernel (exit, migration, discard).
 func (k *Kernel) releaseImage(p *Process) {
-	if p.image != nil {
-		k.memUsed -= p.image.Size()
-		p.image.Discard()
+	if img := p.image(); img != nil {
+		k.memUsed -= img.Size()
+		img.Discard()
 	}
 }
 
@@ -905,7 +936,7 @@ func (k *Kernel) trace(s trace.Site, str string, args ...trace.Val) {
 }
 
 // getProcRec acquires a Process record for Spawn and for the migration
-// path: recycled when available (retaining the queue ring, the emptied link
+// path: recycled when available (retaining the queue's ring, the emptied link
 // table and the emptied side record of a process that exited or migrated
 // away), fresh otherwise, with no table until its first link (linksOf). The
 // side record with its commDelta map exists from here on only where load
@@ -936,8 +967,8 @@ func (k *Kernel) extOf(p *Process) *procExt {
 // putProcRec releases a Process record whose identity has left this kernel
 // (exited, migrated away, failed incoming). The caller must have drained
 // the queue and removed the record from the tables and the run queue; the
-// ring, the link table (if any, emptied) and the side record (if any,
-// emptied but keeping its map) survive for the next holder.
+// queue's ring (if any), the link table (if any, emptied) and the side
+// record (if any, emptied but keeping its map) survive for the next holder.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) putProcRec(p *Process) {

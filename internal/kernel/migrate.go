@@ -57,7 +57,7 @@ type migStep uint8
 const stepEstablished = migStep(msg.RegionProgram) + 1
 
 // migration is one half of one in-flight migration, hung off the process
-// record it moves (Process.mig). Records are pooled (k.migFree) and serve
+// record it moves (procExt.mig). Records are pooled (k.migFree) and serve
 // either role: the region buffers and the watchdog closure survive
 // recycling, so a warm kernel freezes a process, or reassembles one, without
 // allocating, and a process bouncing between two machines reaches a steady
@@ -103,7 +103,7 @@ func (k *Kernel) openMigration(role migRole, p *Process, peer addr.MachineID) *m
 		mg.wdFn = func() { k.watchdogFired(mg) }
 	}
 	mg.role, mg.step, mg.pid, mg.peer, mg.p = role, migStep(msg.RegionResident), p.id, peer, p
-	p.mig = mg
+	k.extOf(p).mig = mg
 	return mg
 }
 
@@ -118,8 +118,8 @@ func (k *Kernel) openMigration(role migRole, p *Process, peer addr.MachineID) *m
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) endMigration(mg *migration) {
 	k.eng.Cancel(mg.watchdog)
-	if mg.p.mig == mg {
-		mg.p.mig = nil
+	if mg.p.mig() == mg {
+		mg.p.ext.mig = nil
 	}
 	*mg = migration{wdFn: mg.wdFn, frozen: frozen{
 		resident: mg.resident[:0], swap: mg.swap[:0], program: mg.program[:0]}}
@@ -147,7 +147,7 @@ func (k *Kernel) progress(mg *migration) {
 // against the pid's process record makes a stale fire on a recycled record
 // a no-op.
 func (k *Kernel) watchdogFired(mg *migration) {
-	if p := k.lookup(mg.pid); k.crashed || p == nil || p.mig != mg {
+	if k.crashed || k.lookup(mg.pid).mig() != mg {
 		return // Restart discards the migration wholesale
 	}
 	if k.eng.Now() < mg.deadline {
@@ -264,9 +264,7 @@ func (k *Kernel) migrationMsg(row *protoRow, m *msg.Message) {
 	var mg *migration
 	if row.role != 0 {
 		pid, rest, _ := addr.DecodePID(m.Body)
-		if p := k.lookup(pid); p != nil {
-			mg = p.mig
-		}
+		mg = k.lookup(pid).mig()
 		if mg == nil || mg.role&row.role == 0 {
 			if row.orphan != nil {
 				row.orphan(k, pid, m)
@@ -523,7 +521,7 @@ func (k *Kernel) stepEstablished(mg *migration, _ *msg.Message) {
 	// goes back to procFree; in forwarding mode the address is a table
 	// entry, written below with its ledger index.
 	k.releaseImage(p)
-	back := p.cameFrom
+	back := p.cameFrom()
 	k.delProc(pid)
 	k.putProcRec(p)
 	if k.cfg.Mode == ModeForward {
@@ -617,7 +615,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	ask, _ := msg.DecodeMigrateAsk(m.Body)
 	src := m.From.LastKnown
 	old := k.lookup(ask.PID)
-	if old != nil && old.mig != nil && old.mig.role == roleDest && old.mig.peer == src {
+	if mg := old.mig(); mg != nil && mg.role == roleDest && mg.peer == src {
 		k.cold().AdminRejected++
 		return
 	}
@@ -649,7 +647,7 @@ func (k *Kernel) stepAsk(_ *migration, m *msg.Message) {
 	p := k.getProcRec()
 	p.id = ask.PID
 	p.state = StateIncoming
-	p.cameFrom = src
+	k.extOf(p).cameFrom = src
 	k.addProc(p)
 	mg := k.openMigration(roleDest, p, src)
 	// Pre-warmed destination slots: size the region reassembly buffers
@@ -834,8 +832,8 @@ func (k *Kernel) freeze(f *frozen, p *Process) error {
 	f.swap = p.links.AppendSnapshot(append(f.swap[:0], 0, 0, 0, 0))
 	binary.LittleEndian.PutUint32(f.swap, uint32(len(f.swap)-4))
 	f.program = f.program[:0]
-	if p.image != nil {
-		if f.program, err = p.image.Bytes(); err != nil {
+	if img := p.image(); img != nil {
+		if f.program, err = img.Bytes(); err != nil {
 			return fmt.Errorf("program image: %w", err)
 		}
 	}
@@ -872,7 +870,7 @@ func (k *Kernel) thaw(p *Process, resident, swappable, program []byte) error {
 		if mh, ok := body.(proc.MemoryHolder); ok {
 			mh.SetImage(img)
 		}
-		p.image = img
+		k.extOf(p).image = img
 		k.memUsed += img.Size()
 	}
 	return nil
@@ -891,8 +889,8 @@ const (
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func appendResident(b []byte, p *Process, stable bool) []byte {
 	imgSize := 0
-	if p.image != nil {
-		imgSize = p.image.Size()
+	if img := p.image(); img != nil {
+		imgSize = img.Size()
 	}
 	kind := p.body.Kind()
 	b = append(b, byte(len(kind)))

@@ -213,9 +213,8 @@ func (k *Kernel) handleDataPacket(m *msg.Message) {
 // packet may be one of several applied on different machines if the owner
 // migrated mid-stream.
 func (k *Kernel) applyWritePacket(m *msg.Message) {
-	p := k.lookup(m.To.ID)
-	if p != nil && p.image != nil {
-		if err := p.image.WriteAt(m.Body, int(m.Seq)); err != nil {
+	if img := k.lookup(m.To.ID).image(); img != nil {
+		if err := img.WriteAt(m.Body, int(m.Seq)); err != nil {
 			k.trace(siteWriteFault, err.Error())
 		}
 	}
@@ -285,13 +284,13 @@ func (k *Kernel) handleMoveRead(m *msg.Message) {
 	if err != nil {
 		return
 	}
-	p := k.lookup(req.PID)
-	if p == nil || p.image == nil {
+	img := k.lookup(req.PID).image()
+	if img == nil {
 		k.failMoveRead(m.From, req.Xfer)
 		return
 	}
 	data := make([]byte, req.Len)
-	if err := p.image.ReadAt(data, int(req.AreaOff+req.Off)); err != nil {
+	if err := img.ReadAt(data, int(req.AreaOff+req.Off)); err != nil {
 		k.trace(siteReadFault, err.Error())
 		k.failMoveRead(m.From, req.Xfer)
 		return

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -144,15 +145,17 @@ func TestColdRecordSizeClass(t *testing.T) {
 	}
 }
 
-// TestProcessRecordLayout: a Process is exactly 128 bytes, Go's 128-byte
-// size class, so a record is two aligned cache lines; and everything a
-// scheduling slice reads with load reports off (state, body, queue, cpuUsed)
-// ends inside the first line. A field that grows the record, or a reorder
-// that pushes a slice field into the second line, fails here.
+// TestProcessRecordLayout: a Process is exactly 96 bytes, Go's 96-byte
+// size class; everything a scheduling slice reads with load reports off
+// (state, body, queue, cpuUsed) ends inside the first 64-byte line; and so
+// does every field that holds a pointer, so the collector's scan of a record
+// stops there. A field that grows the record into the 112-byte class, or a
+// reorder that pushes a slice field or a pointer (links, ext) past the first
+// line, fails here.
 func TestProcessRecordLayout(t *testing.T) {
 	var p Process
-	if sz := unsafe.Sizeof(p); sz != 128 {
-		t.Fatalf("unsafe.Sizeof(Process{}) = %d, want 128 (two cache lines)", sz)
+	if sz := unsafe.Sizeof(p); sz != 96 {
+		t.Fatalf("unsafe.Sizeof(Process{}) = %d, want 96 (Go's 96-byte size class)", sz)
 	}
 	for _, f := range []struct {
 		name      string
@@ -167,4 +170,29 @@ func TestProcessRecordLayout(t *testing.T) {
 			t.Errorf("Process.%s ends at byte %d, want inside the first 64-byte line", f.name, end)
 		}
 	}
+	rt := reflect.TypeOf(p)
+	for i := range rt.NumField() {
+		f := rt.Field(i)
+		if end := f.Offset + f.Type.Size(); hasPointers(f.Type) && end > 64 {
+			t.Errorf("Process.%s holds a pointer and ends at byte %d, want inside the first 64-byte line", f.Name, end)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// collector scans.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Map, reflect.String, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -17,6 +17,7 @@ import (
 
 	"demosmp/internal/addr"
 	"demosmp/internal/link"
+	"demosmp/internal/memory"
 	"demosmp/internal/msg"
 	"demosmp/internal/proc"
 	"demosmp/internal/workload"
@@ -72,9 +73,10 @@ func onRunq(k *Kernel, p *Process) bool {
 
 // TestRecycledProcessRecordIsClean ends a process three ways — exit, body
 // crash, kill while Ready on the run queue — each time after it held a
-// link, received messages and used CPU, and checks that the next Spawn gets
-// that very record with nothing of the dead process on it and runs exactly
-// its own slices.
+// link, an image, three messages at once and CPU, and checks that the next
+// Spawn gets that very record with nothing of the dead process on it (an
+// empty queue that keeps its ring, a side record with no image, migration
+// or previous host) and runs exactly its own slices.
 func TestRecycledProcessRecordIsClean(t *testing.T) {
 	for _, end := range []string{"exit", "crash", "kill-on-runq"} {
 		t.Run(end, func(t *testing.T) {
@@ -91,21 +93,25 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			case "kill-on-runq":
 				old.slices = -1
 			}
-			oldPID, err := k.Spawn(SpawnSpec{Body: old, Links: []link.Link{{Addr: addr.At(peer, 1)}}})
+			oldPID, err := k.Spawn(SpawnSpec{Body: old, ImageSize: memory.PageSize, Links: []link.Link{{Addr: addr.At(peer, 1)}}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := k.lookup(oldPID)
-			// Dress the record in a migrated-in process's back pointer and
-			// a side record with load-report deltas.
-			rec.cameFrom = 9
+			// Dress the record in a migrated-in process's back pointer, a
+			// migration half and load-report deltas.
 			x := k.extOf(rec)
+			x.cameFrom, x.mig = 9, &migration{}
 			x.cpuDelta, x.msgsDelta = 1, 1
 			for i := 0; i < 3; i++ {
 				if err := k.GiveMessage(oldPID, addr.At(peer, 1), []byte("x")); err != nil {
 					t.Fatal(err)
 				}
 			}
+			if rec.queue.Len() != 3 || rec.queue.more == nil {
+				t.Fatalf("victim's queue holds %d messages (ring %p), want 3 with a ring", rec.queue.Len(), rec.queue.more)
+			}
+			ring := rec.queue.more
 			if end == "kill-on-runq" {
 				e.RunFor(500)
 				if !rec.onRunq || !onRunq(k, rec) || rec.state != StateReady {
@@ -144,9 +150,14 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			if info.CPUUsed != 0 || info.MsgsIn != 0 || info.MsgsOut != 0 || info.QueueLen != 0 || info.Links != 0 {
 				t.Fatalf("recycled record carries accounting: %+v", info)
 			}
-			if p.cameFrom != 0 || !extIsEmpty(p.ext) ||
-				p.queueHighWater != 0 || p.image != nil || p.prevState != 0 {
+			if !extIsEmpty(p.ext) || p.queueHighWater != 0 || p.prevState != 0 {
 				t.Fatalf("recycled record inherited state: %+v (ext %+v)", p, p.ext)
+			}
+			if p.ext == nil {
+				t.Fatal("recycled record lost its side record")
+			}
+			if p.queue.head != nil || p.queue.Len() != 0 || p.queue.more != ring || ring.Len() != 0 {
+				t.Fatalf("recycled queue = %+v (ring %+v), want empty, keeping ring %p", p.queue, p.queue.more, ring)
 			}
 			e.Run()
 			if next.ran != 2 || k.Stats().Slices != slices+2 {

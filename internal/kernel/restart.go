@@ -162,15 +162,15 @@ func (k *Kernel) Restart() error {
 	// carry a crashed-guard, for events already past Cancel's reach).
 	c := k.cold()
 	for _, p := range k.sortedProcs() {
-		if p.mig != nil {
-			k.eng.Cancel(p.mig.watchdog)
+		if mg := p.mig(); mg != nil {
+			k.eng.Cancel(mg.watchdog)
 			c.MigrationsFailed++
 		}
 		for p.queue.Len() > 0 {
 			k.noteCrashWiped(p.queue.pop())
 		}
-		if p.image != nil {
-			p.image.Discard()
+		if img := p.image(); img != nil {
+			img.Discard()
 		}
 		if c.lostPIDs == nil {
 			c.lostPIDs = make(map[addr.ProcessID]bool)
@@ -242,7 +242,7 @@ func (k *Kernel) Restarts() uint64 { return k.coldView().Restarts }
 // at quiescence on a live kernel, or the migration is stuck.
 func (k *Kernel) PendingMigrations() (n int) {
 	k.eachProc(func(p *Process) {
-		if p.mig != nil {
+		if p.mig() != nil {
 			n++
 		}
 	})

@@ -157,8 +157,8 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 		k.stats.Exited++
 		k.trace(siteExit, "", trace.PID(p.id), trace.Int(int(code)))
 	}
-	if k.cfg.ReclaimForwarders && p.cameFrom != addr.NoMachine {
-		k.sendDeathNoticeTo(p.id, p.cameFrom)
+	if k.cfg.ReclaimForwarders && p.cameFrom() != addr.NoMachine {
+		k.sendDeathNoticeTo(p.id, p.cameFrom())
 	}
 	k.putProcRec(p)
 }
@@ -208,8 +208,8 @@ func (k *Kernel) sendLoadReport() {
 			CPUMicros: sat[uint32](uint64(x.cpuDelta)),
 			MsgsOut:   sat[uint32](x.msgsDelta),
 		}
-		if p.image != nil {
-			pl.MemKB = sat[uint32](uint64(p.image.Size() / 1024))
+		if img := p.image(); img != nil {
+			pl.MemKB = sat[uint32](uint64(img.Size() / 1024))
 		}
 		var top uint64
 		for _, peer := range sortedMachines(x.commDelta) {

@@ -137,7 +137,8 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"appendResident",
 			// Deferred trace emit.
 			"Kernel.trace",
-			// Ring buffer and the one free list.
+			// Process queue, ring buffer and the one free list.
+			"mailbox.push", "mailbox.pop",
 			"ring.push", "ring.pop", "freelist.get", "freelist.put",
 		},
 		// Observability plane: the registry slot the instrumented hot

@@ -4,8 +4,8 @@
 # without the race detector (heap budgets, experiments goldens, the
 # explorer's budget 2), four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
 # FuzzPendOrder, FuzzStateCodec), the hot-path allocation guards, a
-# one-iteration smoke of the scale and policy benchmarks, the msg.Pool and
-# trace ring inlining guards, and the trace-site guard. Run from anywhere; exits non-zero on the first
+# one-iteration smoke of the scale, peak-heap and policy benchmarks, the msg.Pool,
+# mailbox and trace ring inlining guards, and the trace-site guard. Run from anywhere; exits non-zero on the first
 # failure.
 #
 #   ./scripts/check.sh
@@ -37,7 +37,7 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process (idle jobs, and ~19 000 fired timers queued behind a busy CPU as marks, with no envelope each and none held by the pool) and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process (idle jobs, and ~19 000 fired timers queued behind a busy CPU as marks in the queue's inline head, with no envelope or ring each and none held by the pool) and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
 go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
   ./internal/core ./internal/kernel ./internal/trace ./cmd/experiments ./internal/chaos
 
@@ -75,9 +75,9 @@ echo "== hot-path allocation guards (steady state incl. send -> pump at depth 64
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
-echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, 256-machine policy round)"
-go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
-echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, msg.Pool in the 48-byte class and msg.Message in the 128-byte one, the cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 128 bytes with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
+echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, the live-heap peak probe on 64 machines, 256-machine policy round)"
+go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|OpenLoopPeakLiveHeap/^64m$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, msg.Pool in the 48-byte class and msg.Message in the 128-byte one, the cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 96 bytes (Go's 96-byte class) with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
 go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestPoolAndEnvelopeSizeClass|TestColdRecordSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
 go test -count=1 -run 'TestKernelTableIsDense' ./internal/core/
 go test -count=1 -run 'TestMergeSingleSnapshotFastPath' ./internal/obs/
@@ -91,6 +91,18 @@ for fn in Put Get; do
     exit 1
   fi
 done
+echo "== mailbox.push stays inlinable and inlines at every queue push (enqueue and deliverLocal; a push that became a call cost pingpong-par 2 %)"
+inl=$(go build -gcflags=-m ./internal/kernel 2>&1)
+if ! grep -q 'can inline (\*mailbox).push$' <<<"$inl"; then
+  echo "(*mailbox).push no longer inlines: keep the ring path out of line in pushMore"
+  exit 1
+fi
+sites=$(grep -h --exclude='*_test.go' '\.queue\.push(' internal/kernel/*.go | wc -l)
+inlined=$(grep -c 'inlining call to (\*mailbox).push$' <<<"$inl")
+if [ "$sites" -ne "$inlined" ]; then
+  echo "(*mailbox).push inlines at $inlined of its $sites call sites in internal/kernel"
+  exit 1
+fi
 echo "== trace.Tracer.slot and the string table's expire inline into Tracer.Log (the chunk step is out of line), and every kernel emit goes through a package-level trace.Site"
 inl=$(go build -gcflags=-m ./internal/trace 2>&1)
 for fn in '(\*Tracer).slot' '(\*strTable).expire'; do

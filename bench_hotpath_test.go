@@ -223,18 +223,33 @@ func BenchmarkMsgDecode(b *testing.B) {
 	}
 }
 
-// Two of the kernel's hot sites, declared as the kernel declares them.
+// Three of the kernel's hot sites, declared as the kernel declares them,
+// and the stream site as it was declared while it took its region's name
+// as the record's string.
 var (
 	benchSiteStep2 = trace.NewSite(trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)",
 		trace.ArgPID, trace.ArgMachine, trace.ArgInt, trace.ArgInt, trace.ArgInt)
 	benchSiteSpawn = trace.NewSite(trace.CatProc, "spawn", "%v kind=%s image=%dB links=%d",
 		trace.ArgPID, trace.ArgStr, trace.ArgInt, trace.ArgInt)
+	benchSiteStream = trace.NewNamedSite(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v", msg.Region.String,
+		trace.ArgPID, trace.ArgName, trace.ArgInt, trace.ArgInt, trace.ArgMachine)
+	benchSiteStreamStr = trace.NewSite(trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v",
+		trace.ArgPID, trace.ArgStr, trace.ArgInt, trace.ArgInt, trace.ArgMachine)
 )
+
+// benchRotation is the six names a migration's records took turns on while
+// they passed them as strings: the states, the regions and a message kind.
+var benchRotation = [6]string{"waiting", "resident", "swappable", "program", "user", "ready"}
 
 // BenchmarkTraceSite emits a four-argument site (the kernel's spawn: a PID,
 // a string and two ints) into a full 64-record ring, whose records stay in
-// cache, and into the default 64 k ring, whose 2 MB the emits walk.
+// cache, and into the default 64 k ring, whose 2 MB the emits walk. Two
+// more rows emit the five-argument stream site into the 64 k ring: named
+// with its region as a word (trace.Name), and with six names taking turns
+// as the record's string, which finds each through the string table's
+// index, as a migration's records did before they named their enums.
 func BenchmarkTraceSite(b *testing.B) {
+	pid := addr.ProcessID{Creator: 2, Local: 9}
 	for _, size := range []struct {
 		name string
 		max  int
@@ -242,7 +257,6 @@ func BenchmarkTraceSite(b *testing.B) {
 		b.Run(size.name, func(b *testing.B) {
 			var now sim.Time
 			tr := trace.New(func() sim.Time { return now }, size.max)
-			pid := addr.ProcessID{Creator: 2, Local: 9}
 			for i := 0; i < size.max; i++ {
 				tr.Log(2, benchSiteSpawn, "wl-counter", trace.PID(pid), trace.Int(4096), trace.Int(2))
 			}
@@ -253,6 +267,30 @@ func BenchmarkTraceSite(b *testing.B) {
 			}
 		})
 	}
+	b.Run("named-ring64k", func(b *testing.B) {
+		var now sim.Time
+		tr := trace.New(func() sim.Time { return now }, 1<<16)
+		for i := 0; i < 1<<16; i++ {
+			tr.Log(2, benchSiteStream, "", trace.PID(pid), trace.Name(msg.Region(1+i%3)), trace.Int(i), trace.Int(2), trace.Machine(3))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.Log(2, benchSiteStream, "", trace.PID(pid), trace.Name(msg.Region(1+i%3)), trace.Int(i), trace.Int(2), trace.Machine(3))
+		}
+	})
+	b.Run("rotate6-ring64k", func(b *testing.B) {
+		var now sim.Time
+		tr := trace.New(func() sim.Time { return now }, 1<<16)
+		for i := 0; i < 1<<16; i++ {
+			tr.Log(2, benchSiteStreamStr, benchRotation[i%len(benchRotation)], trace.PID(pid), trace.Int(i), trace.Int(2), trace.Machine(3))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.Log(2, benchSiteStreamStr, benchRotation[i%len(benchRotation)], trace.PID(pid), trace.Int(i), trace.Int(2), trace.Machine(3))
+		}
+	})
 }
 
 // BenchmarkTimeString formats a representative timestamp (trace-heavy runs
@@ -853,8 +891,9 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		}
 	})
 	t.Run("trace emit (deferred)", func(t *testing.T) {
-		// A record of a hot site: a static site, scalar arguments, one
-		// string that already exists. Rendering waits for a reader, so with
+		// Records of hot sites: a static site, scalar arguments, one
+		// string that already exists, an enum named by its site. Rendering
+		// waits for a reader, so with
 		// the ring full (it grows lazily up to its capacity) an emit
 		// touches no allocator, sink attached or not.
 		e := sim.NewEngine(1)
@@ -865,6 +904,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		emit := func() {
 			tr.Log(2, benchSiteStep2, "", trace.PID(pid), trace.Machine(3), trace.Int(4096), trace.Int(250), trace.Int(600))
 			tr.Log(2, benchSiteSpawn, kind, trace.PID(pid), trace.Int(4096), trace.Int(2))
+			tr.Log(2, benchSiteStream, "", trace.PID(pid), trace.Name(msg.RegionSwappable), trace.Int(600), trace.Int(1), trace.Machine(3))
 		}
 		for i := 0; i < 256; i++ {
 			emit()
@@ -872,8 +912,11 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(200, emit); n != 0 {
 			t.Fatalf("deferred trace emit allocates %.1f/op, want 0", n)
 		}
-		if want := "p2.9 -> m3 (program=4096B resident=250B swappable=600B)"; tr.Records()[0].Detail() != want {
-			t.Fatalf("deferred record renders %q, want %q", tr.Records()[0].Detail(), want)
+		recs := tr.Records()
+		for i, want := range []string{"p2.9 -> m3 (program=4096B resident=250B swappable=600B)", "p2.9 kind=wl-counter image=4096B links=2", "p2.9 swappable: 600B in 1 packets -> m3"} {
+			if r := recs[len(recs)-3+i]; r.Detail() != want {
+				t.Fatalf("deferred record renders %q, want %q", r.Detail(), want)
+			}
 		}
 	})
 	t.Run("admin-encode", func(t *testing.T) {

@@ -102,7 +102,7 @@ func (k *Kernel) Revive(checkpoint []byte) (addr.ProcessID, error) {
 	}
 	k.addProc(p)
 	k.cold().Revived++
-	k.trace(siteRevive, state.String(), trace.PID(pid), trace.Int(len(checkpoint)))
+	k.trace(siteRevive, "", trace.PID(pid), trace.Name(state), trace.Int(len(checkpoint)))
 	k.restartProc(p, state)
 	return pid, nil
 }

@@ -71,7 +71,7 @@ func (k *Kernel) kernelControl(m *msg.Message) {
 		k.handleSearchQuery(m)
 
 	default:
-		k.trace(siteUnknownControl, m.Op.String())
+		k.trace(siteUnknownControl, "", trace.Name(m.Op))
 	}
 }
 

@@ -156,7 +156,7 @@ func (k *Kernel) forward(f fwd, m *msg.Message) {
 	m.To.LastKnown = f.to
 	m.Forwards++
 	k.cold().Forwarded++
-	k.trace(siteForward, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(f.to), trace.Int(int(m.Forwards)))
+	k.trace(siteForward, "", trace.Name(m.Kind), trace.PID(m.To.ID), trace.Machine(f.to), trace.Int(int(m.Forwards)))
 	k.ledgerForward(f.rec, m)
 	// m is dead once route returns, so read what the update needs first; it
 	// is still sent after the forward, keeping the order of sends.
@@ -251,7 +251,7 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 		return // rerouted or held by the post-crash search (restart.go)
 	}
 	k.stats.DeadLetters++
-	k.trace(siteDeadLetter, m.Kind.String(), trace.PID(m.To.ID))
+	k.trace(siteDeadLetter, "", trace.Name(m.Kind), trace.PID(m.To.ID))
 	k.putMsg(m)
 }
 
@@ -260,7 +260,7 @@ func (k *Kernel) unknownProcess(m *msg.Message) {
 // location of the process, perhaps by notifying the process manager."
 func (k *Kernel) bounce(m *msg.Message) {
 	k.cold().Bounced++
-	k.trace(siteBounce, m.Kind.String(), trace.PID(m.To.ID), trace.Machine(m.From.LastKnown))
+	k.trace(siteBounce, "", trace.Name(m.Kind), trace.PID(m.To.ID), trace.Machine(m.From.LastKnown))
 	nd := k.getMsg()
 	nd.Kind = msg.KindControl
 	nd.Op = msg.OpNotDeliverable

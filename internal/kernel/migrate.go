@@ -367,7 +367,7 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 	p.prevState = p.state
 	p.state = StateInMigration
 	k.removeFromRunq(p)
-	k.trace(siteStep1, p.prevState.String(), trace.PID(p.id))
+	k.trace(siteStep1, "", trace.PID(p.id), trace.Name(p.prevState))
 
 	// Freeze the three payloads at this instant, into the record's
 	// region buffers.
@@ -483,7 +483,7 @@ func (k *Kernel) stepMoveData(mg *migration, m *msg.Message) {
 	// The destination says nothing more until the paced stream has left:
 	// that much silence is progress, not a fault.
 	mg.deadline += span
-	k.trace(siteStream, req.Region.String(), trace.PID(req.PID),
+	k.trace(siteStream, "", trace.PID(req.PID), trace.Name(req.Region),
 		trace.Int(total), trace.Int(packets), trace.Machine(mg.peer))
 }
 
@@ -686,7 +686,7 @@ func (k *Kernel) pullRegion(mg *migration, buf []byte) {
 	if region == msg.RegionProgram {
 		step = siteStep5
 	}
-	k.trace(step, region.String(), trace.PID(mg.pid))
+	k.trace(step, "", trace.PID(mg.pid), trace.Name(region))
 	rm := k.newControl(msg.OpMoveDataReq, addr.KernelAddr(mg.peer))
 	rm.Body = msg.MoveDataReq{PID: mg.pid, Region: region, Xfer: mg.xfer}.AppendTo(rm.Body[:0])
 	k.sendAdmin(rm, nil)
@@ -784,7 +784,7 @@ func (k *Kernel) commitIncoming(mg *migration, forwarded int) {
 	p, pid := mg.p, mg.pid
 	k.endMigration(mg)
 	delete(k.coldView().fwds, pid) // the address the arrival shadowed, if any
-	k.trace(siteStep8, p.prevState.String(), trace.PID(pid), trace.Int(forwarded))
+	k.trace(siteStep8, "", trace.PID(pid), trace.Name(p.prevState), trace.Int(forwarded))
 	k.restartProc(p, p.prevState)
 }
 

@@ -324,7 +324,7 @@ func (k *Kernel) searchFallback(m *msg.Message) bool {
 		m.Searched = true
 		m.To.LastKnown = pid.Creator
 		k.cold().SearchForwards++
-		k.trace(siteSearchReroute, m.Kind.String(), trace.PID(pid), trace.Machine(pid.Creator))
+		k.trace(siteSearchReroute, "", trace.Name(m.Kind), trace.PID(pid), trace.Machine(pid.Creator))
 		k.route(m)
 		return true
 	}

@@ -5,13 +5,16 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"demosmp/internal/addr"
+	"demosmp/internal/msg"
 	"demosmp/internal/sim"
 	"demosmp/internal/trace"
 )
@@ -48,30 +51,30 @@ var kernelSites = []struct {
 	{trace.CatProc, "revive-failed", "%v: %s", "ArgPID ArgStr"},
 	{trace.CatConsole, "print", "%v: %s", "ArgPID ArgStr"},
 	// Migration: the eight steps of Figure 3-1 and their failures.
-	{trace.CatMigrate, "step1-remove-from-execution", "%v was %v", "ArgPID ArgStr"},
+	{trace.CatMigrate, "step1-remove-from-execution", "%v was %v", "ArgPID ArgName"},
 	{trace.CatMigrate, "step2-ask-destination", "%v -> %v (program=%dB resident=%dB swappable=%dB)", "ArgPID ArgMachine ArgInt ArgInt ArgInt"},
 	{trace.CatMigrate, "accepted", "%v by %v", "ArgPID ArgMachine"},
 	{trace.CatMigrate, "step3-allocate-state", "%v from %v (reserving %dB)", "ArgPID ArgMachine ArgInt"},
-	{trace.CatMigrate, "step4-transfer-state", "%v pull %v", "ArgPID ArgStr"},
-	{trace.CatMigrate, "step5-transfer-program", "%v pull %v", "ArgPID ArgStr"},
-	{trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v", "ArgPID ArgStr ArgInt ArgInt ArgMachine"},
+	{trace.CatMigrate, "step4-transfer-state", "%v pull %v", "ArgPID ArgName"},
+	{trace.CatMigrate, "step5-transfer-program", "%v pull %v", "ArgPID ArgName"},
+	{trace.CatData, "stream-region", "%v %v: %dB in %d packets -> %v", "ArgPID ArgName ArgInt ArgInt ArgMachine"},
 	{trace.CatMigrate, "step6-forward-pending", "%v: %d queued messages to %v", "ArgPID ArgInt ArgMachine"},
 	{trace.CatMigrate, "step7-cleanup-forwarding-address", "%v: forwarder -> %v (%d bytes)", "ArgPID ArgMachine ArgInt"},
-	{trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)", "ArgPID ArgStr ArgInt"},
+	{trace.CatMigrate, "step8-restart", "%v restarted as %v (%d pending had been forwarded)", "ArgPID ArgName ArgInt"},
 	{trace.CatMigrate, "migrate-aborted", "%v: %s", "ArgPID ArgStr"},
 	{trace.CatMigrate, "refused", "%v: %s", "ArgPID ArgStr"},
 	{trace.CatMigrate, "incoming-failed", "%v: %s", "ArgPID ArgStr"},
 	{trace.CatMigrate, "checkpoint", "%v: %s", "ArgPID ArgStr"},
-	{trace.CatMigrate, "revive", "%v as %v from %dB checkpoint", "ArgPID ArgStr ArgInt"},
+	{trace.CatMigrate, "revive", "%v as %v from %dB checkpoint", "ArgPID ArgName ArgInt"},
 	// Move-data facility.
 	{trace.CatData, "stray-packet", "xfer=%d seq=%d", "ArgInt ArgInt"},
 	{trace.CatData, "write-fault", "%s", "ArgStr"},
 	{trace.CatData, "read-fault", "%s", "ArgStr"},
 	// Forwarding (Figure 4-1) and the search for a lost process.
-	{trace.CatForward, "forward", "%v for %v -> %v (hop %d)", "ArgStr ArgPID ArgMachine ArgInt"},
-	{trace.CatForward, "bounce", "%v for %v returned to %v", "ArgStr ArgPID ArgMachine"},
+	{trace.CatForward, "forward", "%v for %v -> %v (hop %d)", "ArgName ArgPID ArgMachine ArgInt"},
+	{trace.CatForward, "bounce", "%v for %v returned to %v", "ArgName ArgPID ArgMachine"},
 	{trace.CatForward, "forwarder-reclaimed", "%v", "ArgPID"},
-	{trace.CatForward, "search-reroute", "%v for %v -> creator %v", "ArgStr ArgPID ArgMachine"},
+	{trace.CatForward, "search-reroute", "%v for %v -> creator %v", "ArgName ArgPID ArgMachine"},
 	{trace.CatForward, "search-broadcast", "%v", "ArgPID"},
 	{trace.CatForward, "search-timeout", "%v: %d held messages dead-lettered", "ArgPID ArgInt"},
 	{trace.CatForward, "search-reply", "%v is at %v (asked by %v)", "ArgPID ArgMachine ArgMachine"},
@@ -81,9 +84,60 @@ var kernelSites = []struct {
 	{trace.CatLinkUpdate, "linkupdate-bad", "%s", "ArgStr"},
 	{trace.CatLinkUpdate, "eager-applied", "%d links now point at %v on %v", "ArgInt ArgPID ArgMachine"},
 	// Delivery.
-	{trace.CatDeliver, "dead-letter", "%v for %v", "ArgStr ArgPID"},
-	{trace.CatDeliver, "unknown-control", "%s", "ArgStr"},
+	{trace.CatDeliver, "dead-letter", "%v for %v", "ArgName ArgPID"},
+	{trace.CatDeliver, "unknown-control", "%s", "ArgName"},
 	{trace.CatDeliver, "carried-link-dropped", "%v: %s", "ArgPID ArgStr"},
+}
+
+// Every value each ArgName enum defines, and one it does not: a named
+// site's record renders each of them as the value's String does.
+var (
+	allStates  = []any{StateReady, StateWaiting, StateSuspended, StateInMigration, StateIncoming, StateForwarder, StateDead, ProcState(9)}
+	allRegions = []any{msg.RegionResident, msg.RegionSwappable, msg.RegionProgram, msg.Region(7)}
+	allKinds   = []any{msg.KindUser, msg.KindControl, msg.KindData, msg.KindAck, msg.KindLinkUpdate, msg.Kind(9)}
+	allOps     = func() []any {
+		var out []any
+		for op := msg.OpNone; op < msg.OpCount; op++ {
+			out = append(out, op)
+		}
+		return append(out, msg.Op(200))
+	}()
+)
+
+// namedEnums is the enum each named site's ArgName takes, by event.
+var namedEnums = map[string][]any{
+	"step1-remove-from-execution": allStates,
+	"step8-restart":               allStates,
+	"revive":                      allStates,
+	"step4-transfer-state":        allRegions,
+	"step5-transfer-program":      allRegions,
+	"stream-region":               allRegions,
+	"forward":                     allKinds,
+	"bounce":                      allKinds,
+	"search-reroute":              allKinds,
+	"dead-letter":                 allKinds,
+	"unknown-control":             allOps,
+}
+
+// outOfRange pins the text each enum's String gives a value it does not
+// define; a named site's record must render the same text.
+var outOfRange = map[any]string{ProcState(9): "state(9)", msg.Region(7): "region(7)", msg.Kind(9): "kind(9)", msg.Op(200): "op(200)"}
+
+// nameVal builds a named site's argument from a typed enum value, the way
+// a call site does.
+func nameVal(t *testing.T, v any) trace.Val {
+	switch v := v.(type) {
+	case ProcState:
+		return trace.Name(v)
+	case msg.Region:
+		return trace.Name(v)
+	case msg.Kind:
+		return trace.Name(v)
+	case msg.Op:
+		return trace.Name(v)
+	}
+	t.Fatalf("no ArgName enum %T", v)
+	return 0
 }
 
 // TestDeferredTraceRendersAsBefore walks every site the kernel registers,
@@ -92,9 +146,11 @@ var kernelSites = []struct {
 // format's verbs (an ArgInt a %d, a PID or Machine a %v, the one ArgStr a
 // %s or %v), and from typed sample arguments built the way a call site
 // builds them the record renders exactly what fmt.Sprintf renders from the
-// values themselves. The source scan then holds every k.trace call to its
-// site: a declared package-level site whose kinds match the call's
-// constructors.
+// values themselves. A named site's ArgName renders every value of its
+// enum, and one out of its range, as the enum's String does, and its
+// declaration's namer is that String. The source scan then holds every
+// k.trace call to its site: a declared package-level site whose kinds match
+// the call's constructors.
 func TestDeferredTraceRendersAsBefore(t *testing.T) {
 	fset, files := parseKernel(t)
 	declared := siteDecls(t, files)
@@ -122,11 +178,20 @@ func TestDeferredTraceRendersAsBefore(t *testing.T) {
 			continue
 		}
 		for i, k := range kinds {
-			if ok := map[trace.ArgKind]string{trace.ArgInt: "d", trace.ArgPID: "v", trace.ArgMachine: "v", trace.ArgStr: "sv"}[k]; !strings.ContainsRune(ok, verbs[i]) {
+			if ok := map[trace.ArgKind]string{trace.ArgInt: "d", trace.ArgPID: "v", trace.ArgMachine: "v", trace.ArgStr: "sv", trace.ArgName: "sv"}[k]; !strings.ContainsRune(ok, verbs[i]) {
 				t.Errorf("%s: argument %d is %s under %%%c", key, i, kindNames(kinds[i:i+1]), verbs[i])
 			}
 		}
-		for n := 0; n < 4; n++ {
+		enum := namedEnums[s.Event()]
+		if named := slices.Contains(kinds, trace.ArgName); named != (enum != nil) {
+			t.Errorf("%s: takes an ArgName: %v; namedEnums lists it: %v", key, named, enum != nil)
+			continue
+		}
+		if d := declared[key]; enum != nil && d.namer != strings.TrimPrefix(fmt.Sprintf("%T", enum[0]), "kernel.")+".String" {
+			t.Errorf("%s: declared with namer %s, its enum is %T", key, d.namer, enum[0])
+		}
+		oor := 0
+		for n := 0; n < max(4, len(enum)); n++ {
 			var typed []any
 			var vals []trace.Val
 			str := ""
@@ -144,6 +209,9 @@ func TestDeferredTraceRendersAsBefore(t *testing.T) {
 				case trace.ArgStr:
 					str = sampleStrs[j%len(sampleStrs)]
 					typed = append(typed, str)
+				case trace.ArgName:
+					v := enum[n%len(enum)]
+					typed, vals = append(typed, v), append(vals, nameVal(t, v))
 				}
 			}
 			tr.Log(12, s, str, vals...)
@@ -152,9 +220,20 @@ func TestDeferredTraceRendersAsBefore(t *testing.T) {
 			if want := fmt.Sprintf(format, typed...); r.Detail() != want {
 				t.Errorf("%s: record renders %q, fmt.Sprintf %q", key, r.Detail(), want)
 			}
+			for _, v := range typed {
+				if name, ok := outOfRange[v]; ok {
+					oor++
+					if !strings.Contains(r.Detail(), name) {
+						t.Errorf("%s: record renders %q, without %s", key, r.Detail(), name)
+					}
+				}
+			}
 			if r.Event() != s.Event() || r.Cat() != s.Cat() {
 				t.Errorf("%s: record reads as %v/%s", key, r.Cat(), r.Event())
 			}
+		}
+		if enum != nil && oor == 0 {
+			t.Errorf("%s: no record named a value out of the enum's range", key)
 		}
 	}
 	if len(declared) != len(trace.Sites()) {
@@ -184,7 +263,7 @@ func TestDeferredTraceRendersAsBefore(t *testing.T) {
 }
 
 func kindNames(kinds []trace.ArgKind) string {
-	names := map[trace.ArgKind]string{trace.ArgInt: "ArgInt", trace.ArgPID: "ArgPID", trace.ArgMachine: "ArgMachine", trace.ArgStr: "ArgStr"}
+	names := map[trace.ArgKind]string{trace.ArgInt: "ArgInt", trace.ArgPID: "ArgPID", trace.ArgMachine: "ArgMachine", trace.ArgStr: "ArgStr", trace.ArgName: "ArgName"}
 	var out []string
 	for _, k := range kinds {
 		out = append(out, names[k])
@@ -211,9 +290,11 @@ func formatVerbs(format string) []rune {
 	return verbs
 }
 
-// siteDecl is a package-level trace.NewSite declaration, read from source.
+// siteDecl is a package-level trace.NewSite or trace.NewNamedSite
+// declaration, read from source.
 type siteDecl struct {
 	name  string
+	namer string   // a named site's namer, e.g. msg.Kind.String
 	kinds []string // the kind constants, e.g. ArgPID
 }
 
@@ -259,13 +340,17 @@ func siteDecls(t *testing.T, files []*ast.File) map[string]siteDecl {
 				vs := spec.(*ast.ValueSpec)
 				for i, v := range vs.Values {
 					call, ok := v.(*ast.CallExpr)
-					if !ok || !isSel(call.Fun, "trace", "NewSite") {
+					named := ok && isSel(call.Fun, "trace", "NewNamedSite")
+					if !named && (!ok || !isSel(call.Fun, "trace", "NewSite")) {
 						continue
 					}
 					event, _ := strconv.Unquote(call.Args[1].(*ast.BasicLit).Value)
 					format, _ := strconv.Unquote(call.Args[2].(*ast.BasicLit).Value)
-					d := siteDecl{name: vs.Names[i].Name}
-					for _, k := range call.Args[3:] {
+					d, kinds := siteDecl{name: vs.Names[i].Name}, call.Args[3:]
+					if named {
+						d.namer, kinds = types.ExprString(call.Args[3]), call.Args[4:]
+					}
+					for _, k := range kinds {
 						d.kinds = append(d.kinds, k.(*ast.SelectorExpr).Sel.Name)
 					}
 					out[event+" | "+format] = d

@@ -94,8 +94,9 @@ var demosLayers = map[string][]string{
 	"demosmp/internal/lint": {},
 
 	// binaries and examples
-	"demosmp/cmd/demosh":    {"demosmp", "demosmp/internal/kernel"},
-	"demosmp/cmd/demoslint": {"demosmp/internal/lint"},
+	"demosmp/cmd/benchpairs": {},
+	"demosmp/cmd/demosh":     {"demosmp", "demosmp/internal/kernel"},
+	"demosmp/cmd/demoslint":  {"demosmp/internal/lint"},
 	"demosmp/cmd/demosnet": {"demosmp", "demosmp/internal/addr", "demosmp/internal/kernel",
 		"demosmp/internal/link", "demosmp/internal/obs"},
 	"demosmp/cmd/experiments": {"demosmp", "demosmp/internal/addr",

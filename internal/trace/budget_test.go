@@ -39,7 +39,7 @@ func TestRingBudget(t *testing.T) {
 	if got, limit := liveHeap()-before, uint64(2<<20+64<<10); got > limit {
 		t.Errorf("a full 64k ring of one repeated string holds %d bytes of live heap, want at most %d", got, limit)
 	}
-	if n, live := len(tr.strs.e), tr.liveStrings(); n > 2 || live != 1 {
+	if n, live := len(tr.strs.e), len(tr.TableStrings()); n > 2 || live != 1 {
 		t.Errorf("one repeated string took %d table entries, %d live; want 1 live", n, live)
 	}
 	if tr.Overwritten() != 0 || tr.held() != 65536 {
@@ -51,7 +51,7 @@ func TestRingBudget(t *testing.T) {
 		now = sim.Time(i)
 		tr.Emit(1, CatConsole, "print", "line "+strconv.Itoa(i))
 	}
-	if live, indexed := tr.liveStrings(), len(tr.strs.index); live != tr.held() || indexed != live {
+	if live, indexed := len(tr.TableStrings()), len(tr.strs.index); live != tr.held() || indexed != live {
 		t.Errorf("the table holds %d strings (%d indexed) for %d retained records", live, indexed, tr.held())
 	}
 	if n := len(tr.strs.e); n > tr.held()+1 {

@@ -1,5 +1,7 @@
 package trace
 
+import "slices"
+
 // Test-only queries over the retained records.
 
 // Filter returns the retained records in cat, in order.
@@ -40,13 +42,14 @@ func (t *Tracer) Count(event string) int {
 	return n
 }
 
-// liveStrings returns how many strings the string table holds.
-func (t *Tracer) liveStrings() int {
-	n := 0
+// TableStrings returns the strings the string table holds, sorted.
+func (t *Tracer) TableStrings() []string {
+	var out []string
 	for _, e := range t.strs.e {
 		if e.s != "" {
-			n++
+			out = append(out, e.s)
 		}
 	}
-	return n
+	slices.Sort(out)
+	return out
 }

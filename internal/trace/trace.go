@@ -9,6 +9,7 @@ package trace
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,6 +59,7 @@ const (
 	ArgPID                        // an addr.ProcessID, one word; build with PID
 	ArgMachine                    // an addr.MachineID, one word; build with Machine
 	ArgStr                        // the record's one string, passed beside the words; its table reference takes one word
+	ArgName                       // an enum value, one word; build with Name, named by its site's namer when read
 )
 
 // A site's arguments fit a record: at most one ArgStr and argWords words in
@@ -81,10 +83,12 @@ type siteInfo struct {
 // it at package init, in declaration order, so a site's id is the same in
 // every shard and every run. Emit adds its (category, event) pairs at first
 // use, under siteMu; a slot once written never changes, so readers go
-// without the lock.
+// without the lock. A named site's namer sits beside its slot, since a func
+// does not compare.
 var (
 	siteMu sync.Mutex
 	sites  [maxSites]siteInfo
+	namers [maxSites]namer
 	nSites = 1 // slot 0 is the zero Site
 )
 
@@ -96,12 +100,38 @@ var (
 func NewSite(cat Category, event, format string, kinds ...ArgKind) Site {
 	siteMu.Lock()
 	defer siteMu.Unlock()
-	return register(siteInfo{event: event, format: format, cat: cat}, kinds)
+	return register(siteInfo{event: event, format: format, cat: cat}, kinds, nil)
 }
 
+// NewNamedSite registers a trace point as NewSite does, whose ArgName
+// arguments are values of the enum E: a record keeps each as one word, and
+// name turns it into its text only when the record is read. Pass the enum's
+// String method (ProcState.String), so a record renders what the value's
+// String renders and a write makes no string. A named site always takes a
+// slot of its own (its namer does not compare), so declare it once, at
+// package level. It panics if kinds has no ArgName.
+func NewNamedSite[E enum](cat Category, event, format string, name func(E) string, kinds ...ArgKind) Site {
+	siteMu.Lock()
+	defer siteMu.Unlock()
+	return register(siteInfo{event: event, format: format, cat: cat}, kinds, enumNamer[E](name))
+}
+
+// enum is the type of an ArgName: an integer type that fits a word.
+type enum interface{ ~uint8 | ~uint16 | ~uint32 }
+
+// A namer renders a named site's ArgName words.
+type namer interface{ name(Val) string }
+
+// enumNamer names a value of E. Being one func pointer, it goes into a
+// namer without an allocation, as a closure over name would not.
+type enumNamer[E enum] func(E) string
+
+func (f enumNamer[E]) name(v Val) string { return f(E(v)) }
+
 // register returns the registered site equal to si with kinds, filling the
-// next registry slot if there is none. siteMu must be held.
-func register(si siteInfo, kinds []ArgKind) Site {
+// next registry slot if there is none; a site with a namer always fills
+// one. siteMu must be held.
+func register(si siteInfo, kinds []ArgKind, nm namer) Site {
 	if len(kinds) > argWords {
 		panic("trace: " + si.event + ": arguments do not fit a record (one Str, five words)")
 	}
@@ -114,13 +144,21 @@ func register(si siteInfo, kinds []ArgKind) Site {
 				panic("trace: " + si.event + ": arguments do not fit a record (one Str, five words)")
 			}
 			si.str = true
+		case ArgName:
+			if nm == nil {
+				panic("trace: " + si.event + ": an ArgName needs a namer: declare the site with NewNamedSite")
+			}
+			si.vals++
 		case ArgInt, ArgPID, ArgMachine:
 			si.vals++
 		default:
 			panic("trace: " + si.event + ": unknown argument kind")
 		}
 	}
-	for s := 1; s < nSites; s++ {
+	if nm != nil && !slices.Contains(kinds, ArgName) {
+		panic("trace: " + si.event + ": a named site takes an ArgName")
+	}
+	for s := 1; s < nSites && nm == nil; s++ {
 		if sites[s] == si {
 			return Site(s)
 		}
@@ -128,7 +166,7 @@ func register(si siteInfo, kinds []ArgKind) Site {
 	if nSites == maxSites {
 		panic("trace: site registry full")
 	}
-	sites[nSites] = si
+	sites[nSites], namers[nSites] = si, nm
 	nSites++
 	return Site(nSites - 1)
 }
@@ -138,7 +176,7 @@ func register(si siteInfo, kinds []ArgKind) Site {
 func dynamicSite(cat Category, event string) Site {
 	siteMu.Lock()
 	defer siteMu.Unlock()
-	return register(siteInfo{event: event, format: "%s", cat: cat, dynamic: true}, []ArgKind{ArgStr})
+	return register(siteInfo{event: event, format: "%s", cat: cat, dynamic: true}, []ArgKind{ArgStr}, nil)
 }
 
 // Sites returns every registered site, in id order.
@@ -168,8 +206,8 @@ func (s Site) Kinds() []ArgKind {
 	return si.kinds[:si.nkinds:si.nkinds]
 }
 
-// Val is one word-sized argument of a site, built by PID, Machine or Int;
-// the site supplies its kind.
+// Val is one word-sized argument of a site, built by PID, Machine, Int or
+// Name; the site supplies its kind.
 type Val uint32
 
 // PID passes an addr.ProcessID.
@@ -187,6 +225,10 @@ func Int(n int) Val {
 	}
 	return Val(uint32(n))
 }
+
+// Name passes an enum value to a named site's ArgName; the site's namer
+// renders it when the record is read.
+func Name[E enum](e E) Val { return Val(e) }
 
 // Record is one traced event as its readers see it. Its detail text is
 // rendered when something reads it (Detail, String), not when it is
@@ -219,6 +261,8 @@ func (r Record) Detail() string {
 			args[n] = addr.MachineID(r.words[w])
 		case ArgInt:
 			args[n] = int(int32(r.words[w]))
+		case ArgName:
+			args[n] = namers[r.site].name(r.words[w])
 		case ArgStr:
 			args[n] = r.str
 			continue
@@ -403,14 +447,15 @@ func (t *Tracer) Emit(m addr.MachineID, cat Category, event, detail string) {
 
 // Log records an event at site s: str is the site's ArgStr argument ("" if
 // it has none), wherever its format places it, and args are the others in
-// order, built by PID, Machine and Int to the site's kinds. It writes the
-// ring slot field by field, zero past the site's own words: no composite
-// literal zeroes and copies a whole slot, a record never carries what the
-// slot held before, and records of one site compare equal wherever they
-// were written. The string goes in as a reference into the string table,
-// after the table has dropped the string only the overwritten record
-// named, if any. Safe on a nil Tracer; allocates nothing once its string
-// is in the table.
+// order, built by PID, Machine, Int and Name to the site's kinds. It
+// writes the ring slot field by field, zero past the site's own words: no
+// composite literal zeroes and copies a whole slot, a record never carries
+// what the slot held before, and records of one site compare equal
+// wherever they were written. The string goes in as a reference into the
+// string table, after the table has dropped the string only the
+// overwritten record named, if any; a site with no ArgStr, a named one
+// included, touches no table entry. Safe on a nil Tracer; allocates
+// nothing once its string is in the table.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guards: TestHotPathZeroAlloc ("trace emit (deferred)") and TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (t *Tracer) Log(m addr.MachineID, s Site, str string, args ...Val) {

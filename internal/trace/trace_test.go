@@ -27,7 +27,21 @@ var (
 	siteInts     = NewSite(CatProc, "ints", "%d %d %d %d", ArgInt, ArgInt, ArgInt, ArgInt)
 	siteMixed    = NewSite(CatProc, "mixed", "%v %v %d %d %d", ArgPID, ArgMachine, ArgInt, ArgInt, ArgInt)
 	siteStrLast  = NewSite(CatProc, "full", "%v %v %d %d %s", ArgPID, ArgMachine, ArgInt, ArgInt, ArgStr)
+	siteNamed    = NewNamedSite(CatMigrate, "named", "%v was %v (%d)", color.String, ArgPID, ArgName, ArgInt)
 )
+
+// color is an enum for the named-site tests.
+type color uint8
+
+func (c color) String() string {
+	switch c {
+	case 1:
+		return "red"
+	case 2:
+		return "green"
+	}
+	return "color(" + strconv.Itoa(int(c)) + ")"
+}
 
 func TestEmitAndQuery(t *testing.T) {
 	var now sim.Time
@@ -456,7 +470,7 @@ func TestStringTableKeepsOneEntryAString(t *testing.T) {
 				distinct[w] = true
 			}
 		}
-		if live := tr.liveStrings(); live != len(distinct) || len(tr.strs.index) != live {
+		if live := len(tr.TableStrings()); live != len(distinct) || len(tr.strs.index) != live {
 			t.Fatalf("after %d writes the table holds %d strings (%d indexed), the ring names %d", i+1, live, len(tr.strs.index), len(distinct))
 		}
 	}
@@ -468,5 +482,42 @@ func TestStringTableKeepsOneEntryAString(t *testing.T) {
 		if got, w := r.Detail(), fmt.Sprintf("%v %v: %dB in %d packets -> %v", pid, want[i], i, 0, addr.MachineID(2)); got != w {
 			t.Fatalf("record %d renders %q, want %q", i, got, w)
 		}
+	}
+}
+
+// TestNamedSite: an ArgName records the enum's value as a word, renders
+// through the site's namer only when read, the same as fmt renders the
+// value itself, and leaves the string table untouched; a named site takes
+// its own registry slot even when its text repeats another's, and the
+// registry refuses an ArgName with no namer and a namer with no ArgName.
+func TestNamedSite(t *testing.T) {
+	var now sim.Time
+	tr := New(clockAt(&now), 8)
+	pid := addr.ProcessID{Creator: 4, Local: 1}
+	for c := color(0); c < 4; c++ {
+		tr.Log(3, siteNamed, "", PID(pid), Name(c), Int(int(c)))
+		recs := tr.Records()
+		if got, want := recs[len(recs)-1].Detail(), fmt.Sprintf("%v was %v (%d)", pid, c, c); got != want {
+			t.Errorf("color %d renders %q, want %q", c, got, want)
+		}
+	}
+	if strs := tr.TableStrings(); len(strs) != 0 || tr.strs.e != nil {
+		t.Errorf("named records made string table entries %q", strs)
+	}
+	if again := NewNamedSite(CatMigrate, "named", "%v was %v (%d)", color.String, ArgPID, ArgName, ArgInt); again == siteNamed {
+		t.Error("a second named declaration shares the first's slot")
+	}
+	for name, reg := range map[string]func(){
+		"ArgName with no namer": func() { NewSite(CatProc, "bad", "%v", ArgName) },
+		"namer with no ArgName": func() { NewNamedSite(CatProc, "bad", "%d", color.String, ArgInt) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registered", name)
+				}
+			}()
+			reg()
+		}()
 	}
 }

@@ -5,8 +5,9 @@
 # explorer's budget 2), four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
 # FuzzPendOrder, FuzzStateCodec), the hot-path allocation guards, a
 # one-iteration smoke of the scale, peak-heap and policy benchmarks, the msg.Pool,
-# mailbox and trace ring inlining guards, and the trace-site guard. Run from anywhere; exits non-zero on the first
-# failure.
+# mailbox and trace ring inlining guards, the trace-site guards (no Emitf in
+# the kernel, no .String() passed to k.trace) and a one-pair smoke of the
+# A/B pairs tool. Run from anywhere; exits non-zero on the first failure.
 #
 #   ./scripts/check.sh
 set -euo pipefail
@@ -115,6 +116,22 @@ if grep -rn --include='*.go' 'Emitf(' internal/kernel; then
   echo "internal/kernel calls Emitf: declare a trace.Site in tracesites.go and emit through k.trace"
   exit 1
 fi
+echo "== no k.trace call in internal/kernel passes a .String() result (an enum is a trace.Name word, named when the record is read; a string costs the string table a lookup per record)"
+stringed=$(for f in internal/kernel/*.go; do
+  case $f in *_test.go) continue ;; esac
+  # join a call's lines that gofmt broke after a comma, then look for .String()
+  sed -e ':a' -e '/,$/{N;s/,\n[[:space:]]*/, /;ba' -e '}' "$f" | { grep 'k\.trace(.*\.String()' || true; } | sed "s|^|$f: |"
+done)
+if [ -n "$stringed" ]; then
+  echo "$stringed"
+  echo "declare the site with trace.NewNamedSite in tracesites.go and pass trace.Name(value)"
+  exit 1
+fi
+
+echo "== A/B pairs tool smoke: HEAD against the working tree, exported and built apart, one pair of migrate-storm at --seconds 1; sim_fingerprints must match"
+pairs=$(mktemp -d)
+trap 'rm -rf "$pairs"' EXIT
+go run ./cmd/benchpairs -revs HEAD,. -workloads migrate-storm -seeds 1 -pairs 1 -seconds 1 -dir "$pairs" 2>"$pairs/log" || { cat "$pairs/log"; exit 1; }
 
 echo "== obs smoke export (metrics snapshot + Chrome timeline)"
 mkdir -p artifacts

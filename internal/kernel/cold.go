@@ -4,14 +4,13 @@ import (
 	"demosmp/internal/addr"
 	"demosmp/internal/memory"
 	"demosmp/internal/msg"
-	"demosmp/internal/sim"
 )
 
 // coldState is the kernel's cold record: the counters in coldStats and
 // every field a machine that only spawns, runs and exits jobs and exchanges
 // user messages never reads or writes. A kernel holds it behind
 // Kernel.coldRec, nil until its first use, so such a machine carries none
-// of it (152 B of fields and 464 B of counters, in the 640-byte size class
+// of it (128 B of fields and 464 B of counters, in the 640-byte size class
 // with Go's 8-byte header: TestColdRecordSizeClass). The rule for a new Kernel
 // field: if a jobs-and-user-messages machine touches it, it sits inline in
 // Kernel; otherwise it goes here, written through k.cold() and read through
@@ -46,19 +45,15 @@ type coldState struct {
 	lastDone msg.MigrateDone
 	dones    int
 
-	lastReportBusy sim.Time
-	lastReportAt   sim.Time
-
 	// Fault plane (restart.go). stable simulates the §1 stable storage a
 	// checkpoint survives a crash in; lostPIDs records processes a crash
 	// wiped without a checkpoint (so invariant checks can tell "lost to a
 	// crash" from "should still exist"). Restarts, in coldStats, counts
 	// recoveries and gates the search fallback for orphaned forwarding
 	// addresses.
-	stable       map[addr.ProcessID][]byte
-	lostPIDs     map[addr.ProcessID]bool
-	faultHook    func(kp KillPoint, pid addr.ProcessID)
-	loadReportEv sim.Event
+	stable    map[addr.ProcessID][]byte
+	lostPIDs  map[addr.ProcessID]bool
+	faultHook func(kp KillPoint, pid addr.ProcessID)
 }
 
 // noCold is what a kernel without a cold record reads: every counter zero,

@@ -5,6 +5,7 @@ import (
 
 	"demosmp/internal/addr"
 	"demosmp/internal/kernel"
+	"demosmp/internal/link"
 	"demosmp/internal/workload"
 )
 
@@ -14,8 +15,8 @@ import (
 // nothing else; a migration makes the cold record on the source and the
 // destination, a forward on the stale sender's kernel (through the link
 // update it applies), a restart on the restarted kernel, a console line on
-// the printer's kernel, and load reports on every kernel that sends them
-// (at boot, where it arms the first).
+// the printer's kernel. Load reports make none: a load-reporting kernel
+// keeps its report state in a record of its own, made at boot.
 func TestColdRecordMadeAtFirstUse(t *testing.T) {
 	c := newTC(t, 5, nil)
 	check := func(when string, want ...bool) {
@@ -106,7 +107,20 @@ func TestColdRecordMadeAtFirstUse(t *testing.T) {
 	check("after a console line on m5", true, true, true, true, true)
 
 	r := newTC(t, 1, func(cfg *kernel.Config) { cfg.LoadReportEvery = 1000 })
-	if !r.k(1).HasColdRecord() {
-		t.Fatal("a kernel with load reports has no cold record")
+	if r.k(1).HasColdRecord() {
+		t.Fatal("a kernel with load reports made a cold record at boot")
+	}
+	pm := &blackholeBody{}
+	pmPID, err := r.k(1).Spawn(kernel.SpawnSpec{Body: pm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.k(1).SetPMLink(link.Link{Addr: addr.At(pmPID, 1)})
+	r.runFor(10_500)
+	if len(pm.Got) < 9 {
+		t.Fatalf("the process manager got %d load reports in 10 periods, want at least 9", len(pm.Got))
+	}
+	if r.k(1).HasColdRecord() {
+		t.Fatal("a kernel that sent load reports made a cold record")
 	}
 }

@@ -193,3 +193,21 @@ func (k *Kernel) fwdOf(pid addr.ProcessID) (fwd, bool) {
 	f, ok := k.coldView().fwds[pid]
 	return f, ok
 }
+
+// parkedRecs lists the records on the free chain (procFree), most recently
+// parked first.
+func (k *Kernel) parkedRecs() []*Process {
+	var out []*Process
+	for p := k.procFree; p != nil; p = (*Process)(p.body.(*parked)) {
+		out = append(out, p)
+	}
+	return out
+}
+
+// localSlots counts the slots of the dense UID table over all its pages.
+func (k *Kernel) localSlots() (n int) {
+	for _, pg := range k.local {
+		n += len(pg)
+	}
+	return n
+}

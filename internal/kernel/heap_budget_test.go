@@ -20,23 +20,26 @@ import (
 //
 // idle: first while every job waits on its timer, then after all have
 // exited and their records and timer records sit on the free lists. Waiting
-// costs the 96-byte record, its UID slot, its timer and the engine's event
-// slot (250 B; 282 B with a 128-byte record); after exit the same parts are
-// parked on the free lists (269 B; 317 B with a 128-byte record whose queue
-// kept a 2-slot ring backing). Each budget leaves less slack than the
-// smallest per-process allocation it is there to catch. The waiting budget
-// (270 B) fails on a link table per process (64 B) or a side record per
-// process on a kernel without load reports (48 B); the ended budget (290 B)
-// on a queue ring per record (a 32-byte ring and its 16-byte backing, 48 B)
-// or on the same side record kept on the free list. A record one size class
-// up (112 B) fits both; TestProcessRecordLayout catches that.
+// costs the 96-byte record, its UID slot in a 16-slot page, its timer and
+// the engine's event slot (251 B; 252 B with a UID table grown by append,
+// 282 B with a 128-byte record); after exit the same parts are parked, the
+// records on a chain through themselves (260 B; 271 B with a slice of
+// pointers to them, 317 B with a 128-byte record whose queue kept a 2-slot
+// ring backing). Each budget leaves less slack than the smallest
+// per-process cost it is there to catch. The waiting budget (260 B) fails
+// on a link table per process (64 B), a side record per process on a
+// kernel without load reports (48 B) or a record one size class up (112 B,
+// +16 B); the ended budget (266 B) on a free list that keeps each parked
+// record's pointer in a slice (271 B), a queue ring per record (a 32-byte
+// ring and its 16-byte backing, 48 B), the same side record kept on the
+// free list, or the 112-byte record.
 //
 // fired-queued: the jobs' timers fire 10 µs apart, far faster than the one
 // CPU serves them, and the reading is taken when the last has fired, with
 // ~19 000 jobs waiting fired on their queues. A fired timer waits as the
 // kernel's shared mark in the queue's inline head, not as an envelope
 // (~260 B a job, against 437 B with a 128-byte envelope and its body per
-// queued job and 308 B with a ring per queued job); the budget (290 B)
+// queued job and 308 B with a ring per queued job); the budget (275 B)
 // fails on an envelope or a ring per queued job. The pool must balance with
 // nothing held: every envelope the fires drew went back at enqueue.
 func TestPerProcessHeapBudget(t *testing.T) {
@@ -44,6 +47,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 	var ms runtime.MemStats
 	live := func() uint64 {
 		runtime.GC()
+		runtime.GC() // what survives one collection (sync.Pool victims) is gone
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
@@ -60,7 +64,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 	}
 
 	t.Run("idle", func(t *testing.T) {
-		const waitingBudget, endedBudget = 270, 290
+		const waitingBudget, endedBudget = 260, 266
 		eng := sim.NewEngine(1)
 		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
 		bodies := make([]workload.Job, n)
@@ -70,7 +74,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 		before := live()
 		spawn(t, k, bodies)
 		eng.RunUntil(service)
-		if p := k.local[n].p; p == nil || p.state != StateWaiting || p.links != nil {
+		if p := k.lookup(addr.ProcessID{Creator: 1, Local: n}); p == nil || p.state != StateWaiting || p.links != nil {
 			t.Fatalf("job %d is not waiting link-less on its timer: %+v", n, p)
 		}
 		waiting := (int64(live()) - int64(before)) / n
@@ -91,7 +95,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 	})
 
 	t.Run("fired-queued", func(t *testing.T) {
-		const budget = 290
+		const budget = 275
 		eng := sim.NewEngine(1)
 		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
 		bodies := make([]workload.Job, n)
@@ -141,9 +145,9 @@ func TestPerProcessHeapBudget(t *testing.T) {
 // map's groups, ~27 B at this size (the UID slot and the ledger record stay
 // either way). The budget (40 B) fails on a process record per address
 // (96 B) or on any pointer-carrying side record. The departed record is no
-// longer the address: it waits on procFree for the next spawn or arrival,
-// so the test also logs the live heap per departed process with procFree's
-// records counted, which the table must not hide.
+// longer the address: it waits on procFree's chain for the next spawn or
+// arrival, so the test also logs the live heap per departed process with
+// the chain's records counted, which the table must not hide.
 func TestPerForwarderHeapBudget(t *testing.T) {
 	const n, budget = 2_000, 40
 	var ms runtime.MemStats
@@ -182,8 +186,8 @@ func TestPerForwarderHeapBudget(t *testing.T) {
 	withFwd := live()
 	k1.coldRec.fwds = nil
 	noFwd := live()
-	freed := len(k1.procFree.free)
-	k1.procFree = freelist[Process]{}
+	freed := len(k1.parkedRecs())
+	k1.procFree = nil
 	noFree := live()
 	per := (int64(withFwd) - int64(noFwd)) / n
 	departed := (int64(withFwd) - int64(noFree)) / n

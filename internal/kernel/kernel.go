@@ -274,6 +274,10 @@ type uidSlot struct {
 	exited bool
 }
 
+// slotPage is the number of UID slots in a page of Kernel.local: 16 slots
+// of 24 B fill the 384-byte size class with no slack.
+const slotPage = 16
+
 // SpawnSpec describes a process to create.
 type SpawnSpec struct {
 	// Program, if set, creates a VM process (Body must be nil).
@@ -315,14 +319,19 @@ type Kernel struct {
 
 	// The process table, split by where the pid was created. local holds
 	// the pids this machine created, record and exit record in one slot
-	// indexed by local UID: a spawn, a delivery lookup and an exit cost a
-	// bounds check each and touch no hash map. localErrs holds the errors of
+	// indexed by local UID, in pages of slotPage slots (UID u is slot
+	// u%slotPage of page u/slotPage): a spawn, a delivery lookup and an exit
+	// cost two bounds checks each and touch no hash map. The first page
+	// grows by append up to a full page, so a kernel that creates a few
+	// pids keeps a few slots; every later page is made whole and never
+	// moves, so a growing table copies only its page headers and keeps no
+	// slack beyond its last page. localErrs holds the errors of
 	// local pids that crashed (nil until the first). procs and exits hold
 	// only foreign pids (migrated in, revived). eachProc walks both halves.
 	// Every map of the kernel is nil until its first write, so a machine
 	// that never sees a foreign pid, a transfer or a checkpoint carries no
 	// empty map.
-	local     []uidSlot
+	local     [][]uidSlot
 	localErrs map[addr.LocalUID]error
 	procs     map[addr.ProcessID]*Process
 	exits     map[addr.ProcessID]ExitInfo
@@ -357,9 +366,11 @@ type Kernel struct {
 	// (if it grew one), emptied link table and emptied side record (see
 	// DESIGN.md §7): Spawn/terminate and migrations share it, so a warm
 	// kernel spawns and retires processes without growing the heap.
-	// Records wiped wholesale by Restart are simply orphaned to the GC; the
-	// free list only ever holds released records.
-	procFree freelist[Process]
+	// It is a LIFO chained through the parked records' body fields
+	// (parked, freelist.go): no backing slice, no byte added to a record.
+	// Restart orphans the chain to the GC with the records it wipes; the
+	// chain only ever holds released records.
+	procFree *Process
 
 	// The hot/cold split (cold.go): stats holds the counters a machine
 	// that only runs jobs and exchanges user messages writes; coldRec
@@ -367,6 +378,10 @@ type Kernel struct {
 	// touches, nil until the first use of any of them (k.cold()).
 	stats   hotStats
 	coldRec *coldState
+	// rep is the load-report state, made at boot only on a kernel with
+	// LoadReportEvery > 0 (sched.go), so a load-reporting machine that
+	// never migrates makes no cold record.
+	rep *loadReport
 
 	// Observability plane (obs.go): the migration ledger and the kernel's
 	// one histogram. led is the one store of this kernel's migration
@@ -398,6 +413,7 @@ func New(m addr.MachineID, eng *sim.Engine, net *netw.Network, cfg Config) *Kern
 	k.sliceCtx.k = k
 	net.Attach(m, k)
 	if cfg.LoadReportEvery > 0 {
+		k.rep = new(loadReport)
 		k.scheduleLoadReport()
 	}
 	return k
@@ -551,8 +567,7 @@ func (k *Kernel) Console(pid addr.ProcessID) []string {
 // Exit returns how a process ended on this machine, if it did.
 func (k *Kernel) Exit(pid addr.ProcessID) (ExitInfo, bool) {
 	if pid.Creator == k.machine {
-		if i := int(pid.Local); i < len(k.local) && k.local[i].exited {
-			s := &k.local[i]
+		if s := k.slotOf(pid.Local); s != nil && s.exited {
 			return ExitInfo{Code: s.code, Err: k.localErrs[pid.Local], At: s.at}, true
 		}
 		return ExitInfo{}, false
@@ -745,7 +760,7 @@ const maxLocalUID = 1<<16 - 1
 func (k *Kernel) allocUID() (uid addr.LocalUID, ok bool) {
 	uid = k.nextUID
 	fwds := k.coldView().fwds // a present entry is never the zero fwd: its to is a machine
-	for n := 0; uid == 0 || (int(uid) < len(k.local) && k.local[uid].p != nil) ||
+	for n := 0; uid == 0 || k.lookup(addr.ProcessID{Creator: k.machine, Local: uid}) != nil ||
 		fwds[addr.ProcessID{Creator: k.machine, Local: uid}] != (fwd{}); n++ {
 		if n == maxLocalUID {
 			return 0, false
@@ -753,19 +768,41 @@ func (k *Kernel) allocUID() (uid addr.LocalUID, ok bool) {
 		uid++
 	}
 	k.nextUID = uid + 1
-	if int(uid) < len(k.local) {
-		k.local[uid] = uidSlot{}
+	if s := k.slotOf(uid); s != nil {
+		*s = uidSlot{}
 		delete(k.localErrs, uid)
 	}
 	return uid, true
 }
 
-// slot returns uid's entry in the dense table, growing the table to hold it.
-func (k *Kernel) slot(uid addr.LocalUID) *uidSlot {
-	for int(uid) >= len(k.local) {
-		k.local = append(k.local, uidSlot{})
+// slotOf returns uid's entry in the dense table, nil when the table does
+// not reach it yet.
+func (k *Kernel) slotOf(uid addr.LocalUID) *uidSlot {
+	if pg := int(uid) / slotPage; pg < len(k.local) {
+		if i := int(uid) % slotPage; i < len(k.local[pg]) {
+			return &k.local[pg][i]
+		}
 	}
-	return &k.local[uid]
+	return nil
+}
+
+// slot returns uid's entry in the dense table, growing the table to hold
+// it: the first page one slot at a time through append until it is whole,
+// then whole pages.
+func (k *Kernel) slot(uid addr.LocalUID) *uidSlot {
+	for {
+		if s := k.slotOf(uid); s != nil {
+			return s
+		}
+		if len(k.local) == 0 {
+			k.local = append(k.local, nil)
+		}
+		if first := k.local[0]; len(first) < slotPage {
+			k.local[0] = append(first, uidSlot{})
+		} else {
+			k.local = append(k.local, make([]uidSlot, slotPage))
+		}
+	}
 }
 
 // addProc installs a process record in the table: the dense slice when this
@@ -789,17 +826,19 @@ func (k *Kernel) addProc(p *Process) {
 func (k *Kernel) delProc(pid addr.ProcessID) {
 	if pid.Creator != k.machine {
 		delete(k.procs, pid)
-	} else if int(pid.Local) < len(k.local) {
-		k.local[pid.Local].p = nil
+	} else if s := k.slotOf(pid.Local); s != nil {
+		s.p = nil
 	}
 }
 
 // eachProc calls fn for every process record this kernel holds, in no
 // particular order (sortedProcs is the deterministic view).
 func (k *Kernel) eachProc(fn func(*Process)) {
-	for _, s := range k.local {
-		if s.p != nil {
-			fn(s.p)
+	for _, pg := range k.local {
+		for _, s := range pg {
+			if s.p != nil {
+				fn(s.p)
+			}
 		}
 	}
 	for _, p := range k.procs {
@@ -809,13 +848,14 @@ func (k *Kernel) eachProc(fn func(*Process)) {
 
 // lookup finds a local process record (nil if absent). Locally-created
 // pids — the overwhelming majority of delivery targets — resolve through
-// the dense slice; foreign pids (migrated in, revived) fall back to the map.
+// the dense table's pages; foreign pids (migrated in, revived) fall back to
+// the map. It must inline into the per-message path (scripts/check.sh).
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) lookup(pid addr.ProcessID) *Process {
 	if pid.Creator == k.machine {
-		if i := int(pid.Local); i < len(k.local) {
-			return k.local[i].p
+		if s := k.slotOf(pid.Local); s != nil {
+			return s.p
 		}
 		return nil
 	}
@@ -944,7 +984,7 @@ func (k *Kernel) trace(s trace.Site, str string, args ...trace.Val) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) getProcRec() *Process {
-	p := k.procFree.get()
+	p := k.getParked()
 	if p == nil {
 		p = &Process{}
 	}
@@ -985,7 +1025,7 @@ func (k *Kernel) putProcRec(p *Process) {
 	}
 	*p = Process{}
 	p.queue, p.links, p.ext = q, links, x
-	k.procFree.put(p)
+	k.park(p)
 }
 
 // internKind canonicalizes a body-kind decoded from a resident record for

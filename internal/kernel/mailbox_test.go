@@ -99,7 +99,7 @@ func TestTimerOnlyQueueAllocatesNoRing(t *testing.T) {
 	if got := k.Stats().Exited; got != n {
 		t.Fatalf("%d of %d jobs exited", got, n)
 	}
-	for _, p := range k.procFree.free {
+	for _, p := range k.parkedRecs() {
 		if p.queue.more != nil {
 			t.Fatalf("a recycled record kept a ring its job never needed")
 		}

@@ -105,9 +105,11 @@ func TestRecvSlotResetsBetweenDeliveries(t *testing.T) {
 
 // TestKernelSizeClass: a Kernel is one allocation per simulated machine, and
 // Go puts an 8-byte header in front of an object with pointers larger than
-// 512 B, so a Kernel of at most 568 B takes the 576-byte size class. One
-// byte more takes the 640-byte class and raises heap_live_bytes_per_machine
-// by 64 B on every workload. A field that pushes it over fails here first;
+// 512 B, so a Kernel of at most 568 B takes the 576-byte size class. It is
+// 560 B (8 B to spare) since its free list of Process records became one
+// pointer to a chain and the load-report state one pointer to its own
+// record. Nine bytes more take the 640-byte class and raise
+// heap_live_bytes_per_machine by 64 B on every workload. A field that pushes it over fails here first;
 // a field or counter a machine that only runs jobs and exchanges user
 // messages never touches belongs in the cold record (coldState, cold.go),
 // not in the struct.

@@ -546,8 +546,8 @@ func TestSpawnUIDWrap(t *testing.T) {
 	if info, ok := k.Process(elder); !ok || info.State != StateWaiting {
 		t.Fatalf("long-lived %v = %+v, %v", elder, info, ok)
 	}
-	if len(k.local) > 1<<16 {
-		t.Fatalf("local table grew to %d slots", len(k.local))
+	if n := k.localSlots(); n > 1<<16 {
+		t.Fatalf("local table grew to %d slots", n)
 	}
 }
 

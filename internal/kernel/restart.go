@@ -185,9 +185,12 @@ func (k *Kernel) Restart() error {
 	}
 
 	k.procs = nil
-	for i := range k.local {
-		k.local[i].p = nil // the exit records survive, as k.exits does
+	for _, pg := range k.local {
+		for i := range pg {
+			pg[i].p = nil // the exit records survive, as k.exits does
+		}
 	}
+	k.procFree = nil // the parked records go to the GC with the wiped ones
 	k.runq = ring[*Process]{}
 	c.fwds, c.runs, c.ForwarderBytes = nil, nil, 0
 	c.xfersIn = nil
@@ -214,7 +217,7 @@ func (k *Kernel) Restart() error {
 	// Re-arm the periodic load report (its weak event chain died with the
 	// crash-guard; Cancel tolerates an already-fired event).
 	if k.cfg.LoadReportEvery > 0 {
-		k.eng.Cancel(c.loadReportEv)
+		k.eng.Cancel(k.rep.ev)
 		k.scheduleLoadReport()
 	}
 	return nil

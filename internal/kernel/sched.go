@@ -163,11 +163,20 @@ func (k *Kernel) terminate(p *Process, code int32, err error) {
 	k.putProcRec(p)
 }
 
+// loadReport is a load-reporting kernel's report state (Kernel.rep): the
+// armed report event, and the time and CPU-busy reading of the last report,
+// from which the next one's CPU share is taken.
+type loadReport struct {
+	ev       sim.Event
+	lastAt   sim.Time
+	lastBusy sim.Time
+}
+
 // scheduleLoadReport arms the periodic load report to the process manager.
 // Reports are weak events: they fire while the system is alive but do not
 // keep an otherwise idle simulation running.
 func (k *Kernel) scheduleLoadReport() {
-	k.cold().loadReportEv = k.eng.AfterWeak(k.cfg.LoadReportEvery, "kernel:load-report", func() {
+	k.rep.ev = k.eng.AfterWeak(k.cfg.LoadReportEvery, "kernel:load-report", func() {
 		if k.crashed {
 			return
 		}
@@ -180,12 +189,12 @@ func (k *Kernel) scheduleLoadReport() {
 
 func (k *Kernel) sendLoadReport() {
 	now := k.eng.Now()
-	c := k.cold()
-	interval := now - c.lastReportAt
+	r := k.rep
+	interval := now - r.lastAt
 	if interval == 0 {
 		interval = 1
 	}
-	busy := k.stats.CPUBusy - c.lastReportBusy
+	busy := k.stats.CPUBusy - r.lastBusy
 	pct := uint64(busy) * 100 / uint64(interval)
 	if pct > 100 {
 		pct = 100
@@ -223,8 +232,8 @@ func (k *Kernel) sendLoadReport() {
 		x.msgsDelta = 0
 		clear(x.commDelta)
 	}
-	c.lastReportAt = now
-	c.lastReportBusy = k.stats.CPUBusy
+	r.lastAt = now
+	r.lastBusy = k.stats.CPUBusy
 	m := k.newControl(msg.OpLoadReport, k.pmLink.Addr)
 	m.Body = rep.AppendTo(m.Body[:0])
 	k.route(m)

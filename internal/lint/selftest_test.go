@@ -137,9 +137,11 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"appendResident",
 			// Deferred trace emit.
 			"Kernel.trace",
-			// Process queue, ring buffer and the one free list.
+			// Process queue, ring buffer, the free list and the
+			// record chain.
 			"mailbox.push", "mailbox.pop",
 			"ring.push", "ring.pop", "freelist.get", "freelist.put",
+			"Kernel.getParked", "Kernel.park",
 		},
 		// Observability plane: the registry slot the instrumented hot
 		// paths write through, and the §6 per-migration accounting

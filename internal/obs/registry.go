@@ -37,17 +37,17 @@ import (
 	"demosmp/internal/sim"
 )
 
-// HistBuckets is the number of power-of-two histogram buckets: bucket 0
-// counts observations of exactly 0, bucket i (1..64) counts observations
-// whose bit length is i, i.e. values in [2^(i-1), 2^i).
-const HistBuckets = 65
-
-// Histogram is a fixed-size power-of-two-bucket histogram. Observe is a
-// bits.Len64 plus three increments — cheap enough for per-message paths.
+// Histogram is a power-of-two-bucket histogram: bucket 0 counts
+// observations of exactly 0, bucket i (1..64) counts observations whose bit
+// length is i, i.e. values in [2^(i-1), 2^i). Observe is a bits.Len64,
+// three increments and a bounds test — cheap enough for per-message paths.
+// buckets reaches only up to the highest bucket observed, so a histogram of
+// small values costs a few words, not 65 of them: a kernel's latency
+// histogram keeps ~100–200 B where a fixed array took 576.
 type Histogram struct {
 	count   uint64
 	sum     uint64
-	buckets [HistBuckets]uint64
+	buckets []uint64
 }
 
 // Metric renders h as the histogram metric called name. A nil h renders as
@@ -74,13 +74,19 @@ func (h *Histogram) Metric(name string) Metric {
 	return out
 }
 
-// Observe records one value.
+// Observe records one value. It must inline into the per-message path
+// (scripts/check.sh): a new highest bucket grows buckets through append,
+// whose growth is the runtime's out-of-line growslice.
 //
-//demos:hotpath — fixed-array bucketing via bits.Len64, no bounds math on the heap: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip and /netw-send with obs attached.
+//demos:hotpath — bucketing via bits.Len64, growing only at a new highest bucket: checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip and /netw-send with obs attached.
 func (h *Histogram) Observe(v uint64) {
 	h.count++
 	h.sum += v
-	h.buckets[bits.Len64(v)]++
+	i := bits.Len64(v)
+	if i >= len(h.buckets) {
+		h.buckets = append(h.buckets, make([]uint64, i+1-len(h.buckets))...)
+	}
+	h.buckets[i]++
 }
 
 // metric is one registered slot: a histogram, or a counter fn computes.

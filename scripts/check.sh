@@ -5,7 +5,7 @@
 # explorer's budget 2), four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
 # FuzzPendOrder, FuzzStateCodec), the hot-path allocation guards, a
 # one-iteration smoke of the scale, peak-heap and policy benchmarks, the msg.Pool,
-# mailbox and trace ring inlining guards, the trace-site guards (no Emitf in
+# mailbox, Kernel.lookup, Histogram.Observe and trace ring inlining guards, the trace-site guards (no Emitf in
 # the kernel, no .String() passed to k.trace) and a one-pair smoke of the
 # A/B pairs tool. Run from anywhere; exits non-zero on the first failure.
 #
@@ -38,8 +38,8 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process (idle jobs, and ~19 000 fired timers queued behind a busy CPU as marks in the queue's inline head, with no envelope or ring each and none held by the pool) and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
-go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process (idle jobs, and ~19 000 fired timers queued behind a busy CPU as marks in the queue's inline head, with no envelope or ring each and none held by the pool) and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the paged UID table against a reference map past the UID wrap, the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
+go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestUIDTableMatchesReference|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
   ./internal/core ./internal/kernel ./internal/trace ./cmd/experiments ./internal/chaos
 
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"
@@ -51,8 +51,8 @@ go test -race -count=5 -run 'TestOneWayTrafficKeepsPoolsBounded/parallel' ./inte
 echo "== event count across shard counts under the race detector (a pump counts one event per frame it lands; 1/2/4 shards, inline and goroutine rounds, 3 runs)"
 go test -race -count=3 -run TestShardFiredInvariance ./internal/core/
 
-echo "== recycled process records, split process tables, ProcInfo.Kind read from the body, the forwarder table (the §4 GC, an 8-byte chain, an aborted return that leaves the address in place, and a returning process whose live record wins over its shadowed address), the fork window (a source crash after the transfer leaves one copy), the one restart path (a held kill ends the restarted process at either end; a held request is served after arrival) and the kill-point matrix (a crash at each kill point leaves a checkpointed process one live copy and one checkpoint, on the same machine) under the race detector (3 runs)"
-go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestHeldKillEndsTheRestartedProcess|TestHeldRequestServedAfterArrival|TestProcessesOrderAcrossSplitTables|TestProcInfoKind|TestSourceCrashAfterTransferLeavesOneCopy|TestKillPointMatrix|TestForwarderGC|TestForwardChain|TestAbortedMigrateBackKeepsForwarder|TestReturnMigrationShadowsForwarder' ./internal/kernel/
+echo "== recycled process records and their free chain (a parked record in no table; Restart orphans the chain), split process tables, ProcInfo.Kind read from the body, the forwarder table (the §4 GC, an 8-byte chain, an aborted return that leaves the address in place, and a returning process whose live record wins over its shadowed address), the fork window (a source crash after the transfer leaves one copy), the one restart path (a held kill ends the restarted process at either end; a held request is served after arrival) and the kill-point matrix (a crash at each kill point leaves a checkpointed process one live copy and one checkpoint, on the same machine) under the race detector (3 runs)"
+go test -race -count=3 -run 'TestRecycledProcessRecordIsClean|TestFreeChainHoldsOnlyReleasedRecords|TestExitRecordsLocalForeignAndAcrossRestart|TestKillHeldAcrossMigrationEndsTheProcess|TestHeldKillEndsTheRestartedProcess|TestHeldRequestServedAfterArrival|TestProcessesOrderAcrossSplitTables|TestProcInfoKind|TestSourceCrashAfterTransferLeavesOneCopy|TestKillPointMatrix|TestForwarderGC|TestForwardChain|TestAbortedMigrateBackKeepsForwarder|TestReturnMigrationShadowsForwarder' ./internal/kernel/
 
 echo "== chaos soak (short mode, fixed seeds: 4242 / 99 / 7 / 20260808; shard matrix and 1000-machine soak included)"
 go test -short -count=1 ./internal/chaos/
@@ -78,7 +78,7 @@ go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -benchtime 1x .
 echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, the live-heap peak probe on 64 machines, 256-machine policy round)"
 go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|OpenLoopPeakLiveHeap/^64m$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
-echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, msg.Pool in the 48-byte class and msg.Message in the 128-byte one, the cold record made only at the first migration, forward, restart, console line or load report and its counters rendered without a Stats copy, the swap store only at the first image; Process is 96 bytes (Go's 96-byte class) with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, msg.Pool in the 48-byte class and msg.Message in the 128-byte one, the cold record made only at the first migration, forward, restart or console line (never by load reports) and its counters rendered without a Stats copy, the swap store only at the first image; Process is 96 bytes (Go's 96-byte class) with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
 go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestPoolAndEnvelopeSizeClass|TestColdRecordSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
 go test -count=1 -run 'TestKernelTableIsDense' ./internal/core/
 go test -count=1 -run 'TestMergeSingleSnapshotFastPath' ./internal/obs/
@@ -104,6 +104,29 @@ if [ "$sites" -ne "$inlined" ]; then
   echo "(*mailbox).push inlines at $inlined of its $sites call sites in internal/kernel"
   exit 1
 fi
+echo "== Kernel.lookup inlines at every lookup site (two page bounds checks since the UID table is paged) and obs.Histogram.Observe at every observe site in kernel and netw (its growth is append's out-of-line growslice)"
+if ! grep -q 'can inline (\*Kernel).lookup$' <<<"$inl"; then
+  echo "(*Kernel).lookup no longer inlines"
+  exit 1
+fi
+sites=$(grep -ho --exclude='*_test.go' 'k\.lookup(' internal/kernel/*.go | wc -l)
+inlined=$(grep -c 'inlining call to (\*Kernel).lookup$' <<<"$inl")
+if [ "$sites" -ne "$inlined" ]; then
+  echo "(*Kernel).lookup inlines at $inlined of its $sites call sites in internal/kernel"
+  exit 1
+fi
+if ! grep -q 'can inline (\*Histogram).Observe$' <<<"$(go build -gcflags=-m ./internal/obs 2>&1)"; then
+  echo "(*obs.Histogram).Observe no longer inlines: keep its growth to one append"
+  exit 1
+fi
+for pkg in kernel netw; do
+  sites=$(grep -h --exclude='*_test.go' '\.Observe(' internal/$pkg/*.go | wc -l)
+  inlined=$(grep -c 'inlining call to obs.(\*Histogram).Observe$' <<<"$(go build -gcflags=-m ./internal/$pkg 2>&1)")
+  if [ "$sites" -ne "$inlined" ]; then
+    echo "(*obs.Histogram).Observe inlines at $inlined of its $sites call sites in internal/$pkg"
+    exit 1
+  fi
+done
 echo "== trace.Tracer.slot and the string table's expire inline into Tracer.Log (the chunk step is out of line), and every kernel emit goes through a package-level trace.Site"
 inl=$(go build -gcflags=-m ./internal/trace 2>&1)
 for fn in '(\*Tracer).slot' '(\*strTable).expire'; do

@@ -14,6 +14,7 @@ package demosmp_test
 import (
 	"testing"
 
+	"demosmp"
 	"demosmp/internal/addr"
 	"demosmp/internal/kernel"
 	"demosmp/internal/link"
@@ -669,8 +670,33 @@ func (b *benchAltTimerBody) Restore([]byte) error      { return nil }
 // its fires miss the kernel's one timer mark. (The per-call timer body,
 // closure and heap envelope and the per-spawn record, table, slot backing,
 // map and hash-map inserts made that 8 and 3; 9 with the job the benchmark
-// row allocates per spawn.)
+// row allocates per spawn.) So does a whole open-loop arrival on a warm
+// cluster — the driver's event, the spawn onto a parked record and the job
+// run to its exit — since the driver hands every job one of its two shared
+// bodies (a body per arrival made that 1).
 func TestSpawnExitSteadyStateAllocs(t *testing.T) {
+	t.Run("open-loop-arrival", func(t *testing.T) {
+		c, err := demosmp.New(demosmp.Options{Machines: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.StartOpenLoop(workload.OpenLoop{Seed: 1, MeanGap: 1000, PerMachine: 1 << 20})
+		eng, k := c.EngineOf(1), c.Kernel(1)
+		arrival := func() {
+			target := d.Spawned() + 1
+			for d.Spawned() < target || k.Stats().Exited < d.Spawned() {
+				if !eng.Step() {
+					t.Fatal("engine idle before the arrival's job exited")
+				}
+			}
+		}
+		for i := 0; i < 64; i++ {
+			arrival()
+		}
+		if n := testing.AllocsPerRun(200, arrival); n != 0 {
+			t.Fatalf("an open-loop arrival run to its exit allocates %.1f/op, want 0", n)
+		}
+	})
 	t.Run("spawn-timer-exit", func(t *testing.T) {
 		e := sim.NewEngine(1)
 		k := kernel.New(1, e, netw.New(e, netw.Config{}), kernel.Config{})

@@ -24,6 +24,9 @@
 //
 //	go run ./cmd/benchpairs -revs HEAD~1,HEAD -workloads migrate-storm -seeds 1,2 -pairs 5 -seconds 4 -dir /tmp/pairs
 //
+// With -fold it builds and runs nothing: it reads CPU profiles as `go tool
+// pprof -traces` prints them and tables the share of each layer (fold.go).
+//
 // A revision is anything git rev-parse takes, or "." for the working tree
 // (tracked and untracked files, less what .gitignore excludes).
 package main
@@ -52,6 +55,7 @@ type options struct {
 	pairs, seconds  int
 	dir             string
 	fpMayDiffer     []string
+	fold            []string
 }
 
 // rev is one exported revision.
@@ -85,6 +89,9 @@ func mainErr(args []string, stdout, stderr io.Writer) error {
 	o, err := parseFlags(args, stderr)
 	if err != nil {
 		return err
+	}
+	if len(o.fold) > 0 {
+		return foldFiles(stdout, o.fold)
 	}
 	revs, err := export(o)
 	if err != nil {
@@ -142,10 +149,14 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.seconds, "seconds", 4, "bench/run.sh --seconds of each run")
 	fs.StringVar(&o.dir, "dir", "", "directory to export the revisions into (made if missing; required)")
 	fpMay := fs.String("fp-may-differ", "", "comma-separated workloads whose sim_fingerprint may differ between revisions")
+	fold := fs.String("fold", "", "comma-separated `go tool pprof -traces` outputs: print their layer table and exit (no revision is built)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	o.revs, o.workloads, o.fpMayDiffer = split(*revs), split(*workloads), split(*fpMay)
+	o.revs, o.workloads, o.fpMayDiffer, o.fold = split(*revs), split(*workloads), split(*fpMay), split(*fold)
+	if len(o.fold) > 0 {
+		return o, nil
+	}
 	for _, s := range split(*seeds) {
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
@@ -410,45 +421,65 @@ func fingerprintMismatches(o options, revs []rev, runs []run) []string {
 	return bad
 }
 
-// report prints one table per workload and revision after the first.
+// report prints one table per workload and revision after the first. Each
+// metric gets a row over all seeds together and, when there is more than
+// one seed, a row per seed beside it, so a claim can be read seed by seed
+// (say, on a held-out seed).
 func report(w io.Writer, o options, revs []rev, metrics []metric, runs []run) {
 	fmt.Fprintf(w, "Revisions (ratios are each against %s):\n\n", revs[0].name)
 	for i, r := range revs {
 		fmt.Fprintf(w, "- r%d `%s`: %s\n", i, r.name, r.commit)
 	}
 	fmt.Fprintf(w, "\nSeeds %v, %d pairs a seed, --seconds %d; the order rotates every pair.\n", o.seeds, o.pairs, o.seconds)
+	groups := [][]int64{o.seeds}
+	if len(o.seeds) > 1 {
+		for _, seed := range o.seeds {
+			groups = append(groups, []int64{seed})
+		}
+	}
 	for _, wl := range o.workloads {
 		for j := 1; j < len(revs); j++ {
 			fmt.Fprintf(w, "\n#### %s: %s against %s\n\n", wl, revs[j].name, revs[0].name)
-			fmt.Fprintln(w, "| metric | parent median | median | median ratio | pairs won | min | max | parent IQR | verdict |")
-			fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|---|")
+			fmt.Fprintln(w, "| metric | seeds | parent median | median | median ratio | pairs won | min | max | parent IQR | verdict |")
+			fmt.Fprintln(w, "|---|---|---:|---:|---:|---:|---:|---:|---:|---|")
 			for _, m := range metrics {
-				ratios, iqr := pairRatios(o, runs, wl, m.Name, j)
-				if len(ratios) == 0 {
-					fmt.Fprintf(w, "| `%s` | – | – | – | 0/0 | – | – | – | no pairs |\n", m.Name)
-					continue
+				for _, seeds := range groups {
+					writeRow(w, m, seeds, o.pairs, runs, wl, j)
 				}
-				won := 0
-				for _, r := range ratios {
-					if wins(r, m.Better) {
-						won++
-					}
-				}
-				med := quantile(ratios, 0.5)
-				fmt.Fprintf(w, "| `%s` | %.6g | %.6g | %.3f× | %d/%d | %.3f | %.3f | %.1f %% | %s |\n",
-					m.Name, median(runs, wl, m.Name, 0), median(runs, wl, m.Name, j), med, won, len(ratios),
-					ratios[0], ratios[len(ratios)-1], 100*iqr, verdict(ratios, med, iqr, m.Better))
 			}
 		}
 	}
 }
 
-// median returns the median of revision j's values of name over every run
-// of the workload, all seeds together.
-func median(runs []run, workload, name string, j int) float64 {
+// writeRow prints metric m's row over the runs of the given seeds.
+func writeRow(w io.Writer, m metric, seeds []int64, pairs int, runs []run, workload string, j int) {
+	label := "all"
+	if len(seeds) == 1 {
+		label = strconv.FormatInt(seeds[0], 10)
+	}
+	ratios, iqr := pairRatios(seeds, pairs, runs, workload, m.Name, j)
+	if len(ratios) == 0 {
+		fmt.Fprintf(w, "| `%s` | %s | – | – | – | 0/0 | – | – | – | no pairs |\n", m.Name, label)
+		return
+	}
+	won := 0
+	for _, r := range ratios {
+		if wins(r, m.Better) {
+			won++
+		}
+	}
+	med := quantile(ratios, 0.5)
+	fmt.Fprintf(w, "| `%s` | %s | %.6g | %.6g | %.3f× | %d/%d | %.3f | %.3f | %.1f %% | %s |\n",
+		m.Name, label, median(runs, seeds, workload, m.Name, 0), median(runs, seeds, workload, m.Name, j), med, won, len(ratios),
+		ratios[0], ratios[len(ratios)-1], 100*iqr, verdict(ratios, med, iqr, m.Better))
+}
+
+// median returns the median of revision j's values of name over the
+// workload's runs of the given seeds.
+func median(runs []run, seeds []int64, workload, name string, j int) float64 {
 	var xs []float64
 	for _, r := range runs {
-		if v, ok := r.metrics[name]; ok && r.workload == workload && r.rev == j {
+		if v, ok := r.metrics[name]; ok && r.workload == workload && r.rev == j && slices.Contains(seeds, r.seed) {
 			xs = append(xs, v)
 		}
 	}
@@ -457,12 +488,12 @@ func median(runs []run, workload, name string, j int) float64 {
 }
 
 // pairRatios returns the sorted ratios of revision j's value of name to the
-// parent's, one per pair in which both completed, and the parent's
-// relative interquartile range, the largest over the seeds.
-func pairRatios(o options, runs []run, workload, name string, j int) (ratios []float64, iqr float64) {
-	for _, seed := range o.seeds {
+// parent's, one per pair of the given seeds in which both completed, and
+// the parent's relative interquartile range, the largest over those seeds.
+func pairRatios(seeds []int64, pairs int, runs []run, workload, name string, j int) (ratios []float64, iqr float64) {
+	for _, seed := range seeds {
 		var base []float64
-		for p := 0; p < o.pairs; p++ {
+		for p := 0; p < pairs; p++ {
 			var a, b float64
 			var okA, okB bool
 			for _, r := range runs {

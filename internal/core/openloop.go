@@ -14,13 +14,16 @@ import (
 )
 
 // OpenLoopDriver reports spawn progress for a running open-loop workload.
-// It holds the one config every machine's stream reads and each machine's
-// driver state in one slot of a dense table. A slot is written only by its
-// machine's shard goroutine, so reads are exact between runs and race-free
-// during them.
+// It holds the one config every machine's stream reads, the two job bodies
+// every timer-driven job shares (a workload.Job is stateless, so every job
+// of one service time runs the same one), and each machine's driver state
+// in one slot of a dense table. A slot is written only by its machine's
+// shard goroutine, so reads are exact between runs and race-free during
+// them; the bodies and the config are only read.
 type OpenLoopDriver struct {
-	cfg workload.OpenLoop
-	ms  []arrivals // ms[m-1] is machine m's
+	cfg         workload.OpenLoop
+	short, long workload.Job
+	ms          []arrivals // ms[m-1] is machine m's
 }
 
 // Spawned returns the number of jobs started so far.
@@ -50,24 +53,29 @@ func (c *Cluster) StartOpenLoop(cfg workload.OpenLoop) *OpenLoopDriver {
 		m := i + 1
 		a := &d.ms[i]
 		a.Arrivals = workload.NewArrivals(&d.cfg, m)
-		a.eng, a.k, a.spin = c.EngineOf(m), c.Kernel(m), cfg.Spin
+		a.d, a.eng, a.k = d, c.EngineOf(m), c.Kernel(m)
 		a.fireFn = a.fire
-		a.arm()
+	}
+	// NewArrivals has filled the config's default service times.
+	d.short.Service, d.long.Service = d.cfg.ShortService, d.cfg.LongService
+	for i := range d.ms {
+		d.ms[i].arm()
 	}
 	return d
 }
 
 // arrivals is machine m's open-loop driver: the arrival cursor, the
-// service demand of the arrival armed next, the machine's spawn counts, and
-// fire bound once, so an arrival allocates nothing but its job. It arms
-// its next arrival as its event fires (streaming: one pending event per
-// machine, never the whole arrival sequence).
+// driver, the shared job body of the arrival armed next (whose Service is
+// its demand), the machine's spawn counts, and fire bound once, so an
+// arrival of a timer-driven job allocates nothing. It arms its next
+// arrival as its event fires (streaming: one pending event per machine,
+// never the whole arrival sequence).
 type arrivals struct {
 	workload.Arrivals
+	d               *OpenLoopDriver
 	eng             *sim.Engine
 	k               *kernel.Kernel
-	spin            bool
-	svc             sim.Time
+	job             *workload.Job
 	spawned, failed uint64
 	fireFn          func()
 }
@@ -75,26 +83,28 @@ type arrivals struct {
 // arm schedules the next arrival, if the stream has one.
 func (a *arrivals) arm() {
 	if at, svc, ok := a.Next(); ok {
-		a.svc = svc
+		// The stream draws only the config's two service times.
+		a.job = &a.d.short
+		if svc == a.d.cfg.LongService {
+			a.job = &a.d.long
+		}
 		a.eng.At(at, "wl:arrival", a.fireFn)
 	}
 }
 
 // fire spawns the armed arrival's job and arms the next.
 func (a *arrivals) fire() {
-	var body proc.Body
+	var body proc.Body = a.job
 	// In Spin mode the service demand (µs) converts to an instruction
 	// budget at the kernel's modeled instruction cost, so a spinner
 	// occupies the CPU for the same simulated time the timer job would
-	// have slept.
-	if a.spin {
-		work := int(uint64(a.svc) * 1000 / kernel.InstrCostNanos)
+	// have slept. A Spinner counts its work down, so each has its own.
+	if a.d.cfg.Spin {
+		work := int(uint64(a.job.Service) * 1000 / kernel.InstrCostNanos)
 		if work < 1 {
 			work = 1
 		}
 		body = &workload.Spinner{Work: work}
-	} else {
-		body = &workload.Job{Service: a.svc}
 	}
 	if _, err := a.k.Spawn(kernel.SpawnSpec{Body: body}); err != nil {
 		a.failed++

@@ -82,7 +82,7 @@ func (k *Kernel) handleSuspend(m *msg.Message) {
 	}
 	switch p.state {
 	case StateReady:
-		k.removeFromRunq(p)
+		k.runq.remove(p)
 		p.prevState = StateReady
 		p.state = StateSuspended
 	case StateWaiting:

@@ -73,7 +73,7 @@ func (k *Kernel) deliverLocal(m *msg.Message) {
 		// §3.1 step 1: "Messages arriving for the migrating process,
 		// including DELIVERTOKERNEL messages, will be placed on its
 		// message queue."
-		p.queueHighWater = max(p.queueHighWater, p.queue.push(m))
+		p.queue.push(m)
 		k.stats.MsgsHeld++
 	default:
 		if m.DTK {
@@ -107,7 +107,7 @@ func (k *Kernel) enqueue(p *Process, m *msg.Message) {
 	if m.Op == msg.OpTimer && m.Kind == msg.KindControl && len(m.Body) == 2 {
 		m = k.markTimer(m)
 	}
-	p.queueHighWater = max(p.queueHighWater, p.queue.push(m))
+	p.queue.push(m)
 	p.msgsIn++
 	k.stats.MsgsEnqueued++
 	if p.state == StateWaiting {

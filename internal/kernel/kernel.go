@@ -167,21 +167,25 @@ func (c *Config) fillDefaults() {
 // Field order is by use, not by topic, and the record is exactly 96 bytes,
 // Go's 96-byte size class (TestProcessRecordLayout). With tens of
 // thousands of short processes alive the first touch of a record is a
-// cache miss per line, so the first 64 bytes hold all that a scheduling
-// slice reads (state, body, queue, cpuUsed) and every pointer, so the
-// collector's scan of a record stops there; the rest is what creation,
-// delivery and sending write. What only some records use (an image, a
-// migration, the previous host, load-report deltas) lives beside it in
-// ext.
+// cache miss per line, so the first 64 bytes hold every pointer, so the
+// collector's scan of a record stops there, and with them all that a
+// scheduling slice reads: state, body, queue and the run-queue link. The
+// eight words of that line are full, so cpuUsed, the one field a slice
+// writes besides them, opens the second, beside msgsIn, which the
+// delivery that woke the process has just written. What only some records
+// use (an image, a migration, the previous host, load-report deltas) lives
+// beside it in ext, and the queue's high-water mark in its ring
+// (queueHighWater).
 type Process struct {
 	id         addr.ProcessID
 	state      ProcState
 	prevState  ProcState // state to restore after migration/suspension
 	privileged bool
-	onRunq     bool // p is in k.runq, so leaving it out of turn needs no scan to find out
 	body       proc.Body
 	queue      mailbox
-	cpuUsed    sim.Time
+	// runNext is the record behind this one on the kernel's run queue
+	// (runQueue), nil when it is the tail or not queued.
+	runNext *Process
 
 	// links is nil until the process's first link (a nil table reads as
 	// empty); a recycled record keeps its table, emptied.
@@ -189,11 +193,25 @@ type Process struct {
 	// ext is nil until the record first needs it (extOf), and on kernels
 	// with load reports every record has one from getProcRec on. A recycled
 	// record keeps it, emptied.
-	ext            *procExt
-	createdAt      sim.Time
-	msgsIn         uint64
-	msgsOut        uint64
-	queueHighWater uint32
+	ext       *procExt
+	cpuUsed   sim.Time
+	msgsIn    uint64
+	msgsOut   uint64
+	createdAt sim.Time
+}
+
+// queueHighWater returns the most messages p's queue has held at once. A
+// queue holds a second message only in its ring (mailbox), so a count past
+// 1 is the ring's; below that, the queue has held one message if it holds
+// one now or p has received any.
+func (p *Process) queueHighWater() uint32 {
+	if r := p.queue.more; r != nil && r.hw > 1 {
+		return r.hw
+	}
+	if p.msgsIn > 0 || p.queue.head != nil {
+		return 1
+	}
+	return 0
 }
 
 // procExt is what only some process records use: the memory image of a VM
@@ -335,7 +353,7 @@ type Kernel struct {
 	localErrs map[addr.LocalUID]error
 	procs     map[addr.ProcessID]*Process
 	exits     map[addr.ProcessID]ExitInfo
-	runq      ring[*Process]
+	runq      runQueue
 
 	// pool recycles message envelopes on the kernel-to-kernel fast path.
 	// An envelope it constructed always comes back to it, whichever kernel
@@ -1022,6 +1040,9 @@ func (k *Kernel) putProcRec(p *Process) {
 	if x != nil {
 		clear(x.commDelta)
 		*x = procExt{commDelta: x.commDelta}
+	}
+	if q.more != nil {
+		q.more.hw = 0
 	}
 	*p = Process{}
 	p.queue, p.links, p.ext = q, links, x

@@ -11,9 +11,10 @@ import (
 
 // TestMailboxFIFO drives one mailbox through pushes and pops that cross the
 // inline head and the ring in every order: messages come out in the order
-// they went in, at(i) reads the i-th without removing it, Len (and push's
-// result) counts the head and the ring, and a pop on an empty queue returns
-// nil and leaves it empty. The ring is made at the second push and kept when the queue
+// they went in, at(i) reads the i-th without removing it, Len counts the
+// head and the ring, the ring's high-water mark follows the deepest the
+// queue has been, and a pop on an empty queue returns nil and leaves it
+// empty. The ring is made at the second push and kept when the queue
 // drains.
 func TestMailboxFIFO(t *testing.T) {
 	var q mailbox
@@ -21,7 +22,7 @@ func TestMailboxFIFO(t *testing.T) {
 		t.Fatalf("empty mailbox: Len %d, pop not nil, or pop changed it", q.Len())
 	}
 	msgs := make([]msg.Message, 16)
-	in, out := 0, 0
+	in, out, peak := 0, 0, 0
 	check := func(step string) {
 		t.Helper()
 		if q.Len() != in-out {
@@ -39,10 +40,11 @@ func TestMailboxFIFO(t *testing.T) {
 		{1, 0}, {1, 0}, {0, 2}, {3, 2}, {4, 1}, {0, 4}, {1, 1}, {6, 3}, {0, 3},
 	} {
 		for range op.push {
-			n := q.push(&msgs[in])
+			q.push(&msgs[in])
 			in++
-			if int(n) != in-out {
-				t.Fatalf("push returned length %d, want %d", n, in-out)
+			peak = max(peak, in-out)
+			if peak > 1 && int(q.more.hw) != peak {
+				t.Fatalf("after a push to depth %d: high water %d, want %d", in-out, q.more.hw, peak)
 			}
 			check("push")
 		}
@@ -57,8 +59,8 @@ func TestMailboxFIFO(t *testing.T) {
 	if in != len(msgs) || q.Len() != 0 {
 		t.Fatalf("pushed %d of %d, %d left", in, len(msgs), q.Len())
 	}
-	if q.head != nil || q.more == nil || q.more.Len() != 0 {
-		t.Fatalf("drained mailbox = %+v, want no head and an empty ring kept", q)
+	if q.head != nil || q.more == nil || q.more.Len() != 0 || q.more.hw != 6 {
+		t.Fatalf("drained mailbox = %+v, want no head and an empty ring kept, high water 6", q)
 	}
 	if q.pop() != nil || q.Len() != 0 {
 		t.Fatal("pop on a drained mailbox returned a message")

@@ -366,7 +366,7 @@ func (k *Kernel) stepRequest(_ *migration, m *msg.Message) {
 	// suspended) travels in the resident record and is restored verbatim.
 	p.prevState = p.state
 	p.state = StateInMigration
-	k.removeFromRunq(p)
+	k.runq.remove(p)
 	k.trace(siteStep1, "", trace.PID(p.id), trace.Name(p.prevState))
 
 	// Freeze the three payloads at this instant, into the record's
@@ -908,7 +908,7 @@ func appendResident(b []byte, p *Process, stable bool) []byte {
 	b = binary.LittleEndian.AppendUint64(b, p.msgsIn)
 	b = binary.LittleEndian.AppendUint64(b, p.msgsOut)
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.createdAt))
-	b = binary.LittleEndian.AppendUint32(b, p.queueHighWater)
+	b = binary.LittleEndian.AppendUint32(b, p.queueHighWater())
 	return b
 }
 
@@ -934,7 +934,7 @@ func decodeResident(p *Process, b []byte) (kind []byte, err error) {
 	p.msgsIn = binary.LittleEndian.Uint64(b[14:])
 	p.msgsOut = binary.LittleEndian.Uint64(b[22:])
 	p.createdAt = sim.Time(binary.LittleEndian.Uint64(b[30:]))
-	p.queueHighWater = max(p.queueHighWater, binary.LittleEndian.Uint32(b[38:]))
+	p.queue.noteHighWater(binary.LittleEndian.Uint32(b[38:]))
 	return kind, nil
 }
 

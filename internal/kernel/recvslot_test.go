@@ -106,9 +106,10 @@ func TestRecvSlotResetsBetweenDeliveries(t *testing.T) {
 // TestKernelSizeClass: a Kernel is one allocation per simulated machine, and
 // Go puts an 8-byte header in front of an object with pointers larger than
 // 512 B, so a Kernel of at most 568 B takes the 576-byte size class. It is
-// 560 B (8 B to spare) since its free list of Process records became one
-// pointer to a chain and the load-report state one pointer to its own
-// record. Nine bytes more take the 640-byte class and raise
+// 544 B (24 B to spare) since its free list of Process records became one
+// pointer to a chain, the load-report state one pointer to its own record,
+// and the run queue two pointers to a chain through the records (runq.go).
+// 25 bytes more take the 640-byte class and raise
 // heap_live_bytes_per_machine by 64 B on every workload. A field that pushes it over fails here first;
 // a field or counter a machine that only runs jobs and exchanges user
 // messages never touches belongs in the cold record (coldState, cold.go),
@@ -148,12 +149,14 @@ func TestColdRecordSizeClass(t *testing.T) {
 }
 
 // TestProcessRecordLayout: a Process is exactly 96 bytes, Go's 96-byte
-// size class; everything a scheduling slice reads with load reports off
-// (state, body, queue, cpuUsed) ends inside the first 64-byte line; and so
-// does every field that holds a pointer, so the collector's scan of a record
-// stops there. A field that grows the record into the 112-byte class, or a
-// reorder that pushes a slice field or a pointer (links, ext) past the first
-// line, fails here.
+// size class; every field that holds a pointer ends inside the first
+// 64-byte line, so the collector's scan of a record stops there; and so
+// does everything a scheduling slice reads with load reports off (state,
+// body, queue, and runNext, the run queue's link). Those pointers fill the
+// line, so cpuUsed, which the slice writes, must open the second one, at
+// byte 64. A field that grows the record into the 112-byte class, or a
+// reorder that pushes a slice field or a pointer (links, ext) past the
+// first line, fails here.
 func TestProcessRecordLayout(t *testing.T) {
 	var p Process
 	if sz := unsafe.Sizeof(p); sz != 96 {
@@ -166,11 +169,14 @@ func TestProcessRecordLayout(t *testing.T) {
 		{"state", unsafe.Offsetof(p.state), unsafe.Sizeof(p.state)},
 		{"body", unsafe.Offsetof(p.body), unsafe.Sizeof(p.body)},
 		{"queue", unsafe.Offsetof(p.queue), unsafe.Sizeof(p.queue)},
-		{"cpuUsed", unsafe.Offsetof(p.cpuUsed), unsafe.Sizeof(p.cpuUsed)},
+		{"runNext", unsafe.Offsetof(p.runNext), unsafe.Sizeof(p.runNext)},
 	} {
 		if end := f.off + f.size; end > 64 {
 			t.Errorf("Process.%s ends at byte %d, want inside the first 64-byte line", f.name, end)
 		}
+	}
+	if off := unsafe.Offsetof(p.cpuUsed); off != 64 {
+		t.Errorf("Process.cpuUsed starts at byte %d, want 64 (the first word of the second line)", off)
 	}
 	rt := reflect.TypeOf(p)
 	for i := range rt.NumField() {

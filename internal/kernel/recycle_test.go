@@ -62,9 +62,10 @@ func extIsEmpty(x *procExt) bool {
 	return x == nil || x.cpuDelta == 0 && x.msgsDelta == 0 && len(x.commDelta) == 0
 }
 
+// onRunq walks k's run-queue chain for p.
 func onRunq(k *Kernel, p *Process) bool {
-	for i := 0; i < k.runq.Len(); i++ {
-		if k.runq.at(i) == p {
+	for c := k.runq.head; c != nil; c = c.runNext {
+		if c == p {
 			return true
 		}
 	}
@@ -114,8 +115,8 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			ring := rec.queue.more
 			if end == "kill-on-runq" {
 				e.RunFor(500)
-				if !rec.onRunq || !onRunq(k, rec) || rec.state != StateReady {
-					t.Fatalf("victim not Ready on the run queue before the kill (onRunq=%v state=%v)", rec.onRunq, rec.state)
+				if !k.runq.has(rec) || !onRunq(k, rec) || rec.state != StateReady {
+					t.Fatalf("victim not Ready on the run queue before the kill (has=%v state=%v)", k.runq.has(rec), rec.state)
 				}
 				k.GiveControl(oldPID, msg.OpKill, nil)
 			}
@@ -126,7 +127,7 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			if old.seen != 3 || rec.state != 0 {
 				t.Fatalf("old process saw %d messages, record state %v; want 3 and a zeroed record", old.seen, rec.state)
 			}
-			if onRunq(k, rec) {
+			if onRunq(k, rec) || rec.runNext != nil {
 				t.Fatal("dead process's record is still on the run queue")
 			}
 
@@ -150,7 +151,7 @@ func TestRecycledProcessRecordIsClean(t *testing.T) {
 			if info.CPUUsed != 0 || info.MsgsIn != 0 || info.MsgsOut != 0 || info.QueueLen != 0 || info.Links != 0 {
 				t.Fatalf("recycled record carries accounting: %+v", info)
 			}
-			if !extIsEmpty(p.ext) || p.queueHighWater != 0 || p.prevState != 0 {
+			if !extIsEmpty(p.ext) || p.queueHighWater() != 0 || ring.hw != 0 || p.prevState != 0 {
 				t.Fatalf("recycled record inherited state: %+v (ext %+v)", p, p.ext)
 			}
 			if p.ext == nil {

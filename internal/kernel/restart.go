@@ -190,8 +190,8 @@ func (k *Kernel) Restart() error {
 			pg[i].p = nil // the exit records survive, as k.exits does
 		}
 	}
-	k.procFree = nil // the parked records go to the GC with the wiped ones
-	k.runq = ring[*Process]{}
+	k.procFree = nil    // the parked records go to the GC with the wiped ones
+	k.runq = runQueue{} // the queued records go with the wiped ones
 	c.fwds, c.runs, c.ForwarderBytes = nil, nil, 0
 	c.xfersIn = nil
 	c.moveOps = nil

@@ -17,7 +17,7 @@ import "demosmp/internal/msg"
 // line room for its state, body and CPU time.
 type mailbox struct {
 	head *msg.Message
-	more *ring[*msg.Message]
+	more *ring
 }
 
 // Len returns the number of queued messages.
@@ -32,38 +32,53 @@ func (q *mailbox) Len() int {
 	return n
 }
 
-// push appends m at the tail and returns the queue's new length. It stays
-// small enough to inline into enqueue and deliverLocal (scripts/check.sh
-// fails the build otherwise); a record that has a ring, or a message
-// behind the head, takes the out-of-line pushMore.
+// push appends m at the tail. It stays small enough to inline into
+// enqueue and deliverLocal (scripts/check.sh fails the build otherwise); a
+// record that has a ring, or a message behind the head, takes the
+// out-of-line pushMore.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (q *mailbox) push(m *msg.Message) uint32 {
+func (q *mailbox) push(m *msg.Message) {
 	if q.head == nil && q.more == nil {
 		q.head = m //demos:owner mailbox — the queue holds a delivered envelope (or the kernel's timer mark) until Recv pops it, a crash wipes it, or step 6 and redeliver move it on.
-		return 1
+		return
 	}
-	return q.pushMore(m)
+	q.pushMore(m)
 }
 
 // pushMore is push where the record has a ring or the head is taken: m
 // takes the head if the queue is empty, and otherwise goes to the back of
-// the ring, made at the first.
+// the ring, made at the first, which keeps the queue's high-water mark.
 //
 //go:noinline
-func (q *mailbox) pushMore(m *msg.Message) uint32 {
+func (q *mailbox) pushMore(m *msg.Message) {
 	if q.head == nil && q.more.n == 0 {
 		q.head = m //demos:owner mailbox — as in push.
-		return 1
+		return
 	}
 	if q.more == nil {
-		q.more = &ring[*msg.Message]{}
+		q.more = &ring{}
 	}
 	q.more.push(m)
-	if q.head == nil {
-		return q.more.n
+	n := q.more.n
+	if q.head != nil {
+		n++
 	}
-	return 1 + q.more.n
+	q.more.hw = max(q.more.hw, n)
+}
+
+// noteHighWater raises the queue's high-water mark to n, which a migrated
+// process's resident record carries. A mark past 1 lives in the ring, so a
+// queue that has none makes one (an arrival whose queue once held two
+// messages, on a record that never has).
+func (q *mailbox) noteHighWater(n uint32) {
+	if n <= 1 {
+		return
+	}
+	if q.more == nil {
+		q.more = &ring{}
+	}
+	q.more.hw = max(q.more.hw, n)
 }
 
 // pop removes and returns the oldest message (nil when empty).
@@ -91,73 +106,55 @@ func (q *mailbox) at(i int) *msg.Message {
 	return q.more.at(i)
 }
 
-// ring is a growable FIFO over a power-of-two circular buffer. The run
-// queue and a mailbox's tail use it instead of append-grown slices: a pop
-// never strands backing-array capacity, so a busy queue reaches a steady
-// state where push and pop touch no allocator at all.
-type ring[T comparable] struct {
-	buf  []T
-	head uint32
-	n    uint32
+// ring is a growable FIFO over a power-of-two circular buffer, a mailbox's
+// tail: a pop never strands backing-array capacity, so a busy queue
+// reaches a steady state where push and pop touch no allocator at all. hw
+// is the most messages its mailbox has held at once, head included
+// (Process.queueHighWater): only a queue with a ring gets past 1. A
+// recycled record keeps its ring, emptied, with hw back at 0.
+type ring struct {
+	buf     []*msg.Message
+	head, n uint32
+	hw      uint32
 }
 
-// Len returns the number of queued elements.
-func (r *ring[T]) Len() int { return int(r.n) }
+// Len returns the number of queued messages.
+func (r *ring) Len() int { return int(r.n) }
 
-// push appends v at the tail.
+// push appends m at the tail.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (r *ring[T]) push(v T) {
+func (r *ring) push(m *msg.Message) {
 	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[int(r.head+r.n)&(len(r.buf)-1)] = v
+	r.buf[int(r.head+r.n)&(len(r.buf)-1)] = m //demos:owner mailbox — as in mailbox.push.
 	r.n++
 }
 
-// pop removes and returns the head element (the zero value when empty).
+// pop removes and returns the head message (nil when empty).
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (r *ring[T]) pop() T {
-	var zero T
+func (r *ring) pop() *msg.Message {
 	if r.n == 0 {
-		return zero
+		return nil
 	}
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
+	m := r.buf[r.head]
+	r.buf[r.head] = nil
 	r.head = (r.head + 1) & uint32(len(r.buf)-1)
 	r.n--
-	return v
+	return m
 }
 
-// at returns the i-th queued element (0 = head) without removing it.
-func (r *ring[T]) at(i int) T { return r.buf[(int(r.head)+i)&(len(r.buf)-1)] }
+// at returns the i-th queued message (0 = head) without removing it.
+func (r *ring) at(i int) *msg.Message { return r.buf[(int(r.head)+i)&(len(r.buf)-1)] }
 
-// remove deletes the first occurrence of v, preserving FIFO order of the
-// rest. Used when a process leaves the run queue out of turn (suspension,
-// migration freeze).
-func (r *ring[T]) remove(v T) bool {
-	for i := 0; i < r.Len(); i++ {
-		if r.at(i) != v {
-			continue
-		}
-		for j := i; j < r.Len()-1; j++ {
-			r.buf[(int(r.head)+j)&(len(r.buf)-1)] = r.at(j + 1)
-		}
-		r.n--
-		var zero T
-		r.buf[int(r.head+r.n)&(len(r.buf)-1)] = zero
-		return true
-	}
-	return false
-}
-
-func (r *ring[T]) grow() {
+func (r *ring) grow() {
 	size := len(r.buf) * 2
 	if size == 0 {
 		size = 2
 	}
-	nb := make([]T, size)
+	nb := make([]*msg.Message, size)
 	for i := range r.Len() {
 		nb[i] = r.at(i)
 	}

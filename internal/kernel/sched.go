@@ -19,22 +19,15 @@ func (k *Kernel) enqueueRun(p *Process) {
 	k.maybeSchedule()
 }
 
-// pushRun appends p to the run queue.
+// pushRun appends p to the run queue. A record queued twice would close
+// the chain into a loop, so that panics here rather than hanging a slice.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) pushRun(p *Process) {
-	p.onRunq = true
-	k.runq.push(p)
-}
-
-// removeFromRunq drops p from the run queue (suspension, migration, kill).
-// A process that is not queued — runSlice popped it, or it was waiting —
-// costs no scan.
-func (k *Kernel) removeFromRunq(p *Process) {
-	if p.onRunq {
-		p.onRunq = false
-		k.runq.remove(p)
+	if k.runq.has(p) {
+		panic("kernel: a process pushed onto the run queue twice")
 	}
+	k.runq.push(p)
 }
 
 // maybeSchedule arms the next scheduling slice if work is pending. The CPU
@@ -44,7 +37,7 @@ func (k *Kernel) removeFromRunq(p *Process) {
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) maybeSchedule() {
-	if k.sliceQueued || k.runq.Len() == 0 || k.crashed {
+	if k.sliceQueued || k.runq.empty() || k.crashed {
 		return
 	}
 	k.sliceQueued = true
@@ -65,11 +58,10 @@ func (k *Kernel) maybeSchedule() {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
 func (k *Kernel) runSlice() {
 	k.sliceQueued = false
-	if k.runq.Len() == 0 || k.crashed {
+	if k.runq.empty() || k.crashed {
 		return
 	}
 	p := k.runq.pop()
-	p.onRunq = false
 	if p.state != StateReady {
 		// Suspended or migrated while queued.
 		k.maybeSchedule()
@@ -141,7 +133,7 @@ func (k *Kernel) runSlice() {
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (k *Kernel) terminate(p *Process, code int32, err error) {
 	p.state = StateDead
-	k.removeFromRunq(p)
+	k.runq.remove(p)
 	k.releaseImage(p)
 	for p.queue.Len() > 0 {
 		k.putMsg(p.queue.pop())

@@ -96,9 +96,9 @@ func checkFreeChain(t *testing.T, k *Kernel) int {
 		if inTable[p] {
 			t.Fatalf("m%d: %v is both parked and in the process table", k.machine, p.id)
 		}
-		if p.onRunq || p.queue.Len() != 0 || p.id != (addr.ProcessID{}) {
-			t.Fatalf("m%d: a parked record is not clean: run queue %v, %d queued, id %v",
-				k.machine, p.onRunq, p.queue.Len(), p.id)
+		if p.runNext != nil || p.queue.Len() != 0 || p.id != (addr.ProcessID{}) {
+			t.Fatalf("m%d: a parked record is not clean: run-queue link %p, %d queued, id %v",
+				k.machine, p.runNext, p.queue.Len(), p.id)
 		}
 		next, ok := p.body.(*parked)
 		if !ok {
@@ -106,8 +106,8 @@ func checkFreeChain(t *testing.T, k *Kernel) int {
 		}
 		p = (*Process)(next)
 	}
-	for i := 0; i < k.runq.Len(); i++ {
-		if onChain[k.runq.at(i)] {
+	for c := k.runq.head; c != nil; c = c.runNext {
+		if onChain[c] {
 			t.Fatalf("m%d: a parked record is on the run queue", k.machine)
 		}
 	}

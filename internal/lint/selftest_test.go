@@ -119,7 +119,7 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			"Kernel.getPending", "pending.run",
 			// Scheduler.
 			"Kernel.maybeSchedule", "Kernel.runSlice", "Kernel.enqueueRun",
-			"Kernel.pushRun",
+			"Kernel.pushRun", "runQueue.push", "runQueue.pop",
 			// Syscall layer.
 			"procCtx.send", "procCtx.Recv", "procCtx.SetTimer",
 			// Spawn -> timer -> exit: the dense tables, the fired timer's

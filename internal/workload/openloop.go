@@ -153,9 +153,18 @@ const JobKind = "wl-job"
 // Job is the open-loop task body: it occupies its machine for Service
 // simulated microseconds (timer-driven) and exits. Deliberately minimal —
 // the scale scenario measures runtime throughput, not workload logic.
+//
+// A Job keeps no state but its service time, and Step never writes it, so
+// any number of processes may share one body (the open-loop driver hands
+// every job of one service time the same one). The rule is Chatter's for
+// its first tick: a step that finds the queue empty arms the timer, and
+// the timer's delivery ends the job. A job never returns Runnable, and a
+// kernel wakes a blocked process only with a delivery, so a job's queue is
+// empty at a step only when it was spawned or put back on the run queue
+// as Ready (a migration or resume of a job that had not yet run): it arms
+// exactly one timer.
 type Job struct {
 	Service sim.Time
-	Armed   bool
 }
 
 // Kind implements proc.Body.
@@ -163,22 +172,17 @@ func (j *Job) Kind() string { return JobKind }
 
 // Step implements proc.Body.
 func (j *Job) Step(ctx proc.Context, budget int) (int, proc.Status) {
-	if !j.Armed {
-		j.Armed = true
-		if j.Service < 1 {
-			j.Service = 1
-		}
-		ctx.SetTimer(j.Service, 1)
-	}
+	service := max(j.Service, 1)
 	for {
 		d, ok := ctx.Recv()
 		if !ok {
+			ctx.SetTimer(service, 1)
 			return 0, proc.Status{State: proc.Blocked}
 		}
 		// The job's PID is never published, so the only kernel-op
 		// delivery it can receive is its own timer firing.
 		if d.Op != 0 {
-			return 0, proc.Status{State: proc.Exited, ExitCode: int32(j.Service)}
+			return 0, proc.Status{State: proc.Exited, ExitCode: int32(service)}
 		}
 	}
 }

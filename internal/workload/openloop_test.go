@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"demosmp/internal/msg"
 	"demosmp/internal/proc"
 	"demosmp/internal/proctest"
 	"demosmp/internal/sim"
@@ -131,5 +132,44 @@ func TestSpinnerBurnsAndExits(t *testing.T) {
 	s3 := &Spinner{}
 	if err := s3.Restore(snap); err != nil || s3.Work != 999 {
 		t.Fatalf("restore: %v work=%d", err, s3.Work)
+	}
+}
+
+// TestJobIsStateless steps one Job body as two processes at once, through
+// a fake context each: a step that finds its queue empty arms one timer of
+// the service time and blocks, a step that receives the timer exits with
+// the service time as its code, and nothing a step does writes the body.
+// Snapshot and Restore round-trip Service alone.
+func TestJobIsStateless(t *testing.T) {
+	const service = 5000
+	job := &Job{Service: service}
+	a, b := proctest.New(), proctest.New()
+	for _, c := range []*proctest.Ctx{a, b} {
+		if _, st := job.Step(c, 500); st.State != proc.Blocked || len(c.Timers) != 1 || c.Timers[0].D != service {
+			t.Fatalf("first step: %+v, timers %+v; want blocked on one %d µs timer", st, c.Timers, service)
+		}
+	}
+	a.Push(proc.Delivery{Op: msg.OpTimer})
+	if _, st := job.Step(a, 500); st.State != proc.Exited || st.ExitCode != service || len(a.Timers) != 1 {
+		t.Fatalf("step on the fired timer: %+v, timers %+v; want an exit with code %d and no new timer", st, a.Timers, service)
+	}
+	if *job != (Job{Service: service}) {
+		t.Fatalf("stepping changed the body to %+v", *job)
+	}
+	if _, st := job.Step(b, 500); st.State != proc.Blocked || len(b.Timers) != 2 {
+		t.Fatalf("the other process's next empty step: %+v, timers %+v; want a second arm (only a spawn or a Ready restart steps an empty queue)", st, b.Timers)
+	}
+	zero := &Job{}
+	zero.Step(proctest.New(), 500)
+	if *zero != (Job{}) {
+		t.Fatalf("a zero-service job wrote its clamp into the body: %+v", *zero)
+	}
+	data, err := job.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Job
+	if err := back.Restore(data); err != nil || back != *job {
+		t.Fatalf("Restore(Snapshot()) = %+v, %v; want %+v", back, err, *job)
 	}
 }

@@ -39,7 +39,7 @@ var gobStates = map[string][]proc.Body{
 		&workload.Recorder{Seen: map[uint32]uint32{7: 1}}, &workload.Recorder{Seen: map[uint32]uint32{math.MaxUint32: math.MaxUint32}, Junk: -1},
 		&workload.Recorder{Seen: map[uint32]uint32{0: 1, 1: 2, 2: 1, 1000: 3, 70000: 1}},
 	},
-	workload.JobKind:     {&workload.Job{}, &workload.Job{Service: 1, Armed: true}, &workload.Job{Service: math.MaxUint64}},
+	workload.JobKind:     {&workload.Job{}, &workload.Job{Service: 1}, &workload.Job{Service: math.MaxUint64}},
 	workload.SpinnerKind: {&workload.Spinner{}, &workload.Spinner{Work: 250000}, &workload.Spinner{Work: -1}},
 }
 
@@ -240,7 +240,7 @@ func FuzzStateCodec(f *testing.F) {
 		case workload.ChatterKind:
 			x = &workload.Chatter{N: int(a), Interval: uint32(c), Sent: int(b)}
 		case workload.JobKind:
-			x = &workload.Job{Service: sim.Time(c), Armed: on}
+			x = &workload.Job{Service: sim.Time(c)}
 		case workload.SinkKind:
 			sink := &workload.Sink{}
 			if s != "" {

@@ -104,6 +104,22 @@ if [ "$sites" -ne "$inlined" ]; then
   echo "(*mailbox).push inlines at $inlined of its $sites call sites in internal/kernel"
   exit 1
 fi
+echo "== the run queue's push and pop inline into pushRun and runSlice (the queue is a chain through the records, runq.go: a call per slice would spend what the chain saves)"
+for fn in push pop; do
+  if ! grep -q "can inline (\*runQueue).$fn\$" <<<"$inl"; then
+    echo "(*runQueue).$fn no longer inlines"
+    exit 1
+  fi
+  lines=$(grep -n "k\.runq\.$fn(" internal/kernel/sched.go | cut -d: -f1)
+  if [ "$(wc -w <<<"$lines")" -ne 1 ]; then
+    echo "internal/kernel/sched.go calls k.runq.$fn at lines [$lines], want exactly one site (pushRun's push, runSlice's pop)"
+    exit 1
+  fi
+  if ! grep -q "^internal/kernel/sched.go:$lines:[0-9]*: inlining call to (\*runQueue).$fn\$" <<<"$inl"; then
+    echo "(*runQueue).$fn does not inline at internal/kernel/sched.go:$lines"
+    exit 1
+  fi
+done
 echo "== Kernel.lookup inlines at every lookup site (two page bounds checks since the UID table is paged) and obs.Histogram.Observe at every observe site in kernel and netw (its growth is append's out-of-line growslice)"
 if ! grep -q 'can inline (\*Kernel).lookup$' <<<"$inl"; then
   echo "(*Kernel).lookup no longer inlines"

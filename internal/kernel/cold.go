@@ -31,8 +31,9 @@ type coldState struct {
 
 	// migFree recycles migration halves, with their region buffers,
 	// region-pull stream and once-bound watchdog closures (DESIGN.md §7),
-	// so a warm kernel migrates without growing the heap.
-	migFree freelist[migration]
+	// so a warm kernel migrates without growing the heap: a LIFO chained
+	// through the parked halves' next fields (getMigration, putMigration).
+	migFree *migration
 	// kinds interns body-kind strings decoded from resident records, so a
 	// process bouncing between machines does not re-allocate its kind
 	// string on every arrival.

@@ -282,13 +282,17 @@ func (c *procCtx) ImageWrite(off int, b []byte) error {
 	return img.WriteAt(b, off)
 }
 
-// SetTimer delivers an OpTimer message to this process after d. The wait
-// rides a pooled pending record (no envelope, no closure, no body bytes per
-// call); when it fires the timer is a normal routed message, so it follows
-// the process through a migration. On the process's queue it waits as the
-// kernel's shared, read-only mark (enqueue), so a job queued behind a busy
-// CPU holds no envelope; step 6 and redeliver turn the mark back into an
-// envelope (unmark) before they send it on.
+// SetTimer delivers an OpTimer message to this process after d. The timer
+// rides one pooled pending record from here to the queue (no envelope, no
+// closure, no body bytes per call): at the deadline the record does
+// route's accounting and takes the local hop a message from this kernel
+// would (pending.fire), and at the hop it queues the kernel's shared,
+// read-only mark (pending.hop), so a job queued behind a busy CPU holds no
+// envelope. Where the mark cannot stand for it — the process migrated
+// away or is held, the kernel is down, another tag — the hop draws the
+// envelope, stamped at the fire, and the timer is a normal routed message
+// that follows the process through a migration. Step 6 and redeliver turn
+// a queued mark back into an envelope (unmark) before they send it on.
 //
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestSpawnExitSteadyStateAllocs in bench_hotpath_test.go.
 func (c *procCtx) SetTimer(d sim.Time, tag uint16) {

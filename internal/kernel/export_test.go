@@ -204,6 +204,14 @@ func (k *Kernel) parkedRecs() []*Process {
 	return out
 }
 
+// pendingRecs counts the pending records on the free chain (pendingFree).
+func (k *Kernel) pendingRecs() (n int) {
+	for d := k.pendingFree; d != nil; d = d.next {
+		n++
+	}
+	return n
+}
+
 // localSlots counts the slots of the dense UID table over all its pages.
 func (k *Kernel) localSlots() (n int) {
 	for _, pg := range k.local {

@@ -1,29 +1,66 @@
 package kernel
 
-import "demosmp/internal/proc"
+import (
+	"demosmp/internal/msg"
+	"demosmp/internal/proc"
+)
 
-// freelist is a LIFO of released records of one type: pending records and
-// migration halves (Process records chain through themselves, below). What
+// The kernel's recyclers are LIFO chains through the released records
+// themselves: Process records through their body field (parked, below),
+// pending records and migration halves through a next field. A chain costs
+// no backing slice that keeps 8 B a record and copies itself as it
+// doubles, and its head is the record the next get touches anyway. What
 // survives recycling (scratch buffers, once-bound closures, a mailbox's
-// ring) is decided where the record is put; get returns nil when the list
-// is empty, so the get site constructs a fresh record and binds whatever
-// must be bound exactly once.
-type freelist[T any] struct{ free []*T }
+// ring) is decided where the record is put; a get finds nil on an empty
+// chain, so the get site constructs a fresh record and binds whatever must
+// be bound exactly once.
 
+// getPending takes a pending record off the free chain (a fresh one when
+// the chain is empty) and loads it with m for one hop.
+//
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (l *freelist[T]) get() *T {
-	n := len(l.free)
-	if n == 0 {
-		return nil
+//demos:owner pending — the pooled pending record owns its envelope for exactly one scheduled hop; run() hands it back to route, which releases or re-queues it.
+func (k *Kernel) getPending(m *msg.Message, resubmit bool) *pending {
+	d := k.pendingFree
+	if d == nil {
+		d = k.newPending()
+	} else {
+		k.pendingFree, d.next = d.next, nil
 	}
-	x := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return x
+	d.m = m
+	d.resubmit = resubmit
+	return d
 }
 
+// putPending puts a released pending record (m already cleared) at the
+// head of the free chain.
+//
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (l *freelist[T]) put(x *T) { l.free = append(l.free, x) }
+func (k *Kernel) putPending(d *pending) {
+	d.next = k.pendingFree
+	k.pendingFree = d
+}
+
+// getMigration takes a migration half off the cold record's free chain,
+// nil when the chain is empty.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+func (c *coldState) getMigration() *migration {
+	mg := c.migFree
+	if mg != nil {
+		c.migFree, mg.next = mg.next, nil
+	}
+	return mg
+}
+
+// putMigration puts a released half (already reset by endMigration) at the
+// head of the free chain.
+//
+//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestMigrationSteadyStateAllocs in bench_hotpath_test.go.
+func (c *coldState) putMigration(mg *migration) {
+	mg.next = c.migFree
+	c.migFree = mg
+}
 
 // parked is a Process record waiting on the kernel's free chain
 // (Kernel.procFree), seen through its body field: a parked record's body

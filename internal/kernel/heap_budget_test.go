@@ -19,29 +19,29 @@ import (
 // allocations inflate HeapAlloc, hence the build tag.)
 //
 // idle: first while every job waits on its timer, then after all have
-// exited and their records and timer records sit on the free lists. Waiting
-// costs the 96-byte record, its UID slot in a 16-slot page, its timer and
-// the engine's event slot (251 B; 252 B with a UID table grown by append,
-// 282 B with a 128-byte record); after exit the same parts are parked, the
-// records on a chain through themselves (260 B; 271 B with a slice of
-// pointers to them, 317 B with a 128-byte record whose queue kept a 2-slot
-// ring backing). Each budget leaves less slack than the smallest
-// per-process cost it is there to catch. The waiting budget (260 B) fails
-// on a link table per process (64 B), a side record per process on a
-// kernel without load reports (48 B) or a record one size class up (112 B,
-// +16 B); the ended budget (266 B) on a free list that keeps each parked
-// record's pointer in a slice (271 B), a queue ring per record (a 32-byte
-// ring and its 16-byte backing, 48 B), the same side record kept on the
-// free list, or the 112-byte record.
+// exited and their records and timer records sit on the free chains.
+// Waiting costs the 96-byte record, its UID slot in a 16-slot page, its
+// timer (a 32-byte pending record and the 24-byte closure bound to it) and
+// the engine's event slot: 246 B (254 B with a pending record in the
+// 48-byte class). After exit the same parts are parked, each kind on a
+// chain through the records themselves: 246 B (255 B with a slice of
+// pointers to the pending records). Each budget leaves less slack than the
+// smallest per-process cost it is there to catch. The budgets (250 B each)
+// fail on a free list that keeps each parked record's pointer in a slice
+// (+8 B), a pending record one size class up (+16 B), a link table per
+// process (64 B), a side record per process on a kernel without load
+// reports (48 B), a process record one size class up (112 B, +16 B) or a
+// queue ring per record.
 //
 // fired-queued: the jobs' timers fire 10 µs apart, far faster than the one
 // CPU serves them, and the reading is taken when the last has fired, with
 // ~19 000 jobs waiting fired on their queues. A fired timer waits as the
 // kernel's shared mark in the queue's inline head, not as an envelope
-// (~260 B a job, against 437 B with a 128-byte envelope and its body per
-// queued job and 308 B with a ring per queued job); the budget (275 B)
-// fails on an envelope or a ring per queued job. The pool must balance with
-// nothing held: every envelope the fires drew went back at enqueue.
+// (246 B a job, against 375 B with a 128-byte envelope and its body per
+// queued job); the budget (250 B) fails on an envelope or a ring (a 40-byte
+// ring and its backing) per queued job, and on the slice-backed free list
+// (255 B). The pool must balance with nothing held: the hops drew no
+// envelope.
 func TestPerProcessHeapBudget(t *testing.T) {
 	const n = 20_000
 	var ms runtime.MemStats
@@ -64,7 +64,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 	}
 
 	t.Run("idle", func(t *testing.T) {
-		const waitingBudget, endedBudget = 260, 266
+		const waitingBudget, endedBudget = 250, 250
 		eng := sim.NewEngine(1)
 		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
 		bodies := make([]workload.Job, n)
@@ -95,7 +95,7 @@ func TestPerProcessHeapBudget(t *testing.T) {
 	})
 
 	t.Run("fired-queued", func(t *testing.T) {
-		const budget = 275
+		const budget = 250
 		eng := sim.NewEngine(1)
 		k := New(1, eng, netw.New(eng, netw.Config{}), Config{})
 		bodies := make([]workload.Job, n)

@@ -11,7 +11,6 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -363,9 +362,10 @@ type Kernel struct {
 	// FramePool, so pooling does not depend on the loss mode and PoolStats
 	// audits the ARQ's copies too.
 	pool *msg.Pool
-	// pendingFree recycles deferred-delivery records (local latency hops
-	// and paced data packets).
-	pendingFree freelist[pending]
+	// pendingFree recycles deferred-delivery records (local latency hops,
+	// paced data packets and timers): a LIFO chained through the parked
+	// records' next fields (getPending, putPending).
+	pendingFree *pending
 
 	cpuFreeAt sim.Time
 
@@ -927,48 +927,49 @@ func (k *Kernel) newControl(op msg.Op, to addr.ProcessAddr) *msg.Message {
 	return m
 }
 
-// pending is a pooled deferred-submission record, released to its free
-// list before it runs, used for the local delivery latency hop, for paced
+// pending is a pooled deferred-submission record, put back on its free
+// chain before it runs, used for the local delivery latency hop, for paced
 // data packets and for process timers. fn is bound once so scheduling one
-// allocates nothing in steady state. A timer holds no envelope while it
-// waits (m is nil): run draws one when it fires, so a long timer pins this
-// record rather than a message and the pool ledger (PoolStats) never has
-// to look inside the engine's event queue.
+// allocates nothing in steady state. A timer holds no envelope (m is nil)
+// from SetTimer to its queue: at the deadline the same record fires (fire)
+// and rides the local hop (hop), where it queues the kernel's mark, and an
+// envelope is drawn only where the mark cannot stand for the timer. So a
+// long timer pins this record rather than a message, and the pool ledger
+// (PoolStats) never has to look inside the engine's event queue.
 type pending struct {
-	k        *Kernel
 	m        *msg.Message
-	resubmit bool           // re-route (paced packet, timer) instead of delivering locally
+	next     *pending       // the free chain (Kernel.pendingFree) while parked
+	fn       func()         // d.run(k), bound once (newPending)
 	timerPID addr.ProcessID // timer (m == nil): the process that set it
 	timerTag uint16
-	fn       func()
+	// resubmit: re-route (paced packet) instead of delivering locally; for
+	// a timer, the deadline (fire) rather than the local hop.
+	resubmit bool
 }
 
-//demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-//demos:owner pending — the pooled pending record owns its envelope for exactly one scheduled hop; run() hands it back to route, which releases or re-queues it.
-func (k *Kernel) getPending(m *msg.Message, resubmit bool) *pending {
-	d := k.pendingFree.get()
-	if d == nil {
-		d = &pending{k: k}
-		d.fn = d.run
-	}
-	d.m = m
-	d.resubmit = resubmit
+// newPending makes a pending record for k with its fn bound. The closure
+// names the kernel, so the record needs no field for it and stays in the
+// 32-byte size class with its chain link.
+func (k *Kernel) newPending() *pending {
+	d := &pending{}
+	d.fn = func() { d.run(k) }
 	return d
 }
 
 //demos:hotpath — checked by demoslint (hotpathalloc); dynamic guard: TestHotPathZeroAlloc/kernel-local-roundtrip in bench_hotpath_test.go.
-func (d *pending) run() {
-	k, m, res := d.k, d.m, d.resubmit
-	pid, tag := d.timerPID, d.timerTag
+func (d *pending) run(k *Kernel) {
+	m, res := d.m, d.resubmit
+	if m == nil {
+		if res {
+			d.fire(k)
+		} else {
+			d.hop(k)
+		}
+		return
+	}
 	// Release before running so nested schedules can reuse the record.
 	d.m = nil
-	k.pendingFree.put(d)
-	if m == nil {
-		// The timer is a normal routed message from here on, so it follows
-		// the process through a migration.
-		m = k.newControl(msg.OpTimer, addr.At(pid, k.machine))
-		m.Body = binary.LittleEndian.AppendUint16(m.Body[:0], tag)
-	}
+	k.putPending(d)
 	if k.crashed {
 		// The kernel crashed while this local hop was in flight: the
 		// message dies with the machine, but not silently.

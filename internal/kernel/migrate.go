@@ -70,13 +70,13 @@ type migration struct {
 	p    *Process       // the frozen process (source) or the incoming record (destination)
 
 	// Source half: who asked, and the §6 cost report being assembled.
-	requester addr.ProcessAddr
-	rep       MigrationReport
-
 	// Destination half: the region pull, in k.xfersIn under xfer while in
-	// flight.
-	xfer uint16
-	in   inStream
+	// flight. xfer sits after requester, in what would be its padding, so
+	// the half keeps the 352-byte class with its next link.
+	requester addr.ProcessAddr
+	xfer      uint16
+	rep       MigrationReport
+	in        inStream
 
 	// The one watchdog, armed once per half: it fires at the deadline it was
 	// armed for and re-arms itself for the remainder if progress has moved
@@ -86,6 +86,8 @@ type migration struct {
 	wdFn     func() // bound once at construction; identity-checked on fire
 
 	frozen // the three regions: frozen at step 1, or reassembled in steps 4-5
+
+	next *migration // the free chain (coldState.migFree) while parked
 }
 
 // migrateEnvelopeReserve is how many envelopes the destination pool is
@@ -97,7 +99,7 @@ const migrateEnvelopeReserve = 4
 // first step. The watchdog is armed later (armWatchdog), once the half has
 // sent its first message.
 func (k *Kernel) openMigration(role migRole, p *Process, peer addr.MachineID) *migration {
-	mg := k.cold().migFree.get()
+	mg := k.cold().getMigration()
 	if mg == nil {
 		mg = &migration{}
 		mg.wdFn = func() { k.watchdogFired(mg) }
@@ -123,7 +125,7 @@ func (k *Kernel) endMigration(mg *migration) {
 	}
 	*mg = migration{wdFn: mg.wdFn, frozen: frozen{
 		resident: mg.resident[:0], swap: mg.swap[:0], program: mg.program[:0]}}
-	k.cold().migFree.put(mg)
+	k.cold().putMigration(mg)
 }
 
 // armWatchdog starts the half's progress timer. If the peer goes silent —

@@ -65,10 +65,12 @@ func (k *Kernel) SetObs(reg *obs.Registry, led *obs.Ledger) {
 // audits) and deliver_latency_us, the one kernel-owned histogram: the
 // delivery latency of every message put on a process queue, user messages,
 // kernel completions and fired timers alike (SentAt stamp to queue
-// insertion), in simulated µs, empty until the first observation. A timer
-// waits on its queue as a mark that keeps no SentAt (enqueue), so one
-// resent by step 6 or redelivered after an aborted migration counts from
-// the resend, not from its first firing.
+// insertion), in simulated µs, empty until the first observation. A fired
+// timer counts from its fire: LocalLatency on its normal path, where the
+// hop queues the mark with no envelope (pending.hop), and the fire's stamp
+// to insertion through a forward or a hold. A queued timer waits as a
+// mark that keeps no SentAt, so one resent by step 6 or redelivered after
+// an aborted migration counts from the resend, not from its first firing.
 func (k *Kernel) AppendMetrics(dst []obs.Metric) []obs.Metric {
 	p := "kernel.m" + strconv.Itoa(int(k.machine)) + "."
 	c := k.coldView()

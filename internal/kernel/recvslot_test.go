@@ -106,10 +106,10 @@ func TestRecvSlotResetsBetweenDeliveries(t *testing.T) {
 // TestKernelSizeClass: a Kernel is one allocation per simulated machine, and
 // Go puts an 8-byte header in front of an object with pointers larger than
 // 512 B, so a Kernel of at most 568 B takes the 576-byte size class. It is
-// 544 B (24 B to spare) since its free list of Process records became one
-// pointer to a chain, the load-report state one pointer to its own record,
-// and the run queue two pointers to a chain through the records (runq.go).
-// 25 bytes more take the 640-byte class and raise
+// 528 B (40 B to spare) since its free lists of Process and pending records
+// each became one pointer to a chain (freelist.go), the load-report state
+// one pointer to its own record, and the run queue two pointers to a chain
+// through the records (runq.go). 41 bytes more take the 640-byte class and raise
 // heap_live_bytes_per_machine by 64 B on every workload. A field that pushes it over fails here first;
 // a field or counter a machine that only runs jobs and exchanges user
 // messages never touches belongs in the cold record (coldState, cold.go),
@@ -145,6 +145,23 @@ func TestColdRecordSizeClass(t *testing.T) {
 	const class, header = 640, 8
 	if sz := unsafe.Sizeof(coldState{}); sz+header > class {
 		t.Fatalf("unsafe.Sizeof(coldState{}) = %d, want <= %d (the %d-byte size class less the allocation header)", sz, class-header, class)
+	}
+}
+
+// TestRecyclerRecordSizeClasses: the records the kernel recycles on chains
+// through themselves (freelist.go) keep their size classes with the chain's
+// link. A pending record (one per armed timer, local hop and paced packet)
+// is 32 B, the 32-byte class, because its bound closure names the kernel
+// (newPending): with a kernel field beside the link it is 40 B, the
+// 48-byte class, 16 B more for every armed timer. A migration half is
+// 352 B, the 352-byte class, with its link because xfer fills padding in
+// requester's word; one byte more takes the 384-byte class, 32 B a half.
+func TestRecyclerRecordSizeClasses(t *testing.T) {
+	if sz := unsafe.Sizeof(pending{}); sz > 32 {
+		t.Errorf("unsafe.Sizeof(pending{}) = %d, want <= 32 (the 32-byte size class)", sz)
+	}
+	if sz := unsafe.Sizeof(migration{}); sz > 352 {
+		t.Errorf("unsafe.Sizeof(migration{}) = %d, want <= 352 (the 352-byte size class)", sz)
 	}
 }
 

@@ -116,31 +116,31 @@ func TestHotpathAnnotationSet(t *testing.T) {
 			// Envelope pool and table plumbing.
 			"Kernel.lookup", "Kernel.getMsg", "Kernel.putMsg",
 			"Kernel.newControl", "Kernel.sendAdmin",
-			"Kernel.getPending", "pending.run",
+			"Kernel.getPending", "Kernel.putPending", "pending.run",
 			// Scheduler.
 			"Kernel.maybeSchedule", "Kernel.runSlice", "Kernel.enqueueRun",
 			"Kernel.pushRun", "runQueue.push", "runQueue.pop",
 			// Syscall layer.
 			"procCtx.send", "procCtx.Recv", "procCtx.SetTimer",
 			// Spawn -> timer -> exit: the dense tables, the fired timer's
-			// mark and the recycle site.
+			// fire, its hop to the mark, and the recycle site.
 			"Kernel.addProc", "Kernel.delProc", "Kernel.noteExit",
-			"Kernel.markTimer", "Kernel.terminate",
+			"pending.fire", "pending.hop", "Kernel.markTimer", "Kernel.terminate",
 			// Move-data facility.
 			"Kernel.ack", "Kernel.handleAck", "Kernel.handleDataPacket",
 			"Kernel.streamGather",
 			// Migration fast path (record pools + gather encoders).
 			"Kernel.getProcRec", "Kernel.putProcRec", "Kernel.internKind",
 			"Kernel.migrationMsg", "Kernel.endMigration",
+			"coldState.getMigration", "coldState.putMigration",
 			"Kernel.stepMoveData", "Kernel.pullRegion",
 			"Kernel.regionArrived", "Kernel.commitIncoming",
 			"appendResident",
 			// Deferred trace emit.
 			"Kernel.trace",
-			// Process queue, ring buffer, the free list and the
-			// record chain.
+			// Process queue, ring buffer and the Process record chain.
 			"mailbox.push", "mailbox.pop",
-			"ring.push", "ring.pop", "freelist.get", "freelist.put",
+			"ring.push", "ring.pop",
 			"Kernel.getParked", "Kernel.park",
 		},
 		// Observability plane: the registry slot the instrumented hot

@@ -1,9 +1,19 @@
 package msg
 
+import (
+	"encoding/binary"
+
+	"demosmp/internal/addr"
+)
+
 // Pool is a free list of Message envelopes for the kernel fast path. A
 // steady-state send acquires an envelope with Get, fills it in place (the
 // Body and Links backing arrays survive recycling, so appends reuse old
 // capacity), and the final consumer returns it with Put.
+//
+// A pool also keeps its kernel's one timer mark (TimerMark): the shared,
+// read-only message a fired timer waits as on a process queue, so a fired
+// timer on its normal path takes no envelope from the pool at all.
 //
 // Pools are single-threaded, matching the event engine. Put accepts any
 // message — heap-constructed envelopes (tests, drivers, cold paths) pass
@@ -29,7 +39,7 @@ type Pool struct {
 	free []*Message
 	back *Pool    // this shard's return pool; nil off a sharded cluster, itself for a return pool
 	news int      // envelopes constructed because the free list was empty
-	mark *Message // the one timer mark (TimerMark), made at the first fired timer
+	mark *Message // the one timer mark (TimerMark), made at the first timer its kernel queues
 }
 
 // NewPool returns an empty pool.
@@ -104,23 +114,26 @@ func (p *Pool) Put(m *Message) {
 	home.free = append(home.free, m)
 }
 
-// TimerMark returns what a fired timer m waits as on a process queue: the
-// pool's mark when it holds m's Kind, Op, From and Body, made from m if the
-// pool has none yet, and m itself otherwise. A mark is shared by every
-// queue that holds it and never written after it is made; it is not
+// TimerMark returns what a fired timer from from, tagged tag, waits as on a
+// process queue: the pool's mark when it stands for that timer (a control
+// OpTimer message with that sender and the tag as its 2-byte body), made
+// for it if the pool has none yet, and nil otherwise. It is the one mark
+// lookup: a kernel's local timer asks it at its hop with no envelope, a
+// timer that arrives as an envelope asks it at enqueue. A mark is shared by
+// every queue that holds it and never written after it is made; it is not
 // pooled, so Put ignores it, and the kernel turns it back into an envelope
 // before it sends it on (Message.IsMark). A pool makes at most one mark, so
 // a timer that does not match it costs nothing more than its envelope.
-func (p *Pool) TimerMark(m *Message) *Message {
+func (p *Pool) TimerMark(from addr.ProcessAddr, tag uint16) *Message {
 	mk := p.mark
 	if mk == nil {
-		mk = &Message{Kind: m.Kind, Op: m.Op, From: m.From, Body: append([]byte(nil), m.Body...), mark: true}
+		mk = &Message{Kind: KindControl, Op: OpTimer, From: from, Body: binary.LittleEndian.AppendUint16(nil, tag), mark: true}
 		p.mark = mk
 	}
-	if mk.Kind == m.Kind && mk.Op == m.Op && mk.From == m.From && string(mk.Body) == string(m.Body) {
+	if mk.From == from && binary.LittleEndian.Uint16(mk.Body) == tag {
 		return mk
 	}
-	return m
+	return nil
 }
 
 // NewReturnPool returns a shard's return pool: the pool Put parks envelopes

@@ -38,8 +38,8 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process (idle jobs, and ~19 000 fired timers queued behind a busy CPU as marks in the queue's inline head, with no envelope or ring each and none held by the pool) and per-forwarder heap budgets (a forwarding address is a table entry of at most 40 B), the paged UID table against a reference map past the UID wrap, the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
-go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestUIDTableMatchesReference|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
+echo "== the //go:build !race tests (the race detector's shadow allocations inflate HeapAlloc, and its tenfold slowdown buys the goldens and the explorer nothing): per-machine, per-process (idle jobs, and ~19 000 fired timers queued behind a busy CPU as marks in the queue's inline head, with no envelope or ring each and none held by the pool) and per-forwarder heap budgets, a burst of 20 000 timers fired at one instant that makes no envelope and returns every pending record to its chain, a fired timer's hop in each case that falls back to an envelope (migrated away, held, crashed, exited, a second tag) against the values every-fire-an-envelope gave (a forwarding address is a table entry of at most 40 B), the paged UID table against a reference map past the UID wrap, the trace ring's budget (a full 64k ring in 2 MiB + 64 KiB, its string table bounded by the retained records), experiments goldens, every two-fault schedule of one migration (no leaf flags)"
+go test -count=1 -run 'TestPerMachineHeapBudget|TestPerProcessHeapBudget|TestPerForwarderHeapBudget|TestTimerBurstDrawsNoEnvelope|TestTimerHopFallbacks|TestUIDTableMatchesReference|TestRingBudget|TestDefaultOutputGolden|TestTournamentShortGolden|TestSelectExperiments|TestExploreBudget2' \
   ./internal/core ./internal/kernel ./internal/trace ./cmd/experiments ./internal/chaos
 
 echo "== lock-free shard outboxes under the race detector (3 shards, goroutine rounds, lossless + lossy acks, 10 runs)"

@@ -220,7 +220,7 @@ func sortPIDs(pids []addr.ProcessID) {
 
 // CheckRegistry cross-checks an obs snapshot against direct struct reads:
 // every metric the registry derives from kernel.Stats and netw.Stats is
-// re-derived here from a fresh copy of the live struct (obs.StructMetrics,
+// re-derived here from a fresh copy of the live struct (obs.AppendStruct,
 // the registry's own derivation) and compared, so a registry wired to the
 // wrong struct — a stale copy included — disagrees on whatever moved since.
 // The computed values (admin_total, the pool gauges) are checked against
@@ -239,7 +239,7 @@ func CheckRegistry(c *core.Cluster, s obs.Snapshot) []string {
 		k := c.Kernel(m)
 		ks := k.Stats()
 		p := fmt.Sprintf("kernel.m%d.", m)
-		for _, want := range obs.StructMetrics(p, &ks) {
+		for _, want := range obs.AppendStruct(nil, p, &ks) {
 			check(want.Name, "struct", want.Value)
 		}
 		check(p+"admin_total", "struct", ks.AdminTotal())
@@ -258,7 +258,7 @@ func CheckRegistry(c *core.Cluster, s obs.Snapshot) []string {
 	}
 
 	ns := c.NetStats()
-	for _, want := range obs.StructMetrics("netw.", &ns) {
+	for _, want := range obs.AppendStruct(nil, "netw.", &ns) {
 		check(want.Name, "netw", want.Value)
 	}
 	return bad

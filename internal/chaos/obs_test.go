@@ -101,6 +101,16 @@ func TestStatsSingleSource(t *testing.T) {
 	}
 }
 
+// structRows is a row owner that renders one stats struct under a prefix.
+type structRows struct {
+	prefix string
+	ptr    any
+}
+
+func (r structRows) AppendMetrics(dst []obs.Metric) []obs.Metric {
+	return obs.AppendStruct(dst, r.prefix, r.ptr)
+}
+
 // TestCheckRegistryCatchesStaleCopy wires a registry to a *copy* of machine
 // 1's Stats — a second live location for the counters, which is what
 // CheckRegistry exists to catch. The copy is right when taken; after one
@@ -118,7 +128,7 @@ func TestCheckRegistryCatchesStaleCopy(t *testing.T) {
 	c.Run()
 	stale := c.Kernel(1).Stats()
 	reg := obs.NewRegistry()
-	reg.SampleStruct("kernel.m1.", &stale)
+	reg.AddRows(structRows{"kernel.m1.", &stale})
 
 	if err := c.Migrate(pid, 2); err != nil {
 		t.Fatal(err)
@@ -251,7 +261,7 @@ func TestStatsEqualRegistryAfterStorm(t *testing.T) {
 	for m := 1; m <= machines; m++ {
 		st := c.Kernel(m).Stats()
 		p := fmt.Sprintf("kernel.m%d.", m)
-		for _, want := range obs.StructMetrics(p, &st) {
+		for _, want := range obs.AppendStruct(nil, p, &st) {
 			rows[strings.TrimPrefix(want.Name, p)] += snap.Value(want.Name)
 		}
 		rows["admin_total"] += snap.Value(p + "admin_total")
@@ -265,7 +275,7 @@ func TestStatsEqualRegistryAfterStorm(t *testing.T) {
 			sum.AdminSent[op] += st.AdminSent[op]
 		}
 	}
-	for _, want := range obs.StructMetrics("", &sum) {
+	for _, want := range obs.AppendStruct(nil, "", &sum) {
 		if got := rows[want.Name]; got != want.Value {
 			t.Errorf("%s: Stats sums to %d over the machines, the registry to %d", want.Name, want.Value, got)
 		}

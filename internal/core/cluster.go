@@ -191,14 +191,10 @@ func (c *Cluster) boot() error {
 		}
 		c.pm.Note(pid, m1)
 		c.register("procmgr", pid, m1)
-		// The policy plane's counters live on the PM body; sample them
-		// from the registry owning the PM's machine so merged snapshots
-		// carry them exactly once.
-		pm := c.pm
-		reg := c.regs[c.shardOf[m1]]
-		reg.Sample("policy.migrations_ordered", func() uint64 { return pm.MigrationsOrdered })
-		reg.Sample("policy.decisions", func() uint64 { return pm.PolicyDecisions })
-		reg.Sample("policy.sweeps", func() uint64 { return pm.PolicySweeps })
+		// The policy plane's counters live on the PM body; the registry
+		// owning the PM's machine renders them, so merged snapshots carry
+		// them exactly once.
+		c.regs[c.shardOf[m1]].AddRows(policyRows{c.pm})
 	}
 	if c.opts.MemSched {
 		pid, err := c.ks[m1].Spawn(kernel.SpawnSpec{Body: memsched.New(), Privileged: true})
@@ -297,6 +293,17 @@ func (c *Cluster) notePM(pid addr.ProcessID, at addr.MachineID) {
 	}
 }
 
+// policyRows renders the PM's policy.* counters: procmgr does not import
+// obs, so the cluster registers this owner for it.
+type policyRows struct{ pm *procmgr.Manager }
+
+func (p policyRows) AppendMetrics(dst []obs.Metric) []obs.Metric {
+	return append(dst,
+		obs.Metric{Name: "policy.migrations_ordered", Kind: "counter", Value: p.pm.MigrationsOrdered},
+		obs.Metric{Name: "policy.decisions", Kind: "counter", Value: p.pm.PolicyDecisions},
+		obs.Metric{Name: "policy.sweeps", Kind: "counter", Value: p.pm.PolicySweeps})
+}
+
 // kernels returns every kernel in machine order. The slice is the
 // cluster's own table: callers only range over it.
 func (c *Cluster) kernels() []*kernel.Kernel { return c.ks[1:] }
@@ -315,9 +322,10 @@ func (c *Cluster) Engine() *sim.Engine { return c.engines[0] }
 func (c *Cluster) Ledger() *obs.Ledger { return obs.MergeLedgers(c.leds...) }
 
 // ObsSnapshot is the metrics registry stamped with the current simulated
-// time, merged across shards (name-sorted, values summed). Every kernel's
-// stats and the network's wire counters are registered at build time, so it
-// is a complete cluster view.
+// time: each shard's registry renders its row owners — every kernel, the
+// network, and on the PM's shard the policy counters, all registered at
+// build time — and the shards' name-sorted snapshots merge in one walk
+// (values summed), so it is a complete cluster view.
 func (c *Cluster) ObsSnapshot() obs.Snapshot {
 	snaps := make([]obs.Snapshot, 0, len(c.regs))
 	for _, r := range c.regs {

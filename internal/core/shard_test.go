@@ -973,3 +973,24 @@ func BenchmarkOpenLoopScale(b *testing.B) {
 	b.Run("1000m-live48k/1shard", func(b *testing.B) { run(b, 1000, 65, 1) })
 	b.Run("64m-live75k/1shard", func(b *testing.B) { run(b, 64, 1540, 1) })
 }
+
+// BenchmarkObsSnapshot is one whole-cluster metrics snapshot of a freshly
+// built 1000-machine cluster, no workload run, on 1 and 2 shards: every
+// shard's registry renders its rows and sorts them, and on 2 shards the
+// two snapshots merge. Building the cluster is not timed.
+func BenchmarkObsSnapshot(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("1000m/%dshard", shards), func(b *testing.B) {
+			c, err := core.New(core.Options{Machines: 1000, Seed: 1, Shards: shards})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var n int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n = len(c.ObsSnapshot().Metrics)
+			}
+			b.ReportMetric(float64(n), "metrics")
+		})
+	}
+}

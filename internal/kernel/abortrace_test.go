@@ -18,8 +18,6 @@ package kernel_test
 // way to get one there.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -56,15 +54,9 @@ func (b *aborterBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (b *aborterBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *aborterBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *aborterBody) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *aborterBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // arqCfg is the network used by the partition race: frames queue as
 // retransmissions while a pair is severed and flow again after Heal.

@@ -1,8 +1,6 @@
 package kernel_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -95,15 +93,9 @@ func (b *chattyBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	return 0, proc.Status{State: proc.Exited}
 }
 
-func (b *chattyBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *chattyBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *chattyBody) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *chattyBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // TestConsoleBounded: a process that prints without limit keeps only the
 // first ConsoleLineCap lines; the rest are counted as dropped.

@@ -535,13 +535,9 @@ func (b *timerBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (b *timerBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gobEncode(&buf, b)
-	return buf.Bytes(), err
-}
+func (b *timerBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *timerBody) Restore(data []byte) error { return gobDecode(data, b) }
+func (b *timerBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // TestMoveToThroughForwarderCompletesAfterAllBytes is the regression test
 // for a protocol bug the migration soak uncovered: a multi-packet write

@@ -1,8 +1,6 @@
 package kernel_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -106,12 +104,6 @@ func (c *tc) totalAdmin() uint64 {
 
 func simTime(v uint64) sim.Time { return sim.Time(v) }
 
-func gobEncode(buf *bytes.Buffer, v any) error { return gob.NewEncoder(buf).Encode(v) }
-
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
 // --- native test bodies -------------------------------------------------------
 
 // counterBody replies to each message with an incrementing count; migratable.
@@ -137,15 +129,9 @@ func (b *counterBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (b *counterBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *counterBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *counterBody) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *counterBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // blackholeBody consumes everything and remembers what it saw.
 type blackholeBody struct {
@@ -164,15 +150,9 @@ func (b *blackholeBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (b *blackholeBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *blackholeBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *blackholeBody) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *blackholeBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // pmStub is a minimal process manager: it records MigrateDone locations and
 // answers OpLocate queries (the return-to-sender baseline needs it).
@@ -210,15 +190,9 @@ func (b *pmStub) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (b *pmStub) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *pmStub) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *pmStub) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *pmStub) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // --- VM programs --------------------------------------------------------------
 

@@ -3,7 +3,6 @@ package kernel
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -60,15 +59,9 @@ func (b *markBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (b *markBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *markBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *markBody) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *markBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // markScene is two kernels and a markBody on m1, suspended, whose timer has
 // fired and waits on its queue as m1's mark.

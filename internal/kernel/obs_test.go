@@ -26,7 +26,7 @@ func observedTC(t *testing.T, machines int) (*tc, *obs.Registry) {
 
 // TestKernelRowsMatchStats pins what a kernel renders at snapshot time,
 // after a migration and a forward: its Stats counters exactly as
-// obs.StructMetrics derives them, one admin_sent.<op> row per §3.1
+// obs.AppendStruct derives them, one admin_sent.<op> row per §3.1
 // administrative op and the abort, and the five computed rows (admin_total,
 // the three envelope pool levels, the delivery-latency histogram, which
 // observes every enqueue), value for value and nothing else.
@@ -48,7 +48,7 @@ func TestKernelRowsMatchStats(t *testing.T) {
 		k := c.k(m)
 		st := k.Stats()
 		p := fmt.Sprintf("kernel.m%d.", m)
-		want := obs.StructMetrics(p, &st)
+		want := obs.AppendStruct(nil, p, &st)
 		for _, op := range admin {
 			want = append(want, obs.Metric{Name: p + "admin_sent." + op.String(), Kind: "counter", Value: st.AdminSent[op]})
 		}

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -39,15 +37,9 @@ func (b *poolDrainBody) Step(ctx proc.Context, budget int) (int, proc.Status) {
 	}
 }
 
-func (b *poolDrainBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *poolDrainBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *poolDrainBody) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *poolDrainBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 // poolSendOnceBody sends one message on link L, then blocks forever.
 type poolSendOnceBody struct {
@@ -65,15 +57,9 @@ func (b *poolSendOnceBody) Step(ctx proc.Context, budget int) (int, proc.Status)
 	return 0, proc.Status{State: proc.Blocked}
 }
 
-func (b *poolSendOnceBody) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
+func (b *poolSendOnceBody) Snapshot() ([]byte, error) { return proc.Snapshot(b) }
 
-func (b *poolSendOnceBody) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(b)
-}
+func (b *poolSendOnceBody) Restore(data []byte) error { return proc.Restore(b, data) }
 
 func poolTestCluster(t *testing.T, machines int) (*sim.Engine, []*Kernel) {
 	t.Helper()

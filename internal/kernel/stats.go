@@ -25,11 +25,11 @@ import (
 // Every unsigned-integer field is the metric kernel.m<id>.<snake_case
 // field> (tags override, see internal/obs/derive.go): SetObs registers the
 // kernel as one obs.Rows value, and AppendMetrics renders both parts with
-// obs.AppendStruct at snapshot time; chaos.CheckRegistry audits every row
-// against Stats(). This struct owns *protocol-level* counts — what the
-// kernel decided to do; netw.Stats owns *wire-level* counts — what crossed
-// the network. No number lives in both; TestStatsSingleSource checks that
-// the two layers reconcile.
+// obs.AppendStruct at snapshot time; chaos.CheckRegistry re-derives every
+// row from Stats() through the same AppendStruct. This struct owns
+// *protocol-level* counts — what the kernel decided to do; netw.Stats owns
+// *wire-level* counts — what crossed the network. No number lives in both;
+// TestStatsSingleSource checks that the two layers reconcile.
 type Stats struct {
 	// Process lifecycle.
 	Spawned uint64

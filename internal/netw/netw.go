@@ -87,10 +87,11 @@ type Endpoint interface {
 // Stats aggregates network activity. Per-kind counters let the experiments
 // separate administrative traffic from data streams and link updates.
 // The scalar fields are each counter's only declaration: the live counters
-// embed this struct and increment it in place, and RegisterObs adopts it with
-// obs.SampleStruct, so a field added here is the metric netw.<snake_case
-// field> with no other edit. The maps are filled only in the point-in-time
-// copy Network.Stats() returns; live, they are nil and flat arrays stand in.
+// embed this struct and increment it in place, and the network renders it
+// through obs.AppendStruct, so a field added here is the metric
+// netw.<snake_case field> with no other edit. The maps are filled only in
+// the point-in-time copy Network.Stats() returns; live, they are nil and
+// flat arrays stand in.
 type Stats struct {
 	Frames      uint64
 	Bytes       uint64
@@ -284,8 +285,8 @@ type Network struct {
 	dupNext   map[pair]int      // directional: duplicate the next n frames
 	delayNext map[pair]sim.Time // directional: extra transit for next frame
 
-	// Observability (obs.go): registry-owned frame-size histogram, nil
-	// until RegisterObs; account touches it behind one nil check.
+	// Observability (obs.go): the frame-size histogram, nil until
+	// RegisterObs; account touches it behind one nil check.
 	hFrame *obs.Histogram
 }
 

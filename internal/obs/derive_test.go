@@ -38,6 +38,8 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
+// TestSampleStruct: a struct's rows as AppendStruct derives them, read
+// through the pointer at snapshot time.
 func TestSampleStruct(t *testing.T) {
 	t.Run("derive", sampleStructDerive)
 	t.Run("new-field", sampleStructNewField)
@@ -49,8 +51,7 @@ func sampleStructDerive(t *testing.T) {
 	s := sampleMe{Spawned: 1, CPUBusy: 2, MsgsIn: 3, HTTPReqs: 4, Renamed: 5, Level: 6, Depth: 7,
 		Hidden: 8, Signed: 9, ByOp: [4]uint64{10, 11, 12, 13}, private: 14}
 	r := NewRegistry()
-	r.SampleStruct("k.", &s)
-	r.SampleArray("k.by_op.", &s.ByOp, []string{"", "ask", "accept"})
+	r.AddRows(structRows("k.", &s))
 
 	text := func() string {
 		var b strings.Builder
@@ -60,8 +61,6 @@ func sampleStructDerive(t *testing.T) {
 		return b.String()
 	}
 	want := `k.busy_us counter 5
-k.by_op.accept counter 12
-k.by_op.ask counter 11
 k.cpu_busy counter 2
 k.http_reqs counter 4
 k.level gauge 6
@@ -74,30 +73,30 @@ k.spawned counter 1
 	}
 
 	// Values are read through the pointer at snapshot time.
-	s.Spawned, s.Depth, s.ByOp[1] = 100, 70, 110
+	s.Spawned, s.Depth = 100, 70
 	snap := r.Snapshot(0)
-	if snap.Value("k.spawned") != 100 || snap.Value("k.queue.depth") != 70 || snap.Value("k.by_op.ask") != 110 {
+	if snap.Value("k.spawned") != 100 || snap.Value("k.queue.depth") != 70 {
 		t.Errorf("not read live: %+v", snap.Metrics)
 	}
 
-	// StructMetrics is the same derivation, in declaration order.
+	// AppendStruct appends in declaration order.
 	var names []string
-	for _, m := range StructMetrics("x.", &s) {
+	for _, m := range AppendStruct([]Metric{{Name: "x.before"}}, "x.", &s) {
 		names = append(names, m.Name)
 	}
-	if got := strings.Join(names, " "); got != "x.spawned x.cpu_busy x.msgs_in x.http_reqs x.busy_us x.level x.queue.depth" {
-		t.Errorf("StructMetrics order: %s", got)
+	if got := strings.Join(names, " "); got != "x.before x.spawned x.cpu_busy x.msgs_in x.http_reqs x.busy_us x.level x.queue.depth" {
+		t.Errorf("AppendStruct order: %s", got)
 	}
 }
 
-// A uint64 field added to a sampled struct is a metric with no other edit:
+// A uint64 field added to a rendered struct is a metric with no other edit:
 // the wider type's snapshot has exactly the one extra row.
 func sampleStructNewField(t *testing.T) {
 	type before struct{ Frames, Bytes uint64 }
 	type after struct{ Frames, Bytes, LateDrops uint64 }
 	ra, rb := NewRegistry(), NewRegistry()
-	rb.SampleStruct("netw.", &before{})
-	ra.SampleStruct("netw.", &after{LateDrops: 3})
+	rb.AddRows(structRows("netw.", &before{}))
+	ra.AddRows(structRows("netw.", &after{LateDrops: 3}))
 	if n := len(rb.Snapshot(0).Metrics); n != 2 {
 		t.Fatalf("before: %d metrics", n)
 	}
@@ -109,27 +108,23 @@ func sampleStructNewField(t *testing.T) {
 
 func sampleStructPanics(t *testing.T) {
 	var s sampleMe
-	mustPanic(t, "duplicate prefix", func() {
-		r := NewRegistry()
-		r.SampleStruct("k.", &s)
-		r.SampleStruct("k.", &sampleMe{})
-	})
-	mustPanic(t, "array prefix equal to a struct prefix", func() {
-		r := NewRegistry()
-		r.SampleStruct("k.", &s)
-		r.SampleArray("k.", &s.ByOp, []string{"a"})
-	})
 	// A derived name exists only in Snapshot, so that is where a collision
-	// with a closure surfaces — whichever was registered first.
-	mustPanic(t, "closure then derived name", func() {
+	// surfaces — whichever owner was registered first.
+	mustPanic(t, "struct then struct", func() {
 		r := NewRegistry()
-		r.Sample("k.spawned", func() uint64 { return 0 })
-		r.SampleStruct("k.", &s)
+		r.AddRows(structRows("k.", &s))
+		r.AddRows(structRows("k.", &sampleMe{}))
+		r.Snapshot(0)
+	})
+	mustPanic(t, "row then derived name", func() {
+		r := NewRegistry()
+		r.AddRows(gaugeRow("k.spawned", 0))
+		r.AddRows(structRows("k.", &s))
 		r.Snapshot(0)
 	})
 	mustPanic(t, "derived name then row", func() {
 		r := NewRegistry()
-		r.SampleStruct("k.", &s)
+		r.AddRows(structRows("k.", &s))
 		r.AddRows(gaugeRow("k.level", 0))
 		r.Snapshot(0)
 	})
@@ -139,13 +134,10 @@ func sampleStructPanics(t *testing.T) {
 		r.AddRows(gaugeRow("k.m1.level", 1))
 		r.Snapshot(0)
 	})
-	mustPanic(t, "struct by value", func() { NewRegistry().SampleStruct("k.", s) })
-	mustPanic(t, "pointer to non-struct", func() { NewRegistry().SampleStruct("k.", &s.Spawned) })
-	mustPanic(t, "array by value", func() { NewRegistry().SampleArray("k.", s.ByOp, nil) })
-	mustPanic(t, "array of signed", func() { NewRegistry().SampleArray("k.", &[2]int64{}, nil) })
-	mustPanic(t, "more names than elements", func() { NewRegistry().SampleArray("k.", &s.ByOp, make([]string, 5)) })
+	mustPanic(t, "struct by value", func() { AppendStruct(nil, "k.", s) })
+	mustPanic(t, "pointer to non-struct", func() { AppendStruct(nil, "k.", &s.Spawned) })
 	mustPanic(t, "unknown tag option", func() {
-		NewRegistry().SampleStruct("k.", &struct {
+		AppendStruct(nil, "k.", &struct {
 			A uint64 `obs:"a,guage"`
 		}{})
 	})
@@ -164,8 +156,8 @@ func sampleStructConcurrent(t *testing.T) {
 			defer wg.Done()
 			r := NewRegistry()
 			for i := 0; i < 50; i++ {
-				r.SampleStruct(fmt.Sprintf("m%d.", i), &fresh{A: uint64(i)})
-				r.SampleStruct(fmt.Sprintf("s%d.", i), &sampleMe{})
+				r.AddRows(structRows(fmt.Sprintf("m%d.", i), &fresh{A: uint64(i)}))
+				r.AddRows(structRows(fmt.Sprintf("s%d.", i), &sampleMe{}))
 			}
 			counts[g] = len(r.Snapshot(0).Metrics)
 		}()

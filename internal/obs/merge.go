@@ -1,3 +1,5 @@
+package obs
+
 // Merging for the sharded runtime: each shard owns a private Registry and
 // Ledger (hot paths never cross a shard boundary to bump a counter), and
 // the cluster materializes whole-cluster views on demand by merging the
@@ -5,77 +7,68 @@
 // across shards by design (a shard accounts FramesIn for remote receivers
 // it sends to), while kernel.mN.* rows are naturally disjoint — so the
 // merged view equals what a single shared registry would have recorded.
-package obs
-
-import "sort"
 
 // MergeSnapshots combines per-shard snapshots into one cluster snapshot at
-// time at: same-named counters and samples add their values; same-named
-// histograms add Count/Sum and merge buckets by upper bound. The result is
-// name-sorted like any Registry snapshot, so WriteText/WriteJSON output is
-// deterministic regardless of shard count.
-//
-// A lone snapshot is returned as it is, stamped at: Registry.Snapshot is
-// already name-sorted with no duplicate name, and its histogram buckets are
-// fresh slices, so the result shares nothing with registry state (it shares
-// its metrics with the argument). One registry's snapshot, the cluster's on
-// a single shard, needs no map and no re-sort.
+// time at: same-named counters and gauges add their values; same-named
+// histograms add Count/Sum and merge buckets by upper bound. Every input is
+// name-sorted with no duplicate name, as Registry.Snapshot makes it, so the
+// merge walks the inputs in step and the result is name-sorted too:
+// WriteText/WriteJSON output is deterministic regardless of shard count.
+// The merge writes into no input (it may share an input's metrics), and
+// Registry.Snapshot renders buckets into fresh slices, so the result
+// shares nothing with registry state.
 func MergeSnapshots(at uint64, snaps ...Snapshot) Snapshot {
-	if len(snaps) == 1 {
-		s := snaps[0]
-		s.AtMicros = at
-		return s
-	}
-	byName := make(map[string]*Metric)
-	var order []string
+	out := Snapshot{AtMicros: at, Metrics: []Metric{}}
 	for _, s := range snaps {
-		for i := range s.Metrics {
-			m := &s.Metrics[i]
-			acc, ok := byName[m.Name]
-			if !ok {
-				cp := *m
-				cp.Buckets = append([]Bucket(nil), m.Buckets...)
-				byName[m.Name] = &cp
-				order = append(order, m.Name)
-				continue
-			}
-			acc.Value += m.Value
-			acc.Count += m.Count
-			acc.Sum += m.Sum
-			acc.Buckets = mergeBuckets(acc.Buckets, m.Buckets)
-		}
-	}
-	sort.Strings(order)
-	out := Snapshot{AtMicros: at, Metrics: make([]Metric, 0, len(order))}
-	for _, name := range order {
-		out.Metrics = append(out.Metrics, *byName[name])
+		out.Metrics = mergeMetrics(out.Metrics, s.Metrics)
 	}
 	return out
 }
 
-// mergeBuckets sums histogram buckets keyed by upper bound. Registries use
-// the same power-of-two layout, so this is normally an index-wise add; the
-// by-Le merge also handles histograms that grew to different depths.
+// mergeMetrics walks two name-sorted metric lists into a new one, adding
+// the two metrics of a name both hold. Merged into nothing, b is its own
+// result: the fold's first input is taken as it is, not copied.
+func mergeMetrics(a, b []Metric) []Metric {
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]Metric, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Name < b[0].Name:
+			out, a = append(out, a[0]), a[1:]
+		case a[0].Name > b[0].Name:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			m := a[0]
+			m.Value += b[0].Value
+			m.Count += b[0].Count
+			m.Sum += b[0].Sum
+			m.Buckets = mergeBuckets(m.Buckets, b[0].Buckets)
+			out, a, b = append(out, m), a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// mergeBuckets walks two Le-sorted bucket lists into a new one, adding the
+// counts of a bound both hold: histograms that grew to different depths
+// merge like any other pair.
 func mergeBuckets(a, b []Bucket) []Bucket {
-	if len(b) == 0 {
-		return a
-	}
-	merged := append([]Bucket(nil), a...)
-	for _, bb := range b {
-		found := false
-		for i := range merged {
-			if merged[i].Le == bb.Le {
-				merged[i].N += bb.N
-				found = true
-				break
-			}
-		}
-		if !found {
-			merged = append(merged, bb)
+	var out []Bucket
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Le < b[0].Le:
+			out, a = append(out, a[0]), a[1:]
+		case a[0].Le > b[0].Le:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, Bucket{Le: a[0].Le, N: a[0].N + b[0].N}), a[1:], b[1:]
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Le < merged[j].Le })
-	return merged
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // MergeLedgers returns a ledger viewing every record of the inputs. Records

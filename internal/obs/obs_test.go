@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
+	"os"
+	"reflect"
+	"sort"
 	"testing"
 
 	"demosmp/internal/addr"
@@ -23,13 +27,20 @@ func gaugeRow(name string, v uint64) Rows {
 	})
 }
 
+// structRows is a Rows owner rendering the struct ptr points to under prefix.
+func structRows(prefix string, ptr any) Rows {
+	return rowsFunc(func(dst []Metric) []Metric { return AppendStruct(dst, prefix, ptr) })
+}
+
 func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	r := NewRegistry()
 	var owned struct{ Counter uint64 }
-	r.SampleStruct("z.", &owned)
+	r.AddRows(structRows("z.", &owned))
 	h := r.Histogram("a.hist")
 	var src uint64 = 41
-	r.Sample("m.sampled", func() uint64 { return src })
+	r.AddRows(rowsFunc(func(dst []Metric) []Metric {
+		return append(dst, Metric{Name: "m.sampled", Kind: "counter", Value: src})
+	}))
 	r.AddRows(gaugeRow("g.level", 7))
 
 	owned.Counter += 3
@@ -82,15 +93,18 @@ func TestRegistrySnapshotSortedAndTyped(t *testing.T) {
 	}
 }
 
+// TestRegistryDuplicatePanics: registration claims no name, so two owners
+// rendering one name register quietly, and Snapshot panics.
 func TestRegistryDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
 	r := NewRegistry()
 	r.Histogram("dup")
-	r.Sample("dup", func() uint64 { return 0 })
+	r.AddRows(gaugeRow("dup", 0))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a duplicate name did not panic in Snapshot")
+		}
+	}()
+	r.Snapshot(0)
 }
 
 func TestSnapshotWriteDeterministic(t *testing.T) {
@@ -98,7 +112,7 @@ func TestSnapshotWriteDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.AddRows(gaugeRow("b", 5))
 		r.Histogram("a").Observe(100)
-		r.Sample("c", func() uint64 { return 9 })
+		r.AddRows(gaugeRow("c", 9))
 		return r.Snapshot(77)
 	}
 	var t1, t2, j1, j2 bytes.Buffer
@@ -229,6 +243,13 @@ func TestTimelineExport(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("timeline JSON differs between identical builds")
 	}
+	want, err := os.ReadFile("testdata/timeline_export.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1, want) {
+		t.Fatalf("timeline JSON:\n%s\nwant testdata/timeline_export.json:\n%s", b1, want)
+	}
 	var doc struct {
 		TraceEvents []TimelineEvent `json:"traceEvents"`
 	}
@@ -281,15 +302,14 @@ func TestEngineSampler(t *testing.T) {
 	}
 }
 
-// TestMergeSingleSnapshotFastPath: MergeSnapshots of one snapshot returns it
-// stamped, without the map merge. It must equal the map path's result (the
-// same snapshot merged with an empty one) on counters, gauges and a
-// histogram, and its buckets must not alias the registry's histogram: a
-// later observation leaves an earlier merged snapshot as it was.
+// TestMergeSingleSnapshotFastPath: a snapshot merged alone, or with an
+// empty one, is the snapshot stamped at the merge time, on counters, gauges
+// and a histogram; and its buckets do not alias the registry's histogram:
+// a later observation leaves an earlier merged snapshot as it was.
 func TestMergeSingleSnapshotFastPath(t *testing.T) {
 	r := NewRegistry()
 	var owned struct{ Counter, Other uint64 }
-	r.SampleStruct("z.", &owned)
+	r.AddRows(structRows("z.", &owned))
 	h := r.Histogram("a.hist")
 	r.AddRows(gaugeRow("g.level", 7))
 	owned.Counter, owned.Other = 3, 9
@@ -297,18 +317,118 @@ func TestMergeSingleSnapshotFastPath(t *testing.T) {
 		h.Observe(v)
 	}
 	s := r.Snapshot(10)
-	fast := MergeSnapshots(99, s)
-	slow := MergeSnapshots(99, s, Snapshot{})
-	if fast.AtMicros != 99 {
-		t.Fatalf("AtMicros = %d, want 99", fast.AtMicros)
+	merged := []Snapshot{MergeSnapshots(99, s), MergeSnapshots(99, s, Snapshot{})}
+	var before []string
+	for _, m := range merged {
+		if m.AtMicros != 99 {
+			t.Fatalf("AtMicros = %d, want 99", m.AtMicros)
+		}
+		if got, want := fmt.Sprintf("%+v", m.Metrics), fmt.Sprintf("%+v", s.Metrics); got != want {
+			t.Fatalf("merged snapshot differs from its input:\n%s\n%s", got, want)
+		}
+		before = append(before, fmt.Sprintf("%+v", m))
 	}
-	if got, want := fmt.Sprintf("%+v", fast), fmt.Sprintf("%+v", slow); got != want {
-		t.Fatalf("fast path differs from the map path:\n%s\n%s", got, want)
-	}
-	before := fmt.Sprintf("%+v", fast)
 	h.Observe(5)
 	owned.Counter++
-	if after := fmt.Sprintf("%+v", fast); after != before {
-		t.Fatalf("a merged snapshot moved with the registry:\n%s\n%s", before, after)
+	for i, m := range merged {
+		if after := fmt.Sprintf("%+v", m); after != before[i] {
+			t.Fatalf("a merged snapshot of %d inputs moved with the registry:\n%s\n%s", i+1, before[i], after)
+		}
 	}
+}
+
+// TestMergeMatchesReference: the walk over name-sorted snapshots gives what
+// a merge through a name map and a sort gives (refMerge), on seeded random
+// shard snapshots: 1–4 of them, overlapping and disjoint names, counters,
+// gauges, and histograms grown to different depths.
+func TestMergeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(55, 1))
+	for trial := 0; trial < 500; trial++ {
+		snaps := make([]Snapshot, 1+rng.IntN(4))
+		for i := range snaps {
+			r := NewRegistry()
+			for n := 0; n < 12; n++ {
+				if rng.IntN(2) == 0 {
+					continue // this shard has no metric n
+				}
+				switch name := fmt.Sprintf("m%02d", n); n % 3 {
+				case 0:
+					r.AddRows(gaugeRow(name, rng.Uint64N(100)))
+				case 1:
+					v := rng.Uint64N(100)
+					r.AddRows(rowsFunc(func(dst []Metric) []Metric {
+						return append(dst, Metric{Name: name, Kind: "counter", Value: v})
+					}))
+				default:
+					h := r.Histogram(name)
+					for k := rng.IntN(6); k > 0; k-- {
+						h.Observe(rng.Uint64N(1 << rng.IntN(20)))
+					}
+				}
+			}
+			snaps[i] = r.Snapshot(sim.Time(i))
+		}
+		got, want := MergeSnapshots(7, snaps...), refMerge(7, snaps...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merge of %d snapshots\n got %+v\nwant %+v", trial, len(snaps), got, want)
+		}
+	}
+}
+
+// refMerge is MergeSnapshots as a name map and a sort: every metric is
+// copied into the map on first sight, later ones with its name add into it,
+// and the names are sorted at the end.
+func refMerge(at uint64, snaps ...Snapshot) Snapshot {
+	if len(snaps) == 1 {
+		s := snaps[0]
+		s.AtMicros = at
+		return s
+	}
+	byName := make(map[string]*Metric)
+	var order []string
+	for _, s := range snaps {
+		for i := range s.Metrics {
+			m := &s.Metrics[i]
+			acc, ok := byName[m.Name]
+			if !ok {
+				cp := *m
+				cp.Buckets = append([]Bucket(nil), m.Buckets...)
+				byName[m.Name] = &cp
+				order = append(order, m.Name)
+				continue
+			}
+			acc.Value += m.Value
+			acc.Count += m.Count
+			acc.Sum += m.Sum
+			acc.Buckets = refMergeBuckets(acc.Buckets, m.Buckets)
+		}
+	}
+	sort.Strings(order)
+	out := Snapshot{AtMicros: at, Metrics: make([]Metric, 0, len(order))}
+	for _, name := range order {
+		out.Metrics = append(out.Metrics, *byName[name])
+	}
+	return out
+}
+
+func refMergeBuckets(a, b []Bucket) []Bucket {
+	if len(b) == 0 {
+		return a
+	}
+	merged := append([]Bucket(nil), a...)
+	for _, bb := range b {
+		found := false
+		for i := range merged {
+			if merged[i].Le == bb.Le {
+				merged[i].N += bb.N
+				found = true
+				break
+			}
+		}
+		if !found {
+			merged = append(merged, bb)
+		}
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].Le < merged[j].Le })
+	return merged
 }

@@ -9,17 +9,16 @@
 //     interfaces anywhere a per-message code path can reach. Everything
 //     else — registration, snapshotting, export — is cold and may allocate
 //     freely.
-//  2. Exactly one declaration per value, and names only in Snapshot. A
-//     counter is a field of its owner's stats struct and nothing else:
-//     SampleStruct adopts the struct by pointer and derives metric names
-//     from field names (derive.go), reading the fields only at snapshot
-//     time, so a number can never drift between "the struct" and "the
-//     registry". An owner that exists once per machine registers itself
-//     (AddRows) and renders its rows in Snapshot through the same rule: a
-//     machine costs the registry one interface value, and its metric names,
-//     like every derived name, exist only in the snapshot. Closures are for
-//     cluster-wide values that are computed, not stored; only genuinely new
-//     metrics (latency/size histograms) are not fields of a stats struct.
+//  2. Exactly one declaration per value, and names only in Snapshot. The
+//     registry is a list of row owners (AddRows): each renders its rows
+//     when Snapshot runs, so a machine costs the registry one interface
+//     value, and its metric names exist only in the snapshot. A counter is
+//     a field of its owner's stats struct and nothing else: the owner
+//     renders the struct through AppendStruct, which derives metric names
+//     from field names (derive.go) and reads the fields at that moment, so
+//     a number can never drift between "the struct" and "the registry".
+//     Only genuinely new metrics (latency/size histograms) and values an
+//     owner computes are not fields of a stats struct.
 //  3. Deterministic output. Snapshots are sorted by metric name and
 //     rendered through explicit structs — no map iteration feeds an
 //     exporter (demoslint maporder), so two same-seed runs emit
@@ -89,70 +88,47 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[i]++
 }
 
-// metric is one registered slot: a histogram, or a counter fn computes.
-type metric struct {
-	name string
-	hist *Histogram
-	fn   func() uint64
-}
-
 // Rows is a registration that renders its own metrics when Snapshot runs,
-// appending them to dst: a per-machine owner registers itself once with
-// AddRows, and holds no name, closure or slot in the registry until then.
-// The names it renders must be unique; Snapshot panics on a duplicate.
+// appending them to dst: an owner registers itself once with AddRows, and
+// holds no name, closure or slot in the registry until then. The names it
+// renders must be unique; Snapshot panics on a duplicate.
 type Rows interface {
 	AppendMetrics(dst []Metric) []Metric
 }
 
-// Registry holds the cluster's metric slots and samplers. It is built once
-// at boot; registration is not safe concurrently with snapshots, which is
-// fine in a single-threaded discrete-event simulator.
+// Registry is the cluster's list of row owners. It is built once at boot;
+// registration is not safe concurrently with snapshots, which is fine in a
+// single-threaded discrete-event simulator.
 type Registry struct {
-	metrics []metric  // registry-owned slots and closures, one per metric
-	sampled []sampled // adopted structs and arrays, one per registration
-	rows    []Rows    // owners that render their own metrics
-	names   map[string]struct{}
+	rows []Rows
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{names: make(map[string]struct{})}
-}
-
-// claim reserves a registration's name — a metric name, or the prefix of an
-// adopted struct or array — and panics if it is taken. Derived names exist
-// only in Snapshot, which is where one that collides is caught.
-func (r *Registry) claim(name string) {
-	if _, dup := r.names[name]; dup {
-		panic("obs: duplicate metric name " + name)
-	}
-	r.names[name] = struct{}{}
-}
-
-func (r *Registry) register(m metric) {
-	r.claim(m.name)
-	r.metrics = append(r.metrics, m)
-}
-
-// Histogram registers and returns a registry-owned power-of-two histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := &Histogram{}
-	r.register(metric{name: name, hist: h})
-	return h
-}
-
-// Sample registers a counter whose value is computed by fn at snapshot time
-// (a sum over other counters, a level read through an accessor). A value
-// that is stored in a struct field is adopted with SampleStruct instead.
-func (r *Registry) Sample(name string, fn func() uint64) {
-	r.register(metric{name: name, fn: fn})
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // AddRows registers an owner whose metrics Snapshot renders by calling its
 // AppendMetrics. Nothing about it is claimed up front: a name it renders
 // that collides with another metric is caught in Snapshot.
 func (r *Registry) AddRows(rows Rows) {
 	r.rows = append(r.rows, rows)
+}
+
+// Histogram registers and returns a histogram the registry renders as the
+// metric called name.
+func (r *Registry) Histogram(name string) *Histogram {
+	h := &Histogram{}
+	r.AddRows(namedHistogram{name, h})
+	return h
+}
+
+// namedHistogram is the row owner Histogram registers.
+type namedHistogram struct {
+	name string
+	h    *Histogram
+}
+
+func (n namedHistogram) AppendMetrics(dst []Metric) []Metric {
+	return append(dst, n.h.Metric(n.name))
 }
 
 // Bucket is one histogram bucket in a snapshot: N observations with
@@ -179,25 +155,11 @@ type Snapshot struct {
 	Metrics  []Metric `json:"metrics"`
 }
 
-// Snapshot reads every slot, sampler, adopted struct and row owner (cold)
-// and returns a name-sorted snapshot stamped with the given simulated time.
-// It panics if a derived or rendered name collides with another metric.
+// Snapshot renders every row owner (cold) and returns a name-sorted
+// snapshot stamped with the given simulated time. It panics if a rendered
+// name collides with another metric.
 func (r *Registry) Snapshot(at sim.Time) Snapshot {
-	n := len(r.metrics)
-	for i := range r.sampled {
-		n += len(r.sampled[i].fields) + len(r.sampled[i].names)
-	}
-	s := Snapshot{AtMicros: uint64(at), Metrics: make([]Metric, 0, n)}
-	for _, m := range r.metrics {
-		if m.hist != nil {
-			s.Metrics = append(s.Metrics, m.hist.Metric(m.name))
-		} else {
-			s.Metrics = append(s.Metrics, Metric{Name: m.name, Kind: "counter", Value: m.fn()})
-		}
-	}
-	for i := range r.sampled {
-		s.Metrics = r.sampled[i].appendTo(s.Metrics)
-	}
+	s := Snapshot{AtMicros: uint64(at), Metrics: []Metric{}}
 	for _, rows := range r.rows {
 		s.Metrics = rows.AppendMetrics(s.Metrics)
 	}

@@ -4,7 +4,7 @@
 # without the race detector (heap budgets, experiments goldens, the
 # explorer's budget 2), four fuzz smokes (FuzzKernelAdmin, FuzzEngineOrder,
 # FuzzPendOrder, FuzzStateCodec), the hot-path allocation guards, a
-# one-iteration smoke of the scale, peak-heap and policy benchmarks, the msg.Pool,
+# one-iteration smoke of the scale, peak-heap, policy and snapshot benchmarks, the msg.Pool,
 # mailbox, Kernel.lookup, Histogram.Observe and trace ring inlining guards, the trace-site guards (no Emitf in
 # the kernel, no .String() passed to k.trace) and a one-pair smoke of the
 # A/B pairs tool. Run from anywhere; exits non-zero on the first failure.
@@ -76,12 +76,12 @@ echo "== hot-path allocation guards (steady state incl. send -> pump at depth 64
 go test -run 'TestHotPathZeroAlloc|TestSpawnExitSteadyStateAllocs' \
   -bench 'EngineSchedule|EngineDispatchDepth|NetwSend|MsgEncode|Kernel' \
   -benchtime 1x .
-echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, the live-heap peak probe on 64 machines, 256-machine policy round)"
-go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|OpenLoopPeakLiveHeap/^64m$|PolicyRound' -benchtime 1x ./internal/core ./internal/policy
-echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, msg.Pool in the 48-byte class and msg.Message in the 128-byte one, the cold record made only at the first migration, forward, restart or console line (never by load reports) and its counters rendered without a Stats copy, the swap store only at the first image; Process is 96 bytes (Go's 96-byte class) with a slice's fields in its first cache line; the cluster's kernel table is dense; one registry's snapshot merges as itself"
+echo "== the whole-cluster benchmarks beside their code compile and run (1 iteration smoke: 64-machine open-loop scale points, the 1000-machine point of the controlled pair at 64's live count, the live-heap peak probe on 64 machines, 256-machine policy round, one metrics snapshot of a 1000-machine cluster on 1 and 2 shards)"
+go test -run '^$' -bench 'OpenLoopScale/^(64m|1000m-live48k)$|OpenLoopPeakLiveHeap/^64m$|PolicyRound|ObsSnapshot' -benchtime 1x ./internal/core ./internal/policy
+echo "== Recv's one Delivery slot resets between deliveries; Kernel stays in its 576-byte size class and its cold record in the 640-byte one, msg.Pool in the 48-byte class and msg.Message in the 128-byte one, the cold record made only at the first migration, forward, restart or console line (never by load reports) and its counters rendered without a Stats copy, the swap store only at the first image; Process is 96 bytes (Go's 96-byte class) with a slice's fields in its first cache line; the cluster's kernel table is dense; a merged snapshot shares nothing with the registry, and the walk over sorted snapshots merges as a name map and a sort do"
 go test -count=1 -run 'TestRecvSlotResetsBetweenDeliveries|TestKernelSizeClass|TestPoolAndEnvelopeSizeClass|TestColdRecordSizeClass|TestColdRecordMadeAtFirstUse|TestStatsSplitCoversEveryField|TestAppendMetricsMakesNoStatsCopy|TestProcessRecordLayout' ./internal/kernel/
 go test -count=1 -run 'TestKernelTableIsDense' ./internal/core/
-go test -count=1 -run 'TestMergeSingleSnapshotFastPath' ./internal/obs/
+go test -count=1 -run 'TestMergeSingleSnapshotFastPath|TestMergeMatchesReference' ./internal/obs/
 echo "== shard hot path and cross-shard transport at 0 allocations per frame (the pooled envelope crosses, no clone); at 5% loss, allocations level off (high-water growth, not a leak)"
 go test -count=1 -run 'TestShardHotPathZeroAlloc|TestShardOutboxZeroAlloc|TestShardOutboxLossyAllocsLevelOff' ./internal/core/
 echo "== msg.Pool.Put and Get stay inlinable (a Put that stops inlining costs pingpong a few per cent)"
